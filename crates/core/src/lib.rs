@@ -46,6 +46,7 @@ mod locality;
 mod nes;
 mod observe;
 mod online;
+mod shared;
 mod trace;
 mod update;
 
@@ -60,7 +61,7 @@ pub use happens::HappensBefore;
 pub use locality::{locally_determined, minimally_inconsistent};
 pub use nes::{NesError, NetworkEventStructure};
 pub use observe::{LeafKind, TraceObserver};
-pub use online::{OnlineChecker, OnlineHandle, OnlineViolation};
+pub use online::{CheckerTelemetry, OnlineChecker, OnlineHandle, OnlineViolation};
 pub use trace::{
     LocatedPacket, NetworkTrace, TraceBuilder, TraceMode, TraceParts, TraceStructureError,
 };

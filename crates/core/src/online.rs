@@ -21,12 +21,29 @@
 //!    so each live node carries small bitmasks instead of the full relation.
 //!
 //! Per live node the checker keeps: the NFA state of its (virtual-field
-//! erased) packet path under every reachable configuration `g(X)` (one
-//! 3-bit state per configuration, exactly the automaton of
-//! [`Config::admits_trace`](crate::Config::admits_trace)); the set of event
-//! *firings* that happened-before it; and the set of *watched* leaves that
-//! happened-before it. Event firings replay the SWITCH rule greedily: an
-//! unfired event fires at a record when the packet matches and some enabling
+//! erased) packet path under every reachable configuration `g(X)` — exactly
+//! the automaton of [`Config::admits_trace`](crate::Config::admits_trace),
+//! held as three `u64` masks (at a host / just crossed a link into a switch /
+//! just left a table), one bit per configuration; the set of event *firings*
+//! that happened-before it; and the set of *watched* leaves that
+//! happened-before it.
+//!
+//! The configurations themselves are not kept. At
+//! [`OnlineChecker::observer`] they are folded into one
+//! configuration-masked shared rule index (`shared.rs`): per switch every
+//! *distinct* rule once, under the mask of the configurations that install
+//! it and with its priority position in each, behind a candidate index keyed
+//! by pattern signature and values; and per link, link source and host the
+//! mask of the configurations that have it. The configurations of an NES
+//! share nearly all their rules (a 20-update fat-tree(8) campaign installs
+//! 198,240 rules that are 10,240 distinct ones), so a record costs one link
+//! probe or one candidate lookup through a zero-copy view of the parent's
+//! packet, the winner per configuration resolved by position among the
+//! handful of rules that match, each distinct winner's actions applied once
+//! — and mask arithmetic — whatever the number of configurations.
+//!
+//! Event firings replay the SWITCH rule greedily: an unfired event located
+//! at a record's port fires there when the packet matches and some enabling
 //! set has fired entirely happens-before that record. Each firing appends
 //! `g(X)` to the *realized* configuration sequence — the online image of the
 //! update `g(∅) →e₀ g({e₀}) →e₁ ⋯`.
@@ -37,29 +54,40 @@
 //! becomes a pending obligation discharged by future firings; condition 2
 //! (too early) is tested when a later firing sees the leaf in its
 //! happens-before past; condition 3 (too late) intersects `D` with the
-//! configurations realized *after* the last firing preceding the trace's
-//! root. The triggering-packet side condition of first occurrences is a
+//! configurations realized from the last firing preceding the trace's root
+//! on. The triggering-packet side condition of first occurrences is a
 //! reference-counted obligation carried from the firing node to each
 //! descendant leaf. Prefixes retire as soon as the engine promises a node
-//! can gain no more children.
+//! can gain no more children; a retired node's buffers are reused by the
+//! next record, so steady-state checking does not allocate.
+//!
+//! The observer owns all of this outright — no callback takes a lock — and
+//! [`TraceObserver::finish`] publishes the verdict, with the run's
+//! [`CheckerTelemetry`], to the [`OnlineHandle`] exactly once.
 //!
 //! # Capacity
 //!
-//! The checker is exact while the run stays within its (generous) windows:
-//! at most 64 reachable configurations, 64 event firings, and 64
-//! simultaneously-watched leaves. Beyond that it returns the conservative
-//! [`OnlineViolation::CapacityExceeded`] rather than guessing.
+//! One bit per configuration, firing and watched leaf: the checker is exact
+//! while the run stays within 64 reachable configurations
+//! ([`OnlineChecker::observer`] refuses more), 64 event firings, and 64
+//! leaves watched for condition 2 or 3 over the run. Beyond that it returns
+//! the conservative [`OnlineViolation::CapacityExceeded`] rather than
+//! guessing. A firing that leaves the structure's reachable event-sets —
+//! which a well-formed [`EventStructure`](crate::EventStructure) cannot
+//! produce — has no configuration to realize and is reported as
+//! [`OnlineViolation::Inconsistent`], not as a panic inside the engine's
+//! event loop.
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
-use netkat::{Loc, Packet};
+use netkat::{Field, Loc, Packet};
 
+use crate::config::Config;
 use crate::event::{Event, EventId, EventSet};
 use crate::nes::NetworkEventStructure;
 use crate::observe::{LeafKind, TraceObserver};
-use crate::trace::LocatedPacket;
+use crate::shared::{FxMap, MaskedState, SharedIndex};
 
 /// Why an online run is not correct (or not checkable).
 ///
@@ -126,10 +154,12 @@ impl std::error::Error for OnlineViolation {}
 
 /// A live trace node: the checker's bounded per-packet-in-flight state.
 struct Node {
-    /// The (virtual-field erased) located packet of this record.
-    lp: LocatedPacket,
-    /// NFA state under each reachable configuration (0 = rejected).
-    nfa: Box<[u8]>,
+    /// The (virtual-field erased) packet of this record.
+    packet: Packet,
+    /// Where it was recorded.
+    loc: Loc,
+    /// NFA state of the path so far, under every reachable configuration.
+    nfa: MaskedState,
     /// Firing positions at strict happens-before ancestors.
     fired_anc: u64,
     /// Watch bits of pending leaves that happened-before this node.
@@ -150,6 +180,33 @@ struct Node {
     leafed: Option<LeafKind>,
     /// Set by [`TraceObserver::retire`] on the unsealed node.
     retired: bool,
+}
+
+impl Node {
+    /// A root record of `packet` at `loc`, built in the buffers of a dead
+    /// node when there is one: in steady state a record allocates nothing.
+    fn fresh(spare: Option<Node>, packet: &Packet, loc: Loc) -> Node {
+        let (mut erased, mut trig) = spare.map(|n| (n.packet, n.trig)).unwrap_or_default();
+        erased.clone_from(packet);
+        erased.unset(Field::Tag);
+        erased.unset(Field::Digest);
+        trig.clear();
+        Node {
+            packet: erased,
+            loc,
+            nfa: MaskedState::default(),
+            fired_anc: 0,
+            watch_anc: 0,
+            root_pred: 0,
+            is_root: true,
+            trig,
+            own_fired: 0,
+            own_watch: 0,
+            cause_requested: false,
+            leafed: None,
+            retired: false,
+        }
+    }
 }
 
 /// The most recent record at a switch (or host), with its masks. Late-updated
@@ -176,24 +233,57 @@ struct Obligation {
     live: u32,
 }
 
+/// What a finished run leaves behind besides its verdict: the checker's
+/// telemetry, as [`TraceObserver::contribute_metrics`] exports it under
+/// `checker.*`. High-water marks cover the whole run, including the part
+/// leading into a violation.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct CheckerTelemetry {
+    /// Most trace nodes alive at once (`checker.live_nodes_hw`).
+    pub live_nodes_hw: u64,
+    /// Nodes dropped because their prefix could no longer matter
+    /// (`checker.retired_prefixes`).
+    pub retired_prefixes: u64,
+    /// Most trigger obligations opened (`checker.obligations_hw`).
+    pub obligations_hw: u64,
+    /// Most leaves watched for condition 2 (`checker.watched_leaves_hw`).
+    pub watched_leaves_hw: u64,
+    /// Event firings replayed (`checker.fired_events`).
+    pub fired_events: u64,
+}
+
+/// What [`TraceObserver::finish`] publishes to the [`OnlineHandle`].
+struct Outcome {
+    verdict: Result<(), OnlineViolation>,
+    telemetry: CheckerTelemetry,
+}
+
 struct Inner {
     // NES-derived, fixed at construction.
-    events: Vec<Event>,
+    /// The events that can fire at each location, in id order.
+    events_at: FxMap<Loc, Vec<Event>>,
     family: Vec<EventSet>,
-    configs: Vec<crate::config::Config>,
-    domain_index: HashMap<EventSet, u32>,
+    index: SharedIndex,
+    domain_index: FxMap<EventSet, u32>,
 
     // Firing state.
     fired_set: EventSet,
-    fired_events: Vec<EventId>,
-    realized_order: Vec<u32>,
+    /// Firing position of each member of `fired_set`, by event id.
+    fire_pos: [u8; EventId::MAX_EVENTS],
+    /// The configuration in force: the last of the realized sequence.
+    current_cfg: u32,
     realized_mask: u64,
+    /// Per firing position, the configurations realized by that firing and
+    /// by every later one.
+    realized_from: Vec<u64>,
 
-    // Live-trace state.
-    nodes: BTreeMap<usize, Node>,
-    unsealed: Option<usize>,
-    last_at: HashMap<u64, LastAt>,
-    cause_masks: HashMap<usize, (u64, u64)>,
+    // Live-trace state. The newest node stays out of the map until the
+    // next record seals it: most nodes leaf or retire before that.
+    nodes: FxMap<usize, Node>,
+    unsealed: Option<(usize, Node)>,
+    spare: Vec<Node>,
+    last_at: FxMap<u64, LastAt>,
+    cause_masks: FxMap<usize, (u64, u64)>,
 
     // Open obligations.
     pending1: Vec<Pending1>,
@@ -201,15 +291,9 @@ struct Inner {
     obligations: Vec<Obligation>,
 
     verdict: Option<Result<(), OnlineViolation>>,
-    finished: bool,
-
-    // Telemetry high-waters and counters. These survive `fail`'s state
-    // clear: the numbers leading *into* a violation are the interesting
-    // ones.
-    m_nodes_hw: u64,
-    m_retired: u64,
-    m_obligations_hw: u64,
-    m_watch_hw: u64,
+    /// These survive `fail`'s state clear: the numbers leading *into* a
+    /// violation are the interesting ones.
+    telemetry: CheckerTelemetry,
     /// The engine's flight recorder, when one was attached: event firings
     /// and the violation itself are logged as checker transitions.
     flight: Option<edn_obs::FlightRecorder>,
@@ -220,44 +304,36 @@ impl Inner {
         self.verdict.is_some()
     }
 
+    fn live_nodes(&self) -> usize {
+        self.nodes.len() + self.unsealed.is_some() as usize
+    }
+
+    fn flight_record(&self, kind: &'static str, seq: u64, node: u64) {
+        if let Some(fr) = &self.flight {
+            let depth = self.live_nodes() as u64;
+            fr.record(edn_obs::FlightEvent { t_us: 0, seq, kind, node, depth });
+        }
+    }
+
     fn fail(&mut self, v: OnlineViolation) {
         if self.verdict.is_none() {
             self.verdict = Some(Err(v));
-            if let Some(fr) = &self.flight {
-                fr.record(edn_obs::FlightEvent {
-                    t_us: 0,
-                    seq: self.fired_events.len() as u64,
-                    kind: v.name(),
-                    node: 0,
-                    depth: self.nodes.len() as u64,
-                });
-            }
+            self.flight_record(v.name(), self.telemetry.fired_events, 0);
         }
         self.nodes.clear();
+        self.unsealed = None;
         self.last_at.clear();
         self.cause_masks.clear();
         self.pending1.clear();
         self.pending3.clear();
         self.obligations.clear();
-        self.unsealed = None;
-    }
-
-    /// Which configurations admit the node's finished path.
-    fn admitted_mask(&self, node: &Node, allow_prefix: bool) -> u64 {
-        let mut d = 0u64;
-        for (i, cfg) in self.configs.iter().enumerate() {
-            let st = node.nfa[i];
-            if st != 0 && (allow_prefix || cfg.accepts_end(st, &node.lp)) {
-                d |= 1 << i;
-            }
-        }
-        d
     }
 
     /// The SWITCH-rule firing condition: packet matches `e`, and some family
-    /// set enabling `e` has fired entirely happens-before this node.
+    /// set enabling `e` has fired entirely happens-before this node. The
+    /// caller has matched the location.
     fn fireable(&self, e: &Event, node: &Node) -> bool {
-        if self.fired_set.contains(e.id) || !e.matches(&node.lp.packet, node.lp.loc) {
+        if self.fired_set.contains(e.id) || !e.pred.eval(&node.packet) {
             return false;
         }
         let next = self.fired_set.insert(e.id);
@@ -267,64 +343,99 @@ impl Inner {
         self.family.iter().any(|&y| {
             y.contains(e.id)
                 && y.remove(e.id).is_subset(self.fired_set)
-                && y.remove(e.id).iter().all(|x| {
-                    let pos = self
-                        .fired_events
-                        .iter()
-                        .position(|&f| f == x)
-                        .expect("members of fired_set have positions");
-                    node.fired_anc & (1 << pos) != 0
-                })
+                && y.remove(e.id)
+                    .iter()
+                    .all(|x| node.fired_anc >> self.fire_pos[x.index()] & 1 != 0)
         })
     }
 
-    /// Releases one reference of each obligation carried by a dying node.
-    fn release_trig(&mut self, trig: &[u32]) {
-        for &id in trig {
+    /// Fires `e` at `node`: appends `g(X ∪ {e})` to the realized sequence
+    /// and opens the trigger obligation on the configuration it replaces.
+    fn fire(&mut self, e: EventId, node: &mut Node) {
+        let pos = self.telemetry.fired_events as usize;
+        if pos == 64 {
+            return self.fail(OnlineViolation::CapacityExceeded);
+        }
+        // Condition 2: any watched leaf preceding this firing must have
+        // been admitted by an already-realized configuration.
+        let mut w = node.watch_anc;
+        while w != 0 {
+            let bit = w.trailing_zeros() as usize;
+            w &= w - 1;
+            if !self.pending1[bit].discharged {
+                return self.fail(OnlineViolation::TooEarly);
+            }
+        }
+        let fired_set = self.fired_set.insert(e);
+        // Only a structure whose enabling relation leaves its own reachable
+        // event-sets gets here: then no configuration `g(X)` exists to
+        // process anything from this firing on.
+        let Some(&new_cfg) = self.domain_index.get(&fired_set) else {
+            return self.fail(OnlineViolation::Inconsistent);
+        };
+        self.fired_set = fired_set;
+        self.fire_pos[e.index()] = pos as u8;
+        self.telemetry.fired_events += 1;
+        let bit = 1u64 << new_cfg;
+        let pre_cfg = std::mem::replace(&mut self.current_cfg, new_cfg);
+        self.realized_mask |= bit;
+        self.realized_from.push(0);
+        self.realized_from.iter_mut().for_each(|from| *from |= bit);
+        for p in &mut self.pending1 {
+            p.discharged |= p.d & bit != 0;
+        }
+        self.pending3.retain(|d| d & bit == 0);
+        node.trig.push(self.obligations.len() as u32);
+        self.obligations.push(Obligation { cfg: pre_cfg, satisfied: false, live: 1 });
+        self.telemetry.obligations_hw =
+            self.telemetry.obligations_hw.max(self.obligations.len() as u64);
+        self.flight_record("checker_fire", pos as u64, new_cfg as u64);
+        node.own_fired = 1 << pos;
+    }
+
+    /// Releases one reference of each obligation carried by a dying node,
+    /// whose buffers go back to the spares.
+    fn bury(&mut self, node: Node) {
+        for &id in &node.trig {
             let ob = &mut self.obligations[id as usize];
             ob.live -= 1;
             if ob.live == 0 && !ob.satisfied {
-                self.fail(OnlineViolation::TriggerUnprocessed);
-                return;
+                return self.fail(OnlineViolation::TriggerUnprocessed);
             }
         }
+        self.spare.push(node);
     }
 
     /// Leaf-time checks against the realized configuration sequence.
     /// `fin` marks finish-time processing (no future firings or configs).
     fn process_leaf(&mut self, node: &mut Node, kind: LeafKind, fin: bool) {
         let allow_prefix = kind != LeafKind::Terminated;
-        let d = self.admitted_mask(node, allow_prefix);
+        let d = self.index.admitted(node.nfa, &node.packet, node.loc, allow_prefix);
         // Condition 1: some realized configuration admits the trace. Future
         // firings can still discharge it — unless the run is over.
         if d & self.realized_mask == 0 {
             if fin || d == 0 {
-                self.fail(OnlineViolation::Inconsistent);
-                return;
+                return self.fail(OnlineViolation::Inconsistent);
             }
             if self.pending1.len() == 64 {
-                self.fail(OnlineViolation::CapacityExceeded);
-                return;
+                return self.fail(OnlineViolation::CapacityExceeded);
             }
             node.own_watch = 1 << self.pending1.len();
             self.pending1.push(Pending1 { d, discharged: false });
-            self.m_watch_hw = self.m_watch_hw.max(self.pending1.len() as u64);
+            self.telemetry.watched_leaves_hw =
+                self.telemetry.watched_leaves_hw.max(self.pending1.len() as u64);
         }
         // Condition 3: the trace is entirely after firing i exactly when
         // i precedes its root; only the latest such firing binds.
         if node.root_pred != 0 {
             let i_max = 63 - node.root_pred.leading_zeros() as usize;
-            let suffix: u64 =
-                self.realized_order[i_max + 1..].iter().map(|&c| 1u64 << c).fold(0, |a, b| a | b);
-            if d & suffix == 0 {
+            if d & self.realized_from[i_max] == 0 {
                 if fin {
-                    self.fail(OnlineViolation::TooLate);
-                    return;
+                    return self.fail(OnlineViolation::TooLate);
                 }
                 if !self.pending3.contains(&d) {
                     if self.pending3.len() == 64 {
-                        self.fail(OnlineViolation::CapacityExceeded);
-                        return;
+                        return self.fail(OnlineViolation::CapacityExceeded);
                     }
                     self.pending3.push(d);
                 }
@@ -333,89 +444,41 @@ impl Inner {
         // Trigger obligations riding this path.
         for &id in &node.trig {
             let ob = &mut self.obligations[id as usize];
-            if d & (1 << ob.cfg) != 0 {
-                ob.satisfied = true;
-            }
+            ob.satisfied |= d & (1 << ob.cfg) != 0;
         }
     }
 
     /// Seals the newest node once its controller edges have all arrived:
     /// evaluates event firing, publishes its masks, and drops it if done.
     fn seal_pending(&mut self) {
-        let Some(idx) = self.unsealed.take() else { return };
-        if self.dead() {
-            return;
-        }
-        let Some(mut node) = self.nodes.remove(&idx) else { return };
+        let Some((idx, mut node)) = self.unsealed.take() else { return };
 
-        // Greedy SWITCH-rule firing: at most one event per record.
-        for i in 0..self.events.len() {
-            let e = self.events[i].clone();
-            if !self.fireable(&e, &node) {
-                continue;
-            }
-            if self.fired_events.len() == 64 {
-                self.fail(OnlineViolation::CapacityExceeded);
+        // Greedy SWITCH-rule firing: at most one event per record, and
+        // only the events located here are even looked at.
+        let fireable = self
+            .events_at
+            .get(&node.loc)
+            .and_then(|here| here.iter().find(|e| self.fireable(e, &node)))
+            .map(|e| e.id);
+        if let Some(e) = fireable {
+            self.fire(e, &mut node);
+            if self.dead() {
                 return;
             }
-            // Condition 2: any watched leaf preceding this firing must have
-            // been admitted by an already-realized configuration.
-            let mut w = node.watch_anc;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                if !self.pending1[bit].discharged {
-                    self.fail(OnlineViolation::TooEarly);
-                    return;
-                }
-            }
-            let pos = self.fired_events.len();
-            let pre_cfg = *self.realized_order.last().expect("realized_order starts at g(∅)");
-            self.fired_set = self.fired_set.insert(e.id);
-            self.fired_events.push(e.id);
-            let new_cfg = *self
-                .domain_index
-                .get(&self.fired_set)
-                .expect("allowed firing sequences stay within reachable event-sets");
-            let bit = 1u64 << new_cfg;
-            self.realized_order.push(new_cfg);
-            self.realized_mask |= bit;
-            for p in &mut self.pending1 {
-                if !p.discharged && p.d & bit != 0 {
-                    p.discharged = true;
-                }
-            }
-            self.pending3.retain(|d| d & bit == 0);
-            let ob = Obligation { cfg: pre_cfg, satisfied: false, live: 1 };
-            node.trig.push(self.obligations.len() as u32);
-            self.obligations.push(ob);
-            self.m_obligations_hw = self.m_obligations_hw.max(self.obligations.len() as u64);
-            if let Some(fr) = &self.flight {
-                fr.record(edn_obs::FlightEvent {
-                    t_us: 0,
-                    seq: pos as u64,
-                    kind: "checker_fire",
-                    node: new_cfg as u64,
-                    depth: self.nodes.len() as u64,
-                });
-            }
-            node.own_fired = 1 << pos;
-            break;
         }
-
         if node.is_root {
             node.root_pred = node.fired_anc;
         }
         if let Some(kind) = node.leafed {
             self.process_leaf(&mut node, kind, false);
-        }
-        if self.dead() {
-            return;
+            if self.dead() {
+                return;
+            }
         }
         // Publish the sealed masks to happens-before successors.
         let fired = node.fired_anc | node.own_fired;
         let watch = node.watch_anc | node.own_watch;
-        if let Some(entry) = self.last_at.get_mut(&node.lp.loc.sw) {
+        if let Some(entry) = self.last_at.get_mut(&node.loc.sw) {
             if entry.idx == idx {
                 entry.fired = fired;
                 entry.watch = watch;
@@ -425,11 +488,21 @@ impl Inner {
             self.cause_masks.insert(idx, (fired, watch));
         }
         if node.leafed.is_some() || node.retired {
-            self.m_retired += 1;
-            self.release_trig(&node.trig);
+            self.telemetry.retired_prefixes += 1;
+            self.bury(node);
         } else {
             self.nodes.insert(idx, node);
         }
+    }
+
+    /// The newest node, if it is `idx` — the only node the protocol lets
+    /// `edge`, `cause` and `leaf` refine.
+    fn newest(&mut self, idx: usize) -> Option<&mut Node> {
+        debug_assert!(
+            self.dead() || self.unsealed.as_ref().is_some_and(|(i, _)| *i == idx),
+            "refinements target the unsealed node"
+        );
+        self.unsealed.as_mut().filter(|(i, _)| *i == idx).map(|(_, node)| node)
     }
 }
 
@@ -461,13 +534,14 @@ impl Inner {
 /// assert!(handle.verdict().is_ok());
 /// ```
 pub struct OnlineChecker {
-    shared: Arc<Mutex<Inner>>,
+    inner: Inner,
+    outcome: Arc<OnceLock<Outcome>>,
 }
 
 /// The reader side of an [`OnlineChecker`]: call
 /// [`verdict`](OnlineHandle::verdict) once the run has finished.
 pub struct OnlineHandle {
-    shared: Arc<Mutex<Inner>>,
+    outcome: Arc<OnceLock<Outcome>>,
 }
 
 impl OnlineChecker {
@@ -481,50 +555,55 @@ impl OnlineChecker {
     pub fn observer(
         nes: &NetworkEventStructure,
     ) -> Result<(Box<dyn TraceObserver + Send>, OnlineHandle), OnlineViolation> {
+        let (checker, handle) = OnlineChecker::new(nes)?;
+        Ok((Box::new(checker), handle))
+    }
+
+    fn new(nes: &NetworkEventStructure) -> Result<(OnlineChecker, OnlineHandle), OnlineViolation> {
         let domain = nes.event_sets();
         if domain.len() > 64 {
             return Err(OnlineViolation::CapacityExceeded);
         }
-        let mut domain_index = HashMap::new();
-        let mut configs = Vec::with_capacity(domain.len());
-        let mut initial_idx = 0;
-        for (i, &x) in domain.iter().enumerate() {
-            if x.is_empty() {
-                initial_idx = i as u32;
-            }
-            domain_index.insert(x, i as u32);
-            configs.push(nes.config(x).clone());
+        let configs: Vec<&Config> = domain.iter().map(|&x| nes.config(x)).collect();
+        let domain_index: FxMap<EventSet, u32> =
+            domain.iter().enumerate().map(|(i, &x)| (x, i as u32)).collect();
+        let initial_cfg = domain_index[&EventSet::empty()];
+        let mut events_at: FxMap<Loc, Vec<Event>> = FxMap::default();
+        for e in nes.events() {
+            events_at.entry(e.loc).or_default().push(e.clone());
         }
         let inner = Inner {
-            events: nes.events().to_vec(),
+            events_at,
             family: nes.structure().family().collect(),
-            configs,
+            index: SharedIndex::build(&configs),
             domain_index,
             fired_set: EventSet::empty(),
-            fired_events: Vec::new(),
-            realized_order: vec![initial_idx],
-            realized_mask: 1u64 << initial_idx,
-            nodes: BTreeMap::new(),
+            fire_pos: [0; EventId::MAX_EVENTS],
+            current_cfg: initial_cfg,
+            realized_mask: 1u64 << initial_cfg,
+            realized_from: Vec::new(),
+            nodes: FxMap::default(),
             unsealed: None,
-            last_at: HashMap::new(),
-            cause_masks: HashMap::new(),
+            spare: Vec::new(),
+            last_at: FxMap::default(),
+            cause_masks: FxMap::default(),
             pending1: Vec::new(),
             pending3: Vec::new(),
             obligations: Vec::new(),
             verdict: None,
-            finished: false,
-            m_nodes_hw: 0,
-            m_retired: 0,
-            m_obligations_hw: 0,
-            m_watch_hw: 0,
+            telemetry: CheckerTelemetry::default(),
             flight: None,
         };
-        let shared = Arc::new(Mutex::new(inner));
-        Ok((Box::new(OnlineChecker { shared: shared.clone() }), OnlineHandle { shared }))
+        let outcome = Arc::new(OnceLock::new());
+        Ok((OnlineChecker { inner, outcome: outcome.clone() }, OnlineHandle { outcome }))
     }
 }
 
 impl OnlineHandle {
+    fn outcome(&self) -> &Outcome {
+        self.outcome.get().expect("the checker reports on a finished run")
+    }
+
     /// The verdict of the finished run.
     ///
     /// # Errors
@@ -535,141 +614,101 @@ impl OnlineHandle {
     ///
     /// Panics if the observer's `finish` has not run yet.
     pub fn verdict(&self) -> Result<(), OnlineViolation> {
-        let inner = self.shared.lock().expect("online checker poisoned");
-        assert!(inner.finished, "verdict() requires a finished run");
-        inner.verdict.unwrap_or(Ok(()))
+        self.outcome().verdict
+    }
+
+    /// The checker's telemetry for the finished run — the same numbers the
+    /// observer contributes to the engine's metrics registry, available
+    /// whether or not the engine kept one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the observer's `finish` has not run yet.
+    pub fn telemetry(&self) -> CheckerTelemetry {
+        self.outcome().telemetry
     }
 }
 
 impl TraceObserver for OnlineChecker {
     fn record(&mut self, idx: usize, packet: &Packet, loc: Loc, parent: Option<usize>) {
-        let mut inner = self.shared.lock().expect("online checker poisoned");
+        let inner = &mut self.inner;
         inner.seal_pending();
         if inner.dead() {
             return;
         }
-        let lp = LocatedPacket::new(packet.erase_virtual(), loc);
-        let mut node = match parent {
+        let mut node = Node::fresh(inner.spare.pop(), packet, loc);
+        match parent {
             Some(p) => {
                 let pn = inner.nodes.get(&p).expect("parents outlive child records");
-                let nfa = pn
-                    .nfa
-                    .iter()
-                    .zip(&inner.configs)
-                    .map(|(&st, cfg)| if st == 0 { 0 } else { cfg.step_state(st, &pn.lp, &lp) })
-                    .collect();
-                let node = Node {
-                    lp,
-                    nfa,
-                    fired_anc: pn.fired_anc | pn.own_fired,
-                    watch_anc: pn.watch_anc | pn.own_watch,
-                    root_pred: pn.root_pred,
-                    is_root: false,
-                    trig: pn.trig.clone(),
-                    own_fired: 0,
-                    own_watch: 0,
-                    cause_requested: false,
-                    leafed: None,
-                    retired: false,
-                };
+                node.nfa = inner.index.step(pn.nfa, &pn.packet, pn.loc, &node.packet, loc);
+                node.fired_anc = pn.fired_anc | pn.own_fired;
+                node.watch_anc = pn.watch_anc | pn.own_watch;
+                node.root_pred = pn.root_pred;
+                node.is_root = false;
+                node.trig.extend_from_slice(&pn.trig);
                 for &id in &node.trig {
                     inner.obligations[id as usize].live += 1;
                 }
-                node
             }
-            None => Node {
-                nfa: inner.configs.iter().map(|cfg| cfg.start_state(&lp)).collect(),
-                lp,
-                fired_anc: 0,
-                watch_anc: 0,
-                root_pred: 0,
-                is_root: true,
-                trig: Vec::new(),
-                own_fired: 0,
-                own_watch: 0,
-                cause_requested: false,
-                leafed: None,
-                retired: false,
-            },
-        };
-        if let Some(entry) = inner.last_at.get(&node.lp.loc.sw) {
-            node.fired_anc |= entry.fired;
-            node.watch_anc |= entry.watch;
+            None => node.nfa = inner.index.start(loc),
         }
-        inner
-            .last_at
-            .insert(node.lp.loc.sw, LastAt { idx, fired: node.fired_anc, watch: node.watch_anc });
-        inner.nodes.insert(idx, node);
-        inner.m_nodes_hw = inner.m_nodes_hw.max(inner.nodes.len() as u64);
-        inner.unsealed = Some(idx);
+        // The latest earlier record at this switch happened-before this one.
+        let last = inner.last_at.entry(loc.sw).or_insert(LastAt { idx, fired: 0, watch: 0 });
+        node.fired_anc |= last.fired;
+        node.watch_anc |= last.watch;
+        *last = LastAt { idx, fired: node.fired_anc, watch: node.watch_anc };
+        inner.unsealed = Some((idx, node));
+        inner.telemetry.live_nodes_hw =
+            inner.telemetry.live_nodes_hw.max(inner.live_nodes() as u64);
     }
 
     fn edge(&mut self, from: usize, to: usize) {
-        let mut inner = self.shared.lock().expect("online checker poisoned");
-        if inner.dead() {
-            return;
-        }
-        debug_assert_eq!(inner.unsealed, Some(to), "edges target the unsealed node");
-        if let Some(&(fired, watch)) = inner.cause_masks.get(&from) {
-            if let Some(node) = inner.nodes.get_mut(&to) {
-                node.fired_anc |= fired;
-                node.watch_anc |= watch;
-            }
+        let Some(&(fired, watch)) = self.inner.cause_masks.get(&from) else { return };
+        if let Some(node) = self.inner.newest(to) {
+            node.fired_anc |= fired;
+            node.watch_anc |= watch;
         }
     }
 
     fn cause(&mut self, idx: usize) {
-        let mut inner = self.shared.lock().expect("online checker poisoned");
-        if inner.dead() {
-            return;
-        }
-        debug_assert_eq!(inner.unsealed, Some(idx), "cause marks the unsealed node");
-        if let Some(node) = inner.nodes.get_mut(&idx) {
+        if let Some(node) = self.inner.newest(idx) {
             node.cause_requested = true;
         }
     }
 
     fn leaf(&mut self, idx: usize, kind: LeafKind) {
-        let mut inner = self.shared.lock().expect("online checker poisoned");
-        if inner.dead() {
-            return;
-        }
-        debug_assert_eq!(inner.unsealed, Some(idx), "leaves are the unsealed node");
-        if let Some(node) = inner.nodes.get_mut(&idx) {
+        if let Some(node) = self.inner.newest(idx) {
             node.leafed = Some(kind);
         }
     }
 
     fn retire(&mut self, idx: usize) {
-        let mut inner = self.shared.lock().expect("online checker poisoned");
-        if inner.dead() {
-            return;
-        }
-        if inner.unsealed == Some(idx) {
-            if let Some(node) = inner.nodes.get_mut(&idx) {
-                node.retired = true;
+        let inner = &mut self.inner;
+        match &mut inner.unsealed {
+            Some((newest, node)) if *newest == idx => node.retired = true,
+            _ => {
+                if let Some(node) = inner.nodes.remove(&idx) {
+                    inner.telemetry.retired_prefixes += 1;
+                    inner.bury(node);
+                }
             }
-            return;
-        }
-        if let Some(node) = inner.nodes.remove(&idx) {
-            inner.m_retired += 1;
-            inner.release_trig(&node.trig);
         }
     }
 
     fn finish(&mut self) {
-        let mut inner = self.shared.lock().expect("online checker poisoned");
+        let inner = &mut self.inner;
         inner.seal_pending();
         // Nodes alive at the end are stalled tips: their paths are prefixes.
-        while let Some((_, mut node)) = inner.nodes.pop_first() {
+        let mut tips: Vec<(usize, Node)> = inner.nodes.drain().collect();
+        tips.sort_unstable_by_key(|&(idx, _)| idx);
+        for (_, mut node) in tips {
             if inner.dead() {
                 break;
             }
             inner.process_leaf(&mut node, LeafKind::Stalled, true);
-            if inner.dead() {
-                break;
+            if !inner.dead() {
+                inner.bury(node);
             }
-            inner.release_trig(&node.trig);
         }
         if !inner.dead() {
             if inner.pending1.iter().any(|p| !p.discharged) {
@@ -678,24 +717,24 @@ impl TraceObserver for OnlineChecker {
                 inner.fail(OnlineViolation::TooLate);
             }
         }
-        if inner.verdict.is_none() {
-            inner.verdict = Some(Ok(()));
-        }
-        inner.finished = true;
+        // A second `finish` finds the outcome already published.
+        let _ = self
+            .outcome
+            .set(Outcome { verdict: inner.verdict.unwrap_or(Ok(())), telemetry: inner.telemetry });
     }
 
     fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
         use edn_obs::Scope;
-        let inner = self.shared.lock().expect("online checker poisoned");
-        reg.gauge_max(Scope::Sim, "checker.live_nodes_hw", inner.m_nodes_hw);
-        reg.counter_add(Scope::Sim, "checker.retired_prefixes", inner.m_retired);
-        reg.gauge_max(Scope::Sim, "checker.obligations_hw", inner.m_obligations_hw);
-        reg.gauge_max(Scope::Sim, "checker.watched_leaves_hw", inner.m_watch_hw);
-        reg.counter_add(Scope::Sim, "checker.fired_events", inner.fired_events.len() as u64);
+        let t = &self.inner.telemetry;
+        reg.gauge_max(Scope::Sim, "checker.live_nodes_hw", t.live_nodes_hw);
+        reg.counter_add(Scope::Sim, "checker.retired_prefixes", t.retired_prefixes);
+        reg.gauge_max(Scope::Sim, "checker.obligations_hw", t.obligations_hw);
+        reg.gauge_max(Scope::Sim, "checker.watched_leaves_hw", t.watched_leaves_hw);
+        reg.counter_add(Scope::Sim, "checker.fired_events", t.fired_events);
     }
 
     fn attach_flight_recorder(&mut self, recorder: edn_obs::FlightRecorder) {
-        self.shared.lock().expect("online checker poisoned").flight = Some(recorder);
+        self.inner.flight = Some(recorder);
     }
 }
 
@@ -771,14 +810,20 @@ mod tests {
         obs.leaf(parent.expect("transits are nonempty"), kind);
     }
 
-    /// Runs the same hops through the post-hoc checker for the agreement
-    /// assertion.
-    fn post_hoc(nes: &NetworkEventStructure, packets: &[(Packet, &[(u64, u64)])]) -> bool {
+    /// One packet's transit: the packet, its hops, and how the path ends.
+    type Transit<'a> = (Packet, &'a [(u64, u64)], LeafKind);
+
+    /// Runs the same transits through the post-hoc checker for the
+    /// agreement assertion.
+    fn post_hoc(nes: &NetworkEventStructure, transits: &[Transit]) -> bool {
         let mut b = TraceBuilder::new();
-        for (pk, hops) in packets {
+        for (pk, hops, kind) in transits {
             let mut parent = None;
             for &(sw, pt) in *hops {
                 parent = Some(b.push(pk.clone(), Loc::new(sw, pt), parent));
+            }
+            if *kind == LeafKind::Terminated {
+                b.mark_terminated(parent.expect("transits are nonempty"));
             }
         }
         check_correct(&b.build().unwrap(), nes, None).is_ok()
@@ -797,7 +842,7 @@ mod tests {
         transit(&mut obs, &mut next, &reply_pk(), DROP, LeafKind::Terminated);
         obs.finish();
         assert_eq!(handle.verdict(), Ok(()));
-        assert!(post_hoc(&nes, &[(reply_pk(), DROP)]));
+        assert!(post_hoc(&nes, &[(reply_pk(), DROP, LeafKind::Terminated)]));
     }
 
     #[test]
@@ -808,7 +853,7 @@ mod tests {
         transit(&mut obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
         obs.finish();
         assert_eq!(handle.verdict(), Err(OnlineViolation::Inconsistent));
-        assert!(!post_hoc(&nes, &[(reply_pk(), REPLY)]));
+        assert!(!post_hoc(&nes, &[(reply_pk(), REPLY, LeafKind::Delivered)]));
     }
 
     #[test]
@@ -820,7 +865,10 @@ mod tests {
         transit(&mut obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
         obs.finish();
         assert_eq!(handle.verdict(), Ok(()));
-        assert!(post_hoc(&nes, &[(fwd_pk(), FWD), (reply_pk(), REPLY)]));
+        assert!(post_hoc(
+            &nes,
+            &[(fwd_pk(), FWD, LeafKind::Delivered), (reply_pk(), REPLY, LeafKind::Delivered)]
+        ));
     }
 
     #[test]
@@ -834,7 +882,10 @@ mod tests {
         transit(&mut obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
         obs.finish();
         assert_eq!(handle.verdict(), Err(OnlineViolation::TooEarly));
-        assert!(!post_hoc(&nes, &[(reply_pk(), REPLY), (fwd_pk(), FWD)]));
+        assert!(!post_hoc(
+            &nes,
+            &[(reply_pk(), REPLY, LeafKind::Delivered), (fwd_pk(), FWD, LeafKind::Delivered)]
+        ));
     }
 
     #[test]
@@ -856,5 +907,175 @@ mod tests {
         let nes = firewall_like_nes();
         let (_obs, handle) = OnlineChecker::observer(&nes).unwrap();
         let _ = handle.verdict();
+    }
+
+    /// A two-update chain on the firewall's switch with a third host 102 on
+    /// port 4: e0 (a packet for 101 at 1:2) opens the reply direction, then
+    /// e1 (a packet for 102 at 1:2) diverts 102's traffic to port 4. Three
+    /// configurations over three shared rules.
+    fn chain_nes() -> NetworkEventStructure {
+        let fwd = |a: u64, b: u64| {
+            Rule::new(
+                Match::new().with(Field::Port, a),
+                ActionSet::single(Action::assign(Field::Port, b)),
+            )
+        };
+        let divert = Rule::new(
+            Match::new().with(Field::Port, 2).with(Field::IpDst, 102),
+            ActionSet::single(Action::assign(Field::Port, 4)),
+        );
+        let base = |rules: Vec<Rule>| {
+            let mut c = Config::new();
+            c.install(1, FlowTable::from_rules(rules));
+            c.add_host(100, Loc::new(1, 2));
+            c.add_host(101, Loc::new(1, 3));
+            c.add_host(102, Loc::new(1, 4));
+            c
+        };
+        let (e0, e1) = (EventId::new(0), EventId::new(1));
+        let es = EventStructure::new(
+            vec![
+                Event::new(e0, Pred::test(Field::IpDst, 101), Loc::new(1, 2)),
+                Event::new(e1, Pred::test(Field::IpDst, 102), Loc::new(1, 2)),
+            ],
+            [EventSet::singleton(e0), EventSet::from_iter([e0, e1])],
+        );
+        NetworkEventStructure::new(
+            es,
+            [
+                (EventSet::empty(), base(vec![fwd(2, 3)])),
+                (EventSet::singleton(e0), base(vec![fwd(2, 3), fwd(3, 2)])),
+                (EventSet::from_iter([e0, e1]), base(vec![divert, fwd(2, 3), fwd(3, 2)])),
+            ],
+        )
+        .unwrap()
+    }
+
+    fn diverted_pk() -> Packet {
+        Packet::new().with(Field::IpDst, 102)
+    }
+
+    const DIVERTED: &[(u64, u64)] = &[(100, 0), (1, 2), (1, 4), (102, 0)];
+
+    #[test]
+    fn chained_updates_are_correct() {
+        let nes = chain_nes();
+        let (mut obs, handle) = OnlineChecker::observer(&nes).unwrap();
+        let mut next = 0;
+        // e0's trigger, a reply through the opened direction, then e1's
+        // trigger under the configuration it replaces (out port 3), then a
+        // diverted packet: every firing enabled by the one before it.
+        transit(&mut obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
+        transit(&mut obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
+        transit(&mut obs, &mut next, &diverted_pk(), FWD, LeafKind::Delivered);
+        transit(&mut obs, &mut next, &diverted_pk(), DIVERTED, LeafKind::Delivered);
+        obs.finish();
+        assert_eq!(handle.verdict(), Ok(()));
+        assert!(post_hoc(
+            &nes,
+            &[
+                (fwd_pk(), FWD, LeafKind::Delivered),
+                (reply_pk(), REPLY, LeafKind::Delivered),
+                (diverted_pk(), FWD, LeafKind::Delivered),
+                (diverted_pk(), DIVERTED, LeafKind::Delivered)
+            ]
+        ));
+        // The handle carries what the registry gets.
+        let telemetry = handle.telemetry();
+        assert_eq!(telemetry.fired_events, 2);
+        assert_eq!(telemetry.obligations_hw, 2);
+        assert_eq!(telemetry.retired_prefixes, next as u64);
+        assert_eq!(telemetry.watched_leaves_hw, 0);
+        let mut reg = edn_obs::Registry::new();
+        obs.contribute_metrics(&mut reg);
+        assert_eq!(reg.counter("checker.fired_events"), Some(2));
+        assert_eq!(reg.gauge("checker.live_nodes_hw"), Some(telemetry.live_nodes_hw));
+    }
+
+    #[test]
+    fn stale_drop_after_the_update_is_too_late() {
+        let nes = chain_nes();
+        let (mut obs, handle) = OnlineChecker::observer(&nes).unwrap();
+        let mut next = 0;
+        // Host 101 has *received* the trigger, so its reply starts after
+        // e0's firing — and is still dropped the way only g(∅) drops it.
+        transit(&mut obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
+        transit(&mut obs, &mut next, &reply_pk(), DROP, LeafKind::Terminated);
+        obs.finish();
+        assert_eq!(handle.verdict(), Err(OnlineViolation::TooLate));
+        assert!(!post_hoc(
+            &nes,
+            &[(fwd_pk(), FWD, LeafKind::Delivered), (reply_pk(), DROP, LeafKind::Terminated)]
+        ));
+    }
+
+    #[test]
+    fn trigger_forwarded_by_the_new_configuration_is_unprocessed() {
+        let nes = chain_nes();
+        let (mut obs, handle) = OnlineChecker::observer(&nes).unwrap();
+        let mut next = 0;
+        transit(&mut obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
+        // e1's trigger fires at 1:2 and leaves by port 4: only the *new*
+        // configuration does that, so the one being replaced never
+        // processed the packet that replaced it.
+        transit(&mut obs, &mut next, &diverted_pk(), DIVERTED, LeafKind::Delivered);
+        obs.finish();
+        assert_eq!(handle.verdict(), Err(OnlineViolation::TriggerUnprocessed));
+        assert!(!post_hoc(
+            &nes,
+            &[(fwd_pk(), FWD, LeafKind::Delivered), (diverted_pk(), DIVERTED, LeafKind::Delivered)]
+        ));
+    }
+
+    #[test]
+    fn sixty_fifth_configuration_is_refused() {
+        // A 64-event chain reaches 65 event-sets; every configuration is
+        // the same table.
+        let events: Vec<Event> = (0..64)
+            .map(|i| {
+                Event::new(EventId::new(i), Pred::test(Field::IpDst, i as u64), Loc::new(1, 2))
+            })
+            .collect();
+        let prefixes: Vec<EventSet> =
+            (0..=64).map(|n| (0..n).map(EventId::new).collect()).collect();
+        let shared = chain_nes().initial_config().clone();
+        let nes = NetworkEventStructure::new(
+            EventStructure::new(events, prefixes.iter().copied()),
+            prefixes.iter().map(|&x| (x, shared.clone())),
+        )
+        .unwrap();
+        assert_eq!(nes.event_sets().len(), 65);
+        assert_eq!(OnlineChecker::observer(&nes).err(), Some(OnlineViolation::CapacityExceeded));
+    }
+
+    #[test]
+    fn sixty_fifth_watched_leaf_exceeds_capacity() {
+        let nes = chain_nes();
+        let (mut obs, handle) = OnlineChecker::observer(&nes).unwrap();
+        let mut next = 0;
+        // Each premature reply is admitted only by configurations not yet
+        // realized, so each goes on watch for a firing that never comes.
+        for _ in 0..65 {
+            transit(&mut obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
+        }
+        obs.finish();
+        assert_eq!(handle.verdict(), Err(OnlineViolation::CapacityExceeded));
+        assert_eq!(handle.telemetry().watched_leaves_hw, 64);
+        // The post-hoc checker has no window: it sees 65 inconsistent traces.
+        let replies: Vec<Transit> =
+            (0..65).map(|_| (reply_pk(), REPLY, LeafKind::Delivered)).collect();
+        assert!(!post_hoc(&nes, &replies));
+    }
+
+    #[test]
+    fn firing_outside_the_reachable_event_sets_is_a_verdict_not_a_panic() {
+        let nes = chain_nes();
+        let (mut checker, handle) = OnlineChecker::new(&nes).unwrap();
+        // No well-formed structure does this; take g({e0}) away by hand.
+        checker.inner.domain_index.remove(&EventSet::singleton(EventId::new(0)));
+        let mut obs: Box<dyn TraceObserver + Send> = Box::new(checker);
+        transit(&mut obs, &mut 0, &fwd_pk(), FWD, LeafKind::Delivered);
+        obs.finish();
+        assert_eq!(handle.verdict(), Err(OnlineViolation::Inconsistent));
     }
 }
