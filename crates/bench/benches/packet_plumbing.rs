@@ -1,49 +1,45 @@
 //! Microbench: the per-hop packet plumbing this repo's arena/queue rework
 //! targets, in isolation and end to end.
 //!
-//! * `queue/*` — the future-event set alone, heap vs calendar, driven with
-//!   a simulation-shaped push/pop pattern (pop one, schedule a couple at
+//! * `queue/*` — the calendar future-event set alone, driven with a
+//!   simulation-shaped push/pop pattern (pop one, schedule a couple at
 //!   `now + latency`).
 //! * `arena/*` — steady-state arena operations (interning an already-seen
 //!   packet, relocating one) against the owned baseline (clone + mutate).
-//! * `hop/*` — a ring-16 NES simulation per event, across
-//!   `{owned, arena} × {full, stats}`: the end-to-end cost the fig18 sweep
-//!   tracks, without its topology-construction noise.
+//! * `hop/*` — a ring-16 NES simulation per event, in both trace modes:
+//!   the end-to-end cost the fig18 sweep tracks, without its
+//!   topology-construction noise.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use edn_apps::ring::{host, Ring};
 use edn_core::TraceMode;
 use nes_runtime::nes_engine_with_path;
-use netkat::{Loc, LookupPath, Packet, PacketArena};
+use netkat::{Loc, LookupPath, Packet, PacketArena, PacketId};
 use netsim::traffic::udp_packet;
-use netsim::{PacketPath, QueueKind, SimParams, SimTime, SinkHosts};
+use netsim::{CtrlMsg, PlaneOut, SimParams, SimTime, SinkHosts};
 use std::hint::black_box;
 
 /// Pending-set churn shaped like the simulator's: a standing population of
 /// keys; each pop schedules followers a link latency ahead.
-fn queue_churn(kind: QueueKind, keys: u64) -> u64 {
-    // The queue types are crate-private; drive them through an engine with
-    // a pass-through plane so the measured loop is dominated by queue ops.
+fn queue_churn(keys: u64) -> u64 {
+    // The queue type is crate-private; drive it through an engine with a
+    // pass-through plane so the measured loop is dominated by queue ops.
     struct Fwd;
     impl netsim::DataPlane for Fwd {
-        fn process(
+        fn step(
             &mut self,
             _: u64,
             pt: u64,
-            pk: Packet,
+            pk: PacketId,
             _: bool,
             _: SimTime,
-        ) -> netsim::StepResult {
-            netsim::StepResult::forward(if pt == 1 { 2 } else { 1 }, pk)
+            _: &mut PacketArena,
+            out: &mut PlaneOut,
+        ) {
+            out.outputs.push((if pt == 1 { 2 } else { 1 }, pk));
         }
-        fn on_notify(
-            &mut self,
-            _: netsim::CtrlMsg,
-            _: SimTime,
-        ) -> Vec<(SimTime, u64, netsim::CtrlMsg)> {
-            Vec::new()
-        }
-        fn deliver(&mut self, _: u64, _: netsim::CtrlMsg, _: SimTime) {}
+        fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
+        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
     }
     let topo = netsim::SimTopology::new([1, 2])
         .host(100, Loc::new(1, 0))
@@ -51,9 +47,7 @@ fn queue_churn(kind: QueueKind, keys: u64) -> u64 {
         .bilink(Loc::new(1, 1), Loc::new(2, 1), SimTime::from_micros(50), None)
         .bilink(Loc::new(1, 2), Loc::new(2, 2), SimTime::from_micros(170), None);
     let mut engine = netsim::Engine::new(topo, SimParams::default(), Fwd, Box::new(SinkHosts))
-        .with_queue(kind)
-        .with_trace_mode(TraceMode::StatsOnly)
-        .with_packet_path(PacketPath::Arena);
+        .with_trace_mode(TraceMode::StatsOnly);
     engine
         .inject_batch((0..keys).map(|i| (SimTime::from_micros(i * 7), 100, Packet::new(), 64u32)));
     engine.run(SimTime::from_millis(40));
@@ -64,11 +58,7 @@ fn queue_churn(kind: QueueKind, keys: u64) -> u64 {
 fn bench_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("queue");
     g.sample_size(10);
-    for kind in [QueueKind::Heap, QueueKind::Calendar] {
-        g.bench_function(format!("churn_{}", kind.label()), |b| {
-            b.iter(|| black_box(queue_churn(kind, 512)))
-        });
-    }
+    g.bench_function("churn_calendar", |b| b.iter(|| black_box(queue_churn(512))));
     g.finish();
 }
 
@@ -114,7 +104,7 @@ fn bench_arena(c: &mut Criterion) {
 }
 
 /// A ring-16 NES run: every host sends 8 datagrams to the opposite host.
-fn ring_events(path: PacketPath, mode: TraceMode, queue: QueueKind) -> (u64, u64) {
+fn ring_events(mode: TraceMode) -> (u64, u64) {
     let ring = Ring::new(8); // 16 switches
     let n = ring.switch_count();
     let topo = ring.sim_topology(SimTime::from_micros(50), None);
@@ -126,9 +116,7 @@ fn ring_events(path: PacketPath, mode: TraceMode, queue: QueueKind) -> (u64, u64
         Box::new(SinkHosts),
         LookupPath::Indexed,
     )
-    .with_queue(queue)
-    .with_trace_mode(mode)
-    .with_packet_path(path);
+    .with_trace_mode(mode);
     let mut batch = Vec::new();
     for i in 1..=n {
         let opposite = (i + ring.diameter - 1) % n + 1;
@@ -148,24 +136,14 @@ fn ring_events(path: PacketPath, mode: TraceMode, queue: QueueKind) -> (u64, u64
 }
 
 fn bench_hop(c: &mut Criterion) {
-    let (events, deliveries) =
-        ring_events(PacketPath::Arena, TraceMode::StatsOnly, QueueKind::Calendar);
+    let (events, deliveries) = ring_events(TraceMode::StatsOnly);
     assert!(deliveries > 0);
     let mut g = c.benchmark_group("hop");
     g.sample_size(10);
     g.throughput(Throughput::Elements(events));
-    for (label, path, mode) in [
-        ("owned_full", PacketPath::Owned, TraceMode::Full),
-        ("arena_full", PacketPath::Arena, TraceMode::Full),
-        ("arena_stats", PacketPath::Arena, TraceMode::StatsOnly),
-    ] {
-        g.bench_function(format!("ring16_{label}"), |b| {
-            b.iter(|| black_box(ring_events(path, mode, QueueKind::Calendar)))
-        });
+    for (label, mode) in [("arena_full", TraceMode::Full), ("arena_stats", TraceMode::StatsOnly)] {
+        g.bench_function(format!("ring16_{label}"), |b| b.iter(|| black_box(ring_events(mode))));
     }
-    g.bench_function("ring16_arena_stats_heap", |b| {
-        b.iter(|| black_box(ring_events(PacketPath::Arena, TraceMode::StatsOnly, QueueKind::Heap)))
-    });
     g.finish();
 }
 

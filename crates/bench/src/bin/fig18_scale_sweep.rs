@@ -12,9 +12,9 @@
 //! (`BENCH_fig18.json` by default) records `(switches, events, wall,
 //! ns/event)` for every combination at every point. `wall_us` times the
 //! simulation event loop (`Engine::run`). All CSV columns except
-//! `wall_us` are identical across lookup paths, trace modes, queue
-//! implementations, and packet paths by construction — CI replays the
-//! sweep across them and `cmp`s the canonical CSVs.
+//! `wall_us` are identical across lookup paths, trace modes, and shard
+//! counts by construction — CI replays the sweep across them and `cmp`s
+//! the canonical CSVs.
 //!
 //! Environment overrides (CI smoke uses small values):
 //! * `FIG18_RING_SIZES` — comma-separated ring sizes (default
@@ -36,9 +36,7 @@
 //!   `BENCH_fig18.json`; empty string disables);
 //! * `EDN_LOOKUP` — `linear` or `indexed`: the path the CSV reports;
 //! * `EDN_TRACE` — `full` or `stats`: the trace mode the CSV reports;
-//! * `EDN_SHARDS` — engine shard count the CSV reports;
-//! * `EDN_QUEUE` / `EDN_PACKETS` — event queue and packet representation
-//!   for the whole process (heap|calendar, owned|arena).
+//! * `EDN_SHARDS` — engine shard count the CSV reports.
 
 use std::fmt::Write as _;
 

@@ -168,9 +168,7 @@ impl SweepRow {
 /// Every column except `wall_us` is independent of `path`, `mode`, and
 /// `shards` — that is the equivalence the plumbing/lookup differential
 /// tests (and the CI per-path, per-mode, per-shard-count CSV
-/// comparisons) pin down. The event queue implementation and packet path
-/// come from the environment (`EDN_QUEUE`, `EDN_PACKETS`), which CI also
-/// sweeps.
+/// comparisons) pin down.
 ///
 /// `reps` rebuilds and re-runs the whole point that many times and
 /// reports the **minimum** wall-clock — a single run of a sub-second

@@ -42,9 +42,9 @@ use edn_obs::{FlightEvent, FlightRecorder, MetricsLevel, Registry, Stopwatch};
 use netkat::{Loc, Packet, PacketId};
 
 use crate::channel::{ChannelDir, ChannelFate, ChannelModel};
-use crate::logic::{BoxedHosts, CtrlMsg, DataPlane, PacketPath, StepResultId, CONTROLLER_NODE};
+use crate::logic::{BoxedHosts, CtrlMsg, DataPlane, PlaneOut, CONTROLLER_NODE};
 use crate::metrics::{self, EngineMetrics, FLIGHT_CAPACITY};
-use crate::queue::{EventQueue, QueueKind};
+use crate::queue::CalendarQueue;
 use crate::shard::{self, Partition, Remote};
 use crate::source::WorkloadSource;
 use crate::stats::{Delivery, Drop, DropReason, Stats, StatsMode};
@@ -259,7 +259,7 @@ pub(crate) struct Core<D: DataPlane> {
     params: SimParams,
     pub(crate) dataplane: D,
     hosts: BoxedHosts,
-    queue: EventQueue,
+    queue: CalendarQueue,
     /// Slab of pending event payloads, indexed by the keys in `queue`.
     slots: Vec<Option<EventKind>>,
     /// Recycled slab slots.
@@ -269,8 +269,6 @@ pub(crate) struct Core<D: DataPlane> {
     /// (`netkat::PacketArena`) every in-flight packet of this shard is
     /// interned in.
     pub(crate) trace: TraceBuilder,
-    /// Which packet representation the data plane is driven through.
-    packet_path: PacketPath,
     /// Whether per-packet delivery/drop streams are retained.
     stats_mode: StatsMode,
     pub(crate) stats: Stats,
@@ -298,9 +296,9 @@ pub(crate) struct Core<D: DataPlane> {
     /// like `counters`, only entities owned by this shard ever advance,
     /// which is what keeps lossy runs shard-invariant.
     chan_counts: Vec<u64>,
-    /// Reused per-hop step buffer (see
-    /// [`DataPlane::process_arena_into`]).
-    step_buf: StepResultId,
+    /// The one buffer every plane interaction reports through, reused for
+    /// the whole run and empty between dispatches.
+    out: PlaneOut,
     /// Trace indices whose processing sent something to the controller
     /// (single-shard mode only; sharded runs log and replay instead).
     ctrl_causes: Vec<usize>,
@@ -353,9 +351,7 @@ impl<D: DataPlane> Core<D> {
         params: SimParams,
         dataplane: D,
         hosts: BoxedHosts,
-        queue: QueueKind,
         mode: TraceMode,
-        packet_path: PacketPath,
         stats_mode: StatsMode,
         me: u32,
         shards: u32,
@@ -382,12 +378,11 @@ impl<D: DataPlane> Core<D> {
             params,
             dataplane,
             hosts,
-            queue: EventQueue::new(queue),
+            queue: CalendarQueue::new(),
             slots: Vec::new(),
             free_slots: Vec::new(),
             now: SimTime::ZERO,
             trace: TraceBuilder::with_mode(mode),
-            packet_path,
             stats_mode,
             stats: Stats::default(),
             egress,
@@ -398,7 +393,7 @@ impl<D: DataPlane> Core<D> {
             counters: vec![0; n_entities],
             channel,
             chan_counts: vec![0; n_entities],
-            step_buf: StepResultId::default(),
+            out: PlaneOut::default(),
             ctrl_causes: Vec::new(),
             ctrl_delivered: HashMap::new(),
             ctrl_linked: HashMap::new(),
@@ -575,13 +570,33 @@ impl<D: DataPlane> Core<D> {
         }
     }
 
-    /// Post-interaction drain: forwards the data plane's channel telemetry
-    /// to the flight recorder and schedules its timer requests. Called
-    /// after every plane interaction (packet step, notify, deliver,
-    /// timer), always on the node's owning shard, so timer events are
-    /// shard-local by construction.
-    fn drain_plane(&mut self) {
-        for (kind, node) in self.dataplane.drain_channel_events() {
+    /// The dense entity of a timer/notification `node`.
+    fn entity_of(&self, node: u64) -> u32 {
+        if node == CONTROLLER_NODE {
+            CTRL_ENTITY
+        } else {
+            self.entities.dense(node)
+        }
+    }
+
+    /// Acts on the control side of a plane interaction at `node`, leaving
+    /// those four lists of `out` empty: sends its notifications (with trace
+    /// cause `cause`) and deliveries through the channel model, forwards
+    /// its channel telemetry to the flight recorder, and schedules its
+    /// timer requests. Runs on every interaction (packet step, notify,
+    /// deliver, timer), always on the node's owning shard, so timer events
+    /// are shard-local by construction.
+    fn emit_control(&mut self, out: &mut PlaneOut, node: u64, cause: (u32, u32)) {
+        if !out.notifications.is_empty() {
+            let sender = self.entity_of(node);
+            for msg in out.notifications.drain(..) {
+                self.send_notify(node, sender, msg, cause);
+            }
+        }
+        for (delay, sw, msg) in out.deliveries.drain(..) {
+            self.send_deliver(sw, msg, delay);
+        }
+        for (kind, node) in out.channel_events.drain(..) {
             if let Some(fr) = &self.metrics.flight {
                 fr.record(FlightEvent {
                     t_us: self.now.as_micros(),
@@ -592,12 +607,21 @@ impl<D: DataPlane> Core<D> {
                 });
             }
         }
-        for (t, node) in self.dataplane.drain_timers() {
-            let entity =
-                if node == CONTROLLER_NODE { CTRL_ENTITY } else { self.entities.dense(node) };
-            let seq = self.next_seq(entity);
+        for (t, node) in out.timers.drain(..) {
+            let seq = self.next_seq(self.entity_of(node));
             self.schedule_local(t.max(self.now), seq, EventKind::Timer { node });
         }
+    }
+
+    /// One packet-free plane interaction at `node` (notify, deliver,
+    /// timer): `call` reports into the reused buffer, and whatever it asked
+    /// for is acted on before the dispatch ends. What these send is
+    /// plumbing or controller output, so it carries no trace cause.
+    fn control_step(&mut self, node: u64, call: impl FnOnce(&mut D, SimTime, &mut PlaneOut)) {
+        let mut out = std::mem::take(&mut self.out);
+        call(&mut self.dataplane, self.now, &mut out);
+        self.emit_control(&mut out, node, NO_CAUSE);
+        self.out = out;
     }
 
     /// The earliest pending fire time in microseconds (`u64::MAX` when
@@ -928,10 +952,7 @@ impl<D: DataPlane> Core<D> {
                         self.ctrl_causes.push(cause.1 as usize);
                     }
                 }
-                for (delay, sw, out) in self.dataplane.on_notify(msg, self.now) {
-                    self.send_deliver(sw, out, delay);
-                }
-                self.drain_plane();
+                self.control_step(CONTROLLER_NODE, |dp, now, out| dp.on_notify(msg, now, out));
             }
             EventKind::Deliver { sw, msg } => {
                 // Everything the controller has heard up to now becomes a
@@ -948,31 +969,10 @@ impl<D: DataPlane> Core<D> {
                         self.ctrl_delivered.insert(sw, self.ctrl_causes.len());
                     }
                 }
-                let replies = self.dataplane.deliver_and_reply(sw, msg, self.now);
-                if !replies.is_empty() {
-                    let sender = self.entities.dense(sw);
-                    for reply in replies {
-                        self.send_notify(sw, sender, reply, NO_CAUSE);
-                    }
-                }
-                self.drain_plane();
+                self.control_step(sw, |dp, now, out| dp.deliver(sw, msg, now, out));
             }
             EventKind::Timer { node } => {
-                let step = self.dataplane.on_timer(node, self.now);
-                if !step.notifications.is_empty() {
-                    let sender = if node == CONTROLLER_NODE {
-                        CTRL_ENTITY
-                    } else {
-                        self.entities.dense(node)
-                    };
-                    for msg in step.notifications {
-                        self.send_notify(node, sender, msg, NO_CAUSE);
-                    }
-                }
-                for (delay, sw, out) in step.deliveries {
-                    self.send_deliver(sw, out, delay);
-                }
-                self.drain_plane();
+                self.control_step(node, |dp, now, out| dp.on_timer(node, now, out));
             }
         }
     }
@@ -1017,32 +1017,17 @@ impl<D: DataPlane> Core<D> {
             }
             *linked = (*linked).max(delivered);
         }
-        // The data plane sees either the interned id (arena path) or an
-        // owned resolution of it (the reference path); both end in ids,
-        // written into the engine's reused step buffer.
-        let mut out = std::mem::take(&mut self.step_buf);
+        let mut out = std::mem::take(&mut self.out);
         let lookup_sw = self.metrics.sampling.then(Stopwatch::start);
-        match self.packet_path {
-            PacketPath::Arena => {
-                self.dataplane.process_arena_into(
-                    loc.sw,
-                    loc.pt,
-                    packet,
-                    from_host,
-                    self.now,
-                    self.trace.arena_mut(),
-                    &mut out,
-                );
-            }
-            PacketPath::Owned => {
-                let owned = self.trace.arena().get(packet).clone();
-                let r = self.dataplane.process(loc.sw, loc.pt, owned, from_host, self.now);
-                let arena = self.trace.arena_mut();
-                out.clear();
-                out.outputs.extend(r.outputs.into_iter().map(|(pt, pk)| (pt, arena.intern(pk))));
-                out.notifications.extend(r.notifications);
-            }
-        }
+        self.dataplane.step(
+            loc.sw,
+            loc.pt,
+            packet,
+            from_host,
+            self.now,
+            self.trace.arena_mut(),
+            &mut out,
+        );
         if let Some(sw) = lookup_sw {
             self.metrics.phase_lookup_ns.observe(sw.elapsed_ns());
         }
@@ -1051,15 +1036,8 @@ impl<D: DataPlane> Core<D> {
                 o.cause(ingress_idx);
             }
         }
-        let stepped_plane = !out.notifications.is_empty();
-        for msg in out.notifications.drain(..) {
-            // The controller lives on shard 0 (send_notify routes there).
-            let cause = (self.me, ingress_idx as u32);
-            self.send_notify(loc.sw, sender, msg, cause);
-        }
-        if stepped_plane {
-            self.drain_plane();
-        }
+        // The controller lives on shard 0 (send_notify routes there).
+        self.emit_control(&mut out, loc.sw, (self.me, ingress_idx as u32));
         if out.outputs.is_empty() {
             self.trace.mark_terminated(ingress_idx);
             if let Some(o) = self.observer.as_deref_mut() {
@@ -1074,7 +1052,7 @@ impl<D: DataPlane> Core<D> {
                     reason: DropReason::NoRule,
                 },
             );
-            self.step_buf = out;
+            self.out = out;
             return;
         }
         let depart = self.now + self.params.switch_delay;
@@ -1207,8 +1185,8 @@ impl<D: DataPlane> Core<D> {
                 });
             }
         }
-        out.clear();
-        self.step_buf = out;
+        out.outputs.clear();
+        self.out = out;
         if let Some(o) = self.observer.as_deref_mut() {
             o.retire(ingress_idx);
         }
@@ -1237,11 +1215,13 @@ pub struct Engine<D: DataPlane> {
 impl<D: DataPlane> Engine<D> {
     /// Creates an engine.
     ///
-    /// The event-queue implementation, trace mode, and packet path default
-    /// from the environment (`EDN_QUEUE`, `EDN_TRACE`, `EDN_PACKETS`); pin
-    /// them with [`with_queue`](Engine::with_queue),
-    /// [`with_trace_mode`](Engine::with_trace_mode), and
-    /// [`with_packet_path`](Engine::with_packet_path). The engine starts
+    /// The trace mode, stats mode, telemetry level and control-channel
+    /// model default from the environment (`EDN_TRACE`, `EDN_STATS`,
+    /// `EDN_METRICS`, `EDN_CHANNEL`); pin them with
+    /// [`with_trace_mode`](Engine::with_trace_mode),
+    /// [`with_stats_mode`](Engine::with_stats_mode),
+    /// [`with_metrics`](Engine::with_metrics) and
+    /// [`with_channel`](Engine::with_channel). The engine starts
     /// single-threaded; see [`with_shards`](Engine::with_shards).
     pub fn new(topo: SimTopology, params: SimParams, dataplane: D, hosts: BoxedHosts) -> Engine<D> {
         let entities = EntityMap::build(&topo);
@@ -1252,9 +1232,7 @@ impl<D: DataPlane> Engine<D> {
             params,
             dataplane,
             hosts,
-            QueueKind::from_env(),
             TraceMode::from_env(),
-            PacketPath::from_env(),
             StatsMode::from_env(),
             0,
             1,
@@ -1273,16 +1251,6 @@ impl<D: DataPlane> Engine<D> {
         }
     }
 
-    /// Replaces the event-queue implementation, migrating any pending
-    /// events (pop order is a total order on the key, so the carrier never
-    /// affects a run).
-    pub fn with_queue(mut self, kind: QueueKind) -> Engine<D> {
-        for core in &mut self.cores {
-            core.queue.change_kind(kind);
-        }
-        self
-    }
-
     /// Sets the trace recording mode.
     ///
     /// # Panics
@@ -1294,14 +1262,6 @@ impl<D: DataPlane> Engine<D> {
         for core in &mut self.cores {
             core.trace = TraceBuilder::with_mode(mode);
             core.record_full = core.multi && mode == TraceMode::Full;
-        }
-        self
-    }
-
-    /// Sets the packet representation driven through the data plane.
-    pub fn with_packet_path(mut self, path: PacketPath) -> Engine<D> {
-        for core in &mut self.cores {
-            core.packet_path = path;
         }
         self
     }
@@ -1423,11 +1383,6 @@ impl<D: DataPlane> Engine<D> {
         }
     }
 
-    /// The event-queue implementation in use.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.cores[0].queue.kind()
-    }
-
     /// The trace recording mode in use.
     pub fn trace_mode(&self) -> TraceMode {
         self.cores[0].trace.mode()
@@ -1445,11 +1400,6 @@ impl<D: DataPlane> Engine<D> {
     /// The stats retention mode in use.
     pub fn stats_mode(&self) -> StatsMode {
         self.cores[0].stats_mode
-    }
-
-    /// The packet representation in use.
-    pub fn packet_path(&self) -> PacketPath {
-        self.cores[0].packet_path
     }
 
     /// Writes one transition onto a directed link's up/down schedule,
@@ -1567,17 +1517,17 @@ impl<D: DataPlane> Engine<D> {
         core.push_keyed(time, seq, EventKind::Inject { host, packet, size, sender, attach_sender });
     }
 
-    /// Pre-sizes the event slab and queue for `extra` upcoming events —
-    /// call before streaming a bulk injection whose iterator cannot report
-    /// its length (e.g. a `flat_map` over flows).
+    /// Pre-sizes the event slab for `extra` upcoming events (the calendar
+    /// queue's buckets stay demand-grown) — call before streaming a bulk
+    /// injection whose iterator cannot report its length (e.g. a
+    /// `flat_map` over flows).
     pub fn reserve_events(&mut self, extra: usize) {
         let core = &mut self.cores[0];
-        core.queue.reserve(extra);
         core.slots.reserve(extra.saturating_sub(core.free_slots.len()));
     }
 
     /// Schedules a whole batch of host injections `(time, host, packet,
-    /// size)` in one queue fill: the slab and queue are pre-sized once
+    /// size)` in one queue fill: the event slab is pre-sized once
     /// (from the iterator's size hint — use
     /// [`reserve_events`](Engine::reserve_events) first when the hint is
     /// useless) and repeated packets intern to one arena slot, so bulk
@@ -1676,9 +1626,7 @@ impl<D: DataPlane> Engine<D> {
             return; // no usable partition: stay single-threaded
         }
         self.lookahead = lookahead;
-        let queue = self.cores[0].queue.kind();
         let mode = self.cores[0].trace.mode();
-        let path = self.cores[0].packet_path;
         let stats_mode = self.cores[0].stats_mode;
         let link_state = self.cores[0].link_state.clone();
         let ctrl_latency = self.cores[0].ctrl_latency.clone();
@@ -1690,9 +1638,7 @@ impl<D: DataPlane> Engine<D> {
                 self.cores[0].params,
                 dataplane,
                 hosts,
-                queue,
                 mode,
-                path,
                 stats_mode,
                 i as u32 + 1,
                 k,
@@ -1809,32 +1755,16 @@ impl<D: DataPlane> Engine<D> {
     }
 }
 
+/// The two-switch line and its forwarding plane, shared by the engine's
+/// test modules.
 #[cfg(test)]
-mod tests {
+mod fixtures {
     use super::*;
-    use crate::logic::{SinkHosts, StepResult};
-    use netkat::Field;
+    use netkat::PacketArena;
 
-    /// A trivial data plane: forward everything out port 1, notify on vlan=9.
-    struct Fwd1;
-
-    impl DataPlane for Fwd1 {
-        fn process(&mut self, _: u64, _: u64, packet: Packet, _: bool, _: SimTime) -> StepResult {
-            let mut r = StepResult::forward(1, packet.clone());
-            if packet.get(Field::Vlan) == Some(9) {
-                r.notifications.push(CtrlMsg::Events(1));
-            }
-            r
-        }
-
-        fn on_notify(&mut self, msg: CtrlMsg, _: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
-            vec![(SimTime::ZERO, 1, msg)]
-        }
-
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime) {}
-    }
-
-    fn topo() -> SimTopology {
+    /// Hosts 100 and 200 on port 2 of switches 1 and 2, joined port 1 to
+    /// port 1 by a 50 µs link.
+    pub(super) fn topo() -> SimTopology {
         SimTopology::new([1, 2]).host(100, Loc::new(1, 2)).host(200, Loc::new(2, 2)).bilink(
             Loc::new(1, 1),
             Loc::new(2, 1),
@@ -1843,30 +1773,86 @@ mod tests {
         )
     }
 
+    /// Forwards towards host 200: switch 1 out its link port, switch 2 out
+    /// its host port.
+    #[derive(Clone)]
+    pub(super) struct PerSwitch;
+
+    impl DataPlane for PerSwitch {
+        fn step(
+            &mut self,
+            sw: u64,
+            _: u64,
+            packet: PacketId,
+            _: bool,
+            _: SimTime,
+            _: &mut PacketArena,
+            out: &mut PlaneOut,
+        ) {
+            out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
+        }
+        fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
+        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fixtures::{topo, PerSwitch};
+    use super::*;
+    use crate::logic::{step_owned, SinkHosts, StepResult};
+    use netkat::{Field, PacketArena};
+
+    /// A trivial data plane: forward everything out port 1, notify on vlan=9.
+    struct Fwd1;
+
+    impl DataPlane for Fwd1 {
+        fn step(
+            &mut self,
+            _: u64,
+            _: u64,
+            packet: PacketId,
+            _: bool,
+            _: SimTime,
+            arena: &mut PacketArena,
+            out: &mut PlaneOut,
+        ) {
+            step_owned(packet, arena, out, |pk| {
+                let notify = pk.get(Field::Vlan) == Some(9);
+                let mut r = StepResult::forward(1, pk);
+                if notify {
+                    r.notifications.push(CtrlMsg::Events(1));
+                }
+                r
+            });
+        }
+
+        fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
+            out.deliveries.push((SimTime::ZERO, 1, msg));
+        }
+
+        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
+    }
+
     /// A data plane delivering to the local host port.
     #[derive(Clone)]
     struct ToHostPort(u64);
 
     impl DataPlane for ToHostPort {
-        fn process(&mut self, _: u64, _: u64, packet: Packet, _: bool, _: SimTime) -> StepResult {
-            StepResult::forward(self.0, packet)
+        fn step(
+            &mut self,
+            _: u64,
+            _: u64,
+            packet: PacketId,
+            _: bool,
+            _: SimTime,
+            _: &mut PacketArena,
+            out: &mut PlaneOut,
+        ) {
+            out.outputs.push((self.0, packet));
         }
-        fn on_notify(&mut self, _: CtrlMsg, _: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
-            Vec::new()
-        }
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime) {}
-    }
-
-    #[derive(Clone)]
-    struct PerSwitch;
-    impl DataPlane for PerSwitch {
-        fn process(&mut self, sw: u64, _: u64, packet: Packet, _: bool, _: SimTime) -> StepResult {
-            StepResult::forward(if sw == 1 { 1 } else { 2 }, packet)
-        }
-        fn on_notify(&mut self, _: CtrlMsg, _: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
-            Vec::new()
-        }
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime) {}
+        fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
+        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
     }
 
     #[test]
@@ -1989,39 +1975,24 @@ mod tests {
 
     #[test]
     fn engine_knobs_replay_identically() {
-        // The same scenario on every {queue, trace mode, packet path}
-        // combination: Stats must be identical everywhere, traces
-        // identical in Full mode and empty in StatsOnly.
-        let run = |queue: QueueKind, mode: TraceMode, path: PacketPath| {
+        // The same scenario in both trace modes: Stats must be identical,
+        // the trace recorded in Full and empty in StatsOnly.
+        let run = |mode: TraceMode| {
             let mut e =
                 Engine::new(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts))
-                    .with_queue(queue)
-                    .with_trace_mode(mode)
-                    .with_packet_path(path);
-            assert_eq!(e.queue_kind(), queue);
+                    .with_trace_mode(mode);
             assert_eq!(e.trace_mode(), mode);
-            assert_eq!(e.packet_path(), path);
             for i in 0..10 {
                 e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
             }
             let r = e.run_until(SimTime::from_secs(1));
             (r.trace, r.stats)
         };
-        let (reference_trace, reference_stats) =
-            run(QueueKind::Heap, TraceMode::Full, PacketPath::Owned);
-        assert!(!reference_trace.is_empty());
-        for queue in [QueueKind::Heap, QueueKind::Calendar] {
-            for mode in [TraceMode::Full, TraceMode::StatsOnly] {
-                for path in [PacketPath::Owned, PacketPath::Arena] {
-                    let (trace, stats) = run(queue, mode, path);
-                    assert_eq!(stats, reference_stats, "{queue:?}/{mode:?}/{path:?}");
-                    match mode {
-                        TraceMode::Full => assert_eq!(trace, reference_trace),
-                        TraceMode::StatsOnly => assert!(trace.is_empty()),
-                    }
-                }
-            }
-        }
+        let (full_trace, full_stats) = run(TraceMode::Full);
+        assert!(!full_trace.is_empty());
+        let (lean_trace, lean_stats) = run(TraceMode::StatsOnly);
+        assert_eq!(lean_stats, full_stats);
+        assert!(lean_trace.is_empty());
     }
 
     #[test]
@@ -2043,8 +2014,7 @@ mod tests {
         let run = |mode: TraceMode| {
             let mut e =
                 Engine::new(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts))
-                    .with_trace_mode(mode)
-                    .with_packet_path(PacketPath::Arena);
+                    .with_trace_mode(mode);
             e.set_source(Box::new(crate::traffic::FlowSource::new(std::slice::from_ref(&flow))));
             e.run(SimTime::from_secs(10));
             let slots = e.arena_slots();
@@ -2204,32 +2174,10 @@ mod tests {
 
 #[cfg(test)]
 mod failure_tests {
+    use super::fixtures::{topo, PerSwitch};
     use super::*;
-    use crate::logic::{CtrlMsg, SinkHosts, StepResult};
-    use crate::stats::DropReason;
-    use crate::topology::SimTopology;
-    use netkat::Field;
-
-    #[derive(Clone)]
-    struct PerSwitch;
-    impl DataPlane for PerSwitch {
-        fn process(&mut self, sw: u64, _: u64, packet: Packet, _: bool, _: SimTime) -> StepResult {
-            StepResult::forward(if sw == 1 { 1 } else { 2 }, packet)
-        }
-        fn on_notify(&mut self, _: CtrlMsg, _: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
-            Vec::new()
-        }
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime) {}
-    }
-
-    fn topo() -> SimTopology {
-        SimTopology::new([1, 2]).host(100, Loc::new(1, 2)).host(200, Loc::new(2, 2)).bilink(
-            Loc::new(1, 1),
-            Loc::new(2, 1),
-            SimTime::from_micros(50),
-            None,
-        )
-    }
+    use crate::logic::{step_owned, SinkHosts, StepResult};
+    use netkat::{Field, PacketArena};
 
     #[test]
     fn failed_link_drops_only_after_its_time() {
@@ -2343,25 +2291,29 @@ mod failure_tests {
             enabled: bool,
         }
         impl DataPlane for Gate {
-            fn process(
+            fn step(
                 &mut self,
                 _: u64,
                 _: u64,
-                packet: Packet,
+                packet: PacketId,
                 from_host: bool,
                 _: SimTime,
-            ) -> StepResult {
-                let mut r =
-                    if self.enabled { StepResult::forward(2, packet) } else { StepResult::drop() };
-                if from_host && !self.enabled {
-                    r.notifications.push(CtrlMsg::Events(1));
-                }
-                r
+                arena: &mut PacketArena,
+                out: &mut PlaneOut,
+            ) {
+                step_owned(packet, arena, out, |pk| {
+                    let mut r =
+                        if self.enabled { StepResult::forward(2, pk) } else { StepResult::drop() };
+                    if from_host && !self.enabled {
+                        r.notifications.push(CtrlMsg::Events(1));
+                    }
+                    r
+                });
             }
-            fn on_notify(&mut self, msg: CtrlMsg, _: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
-                vec![(SimTime::ZERO, 1, msg)]
+            fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
+                out.deliveries.push((SimTime::ZERO, 1, msg));
             }
-            fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime) {
+            fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {
                 self.enabled = true;
             }
         }
@@ -2402,30 +2354,9 @@ mod failure_tests {
 
 #[cfg(test)]
 mod metrics_tests {
+    use super::fixtures::{topo, PerSwitch};
     use super::*;
-    use crate::logic::{CtrlMsg, SinkHosts, StepResult};
-    use edn_obs::MetricsLevel;
-
-    #[derive(Clone)]
-    struct PerSwitch;
-    impl DataPlane for PerSwitch {
-        fn process(&mut self, sw: u64, _: u64, packet: Packet, _: bool, _: SimTime) -> StepResult {
-            StepResult::forward(if sw == 1 { 1 } else { 2 }, packet)
-        }
-        fn on_notify(&mut self, _: CtrlMsg, _: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
-            Vec::new()
-        }
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime) {}
-    }
-
-    fn topo() -> SimTopology {
-        SimTopology::new([1, 2]).host(100, Loc::new(1, 2)).host(200, Loc::new(2, 2)).bilink(
-            Loc::new(1, 1),
-            Loc::new(2, 1),
-            SimTime::from_micros(50),
-            None,
-        )
-    }
+    use crate::logic::SinkHosts;
 
     fn run(level: MetricsLevel) -> RunResult<PerSwitch> {
         let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts))
@@ -2536,9 +2467,10 @@ mod timeline_props {
 
 #[cfg(test)]
 mod channel_tests {
+    use super::fixtures::topo;
     use super::*;
-    use crate::logic::{SinkHosts, StepResult, TimerStep};
-    use netkat::Field;
+    use crate::logic::SinkHosts;
+    use netkat::{Field, PacketArena};
 
     /// A plane that notifies the controller on every hop at switch 1 and
     /// counts what the controller hears — loss shows up as missing ids.
@@ -2549,30 +2481,28 @@ mod channel_tests {
     }
 
     impl DataPlane for Chatty {
-        fn process(&mut self, sw: u64, _: u64, packet: Packet, _: bool, _: SimTime) -> StepResult {
-            let mut r = StepResult::forward(if sw == 1 { 1 } else { 2 }, packet);
+        fn step(
+            &mut self,
+            sw: u64,
+            _: u64,
+            packet: PacketId,
+            _: bool,
+            _: SimTime,
+            _: &mut PacketArena,
+            out: &mut PlaneOut,
+        ) {
+            out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
             if sw == 1 {
-                r.notifications.push(CtrlMsg::Events(self.sent));
+                out.notifications.push(CtrlMsg::Events(self.sent));
                 self.sent += 1;
             }
-            r
         }
-        fn on_notify(&mut self, msg: CtrlMsg, _: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
+        fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, _: &mut PlaneOut) {
             if let CtrlMsg::Events(_) = msg {
                 self.heard += 1;
             }
-            Vec::new()
         }
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime) {}
-    }
-
-    fn topo() -> SimTopology {
-        SimTopology::new([1, 2]).host(100, Loc::new(1, 2)).host(200, Loc::new(2, 2)).bilink(
-            Loc::new(1, 1),
-            Loc::new(2, 1),
-            SimTime::from_micros(50),
-            None,
-        )
+        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
     }
 
     fn run_chatty(model: ChannelModel, n: u64) -> (RunResult<Chatty>, Stats) {
@@ -2621,50 +2551,45 @@ mod channel_tests {
         assert_eq!(sa.delivered_packets, 200);
     }
 
-    /// A plane that requests a timer from `deliver_and_reply` and replies
-    /// with an ack — exercising the Timer event kind, the reply path, and
-    /// `drain_timers` end to end.
+    /// A plane that requests a timer from `deliver` and replies with an
+    /// ack — exercising the Timer event kind and the reply path end to end.
     #[derive(Clone, Default)]
     struct TimerPlane {
         fired: Vec<(u64, u64)>,
-        armed: bool,
         acks_heard: u64,
     }
 
     impl DataPlane for TimerPlane {
-        fn process(&mut self, sw: u64, _: u64, packet: Packet, _: bool, _: SimTime) -> StepResult {
-            let mut r = StepResult::forward(if sw == 1 { 1 } else { 2 }, packet);
+        fn step(
+            &mut self,
+            sw: u64,
+            _: u64,
+            packet: PacketId,
+            _: bool,
+            _: SimTime,
+            _: &mut PacketArena,
+            out: &mut PlaneOut,
+        ) {
+            out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
             if sw == 1 {
-                r.notifications.push(CtrlMsg::Events(1));
+                out.notifications.push(CtrlMsg::Events(1));
             }
-            r
         }
-        fn on_notify(&mut self, msg: CtrlMsg, _: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
+        fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
             match msg {
-                CtrlMsg::Events(_) => vec![(SimTime::ZERO, 1, CtrlMsg::SetConfig(5))],
-                CtrlMsg::Ack { .. } => {
-                    self.acks_heard += 1;
-                    Vec::new()
+                CtrlMsg::Events(_) => {
+                    out.deliveries.push((SimTime::ZERO, 1, CtrlMsg::SetConfig(5)));
                 }
-                _ => Vec::new(),
+                CtrlMsg::Ack { .. } => self.acks_heard += 1,
+                _ => {}
             }
         }
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime) {}
-        fn deliver_and_reply(&mut self, sw: u64, _: CtrlMsg, _: SimTime) -> Vec<CtrlMsg> {
-            self.armed = true;
-            vec![CtrlMsg::Ack { sw, ack: 1 }]
+        fn deliver(&mut self, sw: u64, _: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
+            out.timers.push((SimTime::from_millis(50), 1));
+            out.notifications.push(CtrlMsg::Ack { sw, ack: 1 });
         }
-        fn drain_timers(&mut self) -> Vec<(SimTime, u64)> {
-            if self.armed {
-                self.armed = false;
-                vec![(SimTime::from_millis(50), 1)]
-            } else {
-                Vec::new()
-            }
-        }
-        fn on_timer(&mut self, node: u64, now: SimTime) -> TimerStep {
+        fn on_timer(&mut self, node: u64, now: SimTime, _: &mut PlaneOut) {
             self.fired.push((node, now.as_micros()));
-            TimerStep::default()
         }
     }
 
@@ -2679,5 +2604,52 @@ mod channel_tests {
         assert_eq!(r.dataplane.fired, vec![(1, 50_000)], "timer fires at its requested time");
         assert_eq!(r.dataplane.acks_heard, 1, "the deliver reply travels back as a notify");
         assert_eq!(r.metrics.counter("engine.dispatch.timer"), Some(1));
+    }
+
+    /// A plane whose packet step is silent towards the controller yet arms
+    /// a timer and logs a channel event: both must be acted on by the same
+    /// dispatch, not held until some later interaction happens to drain.
+    #[derive(Clone, Default)]
+    struct QuietTimer {
+        fired: Vec<(u64, u64)>,
+    }
+
+    impl DataPlane for QuietTimer {
+        fn step(
+            &mut self,
+            sw: u64,
+            _: u64,
+            packet: PacketId,
+            from_host: bool,
+            _: SimTime,
+            _: &mut PacketArena,
+            out: &mut PlaneOut,
+        ) {
+            out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
+            if from_host {
+                out.timers.push((SimTime::from_millis(50), sw));
+                out.channel_events.push(("quiet_step", sw));
+            }
+        }
+        fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
+        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
+        fn on_timer(&mut self, node: u64, now: SimTime, _: &mut PlaneOut) {
+            self.fired.push((node, now.as_micros()));
+        }
+    }
+
+    #[test]
+    fn timer_armed_by_a_notification_free_step_fires_on_time() {
+        let mut e =
+            Engine::new(topo(), SimParams::default(), QuietTimer::default(), Box::new(SinkHosts))
+                .with_metrics(MetricsLevel::Full);
+        let flight = e.flight_recorder().expect("full level attaches the recorder");
+        e.inject_at(SimTime::from_millis(1), 100, Packet::new());
+        e.run(SimTime::from_secs(1));
+        let r = e.finish();
+        assert_eq!(r.stats.delivered_packets, 1);
+        assert_eq!(r.dataplane.fired, vec![(1, 50_000)], "timer fires at its requested time");
+        assert_eq!(r.metrics.counter("engine.dispatch.timer"), Some(1));
+        assert!(flight.dump_json().contains("\"quiet_step\""));
     }
 }

@@ -13,18 +13,20 @@
 //! the paper's consistency definitions.
 //!
 //! ```
-//! use netsim::{CtrlMsg, DataPlane, Engine, SimParams, SimTime, SimTopology,
-//!              SinkHosts, StepResult};
+//! use netsim::{CtrlMsg, DataPlane, Engine, PacketArena, PacketId, PlaneOut, SimParams,
+//!              SimTime, SimTopology, SinkHosts};
 //! use netkat::{Loc, Packet};
 //!
-//! // A one-switch data plane that forwards port 2 <-> port 3.
+//! // A one-switch data plane that forwards port 2 <-> port 3: every entry
+//! // point reports through the one `PlaneOut` the engine hands in.
 //! struct Wire;
 //! impl DataPlane for Wire {
-//!     fn process(&mut self, _sw: u64, pt: u64, pk: Packet, _h: bool, _t: SimTime) -> StepResult {
-//!         StepResult::forward(if pt == 2 { 3 } else { 2 }, pk)
+//!     fn step(&mut self, _sw: u64, pt: u64, pk: PacketId, _from_host: bool, _now: SimTime,
+//!             _arena: &mut PacketArena, out: &mut PlaneOut) {
+//!         out.outputs.push((if pt == 2 { 3 } else { 2 }, pk));
 //!     }
-//!     fn on_notify(&mut self, _: CtrlMsg, _: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> { vec![] }
-//!     fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime) {}
+//!     fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
+//!     fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
 //! }
 //!
 //! let topo = SimTopology::new([1])
@@ -56,11 +58,10 @@ pub use edn_core::{LeafKind, TraceMode, TraceObserver};
 pub use edn_obs::{FlightRecorder, MetricsLevel};
 pub use engine::{Engine, RunResult, DEFAULT_PACKET_SIZE};
 pub use logic::{
-    table_outputs, BoxedHosts, CtrlMsg, DataPlane, HostLogic, PacketPath, SinkHosts, StepResult,
-    StepResultId, TimerStep, CONTROLLER_NODE,
+    step_owned, table_outputs, BoxedHosts, CtrlMsg, DataPlane, HostLogic, PlaneOut, SinkHosts,
+    StepResult, CONTROLLER_NODE,
 };
 pub use netkat::{PacketArena, PacketId};
-pub use queue::QueueKind;
 pub use shard::{shard_count_from_env, Partition};
 pub use source::{SourceEvent, WorkloadSource};
 pub use stats::{Delivery, Drop, DropReason, Stats, StatsMode};

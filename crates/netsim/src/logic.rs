@@ -4,50 +4,8 @@ use netkat::{Packet, PacketArena, PacketId};
 
 use crate::time::SimTime;
 
-/// Which packet representation the engine moves through the data plane.
-///
-/// The arena path is the default; the owned path is the reference
-/// semantics — every packet resolved to an owned [`Packet`] and fed through
-/// [`DataPlane::process`] — kept selectable (env var `EDN_PACKETS`) so any
-/// simulation can be replayed on both paths and diffed — speed must never
-/// silently change meaning.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum PacketPath {
-    /// The reference path: owned packets through [`DataPlane::process`].
-    Owned,
-    /// The interned path: [`PacketId`]s through
-    /// [`DataPlane::process_arena`].
-    #[default]
-    Arena,
-}
-
-impl PacketPath {
-    /// Reads the path from the `EDN_PACKETS` environment variable (`owned`
-    /// or `arena`); unset means [`PacketPath::Arena`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `EDN_PACKETS` is set to anything else.
-    pub fn from_env() -> PacketPath {
-        match std::env::var("EDN_PACKETS") {
-            Ok(v) if v == "owned" => PacketPath::Owned,
-            Ok(v) if v == "arena" => PacketPath::Arena,
-            Ok(v) => panic!("EDN_PACKETS must be `owned` or `arena`, got {v:?}"),
-            Err(_) => PacketPath::Arena,
-        }
-    }
-
-    /// The label used in benchmark output (`owned` / `arena`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            PacketPath::Owned => "owned",
-            PacketPath::Arena => "arena",
-        }
-    }
-}
-
 /// The timer `node` naming the controller endpoint (switch endpoints use
-/// their switch id). See [`DataPlane::drain_timers`].
+/// their switch id). See [`PlaneOut::timers`].
 pub const CONTROLLER_NODE: u64 = u64::MAX;
 
 /// A message between a switch and the controller.
@@ -89,20 +47,9 @@ pub enum CtrlMsg {
     },
 }
 
-/// What a [`DataPlane::on_timer`] callback wants (re)sent: the timer-fired
-/// sibling of a switch step's notifications and `on_notify`'s deliveries,
-/// scheduled by the engine through the same (possibly lossy) channel.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct TimerStep {
-    /// Messages the switch endpoint (the timer's node) re-sends to the
-    /// controller.
-    pub notifications: Vec<CtrlMsg>,
-    /// Messages the controller endpoint re-sends: `(extra delay, switch,
-    /// message)`.
-    pub deliveries: Vec<(SimTime, u64, CtrlMsg)>,
-}
-
-/// What one switch processing step produced.
+/// What one switch processing step produced, in owned form: the result
+/// type of the planes' owned reference transcriptions and of the closure
+/// [`step_owned`] bridges into a [`PlaneOut`].
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct StepResult {
     /// Output packets: `(out port, packet)`. Empty means the packet was
@@ -124,25 +71,62 @@ impl StepResult {
     }
 }
 
-/// What one switch processing step produced, in interned form: the
-/// arena-path sibling of [`StepResult`], carrying [`PacketId`]s instead of
-/// owned packets.
+/// Everything one [`DataPlane`] interaction can ask of the engine. The
+/// engine owns one buffer for the whole run, hands it in **empty** on every
+/// call, and acts on whatever the plane appended before the dispatch ends
+/// (notifications, deliveries, channel events, timers, then a step's
+/// outputs — the order event sequence keys are drawn in), so steady-state
+/// hops never allocate.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct StepResultId {
-    /// Output packets: `(out port, interned packet)`. Empty means the
+pub struct PlaneOut {
+    /// Output packets of a [`step`](DataPlane::step): `(out port, interned
+    /// packet)`, ids from the arena the step was handed. Empty means the
     /// packet was dropped.
     pub outputs: Vec<(u64, PacketId)>,
-    /// Messages to the controller.
+    /// Messages the interaction's node (the stepping or delivered-to
+    /// switch, the timer's node) sends to the controller, through the
+    /// (possibly lossy) channel.
     pub notifications: Vec<CtrlMsg>,
+    /// Commands the controller sends to switches: `(extra delay, switch,
+    /// message)`, through the same channel.
+    pub deliveries: Vec<(SimTime, u64, CtrlMsg)>,
+    /// Timer requests `(fire time, node)`, where `node` is a switch id or
+    /// [`CONTROLLER_NODE`]: the engine schedules a deterministic timer
+    /// event per request on the node's owning shard (requests only ever
+    /// arise from interactions that already run there), which calls
+    /// [`on_timer`](DataPlane::on_timer). Stale fires must be plane-level
+    /// no-ops.
+    pub timers: Vec<(SimTime, u64)>,
+    /// Control-channel telemetry `(kind, node)` (`"dup_suppressed"`,
+    /// `"retry_exhausted"`, …), forwarded to the flight recorder so a
+    /// degraded dump shows the message-level cause.
+    pub channel_events: Vec<(&'static str, u64)>,
 }
 
-impl StepResultId {
-    /// Empties both lists, keeping their allocations — callers reusing a
-    /// step buffer across hops clear it through this.
+impl PlaneOut {
+    /// Empties every list, keeping the allocations.
     pub fn clear(&mut self) {
         self.outputs.clear();
         self.notifications.clear();
+        self.deliveries.clear();
+        self.timers.clear();
+        self.channel_events.clear();
     }
+}
+
+/// The owned bridge: resolves `packet`, runs the owned `process` closure on
+/// it, and interns the result into `out` — how a plane written against
+/// owned [`Packet`]s (the uncoordinated baseline, test planes) implements
+/// [`DataPlane::step`].
+pub fn step_owned(
+    packet: PacketId,
+    arena: &mut PacketArena,
+    out: &mut PlaneOut,
+    process: impl FnOnce(Packet) -> StepResult,
+) {
+    let StepResult { outputs, notifications } = process(arena.get(packet).clone());
+    out.outputs.extend(outputs.into_iter().map(|(pt, pk)| (pt, arena.intern(pk))));
+    out.notifications.extend(notifications);
 }
 
 /// Converts a flow-table application result into switch outputs — the
@@ -162,66 +146,24 @@ pub fn table_outputs(pt: u64, packets: impl IntoIterator<Item = Packet>) -> Vec<
 
 /// The deployed system under test: all switches plus the controller.
 ///
-/// The engine calls [`process`](DataPlane::process) for every packet at
-/// every switch, and routes controller messages through
-/// [`on_notify`](DataPlane::on_notify) / [`deliver`](DataPlane::deliver).
+/// The engine calls [`step`](DataPlane::step) for every packet at every
+/// switch, routes controller messages through
+/// [`on_notify`](DataPlane::on_notify) / [`deliver`](DataPlane::deliver),
+/// and fires requested timers into [`on_timer`](DataPlane::on_timer). Every
+/// entry point reports through the same [`PlaneOut`].
 pub trait DataPlane {
-    /// Processes a packet arriving at switch `sw`, port `pt`.
+    /// Processes a packet arriving at switch `sw`, port `pt` (the SWITCH
+    /// rule of Fig. 7), appending output packets and controller
+    /// notifications to `out`.
     ///
     /// `from_host` is `true` when the packet just entered the network from a
-    /// host (the IN rule of Fig. 7, where ingress stamping happens).
-    fn process(
-        &mut self,
-        sw: u64,
-        pt: u64,
-        packet: Packet,
-        from_host: bool,
-        now: SimTime,
-    ) -> StepResult;
-
-    /// [`process`](DataPlane::process) on an interned packet: the engine's
-    /// arena hot path.
-    ///
-    /// The default implementation bridges through
-    /// [`process`](DataPlane::process) — resolve, process owned, intern the
-    /// outputs — so every data plane works on the arena path unchanged.
-    /// Hot planes override this with a native implementation that avoids
-    /// the owned round trip; the overrides must be observationally
-    /// identical to the bridge (the plumbing-equivalence differential
-    /// tests replay whole simulations on both paths and diff them).
-    ///
-    /// `packet` must have been interned in `arena` by the caller; ids
-    /// returned in the [`StepResultId`] must come from the same arena. A
-    /// plane instance is only ever driven against one arena (overrides may
-    /// cache ids).
-    fn process_arena(
-        &mut self,
-        sw: u64,
-        pt: u64,
-        packet: PacketId,
-        from_host: bool,
-        now: SimTime,
-        arena: &mut PacketArena,
-    ) -> StepResultId {
-        let owned = arena.get(packet).clone();
-        let StepResult { outputs, notifications } = self.process(sw, pt, owned, from_host, now);
-        StepResultId {
-            outputs: outputs.into_iter().map(|(pt, pk)| (pt, arena.intern(pk))).collect(),
-            notifications,
-        }
-    }
-
-    /// [`process_arena`](DataPlane::process_arena) with the result written
-    /// into a caller-owned buffer instead of a fresh allocation — the
-    /// engine's per-hop path, which reuses one [`StepResultId`] for the
-    /// whole run so steady-state hops never allocate an output vector.
-    ///
-    /// `out` is cleared first; on return it holds exactly what
-    /// [`process_arena`](DataPlane::process_arena) would have returned.
-    /// The default implementation bridges through it; hot planes override
-    /// both with one shared native implementation.
+    /// host (the IN rule, where ingress stamping happens). `packet` was
+    /// interned in `arena` by the caller, and output ids must come from the
+    /// same arena; a plane instance is only ever driven against one arena
+    /// (implementations may cache ids). Planes written against owned
+    /// packets go through [`step_owned`].
     #[allow(clippy::too_many_arguments)]
-    fn process_arena_into(
+    fn step(
         &mut self,
         sw: u64,
         pt: u64,
@@ -229,54 +171,22 @@ pub trait DataPlane {
         from_host: bool,
         now: SimTime,
         arena: &mut PacketArena,
-        out: &mut StepResultId,
-    ) {
-        *out = self.process_arena(sw, pt, packet, from_host, now, arena);
-    }
+        out: &mut PlaneOut,
+    );
 
-    /// The controller received `msg`; returns commands to deliver to
-    /// switches as `(extra delay, switch, message)`.
-    fn on_notify(&mut self, msg: CtrlMsg, now: SimTime) -> Vec<(SimTime, u64, CtrlMsg)>;
+    /// The controller received `msg` (CTRLRECV); commands for switches
+    /// (CTRLSEND) go to `out.deliveries`.
+    fn on_notify(&mut self, msg: CtrlMsg, now: SimTime, out: &mut PlaneOut);
 
-    /// A controller command arrives at a switch.
-    fn deliver(&mut self, sw: u64, msg: CtrlMsg, now: SimTime);
+    /// A controller command arrives at switch `sw`; anything the switch
+    /// sends straight back (acknowledgements, in the reliability layer)
+    /// goes to `out.notifications`.
+    fn deliver(&mut self, sw: u64, msg: CtrlMsg, now: SimTime, out: &mut PlaneOut);
 
-    /// [`deliver`](DataPlane::deliver), returning messages the switch
-    /// sends straight back to the controller (acknowledgements, in the
-    /// reliability layer). The engine schedules each reply as a
-    /// switch→controller message through the channel model. The default
-    /// delegates to [`deliver`](DataPlane::deliver) and replies nothing,
-    /// so existing planes are unchanged.
-    fn deliver_and_reply(&mut self, sw: u64, msg: CtrlMsg, now: SimTime) -> Vec<CtrlMsg> {
-        self.deliver(sw, msg, now);
-        Vec::new()
-    }
-
-    /// Timer requests accumulated since the last drain: `(fire time,
-    /// node)`, where `node` is a switch id or [`CONTROLLER_NODE`]. The
-    /// engine drains this after every plane interaction and schedules a
-    /// deterministic timer event per request on the node's owning shard
-    /// (requests only ever arise from interactions that already run
-    /// there). A fired timer calls [`on_timer`](DataPlane::on_timer);
-    /// stale fires must be plane-level no-ops. The default has no timers.
-    fn drain_timers(&mut self) -> Vec<(SimTime, u64)> {
-        Vec::new()
-    }
-
-    /// A timer requested via [`drain_timers`](DataPlane::drain_timers)
-    /// fired at `node`. Returns what to (re)send; the default does
-    /// nothing.
-    fn on_timer(&mut self, node: u64, now: SimTime) -> TimerStep {
-        let _ = (node, now);
-        TimerStep::default()
-    }
-
-    /// Control-channel telemetry events accumulated since the last drain:
-    /// `(kind, node)` pairs (`"dup_suppressed"`, `"retry_exhausted"`,
-    /// …) that the engine forwards to the flight recorder so a degraded
-    /// dump shows the message-level cause. The default reports none.
-    fn drain_channel_events(&mut self) -> Vec<(&'static str, u64)> {
-        Vec::new()
+    /// A timer requested through [`PlaneOut::timers`] fired at `node`;
+    /// whatever is to be (re)sent goes to `out`. The default does nothing.
+    fn on_timer(&mut self, node: u64, now: SimTime, out: &mut PlaneOut) {
+        let _ = (node, now, out);
     }
 
     /// Folds the state of another instance of this plane back into `self`
@@ -358,6 +268,27 @@ mod tests {
         let s = StepResult::forward(3, Packet::new());
         assert_eq!(s.outputs.len(), 1);
         assert_eq!(s.outputs[0].0, 3);
+    }
+
+    #[test]
+    fn step_owned_interns_outputs_and_appends_notifications() {
+        let mut arena = PacketArena::new();
+        let id = arena.intern(Packet::new().with(Field::Vlan, 2));
+        let mut out = PlaneOut::default();
+        out.notifications.push(CtrlMsg::Events(1));
+        step_owned(id, &mut arena, &mut out, |pk| {
+            assert_eq!(pk.get(Field::Vlan), Some(2));
+            let mut r = StepResult::forward(3, pk.clone());
+            r.outputs.push((4, pk.with(Field::Vlan, 5)));
+            r.notifications.push(CtrlMsg::Events(2));
+            r
+        });
+        // Unchanged content interns back to the input id.
+        assert_eq!(out.outputs[0], (3, id));
+        assert_eq!(arena.get(out.outputs[1].1).get(Field::Vlan), Some(5));
+        assert_eq!(out.notifications, vec![CtrlMsg::Events(1), CtrlMsg::Events(2)]);
+        out.clear();
+        assert_eq!(out, PlaneOut::default());
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The engine's future-event set: a calendar (bucket) queue with a binary
-//! heap kept as the selectable reference implementation.
+//! The engine's future-event set: a calendar (bucket) queue.
 //!
 //! A discrete-event simulator's single hottest structure is its pending
 //! event queue. The engine's original `BinaryHeap` pays `O(log n)` sift
@@ -13,12 +12,11 @@
 //! first occupied bucket. Events past the window land in an overflow heap
 //! and migrate into the window when the wavefront reaches them.
 //!
-//! Ordering is **identical** to the heap's, including timestamp ties: both
-//! implementations pop strictly by the full `(time, sequence, slot)` key,
-//! and sequence numbers are unique, so the pop order is a total order that
-//! cannot depend on the implementation. The differential proptests below
-//! pin that, and the `EDN_QUEUE` environment switch lets any simulation be
-//! replayed on both implementations and diffed.
+//! Ordering is **identical** to a binary heap's, including timestamp ties:
+//! pops go strictly by the full `(time, sequence, slot)` key, and sequence
+//! numbers are unique, so the pop order is a total order that cannot depend
+//! on the implementation. The differential proptests below pin that against
+//! a `BinaryHeap` model.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -31,46 +29,6 @@ use crate::time::SimTime;
 /// Keeping the payload out of the queue keeps reordering operations moving
 /// 24-byte keys instead of full event payloads.
 pub(crate) type QueuedKey = (SimTime, u64, u32);
-
-/// Which future-event-set implementation the engine schedules through.
-///
-/// The calendar queue is the default; the binary heap is the reference,
-/// kept selectable (env var `EDN_QUEUE`) so any simulation can be replayed
-/// on both implementations and diffed — speed must never silently change
-/// meaning.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum QueueKind {
-    /// The reference implementation: `std::collections::BinaryHeap`.
-    Heap,
-    /// The calendar/bucket queue.
-    #[default]
-    Calendar,
-}
-
-impl QueueKind {
-    /// Reads the kind from the `EDN_QUEUE` environment variable (`heap` or
-    /// `calendar`); unset means [`QueueKind::Calendar`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `EDN_QUEUE` is set to anything else.
-    pub fn from_env() -> QueueKind {
-        match std::env::var("EDN_QUEUE") {
-            Ok(v) if v == "heap" => QueueKind::Heap,
-            Ok(v) if v == "calendar" => QueueKind::Calendar,
-            Ok(v) => panic!("EDN_QUEUE must be `heap` or `calendar`, got {v:?}"),
-            Err(_) => QueueKind::Calendar,
-        }
-    }
-
-    /// The label used in benchmark output (`heap` / `calendar`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Calendar => "calendar",
-        }
-    }
-}
 
 /// Number of buckets in the calendar window. With [`BUCKET_WIDTH_US`] this
 /// covers a 16 ms sliding window — hundreds of link latencies deep.
@@ -108,7 +66,7 @@ pub(crate) struct CalendarQueue {
 }
 
 impl CalendarQueue {
-    fn new() -> CalendarQueue {
+    pub(crate) fn new() -> CalendarQueue {
         CalendarQueue {
             buckets: vec![Vec::new(); N_BUCKETS],
             dirty: vec![0; N_BUCKETS / 64],
@@ -120,7 +78,9 @@ impl CalendarQueue {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Pending events. The engine samples this at each dispatch for the
+    /// queue-depth high-water metric.
+    pub(crate) fn len(&self) -> usize {
         self.in_window + self.overflow.len()
     }
 
@@ -150,7 +110,7 @@ impl CalendarQueue {
         self.mark(bucket);
     }
 
-    fn push(&mut self, key: QueuedKey) {
+    pub(crate) fn push(&mut self, key: QueuedKey) {
         let t = key.0.as_micros();
         if t >= self.win_end() {
             self.overflow.push(Reverse(key));
@@ -207,7 +167,7 @@ impl CalendarQueue {
         }
     }
 
-    fn pop(&mut self) -> Option<QueuedKey> {
+    pub(crate) fn pop(&mut self) -> Option<QueuedKey> {
         if self.in_window == 0 {
             if self.overflow.is_empty() {
                 return None;
@@ -230,72 +190,24 @@ impl CalendarQueue {
     }
 }
 
-/// The engine's future-event set, on either implementation.
-#[derive(Clone, Debug)]
-pub(crate) enum EventQueue {
-    /// The reference binary heap.
-    Heap(BinaryHeap<Reverse<QueuedKey>>),
-    /// The calendar queue.
-    Calendar(CalendarQueue),
-}
+/// The reference the calendar queue is diffed against: a plain binary
+/// heap over the same keys.
+#[cfg(test)]
+#[derive(Default)]
+struct HeapModel(BinaryHeap<Reverse<QueuedKey>>);
 
-impl EventQueue {
-    pub(crate) fn new(kind: QueueKind) -> EventQueue {
-        match kind {
-            QueueKind::Heap => EventQueue::Heap(BinaryHeap::new()),
-            QueueKind::Calendar => EventQueue::Calendar(CalendarQueue::new()),
-        }
+#[cfg(test)]
+impl HeapModel {
+    fn len(&self) -> usize {
+        self.0.len()
     }
 
-    pub(crate) fn kind(&self) -> QueueKind {
-        match self {
-            EventQueue::Heap(_) => QueueKind::Heap,
-            EventQueue::Calendar(_) => QueueKind::Calendar,
-        }
+    fn push(&mut self, key: QueuedKey) {
+        self.0.push(Reverse(key));
     }
 
-    /// Pending events. The engine samples this at each dispatch for the
-    /// queue-depth high-water metric.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Calendar(c) => c.len(),
-        }
-    }
-
-    pub(crate) fn push(&mut self, key: QueuedKey) {
-        match self {
-            EventQueue::Heap(h) => h.push(Reverse(key)),
-            EventQueue::Calendar(c) => c.push(key),
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<QueuedKey> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse(key)| key),
-            EventQueue::Calendar(c) => c.pop(),
-        }
-    }
-
-    /// Pre-sizes for `extra` upcoming pushes (a batch injection). Only the
-    /// heap benefits; calendar buckets stay demand-grown.
-    pub(crate) fn reserve(&mut self, extra: usize) {
-        if let EventQueue::Heap(h) = self {
-            h.reserve(extra);
-        }
-    }
-
-    /// Rebuilds this queue on `kind`, preserving the pending set (the
-    /// pending→pop order is a total order, so the carrier never matters).
-    pub(crate) fn change_kind(&mut self, kind: QueueKind) {
-        if self.kind() == kind {
-            return;
-        }
-        let mut next = EventQueue::new(kind);
-        while let Some(key) = self.pop() {
-            next.push(key);
-        }
-        *self = next;
+    fn pop(&mut self) -> Option<QueuedKey> {
+        self.0.pop().map(|Reverse(key)| key)
     }
 }
 
@@ -310,8 +222,8 @@ mod tests {
     /// Drains both implementations loaded with the same keys and asserts
     /// identical pop sequences.
     fn assert_same_order(keys: &[QueuedKey]) {
-        let mut heap = EventQueue::new(QueueKind::Heap);
-        let mut cal = EventQueue::new(QueueKind::Calendar);
+        let mut heap = HeapModel::default();
+        let mut cal = CalendarQueue::new();
         for &k in keys {
             heap.push(k);
             cal.push(k);
@@ -344,10 +256,10 @@ mod tests {
     fn interleaved_push_pop_matches_heap() {
         // Simulation-shaped interleaving: pop one, schedule a few relative
         // to the popped time, repeat. Deterministic LCG for spread.
-        let mut heap = EventQueue::new(QueueKind::Heap);
-        let mut cal = EventQueue::new(QueueKind::Calendar);
+        let mut heap = HeapModel::default();
+        let mut cal = CalendarQueue::new();
         let mut seq = 0u64;
-        let push_both = |heap: &mut EventQueue, cal: &mut EventQueue, t: u64, seq: &mut u64| {
+        let push_both = |heap: &mut HeapModel, cal: &mut CalendarQueue, t: u64, seq: &mut u64| {
             let k = (SimTime::from_micros(t), *seq, *seq as u32);
             *seq += 1;
             heap.push(k);
@@ -379,8 +291,8 @@ mod tests {
         // caller interleaving pops with earlier-time schedules) must still
         // pop in exact key order — and must not strand (the wavefront only
         // moves forward on its own).
-        let mut heap = EventQueue::new(QueueKind::Heap);
-        let mut cal = EventQueue::new(QueueKind::Calendar);
+        let mut heap = HeapModel::default();
+        let mut cal = CalendarQueue::new();
         for k in [key(10_000, 0), key(12_000, 1)] {
             heap.push(k);
             cal.push(k);
@@ -403,8 +315,8 @@ mod tests {
         // A push below the calendar's window start (a caller interleaving
         // pops with past-time schedules) must come out in exact key order,
         // like the heap's.
-        let mut heap = EventQueue::new(QueueKind::Heap);
-        let mut cal = EventQueue::new(QueueKind::Calendar);
+        let mut heap = HeapModel::default();
+        let mut cal = CalendarQueue::new();
         for k in [key(400_000_000, 0), key(500_000_000, 1)] {
             heap.push(k);
             cal.push(k);
@@ -420,35 +332,6 @@ mod tests {
         assert_eq!(heap.pop(), Some(past));
         assert_eq!(heap.pop(), cal.pop());
         assert_eq!(cal.pop(), None);
-    }
-
-    #[test]
-    fn change_kind_preserves_the_pending_set() {
-        let keys = [key(9, 0), key(2, 1), key(2, 2), key(400_000_000, 3)];
-        let mut q = EventQueue::new(QueueKind::Calendar);
-        for k in keys {
-            q.push(k);
-        }
-        q.change_kind(QueueKind::Heap);
-        assert_eq!(q.kind(), QueueKind::Heap);
-        q.change_kind(QueueKind::Heap); // no-op
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.pop(), Some(key(2, 1)));
-        assert_eq!(q.pop(), Some(key(2, 2)));
-        assert_eq!(q.pop(), Some(key(9, 0)));
-        assert_eq!(q.pop(), Some(key(400_000_000, 3)));
-    }
-
-    #[test]
-    fn env_default_is_calendar() {
-        // The suite is replayed under explicit EDN_QUEUE settings in CI;
-        // only pin the default when the variable is unset.
-        match std::env::var("EDN_QUEUE") {
-            Err(_) => assert_eq!(QueueKind::from_env(), QueueKind::Calendar),
-            Ok(v) => assert_eq!(QueueKind::from_env().label(), v),
-        }
-        assert_eq!(QueueKind::Heap.label(), "heap");
-        assert_eq!(QueueKind::Calendar.label(), "calendar");
     }
 }
 
@@ -472,8 +355,8 @@ mod proptests {
         /// Bulk load → full drain: calendar ≡ heap, including ties.
         #[test]
         fn calendar_pops_exactly_like_the_heap(times in arb_times()) {
-            let mut heap = EventQueue::new(QueueKind::Heap);
-            let mut cal = EventQueue::new(QueueKind::Calendar);
+            let mut heap = HeapModel::default();
+            let mut cal = CalendarQueue::new();
             for (seq, &t) in times.iter().enumerate() {
                 let k = (SimTime::from_micros(t), seq as u64, seq as u32);
                 heap.push(k);
@@ -495,8 +378,8 @@ mod proptests {
             initial in arb_times(),
             delays in proptest::collection::vec(0u64..400_000, 0..300),
         ) {
-            let mut heap = EventQueue::new(QueueKind::Heap);
-            let mut cal = EventQueue::new(QueueKind::Calendar);
+            let mut heap = HeapModel::default();
+            let mut cal = CalendarQueue::new();
             let mut seq = 0u64;
             for &t in &initial {
                 let k = (SimTime::from_micros(t), seq, seq as u32);

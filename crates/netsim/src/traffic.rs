@@ -393,22 +393,29 @@ pub fn proto_packets_delivered(stats: &Stats, host: u64, proto: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logic::{CtrlMsg, StepResult};
+    use crate::logic::{CtrlMsg, PlaneOut};
     use crate::topology::{SimParams, SimTopology};
-    use netkat::Loc;
+    use netkat::{Loc, PacketArena, PacketId};
 
     /// A two-host wire: everything from host A's port goes to host B's port
     /// and vice versa (one switch, ports 2 and 3).
     struct Wire;
 
     impl DataPlane for Wire {
-        fn process(&mut self, _: u64, pt: u64, packet: Packet, _: bool, _: SimTime) -> StepResult {
-            StepResult::forward(if pt == 2 { 3 } else { 2 }, packet)
+        fn step(
+            &mut self,
+            _: u64,
+            pt: u64,
+            packet: PacketId,
+            _: bool,
+            _: SimTime,
+            _: &mut PacketArena,
+            out: &mut PlaneOut,
+        ) {
+            out.outputs.push((if pt == 2 { 3 } else { 2 }, packet));
         }
-        fn on_notify(&mut self, _: CtrlMsg, _: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
-            Vec::new()
-        }
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime) {}
+        fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
+        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
     }
 
     fn wire_topology() -> SimTopology {
@@ -438,13 +445,19 @@ mod tests {
         // Data plane that drops everything.
         struct Blackhole;
         impl DataPlane for Blackhole {
-            fn process(&mut self, _: u64, _: u64, _: Packet, _: bool, _: SimTime) -> StepResult {
-                StepResult::drop()
+            fn step(
+                &mut self,
+                _: u64,
+                _: u64,
+                _: PacketId,
+                _: bool,
+                _: SimTime,
+                _: &mut PacketArena,
+                _: &mut PlaneOut,
+            ) {
             }
-            fn on_notify(&mut self, _: CtrlMsg, _: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
-                Vec::new()
-            }
-            fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime) {}
+            fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
+            fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
         }
         let mut e = Engine::new(
             wire_topology(),

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use edn_core::{EventId, EventSet};
 use netkat::{Field, FxBuildHasher, Loc, LocatedView, LookupPath, Packet, PacketArena, PacketId};
-use netsim::{table_outputs, CtrlMsg, DataPlane, SimTime, StepResult, StepResultId};
+use netsim::{CtrlMsg, DataPlane, PlaneOut, SimTime};
 
 use crate::compile::CompiledNes;
 use crate::deploy::{CompilePath, DeployKnobs, Deployment, OptimizeMode};
@@ -59,7 +59,7 @@ pub struct NesDataPlane {
     /// grows at (rare) event learns, so the per-packet hot path reduces to
     /// one map probe.
     effective_cache: BTreeMap<EventSet, (EventSet, u64)>,
-    /// Reused arena-path buffers: the lookup packet and the (single-cast)
+    /// Reused `step` buffers: the lookup packet and the (single-cast)
     /// output packet are built here instead of being allocated per hop —
     /// only the finished output is interned, and in steady state (content
     /// already seen) that interning is a fingerprint probe, so a hop
@@ -223,73 +223,13 @@ impl NesDataPlane {
 }
 
 impl DataPlane for NesDataPlane {
-    fn process(
-        &mut self,
-        sw: u64,
-        pt: u64,
-        mut packet: Packet,
-        from_host: bool,
-        now: SimTime,
-    ) -> StepResult {
-        // SWITCH step 1: union the packet's digest into local state.
-        let digest = EventSet::from_bits(packet.get(Field::Digest).unwrap_or(0));
-        self.learn(sw, digest, now);
-        let known = self.local_events(sw);
-
-        // IN: stamp host-entering packets with the current tag.
-        let effective = self.effective_of(known);
-        if from_host {
-            packet.set(Field::Tag, effective.1);
-        }
-
-        // SWITCH step 2: fire enabled events this arrival matches.
-        let effective = effective.0;
-        let fired = self.compiled.triggered(effective, &packet, Loc::new(sw, pt));
-        let mut notifications = Vec::new();
-        if !fired.is_empty() {
-            self.learn(sw, fired, now);
-            for e in fired.iter() {
-                self.fired_log.push((now, e));
-            }
-            notifications.push(CtrlMsg::Events(fired.bits()));
-        }
-        let known = self.local_events(sw);
-
-        // SWITCH step 3: forward under the packet's stamped configuration,
-        // through the switch's installed tag-guarded table (the guard makes
-        // the per-tag block of the packet's own tag the only one that can
-        // match, so this agrees with the packet's configuration table —
-        // `program::tests` pin that equivalence).
-        let tag = match packet.get(Field::Tag) {
-            Some(tag) => tag,
-            None => self.effective_of(known).1,
-        };
-        // The packet is not needed after the table application: locate and
-        // tag it in place instead of cloning a lookup copy.
-        let mut lookup = packet;
-        lookup.set_loc(Loc::new(sw, pt));
-        lookup.set(Field::Tag, tag);
-        let mut out = Vec::new();
-        self.deployment.apply_into(self.knobs.path, sw, tag, &lookup, &mut out);
-        let mut outputs = table_outputs(pt, out);
-        for (_, out) in &mut outputs {
-            // SWITCH step 4: the outgoing digest carries everything this
-            // switch now knows.
-            out.set(Field::Digest, digest.union(known).bits());
-            out.set(Field::Tag, tag);
-        }
-        StepResult { outputs, notifications }
-    }
-
-    /// The native arena path: identical, observable step for observable
-    /// step, to [`process`](DataPlane::process) — IN stamp, trigger,
-    /// per-tag forwarding, digest stamp — but with the table consulted
-    /// through a zero-copy [`LocatedView`] and an identity fast path for
-    /// hops that leave the packet's content unchanged (the steady state:
-    /// clone-free and allocation-free). The plumbing-equivalence
-    /// differential tests replay full runs through both paths and diff
-    /// Stats and traces byte for byte.
-    fn process_arena(
+    /// IN stamp, trigger, per-tag forwarding, digest stamp — with the table
+    /// consulted through a zero-copy [`LocatedView`], an identity fast path
+    /// for hops that leave the packet's content unchanged (the steady
+    /// state: clone-free and allocation-free), and reused buffers for the
+    /// rest. The owned transcription of the same rules is
+    /// `process_reference`, which the per-hop proptests diff this against.
+    fn step(
         &mut self,
         sw: u64,
         pt: u64,
@@ -297,27 +237,8 @@ impl DataPlane for NesDataPlane {
         from_host: bool,
         now: SimTime,
         arena: &mut PacketArena,
-    ) -> StepResultId {
-        let mut out = StepResultId::default();
-        self.process_arena_into(sw, pt, packet, from_host, now, arena, &mut out);
-        out
-    }
-
-    /// [`process_arena`](DataPlane::process_arena) writing into the
-    /// engine's reused step buffer — the per-hop entry point, which keeps
-    /// the steady state free of output-vector allocations.
-    #[allow(clippy::too_many_arguments)]
-    fn process_arena_into(
-        &mut self,
-        sw: u64,
-        pt: u64,
-        packet: PacketId,
-        from_host: bool,
-        now: SimTime,
-        arena: &mut PacketArena,
-        out: &mut StepResultId,
+        out: &mut PlaneOut,
     ) {
-        out.clear();
         // SWITCH step 1: union the packet's digest into local state.
         let slot = self.slot_of(sw);
         let digest = EventSet::from_bits(arena.get(packet).get(Field::Digest).unwrap_or(0));
@@ -414,23 +335,24 @@ impl DataPlane for NesDataPlane {
         }
     }
 
-    fn on_notify(&mut self, msg: CtrlMsg, _now: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
-        let CtrlMsg::Events(bits) = msg else { return Vec::new() };
+    fn on_notify(&mut self, msg: CtrlMsg, _now: SimTime, out: &mut PlaneOut) {
+        let CtrlMsg::Events(bits) = msg else { return };
         // CTRLRECV: move events into the controller.
         self.controller = self.controller.union(EventSet::from_bits(bits));
         if !self.broadcast {
-            return Vec::new();
+            return;
         }
         // CTRLSEND: push the controller's whole view to every switch.
         let view = self.controller.bits();
-        self.switches
-            .iter()
-            .enumerate()
-            .map(|(i, &sw)| (SimTime::from_micros(10 * i as u64), sw, CtrlMsg::Events(view)))
-            .collect()
+        out.deliveries.extend(
+            self.switches
+                .iter()
+                .enumerate()
+                .map(|(i, &sw)| (SimTime::from_micros(10 * i as u64), sw, CtrlMsg::Events(view))),
+        );
     }
 
-    fn deliver(&mut self, sw: u64, msg: CtrlMsg, now: SimTime) {
+    fn deliver(&mut self, sw: u64, msg: CtrlMsg, now: SimTime, _out: &mut PlaneOut) {
         if let CtrlMsg::Events(bits) = msg {
             self.learn(sw, EventSet::from_bits(bits), now);
         }
@@ -483,9 +405,75 @@ impl DataPlane for NesDataPlane {
     }
 }
 
+/// The owned transcription of Fig. 7's IN and SWITCH rules — the per-hop
+/// executable specification [`step`](DataPlane::step) answers to.
+#[cfg(test)]
+impl NesDataPlane {
+    pub(crate) fn process_reference(
+        &mut self,
+        sw: u64,
+        pt: u64,
+        mut packet: Packet,
+        from_host: bool,
+        now: SimTime,
+    ) -> netsim::StepResult {
+        // SWITCH step 1: union the packet's digest into local state.
+        let digest = EventSet::from_bits(packet.get(Field::Digest).unwrap_or(0));
+        self.learn(sw, digest, now);
+        let known = self.local_events(sw);
+
+        // IN: stamp host-entering packets with the current tag.
+        let effective = self.effective_of(known);
+        if from_host {
+            packet.set(Field::Tag, effective.1);
+        }
+
+        // SWITCH step 2: fire enabled events this arrival matches.
+        let effective = effective.0;
+        let fired = self.compiled.triggered(effective, &packet, Loc::new(sw, pt));
+        let mut notifications = Vec::new();
+        if !fired.is_empty() {
+            self.learn(sw, fired, now);
+            for e in fired.iter() {
+                self.fired_log.push((now, e));
+            }
+            notifications.push(CtrlMsg::Events(fired.bits()));
+        }
+        let known = self.local_events(sw);
+
+        // SWITCH step 3: forward under the packet's stamped configuration,
+        // through the switch's installed tag-guarded table (the guard makes
+        // the per-tag block of the packet's own tag the only one that can
+        // match, so this agrees with the packet's configuration table —
+        // `program::tests` pin that equivalence).
+        let tag = match packet.get(Field::Tag) {
+            Some(tag) => tag,
+            None => self.effective_of(known).1,
+        };
+        // The packet is not needed after the table application: locate and
+        // tag it in place instead of cloning a lookup copy.
+        let mut lookup = packet;
+        lookup.set_loc(Loc::new(sw, pt));
+        lookup.set(Field::Tag, tag);
+        let mut out = Vec::new();
+        if let Some(rule) = self.deployment.lookup_on(self.knobs.path, sw, tag, &lookup) {
+            rule.actions.apply_into(&lookup, &mut out);
+        }
+        let mut outputs = netsim::table_outputs(pt, out);
+        for (_, out) in &mut outputs {
+            // SWITCH step 4: the outgoing digest carries everything this
+            // switch now knows.
+            out.set(Field::Digest, digest.union(known).bits());
+            out.set(Field::Tag, tag);
+        }
+        netsim::StepResult { outputs, notifications }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hop_props::Stepper;
     use edn_core::{Config, Event, EventStructure, NetworkEventStructure};
     use netkat::{Action, ActionSet, FlowTable, Match, Pred, Rule};
 
@@ -526,9 +514,10 @@ mod tests {
 
     #[test]
     fn ingress_stamps_tag_zero_initially() {
+        let mut st = Stepper::default();
         let mut dp = plane();
         let pk = Packet::new().with(Field::IpDst, 999);
-        let r = dp.process(1, 2, pk, true, SimTime::ZERO);
+        let r = st.step(&mut dp, 1, 2, pk, true, SimTime::ZERO);
         assert_eq!(r.outputs.len(), 1);
         let (pt, out) = &r.outputs[0];
         assert_eq!(*pt, 3);
@@ -538,9 +527,10 @@ mod tests {
 
     #[test]
     fn trigger_fires_event_but_packet_keeps_old_config() {
+        let mut st = Stepper::default();
         let mut dp = plane();
         let pk = Packet::new().with(Field::IpDst, 300);
-        let r = dp.process(1, 2, pk, true, SimTime::ZERO);
+        let r = st.step(&mut dp, 1, 2, pk, true, SimTime::ZERO);
         // Event fired and was reported.
         assert_eq!(r.notifications, vec![CtrlMsg::Events(1)]);
         assert_eq!(dp.local_events(1), EventSet::singleton(EventId::new(0)));
@@ -554,25 +544,28 @@ mod tests {
 
     #[test]
     fn packets_after_event_use_new_config() {
+        let mut st = Stepper::default();
         let mut dp = plane();
-        dp.process(1, 2, Packet::new().with(Field::IpDst, 300), true, SimTime::ZERO);
+        st.step(&mut dp, 1, 2, Packet::new().with(Field::IpDst, 300), true, SimTime::ZERO);
         // Reply direction now allowed.
-        let r = dp.process(1, 3, Packet::new().with(Field::IpDst, 200), true, SimTime::ZERO);
+        let r = st.step(&mut dp, 1, 3, Packet::new().with(Field::IpDst, 200), true, SimTime::ZERO);
         assert_eq!(r.outputs.len(), 1);
         assert_eq!(r.outputs[0].0, 2);
         assert_eq!(r.outputs[0].1.get(Field::Tag), Some(1));
         // Before the event, that same packet would have been dropped.
         let mut fresh = plane();
-        let r = fresh.process(1, 3, Packet::new().with(Field::IpDst, 200), true, SimTime::ZERO);
+        let r =
+            st.step(&mut fresh, 1, 3, Packet::new().with(Field::IpDst, 200), true, SimTime::ZERO);
         assert!(r.outputs.is_empty());
     }
 
     #[test]
     fn digest_teaches_other_switches() {
+        let mut st = Stepper::default();
         let mut dp = NesDataPlane::new(CompiledNes::compile(firewall_nes()), vec![1, 2], false);
         // A packet carrying digest {e0} arrives at switch 2 (not from host).
         let pk = Packet::new().with(Field::Digest, 1).with(Field::Tag, 1);
-        dp.process(2, 1, pk, false, SimTime::from_millis(3));
+        st.step(&mut dp, 2, 1, pk, false, SimTime::from_millis(3));
         assert_eq!(dp.local_events(2), EventSet::singleton(EventId::new(0)));
         assert_eq!(dp.discovery_time(2, EventId::new(0)), Some(SimTime::from_millis(3)));
     }
@@ -580,20 +573,23 @@ mod tests {
     #[test]
     fn controller_broadcast_spreads_events() {
         let mut dp = NesDataPlane::new(CompiledNes::compile(firewall_nes()), vec![1, 2], true);
-        let pushes = dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO);
-        assert_eq!(pushes.len(), 2);
-        for (_, sw, msg) in pushes {
+        let mut out = PlaneOut::default();
+        dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+        assert_eq!(out.deliveries.len(), 2);
+        for (_, sw, msg) in std::mem::take(&mut out.deliveries) {
             assert_eq!(msg, CtrlMsg::Events(1));
-            dp.deliver(sw, msg, SimTime::from_millis(5));
+            dp.deliver(sw, msg, SimTime::from_millis(5), &mut out);
         }
         assert_eq!(dp.local_events(2), EventSet::singleton(EventId::new(0)));
         // Without broadcast, no pushes.
         let mut quiet = NesDataPlane::new(CompiledNes::compile(firewall_nes()), vec![1, 2], false);
-        assert!(quiet.on_notify(CtrlMsg::Events(1), SimTime::ZERO).is_empty());
+        quiet.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+        assert_eq!(out, PlaneOut::default());
     }
 
     #[test]
     fn lookup_paths_agree_step_by_step() {
+        let mut st = Stepper::default();
         // Drive the same packet sequence through a linear-path and an
         // indexed-path deployment; every step must produce identical
         // outputs, notifications, and switch state.
@@ -612,8 +608,8 @@ mod tests {
         ];
         for (pt, dst, from_host) in steps {
             let pk = Packet::new().with(Field::IpDst, dst);
-            let a = linear.process(1, pt, pk.clone(), from_host, SimTime::ZERO);
-            let b = indexed.process(1, pt, pk, from_host, SimTime::ZERO);
+            let a = st.step(&mut linear, 1, pt, pk.clone(), from_host, SimTime::ZERO);
+            let b = st.step(&mut indexed, 1, pt, pk, from_host, SimTime::ZERO);
             assert_eq!(a, b, "paths diverged at pt {pt}, dst {dst}");
             assert_eq!(linear.local_events(1), indexed.local_events(1));
         }
@@ -621,6 +617,7 @@ mod tests {
 
     #[test]
     fn deployments_agree_step_by_step() {
+        let mut st = Stepper::default();
         // Drive the same packet sequence through every (compile, optimize)
         // knob combination; each step must produce identical outputs,
         // notifications, and switch state. (EDN_OPTIMIZE=on overrides the
@@ -654,9 +651,9 @@ mod tests {
         ];
         for (pt, dst, from_host) in steps {
             let pk = Packet::new().with(Field::IpDst, dst);
-            let want = reference.process(1, pt, pk.clone(), from_host, SimTime::ZERO);
+            let want = st.step(&mut reference, 1, pt, pk.clone(), from_host, SimTime::ZERO);
             for (leg, &(c, o)) in legs.iter_mut().zip(&knob_matrix[1..]) {
-                let got = leg.process(1, pt, pk.clone(), from_host, SimTime::ZERO);
+                let got = st.step(leg, 1, pt, pk.clone(), from_host, SimTime::ZERO);
                 assert_eq!(
                     got,
                     want,
@@ -671,9 +668,10 @@ mod tests {
 
     #[test]
     fn event_fires_only_once() {
+        let mut st = Stepper::default();
         let mut dp = plane();
-        dp.process(1, 2, Packet::new().with(Field::IpDst, 300), true, SimTime::ZERO);
-        let r = dp.process(1, 2, Packet::new().with(Field::IpDst, 300), true, SimTime::ZERO);
+        st.step(&mut dp, 1, 2, Packet::new().with(Field::IpDst, 300), true, SimTime::ZERO);
+        let r = st.step(&mut dp, 1, 2, Packet::new().with(Field::IpDst, 300), true, SimTime::ZERO);
         assert!(r.notifications.is_empty(), "already-fired events do not re-fire");
         assert_eq!(dp.fired_sequence().len(), 1);
     }

@@ -191,21 +191,6 @@ impl Deployment {
         }
     }
 
-    /// Table application for the cloning (non-arena) path: lookup plus
-    /// action fan-out.
-    pub(crate) fn apply_into(
-        &self,
-        path: LookupPath,
-        sw: u64,
-        tag: u64,
-        lookup: &netkat::Packet,
-        out: &mut Vec<netkat::Packet>,
-    ) {
-        if let Some(rule) = self.lookup_on(path, sw, tag, lookup) {
-            rule.actions.apply_into(lookup, out);
-        }
-    }
-
     /// Summed fingerprint probe outcomes of every distinct compiled table
     /// in the layout (the optimized layout has no fingerprint index).
     pub(crate) fn lookup_stats(&self) -> (u64, u64) {

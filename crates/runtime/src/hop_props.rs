@@ -1,0 +1,182 @@
+//! Per-hop differential proptests: the arena-native `step` of the two
+//! table-driven planes against their owned Fig. 7 transcriptions
+//! (`process_reference`), hop by hop, over every rule shape a hop can hit —
+//! single action (identity and content-changing), location writes,
+//! multicast, explicit drop, no rule — and packets carrying digests, tags
+//! and stray location fields, across `LookupPath × OptimizeMode`. Also
+//! home of [`Stepper`], the harness this crate's unit tests drive `step`
+//! through.
+
+use edn_core::{Config, Event, EventId, EventSet, EventStructure, NetworkEventStructure};
+use netkat::{
+    Action, ActionSet, Field, FlowTable, Loc, LookupPath, Match, Packet, PacketArena, Pred, Rule,
+};
+use netsim::{DataPlane, PlaneOut, SimTime, StepResult};
+use proptest::prelude::*;
+
+use crate::compile::CompiledNes;
+use crate::dataplane::NesDataPlane;
+use crate::deploy::{DeployKnobs, OptimizeMode};
+use crate::static_plane::StaticDataPlane;
+
+/// Drives a plane's [`DataPlane::step`] on owned packets — interning the
+/// input into the one arena the plane is ever stepped against, resolving the
+/// outputs back — so tests state their expectations in owned form.
+#[derive(Default)]
+pub(crate) struct Stepper {
+    arena: PacketArena,
+    out: PlaneOut,
+}
+
+impl Stepper {
+    pub(crate) fn step(
+        &mut self,
+        plane: &mut impl DataPlane,
+        sw: u64,
+        pt: u64,
+        packet: Packet,
+        from_host: bool,
+        now: SimTime,
+    ) -> StepResult {
+        self.out.clear();
+        let id = self.arena.intern(packet);
+        plane.step(sw, pt, id, from_host, now, &mut self.arena, &mut self.out);
+        StepResult {
+            outputs: self
+                .out
+                .outputs
+                .iter()
+                .map(|&(pt, id)| (pt, self.arena.get(id).clone()))
+                .collect(),
+            notifications: self.out.notifications.clone(),
+        }
+    }
+}
+
+/// One rule of every shape on ingress ports 1–5 (port 6 only with
+/// `extra`, ports 7+ never match).
+fn hop_table(extra: bool) -> FlowTable {
+    let on = |pt: u64| Match::new().with(Field::Port, pt);
+    let to = |pt: u64| Action::assign(Field::Port, pt);
+    let mut rules = vec![
+        Rule::new(on(1), ActionSet::single(to(2))),
+        Rule::new(on(2).with(Field::IpDst, 300), ActionSet::single(to(3).set(Field::Vlan, 7))),
+        Rule::new(on(2), ActionSet::single(to(3))),
+        Rule::new(on(3), ActionSet::single(to(1).set(Field::Switch, 2))),
+        Rule::new(
+            on(4),
+            ActionSet::single(to(1)).union(&ActionSet::single(to(2).set(Field::Vlan, 9))),
+        ),
+        Rule::new(on(5), ActionSet::drop()),
+    ];
+    if extra {
+        rules.push(Rule::new(on(6), ActionSet::single(to(1))));
+    }
+    FlowTable::from_rules(rules)
+}
+
+fn hop_config(extra: bool) -> Config {
+    let mut c = Config::new();
+    c.install(1, hop_table(extra));
+    c.install(2, hop_table(!extra));
+    c
+}
+
+/// A two-event chain (`e1` only after `e0`) over [`hop_config`]s.
+fn hop_nes() -> NetworkEventStructure {
+    let (e0, e1) = (EventId::new(0), EventId::new(1));
+    let es = EventStructure::new(
+        vec![
+            Event::new(e0, Pred::test(Field::IpDst, 300), Loc::new(1, 2)),
+            Event::new(e1, Pred::test(Field::IpDst, 400), Loc::new(2, 1)),
+        ],
+        [EventSet::singleton(e0), EventSet::from_iter([e0, e1])],
+    );
+    NetworkEventStructure::new(
+        es,
+        [
+            (EventSet::empty(), hop_config(false)),
+            (EventSet::singleton(e0), hop_config(true)),
+            (EventSet::from_iter([e0, e1]), hop_config(false)),
+        ],
+    )
+    .expect("every event-set has a configuration")
+}
+
+/// `(switch, port, packet, from_host)`; switch 3 has no table at all.
+type Hop = (u64, u64, Packet, bool);
+
+fn arb_hop() -> impl Strategy<Value = Hop> {
+    let field = |f: Field, values: core::ops::Range<u64>| {
+        proptest::option::of(values).prop_map(move |v| v.map(|v| (f, v)))
+    };
+    let packet = (
+        field(Field::IpDst, 298..302)
+            .prop_map(|v| v.map(|(f, v)| (f, if v == 301 { 400 } else { v }))),
+        field(Field::Vlan, 7..10),
+        field(Field::Digest, 0..4),
+        field(Field::Tag, 0..3),
+        field(Field::Switch, 1..3),
+        field(Field::Port, 1..4),
+    )
+        .prop_map(|(a, b, c, d, e, f)| {
+            [a, b, c, d, e, f].into_iter().flatten().fold(Packet::new(), |pk, (f, v)| pk.with(f, v))
+        });
+    (1u64..4, 1u64..8, packet, any::<bool>())
+}
+
+/// Drives `hops` through `reference` (owned) and `fast` (`step`), asserting
+/// identical outputs and notifications on every hop.
+fn assert_hops_agree<D: DataPlane>(
+    hops: &[Hop],
+    fast: &mut D,
+    mut reference: impl FnMut(u64, u64, Packet, bool, SimTime) -> StepResult,
+) -> Result<(), TestCaseError> {
+    let mut st = Stepper::default();
+    for (i, (sw, pt, pk, from_host)) in hops.iter().enumerate() {
+        let now = SimTime::from_micros(i as u64);
+        let want = reference(*sw, *pt, pk.clone(), *from_host, now);
+        let got = st.step(fast, *sw, *pt, pk.clone(), *from_host, now);
+        prop_assert_eq!(&got, &want, "diverged at hop {} {:?}", i, hops[i]);
+    }
+    Ok(())
+}
+
+const CORNERS: [(LookupPath, OptimizeMode); 4] = [
+    (LookupPath::Linear, OptimizeMode::Off),
+    (LookupPath::Linear, OptimizeMode::On),
+    (LookupPath::Indexed, OptimizeMode::Off),
+    (LookupPath::Indexed, OptimizeMode::On),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn nes_step_matches_owned_reference(hops in proptest::collection::vec(arb_hop(), 1..16)) {
+        for (path, optimize) in CORNERS {
+            let knobs = DeployKnobs { path, optimize, ..DeployKnobs::default() };
+            let mut fast =
+                NesDataPlane::with_knobs(CompiledNes::compile(hop_nes()), vec![1, 2], false, knobs);
+            let mut reference = fast.clone();
+            assert_hops_agree(&hops, &mut fast, |sw, pt, pk, h, now| {
+                reference.process_reference(sw, pt, pk, h, now)
+            })?;
+            for sw in 1..4 {
+                prop_assert_eq!(fast.local_events(sw), reference.local_events(sw));
+            }
+            prop_assert_eq!(fast.fired_log(), reference.fired_log());
+        }
+    }
+
+    #[test]
+    fn static_step_matches_owned_reference(hops in proptest::collection::vec(arb_hop(), 1..16)) {
+        for (path, optimize) in CORNERS {
+            let mut fast = StaticDataPlane::with_knobs(hop_config(true), path, optimize);
+            let reference = fast.clone();
+            assert_hops_agree(&hops, &mut fast, |sw, pt, pk, _, _| {
+                reference.process_reference(sw, pt, pk)
+            })?;
+        }
+    }
+}

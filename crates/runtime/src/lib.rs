@@ -27,6 +27,8 @@ mod campaign;
 mod compile;
 mod dataplane;
 mod deploy;
+#[cfg(test)]
+mod hop_props;
 mod program;
 mod reliable;
 mod static_plane;

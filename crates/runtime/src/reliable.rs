@@ -31,10 +31,7 @@
 use std::collections::BTreeMap;
 
 use edn_obs::Hist;
-use netsim::{
-    CtrlMsg, DataPlane, PacketArena, PacketId, SimTime, StepResult, StepResultId, TimerStep,
-    CONTROLLER_NODE,
-};
+use netsim::{CtrlMsg, DataPlane, PacketArena, PacketId, PlaneOut, SimTime, CONTROLLER_NODE};
 
 /// Reads the retransmit budget from `EDN_RETRY_BUDGET` (maximum
 /// retransmissions per message; unset means 8).
@@ -123,39 +120,44 @@ fn take_acked(tx: &mut TxState, ack: u32) -> Vec<Unacked> {
     seqs.into_iter().map(|s| tx.unacked.remove(&s).expect("just enumerated")).collect()
 }
 
-/// Retransmits every due entry of one stream (or abandons it when the
-/// budget is spent), writing fresh envelopes into `out`. Free function so
+/// Retransmits every due entry of the stream `node` holds towards/for
+/// switch `sw` (or abandons it when the budget is spent), writing fresh
+/// envelopes into `out` — deliveries from the controller endpoint,
+/// notifications from a switch endpoint — and returns `(retransmissions
+/// made, whether any message exhausted its budget)`. Free function so
 /// callers can split borrows across the plane's fields.
-#[allow(clippy::too_many_arguments)]
 fn retransmit_due(
     st: &mut EndState,
     sw: u64,
     node: u64,
     now: SimTime,
     budget: u32,
-    timers: &mut Vec<(SimTime, u64)>,
-    events: &mut Vec<(&'static str, u64)>,
-    degraded: &mut bool,
-    retransmits: &mut u64,
-    out: &mut Vec<CtrlMsg>,
-) {
+    out: &mut PlaneOut,
+) -> (u64, bool) {
+    let (mut retransmits, mut exhausted) = (0, false);
     let due: Vec<u32> =
         st.tx.unacked.iter().filter(|(_, u)| u.deadline <= now).map(|(&s, _)| s).collect();
     for seq in due {
         let u = st.tx.unacked.get_mut(&seq).expect("just enumerated");
         if u.retries >= budget {
             st.tx.unacked.remove(&seq);
-            *degraded = true;
-            events.push(("retry_exhausted", node));
+            exhausted = true;
+            out.channel_events.push(("retry_exhausted", node));
             continue;
         }
         u.retries += 1;
         u.rto = SimTime::from_micros(u.rto.as_micros().saturating_mul(2));
         u.deadline = now + u.rto;
-        *retransmits += 1;
-        timers.push((u.deadline, node));
-        out.push(CtrlMsg::Reliable { sw, seq, ack: st.rx.cum, kind: u.kind, bits: u.bits });
+        retransmits += 1;
+        out.timers.push((u.deadline, node));
+        let envelope = CtrlMsg::Reliable { sw, seq, ack: st.rx.cum, kind: u.kind, bits: u.bits };
+        if node == CONTROLLER_NODE {
+            out.deliveries.push((SimTime::ZERO, sw, envelope));
+        } else {
+            out.notifications.push(envelope);
+        }
     }
+    (retransmits, exhausted)
 }
 
 /// A [`DataPlane`] adapter adding ack/retry/backoff reliability to the
@@ -170,11 +172,6 @@ pub struct Reliable<D> {
     sw_state: BTreeMap<u64, EndState>,
     /// Per-switch state held at the controller endpoint.
     ctrl_state: BTreeMap<u64, EndState>,
-    /// Pending timer requests for the engine ([`DataPlane::drain_timers`]).
-    timers: Vec<(SimTime, u64)>,
-    /// Pending flight-recorder events
-    /// ([`DataPlane::drain_channel_events`]).
-    events: Vec<(&'static str, u64)>,
     degraded: bool,
     retransmits: u64,
     dup_suppressed: u64,
@@ -196,8 +193,6 @@ impl<D> Reliable<D> {
             budget,
             sw_state: BTreeMap::new(),
             ctrl_state: BTreeMap::new(),
-            timers: Vec::new(),
-            events: Vec::new(),
             degraded: false,
             retransmits: 0,
             dup_suppressed: 0,
@@ -233,44 +228,52 @@ impl<D> Reliable<D> {
         self.dup_suppressed
     }
 
-    /// Wraps one outgoing switch→controller message into an envelope,
-    /// registering it for retransmission.
-    fn sw_send(&mut self, sw: u64, msg: CtrlMsg, now: SimTime) -> CtrlMsg {
+    /// The `end` endpoint's state for switch `sw`'s stream pair, and the
+    /// node naming that endpoint in timer requests and telemetry.
+    fn end_state(&mut self, end: Endpoint, sw: u64) -> (&mut EndState, u64) {
+        match end {
+            Endpoint::Switch => (self.sw_state.entry(sw).or_default(), sw),
+            Endpoint::Controller => (self.ctrl_state.entry(sw).or_default(), CONTROLLER_NODE),
+        }
+    }
+
+    /// Wraps one outgoing data message of the `end` endpoint's stream for
+    /// switch `sw` into an envelope, registering it for retransmission and
+    /// arming the endpoint's retransmit timer.
+    fn send(
+        &mut self,
+        end: Endpoint,
+        sw: u64,
+        msg: CtrlMsg,
+        now: SimTime,
+        timers: &mut Vec<(SimTime, u64)>,
+    ) -> CtrlMsg {
         let (kind, bits) = pack(msg);
-        let st = self.sw_state.entry(sw).or_default();
+        let (st, node) = self.end_state(end, sw);
         st.tx.next += 1;
         let seq = st.tx.next;
         let deadline = now + base_rto();
         st.tx
             .unacked
             .insert(seq, Unacked { kind, bits, sent: now, retries: 0, rto: base_rto(), deadline });
-        self.timers.push((deadline, sw));
+        timers.push((deadline, node));
         CtrlMsg::Reliable { sw, seq, ack: st.rx.cum, kind, bits }
     }
 
-    /// Wraps one outgoing controller→switch command into an envelope,
-    /// registering it for retransmission.
-    fn ctrl_send(&mut self, sw: u64, msg: CtrlMsg, now: SimTime) -> CtrlMsg {
-        let (kind, bits) = pack(msg);
-        let st = self.ctrl_state.entry(sw).or_default();
-        st.tx.next += 1;
-        let seq = st.tx.next;
-        let deadline = now + base_rto();
-        st.tx
-            .unacked
-            .insert(seq, Unacked { kind, bits, sent: now, retries: 0, rto: base_rto(), deadline });
-        self.timers.push((deadline, CONTROLLER_NODE));
-        CtrlMsg::Reliable { sw, seq, ack: st.rx.cum, kind, bits }
+    /// Envelopes the switch→controller notifications `out` gained since
+    /// index `from` (what the inner plane's step or deliver just sent).
+    fn wrap_notifications(&mut self, sw: u64, from: usize, now: SimTime, out: &mut PlaneOut) {
+        for i in from..out.notifications.len() {
+            out.notifications[i] =
+                self.send(Endpoint::Switch, sw, out.notifications[i], now, &mut out.timers);
+        }
     }
 
     /// Applies a cumulative ack to one sender, folding RTT samples and
     /// the acked count into the metrics.
     fn apply_ack(&mut self, end: Endpoint, sw: u64, ack: u32, now: SimTime) {
-        let st = match end {
-            Endpoint::Switch => self.sw_state.entry(sw).or_default(),
-            Endpoint::Controller => self.ctrl_state.entry(sw).or_default(),
-        };
-        for u in take_acked(&mut st.tx, ack) {
+        let acked = take_acked(&mut self.end_state(end, sw).0.tx, ack);
+        for u in acked {
             self.acked += 1;
             if u.retries == 0 {
                 self.ack_rtt_us.observe(now.as_micros().saturating_sub(u.sent.as_micros()));
@@ -281,24 +284,21 @@ impl<D> Reliable<D> {
     /// Runs one received envelope through receiver-side sequencing:
     /// returns the inner messages released *in order* (possibly several,
     /// when a gap closes), having suppressed duplicates and parked
-    /// out-of-order arrivals. `node` labels telemetry events.
+    /// out-of-order arrivals.
     fn receive(
         &mut self,
         end: Endpoint,
         sw: u64,
-        node: u64,
         seq: u32,
         kind: u8,
         bits: u64,
+        events: &mut Vec<(&'static str, u64)>,
     ) -> Vec<CtrlMsg> {
-        let st = match end {
-            Endpoint::Switch => self.sw_state.entry(sw).or_default(),
-            Endpoint::Controller => self.ctrl_state.entry(sw).or_default(),
-        };
+        let (st, node) = self.end_state(end, sw);
         let mut released = Vec::new();
         if seq <= st.rx.cum {
+            events.push(("dup_suppressed", node));
             self.dup_suppressed += 1;
-            self.events.push(("dup_suppressed", node));
         } else if seq == st.rx.cum + 1 {
             st.rx.cum = seq;
             released.push(unpack(kind, bits));
@@ -315,10 +315,7 @@ impl<D> Reliable<D> {
     /// The receiver's current cumulative ack for the stream ending at
     /// this endpoint.
     fn rx_cum(&mut self, end: Endpoint, sw: u64) -> u32 {
-        match end {
-            Endpoint::Switch => self.sw_state.entry(sw).or_default().rx.cum,
-            Endpoint::Controller => self.ctrl_state.entry(sw).or_default().rx.cum,
-        }
+        self.end_state(end, sw).0.rx.cum
     }
 }
 
@@ -329,23 +326,21 @@ enum Endpoint {
     Controller,
 }
 
+impl<D: DataPlane> Reliable<D> {
+    /// Hands one released (or unwrapped) message to the inner controller
+    /// and envelopes the commands it sends in response.
+    fn inner_notify(&mut self, msg: CtrlMsg, now: SimTime, out: &mut PlaneOut) {
+        let from = out.deliveries.len();
+        self.inner.on_notify(msg, now, out);
+        for i in from..out.deliveries.len() {
+            let (_, sw, cmd) = out.deliveries[i];
+            out.deliveries[i].2 = self.send(Endpoint::Controller, sw, cmd, now, &mut out.timers);
+        }
+    }
+}
+
 impl<D: DataPlane> DataPlane for Reliable<D> {
-    fn process(
-        &mut self,
-        sw: u64,
-        pt: u64,
-        packet: netkat::Packet,
-        from_host: bool,
-        now: SimTime,
-    ) -> StepResult {
-        let mut r = self.inner.process(sw, pt, packet, from_host, now);
-        for msg in r.notifications.iter_mut() {
-            *msg = self.sw_send(sw, *msg, now);
-        }
-        r
-    }
-
-    fn process_arena(
+    fn step(
         &mut self,
         sw: u64,
         pt: u64,
@@ -353,136 +348,83 @@ impl<D: DataPlane> DataPlane for Reliable<D> {
         from_host: bool,
         now: SimTime,
         arena: &mut PacketArena,
-    ) -> StepResultId {
-        let mut out = StepResultId::default();
-        self.process_arena_into(sw, pt, packet, from_host, now, arena, &mut out);
-        out
-    }
-
-    fn process_arena_into(
-        &mut self,
-        sw: u64,
-        pt: u64,
-        packet: PacketId,
-        from_host: bool,
-        now: SimTime,
-        arena: &mut PacketArena,
-        out: &mut StepResultId,
+        out: &mut PlaneOut,
     ) {
-        self.inner.process_arena_into(sw, pt, packet, from_host, now, arena, out);
-        for msg in out.notifications.iter_mut() {
-            *msg = self.sw_send(sw, *msg, now);
-        }
+        let from = out.notifications.len();
+        self.inner.step(sw, pt, packet, from_host, now, arena, out);
+        self.wrap_notifications(sw, from, now, out);
     }
 
-    fn on_notify(&mut self, msg: CtrlMsg, now: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
+    fn on_notify(&mut self, msg: CtrlMsg, now: SimTime, out: &mut PlaneOut) {
         match msg {
             CtrlMsg::Reliable { sw, seq, ack, kind, bits } => {
                 // The piggybacked ack confirms our controller→switch sends.
                 self.apply_ack(Endpoint::Controller, sw, ack, now);
-                let released =
-                    self.receive(Endpoint::Controller, sw, CONTROLLER_NODE, seq, kind, bits);
-                let mut out = Vec::new();
+                let released = self.receive(
+                    Endpoint::Controller,
+                    sw,
+                    seq,
+                    kind,
+                    bits,
+                    &mut out.channel_events,
+                );
                 for inner_msg in released {
-                    for (delay, sw2, cmd) in self.inner.on_notify(inner_msg, now) {
-                        let wrapped = self.ctrl_send(sw2, cmd, now);
-                        out.push((delay, sw2, wrapped));
-                    }
+                    self.inner_notify(inner_msg, now, out);
                 }
                 // Always (re)confirm what we have — the dedicated ack also
                 // covers the duplicate and out-of-order cases.
                 let cum = self.rx_cum(Endpoint::Controller, sw);
-                out.push((SimTime::ZERO, sw, CtrlMsg::Ack { sw, ack: cum }));
-                out
+                out.deliveries.push((SimTime::ZERO, sw, CtrlMsg::Ack { sw, ack: cum }));
             }
             // A dedicated ack from a switch confirms controller→switch sends.
-            CtrlMsg::Ack { sw, ack } => {
-                self.apply_ack(Endpoint::Controller, sw, ack, now);
-                Vec::new()
-            }
+            CtrlMsg::Ack { sw, ack } => self.apply_ack(Endpoint::Controller, sw, ack, now),
             // Unwrapped messages pass straight through (an unwrapped peer).
-            other => self
-                .inner
-                .on_notify(other, now)
-                .into_iter()
-                .map(|(delay, sw, cmd)| {
-                    let wrapped = self.ctrl_send(sw, cmd, now);
-                    (delay, sw, wrapped)
-                })
-                .collect(),
+            other => self.inner_notify(other, now, out),
         }
     }
 
-    fn deliver(&mut self, sw: u64, msg: CtrlMsg, now: SimTime) {
-        let _ = self.deliver_and_reply(sw, msg, now);
-    }
-
-    fn deliver_and_reply(&mut self, sw: u64, msg: CtrlMsg, now: SimTime) -> Vec<CtrlMsg> {
+    /// The one control entry point: an envelope is sequenced, released to
+    /// the inner plane in order, and **always** answered with the
+    /// cumulative [`CtrlMsg::Ack`] the sender's retransmit logic waits for.
+    fn deliver(&mut self, sw: u64, msg: CtrlMsg, now: SimTime, out: &mut PlaneOut) {
+        let from = out.notifications.len();
         match msg {
             CtrlMsg::Reliable { seq, ack, kind, bits, .. } => {
                 // The piggybacked ack confirms our switch→controller sends.
                 self.apply_ack(Endpoint::Switch, sw, ack, now);
-                let released = self.receive(Endpoint::Switch, sw, sw, seq, kind, bits);
+                let released =
+                    self.receive(Endpoint::Switch, sw, seq, kind, bits, &mut out.channel_events);
                 for inner_msg in released {
-                    self.inner.deliver(sw, inner_msg, now);
+                    self.inner.deliver(sw, inner_msg, now, out);
                 }
+                self.wrap_notifications(sw, from, now, out);
                 let cum = self.rx_cum(Endpoint::Switch, sw);
-                vec![CtrlMsg::Ack { sw, ack: cum }]
+                out.notifications.push(CtrlMsg::Ack { sw, ack: cum });
             }
             // A dedicated ack from the controller confirms our sends.
-            CtrlMsg::Ack { ack, .. } => {
-                self.apply_ack(Endpoint::Switch, sw, ack, now);
-                Vec::new()
-            }
+            CtrlMsg::Ack { ack, .. } => self.apply_ack(Endpoint::Switch, sw, ack, now),
             other => {
-                self.inner.deliver(sw, other, now);
-                Vec::new()
+                self.inner.deliver(sw, other, now, out);
+                self.wrap_notifications(sw, from, now, out);
             }
         }
     }
 
-    fn drain_timers(&mut self) -> Vec<(SimTime, u64)> {
-        std::mem::take(&mut self.timers)
-    }
-
-    fn on_timer(&mut self, node: u64, now: SimTime) -> TimerStep {
-        let mut step = TimerStep::default();
+    fn on_timer(&mut self, node: u64, now: SimTime, out: &mut PlaneOut) {
+        let (mut retransmits, mut exhausted) = (0, false);
+        let mut tally = |(n, x): (u64, bool)| {
+            retransmits += n;
+            exhausted |= x;
+        };
         if node == CONTROLLER_NODE {
             for (&sw, st) in self.ctrl_state.iter_mut() {
-                let mut envelopes = Vec::new();
-                retransmit_due(
-                    st,
-                    sw,
-                    CONTROLLER_NODE,
-                    now,
-                    self.budget,
-                    &mut self.timers,
-                    &mut self.events,
-                    &mut self.degraded,
-                    &mut self.retransmits,
-                    &mut envelopes,
-                );
-                step.deliveries.extend(envelopes.into_iter().map(|env| (SimTime::ZERO, sw, env)));
+                tally(retransmit_due(st, sw, node, now, self.budget, out));
             }
         } else if let Some(st) = self.sw_state.get_mut(&node) {
-            retransmit_due(
-                st,
-                node,
-                node,
-                now,
-                self.budget,
-                &mut self.timers,
-                &mut self.events,
-                &mut self.degraded,
-                &mut self.retransmits,
-                &mut step.notifications,
-            );
+            tally(retransmit_due(st, node, node, now, self.budget, out));
         }
-        step
-    }
-
-    fn drain_channel_events(&mut self) -> Vec<(&'static str, u64)> {
-        std::mem::take(&mut self.events)
+        self.retransmits += retransmits;
+        self.degraded |= exhausted;
     }
 
     fn absorb_shard(&mut self, other: Self, owned: &[u64]) {
@@ -539,21 +481,29 @@ mod tests {
     }
 
     impl DataPlane for Probe {
-        fn process(&mut self, sw: u64, _: u64, packet: Packet, _: bool, _: SimTime) -> StepResult {
-            let mut r = StepResult::forward(if sw == 1 { 1 } else { 2 }, packet);
+        fn step(
+            &mut self,
+            sw: u64,
+            _: u64,
+            packet: PacketId,
+            _: bool,
+            _: SimTime,
+            _: &mut PacketArena,
+            out: &mut PlaneOut,
+        ) {
+            out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
             if sw == 1 {
-                r.notifications.push(CtrlMsg::Events(self.sent));
+                out.notifications.push(CtrlMsg::Events(self.sent));
                 self.sent += 1;
             }
-            r
         }
-        fn on_notify(&mut self, msg: CtrlMsg, _: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
-            let CtrlMsg::Events(bits) = msg else { return Vec::new() };
+        fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
+            let CtrlMsg::Events(bits) = msg else { return };
             self.heard.push(bits);
             // Push a config named after the heard payload to switch 1.
-            vec![(SimTime::ZERO, 1, CtrlMsg::SetConfig(bits))]
+            out.deliveries.push((SimTime::ZERO, 1, CtrlMsg::SetConfig(bits)));
         }
-        fn deliver(&mut self, sw: u64, msg: CtrlMsg, _: SimTime) {
+        fn deliver(&mut self, sw: u64, msg: CtrlMsg, _: SimTime, _: &mut PlaneOut) {
             if let CtrlMsg::SetConfig(tag) = msg {
                 self.delivered.push((sw, tag));
             }
@@ -652,44 +602,73 @@ mod tests {
         assert_eq!(r.metrics.counter("channel.dropped"), Some(2), "original + one retry");
     }
 
+    /// Delivers `msg` to switch 7 through a fresh [`PlaneOut`].
+    fn deliver(p: &mut Reliable<Probe>, msg: CtrlMsg) -> PlaneOut {
+        let mut out = PlaneOut::default();
+        p.deliver(7, msg, SimTime::ZERO, &mut out);
+        out
+    }
+
     #[test]
     fn out_of_order_arrivals_are_reassembled() {
         // Protocol-level check, no engine: deliver ctrl→switch envelopes
         // out of order and watch the receiver release them in sequence.
         let mut p = Reliable::with_budget(Probe::default(), 8);
         let env = |seq: u32, tag: u64| CtrlMsg::Reliable { sw: 7, seq, ack: 0, kind: 1, bits: tag };
-        let replies = p.deliver_and_reply(7, env(2, 20), SimTime::ZERO);
-        assert_eq!(replies, vec![CtrlMsg::Ack { sw: 7, ack: 0 }], "gap: ack stays at 0");
+        let out = deliver(&mut p, env(2, 20));
+        assert_eq!(out.notifications, vec![CtrlMsg::Ack { sw: 7, ack: 0 }], "gap: ack stays at 0");
         assert!(p.inner().delivered.is_empty(), "held, not released");
-        let replies = p.deliver_and_reply(7, env(1, 10), SimTime::ZERO);
-        assert_eq!(replies, vec![CtrlMsg::Ack { sw: 7, ack: 2 }], "gap closed: cumulative ack");
+        let out = deliver(&mut p, env(1, 10));
+        assert_eq!(out.notifications, vec![CtrlMsg::Ack { sw: 7, ack: 2 }], "gap closed");
         assert_eq!(p.inner().delivered, vec![(7, 10), (7, 20)], "released in order");
         // A late duplicate of either is suppressed and re-acked.
-        let replies = p.deliver_and_reply(7, env(1, 10), SimTime::ZERO);
-        assert_eq!(replies, vec![CtrlMsg::Ack { sw: 7, ack: 2 }]);
+        let out = deliver(&mut p, env(1, 10));
+        assert_eq!(out.notifications, vec![CtrlMsg::Ack { sw: 7, ack: 2 }]);
         assert_eq!(p.dup_suppressed(), 1);
         assert_eq!(p.inner().delivered.len(), 2, "no double delivery");
+    }
+
+    /// The trait's only control entry point can no longer lose the ack the
+    /// sender's retransmit logic depends on: every delivered envelope —
+    /// fresh, held, or duplicate — leaves a cumulative `Ack` in the same
+    /// `out`, and a duplicate also leaves its `dup_suppressed` event there.
+    #[test]
+    fn delivering_an_envelope_always_acks_in_the_same_out() {
+        let mut p = Reliable::with_budget(Probe::default(), 8);
+        let env = CtrlMsg::Reliable { sw: 7, seq: 1, ack: 0, kind: 1, bits: 10 };
+        let first = deliver(&mut p, env);
+        assert_eq!(first.notifications, vec![CtrlMsg::Ack { sw: 7, ack: 1 }]);
+        assert!(first.channel_events.is_empty());
+        let dup = deliver(&mut p, env);
+        assert_eq!(dup.notifications, vec![CtrlMsg::Ack { sw: 7, ack: 1 }]);
+        assert_eq!(dup.channel_events, vec![("dup_suppressed", 7)]);
+        assert_eq!(p.inner().delivered, vec![(7, 10)], "the duplicate is not re-delivered");
     }
 
     #[test]
     fn retransmission_backs_off_exponentially_and_respects_acks() {
         let mut p = Reliable::with_budget(Probe::default(), 8);
+        let mut arena = PacketArena::new();
+        let id = arena.intern(Packet::new());
         // One switch→controller send at t=0.
-        let r = p.process(1, 2, Packet::new(), true, SimTime::ZERO);
-        let CtrlMsg::Reliable { sw: 1, seq: 1, .. } = r.notifications[0] else {
-            panic!("expected an envelope, got {:?}", r.notifications[0]);
+        let mut out = PlaneOut::default();
+        p.step(1, 2, id, true, SimTime::ZERO, &mut arena, &mut out);
+        let CtrlMsg::Reliable { sw: 1, seq: 1, .. } = out.notifications[0] else {
+            panic!("expected an envelope, got {:?}", out.notifications[0]);
         };
-        assert_eq!(p.drain_timers(), vec![(base_rto(), 1)]);
+        assert_eq!(out.timers, vec![(base_rto(), 1)]);
         // First deadline: one retransmission, next timer doubled out.
-        let step = p.on_timer(1, base_rto());
-        assert_eq!(step.notifications.len(), 1);
+        out.clear();
+        p.on_timer(1, base_rto(), &mut out);
+        assert_eq!(out.notifications.len(), 1);
         assert_eq!(p.retransmits(), 1);
-        let next = p.drain_timers();
-        assert_eq!(next, vec![(SimTime::from_micros(3 * base_rto().as_micros()), 1)]);
+        let next = SimTime::from_micros(3 * base_rto().as_micros());
+        assert_eq!(out.timers, vec![(next, 1)]);
         // An ack clears the entry: the later timer fire is a no-op.
-        assert!(p.deliver_and_reply(1, CtrlMsg::Ack { sw: 1, ack: 1 }, base_rto()).is_empty());
-        let step = p.on_timer(1, next[0].0);
-        assert_eq!(step, TimerStep::default(), "stale timer fires are no-ops");
+        out.clear();
+        p.deliver(1, CtrlMsg::Ack { sw: 1, ack: 1 }, base_rto(), &mut out);
+        p.on_timer(1, next, &mut out);
+        assert_eq!(out, PlaneOut::default(), "acks and stale timer fires leave nothing to send");
         assert!(!p.degraded());
     }
 }

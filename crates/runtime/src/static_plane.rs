@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use edn_core::Config;
 use netkat::{CompiledTable, Field, Loc, LocatedView, LookupPath, Packet, PacketArena, PacketId};
-use netsim::{table_outputs, CtrlMsg, DataPlane, SimTime, StepResult, StepResultId};
+use netsim::{CtrlMsg, DataPlane, PlaneOut, SimTime};
 
 use crate::deploy::{OptimizeMode, OptimizedTables};
 
@@ -25,7 +25,7 @@ pub struct StaticDataPlane {
     /// through the same guarded scan as the NES plane so the optimizer's
     /// hot path is exercised under both data planes.
     optimized: Option<OptimizedTables>,
-    /// Reused arena-path buffers (see `NesDataPlane`): lookup and output
+    /// Reused `step` buffers (see `NesDataPlane`): lookup and output
     /// packets are built here; a steady-state hop allocates nothing.
     lookup_buf: Packet,
     out_buf: Packet,
@@ -82,47 +82,13 @@ impl StaticDataPlane {
 }
 
 impl DataPlane for StaticDataPlane {
-    fn process(&mut self, sw: u64, pt: u64, packet: Packet, _: bool, _: SimTime) -> StepResult {
-        let mut lookup = packet;
-        lookup.set_loc(Loc::new(sw, pt));
-        let rule = if let Some(optimized) = &self.optimized {
-            optimized.lookup_on(sw, 0, &lookup)
-        } else {
-            match self.path {
-                LookupPath::Linear => self.config.table(sw).and_then(|t| t.lookup_on(&lookup)),
-                LookupPath::Indexed => self.index.get(&sw).and_then(|t| t.lookup_on(&lookup)),
-            }
-        };
-        let mut out = Vec::new();
-        if let Some(rule) = rule {
-            rule.actions.apply_into(&lookup, &mut out);
-        }
-        StepResult { outputs: table_outputs(pt, out), notifications: Vec::new() }
-    }
-
-    /// The native arena path: a zero-copy [`LocatedView`] table lookup
-    /// (on the plane's selected lookup path) plus the identity-hop fast
-    /// path — a hop whose writes change nothing forwards the input id
-    /// without materializing or interning anything.
-    fn process_arena(
-        &mut self,
-        sw: u64,
-        pt: u64,
-        packet: PacketId,
-        from_host: bool,
-        now: SimTime,
-        arena: &mut PacketArena,
-    ) -> StepResultId {
-        let mut out = StepResultId::default();
-        self.process_arena_into(sw, pt, packet, from_host, now, arena, &mut out);
-        out
-    }
-
-    /// [`process_arena`](DataPlane::process_arena) writing into the
-    /// engine's reused step buffer: zero-copy view lookup, identity fast
-    /// path, reused buffers for content-changing hops — a steady-state
-    /// hop allocates nothing at all.
-    fn process_arena_into(
+    /// A zero-copy [`LocatedView`] table lookup (on the plane's selected
+    /// lookup path) plus the identity-hop fast path — a hop whose writes
+    /// change nothing forwards the input id without materializing or
+    /// interning anything — and reused buffers for content-changing hops:
+    /// `NesDataPlane::step` minus events. The owned transcription is
+    /// `process_reference`.
+    fn step(
         &mut self,
         sw: u64,
         pt: u64,
@@ -130,11 +96,8 @@ impl DataPlane for StaticDataPlane {
         _from_host: bool,
         _now: SimTime,
         arena: &mut PacketArena,
-        out: &mut StepResultId,
+        out: &mut PlaneOut,
     ) {
-        out.clear();
-        // Same structure as `NesDataPlane::process_arena_into`, minus
-        // events.
         let loc = Loc::new(sw, pt);
         let base = arena.get(packet);
         let view = LocatedView { base, loc, tag: None };
@@ -189,11 +152,9 @@ impl DataPlane for StaticDataPlane {
         }
     }
 
-    fn on_notify(&mut self, _: CtrlMsg, _: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
-        Vec::new()
-    }
+    fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
 
-    fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime) {}
+    fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
 
     /// Reports the compiled lookup index's fingerprint probe outcomes,
     /// summed over the per-switch tables.
@@ -209,9 +170,33 @@ impl DataPlane for StaticDataPlane {
     }
 }
 
+/// The owned table application — the per-hop executable specification
+/// [`step`](DataPlane::step) answers to.
+#[cfg(test)]
+impl StaticDataPlane {
+    pub(crate) fn process_reference(&self, sw: u64, pt: u64, packet: Packet) -> netsim::StepResult {
+        let mut lookup = packet;
+        lookup.set_loc(Loc::new(sw, pt));
+        let rule = if let Some(optimized) = &self.optimized {
+            optimized.lookup_on(sw, 0, &lookup)
+        } else {
+            match self.path {
+                LookupPath::Linear => self.config.table(sw).and_then(|t| t.lookup_on(&lookup)),
+                LookupPath::Indexed => self.index.get(&sw).and_then(|t| t.lookup_on(&lookup)),
+            }
+        };
+        let mut out = Vec::new();
+        if let Some(rule) = rule {
+            rule.actions.apply_into(&lookup, &mut out);
+        }
+        netsim::StepResult { outputs: netsim::table_outputs(pt, out), notifications: Vec::new() }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hop_props::Stepper;
     use netkat::{Action, ActionSet, Field, FlowTable, Match, Rule};
 
     fn config() -> Config {
@@ -228,19 +213,23 @@ mod tests {
 
     #[test]
     fn forwards_under_the_fixed_config() {
+        let mut st = Stepper::default();
         let mut dp = StaticDataPlane::new(config());
-        let r = dp.process(1, 2, Packet::new(), true, SimTime::ZERO);
+        let r = st.step(&mut dp, 1, 2, Packet::new(), true, SimTime::ZERO);
         assert_eq!(r.outputs.len(), 1);
         assert_eq!(r.outputs[0].0, 3);
         assert!(r.notifications.is_empty());
         // Non-matching port drops.
-        assert!(dp.process(1, 9, Packet::new(), true, SimTime::ZERO).outputs.is_empty());
+        assert!(st.step(&mut dp, 1, 9, Packet::new(), true, SimTime::ZERO).outputs.is_empty());
         // Controller messages are inert.
-        assert!(dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO).is_empty());
+        let mut out = PlaneOut::default();
+        dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+        assert_eq!(out, PlaneOut::default());
     }
 
     #[test]
     fn both_lookup_paths_agree() {
+        let mut st = Stepper::default();
         let mut linear = StaticDataPlane::with_path(config(), LookupPath::Linear);
         let mut indexed = StaticDataPlane::with_path(config(), LookupPath::Indexed);
         assert_eq!(linear.lookup_path(), LookupPath::Linear);
@@ -248,8 +237,8 @@ mod tests {
         for (sw, pt) in [(1u64, 2u64), (1, 9), (7, 2)] {
             let pk = Packet::new().with(Field::Vlan, 5);
             assert_eq!(
-                linear.process(sw, pt, pk.clone(), true, SimTime::ZERO),
-                indexed.process(sw, pt, pk, true, SimTime::ZERO),
+                st.step(&mut linear, sw, pt, pk.clone(), true, SimTime::ZERO),
+                st.step(&mut indexed, sw, pt, pk, true, SimTime::ZERO),
                 "paths diverged at {sw}:{pt}"
             );
         }

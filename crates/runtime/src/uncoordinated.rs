@@ -9,8 +9,8 @@
 use std::collections::BTreeMap;
 
 use edn_core::EventSet;
-use netkat::{Loc, Packet};
-use netsim::{table_outputs, CtrlMsg, DataPlane, SimTime, StepResult};
+use netkat::{Loc, Packet, PacketArena, PacketId};
+use netsim::{step_owned, table_outputs, CtrlMsg, DataPlane, PlaneOut, SimTime, StepResult};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -58,17 +58,10 @@ impl UncoordDataPlane {
     pub fn current_tag(&self, sw: u64) -> u64 {
         self.current.get(&sw).copied().unwrap_or(0)
     }
-}
 
-impl DataPlane for UncoordDataPlane {
-    fn process(
-        &mut self,
-        sw: u64,
-        pt: u64,
-        packet: Packet,
-        _from_host: bool,
-        _now: SimTime,
-    ) -> StepResult {
+    /// One switch step on an owned packet (the baseline is off every hot
+    /// path, so it stays in owned form behind [`step_owned`]).
+    fn process(&self, sw: u64, pt: u64, packet: Packet) -> StepResult {
         // Event detection: matching arrivals are punted to the controller
         // (it decides whether they constitute state transitions).
         let loc = Loc::new(sw, pt);
@@ -94,9 +87,24 @@ impl DataPlane for UncoordDataPlane {
         table.apply_into(&lookup, &mut out);
         StepResult { outputs: table_outputs(pt, out), notifications }
     }
+}
 
-    fn on_notify(&mut self, msg: CtrlMsg, _now: SimTime) -> Vec<(SimTime, u64, CtrlMsg)> {
-        let CtrlMsg::Events(bits) = msg else { return Vec::new() };
+impl DataPlane for UncoordDataPlane {
+    fn step(
+        &mut self,
+        sw: u64,
+        pt: u64,
+        packet: PacketId,
+        _from_host: bool,
+        _now: SimTime,
+        arena: &mut PacketArena,
+        out: &mut PlaneOut,
+    ) {
+        step_owned(packet, arena, out, |pk| self.process(sw, pt, pk));
+    }
+
+    fn on_notify(&mut self, msg: CtrlMsg, _now: SimTime, out: &mut PlaneOut) {
+        let CtrlMsg::Events(bits) = msg else { return };
         // The controller applies the enabling discipline centrally: one
         // notification = one packet arrival = one firing step (a renamed
         // chain advances a single state per packet).
@@ -105,23 +113,20 @@ impl DataPlane for UncoordDataPlane {
         self.controller = self.controller.union(fired);
         let after = self.controller;
         if before == after {
-            return Vec::new();
+            return;
         }
         let tag = self.compiled.tag_of(after).expect("effective sets are reachable");
         // Push the new configuration to every switch after the update
         // delay, in random order with random jitter.
         let mut order = self.switches.clone();
         order.shuffle(&mut self.rng);
-        order
-            .into_iter()
-            .map(|sw| {
-                let jitter = SimTime::from_micros(self.rng.gen_range(0..=self.jitter.as_micros()));
-                (self.update_delay + jitter, sw, CtrlMsg::SetConfig(tag))
-            })
-            .collect()
+        for sw in order {
+            let jitter = SimTime::from_micros(self.rng.gen_range(0..=self.jitter.as_micros()));
+            out.deliveries.push((self.update_delay + jitter, sw, CtrlMsg::SetConfig(tag)));
+        }
     }
 
-    fn deliver(&mut self, sw: u64, msg: CtrlMsg, _now: SimTime) {
+    fn deliver(&mut self, sw: u64, msg: CtrlMsg, _now: SimTime, _out: &mut PlaneOut) {
         if let CtrlMsg::SetConfig(tag) = msg {
             self.current.insert(sw, tag);
         }
@@ -179,21 +184,22 @@ mod tests {
         let compiled = CompiledNes::compile(firewall_nes());
         let mut dp = UncoordDataPlane::new(compiled, vec![1], SimTime::from_millis(500), 42);
         // Trigger packet: forwarded AND notified.
-        let r = dp.process(1, 2, Packet::new().with(Field::IpDst, 300), true, SimTime::ZERO);
+        let r = dp.process(1, 2, Packet::new().with(Field::IpDst, 300));
         assert_eq!(r.outputs.len(), 1);
         assert_eq!(r.notifications.len(), 1);
         // Reply direction still dropped — the switch has not been updated.
-        let r = dp.process(1, 3, Packet::new().with(Field::IpDst, 200), true, SimTime::ZERO);
+        let r = dp.process(1, 3, Packet::new().with(Field::IpDst, 200));
         assert!(r.outputs.is_empty());
         // Controller schedules a delayed push.
-        let pushes = dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO);
-        assert_eq!(pushes.len(), 1);
-        let (delay, sw, msg) = pushes[0];
+        let mut out = PlaneOut::default();
+        dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+        assert_eq!(out.deliveries.len(), 1);
+        let (delay, sw, msg) = out.deliveries[0];
         assert!(delay >= SimTime::from_millis(500));
-        dp.deliver(sw, msg, SimTime::from_millis(600));
+        dp.deliver(sw, msg, SimTime::from_millis(600), &mut out);
         assert_eq!(dp.current_tag(1), 1);
         // Now replies flow.
-        let r = dp.process(1, 3, Packet::new().with(Field::IpDst, 200), true, SimTime::ZERO);
+        let r = dp.process(1, 3, Packet::new().with(Field::IpDst, 200));
         assert_eq!(r.outputs.len(), 1);
     }
 
@@ -201,8 +207,11 @@ mod tests {
     fn duplicate_notifications_push_once() {
         let compiled = CompiledNes::compile(firewall_nes());
         let mut dp = UncoordDataPlane::new(compiled, vec![1], SimTime::ZERO, 7);
-        assert_eq!(dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO).len(), 1);
-        assert!(dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO).is_empty());
+        let mut out = PlaneOut::default();
+        dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+        assert_eq!(out.deliveries.len(), 1);
+        dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+        assert_eq!(out.deliveries.len(), 1, "the duplicate pushes nothing more");
     }
 
     #[test]
@@ -215,10 +224,9 @@ mod tests {
                 SimTime::ZERO,
                 seed,
             );
-            dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO)
-                .into_iter()
-                .map(|(_, sw, _)| sw)
-                .collect::<Vec<_>>()
+            let mut out = PlaneOut::default();
+            dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+            out.deliveries.into_iter().map(|(_, sw, _)| sw).collect::<Vec<_>>()
         };
         assert_eq!(run(1), run(1), "same seed, same order");
         assert_ne!(run(1), run(2), "different seeds diverge (with high probability)");

@@ -1,18 +1,17 @@
 //! End-to-end packet-plumbing regression, extending
-//! `lookup_equivalence.rs` to the engine knobs this repo's arena/queue
-//! rework introduced — and to the sharded multi-core event loop: full
-//! simulations replayed across every
-//! `{shard count} × {event queue} × {trace mode} × {packet path}`
-//! combination must agree — byte-identical `Stats` everywhere,
-//! byte-identical traces wherever a trace is recorded.
+//! `lookup_equivalence.rs` to the engine knobs and the sharded multi-core
+//! event loop: full simulations replayed across every
+//! `{shard count} × {trace mode}` combination must agree — byte-identical
+//! `Stats` everywhere, byte-identical traces wherever a trace is recorded —
+//! and the reference corner of each pinned scenario must match a committed
+//! absolute [`Fingerprint`].
 //!
 //! Two pinned scenarios from the paper's evaluation (the Section 5.2 ring
 //! and a fat-tree(4) stateful firewall), two pinned *churn* scenarios from
 //! the declarative scenario layer (a flapping ring and a fat-tree(4)
 //! update campaign with a crash, a latency spike, and a host move), plus
 //! differential proptests over seeded generated topologies and workloads
-//! (256 cases across the queue/packet knobs, 128 more across shard
-//! counts).
+//! (256 cases across the trace modes, 128 more across shard counts).
 
 use edn_apps::generated::firewall_nes;
 use edn_apps::ring::{host, Ring};
@@ -25,17 +24,13 @@ use nes_runtime::{
 };
 use netkat::LookupPath;
 use netsim::traffic::udp_packet;
-use netsim::{
-    ChannelModel, Engine, MetricsLevel, PacketPath, QueueKind, SimParams, SimTime, SinkHosts, Stats,
-};
+use netsim::{ChannelModel, Engine, MetricsLevel, SimParams, SimTime, SinkHosts, Stats};
 use proptest::prelude::*;
 
 /// One engine-knob combination under test.
 #[derive(Clone, Copy, Debug)]
 struct Knobs {
-    queue: QueueKind,
     mode: TraceMode,
-    path: PacketPath,
     shards: u32,
     metrics: MetricsLevel,
     deploy: DeployKnobs,
@@ -49,13 +44,10 @@ const REFERENCE_DEPLOY: DeployKnobs = DeployKnobs {
     optimize: OptimizeMode::Off,
 };
 
-/// The reference corner: one thread, binary heap, full trace, owned
-/// packets, no telemetry — the pre-rework engine, kept runnable exactly
-/// so everything new can be diffed against it.
+/// The reference corner: one thread, full trace, no telemetry — the solo
+/// loop everything else is diffed against.
 const REFERENCE: Knobs = Knobs {
-    queue: QueueKind::Heap,
     mode: TraceMode::Full,
-    path: PacketPath::Owned,
     shards: 1,
     metrics: MetricsLevel::Off,
     deploy: REFERENCE_DEPLOY,
@@ -70,42 +62,126 @@ fn effective_shards(requested: u32) -> u32 {
 
 fn knobs_with_shards(shards: u32) -> impl Iterator<Item = Knobs> {
     let shards = effective_shards(shards);
-    [QueueKind::Heap, QueueKind::Calendar].into_iter().flat_map(move |queue| {
-        [TraceMode::Full, TraceMode::StatsOnly].into_iter().flat_map(move |mode| {
-            [PacketPath::Owned, PacketPath::Arena].into_iter().map(move |path| Knobs {
-                queue,
-                mode,
-                path,
-                shards,
-                metrics: MetricsLevel::Off,
-                deploy: REFERENCE_DEPLOY,
-            })
-        })
+    [TraceMode::Full, TraceMode::StatsOnly].into_iter().map(move |mode| Knobs {
+        mode,
+        shards,
+        ..REFERENCE
     })
 }
 
 fn configure(engine: Engine<NesDataPlane>, knobs: Knobs) -> Engine<NesDataPlane> {
-    engine
-        .with_queue(knobs.queue)
-        .with_trace_mode(knobs.mode)
-        .with_packet_path(knobs.path)
-        .with_metrics(knobs.metrics)
-        .with_shards(knobs.shards)
+    engine.with_trace_mode(knobs.mode).with_metrics(knobs.metrics).with_shards(knobs.shards)
 }
 
-/// Asserts that a scenario produces identical observable results on every
-/// knob combination and every shard count in `shard_counts`: `Stats`
-/// agree field for field everywhere (including `StatsOnly` runs), and
-/// `Full`-mode traces are byte-identical. The scenario runners assert
-/// that multi-shard runs actually engaged the threaded path (a silent
-/// fallback would make these comparisons vacuous).
+/// An absolute anchor for one run, computed from field values (never
+/// `Debug` text): the `Stats` counters, a fold over every delivery's
+/// `(time, host, size)`, the trace's length and causal-edge count, and a
+/// fold over every `(location, packet)` record.
+#[derive(Debug, PartialEq, Eq)]
+struct Fingerprint {
+    injected: u64,
+    events: u64,
+    delivered_packets: u64,
+    delivered_bytes: u64,
+    dropped: [u64; 4],
+    deliveries: u64,
+    trace_len: usize,
+    causal_edges: usize,
+    records: u64,
+}
+
+fn fingerprint(trace: &NetworkTrace, stats: &Stats) -> Fingerprint {
+    // FNV-1a over u64 words.
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+    let deliveries = stats
+        .deliveries
+        .iter()
+        .fold(SEED, |h, d| fold(fold(fold(h, d.time.as_micros()), d.host), d.size as u64));
+    let records = trace.packets().iter().fold(SEED, |h, lp| {
+        let h = fold(fold(h, lp.loc.sw), lp.loc.pt);
+        netkat::Field::ALL
+            .iter()
+            .fold(h, |h, &f| fold(h, lp.packet.get(f).map_or(0, |v| v.wrapping_add(1))))
+    });
+    Fingerprint {
+        injected: stats.injected,
+        events: stats.events_processed,
+        delivered_packets: stats.delivered_packets,
+        delivered_bytes: stats.delivered_bytes,
+        dropped: stats.dropped,
+        deliveries,
+        trace_len: trace.len(),
+        causal_edges: trace.extra_edges().len(),
+        records,
+    }
+}
+
+// The four pinned scenarios' reference-corner fingerprints, as the retired
+// all-reference engine corner (binary-heap queue + owned packets + full
+// trace + one shard) produced them: the bytes that corner defined outlive
+// it here, and tier-1 has an absolute anchor rather than only legs that
+// agree with each other.
+const RING_PIN: Fingerprint = Fingerprint {
+    injected: 17,
+    events: 120,
+    delivered_packets: 17,
+    delivered_bytes: 25_500,
+    dropped: [0, 0, 0, 0],
+    deliveries: 0xfe7b_9cea_4542_6ec5,
+    trace_len: 204,
+    causal_edges: 0,
+    records: 0x2b11_d21d_bf58_c4b1,
+};
+const FAT_TREE_FIREWALL_PIN: Fingerprint = Fingerprint {
+    injected: 65,
+    events: 424,
+    delivered_packets: 65,
+    delivered_bytes: 34_268,
+    dropped: [0, 0, 0, 0],
+    deliveries: 0x4c83_b724_64d5_31fd,
+    trace_len: 716,
+    causal_edges: 0,
+    records: 0x2e7b_3623_efdf_c19f,
+};
+const FLAPPING_RING_PIN: Fingerprint = Fingerprint {
+    injected: 28,
+    events: 117,
+    delivered_packets: 23,
+    delivered_bytes: 15_728,
+    dropped: [3, 0, 0, 2],
+    deliveries: 0x4bf5_7ca2_5d5c_8277,
+    trace_len: 176,
+    causal_edges: 0,
+    records: 0xda42_39ee_b282_0e62,
+};
+const FAT_TREE_CAMPAIGN_PIN: Fingerprint = Fingerprint {
+    injected: 56,
+    events: 327,
+    delivered_packets: 47,
+    delivered_bytes: 31_968,
+    dropped: [9, 0, 0, 0],
+    deliveries: 0xf963_e503_566e_61b3,
+    trace_len: 534,
+    causal_edges: 0,
+    records: 0x19b8_e2bc_466c_fdbf,
+};
+
+/// Asserts that a scenario's reference corner matches its committed `pin`
+/// and that it produces identical observable results in both trace modes
+/// at every shard count in `shard_counts`: `Stats` agree field for field
+/// everywhere (including `StatsOnly` runs), and `Full`-mode traces are
+/// byte-identical. The scenario runners assert that multi-shard runs
+/// actually engaged the threaded path (a silent fallback would make these
+/// comparisons vacuous).
 fn assert_plumbing_invariant(
     scenario: &str,
+    pin: &Fingerprint,
     shard_counts: &[u32],
     run: impl Fn(Knobs) -> (NetworkTrace, Stats),
 ) {
     let (reference_trace, reference_stats) = run(REFERENCE);
-    assert!(!reference_stats.deliveries.is_empty(), "{scenario}: reference must deliver");
+    assert_eq!(&fingerprint(&reference_trace, &reference_stats), pin, "{scenario}: pin moved");
     for &shards in shard_counts {
         for knobs in knobs_with_shards(shards) {
             let (trace, stats) = run(knobs);
@@ -191,7 +267,7 @@ fn fat_tree_firewall_run(knobs: Knobs) -> (NetworkTrace, Stats) {
 
 /// A ring(6) whose inter-switch links flap mid-campaign: two fail/restore
 /// pairs around a two-update rollout under uniform traffic — the engine's
-/// failure timelines crossing shard cuts and every knob combination.
+/// failure timelines crossing shard cuts and both trace modes.
 fn flapping_ring_scenario() -> CompiledScenario {
     let spec = edn_scenario::parse(
         "[scenario]\n\
@@ -317,36 +393,47 @@ fn assert_shards_engaged(engine: &netsim::Engine<NesDataPlane>, knobs: Knobs, sw
 
 #[test]
 fn ring_replays_identically_across_all_engine_knobs() {
-    assert_plumbing_invariant("ring", &[1], ring_run);
+    assert_plumbing_invariant("ring", &RING_PIN, &[1], ring_run);
 }
 
 #[test]
 fn fat_tree_firewall_replays_identically_across_all_engine_knobs() {
-    assert_plumbing_invariant("fat-tree firewall", &[1], fat_tree_firewall_run);
+    assert_plumbing_invariant(
+        "fat-tree firewall",
+        &FAT_TREE_FIREWALL_PIN,
+        &[1],
+        fat_tree_firewall_run,
+    );
 }
 
 /// The sharded event loop is byte-identical to the single-threaded
-/// engine on the §5.2 ring, across the full
-/// `{2,4 shards} × {queue} × {trace} × {packet path}` matrix — including
-/// the NES correctness verification of the merged trace.
+/// engine on the §5.2 ring, across the `{2,4 shards} × {trace}` matrix —
+/// including the NES correctness verification of the merged trace.
 #[test]
 fn ring_replays_identically_across_shard_counts() {
-    assert_plumbing_invariant("sharded ring", &[2, 4], ring_run);
+    assert_plumbing_invariant("sharded ring", &RING_PIN, &[2, 4], ring_run);
 }
 
 /// Same matrix on the fat-tree(4) firewall: controller traffic, a mid-run
 /// configuration update, and permutation flows all crossing shard cuts.
 #[test]
 fn fat_tree_firewall_replays_identically_across_shard_counts() {
-    assert_plumbing_invariant("sharded fat-tree firewall", &[2, 4], fat_tree_firewall_run);
+    assert_plumbing_invariant(
+        "sharded fat-tree firewall",
+        &FAT_TREE_FIREWALL_PIN,
+        &[2, 4],
+        fat_tree_firewall_run,
+    );
 }
 
 #[test]
 fn churn_scenarios_replay_identically_across_all_engine_knobs() {
     let ring = flapping_ring_scenario();
-    assert_plumbing_invariant("flapping ring", &[1], |k| churn_run(&ring, k));
+    assert_plumbing_invariant("flapping ring", &FLAPPING_RING_PIN, &[1], |k| churn_run(&ring, k));
     let campaign = fat_tree_campaign_scenario();
-    assert_plumbing_invariant("fat-tree campaign", &[1], |k| churn_run(&campaign, k));
+    assert_plumbing_invariant("fat-tree campaign", &FAT_TREE_CAMPAIGN_PIN, &[1], |k| {
+        churn_run(&campaign, k)
+    });
 }
 
 /// The churn matrix again, sharded: link-failure timelines, switch
@@ -355,13 +442,17 @@ fn churn_scenarios_replay_identically_across_all_engine_knobs() {
 #[test]
 fn churn_scenarios_replay_identically_across_shard_counts() {
     let ring = flapping_ring_scenario();
-    assert_plumbing_invariant("sharded flapping ring", &[2, 4], |k| churn_run(&ring, k));
+    assert_plumbing_invariant("sharded flapping ring", &FLAPPING_RING_PIN, &[2, 4], |k| {
+        churn_run(&ring, k)
+    });
     let campaign = fat_tree_campaign_scenario();
-    assert_plumbing_invariant("sharded fat-tree campaign", &[2, 4], |k| churn_run(&campaign, k));
+    assert_plumbing_invariant("sharded fat-tree campaign", &FAT_TREE_CAMPAIGN_PIN, &[2, 4], |k| {
+        churn_run(&campaign, k)
+    });
 }
 
-/// The *uncoordinated* baseline plane replays byte-identically across the
-/// engine knob matrix and shard counts too: its slow controller pushes are
+/// The *uncoordinated* baseline plane replays byte-identically across
+/// shard counts too: its slow controller pushes are
 /// scheduled control messages like any other, so sharding the event loop
 /// under it must not change a byte of the stats or the trace. (The
 /// baseline being deterministic is what makes its checker violations in
@@ -373,13 +464,8 @@ fn uncoordinated_baseline_replays_identically_across_shard_counts() {
         ("fat-tree campaign", fat_tree_campaign_scenario()),
     ];
     for (name, c) in &scenarios {
-        let run = |queue: QueueKind, path: PacketPath, shards: u32| {
-            let mut engine = c
-                .uncoordinated()
-                .with_queue(queue)
-                .with_trace_mode(TraceMode::Full)
-                .with_packet_path(path)
-                .with_shards(shards);
+        let run = |shards: u32| {
+            let mut engine = c.uncoordinated().with_trace_mode(TraceMode::Full).with_shards(shards);
             c.apply_actions(&mut engine);
             c.load_traffic(&mut engine, false);
             c.inject_campaign(&mut engine);
@@ -389,22 +475,12 @@ fn uncoordinated_baseline_replays_identically_across_shard_counts() {
             let result = engine.finish();
             (result.trace, result.stats)
         };
-        let (reference_trace, reference_stats) = run(QueueKind::Heap, PacketPath::Owned, 1);
+        let (reference_trace, reference_stats) = run(1);
         assert!(!reference_stats.deliveries.is_empty(), "{name}: baseline must deliver");
-        for queue in [QueueKind::Heap, QueueKind::Calendar] {
-            for path in [PacketPath::Owned, PacketPath::Arena] {
-                for shards in [1u32, 2, 4] {
-                    let (trace, stats) = run(queue, path, effective_shards(shards));
-                    assert_eq!(
-                        stats, reference_stats,
-                        "{name}: uncoordinated stats diverged on {queue:?}/{path:?}/{shards}"
-                    );
-                    assert_eq!(
-                        trace, reference_trace,
-                        "{name}: uncoordinated trace diverged on {queue:?}/{path:?}/{shards}"
-                    );
-                }
-            }
+        for shards in [1u32, 2, 4] {
+            let (trace, stats) = run(effective_shards(shards));
+            assert_eq!(stats, reference_stats, "{name}: uncoordinated stats diverged on {shards}");
+            assert_eq!(trace, reference_trace, "{name}: uncoordinated trace diverged on {shards}");
         }
     }
 }
@@ -466,12 +542,9 @@ fn deployment_layouts_do_not_perturb_results() {
             for lookup in [LookupPath::Indexed, LookupPath::Linear] {
                 for shards in [1, 4] {
                     let knobs = Knobs {
-                        queue: QueueKind::Calendar,
-                        mode: TraceMode::Full,
-                        path: PacketPath::Arena,
                         shards: effective_shards(shards),
-                        metrics: MetricsLevel::Off,
                         deploy: DeployKnobs { path: lookup, compile, optimize },
+                        ..REFERENCE
                     };
                     let (trace, stats) = run(knobs);
                     assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
@@ -494,14 +567,7 @@ fn metrics_levels_do_not_perturb_results() {
     let (reference_trace, reference_stats) = ring_run(REFERENCE);
     for metrics in [MetricsLevel::Counters, MetricsLevel::Full] {
         for shards in [1, 2, 4] {
-            let knobs = Knobs {
-                queue: QueueKind::Calendar,
-                mode: TraceMode::Full,
-                path: PacketPath::Arena,
-                shards: effective_shards(shards),
-                metrics,
-                deploy: REFERENCE_DEPLOY,
-            };
+            let knobs = Knobs { shards: effective_shards(shards), metrics, ..REFERENCE };
             let (trace, stats) = ring_run(knobs);
             assert_eq!(stats, reference_stats, "stats diverged on {knobs:?}");
             assert_eq!(trace, reference_trace, "trace diverged on {knobs:?}");
@@ -602,31 +668,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Differential equivalence over seeded topologies and workloads:
-    /// calendar ≡ heap (including timestamp-tied pops) and arena ≡ owned
-    /// packets, observed through complete simulations — byte-identical
-    /// `Stats` and traces, with `StatsOnly` agreeing on every `Stats`
-    /// field.
+    /// both trace modes, observed through complete simulations — the
+    /// `Full` replay byte-identical in `Stats` and trace, `StatsOnly`
+    /// agreeing on every `Stats` field while recording nothing.
     #[test]
-    fn seeded_topologies_agree_across_queue_and_packet_paths(
+    fn seeded_topologies_agree_across_trace_modes(
         n in 3u64..7,
         workload in arb_workload(),
     ) {
         let (reference_trace, reference_stats) = seeded_run(n, &workload, REFERENCE);
-        let calendar_arena = Knobs {
-            queue: QueueKind::Calendar,
-            mode: TraceMode::Full,
-            path: PacketPath::Arena,
-            shards: effective_shards(1),
-            metrics: MetricsLevel::Off,
-            deploy: REFERENCE_DEPLOY,
-        };
-        let (trace, stats) = seeded_run(n, &workload, calendar_arena);
-        prop_assert_eq!(&stats, &reference_stats, "calendar+arena stats diverged");
-        prop_assert_eq!(&trace, &reference_trace, "calendar+arena trace diverged");
-        let stats_only = Knobs { mode: TraceMode::StatsOnly, ..calendar_arena };
-        let (empty, stats) = seeded_run(n, &workload, stats_only);
-        prop_assert_eq!(&stats, &reference_stats, "StatsOnly stats diverged");
-        prop_assert!(empty.is_empty(), "StatsOnly must not record a trace");
+        for knobs in knobs_with_shards(1) {
+            let (trace, stats) = seeded_run(n, &workload, knobs);
+            prop_assert_eq!(&stats, &reference_stats, "stats diverged on {:?}", knobs);
+            match knobs.mode {
+                TraceMode::Full => prop_assert_eq!(&trace, &reference_trace),
+                TraceMode::StatsOnly => prop_assert!(trace.is_empty()),
+            }
+        }
     }
 }
 
@@ -634,8 +692,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Differential equivalence of the sharded event loop over seeded
-    /// topologies and workloads: a K-shard run (K drawn from 2..=4, on
-    /// the default calendar+arena engine) must produce byte-identical
+    /// topologies and workloads: a K-shard run (K drawn from 2..=4) must
+    /// produce byte-identical
     /// `Stats` and traces to the single-threaded reference, with
     /// `StatsOnly` agreeing on every `Stats` field. Requesting more
     /// shards than switches exercises the clamp.
@@ -646,14 +704,7 @@ proptest! {
         shards in 2u32..5,
     ) {
         let (reference_trace, reference_stats) = seeded_run(n, &workload, REFERENCE);
-        let sharded = Knobs {
-            queue: QueueKind::Calendar,
-            mode: TraceMode::Full,
-            path: PacketPath::Arena,
-            shards,
-            metrics: MetricsLevel::Off,
-            deploy: REFERENCE_DEPLOY,
-        };
+        let sharded = Knobs { shards, ..REFERENCE };
         let (trace, stats) = seeded_run(n, &workload, sharded);
         prop_assert_eq!(&stats, &reference_stats, "{} shards: stats diverged", shards);
         prop_assert_eq!(&trace, &reference_trace, "{} shards: trace diverged", shards);

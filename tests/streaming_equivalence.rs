@@ -17,7 +17,7 @@ use edn_topo::{
 use nes_runtime::{attach_online_checker, nes_engine_with_path};
 use netkat::LookupPath;
 use netsim::traffic::{udp_packet, UdpFlowSpec};
-use netsim::{PacketPath, QueueKind, SimParams, SimTime, SinkHosts, Stats};
+use netsim::{SimParams, SimTime, SinkHosts, Stats};
 use proptest::prelude::*;
 
 /// How a scenario's flows reach the engine.
@@ -52,11 +52,7 @@ fn run_scenario(
         Box::new(SinkHosts),
         LookupPath::Indexed,
     );
-    let mut engine = engine
-        .with_queue(QueueKind::Calendar)
-        .with_trace_mode(mode)
-        .with_packet_path(PacketPath::Arena)
-        .with_shards(shards);
+    let mut engine = engine.with_trace_mode(mode).with_shards(shards);
     let handle = online
         .then(|| attach_online_checker(&mut engine, &nes).expect("NES fits the checker window"));
     match injection {
