@@ -10,11 +10,12 @@
 //! selected by `EDN_LOOKUP` (default `indexed`) and `EDN_TRACE` (default
 //! `full`), and a machine-readable perf-trajectory file
 //! (`BENCH_fig18.json` by default) records `(switches, events, wall,
-//! ns/event)` for every combination at every point. `wall_us` times the
-//! simulation event loop (`Engine::run`). All CSV columns except
-//! `wall_us` are identical across lookup paths, trace modes, and shard
-//! counts by construction — CI replays the sweep across them and `cmp`s
-//! the canonical CSVs.
+//! ns/event)` for every combination at every point — a history of where
+//! the per-event cost has been, not a source for performance claims (those
+//! go through `benchmark/`). `wall_us` times the simulation event loop
+//! (`Engine::run`). All CSV columns except `wall_us` are identical across
+//! lookup paths and trace modes by construction — CI replays the sweep
+//! across them and `cmp`s the canonical CSVs.
 //!
 //! Environment overrides (CI smoke uses small values):
 //! * `FIG18_RING_SIZES` — comma-separated ring sizes (default
@@ -23,11 +24,6 @@
 //!   `4,6,8`);
 //! * `FIG18_PACKETS_PER_FLOW` — datagrams per flow (default `20`);
 //! * `FIG18_SEED` — workload seed (default `7`);
-//! * `FIG18_SHARDS` — comma-separated engine shard counts for the JSON
-//!   trajectory (default `1,4`; the multi-shard rows run on the indexed
-//!   lookup path, the headline measurement). The CSV always reports the
-//!   `EDN_SHARDS` selection — and is byte-identical across shard counts,
-//!   which CI `cmp`s;
 //! * `FIG18_REPS` — repetitions per point, reporting the minimum
 //!   wall-clock (default `1`; CI uses `1`);
 //! * `FIG18_CANONICAL` — when `1`, report the wall-clock column as `0` so
@@ -35,8 +31,7 @@
 //! * `FIG18_JSON` — where to write the perf trajectory (default
 //!   `BENCH_fig18.json`; empty string disables);
 //! * `EDN_LOOKUP` — `linear` or `indexed`: the path the CSV reports;
-//! * `EDN_TRACE` — `full` or `stats`: the trace mode the CSV reports;
-//! * `EDN_SHARDS` — engine shard count the CSV reports.
+//! * `EDN_TRACE` — `full` or `stats`: the trace mode the CSV reports.
 
 use std::fmt::Write as _;
 
@@ -59,7 +54,7 @@ impl JsonRow {
         let r = &self.row;
         format!(
             "    {{\"topology\": \"{}\", \"param\": {}, \"plane\": \"{}\", \"lookup\": \"{}\", \
-             \"trace\": \"{}\", \"shards\": {}, \"switches\": {}, \"rules\": {}, \
+             \"trace\": \"{}\", \"switches\": {}, \"rules\": {}, \
              \"events\": {}, \"wall_us\": {}, \"ns_per_event\": {:.1}, \
              \"latency_p50_us\": {}, \"latency_p99_us\": {}, \"arena_hw\": {}, \
              \"obligations_hw\": {}}}",
@@ -68,7 +63,6 @@ impl JsonRow {
             r.plane.label(),
             self.lookup.label(),
             self.mode.label(),
-            r.shards,
             r.switches,
             r.rules,
             r.events,
@@ -106,11 +100,6 @@ fn main() {
     let json_path = std::env::var("FIG18_JSON").unwrap_or_else(|_| "BENCH_fig18.json".to_string());
     let csv_lookup = LookupPath::from_env();
     let csv_mode = TraceMode::from_env();
-    let csv_shards = netsim::shard_count_from_env();
-    let mut shard_counts = env_list("FIG18_SHARDS", &[1, 4]);
-    if !shard_counts.contains(&(csv_shards as u64)) {
-        shard_counts.push(csv_shards as u64);
-    }
     let workload = Workload {
         pattern: TrafficPattern::Permutation,
         seed,
@@ -120,7 +109,7 @@ fn main() {
     println!("# Fig. 18: scale sweep — permutation traffic, seed {seed}");
     println!(
         "# rings {ring_sizes:?}, fat-trees {fat_tree_ks:?}, {packets_per_flow} pkts/flow, \
-         CSV lookup path: {}, CSV trace mode: {}, CSV shards: {csv_shards}, reps: {reps}",
+         CSV lookup path: {}, CSV trace mode: {}, reps: {reps}",
         csv_lookup.label(),
         csv_mode.label()
     );
@@ -128,34 +117,23 @@ fn main() {
     let mut json_rows: Vec<JsonRow> = Vec::new();
     let mut sweep = |gen: &GenTopology, topology: &str, param: u64| {
         for plane in [Plane::Static, Plane::Nes] {
-            for &shards in &shard_counts {
-                let shards = shards as u32;
-                for lookup in [LookupPath::Linear, LookupPath::Indexed] {
-                    for mode in [TraceMode::Full, TraceMode::StatsOnly] {
-                        let selected =
-                            lookup == csv_lookup && mode == csv_mode && shards == csv_shards;
-                        // Multi-shard rows ride the indexed path only (the
-                        // headline measurement) unless explicitly selected.
-                        if !selected && shards != 1 && lookup != LookupPath::Indexed {
-                            continue;
-                        }
-                        // Non-selected combinations only feed the JSON
-                        // trajectory; skip them when it is disabled.
-                        if !selected && json_path.is_empty() {
-                            continue;
-                        }
-                        let row = run_point(
-                            gen, topology, param, plane, &workload, lookup, mode, shards, reps,
-                        );
-                        if selected {
-                            let mut csv_row = row.clone();
-                            if canonical {
-                                csv_row.wall_us = 0;
-                            }
-                            println!("{}", csv_row.csv());
-                        }
-                        json_rows.push(JsonRow { lookup, mode, row });
+            for lookup in [LookupPath::Linear, LookupPath::Indexed] {
+                for mode in [TraceMode::Full, TraceMode::StatsOnly] {
+                    let selected = lookup == csv_lookup && mode == csv_mode;
+                    // Non-selected combinations only feed the JSON
+                    // trajectory; skip them when it is disabled.
+                    if !selected && json_path.is_empty() {
+                        continue;
                     }
+                    let row = run_point(gen, topology, param, plane, &workload, lookup, mode, reps);
+                    if selected {
+                        let mut csv_row = row.clone();
+                        if canonical {
+                            csv_row.wall_us = 0;
+                        }
+                        println!("{}", csv_row.csv());
+                    }
+                    json_rows.push(JsonRow { lookup, mode, row });
                 }
             }
         }

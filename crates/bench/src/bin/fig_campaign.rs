@@ -9,10 +9,10 @@
 //! probes, under streamed permutation traffic with Pareto flow sizes. Four
 //! legs run in one process — `{throughput, verified} × {scratch, delta}`:
 //!
-//! * **throughput** — unchecked, shard count from `EDN_SHARDS`: the raw
-//!   updates/sec the runtime sustains (trigger injection to final firing);
-//! * **verified** — the online Definition 6 checker attached (the engine
-//!   serializes under an observer): the same campaign, now with a verdict;
+//! * **throughput** — unchecked: the raw updates/sec the runtime sustains
+//!   (trigger injection to final firing);
+//! * **verified** — the online Definition 6 checker attached: the same
+//!   campaign, now with a verdict;
 //! * **scratch** vs **delta** — the table-construction path
 //!   (`CompilePath`), pinned per leg so the sweep is self-contained: the
 //!   scratch legs recompile every configuration into guarded tables, the
@@ -20,8 +20,8 @@
 //!   rate charges each leg its own compile time
 //!   (`fired / (compile + run)`), which is where delta compilation pays.
 //!
-//! All four legs must report byte-identical `Stats` — checking, sharding,
-//! and the compile path may cost wall time but never change a result. The
+//! All four legs must report byte-identical `Stats` — checking and the
+//! compile path may cost wall time but never change a result. The
 //! CSV goes to stdout; a JSON summary (all legs' rates plus the verdict)
 //! goes to `CAMPAIGN_JSON`.
 //!

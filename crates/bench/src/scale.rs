@@ -11,21 +11,8 @@ use edn_obs::{MinWall, Registry, Stopwatch};
 use edn_topo::{shortest_path_config, synthesize, GenTopology, Workload};
 use nes_runtime::{nes_engine_with_path, StaticDataPlane};
 use netkat::LookupPath;
-use netsim::traffic::{udp_packet, UdpFlowSpec};
-use netsim::{DataPlane, DropReason, Engine, SimParams, SimTime, SinkHosts, Stats, TraceMode};
-
-/// Injects a sweep point's flows: streamed lazily on the single-threaded
-/// engine, materialized up front when sharding is in play (the sharded
-/// event loop owns its queue partitioning, and the sweep's multi-shard
-/// rows exist precisely to exercise it). Both paths are byte-identical —
-/// pinned by the `streaming_equivalence` differential suite.
-fn inject_flows<D: DataPlane>(engine: &mut Engine<D>, flows: &[UdpFlowSpec], shards: u32) -> u64 {
-    if shards <= 1 {
-        edn_topo::attach_stream(engine, flows)
-    } else {
-        edn_topo::schedule(engine, flows)
-    }
-}
+use netsim::traffic::udp_packet;
+use netsim::{DropReason, Engine, SimParams, SimTime, SinkHosts, Stats, TraceMode};
 
 /// Which data plane a sweep point exercises.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -83,12 +70,6 @@ pub struct SweepRow {
     /// When the point ran several repetitions, this is the minimum. The
     /// only non-deterministic column; zero it for byte-identical CSVs.
     pub wall_us: u64,
-    /// Engine shards the point ran on. Deliberately *not* a CSV column:
-    /// every other column is byte-identical across shard counts (that is
-    /// the sharded engine's determinism contract, and CI `cmp`s the
-    /// canonical CSVs across `EDN_SHARDS` to prove it); the JSON perf
-    /// trajectory reports it.
-    pub shards: u32,
     /// Median sim-time event latency (creation → fire) in µs, from the
     /// run's metric registry — `0` when `EDN_METRICS=off`. JSON-only:
     /// deterministic, but gated on the metrics level, and the CSV must be
@@ -97,8 +78,8 @@ pub struct SweepRow {
     /// 99th-percentile sim-time event latency in µs (`0` when metrics are
     /// off). JSON-only, like [`latency_p50_us`](SweepRow::latency_p50_us).
     pub latency_p99_us: u64,
-    /// Packet-arena slot high-water (per-shard max; `0` when metrics are
-    /// off). JSON-only; shard-scoped, so it varies with the shard count.
+    /// Packet-arena slot high-water (`0` when metrics are off).
+    /// JSON-only; `shard`-scoped, so not compared across knobs.
     pub arena_hw: u64,
     /// Online-checker obligation high-water (`0` without a checker or
     /// with metrics off). JSON-only.
@@ -161,14 +142,13 @@ impl SweepRow {
 }
 
 /// Runs one sweep point: `workload` over `gen` on the chosen plane,
-/// dispatching table lookups through `path`, recording (or not) the
-/// trace per `mode`, and running the event loop on `shards` engine
-/// shards ([`Engine::with_shards`]).
+/// dispatching table lookups through `path` and recording (or not) the
+/// trace per `mode`. The flows are streamed lazily
+/// ([`edn_topo::attach_stream`]).
 ///
-/// Every column except `wall_us` is independent of `path`, `mode`, and
-/// `shards` — that is the equivalence the plumbing/lookup differential
-/// tests (and the CI per-path, per-mode, per-shard-count CSV
-/// comparisons) pin down.
+/// Every column except `wall_us` is independent of `path` and `mode` —
+/// that is the equivalence the plumbing/lookup differential tests (and
+/// the CI per-path, per-mode CSV comparisons) pin down.
 ///
 /// `reps` rebuilds and re-runs the whole point that many times and
 /// reports the **minimum** wall-clock — a single run of a sub-second
@@ -189,7 +169,6 @@ pub fn run_point(
     workload: &Workload,
     path: LookupPath,
     mode: TraceMode,
-    shards: u32,
     reps: u32,
 ) -> SweepRow {
     let flows = synthesize(gen, workload);
@@ -208,9 +187,8 @@ pub fn run_point(
                     StaticDataPlane::with_path(config, path),
                     Box::new(SinkHosts),
                 )
-                .with_trace_mode(mode)
-                .with_shards(shards);
-                let datagrams = inject_flows(&mut engine, &flows, shards);
+                .with_trace_mode(mode);
+                let datagrams = edn_topo::attach_stream(&mut engine, &flows);
                 let sw = Stopwatch::start();
                 engine.run(horizon);
                 wall.record(sw.elapsed_us());
@@ -228,9 +206,8 @@ pub fn run_point(
                     Box::new(SinkHosts),
                     path,
                 )
-                .with_trace_mode(mode)
-                .with_shards(shards);
-                let datagrams = inject_flows(&mut engine, &flows, shards);
+                .with_trace_mode(mode);
+                let datagrams = edn_topo::attach_stream(&mut engine, &flows);
                 // A trigger datagram from `inside` fires the firewall's
                 // event mid-run, so the sweep exercises an actual
                 // configuration update at every scale.
@@ -267,7 +244,6 @@ pub fn run_point(
         deliveries: stats.deliveries.len(),
         drops: stats.dropped,
         wall_us: wall.best(),
-        shards,
         latency_p50_us,
         latency_p99_us,
         arena_hw,
@@ -294,28 +270,10 @@ mod tests {
         let gen = ring(8, LinkProfile::default());
         for plane in [Plane::Static, Plane::Nes] {
             for path in [LookupPath::Linear, LookupPath::Indexed] {
-                let mut a = run_point(
-                    &gen,
-                    "ring",
-                    8,
-                    plane,
-                    &small_workload(),
-                    path,
-                    TraceMode::Full,
-                    1,
-                    1,
-                );
-                let mut b = run_point(
-                    &gen,
-                    "ring",
-                    8,
-                    plane,
-                    &small_workload(),
-                    path,
-                    TraceMode::Full,
-                    1,
-                    1,
-                );
+                let mut a =
+                    run_point(&gen, "ring", 8, plane, &small_workload(), path, TraceMode::Full, 1);
+                let mut b =
+                    run_point(&gen, "ring", 8, plane, &small_workload(), path, TraceMode::Full, 1);
                 a.wall_us = 0;
                 b.wall_us = 0;
                 assert_eq!(a, b, "{} rows differ", plane.label());
@@ -337,13 +295,12 @@ mod tests {
                 LookupPath::Linear,
                 TraceMode::Full,
                 1,
-                1,
             );
             reference.wall_us = 0;
             for path in [LookupPath::Linear, LookupPath::Indexed] {
                 for mode in [TraceMode::Full, TraceMode::StatsOnly] {
                     let mut row =
-                        run_point(&gen, "ring", 8, plane, &small_workload(), path, mode, 1, 1);
+                        run_point(&gen, "ring", 8, plane, &small_workload(), path, mode, 1);
                     row.wall_us = 0;
                     assert_eq!(
                         row,
@@ -359,42 +316,25 @@ mod tests {
     }
 
     #[test]
-    fn sharded_rows_match_single_threaded() {
+    fn repetitions_do_not_change_deterministic_columns() {
+        // Reps only tighten the wall-clock estimate.
         let gen = ring(8, LinkProfile::default());
         for plane in [Plane::Static, Plane::Nes] {
-            let mut solo = run_point(
-                &gen,
-                "ring",
-                8,
-                plane,
-                &small_workload(),
-                LookupPath::Indexed,
-                TraceMode::Full,
-                1,
-                1,
-            );
-            // Two repetitions must not change any deterministic column
-            // either (reps only tighten the wall-clock estimate).
-            let mut sharded = run_point(
-                &gen,
-                "ring",
-                8,
-                plane,
-                &small_workload(),
-                LookupPath::Indexed,
-                TraceMode::Full,
-                2,
-                2,
-            );
-            assert_eq!(sharded.shards, 2);
-            solo.wall_us = 0;
-            solo.shards = 0;
-            // Shard-scoped: legitimately varies with the shard count.
-            solo.arena_hw = 0;
-            sharded.wall_us = 0;
-            sharded.shards = 0;
-            sharded.arena_hw = 0;
-            assert_eq!(sharded, solo, "{} rows differ across shard counts", plane.label());
+            let point = |reps| {
+                let mut row = run_point(
+                    &gen,
+                    "ring",
+                    8,
+                    plane,
+                    &small_workload(),
+                    LookupPath::Indexed,
+                    TraceMode::Full,
+                    reps,
+                );
+                row.wall_us = 0;
+                row
+            };
+            assert_eq!(point(2), point(1), "{} rows differ across rep counts", plane.label());
         }
     }
 
@@ -410,7 +350,6 @@ mod tests {
             LookupPath::Indexed,
             TraceMode::Full,
             1,
-            1,
         );
         assert_eq!(stat.switches, 20);
         assert_eq!(stat.rules, 20 * 16);
@@ -424,7 +363,6 @@ mod tests {
             &small_workload(),
             LookupPath::Indexed,
             TraceMode::Full,
-            1,
             1,
         );
         assert!(nes.deliveries > 0);
@@ -442,7 +380,6 @@ mod tests {
             &small_workload(),
             LookupPath::Linear,
             TraceMode::Full,
-            1,
             1,
         );
         assert_eq!(row.csv().split(',').count(), CSV_HEADER.split(',').count());

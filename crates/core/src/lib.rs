@@ -62,9 +62,7 @@ pub use locality::{locally_determined, minimally_inconsistent};
 pub use nes::{NesError, NetworkEventStructure};
 pub use observe::{LeafKind, TraceObserver};
 pub use online::{CheckerTelemetry, OnlineChecker, OnlineHandle, OnlineViolation};
-pub use trace::{
-    LocatedPacket, NetworkTrace, TraceBuilder, TraceMode, TraceParts, TraceStructureError,
-};
+pub use trace::{LocatedPacket, NetworkTrace, TraceBuilder, TraceMode, TraceStructureError};
 pub use update::{
     check_update, first_occurrences, LiteralOccurrences, OccurrenceSemantics, UpdateSequence,
     UpdateViolation,

@@ -221,8 +221,7 @@ impl NetworkTrace {
     /// Assembles a network trace from a parent forest: each leaf yields the
     /// packet trace running from its root. The caller promises `parents`
     /// describes a forest with every parent index strictly preceding its
-    /// child — which holds by construction for simulator-recorded runs
-    /// (including sharded runs merged back into one global sequence), so
+    /// child — which holds by construction for simulator-recorded runs, so
     /// the quadratic revalidation of [`NetworkTrace::new`] is skipped.
     ///
     /// `terminated` indices outside the record range are ignored;
@@ -508,40 +507,6 @@ impl TraceBuilder {
             .collect();
         Ok(NetworkTrace::from_forest(packets, &self.parents, self.terminated, self.extra_edges))
     }
-
-    /// Decomposes the builder into its raw recording state — the entry
-    /// point for the sharded simulator's trace merge, which interleaves
-    /// several builders' records back into one global sequence before
-    /// assembling with [`NetworkTrace::from_forest`].
-    pub fn into_parts(self) -> TraceParts {
-        TraceParts {
-            arena: self.arena,
-            records: self.records,
-            parents: self.parents,
-            terminated: self.terminated,
-            extra_edges: self.extra_edges,
-            mode: self.mode,
-        }
-    }
-}
-
-/// The raw recording state of a [`TraceBuilder`] (see
-/// [`TraceBuilder::into_parts`]): one shard's contribution to a merged
-/// network trace.
-#[derive(Clone, Debug)]
-pub struct TraceParts {
-    /// The arena the records' packet ids resolve in.
-    pub arena: PacketArena,
-    /// The recorded `(packet, location)` steps, in dispatch order.
-    pub records: Vec<(PacketId, Loc)>,
-    /// Per record: the index of the record it descends from.
-    pub parents: Vec<Option<usize>>,
-    /// Records marked as definitive ends-of-journey (drops).
-    pub terminated: BTreeSet<usize>,
-    /// Out-of-band causal edges.
-    pub extra_edges: Vec<(usize, usize)>,
-    /// The recording mode the builder ran under.
-    pub mode: TraceMode,
 }
 
 #[cfg(test)]

@@ -7,11 +7,10 @@
 //! carries independent per-mille drop/duplicate/reorder probabilities and
 //! a jitter bound, and every per-message decision is a *pure hash* of
 //! `(channel seed, direction, endpoint, per-endpoint message counter)` —
-//! no stateful RNG anywhere on the path. That makes the fault pattern a
-//! function of shard-invariant quantities only (message counters advance
-//! on the owning shard exactly as they do single-threaded), so a lossy run
-//! is byte-identical across `EDN_SHARDS`, and the workload RNG stream is
-//! untouched.
+//! no stateful RNG anywhere on the path. That makes a message's fate a
+//! function of who sent it and how many messages that endpoint sent
+//! before, so a lossy run replays byte-identically, and the workload RNG
+//! stream is untouched.
 //!
 //! Selected by `EDN_CHANNEL=ideal|lossy` (read once in `Engine::new`) or
 //! pinned explicitly with `Engine::with_channel`. The `ideal` model
@@ -146,8 +145,7 @@ impl ChannelModel {
     }
 
     /// The fate of message number `counter` sent by `node` in direction
-    /// `dir`: a pure function of the model and those identifiers, so every
-    /// shard count computes the same faults.
+    /// `dir`: a pure function of the model and those identifiers.
     pub fn fate(&self, dir: ChannelDir, node: u64, counter: u64) -> ChannelFate {
         let m = self.dir(dir);
         if m.is_ideal() {

@@ -16,26 +16,12 @@
 //! carries a 64-bit key packing `(creating entity, that entity's creation
 //! counter)`, where an entity is a switch, a host, the controller, or the
 //! pre-run environment (initial injections). The key is assigned when the
-//! event is created, from state local to the creating entity — which is
-//! what lets a sharded run (see [`crate::shard`]) compute the *same* keys
-//! on any number of threads and stay byte-identical to the
-//! single-threaded engine: an entity lives on exactly one shard, and each
-//! entity's dispatch sequence is independent of the sharding (induction
-//! over the global key order).
-//!
-//! # Sharding
-//!
-//! [`Engine::with_shards`] splits the topology into `K` shards (greedy
-//! BFS edge-cut, [`crate::shard::Partition`]), each with its own event
-//! queue, data-plane clone, packet arena, and trace recorder, run on `K`
-//! threads under conservative lookahead synchronization: shards advance
-//! through shared time windows no wider than the smallest cut-link
-//! latency (and the controller latency), so a cross-shard packet always
-//! lands in a strictly later window and no shard ever receives an event
-//! "in its past". [`Engine::finish`] merges the per-shard records back
-//! into the exact single-threaded global order.
+//! event is created, from state local to the creating entity, so the
+//! order of two same-time events depends only on who created them and in
+//! which order each creator did — never on queue insertion order. Every
+//! committed fingerprint and benchmark counter pins this order.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use edn_core::{NetworkTrace, TraceBuilder, TraceMode};
 use edn_obs::{FlightEvent, FlightRecorder, MetricsLevel, Registry, Stopwatch};
@@ -45,7 +31,6 @@ use crate::channel::{ChannelDir, ChannelFate, ChannelModel};
 use crate::logic::{BoxedHosts, CtrlMsg, DataPlane, PlaneOut, CONTROLLER_NODE};
 use crate::metrics::{self, EngineMetrics, FLIGHT_CAPACITY};
 use crate::queue::CalendarQueue;
-use crate::shard::{self, Partition, Remote};
 use crate::source::WorkloadSource;
 use crate::stats::{Delivery, Drop, DropReason, Stats, StatsMode};
 use crate::time::SimTime;
@@ -55,32 +40,32 @@ use crate::topology::{SimParams, SimTopology};
 pub const DEFAULT_PACKET_SIZE: u32 = 1_500;
 
 /// The dense entity id of the pre-run environment (initial injections).
-pub(crate) const ENV_ENTITY: u32 = 0;
+const ENV_ENTITY: u32 = 0;
 /// The dense entity id of the controller.
-pub(crate) const CTRL_ENTITY: u32 = 1;
+const CTRL_ENTITY: u32 = 1;
 /// Sentinel cause for control messages that are plumbing, not semantics
 /// (acks, retransmissions): they carry no happens-before obligation, so
 /// the causality bookkeeping skips them. Dropping an HB edge can only
 /// weaken the checker's obligations, never invent a violation.
-pub(crate) const NO_CAUSE: (u32, u32) = (u32::MAX, u32::MAX);
+const NO_CAUSE: usize = usize::MAX;
 /// Bits of the packed sequence key reserved for the per-entity counter.
 const SEQ_SHIFT: u32 = 40;
 
 /// Packs `(entity, counter)` into the queue's 64-bit tie-break key.
-pub(crate) fn pack_seq(sender: u32, counter: u64) -> u64 {
+fn pack_seq(sender: u32, counter: u64) -> u64 {
     debug_assert!(counter < 1 << SEQ_SHIFT, "per-entity event counter overflow");
     ((sender as u64) << SEQ_SHIFT) | counter
 }
 
 /// An event's full ordering key: fire time plus the packed sequence.
-pub(crate) type EventKey = (SimTime, u64);
+type EventKey = (SimTime, u64);
 
 /// A scheduled step function over simulated time: each `(time, value)`
 /// entry sets the value from `time` onward, until a later entry replaces
 /// it. Kept sorted by time; writes at an already-scheduled time overwrite
 /// in place (**last-write-wins**), so repeated fail/restore cycles and
 /// re-scripted scenario actions are always well-defined.
-pub(crate) type Timeline<T> = Vec<(SimTime, T)>;
+type Timeline<T> = Vec<(SimTime, T)>;
 
 /// Inserts `(time, value)` into a sorted timeline, overwriting any
 /// existing entry at exactly `time`.
@@ -102,10 +87,9 @@ fn timeline_at<T: Copy>(timeline: &Timeline<T>, t: SimTime, default: T) -> T {
 }
 
 /// Dense entity numbering: 0 = environment, 1 = controller, then every
-/// switch, then every host, in topology order — identical however the
-/// topology is later partitioned.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct EntityMap {
+/// switch, then every host, in topology order.
+#[derive(Debug)]
+struct EntityMap {
     map: HashMap<u64, u32, netkat::FxBuildHasher>,
 }
 
@@ -115,7 +99,7 @@ impl EntityMap {
         let mut next = CTRL_ENTITY + 1;
         // First occurrence wins: `SimTopology::new` tolerates duplicate
         // switch entries, and the numbering must stay dense (counters are
-        // indexed by it) and identical across shard counts.
+        // indexed by it).
         for &sw in topo.switches() {
             map.entry(sw).or_insert_with(|| {
                 let id = next;
@@ -131,7 +115,7 @@ impl EntityMap {
     }
 
     /// The dense id of a switch or host.
-    pub(crate) fn dense(&self, node: u64) -> u32 {
+    fn dense(&self, node: u64) -> u32 {
         self.map.get(&node).copied().expect("node is part of the topology")
     }
 
@@ -141,27 +125,7 @@ impl EntityMap {
     }
 }
 
-/// The trace parent of an arriving packet: a record of this shard, or a
-/// record of another shard (the egress record on the far side of a cut
-/// link).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Parent {
-    /// A record of this shard's trace.
-    Local(usize),
-    /// `(shard, local index)` of a record on another shard.
-    Remote(u32, u32),
-}
-
-impl Parent {
-    fn local(self) -> Option<usize> {
-        match self {
-            Parent::Local(i) => Some(i),
-            Parent::Remote(..) => None,
-        }
-    }
-}
-
-/// Pending events carry [`PacketId`]s into the owning shard's arena, never
+/// Pending events carry [`PacketId`]s into the engine's arena, never
 /// owned packets: forking an event (multicast) or recording it into the
 /// trace copies four bytes.
 #[derive(Clone, Debug)]
@@ -172,18 +136,17 @@ enum EventKind {
     /// resulting arrival).
     Inject { host: u64, packet: PacketId, size: u32, sender: u32, attach_sender: u32 },
     /// A packet arrives at a location (switch ingress or host). `sender`
-    /// is the dense entity id of `loc.sw` (or of the host).
-    Arrive { loc: Loc, packet: PacketId, size: u32, parent: Parent, from_host: bool, sender: u32 },
+    /// is the dense entity id of `loc.sw` (or of the host); `parent` is the
+    /// trace record the packet descends from.
+    Arrive { loc: Loc, packet: PacketId, size: u32, parent: usize, from_host: bool, sender: u32 },
     /// A switch-to-controller message arrives at the controller; `cause`
-    /// is the `(shard, local trace index)` of the packet processing step
-    /// that produced it.
-    Notify { msg: CtrlMsg, cause: (u32, u32) },
+    /// is the trace index of the packet processing step that produced it
+    /// ([`NO_CAUSE`] for plumbing).
+    Notify { msg: CtrlMsg, cause: usize },
     /// A controller command arrives at a switch.
     Deliver { sw: u64, msg: CtrlMsg },
     /// A data-plane-requested timer fires at a switch (or, with
-    /// `node == CONTROLLER_NODE`, at the controller). Always shard-local:
-    /// timers are requested only by interactions that already ran on the
-    /// node's owning shard.
+    /// `node == CONTROLLER_NODE`, at the controller).
     Timer { node: u64 },
 }
 
@@ -234,30 +197,22 @@ pub struct RunResult<D> {
     pub trace: NetworkTrace,
     /// Deliveries, drops, and counters.
     pub stats: Stats,
-    /// The data plane, with whatever internal state it accumulated. After
-    /// a sharded run this is the shard-0 instance with the other shards'
-    /// state folded back in via [`DataPlane::absorb_shard`].
+    /// The data plane, with whatever internal state it accumulated.
     pub dataplane: D,
     /// The run's telemetry ([`edn_obs::Registry`]): empty unless the
     /// engine ran with [`MetricsLevel::Counters`] or
-    /// [`MetricsLevel::Full`] (see [`Engine::with_metrics`]). Per-shard
-    /// registries are folded in shard order, so the `sim`-scoped section
-    /// is byte-identical across shard counts.
+    /// [`MetricsLevel::Full`] (see [`Engine::with_metrics`]). The
+    /// `sim`-scoped section is byte-identical across replays and across
+    /// the result-neutral knobs.
     pub metrics: Registry,
 }
 
-/// One shard's complete simulation state: the event queue, the data-plane
-/// instance covering its switches, its arena-backed trace recorder, and —
-/// in multi-shard mode — the key-tagged logs the final merge interleaves.
-/// A single-threaded engine is exactly one `Core` with `multi == false`.
-pub(crate) struct Core<D: DataPlane> {
-    pub(crate) me: u32,
-    multi: bool,
-    /// Record event keys for the trace merge? (`multi` and full tracing.)
-    record_full: bool,
-    pub(crate) topo: SimTopology,
+/// The complete simulation state: the event queue, the data plane, the
+/// arena-backed trace recorder, and the loop that drives them.
+struct Core<D: DataPlane> {
+    topo: SimTopology,
     params: SimParams,
-    pub(crate) dataplane: D,
+    dataplane: D,
     hosts: BoxedHosts,
     queue: CalendarQueue,
     /// Slab of pending event payloads, indexed by the keys in `queue`.
@@ -265,75 +220,50 @@ pub(crate) struct Core<D: DataPlane> {
     /// Recycled slab slots.
     free_slots: Vec<u32>,
     now: SimTime,
-    /// The shard's trace recorder; it owns the [`PacketArena`]
-    /// (`netkat::PacketArena`) every in-flight packet of this shard is
-    /// interned in.
-    pub(crate) trace: TraceBuilder,
+    /// The trace recorder; it owns the [`PacketArena`]
+    /// (`netkat::PacketArena`) every in-flight packet is interned in.
+    trace: TraceBuilder,
     /// Whether per-packet delivery/drop streams are retained.
     stats_mode: StatsMode,
-    pub(crate) stats: Stats,
+    stats: Stats,
     /// What each egress location leads to (host or link), resolved once at
     /// construction.
     egress: EgressMap,
     /// Per-link transmission backlog, indexed like `topo.links()`: when the
-    /// link is next free. Only this shard's links advance.
+    /// link is next free.
     link_free: Vec<SimTime>,
     /// Per-link up/down schedule, indexed like `topo.links()`: `true`
     /// entries take the link down, `false` entries bring it back up.
     /// Empty = the link never fails.
-    pub(crate) link_state: Vec<Timeline<bool>>,
+    link_state: Vec<Timeline<bool>>,
     /// Scheduled overrides of the switch↔controller latency (spikes);
     /// empty = `params.controller_latency` throughout.
-    pub(crate) ctrl_latency: Timeline<SimTime>,
-    /// Dense entity numbering (identical on every shard).
+    ctrl_latency: Timeline<SimTime>,
+    /// Dense entity numbering.
     entities: EntityMap,
-    /// Per-entity creation counters; only entities owned by this shard
-    /// ever advance.
+    /// Per-entity creation counters.
     counters: Vec<u64>,
     /// The control-channel fault model (ideal short-circuits every site).
     channel: ChannelModel,
-    /// Per-entity control-message send counters feeding the fault stream;
-    /// like `counters`, only entities owned by this shard ever advance,
-    /// which is what keeps lossy runs shard-invariant.
+    /// Per-entity control-message send counters feeding the fault stream:
+    /// a message's fate depends on who sent it and how many that sender
+    /// sent before, not on the global interleaving.
     chan_counts: Vec<u64>,
     /// The one buffer every plane interaction reports through, reused for
     /// the whole run and empty between dispatches.
     out: PlaneOut,
-    /// Trace indices whose processing sent something to the controller
-    /// (single-shard mode only; sharded runs log and replay instead).
+    /// Trace indices whose processing sent something to the controller.
     ctrl_causes: Vec<usize>,
     /// Per switch: how many of `ctrl_causes` have been delivered to it.
     ctrl_delivered: HashMap<u64, usize>,
     /// Per switch: how many of `ctrl_causes` are already linked.
     ctrl_linked: HashMap<u64, usize>,
-    /// Shard ownership of switches and hosts (multi-shard mode).
-    owners: Option<Partition>,
-    /// Cross-shard events created this window, per target shard.
-    pub(crate) outbox: Vec<Vec<Remote>>,
-    /// Per dispatched event that recorded anything: `(key, record count)`.
-    /// The merge replays these to rebuild the global record order.
-    pub(crate) record_runs: Vec<(EventKey, u32)>,
-    /// Records whose trace parent lives on another shard.
-    pub(crate) remote_parents: Vec<(u32, (u32, u32))>,
-    /// The key of every delivery in `stats.deliveries`, for the merge.
-    pub(crate) delivery_keys: Vec<EventKey>,
-    /// The key of every drop in `stats.drops`, for the merge.
-    pub(crate) drop_keys: Vec<EventKey>,
-    /// Controller-shard log of Notify dispatches: `(key, cause)`.
-    pub(crate) notify_log: Vec<(EventKey, (u32, u32))>,
-    /// Log of Deliver dispatches: `(key, switch)`.
-    pub(crate) deliver_log: Vec<(EventKey, u64)>,
-    /// First switch step after one or more delivers: `(key, switch,
-    /// local ingress index)` — where causal linking happens.
-    pub(crate) link_markers: Vec<(EventKey, u64, u32)>,
-    /// Switches with a dispatched-but-unlinked controller delivery.
-    pending_deliver: HashSet<u64, netkat::FxBuildHasher>,
-    /// Lazy injection stream (single-shard mode only; forces solo).
+    /// Lazy injection stream.
     source: Option<SourceState>,
-    /// Streaming trace observer (single-shard mode only; forces solo).
+    /// Streaming trace observer.
     observer: Option<Box<dyn edn_core::TraceObserver + Send>>,
     /// Telemetry accumulators (no-ops unless metrics are on).
-    pub(crate) metrics: EngineMetrics,
+    metrics: EngineMetrics,
 }
 
 /// A registered [`WorkloadSource`] plus its reserved environment-sequence
@@ -345,19 +275,12 @@ struct SourceState {
 }
 
 impl<D: DataPlane> Core<D> {
-    #[allow(clippy::too_many_arguments)]
     fn build(
         topo: SimTopology,
         params: SimParams,
         dataplane: D,
         hosts: BoxedHosts,
-        mode: TraceMode,
-        stats_mode: StatsMode,
-        me: u32,
-        shards: u32,
-        owners: Option<Partition>,
         metrics: EngineMetrics,
-        channel: ChannelModel,
     ) -> Core<D> {
         let entities = EntityMap::build(&topo);
         let mut egress = EgressMap::default();
@@ -369,11 +292,7 @@ impl<D: DataPlane> Core<D> {
         }
         let n_links = topo.links().len();
         let n_entities = entities.len();
-        let multi = shards > 1;
         Core {
-            me,
-            multi,
-            record_full: multi && mode == TraceMode::Full,
             topo,
             params,
             dataplane,
@@ -382,8 +301,8 @@ impl<D: DataPlane> Core<D> {
             slots: Vec::new(),
             free_slots: Vec::new(),
             now: SimTime::ZERO,
-            trace: TraceBuilder::with_mode(mode),
-            stats_mode,
+            trace: TraceBuilder::with_mode(TraceMode::from_env()),
+            stats_mode: StatsMode::from_env(),
             stats: Stats::default(),
             egress,
             link_free: vec![SimTime::ZERO; n_links],
@@ -391,22 +310,12 @@ impl<D: DataPlane> Core<D> {
             ctrl_latency: Vec::new(),
             entities,
             counters: vec![0; n_entities],
-            channel,
+            channel: ChannelModel::from_env(),
             chan_counts: vec![0; n_entities],
             out: PlaneOut::default(),
             ctrl_causes: Vec::new(),
             ctrl_delivered: HashMap::new(),
             ctrl_linked: HashMap::new(),
-            owners,
-            outbox: vec![Vec::new(); shards as usize],
-            record_runs: Vec::new(),
-            remote_parents: Vec::new(),
-            delivery_keys: Vec::new(),
-            drop_keys: Vec::new(),
-            notify_log: Vec::new(),
-            deliver_log: Vec::new(),
-            link_markers: Vec::new(),
-            pending_deliver: HashSet::default(),
             source: None,
             observer: None,
             metrics,
@@ -446,42 +355,18 @@ impl<D: DataPlane> Core<D> {
         self.queue.push((time, seq, slot));
     }
 
-    /// [`push_keyed`](Core::push_keyed) for an event this dispatch (or
-    /// host-admission step) *creates*: observes the creation-to-fire
-    /// sim-time latency exactly once per event, at its unique creation
-    /// site — which is what keeps the latency histogram byte-identical
-    /// across shard counts. [`receive`](Core::receive) and the pre-run
-    /// injection paths use raw `push_keyed`: cross-shard events were
-    /// observed on the creating side, and pre-run injections are
-    /// workload admissions, not engine-scheduled delays.
-    fn schedule_local(&mut self, time: SimTime, seq: u64, kind: EventKind) {
+    /// [`push_keyed`](Core::push_keyed) for an event a dispatch *creates*:
+    /// observes the creation-to-fire sim-time latency. The injection paths
+    /// (pre-run and source pump) use raw `push_keyed`: those are workload
+    /// admissions, not engine-scheduled delays.
+    fn schedule(&mut self, time: SimTime, seq: u64, kind: EventKind) {
         if self.metrics.on {
             self.metrics.observe_scheduled(time, self.now);
         }
         self.push_keyed(time, seq, kind);
     }
 
-    /// Observes a cross-shard send (the caller pushes into the outbox):
-    /// the creating side owns the event's latency observation.
-    fn observe_remote(&mut self, time: SimTime) {
-        if self.metrics.on {
-            self.metrics.observe_scheduled(time, self.now);
-            self.metrics.outbox_events += 1;
-        }
-    }
-
-    /// The shard owning `node`, defaulting to shard 0 for nodes outside
-    /// the topology (which never receive packets).
-    fn owner_of(&self, node: u64) -> u32 {
-        match &self.owners {
-            Some(p) => p.owner_of(node).unwrap_or(0),
-            None => 0,
-        }
-    }
-
     /// Draws the next control-channel fault-stream counter for `entity`.
-    /// Advances only on the owning shard, in global dispatch order, so
-    /// the fault pattern is identical at every shard count.
     fn chan_count(&mut self, entity: u32) -> u64 {
         let c = &mut self.chan_counts[entity as usize];
         let v = *c;
@@ -521,7 +406,7 @@ impl<D: DataPlane> Core<D> {
     /// fault-stream counter, and each surviving copy gets its own
     /// sequence key from the sender. The ideal model takes the exact
     /// pre-fault-model path (one copy, zero extra delay, no counters).
-    fn send_notify(&mut self, node: u64, sender: u32, msg: CtrlMsg, cause: (u32, u32)) {
+    fn send_notify(&mut self, node: u64, sender: u32, msg: CtrlMsg, cause: usize) {
         let base = self.now + self.controller_latency();
         let fate = if self.channel.is_ideal() {
             ChannelFate::CLEAN
@@ -534,12 +419,7 @@ impl<D: DataPlane> Core<D> {
         for i in 0..fate.copies as usize {
             let t = base + SimTime::from_micros(fate.delay_us[i]);
             let seq = self.next_seq(sender);
-            if self.me == 0 {
-                self.schedule_local(t, seq, EventKind::Notify { msg, cause });
-            } else {
-                self.observe_remote(t);
-                self.outbox[0].push(Remote::Notify { time: t, seq, msg, cause });
-            }
+            self.schedule(t, seq, EventKind::Notify { msg, cause });
         }
     }
 
@@ -560,13 +440,7 @@ impl<D: DataPlane> Core<D> {
         for i in 0..fate.copies as usize {
             let t = base + SimTime::from_micros(fate.delay_us[i]);
             let seq = self.next_seq(CTRL_ENTITY);
-            let target = self.owner_of(sw);
-            if target == self.me {
-                self.schedule_local(t, seq, EventKind::Deliver { sw, msg });
-            } else {
-                self.observe_remote(t);
-                self.outbox[target as usize].push(Remote::Deliver { time: t, seq, sw, msg });
-            }
+            self.schedule(t, seq, EventKind::Deliver { sw, msg });
         }
     }
 
@@ -584,9 +458,8 @@ impl<D: DataPlane> Core<D> {
     /// cause `cause`) and deliveries through the channel model, forwards
     /// its channel telemetry to the flight recorder, and schedules its
     /// timer requests. Runs on every interaction (packet step, notify,
-    /// deliver, timer), always on the node's owning shard, so timer events
-    /// are shard-local by construction.
-    fn emit_control(&mut self, out: &mut PlaneOut, node: u64, cause: (u32, u32)) {
+    /// deliver, timer).
+    fn emit_control(&mut self, out: &mut PlaneOut, node: u64, cause: usize) {
         if !out.notifications.is_empty() {
             let sender = self.entity_of(node);
             for msg in out.notifications.drain(..) {
@@ -609,7 +482,7 @@ impl<D: DataPlane> Core<D> {
         }
         for (t, node) in out.timers.drain(..) {
             let seq = self.next_seq(self.entity_of(node));
-            self.schedule_local(t.max(self.now), seq, EventKind::Timer { node });
+            self.schedule(t.max(self.now), seq, EventKind::Timer { node });
         }
     }
 
@@ -625,8 +498,8 @@ impl<D: DataPlane> Core<D> {
     }
 
     /// The earliest pending fire time in microseconds (`u64::MAX` when
-    /// idle) — the windowed scheduler's per-round report.
-    pub(crate) fn next_time_us(&mut self) -> u64 {
+    /// idle) — the bound the source pump admits up to.
+    fn next_time_us(&mut self) -> u64 {
         match self.queue.pop() {
             Some(key) => {
                 let t = key.0.as_micros();
@@ -637,47 +510,11 @@ impl<D: DataPlane> Core<D> {
         }
     }
 
-    /// Accepts a cross-shard event into the local queue (between windows).
-    pub(crate) fn receive(&mut self, msg: Remote) {
-        match msg {
-            Remote::Arrive { time, seq, loc, packet, size, parent, sender } => {
-                let packet = self.trace.arena_mut().intern(packet);
-                self.push_keyed(
-                    time,
-                    seq,
-                    EventKind::Arrive {
-                        loc,
-                        packet,
-                        size,
-                        parent: Parent::Remote(parent.0, parent.1),
-                        from_host: false,
-                        sender,
-                    },
-                );
-            }
-            Remote::Notify { time, seq, msg, cause } => {
-                self.push_keyed(time, seq, EventKind::Notify { msg, cause });
-            }
-            Remote::Deliver { time, seq, sw, msg } => {
-                self.push_keyed(time, seq, EventKind::Deliver { sw, msg });
-            }
-        }
-    }
-
-    /// Hands this window's cross-shard events to the target inboxes.
-    pub(crate) fn flush_outbox(&mut self, inboxes: &[std::sync::Mutex<Vec<Remote>>]) {
-        for (target, pending) in self.outbox.iter_mut().enumerate() {
-            if !pending.is_empty() {
-                inboxes[target].lock().expect("inbox lock poisoned").append(pending);
-            }
-        }
-    }
-
-    /// Runs the solo event loop until the queue empties or `deadline`
-    /// passes (inclusive).
-    fn run_solo(&mut self, deadline: SimTime) {
+    /// Runs the event loop until the queue empties or `deadline` passes
+    /// (inclusive).
+    fn run(&mut self, deadline: SimTime) {
         if self.source.is_some() {
-            return self.run_solo_streaming(deadline);
+            return self.run_streaming(deadline);
         }
         while let Some(key) = self.queue.pop() {
             let (time, seq, slot) = key;
@@ -694,13 +531,13 @@ impl<D: DataPlane> Core<D> {
         }
     }
 
-    /// The solo loop with a lazy source attached: before every pop, pump
+    /// The loop with a lazy source attached: before every pop, pump
     /// source events up to the earlier of the next queued fire time and the
     /// deadline. Environment keys sort below every derived key at equal
     /// times (entity id 0), and the queue totally orders whatever is
     /// pushed, so pumping just-in-time leaves the dispatch order exactly
     /// what a pre-materialized batch would have produced.
-    fn run_solo_streaming(&mut self, deadline: SimTime) {
+    fn run_streaming(&mut self, deadline: SimTime) {
         loop {
             // Admit source events up to the next queued fire time — or,
             // when the queue is idle, just the earliest pending time slice.
@@ -771,22 +608,6 @@ impl<D: DataPlane> Core<D> {
         }
     }
 
-    /// Runs local events with fire time strictly below `horizon_us` — one
-    /// conservative synchronization window.
-    pub(crate) fn run_window(&mut self, horizon_us: u64) {
-        while let Some(key) = self.queue.pop() {
-            let (time, seq, slot) = key;
-            if time.as_micros() >= horizon_us {
-                self.queue.push(key);
-                break;
-            }
-            let kind = self.slots[slot as usize].take().expect("queued slots are filled");
-            self.free_slots.push(slot);
-            self.now = time;
-            self.dispatch((time, seq), kind);
-        }
-    }
-
     fn dispatch(&mut self, key: EventKey, kind: EventKind) {
         self.stats.events_processed += 1;
         let carried = match &kind {
@@ -812,20 +633,13 @@ impl<D: DataPlane> Core<D> {
                 });
             }
         }
-        let before = self.trace.len();
         if self.metrics.sampling {
             let sw = Stopwatch::start();
-            self.dispatch_inner(key, kind);
+            self.dispatch_inner(kind);
             let ns = sw.elapsed_ns();
             self.metrics.phase_dispatch_ns.observe(ns);
         } else {
-            self.dispatch_inner(key, kind);
-        }
-        if self.record_full {
-            let n = self.trace.len() - before;
-            if n > 0 {
-                self.record_runs.push((key, n as u32));
-            }
+            self.dispatch_inner(kind);
         }
         // Dispatch consumed the event: drop the queue's reference taken in
         // `push_keyed`, then reclaim this dispatch's unretained
@@ -838,30 +652,14 @@ impl<D: DataPlane> Core<D> {
         }
     }
 
-    /// Appends a trace record, routing a cross-shard parent into the
-    /// merge-time side list.
-    fn push_record(&mut self, packet: PacketId, loc: Loc, parent: Parent) -> usize {
-        let idx = self.trace.push_id(packet, loc, parent.local());
-        if let Parent::Remote(s, i) = parent {
-            if self.record_full {
-                self.remote_parents.push((idx as u32, (s, i)));
-            }
-        }
-        idx
-    }
-
-    fn push_drop(&mut self, key: EventKey, drop: Drop) {
+    fn push_drop(&mut self, drop: Drop) {
         self.stats.dropped[drop.reason.index()] += 1;
-        if self.stats_mode == StatsMode::Counters {
-            return;
-        }
-        self.stats.drops.push(drop);
-        if self.multi {
-            self.drop_keys.push(key);
+        if self.stats_mode == StatsMode::Full {
+            self.stats.drops.push(drop);
         }
     }
 
-    fn dispatch_inner(&mut self, key: EventKey, kind: EventKind) {
+    fn dispatch_inner(&mut self, kind: EventKind) {
         match kind {
             EventKind::Inject { host, packet, size, sender, attach_sender } => {
                 let Some(attach) = self.topo.attachment(host) else { return };
@@ -873,14 +671,14 @@ impl<D: DataPlane> Core<D> {
                 // Host attachment links are uncontended.
                 let arrival = self.now + self.topo.host_latency;
                 let seq = self.next_seq(sender);
-                self.schedule_local(
+                self.schedule(
                     arrival,
                     seq,
                     EventKind::Arrive {
                         loc: attach,
                         packet,
                         size,
-                        parent: Parent::Local(idx),
+                        parent: idx,
                         from_host: true,
                         sender: attach_sender,
                     },
@@ -888,12 +686,10 @@ impl<D: DataPlane> Core<D> {
             }
             EventKind::Arrive { loc, packet, size, parent, from_host, sender } => {
                 if self.topo.is_host(loc.sw) {
-                    let idx = self.push_record(packet, loc, parent);
+                    let idx = self.trace.push_id(packet, loc, Some(parent));
                     if let Some(o) = self.observer.as_deref_mut() {
-                        o.record(idx, self.trace.arena().get(packet), loc, parent.local());
-                        if let Parent::Local(p) = parent {
-                            o.retire(p);
-                        }
+                        o.record(idx, self.trace.arena().get(packet), loc, Some(parent));
+                        o.retire(parent);
                         o.leaf(idx, edn_core::LeafKind::Delivered);
                     }
                     let pk = self.trace.arena().get(packet);
@@ -906,9 +702,6 @@ impl<D: DataPlane> Core<D> {
                             packet: pk.clone(),
                             size,
                         });
-                        if self.multi {
-                            self.delivery_keys.push(key);
-                        }
                     }
                     let host = loc.sw;
                     let replies = self.hosts.on_receive(host, pk, self.now);
@@ -920,7 +713,7 @@ impl<D: DataPlane> Core<D> {
                             let t = self.now + delay;
                             let reply = self.trace.arena_mut().intern(reply);
                             let seq = self.next_seq(sender);
-                            self.schedule_local(
+                            self.schedule(
                                 t,
                                 seq,
                                 EventKind::Inject {
@@ -935,22 +728,15 @@ impl<D: DataPlane> Core<D> {
                     }
                     return;
                 }
-                self.switch_step(key, loc, packet, size, parent, from_host, sender);
+                self.switch_step(loc, packet, size, parent, from_host, sender);
             }
             EventKind::Notify { msg, cause } => {
                 // Controller knowledge is cumulative: record the cause
-                // before computing deliveries. Sharded runs log the
-                // dispatch for the merge-time causality replay instead.
-                // Plumbing messages (acks, retransmissions) carry the
-                // NO_CAUSE sentinel and stay out of the causality record.
+                // before computing deliveries. Plumbing messages (acks,
+                // retransmissions) carry the NO_CAUSE sentinel and stay out
+                // of the causality record.
                 if cause != NO_CAUSE {
-                    if self.multi {
-                        if self.record_full {
-                            self.notify_log.push((key, cause));
-                        }
-                    } else {
-                        self.ctrl_causes.push(cause.1 as usize);
-                    }
+                    self.ctrl_causes.push(cause);
                 }
                 self.control_step(CONTROLLER_NODE, |dp, now, out| dp.on_notify(msg, now, out));
             }
@@ -960,14 +746,7 @@ impl<D: DataPlane> Core<D> {
                 // Pure acks are plumbing: they change no switch state, so
                 // they must not strengthen the causal frontier.
                 if !matches!(msg, CtrlMsg::Ack { .. }) {
-                    if self.multi {
-                        if self.record_full {
-                            self.deliver_log.push((key, sw));
-                            self.pending_deliver.insert(sw);
-                        }
-                    } else {
-                        self.ctrl_delivered.insert(sw, self.ctrl_causes.len());
-                    }
+                    self.ctrl_delivered.insert(sw, self.ctrl_causes.len());
                 }
                 self.control_step(sw, |dp, now, out| dp.deliver(sw, msg, now, out));
             }
@@ -977,46 +756,36 @@ impl<D: DataPlane> Core<D> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn switch_step(
         &mut self,
-        key: EventKey,
         loc: Loc,
         packet: PacketId,
         size: u32,
-        parent: Parent,
+        parent: usize,
         from_host: bool,
         sender: u32,
     ) {
-        let ingress_idx = self.push_record(packet, loc, parent);
+        let ingress_idx = self.trace.push_id(packet, loc, Some(parent));
         if let Some(o) = self.observer.as_deref_mut() {
             let sw = self.metrics.sampling.then(Stopwatch::start);
-            o.record(ingress_idx, self.trace.arena().get(packet), loc, parent.local());
-            if let Parent::Local(p) = parent {
-                o.retire(p);
-            }
+            o.record(ingress_idx, self.trace.arena().get(packet), loc, Some(parent));
+            o.retire(parent);
             if let Some(sw) = sw {
                 self.metrics.phase_observer_ns.observe(sw.elapsed_ns());
             }
         }
         // Knowledge delivered by the controller happens-before this step.
-        if self.multi {
-            if self.record_full && self.pending_deliver.remove(&loc.sw) {
-                self.link_markers.push((key, loc.sw, ingress_idx as u32));
-            }
-        } else {
-            let delivered = self.ctrl_delivered.get(&loc.sw).copied().unwrap_or(0);
-            let linked = self.ctrl_linked.entry(loc.sw).or_insert(0);
-            for &cause in &self.ctrl_causes[*linked..delivered] {
-                if cause < ingress_idx {
-                    self.trace.add_causal_edge(cause, ingress_idx);
-                    if let Some(o) = self.observer.as_deref_mut() {
-                        o.edge(cause, ingress_idx);
-                    }
+        let delivered = self.ctrl_delivered.get(&loc.sw).copied().unwrap_or(0);
+        let linked = self.ctrl_linked.entry(loc.sw).or_insert(0);
+        for &cause in &self.ctrl_causes[*linked..delivered] {
+            if cause < ingress_idx {
+                self.trace.add_causal_edge(cause, ingress_idx);
+                if let Some(o) = self.observer.as_deref_mut() {
+                    o.edge(cause, ingress_idx);
                 }
             }
-            *linked = (*linked).max(delivered);
         }
+        *linked = (*linked).max(delivered);
         let mut out = std::mem::take(&mut self.out);
         let lookup_sw = self.metrics.sampling.then(Stopwatch::start);
         self.dataplane.step(
@@ -1036,22 +805,18 @@ impl<D: DataPlane> Core<D> {
                 o.cause(ingress_idx);
             }
         }
-        // The controller lives on shard 0 (send_notify routes there).
-        self.emit_control(&mut out, loc.sw, (self.me, ingress_idx as u32));
+        self.emit_control(&mut out, loc.sw, ingress_idx);
         if out.outputs.is_empty() {
             self.trace.mark_terminated(ingress_idx);
             if let Some(o) = self.observer.as_deref_mut() {
                 o.leaf(ingress_idx, edn_core::LeafKind::Terminated);
             }
-            self.push_drop(
-                key,
-                Drop {
-                    time: self.now,
-                    switch: loc.sw,
-                    packet: self.trace.arena().get(packet).clone(),
-                    reason: DropReason::NoRule,
-                },
-            );
+            self.push_drop(Drop {
+                time: self.now,
+                switch: loc.sw,
+                packet: self.trace.arena().get(packet).clone(),
+                reason: DropReason::NoRule,
+            });
             self.out = out;
             return;
         }
@@ -1059,7 +824,7 @@ impl<D: DataPlane> Core<D> {
         for i in 0..out.outputs.len() {
             let (out_pt, out_pkt) = out.outputs[i];
             let out_loc = Loc::new(loc.sw, out_pt);
-            let egress_idx = self.push_record(out_pkt, out_loc, Parent::Local(ingress_idx));
+            let egress_idx = self.trace.push_id(out_pkt, out_loc, Some(ingress_idx));
             if let Some(o) = self.observer.as_deref_mut() {
                 o.record(egress_idx, self.trace.arena().get(out_pkt), out_loc, Some(ingress_idx));
             }
@@ -1068,14 +833,14 @@ impl<D: DataPlane> Core<D> {
                 Some(&Egress::Host(host, host_dense)) => {
                     let t = depart + self.topo.host_latency;
                     let seq = self.next_seq(sender);
-                    self.schedule_local(
+                    self.schedule(
                         t,
                         seq,
                         EventKind::Arrive {
                             loc: Loc::new(host, 0),
                             packet: out_pkt,
                             size,
-                            parent: Parent::Local(egress_idx),
+                            parent: egress_idx,
                             from_host: false,
                             sender: host_dense,
                         },
@@ -1090,15 +855,12 @@ impl<D: DataPlane> Core<D> {
                     if let Some(o) = self.observer.as_deref_mut() {
                         o.leaf(egress_idx, edn_core::LeafKind::Terminated);
                     }
-                    self.push_drop(
-                        key,
-                        Drop {
-                            time: depart,
-                            switch: loc.sw,
-                            packet: self.trace.arena().get(out_pkt).clone(),
-                            reason: DropReason::DeadEnd,
-                        },
-                    );
+                    self.push_drop(Drop {
+                        time: depart,
+                        switch: loc.sw,
+                        packet: self.trace.arena().get(out_pkt).clone(),
+                        reason: DropReason::DeadEnd,
+                    });
                     continue;
                 }
             };
@@ -1110,15 +872,12 @@ impl<D: DataPlane> Core<D> {
                 if let Some(o) = self.observer.as_deref_mut() {
                     o.leaf(egress_idx, edn_core::LeafKind::Stalled);
                 }
-                self.push_drop(
-                    key,
-                    Drop {
-                        time: depart,
-                        switch: loc.sw,
-                        packet: self.trace.arena().get(out_pkt).clone(),
-                        reason: DropReason::LinkDown,
-                    },
-                );
+                self.push_drop(Drop {
+                    time: depart,
+                    switch: loc.sw,
+                    packet: self.trace.arena().get(out_pkt).clone(),
+                    reason: DropReason::LinkDown,
+                });
                 continue;
             }
             let arrival = match link.capacity {
@@ -1138,15 +897,12 @@ impl<D: DataPlane> Core<D> {
                         if let Some(o) = self.observer.as_deref_mut() {
                             o.leaf(egress_idx, edn_core::LeafKind::Stalled);
                         }
-                        self.push_drop(
-                            key,
-                            Drop {
-                                time: depart,
-                                switch: loc.sw,
-                                packet: self.trace.arena().get(out_pkt).clone(),
-                                reason: DropReason::QueueFull,
-                            },
-                        );
+                        self.push_drop(Drop {
+                            time: depart,
+                            switch: loc.sw,
+                            packet: self.trace.arena().get(out_pkt).clone(),
+                            reason: DropReason::QueueFull,
+                        });
                         continue;
                     }
                     let wire = size as u64 + self.params.header_overhead as u64;
@@ -1156,34 +912,18 @@ impl<D: DataPlane> Core<D> {
                 }
             };
             let seq = self.next_seq(sender);
-            let target = self.owner_of(link.dst.sw);
-            if target == self.me {
-                self.schedule_local(
-                    arrival,
-                    seq,
-                    EventKind::Arrive {
-                        loc: link.dst,
-                        packet: out_pkt,
-                        size,
-                        parent: Parent::Local(egress_idx),
-                        from_host: false,
-                        sender: dst_dense,
-                    },
-                );
-            } else {
-                // Crossing a cut link: the packet itself travels (the
-                // receiving shard re-interns it into its own arena).
-                self.observe_remote(arrival);
-                self.outbox[target as usize].push(Remote::Arrive {
-                    time: arrival,
-                    seq,
+            self.schedule(
+                arrival,
+                seq,
+                EventKind::Arrive {
                     loc: link.dst,
-                    packet: self.trace.arena().get(out_pkt).clone(),
+                    packet: out_pkt,
                     size,
-                    parent: (self.me, egress_idx as u32),
+                    parent: egress_idx,
+                    from_host: false,
                     sender: dst_dense,
-                });
-            }
+                },
+            );
         }
         out.outputs.clear();
         self.out = out;
@@ -1193,23 +933,25 @@ impl<D: DataPlane> Core<D> {
     }
 }
 
+// Called by the frozen `benchmark/src/workload.rs:476`, which passes the
+// result to `Engine::with_shards`; reads no environment variable. Delete
+// in the next `benchmark`-archetype PR.
+#[doc(hidden)]
+pub fn shard_count_from_env() -> u32 {
+    1
+}
+
 /// The discrete-event simulator.
 ///
 /// # Examples
 ///
 /// See the crate-level documentation for a complete run.
 pub struct Engine<D: DataPlane> {
-    pub(crate) cores: Vec<Core<D>>,
-    entities: EntityMap,
+    core: Core<D>,
     /// Creation counter of the environment entity (initial injections).
     env_seq: u64,
-    /// Has `run` been called yet? Sharding is resolved at the first run.
+    /// Has `run` been called yet? Sources and observers attach before.
     started: bool,
-    /// Per-shard data-plane clones and host forks prepared by
-    /// [`with_shards`](Engine::with_shards), consumed at the first run.
-    prepared: Option<Vec<(D, BoxedHosts)>>,
-    pub(crate) partition: Option<Partition>,
-    lookahead: SimTime,
 }
 
 impl<D: DataPlane> Engine<D> {
@@ -1221,34 +963,12 @@ impl<D: DataPlane> Engine<D> {
     /// [`with_trace_mode`](Engine::with_trace_mode),
     /// [`with_stats_mode`](Engine::with_stats_mode),
     /// [`with_metrics`](Engine::with_metrics) and
-    /// [`with_channel`](Engine::with_channel). The engine starts
-    /// single-threaded; see [`with_shards`](Engine::with_shards).
+    /// [`with_channel`](Engine::with_channel).
     pub fn new(topo: SimTopology, params: SimParams, dataplane: D, hosts: BoxedHosts) -> Engine<D> {
-        let entities = EntityMap::build(&topo);
         let level = MetricsLevel::from_env();
         let flight = level.is_full().then(|| FlightRecorder::new(FLIGHT_CAPACITY));
-        let core = Core::build(
-            topo,
-            params,
-            dataplane,
-            hosts,
-            TraceMode::from_env(),
-            StatsMode::from_env(),
-            0,
-            1,
-            None,
-            EngineMetrics::new(level, flight),
-            ChannelModel::from_env(),
-        );
-        Engine {
-            cores: vec![core],
-            entities,
-            env_seq: 0,
-            started: false,
-            prepared: None,
-            partition: None,
-            lookahead: SimTime::ZERO,
-        }
+        let core = Core::build(topo, params, dataplane, hosts, EngineMetrics::new(level, flight));
+        Engine { core, env_seq: 0, started: false }
     }
 
     /// Sets the trace recording mode.
@@ -1259,10 +979,7 @@ impl<D: DataPlane> Engine<D> {
     /// whole run).
     pub fn with_trace_mode(mut self, mode: TraceMode) -> Engine<D> {
         assert!(self.env_seq == 0, "set the trace mode before scheduling events");
-        for core in &mut self.cores {
-            core.trace = TraceBuilder::with_mode(mode);
-            core.record_full = core.multi && mode == TraceMode::Full;
-        }
+        self.core.trace = TraceBuilder::with_mode(mode);
         self
     }
 
@@ -1276,9 +993,7 @@ impl<D: DataPlane> Engine<D> {
     /// whole run).
     pub fn with_stats_mode(mut self, mode: StatsMode) -> Engine<D> {
         assert!(self.env_seq == 0, "set the stats mode before scheduling events");
-        for core in &mut self.cores {
-            core.stats_mode = mode;
-        }
+        self.core.stats_mode = mode;
         self
     }
 
@@ -1294,9 +1009,7 @@ impl<D: DataPlane> Engine<D> {
     pub fn with_metrics(mut self, level: MetricsLevel) -> Engine<D> {
         assert!(self.env_seq == 0, "set the metrics level before scheduling events");
         let flight = level.is_full().then(|| FlightRecorder::new(FLIGHT_CAPACITY));
-        for core in &mut self.cores {
-            core.metrics = EngineMetrics::new(level, flight.clone());
-        }
+        self.core.metrics = EngineMetrics::new(level, flight);
         self
     }
 
@@ -1310,106 +1023,60 @@ impl<D: DataPlane> Engine<D> {
     /// governs a whole run).
     pub fn with_channel(mut self, model: ChannelModel) -> Engine<D> {
         assert!(self.env_seq == 0, "set the channel model before scheduling events");
-        for core in &mut self.cores {
-            core.channel = model;
-        }
+        self.core.channel = model;
         self
     }
 
     /// The control-channel fault model this engine runs under.
     pub fn channel(&self) -> ChannelModel {
-        self.cores[0].channel
+        self.core.channel
     }
 
     /// The telemetry level this engine runs at.
     pub fn metrics_level(&self) -> MetricsLevel {
-        self.cores[0].metrics.level()
+        self.core.metrics.level()
     }
 
     /// The engine's flight recorder — a cloneable handle onto the shared
     /// ring of recent events, present only at [`MetricsLevel::Full`].
     /// Callers keep a clone to dump after a failed run.
     pub fn flight_recorder(&self) -> Option<FlightRecorder> {
-        self.cores[0].metrics.flight.clone()
+        self.core.metrics.flight.clone()
     }
 
-    /// Requests a sharded run: the topology is partitioned into `k`
-    /// shards ([`Partition`]), each with its own event queue, data-plane
-    /// clone, arena, and trace recorder, executed on `k` threads under
-    /// conservative lookahead synchronization. Results — `Stats` and
-    /// traces — are **byte-identical** to the single-threaded engine (the
-    /// plumbing-equivalence differential suite pins this).
-    ///
-    /// `k` is clamped to the switch count. The engine silently falls back
-    /// to single-threaded execution when the host logic cannot be forked
-    /// ([`HostLogic::fork`](crate::HostLogic::fork) returns `None`) or
-    /// the partition admits no positive lookahead (a zero-latency cut
-    /// link with a zero controller latency); results are identical either
-    /// way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run has already started.
-    pub fn with_shards(mut self, k: u32) -> Engine<D>
-    where
-        D: Clone + Send,
-    {
-        assert!(!self.started, "set the shard count before running");
-        let max = self.cores[0].topo.switches().len().max(1) as u32;
-        let k = k.clamp(1, max);
-        self.prepared = None;
-        if k <= 1 {
-            return self;
-        }
-        let mut extras = Vec::with_capacity(k as usize - 1);
-        for _ in 1..k {
-            let Some(hosts) = self.cores[0].hosts.fork() else {
-                return self; // unforkable hosts: stay single-threaded
-            };
-            extras.push((self.cores[0].dataplane.clone(), hosts));
-        }
-        self.prepared = Some(extras);
+    // Called by the frozen `benchmark/src/workload.rs:476`
+    // (`.with_shards(netsim::shard_count_from_env())`); there is no sharded
+    // loop behind it. Delete in the next `benchmark`-archetype PR.
+    #[doc(hidden)]
+    pub fn with_shards(self, _: u32) -> Engine<D> {
         self
-    }
-
-    /// The number of shards this engine will run with (after clamping;
-    /// before the first run this is the requested count, which may still
-    /// fall back to 1 if the partition admits no lookahead).
-    pub fn shards(&self) -> u32 {
-        if self.cores.len() > 1 {
-            self.cores.len() as u32
-        } else {
-            self.prepared.as_ref().map_or(1, |e| e.len() as u32 + 1)
-        }
     }
 
     /// The trace recording mode in use.
     pub fn trace_mode(&self) -> TraceMode {
-        self.cores[0].trace.mode()
+        self.core.trace.mode()
     }
 
-    /// Diagnostic: packet slots in shard 0's arena. Append-only arenas
+    /// Diagnostic: packet slots in the engine's arena. Append-only arenas
     /// (trace mode [`TraceMode::Full`]) count every distinct packet ever
     /// seen; recycling arenas ([`TraceMode::StatsOnly`]) count the
     /// high-water mark of simultaneously live packets — for a streaming
     /// run, a bound independent of how many events are processed.
     pub fn arena_slots(&self) -> usize {
-        self.cores[0].trace.arena().len()
+        self.core.trace.arena().len()
     }
 
     /// The stats retention mode in use.
     pub fn stats_mode(&self) -> StatsMode {
-        self.cores[0].stats_mode
+        self.core.stats_mode
     }
 
-    /// Writes one transition onto a directed link's up/down schedule,
-    /// replicated across every core. A link the topology does not have is
-    /// a no-op (no packet can ever traverse it).
+    /// Writes one transition onto a directed link's up/down schedule. A
+    /// link the topology does not have is a no-op (no packet can ever
+    /// traverse it).
     fn set_link_state_at(&mut self, time: SimTime, src: Loc, dst: Loc, down: bool) {
-        let Some(i) = self.cores[0].topo.link_index(src, dst) else { return };
-        for core in &mut self.cores {
-            timeline_set(&mut core.link_state[i], time, down);
-        }
+        let Some(i) = self.core.topo.link_index(src, dst) else { return };
+        timeline_set(&mut self.core.link_state[i], time, down);
     }
 
     /// Injects a failure: the directed link `src → dst` drops every packet
@@ -1457,16 +1124,9 @@ impl<D: DataPlane> Engine<D> {
     }
 
     fn set_incident_links_at(&mut self, time: SimTime, sw: u64, down: bool) {
-        let incident: Vec<usize> = self.cores[0]
-            .topo
-            .links()
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.src.sw == sw || l.dst.sw == sw)
-            .map(|(i, _)| i)
-            .collect();
-        for core in &mut self.cores {
-            for &i in &incident {
+        let core = &mut self.core;
+        for (i, l) in core.topo.links().iter().enumerate() {
+            if l.src.sw == sw || l.dst.sw == sw {
                 timeline_set(&mut core.link_state[i], time, down);
             }
         }
@@ -1475,19 +1135,14 @@ impl<D: DataPlane> Engine<D> {
     /// Schedules a controller-latency change: from `time` onward the
     /// switch↔controller latency is `latency` instead of
     /// [`SimParams::controller_latency`], until a later entry replaces it
-    /// (schedule a spike as a raise followed by a restore). Lowering the
-    /// latency *below* the configured baseline forces single-threaded
-    /// execution — the sharded scheduler's lookahead windows are sized
-    /// from the baseline (results are byte-identical either way).
+    /// (schedule a spike as a raise followed by a restore).
     pub fn set_controller_latency_at(&mut self, time: SimTime, latency: SimTime) {
-        for core in &mut self.cores {
-            timeline_set(&mut core.ctrl_latency, time, latency);
-        }
+        timeline_set(&mut self.core.ctrl_latency, time, latency);
     }
 
-    /// The current simulated time (the maximum over shards).
+    /// The current simulated time.
     pub fn now(&self) -> SimTime {
-        self.cores.iter().map(|c| c.now).max().unwrap_or(SimTime::ZERO)
+        self.core.now
     }
 
     /// Schedules a host to inject a packet of the default size at `time`.
@@ -1501,18 +1156,13 @@ impl<D: DataPlane> Engine<D> {
     ///
     /// Panics if `host` is not a host of the topology.
     pub fn inject_sized(&mut self, time: SimTime, host: u64, packet: Packet, size: u32) {
-        assert!(self.cores[0].topo.is_host(host), "node {host} is not a host");
-        let sender = self.entities.dense(host);
-        let attach = self.cores[0].topo.attachment(host).expect("hosts are attached");
-        let attach_sender = self.entities.dense(attach.sw);
-        let idx = if self.cores.len() > 1 {
-            self.partition.as_ref().and_then(|p| p.owner_of(host)).unwrap_or(0) as usize
-        } else {
-            0
-        };
+        let core = &mut self.core;
+        assert!(core.topo.is_host(host), "node {host} is not a host");
+        let sender = core.entities.dense(host);
+        let attach = core.topo.attachment(host).expect("hosts are attached");
+        let attach_sender = core.entities.dense(attach.sw);
         let seq = pack_seq(ENV_ENTITY, self.env_seq);
         self.env_seq += 1;
-        let core = &mut self.cores[idx];
         let packet = core.trace.arena_mut().intern(packet);
         core.push_keyed(time, seq, EventKind::Inject { host, packet, size, sender, attach_sender });
     }
@@ -1522,7 +1172,7 @@ impl<D: DataPlane> Engine<D> {
     /// injection whose iterator cannot report its length (e.g. a
     /// `flat_map` over flows).
     pub fn reserve_events(&mut self, extra: usize) {
-        let core = &mut self.cores[0];
+        let core = &mut self.core;
         core.slots.reserve(extra.saturating_sub(core.free_slots.len()));
     }
 
@@ -1555,11 +1205,6 @@ impl<D: DataPlane> Engine<D> {
     /// **byte-identical** to scheduling the same events through
     /// [`inject_batch`](Engine::inject_batch) (see [`crate::source`]).
     ///
-    /// A source forces single-threaded execution: a pending
-    /// [`with_shards`](Engine::with_shards) request falls back to solo at
-    /// the first run (results are byte-identical at any shard count, so
-    /// nothing observable changes).
-    ///
     /// Injections scheduled *after* this call (e.g. trigger packets via
     /// [`inject_at`](Engine::inject_at)) sort after the entire stream at
     /// equal times, exactly as they would after a batch call.
@@ -1569,11 +1214,11 @@ impl<D: DataPlane> Engine<D> {
     /// Panics if the run has already started or a source is already set.
     pub fn set_source(&mut self, src: Box<dyn WorkloadSource + Send>) {
         assert!(!self.started, "attach the source before running");
-        assert!(self.cores[0].source.is_none(), "an engine takes one source");
+        assert!(self.core.source.is_none(), "an engine takes one source");
         let total = src.total_events();
         let base = self.env_seq;
         self.env_seq += total;
-        self.cores[0].source = Some(SourceState { src, base, total });
+        self.core.source = Some(SourceState { src, base, total });
     }
 
     /// Attaches a streaming trace observer (e.g. the online consistency
@@ -1581,108 +1226,15 @@ impl<D: DataPlane> Engine<D> {
     /// and controller causal edge is reported as it happens, so a
     /// [`TraceMode::StatsOnly`] run can still be checked.
     ///
-    /// An observer forces single-threaded execution, like
-    /// [`set_source`](Engine::set_source) — results are byte-identical
-    /// either way.
-    ///
     /// # Panics
     ///
     /// Panics if the run has already started.
     pub fn set_observer(&mut self, mut observer: Box<dyn edn_core::TraceObserver + Send>) {
         assert!(!self.started, "attach the observer before running");
-        if let Some(fr) = self.cores[0].metrics.flight.clone() {
+        if let Some(fr) = self.core.metrics.flight.clone() {
             observer.attach_flight_recorder(fr);
         }
-        self.cores[0].observer = Some(observer);
-    }
-
-    /// Resolves a pending [`with_shards`](Engine::with_shards) request:
-    /// partitions the topology, builds the extra cores, and redistributes
-    /// the already-scheduled injections to their owning shards.
-    fn ensure_sharded(&mut self) {
-        if self.started {
-            return;
-        }
-        if self.cores[0].source.is_some() || self.cores[0].observer.is_some() {
-            // Streaming sources and observers are solo-only; the results
-            // are byte-identical at any shard count, so fall back.
-            self.prepared = None;
-            return;
-        }
-        let baseline = self.cores[0].params.controller_latency;
-        if self.cores[0].ctrl_latency.iter().any(|&(_, l)| l < baseline) {
-            // Lookahead windows are sized from the baseline controller
-            // latency: a scheduled drop below it could land a cross-shard
-            // message inside the current window. Fall back to solo.
-            self.prepared = None;
-            return;
-        }
-        let Some(extras) = self.prepared.take() else { return };
-        let requested = extras.len() as u32 + 1;
-        let part = Partition::compute(&self.cores[0].topo, requested);
-        let lookahead = part.lookahead(&self.cores[0].topo, &self.cores[0].params);
-        let k = part.shard_count();
-        if k <= 1 || lookahead == SimTime::ZERO {
-            return; // no usable partition: stay single-threaded
-        }
-        self.lookahead = lookahead;
-        let mode = self.cores[0].trace.mode();
-        let stats_mode = self.cores[0].stats_mode;
-        let link_state = self.cores[0].link_state.clone();
-        let ctrl_latency = self.cores[0].ctrl_latency.clone();
-        let level = self.cores[0].metrics.level();
-        let flight = self.cores[0].metrics.flight.clone();
-        for (i, (dataplane, hosts)) in extras.into_iter().take(k as usize - 1).enumerate() {
-            let mut core = Core::build(
-                self.cores[0].topo.clone(),
-                self.cores[0].params,
-                dataplane,
-                hosts,
-                mode,
-                stats_mode,
-                i as u32 + 1,
-                k,
-                Some(part.clone()),
-                EngineMetrics::new(level, flight.clone()),
-                self.cores[0].channel,
-            );
-            core.link_state.clone_from(&link_state);
-            core.ctrl_latency.clone_from(&ctrl_latency);
-            self.cores.push(core);
-        }
-        {
-            let core0 = &mut self.cores[0];
-            core0.multi = true;
-            core0.record_full = mode == TraceMode::Full;
-            core0.owners = Some(part.clone());
-            core0.outbox = vec![Vec::new(); k as usize];
-        }
-        // Redistribute the pending injections to their owning shards,
-        // keeping their keys (and therefore the global order) intact.
-        let mut moved = Vec::new();
-        while let Some((time, seq, slot)) = self.cores[0].queue.pop() {
-            let kind = self.cores[0].slots[slot as usize].take().expect("queued slots are filled");
-            self.cores[0].free_slots.push(slot);
-            moved.push((time, seq, kind));
-        }
-        for (time, seq, kind) in moved {
-            let EventKind::Inject { host, packet, size, sender, attach_sender } = kind else {
-                unreachable!("only injections are scheduled before a run")
-            };
-            let owner = part.owner_of(host).unwrap_or(0) as usize;
-            let pk = self.cores[0].trace.arena().get(packet).clone();
-            let core = &mut self.cores[owner];
-            let local = core.trace.arena_mut().intern(pk);
-            core.push_keyed(
-                time,
-                seq,
-                EventKind::Inject { host, packet: local, size, sender, attach_sender },
-            );
-            // The event moved shards: drop shard 0's queue reference (the
-            // owning shard's `push_keyed` above took its own).
-            self.cores[0].trace.arena_mut().release(packet);
-        }
-        self.partition = Some(part);
+        self.core.observer = Some(observer);
     }
 
     /// Runs the event loop until the queue empties or `deadline` passes.
@@ -1692,64 +1244,46 @@ impl<D: DataPlane> Engine<D> {
     /// the network trace from the arena) is the separate
     /// [`finish`](Engine::finish) step; [`run_until`](Engine::run_until)
     /// does both.
-    pub fn run(&mut self, deadline: SimTime)
-    where
-        D: Send,
-    {
-        self.ensure_sharded();
+    pub fn run(&mut self, deadline: SimTime) {
         self.started = true;
-        if self.cores.len() == 1 {
-            self.cores[0].run_solo(deadline);
-        } else {
-            shard::run_multi(&mut self.cores, self.lookahead, deadline);
-        }
+        self.core.run(deadline);
     }
 
     /// Finalizes a run: resolves the recorded trace (empty under
     /// [`TraceMode::StatsOnly`]) and hands back statistics and the data
-    /// plane. Sharded runs merge the per-shard records back into the
-    /// exact single-threaded global order here.
-    pub fn finish(mut self) -> RunResult<D> {
-        let metrics_on = self.cores[0].metrics.on;
-        let result = if self.cores.len() == 1 {
-            let mut core = self.cores.pop().expect("engines have a core");
-            let mut metrics = Registry::new();
-            if metrics_on {
-                core.metrics.contribute(&mut metrics);
-                metrics::contribute_stats(&mut metrics, &core.stats);
-                metrics::contribute_arena(&mut metrics, core.trace.arena());
-                core.dataplane.contribute_metrics(&mut metrics);
-            }
-            if let Some(mut o) = core.observer.take() {
-                // Packets still in flight (queued past the deadline) are
-                // path tips: the observer closes them out as prefixes.
-                o.finish();
-                if metrics_on {
-                    o.contribute_metrics(&mut metrics);
-                }
-            }
-            RunResult {
-                trace: core.trace.build().expect("engine-built traces are structurally valid"),
-                stats: core.stats,
-                dataplane: core.dataplane,
-                metrics,
-            }
-        } else {
-            let part = self.partition.as_ref().expect("sharded engines have a partition");
-            shard::merge(self.cores, part)
-        };
+    /// plane.
+    pub fn finish(self) -> RunResult<D> {
+        let mut core = self.core;
+        let metrics_on = core.metrics.on;
+        let mut metrics = Registry::new();
         if metrics_on {
-            result.metrics.write_out_from_env();
+            core.metrics.contribute(&mut metrics);
+            metrics::contribute_stats(&mut metrics, &core.stats);
+            metrics::contribute_arena(&mut metrics, core.trace.arena());
+            core.dataplane.contribute_metrics(&mut metrics);
         }
-        result
+        if let Some(mut o) = core.observer.take() {
+            // Packets still in flight (queued past the deadline) are
+            // path tips: the observer closes them out as prefixes.
+            o.finish();
+            if metrics_on {
+                o.contribute_metrics(&mut metrics);
+            }
+        }
+        if metrics_on {
+            metrics.write_out_from_env();
+        }
+        RunResult {
+            trace: core.trace.build().expect("engine-built traces are structurally valid"),
+            stats: core.stats,
+            dataplane: core.dataplane,
+            metrics,
+        }
     }
 
     /// Runs until the event queue empties or `deadline` passes, then returns
     /// the trace, statistics, and data plane.
-    pub fn run_until(mut self, deadline: SimTime) -> RunResult<D>
-    where
-        D: Send,
-    {
+    pub fn run_until(mut self, deadline: SimTime) -> RunResult<D> {
         self.run(deadline);
         self.finish()
     }
@@ -2032,41 +1566,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_match_solo_byte_for_byte() {
-        // A two-switch topology partitioned across two shards: every
-        // packet crosses the cut, and the results must not change.
-        let run = |shards: u32, mode: TraceMode| {
-            let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts))
-                .with_trace_mode(mode)
-                .with_shards(shards);
-            for i in 0..20 {
-                // Two same-time injections per millisecond from both ends:
-                // cross-shard timestamp ties on every hop.
-                e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
-                e.inject_at(SimTime::from_millis(i), 200, Packet::new().with(Field::Vlan, i));
-            }
-            e.run(SimTime::from_secs(1));
-            // The multi-threaded path must actually have engaged — a
-            // silent fallback would make this test vacuous.
-            assert_eq!(e.shards(), shards, "sharding did not engage");
-            let r = e.finish();
-            (r.trace, r.stats)
-        };
-        let (solo_trace, solo_stats) = run(1, TraceMode::Full);
-        assert!(!solo_trace.is_empty());
-        let (sharded_trace, sharded_stats) = run(2, TraceMode::Full);
-        assert_eq!(sharded_stats, solo_stats);
-        assert_eq!(sharded_trace, solo_trace);
-        let (empty, stats_only) = run(2, TraceMode::StatsOnly);
-        assert_eq!(stats_only, solo_stats);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn sharded_run_can_resume_across_deadlines() {
-        let split = |shards: u32, d1: u64| {
-            let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts))
-                .with_shards(shards);
+    fn run_can_resume_with_packets_in_flight_on_a_link() {
+        let split = |d1: u64| {
+            let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
             for i in 0..10 {
                 e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
             }
@@ -2075,9 +1577,9 @@ mod tests {
             let r = e.finish();
             (r.trace, r.stats)
         };
-        let whole = split(1, 1_000_000);
+        let whole = split(1_000_000);
         for d1 in [0, 3, 5] {
-            assert_eq!(split(2, d1), whole, "sharded resume diverged at split {d1}ms");
+            assert_eq!(split(d1), whole, "resumed run diverged at split {d1}ms");
         }
     }
 
@@ -2097,48 +1599,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_clamps_and_reports() {
-        let e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts))
-            .with_shards(64);
-        assert_eq!(e.shards(), 2, "clamped to the switch count");
-        let e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
-        assert_eq!(e.shards(), 1);
-    }
-
-    #[test]
-    fn unforkable_hosts_fall_back_to_solo() {
-        struct Opaque;
-        impl crate::HostLogic for Opaque {
-            fn on_receive(
-                &mut self,
-                _: u64,
-                _: &Packet,
-                _: SimTime,
-            ) -> Vec<(SimTime, Packet, u32)> {
-                Vec::new()
-            }
-        }
-        let mut e =
-            Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(Opaque)).with_shards(2);
-        assert_eq!(e.shards(), 1, "unforkable hosts must not shard");
-        e.inject_at(SimTime::ZERO, 100, Packet::new());
-        let r = e.run_until(SimTime::from_secs(1));
-        assert_eq!(r.stats.deliveries.len(), 1);
-    }
-
-    #[test]
-    fn sharded_failure_injection_matches_solo() {
-        let run = |shards: u32| {
-            let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts))
-                .with_shards(shards);
+    fn failure_injection_replays_identically() {
+        let run = || {
+            let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
             e.fail_link_at(SimTime::from_millis(10), Loc::new(1, 1), Loc::new(2, 1));
             e.inject_at(SimTime::from_millis(1), 100, Packet::new()); // healthy
             e.inject_at(SimTime::from_millis(20), 100, Packet::new()); // dead
             let r = e.run_until(SimTime::from_secs(1));
             (r.trace, r.stats)
         };
-        assert_eq!(run(2), run(1));
-        let (_, stats) = run(2);
+        let (trace, stats) = run();
+        assert_eq!(run(), (trace, stats.clone()));
         assert_eq!(stats.deliveries.len(), 1);
         assert_eq!(stats.drop_count(Some(DropReason::LinkDown)), 1);
     }
@@ -2257,10 +1728,9 @@ mod failure_tests {
     }
 
     #[test]
-    fn flapped_run_is_byte_identical_across_shard_counts() {
-        let run = |shards: u32| {
-            let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts))
-                .with_shards(shards);
+    fn flapped_run_replays_byte_identically() {
+        let run = || {
+            let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
             let (a, b) = (Loc::new(1, 1), Loc::new(2, 1));
             e.fail_link_at(SimTime::from_millis(10), a, b);
             e.restore_link_at(SimTime::from_millis(20), a, b);
@@ -2269,15 +1739,13 @@ mod failure_tests {
             for t in (0..50u64).step_by(3) {
                 e.inject_at(SimTime::from_millis(t), 100, Packet::new().with(Field::Vlan, t));
             }
-            e.run(SimTime::from_secs(1));
-            assert_eq!(e.shards(), shards, "sharding did not engage");
-            let r = e.finish();
+            let r = e.run_until(SimTime::from_secs(1));
             (r.trace, r.stats)
         };
-        let solo = run(1);
-        assert!(!solo.1.deliveries.is_empty());
-        assert!(solo.1.drop_count(Some(DropReason::LinkDown)) > 0);
-        assert_eq!(run(2), solo);
+        let first = run();
+        assert!(!first.1.deliveries.is_empty());
+        assert!(first.1.drop_count(Some(DropReason::LinkDown)) > 0);
+        assert_eq!(run(), first);
     }
 
     #[test]

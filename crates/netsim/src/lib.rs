@@ -46,7 +46,6 @@ mod engine;
 mod logic;
 mod metrics;
 mod queue;
-mod shard;
 pub mod source;
 mod stats;
 mod time;
@@ -56,13 +55,14 @@ pub mod traffic;
 pub use channel::{ChannelDir, ChannelFate, ChannelModel, DirModel};
 pub use edn_core::{LeafKind, TraceMode, TraceObserver};
 pub use edn_obs::{FlightRecorder, MetricsLevel};
+#[doc(hidden)]
+pub use engine::shard_count_from_env;
 pub use engine::{Engine, RunResult, DEFAULT_PACKET_SIZE};
 pub use logic::{
     step_owned, table_outputs, BoxedHosts, CtrlMsg, DataPlane, HostLogic, PlaneOut, SinkHosts,
     StepResult, CONTROLLER_NODE,
 };
 pub use netkat::{PacketArena, PacketId};
-pub use shard::{shard_count_from_env, Partition};
 pub use source::{SourceEvent, WorkloadSource};
 pub use stats::{Delivery, Drop, DropReason, Stats, StatsMode};
 pub use time::SimTime;

@@ -92,10 +92,8 @@ pub struct PlaneOut {
     pub deliveries: Vec<(SimTime, u64, CtrlMsg)>,
     /// Timer requests `(fire time, node)`, where `node` is a switch id or
     /// [`CONTROLLER_NODE`]: the engine schedules a deterministic timer
-    /// event per request on the node's owning shard (requests only ever
-    /// arise from interactions that already run there), which calls
-    /// [`on_timer`](DataPlane::on_timer). Stale fires must be plane-level
-    /// no-ops.
+    /// event per request, which calls [`on_timer`](DataPlane::on_timer).
+    /// Stale fires must be plane-level no-ops.
     pub timers: Vec<(SimTime, u64)>,
     /// Control-channel telemetry `(kind, node)` (`"dup_suppressed"`,
     /// `"retry_exhausted"`, …), forwarded to the flight recorder so a
@@ -189,34 +187,17 @@ pub trait DataPlane {
         let _ = (node, now, out);
     }
 
-    /// Folds the state of another instance of this plane back into `self`
-    /// after a sharded run: `other` processed exactly the switches in
-    /// `owned`, so per-switch state merges losslessly. The default keeps
-    /// `self` unchanged, which is correct for stateless planes.
-    ///
-    /// Aggregate logs with no per-switch owner (e.g. a global fire log)
-    /// should merge deterministically (by timestamp); they are *not*
-    /// required to reproduce the single-threaded interleaving — only
-    /// [`Stats`](crate::Stats) and traces carry that guarantee.
-    fn absorb_shard(&mut self, other: Self, owned: &[u64])
-    where
-        Self: Sized,
-    {
-        let _ = (other, owned);
-    }
-
     /// Folds this plane's metrics into `reg` — called by the engine while
-    /// assembling the run's registry (per shard, in shard order, before
-    /// [`absorb_shard`](DataPlane::absorb_shard)). The default contributes
-    /// nothing; planes backed by a compiled lookup index report its
-    /// fingerprint hit/fallback counters here.
+    /// assembling the run's registry. The default contributes nothing;
+    /// planes backed by a compiled lookup index report its fingerprint
+    /// hit/fallback counters here.
     fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
         let _ = reg;
     }
 }
 
-/// A boxed host behaviour, as the engine owns it. `Send` so sharded runs
-/// can move per-shard host logic onto worker threads.
+/// A boxed host behaviour, as the engine owns it. `Send` so an engine can
+/// be handed to another thread.
 pub type BoxedHosts = Box<dyn HostLogic + Send>;
 
 /// What a host does when a packet reaches it.
@@ -229,18 +210,6 @@ pub trait HostLogic {
         packet: &Packet,
         now: SimTime,
     ) -> Vec<(SimTime, Packet, u32)>;
-
-    /// Produces an independent copy for one shard of a sharded run, or
-    /// `None` if this logic cannot be split (the engine then falls back to
-    /// single-threaded execution — results are identical either way, only
-    /// wall-clock differs).
-    ///
-    /// Splitting is sound whenever the logic keeps no state shared
-    /// *between* hosts: a sharded run partitions hosts across shards, so
-    /// each host's `on_receive` sequence lands entirely on one copy.
-    fn fork(&self) -> Option<BoxedHosts> {
-        None
-    }
 }
 
 /// A host logic that only consumes packets.
@@ -250,10 +219,6 @@ pub struct SinkHosts;
 impl HostLogic for SinkHosts {
     fn on_receive(&mut self, _: u64, _: &Packet, _: SimTime) -> Vec<(SimTime, Packet, u32)> {
         Vec::new()
-    }
-
-    fn fork(&self) -> Option<BoxedHosts> {
-        Some(Box::new(SinkHosts))
     }
 }
 

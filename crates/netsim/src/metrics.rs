@@ -1,21 +1,18 @@
-//! Per-core metric accumulation for the engine.
+//! Metric accumulation for the engine.
 //!
-//! Each [`Core`](crate::engine) owns one [`EngineMetrics`]: plain fields
-//! the hot loop bumps behind a single `on` check, folded into an
-//! [`edn_obs::Registry`] at `finish` — in shard order for sharded runs,
-//! mirroring the trace merge, so the `sim`-scoped section is
-//! byte-identical across `EDN_SHARDS`.
+//! The engine owns one [`EngineMetrics`]: plain fields the hot loop bumps
+//! behind a single `on` check, folded into an [`edn_obs::Registry`] at
+//! `finish`.
 //!
 //! Scope discipline (see [`edn_obs::Scope`]):
 //!
 //! * **Sim** — derived from sim time and event content at the event's
-//!   unique creation or dispatch site, so the merged value is invariant
-//!   across shard counts: per-kind dispatch counts, the
-//!   creation-to-fire latency histogram, link-saturation counts,
-//!   per-reason drops.
-//! * **Shard** — deterministic at a fixed shard count but legitimately
-//!   shard-varying: queue-depth high-water, pump batch sizes, arena
-//!   interning, cross-shard outbox volume, window widths.
+//!   unique creation or dispatch site, so the value is a function of the
+//!   simulated run alone: per-kind dispatch counts, the creation-to-fire
+//!   latency histogram, link-saturation counts, per-reason drops.
+//! * **Shard** — deterministic for a fixed build but dependent on how the
+//!   engine is implemented or fed, so not compared across knobs:
+//!   queue-depth high-water, pump batch sizes, arena interning.
 //! * **Wall** — sampled wall-clock phase profiling (`EDN_METRICS=full`
 //!   only), never expected to reproduce.
 
@@ -31,7 +28,7 @@ pub(crate) const FLIGHT_CAPACITY: usize = 1024;
 /// `SAMPLE_MASK + 1` is timed.
 const SAMPLE_MASK: u64 = 1023;
 
-/// The engine's per-core metric accumulators. All zero-cost when
+/// The engine's metric accumulators. All zero-cost when
 /// `on == false` (every instrument point is behind that one branch).
 pub(crate) struct EngineMetrics {
     /// Any instrumentation at all? (`EDN_METRICS != off`.)
@@ -63,18 +60,12 @@ pub(crate) struct EngineMetrics {
     pub(crate) queue_depth_hw: u64,
     /// Events admitted per non-empty source pump.
     pub(crate) pump_batch: Hist,
-    /// Events sent to other shards.
-    pub(crate) outbox_events: u64,
-    /// Synchronization window widths, in µs (sharded runs).
-    pub(crate) window_us: Hist,
 
     // Wall scope (sampled, `full` only).
     pub(crate) phase_pump_ns: Hist,
     pub(crate) phase_dispatch_ns: Hist,
     pub(crate) phase_lookup_ns: Hist,
     pub(crate) phase_observer_ns: Hist,
-    /// Wall time spent blocked on the shard barrier, in µs.
-    pub(crate) barrier_wait_us: Hist,
     /// Pump calls seen (sampling state for the pump phase).
     pub(crate) pump_calls: u64,
 }
@@ -94,13 +85,10 @@ impl EngineMetrics {
             link_busy: 0,
             queue_depth_hw: 0,
             pump_batch: Hist::new(),
-            outbox_events: 0,
-            window_us: Hist::new(),
             phase_pump_ns: Hist::new(),
             phase_dispatch_ns: Hist::new(),
             phase_lookup_ns: Hist::new(),
             phase_observer_ns: Hist::new(),
-            barrier_wait_us: Hist::new(),
             pump_calls: 0,
         }
     }
@@ -142,21 +130,17 @@ impl EngineMetrics {
         reg.counter_add(Scope::Sim, "engine.link_busy", self.link_busy);
         reg.gauge_max(Scope::Shard, "engine.queue_depth_hw", self.queue_depth_hw);
         reg.hist_merge(Scope::Shard, "engine.pump_batch", &self.pump_batch);
-        reg.counter_add(Scope::Shard, "shard.outbox_events", self.outbox_events);
-        reg.hist_merge(Scope::Shard, "shard.window_us", &self.window_us);
         if self.full {
             reg.hist_merge(Scope::Wall, "phase.pump_ns", &self.phase_pump_ns);
             reg.hist_merge(Scope::Wall, "phase.dispatch_ns", &self.phase_dispatch_ns);
             reg.hist_merge(Scope::Wall, "phase.lookup_ns", &self.phase_lookup_ns);
             reg.hist_merge(Scope::Wall, "phase.observer_ns", &self.phase_observer_ns);
-            reg.hist_merge(Scope::Wall, "shard.barrier_wait_us", &self.barrier_wait_us);
         }
     }
 }
 
 /// Folds the always-on aggregate [`Stats`] counters into `reg` — named
-/// per-reason drop counts and the headline totals. Shard-invariant by
-/// construction (the stats themselves are merged shard-invariantly).
+/// per-reason drop counts and the headline totals.
 pub(crate) fn contribute_stats(reg: &mut Registry, stats: &Stats) {
     reg.counter_add(Scope::Sim, "engine.events_processed", stats.events_processed);
     reg.counter_add(Scope::Sim, "engine.injected", stats.injected);
@@ -171,7 +155,7 @@ pub(crate) fn contribute_stats(reg: &mut Registry, stats: &Stats) {
     }
 }
 
-/// Folds one arena's interning counters and slot high-water into `reg`.
+/// Folds the arena's interning counters and slot high-water into `reg`.
 pub(crate) fn contribute_arena(reg: &mut Registry, arena: &netkat::PacketArena) {
     let s = arena.stats();
     reg.counter_add(Scope::Shard, "arena.intern_hits", s.hits);

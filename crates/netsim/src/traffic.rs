@@ -259,18 +259,6 @@ impl Default for ScenarioHosts {
 }
 
 impl HostLogic for ScenarioHosts {
-    /// Shardable while no TCP-like flows are registered: ping replies are
-    /// pure per-packet behaviour. A flow's ack-clocked window state spans
-    /// its two endpoint hosts, which a sharded run may place on different
-    /// shards — so TCP scenarios stay single-threaded.
-    fn fork(&self) -> Option<crate::BoxedHosts> {
-        if self.tcp.is_empty() {
-            Some(Box::new(self.clone()))
-        } else {
-            None
-        }
-    }
-
     fn on_receive(
         &mut self,
         host: u64,

@@ -5,10 +5,9 @@
 //!
 //! * a [`Registry`] of named [counters](Registry::counter_add),
 //!   [high-water gauges](Registry::gauge_max), and
-//!   [power-of-two log histograms](Hist) with a deterministic merge —
-//!   per-shard registries fold at `finish` in shard order, exactly like
-//!   the trace merge, so sim-time-derived metrics are byte-identical
-//!   across `EDN_SHARDS`;
+//!   [power-of-two log histograms](Hist) with a deterministic merge and
+//!   name-ordered exports, so sim-time-derived metrics render
+//!   byte-identically across replays;
 //! * a [`FlightRecorder`] — a bounded ring of recent engine events dumped
 //!   as JSON next to a violation report when an online checker fails or a
 //!   bench panics;
@@ -16,10 +15,11 @@
 //!   `Instant::now()` timing lives in one audited place.
 //!
 //! Metrics are classified by [`Scope`]: `sim` metrics derive only from
-//! simulated time and event content and are byte-identical across shard
-//! counts; `shard` metrics are deterministic for a fixed `EDN_SHARDS` but
-//! legitimately vary with it (queue depths, window widths); `wall`
-//! metrics are wall-clock samples and are never expected to reproduce.
+//! simulated time and event content and are byte-identical across replays
+//! and result-neutral knobs; `shard` metrics are deterministic for a fixed
+//! build but not compared across knobs (queue depths, arena interning);
+//! `wall` metrics are wall-clock samples and are never expected to
+//! reproduce.
 //! Exporters ([`Registry::render_json`], [`Registry::render_prometheus`])
 //! keep the scopes segregated so determinism checks can compare the `sim`
 //! section alone.

@@ -11,10 +11,11 @@ use std::fmt::Write as _;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Scope {
     /// Derived from simulated time and event content only: byte-identical
-    /// across `EDN_SHARDS` and across replays.
+    /// across replays and across the result-neutral knobs.
     Sim,
-    /// Deterministic for a fixed shard count, but legitimately varies
-    /// with `EDN_SHARDS` (per-shard queue depths, window widths, ...).
+    /// Deterministic for a fixed build, not compared across knobs (queue
+    /// depths, pump batches, arena interning). The name is historical:
+    /// exported snapshots label this section `shard`.
     Shard,
     /// Wall-clock samples; never expected to reproduce.
     Wall,
@@ -147,8 +148,7 @@ impl Value {
 /// name order, so two registries holding the same values render to
 /// byte-identical text. [`merge`](Registry::merge) is commutative and
 /// associative per metric (counters add, gauges max, histograms add
-/// bucketwise); the engine nevertheless folds per-shard registries in
-/// shard order, mirroring the trace merge discipline.
+/// bucketwise).
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Registry {
     metrics: BTreeMap<(Scope, String), Value>,

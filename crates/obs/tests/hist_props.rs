@@ -1,7 +1,7 @@
-//! Property tests for the log-bucketed histogram: shard-order folding at
-//! `finish` relies on `Hist::merge` being associative and commutative
-//! (the merged registry must not depend on which core contributed first),
-//! and on observation order being irrelevant within one histogram.
+//! Property tests for the log-bucketed histogram: `Hist::merge` is
+//! associative and commutative (a merged registry must not depend on
+//! which contributor came first), and observation order is irrelevant
+//! within one histogram.
 
 use edn_obs::{Hist, Registry, Scope};
 use proptest::prelude::*;
@@ -48,8 +48,8 @@ proptest! {
     }
 
     /// Splitting one observation stream across two histograms and merging
-    /// equals observing it all in one — the per-shard accumulate-then-fold
-    /// scheme loses nothing.
+    /// equals observing it all in one — accumulate-then-fold loses
+    /// nothing.
     #[test]
     fn split_observe_then_merge_equals_direct(
         values in proptest::collection::vec(any::<u64>(), 0..128),

@@ -358,43 +358,6 @@ impl DataPlane for NesDataPlane {
         }
     }
 
-    /// Folds a shard's state back in after a sharded run: per-switch
-    /// event-sets and discovery times merge losslessly (each switch was
-    /// driven by exactly one shard); the controller state lives on shard
-    /// 0 already (other shards' copies are stale clones, unioned
-    /// defensively); the global fire log merges stably by timestamp —
-    /// deterministic, though not guaranteed to reproduce the solo
-    /// interleaving for distinct same-microsecond fires (the log is a
-    /// checker *hint*, not part of the byte-identity contract).
-    fn absorb_shard(&mut self, other: Self, owned: &[u64]) {
-        for &sw in owned {
-            let events = other.local_events(sw);
-            if !events.is_empty() {
-                let slot = self.slot_of(sw);
-                self.local[slot] = events;
-            }
-        }
-        for (key, t) in other.discovery {
-            self.discovery
-                .entry(key)
-                .and_modify(|existing| *existing = (*existing).min(t))
-                .or_insert(t);
-        }
-        self.controller = self.controller.union(other.controller);
-        let mine = std::mem::take(&mut self.fired_log);
-        let mut merged = Vec::with_capacity(mine.len() + other.fired_log.len());
-        let (mut a, mut b) = (mine.into_iter().peekable(), other.fired_log.into_iter().peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&(ta, _)), Some(&(tb, _))) if tb < ta => merged.push(b.next().expect("b")),
-                (Some(_), _) => merged.push(a.next().expect("a")),
-                (None, Some(_)) => merged.push(b.next().expect("b")),
-                (None, None) => break,
-            }
-        }
-        self.fired_log = merged;
-    }
-
     /// Reports the compiled lookup index's fingerprint probe outcomes,
     /// summed over every distinct table this plane instance drove (the
     /// optimized layout has no fingerprint index and reports zero).

@@ -25,8 +25,7 @@
 //! piggybacked on data envelopes and as dedicated [`CtrlMsg::Ack`]
 //! messages; pure acks are never themselves acknowledged, so there is no
 //! ack storm. Retransmit timers use the engine's deterministic timer
-//! events, keyed per entity — lossy runs stay byte-identical across
-//! shard counts.
+//! events, keyed per entity — lossy runs replay byte-identically.
 
 use std::collections::BTreeMap;
 
@@ -427,35 +426,9 @@ impl<D: DataPlane> DataPlane for Reliable<D> {
         self.degraded |= exhausted;
     }
 
-    fn absorb_shard(&mut self, other: Self, owned: &[u64]) {
-        let Reliable {
-            inner,
-            sw_state,
-            degraded,
-            retransmits,
-            dup_suppressed,
-            acked,
-            ack_rtt_us,
-            ..
-        } = other;
-        // Each switch endpoint lives on exactly one shard; the controller
-        // endpoint lives on shard 0 (self).
-        for &sw in owned {
-            if let Some(st) = sw_state.get(&sw) {
-                self.sw_state.insert(sw, st.clone());
-            }
-        }
-        self.degraded |= degraded;
-        self.retransmits += retransmits;
-        self.dup_suppressed += dup_suppressed;
-        self.acked += acked;
-        self.ack_rtt_us.merge(&ack_rtt_us);
-        self.inner.absorb_shard(inner, owned);
-    }
-
     fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
-        // Every count is incremented at a unique dispatch site on the
-        // owning shard, so the merged values are shard-invariant.
+        // Every count is incremented at a unique dispatch site, so the
+        // values are a function of the simulated run alone.
         reg.counter_add(edn_obs::Scope::Sim, "reliable.retransmits", self.retransmits);
         reg.counter_add(edn_obs::Scope::Sim, "reliable.dup_suppressed", self.dup_suppressed);
         reg.counter_add(edn_obs::Scope::Sim, "reliable.acked", self.acked);

@@ -131,17 +131,6 @@ impl DataPlane for UncoordDataPlane {
             self.current.insert(sw, tag);
         }
     }
-
-    fn absorb_shard(&mut self, other: Self, owned: &[u64]) {
-        // Per-switch installed tags live on the owning shard; the
-        // controller view and its push-order RNG advance only on shard 0
-        // (`on_notify` runs there), so `self`'s copies are authoritative.
-        for &sw in owned {
-            if let Some(&tag) = other.current.get(&sw) {
-                self.current.insert(sw, tag);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

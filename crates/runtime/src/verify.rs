@@ -16,11 +16,7 @@ use crate::uncoordinated::UncoordDataPlane;
 ///
 /// `broadcast` enables the controller-assisted event dissemination. The
 /// flow-table lookup path comes from the environment (`EDN_LOOKUP`,
-/// default indexed); use [`nes_engine_with_path`] to pin it. The shard
-/// count also comes from the environment (`EDN_SHARDS`, default 1 =
-/// single-threaded); override it with
-/// [`Engine::with_shards`](netsim::Engine::with_shards) — results are
-/// byte-identical at any shard count.
+/// default indexed); use [`nes_engine_with_path`] to pin it.
 pub fn nes_engine(
     nes: NetworkEventStructure,
     topo: SimTopology,
@@ -46,9 +42,7 @@ pub fn nes_engine_with_path(
 
 /// [`nes_engine`] with every deployment knob pinned explicitly — the
 /// constructor the differential suites use, so in-process legs never race
-/// on environment variables. The shard count still comes from the
-/// environment; override with
-/// [`Engine::with_shards`](netsim::Engine::with_shards).
+/// on environment variables.
 pub fn nes_engine_with(
     nes: NetworkEventStructure,
     topo: SimTopology,
@@ -59,7 +53,7 @@ pub fn nes_engine_with(
 ) -> Engine<NesDataPlane> {
     let switches = topo.switches().to_vec();
     let dataplane = NesDataPlane::with_knobs(CompiledNes::compile(nes), switches, broadcast, knobs);
-    Engine::new(topo, params, dataplane, hosts).with_shards(netsim::shard_count_from_env())
+    Engine::new(topo, params, dataplane, hosts)
 }
 
 /// [`nes_engine_with`] with the paper's runtime wrapped in the
@@ -81,13 +75,10 @@ pub fn nes_reliable_engine_with(
     let switches = topo.switches().to_vec();
     let inner = NesDataPlane::with_knobs(CompiledNes::compile(nes), switches, broadcast, knobs);
     let dataplane = crate::Reliable::with_budget(inner, budget);
-    Engine::new(topo, params, dataplane, hosts).with_shards(netsim::shard_count_from_env())
+    Engine::new(topo, params, dataplane, hosts)
 }
 
-/// Builds an engine running `nes` with the uncoordinated baseline. Like
-/// [`nes_engine`], the shard count comes from the environment
-/// (`EDN_SHARDS`) — the baseline's per-switch state merges losslessly,
-/// so results are byte-identical at any shard count.
+/// Builds an engine running `nes` with the uncoordinated baseline.
 pub fn uncoordinated_engine(
     nes: NetworkEventStructure,
     topo: SimTopology,
@@ -98,7 +89,7 @@ pub fn uncoordinated_engine(
 ) -> Engine<UncoordDataPlane> {
     let switches = topo.switches().to_vec();
     let dataplane = UncoordDataPlane::new(CompiledNes::compile(nes), switches, update_delay, seed);
-    Engine::new(topo, params, dataplane, hosts).with_shards(netsim::shard_count_from_env())
+    Engine::new(topo, params, dataplane, hosts)
 }
 
 /// Attaches an online Definition 6 checker to an engine *before* the run:
@@ -107,9 +98,7 @@ pub fn uncoordinated_engine(
 /// trace prefixes — so even a [`TraceMode::StatsOnly`](netsim::TraceMode)
 /// run produces a verdict, in memory bounded by the packets in flight.
 ///
-/// Call [`OnlineHandle::verdict`] after the run finishes. An engine with an
-/// observer runs single-threaded regardless of `EDN_SHARDS` (results are
-/// byte-identical at any shard count, so the verdict is too).
+/// Call [`OnlineHandle::verdict`] after the run finishes.
 ///
 /// # Errors
 ///

@@ -7,13 +7,13 @@
 //!
 //! Three legs per invocation, with cross-checks the process enforces:
 //!
-//! 1. coordinated, batch traffic, shard count from `EDN_SHARDS`;
+//! 1. coordinated, batch traffic;
 //! 2. the same leg again — replay determinism, byte for byte;
 //! 3. coordinated, *streamed* traffic with the online Definition 6 checker
-//!    attached (single-threaded) — must match leg 1 byte for byte.
+//!    attached — must match leg 1 byte for byte.
 //!
-//! The printed CSV row comes from the checked leg and carries no
-//! shard-dependent column, so `EDN_SHARDS=1` and `EDN_SHARDS=4` runs must
+//! The printed CSV row comes from the checked leg and carries simulated
+//! quantities only, so runs under different result-neutral knobs must
 //! produce identical bytes (CI `cmp`s them). Comment lines start with `#`.
 
 use std::process::ExitCode;

@@ -363,9 +363,8 @@ impl CompiledScenario {
                     actions.push(EngineAction::Recover(a.at, known_switch(sw)?));
                 }
                 ActionKind::LatencySpike { latency, until } => {
-                    // Clamped to the baseline: a below-baseline latency
-                    // would force the engine single-threaded, and the spike
-                    // is about slowness anyway.
+                    // Clamped to the baseline: a spike models slowness,
+                    // never a speed-up.
                     actions.push(EngineAction::CtrlLatency(a.at, latency.max(baseline)));
                     actions.push(EngineAction::CtrlLatency(until, baseline));
                 }
@@ -411,15 +410,14 @@ impl CompiledScenario {
     }
 
     /// Builds the coordinated (NES runtime) engine for this scenario:
-    /// deployment knobs and shard count from the environment (`EDN_LOOKUP`,
-    /// `EDN_COMPILE`, `EDN_OPTIMIZE`, `EDN_SHARDS`), no controller
-    /// broadcast, sink hosts.
+    /// deployment knobs from the environment (`EDN_LOOKUP`, `EDN_COMPILE`,
+    /// `EDN_OPTIMIZE`), no controller broadcast, sink hosts.
     pub fn engine(&self) -> Engine<nes_runtime::NesDataPlane> {
         self.engine_with(nes_runtime::DeployKnobs::from_env())
     }
 
     /// [`engine`](CompiledScenario::engine) with the deployment knobs
-    /// pinned explicitly (shard count still from the environment).
+    /// pinned explicitly.
     pub fn engine_with(
         &self,
         knobs: nes_runtime::DeployKnobs,

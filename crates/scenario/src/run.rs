@@ -2,11 +2,10 @@
 //!
 //! Three legs, all fed identical traffic and campaign injections:
 //!
-//! * **coordinated, unchecked** — the NES runtime, shard count free (the
-//!   byte-identity leg: `EDN_SHARDS` must not change a byte of the stats);
+//! * **coordinated, unchecked** — the NES runtime alone (the byte-identity
+//!   leg: checking and streaming must not change a byte of its stats);
 //! * **coordinated, checked** — the NES runtime with the online
-//!   Definition 6 checker attached (single-threaded: the engine serializes
-//!   under an observer) and optionally live streamed traffic;
+//!   Definition 6 checker attached and optionally live streamed traffic;
 //! * **uncoordinated, checked** — the Section 5.1 baseline under the same
 //!   scenario, whose verdict the differential oracle compares against.
 //!
@@ -23,9 +22,7 @@ use crate::spec::{ScenarioError, ScenarioSpec};
 /// Options for a coordinated run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RunOptions {
-    /// Extra shard-count override (`None` leaves `EDN_SHARDS` in charge).
-    pub shards: Option<u32>,
-    /// Attach the online Definition 6 checker (forces single-threaded).
+    /// Attach the online Definition 6 checker.
     pub check: bool,
     /// Feed traffic through a live [`WorkloadSource`](netsim::WorkloadSource)
     /// instead of batch pre-scheduling (byte-identical results).
@@ -114,9 +111,6 @@ pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutco
     let model = effective_channel(&c.spec, opts);
     if model.is_ideal() {
         let mut engine = c.engine_with(knobs).with_channel(model);
-        if let Some(k) = opts.shards {
-            engine = engine.with_shards(k);
-        }
         let handle = opts.check.then(|| {
             nes_runtime::attach_online_checker(&mut engine, &c.nes)
                 .expect("a ≤63-step campaign fits the online checker's windows")
@@ -143,9 +137,6 @@ pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutco
             .reliable_engine_with(knobs, budget)
             .with_channel(model)
             .with_metrics(netsim::MetricsLevel::Full);
-        if let Some(k) = opts.shards {
-            engine = engine.with_shards(k);
-        }
         let flight = engine.flight_recorder();
         let handle = opts.check.then(|| {
             nes_runtime::attach_online_checker(&mut engine, &c.nes)
@@ -217,8 +208,8 @@ pub fn differential(spec: &ScenarioSpec) -> Result<DifferentialOutcome, Scenario
     })
 }
 
-/// Header for the canonical scenario CSV (shard-count-free on purpose: the
-/// row must be byte-identical at every `EDN_SHARDS`).
+/// Header for the canonical scenario CSV: simulated quantities only, so a
+/// row is byte-identical across replays and result-neutral knobs.
 pub fn stats_csv_header() -> &'static str {
     "datagrams,injected,events,delivered_packets,delivered_bytes,fired,verdict,\
      drop_no_rule,drop_dead_end,drop_queue_full,drop_link_down"
@@ -285,13 +276,13 @@ mod tests {
     #[test]
     fn legs_agree_byte_for_byte() {
         let c = CompiledScenario::compile(&flap_spec()).unwrap();
-        let solo = run_coordinated(&c, &RunOptions::default());
-        let sharded = run_coordinated(&c, &RunOptions { shards: Some(4), ..RunOptions::default() });
+        let batch = run_coordinated(&c, &RunOptions::default());
+        let replay = run_coordinated(&c, &RunOptions::default());
         let streamed =
             run_coordinated(&c, &RunOptions { check: true, stream: true, ..RunOptions::default() });
-        assert_eq!(solo.stats, sharded.stats, "shards must not change a byte");
-        assert_eq!(solo.stats, streamed.stats, "streaming + checking must not either");
-        assert_eq!(stats_csv_row(&sharded), stats_csv_row(&solo), "canonical CSV agrees");
+        assert_eq!(batch.stats, replay.stats, "a replay must not change a byte");
+        assert_eq!(batch.stats, streamed.stats, "streaming + checking must not either");
+        assert_eq!(stats_csv_row(&replay), stats_csv_row(&batch), "canonical CSV agrees");
     }
 
     #[test]
@@ -332,10 +323,10 @@ mod tests {
 
     /// A spec-level lossy channel routes the coordinated leg through the
     /// reliability wrapper: the verdict stays `correct` (Theorem 1 carries
-    /// over the lossy channel), every step fires, and the canonical CSV is
-    /// byte-identical across shard counts.
+    /// over the lossy channel), every step fires, and the unchecked leg
+    /// replays byte-identically.
     #[test]
-    fn lossy_channel_stays_correct_and_shard_invariant() {
+    fn lossy_channel_stays_correct_and_replays_identically() {
         let mut spec = flap_spec();
         spec.channel =
             ChannelSpec { drop_pm: 60, dup_pm: 30, reorder_pm: 30, jitter_us: 40, retry_budget: 8 };
@@ -344,14 +335,11 @@ mod tests {
         assert_eq!(checked.verdict, Some(Ok(())), "reliability preserves Definition 6 under loss");
         assert_eq!(checked.fired, Some(2), "both steps still fire");
         assert!(!checked.degraded, "a generous budget never exhausts");
-        let solo = run_coordinated(&c, &RunOptions::default());
-        assert_eq!(solo.stats, checked.stats, "the checker must not change a byte");
-        for shards in [2u32, 4] {
-            let sharded =
-                run_coordinated(&c, &RunOptions { shards: Some(shards), ..RunOptions::default() });
-            assert_eq!(sharded.stats, solo.stats, "{shards} shards: lossy stats diverged");
-            assert_eq!(stats_csv_row(&sharded), stats_csv_row(&solo));
-        }
+        let unchecked = run_coordinated(&c, &RunOptions::default());
+        assert_eq!(unchecked.stats, checked.stats, "the checker must not change a byte");
+        let replay = run_coordinated(&c, &RunOptions::default());
+        assert_eq!(replay.stats, unchecked.stats, "lossy replay diverged");
+        assert_eq!(stats_csv_row(&replay), stats_csv_row(&unchecked));
     }
 
     /// An ideal `[channel]` spec (or none) must leave the bare runtime in

@@ -281,7 +281,7 @@ pub enum ActionKind {
         sw: u64,
     },
     /// Controller round-trips slow to `latency` until `until` (clamped to
-    /// at least the baseline, so sharded runs stay sharded).
+    /// at least the baseline).
     LatencySpike {
         /// The spiked controller latency.
         latency: SimTime,

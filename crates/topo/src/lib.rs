@@ -33,7 +33,6 @@
 
 mod generate;
 mod mobility;
-mod partition;
 mod route;
 mod stream;
 mod workload;
@@ -45,8 +44,6 @@ pub use generate::{
 pub use mobility::{
     free_port, mobile_twin, rehome, rehomed_rules, with_mobile_twin, MOBILE_TWIN_OFFSET,
 };
-pub use netsim::Partition;
-pub use partition::{partition, partition_sim};
 pub use route::{
     all_hosts_connected, config_from_rules, rules_toward, shortest_path_config, shortest_path_rules,
 };

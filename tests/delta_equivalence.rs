@@ -11,7 +11,7 @@
 //!   compiled from scratch.
 //! * **End-to-end:** the §5.2-style flapping ring and the fat-tree(4)
 //!   update campaign, replayed across the full
-//!   `{scratch, delta} × {optimizer off, on} × {1, 2, 4 shards}` matrix
+//!   `{scratch, delta} × {optimizer off, on} × {checked, unchecked}` matrix
 //!   with every knob pinned through explicit constructors (no env races):
 //!   the canonical scenario CSV is byte-identical everywhere, and the
 //!   online Definition 6 verdict stays `correct`. (Trace byte-identity for
@@ -253,10 +253,8 @@ fn fat_tree_campaign_scenario() -> CompiledScenario {
 }
 
 /// The end-to-end matrix: every `{compile path} × {optimizer}` pair must
-/// reproduce the reference canonical CSV byte for byte — checked and
-/// single-threaded, and unchecked across `{1, 2, 4}` shards (the checked
-/// leg serializes under its observer, so the shard sweep runs unchecked,
-/// whose canonical row is shard-free by construction).
+/// reproduce the reference canonical CSV byte for byte, checked and
+/// unchecked.
 #[test]
 fn e2e_matrix_replays_byte_identically() {
     for (name, c) in
@@ -281,14 +279,11 @@ fn e2e_matrix_replays_byte_identically() {
                     checked_row,
                     "{name}: checked CSV diverged on {compile:?}/{optimize:?}"
                 );
-                for shards in [1u32, 2, 4] {
-                    let leg = run_coordinated(&c, &RunOptions { shards: Some(shards), ..deploy });
-                    assert_eq!(
-                        stats_csv_row(&leg),
-                        unchecked_row,
-                        "{name}: CSV diverged on {compile:?}/{optimize:?} at {shards} shards"
-                    );
-                }
+                assert_eq!(
+                    stats_csv_row(&run_coordinated(&c, &deploy)),
+                    unchecked_row,
+                    "{name}: unchecked CSV diverged on {compile:?}/{optimize:?}"
+                );
             }
         }
     }

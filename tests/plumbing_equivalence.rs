@@ -1,17 +1,17 @@
 //! End-to-end packet-plumbing regression, extending
-//! `lookup_equivalence.rs` to the engine knobs and the sharded multi-core
-//! event loop: full simulations replayed across every
-//! `{shard count} × {trace mode}` combination must agree — byte-identical
-//! `Stats` everywhere, byte-identical traces wherever a trace is recorded —
-//! and the reference corner of each pinned scenario must match a committed
-//! absolute [`Fingerprint`].
+//! `lookup_equivalence.rs` to the engine knobs: full simulations replayed
+//! in both trace modes, at every metrics level and on every deployment
+//! layout must agree — byte-identical `Stats` everywhere, byte-identical
+//! traces wherever a trace is recorded — and the reference corner of each
+//! pinned scenario must match a committed absolute [`Fingerprint`].
 //!
 //! Two pinned scenarios from the paper's evaluation (the Section 5.2 ring
 //! and a fat-tree(4) stateful firewall), two pinned *churn* scenarios from
 //! the declarative scenario layer (a flapping ring and a fat-tree(4)
-//! update campaign with a crash, a latency spike, and a host move), plus
-//! differential proptests over seeded generated topologies and workloads
-//! (256 cases across the trace modes, 128 more across shard counts).
+//! update campaign with a crash, a latency spike, and a host move) — the
+//! churn pair also under the uncoordinated baseline and through `Reliable`
+//! over a lossy control channel — plus a 256-case differential proptest
+//! over seeded generated topologies and workloads.
 
 use edn_apps::generated::firewall_nes;
 use edn_apps::ring::{host, Ring};
@@ -24,14 +24,15 @@ use nes_runtime::{
 };
 use netkat::LookupPath;
 use netsim::traffic::udp_packet;
-use netsim::{ChannelModel, Engine, MetricsLevel, SimParams, SimTime, SinkHosts, Stats};
+use netsim::{
+    ChannelModel, DataPlane, Engine, MetricsLevel, RunResult, SimParams, SimTime, SinkHosts, Stats,
+};
 use proptest::prelude::*;
 
 /// One engine-knob combination under test.
 #[derive(Clone, Copy, Debug)]
 struct Knobs {
     mode: TraceMode,
-    shards: u32,
     metrics: MetricsLevel,
     deploy: DeployKnobs,
 }
@@ -44,33 +45,17 @@ const REFERENCE_DEPLOY: DeployKnobs = DeployKnobs {
     optimize: OptimizeMode::Off,
 };
 
-/// The reference corner: one thread, full trace, no telemetry — the solo
-/// loop everything else is diffed against.
-const REFERENCE: Knobs = Knobs {
-    mode: TraceMode::Full,
-    shards: 1,
-    metrics: MetricsLevel::Off,
-    deploy: REFERENCE_DEPLOY,
-};
+/// The reference corner: full trace, no telemetry — what everything else
+/// is diffed against.
+const REFERENCE: Knobs =
+    Knobs { mode: TraceMode::Full, metrics: MetricsLevel::Off, deploy: REFERENCE_DEPLOY };
 
-/// Widens a requested shard count by the `EDN_SHARDS` environment knob,
-/// so CI can replay the whole matrix on the sharded engine (the solo
-/// [`REFERENCE`] corner stays pinned at one shard).
-fn effective_shards(requested: u32) -> u32 {
-    requested.max(netsim::shard_count_from_env())
-}
-
-fn knobs_with_shards(shards: u32) -> impl Iterator<Item = Knobs> {
-    let shards = effective_shards(shards);
-    [TraceMode::Full, TraceMode::StatsOnly].into_iter().map(move |mode| Knobs {
-        mode,
-        shards,
-        ..REFERENCE
-    })
+fn trace_modes() -> impl Iterator<Item = Knobs> {
+    [TraceMode::Full, TraceMode::StatsOnly].into_iter().map(|mode| Knobs { mode, ..REFERENCE })
 }
 
 fn configure(engine: Engine<NesDataPlane>, knobs: Knobs) -> Engine<NesDataPlane> {
-    engine.with_trace_mode(knobs.mode).with_metrics(knobs.metrics).with_shards(knobs.shards)
+    engine.with_trace_mode(knobs.mode).with_metrics(knobs.metrics)
 }
 
 /// An absolute anchor for one run, computed from field values (never
@@ -167,32 +152,80 @@ const FAT_TREE_CAMPAIGN_PIN: Fingerprint = Fingerprint {
     records: 0x19b8_e2bc_466c_fdbf,
 };
 
+// Corners only the retired shard matrices ran end to end, pinned on the
+// last commit that had them (where 1, 2 and 4 shards all produced these
+// bytes): the uncoordinated baseline and `Reliable` over a lossy control
+// channel on both churn scenarios, and the `sim`-scope metrics section of
+// the fat-tree firewall run.
+const UNCOORD_FLAPPING_RING_PIN: Fingerprint = Fingerprint {
+    injected: 28,
+    events: 122,
+    delivered_packets: 21,
+    delivered_bytes: 12_728,
+    dropped: [5, 0, 0, 2],
+    deliveries: 0xbf35_0d7e_f992_1bbd,
+    trace_len: 162,
+    causal_edges: 0,
+    records: 0x9e86_e0c3_77a4_4dd8,
+};
+const UNCOORD_FAT_TREE_CAMPAIGN_PIN: Fingerprint = Fingerprint {
+    injected: 56,
+    events: 394,
+    delivered_packets: 44,
+    delivered_bytes: 27_468,
+    dropped: [12, 0, 0, 0],
+    deliveries: 0x10fb_92f3_4a74_e042,
+    trace_len: 508,
+    causal_edges: 33,
+    records: 0xd179_7874_c8ef_09aa,
+};
+// `Reliable` hands the inner plane the ideal message sequence, only later:
+// the lossy runs differ from the ideal ones in event count alone.
+const RELIABLE_LOSSY_RING_PIN: Fingerprint = Fingerprint { events: 121, ..FLAPPING_RING_PIN };
+const RELIABLE_LOSSY_CAMPAIGN_PIN: Fingerprint =
+    Fingerprint { events: 340, ..FAT_TREE_CAMPAIGN_PIN };
+const SIM_METRICS_PIN: &str = r#"{
+  "channel.dropped": 0,
+  "channel.duplicated": 0,
+  "channel.reordered": 0,
+  "drops.dead_end": 0,
+  "drops.link_down": 0,
+  "drops.no_rule": 0,
+  "drops.queue_full": 0,
+  "engine.delivered_bytes": 34268,
+  "engine.delivered_packets": 65,
+  "engine.dispatch.arrive": 358,
+  "engine.dispatch.deliver": 0,
+  "engine.dispatch.inject": 65,
+  "engine.dispatch.notify": 1,
+  "engine.dispatch.timer": 0,
+  "engine.event_latency_us": {"count": 359, "sum": 12265, "p50": 31, "p99": 63},
+  "engine.events_processed": 424,
+  "engine.injected": 65,
+  "engine.link_busy": 0
+}
+"#;
+
 /// Asserts that a scenario's reference corner matches its committed `pin`
-/// and that it produces identical observable results in both trace modes
-/// at every shard count in `shard_counts`: `Stats` agree field for field
-/// everywhere (including `StatsOnly` runs), and `Full`-mode traces are
-/// byte-identical. The scenario runners assert that multi-shard runs
-/// actually engaged the threaded path (a silent fallback would make these
-/// comparisons vacuous).
+/// and that it produces identical observable results in both trace modes:
+/// `Stats` agree field for field everywhere (including `StatsOnly` runs),
+/// and `Full`-mode traces are byte-identical.
 fn assert_plumbing_invariant(
     scenario: &str,
     pin: &Fingerprint,
-    shard_counts: &[u32],
     run: impl Fn(Knobs) -> (NetworkTrace, Stats),
 ) {
     let (reference_trace, reference_stats) = run(REFERENCE);
     assert_eq!(&fingerprint(&reference_trace, &reference_stats), pin, "{scenario}: pin moved");
-    for &shards in shard_counts {
-        for knobs in knobs_with_shards(shards) {
-            let (trace, stats) = run(knobs);
-            assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
-            match knobs.mode {
-                TraceMode::Full => {
-                    assert_eq!(trace, reference_trace, "{scenario}: traces diverged on {knobs:?}");
-                }
-                TraceMode::StatsOnly => {
-                    assert!(trace.is_empty(), "{scenario}: StatsOnly must not record");
-                }
+    for knobs in trace_modes() {
+        let (trace, stats) = run(knobs);
+        assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
+        match knobs.mode {
+            TraceMode::Full => {
+                assert_eq!(trace, reference_trace, "{scenario}: traces diverged on {knobs:?}");
+            }
+            TraceMode::StatsOnly => {
+                assert!(trace.is_empty(), "{scenario}: StatsOnly must not record");
             }
         }
     }
@@ -224,9 +257,7 @@ fn ring_run(knobs: Knobs) -> (NetworkTrace, Stats) {
         }
     }
     engine.inject_at(SimTime::from_millis(10), ring.h1(), ring.trigger_packet());
-    engine.run(SimTime::from_secs(5));
-    assert_shards_engaged(&engine, knobs, n as u32);
-    let result = engine.finish();
+    let result = engine.run_until(SimTime::from_secs(5));
     if knobs.mode == TraceMode::Full {
         verify_nes_run(&result).expect("ring run is event-driven consistent");
     }
@@ -235,7 +266,7 @@ fn ring_run(knobs: Knobs) -> (NetworkTrace, Stats) {
 
 /// Fat-tree(4) firewall under the fig18 permutation workload, with the
 /// firewall-opening trigger mid-run.
-fn fat_tree_firewall_run(knobs: Knobs) -> (NetworkTrace, Stats) {
+fn fat_tree_firewall_result(knobs: Knobs) -> RunResult<NesDataPlane> {
     let gen = fat_tree(4, TierProfile::default());
     let workload = Workload {
         pattern: TrafficPattern::Permutation,
@@ -259,15 +290,17 @@ fn fat_tree_firewall_run(knobs: Knobs) -> (NetworkTrace, Stats) {
     let mut engine = configure(engine, knobs);
     edn_topo::schedule(&mut engine, &flows);
     engine.inject_at(SimTime::from_millis(5), inside, udp_packet(inside, outside, u64::MAX, 0));
-    engine.run(horizon);
-    assert_shards_engaged(&engine, knobs, gen.switch_count() as u32);
-    let result = engine.finish();
+    engine.run_until(horizon)
+}
+
+fn fat_tree_firewall_run(knobs: Knobs) -> (NetworkTrace, Stats) {
+    let result = fat_tree_firewall_result(knobs);
     (result.trace, result.stats)
 }
 
 /// A ring(6) whose inter-switch links flap mid-campaign: two fail/restore
 /// pairs around a two-update rollout under uniform traffic — the engine's
-/// failure timelines crossing shard cuts and both trace modes.
+/// failure timelines in both trace modes.
 fn flapping_ring_scenario() -> CompiledScenario {
     let spec = edn_scenario::parse(
         "[scenario]\n\
@@ -355,23 +388,18 @@ fn fat_tree_campaign_scenario() -> CompiledScenario {
     CompiledScenario::compile(&spec).expect("pinned spec compiles")
 }
 
-/// Replays a compiled churn scenario on explicit engine knobs.
-fn churn_run(c: &CompiledScenario, knobs: Knobs) -> (NetworkTrace, Stats) {
-    let engine = nes_engine_with(
-        c.nes.clone(),
-        c.run.sim().clone(),
-        SimParams::default(),
-        false,
-        Box::new(SinkHosts),
-        knobs.deploy,
-    );
-    let mut engine = configure(engine, knobs);
+/// Scripts a compiled scenario's actions, batch traffic and campaign onto
+/// `engine` and runs it to the scenario's horizon.
+fn drive<D: DataPlane>(c: &CompiledScenario, mut engine: Engine<D>) -> RunResult<D> {
     c.apply_actions(&mut engine);
     c.load_traffic(&mut engine, false);
     c.inject_campaign(&mut engine);
-    engine.run(c.horizon);
-    assert_shards_engaged(&engine, knobs, c.run.switch_count() as u32);
-    let result = engine.finish();
+    engine.run_until(c.horizon)
+}
+
+/// Replays a compiled churn scenario on explicit engine knobs.
+fn churn_run(c: &CompiledScenario, knobs: Knobs) -> (NetworkTrace, Stats) {
+    let result = drive(c, configure(c.engine_with(knobs.deploy), knobs));
     if knobs.mode == TraceMode::Full {
         assert_eq!(
             result.dataplane.fired_sequence().len(),
@@ -383,151 +411,87 @@ fn churn_run(c: &CompiledScenario, knobs: Knobs) -> (NetworkTrace, Stats) {
     (result.trace, result.stats)
 }
 
-/// A "sharded" run that silently fell back to one thread would turn the
-/// byte-identity matrix into solo-vs-solo; pin engagement (clamped to
-/// the switch count, the partitioner's bound).
-fn assert_shards_engaged(engine: &netsim::Engine<NesDataPlane>, knobs: Knobs, switches: u32) {
-    let expected = knobs.shards.min(switches).max(1);
-    assert_eq!(engine.shards(), expected, "sharding did not engage for {knobs:?}");
-}
-
 #[test]
 fn ring_replays_identically_across_all_engine_knobs() {
-    assert_plumbing_invariant("ring", &RING_PIN, &[1], ring_run);
+    assert_plumbing_invariant("ring", &RING_PIN, ring_run);
 }
 
 #[test]
 fn fat_tree_firewall_replays_identically_across_all_engine_knobs() {
-    assert_plumbing_invariant(
-        "fat-tree firewall",
-        &FAT_TREE_FIREWALL_PIN,
-        &[1],
-        fat_tree_firewall_run,
-    );
-}
-
-/// The sharded event loop is byte-identical to the single-threaded
-/// engine on the §5.2 ring, across the `{2,4 shards} × {trace}` matrix —
-/// including the NES correctness verification of the merged trace.
-#[test]
-fn ring_replays_identically_across_shard_counts() {
-    assert_plumbing_invariant("sharded ring", &RING_PIN, &[2, 4], ring_run);
-}
-
-/// Same matrix on the fat-tree(4) firewall: controller traffic, a mid-run
-/// configuration update, and permutation flows all crossing shard cuts.
-#[test]
-fn fat_tree_firewall_replays_identically_across_shard_counts() {
-    assert_plumbing_invariant(
-        "sharded fat-tree firewall",
-        &FAT_TREE_FIREWALL_PIN,
-        &[2, 4],
-        fat_tree_firewall_run,
-    );
+    assert_plumbing_invariant("fat-tree firewall", &FAT_TREE_FIREWALL_PIN, fat_tree_firewall_run);
 }
 
 #[test]
 fn churn_scenarios_replay_identically_across_all_engine_knobs() {
     let ring = flapping_ring_scenario();
-    assert_plumbing_invariant("flapping ring", &FLAPPING_RING_PIN, &[1], |k| churn_run(&ring, k));
+    assert_plumbing_invariant("flapping ring", &FLAPPING_RING_PIN, |k| churn_run(&ring, k));
     let campaign = fat_tree_campaign_scenario();
-    assert_plumbing_invariant("fat-tree campaign", &FAT_TREE_CAMPAIGN_PIN, &[1], |k| {
+    assert_plumbing_invariant("fat-tree campaign", &FAT_TREE_CAMPAIGN_PIN, |k| {
         churn_run(&campaign, k)
     });
 }
 
-/// The churn matrix again, sharded: link-failure timelines, switch
-/// crashes, latency spikes, and mobility steps must all replay
-/// byte-identically on the multi-core event loop.
-#[test]
-fn churn_scenarios_replay_identically_across_shard_counts() {
-    let ring = flapping_ring_scenario();
-    assert_plumbing_invariant("sharded flapping ring", &FLAPPING_RING_PIN, &[2, 4], |k| {
-        churn_run(&ring, k)
-    });
-    let campaign = fat_tree_campaign_scenario();
-    assert_plumbing_invariant("sharded fat-tree campaign", &FAT_TREE_CAMPAIGN_PIN, &[2, 4], |k| {
-        churn_run(&campaign, k)
-    });
+/// Asserts that `run` matches its committed `pin` and replays to the same
+/// bytes.
+fn assert_pinned_replay(name: &str, pin: &Fingerprint, run: impl Fn() -> (NetworkTrace, Stats)) {
+    let (trace, stats) = run();
+    assert_eq!(&fingerprint(&trace, &stats), pin, "{name}: pin moved");
+    assert_eq!(run(), (trace, stats), "{name}: replay diverged");
 }
 
-/// The *uncoordinated* baseline plane replays byte-identically across
-/// shard counts too: its slow controller pushes are
-/// scheduled control messages like any other, so sharding the event loop
-/// under it must not change a byte of the stats or the trace. (The
-/// baseline being deterministic is what makes its checker violations in
-/// `scenario_corpus.rs` reproducible counterexamples rather than flakes.)
+/// The *uncoordinated* baseline plane on both churn scenarios: its slow
+/// controller pushes are scheduled control messages like any other, so
+/// the run matches its committed fingerprint and replays byte-identically.
+/// (The baseline being deterministic is what makes its checker violations
+/// in `scenario_corpus.rs` reproducible counterexamples rather than
+/// flakes.)
 #[test]
-fn uncoordinated_baseline_replays_identically_across_shard_counts() {
+fn uncoordinated_baseline_matches_its_pins_and_replays_identically() {
     let scenarios = [
-        ("flapping ring", flapping_ring_scenario()),
-        ("fat-tree campaign", fat_tree_campaign_scenario()),
+        ("flapping ring", flapping_ring_scenario(), UNCOORD_FLAPPING_RING_PIN),
+        ("fat-tree campaign", fat_tree_campaign_scenario(), UNCOORD_FAT_TREE_CAMPAIGN_PIN),
     ];
-    for (name, c) in &scenarios {
-        let run = |shards: u32| {
-            let mut engine = c.uncoordinated().with_trace_mode(TraceMode::Full).with_shards(shards);
-            c.apply_actions(&mut engine);
-            c.load_traffic(&mut engine, false);
-            c.inject_campaign(&mut engine);
-            engine.run(c.horizon);
-            let expected = shards.min(c.run.switch_count() as u32).max(1);
-            assert_eq!(engine.shards(), expected, "{name}: sharding did not engage");
-            let result = engine.finish();
+    for (name, c, pin) in &scenarios {
+        assert_pinned_replay(name, pin, || {
+            let result = drive(c, c.uncoordinated().with_trace_mode(TraceMode::Full));
             (result.trace, result.stats)
-        };
-        let (reference_trace, reference_stats) = run(1);
-        assert!(!reference_stats.deliveries.is_empty(), "{name}: baseline must deliver");
-        for shards in [1u32, 2, 4] {
-            let (trace, stats) = run(effective_shards(shards));
-            assert_eq!(stats, reference_stats, "{name}: uncoordinated stats diverged on {shards}");
-            assert_eq!(trace, reference_trace, "{name}: uncoordinated trace diverged on {shards}");
-        }
+        });
     }
 }
 
-/// The ack/retry reliability layer over a *lossy* control channel keeps
-/// the sharded event loop byte-identical: channel fates advance on the
-/// shard that owns the endpoint, never on the worker schedule, so drops,
-/// duplicates, reordering, retransmissions — and therefore the full trace
-/// — replay exactly across 1, 2, and 4 shards.
+/// The ack/retry reliability layer over a *lossy* control channel on both
+/// churn scenarios: a message's fate hangs on its sender's own counter, so
+/// drops, duplicates, reordering, retransmissions — and therefore the full
+/// trace — match the committed fingerprints and replay exactly.
 #[test]
-fn reliable_lossy_runs_replay_identically_across_shard_counts() {
-    let c = flapping_ring_scenario();
-    let run = |shards: u32| {
-        let mut engine = c
-            .reliable_engine_with(REFERENCE_DEPLOY, 8)
-            .with_channel(ChannelModel::lossy(13))
-            .with_trace_mode(TraceMode::Full)
-            .with_shards(shards);
-        c.apply_actions(&mut engine);
-        c.load_traffic(&mut engine, false);
-        c.inject_campaign(&mut engine);
-        engine.run(c.horizon);
-        let expected = shards.min(c.run.switch_count() as u32).max(1);
-        assert_eq!(engine.shards(), expected, "sharding did not engage");
-        let result = engine.finish();
-        assert!(!result.dataplane.degraded(), "a generous budget never exhausts");
-        assert_eq!(
-            result.dataplane.inner().fired_sequence().len(),
-            c.steps.len(),
-            "every campaign step fires under loss"
-        );
-        (result.trace, result.stats)
-    };
-    let (reference_trace, reference_stats) = run(1);
-    assert!(!reference_stats.deliveries.is_empty(), "lossy reference must deliver");
-    for shards in [2u32, 4] {
-        let (trace, stats) = run(effective_shards(shards));
-        assert_eq!(stats, reference_stats, "{shards} shards: lossy stats diverged");
-        assert_eq!(trace, reference_trace, "{shards} shards: lossy trace diverged");
+fn reliable_lossy_runs_match_their_pins_and_replay_identically() {
+    let scenarios = [
+        ("flapping ring", flapping_ring_scenario(), RELIABLE_LOSSY_RING_PIN),
+        ("fat-tree campaign", fat_tree_campaign_scenario(), RELIABLE_LOSSY_CAMPAIGN_PIN),
+    ];
+    for (name, c, pin) in &scenarios {
+        assert_pinned_replay(name, pin, || {
+            let engine = c
+                .reliable_engine_with(REFERENCE_DEPLOY, 8)
+                .with_channel(ChannelModel::lossy(13))
+                .with_trace_mode(TraceMode::Full);
+            let result = drive(c, engine);
+            assert!(!result.dataplane.degraded(), "{name}: a generous budget never exhausts");
+            assert_eq!(
+                result.dataplane.inner().fired_sequence().len(),
+                c.steps.len(),
+                "{name}: every campaign step fires under loss"
+            );
+            (result.trace, result.stats)
+        });
     }
 }
 
 /// Every non-reference deployment shape — delta-patched per-tag tables,
 /// the trie-compressed optimizer (over both compile paths), and the
 /// linear-scan lookup under each — replays the §5.2 ring and the fat-tree
-/// churn campaign byte-identically to the scratch/guarded reference, solo
-/// and sharded. The table *construction* and *layout* may change; the
+/// churn campaign byte-identically to the scratch/guarded reference. The
+/// table *construction* and *layout* may change; the
 /// observable run may not.
 #[test]
 fn deployment_layouts_do_not_perturb_results() {
@@ -540,16 +504,11 @@ fn deployment_layouts_do_not_perturb_results() {
         let (reference_trace, reference_stats) = run(REFERENCE);
         for (compile, optimize) in deploys {
             for lookup in [LookupPath::Indexed, LookupPath::Linear] {
-                for shards in [1, 4] {
-                    let knobs = Knobs {
-                        shards: effective_shards(shards),
-                        deploy: DeployKnobs { path: lookup, compile, optimize },
-                        ..REFERENCE
-                    };
-                    let (trace, stats) = run(knobs);
-                    assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
-                    assert_eq!(trace, reference_trace, "{scenario}: trace diverged on {knobs:?}");
-                }
+                let knobs =
+                    Knobs { deploy: DeployKnobs { path: lookup, compile, optimize }, ..REFERENCE };
+                let (trace, stats) = run(knobs);
+                assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
+                assert_eq!(trace, reference_trace, "{scenario}: trace diverged on {knobs:?}");
             }
         }
     }
@@ -559,62 +518,30 @@ fn deployment_layouts_do_not_perturb_results() {
 }
 
 /// Telemetry must never perturb simulation results: the ring scenario
-/// replayed at `counters` and `full` (solo and sharded) stays
-/// byte-identical to the metrics-off reference — `Stats`, traces, and the
-/// NES verification all unchanged.
+/// replayed at `counters` and `full` stays byte-identical to the
+/// metrics-off reference — `Stats`, traces, and the NES verification all
+/// unchanged.
 #[test]
 fn metrics_levels_do_not_perturb_results() {
     let (reference_trace, reference_stats) = ring_run(REFERENCE);
     for metrics in [MetricsLevel::Counters, MetricsLevel::Full] {
-        for shards in [1, 2, 4] {
-            let knobs = Knobs { shards: effective_shards(shards), metrics, ..REFERENCE };
-            let (trace, stats) = ring_run(knobs);
-            assert_eq!(stats, reference_stats, "stats diverged on {knobs:?}");
-            assert_eq!(trace, reference_trace, "trace diverged on {knobs:?}");
-        }
+        let knobs = Knobs { metrics, ..REFERENCE };
+        let (trace, stats) = ring_run(knobs);
+        assert_eq!(stats, reference_stats, "stats diverged on {knobs:?}");
+        assert_eq!(trace, reference_trace, "trace diverged on {knobs:?}");
     }
 }
 
-/// The fat-tree firewall scenario's **sim-scoped** metric section is
-/// byte-identical across shard counts — the registry analogue of the
-/// trace/stats byte-identity contract (shard- and wall-scoped sections
-/// are exempt by design).
+/// The fat-tree firewall scenario's **sim-scoped** metric section matches
+/// its committed text at both metrics levels — the registry analogue of
+/// the trace/stats pins (shard- and wall-scoped sections are exempt by
+/// design).
 #[test]
-fn sim_scoped_metrics_are_byte_identical_across_shard_counts() {
-    let sim_section = |shards: u32| {
-        let gen = fat_tree(4, TierProfile::default());
-        let workload = Workload {
-            pattern: TrafficPattern::Permutation,
-            seed: 7,
-            packets_per_flow: 4,
-            ..Workload::default()
-        };
-        let flows = synthesize(&gen, &workload);
-        let horizon =
-            flows.iter().map(|f| f.end).max().unwrap_or(SimTime::ZERO) + SimTime::from_secs(10);
-        let (inside, outside) = (gen.hosts()[0], *gen.hosts().last().expect("hosts"));
-        let nes = firewall_nes(&gen, inside, outside);
-        let mut engine = nes_engine_with(
-            nes,
-            gen.sim().clone(),
-            SimParams::default(),
-            false,
-            Box::new(SinkHosts),
-            REFERENCE_DEPLOY,
-        )
-        .with_metrics(MetricsLevel::Counters)
-        .with_shards(shards);
-        edn_topo::schedule(&mut engine, &flows);
-        engine.inject_at(SimTime::from_millis(5), inside, udp_packet(inside, outside, u64::MAX, 0));
-        engine.run(horizon);
-        assert_eq!(engine.shards(), shards, "sharding did not engage");
-        engine.finish().metrics.render_scope_json(Scope::Sim)
-    };
-    let solo = sim_section(1);
-    assert!(solo.contains("engine.event_latency_us"), "sim section must be populated");
-    assert!(solo.contains("drops.no_rule"), "per-reason drops must be present");
-    for shards in [2, 4] {
-        assert_eq!(sim_section(shards), solo, "sim metrics diverged on {shards} shards");
+fn sim_scoped_metrics_match_their_pin() {
+    for level in [MetricsLevel::Counters, MetricsLevel::Full] {
+        let knobs = Knobs { metrics: level, ..REFERENCE };
+        let sim = fat_tree_firewall_result(knobs).metrics.render_scope_json(Scope::Sim);
+        assert_eq!(sim, SIM_METRICS_PIN, "sim section moved at {level:?}");
     }
 }
 
@@ -640,9 +567,7 @@ fn seeded_run(n: u64, workload: &Workload, knobs: Knobs) -> (NetworkTrace, Stats
     // The trigger opens the firewall mid-run so the sweep crosses a real
     // configuration update.
     engine.inject_at(SimTime::from_millis(5), inside, udp_packet(inside, outside, u64::MAX, 0));
-    engine.run(horizon);
-    assert_shards_engaged(&engine, knobs, n as u32);
-    let result = engine.finish();
+    let result = engine.run_until(horizon);
     (result.trace, result.stats)
 }
 
@@ -677,7 +602,7 @@ proptest! {
         workload in arb_workload(),
     ) {
         let (reference_trace, reference_stats) = seeded_run(n, &workload, REFERENCE);
-        for knobs in knobs_with_shards(1) {
+        for knobs in trace_modes() {
             let (trace, stats) = seeded_run(n, &workload, knobs);
             prop_assert_eq!(&stats, &reference_stats, "stats diverged on {:?}", knobs);
             match knobs.mode {
@@ -685,32 +610,5 @@ proptest! {
                 TraceMode::StatsOnly => prop_assert!(trace.is_empty()),
             }
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Differential equivalence of the sharded event loop over seeded
-    /// topologies and workloads: a K-shard run (K drawn from 2..=4) must
-    /// produce byte-identical
-    /// `Stats` and traces to the single-threaded reference, with
-    /// `StatsOnly` agreeing on every `Stats` field. Requesting more
-    /// shards than switches exercises the clamp.
-    #[test]
-    fn seeded_topologies_agree_across_shard_counts(
-        n in 3u64..7,
-        workload in arb_workload(),
-        shards in 2u32..5,
-    ) {
-        let (reference_trace, reference_stats) = seeded_run(n, &workload, REFERENCE);
-        let sharded = Knobs { shards, ..REFERENCE };
-        let (trace, stats) = seeded_run(n, &workload, sharded);
-        prop_assert_eq!(&stats, &reference_stats, "{} shards: stats diverged", shards);
-        prop_assert_eq!(&trace, &reference_trace, "{} shards: trace diverged", shards);
-        let stats_only = Knobs { mode: TraceMode::StatsOnly, ..sharded };
-        let (empty, stats) = seeded_run(n, &workload, stats_only);
-        prop_assert_eq!(&stats, &reference_stats, "{} shards StatsOnly diverged", shards);
-        prop_assert!(empty.is_empty(), "StatsOnly must not record a trace");
     }
 }

@@ -4,8 +4,7 @@
 //! firewall scenarios and across seeded proptest sweeps of every arrival
 //! model; (b) the online Definition 6 checker must agree with the post-hoc
 //! checker on the same scenarios — including under `StatsOnly` (where the
-//! post-hoc checker has nothing to read) and with sharding requested (an
-//! engine with a source or observer runs solo, byte-identically).
+//! post-hoc checker has nothing to read).
 
 use edn_apps::generated::firewall_nes;
 use edn_apps::ring::{host, Ring};
@@ -41,7 +40,6 @@ fn run_scenario(
     horizon: SimTime,
     injection: Injection,
     mode: TraceMode,
-    shards: u32,
     online: bool,
 ) -> (NetworkTrace, Stats, Option<bool>) {
     let engine = nes_engine_with_path(
@@ -52,7 +50,7 @@ fn run_scenario(
         Box::new(SinkHosts),
         LookupPath::Indexed,
     );
-    let mut engine = engine.with_trace_mode(mode).with_shards(shards);
+    let mut engine = engine.with_trace_mode(mode);
     let handle = online
         .then(|| attach_online_checker(&mut engine, &nes).expect("NES fits the checker window"));
     match injection {
@@ -134,9 +132,7 @@ fn fat_tree_scenario(
 }
 
 /// Asserts the streamed run is byte-identical to the batch reference on a
-/// scenario, across trace modes and with sharding requested (the streamed
-/// engine falls back to the solo loop, which the plumbing suite has already
-/// pinned byte-identical to the sharded one).
+/// scenario, in both trace modes.
 fn assert_stream_matches_batch(
     scenario: &str,
     mk: impl Fn() -> (
@@ -148,7 +144,7 @@ fn assert_stream_matches_batch(
     ),
 ) {
     let (nes, topo, flows, trigger, horizon) = mk();
-    let run = |injection, mode, shards| {
+    let run = |injection, mode| {
         run_scenario(
             nes.clone(),
             topo.clone(),
@@ -157,21 +153,17 @@ fn assert_stream_matches_batch(
             horizon,
             injection,
             mode,
-            shards,
             false,
         )
     };
-    let (ref_trace, ref_stats, _) = run(Injection::Batch, TraceMode::Full, 1);
+    let (ref_trace, ref_stats, _) = run(Injection::Batch, TraceMode::Full);
     assert!(!ref_stats.deliveries.is_empty(), "{scenario}: reference must deliver");
-    let (trace, stats, _) = run(Injection::Stream, TraceMode::Full, 1);
+    let (trace, stats, _) = run(Injection::Stream, TraceMode::Full);
     assert_eq!(stats, ref_stats, "{scenario}: streamed stats diverged");
     assert_eq!(trace, ref_trace, "{scenario}: streamed trace diverged");
-    let (empty, stats, _) = run(Injection::Stream, TraceMode::StatsOnly, 1);
+    let (empty, stats, _) = run(Injection::Stream, TraceMode::StatsOnly);
     assert_eq!(stats, ref_stats, "{scenario}: streamed StatsOnly stats diverged");
     assert!(empty.is_empty(), "{scenario}: StatsOnly must not record");
-    let (trace, stats, _) = run(Injection::Stream, TraceMode::Full, 2);
-    assert_eq!(stats, ref_stats, "{scenario}: streamed 2-shard stats diverged");
-    assert_eq!(trace, ref_trace, "{scenario}: streamed 2-shard trace diverged");
 }
 
 #[test]
@@ -196,9 +188,9 @@ fn streamed_arrival_models_are_byte_identical_to_batch() {
 }
 
 /// Runs a scenario with the online checker attached and asserts its verdict
-/// matches the post-hoc checker's on the recorded trace — then re-runs under
-/// `StatsOnly` (no trace to check post-hoc) and with sharding requested, and
-/// asserts the online verdict holds steady.
+/// matches the post-hoc checker's on the recorded trace — then re-runs
+/// streamed under `StatsOnly` (no trace to check post-hoc) and asserts the
+/// online verdict holds steady.
 fn assert_online_agrees_with_post_hoc(
     scenario: &str,
     mk: impl Fn() -> (
@@ -210,7 +202,7 @@ fn assert_online_agrees_with_post_hoc(
     ),
 ) {
     let (nes, topo, flows, trigger, horizon) = mk();
-    let run = |injection, mode, shards| {
+    let run = |injection, mode| {
         run_scenario(
             nes.clone(),
             topo.clone(),
@@ -219,15 +211,14 @@ fn assert_online_agrees_with_post_hoc(
             horizon,
             injection,
             mode,
-            shards,
             true,
         )
     };
-    let (trace, stats, online) = run(Injection::Batch, TraceMode::Full, 1);
+    let (trace, stats, online) = run(Injection::Batch, TraceMode::Full);
     let post_hoc = post_hoc_verdict(&trace, &nes);
     assert_eq!(online, Some(post_hoc), "{scenario}: online vs post-hoc");
     assert!(post_hoc, "{scenario}: the runtime is consistent (Theorem 1)");
-    let (_, stats2, online2) = run(Injection::Stream, TraceMode::StatsOnly, 2);
+    let (_, stats2, online2) = run(Injection::Stream, TraceMode::StatsOnly);
     assert_eq!(stats2, stats, "{scenario}: checked StatsOnly run diverged");
     assert_eq!(online2, Some(post_hoc), "{scenario}: StatsOnly online verdict diverged");
 }
@@ -267,7 +258,7 @@ fn seeded_run(
     let (inside, outside) = (gen.hosts()[0], *gen.hosts().last().expect("hosts"));
     let nes = firewall_nes(&gen, inside, outside);
     let trigger = (SimTime::from_millis(5), inside, udp_packet(inside, outside, u64::MAX, 0));
-    run_scenario(nes, gen.sim().clone(), &flows, trigger, horizon, injection, mode, 1, online)
+    run_scenario(nes, gen.sim().clone(), &flows, trigger, horizon, injection, mode, online)
 }
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
