@@ -6,24 +6,22 @@
 //!
 //! The harness compiles a declarative scenario (see `crates/scenario`): a
 //! fat-tree(8) running a 20-update victim-unblock campaign with causal
-//! probes, under streamed permutation traffic with Pareto flow sizes. Four
-//! legs run in one process — `{throughput, verified} × {scratch, delta}`:
+//! probes, under streamed permutation traffic with Pareto flow sizes. Three
+//! legs run in one process:
 //!
 //! * **throughput** — unchecked: the raw updates/sec the runtime sustains
 //!   (trigger injection to final firing);
 //! * **verified** — the online Definition 6 checker attached: the same
 //!   campaign, now with a verdict;
-//! * **scratch** vs **delta** — the table-construction path
-//!   (`CompilePath`), pinned per leg so the sweep is self-contained: the
-//!   scratch legs recompile every configuration into guarded tables, the
-//!   delta legs diff successive configurations and patch. The *sustained*
-//!   rate charges each leg its own compile time
-//!   (`fired / (compile + run)`), which is where delta compilation pays.
+//! * **lossy** — the verified leg over a seeded lossy control channel,
+//!   behind the ack/retry reliability layer.
 //!
-//! All four legs must report byte-identical `Stats` — checking and the
-//! compile path may cost wall time but never change a result. The
-//! CSV goes to stdout; a JSON summary (all legs' rates plus the verdict)
-//! goes to `CAMPAIGN_JSON`.
+//! Every leg is timed the same way: building the deployment is `compile_us`,
+//! the run is `wall_us`, and the *sustained* rate charges a leg both
+//! (`fired / (compile + run)`). The two ideal-channel legs must report
+//! byte-identical `Stats` — checking may cost wall time but never change a
+//! result. The CSV goes to stdout; a JSON summary (all legs' rates plus the
+//! verdict) goes to `CAMPAIGN_JSON`.
 //!
 //! Environment overrides (CI smoke uses small values):
 //! * `CAMPAIGN_FATTREE_K` — fat-tree arity (default `8`: 80 switches, 128
@@ -38,8 +36,8 @@ use edn_bench::env_u64;
 use edn_obs::Stopwatch;
 use edn_scenario::{CompiledScenario, ModelSpec, ScenarioSpec, TopologySpec, WorkloadSpec};
 use edn_topo::TrafficPattern;
-use nes_runtime::{CompilePath, DeployKnobs};
-use netsim::{ChannelModel, DropReason, SimTime, Stats};
+use nes_runtime::DeployKnobs;
+use netsim::{ChannelModel, DataPlane, DropReason, Engine, MetricsLevel, SimTime, Stats};
 use std::fmt::Write as _;
 
 /// `VmHWM` (peak resident set) of this process, in kilobytes.
@@ -84,23 +82,25 @@ fn campaign_spec(k: u64, updates: u64, seed: u64) -> ScenarioSpec {
 struct Leg {
     stats: Stats,
     datagrams: u64,
-    fired: usize,
     /// Deployment (table construction) time, µs.
     compile_us: u64,
     /// Run time, µs.
     wall_us: u64,
-    /// Rule adds + removes the delta chain applied (delta legs only).
-    rule_mods: Option<u64>,
     verdict: &'static str,
 }
 
-/// One leg; the compile path is pinned explicitly per leg (the sweep is
-/// self-contained — `EDN_COMPILE` does not affect it), the remaining knobs
-/// come from the environment.
-fn leg(c: &CompiledScenario, check: bool, compile: CompilePath) -> Leg {
-    let knobs = DeployKnobs { compile, ..DeployKnobs::from_env() };
+/// One leg: `build` (the deployment: NES compile, table compile, index
+/// build, engine) under the compile stopwatch, the run under the wall one —
+/// the same split on every leg, so their columns compare. Attaching the
+/// checker and loading the injections sit between the two, on neither.
+/// Returns the finished plane for the leg's own assertions.
+fn leg<D: DataPlane>(
+    c: &CompiledScenario,
+    check: bool,
+    build: impl FnOnce() -> Engine<D>,
+) -> (Leg, D) {
     let sw = Stopwatch::start();
-    let mut engine = c.engine_with(knobs);
+    let mut engine = build();
     let compile_us = sw.elapsed_us();
     let handle = check.then(|| {
         nes_runtime::attach_online_checker(&mut engine, &c.nes)
@@ -112,14 +112,12 @@ fn leg(c: &CompiledScenario, check: bool, compile: CompilePath) -> Leg {
     let sw = Stopwatch::start();
     let result = engine.run_until(c.horizon);
     let wall_us = sw.elapsed_us();
-    let fired = result.dataplane.fired_sequence().len();
-    let rule_mods = result.dataplane.delta_rule_mods();
     let verdict = match handle.map(|h| h.verdict()) {
         None => "unchecked",
         Some(Ok(())) => "correct",
         Some(Err(v)) => v.name(),
     };
-    Leg { stats: result.stats, datagrams, fired, compile_us, wall_us, rule_mods, verdict }
+    (Leg { stats: result.stats, datagrams, compile_us, wall_us, verdict }, result.dataplane)
 }
 
 fn updates_per_sec(fired: usize, us: u64) -> f64 {
@@ -135,60 +133,55 @@ fn main() {
 
     let spec = campaign_spec(k, updates, seed);
     let c = CompiledScenario::compile(&spec).expect("the campaign spec compiles");
+    let knobs = DeployKnobs::from_env();
     // Warm-up: one untimed engine build absorbs allocator growth and cold
-    // caches, so the four timed legs compare compile paths, not page faults.
-    drop(c.engine_with(DeployKnobs::from_env()));
+    // caches, so the timed legs compare deployments, not page faults.
+    drop(c.engine_with(knobs));
     let drop_cols = DropReason::ALL.map(|r| format!("drops_{}", r.name())).join(",");
     println!(
-        "leg,compile,updates,fired,datagrams,events,compile_us,wall_us,updates_per_sec,\
+        "leg,plane,updates,fired,datagrams,events,compile_us,wall_us,updates_per_sec,\
          sustained_updates_per_sec,vm_hwm_kb,verdict,{drop_cols}"
     );
 
     let mut json = String::new();
-    let mut baseline: Option<Stats> = None;
-    for compile in [CompilePath::Scratch, CompilePath::Delta] {
-        for (name, check) in [("throughput", false), ("verified", true)] {
-            let l = leg(&c, check, compile);
-            assert_eq!(l.fired, c.steps.len(), "every campaign step fires");
-            if check {
-                assert_eq!(l.verdict, "correct", "the NES runtime must verify (Theorem 1)");
-            }
-            if let Some(b) = &baseline {
-                assert_eq!(&l.stats, b, "the compile path must not change a byte of the stats");
-            }
-            let rate = updates_per_sec(l.fired, l.wall_us);
-            let sustained = updates_per_sec(l.fired, l.compile_us + l.wall_us);
-            let named = l.stats.dropped.map(|d| d.to_string()).join(",");
-            println!(
-                "{name},{},{updates},{},{},{},{},{},{rate:.2},{sustained:.2},{},{},{named}",
-                compile.label(),
-                l.fired,
-                l.datagrams,
-                l.stats.events_processed,
-                l.compile_us,
-                l.wall_us,
-                vm_hwm_kb(),
-                l.verdict,
-            );
-            if !json.is_empty() {
-                json.push_str(",\n");
-            }
-            let _ = write!(
-                json,
-                "  \"{name}_{}\": {{ \"fired\": {}, \"events\": {}, \"compile_us\": {}, \
-                 \"wall_us\": {}, \"updates_per_sec\": {rate:.2}, \
-                 \"sustained_updates_per_sec\": {sustained:.2}, \"rule_mods\": {}, \
-                 \"verdict\": \"{}\" }}",
-                compile.label(),
-                l.fired,
-                l.stats.events_processed,
-                l.compile_us,
-                l.wall_us,
-                l.rule_mods.map_or_else(|| "null".to_string(), |m| m.to_string()),
-                l.verdict,
-            );
-            baseline = Some(l.stats);
+    let mut report = |name: &str, plane: &str, l: &Leg, fired: usize| {
+        let rate = updates_per_sec(fired, l.wall_us);
+        let sustained = updates_per_sec(fired, l.compile_us + l.wall_us);
+        let named = l.stats.dropped.map(|d| d.to_string()).join(",");
+        println!(
+            "{name},{plane},{updates},{fired},{},{},{},{},{rate:.2},{sustained:.2},{},{},{named}",
+            l.datagrams,
+            l.stats.events_processed,
+            l.compile_us,
+            l.wall_us,
+            vm_hwm_kb(),
+            l.verdict,
+        );
+        if !json.is_empty() {
+            json.push_str(",\n");
         }
+        let _ = write!(
+            json,
+            "  \"{name}_{plane}\": {{ \"fired\": {fired}, \"events\": {}, \"compile_us\": {}, \
+             \"wall_us\": {}, \"updates_per_sec\": {rate:.2}, \
+             \"sustained_updates_per_sec\": {sustained:.2}, \"verdict\": \"{}\" }}",
+            l.stats.events_processed, l.compile_us, l.wall_us, l.verdict,
+        );
+    };
+
+    let mut baseline: Option<Stats> = None;
+    for (name, check) in [("throughput", false), ("verified", true)] {
+        let (l, plane) = leg(&c, check, || c.engine_with(knobs));
+        let fired = plane.fired_sequence().len();
+        assert_eq!(fired, c.steps.len(), "every campaign step fires");
+        if check {
+            assert_eq!(l.verdict, "correct", "the NES runtime must verify (Theorem 1)");
+        }
+        if let Some(b) = &baseline {
+            assert_eq!(&l.stats, b, "checking must not change a byte of the stats");
+        }
+        report(name, "bare", &l, fired);
+        baseline = Some(l.stats);
     }
 
     // The chaos leg: the same campaign over a seeded lossy control channel,
@@ -196,38 +189,16 @@ fn main() {
     // the online checker attached. Loss reshapes control timing, so this
     // leg is *not* byte-compared against the ideal baseline — the contract
     // here is the verdict: every step fires and Definition 6 still holds.
-    {
-        let sw = Stopwatch::start();
-        let out = edn_scenario::run_coordinated(
-            &c,
-            &edn_scenario::RunOptions {
-                check: true,
-                channel: Some(ChannelModel::lossy(seed)),
-                ..edn_scenario::RunOptions::default()
-            },
-        );
-        let wall_us = sw.elapsed_us();
-        let fired = out.fired.expect("coordinated legs count firings");
-        assert_eq!(fired, c.steps.len(), "every campaign step fires under loss");
-        assert!(!out.degraded, "the default retry budget must survive the stock lossy model");
-        assert_eq!(out.verdict_name(), "correct", "Theorem 1 must survive the lossy channel");
-        let rate = updates_per_sec(fired, wall_us);
-        let named = out.stats.dropped.map(|d| d.to_string()).join(",");
-        println!(
-            "lossy,reliable,{updates},{fired},{},{},0,{wall_us},{rate:.2},{rate:.2},{},{},{named}",
-            out.datagrams,
-            out.stats.events_processed,
-            vm_hwm_kb(),
-            out.verdict_name(),
-        );
-        let _ = write!(
-            json,
-            ",\n  \"lossy_reliable\": {{ \"fired\": {fired}, \"events\": {}, \
-             \"wall_us\": {wall_us}, \"updates_per_sec\": {rate:.2}, \"verdict\": \"{}\" }}",
-            out.stats.events_processed,
-            out.verdict_name(),
-        );
-    }
+    let (l, plane) = leg(&c, true, || {
+        c.reliable_engine_with(knobs, nes_runtime::retry_budget_from_env())
+            .with_channel(ChannelModel::lossy(seed))
+            .with_metrics(MetricsLevel::Full)
+    });
+    let fired = plane.inner().fired_sequence().len();
+    assert_eq!(fired, c.steps.len(), "every campaign step fires under loss");
+    assert!(!plane.degraded(), "the default retry budget must survive the stock lossy model");
+    assert_eq!(l.verdict, "correct", "Theorem 1 must survive the lossy channel");
+    report("lossy", "reliable", &l, fired);
 
     if !json_path.is_empty() {
         let body = format!(

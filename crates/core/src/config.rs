@@ -282,9 +282,7 @@ impl Config {
     /// The minimal delta from this configuration to `new`.
     ///
     /// `self.apply_delta(&self.diff(new))` reproduces `new` exactly —
-    /// pinned by unit tests and by the delta-equivalence suite, which also
-    /// drives [`CompiledTable::patch`](netkat::CompiledTable::patch)
-    /// through these per-switch splices.
+    /// pinned by unit tests and by the delta-equivalence suite.
     pub fn diff(&self, new: &Config) -> ConfigDelta {
         let mut delta = ConfigDelta::default();
         let empty = FlowTable::new();

@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::field::{Field, Value};
 use crate::packet::Packet;
@@ -96,9 +97,17 @@ impl fmt::Display for Action {
 /// A set of actions: the full result of a policy on a packet.
 ///
 /// The empty set is *drop*; a set with more than one action is *multicast*.
+///
+/// # Sharing
+///
+/// The set sits behind a reference count: `clone` is O(1) and allocates
+/// nothing. [`extend`](Extend::extend) copies the set first if it is shared
+/// (copy-on-write), so a clone never observes a mutation of its origin.
+/// Equality, ordering and hashing are those of the actions, not of the
+/// allocation.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct ActionSet {
-    actions: BTreeSet<Action>,
+    actions: Arc<BTreeSet<Action>>,
 }
 
 impl ActionSet {
@@ -129,9 +138,9 @@ impl ActionSet {
 
     /// Union of two action sets (multicast).
     pub fn union(&self, other: &ActionSet) -> ActionSet {
-        let mut actions = self.actions.clone();
-        actions.extend(other.actions.iter().cloned());
-        ActionSet { actions }
+        let mut union = self.clone();
+        union.extend(other.actions.iter().cloned());
+        union
     }
 
     /// Applies every action to `pk`, returning the set of output packets.
@@ -169,13 +178,17 @@ impl ActionSet {
 
 impl FromIterator<Action> for ActionSet {
     fn from_iter<I: IntoIterator<Item = Action>>(iter: I) -> ActionSet {
-        ActionSet { actions: iter.into_iter().collect() }
+        ActionSet { actions: Arc::new(iter.into_iter().collect()) }
     }
 }
 
 impl Extend<Action> for ActionSet {
     fn extend<I: IntoIterator<Item = Action>>(&mut self, iter: I) {
-        self.actions.extend(iter);
+        // Nothing to add must not un-share the set.
+        let mut iter = iter.into_iter().peekable();
+        if iter.peek().is_some() {
+            Arc::make_mut(&mut self.actions).extend(iter);
+        }
     }
 }
 

@@ -7,6 +7,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::action::ActionSet;
 use crate::fdd::{FddBuilder, NodeId};
@@ -16,6 +17,15 @@ use crate::packet::{FieldReader, Packet};
 /// An exact-match pattern: a conjunction of `field = value` constraints.
 ///
 /// Fields not mentioned are wildcards.
+///
+/// # Sharing
+///
+/// The constraint map sits behind a reference count: `clone` is O(1) and
+/// allocates nothing, so the same pattern installed under many
+/// configurations is one body. [`with`](Match::with) and
+/// [`add`](Match::add) copy the map first if it is shared (copy-on-write),
+/// so a clone never observes a mutation of its origin. Equality, ordering
+/// and hashing are those of the constraints, not of the allocation.
 ///
 /// # Examples
 ///
@@ -27,7 +37,7 @@ use crate::packet::{FieldReader, Packet};
 /// ```
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Match {
-    tests: BTreeMap<Field, Value>,
+    tests: Arc<BTreeMap<Field, Value>>,
 }
 
 impl Match {
@@ -38,7 +48,7 @@ impl Match {
 
     /// Builder-style constraint addition.
     pub fn with(mut self, field: Field, value: Value) -> Match {
-        self.tests.insert(field, value);
+        Arc::make_mut(&mut self.tests).insert(field, value);
         self
     }
 
@@ -46,9 +56,9 @@ impl Match {
     /// unchanged) if it contradicts an existing constraint.
     pub fn add(&mut self, field: Field, value: Value) -> bool {
         match self.tests.get(&field) {
-            Some(&v) if v != value => false,
-            _ => {
-                self.tests.insert(field, value);
+            Some(&v) => v == value,
+            None => {
+                Arc::make_mut(&mut self.tests).insert(field, value);
                 true
             }
         }
@@ -88,7 +98,7 @@ impl Match {
 
 impl FromIterator<(Field, Value)> for Match {
     fn from_iter<I: IntoIterator<Item = (Field, Value)>>(iter: I) -> Match {
-        Match { tests: iter.into_iter().collect() }
+        Match { tests: Arc::new(iter.into_iter().collect()) }
     }
 }
 
@@ -108,6 +118,11 @@ impl fmt::Display for Match {
 }
 
 /// One prioritized rule: a match pattern and the actions applied on a hit.
+///
+/// Both halves are shared bodies (see [`Match`] and [`ActionSet`]):
+/// cloning a rule is two reference-count increments, which is what lets a
+/// campaign's configurations, the deployed index and the checker pass the
+/// same rule along instead of rebuilding it.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Rule {
     /// The match pattern.
@@ -264,9 +279,7 @@ impl FlowTable {
     /// Matches the longest common prefix and suffix of the two rule lists;
     /// everything between is the edit. A single splice is exactly the shape
     /// an OpenFlow mod batch takes (delete `removed` rules at `start`, add
-    /// `inserted` in their place), and it is what
-    /// [`CompiledTable::patch`](crate::CompiledTable::patch) applies
-    /// incrementally.
+    /// `inserted` in their place).
     ///
     /// # Examples
     ///
@@ -317,8 +330,7 @@ impl FlowTable {
 /// `start` with `inserted` — the OpenFlow-style mod batch one config update
 /// issues to one switch.
 ///
-/// Produced by [`FlowTable::diff`]; consumed by [`FlowTable::splice`] and
-/// [`CompiledTable::patch`](crate::CompiledTable::patch).
+/// Produced by [`FlowTable::diff`]; consumed by [`FlowTable::splice`].
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct TableDelta {
     /// Priority index where the edit begins.
@@ -539,5 +551,99 @@ mod tests {
         let mut patched = old;
         patched.splice(&delta);
         assert_eq!(patched, new);
+    }
+}
+
+/// The sharing contract of [`Match`] and [`ActionSet`]: mutating a clone
+/// never shows through to its origin, and a value reached by copy-on-write
+/// is indistinguishable — `==`, `cmp`, hash — from the same value built
+/// from scratch.
+#[cfg(test)]
+mod sharing_proptests {
+    use super::*;
+    use crate::action::Action;
+    use proptest::prelude::*;
+    use std::cmp::Ordering;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+
+    const FIELDS: [Field; 4] = [Field::Port, Field::Vlan, Field::IpSrc, Field::IpDst];
+
+    fn hash_of<T: Hash>(value: &T) -> u64 {
+        let mut h = DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    fn assert_same<T: Eq + Ord + Hash + std::fmt::Debug>(got: &T, scratch: &T) {
+        assert_eq!(got, scratch);
+        assert_eq!(got.cmp(scratch), Ordering::Equal);
+        assert_eq!(hash_of(got), hash_of(scratch));
+    }
+
+    fn arb_tests() -> impl Strategy<Value = Vec<(Field, Value)>> {
+        proptest::collection::vec((0usize..FIELDS.len(), 0u64..3), 0..5)
+            .prop_map(|fs| fs.into_iter().map(|(i, v)| (FIELDS[i], v)).collect())
+    }
+
+    fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
+        proptest::collection::vec(arb_tests(), 0..4).prop_map(|sets| {
+            sets.into_iter()
+                .map(|ws| ws.into_iter().fold(Action::id(), |a, (f, v)| a.set(f, v)))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn mutating_a_match_clone_leaves_the_original_untouched(
+            initial in arb_tests(),
+            // `true` = `with` (overrides), `false` = `add` (refuses a clash).
+            ops in proptest::collection::vec((any::<bool>(), 0usize..FIELDS.len(), 0u64..3), 0..8),
+        ) {
+            let original: Match = initial.iter().copied().collect();
+            let mut model: BTreeMap<Field, Value> = initial.iter().copied().collect();
+            let frozen = model.clone();
+            let mut copy = original.clone();
+            for (with, i, v) in ops {
+                let f = FIELDS[i];
+                if with {
+                    copy = copy.with(f, v);
+                    model.insert(f, v);
+                } else {
+                    let fits = model.get(&f).is_none_or(|&have| have == v);
+                    prop_assert_eq!(copy.add(f, v), fits);
+                    if fits {
+                        model.insert(f, v);
+                    }
+                }
+                assert_same(&copy, &model.iter().map(|(&f, &v)| (f, v)).collect());
+                assert_same(&original, &frozen.iter().map(|(&f, &v)| (f, v)).collect());
+            }
+        }
+
+        #[test]
+        fn mutating_an_action_set_clone_leaves_the_original_untouched(
+            initial in arb_actions(),
+            // `true` = `extend` in place, `false` = `union` into a new set.
+            ops in proptest::collection::vec((any::<bool>(), arb_actions()), 0..6),
+        ) {
+            let original: ActionSet = initial.iter().cloned().collect();
+            let mut model: BTreeSet<Action> = initial.iter().cloned().collect();
+            let frozen = model.clone();
+            let mut copy = original.clone();
+            for (extend, more) in ops {
+                if extend {
+                    copy.extend(more.iter().cloned());
+                } else {
+                    copy = copy.union(&more.iter().cloned().collect());
+                }
+                model.extend(more);
+                assert_same(&copy, &model.iter().cloned().collect());
+                assert_same(&original, &frozen.iter().cloned().collect());
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use edn_core::{EventId, EventSet, NetworkEventStructure};
-use netkat::{ActionSet, Match};
+use netkat::{ActionSet, FlowTable, Match};
 
 /// A deployable compilation of an NES.
 ///
@@ -105,6 +105,13 @@ impl CompiledNes {
     /// Panics on an unknown tag.
     pub fn set_of(&self, tag: u64) -> EventSet {
         self.tags[tag as usize]
+    }
+
+    /// The table `g(set_of(tag))` installs on `sw` — the specification every
+    /// deployed lookup answers to. `None` for an out-of-range tag or a
+    /// switch that configuration leaves without a table.
+    pub(crate) fn table(&self, sw: u64, tag: u64) -> Option<&FlowTable> {
+        self.nes.config(*self.tags.get(tag as usize)?).table(sw)
     }
 
     /// The *effective* event-set for an arbitrary known-events set: the

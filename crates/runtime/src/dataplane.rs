@@ -18,29 +18,28 @@ use netkat::{Field, FxBuildHasher, Loc, LocatedView, LookupPath, Packet, PacketA
 use netsim::{CtrlMsg, DataPlane, PlaneOut, SimTime};
 
 use crate::compile::CompiledNes;
-use crate::deploy::{CompilePath, DeployKnobs, Deployment, OptimizeMode};
+use crate::deploy::{dense_switches, DeployKnobs, Deployment, OptimizeMode};
 
 /// The deployed NES runtime (switch state + controller).
 #[derive(Clone, Debug)]
 pub struct NesDataPlane {
     compiled: CompiledNes,
-    /// The installed tables, in the layout the deployment knobs chose:
-    /// tag-guarded per-switch programs (Section 4.1, scratch compilation),
-    /// delta-patched per-`(switch, tag)` tables (`EDN_COMPILE=delta`), or
+    /// The installed tables, in the layout the deployment knobs chose: one
+    /// compiled table per distinct `(switch, tag)` table (Section 4.1), or
     /// trie-compressed wildcard-guarded tables (`EDN_OPTIMIZE=on`,
-    /// Section 5.3). All layouts forward identically — the delta and
+    /// Section 5.3). Both layouts forward identically — the delta and
     /// plumbing equivalence suites pin that byte for byte.
     deployment: Deployment,
-    /// The resolved deployment knobs (lookup path, compile path,
-    /// optimizer), fixed at construction so runs never consult the
-    /// environment mid-flight.
+    /// The resolved deployment knobs (lookup path, optimizer), fixed at
+    /// construction so runs never consult the environment mid-flight.
     knobs: DeployKnobs,
     /// Per-switch known events (`E` in Fig. 7), dense: `local[slot]` with
     /// slots assigned by `switch_slot`. The switch step reads and writes
     /// this two or three times per packet, so it must not walk a tree.
     local: Vec<EventSet>,
-    /// `switch id → slot in local`, grown on demand for switches outside
-    /// the deployment list (mirroring the old map's `entry` semantics).
+    /// `switch id → dense slot` — the index into `local` and the row of the
+    /// per-tag layout — grown on demand for switches outside the deployment
+    /// (which have no tables: their packets drop).
     switch_slot: HashMap<u64, u32, FxBuildHasher>,
     /// Controller's accumulated events (`R` in Fig. 7).
     controller: EventSet,
@@ -70,8 +69,7 @@ pub struct NesDataPlane {
 
 impl NesDataPlane {
     /// Deploys a compiled NES on the given switches, with every deployment
-    /// knob taken from the environment (`EDN_LOOKUP`, `EDN_COMPILE`,
-    /// `EDN_OPTIMIZE`).
+    /// knob taken from the environment (`EDN_LOOKUP`, `EDN_OPTIMIZE`).
     pub fn new(compiled: CompiledNes, switches: Vec<u64>, broadcast: bool) -> NesDataPlane {
         NesDataPlane::with_knobs(compiled, switches, broadcast, DeployKnobs::from_env())
     }
@@ -101,10 +99,11 @@ impl NesDataPlane {
         broadcast: bool,
         knobs: DeployKnobs,
     ) -> NesDataPlane {
+        let slotted = dense_switches(&compiled, &switches);
         let switch_slot =
-            switches.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect::<HashMap<_, _, _>>();
-        let local = vec![EventSet::empty(); switches.len()];
-        let deployment = Deployment::deploy(&compiled, knobs);
+            slotted.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect::<HashMap<_, _, _>>();
+        let local = vec![EventSet::empty(); slotted.len()];
+        let deployment = Deployment::deploy(&compiled, knobs, &slotted);
         NesDataPlane {
             compiled,
             deployment,
@@ -138,22 +137,9 @@ impl NesDataPlane {
         self.knobs.path
     }
 
-    /// The compile path this deployment was built with.
-    pub fn compile_path(&self) -> CompilePath {
-        self.knobs.compile
-    }
-
     /// Whether the rule-sharing optimizer is on the hot path.
     pub fn optimize_mode(&self) -> OptimizeMode {
         self.knobs.optimize
-    }
-
-    /// Total rule adds + removes the delta compile path applied along the
-    /// tag chain (`None` unless this deployment was built with
-    /// [`CompilePath::Delta`]) — the OpenFlow mod count a real controller
-    /// would have pushed instead of whole-table swaps.
-    pub fn delta_rule_mods(&self) -> Option<u64> {
-        self.deployment.delta_rule_mods()
     }
 
     /// The optimizer's `(installed, original)` rule counts (`None` unless
@@ -279,7 +265,8 @@ impl DataPlane for NesDataPlane {
         {
             let base = arena.get(stamped);
             let view = LocatedView { base, loc, tag: Some(tag) };
-            let rule = self.deployment.lookup_on(self.knobs.path, sw, tag, &view);
+            let rule =
+                self.deployment.lookup_on(&self.compiled, self.knobs.path, slot, sw, tag, &view);
             if let Some(rule) = rule {
                 if rule.actions.len() == 1 {
                     let action = rule.actions.iter().next().expect("len 1");
@@ -405,10 +392,7 @@ impl NesDataPlane {
         let known = self.local_events(sw);
 
         // SWITCH step 3: forward under the packet's stamped configuration,
-        // through the switch's installed tag-guarded table (the guard makes
-        // the per-tag block of the packet's own tag the only one that can
-        // match, so this agrees with the packet's configuration table —
-        // `program::tests` pin that equivalence).
+        // through the table installed for `(sw, tag)`.
         let tag = match packet.get(Field::Tag) {
             Some(tag) => tag,
             None => self.effective_of(known).1,
@@ -419,7 +403,10 @@ impl NesDataPlane {
         lookup.set_loc(Loc::new(sw, pt));
         lookup.set(Field::Tag, tag);
         let mut out = Vec::new();
-        if let Some(rule) = self.deployment.lookup_on(self.knobs.path, sw, tag, &lookup) {
+        let slot = self.slot_of(sw);
+        if let Some(rule) =
+            self.deployment.lookup_on(&self.compiled, self.knobs.path, slot, sw, tag, &lookup)
+        {
             rule.actions.apply_into(&lookup, &mut out);
         }
         let mut outputs = netsim::table_outputs(pt, out);
@@ -581,30 +568,21 @@ mod tests {
     #[test]
     fn deployments_agree_step_by_step() {
         let mut st = Stepper::default();
-        // Drive the same packet sequence through every (compile, optimize)
-        // knob combination; each step must produce identical outputs,
-        // notifications, and switch state. (EDN_OPTIMIZE=on overrides the
-        // compile path, but both combinations must still work.)
-        let knob_matrix = [
-            (CompilePath::Scratch, OptimizeMode::Off),
-            (CompilePath::Delta, OptimizeMode::Off),
-            (CompilePath::Scratch, OptimizeMode::On),
-            (CompilePath::Delta, OptimizeMode::On),
-        ];
-        let mk = |compile, optimize| {
+        // Drive the same packet sequence through both layouts; each step
+        // must produce identical outputs, notifications, and switch state.
+        let mk = |optimize| {
             NesDataPlane::with_knobs(
                 CompiledNes::compile(firewall_nes()),
                 vec![1],
                 false,
-                crate::deploy::DeployKnobs { compile, optimize, ..Default::default() },
+                DeployKnobs { optimize, ..Default::default() },
             )
         };
-        let mut reference = mk(CompilePath::Scratch, OptimizeMode::Off);
-        let mut legs: Vec<NesDataPlane> = knob_matrix[1..].iter().map(|&(c, o)| mk(c, o)).collect();
-        assert_eq!(legs[0].compile_path(), CompilePath::Delta);
-        assert!(legs[0].delta_rule_mods().is_some());
-        assert!(legs[1].optimize_mode().is_on());
-        assert!(legs[1].optimized_rule_counts().is_some());
+        let mut reference = mk(OptimizeMode::Off);
+        let mut optimized = mk(OptimizeMode::On);
+        assert!(optimized.optimize_mode().is_on());
+        assert!(optimized.optimized_rule_counts().is_some());
+        assert!(reference.optimized_rule_counts().is_none());
         let steps = [
             (2u64, 999u64, true),
             (3, 200, true), // blocked pre-event
@@ -615,17 +593,9 @@ mod tests {
         for (pt, dst, from_host) in steps {
             let pk = Packet::new().with(Field::IpDst, dst);
             let want = st.step(&mut reference, 1, pt, pk.clone(), from_host, SimTime::ZERO);
-            for (leg, &(c, o)) in legs.iter_mut().zip(&knob_matrix[1..]) {
-                let got = st.step(leg, 1, pt, pk.clone(), from_host, SimTime::ZERO);
-                assert_eq!(
-                    got,
-                    want,
-                    "compile {}/optimize {} diverged at pt {pt}, dst {dst}",
-                    c.label(),
-                    o.label()
-                );
-                assert_eq!(leg.local_events(1), reference.local_events(1));
-            }
+            let got = st.step(&mut optimized, 1, pt, pk, from_host, SimTime::ZERO);
+            assert_eq!(got, want, "optimized layout diverged at pt {pt}, dst {dst}");
+            assert_eq!(optimized.local_events(1), reference.local_events(1));
         }
     }
 

@@ -1,23 +1,22 @@
 //! Deployment knobs and table layouts: how a compiled NES's rules actually
 //! reach the data plane.
 //!
-//! Three layouts implement the same forwarding function:
+//! Two layouts implement the same forwarding function:
 //!
-//! * **Guarded** (the default, Section 4.1): one tag-guarded table per
-//!   switch, every configuration recompiled from scratch and interleaved.
-//! * **Per-tag delta** (`EDN_COMPILE=delta`): one table per `(switch, tag)`
-//!   pair, where tag `t`'s table is produced by *patching* tag `t-1`'s with
-//!   the [`ConfigDelta`](edn_core::ConfigDelta) between the two
-//!   configurations — the OpenFlow-style minimal rule add/remove mods —
-//!   instead of recompiling. Unaffected switches share the previous tag's
-//!   table.
+//! * **Per-tag** (the default, Section 4.1): one compiled table per
+//!   distinct `(switch, tag)` table, built straight from
+//!   `g(set_of(tag)).table(sw)`. The dispatch on `(switch, tag)` *is* the
+//!   tag guard, so no rule is rewritten or copied; a switch a step leaves
+//!   untouched shares the previous tag's table. The guarded rendering the
+//!   paper installs on hardware is [`SwitchProgram`](crate::SwitchProgram),
+//!   built on demand and pinned equal to this layout by this module's
+//!   proptest.
 //! * **Optimized** (`EDN_OPTIMIZE=on`, Section 5.3): the rule-sharing trie
 //!   assigns each tag a new ID and installs each rule once, guarded by a
 //!   wildcard ID mask, at the highest trie node containing it.
 //!
 //! The differential suites (`tests/delta_equivalence.rs`,
-//! `tests/plumbing_equivalence.rs`) pin all three byte-identical on full
-//! runs.
+//! `tests/plumbing_equivalence.rs`) pin both byte-identical on full runs.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -26,48 +25,11 @@ use netkat::{ActionSet, CompiledTable, FieldReader, FlowTable, LookupPath, Match
 use rule_optimizer::WildcardMask;
 
 use crate::compile::CompiledNes;
-use crate::program::SwitchProgram;
-
-/// How successive configurations are turned into installed tables.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CompilePath {
-    /// Recompile every configuration from scratch into one guarded table
-    /// per switch (the paper's Section 4.1 deployment).
-    #[default]
-    Scratch,
-    /// Diff successive configurations and patch the previous tag's compiled
-    /// table with the minimal rule mods.
-    Delta,
-}
-
-impl CompilePath {
-    /// Reads `EDN_COMPILE` (default [`Scratch`](CompilePath::Scratch)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `EDN_COMPILE` is set to anything but `scratch` or `delta`.
-    pub fn from_env() -> CompilePath {
-        match std::env::var("EDN_COMPILE") {
-            Ok(v) if v == "scratch" => CompilePath::Scratch,
-            Ok(v) if v == "delta" => CompilePath::Delta,
-            Ok(v) => panic!("EDN_COMPILE must be `scratch` or `delta`, got {v:?}"),
-            Err(_) => CompilePath::Scratch,
-        }
-    }
-
-    /// The label used in benchmark output (`scratch` / `delta`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            CompilePath::Scratch => "scratch",
-            CompilePath::Delta => "delta",
-        }
-    }
-}
 
 /// Whether the Section 5.3 rule-sharing optimizer sits on the hot path.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum OptimizeMode {
-    /// Plain per-tag rules (one full copy per configuration).
+    /// Plain per-tag tables (every configuration's table installed).
     #[default]
     Off,
     /// Trie-compressed tables: shared rules installed once under wildcard
@@ -110,8 +72,6 @@ impl OptimizeMode {
 pub struct DeployKnobs {
     /// Flow-table lookup implementation (`EDN_LOOKUP`).
     pub path: LookupPath,
-    /// Scratch vs delta table construction (`EDN_COMPILE`).
-    pub compile: CompilePath,
     /// Rule-sharing optimizer on the hot path (`EDN_OPTIMIZE`).
     pub optimize: OptimizeMode,
 }
@@ -119,11 +79,7 @@ pub struct DeployKnobs {
 impl DeployKnobs {
     /// Resolves every knob from the environment.
     pub fn from_env() -> DeployKnobs {
-        DeployKnobs {
-            path: LookupPath::from_env(),
-            compile: CompilePath::from_env(),
-            optimize: OptimizeMode::from_env(),
-        }
+        DeployKnobs { path: LookupPath::from_env(), optimize: OptimizeMode::from_env() }
     }
 
     /// These knobs with an explicit lookup path.
@@ -132,92 +88,70 @@ impl DeployKnobs {
     }
 }
 
+/// The plane's dense switch order: the deployment list, then any switch
+/// only a configuration names, each once — so every installed table has a
+/// slot.
+pub(crate) fn dense_switches(nes: &CompiledNes, listed: &[u64]) -> Vec<u64> {
+    let installed =
+        (0..nes.tag_count() as u64).flat_map(|tag| nes.nes().config(nes.set_of(tag)).switches());
+    let mut seen = BTreeSet::new();
+    listed.iter().copied().chain(installed).filter(|&sw| seen.insert(sw)).collect()
+}
+
 /// The installed tables of one deployment, in the layout the knobs chose.
 #[derive(Clone, Debug)]
 pub(crate) enum Deployment {
-    /// One tag-guarded table per switch (scratch compilation).
-    Guarded(BTreeMap<u64, SwitchProgram>),
-    /// One table per `(switch, tag)`, delta-patched along the tag chain.
+    /// One compiled table per distinct `(switch, tag)` table.
     PerTag(PerTagTables),
     /// Trie-compressed wildcard-guarded tables.
     Optimized(OptimizedTables),
 }
 
 impl Deployment {
-    /// Builds the layout the knobs select. The optimizer takes precedence
-    /// over the compile path: its output *is* the installed table set, so
-    /// there is nothing left to patch.
-    pub(crate) fn deploy(nes: &CompiledNes, knobs: DeployKnobs) -> Deployment {
+    /// Builds the layout the knobs select. `switches[slot]` is the switch
+    /// the plane keeps at dense slot `slot` (see [`dense_switches`]).
+    pub(crate) fn deploy(nes: &CompiledNes, knobs: DeployKnobs, switches: &[u64]) -> Deployment {
         if knobs.optimize.is_on() {
             return Deployment::Optimized(OptimizedTables::from_sets(&nes.prioritized_rule_sets()));
         }
-        match knobs.compile {
-            CompilePath::Scratch => Deployment::Guarded(
-                nes.switch_programs().into_iter().map(|p| (p.switch, p)).collect(),
-            ),
-            CompilePath::Delta => Deployment::PerTag(PerTagTables::build(nes)),
-        }
+        Deployment::PerTag(PerTagTables::build(nes, switches))
     }
 
-    /// The forwarding rule for a packet at `(sw, tag)`, read through `view`
-    /// (which must already expose the tag, as the guarded layout matches on
-    /// it). All three layouts agree; the per-tag and optimized layouts
-    /// additionally dispatch on the tag directly.
-    pub(crate) fn lookup_on<R: FieldReader>(
-        &self,
+    /// The forwarding rule for a packet at `(sw, tag)`, read through `view`;
+    /// `slot` is `sw`'s dense slot in the plane. An unknown switch or an
+    /// out-of-range tag has no table and drops. The linear path reads the
+    /// specification itself, `g(set_of(tag)).table(sw)`, which the plane
+    /// owns through `nes`.
+    pub(crate) fn lookup_on<'a, R: FieldReader>(
+        &'a self,
+        nes: &'a CompiledNes,
         path: LookupPath,
+        slot: usize,
         sw: u64,
         tag: u64,
         view: &R,
-    ) -> Option<&Rule> {
-        match self {
-            Deployment::Guarded(programs) => {
-                let program = programs.get(&sw)?;
-                match path {
-                    LookupPath::Linear => program.table.lookup_on(view),
-                    LookupPath::Indexed => program.compiled.lookup_on(view),
-                }
-            }
-            Deployment::PerTag(tables) => {
-                let idx = tables.slot(sw, tag)?;
-                match path {
-                    LookupPath::Linear => tables.linear[idx].lookup_on(view),
-                    LookupPath::Indexed => tables.compiled[idx].lookup_on(view),
-                }
+    ) -> Option<&'a Rule> {
+        match (self, path) {
+            (Deployment::PerTag(_), LookupPath::Linear) => nes.table(sw, tag)?.lookup_on(view),
+            (Deployment::PerTag(tables), LookupPath::Indexed) => {
+                tables.table(slot, tag)?.lookup_on(view)
             }
             // The optimizer owns its layout: both lookup paths dispatch
             // through the same guarded scan.
-            Deployment::Optimized(tables) => tables.lookup_on(sw, tag, view),
+            (Deployment::Optimized(tables), _) => tables.lookup_on(sw, tag, view),
         }
     }
 
     /// Summed fingerprint probe outcomes of every distinct compiled table
     /// in the layout (the optimized layout has no fingerprint index).
     pub(crate) fn lookup_stats(&self) -> (u64, u64) {
-        let mut totals = (0u64, 0u64);
-        let mut add = |(h, f): (u64, u64)| {
-            totals.0 += h;
-            totals.1 += f;
-        };
         match self {
-            Deployment::Guarded(programs) => {
-                programs.values().for_each(|p| add(p.compiled.lookup_stats()));
-            }
-            Deployment::PerTag(tables) => {
-                tables.compiled.iter().for_each(|t| add(t.lookup_stats()));
-            }
-            Deployment::Optimized(_) => {}
-        }
-        totals
-    }
-
-    /// Total rule mods (adds + removes) the delta chain applied, if this is
-    /// the per-tag layout — the OpenFlow mod count a real controller would
-    /// have pushed.
-    pub(crate) fn delta_rule_mods(&self) -> Option<u64> {
-        match self {
-            Deployment::PerTag(tables) => Some(tables.mods),
-            _ => None,
+            Deployment::PerTag(tables) => tables
+                .compiled
+                .iter()
+                .map(CompiledTable::lookup_stats)
+                .fold((0, 0), |(h, f), (dh, df)| (h + dh, f + df)),
+            Deployment::Optimized(_) => (0, 0),
         }
     }
 
@@ -226,80 +160,53 @@ impl Deployment {
     pub(crate) fn optimized_rule_counts(&self) -> Option<(usize, usize)> {
         match self {
             Deployment::Optimized(tables) => Some(tables.rule_counts()),
-            _ => None,
+            Deployment::PerTag(_) => None,
         }
     }
 }
 
-/// Per-`(switch, tag)` tables, delta-patched along the tag chain and
-/// deduplicated: an update that leaves a switch untouched leaves its slot
-/// pointing at the previous tag's table.
+/// One [`CompiledTable`] per *distinct* `(switch, tag)` table, compiled
+/// straight from `g(set_of(tag)).table(sw)`: no tag guard is written into
+/// the rules (the dispatch on `(switch, tag)` is the guard), and a switch a
+/// step leaves untouched re-uses the previous tag's table.
 #[derive(Clone, Debug)]
 pub(crate) struct PerTagTables {
-    /// The distinct materialized tables (indexed form).
+    /// The distinct compiled tables.
     compiled: Vec<CompiledTable>,
-    /// The same tables in reference (linear scan) form.
-    linear: Vec<FlowTable>,
-    /// `slots[&sw][tag]` → index into `compiled`/`linear`.
-    slots: BTreeMap<u64, Vec<u32>>,
-    /// Total rule adds + removes applied along the chain.
-    mods: u64,
+    /// `slots[slot * tags + tag]` → index into `compiled`, one row per
+    /// dense switch slot of the plane — a hop's dispatch is one multiply
+    /// and two array reads, no tree walk.
+    slots: Vec<u32>,
+    /// Row width of `slots` (the NES's tag count).
+    tags: usize,
 }
 
 impl PerTagTables {
-    /// Compiles tag 0 from scratch, then derives each subsequent tag by
-    /// diffing consecutive configurations (in tag order) and patching only
-    /// the affected switches' tables.
-    fn build(nes: &CompiledNes) -> PerTagTables {
-        let tag_count = nes.tag_count() as u64;
-        let mut switches: Vec<u64> = Vec::new();
-        for tag in 0..tag_count {
-            switches.extend(nes.nes().config(nes.set_of(tag)).switches());
-        }
-        switches.sort_unstable();
-        switches.dedup();
-
-        let mut compiled = Vec::new();
-        let mut linear = Vec::new();
-        let mut slots: BTreeMap<u64, Vec<u32>> =
-            switches.iter().map(|&sw| (sw, Vec::with_capacity(tag_count as usize))).collect();
-        let mut mods = 0u64;
-        for tag in 0..tag_count {
-            let config = nes.nes().config(nes.set_of(tag));
-            if tag == 0 {
-                for &sw in &switches {
-                    let table = config.table(sw).cloned().unwrap_or_default();
-                    slots.get_mut(&sw).expect("enumerated").push(compiled.len() as u32);
+    fn build(nes: &CompiledNes, switches: &[u64]) -> PerTagTables {
+        let tags = nes.tag_count();
+        let empty = FlowTable::new();
+        let mut compiled: Vec<CompiledTable> = Vec::new();
+        let mut slots = Vec::with_capacity(switches.len() * tags);
+        for &sw in switches {
+            let mut prev: Option<&FlowTable> = None;
+            for tag in 0..tags as u64 {
+                let table = nes.table(sw, tag).unwrap_or(&empty);
+                if prev != Some(table) {
                     compiled.push(table.compile());
-                    linear.push(table);
                 }
-                continue;
-            }
-            let prev = nes.nes().config(nes.set_of(tag - 1));
-            let delta = prev.diff(config);
-            mods += delta.rule_mods() as u64;
-            for &sw in &switches {
-                let slot = slots.get_mut(&sw).expect("enumerated");
-                let prev_idx = *slot.last().expect("previous tag built");
-                match delta.tables.get(&sw) {
-                    Some(d) if !d.is_empty() => {
-                        let mut table = linear[prev_idx as usize].clone();
-                        table.splice(d);
-                        let mut index = compiled[prev_idx as usize].clone();
-                        index.patch(d);
-                        slot.push(compiled.len() as u32);
-                        compiled.push(index);
-                        linear.push(table);
-                    }
-                    _ => slot.push(prev_idx),
-                }
+                slots.push(compiled.len() as u32 - 1);
+                prev = Some(table);
             }
         }
-        PerTagTables { compiled, linear, slots, mods }
+        PerTagTables { compiled, slots, tags }
     }
 
-    fn slot(&self, sw: u64, tag: u64) -> Option<usize> {
-        self.slots.get(&sw)?.get(tag as usize).map(|&i| i as usize)
+    fn table(&self, slot: usize, tag: u64) -> Option<&CompiledTable> {
+        if tag >= self.tags as u64 {
+            return None;
+        }
+        let index = *self.slots.get(slot * self.tags + tag as usize)?;
+        Some(&self.compiled[index as usize])
     }
 }
 
@@ -382,8 +289,7 @@ mod tests {
 
     /// The firewall NES used across the runtime tests: one switch, two
     /// hosts, a reply rule unlocked by e0. Crucially config `{e0}` keeps
-    /// the shared 2→3 rule, so the optimizer has something to share and
-    /// the delta path a non-trivial splice.
+    /// the shared 2→3 rule, so the optimizer has something to share.
     fn firewall_nes() -> NetworkEventStructure {
         let mk = |rules: Vec<Rule>| {
             let mut c = Config::new();
@@ -413,27 +319,16 @@ mod tests {
         .unwrap()
     }
 
+    /// Both layouts over the firewall's one switch (slot 0).
     fn layouts(nes: &CompiledNes) -> Vec<(&'static str, Deployment)> {
+        let optimized = DeployKnobs { optimize: OptimizeMode::On, ..DeployKnobs::default() };
         vec![
-            ("guarded", Deployment::deploy(nes, DeployKnobs::default())),
-            (
-                "per-tag",
-                Deployment::deploy(
-                    nes,
-                    DeployKnobs { compile: CompilePath::Delta, ..DeployKnobs::default() },
-                ),
-            ),
-            (
-                "optimized",
-                Deployment::deploy(
-                    nes,
-                    DeployKnobs { optimize: OptimizeMode::On, ..DeployKnobs::default() },
-                ),
-            ),
+            ("per-tag", Deployment::deploy(nes, DeployKnobs::default(), &[1])),
+            ("optimized", Deployment::deploy(nes, optimized, &[1])),
         ]
     }
 
-    /// All three layouts, on both lookup paths, return rules with identical
+    /// Both layouts, on both lookup paths, return rules with identical
     /// actions for every `(port, dst, tag)` the firewall distinguishes.
     #[test]
     fn all_layouts_forward_identically() {
@@ -445,14 +340,11 @@ mod tests {
                     let mut pk = Packet::new().with(Field::IpDst, dst);
                     pk.set_loc(Loc::new(1, pt));
                     pk.set(Field::Tag, tag);
-                    let reference = layouts[0]
-                        .1
-                        .lookup_on(LookupPath::Indexed, 1, tag, &pk)
-                        .map(|r| r.actions.clone());
+                    let reference = nes.table(1, tag).unwrap().lookup_on(&pk).map(|r| &r.actions);
                     for (name, layout) in &layouts {
                         for path in [LookupPath::Linear, LookupPath::Indexed] {
                             let got =
-                                layout.lookup_on(path, 1, tag, &pk).map(|r| r.actions.clone());
+                                layout.lookup_on(&nes, path, 0, 1, tag, &pk).map(|r| &r.actions);
                             assert_eq!(
                                 got,
                                 reference,
@@ -476,44 +368,44 @@ mod tests {
         let mut bad_tag = pk.clone();
         bad_tag.set(Field::Tag, 99);
         for (name, layout) in layouts(&nes) {
-            assert!(
-                layout.lookup_on(LookupPath::Indexed, 77, 0, &pk).is_none(),
-                "{name}: unknown switch"
-            );
-            assert!(
-                layout.lookup_on(LookupPath::Indexed, 1, 99, &bad_tag).is_none(),
-                "{name}: unknown tag"
-            );
+            for path in [LookupPath::Linear, LookupPath::Indexed] {
+                // Switch 77 is outside the deployment: the plane hands it
+                // the next free slot, past every row.
+                assert!(
+                    layout.lookup_on(&nes, path, 1, 77, 0, &pk).is_none(),
+                    "{name}: unknown switch"
+                );
+                assert!(
+                    layout.lookup_on(&nes, path, 0, 1, 99, &bad_tag).is_none(),
+                    "{name}: unknown tag"
+                );
+            }
         }
     }
 
-    /// The delta chain for the firewall applies exactly one mod (the
-    /// appended reply rule) and shares nothing else; the optimizer shares
-    /// the common 2→3 rule.
+    /// The per-tag layout compiles one table per *distinct* `(switch, tag)`
+    /// table — a switch the event leaves alone shares its table across
+    /// tags; the optimizer shares the common 2→3 rule.
     #[test]
     fn layout_introspection_reports_the_expected_shape() {
         let nes = CompiledNes::compile(firewall_nes());
-        let per_tag = Deployment::deploy(
-            &nes,
-            DeployKnobs { compile: CompilePath::Delta, ..Default::default() },
-        );
-        assert_eq!(per_tag.delta_rule_mods(), Some(1), "one appended reply rule");
-        assert_eq!(per_tag.optimized_rule_counts(), None);
-        let optimized = Deployment::deploy(
-            &nes,
-            DeployKnobs { optimize: OptimizeMode::On, ..Default::default() },
-        );
-        let (installed, original) = optimized.optimized_rule_counts().expect("optimized layout");
+        // Slot 1 is a listed switch no configuration installs a table on.
+        let Deployment::PerTag(per_tag) = Deployment::deploy(&nes, DeployKnobs::default(), &[1, 2])
+        else {
+            panic!("the default layout is per-tag");
+        };
+        assert_eq!(per_tag.compiled.len(), 3, "switch 1's two tables + switch 2's shared empty");
+        assert_eq!(per_tag.slots, vec![0, 1, 2, 2]);
+        assert!(per_tag.table(1, 0).unwrap().is_empty());
+        let layouts = layouts(&nes);
+        assert_eq!(layouts[0].1.optimized_rule_counts(), None);
+        let (installed, original) = layouts[1].1.optimized_rule_counts().expect("optimized layout");
         assert_eq!(original, 3, "one full copy per configuration");
         assert_eq!(installed, 2, "the shared 2→3 rule is installed once");
-        assert_eq!(optimized.delta_rule_mods(), None);
-        let guarded = Deployment::deploy(&nes, DeployKnobs::default());
-        assert_eq!(guarded.delta_rule_mods(), None);
-        assert_eq!(guarded.optimized_rule_counts(), None);
     }
 
-    /// An event that *removes* and *reinstalls* switches exercises the
-    /// delta layout's empty-table and fresh-install paths.
+    /// An event that *removes* and *reinstalls* switches: the per-tag
+    /// layout answers to each configuration's own table, present or not.
     #[test]
     fn per_tag_handles_removed_and_added_switches() {
         let fwd = Rule::new(
@@ -536,25 +428,22 @@ mod tests {
             )
             .unwrap(),
         );
-        let per_tag = Deployment::deploy(
-            &nes,
-            DeployKnobs { compile: CompilePath::Delta, ..Default::default() },
-        );
-        let guarded = Deployment::deploy(&nes, DeployKnobs::default());
+        let switches = dense_switches(&nes, &[]);
+        assert_eq!(switches, vec![1, 2], "configuration-only switches get slots");
+        let per_tag = Deployment::deploy(&nes, DeployKnobs::default(), &switches);
         for tag in [0u64, 1] {
-            for sw in [1u64, 2] {
+            for (slot, &sw) in switches.iter().enumerate() {
                 let mut pk = Packet::new();
                 pk.set_loc(Loc::new(sw, 1));
                 pk.set(Field::Tag, tag);
+                let installed = sw == tag + 1;
                 assert_eq!(
-                    per_tag.lookup_on(LookupPath::Indexed, sw, tag, &pk).map(|r| &r.actions),
-                    guarded.lookup_on(LookupPath::Indexed, sw, tag, &pk).map(|r| &r.actions),
+                    per_tag.lookup_on(&nes, LookupPath::Indexed, slot, sw, tag, &pk),
+                    installed.then_some(&fwd),
                     "sw {sw} tag {tag}"
                 );
             }
         }
-        // Two mods: remove from switch 1, install on switch 2.
-        assert_eq!(per_tag.delta_rule_mods(), Some(2));
     }
 
     /// The degenerate static-plane case: one configuration, all-wildcard
@@ -594,9 +483,6 @@ mod tests {
 
     #[test]
     fn knob_parsing_defaults_and_labels() {
-        assert_eq!(CompilePath::default(), CompilePath::Scratch);
-        assert_eq!(CompilePath::Scratch.label(), "scratch");
-        assert_eq!(CompilePath::Delta.label(), "delta");
         assert_eq!(OptimizeMode::default(), OptimizeMode::Off);
         assert_eq!(OptimizeMode::Off.label(), "off");
         assert_eq!(OptimizeMode::On.label(), "on");
@@ -604,6 +490,148 @@ mod tests {
         assert!(!OptimizeMode::Off.is_on());
         let knobs = DeployKnobs::default().with_path(LookupPath::Linear);
         assert_eq!(knobs.path, LookupPath::Linear);
-        assert_eq!(knobs.compile, CompilePath::Scratch);
+        assert_eq!(knobs.optimize, OptimizeMode::Off);
+    }
+}
+
+/// The per-tag layout against its two specifications, on random small
+/// NESs: `g(set_of(tag)).table(sw)` itself, and the Section 4.1 tag-guarded
+/// [`SwitchProgram`](crate::SwitchProgram) rendering.
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::campaign::{campaign_nes, campaign_pred, CampaignStep};
+    use netkat::{Action, Field, Loc, LocatedView, Packet};
+    use proptest::prelude::*;
+
+    /// A small universe keeps random packets colliding with random rules
+    /// (the strategies of `tests/delta_equivalence.rs`).
+    const FIELDS: [Field; 4] = [Field::Port, Field::Vlan, Field::IpSrc, Field::IpDst];
+
+    fn arb_rules() -> impl Strategy<Value = Vec<Rule>> {
+        let pattern = proptest::collection::vec((0usize..FIELDS.len(), 0u64..4), 0..3)
+            .prop_map(|fs| fs.into_iter().map(|(i, v)| (FIELDS[i], v)).collect::<Match>());
+        let actions = prop_oneof![
+            Just(ActionSet::drop()),
+            Just(ActionSet::pass()),
+            (0usize..FIELDS.len(), 0u64..4)
+                .prop_map(|(i, v)| ActionSet::single(Action::assign(FIELDS[i], v))),
+        ];
+        proptest::collection::vec((pattern, actions).prop_map(|(m, a)| Rule::new(m, a)), 0..12)
+    }
+
+    /// Switch → rule list, the raw material of a [`Config`].
+    fn arb_tables() -> impl Strategy<Value = BTreeMap<u64, Vec<Rule>>> {
+        proptest::collection::vec((1u64..6, arb_rules()), 0..4)
+            .prop_map(|kv| kv.into_iter().collect())
+    }
+
+    /// One campaign step's edits: `Some(rules)` replaces (or adds) a
+    /// switch's table, `None` removes the switch outright.
+    fn arb_edits() -> impl Strategy<Value = BTreeMap<u64, Option<Vec<Rule>>>> {
+        proptest::collection::vec((1u64..6, proptest::option::of(arb_rules())), 0..4)
+            .prop_map(|kv| kv.into_iter().collect())
+    }
+
+    fn config_of(tables: &BTreeMap<u64, Vec<Rule>>) -> Config {
+        let mut config = Config::new();
+        for (&sw, rules) in tables {
+            config.install(sw, FlowTable::from_rules(rules.iter().cloned()));
+        }
+        config
+    }
+
+    /// The chain NES whose step `i` applies `steps[i]` to the tables so far
+    /// — most switches untouched, a few replaced, the odd one added or
+    /// removed.
+    fn chain_nes(
+        mut tables: BTreeMap<u64, Vec<Rule>>,
+        steps: Vec<BTreeMap<u64, Option<Vec<Rule>>>>,
+    ) -> CompiledNes {
+        let initial = config_of(&tables);
+        let steps = steps
+            .into_iter()
+            .enumerate()
+            .map(|(i, edits)| {
+                for (sw, edit) in edits {
+                    match edit {
+                        Some(rules) => tables.insert(sw, rules),
+                        None => tables.remove(&sw),
+                    };
+                }
+                CampaignStep {
+                    trigger: campaign_pred(i),
+                    loc: Loc::new(1, 1),
+                    config: config_of(&tables),
+                }
+            })
+            .collect();
+        CompiledNes::compile(campaign_nes(initial, steps).expect("chain NES builds"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// For every `(switch, tag, packet)` — unknown switches and
+        /// out-of-range tags included — the deployed lookup on both paths
+        /// is the rule `g(set_of(tag)).table(sw)` picks, and forwards like
+        /// the guarded program's.
+        #[test]
+        fn per_tag_layout_answers_like_the_spec_and_the_guarded_program(
+            tables in arb_tables(),
+            steps in proptest::collection::vec(arb_edits(), 0..4),
+            listed in proptest::collection::vec(0u64..7, 0..4),
+            random in proptest::collection::vec(
+                proptest::collection::vec((0usize..FIELDS.len(), 0u64..4), 0..4),
+                6,
+            ),
+        ) {
+            let nes = chain_nes(tables, steps);
+            let switches = dense_switches(&nes, &listed);
+            let deployment = Deployment::deploy(&nes, DeployKnobs::default(), &switches);
+            let tags = nes.tag_count() as u64;
+
+            // Random packets plus every installed pattern read back as a
+            // packet (a guaranteed candidate hit, shadowed or not).
+            let mut probes: Vec<Packet> = random
+                .into_iter()
+                .map(|fs| fs.into_iter().map(|(i, v)| (FIELDS[i], v)).collect())
+                .collect();
+            for tag in 0..tags {
+                for &sw in &switches {
+                    if let Some(table) = nes.table(sw, tag) {
+                        probes.extend(table.iter().map(|r| r.pattern.iter().collect::<Packet>()));
+                    }
+                }
+            }
+
+            for sw in 0..7u64 {
+                // A switch outside the deployment gets the next free slot.
+                let slot = switches.iter().position(|&s| s == sw).unwrap_or(switches.len());
+                let program = nes.switch_program(sw);
+                for tag in 0..tags + 2 {
+                    let spec = (tag < tags)
+                        .then(|| nes.nes().config(nes.set_of(tag)).table(sw))
+                        .flatten();
+                    for base in &probes {
+                        let pt = base.get(Field::Port).unwrap_or(0);
+                        let view = LocatedView { base, loc: Loc::new(sw, pt), tag: Some(tag) };
+                        let want = spec.and_then(|t| t.lookup_on(&view));
+                        for path in [LookupPath::Linear, LookupPath::Indexed] {
+                            prop_assert_eq!(
+                                deployment.lookup_on(&nes, path, slot, sw, tag, &view),
+                                want,
+                                "{} lookup at sw {} tag {} on {}", path.label(), sw, tag, base
+                            );
+                        }
+                        prop_assert_eq!(
+                            program.table.lookup_on(&view).map(|r| &r.actions),
+                            want.map(|r| &r.actions),
+                            "guarded program at sw {} tag {} on {}", sw, tag, base
+                        );
+                    }
+                }
+            }
+        }
     }
 }

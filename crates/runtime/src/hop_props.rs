@@ -155,7 +155,7 @@ proptest! {
     #[test]
     fn nes_step_matches_owned_reference(hops in proptest::collection::vec(arb_hop(), 1..16)) {
         for (path, optimize) in CORNERS {
-            let knobs = DeployKnobs { path, optimize, ..DeployKnobs::default() };
+            let knobs = DeployKnobs { path, optimize };
             let mut fast =
                 NesDataPlane::with_knobs(CompiledNes::compile(hop_nes()), vec![1, 2], false, knobs);
             let mut reference = fast.clone();

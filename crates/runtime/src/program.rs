@@ -101,12 +101,8 @@ impl CompiledNes {
 
     /// Every switch's program.
     pub fn switch_programs(&self) -> Vec<SwitchProgram> {
-        let mut switches: Vec<u64> = Vec::new();
-        for tag in 0..self.tag_count() as u64 {
-            switches.extend(self.nes().config(self.set_of(tag)).switches());
-        }
+        let mut switches = crate::deploy::dense_switches(self, &[]);
         switches.sort_unstable();
-        switches.dedup();
         switches.into_iter().map(|sw| self.switch_program(sw)).collect()
     }
 }

@@ -27,8 +27,6 @@ pub struct RunOptions {
     /// Feed traffic through a live [`WorkloadSource`](netsim::WorkloadSource)
     /// instead of batch pre-scheduling (byte-identical results).
     pub stream: bool,
-    /// Table-construction override (`None` leaves `EDN_COMPILE` in charge).
-    pub compile: Option<nes_runtime::CompilePath>,
     /// Optimizer override (`None` leaves `EDN_OPTIMIZE` in charge).
     pub optimize: Option<nes_runtime::OptimizeMode>,
     /// Control-channel override (`None` defers to the spec's `[channel]`
@@ -102,9 +100,6 @@ pub fn effective_channel(spec: &ScenarioSpec, opts: &RunOptions) -> ChannelModel
 /// means a checker regression).
 pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutcome {
     let mut knobs = nes_runtime::DeployKnobs::from_env();
-    if let Some(compile) = opts.compile {
-        knobs.compile = compile;
-    }
     if let Some(optimize) = opts.optimize {
         knobs.optimize = optimize;
     }
@@ -286,17 +281,9 @@ mod tests {
     }
 
     #[test]
-    fn compile_and_optimizer_legs_agree_byte_for_byte() {
+    fn optimizer_leg_agrees_byte_for_byte() {
         let c = CompiledScenario::compile(&flap_spec()).unwrap();
-        let scratch = run_coordinated(&c, &RunOptions { check: true, ..RunOptions::default() });
-        let delta = run_coordinated(
-            &c,
-            &RunOptions {
-                check: true,
-                compile: Some(nes_runtime::CompilePath::Delta),
-                ..RunOptions::default()
-            },
-        );
+        let plain = run_coordinated(&c, &RunOptions { check: true, ..RunOptions::default() });
         let optimized = run_coordinated(
             &c,
             &RunOptions {
@@ -305,9 +292,7 @@ mod tests {
                 ..RunOptions::default()
             },
         );
-        assert_eq!(stats_csv_row(&delta), stats_csv_row(&scratch), "delta compile is invisible");
-        assert_eq!(stats_csv_row(&optimized), stats_csv_row(&scratch), "optimizer is invisible");
-        assert_eq!(delta.verdict, Some(Ok(())));
+        assert_eq!(stats_csv_row(&optimized), stats_csv_row(&plain), "optimizer is invisible");
         assert_eq!(optimized.verdict, Some(Ok(())));
     }
 

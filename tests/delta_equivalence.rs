@@ -1,25 +1,25 @@
-//! Differential delta-equivalence suite: the incremental compile path
-//! (`Config::diff` → `FlowTable::splice` / `CompiledTable::patch`) against
-//! scratch recompilation, at every layer it touches.
+//! Differential delta-equivalence suite: configuration diffs
+//! (`Config::diff` → `FlowTable::splice`) against the configurations they
+//! were taken between, and the optimized deployment against the default.
 //!
 //! * **Table layer (proptests, 256 cases each):** random `Config → Config'`
 //!   pairs — independent tables plus mutation-shaped edits (rule inserts,
 //!   removals, whole-switch adds and drops). Applying the diff to the old
-//!   config must reproduce the new one structurally, and a delta-patched
-//!   `CompiledTable` must answer every lookup — random packets and packets
-//!   derived from both configs' own rule patterns — exactly like a table
-//!   compiled from scratch.
+//!   config must reproduce the new one structurally, and the spliced table
+//!   — linear and compiled — must answer every lookup — random packets and
+//!   packets derived from both configs' own rule patterns — exactly like
+//!   the new table compiled from scratch.
 //! * **End-to-end:** the §5.2-style flapping ring and the fat-tree(4)
-//!   update campaign, replayed across the full
-//!   `{scratch, delta} × {optimizer off, on} × {checked, unchecked}` matrix
-//!   with every knob pinned through explicit constructors (no env races):
-//!   the canonical scenario CSV is byte-identical everywhere, and the
-//!   online Definition 6 verdict stays `correct`. (Trace byte-identity for
-//!   the same deployments lives in `plumbing_equivalence.rs`.)
+//!   update campaign, replayed across the
+//!   `{optimizer off, on} × {checked, unchecked}` matrix with every knob
+//!   pinned through explicit constructors (no env races): the canonical
+//!   scenario CSV is byte-identical everywhere, and the online
+//!   Definition 6 verdict stays `correct`. (Trace byte-identity for the
+//!   same deployments lives in `plumbing_equivalence.rs`.)
 
 use edn_core::Config;
 use edn_scenario::{parse, run_coordinated, stats_csv_row, CompiledScenario, RunOptions};
-use nes_runtime::{CompilePath, OptimizeMode};
+use nes_runtime::OptimizeMode;
 use netkat::{Action, ActionSet, CompiledTable, Field, FlowTable, Match, Packet, Rule};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -113,15 +113,15 @@ fn probes(old: &Config, new: &Config, random: &[Packet]) -> Vec<Packet> {
     probes
 }
 
-/// The delta leg of one switch: the old tables spliced/patched forward.
+/// The delta leg of one switch: the old table spliced forward, and its
+/// index.
 fn patch_forward(old: &Config, new: &Config, sw: u64) -> (FlowTable, CompiledTable) {
     let delta = old.diff(new);
     let mut linear = old.table(sw).cloned().unwrap_or_default();
-    let mut compiled = linear.compile();
     if let Some(d) = delta.tables.get(&sw) {
         linear.splice(d);
-        compiled.patch(d);
     }
+    let compiled = linear.compile();
     (linear, compiled)
 }
 
@@ -145,11 +145,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Per switch, the delta-patched tables — linear *and* compiled — are
+    /// Per switch, the spliced tables — linear *and* compiled — are
     /// indistinguishable from scratch compilation: the spliced linear
-    /// table is structurally the new table, and both it and the patched
-    /// `CompiledTable` answer every probe exactly like a scratch-compiled
-    /// index over the new rules.
+    /// table is structurally the new table, and both it and its index
+    /// answer every probe exactly like a scratch-compiled index over the
+    /// new rules.
     #[test]
     fn patched_tables_answer_like_scratch(
         pair in arb_config_pair(),
@@ -177,7 +177,7 @@ proptest! {
                 );
                 prop_assert_eq!(
                     patched_compiled.lookup(pk), want,
-                    "switch {}: patched index drifted on {:?}", sw, pk
+                    "switch {}: spliced index drifted on {:?}", sw, pk
                 );
             }
         }
@@ -252,9 +252,8 @@ fn fat_tree_campaign_scenario() -> CompiledScenario {
     CompiledScenario::compile(&spec).expect("pinned spec compiles")
 }
 
-/// The end-to-end matrix: every `{compile path} × {optimizer}` pair must
-/// reproduce the reference canonical CSV byte for byte, checked and
-/// unchecked.
+/// The end-to-end matrix: the optimizer on or off must reproduce the
+/// reference canonical CSV byte for byte, checked and unchecked.
 #[test]
 fn e2e_matrix_replays_byte_identically() {
     for (name, c) in
@@ -266,25 +265,19 @@ fn e2e_matrix_replays_byte_identically() {
         assert_eq!(checked_ref.fired, Some(c.steps.len()), "{name}: reference firings");
         let checked_row = stats_csv_row(&checked_ref);
         let unchecked_row = stats_csv_row(&run_coordinated(&c, &RunOptions::default()));
-        for compile in [CompilePath::Scratch, CompilePath::Delta] {
-            for optimize in [OptimizeMode::Off, OptimizeMode::On] {
-                let deploy = RunOptions {
-                    compile: Some(compile),
-                    optimize: Some(optimize),
-                    ..RunOptions::default()
-                };
-                let leg = run_coordinated(&c, &RunOptions { check: true, ..deploy });
-                assert_eq!(
-                    stats_csv_row(&leg),
-                    checked_row,
-                    "{name}: checked CSV diverged on {compile:?}/{optimize:?}"
-                );
-                assert_eq!(
-                    stats_csv_row(&run_coordinated(&c, &deploy)),
-                    unchecked_row,
-                    "{name}: unchecked CSV diverged on {compile:?}/{optimize:?}"
-                );
-            }
+        for optimize in [OptimizeMode::Off, OptimizeMode::On] {
+            let deploy = RunOptions { optimize: Some(optimize), ..RunOptions::default() };
+            let leg = run_coordinated(&c, &RunOptions { check: true, ..deploy });
+            assert_eq!(
+                stats_csv_row(&leg),
+                checked_row,
+                "{name}: checked CSV diverged on {optimize:?}"
+            );
+            assert_eq!(
+                stats_csv_row(&run_coordinated(&c, &deploy)),
+                unchecked_row,
+                "{name}: unchecked CSV diverged on {optimize:?}"
+            );
         }
     }
 }

@@ -19,9 +19,7 @@ use edn_core::{NetworkTrace, TraceMode};
 use edn_obs::Scope;
 use edn_scenario::CompiledScenario;
 use edn_topo::{fat_tree, ring, synthesize, LinkProfile, TierProfile, TrafficPattern, Workload};
-use nes_runtime::{
-    nes_engine_with, verify_nes_run, CompilePath, DeployKnobs, NesDataPlane, OptimizeMode,
-};
+use nes_runtime::{nes_engine_with, verify_nes_run, DeployKnobs, NesDataPlane, OptimizeMode};
 use netkat::LookupPath;
 use netsim::traffic::udp_packet;
 use netsim::{
@@ -37,13 +35,10 @@ struct Knobs {
     deploy: DeployKnobs,
 }
 
-/// The reference deployment: indexed lookups over scratch-compiled guarded
-/// tables, optimizer off.
-const REFERENCE_DEPLOY: DeployKnobs = DeployKnobs {
-    path: LookupPath::Indexed,
-    compile: CompilePath::Scratch,
-    optimize: OptimizeMode::Off,
-};
+/// The reference deployment: indexed lookups over the per-tag tables,
+/// optimizer off.
+const REFERENCE_DEPLOY: DeployKnobs =
+    DeployKnobs { path: LookupPath::Indexed, optimize: OptimizeMode::Off };
 
 /// The reference corner: full trace, no telemetry — what everything else
 /// is diffed against.
@@ -487,29 +482,24 @@ fn reliable_lossy_runs_match_their_pins_and_replay_identically() {
     }
 }
 
-/// Every non-reference deployment shape — delta-patched per-tag tables,
-/// the trie-compressed optimizer (over both compile paths), and the
-/// linear-scan lookup under each — replays the §5.2 ring and the fat-tree
-/// churn campaign byte-identically to the scratch/guarded reference. The
-/// table *construction* and *layout* may change; the
-/// observable run may not.
+/// Every non-reference deployment shape — the trie-compressed optimizer,
+/// and the linear-scan lookup under each layout — replays the §5.2 ring and
+/// the fat-tree churn campaign byte-identically to the reference. The table
+/// *layout* may change; the observable run may not.
 #[test]
 fn deployment_layouts_do_not_perturb_results() {
     fn assert_deploy_invariant(scenario: &str, run: impl Fn(Knobs) -> (NetworkTrace, Stats)) {
         let deploys = [
-            (CompilePath::Delta, OptimizeMode::Off),
-            (CompilePath::Scratch, OptimizeMode::On),
-            (CompilePath::Delta, OptimizeMode::On),
+            (LookupPath::Linear, OptimizeMode::Off),
+            (LookupPath::Indexed, OptimizeMode::On),
+            (LookupPath::Linear, OptimizeMode::On),
         ];
         let (reference_trace, reference_stats) = run(REFERENCE);
-        for (compile, optimize) in deploys {
-            for lookup in [LookupPath::Indexed, LookupPath::Linear] {
-                let knobs =
-                    Knobs { deploy: DeployKnobs { path: lookup, compile, optimize }, ..REFERENCE };
-                let (trace, stats) = run(knobs);
-                assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
-                assert_eq!(trace, reference_trace, "{scenario}: trace diverged on {knobs:?}");
-            }
+        for (path, optimize) in deploys {
+            let knobs = Knobs { deploy: DeployKnobs { path, optimize }, ..REFERENCE };
+            let (trace, stats) = run(knobs);
+            assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
+            assert_eq!(trace, reference_trace, "{scenario}: trace diverged on {knobs:?}");
         }
     }
     assert_deploy_invariant("ring", ring_run);
