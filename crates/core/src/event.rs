@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use netkat::{Loc, Packet, Pred};
+use netkat::{FieldReader, Loc, Packet, Pred};
 
 /// Identifier of an event within a [`crate::EventStructure`].
 ///
@@ -62,7 +62,13 @@ impl Event {
     /// Returns `true` if a packet at `loc` matches this event
     /// (`lp ⊨ e` in the paper): same location, predicate satisfied.
     pub fn matches(&self, packet: &Packet, loc: Loc) -> bool {
-        self.loc == loc && self.pred.eval(packet)
+        self.matches_on(packet, loc)
+    }
+
+    /// [`matches`](Event::matches) with the packet read through any
+    /// [`FieldReader`].
+    pub fn matches_on<R: FieldReader>(&self, packet: &R, loc: Loc) -> bool {
+        self.loc == loc && self.pred.eval_on(packet)
     }
 }
 

@@ -226,16 +226,20 @@ impl PacketArena {
         if r.newborns.is_empty() {
             return;
         }
-        let newborns = std::mem::take(&mut r.newborns);
-        for i in newborns {
+        // Handed back emptied, so the list keeps its buffer across sweeps.
+        let mut newborns = std::mem::take(&mut r.newborns);
+        for i in newborns.drain(..) {
             let rc = self.recycler.as_ref().expect("checked above").rc[i as usize];
             if rc == 0 {
                 self.free_slot(i);
             }
         }
+        self.recycler.as_mut().expect("checked above").newborns = newborns;
     }
 
-    /// Unindexes slot `i`, clears its storage, and queues it for reuse.
+    /// Unindexes slot `i`, empties it — keeping its buffer, so the packet
+    /// that reuses the slot is copied in without allocating — and queues it
+    /// for reuse.
     fn free_slot(&mut self, i: u32) {
         let r = self.recycler.as_mut().expect("free_slot requires recycling");
         let fp = r.fp[i as usize];
@@ -253,7 +257,7 @@ impl PacketArena {
         } else if let Some(pos) = self.collisions.iter().position(|&c| c == i) {
             self.collisions.swap_remove(pos);
         }
-        self.slots[i as usize] = Packet::new();
+        self.slots[i as usize].clear();
     }
 
     /// Number of slots in use — distinct packets interned, or, with
@@ -306,23 +310,18 @@ impl PacketArena {
         }
     }
 
-    /// Stores `pk` (already known absent) under fingerprint `fp`, reusing a
-    /// freed slot when recycling has one.
-    fn insert(&mut self, fp: u64, pk: Packet, probe: Probe) -> PacketId {
+    /// Claims the slot for a packet (already known absent) with
+    /// fingerprint `fp` — a freed slot when recycling has one, else a new
+    /// empty one — and indexes it; the caller fills it.
+    fn claim(&mut self, fp: u64, probe: Probe) -> u32 {
         let reused = self.recycler.as_mut().and_then(|r| r.free.pop());
         self.stats.misses += 1;
         self.stats.recycled += reused.is_some() as u64;
-        let i = match reused {
-            Some(i) => {
-                self.slots[i as usize] = pk;
-                i
-            }
-            None => {
-                let i = u32::try_from(self.slots.len()).expect("arena holds at most 2^32 packets");
-                self.slots.push(pk);
-                i
-            }
-        };
+        let i = reused.unwrap_or_else(|| {
+            let i = u32::try_from(self.slots.len()).expect("arena holds at most 2^32 packets");
+            self.slots.push(Packet::new());
+            i
+        });
         if let Some(r) = &mut self.recycler {
             if (i as usize) == r.rc.len() {
                 r.rc.push(0);
@@ -338,9 +337,9 @@ impl PacketArena {
                 self.index.insert(fp, i);
             }
             Probe::Collision => self.collisions.push(i),
-            Probe::Hit(_) => unreachable!("insert is only reached on a miss"),
+            Probe::Hit(_) => unreachable!("claim is only reached on a miss"),
         }
-        PacketId(i)
+        i
     }
 
     /// Interns an owned packet, returning the id of its unique slot.
@@ -351,12 +350,16 @@ impl PacketArena {
                 self.stats.hits += 1;
                 id
             }
-            miss => self.insert(fp, pk, miss),
+            miss => {
+                let i = self.claim(fp, miss);
+                self.slots[i as usize] = pk;
+                PacketId(i)
+            }
         }
     }
 
-    /// Interns by reference: the packet is only cloned the first time it is
-    /// seen.
+    /// Interns by reference: the packet is only copied the first time it is
+    /// seen, and into a recycled slot's kept buffer when there is one.
     pub fn intern_ref(&mut self, pk: &Packet) -> PacketId {
         let fp = fingerprint(pk);
         match self.probe(fp, pk) {
@@ -364,23 +367,20 @@ impl PacketArena {
                 self.stats.hits += 1;
                 id
             }
-            miss => self.insert(fp, pk.clone(), miss),
+            miss => {
+                let i = self.claim(fp, miss);
+                self.slots[i as usize].clone_from(pk);
+                PacketId(i)
+            }
         }
     }
 
-    /// Interns the scratch buffer, cloning it only on a miss.
+    /// Interns the scratch buffer, copying it only on a miss.
     fn intern_scratch(&mut self) -> PacketId {
-        let fp = fingerprint(&self.scratch);
-        match self.probe(fp, &self.scratch) {
-            Probe::Hit(id) => {
-                self.stats.hits += 1;
-                id
-            }
-            miss => {
-                let pk = self.scratch.clone();
-                self.insert(fp, pk, miss)
-            }
-        }
+        let scratch = std::mem::take(&mut self.scratch);
+        let id = self.intern_ref(&scratch);
+        self.scratch = scratch;
+        id
     }
 
     /// Returns the id of `get(id)` moved to `loc` (the paper's

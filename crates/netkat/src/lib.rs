@@ -55,7 +55,7 @@ pub use flowtable::{FlowTable, Match, Rule, TableDelta};
 pub use global::{compile_global, path_clauses, Hop, PathClause, SwitchTables, TestConj};
 pub use hash::{FxBuildHasher, FxHasher};
 pub use local::{compile_fdd, compile_local};
-pub use packet::{FieldReader, Loc, LocatedView, Packet};
+pub use packet::{FieldReader, Loc, LocatedView, Packet, TaggedView};
 pub use policy::Policy;
 pub use pred::Pred;
 pub use semantics::{equivalent_on, eval, eval_set};

@@ -37,11 +37,11 @@ impl fmt::Display for Loc {
 /// Read access to packet header fields — the interface flow-table lookup
 /// actually needs.
 ///
-/// Implemented by [`Packet`] itself and by [`LocatedView`], the
-/// simulator's zero-copy lookup view (a packet with its location and tag
-/// overridden in place). Lookup paths are generic over this trait, so a
-/// per-hop table lookup never has to materialize a relocated copy of the
-/// packet.
+/// Implemented by [`Packet`] itself, by [`LocatedView`], the simulator's
+/// zero-copy lookup view (a packet with its location and tag overridden in
+/// place), and by [`TaggedView`] (the tag alone overridden). Lookup paths
+/// and predicate evaluation are generic over this trait, so a hop never has
+/// to materialize a relocated or stamped copy of the packet.
 pub trait FieldReader {
     /// The value of `field`, or `None` if unset.
     fn read(&self, field: Field) -> Option<Value>;
@@ -66,6 +66,26 @@ impl FieldReader for LocatedView<'_> {
         match field {
             Field::Switch => Some(self.loc.sw),
             Field::Port => Some(self.loc.pt),
+            Field::Tag if self.tag.is_some() => self.tag,
+            _ => self.base.get(field),
+        }
+    }
+}
+
+/// A packet with only its tag overridden: the view of a packet the IN rule
+/// may have stamped, without materializing the stamped copy. Every other
+/// field — the location fields included — is the base packet's own.
+#[derive(Clone, Copy, Debug)]
+pub struct TaggedView<'a> {
+    /// The underlying packet.
+    pub base: &'a Packet,
+    /// The overriding tag, if any.
+    pub tag: Option<Value>,
+}
+
+impl FieldReader for TaggedView<'_> {
+    fn read(&self, field: Field) -> Option<Value> {
+        match field {
             Field::Tag if self.tag.is_some() => self.tag,
             _ => self.base.get(field),
         }
@@ -234,6 +254,11 @@ impl Packet {
         p.unset(Field::Switch);
         p.unset(Field::Port);
         p
+    }
+
+    /// Unsets every field, keeping the record's buffer for reuse.
+    pub fn clear(&mut self) {
+        self.fields.clear();
     }
 
     /// Number of fields set.

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::field::{Field, Value};
-use crate::packet::Packet;
+use crate::packet::{FieldReader, Packet};
 
 /// A boolean predicate over packet fields.
 ///
@@ -93,13 +93,19 @@ impl Pred {
     ///
     /// A basic test on an unset field is `false`.
     pub fn eval(&self, pk: &Packet) -> bool {
+        self.eval_on(pk)
+    }
+
+    /// [`eval`](Pred::eval) through any [`FieldReader`] (e.g. a zero-copy
+    /// [`TaggedView`](crate::TaggedView)).
+    pub fn eval_on<R: FieldReader>(&self, pk: &R) -> bool {
         match self {
             Pred::True => true,
             Pred::False => false,
-            Pred::Test(f, v) => pk.get(*f) == Some(*v),
-            Pred::And(a, b) => a.eval(pk) && b.eval(pk),
-            Pred::Or(a, b) => a.eval(pk) || b.eval(pk),
-            Pred::Not(a) => !a.eval(pk),
+            Pred::Test(f, v) => pk.read(*f) == Some(*v),
+            Pred::And(a, b) => a.eval_on(pk) && b.eval_on(pk),
+            Pred::Or(a, b) => a.eval_on(pk) || b.eval_on(pk),
+            Pred::Not(a) => !a.eval_on(pk),
         }
     }
 

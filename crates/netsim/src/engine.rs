@@ -91,6 +91,12 @@ fn timeline_at<T: Copy>(timeline: &Timeline<T>, t: SimTime, default: T) -> T {
 #[derive(Debug)]
 struct EntityMap {
     map: HashMap<u64, u32, netkat::FxBuildHasher>,
+    /// The first host's dense id: switches come first, so an entity is a
+    /// host exactly when its id is at or above this.
+    first_host: u32,
+    /// Per host, indexed by `dense id - first_host`: its attachment
+    /// location and the attachment switch's dense id.
+    attached: Vec<(Loc, u32)>,
 }
 
 impl EntityMap {
@@ -107,16 +113,48 @@ impl EntityMap {
                 id
             });
         }
+        let first_host = next;
         for (h, _) in topo.hosts() {
             map.insert(h, next);
             next += 1;
         }
-        EntityMap { map }
+        let attached = topo
+            .hosts()
+            .map(|(_, loc)| (loc, *map.get(&loc.sw).expect("hosts attach to listed switches")))
+            .collect();
+        EntityMap { map, first_host, attached }
+    }
+
+    /// The dense id of a switch or host, if the topology has it.
+    fn get(&self, node: u64) -> Option<u32> {
+        self.map.get(&node).copied()
     }
 
     /// The dense id of a switch or host.
     fn dense(&self, node: u64) -> u32 {
-        self.map.get(&node).copied().expect("node is part of the topology")
+        self.get(node).expect("node is part of the topology")
+    }
+
+    /// Whether dense id `entity` is a host's.
+    fn is_host(&self, entity: u32) -> bool {
+        entity >= self.first_host
+    }
+
+    /// Host `entity`'s attachment location and attachment switch entity.
+    fn attachment(&self, entity: u32) -> (Loc, u32) {
+        self.attached[(entity - self.first_host) as usize]
+    }
+
+    /// The dense id of the host with id `host`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `host` is not a host of the topology.
+    fn host(&self, host: u64) -> u32 {
+        match self.get(host) {
+            Some(entity) if self.is_host(entity) => entity,
+            _ => panic!("node {host} is not a host"),
+        }
     }
 
     /// Total entity count (environment and controller included).
@@ -131,10 +169,8 @@ impl EntityMap {
 #[derive(Clone, Debug)]
 enum EventKind {
     /// A host pushes a packet onto its attachment link. `sender` is the
-    /// host's dense entity id (events this dispatch creates are its);
-    /// `attach_sender` is the attachment switch's (stamped onto the
-    /// resulting arrival).
-    Inject { host: u64, packet: PacketId, size: u32, sender: u32, attach_sender: u32 },
+    /// host's dense entity id (events this dispatch creates are its).
+    Inject { host: u64, packet: PacketId, size: u32, sender: u32 },
     /// A packet arrives at a location (switch ingress or host). `sender`
     /// is the dense entity id of `loc.sw` (or of the host); `parent` is the
     /// trace record the packet descends from.
@@ -254,10 +290,11 @@ struct Core<D: DataPlane> {
     out: PlaneOut,
     /// Trace indices whose processing sent something to the controller.
     ctrl_causes: Vec<usize>,
-    /// Per switch: how many of `ctrl_causes` have been delivered to it.
-    ctrl_delivered: HashMap<u64, usize>,
-    /// Per switch: how many of `ctrl_causes` are already linked.
-    ctrl_linked: HashMap<u64, usize>,
+    /// Per entity (only switches' entries move): how many of `ctrl_causes`
+    /// have been delivered to it.
+    ctrl_delivered: Vec<usize>,
+    /// Per entity: how many of `ctrl_causes` are already linked.
+    ctrl_linked: Vec<usize>,
     /// Lazy injection stream.
     source: Option<SourceState>,
     /// Streaming trace observer.
@@ -314,8 +351,8 @@ impl<D: DataPlane> Core<D> {
             chan_counts: vec![0; n_entities],
             out: PlaneOut::default(),
             ctrl_causes: Vec::new(),
-            ctrl_delivered: HashMap::new(),
-            ctrl_linked: HashMap::new(),
+            ctrl_delivered: vec![0; n_entities],
+            ctrl_linked: vec![0; n_entities],
             source: None,
             observer: None,
             metrics,
@@ -454,22 +491,28 @@ impl<D: DataPlane> Core<D> {
     }
 
     /// Acts on the control side of a plane interaction at `node`, leaving
-    /// those four lists of `out` empty: sends its notifications (with trace
-    /// cause `cause`) and deliveries through the channel model, forwards
-    /// its channel telemetry to the flight recorder, and schedules its
-    /// timer requests. Runs on every interaction (packet step, notify,
-    /// deliver, timer).
-    fn emit_control(&mut self, out: &mut PlaneOut, node: u64, cause: usize) {
-        if !out.notifications.is_empty() {
+    /// those four lists of `self.out` empty: sends its notifications (with
+    /// trace cause `cause`) and deliveries through the channel model,
+    /// forwards its channel telemetry to the flight recorder, and schedules
+    /// its timer requests. Runs on every interaction (packet step, notify,
+    /// deliver, timer). The lists are read in place by index (their items
+    /// are `Copy`): `out` never leaves `self`, and a hop with nothing to
+    /// say pays four length checks.
+    fn emit_control(&mut self, node: u64, cause: usize) {
+        if !self.out.notifications.is_empty() {
             let sender = self.entity_of(node);
-            for msg in out.notifications.drain(..) {
+            for i in 0..self.out.notifications.len() {
+                let msg = self.out.notifications[i];
                 self.send_notify(node, sender, msg, cause);
             }
+            self.out.notifications.clear();
         }
-        for (delay, sw, msg) in out.deliveries.drain(..) {
+        for i in 0..self.out.deliveries.len() {
+            let (delay, sw, msg) = self.out.deliveries[i];
             self.send_deliver(sw, msg, delay);
         }
-        for (kind, node) in out.channel_events.drain(..) {
+        self.out.deliveries.clear();
+        for (kind, node) in self.out.channel_events.drain(..) {
             if let Some(fr) = &self.metrics.flight {
                 fr.record(FlightEvent {
                     t_us: self.now.as_micros(),
@@ -480,10 +523,12 @@ impl<D: DataPlane> Core<D> {
                 });
             }
         }
-        for (t, node) in out.timers.drain(..) {
+        for i in 0..self.out.timers.len() {
+            let (t, node) = self.out.timers[i];
             let seq = self.next_seq(self.entity_of(node));
             self.schedule(t.max(self.now), seq, EventKind::Timer { node });
         }
+        self.out.timers.clear();
     }
 
     /// One packet-free plane interaction at `node` (notify, deliver,
@@ -491,23 +536,14 @@ impl<D: DataPlane> Core<D> {
     /// for is acted on before the dispatch ends. What these send is
     /// plumbing or controller output, so it carries no trace cause.
     fn control_step(&mut self, node: u64, call: impl FnOnce(&mut D, SimTime, &mut PlaneOut)) {
-        let mut out = std::mem::take(&mut self.out);
-        call(&mut self.dataplane, self.now, &mut out);
-        self.emit_control(&mut out, node, NO_CAUSE);
-        self.out = out;
+        call(&mut self.dataplane, self.now, &mut self.out);
+        self.emit_control(node, NO_CAUSE);
     }
 
     /// The earliest pending fire time in microseconds (`u64::MAX` when
     /// idle) — the bound the source pump admits up to.
     fn next_time_us(&mut self) -> u64 {
-        match self.queue.pop() {
-            Some(key) => {
-                let t = key.0.as_micros();
-                self.queue.push(key);
-                t
-            }
-            None => u64::MAX,
-        }
+        self.queue.peek().map_or(u64::MAX, |key| key.0.as_micros())
     }
 
     /// Runs the event loop until the queue empties or `deadline` passes
@@ -586,15 +622,12 @@ impl<D: DataPlane> Core<D> {
         while st.src.peek_time().is_some_and(|t| t.as_micros() <= limit_us) {
             let ev = st.src.next_event().expect("peek_time implies a next event");
             debug_assert!(ev.seq < st.total, "source seq {} out of reserved window", ev.seq);
-            assert!(self.topo.is_host(ev.host), "node {} is not a host", ev.host);
-            let sender = self.entities.dense(ev.host);
-            let attach = self.topo.attachment(ev.host).expect("hosts are attached");
-            let attach_sender = self.entities.dense(attach.sw);
+            let sender = self.entities.host(ev.host);
             let packet = self.trace.arena_mut().intern(ev.packet);
             self.push_keyed(
                 ev.time,
                 pack_seq(ENV_ENTITY, st.base + ev.seq),
-                EventKind::Inject { host: ev.host, packet, size: ev.size, sender, attach_sender },
+                EventKind::Inject { host: ev.host, packet, size: ev.size, sender },
             );
             admitted += 1;
         }
@@ -652,17 +685,21 @@ impl<D: DataPlane> Core<D> {
         }
     }
 
-    fn push_drop(&mut self, drop: Drop) {
-        self.stats.dropped[drop.reason.index()] += 1;
+    /// Counts a drop of `packet` at `switch`; the per-packet record — and
+    /// the packet clone it owns — is made only when the stats mode keeps
+    /// it.
+    fn push_drop(&mut self, time: SimTime, switch: u64, packet: PacketId, reason: DropReason) {
+        self.stats.dropped[reason.index()] += 1;
         if self.stats_mode == StatsMode::Full {
-            self.stats.drops.push(drop);
+            let packet = self.trace.arena().get(packet).clone();
+            self.stats.drops.push(Drop { time, switch, packet, reason });
         }
     }
 
     fn dispatch_inner(&mut self, kind: EventKind) {
         match kind {
-            EventKind::Inject { host, packet, size, sender, attach_sender } => {
-                let Some(attach) = self.topo.attachment(host) else { return };
+            EventKind::Inject { host, packet, size, sender } => {
+                let (attach, attach_sender) = self.entities.attachment(sender);
                 self.stats.injected += 1;
                 let idx = self.trace.push_id(packet, Loc::new(host, 0), None);
                 if let Some(o) = self.observer.as_deref_mut() {
@@ -685,7 +722,7 @@ impl<D: DataPlane> Core<D> {
                 );
             }
             EventKind::Arrive { loc, packet, size, parent, from_host, sender } => {
-                if self.topo.is_host(loc.sw) {
+                if self.entities.is_host(sender) {
                     let idx = self.trace.push_id(packet, loc, Some(parent));
                     if let Some(o) = self.observer.as_deref_mut() {
                         o.record(idx, self.trace.arena().get(packet), loc, Some(parent));
@@ -705,26 +742,15 @@ impl<D: DataPlane> Core<D> {
                     }
                     let host = loc.sw;
                     let replies = self.hosts.on_receive(host, pk, self.now);
-                    if !replies.is_empty() {
-                        let attach =
-                            self.topo.attachment(host).expect("delivered hosts are attached");
-                        let attach_sender = self.entities.dense(attach.sw);
-                        for (delay, reply, rsize) in replies {
-                            let t = self.now + delay;
-                            let reply = self.trace.arena_mut().intern(reply);
-                            let seq = self.next_seq(sender);
-                            self.schedule(
-                                t,
-                                seq,
-                                EventKind::Inject {
-                                    host,
-                                    packet: reply,
-                                    size: rsize,
-                                    sender,
-                                    attach_sender,
-                                },
-                            );
-                        }
+                    for (delay, reply, rsize) in replies {
+                        let t = self.now + delay;
+                        let reply = self.trace.arena_mut().intern(reply);
+                        let seq = self.next_seq(sender);
+                        self.schedule(
+                            t,
+                            seq,
+                            EventKind::Inject { host, packet: reply, size: rsize, sender },
+                        );
                     }
                     return;
                 }
@@ -745,8 +771,12 @@ impl<D: DataPlane> Core<D> {
                 // causal ancestor of this switch's subsequent processing.
                 // Pure acks are plumbing: they change no switch state, so
                 // they must not strengthen the causal frontier.
+                // A switch outside the topology never steps, so there is
+                // no frontier to move.
                 if !matches!(msg, CtrlMsg::Ack { .. }) {
-                    self.ctrl_delivered.insert(sw, self.ctrl_causes.len());
+                    if let Some(entity) = self.entities.get(sw) {
+                        self.ctrl_delivered[entity as usize] = self.ctrl_causes.len();
+                    }
                 }
                 self.control_step(sw, |dp, now, out| dp.deliver(sw, msg, now, out));
             }
@@ -775,8 +805,8 @@ impl<D: DataPlane> Core<D> {
             }
         }
         // Knowledge delivered by the controller happens-before this step.
-        let delivered = self.ctrl_delivered.get(&loc.sw).copied().unwrap_or(0);
-        let linked = self.ctrl_linked.entry(loc.sw).or_insert(0);
+        let delivered = self.ctrl_delivered[sender as usize];
+        let linked = &mut self.ctrl_linked[sender as usize];
         for &cause in &self.ctrl_causes[*linked..delivered] {
             if cause < ingress_idx {
                 self.trace.add_causal_edge(cause, ingress_idx);
@@ -786,7 +816,6 @@ impl<D: DataPlane> Core<D> {
             }
         }
         *linked = (*linked).max(delivered);
-        let mut out = std::mem::take(&mut self.out);
         let lookup_sw = self.metrics.sampling.then(Stopwatch::start);
         self.dataplane.step(
             loc.sw,
@@ -795,34 +824,28 @@ impl<D: DataPlane> Core<D> {
             from_host,
             self.now,
             self.trace.arena_mut(),
-            &mut out,
+            &mut self.out,
         );
         if let Some(sw) = lookup_sw {
             self.metrics.phase_lookup_ns.observe(sw.elapsed_ns());
         }
-        if !out.notifications.is_empty() {
+        if !self.out.notifications.is_empty() {
             if let Some(o) = self.observer.as_deref_mut() {
                 o.cause(ingress_idx);
             }
         }
-        self.emit_control(&mut out, loc.sw, ingress_idx);
-        if out.outputs.is_empty() {
+        self.emit_control(loc.sw, ingress_idx);
+        if self.out.outputs.is_empty() {
             self.trace.mark_terminated(ingress_idx);
             if let Some(o) = self.observer.as_deref_mut() {
                 o.leaf(ingress_idx, edn_core::LeafKind::Terminated);
             }
-            self.push_drop(Drop {
-                time: self.now,
-                switch: loc.sw,
-                packet: self.trace.arena().get(packet).clone(),
-                reason: DropReason::NoRule,
-            });
-            self.out = out;
+            self.push_drop(self.now, loc.sw, packet, DropReason::NoRule);
             return;
         }
         let depart = self.now + self.params.switch_delay;
-        for i in 0..out.outputs.len() {
-            let (out_pt, out_pkt) = out.outputs[i];
+        for i in 0..self.out.outputs.len() {
+            let (out_pt, out_pkt) = self.out.outputs[i];
             let out_loc = Loc::new(loc.sw, out_pt);
             let egress_idx = self.trace.push_id(out_pkt, out_loc, Some(ingress_idx));
             if let Some(o) = self.observer.as_deref_mut() {
@@ -855,12 +878,7 @@ impl<D: DataPlane> Core<D> {
                     if let Some(o) = self.observer.as_deref_mut() {
                         o.leaf(egress_idx, edn_core::LeafKind::Terminated);
                     }
-                    self.push_drop(Drop {
-                        time: depart,
-                        switch: loc.sw,
-                        packet: self.trace.arena().get(out_pkt).clone(),
-                        reason: DropReason::DeadEnd,
-                    });
+                    self.push_drop(depart, loc.sw, out_pkt, DropReason::DeadEnd);
                     continue;
                 }
             };
@@ -872,12 +890,7 @@ impl<D: DataPlane> Core<D> {
                 if let Some(o) = self.observer.as_deref_mut() {
                     o.leaf(egress_idx, edn_core::LeafKind::Stalled);
                 }
-                self.push_drop(Drop {
-                    time: depart,
-                    switch: loc.sw,
-                    packet: self.trace.arena().get(out_pkt).clone(),
-                    reason: DropReason::LinkDown,
-                });
+                self.push_drop(depart, loc.sw, out_pkt, DropReason::LinkDown);
                 continue;
             }
             let arrival = match link.capacity {
@@ -897,12 +910,7 @@ impl<D: DataPlane> Core<D> {
                         if let Some(o) = self.observer.as_deref_mut() {
                             o.leaf(egress_idx, edn_core::LeafKind::Stalled);
                         }
-                        self.push_drop(Drop {
-                            time: depart,
-                            switch: loc.sw,
-                            packet: self.trace.arena().get(out_pkt).clone(),
-                            reason: DropReason::QueueFull,
-                        });
+                        self.push_drop(depart, loc.sw, out_pkt, DropReason::QueueFull);
                         continue;
                     }
                     let wire = size as u64 + self.params.header_overhead as u64;
@@ -925,8 +933,7 @@ impl<D: DataPlane> Core<D> {
                 },
             );
         }
-        out.outputs.clear();
-        self.out = out;
+        self.out.outputs.clear();
         if let Some(o) = self.observer.as_deref_mut() {
             o.retire(ingress_idx);
         }
@@ -1157,14 +1164,11 @@ impl<D: DataPlane> Engine<D> {
     /// Panics if `host` is not a host of the topology.
     pub fn inject_sized(&mut self, time: SimTime, host: u64, packet: Packet, size: u32) {
         let core = &mut self.core;
-        assert!(core.topo.is_host(host), "node {host} is not a host");
-        let sender = core.entities.dense(host);
-        let attach = core.topo.attachment(host).expect("hosts are attached");
-        let attach_sender = core.entities.dense(attach.sw);
+        let sender = core.entities.host(host);
         let seq = pack_seq(ENV_ENTITY, self.env_seq);
         self.env_seq += 1;
         let packet = core.trace.arena_mut().intern(packet);
-        core.push_keyed(time, seq, EventKind::Inject { host, packet, size, sender, attach_sender });
+        core.push_keyed(time, seq, EventKind::Inject { host, packet, size, sender });
     }
 
     /// Pre-sizes the event slab for `extra` upcoming events (the calendar
@@ -1424,6 +1428,63 @@ mod tests {
         let r = e.run_until(SimTime::from_secs(1));
         assert_eq!(r.stats.drop_count(Some(DropReason::DeadEnd)), 1);
         assert!(r.stats.deliveries.is_empty());
+    }
+
+    #[test]
+    fn drops_are_counted_in_both_stats_modes_and_recorded_only_in_full() {
+        // One dead-end drop (switch 1 outputs on an unattached port) per
+        // injected packet: the counter is mode-independent, the per-packet
+        // record (and the packet clone it owns) exists only under `Full`.
+        let run = |mode: StatsMode| {
+            let mut e =
+                Engine::new(topo(), SimParams::default(), ToHostPort(7), Box::new(SinkHosts))
+                    .with_stats_mode(mode);
+            for i in 0..5 {
+                e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
+            }
+            e.run_until(SimTime::from_secs(1)).stats
+        };
+        let (full, lean) = (run(StatsMode::Full), run(StatsMode::Counters));
+        assert_eq!(full.drop_count(Some(DropReason::DeadEnd)), 5);
+        assert_eq!(lean.dropped, full.dropped);
+        assert_eq!(full.drops.len(), 5);
+        assert_eq!(full.drops[4].packet, Packet::new().with(Field::Vlan, 4));
+        assert!(lean.drops.is_empty());
+    }
+
+    #[test]
+    fn deliver_to_an_unknown_switch_neither_panics_nor_records_a_cause() {
+        /// Notifies from switch 1 and has the controller command switch 99,
+        /// which the topology does not have.
+        struct Stray;
+        impl DataPlane for Stray {
+            fn step(
+                &mut self,
+                sw: u64,
+                _: u64,
+                packet: PacketId,
+                _: bool,
+                _: SimTime,
+                _: &mut PacketArena,
+                out: &mut PlaneOut,
+            ) {
+                out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
+                if sw == 1 {
+                    out.notifications.push(CtrlMsg::Events(1));
+                }
+            }
+            fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
+                out.deliveries.push((SimTime::ZERO, 99, msg));
+            }
+            fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
+        }
+        let mut e = Engine::new(topo(), SimParams::default(), Stray, Box::new(SinkHosts));
+        // The second packet crosses both switches after the command landed.
+        e.inject_at(SimTime::ZERO, 100, Packet::new().with(Field::Vlan, 1));
+        e.inject_at(SimTime::from_millis(10), 100, Packet::new().with(Field::Vlan, 2));
+        let r = e.run_until(SimTime::from_secs(1));
+        assert_eq!(r.stats.delivered_packets, 2);
+        assert!(r.trace.extra_edges().is_empty(), "no switch of the topology was told anything");
     }
 
     #[test]

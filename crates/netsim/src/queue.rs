@@ -167,6 +167,30 @@ impl CalendarQueue {
         }
     }
 
+    /// Advances the wavefront to the first occupied bucket and restores its
+    /// descending order if appends disturbed it, so the window's minimum
+    /// sits at its back. Needs `in_window > 0`.
+    fn front_bucket(&mut self) -> usize {
+        let bucket = self.next_occupied(self.cursor).expect("in_window keys are marked");
+        self.cursor = bucket;
+        if self.dirty[bucket / 64] & (1 << (bucket % 64)) != 0 {
+            self.buckets[bucket].sort_unstable_by(|a, b| b.cmp(a));
+            self.dirty[bucket / 64] &= !(1 << (bucket % 64));
+        }
+        bucket
+    }
+
+    /// The key [`pop`](CalendarQueue::pop) would return, left in place.
+    /// Window keys all fire before the window's end and overflow keys at
+    /// or after it, so an empty window's minimum is the overflow's.
+    pub(crate) fn peek(&mut self) -> Option<QueuedKey> {
+        if self.in_window == 0 {
+            return self.overflow.peek().map(|&Reverse(key)| key);
+        }
+        let bucket = self.front_bucket();
+        self.buckets[bucket].last().copied()
+    }
+
     pub(crate) fn pop(&mut self) -> Option<QueuedKey> {
         if self.in_window == 0 {
             if self.overflow.is_empty() {
@@ -174,13 +198,8 @@ impl CalendarQueue {
             }
             self.rebuild();
         }
-        let bucket = self.next_occupied(self.cursor).expect("in_window keys are marked");
-        self.cursor = bucket;
+        let bucket = self.front_bucket();
         let b = &mut self.buckets[bucket];
-        if self.dirty[bucket / 64] & (1 << (bucket % 64)) != 0 {
-            b.sort_unstable_by(|a, b| b.cmp(a));
-            self.dirty[bucket / 64] &= !(1 << (bucket % 64));
-        }
         let key = b.pop().expect("occupied buckets are non-empty");
         if b.is_empty() {
             self.clear(bucket);
@@ -208,6 +227,10 @@ impl HeapModel {
 
     fn pop(&mut self) -> Option<QueuedKey> {
         self.0.pop().map(|Reverse(key)| key)
+    }
+
+    fn peek(&self) -> Option<QueuedKey> {
+        self.0.peek().map(|&Reverse(key)| key)
     }
 }
 
@@ -245,7 +268,7 @@ mod tests {
 
     #[test]
     fn far_future_overflow_migrates_back() {
-        // Events far past the 128 ms window, pushed out of order, plus a
+        // Events far past the 16 ms window, pushed out of order, plus a
         // near cluster.
         let mut keys = vec![key(5, 0), key(1_000_000_000, 1), key(3, 2), key(500_000_000, 3)];
         keys.push(key(1_000_000_000, 4)); // tie in the deep overflow
@@ -398,6 +421,48 @@ mod proptests {
                     seq += 1;
                     heap.push(k);
                     cal.push(k);
+                }
+            }
+        }
+
+        /// `peek` is the heap's minimum at every point of a random
+        /// push/pop interleaving — keys inside the window, behind its start
+        /// (clamped into bucket 0) and past its end (overflow) — and peeking
+        /// never changes what pops: the peeked queue drains like the heap.
+        #[test]
+        fn peek_is_the_heap_minimum_and_leaves_pop_order_alone(
+            ops in proptest::collection::vec(
+                proptest::option::of(prop_oneof![
+                    0u64..64,
+                    0u64..20_000,
+                    0u64..400_000,
+                    0u64..2_000_000_000,
+                ]),
+                1..300,
+            ),
+        ) {
+            let mut heap = HeapModel::default();
+            let mut cal = CalendarQueue::new();
+            for (seq, op) in ops.into_iter().enumerate() {
+                match op {
+                    // Absolute times: pops re-anchor the window deep into
+                    // the run, so later small times land behind it.
+                    Some(t) => {
+                        let k = (SimTime::from_micros(t), seq as u64, seq as u32);
+                        heap.push(k);
+                        cal.push(k);
+                    }
+                    None => prop_assert_eq!(cal.pop(), heap.pop()),
+                }
+                prop_assert_eq!(cal.peek(), heap.peek());
+                prop_assert_eq!(cal.len(), heap.len());
+            }
+            loop {
+                prop_assert_eq!(cal.peek(), heap.peek());
+                let (a, b) = (heap.pop(), cal.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
                 }
             }
         }

@@ -192,36 +192,6 @@ impl CompiledNes {
             .collect()
     }
 
-    /// The per-tag rule sets with their table positions, the shape the
-    /// optimized *deployment* consumes: `rules[tag]` is the set of
-    /// `(switch, priority, match, actions)` tuples of that tag's
-    /// configuration. The priority index preserves first-match-wins order
-    /// for overlapping rules (e.g. a firewall's prepended drop rule), which
-    /// [`config_rule_sets`](CompiledNes::config_rule_sets)'s unordered
-    /// triples deliberately forget.
-    pub fn prioritized_rule_sets(&self) -> Vec<BTreeSet<(u64, u32, Match, ActionSet)>> {
-        self.tags
-            .iter()
-            .map(|&set| {
-                let config = self.nes.config(set);
-                let mut rules = BTreeSet::new();
-                for sw in config.switches() {
-                    if let Some(table) = config.table(sw) {
-                        for (prio, rule) in table.iter().enumerate() {
-                            rules.insert((
-                                sw,
-                                prio as u32,
-                                rule.pattern.clone(),
-                                rule.actions.clone(),
-                            ));
-                        }
-                    }
-                }
-                rules
-            })
-            .collect()
-    }
-
     /// One firing step: which of `candidates` actually occur given the
     /// fixed pre-arrival set `known`, per the SWITCH rule:
     /// `E′ = {e : known ⊢ e ∧ con(known ∪ E′ ∪ {e})}`.
@@ -256,8 +226,19 @@ impl CompiledNes {
         packet: &netkat::Packet,
         loc: netkat::Loc,
     ) -> EventSet {
+        self.triggered_on(known, packet, loc)
+    }
+
+    /// [`triggered`](CompiledNes::triggered) with the packet read through
+    /// any [`FieldReader`](netkat::FieldReader).
+    pub fn triggered_on<R: netkat::FieldReader>(
+        &self,
+        known: EventSet,
+        packet: &R,
+        loc: netkat::Loc,
+    ) -> EventSet {
         let matching: EventSet =
-            self.nes.events().iter().filter(|e| e.matches(packet, loc)).map(|e| e.id).collect();
+            self.nes.events().iter().filter(|e| e.matches_on(packet, loc)).map(|e| e.id).collect();
         self.fire_step(known, matching)
     }
 

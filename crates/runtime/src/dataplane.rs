@@ -14,29 +14,43 @@
 use std::collections::{BTreeMap, HashMap};
 
 use edn_core::{EventId, EventSet};
-use netkat::{Field, FxBuildHasher, Loc, LocatedView, LookupPath, Packet, PacketArena, PacketId};
+use netkat::{
+    Field, FieldReader, FxBuildHasher, Loc, LocatedView, LookupPath, Packet, PacketArena, PacketId,
+    TaggedView,
+};
 use netsim::{CtrlMsg, DataPlane, PlaneOut, SimTime};
 
 use crate::compile::CompiledNes;
-use crate::deploy::{dense_switches, DeployKnobs, Deployment, OptimizeMode};
+use crate::deploy::{dense_switches, DeployKnobs, PerTagTables};
+
+/// One switch's event state: what it knows, and what that amounts to.
+#[derive(Clone, Copy, Debug)]
+struct Local {
+    /// The known events (`E` in Fig. 7).
+    known: EventSet,
+    /// The effective event-set of `known` — a pure function of it,
+    /// recomputed only when knowledge grows.
+    effective: EventSet,
+    /// The tag of `effective`: what IN stamps on host-entering packets.
+    tag: u64,
+}
 
 /// The deployed NES runtime (switch state + controller).
 #[derive(Clone, Debug)]
 pub struct NesDataPlane {
     compiled: CompiledNes,
-    /// The installed tables, in the layout the deployment knobs chose: one
-    /// compiled table per distinct `(switch, tag)` table (Section 4.1), or
-    /// trie-compressed wildcard-guarded tables (`EDN_OPTIMIZE=on`,
-    /// Section 5.3). Both layouts forward identically — the delta and
-    /// plumbing equivalence suites pin that byte for byte.
-    deployment: Deployment,
-    /// The resolved deployment knobs (lookup path, optimizer), fixed at
-    /// construction so runs never consult the environment mid-flight.
+    /// The installed tables: one compiled table per distinct
+    /// `(switch, tag)` table (Section 4.1).
+    deployment: PerTagTables,
+    /// The resolved deployment knobs (lookup path), fixed at construction
+    /// so runs never consult the environment mid-flight.
     knobs: DeployKnobs,
-    /// Per-switch known events (`E` in Fig. 7), dense: `local[slot]` with
-    /// slots assigned by `switch_slot`. The switch step reads and writes
-    /// this two or three times per packet, so it must not walk a tree.
-    local: Vec<EventSet>,
+    /// Per-switch event state, dense: `local[slot]` with slots assigned by
+    /// `switch_slot`. The switch step reads this on every packet, so it
+    /// must not walk a tree.
+    local: Vec<Local>,
+    /// The state of a switch that knows nothing.
+    blank: Local,
     /// `switch id → dense slot` — the index into `local` and the row of the
     /// per-tag layout — grown on demand for switches outside the deployment
     /// (which have no tables: their packets drop).
@@ -53,10 +67,9 @@ pub struct NesDataPlane {
     discovery: BTreeMap<(u64, EventId), SimTime>,
     /// Global fire log, in order (a hint for the correctness checker).
     fired_log: Vec<(SimTime, EventId)>,
-    /// Memoized `known → (effective set, tag)`: the enabling fixpoint is a
-    /// pure function of the known-events set, and switch knowledge only
-    /// grows at (rare) event learns, so the per-packet hot path reduces to
-    /// one map probe.
+    /// Memoized `known → (effective set, tag)`, consulted when a switch
+    /// learns: the enabling fixpoint is a pure function of the known-events
+    /// set, and a campaign's switches all climb the same few sets.
     effective_cache: BTreeMap<EventSet, (EventSet, u64)>,
     /// Reused `step` buffers: the lookup packet and the (single-cast)
     /// output packet are built here instead of being allocated per hop —
@@ -69,25 +82,19 @@ pub struct NesDataPlane {
 
 impl NesDataPlane {
     /// Deploys a compiled NES on the given switches, with every deployment
-    /// knob taken from the environment (`EDN_LOOKUP`, `EDN_OPTIMIZE`).
+    /// knob taken from the environment (`EDN_LOOKUP`).
     pub fn new(compiled: CompiledNes, switches: Vec<u64>, broadcast: bool) -> NesDataPlane {
         NesDataPlane::with_knobs(compiled, switches, broadcast, DeployKnobs::from_env())
     }
 
-    /// Deploys a compiled NES on an explicit lookup path, the remaining
-    /// knobs from the environment.
+    /// Deploys a compiled NES on an explicit lookup path.
     pub fn with_path(
         compiled: CompiledNes,
         switches: Vec<u64>,
         broadcast: bool,
         path: LookupPath,
     ) -> NesDataPlane {
-        NesDataPlane::with_knobs(
-            compiled,
-            switches,
-            broadcast,
-            DeployKnobs::from_env().with_path(path),
-        )
+        NesDataPlane::with_knobs(compiled, switches, broadcast, DeployKnobs { path })
     }
 
     /// Deploys a compiled NES with every knob pinned explicitly — the
@@ -102,13 +109,18 @@ impl NesDataPlane {
         let slotted = dense_switches(&compiled, &switches);
         let switch_slot =
             slotted.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect::<HashMap<_, _, _>>();
-        let local = vec![EventSet::empty(); slotted.len()];
-        let deployment = Deployment::deploy(&compiled, knobs, &slotted);
+        let deployment = PerTagTables::build(&compiled, &slotted);
+        let blank = Local {
+            known: EventSet::empty(),
+            effective: compiled.effective_set(EventSet::empty()),
+            tag: compiled.tag_for_known(EventSet::empty()),
+        };
         NesDataPlane {
             compiled,
             deployment,
             knobs,
-            local,
+            local: vec![blank; slotted.len()],
+            blank,
             switch_slot,
             controller: EventSet::empty(),
             broadcast,
@@ -137,17 +149,6 @@ impl NesDataPlane {
         self.knobs.path
     }
 
-    /// Whether the rule-sharing optimizer is on the hot path.
-    pub fn optimize_mode(&self) -> OptimizeMode {
-        self.knobs.optimize
-    }
-
-    /// The optimizer's `(installed, original)` rule counts (`None` unless
-    /// this deployment was built with [`OptimizeMode::On`]).
-    pub fn optimized_rule_counts(&self) -> Option<(usize, usize)> {
-        self.deployment.optimized_rule_counts()
-    }
-
     /// The compiled NES.
     pub fn compiled(&self) -> &CompiledNes {
         &self.compiled
@@ -155,7 +156,7 @@ impl NesDataPlane {
 
     /// A switch's current known event-set.
     pub fn local_events(&self, sw: u64) -> EventSet {
-        self.switch_slot.get(&sw).map(|&i| self.local[i as usize]).unwrap_or_else(EventSet::empty)
+        self.switch_slot.get(&sw).map_or_else(EventSet::empty, |&i| self.local[i as usize].known)
     }
 
     /// When `sw` first learned `event`, if it has.
@@ -181,7 +182,7 @@ impl NesDataPlane {
             None => {
                 let i = self.local.len() as u32;
                 self.switch_slot.insert(sw, i);
-                self.local.push(EventSet::empty());
+                self.local.push(self.blank);
                 i as usize
             }
         }
@@ -196,12 +197,14 @@ impl NesDataPlane {
     /// per-packet path, which learns something new only at (rare) event
     /// firings and digest fronts.
     fn learn_at(&mut self, slot: usize, sw: u64, events: EventSet, now: SimTime) {
-        let known = &mut self.local[slot];
-        let fresh = events.difference(*known);
+        let known = self.local[slot].known;
+        let fresh = events.difference(known);
         if fresh.is_empty() {
             return;
         }
-        *known = known.union(events);
+        let known = known.union(events);
+        let (effective, tag) = self.effective_of(known);
+        self.local[slot] = Local { known, effective, tag };
         for e in fresh.iter() {
             self.discovery.entry((sw, e)).or_insert(now);
         }
@@ -209,12 +212,13 @@ impl NesDataPlane {
 }
 
 impl DataPlane for NesDataPlane {
-    /// IN stamp, trigger, per-tag forwarding, digest stamp — with the table
-    /// consulted through a zero-copy [`LocatedView`], an identity fast path
-    /// for hops that leave the packet's content unchanged (the steady
-    /// state: clone-free and allocation-free), and reused buffers for the
-    /// rest. The owned transcription of the same rules is
-    /// `process_reference`, which the per-hop proptests diff this against.
+    /// IN stamp, trigger, per-tag forwarding, digest stamp — with the stamp
+    /// read through a [`TaggedView`] and the table consulted through a
+    /// [`LocatedView`] (both zero-copy), an identity fast path for hops
+    /// that leave the packet's content unchanged (the steady state:
+    /// clone-free and allocation-free), and reused buffers for the rest.
+    /// The owned transcription of the same rules is `process_reference`,
+    /// which the per-hop proptests diff this against.
     fn step(
         &mut self,
         sw: u64,
@@ -227,17 +231,19 @@ impl DataPlane for NesDataPlane {
     ) {
         // SWITCH step 1: union the packet's digest into local state.
         let slot = self.slot_of(sw);
-        let digest = EventSet::from_bits(arena.get(packet).get(Field::Digest).unwrap_or(0));
+        let base = arena.get(packet);
+        let digest = EventSet::from_bits(base.get(Field::Digest).unwrap_or(0));
         self.learn_at(slot, sw, digest, now);
-        let known = self.local[slot];
+        let Local { effective, tag, .. } = self.local[slot];
 
-        // IN: stamp host-entering packets with the current tag.
-        let effective = self.effective_of(known);
-        let stamped = if from_host { arena.with(packet, Field::Tag, effective.1) } else { packet };
+        // IN: stamp host-entering packets with the current tag. The stamped
+        // packet is never materialized: the trigger test and the lookup read
+        // the stamp through an overlay, and the output below carries it.
+        let stamped = TaggedView { base, tag: from_host.then_some(tag) };
 
         // SWITCH step 2: fire enabled events this arrival matches.
-        let effective = effective.0;
-        let fired = self.compiled.triggered(effective, arena.get(stamped), Loc::new(sw, pt));
+        let loc = Loc::new(sw, pt);
+        let fired = self.compiled.triggered_on(effective, &stamped, loc);
         if !fired.is_empty() {
             self.learn_at(slot, sw, fired, now);
             for e in fired.iter() {
@@ -245,7 +251,7 @@ impl DataPlane for NesDataPlane {
             }
             out.notifications.push(CtrlMsg::Events(fired.bits()));
         }
-        let known = self.local[slot];
+        let Local { known, tag: current, .. } = self.local[slot];
 
         // SWITCH steps 3+4: forward under the stamped tag and stamp the
         // outgoing digest. The table is consulted through a zero-copy
@@ -256,14 +262,9 @@ impl DataPlane for NesDataPlane {
         // is unchanged — the output *is* the input id. Only
         // content-changing hops materialize packets (in reused buffers,
         // interned by reference).
-        let tag = match arena.get(stamped).get(Field::Tag) {
-            Some(tag) => tag,
-            None => self.effective_of(known).1,
-        };
-        let loc = Loc::new(sw, pt);
+        let tag = stamped.read(Field::Tag).unwrap_or(current);
         let out_digest = digest.union(known).bits();
         {
-            let base = arena.get(stamped);
             let view = LocatedView { base, loc, tag: Some(tag) };
             let rule =
                 self.deployment.lookup_on(&self.compiled, self.knobs.path, slot, sw, tag, &view);
@@ -287,7 +288,7 @@ impl DataPlane for NesDataPlane {
                         && base.get(Field::Digest) == Some(out_digest)
                         && base.get(Field::Tag) == Some(tag)
                     {
-                        out.outputs.push((out_pt, stamped));
+                        out.outputs.push((out_pt, packet));
                     } else {
                         let mut buf = std::mem::take(&mut self.out_buf);
                         buf.clone_from(base);
@@ -346,8 +347,7 @@ impl DataPlane for NesDataPlane {
     }
 
     /// Reports the compiled lookup index's fingerprint probe outcomes,
-    /// summed over every distinct table this plane instance drove (the
-    /// optimized layout has no fingerprint index and reports zero).
+    /// summed over every distinct table this plane instance drove.
     fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
         let (hits, fallbacks) = self.deployment.lookup_stats();
         reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_hits", hits);
@@ -562,40 +562,6 @@ mod tests {
             let b = st.step(&mut indexed, 1, pt, pk, from_host, SimTime::ZERO);
             assert_eq!(a, b, "paths diverged at pt {pt}, dst {dst}");
             assert_eq!(linear.local_events(1), indexed.local_events(1));
-        }
-    }
-
-    #[test]
-    fn deployments_agree_step_by_step() {
-        let mut st = Stepper::default();
-        // Drive the same packet sequence through both layouts; each step
-        // must produce identical outputs, notifications, and switch state.
-        let mk = |optimize| {
-            NesDataPlane::with_knobs(
-                CompiledNes::compile(firewall_nes()),
-                vec![1],
-                false,
-                DeployKnobs { optimize, ..Default::default() },
-            )
-        };
-        let mut reference = mk(OptimizeMode::Off);
-        let mut optimized = mk(OptimizeMode::On);
-        assert!(optimized.optimize_mode().is_on());
-        assert!(optimized.optimized_rule_counts().is_some());
-        assert!(reference.optimized_rule_counts().is_none());
-        let steps = [
-            (2u64, 999u64, true),
-            (3, 200, true), // blocked pre-event
-            (2, 300, true), // fires e0
-            (3, 200, true), // allowed post-event
-            (9, 300, false),
-        ];
-        for (pt, dst, from_host) in steps {
-            let pk = Packet::new().with(Field::IpDst, dst);
-            let want = st.step(&mut reference, 1, pt, pk.clone(), from_host, SimTime::ZERO);
-            let got = st.step(&mut optimized, 1, pt, pk, from_host, SimTime::ZERO);
-            assert_eq!(got, want, "optimized layout diverged at pt {pt}, dst {dst}");
-            assert_eq!(optimized.local_events(1), reference.local_events(1));
         }
     }
 

@@ -1,90 +1,35 @@
-//! Deployment knobs and table layouts: how a compiled NES's rules actually
-//! reach the data plane.
+//! Deployment knobs and the table layout: how a compiled NES's rules
+//! actually reach the data plane.
 //!
-//! Two layouts implement the same forwarding function:
-//!
-//! * **Per-tag** (the default, Section 4.1): one compiled table per
-//!   distinct `(switch, tag)` table, built straight from
-//!   `g(set_of(tag)).table(sw)`. The dispatch on `(switch, tag)` *is* the
-//!   tag guard, so no rule is rewritten or copied; a switch a step leaves
-//!   untouched shares the previous tag's table. The guarded rendering the
-//!   paper installs on hardware is [`SwitchProgram`](crate::SwitchProgram),
-//!   built on demand and pinned equal to this layout by this module's
-//!   proptest.
-//! * **Optimized** (`EDN_OPTIMIZE=on`, Section 5.3): the rule-sharing trie
-//!   assigns each tag a new ID and installs each rule once, guarded by a
-//!   wildcard ID mask, at the highest trie node containing it.
-//!
-//! The differential suites (`tests/delta_equivalence.rs`,
-//! `tests/plumbing_equivalence.rs`) pin both byte-identical on full runs.
+//! There is one layout (Section 4.1): one compiled table per distinct
+//! `(switch, tag)` table, built straight from `g(set_of(tag)).table(sw)`.
+//! The dispatch on `(switch, tag)` *is* the tag guard, so no rule is
+//! rewritten or copied; a switch a step leaves untouched shares the
+//! previous tag's table. The guarded rendering the paper installs on
+//! hardware is [`SwitchProgram`](crate::SwitchProgram), built on demand
+//! and pinned equal to this layout by this module's proptest. (The
+//! Section 5.3 rule-sharing optimizer is an offline artefact — the
+//! `rule-optimizer` crate, Fig. 17 — and was retired as a lookup-path
+//! layout after losing its trial; see ARCHITECTURE.md.)
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use edn_core::Config;
-use netkat::{ActionSet, CompiledTable, FieldReader, FlowTable, LookupPath, Match, Rule};
-use rule_optimizer::WildcardMask;
+use netkat::{CompiledTable, FieldReader, FlowTable, LookupPath, Rule};
 
 use crate::compile::CompiledNes;
 
-/// Whether the Section 5.3 rule-sharing optimizer sits on the hot path.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum OptimizeMode {
-    /// Plain per-tag tables (every configuration's table installed).
-    #[default]
-    Off,
-    /// Trie-compressed tables: shared rules installed once under wildcard
-    /// ID guards, packet tags translated to trie IDs at lookup.
-    On,
-}
-
-impl OptimizeMode {
-    /// Reads `EDN_OPTIMIZE` (default [`Off`](OptimizeMode::Off)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `EDN_OPTIMIZE` is set to anything but `off` or `on`.
-    pub fn from_env() -> OptimizeMode {
-        match std::env::var("EDN_OPTIMIZE") {
-            Ok(v) if v == "off" => OptimizeMode::Off,
-            Ok(v) if v == "on" => OptimizeMode::On,
-            Ok(v) => panic!("EDN_OPTIMIZE must be `off` or `on`, got {v:?}"),
-            Err(_) => OptimizeMode::Off,
-        }
-    }
-
-    /// The label used in benchmark output (`off` / `on`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            OptimizeMode::Off => "off",
-            OptimizeMode::On => "on",
-        }
-    }
-
-    /// Whether the optimizer is enabled.
-    pub fn is_on(&self) -> bool {
-        *self == OptimizeMode::On
-    }
-}
-
-/// The full set of deployment knobs, resolved once at construction so runs
-/// never consult the environment mid-flight.
+/// The deployment knobs, resolved once at construction so runs never
+/// consult the environment mid-flight.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DeployKnobs {
     /// Flow-table lookup implementation (`EDN_LOOKUP`).
     pub path: LookupPath,
-    /// Rule-sharing optimizer on the hot path (`EDN_OPTIMIZE`).
-    pub optimize: OptimizeMode,
 }
 
 impl DeployKnobs {
     /// Resolves every knob from the environment.
     pub fn from_env() -> DeployKnobs {
-        DeployKnobs { path: LookupPath::from_env(), optimize: OptimizeMode::from_env() }
-    }
-
-    /// These knobs with an explicit lookup path.
-    pub fn with_path(self, path: LookupPath) -> DeployKnobs {
-        DeployKnobs { path, ..self }
+        DeployKnobs { path: LookupPath::from_env() }
     }
 }
 
@@ -98,77 +43,11 @@ pub(crate) fn dense_switches(nes: &CompiledNes, listed: &[u64]) -> Vec<u64> {
     listed.iter().copied().chain(installed).filter(|&sw| seen.insert(sw)).collect()
 }
 
-/// The installed tables of one deployment, in the layout the knobs chose.
-#[derive(Clone, Debug)]
-pub(crate) enum Deployment {
-    /// One compiled table per distinct `(switch, tag)` table.
-    PerTag(PerTagTables),
-    /// Trie-compressed wildcard-guarded tables.
-    Optimized(OptimizedTables),
-}
-
-impl Deployment {
-    /// Builds the layout the knobs select. `switches[slot]` is the switch
-    /// the plane keeps at dense slot `slot` (see [`dense_switches`]).
-    pub(crate) fn deploy(nes: &CompiledNes, knobs: DeployKnobs, switches: &[u64]) -> Deployment {
-        if knobs.optimize.is_on() {
-            return Deployment::Optimized(OptimizedTables::from_sets(&nes.prioritized_rule_sets()));
-        }
-        Deployment::PerTag(PerTagTables::build(nes, switches))
-    }
-
-    /// The forwarding rule for a packet at `(sw, tag)`, read through `view`;
-    /// `slot` is `sw`'s dense slot in the plane. An unknown switch or an
-    /// out-of-range tag has no table and drops. The linear path reads the
-    /// specification itself, `g(set_of(tag)).table(sw)`, which the plane
-    /// owns through `nes`.
-    pub(crate) fn lookup_on<'a, R: FieldReader>(
-        &'a self,
-        nes: &'a CompiledNes,
-        path: LookupPath,
-        slot: usize,
-        sw: u64,
-        tag: u64,
-        view: &R,
-    ) -> Option<&'a Rule> {
-        match (self, path) {
-            (Deployment::PerTag(_), LookupPath::Linear) => nes.table(sw, tag)?.lookup_on(view),
-            (Deployment::PerTag(tables), LookupPath::Indexed) => {
-                tables.table(slot, tag)?.lookup_on(view)
-            }
-            // The optimizer owns its layout: both lookup paths dispatch
-            // through the same guarded scan.
-            (Deployment::Optimized(tables), _) => tables.lookup_on(sw, tag, view),
-        }
-    }
-
-    /// Summed fingerprint probe outcomes of every distinct compiled table
-    /// in the layout (the optimized layout has no fingerprint index).
-    pub(crate) fn lookup_stats(&self) -> (u64, u64) {
-        match self {
-            Deployment::PerTag(tables) => tables
-                .compiled
-                .iter()
-                .map(CompiledTable::lookup_stats)
-                .fold((0, 0), |(h, f), (dh, df)| (h + dh, f + df)),
-            Deployment::Optimized(_) => (0, 0),
-        }
-    }
-
-    /// `(installed, original)` rule counts, if this is the optimized
-    /// layout.
-    pub(crate) fn optimized_rule_counts(&self) -> Option<(usize, usize)> {
-        match self {
-            Deployment::Optimized(tables) => Some(tables.rule_counts()),
-            Deployment::PerTag(_) => None,
-        }
-    }
-}
-
-/// One [`CompiledTable`] per *distinct* `(switch, tag)` table, compiled
-/// straight from `g(set_of(tag)).table(sw)`: no tag guard is written into
-/// the rules (the dispatch on `(switch, tag)` is the guard), and a switch a
-/// step leaves untouched re-uses the previous tag's table.
+/// The installed tables of one deployment: one [`CompiledTable`] per
+/// *distinct* `(switch, tag)` table, compiled straight from
+/// `g(set_of(tag)).table(sw)`: no tag guard is written into the rules (the
+/// dispatch on `(switch, tag)` is the guard), and a switch a step leaves
+/// untouched re-uses the previous tag's table.
 #[derive(Clone, Debug)]
 pub(crate) struct PerTagTables {
     /// The distinct compiled tables.
@@ -182,7 +61,9 @@ pub(crate) struct PerTagTables {
 }
 
 impl PerTagTables {
-    fn build(nes: &CompiledNes, switches: &[u64]) -> PerTagTables {
+    /// Builds the layout. `switches[slot]` is the switch the plane keeps
+    /// at dense slot `slot` (see [`dense_switches`]).
+    pub(crate) fn build(nes: &CompiledNes, switches: &[u64]) -> PerTagTables {
         let tags = nes.tag_count();
         let empty = FlowTable::new();
         let mut compiled: Vec<CompiledTable> = Vec::new();
@@ -208,88 +89,44 @@ impl PerTagTables {
         let index = *self.slots.get(slot * self.tags + tag as usize)?;
         Some(&self.compiled[index as usize])
     }
-}
 
-/// The Section 5.3 trie-compressed layout: every rule installed once,
-/// guarded by a wildcard mask over the trie-assigned configuration ID;
-/// packet tags are translated to IDs at lookup, so traces keep the
-/// canonical tag stamps and stay byte-identical to the plain layouts.
-#[derive(Clone, Debug)]
-pub(crate) struct OptimizedTables {
-    /// `new_id[tag]` → the trie's ID for that configuration.
-    new_id: Vec<u64>,
-    /// Per-switch guarded rules, stably sorted by original priority. For
-    /// any single ID at most one rule per priority is mask-active, so the
-    /// ascending-priority first-match scan reproduces exact table order.
-    switches: BTreeMap<u64, Vec<(WildcardMask, Rule)>>,
-    /// Rules installed after sharing.
-    installed: usize,
-    /// Rules before sharing (one full copy per configuration).
-    original: usize,
-}
-
-impl OptimizedTables {
-    /// Runs the trie heuristic on per-tag `(switch, priority, match,
-    /// actions)` rule sets and lays the guarded output out per switch.
-    fn from_sets(sets: &[BTreeSet<(u64, u32, Match, ActionSet)>]) -> OptimizedTables {
-        let opt = rule_optimizer::optimize(sets);
-        let new_id =
-            (0..sets.len()).map(|i| opt.id_of(i).expect("every configuration is placed")).collect();
-        let installed = opt.optimized_count();
-        let original = opt.original_count;
-        let mut by_switch: BTreeMap<u64, Vec<(WildcardMask, u32, Rule)>> = BTreeMap::new();
-        for (mask, (sw, prio, pattern, actions)) in opt.guarded_rules {
-            by_switch.entry(sw).or_default().push((mask, prio, Rule::new(pattern, actions)));
+    /// The forwarding rule for a packet at `(sw, tag)`, read through `view`;
+    /// `slot` is `sw`'s dense slot in the plane. An unknown switch or an
+    /// out-of-range tag has no table and drops. The linear path reads the
+    /// specification itself, `g(set_of(tag)).table(sw)`, which the plane
+    /// owns through `nes`.
+    pub(crate) fn lookup_on<'a, R: FieldReader>(
+        &'a self,
+        nes: &'a CompiledNes,
+        path: LookupPath,
+        slot: usize,
+        sw: u64,
+        tag: u64,
+        view: &R,
+    ) -> Option<&'a Rule> {
+        match path {
+            LookupPath::Linear => nes.table(sw, tag)?.lookup_on(view),
+            LookupPath::Indexed => self.table(slot, tag)?.lookup_on(view),
         }
-        let switches = by_switch
-            .into_iter()
-            .map(|(sw, mut rules)| {
-                rules.sort_by_key(|&(_, prio, _)| prio);
-                (sw, rules.into_iter().map(|(mask, _, rule)| (mask, rule)).collect())
-            })
-            .collect();
-        OptimizedTables { new_id, switches, installed, original }
     }
 
-    /// The degenerate single-configuration case (a static deployment): one
-    /// leaf, all-wildcard guards.
-    pub(crate) fn from_config(config: &Config) -> OptimizedTables {
-        let mut rules = BTreeSet::new();
-        for sw in config.switches() {
-            if let Some(table) = config.table(sw) {
-                for (prio, rule) in table.iter().enumerate() {
-                    rules.insert((sw, prio as u32, rule.pattern.clone(), rule.actions.clone()));
-                }
-            }
-        }
-        OptimizedTables::from_sets(&[rules])
-    }
-
-    /// First mask-active match in priority order.
-    pub(crate) fn lookup_on<R: FieldReader>(&self, sw: u64, tag: u64, view: &R) -> Option<&Rule> {
-        let id = *self.new_id.get(tag as usize)?;
-        self.switches
-            .get(&sw)?
+    /// Summed fingerprint probe outcomes of every distinct compiled table.
+    pub(crate) fn lookup_stats(&self) -> (u64, u64) {
+        self.compiled
             .iter()
-            .find(|(mask, rule)| mask.matches(id) && rule.pattern.matches_on(view))
-            .map(|(_, rule)| rule)
-    }
-
-    /// `(installed, original)` rule counts — the optimizer's savings.
-    pub(crate) fn rule_counts(&self) -> (usize, usize) {
-        (self.installed, self.original)
+            .map(CompiledTable::lookup_stats)
+            .fold((0, 0), |(h, f), (dh, df)| (h + dh, f + df))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edn_core::{Event, EventId, EventSet, EventStructure, NetworkEventStructure};
-    use netkat::{Action, Field, Loc, Packet, Pred};
+    use edn_core::{Config, Event, EventId, EventSet, EventStructure, NetworkEventStructure};
+    use netkat::{Action, ActionSet, Field, Loc, Match, Packet, Pred};
 
     /// The firewall NES used across the runtime tests: one switch, two
-    /// hosts, a reply rule unlocked by e0. Crucially config `{e0}` keeps
-    /// the shared 2→3 rule, so the optimizer has something to share.
+    /// hosts, a reply rule unlocked by e0.
     fn firewall_nes() -> NetworkEventStructure {
         let mk = |rules: Vec<Rule>| {
             let mut c = Config::new();
@@ -319,21 +156,12 @@ mod tests {
         .unwrap()
     }
 
-    /// Both layouts over the firewall's one switch (slot 0).
-    fn layouts(nes: &CompiledNes) -> Vec<(&'static str, Deployment)> {
-        let optimized = DeployKnobs { optimize: OptimizeMode::On, ..DeployKnobs::default() };
-        vec![
-            ("per-tag", Deployment::deploy(nes, DeployKnobs::default(), &[1])),
-            ("optimized", Deployment::deploy(nes, optimized, &[1])),
-        ]
-    }
-
-    /// Both layouts, on both lookup paths, return rules with identical
-    /// actions for every `(port, dst, tag)` the firewall distinguishes.
+    /// Both lookup paths return rules with identical actions for every
+    /// `(port, dst, tag)` the firewall distinguishes.
     #[test]
     fn all_layouts_forward_identically() {
         let nes = CompiledNes::compile(firewall_nes());
-        let layouts = layouts(&nes);
+        let layout = PerTagTables::build(&nes, &[1]);
         for tag in 0..nes.tag_count() as u64 {
             for pt in [2u64, 3, 9] {
                 for dst in [200u64, 300, 7] {
@@ -341,24 +169,21 @@ mod tests {
                     pk.set_loc(Loc::new(1, pt));
                     pk.set(Field::Tag, tag);
                     let reference = nes.table(1, tag).unwrap().lookup_on(&pk).map(|r| &r.actions);
-                    for (name, layout) in &layouts {
-                        for path in [LookupPath::Linear, LookupPath::Indexed] {
-                            let got =
-                                layout.lookup_on(&nes, path, 0, 1, tag, &pk).map(|r| &r.actions);
-                            assert_eq!(
-                                got,
-                                reference,
-                                "{name}/{} diverged at tag {tag}, pt {pt}, dst {dst}",
-                                path.label()
-                            );
-                        }
+                    for path in [LookupPath::Linear, LookupPath::Indexed] {
+                        let got = layout.lookup_on(&nes, path, 0, 1, tag, &pk).map(|r| &r.actions);
+                        assert_eq!(
+                            got,
+                            reference,
+                            "{} diverged at tag {tag}, pt {pt}, dst {dst}",
+                            path.label()
+                        );
                     }
                 }
             }
         }
     }
 
-    /// Unknown switches and out-of-range tags drop on every layout.
+    /// Unknown switches and out-of-range tags drop on both lookup paths.
     #[test]
     fn unknown_switch_or_tag_drops_everywhere() {
         let nes = CompiledNes::compile(firewall_nes());
@@ -367,41 +192,26 @@ mod tests {
         pk.set(Field::Tag, 0);
         let mut bad_tag = pk.clone();
         bad_tag.set(Field::Tag, 99);
-        for (name, layout) in layouts(&nes) {
-            for path in [LookupPath::Linear, LookupPath::Indexed] {
-                // Switch 77 is outside the deployment: the plane hands it
-                // the next free slot, past every row.
-                assert!(
-                    layout.lookup_on(&nes, path, 1, 77, 0, &pk).is_none(),
-                    "{name}: unknown switch"
-                );
-                assert!(
-                    layout.lookup_on(&nes, path, 0, 1, 99, &bad_tag).is_none(),
-                    "{name}: unknown tag"
-                );
-            }
+        let layout = PerTagTables::build(&nes, &[1]);
+        for path in [LookupPath::Linear, LookupPath::Indexed] {
+            // Switch 77 is outside the deployment: the plane hands it the
+            // next free slot, past every row.
+            assert!(layout.lookup_on(&nes, path, 1, 77, 0, &pk).is_none(), "unknown switch");
+            assert!(layout.lookup_on(&nes, path, 0, 1, 99, &bad_tag).is_none(), "unknown tag");
         }
     }
 
     /// The per-tag layout compiles one table per *distinct* `(switch, tag)`
     /// table — a switch the event leaves alone shares its table across
-    /// tags; the optimizer shares the common 2→3 rule.
+    /// tags.
     #[test]
     fn layout_introspection_reports_the_expected_shape() {
         let nes = CompiledNes::compile(firewall_nes());
         // Slot 1 is a listed switch no configuration installs a table on.
-        let Deployment::PerTag(per_tag) = Deployment::deploy(&nes, DeployKnobs::default(), &[1, 2])
-        else {
-            panic!("the default layout is per-tag");
-        };
+        let per_tag = PerTagTables::build(&nes, &[1, 2]);
         assert_eq!(per_tag.compiled.len(), 3, "switch 1's two tables + switch 2's shared empty");
         assert_eq!(per_tag.slots, vec![0, 1, 2, 2]);
         assert!(per_tag.table(1, 0).unwrap().is_empty());
-        let layouts = layouts(&nes);
-        assert_eq!(layouts[0].1.optimized_rule_counts(), None);
-        let (installed, original) = layouts[1].1.optimized_rule_counts().expect("optimized layout");
-        assert_eq!(original, 3, "one full copy per configuration");
-        assert_eq!(installed, 2, "the shared 2→3 rule is installed once");
     }
 
     /// An event that *removes* and *reinstalls* switches: the per-tag
@@ -430,7 +240,7 @@ mod tests {
         );
         let switches = dense_switches(&nes, &[]);
         assert_eq!(switches, vec![1, 2], "configuration-only switches get slots");
-        let per_tag = Deployment::deploy(&nes, DeployKnobs::default(), &switches);
+        let per_tag = PerTagTables::build(&nes, &switches);
         for tag in [0u64, 1] {
             for (slot, &sw) in switches.iter().enumerate() {
                 let mut pk = Packet::new();
@@ -446,51 +256,10 @@ mod tests {
         }
     }
 
-    /// The degenerate static-plane case: one configuration, all-wildcard
-    /// guards, same lookups as the raw table.
-    #[test]
-    fn static_optimized_matches_the_raw_table() {
-        let mut config = Config::new();
-        config.install(
-            1,
-            FlowTable::from_rules([
-                Rule::new(Match::new().with(Field::Port, 2), ActionSet::drop()),
-                Rule::new(
-                    Match::new().with(Field::Port, 2).with(Field::IpDst, 9),
-                    ActionSet::single(Action::assign(Field::Port, 3)),
-                ),
-            ]),
-        );
-        let optimized = OptimizedTables::from_config(&config);
-        let table = config.table(1).unwrap();
-        for pt in [2u64, 3] {
-            for dst in [9u64, 10] {
-                let mut pk = Packet::new().with(Field::IpDst, dst);
-                pk.set_loc(Loc::new(1, pt));
-                assert_eq!(
-                    optimized.lookup_on(1, 0, &pk).map(|r| &r.actions),
-                    table.lookup_on(&pk).map(|r| &r.actions),
-                    "pt {pt} dst {dst}"
-                );
-            }
-        }
-        // Duplicate-priority first-wins: the overlapping drop rule sits at
-        // priority 0 and shadows the more specific rule, as in the table.
-        let mut pk = Packet::new().with(Field::IpDst, 9);
-        pk.set_loc(Loc::new(1, 2));
-        assert!(optimized.lookup_on(1, 0, &pk).unwrap().actions.is_drop());
-    }
-
     #[test]
     fn knob_parsing_defaults_and_labels() {
-        assert_eq!(OptimizeMode::default(), OptimizeMode::Off);
-        assert_eq!(OptimizeMode::Off.label(), "off");
-        assert_eq!(OptimizeMode::On.label(), "on");
-        assert!(OptimizeMode::On.is_on());
-        assert!(!OptimizeMode::Off.is_on());
-        let knobs = DeployKnobs::default().with_path(LookupPath::Linear);
-        assert_eq!(knobs.path, LookupPath::Linear);
-        assert_eq!(knobs.optimize, OptimizeMode::Off);
+        assert_eq!(DeployKnobs::default().path, LookupPath::Indexed);
+        assert_eq!(DeployKnobs { path: LookupPath::Linear }.path.label(), "linear");
     }
 }
 
@@ -501,8 +270,10 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::campaign::{campaign_nes, campaign_pred, CampaignStep};
-    use netkat::{Action, Field, Loc, LocatedView, Packet};
+    use edn_core::Config;
+    use netkat::{Action, ActionSet, Field, Loc, LocatedView, Match, Packet};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// A small universe keeps random packets colliding with random rules
     /// (the strategies of `tests/delta_equivalence.rs`).
@@ -588,7 +359,7 @@ mod proptests {
         ) {
             let nes = chain_nes(tables, steps);
             let switches = dense_switches(&nes, &listed);
-            let deployment = Deployment::deploy(&nes, DeployKnobs::default(), &switches);
+            let deployment = PerTagTables::build(&nes, &switches);
             let tags = nes.tag_count() as u64;
 
             // Random packets plus every installed pattern read back as a

@@ -40,7 +40,7 @@ pub use campaign::{
 };
 pub use compile::{CompiledNes, RuleBreakdown};
 pub use dataplane::NesDataPlane;
-pub use deploy::{DeployKnobs, OptimizeMode};
+pub use deploy::DeployKnobs;
 pub use program::{tagged_lookup, SwitchProgram};
 pub use reliable::{retry_budget_from_env, Reliable};
 pub use static_plane::StaticDataPlane;

@@ -27,8 +27,7 @@ pub fn nes_engine(
     nes_engine_with(nes, topo, params, broadcast, hosts, DeployKnobs::from_env())
 }
 
-/// [`nes_engine`] with an explicit flow-table lookup path (the remaining
-/// deployment knobs come from the environment).
+/// [`nes_engine`] with an explicit flow-table lookup path.
 pub fn nes_engine_with_path(
     nes: NetworkEventStructure,
     topo: SimTopology,
@@ -37,7 +36,7 @@ pub fn nes_engine_with_path(
     hosts: netsim::BoxedHosts,
     path: netkat::LookupPath,
 ) -> Engine<NesDataPlane> {
-    nes_engine_with(nes, topo, params, broadcast, hosts, DeployKnobs::from_env().with_path(path))
+    nes_engine_with(nes, topo, params, broadcast, hosts, DeployKnobs { path })
 }
 
 /// [`nes_engine`] with every deployment knob pinned explicitly — the

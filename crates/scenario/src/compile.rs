@@ -410,8 +410,8 @@ impl CompiledScenario {
     }
 
     /// Builds the coordinated (NES runtime) engine for this scenario:
-    /// deployment knobs from the environment (`EDN_LOOKUP`, `EDN_OPTIMIZE`),
-    /// no controller broadcast, sink hosts.
+    /// deployment knobs from the environment (`EDN_LOOKUP`), no controller
+    /// broadcast, sink hosts.
     pub fn engine(&self) -> Engine<nes_runtime::NesDataPlane> {
         self.engine_with(nes_runtime::DeployKnobs::from_env())
     }

@@ -27,8 +27,6 @@ pub struct RunOptions {
     /// Feed traffic through a live [`WorkloadSource`](netsim::WorkloadSource)
     /// instead of batch pre-scheduling (byte-identical results).
     pub stream: bool,
-    /// Optimizer override (`None` leaves `EDN_OPTIMIZE` in charge).
-    pub optimize: Option<nes_runtime::OptimizeMode>,
     /// Control-channel override (`None` defers to the spec's `[channel]`
     /// section, falling back to the `EDN_CHANNEL` environment default).
     pub channel: Option<ChannelModel>,
@@ -99,10 +97,7 @@ pub fn effective_channel(spec: &ScenarioSpec, opts: &RunOptions) -> ChannelModel
 /// checker's windows (compilation already bounds steps at 63, so this
 /// means a checker regression).
 pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutcome {
-    let mut knobs = nes_runtime::DeployKnobs::from_env();
-    if let Some(optimize) = opts.optimize {
-        knobs.optimize = optimize;
-    }
+    let knobs = nes_runtime::DeployKnobs::from_env();
     let model = effective_channel(&c.spec, opts);
     if model.is_ideal() {
         let mut engine = c.engine_with(knobs).with_channel(model);
@@ -278,22 +273,6 @@ mod tests {
         assert_eq!(batch.stats, replay.stats, "a replay must not change a byte");
         assert_eq!(batch.stats, streamed.stats, "streaming + checking must not either");
         assert_eq!(stats_csv_row(&replay), stats_csv_row(&batch), "canonical CSV agrees");
-    }
-
-    #[test]
-    fn optimizer_leg_agrees_byte_for_byte() {
-        let c = CompiledScenario::compile(&flap_spec()).unwrap();
-        let plain = run_coordinated(&c, &RunOptions { check: true, ..RunOptions::default() });
-        let optimized = run_coordinated(
-            &c,
-            &RunOptions {
-                check: true,
-                optimize: Some(nes_runtime::OptimizeMode::On),
-                ..RunOptions::default()
-            },
-        );
-        assert_eq!(stats_csv_row(&optimized), stats_csv_row(&plain), "optimizer is invisible");
-        assert_eq!(optimized.verdict, Some(Ok(())));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Differential delta-equivalence suite: configuration diffs
 //! (`Config::diff` → `FlowTable::splice`) against the configurations they
-//! were taken between, and the optimized deployment against the default.
+//! were taken between, and full runs against their own replays.
 //!
 //! * **Table layer (proptests, 256 cases each):** random `Config → Config'`
 //!   pairs — independent tables plus mutation-shaped edits (rule inserts,
@@ -10,16 +10,13 @@
 //!   packets derived from both configs' own rule patterns — exactly like
 //!   the new table compiled from scratch.
 //! * **End-to-end:** the §5.2-style flapping ring and the fat-tree(4)
-//!   update campaign, replayed across the
-//!   `{optimizer off, on} × {checked, unchecked}` matrix with every knob
-//!   pinned through explicit constructors (no env races): the canonical
+//!   update campaign, replayed checked and unchecked: the canonical
 //!   scenario CSV is byte-identical everywhere, and the online
 //!   Definition 6 verdict stays `correct`. (Trace byte-identity for the
 //!   same deployments lives in `plumbing_equivalence.rs`.)
 
 use edn_core::Config;
 use edn_scenario::{parse, run_coordinated, stats_csv_row, CompiledScenario, RunOptions};
-use nes_runtime::OptimizeMode;
 use netkat::{Action, ActionSet, CompiledTable, Field, FlowTable, Match, Packet, Rule};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -252,8 +249,8 @@ fn fat_tree_campaign_scenario() -> CompiledScenario {
     CompiledScenario::compile(&spec).expect("pinned spec compiles")
 }
 
-/// The end-to-end matrix: the optimizer on or off must reproduce the
-/// reference canonical CSV byte for byte, checked and unchecked.
+/// The end-to-end matrix: a replay must reproduce the reference canonical
+/// CSV byte for byte, checked and unchecked.
 #[test]
 fn e2e_matrix_replays_byte_identically() {
     for (name, c) in
@@ -265,19 +262,15 @@ fn e2e_matrix_replays_byte_identically() {
         assert_eq!(checked_ref.fired, Some(c.steps.len()), "{name}: reference firings");
         let checked_row = stats_csv_row(&checked_ref);
         let unchecked_row = stats_csv_row(&run_coordinated(&c, &RunOptions::default()));
-        for optimize in [OptimizeMode::Off, OptimizeMode::On] {
-            let deploy = RunOptions { optimize: Some(optimize), ..RunOptions::default() };
-            let leg = run_coordinated(&c, &RunOptions { check: true, ..deploy });
-            assert_eq!(
-                stats_csv_row(&leg),
-                checked_row,
-                "{name}: checked CSV diverged on {optimize:?}"
-            );
-            assert_eq!(
-                stats_csv_row(&run_coordinated(&c, &deploy)),
-                unchecked_row,
-                "{name}: unchecked CSV diverged on {optimize:?}"
-            );
-        }
+        assert_eq!(
+            stats_csv_row(&run_coordinated(&c, &check)),
+            checked_row,
+            "{name}: checked CSV diverged on replay"
+        );
+        assert_eq!(
+            stats_csv_row(&run_coordinated(&c, &RunOptions::default())),
+            unchecked_row,
+            "{name}: unchecked CSV diverged on replay"
+        );
     }
 }

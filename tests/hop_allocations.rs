@@ -1,0 +1,123 @@
+//! Steady-state regression: a streamed datagram's hops must not go back to
+//! the allocator.
+//!
+//! A counting `#[global_allocator]` (as in `deploy_allocations.rs`) watches
+//! `Engine::run` on the benchmark's `stream_*` shape — the generated
+//! firewall NES on fat-tree(4), a live `FlowSource`, `TraceMode::StatsOnly`
+//! with `StatsMode::Counters` — once at `N` and once at `2N` datagrams per
+//! flow. Differencing the two runs cancels everything paid once (slab,
+//! calendar buckets, arena and trace warm-up, the firewall trigger) and
+//! leaves the allocations a datagram costs on its way across the fabric.
+//!
+//! What remains per datagram, and why:
+//!
+//! * **2 — the source builds an owned `Packet`**: `udp_packet` starts a
+//!   field vector and grows it once on the way to six headers. The arena
+//!   takes that vector over (`intern` moves it into the slot), so entering
+//!   the arena is free; the build is the source's own and is expected.
+//! * **≈ 0.15, amortized** — calendar buckets growing to their high-water
+//!   mark.
+//!
+//! The ingress hop's stamped output (tag and digest added) is copied into a
+//! recycled slot's kept buffer, and every later hop forwards that id
+//! unchanged: the hops themselves allocate nothing.
+//!
+//! Before the dense per-hop path this read 6.1: the IN stamp interned an
+//! intermediate packet (one clone), every miss cloned into a *fresh* vector
+//! even when a freed slot was at hand, the arena's newborn list was rebuilt
+//! from nothing after every dispatch's sweep, and each dropped packet was
+//! cloned into a `Drop` record `StatsMode::Counters` then threw away.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use edn_core::TraceMode;
+use edn_topo::{attach_stream, fat_tree, synthesize, TierProfile, TrafficPattern, Workload};
+use nes_runtime::nes_engine;
+use netsim::traffic::udp_packet;
+use netsim::{SimParams, SimTime, SinkHosts, StatsMode};
+
+thread_local! {
+    /// Allocations made by this thread (no destructor, so the allocator may
+    /// touch it at any point of the thread's life).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local counter bump
+// that neither allocates nor unwinds (`try_with` on a `const`, `Drop`-less
+// cell).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`, and `new_size` is the caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Streams `per_flow` datagrams down each flow of a fat-tree(4) permutation
+/// through the firewall NES; returns `(allocations during run, datagrams
+/// injected)`.
+fn stream(per_flow: u64) -> (u64, u64) {
+    let gen = fat_tree(4, TierProfile::default());
+    let flows = synthesize(
+        &gen,
+        &Workload {
+            pattern: TrafficPattern::Permutation,
+            seed: 2016,
+            packets_per_flow: per_flow,
+            interval: SimTime::from_micros(100),
+            ..Workload::default()
+        },
+    );
+    let horizon = flows.iter().map(|f| f.end).max().expect("flows") + SimTime::from_secs(1);
+    let (inside, outside) = (gen.hosts()[0], *gen.hosts().last().expect("hosts"));
+    let nes = edn_apps::generated::firewall_nes(&gen, inside, outside);
+    let mut engine =
+        nes_engine(nes, gen.sim().clone(), SimParams::default(), false, Box::new(SinkHosts))
+            .with_trace_mode(TraceMode::StatsOnly)
+            .with_stats_mode(StatsMode::Counters);
+    let datagrams = attach_stream(&mut engine, &flows);
+    engine.inject_at(SimTime::from_millis(5), inside, udp_packet(inside, outside, u64::MAX, 0));
+    let before = ALLOCATIONS.with(Cell::get);
+    engine.run(horizon);
+    let spent = ALLOCATIONS.with(Cell::get) - before;
+    let result = engine.finish();
+    assert_eq!(result.stats.injected, datagrams + 1, "every datagram and the trigger entered");
+    assert_eq!(result.dataplane.fired_sequence().len(), 1, "the firewall opened");
+    (spent, datagrams)
+}
+
+#[test]
+fn a_streamed_datagram_costs_at_most_three_allocations() {
+    // 40 ms of traffic: the calendar's 16 ms window has wrapped by then, so
+    // its buckets' first allocations fall inside the short run.
+    const N: u64 = 400;
+    let (small, small_datagrams) = stream(N);
+    let (large, large_datagrams) = stream(2 * N);
+    assert_eq!(stream(N).0, small, "the allocation count repeats exactly");
+    let datagrams = large_datagrams - small_datagrams;
+    assert!(datagrams >= 16 * N, "the long run streams {datagrams} datagrams more");
+    let per_datagram = (large - small) as f64 / datagrams as f64;
+    assert!(
+        per_datagram <= 3.0,
+        "a datagram costs {per_datagram:.2} allocations in steady state \
+         ({small} at {small_datagrams} datagrams, {large} at {large_datagrams})"
+    );
+}

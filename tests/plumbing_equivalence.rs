@@ -1,7 +1,7 @@
 //! End-to-end packet-plumbing regression, extending
 //! `lookup_equivalence.rs` to the engine knobs: full simulations replayed
-//! in both trace modes, at every metrics level and on every deployment
-//! layout must agree — byte-identical `Stats` everywhere, byte-identical
+//! in both trace modes, at every metrics level and on both lookup paths
+//! must agree — byte-identical `Stats` everywhere, byte-identical
 //! traces wherever a trace is recorded — and the reference corner of each
 //! pinned scenario must match a committed absolute [`Fingerprint`].
 //!
@@ -19,7 +19,7 @@ use edn_core::{NetworkTrace, TraceMode};
 use edn_obs::Scope;
 use edn_scenario::CompiledScenario;
 use edn_topo::{fat_tree, ring, synthesize, LinkProfile, TierProfile, TrafficPattern, Workload};
-use nes_runtime::{nes_engine_with, verify_nes_run, DeployKnobs, NesDataPlane, OptimizeMode};
+use nes_runtime::{nes_engine_with, verify_nes_run, DeployKnobs, NesDataPlane};
 use netkat::LookupPath;
 use netsim::traffic::udp_packet;
 use netsim::{
@@ -35,10 +35,8 @@ struct Knobs {
     deploy: DeployKnobs,
 }
 
-/// The reference deployment: indexed lookups over the per-tag tables,
-/// optimizer off.
-const REFERENCE_DEPLOY: DeployKnobs =
-    DeployKnobs { path: LookupPath::Indexed, optimize: OptimizeMode::Off };
+/// The reference deployment: indexed lookups over the per-tag tables.
+const REFERENCE_DEPLOY: DeployKnobs = DeployKnobs { path: LookupPath::Indexed };
 
 /// The reference corner: full trace, no telemetry — what everything else
 /// is diffed against.
@@ -482,25 +480,18 @@ fn reliable_lossy_runs_match_their_pins_and_replay_identically() {
     }
 }
 
-/// Every non-reference deployment shape — the trie-compressed optimizer,
-/// and the linear-scan lookup under each layout — replays the §5.2 ring and
-/// the fat-tree churn campaign byte-identically to the reference. The table
-/// *layout* may change; the observable run may not.
+/// The non-reference deployment shape — the linear scan of the
+/// specification's own tables — replays the §5.2 ring and the fat-tree
+/// churn campaign byte-identically to the reference. How a table is
+/// *consulted* may change; the observable run may not.
 #[test]
 fn deployment_layouts_do_not_perturb_results() {
     fn assert_deploy_invariant(scenario: &str, run: impl Fn(Knobs) -> (NetworkTrace, Stats)) {
-        let deploys = [
-            (LookupPath::Linear, OptimizeMode::Off),
-            (LookupPath::Indexed, OptimizeMode::On),
-            (LookupPath::Linear, OptimizeMode::On),
-        ];
         let (reference_trace, reference_stats) = run(REFERENCE);
-        for (path, optimize) in deploys {
-            let knobs = Knobs { deploy: DeployKnobs { path, optimize }, ..REFERENCE };
-            let (trace, stats) = run(knobs);
-            assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
-            assert_eq!(trace, reference_trace, "{scenario}: trace diverged on {knobs:?}");
-        }
+        let knobs = Knobs { deploy: DeployKnobs { path: LookupPath::Linear }, ..REFERENCE };
+        let (trace, stats) = run(knobs);
+        assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
+        assert_eq!(trace, reference_trace, "{scenario}: trace diverged on {knobs:?}");
     }
     assert_deploy_invariant("ring", ring_run);
     let campaign = fat_tree_campaign_scenario();
