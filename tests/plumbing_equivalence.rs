@@ -19,7 +19,7 @@ use edn_core::{NetworkTrace, TraceMode};
 use edn_obs::Scope;
 use edn_scenario::CompiledScenario;
 use edn_topo::{fat_tree, ring, synthesize, LinkProfile, TierProfile, TrafficPattern, Workload};
-use nes_runtime::{nes_engine_with, verify_nes_run, DeployKnobs, NesDataPlane};
+use nes_runtime::{nes_engine_with, verify_nes_run, DeployKnobs, NesDataPlane, StaticDataPlane};
 use netkat::LookupPath;
 use netsim::traffic::udp_packet;
 use netsim::{
@@ -47,7 +47,7 @@ fn trace_modes() -> impl Iterator<Item = Knobs> {
     [TraceMode::Full, TraceMode::StatsOnly].into_iter().map(|mode| Knobs { mode, ..REFERENCE })
 }
 
-fn configure(engine: Engine<NesDataPlane>, knobs: Knobs) -> Engine<NesDataPlane> {
+fn configure<D: DataPlane>(engine: Engine<D>, knobs: Knobs) -> Engine<D> {
     engine.with_trace_mode(knobs.mode).with_metrics(knobs.metrics)
 }
 
@@ -110,6 +110,20 @@ const RING_PIN: Fingerprint = Fingerprint {
     trace_len: 204,
     causal_edges: 0,
     records: 0x2b11_d21d_bf58_c4b1,
+};
+// The ring's static shortest-path plane, pinned on the linear scan of the
+// configuration's own tables (`FlowTable::lookup_on`) before that scan
+// stopped being a path a plane could run.
+const STATIC_RING_PIN: Fingerprint = Fingerprint {
+    injected: 8,
+    events: 56,
+    delivered_packets: 8,
+    delivered_bytes: 12_000,
+    dropped: [0, 0, 0, 0],
+    deliveries: 0x3fa5_4007_ecae_c73d,
+    trace_len: 96,
+    causal_edges: 0,
+    records: 0x6326_31b8_d551_1615,
 };
 const FAT_TREE_FIREWALL_PIN: Fingerprint = Fingerprint {
     injected: 65,
@@ -254,6 +268,27 @@ fn ring_run(knobs: Knobs) -> (NetworkTrace, Stats) {
     if knobs.mode == TraceMode::Full {
         verify_nes_run(&result).expect("ring run is event-driven consistent");
     }
+    (result.trace, result.stats)
+}
+
+/// The same ring under its static shortest-path configuration (the
+/// Fig. 16(a) reference plane: no tags, no events), one wave.
+fn static_ring_run(knobs: Knobs) -> (NetworkTrace, Stats) {
+    let ring = Ring::new(4);
+    let n = ring.switch_count();
+    let topo = ring.sim_topology(SimTime::from_micros(50), None);
+    let dataplane = StaticDataPlane::with_path(ring.config(true), knobs.deploy.path);
+    let engine = Engine::new(topo, SimParams::default(), dataplane, Box::new(SinkHosts));
+    let mut engine = configure(engine, knobs);
+    for i in 1..=n {
+        let opposite = (i + ring.diameter - 1) % n + 1;
+        engine.inject_at(
+            SimTime::from_millis(i),
+            host(i),
+            udp_packet(host(i), host(opposite), i, 0),
+        );
+    }
+    let result = engine.run_until(SimTime::from_secs(5));
     (result.trace, result.stats)
 }
 
@@ -407,6 +442,11 @@ fn churn_run(c: &CompiledScenario, knobs: Knobs) -> (NetworkTrace, Stats) {
 #[test]
 fn ring_replays_identically_across_all_engine_knobs() {
     assert_plumbing_invariant("ring", &RING_PIN, ring_run);
+}
+
+#[test]
+fn static_ring_replays_identically_across_all_engine_knobs() {
+    assert_plumbing_invariant("static ring", &STATIC_RING_PIN, static_ring_run);
 }
 
 #[test]
