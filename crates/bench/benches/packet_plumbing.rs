@@ -13,8 +13,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use edn_apps::ring::{host, Ring};
 use edn_core::TraceMode;
-use nes_runtime::nes_engine_with_path;
-use netkat::{Loc, LookupPath, Packet, PacketArena, PacketId};
+use nes_runtime::nes_engine;
+use netkat::{Loc, Packet, PacketArena, PacketId};
 use netsim::traffic::udp_packet;
 use netsim::{CtrlMsg, PlaneOut, SimParams, SimTime, SinkHosts};
 use std::hint::black_box;
@@ -108,15 +108,8 @@ fn ring_events(mode: TraceMode) -> (u64, u64) {
     let ring = Ring::new(8); // 16 switches
     let n = ring.switch_count();
     let topo = ring.sim_topology(SimTime::from_micros(50), None);
-    let mut engine = nes_engine_with_path(
-        ring.nes(),
-        topo,
-        SimParams::default(),
-        false,
-        Box::new(SinkHosts),
-        LookupPath::Indexed,
-    )
-    .with_trace_mode(mode);
+    let mut engine = nes_engine(ring.nes(), topo, SimParams::default(), false, Box::new(SinkHosts))
+        .with_trace_mode(mode);
     let mut batch = Vec::new();
     for i in 1..=n {
         let opposite = (i + ring.diameter - 1) % n + 1;

@@ -47,7 +47,6 @@ use edn_topo::{
     attach_stream, fat_tree, synthesize_arrivals, ArrivalModel, TierProfile, TrafficPattern,
     Workload,
 };
-use netkat::LookupPath;
 use netsim::traffic::udp_packet;
 use netsim::{DropReason, SimParams, SimTime, SinkHosts, StatsMode, TraceMode};
 use std::fmt::Write as _;
@@ -123,13 +122,12 @@ fn run_point(
         MetricsLevel::Off => MetricsLevel::Counters,
         lv => lv,
     };
-    let mut engine = nes_runtime::nes_engine_with_path(
+    let mut engine = nes_runtime::nes_engine(
         nes.clone(),
         gen.sim().clone(),
         SimParams::default(),
         false,
         Box::new(SinkHosts),
-        LookupPath::Indexed,
     )
     .with_trace_mode(TraceMode::StatsOnly)
     .with_stats_mode(StatsMode::Counters)

@@ -7,8 +7,6 @@
 
 #![warn(missing_docs)]
 
-pub mod scale;
-
 use edn_core::NetworkEventStructure;
 use nes_runtime::{nes_engine, uncoordinated_engine, NesDataPlane, UncoordDataPlane};
 use netsim::traffic::{ping_outcomes, schedule_pings, Ping, PingOutcome, ScenarioHosts};
@@ -99,35 +97,6 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
     }
 }
 
-/// Reads a comma-separated integer list from the environment, falling back
-/// to `default`. An empty (or all-whitespace) value is the empty list, so
-/// a sweep can switch one of its axes off.
-///
-/// # Panics
-///
-/// Panics, naming the offending element, if the variable is set and an
-/// element is not an integer.
-pub fn env_list(name: &str, default: &[u64]) -> Vec<u64> {
-    match std::env::var(name) {
-        Ok(v) => parse_list(name, &v),
-        Err(_) => default.to_vec(),
-    }
-}
-
-fn parse_list(name: &str, value: &str) -> Vec<u64> {
-    if value.trim().is_empty() {
-        return Vec::new();
-    }
-    value
-        .split(',')
-        .map(|s| {
-            s.trim().parse().unwrap_or_else(|_| {
-                panic!("{name} must be comma-separated integers, got element {s:?}")
-            })
-        })
-        .collect()
-}
-
 /// Resolves the standard `H1..H4` host ids to names.
 pub fn host_name(h: u64) -> String {
     match h {
@@ -164,19 +133,6 @@ mod tests {
         );
         assert!(!rows[0].ok, "even the trigger's own reply races the stale config");
         assert!(!rows[1].ok, "reverse probe races the stale config");
-    }
-
-    #[test]
-    fn empty_list_values_mean_no_elements() {
-        assert_eq!(parse_list("X", ""), Vec::<u64>::new());
-        assert_eq!(parse_list("X", "  "), Vec::<u64>::new());
-        assert_eq!(parse_list("X", "4, 8,16"), vec![4, 8, 16]);
-    }
-
-    #[test]
-    #[should_panic(expected = "X must be comma-separated integers, got element \"x8\"")]
-    fn malformed_list_element_is_named() {
-        parse_list("X", "4,x8");
     }
 
     #[test]

@@ -293,21 +293,6 @@ pub enum TraceMode {
 }
 
 impl TraceMode {
-    /// Reads the mode from the `EDN_TRACE` environment variable (`full` or
-    /// `stats`); unset means [`TraceMode::Full`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `EDN_TRACE` is set to anything else.
-    pub fn from_env() -> TraceMode {
-        match std::env::var("EDN_TRACE") {
-            Ok(v) if v == "full" => TraceMode::Full,
-            Ok(v) if v == "stats" => TraceMode::StatsOnly,
-            Ok(v) => panic!("EDN_TRACE must be `full` or `stats`, got {v:?}"),
-            Err(_) => TraceMode::Full,
-        }
-    }
-
     /// The label used in benchmark output (`full` / `stats`).
     pub fn label(&self) -> &'static str {
         match self {
@@ -661,12 +646,6 @@ mod tests {
         assert_eq!(TraceMode::default(), TraceMode::Full);
         assert_eq!(TraceMode::Full.label(), "full");
         assert_eq!(TraceMode::StatsOnly.label(), "stats");
-        // The suite is replayed under explicit EDN_TRACE settings in CI;
-        // only pin the default when the variable is unset.
-        match std::env::var("EDN_TRACE") {
-            Err(_) => assert_eq!(TraceMode::from_env(), TraceMode::Full),
-            Ok(v) => assert_eq!(TraceMode::from_env().label(), v),
-        }
     }
 
     #[test]

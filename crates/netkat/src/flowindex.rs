@@ -2,10 +2,10 @@
 //!
 //! [`FlowTable::apply`] is a linear first-match scan — fine for the paper's
 //! hand-built examples, but it dominates per-switch forwarding cost once
-//! generated topologies push tables past a hundred rules (the `fig18` scale
-//! sweep). The tables this workspace compiles have heavy *structure*,
-//! though: the global compiler, the routing synthesizer, and the NES tag
-//! guards all emit long priority runs of rules constraining the *same*
+//! generated topologies push tables past a hundred rules. The tables this
+//! workspace compiles have heavy *structure*, though: the global compiler,
+//! the routing synthesizer, and the NES tag guards all emit long priority
+//! runs of rules constraining the *same*
 //! field set (e.g. hundreds of `tag=t, ip_dst=h → port` rules back to
 //! back). A [`CompiledTable`] exploits that structure:
 //!
@@ -43,47 +43,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 use crate::field::{Field, Value};
 use crate::flowtable::{FlowTable, Rule};
 use crate::packet::{FieldReader, Packet};
-
-/// Which lookup implementation a data plane dispatches through.
-///
-/// The indexed path is the default; the linear path is the reference
-/// semantics, kept selectable (env var `EDN_LOOKUP`) so any simulation can
-/// be replayed on both paths and diffed — speed must never silently change
-/// meaning.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LookupPath {
-    /// The reference implementation: [`FlowTable`]'s linear first-match
-    /// scan.
-    Linear,
-    /// The compiled index: [`CompiledTable`].
-    #[default]
-    Indexed,
-}
-
-impl LookupPath {
-    /// Reads the path from the `EDN_LOOKUP` environment variable
-    /// (`linear` or `indexed`); unset means [`LookupPath::Indexed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `EDN_LOOKUP` is set to anything else.
-    pub fn from_env() -> LookupPath {
-        match std::env::var("EDN_LOOKUP") {
-            Ok(v) if v == "linear" => LookupPath::Linear,
-            Ok(v) if v == "indexed" => LookupPath::Indexed,
-            Ok(v) => panic!("EDN_LOOKUP must be `linear` or `indexed`, got {v:?}"),
-            Err(_) => LookupPath::Indexed,
-        }
-    }
-
-    /// The label used in benchmark output (`linear` / `indexed`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            LookupPath::Linear => "linear",
-            LookupPath::Indexed => "indexed",
-        }
-    }
-}
 
 /// Minimum run length worth a hash segment; shorter runs scan faster than
 /// they hash.
@@ -596,13 +555,6 @@ mod tests {
         assert_eq!(compiled.segment_count(), 3);
         assert_eq!(compiled.hashed_rule_count(), 16);
         assert_eq!(compiled.len(), 17);
-    }
-
-    #[test]
-    fn lookup_path_labels_and_default() {
-        assert_eq!(LookupPath::default(), LookupPath::Indexed);
-        assert_eq!(LookupPath::Linear.label(), "linear");
-        assert_eq!(LookupPath::Indexed.label(), "indexed");
     }
 }
 

@@ -110,19 +110,29 @@ impl ChannelModel {
         ChannelModel { to_ctrl: dir, to_switch: dir, seed }
     }
 
-    /// Reads the model from the `EDN_CHANNEL` environment variable
-    /// (`ideal` or `lossy`); unset means ideal.
+    /// Parses an `EDN_CHANNEL` value (`ideal` or `lossy`); unset or empty
+    /// means ideal.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message to show the user for any other value.
+    pub fn parse(value: Option<&str>) -> Result<ChannelModel, String> {
+        match value {
+            None | Some("" | "ideal") => Ok(ChannelModel::ideal()),
+            Some("lossy") => Ok(ChannelModel::lossy(DEFAULT_SEED)),
+            Some(v) => Err(format!("EDN_CHANNEL must be ideal|lossy, got {v:?}")),
+        }
+    }
+
+    /// Reads the model from the `EDN_CHANNEL` environment variable (see
+    /// [`parse`](ChannelModel::parse)).
     ///
     /// # Panics
     ///
     /// Panics if `EDN_CHANNEL` is set to anything else.
     pub fn from_env() -> ChannelModel {
-        match std::env::var("EDN_CHANNEL") {
-            Ok(v) if v == "ideal" => ChannelModel::ideal(),
-            Ok(v) if v == "lossy" => ChannelModel::lossy(DEFAULT_SEED),
-            Ok(v) => panic!("EDN_CHANNEL must be `ideal` or `lossy`, got {v:?}"),
-            Err(_) => ChannelModel::ideal(),
-        }
+        ChannelModel::parse(std::env::var("EDN_CHANNEL").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// This model with a different fault seed.
@@ -247,11 +257,14 @@ mod tests {
     }
 
     #[test]
-    fn from_env_defaults_to_ideal() {
-        // The test runner may or may not have EDN_CHANNEL set; only probe
-        // the unset path when it genuinely is unset.
-        if std::env::var("EDN_CHANNEL").is_err() {
-            assert!(ChannelModel::from_env().is_ideal());
-        }
+    fn parse_reads_unset_empty_and_both_models_and_rejects_typos() {
+        assert_eq!(ChannelModel::parse(None), Ok(ChannelModel::ideal()));
+        assert_eq!(ChannelModel::parse(Some("")), Ok(ChannelModel::ideal()));
+        assert_eq!(ChannelModel::parse(Some("ideal")), Ok(ChannelModel::ideal()));
+        assert_eq!(ChannelModel::parse(Some("lossy")), Ok(ChannelModel::lossy(DEFAULT_SEED)));
+        assert_eq!(
+            ChannelModel::parse(Some("losy")),
+            Err("EDN_CHANNEL must be ideal|lossy, got \"losy\"".to_string())
+        );
     }
 }

@@ -338,8 +338,8 @@ impl<D: DataPlane> Core<D> {
             slots: Vec::new(),
             free_slots: Vec::new(),
             now: SimTime::ZERO,
-            trace: TraceBuilder::with_mode(TraceMode::from_env()),
-            stats_mode: StatsMode::from_env(),
+            trace: TraceBuilder::with_mode(TraceMode::Full),
+            stats_mode: StatsMode::Full,
             stats: Stats::default(),
             egress,
             link_free: vec![SimTime::ZERO; n_links],
@@ -964,11 +964,13 @@ pub struct Engine<D: DataPlane> {
 impl<D: DataPlane> Engine<D> {
     /// Creates an engine.
     ///
-    /// The trace mode, stats mode, telemetry level and control-channel
-    /// model default from the environment (`EDN_TRACE`, `EDN_STATS`,
-    /// `EDN_METRICS`, `EDN_CHANNEL`); pin them with
-    /// [`with_trace_mode`](Engine::with_trace_mode),
-    /// [`with_stats_mode`](Engine::with_stats_mode),
+    /// What the run records for its caller to read back — the trace and
+    /// the per-packet stats streams — starts at [`TraceMode::Full`] and
+    /// [`StatsMode::Full`]; a caller that will not read them says so with
+    /// [`with_trace_mode`](Engine::with_trace_mode) and
+    /// [`with_stats_mode`](Engine::with_stats_mode). The telemetry level
+    /// and the control-channel model default from the environment
+    /// (`EDN_METRICS`, `EDN_CHANNEL`); pin them with
     /// [`with_metrics`](Engine::with_metrics) and
     /// [`with_channel`](Engine::with_channel).
     pub fn new(topo: SimTopology, params: SimParams, dataplane: D, hosts: BoxedHosts) -> Engine<D> {

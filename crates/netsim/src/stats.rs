@@ -62,30 +62,6 @@ pub enum StatsMode {
     Counters,
 }
 
-impl StatsMode {
-    /// Reads the mode from `EDN_STATS` (`full` or `counters`); unset means
-    /// [`StatsMode::Full`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value.
-    pub fn from_env() -> StatsMode {
-        match std::env::var("EDN_STATS").as_deref() {
-            Ok("full") | Err(_) => StatsMode::Full,
-            Ok("counters") => StatsMode::Counters,
-            Ok(other) => panic!("EDN_STATS must be `full` or `counters`, got `{other}`"),
-        }
-    }
-
-    /// A short label for benchmark output.
-    pub fn label(self) -> &'static str {
-        match self {
-            StatsMode::Full => "full",
-            StatsMode::Counters => "counters",
-        }
-    }
-}
-
 /// A delivered packet.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Delivery {

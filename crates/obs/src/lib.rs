@@ -60,15 +60,30 @@ pub enum MetricsLevel {
 }
 
 impl MetricsLevel {
-    /// Reads `EDN_METRICS` (defaults to [`MetricsLevel::Off`]; unknown
-    /// values panic so typos cannot silently disable telemetry).
-    pub fn from_env() -> Self {
-        match std::env::var("EDN_METRICS").as_deref() {
-            Ok("counters") => MetricsLevel::Counters,
-            Ok("full") => MetricsLevel::Full,
-            Ok("off") | Err(_) => MetricsLevel::Off,
-            Ok(other) => panic!("EDN_METRICS must be off|counters|full, got `{other}`"),
+    /// Parses an `EDN_METRICS` value; unset or empty means
+    /// [`MetricsLevel::Off`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the message to show the user for an unknown value, so a typo
+    /// cannot silently disable telemetry.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("" | "off") => Ok(MetricsLevel::Off),
+            Some("counters") => Ok(MetricsLevel::Counters),
+            Some("full") => Ok(MetricsLevel::Full),
+            Some(v) => Err(format!("EDN_METRICS must be off|counters|full, got {v:?}")),
         }
+    }
+
+    /// Reads `EDN_METRICS` (see [`parse`](MetricsLevel::parse)).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown value.
+    pub fn from_env() -> Self {
+        MetricsLevel::parse(std::env::var("EDN_METRICS").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Whether any instrumentation is enabled.
@@ -103,5 +118,18 @@ mod tests {
         assert!(MetricsLevel::Full.is_full());
         assert_eq!(MetricsLevel::Full.name(), "full");
         assert_eq!(MetricsLevel::default(), MetricsLevel::Off);
+    }
+
+    #[test]
+    fn parse_reads_unset_empty_and_every_level_and_rejects_typos() {
+        assert_eq!(MetricsLevel::parse(None), Ok(MetricsLevel::Off));
+        assert_eq!(MetricsLevel::parse(Some("")), Ok(MetricsLevel::Off));
+        for level in [MetricsLevel::Off, MetricsLevel::Counters, MetricsLevel::Full] {
+            assert_eq!(MetricsLevel::parse(Some(level.name())), Ok(level));
+        }
+        assert_eq!(
+            MetricsLevel::parse(Some("ful")),
+            Err("EDN_METRICS must be off|counters|full, got \"ful\"".to_string())
+        );
     }
 }

@@ -15,13 +15,12 @@ use std::collections::{BTreeMap, HashMap};
 
 use edn_core::{EventId, EventSet};
 use netkat::{
-    Field, FieldReader, FxBuildHasher, Loc, LocatedView, LookupPath, Packet, PacketArena, PacketId,
-    TaggedView,
+    Field, FieldReader, FxBuildHasher, Loc, LocatedView, Packet, PacketArena, PacketId, TaggedView,
 };
 use netsim::{CtrlMsg, DataPlane, PlaneOut, SimTime};
 
 use crate::compile::CompiledNes;
-use crate::deploy::{dense_switches, DeployKnobs, PerTagTables};
+use crate::deploy::{dense_switches, PerTagTables};
 
 /// One switch's event state: what it knows, and what that amounts to.
 #[derive(Clone, Copy, Debug)]
@@ -42,9 +41,6 @@ pub struct NesDataPlane {
     /// The installed tables: one compiled table per distinct
     /// `(switch, tag)` table (Section 4.1).
     deployment: PerTagTables,
-    /// The resolved deployment knobs (lookup path), fixed at construction
-    /// so runs never consult the environment mid-flight.
-    knobs: DeployKnobs,
     /// Per-switch event state, dense: `local[slot]` with slots assigned by
     /// `switch_slot`. The switch step reads this on every packet, so it
     /// must not walk a tree.
@@ -81,31 +77,8 @@ pub struct NesDataPlane {
 }
 
 impl NesDataPlane {
-    /// Deploys a compiled NES on the given switches, with every deployment
-    /// knob taken from the environment (`EDN_LOOKUP`).
+    /// Deploys a compiled NES on the given switches.
     pub fn new(compiled: CompiledNes, switches: Vec<u64>, broadcast: bool) -> NesDataPlane {
-        NesDataPlane::with_knobs(compiled, switches, broadcast, DeployKnobs::from_env())
-    }
-
-    /// Deploys a compiled NES on an explicit lookup path.
-    pub fn with_path(
-        compiled: CompiledNes,
-        switches: Vec<u64>,
-        broadcast: bool,
-        path: LookupPath,
-    ) -> NesDataPlane {
-        NesDataPlane::with_knobs(compiled, switches, broadcast, DeployKnobs { path })
-    }
-
-    /// Deploys a compiled NES with every knob pinned explicitly — the
-    /// constructor the differential suites use, so in-process test legs
-    /// never race on environment variables.
-    pub fn with_knobs(
-        compiled: CompiledNes,
-        switches: Vec<u64>,
-        broadcast: bool,
-        knobs: DeployKnobs,
-    ) -> NesDataPlane {
         let slotted = dense_switches(&compiled, &switches);
         let switch_slot =
             slotted.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect::<HashMap<_, _, _>>();
@@ -118,7 +91,6 @@ impl NesDataPlane {
         NesDataPlane {
             compiled,
             deployment,
-            knobs,
             local: vec![blank; slotted.len()],
             blank,
             switch_slot,
@@ -142,11 +114,6 @@ impl NesDataPlane {
         let tag = self.compiled.tag_for_known(known);
         self.effective_cache.insert(known, (effective, tag));
         (effective, tag)
-    }
-
-    /// The lookup path this deployment dispatches through.
-    pub fn lookup_path(&self) -> LookupPath {
-        self.knobs.path
     }
 
     /// The compiled NES.
@@ -266,9 +233,7 @@ impl DataPlane for NesDataPlane {
         let out_digest = digest.union(known).bits();
         {
             let view = LocatedView { base, loc, tag: Some(tag) };
-            let rule =
-                self.deployment.lookup_on(&self.compiled, self.knobs.path, slot, sw, tag, &view);
-            if let Some(rule) = rule {
+            if let Some(rule) = self.deployment.lookup_on(slot, tag, &view) {
                 if rule.actions.len() == 1 {
                     let action = rule.actions.iter().next().expect("len 1");
                     let mut out_pt = pt;
@@ -356,7 +321,9 @@ impl DataPlane for NesDataPlane {
 }
 
 /// The owned transcription of Fig. 7's IN and SWITCH rules — the per-hop
-/// executable specification [`step`](DataPlane::step) answers to.
+/// executable specification [`step`](DataPlane::step) answers to. It reads
+/// `g(set_of(tag)).table(sw)` through the linear `FlowTable::lookup_on`
+/// scan, never the compiled index.
 #[cfg(test)]
 impl NesDataPlane {
     pub(crate) fn process_reference(
@@ -392,7 +359,7 @@ impl NesDataPlane {
         let known = self.local_events(sw);
 
         // SWITCH step 3: forward under the packet's stamped configuration,
-        // through the table installed for `(sw, tag)`.
+        // `g(set_of(tag))`'s table for `sw`.
         let tag = match packet.get(Field::Tag) {
             Some(tag) => tag,
             None => self.effective_of(known).1,
@@ -403,10 +370,7 @@ impl NesDataPlane {
         lookup.set_loc(Loc::new(sw, pt));
         lookup.set(Field::Tag, tag);
         let mut out = Vec::new();
-        let slot = self.slot_of(sw);
-        if let Some(rule) =
-            self.deployment.lookup_on(&self.compiled, self.knobs.path, slot, sw, tag, &lookup)
-        {
+        if let Some(rule) = self.compiled.table(sw, tag).and_then(|t| t.lookup_on(&lookup)) {
             rule.actions.apply_into(&lookup, &mut out);
         }
         let mut outputs = netsim::table_outputs(pt, out);
@@ -535,34 +499,6 @@ mod tests {
         let mut quiet = NesDataPlane::new(CompiledNes::compile(firewall_nes()), vec![1, 2], false);
         quiet.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
         assert_eq!(out, PlaneOut::default());
-    }
-
-    #[test]
-    fn lookup_paths_agree_step_by_step() {
-        let mut st = Stepper::default();
-        // Drive the same packet sequence through a linear-path and an
-        // indexed-path deployment; every step must produce identical
-        // outputs, notifications, and switch state.
-        let mk = |path| {
-            NesDataPlane::with_path(CompiledNes::compile(firewall_nes()), vec![1], false, path)
-        };
-        let mut linear = mk(LookupPath::Linear);
-        let mut indexed = mk(LookupPath::Indexed);
-        assert_eq!(indexed.lookup_path(), LookupPath::Indexed);
-        let steps = [
-            (2u64, 999u64, true),
-            (3, 200, true), // blocked pre-event
-            (2, 300, true), // fires e0
-            (3, 200, true), // allowed post-event
-            (9, 300, false),
-        ];
-        for (pt, dst, from_host) in steps {
-            let pk = Packet::new().with(Field::IpDst, dst);
-            let a = st.step(&mut linear, 1, pt, pk.clone(), from_host, SimTime::ZERO);
-            let b = st.step(&mut indexed, 1, pt, pk, from_host, SimTime::ZERO);
-            assert_eq!(a, b, "paths diverged at pt {pt}, dst {dst}");
-            assert_eq!(linear.local_events(1), indexed.local_events(1));
-        }
     }
 
     #[test]

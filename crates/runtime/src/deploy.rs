@@ -1,5 +1,5 @@
-//! Deployment knobs and the table layout: how a compiled NES's rules
-//! actually reach the data plane.
+//! The table layout: how a compiled NES's rules actually reach the data
+//! plane.
 //!
 //! There is one layout (Section 4.1): one compiled table per distinct
 //! `(switch, tag)` table, built straight from `g(set_of(tag)).table(sw)`.
@@ -14,24 +14,9 @@
 
 use std::collections::BTreeSet;
 
-use netkat::{CompiledTable, FieldReader, FlowTable, LookupPath, Rule};
+use netkat::{CompiledTable, FieldReader, FlowTable, Rule};
 
 use crate::compile::CompiledNes;
-
-/// The deployment knobs, resolved once at construction so runs never
-/// consult the environment mid-flight.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct DeployKnobs {
-    /// Flow-table lookup implementation (`EDN_LOOKUP`).
-    pub path: LookupPath,
-}
-
-impl DeployKnobs {
-    /// Resolves every knob from the environment.
-    pub fn from_env() -> DeployKnobs {
-        DeployKnobs { path: LookupPath::from_env() }
-    }
-}
 
 /// The plane's dense switch order: the deployment list, then any switch
 /// only a configuration names, each once — so every installed table has a
@@ -90,24 +75,16 @@ impl PerTagTables {
         Some(&self.compiled[index as usize])
     }
 
-    /// The forwarding rule for a packet at `(sw, tag)`, read through `view`;
-    /// `slot` is `sw`'s dense slot in the plane. An unknown switch or an
-    /// out-of-range tag has no table and drops. The linear path reads the
-    /// specification itself, `g(set_of(tag)).table(sw)`, which the plane
-    /// owns through `nes`.
-    pub(crate) fn lookup_on<'a, R: FieldReader>(
-        &'a self,
-        nes: &'a CompiledNes,
-        path: LookupPath,
+    /// The forwarding rule for a packet at dense switch slot `slot` under
+    /// `tag`, read through `view`. An unknown switch or an out-of-range tag
+    /// has no table and drops.
+    pub(crate) fn lookup_on<R: FieldReader>(
+        &self,
         slot: usize,
-        sw: u64,
         tag: u64,
         view: &R,
-    ) -> Option<&'a Rule> {
-        match path {
-            LookupPath::Linear => nes.table(sw, tag)?.lookup_on(view),
-            LookupPath::Indexed => self.table(slot, tag)?.lookup_on(view),
-        }
+    ) -> Option<&Rule> {
+        self.table(slot, tag)?.lookup_on(view)
     }
 
     /// Summed fingerprint probe outcomes of every distinct compiled table.
@@ -156,8 +133,8 @@ mod tests {
         .unwrap()
     }
 
-    /// Both lookup paths return rules with identical actions for every
-    /// `(port, dst, tag)` the firewall distinguishes.
+    /// The layout returns the rule `g(set_of(tag)).table(sw)` picks for
+    /// every `(port, dst, tag)` the firewall distinguishes.
     #[test]
     fn all_layouts_forward_identically() {
         let nes = CompiledNes::compile(firewall_nes());
@@ -168,22 +145,17 @@ mod tests {
                     let mut pk = Packet::new().with(Field::IpDst, dst);
                     pk.set_loc(Loc::new(1, pt));
                     pk.set(Field::Tag, tag);
-                    let reference = nes.table(1, tag).unwrap().lookup_on(&pk).map(|r| &r.actions);
-                    for path in [LookupPath::Linear, LookupPath::Indexed] {
-                        let got = layout.lookup_on(&nes, path, 0, 1, tag, &pk).map(|r| &r.actions);
-                        assert_eq!(
-                            got,
-                            reference,
-                            "{} diverged at tag {tag}, pt {pt}, dst {dst}",
-                            path.label()
-                        );
-                    }
+                    assert_eq!(
+                        layout.lookup_on(0, tag, &pk),
+                        nes.table(1, tag).unwrap().lookup_on(&pk),
+                        "diverged at tag {tag}, pt {pt}, dst {dst}"
+                    );
                 }
             }
         }
     }
 
-    /// Unknown switches and out-of-range tags drop on both lookup paths.
+    /// Unknown switches and out-of-range tags drop.
     #[test]
     fn unknown_switch_or_tag_drops_everywhere() {
         let nes = CompiledNes::compile(firewall_nes());
@@ -193,12 +165,10 @@ mod tests {
         let mut bad_tag = pk.clone();
         bad_tag.set(Field::Tag, 99);
         let layout = PerTagTables::build(&nes, &[1]);
-        for path in [LookupPath::Linear, LookupPath::Indexed] {
-            // Switch 77 is outside the deployment: the plane hands it the
-            // next free slot, past every row.
-            assert!(layout.lookup_on(&nes, path, 1, 77, 0, &pk).is_none(), "unknown switch");
-            assert!(layout.lookup_on(&nes, path, 0, 1, 99, &bad_tag).is_none(), "unknown tag");
-        }
+        // A switch outside the deployment gets the plane's next free slot,
+        // past every row.
+        assert!(layout.lookup_on(1, 0, &pk).is_none(), "unknown switch");
+        assert!(layout.lookup_on(0, 99, &bad_tag).is_none(), "unknown tag");
     }
 
     /// The per-tag layout compiles one table per *distinct* `(switch, tag)`
@@ -248,18 +218,12 @@ mod tests {
                 pk.set(Field::Tag, tag);
                 let installed = sw == tag + 1;
                 assert_eq!(
-                    per_tag.lookup_on(&nes, LookupPath::Indexed, slot, sw, tag, &pk),
+                    per_tag.lookup_on(slot, tag, &pk),
                     installed.then_some(&fwd),
                     "sw {sw} tag {tag}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn knob_parsing_defaults_and_labels() {
-        assert_eq!(DeployKnobs::default().path, LookupPath::Indexed);
-        assert_eq!(DeployKnobs { path: LookupPath::Linear }.path.label(), "linear");
     }
 }
 
@@ -344,9 +308,9 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// For every `(switch, tag, packet)` — unknown switches and
-        /// out-of-range tags included — the deployed lookup on both paths
-        /// is the rule `g(set_of(tag)).table(sw)` picks, and forwards like
-        /// the guarded program's.
+        /// out-of-range tags included — the deployed lookup is the rule
+        /// `g(set_of(tag)).table(sw)` picks, and forwards like the guarded
+        /// program's.
         #[test]
         fn per_tag_layout_answers_like_the_spec_and_the_guarded_program(
             tables in arb_tables(),
@@ -388,13 +352,11 @@ mod proptests {
                         let pt = base.get(Field::Port).unwrap_or(0);
                         let view = LocatedView { base, loc: Loc::new(sw, pt), tag: Some(tag) };
                         let want = spec.and_then(|t| t.lookup_on(&view));
-                        for path in [LookupPath::Linear, LookupPath::Indexed] {
-                            prop_assert_eq!(
-                                deployment.lookup_on(&nes, path, slot, sw, tag, &view),
-                                want,
-                                "{} lookup at sw {} tag {} on {}", path.label(), sw, tag, base
-                            );
-                        }
+                        prop_assert_eq!(
+                            deployment.lookup_on(slot, tag, &view),
+                            want,
+                            "lookup at sw {} tag {} on {}", sw, tag, base
+                        );
                         prop_assert_eq!(
                             program.table.lookup_on(&view).map(|r| &r.actions),
                             want.map(|r| &r.actions),

@@ -1,15 +1,15 @@
 //! Per-hop differential proptests: the arena-native `step` of the two
-//! table-driven planes against their owned Fig. 7 transcriptions
-//! (`process_reference`), hop by hop, over every rule shape a hop can hit —
-//! single action (identity and content-changing), location writes,
-//! multicast, explicit drop, no rule — and packets carrying digests, tags
-//! and stray location fields, on both lookup paths. Also home of
-//! [`Stepper`], the harness this crate's unit tests drive `step` through.
+//! table-driven planes (compiled index, zero-copy views) against their
+//! owned Fig. 7 transcriptions (`process_reference`, the linear
+//! `FlowTable::lookup_on` scan of the specification's own tables), hop by
+//! hop, over every rule shape a hop can hit — single action (identity and
+//! content-changing), location writes, multicast, explicit drop, no rule —
+//! and packets carrying digests, tags and stray location fields. This is
+//! where the index answers to the spec. Also home of [`Stepper`], the
+//! harness this crate's unit tests drive `step` through.
 
 use edn_core::{Config, Event, EventId, EventSet, EventStructure, NetworkEventStructure};
-use netkat::{
-    Action, ActionSet, Field, FlowTable, Loc, LookupPath, Match, Packet, PacketArena, Pred, Rule,
-};
+use netkat::{Action, ActionSet, Field, FlowTable, Loc, Match, Packet, PacketArena, Pred, Rule};
 use netsim::{DataPlane, PlaneOut, SimTime, StepResult};
 use proptest::prelude::*;
 
@@ -153,35 +153,28 @@ fn assert_hops_agree<D: DataPlane>(
     Ok(())
 }
 
-const PATHS: [LookupPath; 2] = [LookupPath::Linear, LookupPath::Indexed];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn nes_step_matches_owned_reference(hops in proptest::collection::vec(arb_hop(), 1..16)) {
-        for path in PATHS {
-            let mut fast =
-                NesDataPlane::with_path(CompiledNes::compile(hop_nes()), vec![1, 2], false, path);
-            let mut reference = fast.clone();
-            assert_hops_agree(&hops, &mut fast, |sw, pt, pk, h, now| {
-                reference.process_reference(sw, pt, pk, h, now)
-            })?;
-            for sw in 1..4 {
-                prop_assert_eq!(fast.local_events(sw), reference.local_events(sw));
-            }
-            prop_assert_eq!(fast.fired_log(), reference.fired_log());
+        let mut fast = NesDataPlane::new(CompiledNes::compile(hop_nes()), vec![1, 2], false);
+        let mut reference = fast.clone();
+        assert_hops_agree(&hops, &mut fast, |sw, pt, pk, h, now| {
+            reference.process_reference(sw, pt, pk, h, now)
+        })?;
+        for sw in 1..4 {
+            prop_assert_eq!(fast.local_events(sw), reference.local_events(sw));
         }
+        prop_assert_eq!(fast.fired_log(), reference.fired_log());
     }
 
     #[test]
     fn static_step_matches_owned_reference(hops in proptest::collection::vec(arb_hop(), 1..16)) {
-        for path in PATHS {
-            let mut fast = StaticDataPlane::with_path(hop_config(true), path);
-            let reference = fast.clone();
-            assert_hops_agree(&hops, &mut fast, |sw, pt, pk, _, _| {
-                reference.process_reference(sw, pt, pk)
-            })?;
-        }
+        let mut fast = StaticDataPlane::new(hop_config(true));
+        let reference = fast.clone();
+        assert_hops_agree(&hops, &mut fast, |sw, pt, pk, _, _| {
+            reference.process_reference(sw, pt, pk)
+        })?;
     }
 }

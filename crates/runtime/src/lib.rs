@@ -40,13 +40,11 @@ pub use campaign::{
 };
 pub use compile::{CompiledNes, RuleBreakdown};
 pub use dataplane::NesDataPlane;
-pub use deploy::DeployKnobs;
 pub use program::{tagged_lookup, SwitchProgram};
-pub use reliable::{retry_budget_from_env, Reliable};
+pub use reliable::{parse_retry_budget, retry_budget_from_env, Reliable};
 pub use static_plane::StaticDataPlane;
 pub use uncoordinated::UncoordDataPlane;
 pub use verify::{
-    attach_online_checker, nes_engine, nes_engine_with, nes_engine_with_path,
-    nes_reliable_engine_with, uncoordinated_engine, verify_nes_run, verify_reliable_nes_run,
-    verify_uncoordinated_run,
+    attach_online_checker, nes_engine, nes_reliable_engine_with, uncoordinated_engine,
+    verify_nes_run, verify_reliable_nes_run, verify_uncoordinated_run,
 };

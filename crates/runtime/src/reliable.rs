@@ -32,19 +32,28 @@ use std::collections::BTreeMap;
 use edn_obs::Hist;
 use netsim::{CtrlMsg, DataPlane, PacketArena, PacketId, PlaneOut, SimTime, CONTROLLER_NODE};
 
-/// Reads the retransmit budget from `EDN_RETRY_BUDGET` (maximum
-/// retransmissions per message; unset means 8).
+/// Parses an `EDN_RETRY_BUDGET` value (maximum retransmissions per
+/// message); unset or empty means 8.
+///
+/// # Errors
+///
+/// Returns the message to show the user if the value is not a number.
+pub fn parse_retry_budget(value: Option<&str>) -> Result<u32, String> {
+    match value {
+        None | Some("") => Ok(8),
+        Some(v) => v.parse().map_err(|_| format!("EDN_RETRY_BUDGET must be a number, got {v:?}")),
+    }
+}
+
+/// Reads the retransmit budget from `EDN_RETRY_BUDGET` (see
+/// [`parse_retry_budget`]).
 ///
 /// # Panics
 ///
 /// Panics if the variable is set but not a number.
 pub fn retry_budget_from_env() -> u32 {
-    match std::env::var("EDN_RETRY_BUDGET") {
-        Ok(v) => {
-            v.parse().unwrap_or_else(|_| panic!("EDN_RETRY_BUDGET must be a number, got {v:?}"))
-        }
-        Err(_) => 8,
-    }
+    parse_retry_budget(std::env::var("EDN_RETRY_BUDGET").ok().as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Initial retransmission timeout; doubles on every retry. Comfortably
@@ -442,6 +451,18 @@ mod tests {
     use super::*;
     use netkat::{Loc, Packet};
     use netsim::{ChannelModel, DirModel, Engine, MetricsLevel, SimParams, SimTopology, SinkHosts};
+
+    #[test]
+    fn retry_budget_parses_unset_empty_numbers_and_rejects_typos() {
+        assert_eq!(parse_retry_budget(None), Ok(8));
+        assert_eq!(parse_retry_budget(Some("")), Ok(8));
+        assert_eq!(parse_retry_budget(Some("0")), Ok(0));
+        assert_eq!(parse_retry_budget(Some("12")), Ok(12));
+        assert_eq!(
+            parse_retry_budget(Some("eight")),
+            Err("EDN_RETRY_BUDGET must be a number, got \"eight\"".to_string())
+        );
+    }
 
     /// A minimal inner plane that counts what the controller hears and
     /// what each switch is told — the reliability layer's contract is

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use edn_core::Config;
-use netkat::{CompiledTable, Field, Loc, LocatedView, LookupPath, Packet, PacketArena, PacketId};
+use netkat::{CompiledTable, Field, Loc, LocatedView, Packet, PacketArena, PacketId};
 use netsim::{CtrlMsg, DataPlane, PlaneOut, SimTime};
 
 /// A data plane that forwards under a single fixed [`Config`].
@@ -17,7 +17,6 @@ pub struct StaticDataPlane {
     config: Config,
     /// Per-switch compiled tables, built once at deployment.
     index: BTreeMap<u64, CompiledTable>,
-    path: LookupPath,
     /// Reused `step` buffers (see `NesDataPlane`): lookup and output
     /// packets are built here; a steady-state hop allocates nothing.
     lookup_buf: Packet,
@@ -25,39 +24,27 @@ pub struct StaticDataPlane {
 }
 
 impl StaticDataPlane {
-    /// Deploys the configuration, with the lookup path taken from the
-    /// environment (`EDN_LOOKUP`).
+    /// Deploys the configuration.
     pub fn new(config: Config) -> StaticDataPlane {
-        StaticDataPlane::with_path(config, LookupPath::from_env())
-    }
-
-    /// Deploys the configuration on an explicit lookup path.
-    pub fn with_path(config: Config, path: LookupPath) -> StaticDataPlane {
         let index = config
             .switches()
             .filter_map(|sw| config.table(sw).map(|t| (sw, t.compile())))
             .collect();
-        StaticDataPlane { config, index, path, lookup_buf: Packet::new(), out_buf: Packet::new() }
+        StaticDataPlane { config, index, lookup_buf: Packet::new(), out_buf: Packet::new() }
     }
 
     /// The deployed configuration.
     pub fn config(&self) -> &Config {
         &self.config
     }
-
-    /// The lookup path this deployment dispatches through.
-    pub fn lookup_path(&self) -> LookupPath {
-        self.path
-    }
 }
 
 impl DataPlane for StaticDataPlane {
-    /// A zero-copy [`LocatedView`] table lookup (on the plane's selected
-    /// lookup path) plus the identity-hop fast path — a hop whose writes
-    /// change nothing forwards the input id without materializing or
-    /// interning anything — and reused buffers for content-changing hops:
-    /// `NesDataPlane::step` minus events. The owned transcription is
-    /// `process_reference`.
+    /// A zero-copy [`LocatedView`] lookup in the compiled index plus the
+    /// identity-hop fast path — a hop whose writes change nothing forwards
+    /// the input id without materializing or interning anything — and
+    /// reused buffers for content-changing hops: `NesDataPlane::step` minus
+    /// events. The owned transcription is `process_reference`.
     fn step(
         &mut self,
         sw: u64,
@@ -71,11 +58,7 @@ impl DataPlane for StaticDataPlane {
         let loc = Loc::new(sw, pt);
         let base = arena.get(packet);
         let view = LocatedView { base, loc, tag: None };
-        let rule = match self.path {
-            LookupPath::Linear => self.config.table(sw).and_then(|t| t.lookup_on(&view)),
-            LookupPath::Indexed => self.index.get(&sw).and_then(|t| t.lookup_on(&view)),
-        };
-        if let Some(rule) = rule {
+        if let Some(rule) = self.index.get(&sw).and_then(|t| t.lookup_on(&view)) {
             if rule.actions.len() == 1 {
                 let action = rule.actions.iter().next().expect("len 1");
                 let mut out_pt = pt;
@@ -137,18 +120,15 @@ impl DataPlane for StaticDataPlane {
 }
 
 /// The owned table application — the per-hop executable specification
-/// [`step`](DataPlane::step) answers to.
+/// [`step`](DataPlane::step) answers to: the linear `FlowTable::lookup_on`
+/// scan of the configuration's own table, never the compiled index.
 #[cfg(test)]
 impl StaticDataPlane {
     pub(crate) fn process_reference(&self, sw: u64, pt: u64, packet: Packet) -> netsim::StepResult {
         let mut lookup = packet;
         lookup.set_loc(Loc::new(sw, pt));
-        let rule = match self.path {
-            LookupPath::Linear => self.config.table(sw).and_then(|t| t.lookup_on(&lookup)),
-            LookupPath::Indexed => self.index.get(&sw).and_then(|t| t.lookup_on(&lookup)),
-        };
         let mut out = Vec::new();
-        if let Some(rule) = rule {
+        if let Some(rule) = self.config.table(sw).and_then(|t| t.lookup_on(&lookup)) {
             rule.actions.apply_into(&lookup, &mut out);
         }
         netsim::StepResult { outputs: netsim::table_outputs(pt, out), notifications: Vec::new() }
@@ -187,22 +167,5 @@ mod tests {
         let mut out = PlaneOut::default();
         dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
         assert_eq!(out, PlaneOut::default());
-    }
-
-    #[test]
-    fn both_lookup_paths_agree() {
-        let mut st = Stepper::default();
-        let mut linear = StaticDataPlane::with_path(config(), LookupPath::Linear);
-        let mut indexed = StaticDataPlane::with_path(config(), LookupPath::Indexed);
-        assert_eq!(linear.lookup_path(), LookupPath::Linear);
-        assert_eq!(indexed.lookup_path(), LookupPath::Indexed);
-        for (sw, pt) in [(1u64, 2u64), (1, 9), (7, 2)] {
-            let pk = Packet::new().with(Field::Vlan, 5);
-            assert_eq!(
-                st.step(&mut linear, sw, pt, pk.clone(), true, SimTime::ZERO),
-                st.step(&mut indexed, sw, pt, pk, true, SimTime::ZERO),
-                "paths diverged at {sw}:{pt}"
-            );
-        }
     }
 }

@@ -9,14 +9,11 @@ use netsim::{DataPlane, Engine, RunResult, SimParams, SimTopology};
 
 use crate::compile::CompiledNes;
 use crate::dataplane::NesDataPlane;
-use crate::deploy::DeployKnobs;
 use crate::uncoordinated::UncoordDataPlane;
 
 /// Builds an engine running `nes` with the paper's runtime.
 ///
-/// `broadcast` enables the controller-assisted event dissemination. The
-/// flow-table lookup path comes from the environment (`EDN_LOOKUP`,
-/// default indexed); use [`nes_engine_with_path`] to pin it.
+/// `broadcast` enables the controller-assisted event dissemination.
 pub fn nes_engine(
     nes: NetworkEventStructure,
     topo: SimTopology,
@@ -24,38 +21,12 @@ pub fn nes_engine(
     broadcast: bool,
     hosts: netsim::BoxedHosts,
 ) -> Engine<NesDataPlane> {
-    nes_engine_with(nes, topo, params, broadcast, hosts, DeployKnobs::from_env())
-}
-
-/// [`nes_engine`] with an explicit flow-table lookup path.
-pub fn nes_engine_with_path(
-    nes: NetworkEventStructure,
-    topo: SimTopology,
-    params: SimParams,
-    broadcast: bool,
-    hosts: netsim::BoxedHosts,
-    path: netkat::LookupPath,
-) -> Engine<NesDataPlane> {
-    nes_engine_with(nes, topo, params, broadcast, hosts, DeployKnobs { path })
-}
-
-/// [`nes_engine`] with every deployment knob pinned explicitly — the
-/// constructor the differential suites use, so in-process legs never race
-/// on environment variables.
-pub fn nes_engine_with(
-    nes: NetworkEventStructure,
-    topo: SimTopology,
-    params: SimParams,
-    broadcast: bool,
-    hosts: netsim::BoxedHosts,
-    knobs: DeployKnobs,
-) -> Engine<NesDataPlane> {
     let switches = topo.switches().to_vec();
-    let dataplane = NesDataPlane::with_knobs(CompiledNes::compile(nes), switches, broadcast, knobs);
+    let dataplane = NesDataPlane::new(CompiledNes::compile(nes), switches, broadcast);
     Engine::new(topo, params, dataplane, hosts)
 }
 
-/// [`nes_engine_with`] with the paper's runtime wrapped in the
+/// [`nes_engine`] with the paper's runtime wrapped in the
 /// [`Reliable`](crate::Reliable) ack/retry layer — the deployment for
 /// lossy control channels (`EDN_CHANNEL=lossy`, or
 /// [`Engine::with_channel`](netsim::Engine::with_channel)). `budget` is
@@ -68,11 +39,10 @@ pub fn nes_reliable_engine_with(
     params: SimParams,
     broadcast: bool,
     hosts: netsim::BoxedHosts,
-    knobs: DeployKnobs,
     budget: u32,
 ) -> Engine<crate::Reliable<NesDataPlane>> {
     let switches = topo.switches().to_vec();
-    let inner = NesDataPlane::with_knobs(CompiledNes::compile(nes), switches, broadcast, knobs);
+    let inner = NesDataPlane::new(CompiledNes::compile(nes), switches, broadcast);
     let dataplane = crate::Reliable::with_budget(inner, budget);
     Engine::new(topo, params, dataplane, hosts)
 }
@@ -330,7 +300,6 @@ mod tests {
             SimParams::default(),
             false,
             Box::new(ScenarioHosts::new()),
-            DeployKnobs::from_env(),
             8,
         )
         .with_channel(netsim::ChannelModel::lossy(99));

@@ -13,8 +13,9 @@
 //!    attached — must match leg 1 byte for byte.
 //!
 //! The printed CSV row comes from the checked leg and carries simulated
-//! quantities only, so runs under different result-neutral knobs must
-//! produce identical bytes (CI `cmp`s them). Comment lines start with `#`.
+//! quantities only, so it is byte-identical across replays and telemetry
+//! levels. Comment lines start with `#`. A malformed `EDN_*` value is
+//! reported before any leg runs, with a non-zero exit.
 
 use std::process::ExitCode;
 
@@ -23,7 +24,21 @@ use edn_scenario::{
     ScenarioGen,
 };
 
+/// Parses every value-carrying `EDN_*` variable the legs will read, so a
+/// typo is a usage error here rather than a panic mid-run.
+fn check_env() -> Result<(), String> {
+    let var = |name: &str| std::env::var(name).ok();
+    netsim::MetricsLevel::parse(var("EDN_METRICS").as_deref())?;
+    netsim::ChannelModel::parse(var("EDN_CHANNEL").as_deref())?;
+    nes_runtime::parse_retry_budget(var("EDN_RETRY_BUDGET").as_deref())?;
+    Ok(())
+}
+
 fn main() -> ExitCode {
+    if let Err(e) = check_env() {
+        eprintln!("scenario_run: {e}");
+        return ExitCode::FAILURE;
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let spec = match args.as_slice() {
         [flag, seed] if flag == "--seed" => match seed.parse() {

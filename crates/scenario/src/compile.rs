@@ -409,36 +409,24 @@ impl CompiledScenario {
         })
     }
 
-    /// Builds the coordinated (NES runtime) engine for this scenario:
-    /// deployment knobs from the environment (`EDN_LOOKUP`), no controller
-    /// broadcast, sink hosts.
+    /// Builds the coordinated (NES runtime) engine for this scenario: no
+    /// controller broadcast, sink hosts.
     pub fn engine(&self) -> Engine<nes_runtime::NesDataPlane> {
-        self.engine_with(nes_runtime::DeployKnobs::from_env())
-    }
-
-    /// [`engine`](CompiledScenario::engine) with the deployment knobs
-    /// pinned explicitly.
-    pub fn engine_with(
-        &self,
-        knobs: nes_runtime::DeployKnobs,
-    ) -> Engine<nes_runtime::NesDataPlane> {
-        nes_runtime::nes_engine_with(
+        nes_runtime::nes_engine(
             self.nes.clone(),
             self.run.sim().clone(),
             SimParams::default(),
             false,
             Box::new(netsim::SinkHosts),
-            knobs,
         )
     }
 
-    /// [`engine_with`](CompiledScenario::engine_with) wrapped in the
+    /// [`engine`](CompiledScenario::engine) wrapped in the
     /// [`Reliable`](nes_runtime::Reliable) ack/retry layer — the
     /// deployment for lossy-channel runs. `budget` bounds retransmissions
     /// per message before the run degrades.
     pub fn reliable_engine_with(
         &self,
-        knobs: nes_runtime::DeployKnobs,
         budget: u32,
     ) -> Engine<nes_runtime::Reliable<nes_runtime::NesDataPlane>> {
         nes_runtime::nes_reliable_engine_with(
@@ -447,7 +435,6 @@ impl CompiledScenario {
             SimParams::default(),
             false,
             Box::new(netsim::SinkHosts),
-            knobs,
             budget,
         )
     }

@@ -14,7 +14,7 @@
 //! is allowed — and under probing usually observed — to be a violation.
 
 use edn_core::OnlineViolation;
-use netsim::{ChannelModel, Stats};
+use netsim::{ChannelModel, DataPlane, Engine, RunResult, Stats};
 
 use crate::compile::CompiledScenario;
 use crate::spec::{ScenarioError, ScenarioSpec};
@@ -97,23 +97,14 @@ pub fn effective_channel(spec: &ScenarioSpec, opts: &RunOptions) -> ChannelModel
 /// checker's windows (compilation already bounds steps at 63, so this
 /// means a checker regression).
 pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutcome {
-    let knobs = nes_runtime::DeployKnobs::from_env();
     let model = effective_channel(&c.spec, opts);
     if model.is_ideal() {
-        let mut engine = c.engine_with(knobs).with_channel(model);
-        let handle = opts.check.then(|| {
-            nes_runtime::attach_online_checker(&mut engine, &c.nes)
-                .expect("a ≤63-step campaign fits the online checker's windows")
-        });
-        c.apply_actions(&mut engine);
-        let datagrams = c.load_traffic(&mut engine, opts.stream);
-        c.inject_campaign(&mut engine);
-        let result = engine.run_until(c.horizon);
+        let (result, datagrams, verdict) = leg(c, c.engine().with_channel(model), opts);
         ScenarioOutcome {
             stats: result.stats,
             datagrams,
             fired: Some(result.dataplane.fired_sequence().len()),
-            verdict: handle.map(|h| h.verdict()),
+            verdict,
             degraded: false,
             flight_dump: None,
         }
@@ -123,29 +114,42 @@ pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutco
         } else {
             c.spec.channel.retry_budget
         };
-        let mut engine = c
-            .reliable_engine_with(knobs, budget)
+        let engine = c
+            .reliable_engine_with(budget)
             .with_channel(model)
             .with_metrics(netsim::MetricsLevel::Full);
         let flight = engine.flight_recorder();
-        let handle = opts.check.then(|| {
-            nes_runtime::attach_online_checker(&mut engine, &c.nes)
-                .expect("a ≤63-step campaign fits the online checker's windows")
-        });
-        c.apply_actions(&mut engine);
-        let datagrams = c.load_traffic(&mut engine, opts.stream);
-        c.inject_campaign(&mut engine);
-        let result = engine.run_until(c.horizon);
+        let (result, datagrams, verdict) = leg(c, engine, opts);
         let degraded = result.dataplane.degraded();
         ScenarioOutcome {
             stats: result.stats,
             datagrams,
             fired: Some(result.dataplane.inner().fired_sequence().len()),
-            verdict: handle.map(|h| h.verdict()),
+            verdict,
             degraded,
             flight_dump: degraded.then(|| flight.map(|f| f.dump_json()).unwrap_or_default()),
         }
     }
+}
+
+/// What every leg does with its engine, whatever plane it deploys: attach
+/// the checker if asked, script the actions, load the traffic, inject the
+/// campaign, run to the horizon. Returns the run, the datagrams loaded and
+/// the checker's verdict.
+fn leg<D: DataPlane>(
+    c: &CompiledScenario,
+    mut engine: Engine<D>,
+    opts: &RunOptions,
+) -> (RunResult<D>, u64, Option<Result<(), OnlineViolation>>) {
+    let handle = opts.check.then(|| {
+        nes_runtime::attach_online_checker(&mut engine, &c.nes)
+            .expect("a ≤63-step campaign fits the online checker's windows")
+    });
+    c.apply_actions(&mut engine);
+    let datagrams = c.load_traffic(&mut engine, opts.stream);
+    c.inject_campaign(&mut engine);
+    let result = engine.run_until(c.horizon);
+    (result, datagrams, handle.map(|h| h.verdict()))
 }
 
 /// Runs the uncoordinated-baseline leg, always with the online checker
@@ -153,18 +157,13 @@ pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutco
 /// baseline has no reliability layer: under a lossy `EDN_CHANNEL` its
 /// dropped pushes surface as checker violations — caught, not masked.
 pub fn run_uncoordinated(c: &CompiledScenario) -> ScenarioOutcome {
-    let mut engine = c.uncoordinated();
-    let handle = nes_runtime::attach_online_checker(&mut engine, &c.nes)
-        .expect("a ≤63-step campaign fits the online checker's windows");
-    c.apply_actions(&mut engine);
-    let datagrams = c.load_traffic(&mut engine, false);
-    c.inject_campaign(&mut engine);
-    let result = engine.run_until(c.horizon);
+    let opts = RunOptions { check: true, ..RunOptions::default() };
+    let (result, datagrams, verdict) = leg(c, c.uncoordinated(), &opts);
     ScenarioOutcome {
         stats: result.stats,
         datagrams,
         fired: None,
-        verdict: Some(handle.verdict()),
+        verdict,
         degraded: false,
         flight_dump: None,
     }

@@ -1,12 +1,12 @@
-//! End-to-end packet-plumbing regression, extending
-//! `lookup_equivalence.rs` to the engine knobs: full simulations replayed
-//! in both trace modes, at every metrics level and on both lookup paths
-//! must agree — byte-identical `Stats` everywhere, byte-identical
-//! traces wherever a trace is recorded — and the reference corner of each
-//! pinned scenario must match a committed absolute [`Fingerprint`].
+//! End-to-end packet-plumbing regression: full simulations replayed in
+//! both trace modes and at every metrics level must agree — byte-identical
+//! `Stats` everywhere, byte-identical traces wherever a trace is recorded —
+//! and the reference corner of each pinned scenario must match a committed
+//! absolute [`Fingerprint`].
 //!
-//! Two pinned scenarios from the paper's evaluation (the Section 5.2 ring
-//! and a fat-tree(4) stateful firewall), two pinned *churn* scenarios from
+//! Three pinned scenarios from the paper's evaluation (the Section 5.2 ring
+//! under the NES runtime and under its static reference plane, and a
+//! fat-tree(4) stateful firewall), two pinned *churn* scenarios from
 //! the declarative scenario layer (a flapping ring and a fat-tree(4)
 //! update campaign with a crash, a latency spike, and a host move) — the
 //! churn pair also under the uncoordinated baseline and through `Reliable`
@@ -19,8 +19,7 @@ use edn_core::{NetworkTrace, TraceMode};
 use edn_obs::Scope;
 use edn_scenario::CompiledScenario;
 use edn_topo::{fat_tree, ring, synthesize, LinkProfile, TierProfile, TrafficPattern, Workload};
-use nes_runtime::{nes_engine_with, verify_nes_run, DeployKnobs, NesDataPlane, StaticDataPlane};
-use netkat::LookupPath;
+use nes_runtime::{nes_engine, verify_nes_run, NesDataPlane, StaticDataPlane};
 use netsim::traffic::udp_packet;
 use netsim::{
     ChannelModel, DataPlane, Engine, MetricsLevel, RunResult, SimParams, SimTime, SinkHosts, Stats,
@@ -32,16 +31,11 @@ use proptest::prelude::*;
 struct Knobs {
     mode: TraceMode,
     metrics: MetricsLevel,
-    deploy: DeployKnobs,
 }
-
-/// The reference deployment: indexed lookups over the per-tag tables.
-const REFERENCE_DEPLOY: DeployKnobs = DeployKnobs { path: LookupPath::Indexed };
 
 /// The reference corner: full trace, no telemetry — what everything else
 /// is diffed against.
-const REFERENCE: Knobs =
-    Knobs { mode: TraceMode::Full, metrics: MetricsLevel::Off, deploy: REFERENCE_DEPLOY };
+const REFERENCE: Knobs = Knobs { mode: TraceMode::Full, metrics: MetricsLevel::Off };
 
 fn trace_modes() -> impl Iterator<Item = Knobs> {
     [TraceMode::Full, TraceMode::StatsOnly].into_iter().map(|mode| Knobs { mode, ..REFERENCE })
@@ -113,7 +107,8 @@ const RING_PIN: Fingerprint = Fingerprint {
 };
 // The ring's static shortest-path plane, pinned on the linear scan of the
 // configuration's own tables (`FlowTable::lookup_on`) before that scan
-// stopped being a path a plane could run.
+// stopped being a path a plane could run (`RING_PIN` and
+// `FAT_TREE_FIREWALL_PIN` were re-checked on it the same way).
 const STATIC_RING_PIN: Fingerprint = Fingerprint {
     injected: 8,
     events: 56,
@@ -244,14 +239,7 @@ fn ring_run(knobs: Knobs) -> (NetworkTrace, Stats) {
     let ring = Ring::new(4);
     let n = ring.switch_count();
     let topo = ring.sim_topology(SimTime::from_micros(50), None);
-    let engine = nes_engine_with(
-        ring.nes(),
-        topo,
-        SimParams::default(),
-        false,
-        Box::new(SinkHosts),
-        knobs.deploy,
-    );
+    let engine = nes_engine(ring.nes(), topo, SimParams::default(), false, Box::new(SinkHosts));
     let mut engine = configure(engine, knobs);
     for i in 1..=n {
         let opposite = (i + ring.diameter - 1) % n + 1;
@@ -277,7 +265,7 @@ fn static_ring_run(knobs: Knobs) -> (NetworkTrace, Stats) {
     let ring = Ring::new(4);
     let n = ring.switch_count();
     let topo = ring.sim_topology(SimTime::from_micros(50), None);
-    let dataplane = StaticDataPlane::with_path(ring.config(true), knobs.deploy.path);
+    let dataplane = StaticDataPlane::new(ring.config(true));
     let engine = Engine::new(topo, SimParams::default(), dataplane, Box::new(SinkHosts));
     let mut engine = configure(engine, knobs);
     for i in 1..=n {
@@ -307,14 +295,8 @@ fn fat_tree_firewall_result(knobs: Knobs) -> RunResult<NesDataPlane> {
         flows.iter().map(|f| f.end).max().unwrap_or(SimTime::ZERO) + SimTime::from_secs(10);
     let (inside, outside) = (gen.hosts()[0], *gen.hosts().last().expect("hosts"));
     let nes = firewall_nes(&gen, inside, outside);
-    let engine = nes_engine_with(
-        nes,
-        gen.sim().clone(),
-        SimParams::default(),
-        false,
-        Box::new(SinkHosts),
-        knobs.deploy,
-    );
+    let engine =
+        nes_engine(nes, gen.sim().clone(), SimParams::default(), false, Box::new(SinkHosts));
     let mut engine = configure(engine, knobs);
     edn_topo::schedule(&mut engine, &flows);
     engine.inject_at(SimTime::from_millis(5), inside, udp_packet(inside, outside, u64::MAX, 0));
@@ -427,7 +409,7 @@ fn drive<D: DataPlane>(c: &CompiledScenario, mut engine: Engine<D>) -> RunResult
 
 /// Replays a compiled churn scenario on explicit engine knobs.
 fn churn_run(c: &CompiledScenario, knobs: Knobs) -> (NetworkTrace, Stats) {
-    let result = drive(c, configure(c.engine_with(knobs.deploy), knobs));
+    let result = drive(c, configure(c.engine(), knobs));
     if knobs.mode == TraceMode::Full {
         assert_eq!(
             result.dataplane.fired_sequence().len(),
@@ -505,7 +487,7 @@ fn reliable_lossy_runs_match_their_pins_and_replay_identically() {
     for (name, c, pin) in &scenarios {
         assert_pinned_replay(name, pin, || {
             let engine = c
-                .reliable_engine_with(REFERENCE_DEPLOY, 8)
+                .reliable_engine_with(8)
                 .with_channel(ChannelModel::lossy(13))
                 .with_trace_mode(TraceMode::Full);
             let result = drive(c, engine);
@@ -518,24 +500,6 @@ fn reliable_lossy_runs_match_their_pins_and_replay_identically() {
             (result.trace, result.stats)
         });
     }
-}
-
-/// The non-reference deployment shape — the linear scan of the
-/// specification's own tables — replays the §5.2 ring and the fat-tree
-/// churn campaign byte-identically to the reference. How a table is
-/// *consulted* may change; the observable run may not.
-#[test]
-fn deployment_layouts_do_not_perturb_results() {
-    fn assert_deploy_invariant(scenario: &str, run: impl Fn(Knobs) -> (NetworkTrace, Stats)) {
-        let (reference_trace, reference_stats) = run(REFERENCE);
-        let knobs = Knobs { deploy: DeployKnobs { path: LookupPath::Linear }, ..REFERENCE };
-        let (trace, stats) = run(knobs);
-        assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
-        assert_eq!(trace, reference_trace, "{scenario}: trace diverged on {knobs:?}");
-    }
-    assert_deploy_invariant("ring", ring_run);
-    let campaign = fat_tree_campaign_scenario();
-    assert_deploy_invariant("fat-tree campaign", |k| churn_run(&campaign, k));
 }
 
 /// Telemetry must never perturb simulation results: the ring scenario
@@ -575,14 +539,8 @@ fn seeded_run(n: u64, workload: &Workload, knobs: Knobs) -> (NetworkTrace, Stats
         flows.iter().map(|f| f.end).max().unwrap_or(SimTime::ZERO) + SimTime::from_secs(10);
     let (inside, outside) = (gen.hosts()[0], *gen.hosts().last().expect("hosts"));
     let nes = firewall_nes(&gen, inside, outside);
-    let engine = nes_engine_with(
-        nes,
-        gen.sim().clone(),
-        SimParams::default(),
-        false,
-        Box::new(SinkHosts),
-        knobs.deploy,
-    );
+    let engine =
+        nes_engine(nes, gen.sim().clone(), SimParams::default(), false, Box::new(SinkHosts));
     let mut engine = configure(engine, knobs);
     edn_topo::schedule(&mut engine, &flows);
     // The trigger opens the firewall mid-run so the sweep crosses a real

@@ -13,8 +13,7 @@ use edn_topo::{
     attach_stream, fat_tree, ring, synthesize, synthesize_arrivals, ArrivalModel, LinkProfile,
     TierProfile, TrafficPattern, Workload,
 };
-use nes_runtime::{attach_online_checker, nes_engine_with_path};
-use netkat::LookupPath;
+use nes_runtime::{attach_online_checker, nes_engine};
 use netsim::traffic::{udp_packet, UdpFlowSpec};
 use netsim::{SimParams, SimTime, SinkHosts, Stats};
 use proptest::prelude::*;
@@ -42,15 +41,9 @@ fn run_scenario(
     mode: TraceMode,
     online: bool,
 ) -> (NetworkTrace, Stats, Option<bool>) {
-    let engine = nes_engine_with_path(
-        nes.clone(),
-        topo,
-        SimParams::default(),
-        false,
-        Box::new(SinkHosts),
-        LookupPath::Indexed,
-    );
-    let mut engine = engine.with_trace_mode(mode);
+    let mut engine =
+        nes_engine(nes.clone(), topo, SimParams::default(), false, Box::new(SinkHosts))
+            .with_trace_mode(mode);
     let handle = online
         .then(|| attach_online_checker(&mut engine, &nes).expect("NES fits the checker window"));
     match injection {
