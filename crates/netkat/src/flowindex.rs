@@ -39,6 +39,7 @@
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use crate::field::{Field, Value};
 use crate::flowtable::{FlowTable, Rule};
@@ -154,13 +155,14 @@ pub(crate) fn fp_mix(h: u64, value: Value) -> u64 {
 
 /// A flow table compiled for fast lookup.
 ///
-/// Built once from a [`FlowTable`]; holds the table's rules (shared
-/// bodies, see [`Rule`]: the copy is reference counts, not maps) plus the
+/// Built once from a [`FlowTable`]; holds the table's own rule list (one
+/// reference count, see [`FlowTable`] — no rule is copied, and a lookup
+/// reaches a rule through the same two loads a `Vec` would take) plus the
 /// segment index. Lookup results are *identical* to the source table's —
 /// see the module docs for the construction and the differential tests.
 #[derive(Clone, Debug, Default)]
 pub struct CompiledTable {
-    rules: Vec<Rule>,
+    rules: Arc<[Rule]>,
     segments: Vec<Segment>,
     /// The union of every hash segment's signature, deduplicated in field
     /// order. When two or more hash segments exist (the NES tables'
@@ -225,7 +227,7 @@ impl CompiledTable {
     /// Compiles a table: splits it into signature runs, hashes the long
     /// ones, and derives the cross-segment field prefetch.
     pub fn compile(table: &FlowTable) -> CompiledTable {
-        let rules: Vec<Rule> = table.iter().cloned().collect();
+        let rules = Arc::clone(table.shared_rules());
         let segments = segment_runs(&rules);
         let mut compiled = CompiledTable {
             rules,

@@ -151,6 +151,19 @@ impl fmt::Display for Rule {
 
 /// An ordered flow table; the first matching rule wins.
 ///
+/// # Sharing
+///
+/// The rule list sits behind a reference count, like the bodies of the
+/// rules in it (see [`Match`]): `clone` is O(1) and allocates nothing, and
+/// [`compile`](FlowTable::compile) indexes the same list instead of copying
+/// it, so a table installed under a configuration, cloned with its NES and
+/// deployed on a plane is one list. [`push`](FlowTable::push),
+/// [`compact`](FlowTable::compact) and [`splice`](FlowTable::splice) write
+/// to a fresh list (copy-on-write: a slice cannot grow in place, so each
+/// such edit is O(len) — build tables with
+/// [`from_rules`](FlowTable::from_rules)); a clone never observes an edit
+/// of its origin. Equality is that of the rules, in order.
+///
 /// # Examples
 ///
 /// ```
@@ -162,10 +175,22 @@ impl fmt::Display for Rule {
 /// assert_eq!(table.apply(&Packet::new().with(Field::Port, 2)).len(), 1);
 /// assert!(table.apply(&Packet::new().with(Field::Port, 9)).is_empty());
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct FlowTable {
-    rules: Vec<Rule>,
+    rules: Arc<[Rule]>,
 }
+
+/// By value, with the shortcut `Arc<[T]>`'s own `==` does not take (its
+/// pointer comparison is specialized for sized `T: Eq` only): a table
+/// handed along from `g(X)` is the same allocation, so the common "is this
+/// the previous tag's table?" question is one compare.
+impl PartialEq for FlowTable {
+    fn eq(&self, other: &FlowTable) -> bool {
+        Arc::ptr_eq(&self.rules, &other.rules) || self.rules == other.rules
+    }
+}
+
+impl Eq for FlowTable {}
 
 impl FlowTable {
     /// The empty table (drops everything: no rule matches).
@@ -257,21 +282,30 @@ impl FlowTable {
         self.rules.iter()
     }
 
+    /// The shared rule list — what [`compile`](FlowTable::compile) indexes.
+    pub(crate) fn shared_rules(&self) -> &Arc<[Rule]> {
+        &self.rules
+    }
+
     /// Appends a rule at the lowest priority.
     pub fn push(&mut self, rule: Rule) {
-        self.rules.push(rule);
+        self.rules = self.rules.iter().cloned().chain([rule]).collect();
     }
 
     /// Removes trailing drop rules and rules identical to their predecessor;
     /// returns the number removed. (An absent rule already drops, so
     /// trailing drops are pure overhead.)
     pub fn compact(&mut self) -> usize {
-        let before = self.rules.len();
-        while self.rules.last().is_some_and(|r| r.actions.is_drop() && r.pattern.is_empty()) {
-            self.rules.pop();
+        let mut rules = self.rules.to_vec();
+        while rules.last().is_some_and(|r| r.actions.is_drop() && r.pattern.is_empty()) {
+            rules.pop();
         }
-        self.rules.dedup();
-        before - self.rules.len()
+        rules.dedup();
+        let removed = self.rules.len() - rules.len();
+        if removed > 0 {
+            self.rules = rules.into();
+        }
+        removed
     }
 
     /// The minimal contiguous splice turning this table into `new`.
@@ -322,7 +356,9 @@ impl FlowTable {
     ///
     /// Panics if the delta's replaced range does not fit this table.
     pub fn splice(&mut self, delta: &TableDelta) {
-        self.rules.splice(delta.start..delta.start + delta.removed, delta.inserted.iter().cloned());
+        let mut rules = self.rules.to_vec();
+        rules.splice(delta.start..delta.start + delta.removed, delta.inserted.iter().cloned());
+        self.rules = rules.into();
     }
 }
 
@@ -367,7 +403,7 @@ impl IntoIterator for FlowTable {
     type IntoIter = std::vec::IntoIter<Rule>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.rules.into_iter()
+        Vec::from(&*self.rules).into_iter()
     }
 }
 
@@ -554,10 +590,10 @@ mod tests {
     }
 }
 
-/// The sharing contract of [`Match`] and [`ActionSet`]: mutating a clone
-/// never shows through to its origin, and a value reached by copy-on-write
-/// is indistinguishable — `==`, `cmp`, hash — from the same value built
-/// from scratch.
+/// The sharing contract of [`Match`], [`ActionSet`] and [`FlowTable`]:
+/// mutating a clone never shows through to its origin, and a value reached
+/// by copy-on-write is indistinguishable — `==`, `cmp`, hash, iteration
+/// order, `diff` — from the same value built from scratch.
 #[cfg(test)]
 mod sharing_proptests {
     use super::*;
@@ -584,6 +620,20 @@ mod sharing_proptests {
     fn arb_tests() -> impl Strategy<Value = Vec<(Field, Value)>> {
         proptest::collection::vec((0usize..FIELDS.len(), 0u64..3), 0..5)
             .prop_map(|fs| fs.into_iter().map(|(i, v)| (FIELDS[i], v)).collect())
+    }
+
+    /// Few distinct rules, so tables repeat neighbours (`compact` has work)
+    /// and end in catch-all drops now and then.
+    fn arb_rules() -> impl Strategy<Value = Vec<Rule>> {
+        let rule =
+            (arb_tests(), arb_actions(), 0u8..4).prop_map(|(tests, actions, kind)| match kind {
+                0 => Rule::drop_all(),
+                _ => Rule::new(
+                    tests.into_iter().take(1).collect(),
+                    actions.into_iter().take(1).collect(),
+                ),
+            });
+        proptest::collection::vec(rule, 0..8)
     }
 
     fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
@@ -643,6 +693,65 @@ mod sharing_proptests {
                 model.extend(more);
                 assert_same(&copy, &model.iter().cloned().collect());
                 assert_same(&original, &frozen.iter().cloned().collect());
+            }
+        }
+
+        #[test]
+        fn mutating_a_flow_table_clone_leaves_the_original_untouched(
+            initial in arb_rules(),
+            // 0 = `push`, 1 = `compact`, 2 = `splice`, 3 = `into_iter` and
+            // rebuild; the numbers place the splice, the rules feed it.
+            ops in proptest::collection::vec((0u8..4, 0usize..8, 0usize..8, arb_rules()), 0..6),
+        ) {
+            let original = FlowTable::from_rules(initial.iter().cloned());
+            let frozen = initial.clone();
+            let mut model = initial;
+            let mut copy = original.clone();
+            // The index shares the list too, and must keep answering for it.
+            let index = original.compile();
+            for (op, at, span, rules) in ops {
+                match op {
+                    0 => {
+                        let rule = rules.first().cloned().unwrap_or_else(Rule::drop_all);
+                        copy.push(rule.clone());
+                        model.push(rule);
+                    }
+                    1 => {
+                        let before = model.len();
+                        while model.last().is_some_and(|r| *r == Rule::drop_all()) {
+                            model.pop();
+                        }
+                        model.dedup();
+                        prop_assert_eq!(copy.compact(), before - model.len());
+                    }
+                    2 => {
+                        let start = at.min(model.len());
+                        let removed = span.min(model.len() - start);
+                        copy.splice(&TableDelta { start, removed, inserted: rules.clone() });
+                        model.splice(start..start + removed, rules);
+                    }
+                    _ => {
+                        let taken: Vec<Rule> = copy.clone().into_iter().collect();
+                        prop_assert_eq!(&taken, &model);
+                        copy = FlowTable::from_rules(taken);
+                    }
+                }
+                let scratch = FlowTable::from_rules(model.iter().cloned());
+                prop_assert_eq!(&copy, &scratch);
+                prop_assert!(copy.iter().eq(model.iter()), "order of iteration");
+                prop_assert!(original.iter().eq(frozen.iter()), "the origin moved");
+                prop_assert_eq!(index.len(), frozen.len());
+                // `diff` sees values, not allocations: shared or rebuilt, the
+                // same edit, and it carries the origin to the copy.
+                let delta = original.diff(&copy);
+                prop_assert_eq!(&delta, &FlowTable::from_rules(frozen.iter().cloned()).diff(&scratch));
+                let mut patched = original.clone();
+                patched.splice(&delta);
+                prop_assert_eq!(&patched, &copy);
+            }
+            for rule in &frozen {
+                let pk: Packet = rule.pattern.iter().collect();
+                prop_assert_eq!(index.lookup(&pk), original.lookup(&pk));
             }
         }
     }

@@ -1277,7 +1277,11 @@ impl<D: DataPlane> Engine<D> {
             }
         }
         if metrics_on {
-            metrics.write_out_from_env();
+            // The run has earned its result; a snapshot that cannot be
+            // written is reported, not allowed to take the result with it.
+            if let Err(e) = metrics.write_out_from_env() {
+                eprintln!("netsim: {e}");
+            }
         }
         RunResult {
             trace: core.trace.build().expect("engine-built traces are structurally valid"),

@@ -54,7 +54,7 @@ pub mod traffic;
 
 pub use channel::{ChannelDir, ChannelFate, ChannelModel, DirModel};
 pub use edn_core::{LeafKind, TraceMode, TraceObserver};
-pub use edn_obs::{FlightRecorder, MetricsLevel};
+pub use edn_obs::{FlightRecorder, MetricsLevel, Registry};
 #[doc(hidden)]
 pub use engine::shard_count_from_env;
 pub use engine::{Engine, RunResult, DEFAULT_PACKET_SIZE};

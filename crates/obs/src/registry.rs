@@ -372,22 +372,41 @@ impl Registry {
         out
     }
 
-    /// Writes a snapshot to the path named by `EDN_METRICS_OUT`, if set.
+    /// Writes a snapshot to `path`: a `.prom` or `.txt` extension selects
+    /// Prometheus text exposition, anything else gets the JSON snapshot.
     ///
-    /// A `.prom` or `.txt` extension selects Prometheus text exposition;
-    /// anything else gets the JSON snapshot. Returns the path written, or
-    /// `None` when the knob is unset. I/O errors panic: an explicitly
-    /// requested export that silently vanishes is worse than a crash.
-    pub fn write_out_from_env(&self) -> Option<String> {
-        let path = std::env::var("EDN_METRICS_OUT").ok().filter(|p| !p.is_empty())?;
+    /// # Errors
+    ///
+    /// The I/O error of the write, unchanged.
+    pub fn write_out(&self, path: &str) -> std::io::Result<()> {
         let body = if path.ends_with(".prom") || path.ends_with(".txt") {
             self.render_prometheus()
         } else {
             self.render_json()
         };
-        std::fs::write(&path, body)
-            .unwrap_or_else(|e| panic!("EDN_METRICS_OUT: cannot write `{path}`: {e}"));
-        Some(path)
+        std::fs::write(path, body)
+    }
+
+    /// [`write_out`](Registry::write_out) to the path named by
+    /// `EDN_METRICS_OUT`, if set (an empty value means unset). Returns the
+    /// path written, or `None` when there is none.
+    ///
+    /// # Errors
+    ///
+    /// The write's I/O error, its message naming the variable and the path.
+    /// The snapshot is telemetry: a caller holding a finished run reports
+    /// this and keeps the run.
+    pub fn write_out_from_env(&self) -> std::io::Result<Option<String>> {
+        let Some(path) = std::env::var("EDN_METRICS_OUT").ok().filter(|p| !p.is_empty()) else {
+            return Ok(None);
+        };
+        match self.write_out(&path) {
+            Ok(()) => Ok(Some(path)),
+            Err(e) => Err(std::io::Error::new(
+                e.kind(),
+                format!("EDN_METRICS_OUT: cannot write `{path}`: {e}"),
+            )),
+        }
     }
 }
 
@@ -446,5 +465,25 @@ mod tests {
     #[test]
     fn empty_hist_quantile_is_zero() {
         assert_eq!(Hist::new().quantile(99, 100), 0);
+    }
+
+    /// The export picks its format from the extension, and an unwritable
+    /// path — here a file under a directory that does not exist — is an
+    /// error value, never a panic.
+    #[test]
+    fn write_out_picks_the_format_and_reports_an_unwritable_path() {
+        let mut r = Registry::new();
+        r.counter_add(Scope::Sim, "drops.no_rule", 2);
+        let dir = std::env::temp_dir().join(format!("edn-obs-write-out-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, body) in [("m.prom", r.render_prometheus()), ("m.json", r.render_json())] {
+            let path = dir.join(name);
+            r.write_out(path.to_str().unwrap()).unwrap();
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), body);
+        }
+        let missing = dir.join("no-such-dir").join("m.json");
+        let err = r.write_out(missing.to_str().unwrap()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -25,12 +25,16 @@ use edn_scenario::{
 };
 
 /// Parses every value-carrying `EDN_*` variable the legs will read, so a
-/// typo is a usage error here rather than a panic mid-run.
+/// typo is a usage error here rather than a panic mid-run, and writes an
+/// empty snapshot where `EDN_METRICS_OUT` points (each leg's `finish`
+/// overwrites it), so an unwritable export path is one too — a library
+/// caller's `finish` reports it on stderr and still returns the run.
 fn check_env() -> Result<(), String> {
     let var = |name: &str| std::env::var(name).ok();
     netsim::MetricsLevel::parse(var("EDN_METRICS").as_deref())?;
     netsim::ChannelModel::parse(var("EDN_CHANNEL").as_deref())?;
     nes_runtime::parse_retry_budget(var("EDN_RETRY_BUDGET").as_deref())?;
+    netsim::Registry::new().write_out_from_env().map_err(|e| e.to_string())?;
     Ok(())
 }
 

@@ -127,6 +127,17 @@ pub struct CompiledScenario {
     pub horizon: SimTime,
 }
 
+/// How a campaign state routes one host's address.
+#[derive(Clone, Copy)]
+enum Reach {
+    /// A victim not yet unblocked: no rule anywhere.
+    Blocked,
+    /// The shortest-path rules toward its attachment.
+    Routed,
+    /// The rules toward its mobile twin's attachment.
+    Moved,
+}
+
 pub(crate) fn build_topology(spec: TopologySpec) -> GenTopology {
     match spec {
         TopologySpec::Ring(n) => ring(n, LinkProfile::default()),
@@ -260,51 +271,58 @@ impl CompiledScenario {
 
         // Per-state configurations: full shortest paths, minus rules toward
         // still-blocked victims, with moved hosts' rules re-pointed at
-        // their twins.
+        // their twins. Each routing rule's destination is read once, here,
+        // as a slot of `run.hosts()`; a state is then one `Reach` per slot,
+        // so building its tables costs an array read per rule.
         let full = shortest_path_rules(&run);
-        let rehomed: BTreeMap<u64, BTreeMap<u64, Rule>> =
-            mover_ids.iter().map(|&h| (h, rehomed_rules(&run, h))).collect();
-        let state_rules = |blocked: &BTreeSet<u64>, moved: &BTreeSet<u64>| {
-            let mut out: BTreeMap<u64, Vec<Rule>> = BTreeMap::new();
-            for (&sw, list) in &full {
-                let mut rules = Vec::with_capacity(list.len());
-                for r in list {
+        let slot_of: BTreeMap<u64, usize> = run.hosts().iter().copied().zip(0..).collect();
+        let rehomed: BTreeMap<usize, BTreeMap<u64, Rule>> =
+            mover_ids.iter().map(|&h| (slot_of[&h], rehomed_rules(&run, h))).collect();
+        let routed: Vec<(u64, Vec<(usize, &Rule)>)> = full
+            .iter()
+            .map(|(&sw, list)| {
+                let toward = list.iter().filter_map(|r| {
                     let dst = r.pattern.get(Field::IpDst).expect("routing rules match ip_dst");
-                    if dst >= edn_topo::MOBILE_TWIN_OFFSET || blocked.contains(&dst) {
-                        continue; // twins are never addressed directly
-                    }
-                    if moved.contains(&dst) {
-                        if let Some(r2) = rehomed[&dst].get(&sw) {
-                            rules.push(r2.clone());
+                    // Twins are never addressed directly.
+                    (dst < edn_topo::MOBILE_TWIN_OFFSET).then(|| (slot_of[&dst], r))
+                });
+                (sw, toward.collect())
+            })
+            .collect();
+        let state_rules = |reach: &[Reach]| -> BTreeMap<u64, Vec<Rule>> {
+            routed
+                .iter()
+                .map(|(sw, list)| {
+                    let mut rules = Vec::with_capacity(list.len());
+                    for &(slot, r) in list {
+                        match reach[slot] {
+                            Reach::Blocked => {}
+                            Reach::Routed => rules.push(r.clone()),
+                            Reach::Moved => rules.extend(rehomed[&slot].get(sw).cloned()),
                         }
-                    } else {
-                        rules.push(r.clone());
                     }
-                }
-                out.insert(sw, rules);
-            }
-            out
+                    (*sw, rules)
+                })
+                .collect()
         };
-        let mut blocked: BTreeSet<u64> = victims.iter().copied().collect();
-        let mut moved: BTreeSet<u64> = BTreeSet::new();
-        let initial = config_from_rules(&run, state_rules(&blocked, &moved));
+        let mut reach = vec![Reach::Routed; run.hosts().len()];
+        for v in &victims {
+            reach[slot_of[v]] = Reach::Blocked;
+        }
+        let initial = config_from_rules(&run, state_rules(&reach));
         let trigger_host = hosts[0];
         let trigger_dst = hosts[1];
         let trigger_loc = run.attachment(trigger_host).expect("generated hosts are attached");
         let mut campaign_steps = Vec::with_capacity(steps.len());
         for (i, step) in steps.iter().enumerate() {
-            match step.target {
-                StepTarget::Unblock(h) => {
-                    blocked.remove(&h);
-                }
-                StepTarget::Move { host, .. } => {
-                    moved.insert(host);
-                }
-            }
+            reach[slot_of[&step.target.host()]] = match step.target {
+                StepTarget::Unblock(_) => Reach::Routed,
+                StepTarget::Move { .. } => Reach::Moved,
+            };
             campaign_steps.push(CampaignStep {
                 trigger: campaign_pred(i),
                 loc: trigger_loc,
-                config: config_from_rules(&run, state_rules(&blocked, &moved)),
+                config: config_from_rules(&run, state_rules(&reach)),
             });
         }
         let nes = campaign_nes(initial, campaign_steps)

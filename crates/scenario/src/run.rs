@@ -14,7 +14,7 @@
 //! is allowed — and under probing usually observed — to be a violation.
 
 use edn_core::OnlineViolation;
-use netsim::{ChannelModel, DataPlane, Engine, RunResult, Stats};
+use netsim::{ChannelModel, DataPlane, Engine, RunResult, Stats, StatsMode, TraceMode};
 
 use crate::compile::CompiledScenario;
 use crate::spec::{ScenarioError, ScenarioSpec};
@@ -35,7 +35,9 @@ pub struct RunOptions {
 /// The result of one scenario leg.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ScenarioOutcome {
-    /// Aggregate run statistics.
+    /// Aggregate run statistics: the counters. A leg keeps no per-packet
+    /// record, so [`Stats::deliveries`] and [`Stats::drops`] are empty —
+    /// drive [`CompiledScenario::engine`] yourself for those and the trace.
     pub stats: Stats,
     /// Background datagrams loaded.
     pub datagrams: u64,
@@ -132,11 +134,26 @@ pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutco
     }
 }
 
-/// What every leg does with its engine, whatever plane it deploys: attach
-/// the checker if asked, script the actions, load the traffic, inject the
-/// campaign, run to the horizon. Returns the run, the datagrams loaded and
-/// the checker's verdict.
+/// The one place every leg goes through, whatever plane it deploys. It
+/// puts the engine at the level a [`ScenarioOutcome`] reports and no higher:
+/// the verdict comes from the *online* checker and the rest is a fired count
+/// and counters, so the run keeps no trace and no per-packet stats streams.
+/// This is deliberately not an option — a caller that wants the trace or the
+/// streams drives [`CompiledScenario::engine`] itself, which records
+/// everything.
 fn leg<D: DataPlane>(
+    c: &CompiledScenario,
+    engine: Engine<D>,
+    opts: &RunOptions,
+) -> (RunResult<D>, u64, Option<Result<(), OnlineViolation>>) {
+    let engine = engine.with_trace_mode(TraceMode::StatsOnly).with_stats_mode(StatsMode::Counters);
+    drive(c, engine, opts)
+}
+
+/// Attach the checker if asked, script the actions, load the traffic,
+/// inject the campaign, run to the horizon. Returns the run, the datagrams
+/// loaded and the checker's verdict.
+fn drive<D: DataPlane>(
     c: &CompiledScenario,
     mut engine: Engine<D>,
     opts: &RunOptions,
@@ -262,16 +279,39 @@ mod tests {
         assert!(out.stats.delivered_packets > 0, "traffic flowed");
     }
 
+    /// A leg reports counters, so leg-to-leg equality is counter equality;
+    /// the per-packet strength this test always had is kept by replaying the
+    /// same three legs on [`CompiledScenario::engine`] as built — full trace,
+    /// every delivery and drop — and tying the legs' counters to that.
     #[test]
     fn legs_agree_byte_for_byte() {
         let c = CompiledScenario::compile(&flap_spec()).unwrap();
+        let streamed_checked = RunOptions { check: true, stream: true, ..RunOptions::default() };
         let batch = run_coordinated(&c, &RunOptions::default());
         let replay = run_coordinated(&c, &RunOptions::default());
-        let streamed =
-            run_coordinated(&c, &RunOptions { check: true, stream: true, ..RunOptions::default() });
+        let streamed = run_coordinated(&c, &streamed_checked);
         assert_eq!(batch.stats, replay.stats, "a replay must not change a byte");
         assert_eq!(batch.stats, streamed.stats, "streaming + checking must not either");
         assert_eq!(stats_csv_row(&replay), stats_csv_row(&batch), "canonical CSV agrees");
+        assert!(batch.stats.deliveries.is_empty() && batch.stats.drops.is_empty());
+
+        let full = |opts: &RunOptions| {
+            let (result, _, _) = drive(&c, c.engine(), opts);
+            (result.trace, result.stats)
+        };
+        let (trace, stats) = full(&RunOptions::default());
+        assert!(!trace.is_empty() && !stats.deliveries.is_empty(), "the full drive records");
+        assert_eq!(
+            full(&RunOptions::default()),
+            (trace.clone(), stats.clone()),
+            "replay, per packet"
+        );
+        assert_eq!(
+            full(&streamed_checked),
+            (trace, stats.clone()),
+            "streamed + checked, per packet"
+        );
+        assert_eq!(batch.stats, Stats { deliveries: Vec::new(), drops: Vec::new(), ..stats });
     }
 
     #[test]

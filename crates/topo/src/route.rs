@@ -27,20 +27,35 @@ pub fn shortest_path_rules(gen: &GenTopology) -> BTreeMap<u64, Vec<Rule>> {
         topo.switches().iter().map(|&s| (s, Vec::new())).collect();
     // One BFS per attachment switch, shared by its co-located hosts.
     let mut next_hops: BTreeMap<u64, BTreeMap<u64, u64>> = BTreeMap::new();
+    let mut outputs = OutputActions::default();
     for &host in gen.hosts() {
         let at = gen.attachment(host).expect("generated hosts are attached");
         let next = next_hops.entry(at.sw).or_insert_with(|| topo.next_hop_ports(at.sw));
+        let pattern = Match::new().with(Field::IpDst, host);
         for (&sw, list) in rules.iter_mut() {
             let out = if sw == at.sw { Some(at.pt) } else { next.get(&sw).copied() };
             if let Some(out) = out {
-                list.push(Rule::new(
-                    Match::new().with(Field::IpDst, host),
-                    ActionSet::single(Action::assign(Field::Port, out)),
-                ));
+                list.push(Rule::new(pattern.clone(), outputs.port(out)));
             }
         }
     }
     rules
+}
+
+/// The `port := out` action sets handed out so far, one body per output
+/// port: every rule of a routing table outputs to one of a switch's few
+/// ports, so the rules share these (see [`ActionSet`]'s sharing contract)
+/// instead of each building its own.
+#[derive(Default)]
+struct OutputActions(BTreeMap<u64, ActionSet>);
+
+impl OutputActions {
+    fn port(&mut self, out: u64) -> ActionSet {
+        self.0
+            .entry(out)
+            .or_insert_with(|| ActionSet::single(Action::assign(Field::Port, out)))
+            .clone()
+    }
 }
 
 /// Rules routing `ip_dst = ip` toward the attachment `at` from every switch
@@ -51,19 +66,13 @@ pub fn shortest_path_rules(gen: &GenTopology) -> BTreeMap<u64, Vec<Rule>> {
 pub fn rules_toward(gen: &GenTopology, at: netkat::Loc, ip: u64) -> BTreeMap<u64, Rule> {
     let topo = gen.sim();
     let next = topo.next_hop_ports(at.sw);
+    let pattern = Match::new().with(Field::IpDst, ip);
+    let mut outputs = OutputActions::default();
     topo.switches()
         .iter()
         .filter_map(|&sw| {
             let out = if sw == at.sw { Some(at.pt) } else { next.get(&sw).copied() };
-            out.map(|out| {
-                (
-                    sw,
-                    Rule::new(
-                        Match::new().with(Field::IpDst, ip),
-                        ActionSet::single(Action::assign(Field::Port, out)),
-                    ),
-                )
-            })
+            out.map(|out| (sw, Rule::new(pattern.clone(), outputs.port(out))))
         })
         .collect()
 }

@@ -1,17 +1,21 @@
-//! Sharing regression: deploying a campaign must pass its rule bodies
-//! along, not rebuild them.
+//! Sharing regression: a campaign's rules are built once and passed along
+//! — bodies and rule lists both — not rebuilt or copied per stage.
 //!
-//! A counting `#[global_allocator]` watches the deploy path the benchmark
-//! times — `CompiledNes::compile(nes.clone())` + `NesDataPlane::new` — on
-//! the fat-tree(4) × 4-update campaign. A deep-copied `Rule` is three
-//! B-tree node allocations (`Match` map, `ActionSet` set, `Action` map), so
-//! a deploy that copies even one body of every installed rule allocates
-//! more than once per rule (the pre-sharing path copied each rule three
-//! times: about nine). With shared bodies what remains is per *table* — a
-//! rule vector per configuration and switch, the index's segment list,
-//! signature, fingerprint map and prefetch — about six allocations for a
-//! 14-rule table here, which is why the bound is one per rule and not
-//! lower. The count is per thread and repeats exactly.
+//! A counting `#[global_allocator]` watches the three stages a campaign run
+//! goes through before its first event, on the fat-tree(4) × 4-update
+//! campaign (20 switches × 5 configurations = 100 installed tables, 1,400
+//! installed rules): `CompiledScenario::compile`, the deploy path the
+//! benchmark times (`CompiledNes::compile(nes.clone())` +
+//! `NesDataPlane::new`), and `CompiledScenario::engine`. A freshly built
+//! `Rule` is five allocations (two reference counts, the `Match` map, the
+//! `ActionSet` set, the `Action` map) and a copied rule list is one, so
+//! each stage that rebuilds or copies shows up as a per-rule or per-table
+//! term. What is left after sharing is per *table*: the index's segment
+//! list, signature, fingerprint map and prefetch, about six allocations a
+//! table. Counts are per thread and repeat exactly; the bounds are the
+//! measured counts (deploy 825 → 625 and `engine()` 859 → 659 when the rule
+//! lists became shared, scenario compile 2,783 → 1,076 when the routing
+//! synthesis stopped building a `Match` and an `ActionSet` per rule).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -93,8 +97,53 @@ fn deploying_a_campaign_does_not_copy_rule_bodies() {
     assert_eq!(deploy().0, spent, "the allocation count repeats exactly");
     assert!(forwarding >= 1000, "the campaign installs a real rule load ({forwarding})");
     assert!(
-        spent < forwarding,
-        "deploying {forwarding} installed rules took {spent} allocations — \
-         rule bodies are being copied again"
+        spent <= 625,
+        "deploying {forwarding} installed rules took {spent} allocations (625 when pinned) — \
+         rule bodies or rule lists are being copied again"
     );
+}
+
+/// `shortest_path_rules` builds one `Match` per host and one `ActionSet`
+/// per output port; every installed rule is a pair of reference counts on
+/// those. Built per rule (five allocations each, 320 routing rules before
+/// any configuration is derived), the compile alone passes one allocation
+/// per *installed* rule.
+#[test]
+fn compiling_a_campaign_builds_each_rule_body_once() {
+    let before = allocations();
+    let c = campaign();
+    let spent = allocations() - before;
+    let forwarding = c.nes.total_rules() as u64;
+    assert!(forwarding >= 1000, "the campaign installs a real rule load ({forwarding})");
+    assert!(
+        spent < forwarding,
+        "compiling a campaign of {forwarding} installed rules took {spent} allocations \
+         (1,076 when pinned) — rule bodies are being built per rule again"
+    );
+}
+
+/// `engine()` clones the NES and deploys it: with shared rule lists that
+/// is reference counts and the per-table index, and the plane's tables
+/// *are* the compiled scenario's.
+#[test]
+fn building_an_engine_does_not_copy_rules() {
+    let c = campaign();
+    let before = allocations();
+    let engine = c.engine();
+    let spent = allocations() - before;
+    assert!(
+        spent <= 659,
+        "engine() took {spent} allocations (659 when pinned: ~6.6 per installed table) — \
+         a rule list is being copied per table again"
+    );
+    let plane = engine.finish().dataplane;
+    for set in c.nes.event_sets() {
+        let (ours, theirs) = (c.nes.config(set), plane.compiled().nes().config(set));
+        for sw in ours.switches() {
+            let first = |config: &edn_core::Config| {
+                config.table(sw).and_then(|t| t.iter().next()).map(std::ptr::from_ref)
+            };
+            assert_eq!(first(ours), first(theirs), "switch {sw}: the rule list was copied");
+        }
+    }
 }

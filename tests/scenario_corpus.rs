@@ -16,10 +16,12 @@
 //! A fresh-random proptest then drives unpinned scenarios through the
 //! coordinated plane only: no seed anywhere may make the runtime violate.
 
+use edn_core::OnlineViolation;
 use edn_scenario::{
-    differential, parse, run_coordinated, stats_csv_row, CompiledScenario, RunOptions, ScenarioGen,
+    differential, effective_channel, parse, run_coordinated, run_uncoordinated, stats_csv_row,
+    CompiledScenario, RunOptions, ScenarioGen, ScenarioOutcome,
 };
-use netsim::ChannelModel;
+use netsim::{ChannelModel, DataPlane, Engine, MetricsLevel, RunResult, Stats};
 use proptest::prelude::*;
 
 /// `(seed, coordinated steps fired, uncoordinated violation name)` for the
@@ -86,18 +88,108 @@ fn corpus_has_uncoordinated_counterexamples() {
     assert!(CORPUS.len() >= 32);
 }
 
+/// What a scenario leg does, on an engine the test built — and so at the
+/// recording level `c.engine()` and its siblings start at: the full trace
+/// and every delivery and drop.
+fn drive<D: DataPlane>(
+    c: &CompiledScenario,
+    mut engine: Engine<D>,
+    opts: &RunOptions,
+) -> (RunResult<D>, u64, Option<Result<(), OnlineViolation>>) {
+    let handle = opts.check.then(|| {
+        nes_runtime::attach_online_checker(&mut engine, &c.nes)
+            .expect("a ≤63-step campaign fits the online checker's windows")
+    });
+    c.apply_actions(&mut engine);
+    let datagrams = c.load_traffic(&mut engine, opts.stream);
+    c.inject_campaign(&mut engine);
+    let result = engine.run_until(c.horizon);
+    (result, datagrams, handle.map(|h| h.verdict()))
+}
+
+/// A full drive's stats as a leg reports them: the counters, no streams.
+fn counters_of(stats: Stats) -> Stats {
+    Stats { deliveries: Vec::new(), drops: Vec::new(), ..stats }
+}
+
 /// Replays are byte-stable: recompiling and rerunning a corpus scenario
-/// reproduces identical stats, and the text form round-trips the spec.
+/// reproduces identical stats, and the text form round-trips the spec. A
+/// leg's stats are counters, so the per-packet half of "identical" is
+/// replayed on `c.engine()` as built: same trace, same deliveries and drops.
 #[test]
 fn corpus_scenarios_replay_byte_identically() {
     for seed in [0u64, 5, 17, 29] {
         let spec = ScenarioGen::sample(seed);
         assert_eq!(parse(&spec.to_toml()).unwrap(), spec, "seed {seed} round-trips");
         let c = CompiledScenario::compile(&spec).unwrap();
-        let a = run_coordinated(&c, &RunOptions::default());
-        let b = run_coordinated(&c, &RunOptions::default());
+        let opts = RunOptions::default();
+        let a = run_coordinated(&c, &opts);
+        let b = run_coordinated(&c, &opts);
         assert_eq!(a.stats, b.stats, "seed {seed}: replay diverged");
+        let full = || {
+            let (result, _, _) = drive(&c, c.engine(), &opts);
+            (result.trace, result.stats)
+        };
+        let (trace, stats) = full();
+        assert!(!trace.is_empty() && !stats.deliveries.is_empty(), "seed {seed}: nothing recorded");
+        assert_eq!(full(), (trace, stats.clone()), "seed {seed}: per-packet replay diverged");
+        assert_eq!(a.stats, counters_of(stats), "seed {seed}: the leg counts what the trace saw");
     }
+}
+
+/// A leg records what its outcome reports and nothing else — and reports
+/// exactly what a fully recording run of the same scenario would: for every
+/// leg shape (checked or not, streamed or not, a lossy twin through
+/// `Reliable`, the uncoordinated baseline) the outcome equals the one
+/// assembled from a drive of the caller-built engine at its default level,
+/// with the per-packet streams emptied.
+#[test]
+fn legs_record_counters_and_report_what_a_full_recording_would() {
+    fn assert_lean(
+        leg: ScenarioOutcome,
+        full: Stats,
+        datagrams: u64,
+        fired: Option<usize>,
+        verdict: Option<Result<(), OnlineViolation>>,
+    ) {
+        assert!(!full.deliveries.is_empty(), "the full drive keeps its streams");
+        let full = ScenarioOutcome {
+            stats: counters_of(full),
+            datagrams,
+            fired,
+            verdict,
+            degraded: false,
+            flight_dump: None,
+        };
+        assert_eq!(leg, full, "verdict, fired count or a counter moved");
+        assert_eq!(stats_csv_row(&leg), stats_csv_row(&full), "canonical CSV");
+        assert!(leg.stats.deliveries.is_empty() && leg.stats.drops.is_empty());
+    }
+    for seed in [0u64, 5, 17, 29] {
+        let c = CompiledScenario::compile(&ScenarioGen::sample(seed)).unwrap();
+        for (check, stream) in [(false, false), (false, true), (true, false), (true, true)] {
+            let opts = RunOptions { check, stream, ..RunOptions::default() };
+            let engine = c.engine().with_channel(effective_channel(&c.spec, &opts));
+            let (full, datagrams, verdict) = drive(&c, engine, &opts);
+            assert!(!full.trace.is_empty() && verdict.is_some() == check, "seed {seed}");
+            let fired = full.dataplane.fired_sequence().len();
+            assert_lean(run_coordinated(&c, &opts), full.stats, datagrams, Some(fired), verdict);
+        }
+        let checked = RunOptions { check: true, ..RunOptions::default() };
+        let (full, datagrams, verdict) = drive(&c, c.uncoordinated(), &checked);
+        assert_lean(run_uncoordinated(&c), full.stats, datagrams, None, verdict);
+    }
+
+    let c = CompiledScenario::compile(&ScenarioGen::sample_lossy(17)).unwrap();
+    let opts = RunOptions { check: true, ..RunOptions::default() };
+    let engine = c
+        .reliable_engine_with(c.spec.channel.retry_budget)
+        .with_channel(effective_channel(&c.spec, &opts))
+        .with_metrics(MetricsLevel::Full);
+    let (full, datagrams, verdict) = drive(&c, engine, &opts);
+    assert!(!full.trace.is_empty() && !full.dataplane.degraded());
+    let fired = full.dataplane.inner().fired_sequence().len();
+    assert_lean(run_coordinated(&c, &opts), full.stats, datagrams, Some(fired), verdict);
 }
 
 /// The corpus replayed over lossy control channels: every pinned seed's
@@ -162,15 +254,11 @@ fn bare_baseline_under_loss_is_caught_not_masked() {
     for seed in [0u64, 5, 17, 29] {
         let spec = ScenarioGen::sample(seed);
         let c = CompiledScenario::compile(&spec).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let mut engine = c.uncoordinated().with_channel(ChannelModel::lossy(seed));
-        let handle = nes_runtime::attach_online_checker(&mut engine, &c.nes)
-            .expect("a ≤63-step campaign fits the online checker's windows");
-        c.apply_actions(&mut engine);
-        c.load_traffic(&mut engine, false);
-        c.inject_campaign(&mut engine);
-        engine.run_until(c.horizon);
+        let engine = c.uncoordinated().with_channel(ChannelModel::lossy(seed));
+        let checked = RunOptions { check: true, ..RunOptions::default() };
+        let (_, _, verdict) = drive(&c, engine, &checked);
         assert!(
-            handle.verdict().is_err(),
+            verdict.is_some_and(|v| v.is_err()),
             "seed {seed}: the unreliable baseline must be caught under loss"
         );
     }
