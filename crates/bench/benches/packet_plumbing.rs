@@ -4,8 +4,8 @@
 //! * `queue/*` — the calendar future-event set alone, driven with a
 //!   simulation-shaped push/pop pattern (pop one, schedule a couple at
 //!   `now + latency`).
-//! * `arena/*` — steady-state arena operations (interning an already-seen
-//!   packet, relocating one) against the owned baseline (clone + mutate).
+//! * `arena/*` — interning an already-seen packet in the append-only
+//!   (hash-consing) arena, against the owned baseline (clone + mutate).
 //! * `hop/*` — a ring-16 NES simulation per event, in both trace modes:
 //!   the end-to-end cost the fig18 sweep tracks, without its
 //!   topology-construction noise.
@@ -75,18 +75,6 @@ fn bench_arena(c: &mut Criterion) {
         b.iter(|| {
             for pk in &base {
                 black_box(arena.intern_ref(pk));
-            }
-        })
-    });
-    g.bench_function("set_loc_steady_state", |b| {
-        let mut arena = PacketArena::new();
-        let ids: Vec<_> = base.iter().map(|pk| arena.intern_ref(pk)).collect();
-        for &id in &ids {
-            arena.set_loc(id, Loc::new(3, 1));
-        }
-        b.iter(|| {
-            for &id in &ids {
-                black_box(arena.set_loc(id, Loc::new(3, 1)));
             }
         })
     });

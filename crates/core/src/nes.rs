@@ -13,6 +13,13 @@ use crate::locality;
 pub enum NesError {
     /// A reachable event-set of the event structure has no configuration.
     MissingConfig(EventSet),
+    /// More events than an [`EventSet`] (and a packet digest) can name.
+    TooManyEvents {
+        /// Events asked for.
+        got: usize,
+        /// The most an event-set holds.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for NesError {
@@ -20,6 +27,9 @@ impl fmt::Display for NesError {
         match self {
             NesError::MissingConfig(s) => {
                 write!(f, "event-set {s} has no configuration assigned")
+            }
+            NesError::TooManyEvents { got, limit } => {
+                write!(f, "{got} events exceed the {limit} an event-set can hold")
             }
         }
     }

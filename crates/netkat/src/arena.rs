@@ -1,56 +1,60 @@
-//! Hash-consed packet interning: an arena mapping every distinct packet to
-//! a dense [`PacketId`].
+//! Packet interning: an arena mapping packets to dense [`PacketId`]s, in
+//! one of two modes.
 //!
 //! The simulator's hot path used to move owned [`Packet`]s — three clones
-//! per hop (trace ingress record, trace egress record, the in-flight copy)
-//! — and the per-hop header churn is tiny: a packet crossing a network
-//! keeps the same headers at almost every step, and steady-state traffic
-//! repeats the same handful of header combinations millions of times. A
-//! [`PacketArena`] exploits that redundancy:
+//! per hop (trace ingress record, trace egress record, the in-flight copy).
+//! A [`PacketArena`] stores a packet once and hands out a `u32` index, so
+//! "cloning" a packet is a register copy. Ids are only meaningful relative
+//! to the arena that issued them.
 //!
-//! * every distinct packet is stored **once**; an id is a `u32` index, so
-//!   "cloning" a packet is a register copy;
-//! * interning an already-seen packet is one fingerprint probe — no
-//!   allocation;
-//! * the per-hop mutations ([`set_loc`](PacketArena::set_loc),
-//!   [`with`](PacketArena::with), [`take_loc`](PacketArena::take_loc)) run
-//!   through a reused scratch buffer (the *splice-intern* fast path): the
-//!   candidate packet is built in place and only cloned into the arena the
-//!   first time it is ever seen.
+//! **Append-only (the default) — hash-consed.** Every distinct packet is
+//! stored once: interning fingerprints the packet, probes a flat map, and
+//! answers an already-seen packet with its existing id — no allocation. An
+//! id, once issued, permanently resolves to the same packet value, so
+//! recorded ids (e.g. in a trace) stay valid for the lifetime of the arena,
+//! and the dedup is what keeps a recorded run's arena at the number of
+//! *distinct* packets.
 //!
-//! Ids are only meaningful relative to the arena that issued them. By
-//! default interning is append-only, so an id, once issued, permanently
-//! resolves to the same packet value — recorded ids (e.g. in a trace) stay
-//! valid for the lifetime of the arena. An arena with **recycling**
-//! enabled ([`enable_recycling`](PacketArena::enable_recycling)) trades
-//! that permanence for bounded memory: callers refcount ids
-//! ([`retain`](PacketArena::retain) / [`release`](PacketArena::release))
-//! and the arena reuses the slots of packets nobody references, so the
-//! arena's footprint tracks the packets *live* at any instant rather than
-//! every packet ever seen. Recycling is only sound when no id outlives its
-//! references — the simulator enables it exactly in stats-only runs, where
-//! no trace record retains an id.
+//! **Recycling ([`enable_recycling`](PacketArena::enable_recycling)) — a
+//! refcounted slab.** Callers refcount ids ([`retain`](PacketArena::retain)
+//! / [`release`](PacketArena::release)) and the arena reuses the slots of
+//! packets nobody references, so its footprint tracks the packets *live* at
+//! any instant rather than every packet ever seen. Interning claims a free
+//! slot and fills it, nothing more: no fingerprint, no probe, no index
+//! entry, so equal content interned twice occupies two slots. Dedup would
+//! buy nothing here — an id lives for a hop or two, every streamed datagram
+//! is a distinct `(flow, seq)`, and the hit counter read 0 on every
+//! recycling run measured (ARCHITECTURE.md, *Where a hop's time goes*) —
+//! while the fingerprint, probe, insert and remove-on-free were paid on
+//! every intern. Recycling is only sound when no id outlives its references
+//! — the simulator enables it exactly in stats-only runs, where no trace
+//! record retains an id.
 //!
 //! # Examples
 //!
 //! ```
-//! use netkat::{Field, Loc, Packet, PacketArena};
+//! use netkat::{Field, Packet, PacketArena};
 //! let mut arena = PacketArena::new();
 //! let a = arena.intern(Packet::new().with(Field::IpDst, 4));
-//! let b = arena.intern(Packet::new().with(Field::IpDst, 4));
+//! let b = arena.intern_ref(&Packet::new().with(Field::IpDst, 4));
 //! assert_eq!(a, b); // hash-consed: one slot
-//! let moved = arena.set_loc(a, Loc::new(7, 1));
-//! assert_eq!(arena.get(moved).loc(), Some(Loc::new(7, 1)));
-//! assert_eq!(arena.get(a).loc(), None); // the original id is untouched
+//! assert_eq!(arena.get(a).get(Field::IpDst), Some(4));
+//!
+//! let mut slab = PacketArena::new();
+//! slab.enable_recycling();
+//! let tmp = slab.intern(Packet::new().with(Field::IpDst, 4));
+//! slab.sweep(); // nobody retained `tmp`: its slot is free again
+//! let next = slab.intern(Packet::new().with(Field::IpDst, 5));
+//! assert_eq!(next.index(), tmp.index());
+//! assert_eq!(slab.len(), 1);
 //! ```
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasherDefault;
 
-use crate::field::{Field, Value};
 use crate::flowindex::{fp_mix, IdentityHasher, FP_SEED};
-use crate::packet::{Loc, Packet};
+use crate::packet::Packet;
 
 /// A handle to an interned [`Packet`] — a dense index into the
 /// [`PacketArena`] that issued it. Copying an id *is* cloning the packet.
@@ -86,7 +90,8 @@ fn fingerprint(pk: &Packet) -> u64 {
 
 /// Interning counters, harvested by the telemetry layer at the end of a
 /// run. Hits and misses partition the intern calls (hit rate is
-/// `hits / (hits + misses)`); `recycled` counts misses that reused a
+/// `hits / (hits + misses)`; a recycling arena does not look for hits, so
+/// every intern is a miss there); `recycled` counts misses that reused a
 /// freed slot instead of growing the arena.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
@@ -98,23 +103,22 @@ pub struct ArenaStats {
     pub recycled: u64,
 }
 
-/// A hash-consing packet arena (see the module docs).
+/// A packet arena: hash-consing while append-only, a refcounted slab once
+/// recycling is enabled (see the module docs).
 #[derive(Clone, Debug, Default)]
 pub struct PacketArena {
     /// Interning counters (always on: one add per intern).
     stats: ArenaStats,
     /// The interned packets; a [`PacketId`] indexes this.
     slots: Vec<Packet>,
-    /// `fingerprint → first slot carrying it`. A flat map (no per-entry
-    /// candidate list) keeps the steady-state probe one lookup and one
-    /// content compare; packets whose fingerprint collides with a
-    /// *different* packet's go to `collisions` instead.
+    /// `fingerprint → first slot carrying it`; append-only arenas only. A
+    /// flat map (no per-entry candidate list) keeps the steady-state probe
+    /// one lookup and one content compare; packets whose fingerprint
+    /// collides with a *different* packet's go to `collisions` instead.
     index: HashMap<u64, u32, BuildHasherDefault<IdentityHasher>>,
     /// Slots displaced by a genuine 64-bit fingerprint collision —
     /// statistically never populated; linear-scanned for correctness.
     collisions: Vec<u32>,
-    /// Reused buffer for building mutation candidates without allocating.
-    scratch: Packet,
     /// Refcounted slot reuse (see the module docs); `None` keeps the
     /// default append-only behavior.
     recycler: Option<Recycler>,
@@ -128,23 +132,11 @@ const FREE: u32 = u32::MAX;
 struct Recycler {
     /// Per-slot reference count; [`FREE`] marks a freed slot.
     rc: Vec<u32>,
-    /// Per-slot fingerprint, so freeing a slot can drop its index entry.
-    fp: Vec<u64>,
     /// Freed slots awaiting reuse.
     free: Vec<u32>,
     /// Slots interned since the last [`sweep`](PacketArena::sweep) —
     /// possibly intermediates nobody retained.
     newborns: Vec<u32>,
-}
-
-/// Outcome of a content probe.
-enum Probe {
-    /// Already interned here.
-    Hit(PacketId),
-    /// Absent; its fingerprint is unclaimed.
-    Vacant,
-    /// Absent; a different packet owns the fingerprint's index entry.
-    Collision,
 }
 
 impl PacketArena {
@@ -163,7 +155,6 @@ impl PacketArena {
             slots: Vec::with_capacity(capacity),
             index: HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
             collisions: Vec::new(),
-            scratch: Packet::new(),
             recycler: None,
         }
     }
@@ -237,26 +228,12 @@ impl PacketArena {
         self.recycler.as_mut().expect("checked above").newborns = newborns;
     }
 
-    /// Unindexes slot `i`, empties it — keeping its buffer, so the packet
-    /// that reuses the slot is copied in without allocating — and queues it
-    /// for reuse.
+    /// Empties slot `i` — keeping its buffer, so the packet that reuses the
+    /// slot is copied in without allocating — and queues it for reuse.
     fn free_slot(&mut self, i: u32) {
         let r = self.recycler.as_mut().expect("free_slot requires recycling");
-        let fp = r.fp[i as usize];
         r.rc[i as usize] = FREE;
         r.free.push(i);
-        if self.index.get(&fp) == Some(&i) {
-            self.index.remove(&fp);
-            // Promote a colliding slot with the same fingerprint (if any)
-            // into the index, preserving dedup for its content.
-            let r = self.recycler.as_ref().expect("checked above");
-            if let Some(pos) = self.collisions.iter().position(|&c| r.fp[c as usize] == fp) {
-                let j = self.collisions.swap_remove(pos);
-                self.index.insert(fp, j);
-            }
-        } else if let Some(pos) = self.collisions.iter().position(|&c| c == i) {
-            self.collisions.swap_remove(pos);
-        }
         self.slots[i as usize].clear();
     }
 
@@ -290,30 +267,9 @@ impl PacketArena {
         &self.slots[id.index()]
     }
 
-    /// Content probe for `pk` under fingerprint `fp`.
-    ///
-    /// Equal content always implies an equal fingerprint, so a packet
-    /// absent from both the index entry and the collision list is absent
-    /// from the arena.
-    fn probe(&self, fp: u64, pk: &Packet) -> Probe {
-        match self.index.get(&fp) {
-            None => Probe::Vacant,
-            Some(&i) if self.slots[i as usize] == *pk => Probe::Hit(PacketId(i)),
-            Some(_) => {
-                for &i in &self.collisions {
-                    if self.slots[i as usize] == *pk {
-                        return Probe::Hit(PacketId(i));
-                    }
-                }
-                Probe::Collision
-            }
-        }
-    }
-
-    /// Claims the slot for a packet (already known absent) with
-    /// fingerprint `fp` — a freed slot when recycling has one, else a new
-    /// empty one — and indexes it; the caller fills it.
-    fn claim(&mut self, fp: u64, probe: Probe) -> u32 {
+    /// Claims an empty slot for the caller to fill — a freed one when
+    /// recycling has one, else a new one.
+    fn claim(&mut self) -> u32 {
         let reused = self.recycler.as_mut().and_then(|r| r.free.pop());
         self.stats.misses += 1;
         self.stats.recycled += reused.is_some() as u64;
@@ -325,100 +281,67 @@ impl PacketArena {
         if let Some(r) = &mut self.recycler {
             if (i as usize) == r.rc.len() {
                 r.rc.push(0);
-                r.fp.push(fp);
             } else {
                 r.rc[i as usize] = 0;
-                r.fp[i as usize] = fp;
             }
             r.newborns.push(i);
-        }
-        match probe {
-            Probe::Vacant => {
-                self.index.insert(fp, i);
-            }
-            Probe::Collision => self.collisions.push(i),
-            Probe::Hit(_) => unreachable!("claim is only reached on a miss"),
         }
         i
     }
 
-    /// Interns an owned packet, returning the id of its unique slot.
-    pub fn intern(&mut self, pk: Packet) -> PacketId {
-        let fp = fingerprint(&pk);
-        match self.probe(fp, &pk) {
-            Probe::Hit(id) => {
-                self.stats.hits += 1;
-                id
-            }
-            miss => {
-                let i = self.claim(fp, miss);
-                self.slots[i as usize] = pk;
-                PacketId(i)
-            }
-        }
-    }
-
-    /// Interns by reference: the packet is only copied the first time it is
-    /// seen, and into a recycled slot's kept buffer when there is one.
-    pub fn intern_ref(&mut self, pk: &Packet) -> PacketId {
-        let fp = fingerprint(pk);
-        match self.probe(fp, pk) {
-            Probe::Hit(id) => {
-                self.stats.hits += 1;
-                id
-            }
-            miss => {
-                let i = self.claim(fp, miss);
-                self.slots[i as usize].clone_from(pk);
-                PacketId(i)
-            }
-        }
-    }
-
-    /// Interns the scratch buffer, copying it only on a miss.
-    fn intern_scratch(&mut self) -> PacketId {
-        let scratch = std::mem::take(&mut self.scratch);
-        let id = self.intern_ref(&scratch);
-        self.scratch = scratch;
-        id
-    }
-
-    /// Returns the id of `get(id)` moved to `loc` (the paper's
-    /// `pkt[sw:pt ← loc]`). The original id still resolves to the original
-    /// packet.
+    /// Where `pk` goes: `Ok` with the id an append-only arena already holds
+    /// it under, else `Err` with a claimed, empty slot for the caller to
+    /// fill. A recycling arena always claims.
     ///
-    /// This is the splice-intern fast path: the candidate is built in the
-    /// reused scratch buffer via [`Packet::set_loc`]'s front-splice, so the
-    /// steady-state cost (candidate already interned) is one copy into
-    /// scratch plus one fingerprint probe — no allocation.
-    pub fn set_loc(&mut self, id: PacketId, loc: Loc) -> PacketId {
-        self.scratch.clone_from(&self.slots[id.index()]);
-        self.scratch.set_loc(loc);
-        self.intern_scratch()
+    /// Equal content always implies an equal fingerprint, so a packet
+    /// absent from both the index entry and the collision list (every member
+    /// of which shares its fingerprint with some index entry) is absent from
+    /// the arena.
+    fn place(&mut self, pk: &Packet) -> Result<PacketId, u32> {
+        if self.recycler.is_some() {
+            return Err(self.claim());
+        }
+        let fp = fingerprint(pk);
+        let first = self.index.get(&fp).copied();
+        let held = |&i: &u32| self.slots[i as usize] == *pk;
+        if let Some(i) = first.into_iter().chain(self.collisions.iter().copied()).find(held) {
+            self.stats.hits += 1;
+            return Ok(PacketId(i));
+        }
+        let i = self.claim();
+        if first.is_some() {
+            self.collisions.push(i);
+        } else {
+            self.index.insert(fp, i);
+        }
+        Err(i)
     }
 
-    /// Returns the id of `get(id)` with `field` set to `value`; the
-    /// original id is untouched. Same scratch-buffer fast path as
-    /// [`set_loc`](PacketArena::set_loc).
-    pub fn with(&mut self, id: PacketId, field: Field, value: Value) -> PacketId {
-        self.scratch.clone_from(&self.slots[id.index()]);
-        self.scratch.set(field, value);
-        self.intern_scratch()
+    /// Interns an owned packet. An append-only arena returns the id of the
+    /// packet's unique slot; a recycling arena always fills a slot of its
+    /// own.
+    pub fn intern(&mut self, pk: Packet) -> PacketId {
+        self.place(&pk).unwrap_or_else(|i| {
+            self.slots[i as usize] = pk;
+            PacketId(i)
+        })
     }
 
-    /// Returns the id of `get(id)` with both location fields removed, plus
-    /// the removed `(switch, port)` values — the per-hop inverse of
-    /// [`set_loc`](PacketArena::set_loc). The original id is untouched.
-    pub fn take_loc(&mut self, id: PacketId) -> (PacketId, Option<Value>, Option<Value>) {
-        self.scratch.clone_from(&self.slots[id.index()]);
-        let (sw, pt) = self.scratch.take_loc();
-        (self.intern_scratch(), sw, pt)
+    /// Interns by reference: the packet is copied only when it takes a new
+    /// slot, and into a recycled slot's kept buffer when there is one.
+    pub fn intern_ref(&mut self, pk: &Packet) -> PacketId {
+        self.place(pk).unwrap_or_else(|i| {
+            self.slots[i as usize].clone_from(pk);
+            PacketId(i)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::Field;
+    use crate::packet::Loc;
 
     #[test]
     fn interning_dedups_and_ids_resolve() {
@@ -448,58 +371,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert_eq!(arena.len(), 1);
-    }
-
-    #[test]
-    fn set_loc_splice_intern() {
-        let mut arena = PacketArena::new();
-        let base = arena.intern(Packet::new().with(Field::IpDst, 9));
-        let at1 = arena.set_loc(base, Loc::new(1, 1));
-        assert_eq!(arena.get(at1).loc(), Some(Loc::new(1, 1)));
-        assert_eq!(arena.get(at1).get(Field::IpDst), Some(9));
-        // Original id untouched; re-splicing the same location is a hit.
-        assert_eq!(arena.get(base).loc(), None);
-        assert_eq!(arena.set_loc(base, Loc::new(1, 1)), at1);
-        assert_eq!(arena.len(), 2);
-        // Moving an already-located packet replaces, not accumulates.
-        let at2 = arena.set_loc(at1, Loc::new(2, 3));
-        assert_eq!(arena.get(at2).loc(), Some(Loc::new(2, 3)));
-        assert_eq!(arena.get(at2).len(), 3);
-        // And interning the equivalent owned packet lands on the same slot.
-        let owned = Packet::new().with(Field::IpDst, 9);
-        let mut located = owned.clone();
-        located.set_loc(Loc::new(2, 3));
-        assert_eq!(arena.intern(located), at2);
-    }
-
-    #[test]
-    fn with_writes_one_field() {
-        let mut arena = PacketArena::new();
-        let a = arena.intern(Packet::new().with(Field::Vlan, 1));
-        let b = arena.with(a, Field::Vlan, 2);
-        let c = arena.with(a, Field::IpSrc, 5);
-        assert_eq!(arena.get(b).get(Field::Vlan), Some(2));
-        assert_eq!(arena.get(c).get(Field::Vlan), Some(1));
-        assert_eq!(arena.get(c).get(Field::IpSrc), Some(5));
-        // Overwriting with the current value is the identity.
-        assert_eq!(arena.with(a, Field::Vlan, 1), a);
-    }
-
-    #[test]
-    fn ids_stable_across_take_loc() {
-        let mut arena = PacketArena::new();
-        let located = arena.intern(Packet::at(Loc::new(4, 7)).with(Field::IpDst, 2));
-        let (bare, sw, pt) = arena.take_loc(located);
-        assert_eq!((sw, pt), (Some(4), Some(7)));
-        assert_eq!(arena.get(bare).loc(), None);
-        assert_eq!(arena.get(bare).get(Field::IpDst), Some(2));
-        // The located id still resolves to the located packet, and the
-        // round trip lands back on it.
-        assert_eq!(arena.get(located).loc(), Some(Loc::new(4, 7)));
-        assert_eq!(arena.set_loc(bare, Loc::new(4, 7)), located);
-        // take_loc on an unlocated packet is the identity.
-        assert_eq!(arena.take_loc(bare), (bare, None, None));
-        assert_eq!(arena.len(), 2);
     }
 
     #[test]
@@ -534,35 +405,45 @@ mod tests {
         assert_eq!(arena.len(), 2);
         arena.retain(b);
         arena.sweep();
-        // Retained ids survive sweeps and still dedup.
-        assert_eq!(arena.intern(Packet::new().with(Field::IpDst, 1)), a);
-        assert_eq!(arena.intern(Packet::new().with(Field::IpDst, 3)), b);
+        // Retained ids survive sweeps and resolve to what they were given.
         assert_eq!(arena.get(a).get(Field::IpDst), Some(1));
-        // Releasing the last reference frees the slot immediately: the
-        // content is forgotten (a re-intern claims the slot afresh) and
-        // the storage is reused.
+        assert_eq!(arena.get(b).get(Field::IpDst), Some(3));
+        // A recycling arena is a slab, not a hash-cons table: content equal
+        // to a live slot's takes a slot of its own, and both resolve.
+        let twin = arena.intern_ref(&Packet::new().with(Field::IpDst, 1));
+        assert_ne!(twin, a);
+        assert_eq!(arena.get(twin), arena.get(a));
+        assert_eq!(arena.len(), 3);
+        assert_eq!(arena.stats(), ArenaStats { hits: 0, misses: 4, recycled: 1 });
+        arena.sweep();
+        // Releasing the last reference frees the slot immediately and the
+        // storage is reused (most recently freed first).
         arena.release(b);
         let c = arena.intern(Packet::new().with(Field::IpDst, 4));
         assert_eq!(c.index(), b.index());
-        assert_eq!(arena.len(), 2);
+        assert_eq!(arena.len(), 3);
+        assert_eq!(arena.get(a).get(Field::IpDst), Some(1));
     }
 
     #[test]
     fn recycling_bounds_a_mutation_chain() {
-        // The simulator's per-hop lifecycle — retain the output, release
-        // the input, sweep the intermediates — keeps the arena at the
+        // The simulator's per-hop lifecycle — intern the rewritten packet,
+        // retain it, release the input, sweep — keeps the arena at the
         // number of live packets, however long the chain runs.
         let mut arena = PacketArena::new();
         arena.enable_recycling();
         let mut id = arena.intern(Packet::new().with(Field::IpDst, 9));
         arena.retain(id);
         arena.sweep();
+        let mut moved = Packet::new();
         for hop in 0..10_000u64 {
-            let moved = arena.set_loc(id, Loc::new(hop % 64, hop % 4));
-            arena.retain(moved);
+            moved.clone_from(arena.get(id));
+            moved.set_loc(Loc::new(hop % 64, hop % 4));
+            let next = arena.intern_ref(&moved);
+            arena.retain(next);
             arena.release(id);
             arena.sweep();
-            id = moved;
+            id = next;
         }
         assert_eq!(arena.get(id).loc(), Some(Loc::new(9_999 % 64, 9_999 % 4)));
         assert_eq!(arena.get(id).get(Field::IpDst), Some(9));
@@ -593,5 +474,110 @@ mod tests {
         assert_eq!(arena.intern(Packet::new()), a);
         assert!(arena.get(a).is_empty());
         assert!(!arena.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::field::Field;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// One step of a recycling arena's life. Indices pick among the ids the
+    /// model holds live, modulo how many there are.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Intern(u64),
+        InternRef(u64),
+        Retain(usize),
+        Release(usize),
+        Sweep,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        // Few distinct contents, so equal packets are live together often.
+        prop_oneof![
+            (0u64..4).prop_map(Op::Intern),
+            (0u64..4).prop_map(Op::InternRef),
+            (0usize..64).prop_map(Op::Retain),
+            (0usize..64).prop_map(Op::Release),
+            Just(Op::Sweep),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A recycling arena against a `HashMap<id, (Packet, rc)>` model:
+        /// every live id resolves to its content whatever was interned,
+        /// freed and reused around it, and the arena never holds more slots
+        /// than the model's live high-water mark.
+        #[test]
+        fn recycling_arena_matches_a_refcount_model(
+            ops in proptest::collection::vec(arb_op(), 1..200),
+        ) {
+            let mut arena = PacketArena::new();
+            arena.enable_recycling();
+            // Live ids: retained ones, plus newborns not yet swept.
+            let mut model: HashMap<PacketId, (Packet, u32)> = HashMap::new();
+            let mut newborns: Vec<PacketId> = Vec::new();
+            let mut live_hw = 0usize;
+            let mut interns = 0u64;
+            for op in ops {
+                let mut ids: Vec<PacketId> = model.keys().copied().collect();
+                ids.sort();
+                match op {
+                    Op::Intern(v) | Op::InternRef(v) => {
+                        let pk = Packet::new().with(Field::IpDst, v);
+                        let id = match op {
+                            Op::Intern(_) => arena.intern(pk.clone()),
+                            _ => arena.intern_ref(&pk),
+                        };
+                        interns += 1;
+                        prop_assert!(!model.contains_key(&id), "a live slot was handed out again");
+                        model.insert(id, (pk, 0));
+                        newborns.push(id);
+                    }
+                    Op::Retain(k) if !ids.is_empty() => {
+                        let id = ids[k % ids.len()];
+                        arena.retain(id);
+                        model.get_mut(&id).expect("live").1 += 1;
+                    }
+                    Op::Release(k) if !ids.is_empty() => {
+                        let id = ids[k % ids.len()];
+                        let rc = &mut model.get_mut(&id).expect("live").1;
+                        if *rc > 0 {
+                            arena.release(id);
+                            *rc -= 1;
+                            if *rc == 0 {
+                                model.remove(&id);
+                                newborns.retain(|&n| n != id);
+                            }
+                        }
+                    }
+                    Op::Sweep => {
+                        arena.sweep();
+                        for id in newborns.drain(..) {
+                            if model[&id].1 == 0 {
+                                model.remove(&id);
+                            }
+                        }
+                    }
+                    Op::Retain(_) | Op::Release(_) => {}
+                }
+                live_hw = live_hw.max(model.len());
+                for (&id, (pk, _)) in &model {
+                    prop_assert_eq!(arena.get(id), pk, "{} lost its content", id);
+                }
+                prop_assert!(
+                    arena.len() <= live_hw,
+                    "{} slots for a live high-water mark of {}", arena.len(), live_hw
+                );
+                let stats = arena.stats();
+                prop_assert_eq!((stats.hits, stats.misses), (0, interns));
+                prop_assert_eq!(stats.misses - stats.recycled, arena.len() as u64);
+            }
+        }
     }
 }

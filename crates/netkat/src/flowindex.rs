@@ -16,7 +16,9 @@
 //! * short or all-wildcard runs stay linear scans.
 //!
 //! First-match semantics are preserved *exactly* — within a hash segment
-//! the lowest-priority-index rule wins ties, fingerprint collisions fall
+//! the lowest-priority-index rule wins ties, a fingerprint hit is verified
+//! against the rule unless the signature is a single field (whose
+//! fingerprint is injective, so the hit *is* the match), collisions fall
 //! back to scanning the run, and a packet missing one of a segment's
 //! signature fields skips the whole segment (an exact-match test on an
 //! absent field always fails). [`FlowTable::apply`]/[`FlowTable::lookup`]
@@ -80,8 +82,9 @@ struct HashSegment {
     /// One past the last rule index of the run.
     end: u32,
     /// Fingerprint of a rule's value tuple → the first (highest-priority)
-    /// rule index carrying that tuple. Collisions are resolved at lookup
-    /// time by verifying the candidate and falling back to a run scan.
+    /// rule index carrying that tuple. Collisions (impossible with one
+    /// field) are resolved at lookup time by verifying the candidate and
+    /// falling back to a run scan.
     map: FingerprintMap,
 }
 
@@ -145,6 +148,13 @@ const PREFETCH_CAP: usize = 16;
 pub(crate) const FP_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One round of a SplitMix64-style mixer, chaining `value` into `h`.
+///
+/// For a fixed `h` this is a bijection on `u64`: every step — multiply by
+/// an odd constant, xor with `h`, add a constant, `z ^ (z >> k)` — is
+/// invertible. So a fingerprint of **one** value, `fp_mix(FP_SEED, v)`,
+/// identifies `v` exactly, and a single-field hash segment's map hit needs
+/// no second comparison; chaining a second value folds 128 bits into 64 and
+/// loses that.
 pub(crate) fn fp_mix(h: u64, value: Value) -> u64 {
     let mut z = h ^ value.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = z.wrapping_add(FP_SEED);
@@ -312,7 +322,11 @@ impl CompiledTable {
                 Segment::Hash(seg) => {
                     let Some(fp) = fingerprint(seg) else { continue };
                     let Some(&candidate) = seg.map.get(&fp) else { continue };
-                    if self.rules[candidate as usize].pattern.matches_on(pk) {
+                    // A one-field fingerprint is injective (see `fp_mix`):
+                    // the hit is the match. Wider ones can collide.
+                    if seg.fields.len() == 1
+                        || self.rules[candidate as usize].pattern.matches_on(pk)
+                    {
                         self.fp_hits.set(self.fp_hits.get() + 1);
                         return Some(candidate as usize);
                     }
@@ -571,6 +585,36 @@ mod proptests {
     /// rules often enough to exercise hits, shadows, and misses alike.
     const FIELDS: [Field; 5] = [Field::Port, Field::Vlan, Field::IpSrc, Field::IpDst, Field::Tag];
 
+    /// The inverse of `x * m` on `u64` for odd `m` (Newton's iteration:
+    /// each round doubles the correct low bits).
+    fn inverse_of_odd(m: u64) -> u64 {
+        let mut x = m;
+        for _ in 0..6 {
+            x = x.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(x)));
+        }
+        x
+    }
+
+    /// The inverse of `z ^ (z >> k)`: the top `k` bits are already right,
+    /// and each round fixes `k` more below them.
+    fn unxorshift(y: u64, k: u32) -> u64 {
+        let mut z = y;
+        for _ in 0..64 / k {
+            z = y ^ (z >> k);
+        }
+        z
+    }
+
+    /// `fp_mix(h, ·)` undone step by step, last step first: the value that
+    /// chains onto `h` to give `fp`.
+    fn unmix(h: u64, fp: u64) -> Value {
+        let mut z = unxorshift(fp, 31);
+        z = unxorshift(z.wrapping_mul(inverse_of_odd(0x94D0_49BB_1331_11EB)), 27);
+        z = unxorshift(z.wrapping_mul(inverse_of_odd(0xBF58_476D_1CE4_E5B9)), 30);
+        z = z.wrapping_sub(FP_SEED);
+        (z ^ h).wrapping_mul(inverse_of_odd(0xBF58_476D_1CE4_E5B9))
+    }
+
     fn arb_signature() -> impl Strategy<Value = Vec<Field>> {
         proptest::collection::vec(0usize..FIELDS.len(), 0..4).prop_map(|ix| {
             let mut fields: Vec<Field> = ix.into_iter().map(|i| FIELDS[i]).collect();
@@ -630,11 +674,54 @@ mod proptests {
             .prop_map(|blocks| blocks.into_iter().flatten().collect())
     }
 
+    /// Long single-field runs, where a fingerprint hit is taken as the
+    /// match unverified: each block installs full-width values that differ
+    /// from their neighbours in a bit or two, and [`near_installed`] probes
+    /// one bit away from them.
+    fn arb_rules_single_field() -> impl Strategy<Value = Vec<Rule>> {
+        let block = (
+            0usize..FIELDS.len(),
+            any::<u64>(),
+            proptest::collection::vec((0u32..64, 0u32..64, arb_actions()), 4..65),
+        )
+            .prop_map(|(f, base, rows)| {
+                rows.into_iter()
+                    .map(|(i, j, actions)| {
+                        rule_from(&[FIELDS[f]], &[base ^ (1 << i) ^ (1 << j)], actions)
+                    })
+                    .collect::<Vec<Rule>>()
+            });
+        proptest::collection::vec(block, 1..5)
+            .prop_map(|blocks| blocks.into_iter().flatten().collect())
+    }
+
     fn arb_table() -> impl Strategy<Value = FlowTable> {
         prop_oneof![
             arb_rules_random().prop_map(FlowTable::from_rules),
             arb_rules_blocky().prop_map(FlowTable::from_rules),
+            arb_rules_single_field().prop_map(FlowTable::from_rules),
         ]
+    }
+
+    /// For every single-field rule picked, packets carrying its value and
+    /// that value with one bit flipped.
+    fn near_installed(table: &FlowTable, picks: &[(usize, Option<(usize, Value)>)]) -> Vec<Packet> {
+        let singles: Vec<(Field, Value)> = table
+            .iter()
+            .filter(|r| r.pattern.iter().count() == 1)
+            .flat_map(|r| r.pattern.iter())
+            .collect();
+        if singles.is_empty() {
+            return Vec::new();
+        }
+        picks
+            .iter()
+            .flat_map(|&(pick, _)| {
+                let (f, v) = singles[pick % singles.len()];
+                let bit = 1u64 << (pick / singles.len() % 64);
+                [Packet::new().with(f, v), Packet::new().with(f, v ^ bit)]
+            })
+            .collect()
     }
 
     fn arb_packet() -> impl Strategy<Value = Packet> {
@@ -686,7 +773,8 @@ mod proptests {
         ) {
             let compiled = table.compile();
             prop_assert_eq!(compiled.len(), table.len());
-            for pk in pks.iter().chain(derived_packets(&table, &picks).iter()) {
+            let probes = [derived_packets(&table, &picks), near_installed(&table, &picks)].concat();
+            for pk in pks.iter().chain(probes.iter()) {
                 prop_assert_eq!(compiled.apply(pk), table.apply(pk), "apply diverged on {}", pk);
             }
         }
@@ -700,7 +788,8 @@ mod proptests {
             picks in arb_derivations(),
         ) {
             let compiled = table.compile();
-            for pk in pks.iter().chain(derived_packets(&table, &picks).iter()) {
+            let probes = [derived_packets(&table, &picks), near_installed(&table, &picks)].concat();
+            for pk in pks.iter().chain(probes.iter()) {
                 let want = table.lookup_index(pk);
                 prop_assert_eq!(compiled.lookup_index(pk), want, "index diverged on {}", pk);
                 prop_assert_eq!(
@@ -709,6 +798,42 @@ mod proptests {
                     "rule diverged on {}", pk
                 );
             }
+        }
+
+        // The constructive form of "a one-field fingerprint is injective":
+        // undoing `fp_mix`'s steps in reverse recovers the value, so no two
+        // values share a fingerprint and a single-field map hit needs no
+        // second comparison.
+        #[test]
+        fn one_value_fingerprint_inverts(v in any::<u64>(), small in 0u64..4096) {
+            prop_assert_eq!(unmix(FP_SEED, fp_mix(FP_SEED, v)), v);
+            prop_assert_eq!(unmix(FP_SEED, fp_mix(FP_SEED, small)), small);
+        }
+
+        // ...and why the shortcut stops at one field: with two, the same
+        // inverse *constructs* a collision — a packet that differs from an
+        // installed rule in both values and fingerprints like it. The index
+        // must notice (the verification the one-field path skips), count a
+        // fallback, and let the run's scan decide as the reference does.
+        #[test]
+        fn two_field_collisions_fall_back_to_the_scan(
+            rows in proptest::collection::vec((0u64..6, 0u64..6, arb_actions()), 4..40),
+            pick in 0usize..4096,
+            other in 6u64..12,
+        ) {
+            let sig = [Field::Vlan, Field::IpDst];
+            let table = FlowTable::from_rules(
+                rows.into_iter().map(|(a, b, actions)| rule_from(&sig, &[a, b], actions)),
+            );
+            let victim = table.iter().nth(pick % table.len()).expect("in range");
+            let victim: Vec<Value> = victim.pattern.iter().map(|(_, v)| v).collect();
+            let fp = fp_mix(fp_mix(FP_SEED, victim[0]), victim[1]);
+            let twin = unmix(fp_mix(FP_SEED, other), fp);
+            let pk = Packet::new().with(sig[0], other).with(sig[1], twin);
+            let compiled = table.compile();
+            prop_assert_eq!(table.lookup_index(&pk), None, "no rule carries {}", other);
+            prop_assert_eq!(compiled.lookup_index(&pk), None);
+            prop_assert_eq!(compiled.lookup_stats(), (0, 1));
         }
 
         // Structural sanity: segments partition the rule list, and every

@@ -552,14 +552,8 @@ impl<D: DataPlane> Core<D> {
         if self.source.is_some() {
             return self.run_streaming(deadline);
         }
-        while let Some(key) = self.queue.pop() {
-            let (time, seq, slot) = key;
-            if time > deadline {
-                // Past the horizon: keep the event pending (same key, so
-                // the order is unchanged) for a later `run` call.
-                self.queue.push(key);
-                break;
-            }
+        // An event past the horizon stays pending for a later `run` call.
+        while let Some((time, seq, slot)) = self.queue.pop_due(deadline) {
             let kind = self.slots[slot as usize].take().expect("queued slots are filled");
             self.free_slots.push(slot);
             self.now = time;
@@ -587,12 +581,7 @@ impl<D: DataPlane> Core<D> {
                 }
             }
             self.pump_source(limit.min(deadline.as_micros()));
-            let Some(key) = self.queue.pop() else { break };
-            let (time, seq, slot) = key;
-            if time > deadline {
-                self.queue.push(key);
-                break;
-            }
+            let Some((time, seq, slot)) = self.queue.pop_due(deadline) else { break };
             let kind = self.slots[slot as usize].take().expect("queued slots are filled");
             self.free_slots.push(slot);
             self.now = time;
@@ -1173,10 +1162,9 @@ impl<D: DataPlane> Engine<D> {
         core.push_keyed(time, seq, EventKind::Inject { host, packet, size, sender });
     }
 
-    /// Pre-sizes the event slab for `extra` upcoming events (the calendar
-    /// queue's buckets stay demand-grown) — call before streaming a bulk
-    /// injection whose iterator cannot report its length (e.g. a
-    /// `flat_map` over flows).
+    /// Pre-sizes the event slab for `extra` upcoming events — call before
+    /// streaming a bulk injection whose iterator cannot report its length
+    /// (e.g. a `flat_map` over flows).
     pub fn reserve_events(&mut self, extra: usize) {
         let core = &mut self.core;
         core.slots.reserve(extra.saturating_sub(core.free_slots.len()));

@@ -1,16 +1,45 @@
-//! The engine's future-event set: a calendar (bucket) queue.
+//! The engine's future-event set: a ring calendar queue.
 //!
-//! A discrete-event simulator's single hottest structure is its pending
-//! event queue. The engine's original `BinaryHeap` pays `O(log n)` sift
-//! work — and cache-hostile pointer chasing — on every push and pop. But
-//! simulation events are not adversarial: they are dense in time (link
-//! latencies and switch delays put most events within a few hundred
+//! A discrete-event simulator's hottest structure is its pending-event
+//! queue, and simulation events are not adversarial: they are dense in time
+//! (link latencies and switch delays put most events within a few hundred
 //! microseconds of *now*) and popped in nondecreasing order. A [calendar
-//! queue](https://dl.acm.org/doi/10.1145/63039.63045) exploits that: time
-//! is divided into fixed-width buckets covering a sliding window; a push
-//! is a sorted insert into a (tiny) bucket, a pop takes the head of the
-//! first occupied bucket. Events past the window land in an overflow heap
-//! and migrate into the window when the wavefront reaches them.
+//! queue](https://dl.acm.org/doi/10.1145/63039.63045) exploits that by
+//! dividing time into fixed-width buckets. This one keeps three places a
+//! key can be, chosen at push time from the key's bucket `b = time >> shift`
+//! and two marks: the *wavefront*, the bucket of the last key popped, and
+//! *drained*, the bucket `front` was last filled from (at or ahead of the
+//! wavefront, with no ring key between them):
+//!
+//! * **`front`** (`b ≤ drained`): a small buffer sorted descending, so the
+//!   minimum is its back. It is filled by draining one ring bucket at a
+//!   time and sorting it once; a key that arrives at or behind the drained
+//!   bucket (the source pump's, a same-bucket follow-up, a past-time
+//!   injection) is inserted in order — almost always at the back.
+//! * **the ring** (`drained < b < wavefront + N_BUCKETS`): bucket
+//!   `b & mask` is an intrusive list threaded through a per-slot side array
+//!   — a push writes one node and one head, nothing is sorted or moved
+//!   until the drain gets there. The window is always the `N_BUCKETS`
+//!   buckets after the wavefront: it slides with every pop, so a run whose
+//!   events all land within a link latency of *now* never leaves the ring.
+//! * **the overflow heap** (a full window or more ahead): compared with
+//!   `front`'s back at every pop and popped directly when it holds the
+//!   minimum. Far-future keys are never migrated into the ring — the heap
+//!   pop they would pay on migration is the one they pay here — and when
+//!   the heap's pop runs ahead of the wavefront, the wavefront follows it.
+//!
+//! Every ring key is later than every `front` key (its bucket is), so the
+//! minimum is the smaller of `front`'s back and the heap's top.
+//!
+//! A peek has to drain the next occupied bucket to learn the minimum, and
+//! that bucket can be far ahead of *now* (a lone timer, a trigger scheduled
+//! before the run) when a batch of earlier keys is about to arrive (the
+//! pump admits everything up to the peeked time). The second such key —
+//! between the wavefront and the drained bucket, and not the new minimum —
+//! hands the drained keys back to the ring ([`undrain`]), so the batch and
+//! everything it schedules use the ring instead of piling into `front`.
+//!
+//! [`undrain`]: CalendarQueue::undrain
 //!
 //! Ordering is **identical** to a binary heap's, including timestamp ties:
 //! pops go strictly by the full `(time, sequence, slot)` key, and sequence
@@ -30,50 +59,73 @@ use crate::time::SimTime;
 /// 24-byte keys instead of full event payloads.
 pub(crate) type QueuedKey = (SimTime, u64, u32);
 
-/// Number of buckets in the calendar window. With [`BUCKET_WIDTH_US`] this
-/// covers a 16 ms sliding window — hundreds of link latencies deep.
+/// Number of ring buckets (a power of two: the bucket of a time is a shift
+/// and a mask). With [`BUCKET_WIDTH_US`] the ring covers a 16 ms sliding
+/// window — hundreds of link latencies deep.
 const N_BUCKETS: usize = 4096;
 
-/// Width of one bucket in microseconds (a power of two, so the bucket of a
-/// time is a shift). Narrow buckets keep the sorted-insert cost tiny even
-/// under dense event bursts; the window re-anchors (amortized O(1) per
-/// event) when a run's schedule outspans it.
+/// Width of one bucket in microseconds (a power of two). Narrow buckets
+/// keep the one sort a bucket pays at drain time tiny under dense bursts;
+/// 1 µs × 16,384 measured the same as this (ahead in 5 of 14 pairs).
 const BUCKET_WIDTH_US: u64 = 4;
 
 const BUCKET_SHIFT: u32 = BUCKET_WIDTH_US.trailing_zeros();
 
+const BUCKET_MASK: u64 = N_BUCKETS as u64 - 1;
+
+/// End of a bucket's list.
+const NIL: u32 = u32::MAX;
+
+/// The absolute (unwrapped) bucket number of a fire time.
+fn bucket_of(time: SimTime) -> u64 {
+    time.as_micros() >> BUCKET_SHIFT
+}
+
+/// A ring-resident key, stored at its slab slot's index: the key's other
+/// two words and the next slot in the same bucket.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    time: SimTime,
+    seq: u64,
+    next: u32,
+}
+
 /// The calendar queue proper (see the module docs).
 #[derive(Clone, Debug)]
 pub(crate) struct CalendarQueue {
-    /// Per-bucket pending keys. Buckets are append-only on push and sorted
-    /// **descending** lazily, at first pop (`dirty` tracks which buckets
-    /// need it), so the minimum pops off the back without paying a sorted
-    /// insert per event.
-    buckets: Vec<Vec<QueuedKey>>,
-    /// One bit per bucket: contains unsorted appends?
-    dirty: Vec<u64>,
-    /// One bit per bucket: occupied? Lets the pop wavefront skip runs of
+    /// Per slab slot: where a ring-resident key lives. Slots are unique
+    /// among pending keys, so the payload slab's numbering is reused.
+    nodes: Vec<Node>,
+    /// Per ring bucket: the first slot of its list, or [`NIL`].
+    head: Vec<u32>,
+    /// One bit per ring bucket: occupied? Lets the wavefront skip runs of
     /// empty buckets 64 at a time.
     occupancy: Vec<u64>,
-    /// Microsecond time of the start of bucket 0 of the current window.
-    win_start: u64,
-    /// First bucket that may still be occupied (the pop wavefront).
-    cursor: usize,
-    /// Keys currently in the window's buckets.
-    in_window: usize,
-    /// Keys at or past the window's end, awaiting migration.
+    /// The bucket of the last key popped. Ring keys sit in the
+    /// `N_BUCKETS - 1` buckets after it, so no two of them share an index.
+    wavefront: u64,
+    /// The last bucket drained into `front`, at or ahead of the wavefront:
+    /// no ring key sits in a bucket from the wavefront up to this one, and
+    /// the two are equal whenever `front` is empty.
+    drained: u64,
+    /// Keys at or behind the drained bucket, sorted descending.
+    front: Vec<QueuedKey>,
+    /// Keys currently in the ring.
+    in_ring: usize,
+    /// Keys pushed a full window or more ahead of the wavefront.
     overflow: BinaryHeap<Reverse<QueuedKey>>,
 }
 
 impl CalendarQueue {
     pub(crate) fn new() -> CalendarQueue {
         CalendarQueue {
-            buckets: vec![Vec::new(); N_BUCKETS],
-            dirty: vec![0; N_BUCKETS / 64],
+            nodes: Vec::new(),
+            head: vec![NIL; N_BUCKETS],
             occupancy: vec![0; N_BUCKETS / 64],
-            win_start: 0,
-            cursor: 0,
-            in_window: 0,
+            wavefront: 0,
+            drained: 0,
+            front: Vec::new(),
+            in_ring: 0,
             overflow: BinaryHeap::new(),
         }
     }
@@ -81,131 +133,126 @@ impl CalendarQueue {
     /// Pending events. The engine samples this at each dispatch for the
     /// queue-depth high-water metric.
     pub(crate) fn len(&self) -> usize {
-        self.in_window + self.overflow.len()
-    }
-
-    fn win_end(&self) -> u64 {
-        self.win_start + ((N_BUCKETS as u64) << BUCKET_SHIFT)
-    }
-
-    fn mark(&mut self, bucket: usize) {
-        self.occupancy[bucket / 64] |= 1 << (bucket % 64);
-    }
-
-    fn clear(&mut self, bucket: usize) {
-        self.occupancy[bucket / 64] &= !(1 << (bucket % 64));
-    }
-
-    /// Appends to a window bucket; ordering is restored lazily at pop.
-    fn bucket_insert(&mut self, bucket: usize, key: QueuedKey) {
-        let b = &mut self.buckets[bucket];
-        // Appending below the current back would break pop order; mark for
-        // a lazy re-sort (typical pushes land in untouched buckets, where
-        // a single sort at first pop covers the whole bucket).
-        if b.last().is_some_and(|&back| back < key) {
-            self.dirty[bucket / 64] |= 1 << (bucket % 64);
-        }
-        b.push(key);
-        self.in_window += 1;
-        self.mark(bucket);
+        self.front.len() + self.in_ring + self.overflow.len()
     }
 
     pub(crate) fn push(&mut self, key: QueuedKey) {
-        let t = key.0.as_micros();
-        if t >= self.win_end() {
-            self.overflow.push(Reverse(key));
+        let bucket = bucket_of(key.0);
+        if bucket > self.drained {
+            if bucket - self.wavefront >= N_BUCKETS as u64 {
+                self.overflow.push(Reverse(key));
+            } else {
+                self.ring_insert(key);
+            }
             return;
         }
-        // The engine's event loop never schedules into the past, so keys
-        // land at or ahead of the pop wavefront there (see `rebuild`). A
-        // caller interleaving `Engine::run` with past-time injections can
-        // land behind it, though: clamp pre-window keys into bucket 0 (the
-        // full-key sort inside a bucket preserves exact pop order) and
-        // rewind the wavefront so the next pop sees the key.
-        let bucket =
-            if t < self.win_start { 0 } else { ((t - self.win_start) >> BUCKET_SHIFT) as usize };
-        self.cursor = self.cursor.min(bucket);
-        self.bucket_insert(bucket, key);
-    }
-
-    /// Re-anchors the window at the overflow's minimum and migrates every
-    /// overflow key that now fits. Only called with empty buckets, which is
-    /// what makes the re-anchor safe: every pending key is in the overflow,
-    /// all pending keys fire at or after `now`, so the new `win_start`
-    /// (at/below the pending minimum) can never be above a future push
-    /// time.
-    fn rebuild(&mut self) {
-        debug_assert!(self.in_window == 0 && !self.overflow.is_empty());
-        let min = self.overflow.peek().expect("rebuild needs overflow").0;
-        self.win_start = (min.0.as_micros() >> BUCKET_SHIFT) << BUCKET_SHIFT;
-        self.cursor = 0;
-        let end = self.win_end();
-        while let Some(&Reverse(key)) = self.overflow.peek() {
-            if key.0.as_micros() >= end {
-                break;
-            }
-            self.overflow.pop();
-            let bucket = ((key.0.as_micros() - self.win_start) >> BUCKET_SHIFT) as usize;
-            self.bucket_insert(bucket, key);
+        // At or behind the drained bucket: at or near the minimum, so the
+        // scan from the back is short.
+        let at = self.front.iter().rposition(|&k| k > key).map_or(0, |i| i + 1);
+        if at < self.front.len() && bucket > self.wavefront && bucket < self.drained {
+            self.undrain();
+            self.ring_insert(key);
+        } else {
+            self.front.insert(at, key);
         }
     }
 
-    /// The first occupied bucket at or after `from`, via the occupancy
-    /// bitmap.
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        let (mut word, bit) = (from / 64, from % 64);
-        let mut bits = self.occupancy[word] & (!0u64 << bit);
-        loop {
-            if bits != 0 {
-                return Some(word * 64 + bits.trailing_zeros() as usize);
-            }
-            word += 1;
-            if word >= self.occupancy.len() {
-                return None;
-            }
+    /// Links a key whose bucket is inside the window into its ring bucket.
+    fn ring_insert(&mut self, (time, seq, slot): QueuedKey) {
+        let i = (bucket_of(time) & BUCKET_MASK) as usize;
+        if slot as usize >= self.nodes.len() {
+            self.nodes.resize(slot as usize + 1, Node { time, seq, next: NIL });
+        }
+        self.nodes[slot as usize] = Node { time, seq, next: self.head[i] };
+        self.head[i] = slot;
+        self.occupancy[i / 64] |= 1 << (i % 64);
+        self.in_ring += 1;
+    }
+
+    /// Hands every `front` key ahead of the wavefront back to the ring (see
+    /// the module docs): `front` is sorted descending, so they are a prefix,
+    /// and their buckets are inside the window because `drained` was.
+    fn undrain(&mut self) {
+        let wavefront = self.wavefront;
+        let ahead = self.front.partition_point(|k| bucket_of(k.0) > wavefront);
+        for i in 0..ahead {
+            self.ring_insert(self.front[i]);
+        }
+        self.front.drain(..ahead);
+        self.drained = wavefront;
+    }
+
+    /// The first occupied ring bucket after the drained one, as an absolute
+    /// bucket number. Needs `in_ring > 0`.
+    fn next_occupied(&self) -> u64 {
+        let from = ((self.drained + 1) & BUCKET_MASK) as usize;
+        let mut word = from / 64;
+        // Ring keys sit after `drained` and less than a window after the
+        // wavefront behind it: coming back around to the first word
+        // unmasked finds only the far end of that range.
+        let mut bits = self.occupancy[word] & (!0u64 << (from % 64));
+        while bits == 0 {
+            word = (word + 1) % self.occupancy.len();
             bits = self.occupancy[word];
         }
+        let index = word * 64 + bits.trailing_zeros() as usize;
+        self.drained + 1 + (index.wrapping_sub(from) as u64 & BUCKET_MASK)
     }
 
-    /// Advances the wavefront to the first occupied bucket and restores its
-    /// descending order if appends disturbed it, so the window's minimum
-    /// sits at its back. Needs `in_window > 0`.
-    fn front_bucket(&mut self) -> usize {
-        let bucket = self.next_occupied(self.cursor).expect("in_window keys are marked");
-        self.cursor = bucket;
-        if self.dirty[bucket / 64] & (1 << (bucket % 64)) != 0 {
-            self.buckets[bucket].sort_unstable_by(|a, b| b.cmp(a));
-            self.dirty[bucket / 64] &= !(1 << (bucket % 64));
+    /// With `front` empty and the ring occupied, drains the next occupied
+    /// bucket into `front`, sorted.
+    fn settle(&mut self) {
+        if !self.front.is_empty() || self.in_ring == 0 {
+            return;
         }
-        bucket
+        self.drained = self.next_occupied();
+        let i = (self.drained & BUCKET_MASK) as usize;
+        let mut slot = std::mem::replace(&mut self.head[i], NIL);
+        self.occupancy[i / 64] &= !(1 << (i % 64));
+        while slot != NIL {
+            let node = self.nodes[slot as usize];
+            self.front.push((node.time, node.seq, slot));
+            slot = node.next;
+        }
+        self.in_ring -= self.front.len();
+        self.front.sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    /// The key [`pop`](CalendarQueue::pop) would return, left in place.
-    /// Window keys all fire before the window's end and overflow keys at
-    /// or after it, so an empty window's minimum is the overflow's.
+    /// The key [`pop_due`](CalendarQueue::pop_due) would consider, left in
+    /// place.
     pub(crate) fn peek(&mut self) -> Option<QueuedKey> {
-        if self.in_window == 0 {
-            return self.overflow.peek().map(|&Reverse(key)| key);
+        self.settle();
+        let far = self.overflow.peek().map(|&Reverse(key)| key);
+        match (self.front.last().copied(), far) {
+            (Some(near), Some(far)) => Some(near.min(far)),
+            (near, far) => near.or(far),
         }
-        let bucket = self.front_bucket();
-        self.buckets[bucket].last().copied()
     }
 
-    pub(crate) fn pop(&mut self) -> Option<QueuedKey> {
-        if self.in_window == 0 {
-            if self.overflow.is_empty() {
-                return None;
-            }
-            self.rebuild();
+    /// Removes and returns the minimum key if it fires at or before
+    /// `deadline`; a later minimum stays pending.
+    pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<QueuedKey> {
+        let key = self.peek()?;
+        if key.0 > deadline {
+            return None;
         }
-        let bucket = self.front_bucket();
-        let b = &mut self.buckets[bucket];
-        let key = b.pop().expect("occupied buckets are non-empty");
-        if b.is_empty() {
-            self.clear(bucket);
+        if self.front.last() == Some(&key) {
+            self.front.pop();
+        } else {
+            self.overflow.pop();
         }
-        self.in_window -= 1;
+        // The minimum is at or before every ring key, so the window can
+        // slide up to it. When that was the heap's key running ahead of the
+        // ring, what the popped event schedules lands in the ring, not back
+        // in the heap.
+        self.wavefront = self.wavefront.max(bucket_of(key.0));
+        self.drained = self.drained.max(self.wavefront);
         Some(key)
+    }
+
+    #[cfg(test)]
+    fn pop(&mut self) -> Option<QueuedKey> {
+        self.pop_due(SimTime::from_micros(u64::MAX))
     }
 }
 
@@ -331,6 +378,152 @@ mod tests {
         assert_eq!(heap.pop(), cal.pop());
         assert_eq!(cal.pop(), None);
         assert_eq!(heap.pop(), None);
+    }
+
+    /// One ring's span in microseconds.
+    const WINDOW_US: u64 = (N_BUCKETS as u64) << BUCKET_SHIFT;
+
+    #[test]
+    fn live_span_crosses_the_wrap_point_repeatedly() {
+        // A standing population a third of a window deep, each pop
+        // scheduling a follow-up 0.3–0.45 windows ahead: the live span
+        // straddles bucket index 0 again and again over ~10 windows of
+        // simulated time, and nothing ever needs the overflow heap.
+        let mut heap = HeapModel::default();
+        let mut cal = CalendarQueue::new();
+        let mut seq = 0u64;
+        let mut push_both = |heap: &mut HeapModel, cal: &mut CalendarQueue, t: u64| {
+            let k = key(t, seq);
+            seq += 1;
+            heap.push(k);
+            cal.push(k);
+        };
+        for i in 0..64 {
+            push_both(&mut heap, &mut cal, i * WINDOW_US / 192);
+        }
+        let mut wraps = 0;
+        let mut last_index = 0;
+        for round in 0..2_000u64 {
+            let a = heap.pop().expect("population is standing");
+            assert_eq!(cal.pop(), Some(a));
+            let index = bucket_of(a.0) & BUCKET_MASK;
+            wraps += (index < last_index) as u32;
+            last_index = index;
+            let ahead = WINDOW_US * 3 / 10 + (round * 7919) % (WINDOW_US * 3 / 20);
+            push_both(&mut heap, &mut cal, a.0.as_micros() + ahead);
+            assert_eq!(cal.overflow.len(), 0, "a sliding window never overflows here");
+            assert_eq!(cal.len(), heap.len());
+        }
+        assert!(wraps >= 8, "the span wrapped {wraps} times");
+        while let Some(a) = heap.pop() {
+            assert_eq!(cal.pop(), Some(a));
+        }
+        assert_eq!(cal.pop(), None);
+    }
+
+    #[test]
+    fn overflow_minimum_pops_ahead_of_occupied_ring_buckets() {
+        let mut heap = HeapModel::default();
+        let mut cal = CalendarQueue::new();
+        let push_both = |heap: &mut HeapModel, cal: &mut CalendarQueue, k: QueuedKey| {
+            heap.push(k);
+            cal.push(k);
+        };
+        // Pushed from a wavefront at 0, a window and a bit ahead: overflow.
+        push_both(&mut heap, &mut cal, key(WINDOW_US + 100, 0));
+        push_both(&mut heap, &mut cal, key(200, 1));
+        assert_eq!((cal.overflow.len(), cal.len()), (1, 2));
+        // The wavefront moves to 200; now the same neighbourhood is in
+        // reach of the ring, on both sides of the heap's key.
+        assert_eq!(cal.pop(), heap.pop());
+        push_both(&mut heap, &mut cal, key(WINDOW_US + 150, 2));
+        push_both(&mut heap, &mut cal, key(WINDOW_US + 50, 3));
+        push_both(&mut heap, &mut cal, key(WINDOW_US + 100, 4)); // ties the heap's time
+        assert_eq!(cal.overflow.len(), 1, "the later pushes went to the ring");
+        // Ring, then the heap's key — popped from the heap directly, with
+        // two ring buckets still occupied — then ring, ring.
+        for overflow_after in [1, 0, 0, 0] {
+            assert_eq!(cal.peek(), heap.peek());
+            assert_eq!(cal.pop(), heap.pop());
+            assert_eq!(cal.overflow.len(), overflow_after);
+        }
+        assert_eq!((cal.pop(), heap.pop()), (None, None));
+    }
+
+    #[test]
+    fn wavefront_follows_an_overflow_pop_across_gaps() {
+        // Sparse traffic: bursts several windows apart. Every burst's first
+        // key is an overflow push (the wavefront is still at the previous
+        // burst); once it pops, the wavefront is there, so what that event
+        // schedules a link latency ahead lands in the ring.
+        let mut heap = HeapModel::default();
+        let mut cal = CalendarQueue::new();
+        let mut seq = 0u64;
+        let mut push_both = |heap: &mut HeapModel, cal: &mut CalendarQueue, t: u64| {
+            let k = key(t, seq);
+            seq += 1;
+            heap.push(k);
+            cal.push(k);
+        };
+        let mut now = 0;
+        for gap in [3, 1, 7, 2] {
+            let burst = now + gap * WINDOW_US + 17;
+            push_both(&mut heap, &mut cal, burst);
+            assert_eq!(cal.overflow.len(), 1, "a gap of {gap} windows overflows");
+            let head = heap.pop().expect("just pushed");
+            assert_eq!(cal.pop(), Some(head));
+            assert_eq!(cal.overflow.len(), 0);
+            for hop in 1..=20 {
+                push_both(&mut heap, &mut cal, burst + hop * 50);
+                assert_eq!(cal.overflow.len(), 0, "near pushes after the gap use the ring");
+            }
+            while let Some(a) = heap.pop() {
+                assert_eq!(cal.pop(), Some(a));
+                now = a.0.as_micros();
+            }
+            assert_eq!(cal.pop(), None);
+        }
+    }
+
+    #[test]
+    fn a_batch_behind_a_drain_that_ran_ahead_uses_the_ring() {
+        // The streaming loop's opening move: the only pending key is a
+        // trigger 5 ms out, the loop peeks it (draining its bucket), and
+        // the pump admits every source event up to that time — which then
+        // schedule their own follow-ups. Only the batch's first key (the
+        // new minimum) may join `front`; the second hands the trigger back
+        // and everything after it is ring traffic.
+        let mut heap = HeapModel::default();
+        let mut cal = CalendarQueue::new();
+        let mut seq = 0u64;
+        let mut push_both = |heap: &mut HeapModel, cal: &mut CalendarQueue, t: u64| {
+            let k = key(t, seq);
+            seq += 1;
+            heap.push(k);
+            cal.push(k);
+        };
+        push_both(&mut heap, &mut cal, 5_000);
+        assert_eq!(cal.peek(), heap.peek());
+        assert_eq!((cal.front.len(), cal.in_ring), (1, 0), "the peek drained the trigger");
+        for i in 0..200 {
+            push_both(&mut heap, &mut cal, i * 25);
+            assert!(cal.front.len() <= 2, "the batch must not pile into `front`");
+        }
+        // (The key at time 0 is in the wavefront's own bucket and stays.)
+        assert_eq!((cal.front.len(), cal.in_ring), (1, 200));
+        // Drain, each of the batch's keys scheduling a follow-up a hop
+        // ahead: still ring traffic, never more than a bucket's worth in
+        // `front`.
+        let mut hw = 0;
+        while let Some(a) = heap.pop() {
+            assert_eq!(cal.pop(), Some(a));
+            if a.1 <= 200 {
+                push_both(&mut heap, &mut cal, a.0.as_micros() + 50);
+            }
+            hw = hw.max(cal.front.len());
+        }
+        assert!(hw <= 4, "`front` held {hw} keys");
+        assert_eq!((cal.pop(), cal.overflow.len()), (None, 0));
     }
 
     #[test]

@@ -20,6 +20,10 @@ use edn_core::{Config, Event, EventId, EventSet, EventStructure, NesError, Netwo
 use netkat::{Field, Loc, Packet, Pred};
 use netsim::traffic::udp_packet;
 
+/// The most steps a campaign can chain: one event id each, and the online
+/// checker's windows hold 63.
+const MAX_STEPS: usize = 63;
+
 /// Base `Field::Vlan` value for campaign trigger markers.
 pub const CAMPAIGN_MARK_BASE: u64 = 0xCA00;
 
@@ -41,16 +45,16 @@ pub struct CampaignStep {
 ///
 /// # Errors
 ///
-/// Returns the underlying [`NesError`] if a configuration is rejected.
-///
-/// # Panics
-///
-/// Panics if `steps` has more than 63 entries (the event-id universe).
+/// Returns [`NesError::TooManyEvents`] if `steps` has more than 63 entries
+/// (the event-id universe), and the underlying [`NesError`] if a
+/// configuration is rejected.
 pub fn campaign_nes(
     initial: Config,
     steps: Vec<CampaignStep>,
 ) -> Result<NetworkEventStructure, NesError> {
-    assert!(steps.len() <= 63, "campaigns are limited to 63 steps, got {}", steps.len());
+    if steps.len() > MAX_STEPS {
+        return Err(NesError::TooManyEvents { got: steps.len(), limit: MAX_STEPS });
+    }
     let events: Vec<Event> = steps
         .iter()
         .enumerate()
@@ -163,6 +167,19 @@ mod tests {
         assert_eq!(result.stats.delivered_to(102).count(), 1, "only the post-step probe lands");
         verify_nes_run(&result).expect("Theorem 1 covers campaigns");
         handle.verdict().expect("online checker agrees");
+    }
+
+    #[test]
+    fn a_sixty_fourth_step_is_an_error_not_a_panic() {
+        let step = || CampaignStep {
+            trigger: campaign_pred(0),
+            loc: Loc::new(1, 1),
+            config: Config::new(),
+        };
+        let err = campaign_nes(Config::new(), (0..64).map(|_| step()).collect()).unwrap_err();
+        assert_eq!(err, NesError::TooManyEvents { got: 64, limit: 63 });
+        assert_eq!(err.to_string(), "64 events exceed the 63 an event-set can hold");
+        campaign_nes(Config::new(), (0..63).map(|_| step()).collect()).expect("63 steps fit");
     }
 
     #[test]

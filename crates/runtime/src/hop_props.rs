@@ -178,3 +178,84 @@ proptest! {
         })?;
     }
 }
+
+/// `netkat`'s fingerprint mixer (`flowindex::fp_mix`) and its inverse,
+/// transcribed: the mixer is crate-private there, and a two-field
+/// fingerprint collision cannot be found, only constructed. The test below
+/// asserts the planes counted a fallback, so a change to the mixer that
+/// leaves this copy behind fails it instead of quietly disarming it.
+mod mixer {
+    pub(super) const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+    const M1: u64 = 0xBF58_476D_1CE4_E5B9;
+    const M2: u64 = 0x94D0_49BB_1331_11EB;
+
+    pub(super) fn mix(h: u64, value: u64) -> u64 {
+        let mut z = (h ^ value.wrapping_mul(M1)).wrapping_add(SEED);
+        z = (z ^ (z >> 30)).wrapping_mul(M1);
+        z = (z ^ (z >> 27)).wrapping_mul(M2);
+        z ^ (z >> 31)
+    }
+
+    fn inverse_of_odd(m: u64) -> u64 {
+        (0..6).fold(m, |x, _| x.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(x))))
+    }
+
+    fn unxorshift(y: u64, k: u32) -> u64 {
+        (0..64 / k).fold(y, |z, _| y ^ (z >> k))
+    }
+
+    /// The value that chains onto `h` to give `fp`.
+    pub(super) fn unmix(h: u64, fp: u64) -> u64 {
+        let mut z = unxorshift(fp, 31);
+        z = unxorshift(z.wrapping_mul(inverse_of_odd(M2)), 27);
+        z = unxorshift(z.wrapping_mul(inverse_of_odd(M1)), 30);
+        (z.wrapping_sub(SEED) ^ h).wrapping_mul(inverse_of_odd(M1))
+    }
+}
+
+/// A hop whose packet view fingerprints exactly like an installed
+/// `(port, ip_dst)` rule while matching none: only the verification a
+/// one-field segment is allowed to skip tells them apart. Both planes must
+/// fall back to the run's scan and drop, as the reference does.
+#[test]
+fn a_two_field_fingerprint_collision_is_decided_by_the_scan() {
+    let rule = |pt: u64, dst: u64| {
+        Rule::new(
+            Match::new().with(Field::Port, pt).with(Field::IpDst, dst),
+            ActionSet::single(Action::assign(Field::Port, 9)),
+        )
+    };
+    let mut config = Config::new();
+    config.install(1, FlowTable::from_rules((0..8).map(|i| rule(1 + i % 2, 300 + i))));
+    // Port sorts before IpDst, so the signature chains the port first. The
+    // twin arrives on port 3 (no rule there) carrying the one address that
+    // completes rule (1, 300)'s fingerprint.
+    let fp = mixer::mix(mixer::mix(mixer::SEED, 1), 300);
+    let twin = mixer::unmix(mixer::mix(mixer::SEED, 3), fp);
+    let hops = [
+        (1, 1, Packet::new().with(Field::IpDst, 300), false),
+        (1, 3, Packet::new().with(Field::IpDst, twin), false),
+    ];
+    let probe_outcomes = |plane: &dyn DataPlane| {
+        let mut reg = edn_obs::Registry::new();
+        plane.contribute_metrics(&mut reg);
+        (reg.counter("flowindex.fp_hits"), reg.counter("flowindex.fp_fallbacks"))
+    };
+
+    let mut fast = StaticDataPlane::new(config.clone());
+    let reference = fast.clone();
+    assert_hops_agree(&hops, &mut fast, |sw, pt, pk, _, _| reference.process_reference(sw, pt, pk))
+        .expect("static plane agrees");
+    assert_eq!(probe_outcomes(&fast), (Some(1), Some(1)), "one hit, one fallback");
+
+    let nes =
+        NetworkEventStructure::new(EventStructure::new(vec![], []), [(EventSet::empty(), config)])
+            .expect("one configuration");
+    let mut fast = NesDataPlane::new(CompiledNes::compile(nes), vec![1], false);
+    let mut reference = fast.clone();
+    assert_hops_agree(&hops, &mut fast, |sw, pt, pk, h, now| {
+        reference.process_reference(sw, pt, pk, h, now)
+    })
+    .expect("NES plane agrees");
+    assert_eq!(probe_outcomes(&fast), (Some(1), Some(1)), "one hit, one fallback");
+}
