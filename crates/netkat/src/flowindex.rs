@@ -25,6 +25,18 @@
 //! remain the executable reference semantics; the differential property
 //! tests below assert `CompiledTable ≡ FlowTable` on randomized tables.
 //!
+//! One index also answers for every *prefix* of its table
+//! ([`CompiledTable::lookup_within`]): first-match over `rules[..len]`
+//! needs no index of its own, because each hash map already keeps the
+//! **first** rule carrying a fingerprint — if that rule sits at or past
+//! `len`, no rule before `len` carries the tuple — and scans simply stop at
+//! `len`. The segments were cut for the whole table, so a prefix may be
+//! answered by a hash probe where its own index would have scanned four
+//! rules (or the reverse); which strategy answers changes, the answer does
+//! not. A deployment whose per-tag tables extend one another compiles the
+//! longest and bounds the rest, and a second proptest holds the bounded
+//! walk to `table.prefix(len).lookup_index(pk)` for every `len`.
+//!
 //! # Examples
 //!
 //! ```
@@ -168,11 +180,17 @@ pub(crate) fn fp_mix(h: u64, value: Value) -> u64 {
 /// Built once from a [`FlowTable`]; holds the table's own rule list (one
 /// reference count, see [`FlowTable`] — no rule is copied, and a lookup
 /// reaches a rule through the same two loads a `Vec` would take) plus the
-/// segment index. Lookup results are *identical* to the source table's —
-/// see the module docs for the construction and the differential tests.
+/// segment index over the rules the table holds. Lookup results are
+/// *identical* to the source table's — see the module docs for the
+/// construction and the differential tests — and
+/// [`lookup_within`](CompiledTable::lookup_within) answers for any of the
+/// table's prefixes from the same index.
 #[derive(Clone, Debug, Default)]
 pub struct CompiledTable {
+    /// The source table's list; only `rules[..len]` is indexed.
     rules: Arc<[Rule]>,
+    /// The source table's length: every index the segments hold is below it.
+    len: usize,
     segments: Vec<Segment>,
     /// The union of every hash segment's signature, deduplicated in field
     /// order. When two or more hash segments exist (the NES tables'
@@ -237,10 +255,12 @@ impl CompiledTable {
     /// Compiles a table: splits it into signature runs, hashes the long
     /// ones, and derives the cross-segment field prefetch.
     pub fn compile(table: &FlowTable) -> CompiledTable {
-        let rules = Arc::clone(table.shared_rules());
-        let segments = segment_runs(&rules);
+        let (rules, len) = table.shared_rules();
+        let rules = Arc::clone(rules);
+        let segments = segment_runs(&rules[..len]);
         let mut compiled = CompiledTable {
             rules,
+            len,
             segments,
             prefetch: Vec::new(),
             prefetched: false,
@@ -341,6 +361,83 @@ impl CompiledTable {
         None
     }
 
+    /// The indexed `table.prefix(len).lookup_index(pk)`: the first rule
+    /// among this table's first `len` that matches `pk`, from the index of
+    /// the whole table. A deployment whose tables extend one another
+    /// compiles the longest and serves the others through this.
+    ///
+    /// Exact for any table and any `len` (one past the table's length
+    /// bounds nothing): a hash segment's map keeps the *first* rule
+    /// carrying each fingerprint, so a candidate at or past `len` means no
+    /// rule before `len` carries the packet's tuple (true of the unverified
+    /// single-field hit as well); scan runs and the collision fallback stop
+    /// at `len`; and no segment starting at or past `len` is entered.
+    pub fn lookup_index_within<R: FieldReader>(&self, len: usize, pk: &R) -> Option<usize> {
+        // Rule indexes are `u32` throughout the index.
+        let len = len.min(self.len) as u32;
+        if self.prefetched {
+            let mut cache = [None::<Value>; PREFETCH_CAP];
+            for (slot, &f) in self.prefetch.iter().enumerate() {
+                cache[slot] = pk.read(f);
+            }
+            self.walk_segments_within(len, pk, |seg| seg.fingerprint_cached(&cache))
+        } else {
+            self.walk_segments_within(len, pk, |seg| seg.fingerprint_of(pk))
+        }
+    }
+
+    /// [`lookup_index_within`](CompiledTable::lookup_index_within),
+    /// returning the rule.
+    pub fn lookup_within<R: FieldReader>(&self, len: usize, pk: &R) -> Option<&Rule> {
+        self.lookup_index_within(len, pk).map(|i| &self.rules[i])
+    }
+
+    /// [`walk_segments`](CompiledTable::walk_segments) over `rules[..len]`.
+    /// Kept beside the unbounded walk rather than folded into it: the
+    /// bound's compare per segment and per hit showed on the streamed hop,
+    /// whose tables never need it (see ARCHITECTURE.md).
+    fn walk_segments_within<R: FieldReader>(
+        &self,
+        len: u32,
+        pk: &R,
+        fingerprint: impl Fn(&HashSegment) -> Option<u64>,
+    ) -> Option<usize> {
+        for segment in &self.segments {
+            match segment {
+                Segment::Scan { start, end } => {
+                    if *start >= len {
+                        break;
+                    }
+                    if let Some(i) = self.scan(*start, (*end).min(len), pk) {
+                        return Some(i);
+                    }
+                }
+                Segment::Hash(seg) => {
+                    if seg.start >= len {
+                        break;
+                    }
+                    let Some(fp) = fingerprint(seg) else { continue };
+                    // The map holds the first rule with this fingerprint:
+                    // past the bound, the prefix has none.
+                    let Some(&candidate) = seg.map.get(&fp).filter(|&&c| c < len) else {
+                        continue;
+                    };
+                    if seg.fields.len() == 1
+                        || self.rules[candidate as usize].pattern.matches_on(pk)
+                    {
+                        self.fp_hits.set(self.fp_hits.get() + 1);
+                        return Some(candidate as usize);
+                    }
+                    self.fp_fallbacks.set(self.fp_fallbacks.get() + 1);
+                    if let Some(i) = self.scan(seg.start, seg.end.min(len), pk) {
+                        return Some(i);
+                    }
+                }
+            }
+        }
+        None
+    }
+
     fn scan<R: FieldReader>(&self, start: u32, end: u32, pk: &R) -> Option<usize> {
         self.rules[start as usize..end as usize]
             .iter()
@@ -379,12 +476,12 @@ impl CompiledTable {
 
     /// Number of rules.
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.len
     }
 
     /// Returns `true` if the table has no rules.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.len == 0
     }
 
     /// Number of segments (hash + scan) the table splits into.
@@ -834,6 +931,88 @@ mod proptests {
             prop_assert_eq!(table.lookup_index(&pk), None, "no rule carries {}", other);
             prop_assert_eq!(compiled.lookup_index(&pk), None);
             prop_assert_eq!(compiled.lookup_stats(), (0, 1));
+        }
+
+        // The bounded walk answers to the linear scan of the prefix, not
+        // to the unbounded walk: for every `len`, one index of the whole
+        // table finds what `table.prefix(len)` finds rule by rule — where
+        // the prefix cuts a hash run, where it ends before one, and where
+        // the whole run is a rule too short to have been hashed alone. The
+        // counters move only on a hash segment's answer: a hit is a rule
+        // the reference confirms, never a candidate the bound discarded.
+        #[test]
+        fn bounded_walk_equals_the_prefix_scan(
+            table in arb_table(),
+            pks in proptest::collection::vec(arb_packet(), 1..6),
+            picks in arb_derivations(),
+        ) {
+            let compiled = table.compile();
+            let probes = [derived_packets(&table, &picks), near_installed(&table, &picks)].concat();
+            for len in 0..=table.len() {
+                let prefix = table.prefix(len);
+                for pk in pks.iter().chain(probes.iter()) {
+                    let before = compiled.lookup_stats();
+                    let want = prefix.lookup_index(pk);
+                    prop_assert_eq!(
+                        compiled.lookup_index_within(len, pk), want,
+                        "first {} of {} rules diverged on {}", len, table.len(), pk
+                    );
+                    let after = compiled.lookup_stats();
+                    let (hits, fallbacks) = (after.0 - before.0, after.1 - before.1);
+                    prop_assert!(hits <= 1, "one segment answers a lookup");
+                    prop_assert!(hits == 0 || want.is_some(), "a hit the scan does not confirm");
+                    prop_assert!(fallbacks == 0, "small values never collide: {}", pk);
+                    prop_assert_eq!(compiled.lookup_within(len, pk), prefix.lookup(pk));
+                }
+            }
+            // The whole table through the bounded walk is the unbounded one.
+            for pk in pks.iter().chain(probes.iter()) {
+                prop_assert_eq!(
+                    compiled.lookup_index_within(table.len(), pk),
+                    compiled.lookup_index(pk)
+                );
+            }
+        }
+
+        // The two-field collision of the test above, cut by the bound, with
+        // the twin's own tuple installed last so the fallback scan has
+        // something to find: with the victim past the prefix the candidate
+        // is discarded before it is compared and nothing is counted; with
+        // the victim inside it the scan runs, stops at `len`, and reaches
+        // the twin's rule only when the prefix is the whole table.
+        #[test]
+        fn bounded_collisions_fall_back_only_inside_the_prefix(
+            rows in proptest::collection::vec((0u64..6, 0u64..6, arb_actions()), 4..40),
+            pick in 0usize..4096,
+            other in 6u64..12,
+        ) {
+            let sig = [Field::Vlan, Field::IpDst];
+            let mut rules: Vec<Rule> =
+                rows.into_iter().map(|(a, b, actions)| rule_from(&sig, &[a, b], actions)).collect();
+            let victim: Vec<Value> =
+                rules[pick % rules.len()].pattern.iter().map(|(_, v)| v).collect();
+            // The map's candidate is the *first* rule carrying the tuple.
+            let first = rules
+                .iter()
+                .position(|r| r.pattern.iter().map(|(_, v)| v).eq(victim.iter().copied()))
+                .expect("the victim carries its own tuple");
+            let fp = fp_mix(fp_mix(FP_SEED, victim[0]), victim[1]);
+            let twin = unmix(fp_mix(FP_SEED, other), fp);
+            let last = rules.len();
+            rules.push(rule_from(&sig, &[other, twin], ActionSet::pass()));
+            let table = FlowTable::from_rules(rules);
+            let pk = Packet::new().with(sig[0], other).with(sig[1], twin);
+            let own = Packet::new().with(sig[0], victim[0]).with(sig[1], victim[1]);
+            for len in 0..=table.len() {
+                let compiled = table.compile();
+                let want = (last < len).then_some(last);
+                prop_assert_eq!(table.prefix(len).lookup_index(&pk), want);
+                prop_assert_eq!(compiled.lookup_index_within(len, &pk), want, "len {}", len);
+                prop_assert_eq!(compiled.lookup_stats(), (0, u64::from(first < len)));
+                // ...and the victim's own packet hits iff the prefix holds it.
+                let want = (first < len).then_some(first);
+                prop_assert_eq!(compiled.lookup_index_within(len, &own), want);
+            }
         }
 
         // Structural sanity: segments partition the rule list, and every

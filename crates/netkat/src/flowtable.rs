@@ -4,6 +4,14 @@
 //! with an exact-match pattern over a subset of fields and a set of actions.
 //! The first matching rule wins, exactly like an OpenFlow table with
 //! priorities.
+//!
+//! Tables are immutable values that share what they can: rule bodies
+//! ([`Match`], [`ActionSet`]) and the rule list itself sit behind reference
+//! counts, and a [`FlowTable`] is a *prefix view* — a list and a length —
+//! so "this table is that one plus some lower-priority rules", the shape of
+//! an update that only adds rules, costs one reference count and one
+//! integer ([`FlowTable::prefix`], [`FlowTable::is_prefix_of`]). Nothing is
+//! diffed or patched to get there; an edit still writes a fresh list.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -153,16 +161,20 @@ impl fmt::Display for Rule {
 ///
 /// # Sharing
 ///
-/// The rule list sits behind a reference count, like the bodies of the
-/// rules in it (see [`Match`]): `clone` is O(1) and allocates nothing, and
-/// [`compile`](FlowTable::compile) indexes the same list instead of copying
-/// it, so a table installed under a configuration, cloned with its NES and
-/// deployed on a plane is one list. [`push`](FlowTable::push),
+/// A table is a *view*: a reference-counted rule list and the number of
+/// its rules the table can see. `clone` and [`prefix`](FlowTable::prefix)
+/// are O(1) and allocate nothing, and [`compile`](FlowTable::compile)
+/// indexes the same list instead of copying it — so a table installed under
+/// a configuration, cloned with its NES and deployed on a plane is one list,
+/// and a campaign whose step *t* only appends rules to step *t − 1*'s table
+/// holds both as two lengths over one list. Every reader goes through the
+/// visible rules only: nothing past the view's length is observable, by
+/// `==`, iteration, lookup or any edit. [`push`](FlowTable::push),
 /// [`compact`](FlowTable::compact) and [`splice`](FlowTable::splice) write
-/// to a fresh list (copy-on-write: a slice cannot grow in place, so each
-/// such edit is O(len) — build tables with
+/// the visible rules to a fresh list (copy-on-write: a slice cannot grow in
+/// place, so each such edit is O(len) — build tables with
 /// [`from_rules`](FlowTable::from_rules)); a clone never observes an edit
-/// of its origin. Equality is that of the rules, in order.
+/// of its origin. Equality is that of the visible rules, in order.
 ///
 /// # Examples
 ///
@@ -177,16 +189,19 @@ impl fmt::Display for Rule {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FlowTable {
-    rules: Arc<[Rule]>,
+    list: Arc<[Rule]>,
+    /// How many of `list`'s rules this table holds; the rest belong to
+    /// longer views of the same list.
+    len: usize,
 }
 
-/// By value, with the shortcut `Arc<[T]>`'s own `==` does not take (its
-/// pointer comparison is specialized for sized `T: Eq` only): a table
-/// handed along from `g(X)` is the same allocation, so the common "is this
-/// the previous tag's table?" question is one compare.
+/// By value over the visible rules, with the shortcut `Arc<[T]>`'s own `==`
+/// does not take (its pointer comparison is specialized for sized `T: Eq`
+/// only): a table handed along from `g(X)` is the same allocation, so the
+/// common "is this the previous tag's table?" question is two compares.
 impl PartialEq for FlowTable {
     fn eq(&self, other: &FlowTable) -> bool {
-        Arc::ptr_eq(&self.rules, &other.rules) || self.rules == other.rules
+        self.len == other.len && self.is_prefix_of(other)
     }
 }
 
@@ -200,7 +215,43 @@ impl FlowTable {
 
     /// Builds a table from rules in priority order (highest first).
     pub fn from_rules<I: IntoIterator<Item = Rule>>(rules: I) -> FlowTable {
-        FlowTable { rules: rules.into_iter().collect() }
+        let list: Arc<[Rule]> = rules.into_iter().collect();
+        FlowTable { len: list.len(), list }
+    }
+
+    /// The rules this table holds — the one door every reader goes through.
+    fn rules(&self) -> &[Rule] {
+        &self.list[..self.len]
+    }
+
+    /// The table of this one's first `len` rules, on the same list: O(1),
+    /// no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`len`](FlowTable::len).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use netkat::{ActionSet, Field, FlowTable, Match, Rule};
+    /// let rule = |h| Rule::new(Match::new().with(Field::IpDst, h), ActionSet::pass());
+    /// let whole = FlowTable::from_rules((0..4).map(rule));
+    /// let first = whole.prefix(3);
+    /// assert_eq!(first, FlowTable::from_rules((0..3).map(rule)));
+    /// assert!(first.is_prefix_of(&whole) && !whole.is_prefix_of(&first));
+    /// ```
+    pub fn prefix(&self, len: usize) -> FlowTable {
+        assert!(len <= self.len, "prefix of {len} rules from a table of {}", self.len);
+        FlowTable { list: Arc::clone(&self.list), len }
+    }
+
+    /// Returns `true` if `other` starts with this table's rules — one
+    /// pointer compare when the two are views of one list, by value
+    /// otherwise.
+    pub fn is_prefix_of(&self, other: &FlowTable) -> bool {
+        self.len <= other.len
+            && (Arc::ptr_eq(&self.list, &other.list) || self.rules() == &other.rules()[..self.len])
     }
 
     /// Extracts a table from an FDD.
@@ -211,12 +262,12 @@ impl FlowTable {
     /// This is correct because every FDD subdiagram is total, so the block of
     /// rules emitted for a true branch fully covers the matched subspace.
     pub fn from_fdd(builder: &FddBuilder, d: NodeId) -> FlowTable {
-        let rules = builder
-            .paths(d)
-            .into_iter()
-            .map(|p| Rule::new(p.positive.into_iter().collect(), p.actions))
-            .collect();
-        FlowTable { rules }
+        FlowTable::from_rules(
+            builder
+                .paths(d)
+                .into_iter()
+                .map(|p| Rule::new(p.positive.into_iter().collect(), p.actions)),
+        )
     }
 
     /// Returns the first matching rule for `pk`.
@@ -227,7 +278,7 @@ impl FlowTable {
     /// [`lookup`](FlowTable::lookup) against any field source — e.g. the
     /// simulator's zero-copy [`LocatedView`](crate::LocatedView).
     pub fn lookup_on<R: FieldReader>(&self, pk: &R) -> Option<&Rule> {
-        self.rules.iter().find(|r| r.pattern.matches_on(pk))
+        self.rules().iter().find(|r| r.pattern.matches_on(pk))
     }
 
     /// Returns the priority index of the first matching rule for `pk`.
@@ -236,7 +287,7 @@ impl FlowTable {
     /// [`CompiledTable`](crate::CompiledTable) must agree with it on every
     /// packet (enforced by differential property tests).
     pub fn lookup_index(&self, pk: &Packet) -> Option<usize> {
-        self.rules.iter().position(|r| r.pattern.matches(pk))
+        self.rules().iter().position(|r| r.pattern.matches(pk))
     }
 
     /// The rule at priority index `i` (as returned by
@@ -246,7 +297,7 @@ impl FlowTable {
     ///
     /// Panics if `i` is out of range.
     pub fn rule(&self, i: usize) -> &Rule {
-        &self.rules[i]
+        &self.rules()[i]
     }
 
     /// Applies the table: the output packets of the first matching rule, or
@@ -269,41 +320,42 @@ impl FlowTable {
 
     /// Number of rules.
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.len
     }
 
     /// Returns `true` if the table has no rules.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.len == 0
     }
 
     /// Iterates over the rules in priority order.
     pub fn iter(&self) -> impl Iterator<Item = &Rule> + '_ {
-        self.rules.iter()
+        self.rules().iter()
     }
 
-    /// The shared rule list — what [`compile`](FlowTable::compile) indexes.
-    pub(crate) fn shared_rules(&self) -> &Arc<[Rule]> {
-        &self.rules
+    /// The shared rule list and how much of it this table holds — what
+    /// [`compile`](FlowTable::compile) indexes.
+    pub(crate) fn shared_rules(&self) -> (&Arc<[Rule]>, usize) {
+        (&self.list, self.len)
     }
 
     /// Appends a rule at the lowest priority.
     pub fn push(&mut self, rule: Rule) {
-        self.rules = self.rules.iter().cloned().chain([rule]).collect();
+        *self = FlowTable::from_rules(self.rules().iter().cloned().chain([rule]));
     }
 
     /// Removes trailing drop rules and rules identical to their predecessor;
     /// returns the number removed. (An absent rule already drops, so
     /// trailing drops are pure overhead.)
     pub fn compact(&mut self) -> usize {
-        let mut rules = self.rules.to_vec();
+        let mut rules = self.rules().to_vec();
         while rules.last().is_some_and(|r| r.actions.is_drop() && r.pattern.is_empty()) {
             rules.pop();
         }
         rules.dedup();
-        let removed = self.rules.len() - rules.len();
+        let removed = self.len - rules.len();
         if removed > 0 {
-            self.rules = rules.into();
+            *self = FlowTable::from_rules(rules);
         }
         removed
     }
@@ -331,22 +383,22 @@ impl FlowTable {
     /// assert_eq!(patched, new);
     /// ```
     pub fn diff(&self, new: &FlowTable) -> TableDelta {
-        let old = &self.rules;
+        let (old, new) = (self.rules(), new.rules());
         let mut prefix = 0;
-        while prefix < old.len() && prefix < new.rules.len() && old[prefix] == new.rules[prefix] {
+        while prefix < old.len() && prefix < new.len() && old[prefix] == new[prefix] {
             prefix += 1;
         }
         let mut suffix = 0;
         while suffix < old.len() - prefix
-            && suffix < new.rules.len() - prefix
-            && old[old.len() - 1 - suffix] == new.rules[new.rules.len() - 1 - suffix]
+            && suffix < new.len() - prefix
+            && old[old.len() - 1 - suffix] == new[new.len() - 1 - suffix]
         {
             suffix += 1;
         }
         TableDelta {
             start: prefix,
             removed: old.len() - prefix - suffix,
-            inserted: new.rules[prefix..new.rules.len() - suffix].to_vec(),
+            inserted: new[prefix..new.len() - suffix].to_vec(),
         }
     }
 
@@ -356,9 +408,9 @@ impl FlowTable {
     ///
     /// Panics if the delta's replaced range does not fit this table.
     pub fn splice(&mut self, delta: &TableDelta) {
-        let mut rules = self.rules.to_vec();
+        let mut rules = self.rules().to_vec();
         rules.splice(delta.start..delta.start + delta.removed, delta.inserted.iter().cloned());
-        self.rules = rules.into();
+        *self = FlowTable::from_rules(rules);
     }
 }
 
@@ -391,7 +443,7 @@ impl TableDelta {
 
 impl fmt::Display for FlowTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, r) in self.rules.iter().enumerate() {
+        for (i, r) in self.rules().iter().enumerate() {
             writeln!(f, "[{i:3}] {r}")?;
         }
         Ok(())
@@ -403,7 +455,7 @@ impl IntoIterator for FlowTable {
     type IntoIter = std::vec::IntoIter<Rule>;
 
     fn into_iter(self) -> Self::IntoIter {
-        Vec::from(&*self.rules).into_iter()
+        self.rules().to_vec().into_iter()
     }
 }
 
@@ -752,6 +804,71 @@ mod sharing_proptests {
             for rule in &frozen {
                 let pk: Packet = rule.pattern.iter().collect();
                 prop_assert_eq!(index.lookup(&pk), original.lookup(&pk));
+            }
+        }
+
+        /// A view never observes the rules past its length: every reader
+        /// and every edit on `whole.prefix(len)` is the same call on a table
+        /// built from those `len` rules alone, and no edit of the view shows
+        /// in the list it was cut from.
+        #[test]
+        fn a_prefix_view_is_the_table_of_its_rules(
+            rules in arb_rules(),
+            extra in arb_rules(),
+            at in 0usize..8,
+            span in 0usize..8,
+        ) {
+            let whole = FlowTable::from_rules(rules.iter().cloned());
+            let index = whole.compile();
+            for len in 0..=rules.len() {
+                let view = whole.prefix(len);
+                let scratch = FlowTable::from_rules(rules[..len].iter().cloned());
+                prop_assert_eq!(view.len(), len);
+                prop_assert_eq!(view.is_empty(), len == 0);
+                prop_assert!(view.iter().eq(rules[..len].iter()));
+                prop_assert_eq!(&view, &scratch);
+                prop_assert_eq!(view == whole, scratch == whole);
+                prop_assert_eq!(view.to_string(), scratch.to_string());
+                prop_assert_eq!(view.compile().len(), len);
+                // Prefix-ness is by value; the shared list is only a shortcut.
+                prop_assert!(view.is_prefix_of(&whole) && scratch.is_prefix_of(&whole));
+                prop_assert!(view.is_prefix_of(&scratch) && scratch.is_prefix_of(&view));
+                prop_assert_eq!(whole.is_prefix_of(&view), whole.is_prefix_of(&scratch));
+                prop_assert_eq!(view.prefix(len / 2), scratch.prefix(len / 2));
+                for rule in &rules {
+                    let pk: Packet = rule.pattern.iter().collect();
+                    prop_assert_eq!(view.lookup_index(&pk), scratch.lookup_index(&pk));
+                    prop_assert_eq!(view.apply(&pk), scratch.apply(&pk));
+                }
+                // `diff` in both directions, against the whole list and
+                // against unrelated rules.
+                let other = FlowTable::from_rules(extra.iter().cloned());
+                for target in [&whole, &other] {
+                    prop_assert_eq!(view.diff(target), scratch.diff(target));
+                    prop_assert_eq!(target.diff(&view), target.diff(&scratch));
+                }
+                // Edits write a fresh list from the visible rules only.
+                let (mut pushed, mut model) = (view.clone(), scratch.clone());
+                pushed.push(Rule::drop_all());
+                model.push(Rule::drop_all());
+                prop_assert_eq!(&pushed, &model);
+                let (mut compacted, mut model) = (view.clone(), scratch.clone());
+                prop_assert_eq!(compacted.compact(), model.compact());
+                prop_assert_eq!(&compacted, &model);
+                let start = at.min(len);
+                let delta =
+                    TableDelta { start, removed: span.min(len - start), inserted: extra.clone() };
+                let (mut spliced, mut model) = (view.clone(), scratch.clone());
+                spliced.splice(&delta);
+                model.splice(&delta);
+                prop_assert_eq!(&spliced, &model);
+                prop_assert_eq!(
+                    view.clone().into_iter().collect::<Vec<Rule>>(),
+                    rules[..len].to_vec()
+                );
+                // The list the view was cut from, and its index, stand.
+                prop_assert!(whole.iter().eq(rules.iter()), "an edit of a view moved its origin");
+                prop_assert_eq!(index.len(), rules.len());
             }
         }
     }

@@ -66,4 +66,4 @@ pub use netkat::{PacketArena, PacketId};
 pub use source::{SourceEvent, WorkloadSource};
 pub use stats::{Delivery, Drop, DropReason, Stats, StatsMode};
 pub use time::SimTime;
-pub use topology::{LinkSpec, SimParams, SimTopology};
+pub use topology::{LinkSpec, SimParams, SimTopology, SwitchGraph};

@@ -211,14 +211,10 @@ impl SimTopology {
         adj
     }
 
-    /// Shortest-path next hops toward `dst_sw`: for every switch that can
-    /// reach it, the out port of a deterministic shortest path (ties break
-    /// toward the lowest `(neighbour distance, neighbour id, port)`).
-    ///
-    /// `dst_sw` itself is not in the map. Unreachable switches are absent.
-    pub fn next_hop_ports(&self, dst_sw: u64) -> BTreeMap<u64, u64> {
-        let adj = self.switch_adjacency();
-        // BFS from the destination over reversed edges to get hop counts.
+    /// The inter-switch graph in the two forms routing queries need — built
+    /// once, then asked per destination
+    /// ([`SwitchGraph::next_hop_ports`]).
+    pub fn switch_graph(&self) -> SwitchGraph {
         let mut rev: BTreeMap<u64, Vec<u64>> =
             self.switches.iter().map(|&s| (s, Vec::new())).collect();
         for l in &self.links {
@@ -226,32 +222,18 @@ impl SimTopology {
                 srcs.push(l.src.sw);
             }
         }
-        let mut dist: BTreeMap<u64, u64> = BTreeMap::new();
-        dist.insert(dst_sw, 0);
-        let mut frontier = VecDeque::from([dst_sw]);
-        while let Some(sw) = frontier.pop_front() {
-            let d = dist[&sw];
-            let Some(srcs) = rev.get(&sw) else { continue };
-            for &p in srcs {
-                dist.entry(p).or_insert_with(|| {
-                    frontier.push_back(p);
-                    d + 1
-                });
-            }
-        }
-        // Each switch forwards out the port minimizing the deterministic key.
-        let mut next = BTreeMap::new();
-        for (&sw, ports) in &adj {
-            if sw == dst_sw {
-                continue;
-            }
-            let best =
-                ports.iter().filter_map(|&(pt, nb)| dist.get(&nb).map(|&d| (d, nb, pt))).min();
-            if let Some((_, _, pt)) = best {
-                next.insert(sw, pt);
-            }
-        }
-        next
+        SwitchGraph { adj: self.switch_adjacency(), rev }
+    }
+
+    /// Shortest-path next hops toward `dst_sw`: for every switch that can
+    /// reach it, the out port of a deterministic shortest path (ties break
+    /// toward the lowest `(neighbour distance, neighbour id, port)`).
+    ///
+    /// `dst_sw` itself is not in the map. Unreachable switches are absent.
+    /// Builds the graph per call: for many destinations on one topology,
+    /// build a [`switch_graph`](SimTopology::switch_graph) and ask it.
+    pub fn next_hop_ports(&self, dst_sw: u64) -> BTreeMap<u64, u64> {
+        self.switch_graph().next_hop_ports(dst_sw)
     }
 
     /// The deterministic shortest path from `src_sw` to `dst_sw` as a link
@@ -274,6 +256,50 @@ impl SimTopology {
             }
         }
         Some(path)
+    }
+}
+
+/// A topology's inter-switch links as forward and reverse adjacency — what
+/// [`SimTopology::next_hop_ports`] rebuilds per call, kept for callers that
+/// route toward many destinations.
+#[derive(Clone, Debug)]
+pub struct SwitchGraph {
+    /// [`SimTopology::switch_adjacency`].
+    adj: BTreeMap<u64, Vec<(u64, u64)>>,
+    /// For each switch, the switches with a link into it.
+    rev: BTreeMap<u64, Vec<u64>>,
+}
+
+impl SwitchGraph {
+    /// [`SimTopology::next_hop_ports`] over the prebuilt graph.
+    pub fn next_hop_ports(&self, dst_sw: u64) -> BTreeMap<u64, u64> {
+        // BFS from the destination over reversed edges to get hop counts.
+        let mut dist: BTreeMap<u64, u64> = BTreeMap::new();
+        dist.insert(dst_sw, 0);
+        let mut frontier = VecDeque::from([dst_sw]);
+        while let Some(sw) = frontier.pop_front() {
+            let d = dist[&sw];
+            let Some(srcs) = self.rev.get(&sw) else { continue };
+            for &p in srcs {
+                dist.entry(p).or_insert_with(|| {
+                    frontier.push_back(p);
+                    d + 1
+                });
+            }
+        }
+        // Each switch forwards out the port minimizing the deterministic key.
+        let mut next = BTreeMap::new();
+        for (&sw, ports) in &self.adj {
+            if sw == dst_sw {
+                continue;
+            }
+            let best =
+                ports.iter().filter_map(|&(pt, nb)| dist.get(&nb).map(|&d| (d, nb, pt))).min();
+            if let Some((_, _, pt)) = best {
+                next.insert(sw, pt);
+            }
+        }
+        next
     }
 }
 

@@ -38,8 +38,8 @@ struct Local {
 #[derive(Clone, Debug)]
 pub struct NesDataPlane {
     compiled: CompiledNes,
-    /// The installed tables: one compiled table per distinct
-    /// `(switch, tag)` table (Section 4.1).
+    /// The installed tables: one compiled index per prefix chain of a
+    /// switch's per-tag tables (Section 4.1).
     deployment: PerTagTables,
     /// Per-switch event state, dense: `local[slot]` with slots assigned by
     /// `switch_slot`. The switch step reads this on every packet, so it
@@ -312,11 +312,20 @@ impl DataPlane for NesDataPlane {
     }
 
     /// Reports the compiled lookup index's fingerprint probe outcomes,
-    /// summed over every distinct table this plane instance drove.
+    /// summed over every index this plane instance drove, and the layout's
+    /// size: how many indexes over how many rules serve how many
+    /// `(switch, tag)` slots.
     fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
         let (hits, fallbacks) = self.deployment.lookup_stats();
         reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_hits", hits);
         reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_fallbacks", fallbacks);
+        // `Shard` scope, like the probe counters: the layout is a property
+        // of this build, not of the simulated run, and the `sim` section is
+        // compared whole across builds (`tests/plumbing_equivalence.rs`).
+        let (tables, rules, slots) = self.deployment.shape();
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.tables", tables as u64);
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.indexed_rules", rules as u64);
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.slots", slots as u64);
     }
 }
 

@@ -1,13 +1,19 @@
 //! The table layout: how a compiled NES's rules actually reach the data
 //! plane.
 //!
-//! There is one layout (Section 4.1): one compiled table per distinct
-//! `(switch, tag)` table, built straight from `g(set_of(tag)).table(sw)`.
-//! The dispatch on `(switch, tag)` *is* the tag guard, so no rule is
-//! rewritten or copied; a switch a step leaves untouched shares the
-//! previous tag's table. The guarded rendering the paper installs on
-//! hardware is [`SwitchProgram`](crate::SwitchProgram), built on demand
-//! and pinned equal to this layout by this module's proptest. (The
+//! There is one layout (Section 4.1): every `(switch, tag)` slot answers
+//! from `g(set_of(tag)).table(sw)`, the dispatch on `(switch, tag)` *is* the
+//! tag guard, and no rule is rewritten or copied. What is compiled is one
+//! index per *prefix chain*: a switch's tables, in tag order, where each
+//! either extends the longest so far or is a prefix of it — the paper's own
+//! firewall (`[fwd(2,3)]` → `[fwd(2,3), fwd(3,2)]`), a campaign step that
+//! unblocks a host, and "this step left the switch alone" (the equal-length
+//! case) are all that shape. The chain's longest table is indexed once and a
+//! slot is `(index, len)`: the tag guard on rule *k* of a chain is the bound
+//! `k < len`, not a copy of the rule per tag
+//! ([`CompiledTable::lookup_within`]). The guarded rendering the paper
+//! installs on hardware is [`SwitchProgram`](crate::SwitchProgram), built on
+//! demand and pinned equal to this layout by this module's proptest. (The
 //! Section 5.3 rule-sharing optimizer is an offline artefact — the
 //! `rule-optimizer` crate, Fig. 17 — and was retired as a lookup-path
 //! layout after losing its trial; see ARCHITECTURE.md.)
@@ -28,19 +34,19 @@ pub(crate) fn dense_switches(nes: &CompiledNes, listed: &[u64]) -> Vec<u64> {
     listed.iter().copied().chain(installed).filter(|&sw| seen.insert(sw)).collect()
 }
 
-/// The installed tables of one deployment: one [`CompiledTable`] per
-/// *distinct* `(switch, tag)` table, compiled straight from
-/// `g(set_of(tag)).table(sw)`: no tag guard is written into the rules (the
-/// dispatch on `(switch, tag)` is the guard), and a switch a step leaves
-/// untouched re-uses the previous tag's table.
+/// The installed tables of one deployment: one [`CompiledTable`] per prefix
+/// chain of a switch's per-tag tables (see the module docs), compiled
+/// straight from the chain's longest `g(set_of(tag)).table(sw)`; no tag
+/// guard is written into the rules.
 #[derive(Clone, Debug)]
 pub(crate) struct PerTagTables {
-    /// The distinct compiled tables.
+    /// One index per chain, over the chain's longest table.
     compiled: Vec<CompiledTable>,
-    /// `slots[slot * tags + tag]` → index into `compiled`, one row per
-    /// dense switch slot of the plane — a hop's dispatch is one multiply
-    /// and two array reads, no tree walk.
-    slots: Vec<u32>,
+    /// `slots[slot * tags + tag]` → `(index into compiled, how many of its
+    /// rules the tag's table holds)`, one row per dense switch slot of the
+    /// plane — a hop's dispatch is one multiply and two array reads, no tree
+    /// walk.
+    slots: Vec<(u32, u32)>,
     /// Row width of `slots` (the NES's tag count).
     tags: usize,
 }
@@ -53,26 +59,21 @@ impl PerTagTables {
         let empty = FlowTable::new();
         let mut compiled: Vec<CompiledTable> = Vec::new();
         let mut slots = Vec::with_capacity(switches.len() * tags);
+        // The longest table of each chain of the switch at hand.
+        let mut chains: Vec<&FlowTable> = Vec::new();
         for &sw in switches {
-            let mut prev: Option<&FlowTable> = None;
             for tag in 0..tags as u64 {
                 let table = nes.table(sw, tag).unwrap_or(&empty);
-                if prev != Some(table) {
-                    compiled.push(table.compile());
+                match chains.last_mut() {
+                    Some(longest) if table.is_prefix_of(longest) => {}
+                    Some(longest) if longest.is_prefix_of(table) => *longest = table,
+                    _ => chains.push(table),
                 }
-                slots.push(compiled.len() as u32 - 1);
-                prev = Some(table);
+                slots.push(((compiled.len() + chains.len() - 1) as u32, table.len() as u32));
             }
+            compiled.extend(chains.drain(..).map(FlowTable::compile));
         }
         PerTagTables { compiled, slots, tags }
-    }
-
-    fn table(&self, slot: usize, tag: u64) -> Option<&CompiledTable> {
-        if tag >= self.tags as u64 {
-            return None;
-        }
-        let index = *self.slots.get(slot * self.tags + tag as usize)?;
-        Some(&self.compiled[index as usize])
     }
 
     /// The forwarding rule for a packet at dense switch slot `slot` under
@@ -84,15 +85,32 @@ impl PerTagTables {
         tag: u64,
         view: &R,
     ) -> Option<&Rule> {
-        self.table(slot, tag)?.lookup_on(view)
+        if tag >= self.tags as u64 {
+            return None;
+        }
+        let &(index, len) = self.slots.get(slot * self.tags + tag as usize)?;
+        let chain = &self.compiled[index as usize];
+        // Chosen once per lookup: a table that is its chain's longest (every
+        // table of a one-member chain) takes the unbounded walk untouched.
+        if len as usize == chain.len() {
+            chain.lookup_on(view)
+        } else {
+            chain.lookup_within(len as usize, view)
+        }
     }
 
-    /// Summed fingerprint probe outcomes of every distinct compiled table.
+    /// Summed fingerprint probe outcomes of every compiled index.
     pub(crate) fn lookup_stats(&self) -> (u64, u64) {
         self.compiled
             .iter()
             .map(CompiledTable::lookup_stats)
             .fold((0, 0), |(h, f), (dh, df)| (h + dh, f + df))
+    }
+
+    /// The layout's size: `(compiled indexes, rules they index, (switch,
+    /// tag) slots they serve)`.
+    pub(crate) fn shape(&self) -> (usize, usize, usize) {
+        (self.compiled.len(), self.compiled.iter().map(CompiledTable::len).sum(), self.slots.len())
     }
 }
 
@@ -171,17 +189,18 @@ mod tests {
         assert!(layout.lookup_on(0, 99, &bad_tag).is_none(), "unknown tag");
     }
 
-    /// The per-tag layout compiles one table per *distinct* `(switch, tag)`
-    /// table — a switch the event leaves alone shares its table across
-    /// tags.
+    /// The per-tag layout compiles one index per prefix chain: the
+    /// firewall's second table extends its first, and a switch no
+    /// configuration installs a table on is one empty chain.
     #[test]
     fn layout_introspection_reports_the_expected_shape() {
         let nes = CompiledNes::compile(firewall_nes());
         // Slot 1 is a listed switch no configuration installs a table on.
         let per_tag = PerTagTables::build(&nes, &[1, 2]);
-        assert_eq!(per_tag.compiled.len(), 3, "switch 1's two tables + switch 2's shared empty");
-        assert_eq!(per_tag.slots, vec![0, 1, 2, 2]);
-        assert!(per_tag.table(1, 0).unwrap().is_empty());
+        assert_eq!(per_tag.compiled.len(), 2, "switch 1's chain + switch 2's shared empty");
+        assert_eq!(per_tag.slots, vec![(0, 1), (0, 2), (1, 0), (1, 0)]);
+        assert_eq!(per_tag.compiled[0].len(), 2, "the chain's longest member is what is indexed");
+        assert_eq!(per_tag.shape(), (2, 2, 4));
     }
 
     /// An event that *removes* and *reinstalls* switches: the per-tag
@@ -261,11 +280,32 @@ mod proptests {
             .prop_map(|kv| kv.into_iter().collect())
     }
 
-    /// One campaign step's edits: `Some(rules)` replaces (or adds) a
-    /// switch's table, `None` removes the switch outright.
-    fn arb_edits() -> impl Strategy<Value = BTreeMap<u64, Option<Vec<Rule>>>> {
-        proptest::collection::vec((1u64..6, proptest::option::of(arb_rules())), 0..4)
-            .prop_map(|kv| kv.into_iter().collect())
+    /// What a campaign step does to one switch's table.
+    #[derive(Clone, Debug)]
+    enum Edit {
+        /// Replaces (or adds) the table.
+        Replace(Vec<Rule>),
+        /// Adds rules below the ones installed — the step that makes the
+        /// next table a prefix extension of this one.
+        Append(Vec<Rule>),
+        /// Keeps the first `n` rules (at most): a prefix of the table before.
+        Truncate(usize),
+        /// Removes the switch outright.
+        Remove,
+    }
+
+    /// One campaign step's edits, appends as likely as everything else
+    /// together so chains of several tables actually form.
+    fn arb_edits() -> impl Strategy<Value = BTreeMap<u64, Edit>> {
+        let edit = prop_oneof![
+            arb_rules().prop_map(Edit::Replace),
+            arb_rules().prop_map(Edit::Append),
+            arb_rules().prop_map(Edit::Append),
+            arb_rules().prop_map(Edit::Append),
+            (0usize..12).prop_map(Edit::Truncate),
+            Just(Edit::Remove),
+        ];
+        proptest::collection::vec((1u64..6, edit), 0..4).prop_map(|kv| kv.into_iter().collect())
     }
 
     fn config_of(tables: &BTreeMap<u64, Vec<Rule>>) -> Config {
@@ -277,11 +317,12 @@ mod proptests {
     }
 
     /// The chain NES whose step `i` applies `steps[i]` to the tables so far
-    /// — most switches untouched, a few replaced, the odd one added or
-    /// removed.
+    /// — most switches untouched, a few extended, replaced or cut short,
+    /// the odd one added or removed. Every table is built from its own
+    /// rules, so no two share a list: chains are found by value.
     fn chain_nes(
         mut tables: BTreeMap<u64, Vec<Rule>>,
-        steps: Vec<BTreeMap<u64, Option<Vec<Rule>>>>,
+        steps: Vec<BTreeMap<u64, Edit>>,
     ) -> CompiledNes {
         let initial = config_of(&tables);
         let steps = steps
@@ -290,9 +331,11 @@ mod proptests {
             .map(|(i, edits)| {
                 for (sw, edit) in edits {
                     match edit {
-                        Some(rules) => tables.insert(sw, rules),
-                        None => tables.remove(&sw),
-                    };
+                        Edit::Replace(rules) => drop(tables.insert(sw, rules)),
+                        Edit::Append(rules) => tables.entry(sw).or_default().extend(rules),
+                        Edit::Truncate(n) => tables.entry(sw).or_default().truncate(n),
+                        Edit::Remove => drop(tables.remove(&sw)),
+                    }
                 }
                 CampaignStep {
                     trigger: campaign_pred(i),
@@ -302,6 +345,30 @@ mod proptests {
             })
             .collect();
         CompiledNes::compile(campaign_nes(initial, steps).expect("chain NES builds"))
+    }
+
+    /// The number of prefix chains the deployment's tables fall into,
+    /// counted on plain rule vectors: per switch, in tag order, a table
+    /// joins the chain at hand if it starts the chain's longest table or is
+    /// started by it, and opens the next chain otherwise.
+    fn chain_count(nes: &CompiledNes, switches: &[u64]) -> usize {
+        let mut chains = 0;
+        for &sw in switches {
+            let mut longest: Option<Vec<Rule>> = None;
+            for tag in 0..nes.tag_count() as u64 {
+                let table: Vec<Rule> =
+                    nes.table(sw, tag).map(|t| t.iter().cloned().collect()).unwrap_or_default();
+                match &mut longest {
+                    Some(longest) if longest.starts_with(&table) => {}
+                    Some(longest) if table.starts_with(longest) => *longest = table,
+                    _ => {
+                        chains += 1;
+                        longest = Some(table);
+                    }
+                }
+            }
+        }
+        chains
     }
 
     proptest! {
@@ -314,7 +381,7 @@ mod proptests {
         #[test]
         fn per_tag_layout_answers_like_the_spec_and_the_guarded_program(
             tables in arb_tables(),
-            steps in proptest::collection::vec(arb_edits(), 0..4),
+            steps in proptest::collection::vec(arb_edits(), 0..6),
             listed in proptest::collection::vec(0u64..7, 0..4),
             random in proptest::collection::vec(
                 proptest::collection::vec((0usize..FIELDS.len(), 0u64..4), 0..4),
@@ -325,6 +392,8 @@ mod proptests {
             let switches = dense_switches(&nes, &listed);
             let deployment = PerTagTables::build(&nes, &switches);
             let tags = nes.tag_count() as u64;
+            prop_assert_eq!(deployment.compiled.len(), chain_count(&nes, &switches));
+            prop_assert_eq!(deployment.slots.len(), switches.len() * tags as usize);
 
             // Random packets plus every installed pattern read back as a
             // packet (a guaranteed candidate hit, shadowed or not).

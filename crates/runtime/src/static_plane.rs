@@ -106,16 +106,21 @@ impl DataPlane for StaticDataPlane {
     fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
 
     /// Reports the compiled lookup index's fingerprint probe outcomes,
-    /// summed over the per-switch tables.
+    /// summed over the per-switch tables, and the layout's size (one index
+    /// and one slot per switch).
     fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
-        let (mut hits, mut fallbacks) = (0u64, 0u64);
+        let (mut hits, mut fallbacks, mut rules) = (0u64, 0u64, 0u64);
         for table in self.index.values() {
             let (h, f) = table.lookup_stats();
             hits += h;
             fallbacks += f;
+            rules += table.len() as u64;
         }
         reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_hits", hits);
         reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_fallbacks", fallbacks);
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.tables", self.index.len() as u64);
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.indexed_rules", rules);
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.slots", self.index.len() as u64);
     }
 }
 

@@ -31,7 +31,7 @@ use edn_topo::{
     LinkProfile, TierProfile, Workload,
 };
 use nes_runtime::{campaign_nes, campaign_pred, campaign_trigger, CampaignStep};
-use netkat::{Field, Loc, Packet, Rule};
+use netkat::{Field, FlowTable, Loc, Packet, Rule};
 use netsim::traffic::{udp_packet, UdpFlowSpec};
 use netsim::{DataPlane, Engine, SimParams, SimTime};
 use rand::rngs::StdRng;
@@ -127,15 +127,88 @@ pub struct CompiledScenario {
     pub horizon: SimTime,
 }
 
-/// How a campaign state routes one host's address.
-#[derive(Clone, Copy)]
-enum Reach {
-    /// A victim not yet unblocked: no rule anywhere.
-    Blocked,
-    /// The shortest-path rules toward its attachment.
-    Routed,
-    /// The rules toward its mobile twin's attachment.
-    Moved,
+/// One switch's tables across the campaign's states. While steps only add
+/// rules the switch keeps one growing list and a state is a length of it;
+/// a step that rewrites a rule starts the next list from a copy. Frozen at
+/// the end, every state's table is a prefix view of the list it was taken
+/// from — so a run of additive steps shares one allocation, and the
+/// deployment one index ([`FlowTable::prefix`]).
+struct SwitchLists {
+    /// The lists in the order they were started; the last is still growing.
+    lists: Vec<Vec<Rule>>,
+    /// Per campaign state so far: which list, and how many of its rules.
+    states: Vec<(usize, usize)>,
+    /// The rules toward still-blocked victims, by victim.
+    blocked: BTreeMap<u64, Rule>,
+}
+
+impl SwitchLists {
+    /// Splits a switch's full routing rules into the initial table and the
+    /// rules held back for `victims`. Twins are never addressed directly,
+    /// so rules toward them are dropped.
+    fn new(routing: Vec<Rule>, victims: &BTreeSet<u64>) -> SwitchLists {
+        let mut initial = Vec::with_capacity(routing.len());
+        let mut blocked = BTreeMap::new();
+        for rule in routing {
+            let dst = rule.pattern.get(Field::IpDst).expect("routing rules match ip_dst");
+            if dst >= edn_topo::MOBILE_TWIN_OFFSET {
+                continue;
+            }
+            if victims.contains(&dst) {
+                blocked.insert(dst, rule);
+            } else {
+                initial.push(rule);
+            }
+        }
+        SwitchLists { lists: vec![initial], states: Vec::new(), blocked }
+    }
+
+    fn growing(&mut self) -> &mut Vec<Rule> {
+        self.lists.last_mut().expect("a switch always has a list")
+    }
+
+    /// Records the table as it stands as the next campaign state's.
+    fn snapshot(&mut self) {
+        let list = self.lists.len() - 1;
+        self.states.push((list, self.lists[list].len()));
+    }
+
+    /// An unblock: the victim's rule goes last, so the table before it is a
+    /// prefix of the table after. (Routing rules match distinct `ip_dst`s,
+    /// so their order decides nothing.)
+    fn unblock(&mut self, victim: u64) {
+        if let Some(rule) = self.blocked.remove(&victim) {
+            self.growing().push(rule);
+        }
+    }
+
+    /// A move: the host's rule is re-pointed at `rehomed` (or removed when
+    /// the twin is unreachable from here). Earlier states keep the list
+    /// they saw; a switch whose rule does not change keeps growing its own.
+    fn rehome(&mut self, host: u64, rehomed: Option<&Rule>) {
+        let current = self.growing();
+        let Some(at) = current.iter().position(|r| r.pattern.get(Field::IpDst) == Some(host))
+        else {
+            return;
+        };
+        if rehomed == Some(&current[at]) {
+            return;
+        }
+        let mut next = current.clone();
+        match rehomed {
+            Some(rule) => next[at] = rule.clone(),
+            None => {
+                next.remove(at);
+            }
+        }
+        self.lists.push(next);
+    }
+
+    /// The table of every recorded state, in order.
+    fn into_tables(self) -> impl Iterator<Item = FlowTable> {
+        let whole: Vec<FlowTable> = self.lists.into_iter().map(FlowTable::from_rules).collect();
+        self.states.into_iter().map(move |(list, len)| whole[list].prefix(len))
+    }
 }
 
 pub(crate) fn build_topology(spec: TopologySpec) -> GenTopology {
@@ -271,60 +344,45 @@ impl CompiledScenario {
 
         // Per-state configurations: full shortest paths, minus rules toward
         // still-blocked victims, with moved hosts' rules re-pointed at
-        // their twins. Each routing rule's destination is read once, here,
-        // as a slot of `run.hosts()`; a state is then one `Reach` per slot,
-        // so building its tables costs an array read per rule.
-        let full = shortest_path_rules(&run);
-        let slot_of: BTreeMap<u64, usize> = run.hosts().iter().copied().zip(0..).collect();
-        let rehomed: BTreeMap<usize, BTreeMap<u64, Rule>> =
-            mover_ids.iter().map(|&h| (slot_of[&h], rehomed_rules(&run, h))).collect();
-        let routed: Vec<(u64, Vec<(usize, &Rule)>)> = full
-            .iter()
-            .map(|(&sw, list)| {
-                let toward = list.iter().filter_map(|r| {
-                    let dst = r.pattern.get(Field::IpDst).expect("routing rules match ip_dst");
-                    // Twins are never addressed directly.
-                    (dst < edn_topo::MOBILE_TWIN_OFFSET).then(|| (slot_of[&dst], r))
-                });
-                (sw, toward.collect())
-            })
+        // their twins. Nothing is built per state but a length per switch:
+        // see `SwitchLists`.
+        let victim_set: BTreeSet<u64> = victims.iter().copied().collect();
+        let mut tables: BTreeMap<u64, SwitchLists> = shortest_path_rules(&run)
+            .into_iter()
+            .map(|(sw, routing)| (sw, SwitchLists::new(routing, &victim_set)))
             .collect();
-        let state_rules = |reach: &[Reach]| -> BTreeMap<u64, Vec<Rule>> {
-            routed
-                .iter()
-                .map(|(sw, list)| {
-                    let mut rules = Vec::with_capacity(list.len());
-                    for &(slot, r) in list {
-                        match reach[slot] {
-                            Reach::Blocked => {}
-                            Reach::Routed => rules.push(r.clone()),
-                            Reach::Moved => rules.extend(rehomed[&slot].get(sw).cloned()),
-                        }
+        tables.values_mut().for_each(SwitchLists::snapshot);
+        for step in &steps {
+            match step.target {
+                StepTarget::Unblock(victim) => {
+                    tables.values_mut().for_each(|t| t.unblock(victim));
+                }
+                StepTarget::Move { host, .. } => {
+                    let rehomed = rehomed_rules(&run, host);
+                    for (sw, t) in &mut tables {
+                        t.rehome(host, rehomed.get(sw));
                     }
-                    (*sw, rules)
-                })
-                .collect()
-        };
-        let mut reach = vec![Reach::Routed; run.hosts().len()];
-        for v in &victims {
-            reach[slot_of[v]] = Reach::Blocked;
+                }
+            }
+            tables.values_mut().for_each(SwitchLists::snapshot);
         }
-        let initial = config_from_rules(&run, state_rules(&reach));
+        // The links and hosts are every state's: built once, cloned per state.
+        let skeleton = config_from_rules(&run, BTreeMap::new());
+        let mut configs = vec![skeleton; steps.len() + 1];
+        for (sw, lists) in tables {
+            for (config, table) in configs.iter_mut().zip(lists.into_tables()) {
+                config.install(sw, table);
+            }
+        }
+        let mut configs = configs.into_iter();
+        let initial = configs.next().expect("the initial state");
         let trigger_host = hosts[0];
         let trigger_dst = hosts[1];
         let trigger_loc = run.attachment(trigger_host).expect("generated hosts are attached");
-        let mut campaign_steps = Vec::with_capacity(steps.len());
-        for (i, step) in steps.iter().enumerate() {
-            reach[slot_of[&step.target.host()]] = match step.target {
-                StepTarget::Unblock(_) => Reach::Routed,
-                StepTarget::Move { .. } => Reach::Moved,
-            };
-            campaign_steps.push(CampaignStep {
-                trigger: campaign_pred(i),
-                loc: trigger_loc,
-                config: config_from_rules(&run, state_rules(&reach)),
-            });
-        }
+        let campaign_steps = configs
+            .enumerate()
+            .map(|(i, config)| CampaignStep { trigger: campaign_pred(i), loc: trigger_loc, config })
+            .collect();
         let nes = campaign_nes(initial, campaign_steps)
             .map_err(|e| ScenarioError::Invalid(format!("campaign NES rejected: {e:?}")))?;
 
@@ -507,7 +565,133 @@ impl CompiledScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::ScenarioGen;
     use crate::spec::{ActionSpec, CampaignSpec};
+
+    /// How a campaign state routes one host's address.
+    #[derive(Clone, Copy)]
+    enum Reach {
+        /// A victim not yet unblocked: no rule anywhere.
+        Blocked,
+        /// The shortest-path rules toward its attachment.
+        Routed,
+        /// The rules toward its mobile twin's attachment.
+        Moved,
+    }
+
+    /// The per-state rules as `compile` built them before tables shared
+    /// lists — every state filtered whole out of the full routing, one
+    /// `Reach` per host — kept as the specification of what each state
+    /// installs: initial state first, then one entry per step.
+    fn reference_state_rules(c: &CompiledScenario) -> Vec<BTreeMap<u64, Vec<Rule>>> {
+        let run = &c.run;
+        let full = shortest_path_rules(run);
+        let slot_of: BTreeMap<u64, usize> = run.hosts().iter().copied().zip(0..).collect();
+        let state_rules = |reach: &[Reach]| -> BTreeMap<u64, Vec<Rule>> {
+            full.iter()
+                .map(|(&sw, list)| {
+                    let mut rules = Vec::new();
+                    for r in list {
+                        let dst = r.pattern.get(Field::IpDst).expect("routing rules match ip_dst");
+                        // Twins are never addressed directly.
+                        if dst >= edn_topo::MOBILE_TWIN_OFFSET {
+                            continue;
+                        }
+                        match reach[slot_of[&dst]] {
+                            Reach::Blocked => {}
+                            Reach::Routed => rules.push(r.clone()),
+                            Reach::Moved => rules.extend(rehomed_rules(run, dst).get(&sw).cloned()),
+                        }
+                    }
+                    (sw, rules)
+                })
+                .collect()
+        };
+        let mut reach = vec![Reach::Routed; run.hosts().len()];
+        for step in &c.steps {
+            if let StepTarget::Unblock(v) = step.target {
+                reach[slot_of[&v]] = Reach::Blocked;
+            }
+        }
+        let mut states = vec![state_rules(&reach)];
+        for step in &c.steps {
+            reach[slot_of[&step.target.host()]] = match step.target {
+                StepTarget::Unblock(_) => Reach::Routed,
+                StepTarget::Move { .. } => Reach::Moved,
+            };
+            states.push(state_rules(&reach));
+        }
+        states
+    }
+
+    /// The address of a table's rule list, for "is this the same
+    /// allocation?" (`None` for an empty table, which has nothing to share).
+    fn list_of(table: &FlowTable) -> Option<*const Rule> {
+        table.iter().next().map(std::ptr::from_ref)
+    }
+
+    /// A move between two unblocks: an additive run, a rewrite, and another
+    /// additive run on the rewritten lists.
+    fn move_between_unblocks() -> ScenarioSpec {
+        ScenarioSpec {
+            name: "unblock-move-unblock".to_string(),
+            topology: TopologySpec::FatTree(4),
+            // Unblocks at 100, 200 and 300 ms (the default grid).
+            campaign: CampaignSpec { updates: 3, ..CampaignSpec::default() },
+            actions: vec![ActionSpec {
+                at: SimTime::from_millis(150),
+                kind: ActionKind::MoveHost { host: 2, to: 20 },
+            }],
+            ..churn_spec()
+        }
+    }
+
+    /// Every state installs the reference's rules (as a set: an unblocked
+    /// victim's rule goes last, not where the full routing had it),
+    /// consecutive states across an unblock are prefixes on one
+    /// allocation, and a move starts a new list exactly where it rewrites a
+    /// rule.
+    #[test]
+    fn states_share_lists_and_install_the_reference_rules() {
+        let specs = (0..32).map(ScenarioGen::sample).chain([churn_spec(), move_between_unblocks()]);
+        let (mut extended, mut restarted) = (0, 0);
+        for spec in specs {
+            let c = CompiledScenario::compile(&spec).unwrap();
+            let sets = c.nes.event_sets();
+            assert_eq!(sets.len(), c.steps.len() + 1, "{}: a chain of prefixes", spec.name);
+            let reference = reference_state_rules(&c);
+            for (&set, want) in sets.iter().zip(&reference) {
+                let config = c.nes.config(set);
+                assert!(config.switches().eq(want.keys().copied()), "{}: switches", spec.name);
+                for (&sw, rules) in want {
+                    let got: BTreeSet<&Rule> =
+                        config.table(sw).expect("installed").iter().collect();
+                    assert_eq!(got.len(), config.table(sw).unwrap().len(), "a rule twice");
+                    assert_eq!(got, rules.iter().collect(), "{}: {set} at switch {sw}", spec.name);
+                }
+            }
+            for (pair, step) in sets.windows(2).zip(&c.steps) {
+                let (before, after) = (c.nes.config(pair[0]), c.nes.config(pair[1]));
+                for sw in before.switches() {
+                    let (old, new) = (before.table(sw).unwrap(), after.table(sw).unwrap());
+                    let shared = list_of(old).is_none() || list_of(old) == list_of(new);
+                    match step.target {
+                        StepTarget::Unblock(_) => {
+                            assert!(old.is_prefix_of(new), "{}: {step:?} at {sw}", spec.name);
+                            assert!(new.len() <= old.len() + 1);
+                            assert!(shared, "{}: {step:?} copied switch {sw}'s list", spec.name);
+                            extended += usize::from(new.len() > old.len());
+                        }
+                        StepTarget::Move { .. } => {
+                            assert_eq!(old == new, shared, "{}: {step:?} at {sw}", spec.name);
+                            restarted += usize::from(!shared);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(extended > 0 && restarted > 0, "{extended} extensions, {restarted} restarts");
+    }
 
     fn churn_spec() -> ScenarioSpec {
         ScenarioSpec {

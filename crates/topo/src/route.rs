@@ -25,12 +25,14 @@ pub fn shortest_path_rules(gen: &GenTopology) -> BTreeMap<u64, Vec<Rule>> {
     let topo = gen.sim();
     let mut rules: BTreeMap<u64, Vec<Rule>> =
         topo.switches().iter().map(|&s| (s, Vec::new())).collect();
-    // One BFS per attachment switch, shared by its co-located hosts.
+    // One graph for the topology, one BFS per attachment switch (shared by
+    // its co-located hosts).
+    let graph = topo.switch_graph();
     let mut next_hops: BTreeMap<u64, BTreeMap<u64, u64>> = BTreeMap::new();
     let mut outputs = OutputActions::default();
     for &host in gen.hosts() {
         let at = gen.attachment(host).expect("generated hosts are attached");
-        let next = next_hops.entry(at.sw).or_insert_with(|| topo.next_hop_ports(at.sw));
+        let next = next_hops.entry(at.sw).or_insert_with(|| graph.next_hop_ports(at.sw));
         let pattern = Match::new().with(Field::IpDst, host);
         for (&sw, list) in rules.iter_mut() {
             let out = if sw == at.sw { Some(at.pt) } else { next.get(&sw).copied() };

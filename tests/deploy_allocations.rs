@@ -1,5 +1,5 @@
 //! Sharing regression: a campaign's rules are built once and passed along
-//! — bodies and rule lists both — not rebuilt or copied per stage.
+//! — bodies, rule lists and indexes — not rebuilt or copied per stage.
 //!
 //! A counting `#[global_allocator]` watches the three stages a campaign run
 //! goes through before its first event, on the fat-tree(4) × 4-update
@@ -8,20 +8,24 @@
 //! benchmark times (`CompiledNes::compile(nes.clone())` +
 //! `NesDataPlane::new`), and `CompiledScenario::engine`. A freshly built
 //! `Rule` is five allocations (two reference counts, the `Match` map, the
-//! `ActionSet` set, the `Action` map) and a copied rule list is one, so
+//! `ActionSet` set, the `Action` map), a copied rule list is one and an
+//! index about six (segment list, signature, fingerprint map, prefetch), so
 //! each stage that rebuilds or copies shows up as a per-rule or per-table
-//! term. What is left after sharing is per *table*: the index's segment
-//! list, signature, fingerprint map and prefetch, about six allocations a
-//! table. Counts are per thread and repeat exactly; the bounds are the
-//! measured counts (deploy 825 → 625 and `engine()` 859 → 659 when the rule
-//! lists became shared, scenario compile 2,783 → 1,076 when the routing
-//! synthesis stopped building a `Match` and an `ActionSet` per rule).
+//! term. Every step of this campaign only adds rules, so what is left after
+//! sharing is per *switch*: one rule list, one index, and five `(list,
+//! length)` views of them. Counts are per thread and repeat exactly; the
+//! bounds are the measured counts (scenario compile 2,783 → 1,076 when the
+//! routing synthesis stopped building a `Match` and an `ActionSet` per
+//! rule, deploy 825 → 625 and `engine()` 859 → 659 when the rule lists
+//! became shared, then 581 / 224 / 257 when a step that only adds rules
+//! started sharing its predecessor's list and index).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use edn_scenario::{parse, CompiledScenario};
 use nes_runtime::{CompiledNes, NesDataPlane};
+use netsim::DataPlane;
 
 thread_local! {
     /// Allocations made by this thread (no destructor, so the allocator may
@@ -97,9 +101,9 @@ fn deploying_a_campaign_does_not_copy_rule_bodies() {
     assert_eq!(deploy().0, spent, "the allocation count repeats exactly");
     assert!(forwarding >= 1000, "the campaign installs a real rule load ({forwarding})");
     assert!(
-        spent <= 625,
-        "deploying {forwarding} installed rules took {spent} allocations (625 when pinned) — \
-         rule bodies or rule lists are being copied again"
+        spent <= 224,
+        "deploying {forwarding} installed rules took {spent} allocations (224 when pinned) — \
+         rule lists are being copied, or an index is built per table again"
     );
 }
 
@@ -116,14 +120,15 @@ fn compiling_a_campaign_builds_each_rule_body_once() {
     let forwarding = c.nes.total_rules() as u64;
     assert!(forwarding >= 1000, "the campaign installs a real rule load ({forwarding})");
     assert!(
-        spent < forwarding,
+        spent <= 581,
         "compiling a campaign of {forwarding} installed rules took {spent} allocations \
-         (1,076 when pinned) — rule bodies are being built per rule again"
+         (581 when pinned) — rule bodies are being built per rule, or a rule list per state, \
+         again"
     );
 }
 
 /// `engine()` clones the NES and deploys it: with shared rule lists that
-/// is reference counts and the per-table index, and the plane's tables
+/// is reference counts and one index per switch, and the plane's tables
 /// *are* the compiled scenario's.
 #[test]
 fn building_an_engine_does_not_copy_rules() {
@@ -132,9 +137,9 @@ fn building_an_engine_does_not_copy_rules() {
     let engine = c.engine();
     let spent = allocations() - before;
     assert!(
-        spent <= 659,
-        "engine() took {spent} allocations (659 when pinned: ~6.6 per installed table) — \
-         a rule list is being copied per table again"
+        spent <= 257,
+        "engine() took {spent} allocations (257 when pinned: ~13 per switch) — \
+         a rule list is being copied, or an index built, per table again"
     );
     let plane = engine.finish().dataplane;
     for set in c.nes.event_sets() {
@@ -146,4 +151,30 @@ fn building_an_engine_does_not_copy_rules() {
             assert_eq!(first(ours), first(theirs), "switch {sw}: the rule list was copied");
         }
     }
+}
+
+/// Every step of the pinned campaign adds one rule per switch, so each
+/// switch's five tables are five lengths of one rule list, and the plane
+/// serves its five `(switch, tag)` slots from one index: 20 lists and 20
+/// indexes, not 100 of each.
+#[test]
+fn an_additive_campaign_holds_one_list_and_one_index_per_switch() {
+    let c = campaign();
+    let switches = c.run.sim().switches();
+    for &sw in switches {
+        let lists: std::collections::BTreeSet<*const netkat::Rule> = c
+            .nes
+            .event_sets()
+            .into_iter()
+            .filter_map(|set| c.nes.config(set).table(sw)?.iter().next().map(std::ptr::from_ref))
+            .collect();
+        assert_eq!(lists.len(), 1, "switch {sw}'s tables sit on {} rule lists", lists.len());
+    }
+    let mut reg = edn_obs::Registry::new();
+    c.engine().finish().dataplane.contribute_metrics(&mut reg);
+    assert_eq!(reg.gauge("flowindex.tables"), Some(switches.len() as u64));
+    assert_eq!(reg.gauge("flowindex.slots"), Some(5 * switches.len() as u64));
+    // Each index covers its switch's longest table: the final configuration.
+    let last = c.nes.event_sets().into_iter().max().expect("the campaign has states");
+    assert_eq!(reg.gauge("flowindex.indexed_rules"), Some(c.nes.config(last).rule_count() as u64));
 }
