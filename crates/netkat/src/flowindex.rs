@@ -33,9 +33,10 @@
 //! `len`. The segments were cut for the whole table, so a prefix may be
 //! answered by a hash probe where its own index would have scanned four
 //! rules (or the reverse); which strategy answers changes, the answer does
-//! not. A deployment whose per-tag tables extend one another compiles the
-//! longest and bounds the rest, and a second proptest holds the bounded
-//! walk to `table.prefix(len).lookup_index(pk)` for every `len`.
+//! not. There is one walk: a whole-table lookup is the bound that clips
+//! nothing. A deployment whose per-tag tables extend one another compiles
+//! the longest and bounds the rest, and a second proptest holds the walk to
+//! `table.prefix(len).lookup_index(pk)` for every `len`.
 //!
 //! # Examples
 //!
@@ -52,6 +53,7 @@
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -185,7 +187,7 @@ pub(crate) fn fp_mix(h: u64, value: Value) -> u64 {
 /// construction and the differential tests — and
 /// [`lookup_within`](CompiledTable::lookup_within) answers for any of the
 /// table's prefixes from the same index.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct CompiledTable {
     /// The source table's list; only `rules[..len]` is indexed.
     rules: Arc<[Rule]>,
@@ -208,6 +210,21 @@ pub struct CompiledTable {
     fp_hits: Cell<u64>,
     /// Hash-segment lookups that fell back to the collision scan.
     fp_fallbacks: Cell<u64>,
+}
+
+/// The indexed rules only, like [`FlowTable`]'s: what the list holds past
+/// `len` is not this table's.
+impl fmt::Debug for CompiledTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CompiledTable")
+            .field("rules", &&self.rules[..self.len])
+            .field("segments", &self.segments)
+            .field("prefetch", &self.prefetch)
+            .field("prefetched", &self.prefetched)
+            .field("fp_hits", &self.fp_hits)
+            .field("fp_fallbacks", &self.fp_fallbacks)
+            .finish()
+    }
 }
 
 /// Splits `rules` into signature runs; adjacent scan runs are merged.
@@ -311,54 +328,7 @@ impl CompiledTable {
     /// [`LocatedView`](crate::LocatedView). With the prefetch active,
     /// every field any hash segment needs is read exactly once.
     pub fn lookup_index_on<R: FieldReader>(&self, pk: &R) -> Option<usize> {
-        // The cache (and its initialization cost) exists only on the
-        // prefetched path; single-segment tables go straight to
-        // per-segment reads.
-        if self.prefetched {
-            let mut cache = [None::<Value>; PREFETCH_CAP];
-            for (slot, &f) in self.prefetch.iter().enumerate() {
-                cache[slot] = pk.read(f);
-            }
-            self.walk_segments(pk, |seg| seg.fingerprint_cached(&cache))
-        } else {
-            self.walk_segments(pk, |seg| seg.fingerprint_of(pk))
-        }
-    }
-
-    /// The segment walk, generic over where hash fingerprints come from
-    /// (the prefetch cache or direct packet reads).
-    fn walk_segments<R: FieldReader>(
-        &self,
-        pk: &R,
-        fingerprint: impl Fn(&HashSegment) -> Option<u64>,
-    ) -> Option<usize> {
-        for segment in &self.segments {
-            match segment {
-                Segment::Scan { start, end } => {
-                    if let Some(i) = self.scan(*start, *end, pk) {
-                        return Some(i);
-                    }
-                }
-                Segment::Hash(seg) => {
-                    let Some(fp) = fingerprint(seg) else { continue };
-                    let Some(&candidate) = seg.map.get(&fp) else { continue };
-                    // A one-field fingerprint is injective (see `fp_mix`):
-                    // the hit is the match. Wider ones can collide.
-                    if seg.fields.len() == 1
-                        || self.rules[candidate as usize].pattern.matches_on(pk)
-                    {
-                        self.fp_hits.set(self.fp_hits.get() + 1);
-                        return Some(candidate as usize);
-                    }
-                    // Fingerprint collision: the run still decides by scan.
-                    self.fp_fallbacks.set(self.fp_fallbacks.get() + 1);
-                    if let Some(i) = self.scan(seg.start, seg.end, pk) {
-                        return Some(i);
-                    }
-                }
-            }
-        }
-        None
+        self.lookup_index_within(self.len, pk)
     }
 
     /// The indexed `table.prefix(len).lookup_index(pk)`: the first rule
@@ -375,14 +345,17 @@ impl CompiledTable {
     pub fn lookup_index_within<R: FieldReader>(&self, len: usize, pk: &R) -> Option<usize> {
         // Rule indexes are `u32` throughout the index.
         let len = len.min(self.len) as u32;
+        // The cache (and its initialization cost) exists only on the
+        // prefetched path; single-segment tables go straight to
+        // per-segment reads.
         if self.prefetched {
             let mut cache = [None::<Value>; PREFETCH_CAP];
             for (slot, &f) in self.prefetch.iter().enumerate() {
                 cache[slot] = pk.read(f);
             }
-            self.walk_segments_within(len, pk, |seg| seg.fingerprint_cached(&cache))
+            self.walk_segments(len, pk, |seg| seg.fingerprint_cached(&cache))
         } else {
-            self.walk_segments_within(len, pk, |seg| seg.fingerprint_of(pk))
+            self.walk_segments(len, pk, |seg| seg.fingerprint_of(pk))
         }
     }
 
@@ -392,11 +365,9 @@ impl CompiledTable {
         self.lookup_index_within(len, pk).map(|i| &self.rules[i])
     }
 
-    /// [`walk_segments`](CompiledTable::walk_segments) over `rules[..len]`.
-    /// Kept beside the unbounded walk rather than folded into it: the
-    /// bound's compare per segment and per hit showed on the streamed hop,
-    /// whose tables never need it (see ARCHITECTURE.md).
-    fn walk_segments_within<R: FieldReader>(
+    /// The segment walk over `rules[..len]`, generic over where hash
+    /// fingerprints come from (the prefetch cache or direct packet reads).
+    fn walk_segments<R: FieldReader>(
         &self,
         len: u32,
         pk: &R,
@@ -422,12 +393,15 @@ impl CompiledTable {
                     let Some(&candidate) = seg.map.get(&fp).filter(|&&c| c < len) else {
                         continue;
                     };
+                    // A one-field fingerprint is injective (see `fp_mix`):
+                    // the hit is the match. Wider ones can collide.
                     if seg.fields.len() == 1
                         || self.rules[candidate as usize].pattern.matches_on(pk)
                     {
                         self.fp_hits.set(self.fp_hits.get() + 1);
                         return Some(candidate as usize);
                     }
+                    // Fingerprint collision: the run still decides by scan.
                     self.fp_fallbacks.set(self.fp_fallbacks.get() + 1);
                     if let Some(i) = self.scan(seg.start, seg.end.min(len), pk) {
                         return Some(i);
@@ -933,10 +907,10 @@ mod proptests {
             prop_assert_eq!(compiled.lookup_stats(), (0, 1));
         }
 
-        // The bounded walk answers to the linear scan of the prefix, not
-        // to the unbounded walk: for every `len`, one index of the whole
-        // table finds what `table.prefix(len)` finds rule by rule — where
-        // the prefix cuts a hash run, where it ends before one, and where
+        // The bounded walk answers to the linear scan of the prefix: for
+        // every `len`, one index of the whole table finds what
+        // `table.prefix(len)` finds rule by rule — where the prefix cuts a
+        // hash run, where it ends before one, and where
         // the whole run is a rule too short to have been hashed alone. The
         // counters move only on a hash segment's answer: a hit is a rule
         // the reference confirms, never a candidate the bound discarded.
@@ -965,11 +939,11 @@ mod proptests {
                     prop_assert_eq!(compiled.lookup_within(len, pk), prefix.lookup(pk));
                 }
             }
-            // The whole table through the bounded walk is the unbounded one.
+            // A bound past the table's length is the whole table.
             for pk in pks.iter().chain(probes.iter()) {
                 prop_assert_eq!(
-                    compiled.lookup_index_within(table.len(), pk),
-                    compiled.lookup_index(pk)
+                    compiled.lookup_index_within(table.len() + 1, pk),
+                    table.lookup_index(pk)
                 );
             }
         }

@@ -187,12 +187,20 @@ impl fmt::Display for Rule {
 /// assert_eq!(table.apply(&Packet::new().with(Field::Port, 2)).len(), 1);
 /// assert!(table.apply(&Packet::new().with(Field::Port, 9)).is_empty());
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct FlowTable {
     list: Arc<[Rule]>,
     /// How many of `list`'s rules this table holds; the rest belong to
     /// longer views of the same list.
     len: usize,
+}
+
+/// The visible rules only, so equal tables print alike whatever list they
+/// are views of.
+impl fmt::Debug for FlowTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FlowTable").field("rules", &self.rules()).finish()
+    }
 }
 
 /// By value over the visible rules, with the shortcut `Arc<[T]>`'s own `==`
@@ -829,6 +837,8 @@ mod sharing_proptests {
                 prop_assert_eq!(&view, &scratch);
                 prop_assert_eq!(view == whole, scratch == whole);
                 prop_assert_eq!(view.to_string(), scratch.to_string());
+                prop_assert_eq!(format!("{view:?}"), format!("{scratch:?}"));
+                prop_assert_eq!(format!("{:?}", view.compile()), format!("{:?}", scratch.compile()));
                 prop_assert_eq!(view.compile().len(), len);
                 // Prefix-ness is by value; the shared list is only a shortcut.
                 prop_assert!(view.is_prefix_of(&whole) && scratch.is_prefix_of(&whole));

@@ -235,28 +235,6 @@ impl SimTopology {
     pub fn next_hop_ports(&self, dst_sw: u64) -> BTreeMap<u64, u64> {
         self.switch_graph().next_hop_ports(dst_sw)
     }
-
-    /// The deterministic shortest path from `src_sw` to `dst_sw` as a link
-    /// sequence, or `None` if unreachable (or `src_sw == dst_sw`, where the
-    /// path is empty — represented as `Some` of an empty vector).
-    pub fn route(&self, src_sw: u64, dst_sw: u64) -> Option<Vec<LinkSpec>> {
-        if src_sw == dst_sw {
-            return Some(Vec::new());
-        }
-        let next = self.next_hop_ports(dst_sw);
-        let mut path = Vec::new();
-        let mut at = src_sw;
-        while at != dst_sw {
-            let &pt = next.get(&at)?;
-            let link = *self.link_from(Loc::new(at, pt))?;
-            at = link.dst.sw;
-            path.push(link);
-            if path.len() > self.links.len() {
-                return None; // inconsistent next-hop map; avoid looping
-            }
-        }
-        Some(path)
-    }
 }
 
 /// A topology's inter-switch links as forward and reverse adjacency — what
@@ -300,6 +278,30 @@ impl SwitchGraph {
             }
         }
         next
+    }
+}
+
+impl SimTopology {
+    /// The deterministic shortest path from `src_sw` to `dst_sw` as a link
+    /// sequence, or `None` if unreachable (or `src_sw == dst_sw`, where the
+    /// path is empty — represented as `Some` of an empty vector).
+    pub fn route(&self, src_sw: u64, dst_sw: u64) -> Option<Vec<LinkSpec>> {
+        if src_sw == dst_sw {
+            return Some(Vec::new());
+        }
+        let next = self.next_hop_ports(dst_sw);
+        let mut path = Vec::new();
+        let mut at = src_sw;
+        while at != dst_sw {
+            let &pt = next.get(&at)?;
+            let link = *self.link_from(Loc::new(at, pt))?;
+            at = link.dst.sw;
+            path.push(link);
+            if path.len() > self.links.len() {
+                return None; // inconsistent next-hop map; avoid looping
+            }
+        }
+        Some(path)
     }
 }
 

@@ -89,14 +89,7 @@ impl PerTagTables {
             return None;
         }
         let &(index, len) = self.slots.get(slot * self.tags + tag as usize)?;
-        let chain = &self.compiled[index as usize];
-        // Chosen once per lookup: a table that is its chain's longest (every
-        // table of a one-member chain) takes the unbounded walk untouched.
-        if len as usize == chain.len() {
-            chain.lookup_on(view)
-        } else {
-            chain.lookup_within(len as usize, view)
-        }
+        self.compiled[index as usize].lookup_within(len as usize, view)
     }
 
     /// Summed fingerprint probe outcomes of every compiled index.

@@ -111,8 +111,9 @@ pub fn all_hosts_connected(gen: &GenTopology) -> bool {
         v.dedup();
         v
     };
+    let graph = topo.switch_graph();
     attach.iter().all(|&dst| {
-        let next = topo.next_hop_ports(dst);
+        let next = graph.next_hop_ports(dst);
         attach.iter().all(|&src| src == dst || next.contains_key(&src))
     })
 }
