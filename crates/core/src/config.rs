@@ -7,6 +7,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use netkat::{Field, FlowTable, Loc, TableDelta};
 
@@ -22,6 +23,15 @@ pub(crate) const ST_INGRESS: u8 = 2;
 pub(crate) const ST_EGRESS: u8 = 4;
 
 /// A network configuration: per-switch tables plus the (directed) links.
+///
+/// # Sharing
+///
+/// The links and the hosts sit behind reference counts, as the tables' rule
+/// lists do: the configurations of a campaign differ in their tables, so
+/// cloning one and installing other tables shares the topology, and
+/// [`add_link`](Config::add_link), [`add_host`](Config::add_host) and
+/// [`apply_delta`](Config::apply_delta) copy it first if it is shared — a
+/// clone never observes an edit of its origin. Equality is by value.
 ///
 /// # Examples
 ///
@@ -41,8 +51,8 @@ pub(crate) const ST_EGRESS: u8 = 4;
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Config {
     tables: BTreeMap<u64, FlowTable>,
-    links: BTreeSet<(Loc, Loc)>,
-    hosts: BTreeSet<u64>,
+    links: Arc<BTreeSet<(Loc, Loc)>>,
+    hosts: Arc<BTreeSet<u64>>,
 }
 
 impl Config {
@@ -63,16 +73,24 @@ impl Config {
 
     /// Adds a directed link.
     pub fn add_link(&mut self, src: Loc, dst: Loc) {
-        self.links.insert((src, dst));
+        Arc::make_mut(&mut self.links).insert((src, dst));
     }
 
     /// Declares `node` (attached at `loc`) to be a host, adding both
     /// directions of its attachment link. By convention the host side of the
     /// attachment is port 0.
     pub fn add_host(&mut self, node: u64, attached: Loc) {
-        self.hosts.insert(node);
-        self.links.insert((Loc::new(node, 0), attached));
-        self.links.insert((attached, Loc::new(node, 0)));
+        Arc::make_mut(&mut self.hosts).insert(node);
+        let links = Arc::make_mut(&mut self.links);
+        links.insert((Loc::new(node, 0), attached));
+        links.insert((attached, Loc::new(node, 0)));
+    }
+
+    /// Whether `other` has this configuration's links and hosts — two
+    /// pointer compares when one was cloned from the other (`Arc`'s `==`
+    /// takes that shortcut), by value otherwise.
+    pub(crate) fn same_topology(&self, other: &Config) -> bool {
+        self.links == other.links && self.hosts == other.hosts
     }
 
     /// Returns `true` if `node` is a host.
@@ -108,7 +126,7 @@ impl Config {
     pub fn step(&self, lp: &LocatedPacket) -> Vec<LocatedPacket> {
         let mut out = Vec::new();
         // Link hops from this exact location.
-        for &(src, dst) in &self.links {
+        for &(src, dst) in self.links.iter() {
             if src == lp.loc {
                 out.push(LocatedPacket::new(lp.packet.clone(), dst));
             }
@@ -326,14 +344,21 @@ impl Config {
             table.splice(table_delta);
             self.tables.insert(sw, table);
         }
-        for link in &delta.links_removed {
-            self.links.remove(link);
+        // A delta that leaves the topology alone leaves it shared.
+        if !delta.links_removed.is_empty() || !delta.links_added.is_empty() {
+            let links = Arc::make_mut(&mut self.links);
+            for link in &delta.links_removed {
+                links.remove(link);
+            }
+            links.extend(delta.links_added.iter().copied());
         }
-        self.links.extend(delta.links_added.iter().copied());
-        for host in &delta.hosts_removed {
-            self.hosts.remove(host);
+        if !delta.hosts_removed.is_empty() || !delta.hosts_added.is_empty() {
+            let hosts = Arc::make_mut(&mut self.hosts);
+            for host in &delta.hosts_removed {
+                hosts.remove(host);
+            }
+            hosts.extend(delta.hosts_added.iter().copied());
         }
-        self.hosts.extend(delta.hosts_added.iter().copied());
     }
 }
 
@@ -343,7 +368,7 @@ impl fmt::Display for Config {
             writeln!(f, "switch {sw}:")?;
             write!(f, "{t}")?;
         }
-        for (a, b) in &self.links {
+        for (a, b) in self.links.iter() {
             writeln!(f, "link {a} -> {b}")?;
         }
         Ok(())
@@ -522,6 +547,26 @@ mod tests {
         let mut reverted = new.clone();
         reverted.apply_delta(&back);
         assert_eq!(reverted, old);
+    }
+
+    #[test]
+    fn edits_after_a_clone_do_not_show_through_it() {
+        let origin = two_switch_config();
+        let pristine = two_switch_config();
+        let mut edited = origin.clone();
+        assert!(edited.same_topology(&origin), "a clone shares its origin's topology");
+        edited.add_link(Loc::new(1, 9), Loc::new(4, 9));
+        assert_eq!(origin, pristine, "add_link wrote through the shared links");
+        assert!(!edited.same_topology(&origin));
+
+        let mut grown = pristine.clone();
+        grown.add_host(105, Loc::new(4, 3));
+        let mut patched = origin.clone();
+        patched.apply_delta(&origin.diff(&grown));
+        assert_eq!(patched, grown);
+        assert_eq!(origin, pristine, "apply_delta wrote through the shared links or hosts");
+        // Equal topologies built apart are the same topology, by value.
+        assert!(patched.same_topology(&grown) && origin.same_topology(&pristine));
     }
 
     #[test]

@@ -30,17 +30,22 @@
 //!
 //! The configurations themselves are not kept. At
 //! [`OnlineChecker::observer`] they are folded into one
-//! configuration-masked shared rule index (`shared.rs`): per switch every
-//! *distinct* rule once, under the mask of the configurations that install
-//! it and with its priority position in each, behind a candidate index keyed
-//! by pattern signature and values; and per link, link source and host the
-//! mask of the configurations that have it. The configurations of an NES
-//! share nearly all their rules (a 20-update fat-tree(8) campaign installs
-//! 198,240 rules that are 10,240 distinct ones), so a record costs one link
-//! probe or one candidate lookup through a zero-copy view of the parent's
-//! packet, the winner per configuration resolved by position among the
-//! handful of rules that match, each distinct winner's actions applied once
-//! — and mask arithmetic — whatever the number of configurations.
+//! configuration-masked shared rule index (`shared.rs`), built along the
+//! same prefix chains the plane deploys: per switch, the configurations'
+//! tables are split into chains of prefixes, each chain's longest table is
+//! walked *once* and every distinct rule interned under the mask of the
+//! configurations that install it, with its priority position in each,
+//! behind a candidate index keyed by pattern signature and values; per link,
+//! link source and host the mask of the configurations that have it,
+//! written once per distinct topology. The configurations of an NES share
+//! nearly all their rules (a 20-update fat-tree(8) campaign installs 199,940
+//! rules that are 10,240 distinct ones, in 80 chains), so set-up visits
+//! 10,240 rules, not 199,940 — it does not grow with the number of
+//! configurations — and a record costs one link probe or one candidate
+//! lookup through a zero-copy view of the parent's packet, the winner per
+//! configuration resolved by position among the handful of rules that
+//! match, each distinct winner's actions applied once — and mask arithmetic
+//! — whatever the number of configurations.
 //!
 //! Event firings replay the SWITCH rule greedily: an unfired event located
 //! at a record's port fires there when the packet matches and some enabling
@@ -731,6 +736,11 @@ impl TraceObserver for OnlineChecker {
         reg.gauge_max(Scope::Sim, "checker.obligations_hw", t.obligations_hw);
         reg.gauge_max(Scope::Sim, "checker.watched_leaves_hw", t.watched_leaves_hw);
         reg.counter_add(Scope::Sim, "checker.fired_events", t.fired_events);
+        // `Shard` scope, like the plane's `flowindex.*` layout gauges: the
+        // index's shape is a property of this build, not of the run.
+        let (chains, rules) = self.inner.index.shape();
+        reg.gauge_max(Scope::Shard, "checker.index_chains", chains as u64);
+        reg.gauge_max(Scope::Shard, "checker.index_rules", rules as u64);
     }
 
     fn attach_flight_recorder(&mut self, recorder: edn_obs::FlightRecorder) {
@@ -899,6 +909,22 @@ mod tests {
         obs.retire(0);
         obs.finish();
         assert_eq!(handle.verdict(), Ok(()));
+    }
+
+    #[test]
+    fn record_at_a_node_no_configuration_names_is_inconsistent() {
+        let nes = firewall_like_nes();
+        // Nodes 7 and 8 are no configuration's switch, host or link end:
+        // every configuration rejects there — as a path's start and as a
+        // hop's destination — and nothing panics on the way.
+        let strays: [&[(u64, u64)]; 2] = [&[(7, 1), (7, 2)], &[(100, 0), (1, 2), (8, 1)]];
+        for hops in strays {
+            let (mut obs, handle) = OnlineChecker::observer(&nes).unwrap();
+            transit(&mut obs, &mut 0, &fwd_pk(), hops, LeafKind::Stalled);
+            obs.finish();
+            assert_eq!(handle.verdict(), Err(OnlineViolation::Inconsistent), "{hops:?}");
+            assert!(!post_hoc(&nes, &[(fwd_pk(), hops, LeafKind::Stalled)]));
+        }
     }
 
     #[test]

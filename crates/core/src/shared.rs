@@ -7,14 +7,25 @@
 //! rule's actions — which is the redundancy Section 5.3 of the paper
 //! removes on the switch by installing a shared rule once under a
 //! configuration mask. [`SharedIndex`] does the same on the checker's read
-//! side. Built once from up to 64 configurations, it holds
+//! side, and is built the way the plane deploys: along *prefix chains*.
+//! Built once from up to 64 configurations, it holds
 //!
 //! - per switch, every *distinct* rule once, with the `u64` mask of the
 //!   configurations whose table contains it and its priority position in
 //!   each of them, reachable through a candidate index keyed by pattern
-//!   signature (the set of matched fields) and values;
+//!   signature (the set of matched fields) and values. The configurations'
+//!   tables at a switch are split into prefix chains ([`prefix_chains`],
+//!   the walk `nes-runtime`'s deployment does per tag); a chain's longest
+//!   table is kept (a reference count, no rule is copied: a shared rule is
+//!   a position in it) and each of its rules interned *once*, under the
+//!   mask of the members long enough to hold it — so twenty configurations
+//!   that each add a rule to their predecessor cost one walk of the last
+//!   one's table, not twenty-one walks;
 //! - per link, per link source and per host, the mask of the
-//!   configurations that have it.
+//!   configurations that have it. Configurations are grouped by topology
+//!   first (`Config::same_topology`, a pointer compare for the clones a
+//!   campaign is made of), so a shared topology is written once under its
+//!   group's mask.
 //!
 //! A path's NFA state under all configurations is a [`MaskedState`]: three
 //! masks, one bit per configuration, in place of one 3-bit state each.
@@ -23,12 +34,16 @@
 //! the handful of rules that match, each distinct winner's actions applied
 //! once — and mask arithmetic. [`Config`]'s own automaton stays the
 //! executable specification: a differential property test below pins the
-//! two bit for bit.
+//! two bit for bit, over families whose tables are views of one list, equal
+//! lists built apart, extensions and mid-list rewrites.
 
 use std::collections::HashMap;
 use std::hash::Hasher;
 
-use netkat::{Action, Field, FieldReader, FxBuildHasher, FxHasher, Loc, LocatedView, Packet, Rule};
+use netkat::{
+    prefix_chains, Action, Field, FieldReader, FlowTable, FxBuildHasher, FxHasher, Loc,
+    LocatedView, Packet, Rule,
+};
 
 use crate::config::Config;
 
@@ -55,17 +70,28 @@ impl MaskedState {
     }
 }
 
-/// A distinct rule of one switch, shared by the configurations in `mask`.
+/// A distinct rule of one switch, shared by the configurations in `mask`:
+/// rule `at` of chain `table`, not a copy of it.
 struct SharedRule {
-    rule: Rule,
+    table: u32,
+    at: u32,
     mask: u64,
     /// The next rule whose pattern has the same fingerprint.
     next: u32,
 }
 
+impl SharedRule {
+    fn of<'a>(&self, tables: &'a [FlowTable]) -> &'a Rule {
+        tables[self.table as usize].rule(self.at as usize)
+    }
+}
+
 /// The distinct rules of one switch across all configurations.
 #[derive(Default)]
 struct SwitchRules {
+    /// The longest table of each prefix chain the configurations' tables
+    /// fall into ([`prefix_chains`]); the rules live here.
+    tables: Vec<FlowTable>,
     rules: Vec<SharedRule>,
     /// `pos[r * n + c]`: the priority position of rule `r`'s first
     /// occurrence in configuration `c`'s table.
@@ -76,6 +102,9 @@ struct SwitchRules {
     /// of rules carrying it. Fingerprints may collide, so every candidate
     /// is confirmed against the packet.
     heads: FxMap<u64, u32>,
+    /// Rules `intern` was handed: one per rule of each chain's longest table.
+    #[cfg(test)]
+    visits: usize,
 }
 
 /// The candidate-index key of signature `sig` carrying `values`, one per
@@ -91,9 +120,38 @@ fn fingerprint(sig: usize, values: impl Iterator<Item = Option<u64>>) -> Option<
 }
 
 impl SwitchRules {
-    /// Records that configuration `cfg` (of `n`) holds `rule` at priority
-    /// `position`.
-    fn intern(&mut self, rule: &Rule, cfg: usize, n: usize, position: usize) {
+    fn rule(&self, r: u32) -> &Rule {
+        self.rules[r as usize].of(&self.tables)
+    }
+
+    /// Interns one prefix chain of the `n` configurations' tables: each rule
+    /// of `longest` once, under the configurations whose member table
+    /// reaches it — `members` are `(configuration, rule count)`.
+    fn intern_chain(
+        &mut self,
+        longest: &FlowTable,
+        members: impl Iterator<Item = (usize, usize)>,
+        n: usize,
+    ) {
+        // `ends[len]`: the members of `len` rules, which hold none from there on.
+        let mut ends = vec![0u64; longest.len() + 1];
+        members.for_each(|(cfg, len)| ends[len] |= 1 << cfg);
+        let mut mask = ends.iter().fold(0, |all, ending| all | ending);
+        let table = self.tables.len() as u32;
+        self.tables.push(longest.clone());
+        for (at, rule) in longest.iter().enumerate() {
+            mask &= !ends[at];
+            self.intern(rule, table, at as u32, mask, n);
+        }
+    }
+
+    /// Records that the configurations in `mask` (of `n`) hold `rule`, which
+    /// is rule `at` of chain `table`, at priority `at`.
+    fn intern(&mut self, rule: &Rule, table: u32, at: u32, mask: u64, n: usize) {
+        #[cfg(test)]
+        {
+            self.visits += 1;
+        }
         let fields = || rule.pattern.iter().map(|(f, _)| f);
         let sig =
             self.sigs.iter().position(|s| s.iter().copied().eq(fields())).unwrap_or_else(|| {
@@ -104,20 +162,27 @@ impl SwitchRules {
             .expect("a pattern has a value for each of its fields");
         let head = self.heads.entry(key).or_insert(NONE);
         let mut r = *head;
-        while r != NONE && self.rules[r as usize].rule != *rule {
-            r = self.rules[r as usize].next;
+        while r != NONE {
+            let shared = &self.rules[r as usize];
+            if shared.of(&self.tables) == rule {
+                break;
+            }
+            r = shared.next;
         }
         if r == NONE {
             r = self.rules.len() as u32;
-            self.rules.push(SharedRule { rule: rule.clone(), mask: 0, next: *head });
+            self.rules.push(SharedRule { table, at, mask: 0, next: *head });
             *head = r;
             self.pos.resize(self.pos.len() + n, NONE);
         }
-        // A table may repeat a rule; only its first occurrence can win.
+        // A table may repeat a rule; only its first occurrence can win, and
+        // a chain is interned in priority order.
         let shared = &mut self.rules[r as usize];
-        if shared.mask & (1 << cfg) == 0 {
-            shared.mask |= 1 << cfg;
-            self.pos[r as usize * n + cfg] = position as u32;
+        let mut first = mask & !shared.mask;
+        shared.mask |= mask;
+        while first != 0 {
+            self.pos[r as usize * n + first.trailing_zeros() as usize] = at;
+            first &= first - 1;
         }
     }
 
@@ -144,7 +209,7 @@ impl SwitchRules {
             let mut r = self.heads.get(&key).copied().unwrap_or(NONE);
             while r != NONE {
                 let shared = &self.rules[r as usize];
-                if shared.mask & want != 0 && shared.rule.pattern.matches_on(view) {
+                if shared.mask & want != 0 && self.rule(r).pattern.matches_on(view) {
                     contested |= shared.mask & want & seen != 0;
                     seen |= shared.mask & want;
                     matched.push(r);
@@ -232,24 +297,48 @@ impl SharedIndex {
             winners: Vec::new(),
             scratch: Packet::new(),
         };
-        for (c, cfg) in configs.iter().enumerate() {
-            let bit = 1u64 << c;
-            for sw in cfg.switches() {
-                let rules = index.switches.entry(sw).or_default();
-                let table = cfg.table(sw).expect("listed switches carry tables");
-                for (position, rule) in table.iter().enumerate() {
-                    rules.intern(rule, c, n, position);
-                }
+        // Per switch, the configurations' tables as prefix chains: a chain's
+        // longest member is walked once, whatever the number of members.
+        let mut switches: Vec<u64> = configs.iter().flat_map(|cfg| cfg.switches()).collect();
+        switches.sort_unstable();
+        switches.dedup();
+        let empty = FlowTable::new();
+        let mut tables: Vec<&FlowTable> = Vec::with_capacity(n);
+        for sw in switches {
+            tables.clear();
+            tables.extend(configs.iter().map(|cfg| cfg.table(sw).unwrap_or(&empty)));
+            let rules = index.switches.entry(sw).or_default();
+            for (longest, members) in prefix_chains(&tables) {
+                let members = members.map(|cfg| (cfg, tables[cfg].len()));
+                rules.intern_chain(longest, members, n);
             }
+        }
+        // The configurations of a campaign share one topology: each distinct
+        // one is written once, under the mask of the group that has it.
+        let mut groups: Vec<(&Config, u64)> = Vec::new();
+        for (c, cfg) in configs.iter().enumerate() {
+            match groups.iter_mut().find(|(first, _)| first.same_topology(cfg)) {
+                Some((_, mask)) => *mask |= 1 << c,
+                None => groups.push((cfg, 1 << c)),
+            }
+        }
+        for (cfg, mask) in groups {
             for (src, dst) in cfg.links() {
-                *index.links.entry((src, dst)).or_default() |= bit;
-                *index.link_srcs.entry(src).or_default() |= bit;
+                *index.links.entry((src, dst)).or_default() |= mask;
+                *index.link_srcs.entry(src).or_default() |= mask;
             }
             for host in cfg.hosts() {
-                *index.hosts.entry(host).or_default() |= bit;
+                *index.hosts.entry(host).or_default() |= mask;
             }
         }
         index
+    }
+
+    /// The index's size: `(prefix chains, distinct rules)` over all switches.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        self.switches
+            .values()
+            .fold((0, 0), |(chains, rules), sw| (chains + sw.tables.len(), rules + sw.rules.len()))
     }
 
     /// The state of a path that starts at `loc` (`Config::start_state`).
@@ -320,7 +409,7 @@ impl SharedIndex {
         sw.winners(&view, want, self.n, &mut self.matched, &mut self.winners);
         let mut hit = 0;
         for &(r, mask) in &self.winners {
-            let mut actions = sw.rules[r as usize].rule.actions.iter();
+            let mut actions = sw.rule(r).actions.iter();
             let emitted = match to {
                 Some((b, b_pt)) => {
                     actions.any(|act| emits(act, a, a_loc, b, b_pt, &mut self.scratch))
@@ -398,14 +487,14 @@ mod tests {
     /// A family's recipe: per switch a base table (pool indices in
     /// priority order), and per configuration a variant of each base
     /// table, which of two link/host wirings it has, and extra links as
-    /// location-index pairs. Variants *share and reorder* the base's
-    /// rules, the way the configurations of one NES do.
+    /// location-index pairs. Variants *share, extend and reorder* the
+    /// base's rules, the way the configurations of one NES do.
     type Variant = (usize, usize, usize);
     type FamilyRecipe = (Vec<Vec<usize>>, Vec<(Vec<Variant>, bool, Vec<(usize, usize)>)>);
 
     fn arb_family() -> impl Strategy<Value = FamilyRecipe> {
         let base = proptest::collection::vec(0usize..49, 2..9);
-        let variant = (0usize..8, 0usize..64, 0usize..7);
+        let variant = (0usize..14, 0usize..64, 0usize..7);
         let config = (
             proptest::collection::vec(variant, SWITCHES.len()),
             proptest::bool::ANY,
@@ -414,51 +503,81 @@ mod tests {
         (proptest::collection::vec(base, SWITCHES.len()), proptest::collection::vec(config, 2..9))
     }
 
-    /// One configuration's table at a switch, derived from the base.
-    fn vary(base: &[usize], (kind, at, action): Variant) -> Option<Vec<usize>> {
+    /// The rule list a switch's prefix views share: the base, then a rule
+    /// the base already holds (a repeat inside the chain, which can never
+    /// win) and its first pattern under other actions.
+    fn whole(pool: &[Rule], base: &[usize]) -> FlowTable {
+        let tail = [base[base.len() - 1], base[0] / 7 * 7 + (base[0] + 1) % 7];
+        FlowTable::from_rules(base.iter().chain(&tail).map(|&i| pool[i].clone()))
+    }
+
+    /// One configuration's table at a switch, derived from the base: a
+    /// prefix view of `whole` (kinds 1 to 3) or a list of its own.
+    fn vary(
+        pool: &[Rule],
+        base: &[usize],
+        whole: &FlowTable,
+        (kind, at, action): Variant,
+    ) -> Option<FlowTable> {
         let mut picks = base.to_vec();
         let at = at % picks.len();
         match kind {
             0 => return None,
-            1 => picks.rotate_left(at),
-            2 => picks.reverse(),
-            3 => drop(picks.remove(at)),
-            // The moved-host shape: same pattern, other actions.
-            4 => picks[at] = picks[at] / 7 * 7 + action,
-            5 => picks.insert(0, base[at] / 7 * 7 + action),
+            // Views of one list: the base, a shorter prefix (down to the
+            // empty table), and the extension past the base.
+            1 => return Some(whole.prefix(base.len())),
+            2 => return Some(whole.prefix(at)),
+            3 => return Some(whole.clone()),
+            // The same three shapes by value, each a list of its own.
+            4 => picks.truncate(at + 1),
+            5 => picks.push(base[at] / 7 * 7 + action),
+            6 => picks.push(base[at]),
+            7 => picks.rotate_left(at),
+            8 => picks.reverse(),
+            9 => drop(picks.remove(at)),
+            // The moved-host shape: same pattern, other actions, mid-list.
+            10 => picks[at] = picks[at] / 7 * 7 + action,
+            11 => picks.insert(0, base[at] / 7 * 7 + action),
             _ => {}
         }
-        Some(picks)
+        Some(FlowTable::from_rules(picks.iter().map(|&i| pool[i].clone())))
+    }
+
+    /// Two wirings: the line 100 - 1 - 2 - 3 - 101, or host 101 rehomed to
+    /// switch 2 and node 3 a host on the port that led to it.
+    fn wiring(rewired: bool) -> Config {
+        let mut cfg = Config::new();
+        cfg.add_host(100, Loc::new(1, 1));
+        cfg.add_link(Loc::new(1, 2), Loc::new(2, 1));
+        cfg.add_link(Loc::new(2, 1), Loc::new(1, 2));
+        if rewired {
+            cfg.add_host(101, Loc::new(2, 3));
+            cfg.add_host(3, Loc::new(2, 2));
+        } else {
+            cfg.add_link(Loc::new(2, 2), Loc::new(3, 1));
+            cfg.add_link(Loc::new(3, 1), Loc::new(2, 2));
+            cfg.add_host(101, Loc::new(3, 2));
+        }
+        cfg
     }
 
     fn build_family((bases, configs): &FamilyRecipe) -> Vec<Config> {
         let pool = rule_pool();
         let locs = locations();
+        let wholes: Vec<FlowTable> = bases.iter().map(|base| whole(&pool, base)).collect();
+        let shared = [wiring(false), wiring(true)];
         configs
             .iter()
-            .map(|(variants, rewired, extra)| {
-                let mut cfg = Config::new();
-                for ((&sw, base), &variant) in SWITCHES.iter().zip(bases).zip(variants) {
-                    if let Some(picks) = vary(base, variant) {
-                        cfg.install(
-                            sw,
-                            FlowTable::from_rules(picks.iter().map(|&i| pool[i].clone())),
-                        );
+            .enumerate()
+            .map(|(c, (variants, rewired, extra))| {
+                // Alternately a clone of the one shared topology and an
+                // equal one rebuilt: `same_topology` by pointer and by value.
+                let mut cfg =
+                    if c % 2 == 0 { shared[*rewired as usize].clone() } else { wiring(*rewired) };
+                for (i, &sw) in SWITCHES.iter().enumerate() {
+                    if let Some(table) = vary(&pool, &bases[i], &wholes[i], variants[i]) {
+                        cfg.install(sw, table);
                     }
-                }
-                // Two wirings: the line 100 - 1 - 2 - 3 - 101, or host 101
-                // rehomed to switch 2 and node 3 a host on the port that
-                // led to it.
-                cfg.add_host(100, Loc::new(1, 1));
-                cfg.add_link(Loc::new(1, 2), Loc::new(2, 1));
-                cfg.add_link(Loc::new(2, 1), Loc::new(1, 2));
-                if *rewired {
-                    cfg.add_host(101, Loc::new(2, 3));
-                    cfg.add_host(3, Loc::new(2, 2));
-                } else {
-                    cfg.add_link(Loc::new(2, 2), Loc::new(3, 1));
-                    cfg.add_link(Loc::new(3, 1), Loc::new(2, 2));
-                    cfg.add_host(101, Loc::new(3, 2));
                 }
                 for &(a, b) in extra {
                     cfg.add_link(locs[a], locs[b]);
@@ -599,11 +718,49 @@ mod tests {
         let index = SharedIndex::build(&[&a, &b, &Config::new()]);
         let sw = &index.switches[&1];
         assert_eq!(sw.rules.len(), 3, "three distinct rules behind six installed");
-        let of = |i: usize| sw.rules.iter().position(|s| s.rule == pool[i]).expect("interned");
+        let of = |i: usize| {
+            (0..sw.rules.len()).find(|&r| *sw.rule(r as u32) == pool[i]).expect("interned")
+        };
         assert_eq!(sw.rules[of(8)].mask, 0b011);
         assert_eq!(sw.rules[of(22)].mask, 0b010);
         // First occurrence per configuration; absent elsewhere.
         assert_eq!(sw.pos[of(8) * 3..][..3], [0, 1, NONE]);
         assert_eq!(sw.pos[of(15) * 3..][..3], [1, 0, NONE]);
+    }
+
+    /// Five configurations, two chains: three views of one list and an equal
+    /// prefix built apart are one chain, walked once; a mid-list rewrite
+    /// (the moved-host shape) is neither a prefix nor an extension and opens
+    /// the second. `intern` sees the chains' longest tables and nothing else.
+    #[test]
+    fn a_chain_is_interned_once_whatever_its_members() {
+        let pool = rule_pool();
+        let table = |picks: &[usize]| FlowTable::from_rules(picks.iter().map(|&i| pool[i].clone()));
+        let whole = table(&[8, 15, 22, 8]);
+        let rewrite = table(&[8, 16, 22]);
+        let tables = [whole.prefix(1), whole.prefix(2), whole.clone(), table(&[8, 15]), rewrite];
+        let family: Vec<Config> = tables
+            .iter()
+            .map(|t| {
+                let mut cfg = Config::new();
+                cfg.install(1, t.clone());
+                cfg
+            })
+            .collect();
+        let index = SharedIndex::build(&family.iter().collect::<Vec<_>>());
+        assert_eq!(index.shape(), (2, 4), "two chains, four distinct rules");
+        let sw = &index.switches[&1];
+        assert_eq!(sw.tables.iter().map(FlowTable::len).collect::<Vec<_>>(), [4, 3]);
+        assert_eq!(sw.visits, 4 + 3, "one visit per rule of each chain's longest table");
+        let of = |i: usize| {
+            (0..sw.rules.len()).find(|&r| *sw.rule(r as u32) == pool[i]).expect("interned")
+        };
+        assert_eq!(sw.rules[of(8)].mask, 0b11111);
+        assert_eq!(sw.rules[of(15)].mask, 0b01110, "held by the members longer than one rule");
+        assert_eq!(sw.rules[of(22)].mask, 0b10100);
+        assert_eq!(sw.rules[of(16)].mask, 0b10000);
+        // The repeat at the end of `whole` does not move rule 8's position.
+        assert_eq!(sw.pos[of(8) * 5..][..5], [0; 5]);
+        assert_eq!(sw.pos[of(22) * 5..][..5], [NONE, NONE, 2, NONE, 2]);
     }
 }

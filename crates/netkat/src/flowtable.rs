@@ -15,6 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::action::ActionSet;
@@ -422,6 +423,35 @@ impl FlowTable {
     }
 }
 
+/// Splits `tables` into *prefix chains*, in order: a table joins the chain at
+/// hand if it is a prefix of the chain's longest member or extends it, and
+/// opens the next chain otherwise. Yields each chain's longest table and the
+/// range of its members in `tables` — member `i` is the first
+/// `tables[i].len()` rules of the longest. Only the chain at hand is compared
+/// against, so a family of unrelated tables costs one prefix test per table,
+/// and a step that only appends rules (or leaves a switch alone) one pointer
+/// compare ([`FlowTable::is_prefix_of`]).
+pub fn prefix_chains<'a, 't>(
+    tables: &'t [&'a FlowTable],
+) -> impl Iterator<Item = (&'a FlowTable, Range<usize>)> + 't {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let start = at;
+        let mut longest = *tables.get(start)?;
+        at += 1;
+        while let Some(&table) = tables.get(at) {
+            if !table.is_prefix_of(longest) {
+                if !longest.is_prefix_of(table) {
+                    break;
+                }
+                longest = table;
+            }
+            at += 1;
+        }
+        Some((longest, start..at))
+    })
+}
+
 /// A contiguous rule-list edit: replace `removed` rules at priority index
 /// `start` with `inserted` — the OpenFlow-style mod batch one config update
 /// issues to one switch.
@@ -620,6 +650,24 @@ mod tests {
         let mut patched = old;
         patched.splice(&delta);
         assert_eq!(patched, new);
+    }
+
+    #[test]
+    fn prefix_chains_compare_against_the_chain_at_hand_only() {
+        let whole = FlowTable::from_rules((0..4).map(exact));
+        let apart = FlowTable::from_rules((0..2).map(exact));
+        let other = FlowTable::from_rules([exact(9)]);
+        let empty = FlowTable::new();
+        // A view, a longer view, an equal prefix built apart, the empty
+        // table (a prefix of anything) — then an unrelated table, after
+        // which the first list opens a chain of its own again.
+        let tables = [&whole.prefix(1), &whole.prefix(3), &apart, &empty, &other, &whole, &whole];
+        let chains: Vec<_> = prefix_chains(&tables).collect();
+        assert_eq!(chains.len(), 3);
+        assert!(chains[0].0.iter().eq(whole.prefix(3).iter()) && chains[0].1 == (0..4));
+        assert!(chains[1].0 == &other && chains[1].1 == (4..5));
+        assert!(chains[2].0 == &whole && chains[2].1 == (5..7));
+        assert_eq!(prefix_chains(&[]).count(), 0);
     }
 
     #[test]

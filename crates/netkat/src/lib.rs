@@ -51,7 +51,7 @@ pub use error::NetkatError;
 pub use fdd::{FddBuilder, FddPath, NodeId};
 pub use field::{Field, Value};
 pub use flowindex::CompiledTable;
-pub use flowtable::{FlowTable, Match, Rule, TableDelta};
+pub use flowtable::{prefix_chains, FlowTable, Match, Rule, TableDelta};
 pub use global::{compile_global, path_clauses, Hop, PathClause, SwitchTables, TestConj};
 pub use hash::{FxBuildHasher, FxHasher};
 pub use local::{compile_fdd, compile_local};

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeSet;
 
-use netkat::{CompiledTable, FieldReader, FlowTable, Rule};
+use netkat::{prefix_chains, CompiledTable, FieldReader, FlowTable, Rule};
 
 use crate::compile::CompiledNes;
 
@@ -59,19 +59,15 @@ impl PerTagTables {
         let empty = FlowTable::new();
         let mut compiled: Vec<CompiledTable> = Vec::new();
         let mut slots = Vec::with_capacity(switches.len() * tags);
-        // The longest table of each chain of the switch at hand.
-        let mut chains: Vec<&FlowTable> = Vec::new();
+        let mut tables: Vec<&FlowTable> = Vec::with_capacity(tags);
         for &sw in switches {
-            for tag in 0..tags as u64 {
-                let table = nes.table(sw, tag).unwrap_or(&empty);
-                match chains.last_mut() {
-                    Some(longest) if table.is_prefix_of(longest) => {}
-                    Some(longest) if longest.is_prefix_of(table) => *longest = table,
-                    _ => chains.push(table),
-                }
-                slots.push(((compiled.len() + chains.len() - 1) as u32, table.len() as u32));
+            tables.clear();
+            tables.extend((0..tags as u64).map(|tag| nes.table(sw, tag).unwrap_or(&empty)));
+            for (longest, members) in prefix_chains(&tables) {
+                let index = compiled.len() as u32;
+                slots.extend(tables[members].iter().map(|t| (index, t.len() as u32)));
+                compiled.push(longest.compile());
             }
-            compiled.extend(chains.drain(..).map(FlowTable::compile));
         }
         PerTagTables { compiled, slots, tags }
     }

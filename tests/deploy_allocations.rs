@@ -18,7 +18,10 @@
 //! routing synthesis stopped building a `Match` and an `ActionSet` per
 //! rule, deploy 825 → 625 and `engine()` 859 → 659 when the rule lists
 //! became shared, then 581 / 224 / 257 when a step that only adds rules
-//! started sharing its predecessor's list and index).
+//! started sharing its predecessor's list and index, then 524 / 149 / 182
+//! when a campaign's configurations started sharing one set of links and
+//! hosts). A fourth leg watches `OnlineChecker::observer`, whose set-up
+//! follows the same chains: its cost may not grow with the configurations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -68,18 +71,24 @@ fn allocations() -> u64 {
 /// The benchmark's `--smoke` campaign shape: fat-tree(4), four probed
 /// unblock steps.
 fn campaign() -> CompiledScenario {
-    let spec = parse(
+    campaign_of(4, 4)
+}
+
+/// A fat-tree(`size`) campaign of `updates` unblock steps, each of which
+/// adds one rule per switch.
+fn campaign_of(size: usize, updates: usize) -> CompiledScenario {
+    let spec = parse(&format!(
         "[scenario]\n\
          name = \"alloc-fat-tree\"\n\
          seed = 2016\n\
          topology = \"fat_tree\"\n\
-         size = 4\n\
+         size = {size}\n\
          [workload]\n\
          pattern = \"permutation\"\n\
          packets_per_flow = 3\n\
          [campaign]\n\
-         updates = 4\n",
-    )
+         updates = {updates}\n",
+    ))
     .expect("pinned spec parses");
     CompiledScenario::compile(&spec).expect("pinned spec compiles")
 }
@@ -101,8 +110,8 @@ fn deploying_a_campaign_does_not_copy_rule_bodies() {
     assert_eq!(deploy().0, spent, "the allocation count repeats exactly");
     assert!(forwarding >= 1000, "the campaign installs a real rule load ({forwarding})");
     assert!(
-        spent <= 224,
-        "deploying {forwarding} installed rules took {spent} allocations (224 when pinned) — \
+        spent <= 149,
+        "deploying {forwarding} installed rules took {spent} allocations (149 when pinned) — \
          rule lists are being copied, or an index is built per table again"
     );
 }
@@ -120,9 +129,9 @@ fn compiling_a_campaign_builds_each_rule_body_once() {
     let forwarding = c.nes.total_rules() as u64;
     assert!(forwarding >= 1000, "the campaign installs a real rule load ({forwarding})");
     assert!(
-        spent <= 581,
+        spent <= 524,
         "compiling a campaign of {forwarding} installed rules took {spent} allocations \
-         (581 when pinned) — rule bodies are being built per rule, or a rule list per state, \
+         (524 when pinned) — rule bodies are being built per rule, or a rule list per state, \
          again"
     );
 }
@@ -137,8 +146,8 @@ fn building_an_engine_does_not_copy_rules() {
     let engine = c.engine();
     let spent = allocations() - before;
     assert!(
-        spent <= 257,
-        "engine() took {spent} allocations (257 when pinned: ~13 per switch) — \
+        spent <= 182,
+        "engine() took {spent} allocations (182 when pinned: ~9 per switch) — \
          a rule list is being copied, or an index built, per table again"
     );
     let plane = engine.finish().dataplane;
@@ -177,4 +186,40 @@ fn an_additive_campaign_holds_one_list_and_one_index_per_switch() {
     // Each index covers its switch's longest table: the final configuration.
     let last = c.nes.event_sets().into_iter().max().expect("the campaign has states");
     assert_eq!(reg.gauge("flowindex.indexed_rules"), Some(c.nes.config(last).rule_count() as u64));
+}
+
+/// The checker's index follows the plane's chains: per switch one chain of
+/// tables, walked once along its longest member, and one set of link and
+/// host masks for the one topology the configurations share. Fifteen more
+/// configurations (5 → 20 updates on fat-tree(6), which has the spare hosts
+/// fat-tree(4) lacks) add fifteen rules per switch to that walk and no
+/// structure: fewer allocations than configurations, and the same chains
+/// in the exported shape.
+#[test]
+fn attaching_the_checker_does_not_scale_with_configurations() {
+    let attach = |updates: usize| {
+        let c = campaign_of(6, updates);
+        let before = allocations();
+        let (observer, _handle) =
+            edn_core::OnlineChecker::observer(&c.nes).expect("the campaign fits the checker");
+        let spent = allocations() - before;
+        let mut reg = edn_obs::Registry::new();
+        observer.contribute_metrics(&mut reg);
+        let last = c.nes.event_sets().into_iter().max().expect("the campaign has states");
+        assert_eq!(
+            (reg.gauge("checker.index_chains"), reg.gauge("checker.index_rules")),
+            (
+                Some(c.run.sim().switches().len() as u64),
+                Some(c.nes.config(last).rule_count() as u64)
+            ),
+            "{updates} updates: one chain per switch over the final tables' rules"
+        );
+        spent
+    };
+    let (few, many) = (attach(5), attach(20));
+    assert!(
+        many.abs_diff(few) < 15,
+        "attaching took {few} allocations at 5 updates and {many} at 20 — \
+         the index is building something per configuration again"
+    );
 }
