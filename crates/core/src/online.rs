@@ -28,6 +28,19 @@
 //! that happened-before it; and the set of *watched* leaves that
 //! happened-before it.
 //!
+//! A node is a **slot** and its packet a **shared pool entry**. Nodes live
+//! in a slab: a record resets a free slot in place, the node is sealed,
+//! refined and buried where it sits, and the only thing keyed by the
+//! engine's record index is a map from index to slot. The erased packet is
+//! not the node's own: it sits in a pool of `(packet, holders)` entries, and
+//! a record first compares its *raw* packet with its parent's entry, `Tag`
+//! and `Digest` skipped ([`Packet::eq_erased`], one pass, no copy). On a
+//! link hop, and on a table hop that only assigns the port, the two are
+//! equal and the child takes another hold on the parent's entry; only a
+//! root, or a hop that really rewrote a header, copies and erases into a
+//! recycled entry. That one comparison is also the `a == b` the automaton's
+//! step needs, so the step is handed its result instead of making it again.
+//!
 //! The configurations themselves are not kept. At
 //! [`OnlineChecker::observer`] they are folded into one
 //! configuration-masked shared rule index (`shared.rs`), built along the
@@ -63,8 +76,11 @@
 //! on. The triggering-packet side condition of first occurrences is a
 //! reference-counted obligation carried from the firing node to each
 //! descendant leaf. Prefixes retire as soon as the engine promises a node
-//! can gain no more children; a retired node's buffers are reused by the
-//! next record, so steady-state checking does not allocate.
+//! can gain no more children: the node's slot goes on the free list with its
+//! obligation buffer, its hold on its packet is released, and a pool entry
+//! nobody holds goes on the pool's free list with its field buffer. Slab and
+//! pool therefore stop growing at the most nodes ever alive at once, and
+//! steady-state checking does not allocate (`tests/hop_allocations.rs`).
 //!
 //! The observer owns all of this outright — no callback takes a lock — and
 //! [`TraceObserver::finish`] publishes the verdict, with the run's
@@ -77,7 +93,11 @@
 //! ([`OnlineChecker::observer`] refuses more), 64 event firings, and 64
 //! leaves watched for condition 2 or 3 over the run. Beyond that it returns
 //! the conservative [`OnlineViolation::CapacityExceeded`] rather than
-//! guessing. A firing that leaves the structure's reachable event-sets —
+//! guessing. Live nodes are not a window: slots and pool entries are
+//! indices into vectors that grow to the in-flight high-water mark (72 nodes
+//! on the fat-tree(8) firewall stream, 5 on a 20-update campaign;
+//! `checker.node_slots_hw` / `checker.packet_slots_hw`). A firing that
+//! leaves the structure's reachable event-sets —
 //! which a well-formed [`EventStructure`](crate::EventStructure) cannot
 //! produce — has no configuration to realize and is reported as
 //! [`OnlineViolation::Inconsistent`], not as a panic inside the engine's
@@ -157,10 +177,14 @@ impl fmt::Display for OnlineViolation {
 
 impl std::error::Error for OnlineViolation {}
 
-/// A live trace node: the checker's bounded per-packet-in-flight state.
+/// A live trace node: the checker's bounded per-packet-in-flight state. It
+/// is written into a slot of [`Inner::nodes`] when its record arrives and
+/// stays there until it is buried; the next record resets the slot.
 struct Node {
-    /// The (virtual-field erased) packet of this record.
-    packet: Packet,
+    /// The [`Inner::pool`] entry holding the (virtual-field erased) packet
+    /// of this record — the parent's own entry when the hop changed no
+    /// header. The node is one of the entry's holders.
+    packet: usize,
     /// Where it was recorded.
     loc: Loc,
     /// NFA state of the path so far, under every reachable configuration.
@@ -188,16 +212,11 @@ struct Node {
 }
 
 impl Node {
-    /// A root record of `packet` at `loc`, built in the buffers of a dead
-    /// node when there is one: in steady state a record allocates nothing.
-    fn fresh(spare: Option<Node>, packet: &Packet, loc: Loc) -> Node {
-        let (mut erased, mut trig) = spare.map(|n| (n.packet, n.trig)).unwrap_or_default();
-        erased.clone_from(packet);
-        erased.unset(Field::Tag);
-        erased.unset(Field::Digest);
-        trig.clear();
+    /// A root record of pool entry `packet` at `loc`, carrying no
+    /// obligation; `trig` is the (empty) buffer it would carry them in.
+    fn root(packet: usize, loc: Loc, trig: Vec<u32>) -> Node {
         Node {
-            packet: erased,
+            packet,
             loc,
             nfa: MaskedState::default(),
             fired_anc: 0,
@@ -255,6 +274,15 @@ pub struct CheckerTelemetry {
     pub watched_leaves_hw: u64,
     /// Event firings replayed (`checker.fired_events`).
     pub fired_events: u64,
+    /// Node slots ever allotted (`checker.node_slots_hw`): the slab stops
+    /// growing at the most nodes alive at once.
+    pub node_slots_hw: u64,
+    /// Packet pool entries ever allotted (`checker.packet_slots_hw`).
+    pub packet_slots_hw: u64,
+    /// Records that copied and erased their packet into the pool — roots,
+    /// and hops that changed a header — rather than share their parent's
+    /// entry (`checker.packets_copied`).
+    pub packets_copied: u64,
 }
 
 /// What [`TraceObserver::finish`] publishes to the [`OnlineHandle`].
@@ -282,11 +310,20 @@ struct Inner {
     /// by every later one.
     realized_from: Vec<u64>,
 
-    // Live-trace state. The newest node stays out of the map until the
-    // next record seals it: most nodes leaf or retire before that.
-    nodes: FxMap<usize, Node>,
-    unsealed: Option<(usize, Node)>,
-    spare: Vec<Node>,
+    // Live-trace state. A node is written into a slot of `nodes` and never
+    // moved: `slots` maps the index of a sealed live node to its slot,
+    // `free` lists the slots whose node was buried (each keeps its `trig`
+    // buffer). The newest node stays out of the map until the next record
+    // seals it: most nodes leaf or retire before that.
+    nodes: Vec<Node>,
+    slots: FxMap<usize, usize>,
+    free: Vec<usize>,
+    unsealed: Option<(usize, usize)>,
+    /// Erased packets with their live holders: the records of a path share
+    /// one entry for as long as no hop changes a header. `free_packets`
+    /// lists the entries nobody holds (each keeps its field buffer).
+    pool: Vec<(Packet, u32)>,
+    free_packets: Vec<usize>,
     last_at: FxMap<u64, LastAt>,
     cause_masks: FxMap<usize, (u64, u64)>,
 
@@ -310,7 +347,7 @@ impl Inner {
     }
 
     fn live_nodes(&self) -> usize {
-        self.nodes.len() + self.unsealed.is_some() as usize
+        self.slots.len() + self.unsealed.is_some() as usize
     }
 
     fn flight_record(&self, kind: &'static str, seq: u64, node: u64) {
@@ -326,7 +363,11 @@ impl Inner {
             self.flight_record(v.name(), self.telemetry.fired_events, 0);
         }
         self.nodes.clear();
+        self.slots.clear();
+        self.free.clear();
         self.unsealed = None;
+        self.pool.clear();
+        self.free_packets.clear();
         self.last_at.clear();
         self.cause_masks.clear();
         self.pending1.clear();
@@ -338,7 +379,7 @@ impl Inner {
     /// set enabling `e` has fired entirely happens-before this node. The
     /// caller has matched the location.
     fn fireable(&self, e: &Event, node: &Node) -> bool {
-        if self.fired_set.contains(e.id) || !e.pred.eval(&node.packet) {
+        if self.fired_set.contains(e.id) || !e.pred.eval(&self.pool[node.packet].0) {
             return false;
         }
         let next = self.fired_set.insert(e.id);
@@ -354,16 +395,17 @@ impl Inner {
         })
     }
 
-    /// Fires `e` at `node`: appends `g(X ∪ {e})` to the realized sequence
-    /// and opens the trigger obligation on the configuration it replaces.
-    fn fire(&mut self, e: EventId, node: &mut Node) {
+    /// Fires `e` at the node in `slot`: appends `g(X ∪ {e})` to the
+    /// realized sequence and opens the trigger obligation on the
+    /// configuration it replaces.
+    fn fire(&mut self, e: EventId, slot: usize) {
         let pos = self.telemetry.fired_events as usize;
         if pos == 64 {
             return self.fail(OnlineViolation::CapacityExceeded);
         }
         // Condition 2: any watched leaf preceding this firing must have
         // been admitted by an already-realized configuration.
-        let mut w = node.watch_anc;
+        let mut w = self.nodes[slot].watch_anc;
         while w != 0 {
             let bit = w.trailing_zeros() as usize;
             w &= w - 1;
@@ -390,17 +432,19 @@ impl Inner {
             p.discharged |= p.d & bit != 0;
         }
         self.pending3.retain(|d| d & bit == 0);
+        let node = &mut self.nodes[slot];
         node.trig.push(self.obligations.len() as u32);
+        node.own_fired = 1 << pos;
         self.obligations.push(Obligation { cfg: pre_cfg, satisfied: false, live: 1 });
         self.telemetry.obligations_hw =
             self.telemetry.obligations_hw.max(self.obligations.len() as u64);
         self.flight_record("checker_fire", pos as u64, new_cfg as u64);
-        node.own_fired = 1 << pos;
     }
 
-    /// Releases one reference of each obligation carried by a dying node,
-    /// whose buffers go back to the spares.
-    fn bury(&mut self, node: Node) {
+    /// Releases what the dying node in `slot` holds — one reference of each
+    /// obligation it carries and its hold on its packet — and frees the slot.
+    fn bury(&mut self, slot: usize) {
+        let node = &mut self.nodes[slot];
         for &id in &node.trig {
             let ob = &mut self.obligations[id as usize];
             ob.live -= 1;
@@ -408,14 +452,53 @@ impl Inner {
                 return self.fail(OnlineViolation::TriggerUnprocessed);
             }
         }
-        self.spare.push(node);
+        node.trig.clear();
+        let holders = &mut self.pool[node.packet].1;
+        *holders -= 1;
+        if *holders == 0 {
+            self.free_packets.push(node.packet);
+        }
+        self.free.push(slot);
+    }
+
+    /// Writes a root record of pool entry `packet` at `loc` into a free slot
+    /// and takes its hold on the entry. The slab grows only while every slot
+    /// is live.
+    fn take_slot(&mut self, packet: usize, loc: Loc) -> usize {
+        self.pool[packet].1 += 1;
+        let Some(slot) = self.free.pop() else {
+            self.nodes.push(Node::root(packet, loc, Vec::new()));
+            self.telemetry.node_slots_hw += 1;
+            return self.nodes.len() - 1;
+        };
+        let trig = std::mem::take(&mut self.nodes[slot].trig);
+        self.nodes[slot] = Node::root(packet, loc, trig);
+        slot
+    }
+
+    /// Copies `raw`, its virtual fields erased, into a pool entry nobody
+    /// holds, reusing its buffer.
+    fn pool_copy(&mut self, raw: &Packet) -> usize {
+        let at = self.free_packets.pop().unwrap_or_else(|| {
+            self.pool.push(Default::default());
+            self.telemetry.packet_slots_hw += 1;
+            self.pool.len() - 1
+        });
+        let erased = &mut self.pool[at].0;
+        erased.clone_from(raw);
+        erased.unset(Field::Tag);
+        erased.unset(Field::Digest);
+        self.telemetry.packets_copied += 1;
+        at
     }
 
     /// Leaf-time checks against the realized configuration sequence.
     /// `fin` marks finish-time processing (no future firings or configs).
-    fn process_leaf(&mut self, node: &mut Node, kind: LeafKind, fin: bool) {
+    fn process_leaf(&mut self, slot: usize, kind: LeafKind, fin: bool) {
         let allow_prefix = kind != LeafKind::Terminated;
-        let d = self.index.admitted(node.nfa, &node.packet, node.loc, allow_prefix);
+        let node = &self.nodes[slot];
+        let last = &self.pool[node.packet].0;
+        let d = self.index.admitted(node.nfa, last, node.loc, allow_prefix);
         // Condition 1: some realized configuration admits the trace. Future
         // firings can still discharge it — unless the run is over.
         if d & self.realized_mask == 0 {
@@ -425,13 +508,14 @@ impl Inner {
             if self.pending1.len() == 64 {
                 return self.fail(OnlineViolation::CapacityExceeded);
             }
-            node.own_watch = 1 << self.pending1.len();
+            self.nodes[slot].own_watch = 1 << self.pending1.len();
             self.pending1.push(Pending1 { d, discharged: false });
             self.telemetry.watched_leaves_hw =
                 self.telemetry.watched_leaves_hw.max(self.pending1.len() as u64);
         }
         // Condition 3: the trace is entirely after firing i exactly when
         // i precedes its root; only the latest such firing binds.
+        let node = &self.nodes[slot];
         if node.root_pred != 0 {
             let i_max = 63 - node.root_pred.leading_zeros() as usize;
             if d & self.realized_from[i_max] == 0 {
@@ -456,31 +540,34 @@ impl Inner {
     /// Seals the newest node once its controller edges have all arrived:
     /// evaluates event firing, publishes its masks, and drops it if done.
     fn seal_pending(&mut self) {
-        let Some((idx, mut node)) = self.unsealed.take() else { return };
+        let Some((idx, slot)) = self.unsealed.take() else { return };
 
         // Greedy SWITCH-rule firing: at most one event per record, and
         // only the events located here are even looked at.
+        let node = &self.nodes[slot];
         let fireable = self
             .events_at
             .get(&node.loc)
-            .and_then(|here| here.iter().find(|e| self.fireable(e, &node)))
+            .and_then(|here| here.iter().find(|e| self.fireable(e, node)))
             .map(|e| e.id);
         if let Some(e) = fireable {
-            self.fire(e, &mut node);
+            self.fire(e, slot);
             if self.dead() {
                 return;
             }
         }
+        let node = &mut self.nodes[slot];
         if node.is_root {
             node.root_pred = node.fired_anc;
         }
         if let Some(kind) = node.leafed {
-            self.process_leaf(&mut node, kind, false);
+            self.process_leaf(slot, kind, false);
             if self.dead() {
                 return;
             }
         }
         // Publish the sealed masks to happens-before successors.
+        let node = &self.nodes[slot];
         let fired = node.fired_anc | node.own_fired;
         let watch = node.watch_anc | node.own_watch;
         if let Some(entry) = self.last_at.get_mut(&node.loc.sw) {
@@ -494,9 +581,9 @@ impl Inner {
         }
         if node.leafed.is_some() || node.retired {
             self.telemetry.retired_prefixes += 1;
-            self.bury(node);
+            self.bury(slot);
         } else {
-            self.nodes.insert(idx, node);
+            self.slots.insert(idx, slot);
         }
     }
 
@@ -504,10 +591,11 @@ impl Inner {
     /// `edge`, `cause` and `leaf` refine.
     fn newest(&mut self, idx: usize) -> Option<&mut Node> {
         debug_assert!(
-            self.dead() || self.unsealed.as_ref().is_some_and(|(i, _)| *i == idx),
+            self.dead() || self.unsealed.is_some_and(|(i, _)| i == idx),
             "refinements target the unsealed node"
         );
-        self.unsealed.as_mut().filter(|(i, _)| *i == idx).map(|(_, node)| node)
+        let (_, slot) = self.unsealed.filter(|&(i, _)| i == idx)?;
+        Some(&mut self.nodes[slot])
     }
 }
 
@@ -587,9 +675,12 @@ impl OnlineChecker {
             current_cfg: initial_cfg,
             realized_mask: 1u64 << initial_cfg,
             realized_from: Vec::new(),
-            nodes: FxMap::default(),
+            nodes: Vec::new(),
+            slots: FxMap::default(),
+            free: Vec::new(),
             unsealed: None,
-            spare: Vec::new(),
+            pool: Vec::new(),
+            free_packets: Vec::new(),
             last_at: FxMap::default(),
             cause_masks: FxMap::default(),
             pending1: Vec::new(),
@@ -641,28 +732,50 @@ impl TraceObserver for OnlineChecker {
         if inner.dead() {
             return;
         }
-        let mut node = Node::fresh(inner.spare.pop(), packet, loc);
-        match parent {
+        let slot = match parent {
             Some(p) => {
-                let pn = inner.nodes.get(&p).expect("parents outlive child records");
-                node.nfa = inner.index.step(pn.nfa, &pn.packet, pn.loc, &node.packet, loc);
-                node.fired_anc = pn.fired_anc | pn.own_fired;
-                node.watch_anc = pn.watch_anc | pn.own_watch;
-                node.root_pred = pn.root_pred;
-                node.is_root = false;
-                node.trig.extend_from_slice(&pn.trig);
-                for &id in &node.trig {
+                let p = *inner.slots.get(&p).expect("parents outlive child records");
+                // The record's one packet comparison: raw against the
+                // parent's erased packet, the virtual fields skipped. A hop
+                // that changed no header shares the parent's pool entry;
+                // only a rewritten packet is copied and erased.
+                let a = inner.nodes[p].packet;
+                let same = packet.eq_erased(&inner.pool[a].0);
+                let b = if same { a } else { inner.pool_copy(packet) };
+                let slot = inner.take_slot(b, loc);
+                // Parent and child sit in one slab: the child's buffer steps
+                // out of it while the parent's obligations are copied in.
+                let mut trig = std::mem::take(&mut inner.nodes[slot].trig);
+                let pn = &inner.nodes[p];
+                trig.extend_from_slice(&pn.trig);
+                for &id in &trig {
                     inner.obligations[id as usize].live += 1;
                 }
+                let (a, b) = (&inner.pool[a].0, &inner.pool[b].0);
+                let nfa = inner.index.step(pn.nfa, a, pn.loc, b, loc, same);
+                let inherited =
+                    (pn.fired_anc | pn.own_fired, pn.watch_anc | pn.own_watch, pn.root_pred);
+                let node = &mut inner.nodes[slot];
+                (node.fired_anc, node.watch_anc, node.root_pred) = inherited;
+                node.nfa = nfa;
+                node.is_root = false;
+                node.trig = trig;
+                slot
             }
-            None => node.nfa = inner.index.start(loc),
-        }
+            None => {
+                let root = inner.pool_copy(packet);
+                let slot = inner.take_slot(root, loc);
+                inner.nodes[slot].nfa = inner.index.start(loc);
+                slot
+            }
+        };
         // The latest earlier record at this switch happened-before this one.
+        let node = &mut inner.nodes[slot];
         let last = inner.last_at.entry(loc.sw).or_insert(LastAt { idx, fired: 0, watch: 0 });
         node.fired_anc |= last.fired;
         node.watch_anc |= last.watch;
         *last = LastAt { idx, fired: node.fired_anc, watch: node.watch_anc };
-        inner.unsealed = Some((idx, node));
+        inner.unsealed = Some((idx, slot));
         inner.telemetry.live_nodes_hw =
             inner.telemetry.live_nodes_hw.max(inner.live_nodes() as u64);
     }
@@ -689,12 +802,12 @@ impl TraceObserver for OnlineChecker {
 
     fn retire(&mut self, idx: usize) {
         let inner = &mut self.inner;
-        match &mut inner.unsealed {
-            Some((newest, node)) if *newest == idx => node.retired = true,
+        match inner.unsealed {
+            Some((newest, slot)) if newest == idx => inner.nodes[slot].retired = true,
             _ => {
-                if let Some(node) = inner.nodes.remove(&idx) {
+                if let Some(slot) = inner.slots.remove(&idx) {
                     inner.telemetry.retired_prefixes += 1;
-                    inner.bury(node);
+                    inner.bury(slot);
                 }
             }
         }
@@ -704,15 +817,15 @@ impl TraceObserver for OnlineChecker {
         let inner = &mut self.inner;
         inner.seal_pending();
         // Nodes alive at the end are stalled tips: their paths are prefixes.
-        let mut tips: Vec<(usize, Node)> = inner.nodes.drain().collect();
+        let mut tips: Vec<(usize, usize)> = inner.slots.drain().collect();
         tips.sort_unstable_by_key(|&(idx, _)| idx);
-        for (_, mut node) in tips {
+        for (_, slot) in tips {
             if inner.dead() {
                 break;
             }
-            inner.process_leaf(&mut node, LeafKind::Stalled, true);
+            inner.process_leaf(slot, LeafKind::Stalled, true);
             if !inner.dead() {
-                inner.bury(node);
+                inner.bury(slot);
             }
         }
         if !inner.dead() {
@@ -722,6 +835,8 @@ impl TraceObserver for OnlineChecker {
                 inner.fail(OnlineViolation::TooLate);
             }
         }
+        #[cfg(test)]
+        inner.audit();
         // A second `finish` finds the outcome already published.
         let _ = self
             .outcome
@@ -741,6 +856,12 @@ impl TraceObserver for OnlineChecker {
         let (chains, rules) = self.inner.index.shape();
         reg.gauge_max(Scope::Shard, "checker.index_chains", chains as u64);
         reg.gauge_max(Scope::Shard, "checker.index_rules", rules as u64);
+        // How far the node slab and the packet pool grew, and how many
+        // records could not share their parent's packet: kept with them,
+        // out of the `Sim` section whose contents tests pin across builds.
+        reg.gauge_max(Scope::Shard, "checker.node_slots_hw", t.node_slots_hw);
+        reg.gauge_max(Scope::Shard, "checker.packet_slots_hw", t.packet_slots_hw);
+        reg.counter_add(Scope::Shard, "checker.packets_copied", t.packets_copied);
     }
 
     fn attach_flight_recorder(&mut self, recorder: edn_obs::FlightRecorder) {
@@ -756,6 +877,18 @@ mod tests {
     use crate::estructure::EventStructure;
     use crate::trace::TraceBuilder;
     use netkat::{Action, ActionSet, Field, FlowTable, Loc, Match, Packet, Pred, Rule};
+
+    impl Inner {
+        /// No node is live and no packet is held: what a finished run,
+        /// correct or failed, must leave behind. `finish` calls it in every
+        /// test build.
+        pub(super) fn audit(&self) {
+            assert!(self.slots.is_empty() && self.unsealed.is_none(), "a node outlived the run");
+            assert_eq!(self.free.len(), self.nodes.len(), "every node slot is free");
+            assert_eq!(self.free_packets.len(), self.pool.len(), "every pool entry is free");
+            assert!(self.pool.iter().all(|&(_, holders)| holders == 0), "a packet is still held");
+        }
+    }
 
     /// The firewall fixture shared with the post-hoc checker tests: one
     /// switch (1), hosts 100 (pt 2) and 101 (pt 3); g(∅) forwards 2->3 only,
@@ -1103,5 +1236,177 @@ mod tests {
         transit(&mut obs, &mut 0, &fwd_pk(), FWD, LeafKind::Delivered);
         obs.finish();
         assert_eq!(handle.verdict(), Err(OnlineViolation::Inconsistent));
+    }
+
+    /// One record of a hand-built run whose packet may change along the
+    /// path or fan out: the raw packet, where, its trace parent, and how the
+    /// path ends if it ends here.
+    type Rec = (Packet, (u64, u64), Option<usize>, Option<LeafKind>);
+
+    /// Replays `recs` the way the engine would — a parent retires once its
+    /// last child is recorded — and runs the same forest through the
+    /// post-hoc checker; the two must agree. Returns the online verdict and
+    /// what the run left in the telemetry.
+    fn agree(
+        nes: &NetworkEventStructure,
+        recs: &[Rec],
+    ) -> (Result<(), OnlineViolation>, CheckerTelemetry) {
+        let (mut obs, handle) = OnlineChecker::observer(nes).unwrap();
+        let mut b = TraceBuilder::new();
+        for (idx, (pk, (sw, pt), parent, leaf)) in recs.iter().enumerate() {
+            obs.record(idx, pk, Loc::new(*sw, *pt), *parent);
+            assert_eq!(b.push(pk.clone(), Loc::new(*sw, *pt), *parent), idx);
+            if let Some(kind) = *leaf {
+                obs.leaf(idx, kind);
+                if kind == LeafKind::Terminated {
+                    b.mark_terminated(idx);
+                }
+            }
+            if let Some(p) = *parent {
+                if !recs[idx + 1..].iter().any(|later| later.2 == Some(p)) {
+                    obs.retire(p);
+                }
+            }
+        }
+        obs.finish();
+        let post_hoc = check_correct(&b.build().unwrap(), nes, None).is_ok();
+        assert_eq!(handle.verdict().is_ok(), post_hoc, "online and post-hoc disagree on {recs:?}");
+        (handle.verdict(), handle.telemetry())
+    }
+
+    /// One static configuration whose switch 1 (hosts 100 on port 1, 101 on
+    /// port 2, switch 2 behind port 3) treats a packet from port 1 by its
+    /// destination: 1 is multicast — plain to port 2, rewritten to 2 on port
+    /// 3; 7 leaves by port 2 through an action that also writes `Switch`; 8
+    /// likewise, with a `Vlan` write on top. Switch 2 forwards destination 1
+    /// to host 102 and drops everything else.
+    fn rewriting_nes() -> NetworkEventStructure {
+        let out = |pt: u64| Action::assign(Field::Port, pt);
+        let from_1 = |dst: u64| Match::new().with(Field::Port, 1).with(Field::IpDst, dst);
+        let mut c = Config::new();
+        c.install(
+            1,
+            FlowTable::from_rules([
+                Rule::new(from_1(1), ActionSet::from_iter([out(2), out(3).set(Field::IpDst, 2)])),
+                Rule::new(from_1(7), ActionSet::single(out(2).set(Field::Switch, 9))),
+                Rule::new(
+                    from_1(8),
+                    ActionSet::single(out(2).set(Field::Switch, 9).set(Field::Vlan, 3)),
+                ),
+            ]),
+        );
+        c.install(2, FlowTable::from_rules([Rule::new(from_1(1), ActionSet::single(out(2)))]));
+        c.add_host(100, Loc::new(1, 1));
+        c.add_host(101, Loc::new(1, 2));
+        c.add_host(102, Loc::new(2, 2));
+        c.add_link(Loc::new(1, 3), Loc::new(2, 1));
+        c.add_link(Loc::new(2, 1), Loc::new(1, 3));
+        NetworkEventStructure::new(EventStructure::new(vec![], []), [(EventSet::empty(), c)])
+            .unwrap()
+    }
+
+    fn to(dst: u64) -> Packet {
+        Packet::new().with(Field::IpDst, dst)
+    }
+
+    #[test]
+    fn multicast_shares_the_plain_output_and_copies_the_rewritten_one() {
+        let nes = rewriting_nes();
+        let delivered = Some(LeafKind::Delivered);
+        let run = |rewritten: Packet, end: Option<LeafKind>| {
+            agree(
+                &nes,
+                &[
+                    (to(1), (100, 0), None, None),
+                    (to(1), (1, 1), Some(0), None),
+                    (to(1), (1, 2), Some(1), None),
+                    (to(1), (101, 0), Some(2), delivered),
+                    (rewritten.clone(), (1, 3), Some(1), None),
+                    (rewritten, (2, 1), Some(4), end),
+                ],
+            )
+        };
+        // The root and the rewritten output are copied; the other four
+        // records hold the entry of the record before them. Switch 2 drops
+        // the packet it was sent, destination 2: a path that later ends
+        // `Terminated` is judged on the rewritten headers (the original
+        // destination is forwarded there).
+        let (verdict, telemetry) = run(to(2), Some(LeafKind::Terminated));
+        assert_eq!(verdict, Ok(()));
+        assert_eq!((telemetry.packets_copied, telemetry.packet_slots_hw), (2, 2));
+        assert_eq!(telemetry.node_slots_hw, telemetry.live_nodes_hw);
+        // Port 3 emits only the rewrite: an unchanged packet there shares
+        // its parent's entry and is rejected all the same.
+        let (verdict, telemetry) = run(to(1), None);
+        assert_eq!(verdict, Err(OnlineViolation::Inconsistent));
+        assert_eq!(telemetry.packets_copied, 1);
+    }
+
+    #[test]
+    fn a_record_that_differs_only_in_virtual_fields_shares_its_parents_packet() {
+        let nes = rewriting_nes();
+        let stamped =
+            |tag: u64, digest: u64| to(1).with(Field::Tag, tag).with(Field::Digest, digest);
+        let (verdict, telemetry) = agree(
+            &nes,
+            &[
+                (to(1), (100, 0), None, None),
+                (stamped(5, 0), (1, 1), Some(0), None),
+                (stamped(5, 1), (1, 2), Some(1), None),
+                (to(1).with(Field::Digest, 3), (101, 0), Some(2), Some(LeafKind::Delivered)),
+            ],
+        );
+        assert_eq!(verdict, Ok(()));
+        assert_eq!((telemetry.packets_copied, telemetry.packet_slots_hw), (1, 1));
+    }
+
+    #[test]
+    fn location_fields_and_header_writes_take_the_general_comparison() {
+        let nes = rewriting_nes();
+        let through = |sent: Packet, emitted: Packet| {
+            agree(
+                &nes,
+                &[
+                    (sent.clone(), (100, 0), None, None),
+                    (sent, (1, 1), Some(0), None),
+                    (emitted.clone(), (1, 2), Some(1), None),
+                    (emitted, (101, 0), Some(2), Some(LeafKind::Delivered)),
+                ],
+            )
+            .0
+        };
+        // Writes to `Switch` and `Port` alone emit the packet itself.
+        assert_eq!(through(to(7), to(7)), Ok(()));
+        // A packet carrying location fields of its own loses them in the
+        // table: the output is *not* the input, whatever the action writes.
+        let located = || to(7).with(Field::Switch, 5).with(Field::Port, 5);
+        assert_eq!(through(located(), to(7)), Ok(()));
+        assert_eq!(through(located(), located()), Err(OnlineViolation::Inconsistent));
+        assert_eq!(through(to(7).with(Field::Port, 5), to(7)), Ok(()));
+        // An action that writes `Switch` and a header changes the packet.
+        assert_eq!(through(to(8), to(8).with(Field::Vlan, 3)), Ok(()));
+        assert_eq!(through(to(8), to(8)), Err(OnlineViolation::Inconsistent));
+        // ... unless the header already had the value written.
+        let tagged = || to(8).with(Field::Vlan, 3);
+        assert_eq!(through(tagged(), tagged()), Ok(()));
+    }
+
+    #[test]
+    fn a_failed_run_leaves_no_live_node_and_no_held_packet() {
+        // `finish` audits every run of this module; this one fails mid-path,
+        // with the multicast parent and a rewritten packet still live.
+        let nes = rewriting_nes();
+        let (mut checker, handle) = OnlineChecker::new(&nes).unwrap();
+        checker.record(0, &to(1), Loc::new(100, 0), None);
+        checker.record(1, &to(1), Loc::new(1, 1), Some(0));
+        checker.record(2, &to(2), Loc::new(1, 3), Some(1));
+        checker.record(3, &to(3), Loc::new(2, 1), Some(2));
+        checker.leaf(3, LeafKind::Delivered);
+        checker.record(4, &to(1), Loc::new(1, 2), Some(1));
+        assert!(checker.inner.dead(), "the path through 1:3 changed its packet on a link");
+        checker.inner.audit();
+        checker.finish();
+        assert_eq!(handle.verdict(), Err(OnlineViolation::Inconsistent));
+        assert_eq!(handle.telemetry().packets_copied, 3);
     }
 }

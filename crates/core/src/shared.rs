@@ -32,10 +32,13 @@
 //! A hop is then one link probe, one candidate lookup through a zero-copy
 //! [`LocatedView`], the per-configuration winner resolved by position among
 //! the handful of rules that match, each distinct winner's actions applied
-//! once — and mask arithmetic. [`Config`]'s own automaton stays the
-//! executable specification: a differential property test below pins the
-//! two bit for bit, over families whose tables are views of one list, equal
-//! lists built apart, extensions and mid-list rewrites.
+//! once — and mask arithmetic. The packet comparison a hop needs (`a == b`,
+//! for the link crossing and for an action that leaves the headers alone)
+//! is made by the caller, once, and passed in as `same`. [`Config`]'s own
+//! automaton stays the executable specification: a differential property
+//! test below pins the two bit for bit, over families whose tables are
+//! views of one list, equal lists built apart, extensions and mid-list
+//! rewrites, with `same` computed the way the checker computes it.
 
 use std::collections::HashMap;
 use std::hash::Hasher;
@@ -241,16 +244,25 @@ impl SwitchRules {
 
 /// Whether `action`, applied to `a` at `a_loc`, emits exactly `b` at port
 /// `b_pt` of the same switch — one output of `Config`'s within-switch hop.
+/// `same` is `a == b`, which the caller has already decided.
 fn emits(
     action: &Action,
     a: &Packet,
     a_loc: Loc,
-    b: &Packet,
-    b_pt: u64,
+    (b, b_pt, same): (&Packet, u64, bool),
     scratch: &mut Packet,
 ) -> bool {
     if action.get(Field::Port).unwrap_or(a_loc.pt) != b_pt {
         return false;
+    }
+    // The output is `a` with the writes applied and the location stripped.
+    // Writes to `Switch` / `Port` only are stripped again, and a packet
+    // without location fields has nothing else to strip: the output is then
+    // `a` itself, and comparing it with `b` is the comparison `same` holds.
+    // Both side conditions are needed — a header write changes the output,
+    // and stripping shortens an `a` that carries a location of its own.
+    if !a.has_loc() && action.writes().all(|(f, _)| matches!(f, Field::Switch | Field::Port)) {
+        return same;
     }
     scratch.clone_from(a);
     for (f, v) in action.writes() {
@@ -348,7 +360,10 @@ impl SharedIndex {
 
     /// One transition (`Config::step_state`): the state after the hop from
     /// `a` at `a_loc` to `b` at `b_loc`, given the state `prev` at `a`.
-    /// Both packets must have their virtual fields erased.
+    /// Both packets must have their virtual fields erased, and `same` must
+    /// be `a == b`: the caller compares the two once (to decide whether the
+    /// records can share one packet), and every use of that comparison
+    /// below takes its result instead of making it again.
     pub(crate) fn step(
         &mut self,
         prev: MaskedState,
@@ -356,10 +371,12 @@ impl SharedIndex {
         a_loc: Loc,
         b: &Packet,
         b_loc: Loc,
+        same: bool,
     ) -> MaskedState {
+        debug_assert_eq!(same, a == b, "`same` is the packets' comparison");
         let mut next = MaskedState::default();
         let crossing = prev.at_host | prev.egress;
-        if crossing != 0 && a == b {
+        if crossing != 0 && same {
             let linked = crossing & mask_of(&self.links, &(a_loc, b_loc));
             if linked != 0 {
                 let hosts = mask_of(&self.hosts, &b_loc.sw);
@@ -369,7 +386,7 @@ impl SharedIndex {
         }
         if a_loc.sw == b_loc.sw {
             let want = prev.ingress & !mask_of(&self.hosts, &a_loc.sw);
-            next.egress = self.table_hop(want, a, a_loc, Some((b, b_loc.pt)));
+            next.egress = self.table_hop(want, a, a_loc, Some((b, b_loc.pt, same)));
         }
         next
     }
@@ -399,8 +416,15 @@ impl SharedIndex {
     }
 
     /// The configurations of `want` whose table at `a_loc.sw` emits
-    /// `to = (packet, port)` for `a` — or, without `to`, emits anything.
-    fn table_hop(&mut self, want: u64, a: &Packet, a_loc: Loc, to: Option<(&Packet, u64)>) -> u64 {
+    /// `to = (packet, port, packet == a)` for `a` — or, without `to`, emits
+    /// anything.
+    fn table_hop(
+        &mut self,
+        want: u64,
+        a: &Packet,
+        a_loc: Loc,
+        to: Option<(&Packet, u64, bool)>,
+    ) -> u64 {
         if want == 0 {
             return 0;
         }
@@ -411,9 +435,7 @@ impl SharedIndex {
         for &(r, mask) in &self.winners {
             let mut actions = sw.rule(r).actions.iter();
             let emitted = match to {
-                Some((b, b_pt)) => {
-                    actions.any(|act| emits(act, a, a_loc, b, b_pt, &mut self.scratch))
-                }
+                Some(to) => actions.any(|act| emits(act, a, a_loc, to, &mut self.scratch)),
                 None => actions.next().is_some(),
             };
             if emitted {
@@ -677,7 +699,19 @@ mod tests {
                     prop_assert_eq!(masked.bits(c), st, "start state of configuration {}", c);
                 }
                 for (hop, w) in trace.windows(2).enumerate() {
-                    masked = index.step(masked, &w[0].packet, w[0].loc, &w[1].packet, w[1].loc);
+                    // `same` the way the checker gets it: the raw record,
+                    // stamped as the runtime stamps it, against the erased
+                    // predecessor.
+                    let mut raw = w[1].packet.clone();
+                    if hop % 3 > 0 {
+                        raw.set(Field::Tag, hop as u64);
+                    }
+                    if hop % 3 > 1 {
+                        raw.set(Field::Digest, 0b101);
+                    }
+                    let same = raw.eq_erased(&w[0].packet);
+                    masked =
+                        index.step(masked, &w[0].packet, w[0].loc, &w[1].packet, w[1].loc, same);
                     let complete = index.admitted(masked, &w[1].packet, w[1].loc, false);
                     for (c, cfg) in family.iter().enumerate() {
                         states[c] = cfg.step_state(states[c], &w[0], &w[1]);

@@ -248,6 +248,20 @@ impl Packet {
         p
     }
 
+    /// Whether [`erase_virtual`](Packet::erase_virtual) of this packet is
+    /// `erased`, decided in one pass and without the copy: the online
+    /// checker asks this of every hop, and on most the answer is yes.
+    pub fn eq_erased(&self, erased: &Packet) -> bool {
+        let kept = self.fields.iter().filter(|(f, _)| !matches!(f, Field::Tag | Field::Digest));
+        kept.eq(&erased.fields)
+    }
+
+    /// Whether the packet carries a location field of its own. They sort
+    /// first, so this reads one slot.
+    pub fn has_loc(&self) -> bool {
+        matches!(self.fields.first(), Some((Field::Switch | Field::Port, _)))
+    }
+
     /// Returns a copy with the location fields removed.
     pub fn erase_location(&self) -> Packet {
         let mut p = self.clone();
@@ -389,5 +403,63 @@ mod tests {
         let pk: Packet = [(Field::Port, 1), (Field::IpSrc, 10)].into_iter().collect();
         assert_eq!(pk.len(), 2);
         assert_eq!(pk.get(Field::IpSrc), Some(10));
+    }
+
+    #[test]
+    fn has_loc_sees_either_location_field() {
+        assert!(!Packet::new().has_loc());
+        assert!(!Packet::new().with(Field::IpDst, 1).with(Field::Tag, 2).has_loc());
+        assert!(Packet::new().with(Field::Switch, 1).with(Field::IpDst, 1).has_loc());
+        assert!(Packet::new().with(Field::Port, 1).with(Field::IpDst, 1).has_loc());
+        assert!(Packet::at(Loc::new(1, 2)).has_loc());
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Packets over location, header, virtual and custom fields (the
+        /// last sort after the virtual ones), values from a small range so
+        /// that pairs collide.
+        fn arb_packet() -> impl Strategy<Value = Packet> {
+            const FIELDS: [Field; 8] = [
+                Field::Switch,
+                Field::Port,
+                Field::Vlan,
+                Field::IpDst,
+                Field::TcpDst,
+                Field::Tag,
+                Field::Digest,
+                Field::Custom(1),
+            ];
+            proptest::collection::vec((0usize..FIELDS.len(), 0u64..3), 0..7)
+                .prop_map(|picks| picks.into_iter().map(|(f, v)| (FIELDS[f], v)).collect())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            // `eq_erased` is `erase_virtual` followed by `==`, against the
+            // packet's own erasure, an unrelated packet (erased or not),
+            // and a prefix / extension of the erasure — equal up to the
+            // shorter one's length, which a pairwise walk must not accept.
+            #[test]
+            fn eq_erased_is_erase_then_compare(
+                raw in arb_packet(),
+                other in arb_packet(),
+                cut in 0usize..7,
+                extra in 0u64..3,
+            ) {
+                let erased = raw.erase_virtual();
+                prop_assert!(raw.eq_erased(&erased));
+                prop_assert!(erased.eq_erased(&erased));
+                let shorter: Packet = erased.iter().take(cut).collect();
+                let longer = erased.clone().with(Field::Custom(9), extra);
+                for e in [&other, &other.erase_virtual(), &shorter, &longer, &raw] {
+                    prop_assert_eq!(raw.eq_erased(e), raw.erase_virtual() == *e, "{} vs {}", raw, e);
+                    prop_assert_eq!(e.eq_erased(&erased), e.erase_virtual() == erased, "{} vs {}", e, raw);
+                }
+            }
+        }
     }
 }

@@ -27,13 +27,19 @@
 //! even when a freed slot was at hand, the arena's newborn list was rebuilt
 //! from nothing after every dispatch's sweep, and each dropped packet was
 //! cloned into a `Drop` record `StatsMode::Counters` then threw away.
+//!
+//! A second leg attaches the online Definition 6 checker to the same stream
+//! and differences it the same way: the checker adds **nothing** to the two.
+//! Its trace nodes live in slots of a slab and its erased packets in a pool,
+//! both of which stop growing at the in-flight high-water mark, and a hop
+//! that changes no header shares its parent's pool entry instead of copying.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use edn_core::TraceMode;
 use edn_topo::{attach_stream, fat_tree, synthesize, TierProfile, TrafficPattern, Workload};
-use nes_runtime::nes_engine;
+use nes_runtime::{attach_online_checker, nes_engine};
 use netsim::traffic::udp_packet;
 use netsim::{SimParams, SimTime, SinkHosts, StatsMode};
 
@@ -72,9 +78,9 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Streams `per_flow` datagrams down each flow of a fat-tree(4) permutation
-/// through the firewall NES; returns `(allocations during run, datagrams
-/// injected)`.
-fn stream(per_flow: u64) -> (u64, u64) {
+/// through the firewall NES, under the online checker if `verified`; returns
+/// `(allocations during run, datagrams injected)`.
+fn stream(per_flow: u64, verified: bool) -> (u64, u64) {
     let gen = fat_tree(4, TierProfile::default());
     let flows = synthesize(
         &gen,
@@ -89,10 +95,17 @@ fn stream(per_flow: u64) -> (u64, u64) {
     let horizon = flows.iter().map(|f| f.end).max().expect("flows") + SimTime::from_secs(1);
     let (inside, outside) = (gen.hosts()[0], *gen.hosts().last().expect("hosts"));
     let nes = edn_apps::generated::firewall_nes(&gen, inside, outside);
-    let mut engine =
-        nes_engine(nes, gen.sim().clone(), SimParams::default(), false, Box::new(SinkHosts))
-            .with_trace_mode(TraceMode::StatsOnly)
-            .with_stats_mode(StatsMode::Counters);
+    let mut engine = nes_engine(
+        nes.clone(),
+        gen.sim().clone(),
+        SimParams::default(),
+        false,
+        Box::new(SinkHosts),
+    )
+    .with_trace_mode(TraceMode::StatsOnly)
+    .with_stats_mode(StatsMode::Counters);
+    let handle =
+        verified.then(|| attach_online_checker(&mut engine, &nes).expect("two configurations"));
     let datagrams = attach_stream(&mut engine, &flows);
     engine.inject_at(SimTime::from_millis(5), inside, udp_packet(inside, outside, u64::MAX, 0));
     let before = ALLOCATIONS.with(Cell::get);
@@ -101,25 +114,49 @@ fn stream(per_flow: u64) -> (u64, u64) {
     let result = engine.finish();
     assert_eq!(result.stats.injected, datagrams + 1, "every datagram and the trigger entered");
     assert_eq!(result.dataplane.fired_sequence().len(), 1, "the firewall opened");
+    if let Some(handle) = handle {
+        assert_eq!(handle.verdict(), Ok(()), "the run ends `correct`");
+        // No rule of the firewall rewrites a header: a packet is copied
+        // once, at its root, and every hop after that shares the copy; the
+        // slab holds exactly the nodes that were ever alive at once.
+        let telemetry = handle.telemetry();
+        assert_eq!(telemetry.packets_copied, result.stats.injected);
+        assert_eq!(telemetry.node_slots_hw, telemetry.live_nodes_hw);
+        assert!(telemetry.packet_slots_hw <= telemetry.node_slots_hw);
+    }
     (spent, datagrams)
 }
+
+/// Allocations per datagram in steady state: a run of `2 * n` per flow less
+/// a run of `n`, over the datagrams the long run streams more.
+fn per_datagram(n: u64, verified: bool) -> f64 {
+    let (small, small_datagrams) = stream(n, verified);
+    let (large, large_datagrams) = stream(2 * n, verified);
+    assert_eq!(stream(n, verified).0, small, "the allocation count repeats exactly");
+    let datagrams = large_datagrams - small_datagrams;
+    assert!(datagrams >= 16 * n, "the long run streams {datagrams} datagrams more");
+    let per_datagram = (large - small) as f64 / datagrams as f64;
+    println!(
+        "verified = {verified}: {per_datagram:.2} allocations a datagram \
+         ({small} at {small_datagrams} datagrams, {large} at {large_datagrams})"
+    );
+    per_datagram
+}
+
+// 40 ms of traffic: the queue, slab and arena have reached their high-water
+// marks well inside the short run.
+const N: u64 = 400;
 
 #[test]
 fn a_streamed_datagram_costs_at_most_three_allocations() {
     // The name is PR 16's (the bound was 3.0 while calendar buckets still
     // grew); the bound is the source's own two.
-    // 40 ms of traffic: the queue, slab and arena have reached their
-    // high-water marks well inside the short run.
-    const N: u64 = 400;
-    let (small, small_datagrams) = stream(N);
-    let (large, large_datagrams) = stream(2 * N);
-    assert_eq!(stream(N).0, small, "the allocation count repeats exactly");
-    let datagrams = large_datagrams - small_datagrams;
-    assert!(datagrams >= 16 * N, "the long run streams {datagrams} datagrams more");
-    let per_datagram = (large - small) as f64 / datagrams as f64;
-    assert!(
-        per_datagram <= 2.0,
-        "a datagram costs {per_datagram:.2} allocations in steady state \
-         ({small} at {small_datagrams} datagrams, {large} at {large_datagrams})"
-    );
+    let unchecked = per_datagram(N, false);
+    assert!(unchecked <= 2.0, "a datagram costs {unchecked:.2} allocations in steady state");
+}
+
+#[test]
+fn checking_a_streamed_datagram_allocates_nothing() {
+    let (unchecked, verified) = (per_datagram(N, false), per_datagram(N, true));
+    assert_eq!(verified, unchecked, "the checker adds allocations to a datagram's hops");
 }
