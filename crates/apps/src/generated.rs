@@ -8,9 +8,9 @@
 //! Section 5.2 scalability programs. This is what lets the consistency
 //! machinery be exercised at hundred-switch scale instead of on toys.
 
-use edn_core::{Event, EventId, EventSet, EventStructure, NetworkEventStructure};
-use edn_topo::{config_from_rules, shortest_path_rules, GenTopology};
-use netkat::{Action, ActionSet, Field, Loc, Match, Pred, Rule};
+use edn_core::{Config, Event, EventId, EventSet, EventStructure, NetworkEventStructure};
+use edn_topo::{shortest_path_config, GenTopology};
+use netkat::{Action, ActionSet, Field, FlowTable, Loc, Match, Pred, Rule};
 
 /// The VLAN value stamped on pre-learning flood copies so downstream
 /// switches can steer them to the shadow host without rewriting `ip_dst`.
@@ -44,6 +44,18 @@ fn port_toward(gen: &GenTopology, sw: u64, dst_at: Loc) -> u64 {
         .unwrap_or_else(|| panic!("no route from switch {sw} to {}", dst_at.sw))
 }
 
+/// Replaces `sw`'s table with an edited copy of its rules. The applications
+/// below derive one configuration from another this way — clone the routed
+/// configuration, edit the few switches that differ — so every other table
+/// stays the allocation it was, and whoever compares or indexes the two
+/// configurations (the plane, the checker) sees that at a glance.
+fn edit_table(config: &mut Config, sw: u64, edit: impl FnOnce(&mut Vec<Rule>)) {
+    let mut rules: Vec<Rule> =
+        config.table(sw).expect("routed switches carry tables").iter().cloned().collect();
+    edit(&mut rules);
+    config.install(sw, FlowTable::from_rules(rules));
+}
+
 /// Builds a stateful firewall NES over an arbitrary generated topology.
 ///
 /// Semantics as in Figs. 8(a)/9(a), lifted: `outside → inside` traffic is
@@ -63,15 +75,17 @@ pub fn firewall_nes(gen: &GenTopology, inside: u64, outside: u64) -> NetworkEven
     assert_ne!(inside, outside, "firewall endpoints must differ");
     let in_at = gen.attachment(inside).expect("inside must be a host");
     let out_at = gen.attachment(outside).expect("outside must be a host");
-    let open = shortest_path_rules(gen);
+    let open = shortest_path_config(gen);
     let mut closed = open.clone();
-    closed.get_mut(&out_at.sw).expect("attachment switches carry rules").insert(
-        0,
-        Rule::new(
-            Match::new().with(Field::IpSrc, outside).with(Field::IpDst, inside),
-            ActionSet::drop(),
-        ),
-    );
+    edit_table(&mut closed, out_at.sw, |rules| {
+        rules.insert(
+            0,
+            Rule::new(
+                Match::new().with(Field::IpSrc, outside).with(Field::IpDst, inside),
+                ActionSet::drop(),
+            ),
+        );
+    });
     let e0 = EventId::new(0);
     let es = EventStructure::new(
         vec![Event::new(
@@ -81,14 +95,8 @@ pub fn firewall_nes(gen: &GenTopology, inside: u64, outside: u64) -> NetworkEven
         )],
         [EventSet::singleton(e0)],
     );
-    NetworkEventStructure::new(
-        es,
-        [
-            (EventSet::empty(), config_from_rules(gen, closed)),
-            (EventSet::singleton(e0), config_from_rules(gen, open)),
-        ],
-    )
-    .expect("both event-sets have configurations")
+    NetworkEventStructure::new(es, [(EventSet::empty(), closed), (EventSet::singleton(e0), open)])
+        .expect("both event-sets have configurations")
 }
 
 /// Builds a learning-switch NES over an arbitrary generated topology.
@@ -118,18 +126,19 @@ pub fn learning_nes(
     let learner_at = gen.attachment(learner).expect("learner must be a host");
     let target_at = gen.attachment(target).expect("target must be a host");
     let shadow_at = gen.attachment(shadow).expect("shadow must be a host");
-    let learned = shortest_path_rules(gen);
+    let learned = shortest_path_config(gen);
     let mut flooding = learned.clone();
     // At the learner's switch, the target rule becomes a two-way multicast:
     // the original shortest-path copy plus a marked copy toward the shadow.
-    let at_learner = flooding.get_mut(&learner_at.sw).expect("attachment switches carry rules");
-    let rule = at_learner
-        .iter_mut()
-        .find(|r| r.pattern.get(Field::IpDst) == Some(target))
-        .expect("the target is routable from the learner's switch");
     let shadow_copy = Action::assign(Field::Port, port_toward(gen, learner_at.sw, shadow_at))
         .set(Field::Vlan, FLOOD_MARK);
-    rule.actions = rule.actions.union(&ActionSet::single(shadow_copy));
+    edit_table(&mut flooding, learner_at.sw, |rules| {
+        let rule = rules
+            .iter_mut()
+            .find(|r| r.pattern.get(Field::IpDst) == Some(target))
+            .expect("the target is routable from the learner's switch");
+        rule.actions = rule.actions.union(&ActionSet::single(shadow_copy));
+    });
     // Downstream of the learner's switch, marked copies ride dedicated
     // rules toward the shadow (prepended: first match wins).
     if shadow_at.sw != learner_at.sw {
@@ -141,13 +150,15 @@ pub fn learning_nes(
         for link in &path {
             let sw = link.dst.sw;
             let out = if sw == shadow_at.sw { shadow_at.pt } else { toward_shadow[&sw] };
-            flooding.get_mut(&sw).expect("switches on a route carry rules").insert(
-                0,
-                Rule::new(
-                    Match::new().with(Field::Vlan, FLOOD_MARK),
-                    ActionSet::single(Action::assign(Field::Port, out)),
-                ),
-            );
+            edit_table(&mut flooding, sw, |rules| {
+                rules.insert(
+                    0,
+                    Rule::new(
+                        Match::new().with(Field::Vlan, FLOOD_MARK),
+                        ActionSet::single(Action::assign(Field::Port, out)),
+                    ),
+                );
+            });
         }
     }
     let e0 = EventId::new(0);
@@ -161,10 +172,7 @@ pub fn learning_nes(
     );
     NetworkEventStructure::new(
         es,
-        [
-            (EventSet::empty(), config_from_rules(gen, flooding)),
-            (EventSet::singleton(e0), config_from_rules(gen, learned)),
-        ],
+        [(EventSet::empty(), flooding), (EventSet::singleton(e0), learned)],
     )
     .expect("both event-sets have configurations")
 }

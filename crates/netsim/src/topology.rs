@@ -1,6 +1,6 @@
 //! Simulated topologies and timing/capacity parameters.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use netkat::Loc;
 
@@ -58,7 +58,7 @@ pub struct SimTopology {
     /// lookups.
     link_by_src: BTreeMap<Loc, usize>,
     /// Locations already carrying a host attachment (duplicate guard for
-    /// [`SimTopology::host`], same rationale as `link_srcs`).
+    /// [`SimTopology::host`], same rationale as `link_by_src`).
     host_locs: BTreeSet<Loc>,
     /// Latency of host attachment links.
     pub host_latency: SimTime,
@@ -193,36 +193,48 @@ impl SimTopology {
     }
 
     /// The inter-switch adjacency implied by the links: for each switch, the
-    /// `(out port, neighbour switch)` pairs in ascending port order.
-    ///
-    /// This is the port map that routing queries and topology generators
-    /// work from.
+    /// `(out port, neighbour switch)` pairs in ascending port order — the
+    /// edges of [`SimTopology::switch_graph`], keyed by switch id.
     pub fn switch_adjacency(&self) -> BTreeMap<u64, Vec<(u64, u64)>> {
-        let mut adj: BTreeMap<u64, Vec<(u64, u64)>> =
-            self.switches.iter().map(|&s| (s, Vec::new())).collect();
-        for l in &self.links {
-            if let Some(ports) = adj.get_mut(&l.src.sw) {
-                ports.push((l.src.pt, l.dst.sw));
-            }
-        }
-        for ports in adj.values_mut() {
-            ports.sort_unstable();
-        }
-        adj
+        let graph = self.switch_graph();
+        let named = |&(pt, nb): &(u64, u32)| (pt, graph.ids[nb as usize]);
+        let ports = |i: usize| graph.ports(i).iter().map(named).collect();
+        graph.ids.iter().enumerate().map(|(i, &sw)| (sw, ports(i))).collect()
     }
 
-    /// The inter-switch graph in the two forms routing queries need — built
-    /// once, then asked per destination
-    /// ([`SwitchGraph::next_hop_ports`]).
+    /// The inter-switch graph routing queries run on — built once, then
+    /// asked per destination ([`SwitchGraph::next_hop_ports`]) or for many
+    /// at a time ([`SwitchGraph::next_hop_rows`]).
+    ///
+    /// This is where an edge is defined: a link joins two *declared*
+    /// switches. A link with an end that is not in
+    /// [`switches`](SimTopology::switches) (a host-side stub, a switch the
+    /// caller forgot to declare) is not part of the graph, so nothing is
+    /// routed through a switch that does not exist; a switch id declared
+    /// twice is one switch.
     pub fn switch_graph(&self) -> SwitchGraph {
-        let mut rev: BTreeMap<u64, Vec<u64>> =
-            self.switches.iter().map(|&s| (s, Vec::new())).collect();
-        for l in &self.links {
-            if let Some(srcs) = rev.get_mut(&l.dst.sw) {
-                srcs.push(l.src.sw);
-            }
+        let mut ids = self.switches.clone();
+        ids.sort_unstable();
+        ids.dedup();
+        let index = |sw: u64| ids.binary_search(&sw).ok().map(|i| i as u32);
+        // `(source, out port, neighbour)`: sorted, each switch's ports are
+        // contiguous and ascending.
+        let mut edges: Vec<(u32, u64, u32)> = self
+            .links
+            .iter()
+            .filter_map(|l| Some((index(l.src.sw)?, l.src.pt, index(l.dst.sw)?)))
+            .collect();
+        edges.sort_unstable();
+        let out_at = slice_starts(ids.len(), edges.iter().map(|e| e.0));
+        let into_at = slice_starts(ids.len(), edges.iter().map(|e| e.2));
+        let mut fill = into_at.clone();
+        let mut into = vec![0u32; edges.len()];
+        for &(src, _, dst) in &edges {
+            into[fill[dst as usize] as usize] = src;
+            fill[dst as usize] += 1;
         }
-        SwitchGraph { adj: self.switch_adjacency(), rev }
+        let out = edges.into_iter().map(|(_, pt, nb)| (pt, nb)).collect();
+        SwitchGraph { ids, out_at, out, into_at, into }
     }
 
     /// Shortest-path next hops toward `dst_sw`: for every switch that can
@@ -237,47 +249,106 @@ impl SimTopology {
     }
 }
 
-/// A topology's inter-switch links as forward and reverse adjacency — what
+/// Where each of `n` keys' entries start in a flat array grouped by key
+/// (`n + 1` offsets, the last one the total), from one key per entry.
+fn slice_starts(n: usize, keys: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut at = vec![0u32; n + 1];
+    keys.for_each(|k| at[k as usize + 1] += 1);
+    (0..n).for_each(|i| at[i + 1] += at[i]);
+    at
+}
+
+/// A topology's inter-switch links over dense switch indices — what
 /// [`SimTopology::next_hop_ports`] rebuilds per call, kept for callers that
 /// route toward many destinations.
+///
+/// A switch's index is its position in the sorted, deduplicated
+/// [`switches`](SwitchGraph::switches); both adjacencies are flat arrays
+/// sliced per switch, so a breadth-first pass touches a distance array and a
+/// frontier and no map.
 #[derive(Clone, Debug)]
 pub struct SwitchGraph {
-    /// [`SimTopology::switch_adjacency`].
-    adj: BTreeMap<u64, Vec<(u64, u64)>>,
-    /// For each switch, the switches with a link into it.
-    rev: BTreeMap<u64, Vec<u64>>,
+    /// The declared switch ids, ascending, each once.
+    ids: Vec<u64>,
+    /// `out[out_at[i]..out_at[i + 1]]`: switch `i`'s `(out port, neighbour
+    /// index)` pairs in ascending port order.
+    out_at: Vec<u32>,
+    out: Vec<(u64, u32)>,
+    /// `into[into_at[i]..into_at[i + 1]]`: the switches with a link into `i`.
+    into_at: Vec<u32>,
+    into: Vec<u32>,
 }
 
 impl SwitchGraph {
+    /// The switches of the graph in ascending id order, each once: the
+    /// column order of [`next_hop_rows`](SwitchGraph::next_hop_rows).
+    pub fn switches(&self) -> &[u64] {
+        &self.ids
+    }
+
+    fn ports(&self, i: usize) -> &[(u64, u32)] {
+        &self.out[self.out_at[i] as usize..self.out_at[i + 1] as usize]
+    }
+
+    fn sources(&self, i: usize) -> &[u32] {
+        &self.into[self.into_at[i] as usize..self.into_at[i + 1] as usize]
+    }
+
     /// [`SimTopology::next_hop_ports`] over the prebuilt graph.
     pub fn next_hop_ports(&self, dst_sw: u64) -> BTreeMap<u64, u64> {
-        // BFS from the destination over reversed edges to get hop counts.
-        let mut dist: BTreeMap<u64, u64> = BTreeMap::new();
-        dist.insert(dst_sw, 0);
-        let mut frontier = VecDeque::from([dst_sw]);
-        while let Some(sw) = frontier.pop_front() {
-            let d = dist[&sw];
-            let Some(srcs) = self.rev.get(&sw) else { continue };
-            for &p in srcs {
-                dist.entry(p).or_insert_with(|| {
-                    frontier.push_back(p);
-                    d + 1
-                });
+        let row = self.next_hop_rows(&[dst_sw]);
+        self.ids.iter().zip(row).filter_map(|(&sw, pt)| Some((sw, pt?))).collect()
+    }
+
+    /// Next hops toward each of `dsts` as one row-major matrix: cell
+    /// `r * switches().len() + i` is the out port at `switches()[i]` toward
+    /// `dsts[r]`, by the rule of [`SimTopology::next_hop_ports`] — `None` at
+    /// the destination itself, at a switch that cannot reach it, and along
+    /// the whole row of a destination that is not a switch of the graph.
+    /// One breadth-first pass per row over a shared distance array and
+    /// frontier.
+    pub fn next_hop_rows(&self, dsts: &[u64]) -> Vec<Option<u64>> {
+        const UNREACHED: u32 = u32::MAX;
+        let n = self.ids.len();
+        let mut rows = vec![None; dsts.len() * n];
+        let mut dist = vec![UNREACHED; n];
+        let mut frontier: Vec<u32> = Vec::with_capacity(n);
+        for (row, &dst_sw) in rows.chunks_exact_mut(n.max(1)).zip(dsts) {
+            let Ok(dst) = self.ids.binary_search(&dst_sw) else { continue };
+            // Hop counts by BFS from the destination over reversed edges.
+            dist.fill(UNREACHED);
+            dist[dst] = 0;
+            frontier.clear();
+            frontier.push(dst as u32);
+            let mut head = 0;
+            while let Some(&sw) = frontier.get(head) {
+                head += 1;
+                let d = dist[sw as usize];
+                for &p in self.sources(sw as usize) {
+                    if dist[p as usize] == UNREACHED {
+                        dist[p as usize] = d + 1;
+                        frontier.push(p);
+                    }
+                }
+            }
+            // Each switch forwards out the port minimizing the deterministic
+            // key. Indices order as ids do, and a switch's ports come in
+            // ascending order, so the first port to reach the least
+            // `(distance, neighbour)` is the least key.
+            for (i, cell) in row.iter_mut().enumerate() {
+                if i == dst {
+                    continue;
+                }
+                let mut least = (UNREACHED, 0);
+                for &(pt, nb) in self.ports(i) {
+                    let key = (dist[nb as usize], nb);
+                    if key < least {
+                        (least, *cell) = (key, Some(pt));
+                    }
+                }
             }
         }
-        // Each switch forwards out the port minimizing the deterministic key.
-        let mut next = BTreeMap::new();
-        for (&sw, ports) in &self.adj {
-            if sw == dst_sw {
-                continue;
-            }
-            let best =
-                ports.iter().filter_map(|&(pt, nb)| dist.get(&nb).map(|&d| (d, nb, pt))).min();
-            if let Some((_, _, pt)) = best {
-                next.insert(sw, pt);
-            }
-        }
-        next
+        rows
     }
 }
 
@@ -289,11 +360,12 @@ impl SimTopology {
         if src_sw == dst_sw {
             return Some(Vec::new());
         }
-        let next = self.next_hop_ports(dst_sw);
+        let graph = self.switch_graph();
+        let next = graph.next_hop_rows(&[dst_sw]);
         let mut path = Vec::new();
         let mut at = src_sw;
         while at != dst_sw {
-            let &pt = next.get(&at)?;
+            let pt = next[graph.ids.binary_search(&at).ok()?]?;
             let link = *self.link_from(Loc::new(at, pt))?;
             at = link.dst.sw;
             path.push(link);
@@ -419,6 +491,67 @@ mod tests {
         // Disconnected switch: no route.
         let island = SimTopology::new([1, 2]);
         assert_eq!(island.route(1, 2), None);
+    }
+
+    #[test]
+    fn a_link_to_an_undeclared_switch_is_not_an_edge() {
+        // 1 -> 9 -> 3 is one hop shorter than 1 -> 2 -> 4 -> 3, but 9 was
+        // never declared: nothing may be routed through it, toward it, or
+        // get a distance from it.
+        let lat = SimTime::from_micros(10);
+        let topo = SimTopology::new([1, 2, 3, 4])
+            .bilink(Loc::new(1, 1), Loc::new(2, 1), lat, None)
+            .bilink(Loc::new(2, 2), Loc::new(4, 1), lat, None)
+            .bilink(Loc::new(4, 2), Loc::new(3, 1), lat, None)
+            .bilink(Loc::new(1, 2), Loc::new(9, 1), lat, None)
+            .bilink(Loc::new(9, 2), Loc::new(3, 2), lat, None);
+        let next = topo.next_hop_ports(3);
+        assert_eq!(next, BTreeMap::from([(1, 1), (2, 2), (4, 2)]));
+        assert_eq!(topo.route(1, 3).expect("connected without 9").len(), 3);
+        assert!(topo.next_hop_ports(9).is_empty(), "9 is not a destination either");
+        assert_eq!(topo.route(1, 9), None);
+        assert_eq!(topo.switch_adjacency()[&1], vec![(1, 2)]);
+        assert_eq!(topo.switch_graph().switches(), [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_switch_declared_twice_is_one_switch() {
+        let lat = SimTime::from_micros(10);
+        let link = |t: SimTopology| {
+            t.bilink(Loc::new(5, 1), Loc::new(7, 1), lat, None).bilink(
+                Loc::new(7, 2),
+                Loc::new(6, 1),
+                lat,
+                None,
+            )
+        };
+        let (once, twice) =
+            (link(SimTopology::new([5, 6, 7])), link(SimTopology::new([7, 5, 7, 6, 5])));
+        assert_eq!(twice.switch_graph().switches(), [5, 6, 7]);
+        for dst in [5, 6, 7] {
+            assert_eq!(twice.next_hop_ports(dst), once.next_hop_ports(dst), "toward {dst}");
+        }
+        assert_eq!(twice.switch_adjacency(), once.switch_adjacency());
+        assert_eq!(twice.route(5, 6), once.route(5, 6));
+    }
+
+    #[test]
+    fn next_hop_rows_leave_unreachable_cells_empty() {
+        // Two components {1, 2} and {3, 4}, and a one-way link 2 -> 3: 3 and
+        // 4 are reachable from the left, nothing on the left from the right.
+        let lat = SimTime::from_micros(10);
+        let topo = SimTopology::new(1..=4)
+            .bilink(Loc::new(1, 1), Loc::new(2, 1), lat, None)
+            .bilink(Loc::new(3, 1), Loc::new(4, 1), lat, None)
+            .link(LinkSpec::new(Loc::new(2, 2), Loc::new(3, 2), lat));
+        let graph = topo.switch_graph();
+        let rows = graph.next_hop_rows(&[4, 1, 8]);
+        assert_eq!(rows[..4], [Some(1), Some(2), Some(1), None], "toward 4");
+        assert_eq!(rows[4..8], [None, Some(1), None, None], "toward 1");
+        assert_eq!(rows[8..], [None; 4], "8 is not a switch");
+        assert_eq!(graph.next_hop_ports(1), BTreeMap::from([(2, 1)]));
+        assert_eq!(topo.route(3, 1), None);
+        assert!(SimTopology::new([]).switch_graph().next_hop_rows(&[1]).is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use edn_core::Config;
-use netkat::{Action, ActionSet, Field, FlowTable, Match, Rule};
+use netkat::{Action, ActionSet, Field, FlowTable, Loc, Match, Rule};
 
 use crate::generate::GenTopology;
 
@@ -22,41 +22,69 @@ use crate::generate::GenTopology;
 /// rules elsewhere follow the deterministic shortest path. Switches that
 /// cannot reach a host simply get no rule for it.
 pub fn shortest_path_rules(gen: &GenTopology) -> BTreeMap<u64, Vec<Rule>> {
-    let topo = gen.sim();
-    let mut rules: BTreeMap<u64, Vec<Rule>> =
-        topo.switches().iter().map(|&s| (s, Vec::new())).collect();
-    // One graph for the topology, one BFS per attachment switch (shared by
-    // its co-located hosts).
-    let graph = topo.switch_graph();
-    let mut next_hops: BTreeMap<u64, BTreeMap<u64, u64>> = BTreeMap::new();
+    // One graph for the topology and one BFS per attachment switch (shared
+    // by its co-located hosts), all into one matrix; then each switch's list
+    // is filled in one go, reading a column of it.
+    let graph = gen.sim().switch_graph();
+    let hosts: Vec<(Match, Loc)> = gen
+        .hosts()
+        .iter()
+        .map(|&host| {
+            let at = gen.attachment(host).expect("generated hosts are attached");
+            (Match::new().with(Field::IpDst, host), at)
+        })
+        .collect();
+    let attach = attachment_switches(gen);
+    let next = graph.next_hop_rows(&attach);
+    let width = graph.switches().len();
+    let rows: Vec<usize> = hosts
+        .iter()
+        .map(|(_, at)| width * attach.binary_search(&at.sw).expect("every attachment has a row"))
+        .collect();
     let mut outputs = OutputActions::default();
-    for &host in gen.hosts() {
-        let at = gen.attachment(host).expect("generated hosts are attached");
-        let next = next_hops.entry(at.sw).or_insert_with(|| graph.next_hop_ports(at.sw));
-        let pattern = Match::new().with(Field::IpDst, host);
-        for (&sw, list) in rules.iter_mut() {
-            let out = if sw == at.sw { Some(at.pt) } else { next.get(&sw).copied() };
-            if let Some(out) = out {
-                list.push(Rule::new(pattern.clone(), outputs.port(out)));
+    graph
+        .switches()
+        .iter()
+        .enumerate()
+        .map(|(i, &sw)| {
+            let mut list = Vec::with_capacity(hosts.len());
+            for ((pattern, at), row) in hosts.iter().zip(&rows) {
+                let out = if sw == at.sw { Some(at.pt) } else { next[row + i] };
+                if let Some(out) = out {
+                    list.push(Rule::new(pattern.clone(), outputs.port(out)));
+                }
             }
-        }
-    }
-    rules
+            (sw, list)
+        })
+        .collect()
+}
+
+/// The switches carrying at least one host, ascending, each once: the
+/// destinations routing has to reach.
+fn attachment_switches(gen: &GenTopology) -> Vec<u64> {
+    let mut attach: Vec<u64> =
+        gen.hosts().iter().filter_map(|&h| gen.attachment(h)).map(|at| at.sw).collect();
+    attach.sort_unstable();
+    attach.dedup();
+    attach
 }
 
 /// The `port := out` action sets handed out so far, one body per output
 /// port: every rule of a routing table outputs to one of a switch's few
 /// ports, so the rules share these (see [`ActionSet`]'s sharing contract)
-/// instead of each building its own.
+/// instead of each building its own. A scanned list, not a map: there are
+/// as many entries as a switch has ports, and one probe per rule.
 #[derive(Default)]
-struct OutputActions(BTreeMap<u64, ActionSet>);
+struct OutputActions(Vec<(u64, ActionSet)>);
 
 impl OutputActions {
     fn port(&mut self, out: u64) -> ActionSet {
-        self.0
-            .entry(out)
-            .or_insert_with(|| ActionSet::single(Action::assign(Field::Port, out)))
-            .clone()
+        if let Some((_, actions)) = self.0.iter().find(|(pt, _)| *pt == out) {
+            return actions.clone();
+        }
+        let actions = ActionSet::single(Action::assign(Field::Port, out));
+        self.0.push((out, actions.clone()));
+        actions
     }
 }
 
@@ -65,15 +93,17 @@ impl OutputActions {
 /// elsewhere follow the deterministic shortest path. The building block for
 /// mobility re-homing (route a host's address to its *new* attachment) and
 /// selective un/blocking in update campaigns.
-pub fn rules_toward(gen: &GenTopology, at: netkat::Loc, ip: u64) -> BTreeMap<u64, Rule> {
-    let topo = gen.sim();
-    let next = topo.next_hop_ports(at.sw);
+pub fn rules_toward(gen: &GenTopology, at: Loc, ip: u64) -> BTreeMap<u64, Rule> {
+    let graph = gen.sim().switch_graph();
+    let next = graph.next_hop_rows(&[at.sw]);
     let pattern = Match::new().with(Field::IpDst, ip);
     let mut outputs = OutputActions::default();
-    topo.switches()
+    graph
+        .switches()
         .iter()
-        .filter_map(|&sw| {
-            let out = if sw == at.sw { Some(at.pt) } else { next.get(&sw).copied() };
+        .zip(next)
+        .filter_map(|(&sw, next)| {
+            let out = if sw == at.sw { Some(at.pt) } else { next };
             out.map(|out| (sw, Rule::new(pattern.clone(), outputs.port(out))))
         })
         .collect()
@@ -103,18 +133,15 @@ pub fn shortest_path_config(gen: &GenTopology) -> Config {
 /// Returns `true` if every host can reach every other host (their
 /// attachment switches are mutually connected).
 pub fn all_hosts_connected(gen: &GenTopology) -> bool {
-    let topo = gen.sim();
-    let attach: Vec<u64> = {
-        let mut v: Vec<u64> =
-            gen.hosts().iter().filter_map(|&h| gen.attachment(h)).map(|l| l.sw).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let graph = topo.switch_graph();
-    attach.iter().all(|&dst| {
-        let next = graph.next_hop_ports(dst);
-        attach.iter().all(|&src| src == dst || next.contains_key(&src))
+    let graph = gen.sim().switch_graph();
+    let attach = attachment_switches(gen);
+    let next = graph.next_hop_rows(&attach);
+    let width = graph.switches().len();
+    let columns: Vec<Option<usize>> =
+        attach.iter().map(|sw| graph.switches().binary_search(sw).ok()).collect();
+    (0..attach.len()).all(|dst| {
+        let reaches = |src: usize| columns[src].is_some_and(|i| next[dst * width + i].is_some());
+        (0..attach.len()).all(|src| src == dst || reaches(src))
     })
 }
 

@@ -20,14 +20,22 @@
 //! became shared, then 581 / 224 / 257 when a step that only adds rules
 //! started sharing its predecessor's list and index, then 524 / 149 / 182
 //! when a campaign's configurations started sharing one set of links and
-//! hosts). A fourth leg watches `OnlineChecker::observer`, whose set-up
+//! hosts, then 363 / 149 / 182 when the routing synthesis stopped keeping
+//! its graph, distances and next hops in per-switch trees). A fourth leg watches `OnlineChecker::observer`, whose set-up
 //! follows the same chains: its cost may not grow with the configurations.
+//! A fifth covers the stream workloads' set-up, where the configurations
+//! come from `edn_apps::generated` rather than a campaign: two
+//! configurations that differ on a switch or three share every other table.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use edn_apps::generated::{firewall_nes, learning_nes, FLOOD_MARK};
+use edn_core::{EventSet, NetworkEventStructure};
 use edn_scenario::{parse, CompiledScenario};
+use edn_topo::{config_from_rules, fat_tree, shortest_path_rules, GenTopology, TierProfile};
 use nes_runtime::{CompiledNes, NesDataPlane};
+use netkat::{Action, ActionSet, Field, Match, Rule};
 use netsim::DataPlane;
 
 thread_local! {
@@ -66,6 +74,12 @@ static ALLOCATOR: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// The address of the rule list behind `sw`'s table, for "is this the same
+/// allocation?" (`None` for a missing or empty table, which shares nothing).
+fn list_of(config: &edn_core::Config, sw: u64) -> Option<*const Rule> {
+    config.table(sw)?.iter().next().map(std::ptr::from_ref)
 }
 
 /// The benchmark's `--smoke` campaign shape: fat-tree(4), four probed
@@ -129,9 +143,9 @@ fn compiling_a_campaign_builds_each_rule_body_once() {
     let forwarding = c.nes.total_rules() as u64;
     assert!(forwarding >= 1000, "the campaign installs a real rule load ({forwarding})");
     assert!(
-        spent <= 524,
+        spent <= 363,
         "compiling a campaign of {forwarding} installed rules took {spent} allocations \
-         (524 when pinned) — rule bodies are being built per rule, or a rule list per state, \
+         (363 when pinned) — rule bodies are being built per rule, or a rule list per state, \
          again"
     );
 }
@@ -154,10 +168,11 @@ fn building_an_engine_does_not_copy_rules() {
     for set in c.nes.event_sets() {
         let (ours, theirs) = (c.nes.config(set), plane.compiled().nes().config(set));
         for sw in ours.switches() {
-            let first = |config: &edn_core::Config| {
-                config.table(sw).and_then(|t| t.iter().next()).map(std::ptr::from_ref)
-            };
-            assert_eq!(first(ours), first(theirs), "switch {sw}: the rule list was copied");
+            assert_eq!(
+                list_of(ours, sw),
+                list_of(theirs, sw),
+                "switch {sw}: the rule list was copied"
+            );
         }
     }
 }
@@ -171,11 +186,11 @@ fn an_additive_campaign_holds_one_list_and_one_index_per_switch() {
     let c = campaign();
     let switches = c.run.sim().switches();
     for &sw in switches {
-        let lists: std::collections::BTreeSet<*const netkat::Rule> = c
+        let lists: std::collections::BTreeSet<*const Rule> = c
             .nes
             .event_sets()
             .into_iter()
-            .filter_map(|set| c.nes.config(set).table(sw)?.iter().next().map(std::ptr::from_ref))
+            .filter_map(|set| list_of(c.nes.config(set), sw))
             .collect();
         assert_eq!(lists.len(), 1, "switch {sw}'s tables sit on {} rule lists", lists.len());
     }
@@ -221,5 +236,127 @@ fn attaching_the_checker_does_not_scale_with_configurations() {
         many.abs_diff(few) < 15,
         "attaching took {few} allocations at 5 updates and {many} at 20 — \
          the index is building something per configuration again"
+    );
+}
+
+/// `firewall_nes` as it was assembled before its configurations shared
+/// tables: the routing cloned whole, one rule inserted, and each copy
+/// turned into a configuration of its own.
+fn firewall_by_copy(gen: &GenTopology, inside: u64, outside: u64) -> [edn_core::Config; 2] {
+    let open = shortest_path_rules(gen);
+    let mut closed = open.clone();
+    let guard = Match::new().with(Field::IpSrc, outside).with(Field::IpDst, inside);
+    let at = gen.attachment(outside).expect("a host");
+    closed.get_mut(&at.sw).expect("routed").insert(0, Rule::new(guard, ActionSet::drop()));
+    [config_from_rules(gen, closed), config_from_rules(gen, open)]
+}
+
+/// `learning_nes` the same way; also returns the switches it edits.
+fn learning_by_copy(
+    gen: &GenTopology,
+    learner: u64,
+    target: u64,
+    shadow: u64,
+) -> ([edn_core::Config; 2], Vec<u64>) {
+    let at = |h| gen.attachment(h).expect("a host");
+    let (learner_at, shadow_at) = (at(learner), at(shadow));
+    let toward_shadow = gen.sim().next_hop_ports(shadow_at.sw);
+    let learned = shortest_path_rules(gen);
+    let mut flooding = learned.clone();
+    let rule = flooding
+        .get_mut(&learner_at.sw)
+        .expect("routed")
+        .iter_mut()
+        .find(|r| r.pattern.get(Field::IpDst) == Some(target))
+        .expect("the target is routable");
+    let copy =
+        Action::assign(Field::Port, toward_shadow[&learner_at.sw]).set(Field::Vlan, FLOOD_MARK);
+    rule.actions = rule.actions.union(&ActionSet::single(copy));
+    let mut touched = vec![learner_at.sw];
+    for link in gen.sim().route(learner_at.sw, shadow_at.sw).expect("connected") {
+        let sw = link.dst.sw;
+        let out = if sw == shadow_at.sw { shadow_at.pt } else { toward_shadow[&sw] };
+        let marked = Match::new().with(Field::Vlan, FLOOD_MARK);
+        let steer = ActionSet::single(Action::assign(Field::Port, out));
+        flooding.get_mut(&sw).expect("routed").insert(0, Rule::new(marked, steer));
+        touched.push(sw);
+    }
+    ([config_from_rules(gen, flooding), config_from_rules(gen, learned)], touched)
+}
+
+/// The stream workloads' set-up on fat-tree(4): an application NES is the
+/// routed configuration and a clone of it with the touched switches'
+/// tables replaced. It equals the NES assembled by copying, its untouched
+/// tables are one allocation under both event-sets, and so the plane builds
+/// — and the checker interns — one index per switch plus one per touched
+/// switch, where two by-value-equal copies cost two. The three counts are
+/// the measured ones (build, deploy, attach).
+#[test]
+fn an_application_nes_shares_its_untouched_tables() {
+    let gen = fat_tree(4, TierProfile::default());
+    let switches = gen.sim().switches().to_vec();
+    let h = gen.hosts();
+    let check = |name: &str,
+                 build: &dyn Fn() -> NetworkEventStructure,
+                 by_copy: [edn_core::Config; 2],
+                 touched: &[u64],
+                 pinned: [u64; 3]| {
+        let counted = || {
+            let before = allocations();
+            let nes = build();
+            (allocations() - before, nes)
+        };
+        let (built, nes) = counted();
+        assert_eq!(counted().0, built, "{name}: the allocation count repeats exactly");
+        let sets = [EventSet::empty(), EventSet::singleton(nes.events()[0].id)];
+        assert_eq!(nes.event_sets(), sets);
+        let [before, after] = sets.map(|set| nes.config(set));
+        assert!([before, after] == [&by_copy[0], &by_copy[1]], "{name}: not the copied NES");
+        for &sw in &switches {
+            assert!(list_of(after, sw).is_some(), "switch {sw} routes something");
+            assert_eq!(
+                list_of(before, sw) == list_of(after, sw),
+                !touched.contains(&sw),
+                "{name}: switch {sw}'s two tables share a list exactly when it is untouched"
+            );
+        }
+        let tables = Some((switches.len() + touched.len()) as u64);
+
+        let before = allocations();
+        let plane = NesDataPlane::new(CompiledNes::compile(nes.clone()), switches.clone(), false);
+        let deployed = allocations() - before;
+        let mut reg = edn_obs::Registry::new();
+        plane.contribute_metrics(&mut reg);
+        assert_eq!(reg.gauge("flowindex.tables"), tables, "{name}: indexes built");
+        assert_eq!(reg.gauge("flowindex.slots"), Some(2 * switches.len() as u64));
+
+        let before = allocations();
+        let (observer, _handle) = edn_core::OnlineChecker::observer(&nes).expect("two states fit");
+        let attached = allocations() - before;
+        let mut reg = edn_obs::Registry::new();
+        observer.contribute_metrics(&mut reg);
+        assert_eq!(reg.gauge("checker.index_chains"), tables, "{name}: chains interned");
+
+        assert_eq!([built, deployed, attached], pinned, "{name}: build, deploy, attach");
+    };
+
+    let (inside, outside) = (h[0], h[15]);
+    let outside_sw = gen.attachment(outside).expect("a host").sw;
+    check(
+        "firewall",
+        &|| firewall_nes(&gen, inside, outside),
+        firewall_by_copy(&gen, inside, outside),
+        &[outside_sw],
+        [169, 141, 340],
+    );
+    let (learner, target, shadow) = (h[0], h[15], h[8]);
+    let (by_copy, touched) = learning_by_copy(&gen, learner, target, shadow);
+    assert!(touched.len() > 2, "the shadow is a few hops away ({touched:?})");
+    check(
+        "learning",
+        &|| learning_nes(&gen, learner, target, shadow),
+        by_copy,
+        &touched,
+        [263, 164, 355],
     );
 }
