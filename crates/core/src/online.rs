@@ -1251,22 +1251,42 @@ mod tests {
         nes: &NetworkEventStructure,
         recs: &[Rec],
     ) -> (Result<(), OnlineViolation>, CheckerTelemetry) {
+        agree_with(nes, recs, |i| i, |_, _| {})
+    }
+
+    /// [`agree`] with the record at position `i` numbered `at(i)` (strictly
+    /// increasing, gaps allowed; parents are named by position in `recs`),
+    /// and `then(observer, i)` called once that record's own calls are made —
+    /// for the calls a forest does not imply.
+    fn agree_with(
+        nes: &NetworkEventStructure,
+        recs: &[Rec],
+        at: impl Fn(usize) -> usize,
+        mut then: impl FnMut(&mut dyn TraceObserver, usize),
+    ) -> (Result<(), OnlineViolation>, CheckerTelemetry) {
         let (mut obs, handle) = OnlineChecker::observer(nes).unwrap();
         let mut b = TraceBuilder::new();
-        for (idx, (pk, (sw, pt), parent, leaf)) in recs.iter().enumerate() {
-            obs.record(idx, pk, Loc::new(*sw, *pt), *parent);
-            assert_eq!(b.push(pk.clone(), Loc::new(*sw, *pt), *parent), idx);
+        let mut last_child = vec![None; recs.len()];
+        for (i, rec) in recs.iter().enumerate() {
+            if let Some(p) = rec.2 {
+                last_child[p] = Some(i);
+            }
+        }
+        for (i, (pk, (sw, pt), parent, leaf)) in recs.iter().enumerate() {
+            obs.record(at(i), pk, Loc::new(*sw, *pt), parent.map(&at));
+            assert_eq!(b.push(pk.clone(), Loc::new(*sw, *pt), *parent), i);
             if let Some(kind) = *leaf {
-                obs.leaf(idx, kind);
+                obs.leaf(at(i), kind);
                 if kind == LeafKind::Terminated {
-                    b.mark_terminated(idx);
+                    b.mark_terminated(i);
                 }
             }
             if let Some(p) = *parent {
-                if !recs[idx + 1..].iter().any(|later| later.2 == Some(p)) {
-                    obs.retire(p);
+                if last_child[p] == Some(i) {
+                    obs.retire(at(p));
                 }
             }
+            then(obs.as_mut(), i);
         }
         obs.finish();
         let post_hoc = check_correct(&b.build().unwrap(), nes, None).is_ok();
@@ -1408,5 +1428,145 @@ mod tests {
         checker.finish();
         assert_eq!(handle.verdict(), Err(OnlineViolation::Inconsistent));
         assert_eq!(handle.telemetry().packets_copied, 3);
+    }
+
+    /// `rewriting_nes`' delivered transit from host 100 to host 101, its
+    /// root at position `root`.
+    fn delivered_from(root: usize) -> [Rec; 4] {
+        [
+            (to(1), (100, 0), None, None),
+            (to(1), (1, 1), Some(root), None),
+            (to(1), (1, 2), Some(root + 1), None),
+            (to(1), (101, 0), Some(root + 2), Some(LeafKind::Delivered)),
+        ]
+    }
+
+    #[test]
+    fn a_node_held_across_five_thousand_transits_keeps_its_place() {
+        // The multicast parent at 1 waits for its second output while 5,000
+        // transits pass, and a stalled tip at 5 waits for `finish`.
+        let nes = rewriting_nes();
+        let mut recs: Vec<Rec> = delivered_from(0).to_vec();
+        recs.extend([(to(1), (100, 0), None, None), (to(1), (1, 1), Some(4), None)]);
+        for _ in 0..5_000 {
+            recs.extend(delivered_from(recs.len()));
+        }
+        let n = recs.len();
+        let rewritten =
+            |pk: Packet, end| [(pk.clone(), (1, 3), Some(1), None), (pk, (2, 1), Some(n), end)];
+        recs.extend(rewritten(to(2), Some(LeafKind::Terminated)));
+        let (verdict, telemetry) = agree(&nes, &recs);
+        assert_eq!(verdict, Ok(()));
+        let records = recs.len() as u64;
+        assert_eq!(
+            (telemetry.retired_prefixes, telemetry.live_nodes_hw, telemetry.packets_copied),
+            (records - 1, 4, 5_003)
+        );
+        // The second output unchanged: a rejected prefix.
+        recs.truncate(n);
+        recs.extend(rewritten(to(1), None));
+        let (verdict, telemetry) = agree(&nes, &recs);
+        assert_eq!(verdict, Err(OnlineViolation::Inconsistent));
+        assert_eq!(telemetry.packets_copied, 5_002);
+    }
+
+    #[test]
+    fn live_nodes_with_congruent_indices_and_gaps_between_records() {
+        // 16 and 80 are congruent mod 16, 32 and 64, and both live when 80
+        // is recorded; 144 is congruent with both once they are buried.
+        let nes = rewriting_nes();
+        let at = |i: usize| [0, 16, 17, 18, 80, 81, 144, 145][i];
+        let run = |rewritten: Packet, end: Option<LeafKind>| {
+            let mut recs: Vec<Rec> = delivered_from(0).to_vec();
+            recs.extend([
+                (rewritten.clone(), (1, 3), Some(1), None),
+                (rewritten, (2, 1), Some(4), end),
+                (to(1), (100, 0), None, None),
+                (to(1), (1, 1), Some(6), None),
+            ]);
+            agree_with(&nes, &recs, at, |_, _| {})
+        };
+        let (verdict, telemetry) = run(to(2), Some(LeafKind::Terminated));
+        assert_eq!(verdict, Ok(()));
+        assert_eq!(
+            (telemetry.retired_prefixes, telemetry.live_nodes_hw, telemetry.packets_copied),
+            (7, 3, 3)
+        );
+        let (verdict, telemetry) = run(to(1), None);
+        assert_eq!(verdict, Err(OnlineViolation::Inconsistent));
+        assert_eq!(telemetry.packets_copied, 2);
+    }
+
+    #[test]
+    fn retiring_an_unknown_a_leafed_or_the_newest_index() {
+        // Every record numbered 2i, so odd indices are never recorded. The
+        // multicast parent at 2 stays live until 12.
+        let nes = rewriting_nes();
+        let mut recs: Vec<Rec> = vec![
+            (to(1), (100, 0), None, None),
+            (to(1), (1, 1), Some(0), None),
+            (to(5), (100, 0), None, None),
+            (to(5), (1, 1), Some(2), Some(LeafKind::Terminated)),
+        ];
+        recs.extend([
+            (to(1), (1, 2), Some(1), None),
+            (to(1), (101, 0), Some(4), Some(LeafKind::Delivered)),
+            (to(2), (1, 3), Some(1), None),
+            (to(2), (2, 1), Some(6), Some(LeafKind::Terminated)),
+            (to(1), (100, 0), None, None),
+            (to(1), (100, 0), None, None),
+        ]);
+        let (verdict, telemetry) = agree_with(
+            &nes,
+            &recs,
+            |i| 2 * i,
+            |obs, i| match i {
+                // The engine's terminated ingress: leafed, then retired
+                // while it is the newest record.
+                3 => obs.retire(6),
+                // 6 again, now buried; the newest, leafed; 66, never
+                // recorded and congruent with the live 2 mod 64; a gap.
+                5 => [6, 10, 66, 5].into_iter().for_each(|idx| obs.retire(idx)),
+                // The newest, not leafed: dropped without a judgment.
+                8 => obs.retire(16),
+                _ => {}
+            },
+        );
+        assert_eq!(verdict, Ok(()));
+        assert_eq!(
+            (telemetry.retired_prefixes, telemetry.live_nodes_hw, telemetry.packets_copied),
+            (9, 3, 5)
+        );
+    }
+
+    #[test]
+    fn finish_judges_several_live_tips_in_record_order() {
+        // Seven delivered transits, then four paths left in flight at 29,
+        // 32, 35 and 36: their indices straddle a multiple of 16.
+        let nes = rewriting_nes();
+        let run = |rewritten: Packet| {
+            let mut recs: Vec<Rec> = Vec::new();
+            for _ in 0..7 {
+                recs.extend(delivered_from(recs.len()));
+            }
+            recs.extend([(to(1), (100, 0), None, None), (to(1), (1, 1), Some(28), None)]);
+            recs.extend(delivered_from(30)[..3].iter().cloned());
+            recs.extend([
+                (to(1), (100, 0), None, None),
+                (to(1), (1, 1), Some(33), None),
+                (rewritten, (1, 3), Some(34), None),
+                (to(7), (100, 0), None, None),
+            ]);
+            agree(&nes, &recs)
+        };
+        let (verdict, telemetry) = run(to(2));
+        assert_eq!(verdict, Ok(()));
+        assert_eq!(
+            (telemetry.retired_prefixes, telemetry.live_nodes_hw, telemetry.packets_copied),
+            (33, 4, 12)
+        );
+        let (verdict, telemetry) = run(to(1));
+        assert_eq!(verdict, Err(OnlineViolation::Inconsistent));
+        assert_eq!(telemetry.packets_copied, 11);
     }
 }
