@@ -28,10 +28,15 @@
 //! that happened-before it; and the set of *watched* leaves that
 //! happened-before it.
 //!
-//! A node is a **slot** and its packet a **shared pool entry**. Nodes live
-//! in a slab: a record resets a free slot in place, the node is sealed,
-//! refined and buried where it sits, and the only thing keyed by the
-//! engine's record index is a map from index to slot. The erased packet is
+//! A node sits **at its record index** and its packet is a **shared pool
+//! entry**. Nodes live in a ring whose length is a power of two: record
+//! `idx` resets slot `idx & (len - 1)` in place and stores `idx` there, and
+//! the node is sealed, refined and buried where it sits. Finding a node by
+//! the index the engine names it by is a mask and one compare — no map. The
+//! engine numbers records consecutively and a node lives for a bounded
+//! stretch of them, so a slot is vacant again long before the index that
+//! next maps to it arrives; when it is not, the ring doubles and every live
+//! node moves to its slot in the longer ring. The erased packet is
 //! not the node's own: it sits in a pool of `(packet, holders)` entries, and
 //! a record first compares its *raw* packet with its parent's entry, `Tag`
 //! and `Digest` skipped ([`Packet::eq_erased`], one pass, no copy). On a
@@ -76,11 +81,12 @@
 //! on. The triggering-packet side condition of first occurrences is a
 //! reference-counted obligation carried from the firing node to each
 //! descendant leaf. Prefixes retire as soon as the engine promises a node
-//! can gain no more children: the node's slot goes on the free list with its
+//! can gain no more children: the node's slot is marked vacant and keeps its
 //! obligation buffer, its hold on its packet is released, and a pool entry
-//! nobody holds goes on the pool's free list with its field buffer. Slab and
-//! pool therefore stop growing at the most nodes ever alive at once, and
-//! steady-state checking does not allocate (`tests/hop_allocations.rs`).
+//! nobody holds goes on the pool's free list with its field buffer. Ring and
+//! pool therefore stop growing once they hold the widest live span and the
+//! most nodes ever alive at once, and steady-state checking does not
+//! allocate (`tests/hop_allocations.rs`).
 //!
 //! The observer owns all of this outright — no callback takes a lock — and
 //! [`TraceObserver::finish`] publishes the verdict, with the run's
@@ -93,10 +99,15 @@
 //! ([`OnlineChecker::observer`] refuses more), 64 event firings, and 64
 //! leaves watched for condition 2 or 3 over the run. Beyond that it returns
 //! the conservative [`OnlineViolation::CapacityExceeded`] rather than
-//! guessing. Live nodes are not a window: slots and pool entries are
-//! indices into vectors that grow to the in-flight high-water mark (72 nodes
-//! on the fat-tree(8) firewall stream, 5 on a 20-update campaign;
-//! `checker.node_slots_hw` / `checker.packet_slots_hw`). A firing that
+//! guessing. Live nodes are not a window. Pool entries are indices into a
+//! vector that grows to the in-flight high-water mark. The node ring grows to
+//! the *live-index span* — the most record indices between the oldest live
+//! node and the newest — rounded up to a power of two, 16 or more; memory is
+//! that span times a node. The span is bounded by how long a packet stays in
+//! flight times the rate at which the run records: 254 indices for 72 live
+//! nodes on the fat-tree(8) firewall stream (a ring of 256), 15 for 5 on a
+//! 20-update campaign (16; `checker.node_slots_hw` /
+//! `checker.packet_slots_hw`). A firing that
 //! leaves the structure's reachable event-sets —
 //! which a well-formed [`EventStructure`](crate::EventStructure) cannot
 //! produce — has no configuration to realize and is reported as
@@ -178,9 +189,12 @@ impl fmt::Display for OnlineViolation {
 impl std::error::Error for OnlineViolation {}
 
 /// A live trace node: the checker's bounded per-packet-in-flight state. It
-/// is written into a slot of [`Inner::nodes`] when its record arrives and
-/// stays there until it is buried; the next record resets the slot.
+/// is written into the slot of [`Inner::nodes`] its record index names when
+/// its record arrives and stays there until it is buried (or the ring
+/// grows); a later record with the same slot resets it.
 struct Node {
+    /// The record index, or [`VACANT`] once the node is buried.
+    idx: usize,
     /// The [`Inner::pool`] entry holding the (virtual-field erased) packet
     /// of this record — the parent's own entry when the hop changed no
     /// header. The node is one of the entry's holders.
@@ -211,11 +225,18 @@ struct Node {
     retired: bool,
 }
 
+/// The index of a slot no live node occupies.
+const VACANT: usize = usize::MAX;
+
+/// The ring's length at the first record (it doubles from there).
+const MIN_RING: usize = 16;
+
 impl Node {
-    /// A root record of pool entry `packet` at `loc`, carrying no
+    /// Record `idx`, a root of pool entry `packet` at `loc`, carrying no
     /// obligation; `trig` is the (empty) buffer it would carry them in.
-    fn root(packet: usize, loc: Loc, trig: Vec<u32>) -> Node {
+    fn root(idx: usize, packet: usize, loc: Loc, trig: Vec<u32>) -> Node {
         Node {
+            idx,
             packet,
             loc,
             nfa: MaskedState::default(),
@@ -230,6 +251,11 @@ impl Node {
             leafed: None,
             retired: false,
         }
+    }
+
+    /// An empty slot.
+    fn vacant() -> Node {
+        Node::root(VACANT, 0, Loc::new(0, 0), Vec::new())
     }
 }
 
@@ -274,8 +300,11 @@ pub struct CheckerTelemetry {
     pub watched_leaves_hw: u64,
     /// Event firings replayed (`checker.fired_events`).
     pub fired_events: u64,
-    /// Node slots ever allotted (`checker.node_slots_hw`): the slab stops
-    /// growing at the most nodes alive at once.
+    /// The node ring's length (`checker.node_slots_hw`): 16, doubled each
+    /// time a record's slot still held a live node. Under the engine's
+    /// consecutive record indices that is the smallest power of two, 16 or
+    /// more, that holds the widest span of indices ever live at once; it is
+    /// never below `live_nodes_hw`.
     pub node_slots_hw: u64,
     /// Packet pool entries ever allotted (`checker.packet_slots_hw`).
     pub packet_slots_hw: u64,
@@ -310,15 +339,15 @@ struct Inner {
     /// by every later one.
     realized_from: Vec<u64>,
 
-    // Live-trace state. A node is written into a slot of `nodes` and never
-    // moved: `slots` maps the index of a sealed live node to its slot,
-    // `free` lists the slots whose node was buried (each keeps its `trig`
-    // buffer). The newest node stays out of the map until the next record
-    // seals it: most nodes leaf or retire before that.
+    // Live-trace state. `nodes` is a ring of power-of-two length: record
+    // `idx`'s node sits in slot `idx & (len - 1)` and stores `idx`, so a slot
+    // holds at most one live node and knows which. A slot keeps its `trig`
+    // buffer for the next node written there. `live` counts the sealed live
+    // nodes; the newest node is `unsealed` until the next record seals it
+    // (most nodes leaf or retire before that).
     nodes: Vec<Node>,
-    slots: FxMap<usize, usize>,
-    free: Vec<usize>,
-    unsealed: Option<(usize, usize)>,
+    live: usize,
+    unsealed: Option<usize>,
     /// Erased packets with their live holders: the records of a path share
     /// one entry for as long as no hop changes a header. `free_packets`
     /// lists the entries nobody holds (each keeps its field buffer).
@@ -347,7 +376,18 @@ impl Inner {
     }
 
     fn live_nodes(&self) -> usize {
-        self.slots.len() + self.unsealed.is_some() as usize
+        self.live + self.unsealed.is_some() as usize
+    }
+
+    /// The slot record `idx`'s node sits in while it is live.
+    fn slot(&self, idx: usize) -> usize {
+        idx & self.nodes.len().wrapping_sub(1)
+    }
+
+    /// The slot of node `idx`, if it is live.
+    fn live_slot(&self, idx: usize) -> Option<usize> {
+        let slot = self.slot(idx);
+        (self.nodes.get(slot)?.idx == idx).then_some(slot)
     }
 
     fn flight_record(&self, kind: &'static str, seq: u64, node: u64) {
@@ -363,8 +403,7 @@ impl Inner {
             self.flight_record(v.name(), self.telemetry.fired_events, 0);
         }
         self.nodes.clear();
-        self.slots.clear();
-        self.free.clear();
+        self.live = 0;
         self.unsealed = None;
         self.pool.clear();
         self.free_packets.clear();
@@ -442,7 +481,8 @@ impl Inner {
     }
 
     /// Releases what the dying node in `slot` holds — one reference of each
-    /// obligation it carries and its hold on its packet — and frees the slot.
+    /// obligation it carries and its hold on its packet — and vacates the
+    /// slot.
     fn bury(&mut self, slot: usize) {
         let node = &mut self.nodes[slot];
         for &id in &node.trig {
@@ -453,26 +493,37 @@ impl Inner {
             }
         }
         node.trig.clear();
+        node.idx = VACANT;
         let holders = &mut self.pool[node.packet].1;
         *holders -= 1;
         if *holders == 0 {
             self.free_packets.push(node.packet);
         }
-        self.free.push(slot);
     }
 
-    /// Writes a root record of pool entry `packet` at `loc` into a free slot
-    /// and takes its hold on the entry. The slab grows only while every slot
-    /// is live.
-    fn take_slot(&mut self, packet: usize, loc: Loc) -> usize {
+    /// Writes record `idx`, a root of pool entry `packet` at `loc`, into its
+    /// slot and takes its hold on the entry. The ring is allotted at the
+    /// first record and doubles only while the slot holds a live node: every
+    /// live node moves to its slot in the longer ring, with its obligation
+    /// buffer and its hold on its packet.
+    fn take_slot(&mut self, idx: usize, packet: usize, loc: Loc) -> usize {
         self.pool[packet].1 += 1;
-        let Some(slot) = self.free.pop() else {
-            self.nodes.push(Node::root(packet, loc, Vec::new()));
-            self.telemetry.node_slots_hw += 1;
-            return self.nodes.len() - 1;
-        };
+        if self.nodes.is_empty() {
+            self.nodes.resize_with(MIN_RING, Node::vacant);
+        }
+        while self.nodes[self.slot(idx)].idx != VACANT {
+            let len = 2 * self.nodes.len();
+            let mut ring: Vec<Node> = (0..len).map(|_| Node::vacant()).collect();
+            for node in self.nodes.drain(..).filter(|node| node.idx != VACANT) {
+                let slot = node.idx & (len - 1);
+                ring[slot] = node;
+            }
+            self.nodes = ring;
+        }
+        self.telemetry.node_slots_hw = self.nodes.len() as u64;
+        let slot = self.slot(idx);
         let trig = std::mem::take(&mut self.nodes[slot].trig);
-        self.nodes[slot] = Node::root(packet, loc, trig);
+        self.nodes[slot] = Node::root(idx, packet, loc, trig);
         slot
     }
 
@@ -540,7 +591,8 @@ impl Inner {
     /// Seals the newest node once its controller edges have all arrived:
     /// evaluates event firing, publishes its masks, and drops it if done.
     fn seal_pending(&mut self) {
-        let Some((idx, slot)) = self.unsealed.take() else { return };
+        let Some(idx) = self.unsealed.take() else { return };
+        let slot = self.slot(idx);
 
         // Greedy SWITCH-rule firing: at most one event per record, and
         // only the events located here are even looked at.
@@ -583,7 +635,7 @@ impl Inner {
             self.telemetry.retired_prefixes += 1;
             self.bury(slot);
         } else {
-            self.slots.insert(idx, slot);
+            self.live += 1;
         }
     }
 
@@ -591,10 +643,13 @@ impl Inner {
     /// `edge`, `cause` and `leaf` refine.
     fn newest(&mut self, idx: usize) -> Option<&mut Node> {
         debug_assert!(
-            self.dead() || self.unsealed.is_some_and(|(i, _)| i == idx),
+            self.dead() || self.unsealed == Some(idx),
             "refinements target the unsealed node"
         );
-        let (_, slot) = self.unsealed.filter(|&(i, _)| i == idx)?;
+        if self.unsealed != Some(idx) {
+            return None;
+        }
+        let slot = self.slot(idx);
         Some(&mut self.nodes[slot])
     }
 }
@@ -676,8 +731,7 @@ impl OnlineChecker {
             realized_mask: 1u64 << initial_cfg,
             realized_from: Vec::new(),
             nodes: Vec::new(),
-            slots: FxMap::default(),
-            free: Vec::new(),
+            live: 0,
             unsealed: None,
             pool: Vec::new(),
             free_packets: Vec::new(),
@@ -734,17 +788,19 @@ impl TraceObserver for OnlineChecker {
         }
         let slot = match parent {
             Some(p) => {
-                let p = *inner.slots.get(&p).expect("parents outlive child records");
                 // The record's one packet comparison: raw against the
                 // parent's erased packet, the virtual fields skipped. A hop
                 // that changed no header shares the parent's pool entry;
                 // only a rewritten packet is copied and erased.
-                let a = inner.nodes[p].packet;
+                let a =
+                    inner.nodes[inner.live_slot(p).expect("parents outlive child records")].packet;
                 let same = packet.eq_erased(&inner.pool[a].0);
                 let b = if same { a } else { inner.pool_copy(packet) };
-                let slot = inner.take_slot(b, loc);
-                // Parent and child sit in one slab: the child's buffer steps
-                // out of it while the parent's obligations are copied in.
+                let slot = inner.take_slot(idx, b, loc);
+                // Found again: taking the child's slot may have grown the
+                // ring. Parent and child sit in one ring: the child's buffer
+                // steps out of it while the parent's obligations are copied in.
+                let p = inner.slot(p);
                 let mut trig = std::mem::take(&mut inner.nodes[slot].trig);
                 let pn = &inner.nodes[p];
                 trig.extend_from_slice(&pn.trig);
@@ -764,7 +820,7 @@ impl TraceObserver for OnlineChecker {
             }
             None => {
                 let root = inner.pool_copy(packet);
-                let slot = inner.take_slot(root, loc);
+                let slot = inner.take_slot(idx, root, loc);
                 inner.nodes[slot].nfa = inner.index.start(loc);
                 slot
             }
@@ -775,7 +831,7 @@ impl TraceObserver for OnlineChecker {
         node.fired_anc |= last.fired;
         node.watch_anc |= last.watch;
         *last = LastAt { idx, fired: node.fired_anc, watch: node.watch_anc };
-        inner.unsealed = Some((idx, slot));
+        inner.unsealed = Some(idx);
         inner.telemetry.live_nodes_hw =
             inner.telemetry.live_nodes_hw.max(inner.live_nodes() as u64);
     }
@@ -802,23 +858,27 @@ impl TraceObserver for OnlineChecker {
 
     fn retire(&mut self, idx: usize) {
         let inner = &mut self.inner;
-        match inner.unsealed {
-            Some((newest, slot)) if newest == idx => inner.nodes[slot].retired = true,
-            _ => {
-                if let Some(slot) = inner.slots.remove(&idx) {
-                    inner.telemetry.retired_prefixes += 1;
-                    inner.bury(slot);
-                }
-            }
+        if inner.unsealed == Some(idx) {
+            let slot = inner.slot(idx);
+            inner.nodes[slot].retired = true;
+        } else if let Some(slot) = inner.live_slot(idx) {
+            inner.live -= 1;
+            inner.telemetry.retired_prefixes += 1;
+            inner.bury(slot);
         }
     }
 
     fn finish(&mut self) {
         let inner = &mut self.inner;
         inner.seal_pending();
-        // Nodes alive at the end are stalled tips: their paths are prefixes.
-        let mut tips: Vec<(usize, usize)> = inner.slots.drain().collect();
-        tips.sort_unstable_by_key(|&(idx, _)| idx);
+        // Nodes alive at the end are stalled tips: their paths are prefixes,
+        // judged in record order.
+        let mut tips: Vec<(usize, usize)> = (inner.nodes.iter().enumerate())
+            .filter(|(_, node)| node.idx != VACANT)
+            .map(|(slot, node)| (node.idx, slot))
+            .collect();
+        tips.sort_unstable();
+        inner.live = 0;
         for (_, slot) in tips {
             if inner.dead() {
                 break;
@@ -856,7 +916,7 @@ impl TraceObserver for OnlineChecker {
         let (chains, rules) = self.inner.index.shape();
         reg.gauge_max(Scope::Shard, "checker.index_chains", chains as u64);
         reg.gauge_max(Scope::Shard, "checker.index_rules", rules as u64);
-        // How far the node slab and the packet pool grew, and how many
+        // How far the node ring and the packet pool grew, and how many
         // records could not share their parent's packet: kept with them,
         // out of the `Sim` section whose contents tests pin across builds.
         reg.gauge_max(Scope::Shard, "checker.node_slots_hw", t.node_slots_hw);
@@ -883,8 +943,8 @@ mod tests {
         /// correct or failed, must leave behind. `finish` calls it in every
         /// test build.
         pub(super) fn audit(&self) {
-            assert!(self.slots.is_empty() && self.unsealed.is_none(), "a node outlived the run");
-            assert_eq!(self.free.len(), self.nodes.len(), "every node slot is free");
+            assert!(self.live == 0 && self.unsealed.is_none(), "a node outlived the run");
+            assert!(self.nodes.iter().all(|node| node.idx == VACANT), "every node slot is free");
             assert_eq!(self.free_packets.len(), self.pool.len(), "every pool entry is free");
             assert!(self.pool.iter().all(|&(_, holders)| holders == 0), "a packet is still held");
         }
@@ -1354,7 +1414,9 @@ mod tests {
         let (verdict, telemetry) = run(to(2), Some(LeafKind::Terminated));
         assert_eq!(verdict, Ok(()));
         assert_eq!((telemetry.packets_copied, telemetry.packet_slots_hw), (2, 2));
-        assert_eq!(telemetry.node_slots_hw, telemetry.live_nodes_hw);
+        // Six records fit the ring as it is first allotted.
+        assert!(telemetry.live_nodes_hw <= telemetry.node_slots_hw);
+        assert_eq!(telemetry.node_slots_hw, 16);
         // Port 3 emits only the rewrite: an unchanged packet there shares
         // its parent's entry and is rejected all the same.
         let (verdict, telemetry) = run(to(1), None);
@@ -1462,6 +1524,9 @@ mod tests {
             (telemetry.retired_prefixes, telemetry.live_nodes_hw, telemetry.packets_copied),
             (records - 1, 4, 5_003)
         );
+        // Node 1 is live until record 20,006: the ring doubled to the first
+        // power of two above the span, four live nodes in 32,768 slots.
+        assert_eq!(telemetry.node_slots_hw, 32_768);
         // The second output unchanged: a rejected prefix.
         recs.truncate(n);
         recs.extend(rewritten(to(1), None));
@@ -1492,6 +1557,8 @@ mod tests {
             (telemetry.retired_prefixes, telemetry.live_nodes_hw, telemetry.packets_copied),
             (7, 3, 3)
         );
+        // Record 80 doubled the ring three times in one go, to 128.
+        assert_eq!(telemetry.node_slots_hw, 128);
         let (verdict, telemetry) = run(to(1), None);
         assert_eq!(verdict, Err(OnlineViolation::Inconsistent));
         assert_eq!(telemetry.packets_copied, 2);
@@ -1502,20 +1569,18 @@ mod tests {
         // Every record numbered 2i, so odd indices are never recorded. The
         // multicast parent at 2 stays live until 12.
         let nes = rewriting_nes();
-        let mut recs: Vec<Rec> = vec![
+        let recs: Vec<Rec> = vec![
             (to(1), (100, 0), None, None),
             (to(1), (1, 1), Some(0), None),
             (to(5), (100, 0), None, None),
             (to(5), (1, 1), Some(2), Some(LeafKind::Terminated)),
-        ];
-        recs.extend([
             (to(1), (1, 2), Some(1), None),
             (to(1), (101, 0), Some(4), Some(LeafKind::Delivered)),
             (to(2), (1, 3), Some(1), None),
             (to(2), (2, 1), Some(6), Some(LeafKind::Terminated)),
             (to(1), (100, 0), None, None),
             (to(1), (100, 0), None, None),
-        ]);
+        ];
         let (verdict, telemetry) = agree_with(
             &nes,
             &recs,
@@ -1537,6 +1602,7 @@ mod tests {
             (telemetry.retired_prefixes, telemetry.live_nodes_hw, telemetry.packets_copied),
             (9, 3, 5)
         );
+        assert_eq!(telemetry.node_slots_hw, 16);
     }
 
     #[test]
@@ -1565,6 +1631,8 @@ mod tests {
             (telemetry.retired_prefixes, telemetry.live_nodes_hw, telemetry.packets_copied),
             (33, 4, 12)
         );
+        // Slots 13, 0, 3 and 4 of a ring that never grew.
+        assert_eq!(telemetry.node_slots_hw, 16);
         let (verdict, telemetry) = run(to(1));
         assert_eq!(verdict, Err(OnlineViolation::Inconsistent));
         assert_eq!(telemetry.packets_copied, 11);

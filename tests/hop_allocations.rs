@@ -30,9 +30,11 @@
 //!
 //! A second leg attaches the online Definition 6 checker to the same stream
 //! and differences it the same way: the checker adds **nothing** to the two.
-//! Its trace nodes live in slots of a slab and its erased packets in a pool,
-//! both of which stop growing at the in-flight high-water mark, and a hop
-//! that changes no header shares its parent's pool entry instead of copying.
+//! Its trace nodes live in a ring indexed by record index, which stops
+//! growing once it holds the widest span of record indices live at once, its
+//! erased packets in a pool that stops at the in-flight high-water mark, and
+//! a hop that changes no header shares its parent's pool entry instead of
+//! copying.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -117,12 +119,15 @@ fn stream(per_flow: u64, verified: bool) -> (u64, u64) {
     if let Some(handle) = handle {
         assert_eq!(handle.verdict(), Ok(()), "the run ends `correct`");
         // No rule of the firewall rewrites a header: a packet is copied
-        // once, at its root, and every hop after that shares the copy; the
-        // slab holds exactly the nodes that were ever alive at once.
+        // once, at its root, and every hop after that shares the copy.
         let telemetry = handle.telemetry();
         assert_eq!(telemetry.packets_copied, result.stats.injected);
-        assert_eq!(telemetry.node_slots_hw, telemetry.live_nodes_hw);
-        assert!(telemetry.packet_slots_hw <= telemetry.node_slots_hw);
+        // The node ring is what the live span costs: at most 105 record
+        // indices are live at once here (31 nodes), so the ring is 128 — the
+        // smallest power of two, 16 or more, that holds them.
+        assert!(telemetry.live_nodes_hw <= telemetry.node_slots_hw);
+        assert!(telemetry.packet_slots_hw <= telemetry.live_nodes_hw);
+        assert_eq!(telemetry.node_slots_hw, 128);
     }
     (spent, datagrams)
 }
