@@ -741,6 +741,155 @@ mod tests {
         }
     }
 
+    /// A rule that forwards `pattern`'s packets to port `pt`.
+    fn fwd(pattern: Match, pt: u64) -> Rule {
+        Rule::new(pattern, ActionSet::single(Action::assign(Field::Port, pt)))
+    }
+
+    /// Configurations that each hold `table` (or none, for `None`) at switch 1.
+    fn at_switch_one(tables: &[Option<FlowTable>]) -> Vec<Config> {
+        tables
+            .iter()
+            .map(|t| {
+                let mut cfg = Config::new();
+                if let Some(t) = t {
+                    cfg.install(1, t.clone());
+                }
+                cfg
+            })
+            .collect()
+    }
+
+    /// Pins the index's per-configuration winner at switch 1 against each
+    /// configuration's own first match (`lookup_on`), for every packet
+    /// arriving at every port: `step` takes a configuration to port `p`'s
+    /// egress exactly when its winner forwards there, and `admitted` ends
+    /// it at the ingress exactly when it has no winner or a dropping one.
+    fn assert_winners(family: &[Config], packets: &[Packet]) {
+        let mut index = SharedIndex::build(&family.iter().collect::<Vec<_>>());
+        let mask = |pick: &dyn Fn(Option<&Rule>) -> bool, won: &[Option<&Rule>]| {
+            won.iter().enumerate().filter(|&(_, &w)| pick(w)).fold(0u64, |m, (c, _)| m | 1 << c)
+        };
+        let ingress = MaskedState { at_host: 0, ingress: (1 << family.len()) - 1, egress: 0 };
+        for in_pt in 1..=PORTS {
+            let at = Loc::new(1, in_pt);
+            for pk in packets {
+                let view = LocatedView { base: pk, loc: at, tag: None };
+                let won: Vec<Option<&Rule>> = family
+                    .iter()
+                    .map(|cfg| cfg.table(1).and_then(|t| t.lookup_on(&view)))
+                    .collect();
+                for pt in 0..=PORTS + 2 {
+                    let to = |w: Option<&Rule>| {
+                        w.is_some_and(|r| {
+                            r.actions.iter().any(|a| a.get(Field::Port).unwrap_or(in_pt) == pt)
+                        })
+                    };
+                    let egress = index.step(ingress, pk, at, pk, Loc::new(1, pt), true).egress;
+                    assert_eq!(egress, mask(&to, &won), "{pk} at {in_pt} forwarded to {pt}");
+                }
+                let ends = |w: Option<&Rule>| w.is_none_or(|r| r.actions.is_drop());
+                let ended = index.admitted(ingress, pk, at, false);
+                assert_eq!(ended, mask(&ends, &won), "{pk} at {in_pt} dropped");
+            }
+        }
+    }
+
+    /// The firewall's edited switch: the closed configuration puts a guard
+    /// before the routing, so every routing rule sits one place lower there
+    /// than in the open one — two chains (three with the closed table
+    /// again after the open one), one rule at two positions.
+    #[test]
+    fn a_rule_at_two_positions_in_two_chains_wins_in_both() {
+        let dst = |h: u64| Match::new().with(Field::IpDst, h);
+        let routing = [fwd(dst(1), 1), fwd(dst(2), 2), fwd(dst(3), 3)];
+        let guard = Rule::new(dst(1).with(Field::IpSrc, 3), ActionSet::drop());
+        let open = FlowTable::from_rules(routing.iter().cloned());
+        let closed = FlowTable::from_rules([guard].into_iter().chain(routing.iter().cloned()));
+        let family = at_switch_one(&[Some(closed.clone()), Some(open), Some(closed)]);
+        let pk = |fields: &[(Field, u64)]| fields.iter().copied().collect::<Packet>();
+        assert_winners(
+            &family,
+            &[
+                pk(&[(Field::IpSrc, 3), (Field::IpDst, 1)]),
+                pk(&[(Field::IpSrc, 2), (Field::IpDst, 1)]),
+                pk(&[(Field::IpDst, 2)]),
+                pk(&[(Field::IpSrc, 3), (Field::IpDst, 3)]),
+                pk(&[(Field::IpDst, 9)]),
+                pk(&[(Field::IpSrc, 3)]),
+            ],
+        );
+    }
+
+    /// One chain that repeats a rule, and shadows it under other actions:
+    /// the earlier copy wins for every member that reaches it, and the
+    /// shadowing rule never forwards to its port.
+    #[test]
+    fn a_repeat_inside_a_chain_never_wins() {
+        let dst = |h: u64| Match::new().with(Field::IpDst, h);
+        let whole = FlowTable::from_rules([
+            fwd(dst(1), 1),
+            fwd(dst(2), 2),
+            fwd(dst(1), 1),
+            fwd(dst(1), 4),
+            fwd(Match::new(), 3),
+        ]);
+        let family = at_switch_one(&(0..=5).map(|len| Some(whole.prefix(len))).collect::<Vec<_>>());
+        let packets: Vec<Packet> = (1..=3).map(|h| Packet::new().with(Field::IpDst, h)).collect();
+        assert_winners(&family, &packets);
+    }
+
+    /// Members shorter than the position of the chain's first match match
+    /// nothing, and the table drops for them — a switch with no table too.
+    #[test]
+    fn a_member_shorter_than_the_first_match_matches_nothing() {
+        let whole = FlowTable::from_rules([
+            fwd(Match::new().with(Field::IpDst, 2), 2),
+            fwd(Match::new().with(Field::Vlan, 7), 3),
+            fwd(Match::new().with(Field::IpDst, 1), 1),
+        ]);
+        let mut tables: Vec<Option<FlowTable>> =
+            (0..=3).map(|len| Some(whole.prefix(len))).collect();
+        tables.push(None);
+        let family = at_switch_one(&tables);
+        let one = Packet::new().with(Field::IpDst, 1);
+        assert_winners(&family, &[one.clone(), one.with(Field::Vlan, 7)]);
+    }
+
+    /// A two-field, two one-field (one of them on the port the view
+    /// supplies) and a wildcard signature on one switch, in two orders.
+    #[test]
+    fn one_field_two_field_and_wildcard_signatures_on_one_switch() {
+        let both = Match::new().with(Field::IpSrc, 1).with(Field::IpDst, 2);
+        let rules = [
+            fwd(both, 1),
+            fwd(Match::new().with(Field::IpDst, 2), 2),
+            fwd(Match::new().with(Field::Port, 2), 4),
+            fwd(Match::new(), 3),
+        ];
+        let whole = FlowTable::from_rules(rules.iter().cloned());
+        let reversed = FlowTable::from_rules(rules.iter().rev().cloned());
+        let family = at_switch_one(&[
+            Some(whole.prefix(1)),
+            Some(whole.prefix(2)),
+            Some(whole.clone()),
+            Some(reversed.prefix(2)),
+            Some(whole.prefix(3)),
+        ]);
+        let pk = |fields: &[(Field, u64)]| fields.iter().copied().collect::<Packet>();
+        assert_winners(
+            &family,
+            &[
+                pk(&[(Field::IpSrc, 1), (Field::IpDst, 2)]),
+                pk(&[(Field::IpSrc, 2), (Field::IpDst, 2)]),
+                pk(&[(Field::IpDst, 2)]),
+                pk(&[(Field::IpSrc, 1)]),
+                pk(&[(Field::IpSrc, 1), (Field::IpDst, 3)]),
+                pk(&[]),
+            ],
+        );
+    }
+
     #[test]
     fn shared_rules_are_interned_once_with_their_masks() {
         let pool = rule_pool();
