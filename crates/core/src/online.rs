@@ -51,19 +51,20 @@
 //! configuration-masked shared rule index (`shared.rs`), built along the
 //! same prefix chains the plane deploys: per switch, the configurations'
 //! tables are split into chains of prefixes, each chain's longest table is
-//! walked *once* and every distinct rule interned under the mask of the
-//! configurations that install it, with its priority position in each,
-//! behind a candidate index keyed by pattern signature and values; per link,
-//! link source and host the mask of the configurations that have it,
-//! written once per distinct topology. The configurations of an NES share
-//! nearly all their rules (a 20-update fat-tree(8) campaign installs 199,940
-//! rules that are 10,240 distinct ones, in 80 chains), so set-up visits
-//! 10,240 rules, not 199,940 — it does not grow with the number of
-//! configurations — and a record costs one link probe or one candidate
-//! lookup through a zero-copy view of the parent's packet, the winner per
-//! configuration resolved by position among the handful of rules that
-//! match, each distinct winner's actions applied once — and mask arithmetic
-//! — whatever the number of configurations.
+//! walked *once*, and each of its rules becomes one entry under the mask of
+//! the members long enough to hold it, behind one map per pattern signature
+//! keyed by the pattern's values; per link, link source and host the mask
+//! of the configurations that have it, written once per distinct topology.
+//! The configurations of an NES share nearly all their rules (a 20-update
+//! fat-tree(8) campaign installs 199,940 rules that are 10,240 entries, in
+//! 80 chains), so set-up visits 10,240 rules, not 199,940 — it does not
+//! grow with the number of configurations. A record costs one link probe or
+//! one probe per signature through a zero-copy view of the parent's packet,
+//! and then, per chain, the matching entry nearest the top of the table
+//! wins for every member it reaches: each member of a chain is a prefix of
+//! its longest table, so no position is kept per configuration. Each
+//! winner's actions are applied once, and the rest is mask arithmetic —
+//! whatever the number of configurations.
 //!
 //! Event firings replay the SWITCH rule greedily: an unfired event located
 //! at a record's port fires there when the packet matches and some enabling

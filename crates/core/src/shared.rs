@@ -10,29 +10,42 @@
 //! side, and is built the way the plane deploys: along *prefix chains*.
 //! Built once from up to 64 configurations, it holds
 //!
-//! - per switch, every *distinct* rule once, with the `u64` mask of the
-//!   configurations whose table contains it and its priority position in
-//!   each of them, reachable through a candidate index keyed by pattern
-//!   signature (the set of matched fields) and values. The configurations'
-//!   tables at a switch are split into prefix chains ([`prefix_chains`],
-//!   the walk `nes-runtime`'s deployment does per tag); a chain's longest
-//!   table is kept (a reference count, no rule is copied: a shared rule is
-//!   a position in it) and each of its rules interned *once*, under the
-//!   mask of the members long enough to hold it — so twenty configurations
-//!   that each add a rule to their predecessor cost one walk of the last
-//!   one's table, not twenty-one walks;
+//! - per switch, the configurations' tables split into prefix chains
+//!   ([`prefix_chains`], the walk `nes-runtime`'s deployment does per tag).
+//!   A chain's longest table is kept (a reference count; no rule is copied)
+//!   and each of its rules becomes one *entry* `(chain, at, mask)`: rule
+//!   `at` of that table, under the `u64` mask of the members long enough to
+//!   hold it. Twenty configurations that each add a rule to their
+//!   predecessor cost one walk of the last one's table, not twenty-one
+//!   walks. Entries are found through one map per pattern signature (the
+//!   set of matched fields), keyed by the pattern's values: by the value
+//!   itself when the signature has at most one field, so a hit is a match,
+//!   and by a fingerprint, confirmed against the packet, when it is wider.
+//!   Beside them sits the mask of the configurations in which the switch is
+//!   a host and so applies no table;
 //! - per link, per link source and per host, the mask of the
 //!   configurations that have it. Configurations are grouped by topology
 //!   first (`Config::same_topology`, a pointer compare for the clones a
 //!   campaign is made of), so a shared topology is written once under its
 //!   group's mask.
 //!
+//! **A winner per chain.** Every member of a chain is a prefix of its
+//! longest table, and an entry's mask shrinks as `at` grows. So among the
+//! entries of one chain that match a packet, the one with the smallest
+//! `at` is the first match of exactly the members longer than `at` — its
+//! mask — and the members it misses match nothing: every entry they hold
+//! lies before it. Restricted to the configurations still live, the same
+//! holds for the smallest `at` whose mask meets them. The chains partition
+//! the configurations, so the winners' masks are disjoint, and no position
+//! is kept per configuration: a rule that two chains hold is two entries,
+//! and a rule a chain repeats is two entries of which the later never wins.
+//!
 //! A path's NFA state under all configurations is a [`MaskedState`]: three
 //! masks, one bit per configuration, in place of one 3-bit state each.
-//! A hop is then one link probe, one candidate lookup through a zero-copy
-//! [`LocatedView`], the per-configuration winner resolved by position among
-//! the handful of rules that match, each distinct winner's actions applied
-//! once — and mask arithmetic. The packet comparison a hop needs (`a == b`,
+//! A hop is then one link probe, one probe per signature through a
+//! zero-copy [`LocatedView`], the winner of each chain kept among the
+//! handful of entries that match, each winner's actions applied once — and
+//! mask arithmetic. The packet comparison a hop needs (`a == b`,
 //! for the link crossing and for an action that leaves the headers alone)
 //! is made by the caller, once, and passed in as `same`. [`Config`]'s own
 //! automaton stays the executable specification: a differential property
@@ -52,8 +65,7 @@ use crate::config::Config;
 
 pub(crate) type FxMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// "No rule": the end of a candidate chain, and the position of a rule in
-/// a table that does not contain it.
+/// "No entry": the end of a candidate list.
 const NONE: u32 = u32::MAX;
 
 /// The trace-membership NFA state of one packet path under every
@@ -73,170 +85,129 @@ impl MaskedState {
     }
 }
 
-/// A distinct rule of one switch, shared by the configurations in `mask`:
-/// rule `at` of chain `table`, not a copy of it.
-struct SharedRule {
-    table: u32,
+/// Rule `at` of chain `chain`'s longest table, held by the members in
+/// `mask` — those longer than `at` — and not a copy of it.
+struct Entry {
+    chain: u32,
     at: u32,
     mask: u64,
-    /// The next rule whose pattern has the same fingerprint.
+    /// The next entry under the same key of the same signature.
     next: u32,
 }
 
-impl SharedRule {
-    fn of<'a>(&self, tables: &'a [FlowTable]) -> &'a Rule {
-        tables[self.table as usize].rule(self.at as usize)
-    }
-}
-
-/// The distinct rules of one switch across all configurations.
-#[derive(Default)]
-struct SwitchRules {
-    /// The longest table of each prefix chain the configurations' tables
-    /// fall into ([`prefix_chains`]); the rules live here.
-    tables: Vec<FlowTable>,
-    rules: Vec<SharedRule>,
-    /// `pos[r * n + c]`: the priority position of rule `r`'s first
-    /// occurrence in configuration `c`'s table.
-    pos: Vec<u32>,
-    /// The distinct pattern signatures: which fields a pattern tests.
-    sigs: Vec<Vec<Field>>,
-    /// Pattern fingerprint (signature and values) to the head of the chain
-    /// of rules carrying it. Fingerprints may collide, so every candidate
-    /// is confirmed against the packet.
+/// The entries whose patterns test one set of fields.
+struct Signature {
+    fields: Vec<Field>,
+    /// Key ([`key`]) to the head of the list of entries carrying it.
     heads: FxMap<u64, u32>,
-    /// Rules `intern` was handed: one per rule of each chain's longest table.
-    #[cfg(test)]
-    visits: usize,
 }
 
-/// The candidate-index key of signature `sig` carrying `values`, one per
-/// field of the signature; `None` if a field has no value (a packet that
-/// lacks a field matches no pattern testing it).
-fn fingerprint(sig: usize, values: impl Iterator<Item = Option<u64>>) -> Option<u64> {
+/// The key of a pattern whose signature carries `values`, one per field;
+/// `None` if a field has no value (a packet that lacks a field matches no
+/// pattern testing it). At most one field is keyed by its value (no field
+/// by 0), so equal keys are equal patterns; wider keys are fingerprints,
+/// which may collide.
+fn key(width: usize, mut values: impl Iterator<Item = Option<u64>>) -> Option<u64> {
+    if width <= 1 {
+        return values.next().unwrap_or(Some(0));
+    }
     let mut h = FxHasher::default();
-    h.write_u64(sig as u64);
     for v in values {
         h.write_u64(v?);
     }
     Some(h.finish())
 }
 
+/// One switch's tables across all configurations, one entry per rule of
+/// each prefix chain's longest table.
+#[derive(Default)]
+struct SwitchRules {
+    /// The configurations in which this switch is a host: none of them
+    /// applies its table.
+    hosts: u64,
+    /// The longest table of each prefix chain the configurations' tables
+    /// fall into ([`prefix_chains`]); the rules live here.
+    chains: Vec<FlowTable>,
+    entries: Vec<Entry>,
+    sigs: Vec<Signature>,
+    /// Rules `intern_chain` was handed: one per rule of each chain's
+    /// longest table.
+    #[cfg(test)]
+    visits: usize,
+}
+
 impl SwitchRules {
-    fn rule(&self, r: u32) -> &Rule {
-        self.rules[r as usize].of(&self.tables)
+    fn rule(&self, e: &Entry) -> &Rule {
+        self.chains[e.chain as usize].rule(e.at as usize)
     }
 
-    /// Interns one prefix chain of the `n` configurations' tables: each rule
-    /// of `longest` once, under the configurations whose member table
-    /// reaches it — `members` are `(configuration, rule count)`.
-    fn intern_chain(
-        &mut self,
-        longest: &FlowTable,
-        members: impl Iterator<Item = (usize, usize)>,
-        n: usize,
-    ) {
+    /// Enters one prefix chain of the configurations' tables: each rule of
+    /// `longest` under the configurations whose member table reaches it —
+    /// `members` are `(configuration, rule count)`.
+    fn intern_chain(&mut self, longest: &FlowTable, members: impl Iterator<Item = (usize, usize)>) {
         // `ends[len]`: the members of `len` rules, which hold none from there on.
         let mut ends = vec![0u64; longest.len() + 1];
         members.for_each(|(cfg, len)| ends[len] |= 1 << cfg);
         let mut mask = ends.iter().fold(0, |all, ending| all | ending);
-        let table = self.tables.len() as u32;
-        self.tables.push(longest.clone());
+        let chain = self.chains.len() as u32;
+        self.chains.push(longest.clone());
+        self.entries.reserve(longest.len());
+        let mut sig = usize::MAX;
         for (at, rule) in longest.iter().enumerate() {
-            mask &= !ends[at];
-            self.intern(rule, table, at as u32, mask, n);
-        }
-    }
-
-    /// Records that the configurations in `mask` (of `n`) hold `rule`, which
-    /// is rule `at` of chain `table`, at priority `at`.
-    fn intern(&mut self, rule: &Rule, table: u32, at: u32, mask: u64, n: usize) {
-        #[cfg(test)]
-        {
-            self.visits += 1;
-        }
-        let fields = || rule.pattern.iter().map(|(f, _)| f);
-        let sig =
-            self.sigs.iter().position(|s| s.iter().copied().eq(fields())).unwrap_or_else(|| {
-                self.sigs.push(fields().collect());
-                self.sigs.len() - 1
-            });
-        let key = fingerprint(sig, rule.pattern.iter().map(|(_, v)| Some(v)))
-            .expect("a pattern has a value for each of its fields");
-        let head = self.heads.entry(key).or_insert(NONE);
-        let mut r = *head;
-        while r != NONE {
-            let shared = &self.rules[r as usize];
-            if shared.of(&self.tables) == rule {
-                break;
+            #[cfg(test)]
+            {
+                self.visits += 1;
             }
-            r = shared.next;
-        }
-        if r == NONE {
-            r = self.rules.len() as u32;
-            self.rules.push(SharedRule { table, at, mask: 0, next: *head });
-            *head = r;
-            self.pos.resize(self.pos.len() + n, NONE);
-        }
-        // A table may repeat a rule; only its first occurrence can win, and
-        // a chain is interned in priority order.
-        let shared = &mut self.rules[r as usize];
-        let mut first = mask & !shared.mask;
-        shared.mask |= mask;
-        while first != 0 {
-            self.pos[r as usize * n + first.trailing_zeros() as usize] = at;
-            first &= first - 1;
+            mask &= !ends[at];
+            // Neighbouring rules mostly test the same fields: the last
+            // signature is tried first. A chain reaching a signature sizes
+            // its map for the rest of the chain, so it grows at most once.
+            let fields = || rule.pattern.iter().map(|(f, _)| f);
+            if !self.sigs.get(sig).is_some_and(|s| s.fields.iter().copied().eq(fields())) {
+                sig = match self.sigs.iter().position(|s| s.fields.iter().copied().eq(fields())) {
+                    Some(sig) => sig,
+                    None => {
+                        let fields = fields().collect();
+                        self.sigs.push(Signature { fields, heads: FxMap::default() });
+                        self.sigs.len() - 1
+                    }
+                };
+                self.sigs[sig].heads.reserve(longest.len() - at);
+            }
+            let values = rule.pattern.iter().map(|(_, v)| Some(v));
+            let key = key(rule.pattern.len(), values).expect("a pattern has its fields' values");
+            let e = self.entries.len() as u32;
+            let head = self.sigs[sig].heads.entry(key).or_insert(NONE);
+            self.entries.push(Entry { chain, at: at as u32, mask, next: *head });
+            *head = e;
         }
     }
 
-    /// Resolves, for every configuration in `want`, the first rule of its
-    /// table that matches `view`, leaving one `(rule, configurations)`
-    /// entry per *distinct* winner in `out`. Configurations whose table
-    /// matches nothing appear in no entry.
-    fn winners<R: FieldReader>(
-        &self,
-        view: &R,
-        want: u64,
-        n: usize,
-        matched: &mut Vec<u32>,
-        out: &mut Vec<(u32, u64)>,
-    ) {
-        matched.clear();
+    /// Resolves, for the configurations in `want`, the first rule of their
+    /// table that matches `view`: one entry per chain in `out`, which wins
+    /// its `mask & want`. Configurations whose table matches nothing are in
+    /// no winner's mask.
+    fn winners<R: FieldReader>(&self, view: &R, want: u64, out: &mut Vec<u32>) {
         out.clear();
-        let mut seen = 0;
-        let mut contested = false;
-        for (sig, fields) in self.sigs.iter().enumerate() {
-            let Some(key) = fingerprint(sig, fields.iter().map(|&f| view.read(f))) else {
+        // One chain's candidates may sit under two signatures: every
+        // signature is probed before a winner is final.
+        for sig in &self.sigs {
+            let Some(key) = key(sig.fields.len(), sig.fields.iter().map(|&f| view.read(f))) else {
                 continue;
             };
-            let mut r = self.heads.get(&key).copied().unwrap_or(NONE);
-            while r != NONE {
-                let shared = &self.rules[r as usize];
-                if shared.mask & want != 0 && self.rule(r).pattern.matches_on(view) {
-                    contested |= shared.mask & want & seen != 0;
-                    seen |= shared.mask & want;
-                    matched.push(r);
+            let Some(&head) = sig.heads.get(&key) else { continue };
+            let exact = sig.fields.len() <= 1;
+            let mut e = head;
+            while e != NONE {
+                let entry = &self.entries[e as usize];
+                if entry.mask & want != 0 && (exact || self.rule(entry).pattern.matches_on(view)) {
+                    match out.iter_mut().find(|w| self.entries[**w as usize].chain == entry.chain) {
+                        Some(w) if self.entries[*w as usize].at > entry.at => *w = e,
+                        Some(_) => {}
+                        None => out.push(e),
+                    }
                 }
-                r = shared.next;
-            }
-        }
-        if !contested {
-            // No configuration holds two of the matching rules: each rule
-            // wins wherever it is installed.
-            out.extend(matched.iter().map(|&r| (r, self.rules[r as usize].mask & want)));
-            return;
-        }
-        let mut rest = seen;
-        while rest != 0 {
-            let c = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            let winner = *matched
-                .iter()
-                .min_by_key(|&&r| self.pos[r as usize * n + c])
-                .expect("contested lookups matched rules");
-            match out.iter_mut().find(|(r, _)| *r == winner) {
-                Some((_, mask)) => *mask |= 1 << c,
-                None => out.push((winner, 1 << c)),
+                e = entry.next;
             }
         }
     }
@@ -274,15 +245,12 @@ fn emits(
 
 /// See the module docs.
 pub(crate) struct SharedIndex {
-    /// Number of configurations (at most 64).
-    n: usize,
     switches: FxMap<u64, SwitchRules>,
     links: FxMap<(Loc, Loc), u64>,
     link_srcs: FxMap<Loc, u64>,
     hosts: FxMap<u64, u64>,
     // Reused lookup buffers.
-    matched: Vec<u32>,
-    winners: Vec<(u32, u64)>,
+    winners: Vec<u32>,
     scratch: Packet,
 }
 
@@ -300,12 +268,10 @@ impl SharedIndex {
         let n = configs.len();
         assert!(n <= 64, "a configuration mask holds 64 configurations");
         let mut index = SharedIndex {
-            n,
             switches: FxMap::default(),
             links: FxMap::default(),
             link_srcs: FxMap::default(),
             hosts: FxMap::default(),
-            matched: Vec::new(),
             winners: Vec::new(),
             scratch: Packet::new(),
         };
@@ -322,7 +288,7 @@ impl SharedIndex {
             let rules = index.switches.entry(sw).or_default();
             for (longest, members) in prefix_chains(&tables) {
                 let members = members.map(|cfg| (cfg, tables[cfg].len()));
-                rules.intern_chain(longest, members, n);
+                rules.intern_chain(longest, members);
             }
         }
         // The configurations of a campaign share one topology: each distinct
@@ -343,14 +309,18 @@ impl SharedIndex {
                 *index.hosts.entry(host).or_default() |= mask;
             }
         }
+        for (sw, rules) in &mut index.switches {
+            rules.hosts = mask_of(&index.hosts, sw);
+        }
         index
     }
 
-    /// The index's size: `(prefix chains, distinct rules)` over all switches.
+    /// The index's size: `(prefix chains, entries)` over all switches — a
+    /// rule that two chains hold counts twice.
     pub(crate) fn shape(&self) -> (usize, usize) {
-        self.switches
-            .values()
-            .fold((0, 0), |(chains, rules), sw| (chains + sw.tables.len(), rules + sw.rules.len()))
+        self.switches.values().fold((0, 0), |(chains, entries), sw| {
+            (chains + sw.chains.len(), entries + sw.entries.len())
+        })
     }
 
     /// The state of a path that starts at `loc` (`Config::start_state`).
@@ -385,8 +355,7 @@ impl SharedIndex {
             }
         }
         if a_loc.sw == b_loc.sw {
-            let want = prev.ingress & !mask_of(&self.hosts, &a_loc.sw);
-            next.egress = self.table_hop(want, a, a_loc, Some((b, b_loc.pt, same)));
+            next.egress = self.table_hop(prev.ingress, a, a_loc, Some((b, b_loc.pt, same)));
         }
         next
     }
@@ -405,8 +374,7 @@ impl SharedIndex {
         }
         let mut done = state.at_host;
         if state.ingress != 0 {
-            let hosts = mask_of(&self.hosts, &last_loc.sw);
-            let forwarding = self.table_hop(state.ingress & !hosts, last, last_loc, None);
+            let forwarding = self.table_hop(state.ingress, last, last_loc, None);
             done |= state.ingress & !forwarding;
         }
         if state.egress != 0 {
@@ -417,7 +385,8 @@ impl SharedIndex {
 
     /// The configurations of `want` whose table at `a_loc.sw` emits
     /// `to = (packet, port, packet == a)` for `a` — or, without `to`, emits
-    /// anything.
+    /// anything. A configuration in which `a_loc.sw` is a host emits
+    /// nothing.
     fn table_hop(
         &mut self,
         want: u64,
@@ -429,17 +398,19 @@ impl SharedIndex {
             return 0;
         }
         let Some(sw) = self.switches.get(&a_loc.sw) else { return 0 };
+        let want = want & !sw.hosts;
         let view = LocatedView { base: a, loc: a_loc, tag: None };
-        sw.winners(&view, want, self.n, &mut self.matched, &mut self.winners);
+        sw.winners(&view, want, &mut self.winners);
         let mut hit = 0;
-        for &(r, mask) in &self.winners {
-            let mut actions = sw.rule(r).actions.iter();
+        for &e in &self.winners {
+            let entry = &sw.entries[e as usize];
+            let mut actions = sw.rule(entry).actions.iter();
             let emitted = match to {
                 Some(to) => actions.any(|act| emits(act, a, a_loc, to, &mut self.scratch)),
                 None => actions.next().is_some(),
             };
             if emitted {
-                hit |= mask;
+                hit |= entry.mask & want;
             }
         }
         hit
@@ -890,6 +861,82 @@ mod tests {
         );
     }
 
+    /// A two-field key is a fingerprint, and a packet that differs from a
+    /// pattern in both values can carry the same one: the hit is confirmed
+    /// against the packet, and the rule below wins. The collision is built
+    /// by undoing `FxHasher`'s last round, on a model of it checked first.
+    #[test]
+    fn a_fingerprint_hit_on_a_wide_signature_is_confirmed() {
+        let guard = Match::new().with(Field::IpSrc, 1).with(Field::IpDst, 2);
+        let (fields, values): (Vec<Field>, Vec<u64>) = guard.iter().unzip();
+        let mix = |h: u64, v: u64| (h.rotate_left(26) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let fingerprint = |vs: [u64; 2]| key(2, vs.into_iter().map(Some));
+        let own = [values[0], values[1]];
+        assert_eq!(fingerprint(own), Some(mix(mix(0, own[0]), own[1])), "the model is `key`");
+        let other = 3;
+        let twin = mix(0, own[0]).rotate_left(26) ^ own[1] ^ mix(0, other).rotate_left(26);
+        assert_eq!(fingerprint([other, twin]), fingerprint(own), "a collision");
+        let pk = Packet::new().with(fields[0], other).with(fields[1], twin);
+        assert!(!guard.matches(&pk));
+        let table = FlowTable::from_rules([fwd(guard, 1), fwd(Match::new(), 3)]);
+        let family = at_switch_one(&[Some(table.clone()), Some(table.prefix(1))]);
+        assert_winners(&family, &[pk]);
+    }
+
+    /// A node that is a host in one configuration and a switch in another
+    /// applies its table only in the latter, from any state — as
+    /// `Config::step_state` and `accepts_end` decide it, whether or not a
+    /// path can reach that state (a crossing into a host never leaves it at
+    /// an ingress).
+    #[test]
+    fn a_host_applies_no_table() {
+        let table = FlowTable::from_rules([fwd(Match::new(), 2)]);
+        let mut family = at_switch_one(&[Some(table.clone()), Some(table)]);
+        family[0].add_host(1, Loc::new(2, 1));
+        let mut index = SharedIndex::build(&family.iter().collect::<Vec<_>>());
+        let pk = Packet::new().with(Field::IpDst, 1);
+        let a = LocatedPacket::new(pk.clone(), Loc::new(1, 1));
+        let b = LocatedPacket::new(pk.clone(), Loc::new(1, 2));
+        let ingress = MaskedState { at_host: 0, ingress: 0b11, egress: 0 };
+        let next = index.step(ingress, &pk, a.loc, &pk, b.loc, true);
+        let ended = index.admitted(ingress, &pk, a.loc, false);
+        assert_eq!((next.egress, ended), (0b10, 0b01));
+        for (c, cfg) in family.iter().enumerate() {
+            assert_eq!(next.bits(c), cfg.step_state(ST_INGRESS, &a, &b));
+            assert_eq!(ended >> c & 1 != 0, cfg.accepts_end(ST_INGRESS, &a));
+        }
+    }
+
+    impl SwitchRules {
+        /// `(chain, at, mask)` of every entry, in the order they were
+        /// entered — after checking that each sits in exactly one candidate
+        /// list, the one its pattern's values key under its signature.
+        fn layout(&self) -> Vec<(u32, u32, u64)> {
+            let mut listed = vec![0; self.entries.len()];
+            for sig in &self.sigs {
+                for (&k, &head) in &sig.heads {
+                    let mut e = head;
+                    while e != NONE {
+                        let pattern = &self.rule(&self.entries[e as usize]).pattern;
+                        assert!(pattern.iter().map(|(f, _)| f).eq(sig.fields.iter().copied()));
+                        assert_eq!(
+                            key(pattern.len(), pattern.iter().map(|(_, v)| Some(v))),
+                            Some(k)
+                        );
+                        listed[e as usize] += 1;
+                        e = self.entries[e as usize].next;
+                    }
+                }
+            }
+            assert!(listed.iter().all(|&n| n == 1), "listed once each: {listed:?}");
+            self.entries.iter().map(|e| (e.chain, e.at, e.mask)).collect()
+        }
+    }
+
+    /// Two chains that share two rules, one of which the first repeats: one
+    /// entry per rule of each chain, under the mask of that chain's members
+    /// that reach it — nothing is merged across chains or within one, and a
+    /// configuration without a table is a member that reaches nothing.
     #[test]
     fn shared_rules_are_interned_once_with_their_masks() {
         let pool = rule_pool();
@@ -899,22 +946,34 @@ mod tests {
         let mut b = Config::new();
         b.install(1, table(&[15, 8, 22]));
         let index = SharedIndex::build(&[&a, &b, &Config::new()]);
+        assert_eq!(index.shape(), (2, 6), "two chains, one entry per rule of each");
         let sw = &index.switches[&1];
-        assert_eq!(sw.rules.len(), 3, "three distinct rules behind six installed");
-        let of = |i: usize| {
-            (0..sw.rules.len()).find(|&r| *sw.rule(r as u32) == pool[i]).expect("interned")
-        };
-        assert_eq!(sw.rules[of(8)].mask, 0b011);
-        assert_eq!(sw.rules[of(22)].mask, 0b010);
-        // First occurrence per configuration; absent elsewhere.
-        assert_eq!(sw.pos[of(8) * 3..][..3], [0, 1, NONE]);
-        assert_eq!(sw.pos[of(15) * 3..][..3], [1, 0, NONE]);
+        assert_eq!(sw.visits, 6);
+        assert_eq!(
+            sw.layout(),
+            [
+                (0, 0, 0b001),
+                (0, 1, 0b001),
+                (0, 2, 0b001),
+                (1, 0, 0b010),
+                (1, 1, 0b010),
+                (1, 2, 0b010)
+            ]
+        );
+        // Rule 8 is three entries: at 0 and 2 of the first chain, at 1 of
+        // the second; all three under one key of the `IpDst` signature.
+        let eights: Vec<usize> =
+            (0..sw.entries.len()).filter(|&e| *sw.rule(&sw.entries[e]) == pool[8]).collect();
+        assert_eq!(eights, [0, 2, 4]);
+        assert_eq!(sw.sigs.len(), 2, "`IpDst` and `Port`");
+        assert_eq!(sw.sigs[0].heads.len(), 2, "`IpDst` = 1 and 2");
     }
 
     /// Five configurations, two chains: three views of one list and an equal
     /// prefix built apart are one chain, walked once; a mid-list rewrite
     /// (the moved-host shape) is neither a prefix nor an extension and opens
-    /// the second. `intern` sees the chains' longest tables and nothing else.
+    /// the second. `intern_chain` sees the chains' longest tables and
+    /// nothing else, and enters each of their rules once.
     #[test]
     fn a_chain_is_interned_once_whatever_its_members() {
         let pool = rule_pool();
@@ -931,19 +990,24 @@ mod tests {
             })
             .collect();
         let index = SharedIndex::build(&family.iter().collect::<Vec<_>>());
-        assert_eq!(index.shape(), (2, 4), "two chains, four distinct rules");
+        assert_eq!(index.shape(), (2, 7), "two chains, one entry per rule of each");
         let sw = &index.switches[&1];
-        assert_eq!(sw.tables.iter().map(FlowTable::len).collect::<Vec<_>>(), [4, 3]);
+        assert_eq!(sw.chains.iter().map(FlowTable::len).collect::<Vec<_>>(), [4, 3]);
         assert_eq!(sw.visits, 4 + 3, "one visit per rule of each chain's longest table");
-        let of = |i: usize| {
-            (0..sw.rules.len()).find(|&r| *sw.rule(r as u32) == pool[i]).expect("interned")
-        };
-        assert_eq!(sw.rules[of(8)].mask, 0b11111);
-        assert_eq!(sw.rules[of(15)].mask, 0b01110, "held by the members longer than one rule");
-        assert_eq!(sw.rules[of(22)].mask, 0b10100);
-        assert_eq!(sw.rules[of(16)].mask, 0b10000);
-        // The repeat at the end of `whole` does not move rule 8's position.
-        assert_eq!(sw.pos[of(8) * 5..][..5], [0; 5]);
-        assert_eq!(sw.pos[of(22) * 5..][..5], [NONE, NONE, 2, NONE, 2]);
+        // A mask sheds the members as the walk passes their end: rule 15 is
+        // held by the members longer than one rule, 22 and the repeat of 8
+        // by `whole` alone. The rewrite's chain has one member.
+        assert_eq!(
+            sw.layout(),
+            [
+                (0, 0, 0b01111),
+                (0, 1, 0b01110),
+                (0, 2, 0b00100),
+                (0, 3, 0b00100),
+                (1, 0, 0b10000),
+                (1, 1, 0b10000),
+                (1, 2, 0b10000)
+            ]
+        );
     }
 }
