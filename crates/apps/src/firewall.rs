@@ -46,19 +46,6 @@ pub fn nes() -> NetworkEventStructure {
         .expect("firewall ETS is well-formed")
 }
 
-/// The firewall generalized to an arbitrary generated topology: same
-/// semantics as [`nes`] with `inside`/`outside` in place of H1/H4, built
-/// from shortest-path flow tables instead of the Fig. 9(a) program (see
-/// [`crate::generated::firewall_nes`]).
-///
-/// # Panics
-///
-/// Panics if the ids are not two distinct, mutually reachable hosts of
-/// `topo`.
-pub fn nes_on(topo: &edn_topo::GenTopology, inside: u64, outside: u64) -> NetworkEventStructure {
-    crate::generated::firewall_nes(topo, inside, outside)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

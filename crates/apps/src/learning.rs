@@ -47,24 +47,6 @@ pub fn nes() -> NetworkEventStructure {
         .expect("learning switch ETS is well-formed")
 }
 
-/// The learning switch generalized to an arbitrary generated topology:
-/// `learner`/`target`/`shadow` in place of H4/H1/H2, built from
-/// shortest-path flow tables instead of the Fig. 9(b) program (see
-/// [`crate::generated::learning_nes`]).
-///
-/// # Panics
-///
-/// Panics if the ids are not three distinct, mutually reachable hosts of
-/// `topo`.
-pub fn nes_on(
-    topo: &edn_topo::GenTopology,
-    learner: u64,
-    target: u64,
-    shadow: u64,
-) -> NetworkEventStructure {
-    crate::generated::learning_nes(topo, learner, target, shadow)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,8 +2,7 @@
 //!
 //! Shared harness code for regenerating every table and figure of the
 //! paper's Section 5. The `src/bin/fig*.rs` binaries print the data series;
-//! the Criterion benches in `benches/` measure compiler, simulator,
-//! optimizer, and checker performance.
+//! performance is measured by the separate `benchmark/` harness.
 
 #![warn(missing_docs)]
 

@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use netkat::{Field, FlowTable, Loc, TableDelta};
+use netkat::{Field, FlowTable, Loc};
 
 use crate::trace::LocatedPacket;
 
@@ -29,9 +29,9 @@ pub(crate) const ST_EGRESS: u8 = 4;
 /// The links and the hosts sit behind reference counts, as the tables' rule
 /// lists do: the configurations of a campaign differ in their tables, so
 /// cloning one and installing other tables shares the topology, and
-/// [`add_link`](Config::add_link), [`add_host`](Config::add_host) and
-/// [`apply_delta`](Config::apply_delta) copy it first if it is shared — a
-/// clone never observes an edit of its origin. Equality is by value.
+/// [`add_link`](Config::add_link) and [`add_host`](Config::add_host) copy it
+/// first if it is shared — a clone never observes an edit of its origin.
+/// Equality is by value.
 ///
 /// # Examples
 ///
@@ -247,121 +247,6 @@ impl Config {
     }
 }
 
-/// The minimal edit script turning one [`Config`] into a successor: the
-/// OpenFlow-style mod batch an update campaign pushes, instead of whole
-/// per-switch table swaps.
-///
-/// Produced by [`Config::diff`]; applied by [`Config::apply_delta`]. Per
-/// switch, the table edit is a single contiguous [`TableDelta`] splice; a
-/// switch gaining its first table diffs against the empty table, and a
-/// switch losing its table entirely is additionally listed in
-/// `removed_switches` (its splice removes every rule).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct ConfigDelta {
-    /// Per-switch rule splices, for every switch whose table changes.
-    pub tables: BTreeMap<u64, TableDelta>,
-    /// Switches whose tables are uninstalled outright (their entry in
-    /// `tables` removes all rules).
-    pub removed_switches: BTreeSet<u64>,
-    /// Directed links present only in the successor.
-    pub links_added: BTreeSet<(Loc, Loc)>,
-    /// Directed links present only in the predecessor.
-    pub links_removed: BTreeSet<(Loc, Loc)>,
-    /// Hosts present only in the successor.
-    pub hosts_added: BTreeSet<u64>,
-    /// Hosts present only in the predecessor.
-    pub hosts_removed: BTreeSet<u64>,
-}
-
-impl ConfigDelta {
-    /// Returns `true` if the delta changes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-            && self.removed_switches.is_empty()
-            && self.links_added.is_empty()
-            && self.links_removed.is_empty()
-            && self.hosts_added.is_empty()
-            && self.hosts_removed.is_empty()
-    }
-
-    /// Switches whose installed rules change — the switches an incremental
-    /// compiler must touch (everything else keeps its table verbatim).
-    pub fn affected_switches(&self) -> impl Iterator<Item = u64> + '_ {
-        self.tables.keys().copied()
-    }
-
-    /// Total OpenFlow-style rule mods (deletes + adds) across all switches.
-    pub fn rule_mods(&self) -> usize {
-        self.tables.values().map(TableDelta::mods).sum()
-    }
-}
-
-impl Config {
-    /// The minimal delta from this configuration to `new`.
-    ///
-    /// `self.apply_delta(&self.diff(new))` reproduces `new` exactly —
-    /// pinned by unit tests and by the delta-equivalence suite.
-    pub fn diff(&self, new: &Config) -> ConfigDelta {
-        let mut delta = ConfigDelta::default();
-        let empty = FlowTable::new();
-        let switches: BTreeSet<u64> =
-            self.tables.keys().chain(new.tables.keys()).copied().collect();
-        for sw in switches {
-            let old_t = self.tables.get(&sw);
-            let new_t = new.tables.get(&sw);
-            if old_t == new_t {
-                continue;
-            }
-            let table_delta = old_t.unwrap_or(&empty).diff(new_t.unwrap_or(&empty));
-            if new_t.is_none() {
-                delta.removed_switches.insert(sw);
-            }
-            // `old == Some(empty)` vs `new == None` still counts as an
-            // uninstall even though the splice itself is empty.
-            delta.tables.insert(sw, table_delta);
-        }
-        delta.links_added = new.links.difference(&self.links).copied().collect();
-        delta.links_removed = self.links.difference(&new.links).copied().collect();
-        delta.hosts_added = new.hosts.difference(&self.hosts).copied().collect();
-        delta.hosts_removed = self.hosts.difference(&new.hosts).copied().collect();
-        delta
-    }
-
-    /// Applies a delta produced by [`Config::diff`], turning this
-    /// configuration into the successor it was diffed against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a table splice does not fit the installed table (the delta
-    /// belongs to a different predecessor).
-    pub fn apply_delta(&mut self, delta: &ConfigDelta) {
-        for (&sw, table_delta) in &delta.tables {
-            if delta.removed_switches.contains(&sw) {
-                self.tables.remove(&sw);
-                continue;
-            }
-            let mut table = self.tables.remove(&sw).unwrap_or_default();
-            table.splice(table_delta);
-            self.tables.insert(sw, table);
-        }
-        // A delta that leaves the topology alone leaves it shared.
-        if !delta.links_removed.is_empty() || !delta.links_added.is_empty() {
-            let links = Arc::make_mut(&mut self.links);
-            for link in &delta.links_removed {
-                links.remove(link);
-            }
-            links.extend(delta.links_added.iter().copied());
-        }
-        if !delta.hosts_removed.is_empty() || !delta.hosts_added.is_empty() {
-            let hosts = Arc::make_mut(&mut self.hosts);
-            for host in &delta.hosts_removed {
-                hosts.remove(host);
-            }
-            hosts.extend(delta.hosts_added.iter().copied());
-        }
-    }
-}
-
 impl fmt::Display for Config {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (sw, t) in &self.tables {
@@ -495,61 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_of_identical_configs_is_empty() {
-        let c = two_switch_config();
-        let delta = c.diff(&c.clone());
-        assert!(delta.is_empty());
-        assert_eq!(delta.rule_mods(), 0);
-        assert_eq!(delta.affected_switches().count(), 0);
-    }
-
-    #[test]
-    fn diff_apply_round_trips_table_edits() {
-        let old = two_switch_config();
-        // Successor: prepend a drop rule on switch 1 (the firewall-style
-        // edit) and uninstall switch 4; links and hosts unchanged.
-        let mut new = old.clone();
-        let firewall = Rule::new(Match::new().with(Field::IpSrc, 66), ActionSet::drop());
-        let mut t1 = FlowTable::from_rules([firewall]);
-        for r in old.table(1).unwrap().iter() {
-            t1.push(r.clone());
-        }
-        new.install(1, t1);
-        new.tables.remove(&4);
-
-        let delta = old.diff(&new);
-        assert!(delta.affected_switches().any(|sw| sw == 1));
-        assert!(delta.removed_switches.contains(&4));
-        assert_eq!(delta.tables[&1].mods(), 1, "one prepended rule");
-        assert_eq!(delta.tables[&4].removed, old.table(4).unwrap().len());
-        assert_eq!(delta.rule_mods(), 2);
-        let mut patched = old.clone();
-        patched.apply_delta(&delta);
-        assert_eq!(patched, new);
-    }
-
-    #[test]
-    fn diff_tracks_links_and_hosts() {
-        let old = two_switch_config();
-        let mut new = old.clone();
-        new.add_link(Loc::new(1, 9), Loc::new(4, 9));
-        new.add_host(105, Loc::new(4, 3));
-        let delta = old.diff(&new);
-        assert!(delta.links_added.contains(&(Loc::new(1, 9), Loc::new(4, 9))));
-        assert!(delta.hosts_added.contains(&105));
-        assert!(delta.links_removed.is_empty() && delta.hosts_removed.is_empty());
-        let mut patched = old.clone();
-        patched.apply_delta(&delta);
-        assert_eq!(patched, new);
-        // And the reverse direction removes them again.
-        let back = new.diff(&old);
-        assert!(back.hosts_removed.contains(&105));
-        let mut reverted = new.clone();
-        reverted.apply_delta(&back);
-        assert_eq!(reverted, old);
-    }
-
-    #[test]
     fn edits_after_a_clone_do_not_show_through_it() {
         let origin = two_switch_config();
         let pristine = two_switch_config();
@@ -562,24 +392,10 @@ mod tests {
         let mut grown = pristine.clone();
         grown.add_host(105, Loc::new(4, 3));
         let mut patched = origin.clone();
-        patched.apply_delta(&origin.diff(&grown));
+        patched.add_host(105, Loc::new(4, 3));
         assert_eq!(patched, grown);
-        assert_eq!(origin, pristine, "apply_delta wrote through the shared links or hosts");
+        assert_eq!(origin, pristine, "add_host wrote through the shared links or hosts");
         // Equal topologies built apart are the same topology, by value.
         assert!(patched.same_topology(&grown) && origin.same_topology(&pristine));
-    }
-
-    #[test]
-    fn diff_against_fresh_switch_installs_from_empty() {
-        let old = Config::new();
-        let mut new = Config::new();
-        new.install(3, FlowTable::from_rules([Rule::drop_all()]));
-        let delta = old.diff(&new);
-        assert_eq!(delta.tables[&3].start, 0);
-        assert_eq!(delta.tables[&3].inserted.len(), 1);
-        assert!(delta.removed_switches.is_empty());
-        let mut patched = old;
-        patched.apply_delta(&delta);
-        assert_eq!(patched, new);
     }
 }

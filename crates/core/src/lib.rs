@@ -50,7 +50,7 @@ mod shared;
 mod trace;
 mod update;
 
-pub use config::{Config, ConfigDelta};
+pub use config::Config;
 pub use correctness::{
     check_correct, sequence_allowed, sequence_to_update, CausalOccurrences, CorrectnessViolation,
 };

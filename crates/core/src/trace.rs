@@ -213,11 +213,6 @@ impl NetworkTrace {
         (0..self.traces.len()).filter(|&t| self.traces[t].contains(&k)).collect()
     }
 
-    /// `ntr↓t`: the located packets of packet trace `t`.
-    pub fn packet_trace(&self, t: usize) -> Vec<LocatedPacket> {
-        self.traces[t].iter().map(|&i| self.packets[i].clone()).collect()
-    }
-
     /// Assembles a network trace from a parent forest: each leaf yields the
     /// packet trace running from its root. The caller promises `parents`
     /// describes a forest with every parent index strictly preceding its

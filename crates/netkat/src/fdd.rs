@@ -70,11 +70,6 @@ impl FddBuilder {
         FddBuilder::default()
     }
 
-    /// Number of distinct nodes allocated.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     fn data(&self, id: NodeId) -> &NodeData {
         &self.nodes[id.0 as usize]
     }

@@ -170,12 +170,12 @@ impl fmt::Display for Rule {
 /// and a campaign whose step *t* only appends rules to step *t − 1*'s table
 /// holds both as two lengths over one list. Every reader goes through the
 /// visible rules only: nothing past the view's length is observable, by
-/// `==`, iteration, lookup or any edit. [`push`](FlowTable::push),
-/// [`compact`](FlowTable::compact) and [`splice`](FlowTable::splice) write
-/// the visible rules to a fresh list (copy-on-write: a slice cannot grow in
-/// place, so each such edit is O(len) — build tables with
-/// [`from_rules`](FlowTable::from_rules)); a clone never observes an edit
-/// of its origin. Equality is that of the visible rules, in order.
+/// `==`, iteration, lookup or any edit. [`push`](FlowTable::push) and
+/// [`compact`](FlowTable::compact) write the visible rules to a fresh list
+/// (copy-on-write: a slice cannot grow in place, so each such edit is
+/// O(len) — build tables with [`from_rules`](FlowTable::from_rules)); a
+/// clone never observes an edit of its origin. Equality is that of the
+/// visible rules, in order.
 ///
 /// # Examples
 ///
@@ -368,59 +368,6 @@ impl FlowTable {
         }
         removed
     }
-
-    /// The minimal contiguous splice turning this table into `new`.
-    ///
-    /// Matches the longest common prefix and suffix of the two rule lists;
-    /// everything between is the edit. A single splice is exactly the shape
-    /// an OpenFlow mod batch takes (delete `removed` rules at `start`, add
-    /// `inserted` in their place).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use netkat::{ActionSet, Field, FlowTable, Match, Rule};
-    /// let old = FlowTable::from_rules((0..4).map(|h| {
-    ///     Rule::new(Match::new().with(Field::IpDst, h), ActionSet::pass())
-    /// }));
-    /// let mut new = old.clone();
-    /// new.push(Rule::drop_all());
-    /// let delta = old.diff(&new);
-    /// assert_eq!((delta.start, delta.removed, delta.inserted.len()), (4, 0, 1));
-    /// let mut patched = old.clone();
-    /// patched.splice(&delta);
-    /// assert_eq!(patched, new);
-    /// ```
-    pub fn diff(&self, new: &FlowTable) -> TableDelta {
-        let (old, new) = (self.rules(), new.rules());
-        let mut prefix = 0;
-        while prefix < old.len() && prefix < new.len() && old[prefix] == new[prefix] {
-            prefix += 1;
-        }
-        let mut suffix = 0;
-        while suffix < old.len() - prefix
-            && suffix < new.len() - prefix
-            && old[old.len() - 1 - suffix] == new[new.len() - 1 - suffix]
-        {
-            suffix += 1;
-        }
-        TableDelta {
-            start: prefix,
-            removed: old.len() - prefix - suffix,
-            inserted: new[prefix..new.len() - suffix].to_vec(),
-        }
-    }
-
-    /// Applies a delta produced by [`diff`](FlowTable::diff) in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta's replaced range does not fit this table.
-    pub fn splice(&mut self, delta: &TableDelta) {
-        let mut rules = self.rules().to_vec();
-        rules.splice(delta.start..delta.start + delta.removed, delta.inserted.iter().cloned());
-        *self = FlowTable::from_rules(rules);
-    }
 }
 
 /// Splits `tables` into *prefix chains*, in order: a table joins the chain at
@@ -450,33 +397,6 @@ pub fn prefix_chains<'a, 't>(
         }
         Some((longest, start..at))
     })
-}
-
-/// A contiguous rule-list edit: replace `removed` rules at priority index
-/// `start` with `inserted` — the OpenFlow-style mod batch one config update
-/// issues to one switch.
-///
-/// Produced by [`FlowTable::diff`]; consumed by [`FlowTable::splice`].
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct TableDelta {
-    /// Priority index where the edit begins.
-    pub start: usize,
-    /// Number of old rules deleted at `start`.
-    pub removed: usize,
-    /// Rules installed in their place.
-    pub inserted: Vec<Rule>,
-}
-
-impl TableDelta {
-    /// Returns `true` if the delta changes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.removed == 0 && self.inserted.is_empty()
-    }
-
-    /// Total rule mods (deletes + adds) the delta issues.
-    pub fn mods(&self) -> usize {
-        self.removed + self.inserted.len()
-    }
 }
 
 impl fmt::Display for FlowTable {
@@ -628,31 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_of_identical_tables_is_empty() {
-        let t = FlowTable::from_rules((0..5).map(exact));
-        let delta = t.diff(&t.clone());
-        assert!(delta.is_empty());
-        assert_eq!(delta.mods(), 0);
-        let mut patched = t.clone();
-        patched.splice(&delta);
-        assert_eq!(patched, t);
-    }
-
-    #[test]
-    fn diff_finds_the_minimal_middle_splice() {
-        let old = FlowTable::from_rules([exact(0), exact(1), exact(2), exact(3)]);
-        let new = FlowTable::from_rules([exact(0), exact(7), exact(8), exact(2), exact(3)]);
-        let delta = old.diff(&new);
-        assert_eq!(delta.start, 1);
-        assert_eq!(delta.removed, 1);
-        assert_eq!(delta.inserted, vec![exact(7), exact(8)]);
-        assert_eq!(delta.mods(), 3);
-        let mut patched = old;
-        patched.splice(&delta);
-        assert_eq!(patched, new);
-    }
-
-    #[test]
     fn prefix_chains_compare_against_the_chain_at_hand_only() {
         let whole = FlowTable::from_rules((0..4).map(exact));
         let apart = FlowTable::from_rules((0..2).map(exact));
@@ -669,39 +564,12 @@ mod tests {
         assert!(chains[2].0 == &whole && chains[2].1 == (5..7));
         assert_eq!(prefix_chains(&[]).count(), 0);
     }
-
-    #[test]
-    fn diff_handles_empty_tables_on_either_side() {
-        let full = FlowTable::from_rules((0..3).map(exact));
-        let install = FlowTable::new().diff(&full);
-        assert_eq!((install.start, install.removed, install.inserted.len()), (0, 0, 3));
-        let uninstall = full.diff(&FlowTable::new());
-        assert_eq!((uninstall.start, uninstall.removed, uninstall.inserted.len()), (0, 3, 0));
-        let mut t = full.clone();
-        t.splice(&uninstall);
-        assert!(t.is_empty());
-        let mut t = FlowTable::new();
-        t.splice(&install);
-        assert_eq!(t, full);
-    }
-
-    #[test]
-    fn diff_with_repeated_rules_still_round_trips() {
-        // Common prefix/suffix overlap candidates: all rules identical.
-        let old = FlowTable::from_rules((0..4).map(|_| exact(1)));
-        let new = FlowTable::from_rules((0..6).map(|_| exact(1)));
-        let delta = old.diff(&new);
-        assert_eq!(delta.mods(), 2);
-        let mut patched = old;
-        patched.splice(&delta);
-        assert_eq!(patched, new);
-    }
 }
 
 /// The sharing contract of [`Match`], [`ActionSet`] and [`FlowTable`]:
 /// mutating a clone never shows through to its origin, and a value reached
 /// by copy-on-write is indistinguishable — `==`, `cmp`, hash, iteration
-/// order, `diff` — from the same value built from scratch.
+/// order — from the same value built from scratch.
 #[cfg(test)]
 mod sharing_proptests {
     use super::*;
@@ -807,9 +675,8 @@ mod sharing_proptests {
         #[test]
         fn mutating_a_flow_table_clone_leaves_the_original_untouched(
             initial in arb_rules(),
-            // 0 = `push`, 1 = `compact`, 2 = `splice`, 3 = `into_iter` and
-            // rebuild; the numbers place the splice, the rules feed it.
-            ops in proptest::collection::vec((0u8..4, 0usize..8, 0usize..8, arb_rules()), 0..6),
+            // 0 = `push`, 1 = `compact`, 2 = `into_iter` and rebuild.
+            ops in proptest::collection::vec((0u8..3, arb_rules()), 0..6),
         ) {
             let original = FlowTable::from_rules(initial.iter().cloned());
             let frozen = initial.clone();
@@ -817,7 +684,7 @@ mod sharing_proptests {
             let mut copy = original.clone();
             // The index shares the list too, and must keep answering for it.
             let index = original.compile();
-            for (op, at, span, rules) in ops {
+            for (op, rules) in ops {
                 match op {
                     0 => {
                         let rule = rules.first().cloned().unwrap_or_else(Rule::drop_all);
@@ -832,12 +699,6 @@ mod sharing_proptests {
                         model.dedup();
                         prop_assert_eq!(copy.compact(), before - model.len());
                     }
-                    2 => {
-                        let start = at.min(model.len());
-                        let removed = span.min(model.len() - start);
-                        copy.splice(&TableDelta { start, removed, inserted: rules.clone() });
-                        model.splice(start..start + removed, rules);
-                    }
                     _ => {
                         let taken: Vec<Rule> = copy.clone().into_iter().collect();
                         prop_assert_eq!(&taken, &model);
@@ -849,13 +710,6 @@ mod sharing_proptests {
                 prop_assert!(copy.iter().eq(model.iter()), "order of iteration");
                 prop_assert!(original.iter().eq(frozen.iter()), "the origin moved");
                 prop_assert_eq!(index.len(), frozen.len());
-                // `diff` sees values, not allocations: shared or rebuilt, the
-                // same edit, and it carries the origin to the copy.
-                let delta = original.diff(&copy);
-                prop_assert_eq!(&delta, &FlowTable::from_rules(frozen.iter().cloned()).diff(&scratch));
-                let mut patched = original.clone();
-                patched.splice(&delta);
-                prop_assert_eq!(&patched, &copy);
             }
             for rule in &frozen {
                 let pk: Packet = rule.pattern.iter().collect();
@@ -870,9 +724,6 @@ mod sharing_proptests {
         #[test]
         fn a_prefix_view_is_the_table_of_its_rules(
             rules in arb_rules(),
-            extra in arb_rules(),
-            at in 0usize..8,
-            span in 0usize..8,
         ) {
             let whole = FlowTable::from_rules(rules.iter().cloned());
             let index = whole.compile();
@@ -898,13 +749,6 @@ mod sharing_proptests {
                     prop_assert_eq!(view.lookup_index(&pk), scratch.lookup_index(&pk));
                     prop_assert_eq!(view.apply(&pk), scratch.apply(&pk));
                 }
-                // `diff` in both directions, against the whole list and
-                // against unrelated rules.
-                let other = FlowTable::from_rules(extra.iter().cloned());
-                for target in [&whole, &other] {
-                    prop_assert_eq!(view.diff(target), scratch.diff(target));
-                    prop_assert_eq!(target.diff(&view), target.diff(&scratch));
-                }
                 // Edits write a fresh list from the visible rules only.
                 let (mut pushed, mut model) = (view.clone(), scratch.clone());
                 pushed.push(Rule::drop_all());
@@ -913,13 +757,6 @@ mod sharing_proptests {
                 let (mut compacted, mut model) = (view.clone(), scratch.clone());
                 prop_assert_eq!(compacted.compact(), model.compact());
                 prop_assert_eq!(&compacted, &model);
-                let start = at.min(len);
-                let delta =
-                    TableDelta { start, removed: span.min(len - start), inserted: extra.clone() };
-                let (mut spliced, mut model) = (view.clone(), scratch.clone());
-                spliced.splice(&delta);
-                model.splice(&delta);
-                prop_assert_eq!(&spliced, &model);
                 prop_assert_eq!(
                     view.clone().into_iter().collect::<Vec<Rule>>(),
                     rules[..len].to_vec()

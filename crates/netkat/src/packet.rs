@@ -262,14 +262,6 @@ impl Packet {
         matches!(self.fields.first(), Some((Field::Switch | Field::Port, _)))
     }
 
-    /// Returns a copy with the location fields removed.
-    pub fn erase_location(&self) -> Packet {
-        let mut p = self.clone();
-        p.unset(Field::Switch);
-        p.unset(Field::Port);
-        p
-    }
-
     /// Unsets every field, keeping the record's buffer for reuse.
     pub fn clear(&mut self) {
         self.fields.clear();

@@ -17,8 +17,6 @@
 //! short-circuits at the call sites, so it is byte-identical to the
 //! pre-fault-model engine.
 
-use crate::time::SimTime;
-
 /// Default seed for the env-selected lossy preset (`"EDN_CHANNL"` bytes —
 /// any fixed constant works; explicit constructors pass their own).
 const DEFAULT_SEED: u64 = 0x45444e5f4348414e;
@@ -184,17 +182,6 @@ impl ChannelModel {
             }
         }
         ChannelFate { copies, delay_us, reordered }
-    }
-
-    /// [`fate`](ChannelModel::fate) with the delays as [`SimTime`]s.
-    pub fn fate_times(
-        &self,
-        dir: ChannelDir,
-        node: u64,
-        counter: u64,
-    ) -> (ChannelFate, [SimTime; 2]) {
-        let f = self.fate(dir, node, counter);
-        (f, [SimTime::from_micros(f.delay_us[0]), SimTime::from_micros(f.delay_us[1])])
     }
 }
 

@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use edn_core::{EventId, EventSet, NetworkEventStructure};
+use edn_core::{EventSet, NetworkEventStructure};
 use netkat::{ActionSet, FlowTable, Match};
 
 /// A deployable compilation of an NES.
@@ -241,17 +241,12 @@ impl CompiledNes {
             self.nes.events().iter().filter(|e| e.matches_on(packet, loc)).map(|e| e.id).collect();
         self.fire_step(known, matching)
     }
-
-    /// All event ids.
-    pub fn event_ids(&self) -> impl Iterator<Item = EventId> + '_ {
-        self.nes.events().iter().map(|e| e.id)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edn_core::{Config, Event, EventStructure};
+    use edn_core::{Config, Event, EventId, EventStructure};
     use netkat::{Field, Loc, Packet, Pred};
 
     fn chain_nes() -> NetworkEventStructure {

@@ -247,8 +247,7 @@ mod proptests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// A small universe keeps random packets colliding with random rules
-    /// (the strategies of `tests/delta_equivalence.rs`).
+    /// A small universe keeps random packets colliding with random rules.
     const FIELDS: [Field; 4] = [Field::Port, Field::Vlan, Field::IpSrc, Field::IpDst];
 
     fn arb_rules() -> impl Strategy<Value = Vec<Rule>> {

@@ -214,11 +214,6 @@ impl<D> Reliable<D> {
         &self.inner
     }
 
-    /// Consumes the wrapper, returning the wrapped plane.
-    pub fn into_inner(self) -> D {
-        self.inner
-    }
-
     /// Did any message exhaust its retry budget? A `true` here means the
     /// inner plane may have missed messages: the run must be reported as
     /// `degraded`, never silently trusted.

@@ -103,11 +103,6 @@ impl GenTopology {
         &self.topo
     }
 
-    /// Consumes the wrapper, returning the simulation topology.
-    pub fn into_sim(self) -> SimTopology {
-        self.topo
-    }
-
     /// The host ids, in ascending order.
     pub fn hosts(&self) -> &[u64] {
         &self.hosts

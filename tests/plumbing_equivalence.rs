@@ -10,14 +10,15 @@
 //! the declarative scenario layer (a flapping ring and a fat-tree(4)
 //! update campaign with a crash, a latency spike, and a host move) — the
 //! churn pair also under the uncoordinated baseline and through `Reliable`
-//! over a lossy control channel — plus a 256-case differential proptest
+//! over a lossy control channel, and through `run_coordinated` checked and
+//! unchecked — plus a 256-case differential proptest
 //! over seeded generated topologies and workloads.
 
 use edn_apps::generated::firewall_nes;
 use edn_apps::ring::{host, Ring};
 use edn_core::{NetworkTrace, TraceMode};
 use edn_obs::Scope;
-use edn_scenario::CompiledScenario;
+use edn_scenario::{run_coordinated, stats_csv_row, CompiledScenario, RunOptions};
 use edn_topo::{fat_tree, ring, synthesize, LinkProfile, TierProfile, TrafficPattern, Workload};
 use nes_runtime::{nes_engine, verify_nes_run, NesDataPlane, StaticDataPlane};
 use netsim::traffic::udp_packet;
@@ -444,6 +445,34 @@ fn churn_scenarios_replay_identically_across_all_engine_knobs() {
     assert_plumbing_invariant("fat-tree campaign", &FAT_TREE_CAMPAIGN_PIN, |k| {
         churn_run(&campaign, k)
     });
+}
+
+/// Both churn scenarios through the scenario layer's own leg: checked, the
+/// online Definition 6 verdict is `correct` with every campaign step
+/// fired, and a replay reproduces the canonical CSV row byte for byte,
+/// checked and unchecked.
+#[test]
+fn churn_scenarios_replay_their_csv_rows_checked_and_unchecked() {
+    for (name, c) in [
+        ("flapping ring", flapping_ring_scenario()),
+        ("fat-tree campaign", fat_tree_campaign_scenario()),
+    ] {
+        let check = RunOptions { check: true, ..RunOptions::default() };
+        let checked = run_coordinated(&c, &check);
+        assert_eq!(checked.verdict, Some(Ok(())), "{name}: verdict");
+        assert_eq!(checked.fired, Some(c.steps.len()), "{name}: firings");
+        assert_eq!(
+            stats_csv_row(&run_coordinated(&c, &check)),
+            stats_csv_row(&checked),
+            "{name}: checked CSV diverged on replay"
+        );
+        let unchecked = stats_csv_row(&run_coordinated(&c, &RunOptions::default()));
+        assert_eq!(
+            stats_csv_row(&run_coordinated(&c, &RunOptions::default())),
+            unchecked,
+            "{name}: unchecked CSV diverged on replay"
+        );
+    }
 }
 
 /// Asserts that `run` matches its committed `pin` and replays to the same
