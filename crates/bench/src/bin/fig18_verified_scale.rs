@@ -15,7 +15,9 @@
 //! memory tracks packets *in flight*, not events *processed*. The
 //! `verdict` column is the online checker's verdict (`correct` is the
 //! expected outcome: Theorem 1), and the trailing columns name each
-//! [`netsim::DropReason`]'s count.
+//! [`netsim::DropReason`]'s count. `arena_slots` is the packet arena's slot
+//! high-water mark: with no trace record holding an id, that is the most
+//! packets ever in flight at once, so it too should barely move at 2×.
 //!
 //! The harness always runs with telemetry at least at `counters` (the
 //! `EDN_METRICS=full` selection is honored) and writes a per-point JSON

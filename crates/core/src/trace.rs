@@ -346,18 +346,8 @@ impl TraceBuilder {
     }
 
     /// Creates an empty builder with the given recording mode.
-    ///
-    /// A [`TraceMode::StatsOnly`] builder records nothing, so no id
-    /// outlives the event that carries it — its arena therefore runs with
-    /// [recycling](netkat::PacketArena::enable_recycling) enabled, and a
-    /// refcounting driver (the simulator) keeps arena memory bounded by the
-    /// packets in flight instead of every packet ever seen.
     pub fn with_mode(mode: TraceMode) -> TraceBuilder {
-        let mut b = TraceBuilder { mode, ..TraceBuilder::default() };
-        if mode == TraceMode::StatsOnly {
-            b.arena.enable_recycling();
-        }
-        b
+        TraceBuilder { mode, ..TraceBuilder::default() }
     }
 
     /// The recording mode.
@@ -380,6 +370,7 @@ impl TraceBuilder {
 
     /// Appends a located packet; `parent` is the global index of the located
     /// packet it was produced from (`None` for a fresh injection at a host).
+    /// In [`TraceMode::StatsOnly`] the packet is not even interned.
     ///
     /// Returns the new packet's global index.
     ///
@@ -387,28 +378,45 @@ impl TraceBuilder {
     ///
     /// Panics if `parent` is not an earlier index.
     pub fn push(&mut self, packet: Packet, loc: Loc, parent: Option<usize>) -> usize {
-        let id = self.arena.intern(packet);
-        self.push_id(id, loc, parent)
+        match self.mode {
+            TraceMode::Full => {
+                let id = self.arena.intern(packet);
+                self.push_id(id, loc, parent)
+            }
+            TraceMode::StatsOnly => self.next_index(parent),
+        }
     }
 
     /// [`push`](TraceBuilder::push) for a packet already interned in this
     /// builder's [`arena`](TraceBuilder::arena) — the simulator's zero-copy
-    /// recording path.
+    /// recording path. In [`TraceMode::Full`] the record
+    /// [retains](netkat::PacketArena::retain) `id` for good, so it resolves
+    /// at [`build`](TraceBuilder::build) whatever the caller releases and
+    /// sweeps afterwards.
     ///
     /// # Panics
     ///
     /// Panics if `parent` is not an earlier index.
     pub fn push_id(&mut self, id: PacketId, loc: Loc, parent: Option<usize>) -> usize {
+        let idx = self.next_index(parent);
+        if self.mode == TraceMode::Full {
+            self.arena.retain(id);
+            self.records.push((id, loc));
+            self.parents.push(parent);
+        }
+        idx
+    }
+
+    /// The index the next push gets, once `parent` is checked to precede
+    /// it. In [`TraceMode::StatsOnly`] this counting is the whole push.
+    fn next_index(&mut self, parent: Option<usize>) -> usize {
         let idx = self.len();
         if let Some(p) = parent {
             assert!(p < idx, "parent {p} must precede child {idx}");
         }
         if self.mode == TraceMode::StatsOnly {
             self.virtual_len += 1;
-            return idx;
         }
-        self.records.push((id, loc));
-        self.parents.push(parent);
         idx
     }
 
@@ -614,6 +622,10 @@ mod tests {
         }
         assert_eq!(stats.len(), full.len());
         assert!(!stats.is_empty());
+        // A builder that never sweeps holds no more slots than records:
+        // one per Full record, none at all in StatsOnly.
+        assert_eq!(full.arena().len(), full.len());
+        assert!(stats.arena().is_empty());
         let ntr = stats.build().unwrap();
         assert!(ntr.is_empty());
         assert!(ntr.traces().is_empty());

@@ -81,28 +81,6 @@ impl Field {
         Field::Digest,
     ];
 
-    /// A dense numeric code, unique per field, used by fingerprint hashing
-    /// (the packet arena): the index in [`Field::ALL`] for the named
-    /// fields, and `13 + n` for `Custom(n)`.
-    pub(crate) fn code(self) -> u64 {
-        match self {
-            Field::Switch => 0,
-            Field::Port => 1,
-            Field::EthSrc => 2,
-            Field::EthDst => 3,
-            Field::EthType => 4,
-            Field::Vlan => 5,
-            Field::IpProto => 6,
-            Field::IpSrc => 7,
-            Field::IpDst => 8,
-            Field::TcpSrc => 9,
-            Field::TcpDst => 10,
-            Field::Tag => 11,
-            Field::Digest => 12,
-            Field::Custom(n) => 13 + n as u64,
-        }
-    }
-
     /// Returns `true` for the location fields `Switch` and `Port`.
     ///
     /// Location fields are handled specially by the global compiler: they are

@@ -108,9 +108,8 @@ type FingerprintMap = HashMap<u64, u32, BuildHasherDefault<IdentityHasher>>;
 
 /// A hasher that passes 8-byte keys through unchanged — sound here because
 /// every key is a [`fp_mix`] output (avalanched), never attacker-chosen.
-/// Shared with the packet arena's fingerprint map.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct IdentityHasher(u64);
+struct IdentityHasher(u64);
 
 impl Hasher for IdentityHasher {
     fn finish(&self) -> u64 {
@@ -159,7 +158,7 @@ impl HashSegment {
 /// possible with many `Custom` fields) fall back to per-segment reads.
 const PREFETCH_CAP: usize = 16;
 
-pub(crate) const FP_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+const FP_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One round of a SplitMix64-style mixer, chaining `value` into `h`.
 ///
@@ -169,7 +168,7 @@ pub(crate) const FP_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// identifies `v` exactly, and a single-field hash segment's map hit needs
 /// no second comparison; chaining a second value folds 128 bits into 64 and
 /// loses that.
-pub(crate) fn fp_mix(h: u64, value: Value) -> u64 {
+fn fp_mix(h: u64, value: Value) -> u64 {
     let mut z = h ^ value.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = z.wrapping_add(FP_SEED);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -373,9 +373,8 @@ impl<D: DataPlane> Core<D> {
     }
 
     fn push_keyed(&mut self, time: SimTime, seq: u64, kind: EventKind) {
-        // The queue holds a reference to the packet an event carries: in a
-        // recycling (stats-only) arena this pins its slot until the event
-        // is dispatched. Append-only arenas make retain a no-op.
+        // The queue holds a reference to the packet an event carries: this
+        // pins its arena slot until the event is dispatched.
         if let EventKind::Inject { packet, .. } | EventKind::Arrive { packet, .. } = kind {
             self.trace.arena_mut().retain(packet);
         }
@@ -572,7 +571,7 @@ impl<D: DataPlane> Core<D> {
             // Admit source events up to the next queued fire time — or,
             // when the queue is idle, just the earliest pending time slice.
             // An idle queue must not admit the whole source: lazy admission
-            // is what keeps a recycling arena at the in-flight high-water
+            // is what keeps a stats-only arena at the in-flight high-water
             // mark instead of the full workload size.
             let mut limit = self.next_time_us();
             if limit == u64::MAX {
@@ -665,8 +664,8 @@ impl<D: DataPlane> Core<D> {
         }
         // Dispatch consumed the event: drop the queue's reference taken in
         // `push_keyed`, then reclaim this dispatch's unretained
-        // intermediates (children pushed above hold their own references).
-        // No-ops unless the arena recycles (stats-only runs).
+        // intermediates. Children pushed above, and in a Full trace the
+        // records made above, hold their own references.
         if let Some(id) = carried {
             let arena = self.trace.arena_mut();
             arena.release(id);
@@ -1055,11 +1054,12 @@ impl<D: DataPlane> Engine<D> {
         self.core.trace.mode()
     }
 
-    /// Diagnostic: packet slots in the engine's arena. Append-only arenas
-    /// (trace mode [`TraceMode::Full`]) count every distinct packet ever
-    /// seen; recycling arenas ([`TraceMode::StatsOnly`]) count the
-    /// high-water mark of simultaneously live packets — for a streaming
-    /// run, a bound independent of how many events are processed.
+    /// Diagnostic: packet slots in the engine's arena, the high-water mark
+    /// of simultaneously live packets. In [`TraceMode::Full`] every trace
+    /// record keeps its packet live, so this is at most the records plus
+    /// the packets in flight; in [`TraceMode::StatsOnly`] it is the
+    /// in-flight high-water mark alone — for a streaming run, a bound
+    /// independent of how many events are processed.
     pub fn arena_slots(&self) -> usize {
         self.core.trace.arena().len()
     }
@@ -1174,9 +1174,8 @@ impl<D: DataPlane> Engine<D> {
     /// size)` in one queue fill: the event slab is pre-sized once
     /// (from the iterator's size hint — use
     /// [`reserve_events`](Engine::reserve_events) first when the hint is
-    /// useless) and repeated packets intern to one arena slot, so bulk
-    /// workload setup (thousands of datagrams) avoids per-call growth
-    /// churn.
+    /// useless), so bulk workload setup (thousands of datagrams) avoids
+    /// per-call growth churn.
     ///
     /// # Panics
     ///
@@ -1587,10 +1586,12 @@ mod tests {
     #[test]
     fn stats_only_streaming_runs_in_bounded_arena_memory() {
         // A streamed run of N distinct datagrams: in StatsOnly mode the
-        // recycling arena must stay at the in-flight high-water mark (a
-        // bound independent of N), while observables match the Full run
-        // exactly. The Full run interns append-only — its arena grows with
-        // N, which is what makes the contrast meaningful.
+        // arena must stay at the in-flight high-water mark (a bound
+        // independent of N), while observables match the Full run exactly.
+        // The Full run's records keep their packets live — its arena grows
+        // with N but never past the record count, since a swept
+        // intermediate holds no slot — which is what makes the contrast
+        // meaningful.
         let flow = crate::traffic::UdpFlowSpec {
             flow: 1,
             src: 100,
@@ -1614,10 +1615,30 @@ mod tests {
         let (lean_slots, lean_trace, lean_stats) = run(TraceMode::StatsOnly);
         assert_eq!(lean_stats, full_stats);
         assert_eq!(full_stats.injected, 2_000);
-        assert!(!full_trace.is_empty());
         assert!(lean_trace.is_empty());
-        assert!(full_slots > 1_000, "the append-only arena should grow with N: {full_slots}");
-        assert!(lean_slots < 64, "the recycling arena must stay bounded: {lean_slots}");
+        assert!(full_slots > 1_000, "recorded packets should stay live: {full_slots}");
+        assert!(
+            full_slots <= full_trace.len(),
+            "{full_slots} slots for {} records",
+            full_trace.len()
+        );
+        assert!(lean_slots < 64, "the stats-only arena must stay bounded: {lean_slots}");
+        // The built trace, pinned as the hash-consing arena built it: FNV-1a
+        // over every record's location and fields, and over the packet
+        // traces' indices.
+        const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        let records = full_trace.packets().iter().fold(SEED, |h, lp| {
+            let h = fold(fold(h, lp.loc.sw), lp.loc.pt);
+            Field::ALL
+                .iter()
+                .fold(h, |h, &f| fold(h, lp.packet.get(f).map_or(0, |v| v.wrapping_add(1))))
+        });
+        let shape = full_trace.traces().iter().flatten().fold(SEED, |h, &i| fold(h, i as u64));
+        assert_eq!(
+            (full_trace.len(), full_trace.traces().len(), records, shape),
+            (8_000, 2_000, 0x7878_6d9c_555d_1685, 0xc6dd_24e7_f2a0_d3e5)
+        );
     }
 
     #[test]

@@ -248,8 +248,10 @@ mod tests {
             r.notifications.push(CtrlMsg::Events(2));
             r
         });
-        // Unchanged content interns back to the input id.
-        assert_eq!(out.outputs[0], (3, id));
+        // Every output takes a slot of its own, unchanged content included.
+        assert_eq!(out.outputs[0].0, 3);
+        assert_ne!(out.outputs[0].1, id);
+        assert_eq!(arena.get(out.outputs[0].1), arena.get(id));
         assert_eq!(arena.get(out.outputs[1].1).get(Field::Vlan), Some(5));
         assert_eq!(out.notifications, vec![CtrlMsg::Events(1), CtrlMsg::Events(2)]);
         out.clear();

@@ -158,7 +158,6 @@ pub(crate) fn contribute_stats(reg: &mut Registry, stats: &Stats) {
 /// Folds the arena's interning counters and slot high-water into `reg`.
 pub(crate) fn contribute_arena(reg: &mut Registry, arena: &netkat::PacketArena) {
     let s = arena.stats();
-    reg.counter_add(Scope::Shard, "arena.intern_hits", s.hits);
     reg.counter_add(Scope::Shard, "arena.intern_misses", s.misses);
     reg.counter_add(Scope::Shard, "arena.recycled_slots", s.recycled);
     reg.gauge_max(Scope::Shard, "arena.slots_hw", arena.len() as u64);
