@@ -438,15 +438,6 @@ impl CompiledTable {
         }
     }
 
-    /// Applies the table through the index, appending the outputs to `out`
-    /// in the same order as [`apply`](CompiledTable::apply)'s set
-    /// iteration (the indexed [`FlowTable::apply_into`]).
-    pub fn apply_into(&self, pk: &Packet, out: &mut Vec<Packet>) {
-        if let Some(rule) = self.lookup(pk) {
-            rule.actions.apply_into(pk, out);
-        }
-    }
-
     /// Number of rules.
     pub fn len(&self) -> usize {
         self.len

@@ -318,15 +318,6 @@ impl FlowTable {
         }
     }
 
-    /// Applies the table, appending the outputs to `out` in the same order
-    /// as [`apply`](FlowTable::apply)'s set iteration — the allocation-lean
-    /// form simulator data planes use.
-    pub fn apply_into(&self, pk: &Packet, out: &mut Vec<Packet>) {
-        if let Some(rule) = self.lookup(pk) {
-            rule.actions.apply_into(pk, out);
-        }
-    }
-
     /// Number of rules.
     pub fn len(&self) -> usize {
         self.len

@@ -1331,7 +1331,7 @@ mod fixtures {
 mod tests {
     use super::fixtures::{topo, PerSwitch};
     use super::*;
-    use crate::logic::{step_owned, SinkHosts, StepResult};
+    use crate::logic::SinkHosts;
     use netkat::{Field, PacketArena};
 
     /// A trivial data plane: forward everything out port 1, notify on vlan=9.
@@ -1348,14 +1348,10 @@ mod tests {
             arena: &mut PacketArena,
             out: &mut PlaneOut,
         ) {
-            step_owned(packet, arena, out, |pk| {
-                let notify = pk.get(Field::Vlan) == Some(9);
-                let mut r = StepResult::forward(1, pk);
-                if notify {
-                    r.notifications.push(CtrlMsg::Events(1));
-                }
-                r
-            });
+            if arena.get(packet).get(Field::Vlan) == Some(9) {
+                out.notifications.push(CtrlMsg::Events(1));
+            }
+            out.outputs.push((1, packet));
         }
 
         fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
@@ -1723,7 +1719,7 @@ mod tests {
 mod failure_tests {
     use super::fixtures::{topo, PerSwitch};
     use super::*;
-    use crate::logic::{step_owned, SinkHosts, StepResult};
+    use crate::logic::SinkHosts;
     use netkat::{Field, PacketArena};
 
     #[test]
@@ -1842,17 +1838,14 @@ mod failure_tests {
                 packet: PacketId,
                 from_host: bool,
                 _: SimTime,
-                arena: &mut PacketArena,
+                _: &mut PacketArena,
                 out: &mut PlaneOut,
             ) {
-                step_owned(packet, arena, out, |pk| {
-                    let mut r =
-                        if self.enabled { StepResult::forward(2, pk) } else { StepResult::drop() };
-                    if from_host && !self.enabled {
-                        r.notifications.push(CtrlMsg::Events(1));
-                    }
-                    r
-                });
+                if self.enabled {
+                    out.outputs.push((2, packet));
+                } else if from_host {
+                    out.notifications.push(CtrlMsg::Events(1));
+                }
             }
             fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
                 out.deliveries.push((SimTime::ZERO, 1, msg));

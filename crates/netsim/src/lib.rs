@@ -58,10 +58,7 @@ pub use edn_obs::{FlightRecorder, MetricsLevel, Registry};
 #[doc(hidden)]
 pub use engine::shard_count_from_env;
 pub use engine::{Engine, RunResult, DEFAULT_PACKET_SIZE};
-pub use logic::{
-    step_owned, table_outputs, BoxedHosts, CtrlMsg, DataPlane, HostLogic, PlaneOut, SinkHosts,
-    StepResult, CONTROLLER_NODE,
-};
+pub use logic::{BoxedHosts, CtrlMsg, DataPlane, HostLogic, PlaneOut, SinkHosts, CONTROLLER_NODE};
 pub use netkat::{PacketArena, PacketId};
 pub use source::{SourceEvent, WorkloadSource};
 pub use stats::{Delivery, Drop, DropReason, Stats, StatsMode};

@@ -47,30 +47,6 @@ pub enum CtrlMsg {
     },
 }
 
-/// What one switch processing step produced, in owned form: the result
-/// type of the planes' owned reference transcriptions and of the closure
-/// [`step_owned`] bridges into a [`PlaneOut`].
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct StepResult {
-    /// Output packets: `(out port, packet)`. Empty means the packet was
-    /// dropped.
-    pub outputs: Vec<(u64, Packet)>,
-    /// Messages to the controller.
-    pub notifications: Vec<CtrlMsg>,
-}
-
-impl StepResult {
-    /// A step that drops the packet.
-    pub fn drop() -> StepResult {
-        StepResult::default()
-    }
-
-    /// A step that forwards to one port.
-    pub fn forward(port: u64, packet: Packet) -> StepResult {
-        StepResult { outputs: vec![(port, packet)], notifications: Vec::new() }
-    }
-}
-
 /// Everything one [`DataPlane`] interaction can ask of the engine. The
 /// engine owns one buffer for the whole run, hands it in **empty** on every
 /// call, and acts on whatever the plane appended before the dispatch ends
@@ -112,36 +88,6 @@ impl PlaneOut {
     }
 }
 
-/// The owned bridge: resolves `packet`, runs the owned `process` closure on
-/// it, and interns the result into `out` — how a plane written against
-/// owned [`Packet`]s (the uncoordinated baseline, test planes) implements
-/// [`DataPlane::step`].
-pub fn step_owned(
-    packet: PacketId,
-    arena: &mut PacketArena,
-    out: &mut PlaneOut,
-    process: impl FnOnce(Packet) -> StepResult,
-) {
-    let StepResult { outputs, notifications } = process(arena.get(packet).clone());
-    out.outputs.extend(outputs.into_iter().map(|(pt, pk)| (pt, arena.intern(pk))));
-    out.notifications.extend(notifications);
-}
-
-/// Converts a flow-table application result into switch outputs — the
-/// engine's per-packet egress convention, shared by every table-driven
-/// [`DataPlane`]: each output packet leaves on the port its actions wrote
-/// (defaulting to the ingress port `pt`), with the location fields
-/// stripped (links, not tables, decide the next location).
-pub fn table_outputs(pt: u64, packets: impl IntoIterator<Item = Packet>) -> Vec<(u64, Packet)> {
-    packets
-        .into_iter()
-        .map(|mut out| {
-            let (_, out_pt) = out.take_loc();
-            (out_pt.unwrap_or(pt), out)
-        })
-        .collect()
-}
-
 /// The deployed system under test: all switches plus the controller.
 ///
 /// The engine calls [`step`](DataPlane::step) for every packet at every
@@ -157,9 +103,9 @@ pub trait DataPlane {
     /// `from_host` is `true` when the packet just entered the network from a
     /// host (the IN rule, where ingress stamping happens). `packet` was
     /// interned in `arena` by the caller, and output ids must come from the
-    /// same arena; a plane instance is only ever driven against one arena
-    /// (implementations may cache ids). Planes written against owned
-    /// packets go through [`step_owned`].
+    /// same arena: the input id itself when the hop leaves the packet
+    /// unchanged, a freshly interned one otherwise. A plane instance is only
+    /// ever driven against one arena (implementations may cache ids).
     #[allow(clippy::too_many_arguments)]
     fn step(
         &mut self,
@@ -225,48 +171,6 @@ impl HostLogic for SinkHosts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netkat::Field;
-
-    #[test]
-    fn step_result_constructors() {
-        assert!(StepResult::drop().outputs.is_empty());
-        let s = StepResult::forward(3, Packet::new());
-        assert_eq!(s.outputs.len(), 1);
-        assert_eq!(s.outputs[0].0, 3);
-    }
-
-    #[test]
-    fn step_owned_interns_outputs_and_appends_notifications() {
-        let mut arena = PacketArena::new();
-        let id = arena.intern(Packet::new().with(Field::Vlan, 2));
-        let mut out = PlaneOut::default();
-        out.notifications.push(CtrlMsg::Events(1));
-        step_owned(id, &mut arena, &mut out, |pk| {
-            assert_eq!(pk.get(Field::Vlan), Some(2));
-            let mut r = StepResult::forward(3, pk.clone());
-            r.outputs.push((4, pk.with(Field::Vlan, 5)));
-            r.notifications.push(CtrlMsg::Events(2));
-            r
-        });
-        // Every output takes a slot of its own, unchanged content included.
-        assert_eq!(out.outputs[0].0, 3);
-        assert_ne!(out.outputs[0].1, id);
-        assert_eq!(arena.get(out.outputs[0].1), arena.get(id));
-        assert_eq!(arena.get(out.outputs[1].1).get(Field::Vlan), Some(5));
-        assert_eq!(out.notifications, vec![CtrlMsg::Events(1), CtrlMsg::Events(2)]);
-        out.clear();
-        assert_eq!(out, PlaneOut::default());
-    }
-
-    #[test]
-    fn table_outputs_extract_ports_and_strip_location() {
-        let written = Packet::new().with(Field::Switch, 1).with(Field::Port, 4);
-        let unwritten = Packet::new().with(Field::Vlan, 2);
-        let outs = table_outputs(7, [written, unwritten]);
-        assert_eq!(outs.len(), 2);
-        assert!(outs.contains(&(4, Packet::new())));
-        assert!(outs.contains(&(7, Packet::new().with(Field::Vlan, 2))));
-    }
 
     #[test]
     fn sink_hosts_swallow() {

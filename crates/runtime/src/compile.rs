@@ -8,8 +8,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use edn_core::{EventSet, NetworkEventStructure};
-use netkat::{ActionSet, FlowTable, Match};
+use edn_core::{Config, EventSet, NetworkEventStructure};
+use netkat::{ActionSet, Match};
 
 /// A deployable compilation of an NES.
 ///
@@ -107,10 +107,17 @@ impl CompiledNes {
         self.tags[tag as usize]
     }
 
+    /// The configurations the NES deploys, in tag order: the `tag`-th is
+    /// `g(set_of(tag))`.
+    pub(crate) fn configs(&self) -> impl Iterator<Item = &Config> + Clone {
+        self.tags.iter().map(|&set| self.nes.config(set))
+    }
+
     /// The table `g(set_of(tag))` installs on `sw` — the specification every
     /// deployed lookup answers to. `None` for an out-of-range tag or a
     /// switch that configuration leaves without a table.
-    pub(crate) fn table(&self, sw: u64, tag: u64) -> Option<&FlowTable> {
+    #[cfg(test)]
+    pub(crate) fn table(&self, sw: u64, tag: u64) -> Option<&netkat::FlowTable> {
         self.nes.config(*self.tags.get(tag as usize)?).table(sw)
     }
 
@@ -237,9 +244,17 @@ impl CompiledNes {
         packet: &R,
         loc: netkat::Loc,
     ) -> EventSet {
-        let matching: EventSet =
-            self.nes.events().iter().filter(|e| e.matches_on(packet, loc)).map(|e| e.id).collect();
-        self.fire_step(known, matching)
+        self.fire_step(known, self.matching_on(packet, loc))
+    }
+
+    /// The events whose guard and location the located packet matches,
+    /// enabled or not.
+    pub(crate) fn matching_on<R: netkat::FieldReader>(
+        &self,
+        packet: &R,
+        loc: netkat::Loc,
+    ) -> EventSet {
+        self.nes.events().iter().filter(|e| e.matches_on(packet, loc)).map(|e| e.id).collect()
     }
 }
 

@@ -11,16 +11,16 @@
 //!   (optionally, as the paper's optimization) broadcasts its view to all
 //!   switches.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use edn_core::{EventId, EventSet};
-use netkat::{
-    Field, FieldReader, FxBuildHasher, Loc, LocatedView, Packet, PacketArena, PacketId, TaggedView,
-};
+use netkat::{Field, FieldReader, Loc, LocatedView, PacketArena, PacketId, TaggedView};
 use netsim::{CtrlMsg, DataPlane, PlaneOut, SimTime};
 
 use crate::compile::CompiledNes;
-use crate::deploy::{dense_switches, PerTagTables};
+use crate::deploy::{Hop, PerTagTables};
+#[cfg(test)]
+use crate::hop_props::{table_reference, StepResult};
 
 /// One switch's event state: what it knows, and what that amounts to.
 #[derive(Clone, Copy, Debug)]
@@ -41,16 +41,12 @@ pub struct NesDataPlane {
     /// The installed tables: one compiled index per prefix chain of a
     /// switch's per-tag tables (Section 4.1).
     deployment: PerTagTables,
-    /// Per-switch event state, dense: `local[slot]` with slots assigned by
-    /// `switch_slot`. The switch step reads this on every packet, so it
-    /// must not walk a tree.
+    /// Per-switch event state, dense: `local[slot]` with the deployment's
+    /// slots, grown on demand for switches outside it. The switch step
+    /// reads this on every packet, so it must not walk a tree.
     local: Vec<Local>,
     /// The state of a switch that knows nothing.
     blank: Local,
-    /// `switch id → dense slot` — the index into `local` and the row of the
-    /// per-tag layout — grown on demand for switches outside the deployment
-    /// (which have no tables: their packets drop).
-    switch_slot: HashMap<u64, u32, FxBuildHasher>,
     /// Controller's accumulated events (`R` in Fig. 7).
     controller: EventSet,
     /// Whether the controller broadcasts its view to all switches
@@ -67,41 +63,33 @@ pub struct NesDataPlane {
     /// learns: the enabling fixpoint is a pure function of the known-events
     /// set, and a campaign's switches all climb the same few sets.
     effective_cache: BTreeMap<EventSet, (EventSet, u64)>,
-    /// Reused `step` buffers: the lookup packet and the (single-cast)
-    /// output packet are built here instead of being allocated per hop —
-    /// only the finished output is interned, and in steady state (content
-    /// already seen) that interning is a fingerprint probe, so a hop
-    /// allocates nothing.
-    lookup_buf: Packet,
-    out_buf: Packet,
+    /// The table hop's reused buffers: a content-changing hop's output is
+    /// copied into a recycled arena slot's kept buffer, so in steady state
+    /// a hop allocates nothing.
+    hop: Hop,
 }
 
 impl NesDataPlane {
     /// Deploys a compiled NES on the given switches.
     pub fn new(compiled: CompiledNes, switches: Vec<u64>, broadcast: bool) -> NesDataPlane {
-        let slotted = dense_switches(&compiled, &switches);
-        let switch_slot =
-            slotted.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect::<HashMap<_, _, _>>();
-        let deployment = PerTagTables::build(&compiled, &slotted);
+        let deployment = PerTagTables::build(compiled.configs(), &switches);
         let blank = Local {
             known: EventSet::empty(),
             effective: compiled.effective_set(EventSet::empty()),
             tag: compiled.tag_for_known(EventSet::empty()),
         };
         NesDataPlane {
+            local: vec![blank; deployment.rows()],
             compiled,
             deployment,
-            local: vec![blank; slotted.len()],
             blank,
-            switch_slot,
             controller: EventSet::empty(),
             broadcast,
             switches,
             discovery: BTreeMap::new(),
             fired_log: Vec::new(),
             effective_cache: BTreeMap::new(),
-            lookup_buf: Packet::new(),
-            out_buf: Packet::new(),
+            hop: Hop::default(),
         }
     }
 
@@ -123,7 +111,7 @@ impl NesDataPlane {
 
     /// A switch's current known event-set.
     pub fn local_events(&self, sw: u64) -> EventSet {
-        self.switch_slot.get(&sw).map_or_else(EventSet::empty, |&i| self.local[i as usize].known)
+        self.deployment.slot(sw).map_or_else(EventSet::empty, |i| self.local[i].known)
     }
 
     /// When `sw` first learned `event`, if it has.
@@ -144,15 +132,11 @@ impl NesDataPlane {
 
     /// The dense-state slot for `sw`, assigned on first contact.
     fn slot_of(&mut self, sw: u64) -> usize {
-        match self.switch_slot.get(&sw) {
-            Some(&i) => i as usize,
-            None => {
-                let i = self.local.len() as u32;
-                self.switch_slot.insert(sw, i);
-                self.local.push(self.blank);
-                i as usize
-            }
+        let slot = self.deployment.slot_of(sw);
+        if slot == self.local.len() {
+            self.local.push(self.blank);
         }
+        slot
     }
 
     fn learn(&mut self, sw: u64, events: EventSet, now: SimTime) {
@@ -181,11 +165,12 @@ impl NesDataPlane {
 impl DataPlane for NesDataPlane {
     /// IN stamp, trigger, per-tag forwarding, digest stamp — with the stamp
     /// read through a [`TaggedView`] and the table consulted through a
-    /// [`LocatedView`] (both zero-copy), an identity fast path for hops
-    /// that leave the packet's content unchanged (the steady state:
-    /// clone-free and allocation-free), and reused buffers for the rest.
-    /// The owned transcription of the same rules is `process_reference`,
-    /// which the per-hop proptests diff this against.
+    /// [`LocatedView`] (both zero-copy), then forwarded by the one table hop
+    /// every plane shares (`Hop::forward`: an identity fast path for hops
+    /// that leave the packet's content unchanged — the steady state, clone-
+    /// and allocation-free — and reused buffers for the rest), stamped with
+    /// the digest and tag. The owned transcription of the same rules is
+    /// `process_reference`, which the per-hop proptests diff this against.
     fn step(
         &mut self,
         sw: u64,
@@ -221,70 +206,14 @@ impl DataPlane for NesDataPlane {
         let Local { known, tag: current, .. } = self.local[slot];
 
         // SWITCH steps 3+4: forward under the stamped tag and stamp the
-        // outgoing digest. The table is consulted through a zero-copy
-        // [`LocatedView`] (packet + location + tag overlay), and when every
-        // effect of the hop is idempotent on the packet's content — the
-        // steady state: location fields are stripped from outputs anyway,
-        // the digest already carries everything this switch knows, the tag
-        // is unchanged — the output *is* the input id. Only
-        // content-changing hops materialize packets (in reused buffers,
-        // interned by reference).
+        // outgoing digest with everything this switch now knows. The table
+        // is consulted through a zero-copy [`LocatedView`] (packet +
+        // location + tag overlay).
         let tag = stamped.read(Field::Tag).unwrap_or(current);
-        let out_digest = digest.union(known).bits();
-        {
-            let view = LocatedView { base, loc, tag: Some(tag) };
-            if let Some(rule) = self.deployment.lookup_on(slot, tag, &view) {
-                if rule.actions.len() == 1 {
-                    let action = rule.actions.iter().next().expect("len 1");
-                    let mut out_pt = pt;
-                    let mut identity =
-                        base.get(Field::Switch).is_none() && base.get(Field::Port).is_none();
-                    for (f, v) in action.writes() {
-                        match f {
-                            // Location writes are stripped from outputs;
-                            // a port write only picks the egress port.
-                            Field::Switch => {}
-                            Field::Port => out_pt = v,
-                            f if base.get(f) != Some(v) => identity = false,
-                            _ => {}
-                        }
-                    }
-                    if identity
-                        && base.get(Field::Digest) == Some(out_digest)
-                        && base.get(Field::Tag) == Some(tag)
-                    {
-                        out.outputs.push((out_pt, packet));
-                    } else {
-                        let mut buf = std::mem::take(&mut self.out_buf);
-                        buf.clone_from(base);
-                        buf.take_loc();
-                        for (f, v) in action.writes() {
-                            if !f.is_location() {
-                                buf.set(f, v);
-                            }
-                        }
-                        buf.set(Field::Digest, out_digest);
-                        buf.set(Field::Tag, tag);
-                        out.outputs.push((out_pt, arena.intern_ref(&buf)));
-                        self.out_buf = buf;
-                    }
-                } else if !rule.actions.is_empty() {
-                    // Multicast (rare): materialize the lookup packet and
-                    // the same sorted, deduplicated output set
-                    // `ActionSet::apply` defines.
-                    let mut lookup = std::mem::take(&mut self.lookup_buf);
-                    lookup.clone_from(base);
-                    lookup.set_loc(loc);
-                    lookup.set(Field::Tag, tag);
-                    for mut cast in rule.actions.apply(&lookup) {
-                        let (_, out_pt) = cast.take_loc();
-                        cast.set(Field::Digest, out_digest);
-                        cast.set(Field::Tag, tag);
-                        out.outputs.push((out_pt.unwrap_or(pt), arena.intern(cast)));
-                    }
-                    self.lookup_buf = lookup;
-                }
-            }
+        let view = LocatedView { base, loc, tag: Some(tag) };
+        if let Some(rule) = self.deployment.lookup_on(slot, tag, &view) {
+            let stamp = (digest.union(known).bits(), tag);
+            self.hop.forward(rule, Some(stamp), loc, packet, arena, out);
         }
     }
 
@@ -313,19 +242,9 @@ impl DataPlane for NesDataPlane {
 
     /// Reports the compiled lookup index's fingerprint probe outcomes,
     /// summed over every index this plane instance drove, and the layout's
-    /// size: how many indexes over how many rules serve how many
-    /// `(switch, tag)` slots.
+    /// size.
     fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
-        let (hits, fallbacks) = self.deployment.lookup_stats();
-        reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_hits", hits);
-        reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_fallbacks", fallbacks);
-        // `Shard` scope, like the probe counters: the layout is a property
-        // of this build, not of the simulated run, and the `sim` section is
-        // compared whole across builds (`tests/plumbing_equivalence.rs`).
-        let (tables, rules, slots) = self.deployment.shape();
-        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.tables", tables as u64);
-        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.indexed_rules", rules as u64);
-        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.slots", slots as u64);
+        self.deployment.contribute_metrics(reg);
     }
 }
 
@@ -339,10 +258,10 @@ impl NesDataPlane {
         &mut self,
         sw: u64,
         pt: u64,
-        mut packet: Packet,
+        mut packet: netkat::Packet,
         from_host: bool,
         now: SimTime,
-    ) -> netsim::StepResult {
+    ) -> StepResult {
         // SWITCH step 1: union the packet's digest into local state.
         let digest = EventSet::from_bits(packet.get(Field::Digest).unwrap_or(0));
         self.learn(sw, digest, now);
@@ -373,23 +292,15 @@ impl NesDataPlane {
             Some(tag) => tag,
             None => self.effective_of(known).1,
         };
-        // The packet is not needed after the table application: locate and
-        // tag it in place instead of cloning a lookup copy.
-        let mut lookup = packet;
-        lookup.set_loc(Loc::new(sw, pt));
-        lookup.set(Field::Tag, tag);
-        let mut out = Vec::new();
-        if let Some(rule) = self.compiled.table(sw, tag).and_then(|t| t.lookup_on(&lookup)) {
-            rule.actions.apply_into(&lookup, &mut out);
-        }
-        let mut outputs = netsim::table_outputs(pt, out);
+        packet.set(Field::Tag, tag);
+        let mut outputs = table_reference(self.compiled.table(sw, tag), Loc::new(sw, pt), packet);
         for (_, out) in &mut outputs {
             // SWITCH step 4: the outgoing digest carries everything this
             // switch now knows.
             out.set(Field::Digest, digest.union(known).bits());
             out.set(Field::Tag, tag);
         }
-        netsim::StepResult { outputs, notifications }
+        StepResult { outputs, notifications }
     }
 }
 
@@ -398,7 +309,7 @@ mod tests {
     use super::*;
     use crate::hop_props::Stepper;
     use edn_core::{Config, Event, EventStructure, NetworkEventStructure};
-    use netkat::{Action, ActionSet, FlowTable, Match, Pred, Rule};
+    use netkat::{Action, ActionSet, FlowTable, Match, Packet, Pred, Rule};
 
     /// One switch (1): hosts at ports 2 (src) and 3 (dst).
     /// C∅ forwards 2→3; C{e0} also 3→2. Event e0: arrival of dst=300 at 1:2.

@@ -1,75 +1,110 @@
-//! The table layout: how a compiled NES's rules actually reach the data
-//! plane.
+//! The table layout and the one table hop: how a deployment's
+//! configurations actually reach the data plane.
 //!
 //! There is one layout (Section 4.1): every `(switch, tag)` slot answers
-//! from `g(set_of(tag)).table(sw)`, the dispatch on `(switch, tag)` *is* the
-//! tag guard, and no rule is rewritten or copied. What is compiled is one
-//! index per *prefix chain*: a switch's tables, in tag order, where each
-//! either extends the longest so far or is a prefix of it — the paper's own
-//! firewall (`[fwd(2,3)]` → `[fwd(2,3), fwd(3,2)]`), a campaign step that
-//! unblocks a host, and "this step left the switch alone" (the equal-length
-//! case) are all that shape. The chain's longest table is indexed once and a
-//! slot is `(index, len)`: the tag guard on rule *k* of a chain is the bound
-//! `k < len`, not a copy of the rule per tag
+//! from configuration `tag`'s table for the switch — `g(set_of(tag))` for an
+//! NES, the single configuration for the static plane — the dispatch on
+//! `(switch, tag)` *is* the tag guard, and no rule is rewritten or copied.
+//! What is compiled is one index per *prefix chain*: a switch's tables, in
+//! tag order, where each either extends the longest so far or is a prefix of
+//! it — the paper's own firewall (`[fwd(2,3)]` → `[fwd(2,3), fwd(3,2)]`), a
+//! campaign step that unblocks a host, and "this step left the switch alone"
+//! (the equal-length case) are all that shape. The chain's longest table is
+//! indexed once and a slot is `(index, len)`: the tag guard on rule *k* of a
+//! chain is the bound `k < len`, not a copy of the rule per tag
 //! ([`CompiledTable::lookup_within`]). The guarded rendering the paper
 //! installs on hardware is [`SwitchProgram`](crate::SwitchProgram), built on
 //! demand and pinned equal to this layout by this module's proptest. (The
 //! Section 5.3 rule-sharing optimizer is an offline artefact — the
 //! `rule-optimizer` crate, Fig. 17 — and was retired as a lookup-path
 //! layout after losing its trial; see ARCHITECTURE.md.)
+//!
+//! Every plane looks a packet up in a [`PerTagTables`] and hands the rule to
+//! [`Hop::forward`]; only the NES plane passes a stamp.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
-use netkat::{prefix_chains, CompiledTable, FieldReader, FlowTable, Rule};
-
-use crate::compile::CompiledNes;
+use edn_core::Config;
+use netkat::{
+    prefix_chains, CompiledTable, Field, FieldReader, FlowTable, FxBuildHasher, Loc, Packet,
+    PacketArena, PacketId, Rule,
+};
+use netsim::PlaneOut;
 
 /// The plane's dense switch order: the deployment list, then any switch
 /// only a configuration names, each once — so every installed table has a
 /// slot.
-pub(crate) fn dense_switches(nes: &CompiledNes, listed: &[u64]) -> Vec<u64> {
-    let installed =
-        (0..nes.tag_count() as u64).flat_map(|tag| nes.nes().config(nes.set_of(tag)).switches());
+pub(crate) fn dense_switches<'a>(
+    configs: impl Iterator<Item = &'a Config>,
+    listed: &[u64],
+) -> Vec<u64> {
+    let installed = configs.flat_map(Config::switches);
     let mut seen = BTreeSet::new();
     listed.iter().copied().chain(installed).filter(|&sw| seen.insert(sw)).collect()
 }
 
 /// The installed tables of one deployment: one [`CompiledTable`] per prefix
 /// chain of a switch's per-tag tables (see the module docs), compiled
-/// straight from the chain's longest `g(set_of(tag)).table(sw)`; no tag
-/// guard is written into the rules.
+/// straight from the chain's longest table; no tag guard is written into
+/// the rules.
 #[derive(Clone, Debug)]
 pub(crate) struct PerTagTables {
     /// One index per chain, over the chain's longest table.
     compiled: Vec<CompiledTable>,
     /// `slots[slot * tags + tag]` → `(index into compiled, how many of its
-    /// rules the tag's table holds)`, one row per dense switch slot of the
-    /// plane — a hop's dispatch is one multiply and two array reads, no tree
-    /// walk.
+    /// rules the tag's table holds)`, one row per dense switch slot — a
+    /// hop's dispatch is one multiply and two array reads, no tree walk.
     slots: Vec<(u32, u32)>,
-    /// Row width of `slots` (the NES's tag count).
+    /// Row width of `slots` (the number of configurations).
     tags: usize,
+    /// `switch id → dense slot`: the row of `slots`, and the index into a
+    /// plane's per-switch state. Switches outside the deployment are given
+    /// slots past every row on first contact ([`slot_of`](Self::slot_of)):
+    /// they have no tables, and their packets drop.
+    switch_slot: HashMap<u64, u32, FxBuildHasher>,
 }
 
 impl PerTagTables {
-    /// Builds the layout. `switches[slot]` is the switch the plane keeps
-    /// at dense slot `slot` (see [`dense_switches`]).
-    pub(crate) fn build(nes: &CompiledNes, switches: &[u64]) -> PerTagTables {
-        let tags = nes.tag_count();
+    /// Builds the layout of `configs`, in tag order, on the
+    /// [`dense_switches`] of `listed`.
+    pub(crate) fn build<'a>(
+        configs: impl Iterator<Item = &'a Config> + Clone,
+        listed: &[u64],
+    ) -> PerTagTables {
+        let switches = dense_switches(configs.clone(), listed);
+        let tags = configs.clone().count();
         let empty = FlowTable::new();
         let mut compiled: Vec<CompiledTable> = Vec::new();
         let mut slots = Vec::with_capacity(switches.len() * tags);
         let mut tables: Vec<&FlowTable> = Vec::with_capacity(tags);
-        for &sw in switches {
+        for &sw in &switches {
             tables.clear();
-            tables.extend((0..tags as u64).map(|tag| nes.table(sw, tag).unwrap_or(&empty)));
+            tables.extend(configs.clone().map(|config| config.table(sw).unwrap_or(&empty)));
             for (longest, members) in prefix_chains(&tables) {
                 let index = compiled.len() as u32;
                 slots.extend(tables[members].iter().map(|t| (index, t.len() as u32)));
                 compiled.push(longest.compile());
             }
         }
-        PerTagTables { compiled, slots, tags }
+        let switch_slot = switches.iter().enumerate().map(|(i, &sw)| (sw, i as u32)).collect();
+        PerTagTables { compiled, slots, tags, switch_slot }
+    }
+
+    /// How many switches have a row.
+    pub(crate) fn rows(&self) -> usize {
+        self.slots.len() / self.tags
+    }
+
+    /// The dense slot of `sw`, if it has one.
+    pub(crate) fn slot(&self, sw: u64) -> Option<usize> {
+        self.switch_slot.get(&sw).map(|&i| i as usize)
+    }
+
+    /// The dense slot of `sw`, assigned on first contact: the next slot
+    /// past every one given out so far.
+    pub(crate) fn slot_of(&mut self, sw: u64) -> usize {
+        let next = self.switch_slot.len() as u32;
+        *self.switch_slot.entry(sw).or_insert(next) as usize
     }
 
     /// The forwarding rule for a packet at dense switch slot `slot` under
@@ -88,26 +123,120 @@ impl PerTagTables {
         self.compiled[index as usize].lookup_within(len as usize, view)
     }
 
-    /// Summed fingerprint probe outcomes of every compiled index.
-    pub(crate) fn lookup_stats(&self) -> (u64, u64) {
-        self.compiled
+    /// Reports the compiled indexes' fingerprint probe outcomes, summed over
+    /// every index, and the layout's size: how many indexes over how many
+    /// rules serve how many `(switch, tag)` slots.
+    pub(crate) fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
+        let (hits, fallbacks) = self
+            .compiled
             .iter()
             .map(CompiledTable::lookup_stats)
-            .fold((0, 0), |(h, f), (dh, df)| (h + dh, f + df))
+            .fold((0, 0), |(h, f), (dh, df)| (h + dh, f + df));
+        reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_hits", hits);
+        reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_fallbacks", fallbacks);
+        // `Shard` scope, like the probe counters: the layout is a property
+        // of this build, not of the simulated run, and the `sim` section is
+        // compared whole across builds (`tests/plumbing_equivalence.rs`).
+        let rules: usize = self.compiled.iter().map(CompiledTable::len).sum();
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.tables", self.compiled.len() as u64);
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.indexed_rules", rules as u64);
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.slots", self.slots.len() as u64);
     }
+}
 
-    /// The layout's size: `(compiled indexes, rules they index, (switch,
-    /// tag) slots they serve)`.
-    pub(crate) fn shape(&self) -> (usize, usize, usize) {
-        (self.compiled.len(), self.compiled.iter().map(CompiledTable::len).sum(), self.slots.len())
+/// The one table hop, and the buffers it builds a multicast's lookup packet
+/// and a content-changing hop's output in instead of allocating per hop.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Hop {
+    lookup_buf: Packet,
+    out_buf: Packet,
+}
+
+impl Hop {
+    /// Forwards `packet`, arrived at `loc`, under the `rule` its lookup
+    /// found, appending the outputs to `out`: each leaves on the port its
+    /// action wrote (the ingress port if none), with the location fields
+    /// stripped. A `stamp` `(digest, tag)` — the NES plane's SWITCH step 4 —
+    /// is written into every output; the lookup that found `rule` read `tag`
+    /// as the packet's tag.
+    ///
+    /// When the hop's single action changes nothing the output keeps — the
+    /// steady state: location writes are stripped anyway, and the stamp
+    /// already carries what the switch knows — the output *is* the input
+    /// id: nothing is copied or interned.
+    pub(crate) fn forward(
+        &mut self,
+        rule: &Rule,
+        stamp: Option<(u64, u64)>,
+        loc: Loc,
+        packet: PacketId,
+        arena: &mut PacketArena,
+        out: &mut PlaneOut,
+    ) {
+        let base = arena.get(packet);
+        if rule.actions.len() == 1 {
+            let action = rule.actions.iter().next().expect("len 1");
+            let mut out_pt = loc.pt;
+            let mut identity = base.get(Field::Switch).is_none() && base.get(Field::Port).is_none();
+            for (f, v) in action.writes() {
+                match f {
+                    // Location writes are stripped from outputs; a port
+                    // write only picks the egress port.
+                    Field::Switch => {}
+                    Field::Port => out_pt = v,
+                    f if base.get(f) != Some(v) => identity = false,
+                    _ => {}
+                }
+            }
+            if let Some((digest, tag)) = stamp {
+                identity = identity
+                    && base.get(Field::Digest) == Some(digest)
+                    && base.get(Field::Tag) == Some(tag);
+            }
+            if identity {
+                out.outputs.push((out_pt, packet));
+                return;
+            }
+            let buf = &mut self.out_buf;
+            buf.clone_from(base);
+            buf.take_loc();
+            for (f, v) in action.writes() {
+                if !f.is_location() {
+                    buf.set(f, v);
+                }
+            }
+            if let Some((digest, tag)) = stamp {
+                buf.set(Field::Digest, digest);
+                buf.set(Field::Tag, tag);
+            }
+            out.outputs.push((out_pt, arena.intern_ref(buf)));
+        } else if !rule.actions.is_empty() {
+            // Multicast (rare): materialize the lookup packet and the same
+            // sorted, deduplicated output set `ActionSet::apply` defines.
+            let lookup = &mut self.lookup_buf;
+            lookup.clone_from(base);
+            lookup.set_loc(loc);
+            if let Some((_, tag)) = stamp {
+                lookup.set(Field::Tag, tag);
+            }
+            for mut cast in rule.actions.apply(lookup) {
+                let (_, out_pt) = cast.take_loc();
+                if let Some((digest, tag)) = stamp {
+                    cast.set(Field::Digest, digest);
+                    cast.set(Field::Tag, tag);
+                }
+                out.outputs.push((out_pt.unwrap_or(loc.pt), arena.intern(cast)));
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edn_core::{Config, Event, EventId, EventSet, EventStructure, NetworkEventStructure};
-    use netkat::{Action, ActionSet, Field, Loc, Match, Packet, Pred};
+    use crate::compile::CompiledNes;
+    use edn_core::{Event, EventId, EventSet, EventStructure, NetworkEventStructure};
+    use netkat::{Action, ActionSet, Match, Pred};
 
     /// The firewall NES used across the runtime tests: one switch, two
     /// hosts, a reply rule unlocked by e0.
@@ -143,9 +272,9 @@ mod tests {
     /// The layout returns the rule `g(set_of(tag)).table(sw)` picks for
     /// every `(port, dst, tag)` the firewall distinguishes.
     #[test]
-    fn all_layouts_forward_identically() {
+    fn the_layout_picks_each_tags_own_rule() {
         let nes = CompiledNes::compile(firewall_nes());
-        let layout = PerTagTables::build(&nes, &[1]);
+        let layout = PerTagTables::build(nes.configs(), &[1]);
         for tag in 0..nes.tag_count() as u64 {
             for pt in [2u64, 3, 9] {
                 for dst in [200u64, 300, 7] {
@@ -171,7 +300,7 @@ mod tests {
         pk.set(Field::Tag, 0);
         let mut bad_tag = pk.clone();
         bad_tag.set(Field::Tag, 99);
-        let layout = PerTagTables::build(&nes, &[1]);
+        let layout = PerTagTables::build(nes.configs(), &[1]);
         // A switch outside the deployment gets the plane's next free slot,
         // past every row.
         assert!(layout.lookup_on(1, 0, &pk).is_none(), "unknown switch");
@@ -185,11 +314,10 @@ mod tests {
     fn layout_introspection_reports_the_expected_shape() {
         let nes = CompiledNes::compile(firewall_nes());
         // Slot 1 is a listed switch no configuration installs a table on.
-        let per_tag = PerTagTables::build(&nes, &[1, 2]);
+        let per_tag = PerTagTables::build(nes.configs(), &[1, 2]);
         assert_eq!(per_tag.compiled.len(), 2, "switch 1's chain + switch 2's shared empty");
         assert_eq!(per_tag.slots, vec![(0, 1), (0, 2), (1, 0), (1, 0)]);
         assert_eq!(per_tag.compiled[0].len(), 2, "the chain's longest member is what is indexed");
-        assert_eq!(per_tag.shape(), (2, 2, 4));
     }
 
     /// An event that *removes* and *reinstalls* switches: the per-tag
@@ -216,9 +344,9 @@ mod tests {
             )
             .unwrap(),
         );
-        let switches = dense_switches(&nes, &[]);
+        let switches = dense_switches(nes.configs(), &[]);
         assert_eq!(switches, vec![1, 2], "configuration-only switches get slots");
-        let per_tag = PerTagTables::build(&nes, &switches);
+        let per_tag = PerTagTables::build(nes.configs(), &[]);
         for tag in [0u64, 1] {
             for (slot, &sw) in switches.iter().enumerate() {
                 let mut pk = Packet::new();
@@ -242,8 +370,8 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::campaign::{campaign_nes, campaign_pred, CampaignStep};
-    use edn_core::Config;
-    use netkat::{Action, ActionSet, Field, Loc, LocatedView, Match, Packet};
+    use crate::compile::CompiledNes;
+    use netkat::{Action, ActionSet, LocatedView, Match};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -377,8 +505,8 @@ mod proptests {
             ),
         ) {
             let nes = chain_nes(tables, steps);
-            let switches = dense_switches(&nes, &listed);
-            let deployment = PerTagTables::build(&nes, &switches);
+            let switches = dense_switches(nes.configs(), &listed);
+            let deployment = PerTagTables::build(nes.configs(), &listed);
             let tags = nes.tag_count() as u64;
             prop_assert_eq!(deployment.compiled.len(), chain_count(&nes, &switches));
             prop_assert_eq!(deployment.slots.len(), switches.len() * tags as usize);

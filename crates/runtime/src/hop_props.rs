@@ -1,21 +1,54 @@
-//! Per-hop differential proptests: the arena-native `step` of the two
-//! table-driven planes (compiled index, zero-copy views) against their
-//! owned Fig. 7 transcriptions (`process_reference`, the linear
+//! Per-hop differential proptests: the arena-native `step` of the three
+//! planes (compiled index, zero-copy views, the one shared table hop)
+//! against their owned transcriptions (`process_reference`, the linear
 //! `FlowTable::lookup_on` scan of the specification's own tables), hop by
 //! hop, over every rule shape a hop can hit — single action (identity and
 //! content-changing), location writes, multicast, explicit drop, no rule —
 //! and packets carrying digests, tags and stray location fields. This is
 //! where the index answers to the spec. Also home of [`Stepper`], the
-//! harness this crate's unit tests drive `step` through.
+//! harness this crate's unit tests drive `step` through, and of the owned
+//! [`StepResult`] form the transcriptions return.
 
 use edn_core::{Config, Event, EventId, EventSet, EventStructure, NetworkEventStructure};
 use netkat::{Action, ActionSet, Field, FlowTable, Loc, Match, Packet, PacketArena, Pred, Rule};
-use netsim::{DataPlane, PlaneOut, SimTime, StepResult};
+use netsim::{CtrlMsg, DataPlane, PlaneOut, SimTime};
 use proptest::prelude::*;
 
 use crate::compile::CompiledNes;
 use crate::dataplane::NesDataPlane;
 use crate::static_plane::StaticDataPlane;
+use crate::uncoordinated::UncoordDataPlane;
+
+/// What one switch step produced, in owned form: `(out port, packet)`
+/// outputs (none: dropped) and messages to the controller.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub(crate) struct StepResult {
+    pub(crate) outputs: Vec<(u64, Packet)>,
+    pub(crate) notifications: Vec<CtrlMsg>,
+}
+
+/// The owned table hop the shared one answers to: `packet`, located at
+/// `loc`, looked up in `table` by the linear `FlowTable::lookup_on` scan and
+/// its rule's actions applied. Each output leaves on the port its actions
+/// wrote (the ingress port if none) with the location fields stripped:
+/// links, not tables, decide the next location.
+pub(crate) fn table_reference(
+    table: Option<&FlowTable>,
+    loc: Loc,
+    mut packet: Packet,
+) -> Vec<(u64, Packet)> {
+    packet.set_loc(loc);
+    let mut out = Vec::new();
+    if let Some(rule) = table.and_then(|t| t.lookup_on(&packet)) {
+        rule.actions.apply_into(&packet, &mut out);
+    }
+    out.into_iter()
+        .map(|mut pk| {
+            let (_, pt) = pk.take_loc();
+            (pt.unwrap_or(loc.pt), pk)
+        })
+        .collect()
+}
 
 /// Drives a plane's [`DataPlane::step`] on owned packets — interning the
 /// input into the one arena the plane is ever stepped against, resolving the
@@ -177,6 +210,26 @@ proptest! {
             reference.process_reference(sw, pt, pk)
         })?;
     }
+
+    /// The pushes land first, so the switches forward under different
+    /// stale configurations — switch 3, which no configuration installs a
+    /// table on, included.
+    #[test]
+    fn uncoordinated_step_matches_owned_reference(
+        pushes in proptest::collection::vec((1u64..4, 0u64..3), 0..6),
+        hops in proptest::collection::vec(arb_hop(), 1..16),
+    ) {
+        let nes = CompiledNes::compile(hop_nes());
+        let mut fast = UncoordDataPlane::new(nes, vec![1, 2, 3], SimTime::ZERO, 0);
+        let mut out = PlaneOut::default();
+        for (sw, tag) in pushes {
+            fast.deliver(sw, CtrlMsg::SetConfig(tag), SimTime::ZERO, &mut out);
+        }
+        let reference = fast.clone();
+        assert_hops_agree(&hops, &mut fast, |sw, pt, pk, _, _| {
+            reference.process_reference(sw, pt, pk)
+        })?;
+    }
 }
 
 /// `netkat`'s fingerprint mixer (`flowindex::fp_mix`) and its inverse,
@@ -215,7 +268,7 @@ mod mixer {
 
 /// A hop whose packet view fingerprints exactly like an installed
 /// `(port, ip_dst)` rule while matching none: only the verification a
-/// one-field segment is allowed to skip tells them apart. Both planes must
+/// one-field segment is allowed to skip tells them apart. Every plane must
 /// fall back to the run's scan and drop, as the reference does.
 #[test]
 fn a_two_field_fingerprint_collision_is_decided_by_the_scan() {
@@ -251,11 +304,17 @@ fn a_two_field_fingerprint_collision_is_decided_by_the_scan() {
     let nes =
         NetworkEventStructure::new(EventStructure::new(vec![], []), [(EventSet::empty(), config)])
             .expect("one configuration");
-    let mut fast = NesDataPlane::new(CompiledNes::compile(nes), vec![1], false);
+    let compiled = CompiledNes::compile(nes);
+    let mut fast = NesDataPlane::new(compiled.clone(), vec![1], false);
     let mut reference = fast.clone();
     assert_hops_agree(&hops, &mut fast, |sw, pt, pk, h, now| {
         reference.process_reference(sw, pt, pk, h, now)
     })
     .expect("NES plane agrees");
     assert_eq!(probe_outcomes(&fast), (Some(1), Some(1)), "one hit, one fallback");
+
+    let mut fast = UncoordDataPlane::new(compiled, vec![1], SimTime::ZERO, 0);
+    let reference = fast.clone();
+    assert_hops_agree(&hops, &mut fast, |sw, pt, pk, _, _| reference.process_reference(sw, pt, pk))
+        .expect("uncoordinated plane agrees");
 }

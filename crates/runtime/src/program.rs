@@ -101,7 +101,7 @@ impl CompiledNes {
 
     /// Every switch's program.
     pub fn switch_programs(&self) -> Vec<SwitchProgram> {
-        let mut switches = crate::deploy::dense_switches(self, &[]);
+        let mut switches = crate::deploy::dense_switches(self.configs(), &[]);
         switches.sort_unstable();
         switches.into_iter().map(|sw| self.switch_program(sw)).collect()
     }

@@ -6,23 +6,27 @@
 //! the push it keeps forwarding under its stale configuration: no tags, no
 //! digests, no consistency.
 
-use std::collections::BTreeMap;
-
 use edn_core::EventSet;
-use netkat::{Loc, Packet, PacketArena, PacketId};
-use netsim::{step_owned, table_outputs, CtrlMsg, DataPlane, PlaneOut, SimTime, StepResult};
+use netkat::{Loc, LocatedView, PacketArena, PacketId};
+use netsim::{CtrlMsg, DataPlane, PlaneOut, SimTime};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::compile::CompiledNes;
+use crate::deploy::{Hop, PerTagTables};
+#[cfg(test)]
+use crate::hop_props::{table_reference, StepResult};
 
 /// The uncoordinated baseline data plane.
 #[derive(Clone, Debug)]
 pub struct UncoordDataPlane {
     compiled: CompiledNes,
-    /// Per-switch currently-installed tag.
-    current: BTreeMap<u64, u64>,
+    /// Every configuration's tables, in tag order: the layout every plane
+    /// forwards through.
+    deployment: PerTagTables,
+    /// Per-switch currently-installed tag, by the deployment's dense slot.
+    current: Vec<u64>,
     /// The controller's event view.
     controller: EventSet,
     /// Extra delay before pushing updated configurations.
@@ -31,6 +35,7 @@ pub struct UncoordDataPlane {
     jitter: SimTime,
     switches: Vec<u64>,
     rng: StdRng,
+    hop: Hop,
 }
 
 impl UncoordDataPlane {
@@ -42,54 +47,31 @@ impl UncoordDataPlane {
         update_delay: SimTime,
         seed: u64,
     ) -> UncoordDataPlane {
-        let current = switches.iter().map(|&s| (s, 0)).collect();
+        let deployment = PerTagTables::build(compiled.configs(), &switches);
         UncoordDataPlane {
+            current: vec![0; deployment.rows()],
             compiled,
-            current,
+            deployment,
             controller: EventSet::empty(),
             update_delay,
             jitter: SimTime::from_millis(20),
             switches,
             rng: StdRng::seed_from_u64(seed),
+            hop: Hop::default(),
         }
     }
 
     /// The tag a switch currently runs.
     pub fn current_tag(&self, sw: u64) -> u64 {
-        self.current.get(&sw).copied().unwrap_or(0)
-    }
-
-    /// One switch step on an owned packet (the baseline is off every hot
-    /// path, so it stays in owned form behind [`step_owned`]).
-    fn process(&self, sw: u64, pt: u64, packet: Packet) -> StepResult {
-        // Event detection: matching arrivals are punted to the controller
-        // (it decides whether they constitute state transitions).
-        let loc = Loc::new(sw, pt);
-        let mut notifications = Vec::new();
-        let mut matched = EventSet::empty();
-        for event in self.compiled.nes().events() {
-            if event.matches(&packet, loc) {
-                matched = matched.insert(event.id);
-            }
-        }
-        if !matched.is_empty() {
-            notifications.push(CtrlMsg::Events(matched.bits()));
-        }
-        // Forwarding under the stale per-switch configuration.
-        let tag = self.current_tag(sw);
-        let config = self.compiled.nes().config(self.compiled.set_of(tag));
-        let mut lookup = packet;
-        lookup.set_loc(loc);
-        let Some(table) = config.table(sw) else {
-            return StepResult { outputs: Vec::new(), notifications };
-        };
-        let mut out = Vec::new();
-        table.apply_into(&lookup, &mut out);
-        StepResult { outputs: table_outputs(pt, out), notifications }
+        self.deployment.slot(sw).map_or(0, |slot| self.current[slot])
     }
 }
 
 impl DataPlane for UncoordDataPlane {
+    /// Punts every event-matching arrival to the controller, then forwards
+    /// under the switch's stale configuration: a zero-copy [`LocatedView`]
+    /// lookup under its current tag, forwarded by the table hop every plane
+    /// shares, unstamped. The owned transcription is `process_reference`.
     fn step(
         &mut self,
         sw: u64,
@@ -100,7 +82,19 @@ impl DataPlane for UncoordDataPlane {
         arena: &mut PacketArena,
         out: &mut PlaneOut,
     ) {
-        step_owned(packet, arena, out, |pk| self.process(sw, pt, pk));
+        // Event detection: matching arrivals are punted to the controller
+        // (it decides whether they constitute state transitions).
+        let loc = Loc::new(sw, pt);
+        let base = arena.get(packet);
+        let matched = self.compiled.matching_on(base, loc);
+        if !matched.is_empty() {
+            out.notifications.push(CtrlMsg::Events(matched.bits()));
+        }
+        let Some(slot) = self.deployment.slot(sw) else { return };
+        let view = LocatedView { base, loc, tag: None };
+        if let Some(rule) = self.deployment.lookup_on(slot, self.current[slot], &view) {
+            self.hop.forward(rule, None, loc, packet, arena, out);
+        }
     }
 
     fn on_notify(&mut self, msg: CtrlMsg, _now: SimTime, out: &mut PlaneOut) {
@@ -127,17 +121,34 @@ impl DataPlane for UncoordDataPlane {
     }
 
     fn deliver(&mut self, sw: u64, msg: CtrlMsg, _now: SimTime, _out: &mut PlaneOut) {
-        if let CtrlMsg::SetConfig(tag) = msg {
-            self.current.insert(sw, tag);
+        if let (CtrlMsg::SetConfig(tag), Some(slot)) = (msg, self.deployment.slot(sw)) {
+            self.current[slot] = tag;
         }
+    }
+}
+
+/// The owned transcription of the baseline's switch step — the per-hop
+/// executable specification [`step`](DataPlane::step) answers to: the
+/// linear `FlowTable::lookup_on` scan of the stale configuration's own
+/// table, never the compiled index.
+#[cfg(test)]
+impl UncoordDataPlane {
+    pub(crate) fn process_reference(&self, sw: u64, pt: u64, packet: netkat::Packet) -> StepResult {
+        let loc = Loc::new(sw, pt);
+        let matched = self.compiled.matching_on(&packet, loc);
+        let notifications =
+            if matched.is_empty() { Vec::new() } else { vec![CtrlMsg::Events(matched.bits())] };
+        let config = self.compiled.nes().config(self.compiled.set_of(self.current_tag(sw)));
+        StepResult { outputs: table_reference(config.table(sw), loc, packet), notifications }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hop_props::Stepper;
     use edn_core::{Config, Event, EventId, EventStructure, NetworkEventStructure};
-    use netkat::{Action, ActionSet, Field, FlowTable, Match, Pred, Rule};
+    use netkat::{Action, ActionSet, Field, FlowTable, Match, Packet, Pred, Rule};
 
     fn firewall_nes() -> NetworkEventStructure {
         let mk = |rules: Vec<Rule>| {
@@ -170,14 +181,15 @@ mod tests {
 
     #[test]
     fn stale_config_until_push_arrives() {
+        let mut st = Stepper::default();
         let compiled = CompiledNes::compile(firewall_nes());
         let mut dp = UncoordDataPlane::new(compiled, vec![1], SimTime::from_millis(500), 42);
         // Trigger packet: forwarded AND notified.
-        let r = dp.process(1, 2, Packet::new().with(Field::IpDst, 300));
+        let r = st.step(&mut dp, 1, 2, Packet::new().with(Field::IpDst, 300), true, SimTime::ZERO);
         assert_eq!(r.outputs.len(), 1);
         assert_eq!(r.notifications.len(), 1);
         // Reply direction still dropped — the switch has not been updated.
-        let r = dp.process(1, 3, Packet::new().with(Field::IpDst, 200));
+        let r = st.step(&mut dp, 1, 3, Packet::new().with(Field::IpDst, 200), true, SimTime::ZERO);
         assert!(r.outputs.is_empty());
         // Controller schedules a delayed push.
         let mut out = PlaneOut::default();
@@ -188,7 +200,8 @@ mod tests {
         dp.deliver(sw, msg, SimTime::from_millis(600), &mut out);
         assert_eq!(dp.current_tag(1), 1);
         // Now replies flow.
-        let r = dp.process(1, 3, Packet::new().with(Field::IpDst, 200));
+        let now = SimTime::from_millis(600);
+        let r = st.step(&mut dp, 1, 3, Packet::new().with(Field::IpDst, 200), true, now);
         assert_eq!(r.outputs.len(), 1);
     }
 

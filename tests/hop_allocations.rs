@@ -35,15 +35,22 @@
 //! erased packets in a pool that stops at the in-flight high-water mark, and
 //! a hop that changes no header shares its parent's pool entry instead of
 //! copying.
+//!
+//! A third leg streams the same datagrams through the uncoordinated baseline
+//! (`uncoordinated_engine`): it forwards through the same table layout and
+//! the same hop as the NES plane, unstamped, so it costs the same two. (When
+//! it cloned every packet into an owned copy and scanned the configuration's
+//! table, it read 25.75.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use edn_core::TraceMode;
 use edn_topo::{attach_stream, fat_tree, synthesize, TierProfile, TrafficPattern, Workload};
-use nes_runtime::{attach_online_checker, nes_engine};
-use netsim::traffic::udp_packet;
-use netsim::{SimParams, SimTime, SinkHosts, StatsMode};
+use nes_runtime::{attach_online_checker, nes_engine, uncoordinated_engine};
+use netkat::Packet;
+use netsim::traffic::{udp_packet, UdpFlowSpec};
+use netsim::{DataPlane, Engine, RunResult, SimParams, SimTime, SinkHosts, StatsMode};
 
 thread_local! {
     /// Allocations made by this thread (no destructor, so the allocator may
@@ -79,10 +86,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// The plane a stream runs through: the NES runtime, bare or under the
+/// online checker, or the uncoordinated baseline.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Leg {
+    Nes,
+    Verified,
+    Uncoordinated,
+}
+
 /// Streams `per_flow` datagrams down each flow of a fat-tree(4) permutation
-/// through the firewall NES, under the online checker if `verified`; returns
-/// `(allocations during run, datagrams injected)`.
-fn stream(per_flow: u64, verified: bool) -> (u64, u64) {
+/// through the firewall NES on `leg`'s plane; returns `(allocations during
+/// run, datagrams injected)`.
+fn stream(per_flow: u64, leg: Leg) -> (u64, u64) {
     let gen = fat_tree(4, TierProfile::default());
     let flows = synthesize(
         &gen,
@@ -97,24 +113,31 @@ fn stream(per_flow: u64, verified: bool) -> (u64, u64) {
     let horizon = flows.iter().map(|f| f.end).max().expect("flows") + SimTime::from_secs(1);
     let (inside, outside) = (gen.hosts()[0], *gen.hosts().last().expect("hosts"));
     let nes = edn_apps::generated::firewall_nes(&gen, inside, outside);
+    let trigger = udp_packet(inside, outside, u64::MAX, 0);
+    if leg == Leg::Uncoordinated {
+        let engine = uncoordinated_engine(
+            nes,
+            gen.sim().clone(),
+            SimParams::default(),
+            SimTime::from_millis(10),
+            2016,
+            Box::new(SinkHosts),
+        );
+        let (spent, datagrams, result) = run(engine, &flows, (inside, trigger), horizon);
+        let opened = gen.sim().switches().iter().all(|&sw| result.dataplane.current_tag(sw) == 1);
+        assert!(opened, "the controller pushed the open configuration everywhere");
+        return (spent, datagrams);
+    }
     let mut engine = nes_engine(
         nes.clone(),
         gen.sim().clone(),
         SimParams::default(),
         false,
         Box::new(SinkHosts),
-    )
-    .with_trace_mode(TraceMode::StatsOnly)
-    .with_stats_mode(StatsMode::Counters);
-    let handle =
-        verified.then(|| attach_online_checker(&mut engine, &nes).expect("two configurations"));
-    let datagrams = attach_stream(&mut engine, &flows);
-    engine.inject_at(SimTime::from_millis(5), inside, udp_packet(inside, outside, u64::MAX, 0));
-    let before = ALLOCATIONS.with(Cell::get);
-    engine.run(horizon);
-    let spent = ALLOCATIONS.with(Cell::get) - before;
-    let result = engine.finish();
-    assert_eq!(result.stats.injected, datagrams + 1, "every datagram and the trigger entered");
+    );
+    let handle = (leg == Leg::Verified)
+        .then(|| attach_online_checker(&mut engine, &nes).expect("two configurations"));
+    let (spent, datagrams, result) = run(engine, &flows, (inside, trigger), horizon);
     assert_eq!(result.dataplane.fired_sequence().len(), 1, "the firewall opened");
     if let Some(handle) = handle {
         assert_eq!(handle.verdict(), Ok(()), "the run ends `correct`");
@@ -132,17 +155,39 @@ fn stream(per_flow: u64, verified: bool) -> (u64, u64) {
     (spent, datagrams)
 }
 
+/// Runs `flows` and the firewall's `trigger` from its host on the
+/// benchmark's `stream_*` recording (stats only, counters only) to
+/// `horizon`; returns `(allocations during the run, datagrams injected,
+/// the run)`.
+fn run<D: DataPlane>(
+    engine: Engine<D>,
+    flows: &[UdpFlowSpec],
+    trigger: (u64, Packet),
+    horizon: SimTime,
+) -> (u64, u64, RunResult<D>) {
+    let mut engine =
+        engine.with_trace_mode(TraceMode::StatsOnly).with_stats_mode(StatsMode::Counters);
+    let datagrams = attach_stream(&mut engine, flows);
+    engine.inject_at(SimTime::from_millis(5), trigger.0, trigger.1);
+    let before = ALLOCATIONS.with(Cell::get);
+    engine.run(horizon);
+    let spent = ALLOCATIONS.with(Cell::get) - before;
+    let result = engine.finish();
+    assert_eq!(result.stats.injected, datagrams + 1, "every datagram and the trigger entered");
+    (spent, datagrams, result)
+}
+
 /// Allocations per datagram in steady state: a run of `2 * n` per flow less
 /// a run of `n`, over the datagrams the long run streams more.
-fn per_datagram(n: u64, verified: bool) -> f64 {
-    let (small, small_datagrams) = stream(n, verified);
-    let (large, large_datagrams) = stream(2 * n, verified);
-    assert_eq!(stream(n, verified).0, small, "the allocation count repeats exactly");
+fn per_datagram(n: u64, leg: Leg) -> f64 {
+    let (small, small_datagrams) = stream(n, leg);
+    let (large, large_datagrams) = stream(2 * n, leg);
+    assert_eq!(stream(n, leg).0, small, "the allocation count repeats exactly");
     let datagrams = large_datagrams - small_datagrams;
     assert!(datagrams >= 16 * n, "the long run streams {datagrams} datagrams more");
     let per_datagram = (large - small) as f64 / datagrams as f64;
     println!(
-        "verified = {verified}: {per_datagram:.2} allocations a datagram \
+        "{leg:?}: {per_datagram:.2} allocations a datagram \
          ({small} at {small_datagrams} datagrams, {large} at {large_datagrams})"
     );
     per_datagram
@@ -153,15 +198,19 @@ fn per_datagram(n: u64, verified: bool) -> f64 {
 const N: u64 = 400;
 
 #[test]
-fn a_streamed_datagram_costs_at_most_three_allocations() {
-    // The name is PR 16's (the bound was 3.0 while calendar buckets still
-    // grew); the bound is the source's own two.
-    let unchecked = per_datagram(N, false);
+fn a_streamed_datagram_costs_at_most_two_allocations() {
+    let unchecked = per_datagram(N, Leg::Nes);
     assert!(unchecked <= 2.0, "a datagram costs {unchecked:.2} allocations in steady state");
 }
 
 #[test]
 fn checking_a_streamed_datagram_allocates_nothing() {
-    let (unchecked, verified) = (per_datagram(N, false), per_datagram(N, true));
+    let (unchecked, verified) = (per_datagram(N, Leg::Nes), per_datagram(N, Leg::Verified));
     assert_eq!(verified, unchecked, "the checker adds allocations to a datagram's hops");
+}
+
+#[test]
+fn the_uncoordinated_baseline_costs_at_most_two_allocations_a_datagram() {
+    let baseline = per_datagram(N, Leg::Uncoordinated);
+    assert!(baseline <= 2.0, "a baseline datagram costs {baseline:.2} allocations");
 }
