@@ -1,5 +1,5 @@
-//! Steady-state regression: a streamed datagram's hops must not go back to
-//! the allocator.
+//! Steady-state regression: a streamed datagram must not go back to the
+//! allocator, neither at its source nor on its hops.
 //!
 //! A counting `#[global_allocator]` (as in `deploy_allocations.rs`) watches
 //! `Engine::run` on the benchmark's `stream_*` shape — the generated
@@ -7,16 +7,17 @@
 //! with `StatsMode::Counters` — once at `N` and once at `2N` datagrams per
 //! flow. Differencing the two runs cancels everything paid once (slab,
 //! the calendar's ring and side array, arena and trace warm-up, the
-//! firewall trigger) and leaves the allocations a datagram costs on its way
-//! across the fabric.
+//! firewall trigger) and leaves the allocations a datagram costs from its
+//! source across the fabric.
 //!
-//! What remains per datagram is exactly **2 — the source builds an owned
-//! `Packet`**: `udp_packet` starts a field vector and grows it once on the
-//! way to six headers. The arena takes that vector over (`intern` moves it
-//! into the slot), so entering the arena is free; the build is the source's
-//! own and is expected. The calendar adds nothing: its buckets are lists
-//! threaded through a per-slot array that stops growing at the queue's
-//! high-water mark (per-bucket vectors used to add ≈ 0.13).
+//! What remains per datagram is **nothing**. The source writes each
+//! datagram's headers into one buffer the engine keeps for the whole run,
+//! and the engine copies that buffer into a recycled arena slot's kept
+//! vector (`intern_ref`). When the source built an owned `Packet` per
+//! datagram instead — a field vector started and grown once on the way to
+//! six headers — this read 2.00. The calendar adds nothing: its buckets
+//! are lists threaded through a per-slot array that stops growing at the
+//! queue's high-water mark (per-bucket vectors used to add ≈ 0.13).
 //!
 //! The ingress hop's stamped output (tag and digest added) is copied into a
 //! recycled slot's kept buffer, and every later hop forwards that id
@@ -29,7 +30,7 @@
 //! cloned into a `Drop` record `StatsMode::Counters` then threw away.
 //!
 //! A second leg attaches the online Definition 6 checker to the same stream
-//! and differences it the same way: the checker adds **nothing** to the two.
+//! and differences it the same way: the checker adds **nothing** either.
 //! Its trace nodes live in a ring indexed by record index, which stops
 //! growing once it holds the widest span of record indices live at once, its
 //! erased packets in a pool that stops at the in-flight high-water mark, and
@@ -38,9 +39,9 @@
 //!
 //! A third leg streams the same datagrams through the uncoordinated baseline
 //! (`uncoordinated_engine`): it forwards through the same table layout and
-//! the same hop as the NES plane, unstamped, so it costs the same two. (When
-//! it cloned every packet into an owned copy and scanned the configuration's
-//! table, it read 25.75.)
+//! the same hop as the NES plane, unstamped, so it allocates nothing either.
+//! (When it cloned every packet into an owned copy and scanned the
+//! configuration's table, it read 25.75.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -198,19 +199,19 @@ fn per_datagram(n: u64, leg: Leg) -> f64 {
 const N: u64 = 400;
 
 #[test]
-fn a_streamed_datagram_costs_at_most_two_allocations() {
+fn a_streamed_datagram_costs_no_allocation() {
     let unchecked = per_datagram(N, Leg::Nes);
-    assert!(unchecked <= 2.0, "a datagram costs {unchecked:.2} allocations in steady state");
+    assert_eq!(unchecked, 0.0, "a datagram costs {unchecked:.2} allocations in steady state");
 }
 
 #[test]
 fn checking_a_streamed_datagram_allocates_nothing() {
-    let (unchecked, verified) = (per_datagram(N, Leg::Nes), per_datagram(N, Leg::Verified));
-    assert_eq!(verified, unchecked, "the checker adds allocations to a datagram's hops");
+    let verified = per_datagram(N, Leg::Verified);
+    assert_eq!(verified, 0.0, "a checked datagram costs {verified:.2} allocations");
 }
 
 #[test]
-fn the_uncoordinated_baseline_costs_at_most_two_allocations_a_datagram() {
+fn the_uncoordinated_baseline_costs_no_allocation_a_datagram() {
     let baseline = per_datagram(N, Leg::Uncoordinated);
-    assert!(baseline <= 2.0, "a baseline datagram costs {baseline:.2} allocations");
+    assert_eq!(baseline, 0.0, "a baseline datagram costs {baseline:.2} allocations");
 }
