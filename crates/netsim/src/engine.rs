@@ -309,6 +309,9 @@ struct SourceState {
     src: Box<dyn WorkloadSource + Send>,
     base: u64,
     total: u64,
+    /// The buffer the source writes each event's packet into, kept for the
+    /// whole run; the arena copies it into a recycled slot's kept buffer.
+    packet: Packet,
 }
 
 impl<D: DataPlane> Core<D> {
@@ -597,8 +600,15 @@ impl<D: DataPlane> Core<D> {
     /// Drains source events with fire time at or below `limit_us` into the
     /// queue; later events stay in the source for a later pump (or a later
     /// `run` call — a source survives the deadline like queued events do).
+    ///
+    /// The state is borrowed in place, not taken out and put back: a
+    /// `SourceState` moved per call is reloaded right after the source has
+    /// written its buffer's header, a store-forwarding stall on each of the
+    /// calls, most of which admit nothing.
     fn pump_source(&mut self, limit_us: u64) {
-        let Some(mut st) = self.source.take() else { return };
+        if self.source.is_none() {
+            return;
+        }
         let sample = if self.metrics.on {
             self.metrics.pump_calls += 1;
             self.metrics.full && self.metrics.pump_calls & 1023 == 1
@@ -607,19 +617,22 @@ impl<D: DataPlane> Core<D> {
         };
         let sw = sample.then(Stopwatch::start);
         let mut admitted = 0u64;
-        while st.src.peek_time().is_some_and(|t| t.as_micros() <= limit_us) {
-            let ev = st.src.next_event().expect("peek_time implies a next event");
+        while let Some(st) = self.source.as_mut() {
+            if st.src.peek_time().is_none_or(|t| t.as_micros() > limit_us) {
+                break;
+            }
+            let ev = st.src.next_event(&mut st.packet).expect("peek_time implies a next event");
             debug_assert!(ev.seq < st.total, "source seq {} out of reserved window", ev.seq);
+            let seq = pack_seq(ENV_ENTITY, st.base + ev.seq);
+            let packet = self.trace.arena_mut().intern_ref(&st.packet);
             let sender = self.entities.host(ev.host);
-            let packet = self.trace.arena_mut().intern(ev.packet);
             self.push_keyed(
                 ev.time,
-                pack_seq(ENV_ENTITY, st.base + ev.seq),
+                seq,
                 EventKind::Inject { host: ev.host, packet, size: ev.size, sender },
             );
             admitted += 1;
         }
-        self.source = Some(st);
         if self.metrics.on && admitted > 0 {
             self.metrics.pump_batch.observe(admitted);
         }
@@ -1198,6 +1211,10 @@ impl<D: DataPlane> Engine<D> {
     /// **byte-identical** to scheduling the same events through
     /// [`inject_batch`](Engine::inject_batch) (see [`crate::source`]).
     ///
+    /// The source writes each event's packet into one buffer the engine
+    /// keeps for the run, and the engine copies it into a recycled arena
+    /// slot, so a streamed event allocates nothing in steady state.
+    ///
     /// Injections scheduled *after* this call (e.g. trigger packets via
     /// [`inject_at`](Engine::inject_at)) sort after the entire stream at
     /// equal times, exactly as they would after a batch call.
@@ -1211,7 +1228,7 @@ impl<D: DataPlane> Engine<D> {
         let total = src.total_events();
         let base = self.env_seq;
         self.env_seq += total;
-        self.core.source = Some(SourceState { src, base, total });
+        self.core.source = Some(SourceState { src, base, total, packet: Packet::new() });
     }
 
     /// Attaches a streaming trace observer (e.g. the online consistency

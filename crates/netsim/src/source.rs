@@ -20,13 +20,22 @@
 //! it *yields* events in time order, and the engine packs
 //! `base + seq` into the exact key the batch path would have used. Identical
 //! keys mean identical pop order, which means identical runs.
+//!
+//! # No allocation per event
+//!
+//! A source does not hand over an owned packet: [`WorkloadSource::next_event`]
+//! writes the datagram into a buffer the engine keeps for the whole run, and
+//! the engine copies it into a recycled arena slot's kept vector. A streamed
+//! datagram therefore costs no allocation once the arena has reached its
+//! in-flight high-water mark.
 
 use netkat::Packet;
 
 use crate::time::SimTime;
 
-/// One lazily-generated host injection.
-#[derive(Clone, Debug)]
+/// One lazily-generated host injection; its packet is written into the
+/// buffer passed to [`WorkloadSource::next_event`].
+#[derive(Clone, Copy, Debug)]
 pub struct SourceEvent {
     /// When the host offers the packet.
     pub time: SimTime,
@@ -37,8 +46,6 @@ pub struct SourceEvent {
     pub seq: u64,
     /// The injecting host.
     pub host: u64,
-    /// The packet.
-    pub packet: Packet,
     /// Payload size in bytes.
     pub size: u32,
 }
@@ -61,6 +68,10 @@ pub trait WorkloadSource {
     /// The time of the next event, or `None` when exhausted.
     fn peek_time(&self) -> Option<SimTime>;
 
-    /// Yields the next event (in nondecreasing time order).
-    fn next_event(&mut self) -> Option<SourceEvent>;
+    /// Yields the next event (in nondecreasing time order) and writes its
+    /// packet into `packet`, replacing every field the buffer held before.
+    /// The engine passes the same buffer on every call, so a source that
+    /// sets fields in place allocates nothing per event. On `None` the
+    /// buffer's contents are unspecified.
+    fn next_event(&mut self, packet: &mut Packet) -> Option<SourceEvent>;
 }

@@ -7,6 +7,9 @@
 //! `PROTO_*` constants, `Custom(0)` a probe/flow id and `Custom(1)` a
 //! sequence number.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use netkat::{Field, Packet};
 
 use crate::engine::Engine;
@@ -41,12 +44,21 @@ pub fn ping_request(src: u64, dst: u64, id: u64) -> Packet {
 
 /// Builds a UDP datagram.
 pub fn udp_packet(src: u64, dst: u64, flow: u64, seq: u64) -> Packet {
-    Packet::new()
-        .with(Field::IpSrc, src)
-        .with(Field::IpDst, dst)
-        .with(Field::IpProto, PROTO_UDP)
-        .with(ID_FIELD, flow)
-        .with(SEQ_FIELD, seq)
+    let mut packet = Packet::new();
+    write_udp(&mut packet, src, dst, flow, seq);
+    packet
+}
+
+/// Overwrites `packet` with a UDP datagram's headers, keeping its buffer:
+/// the one writer behind [`udp_packet`] and [`FlowSource`]. Fields are set
+/// in [`Field`] order, so each lands at the end of the record.
+fn write_udp(packet: &mut Packet, src: u64, dst: u64, flow: u64, seq: u64) {
+    packet.clear();
+    packet.set(Field::IpProto, PROTO_UDP);
+    packet.set(Field::IpSrc, src);
+    packet.set(Field::IpDst, dst);
+    packet.set(ID_FIELD, flow);
+    packet.set(SEQ_FIELD, seq);
 }
 
 fn tcp_data(src: u64, dst: u64, flow: u64, seq: u64) -> Packet {
@@ -134,34 +146,40 @@ impl UdpFlowSpec {
         let span = (self.end - self.start).as_micros();
         span.div_ceil(self.interval.as_micros())
     }
+
+    /// When datagram `i` (from 0) fires: the one clock behind
+    /// [`udp_flow_datagrams`] and [`FlowSource`].
+    fn datagram_time(&self, i: u64) -> SimTime {
+        self.start + SimTime::from_micros(i * self.interval.as_micros())
+    }
 }
 
 /// The injection schedule of a UDP flow, in [`Engine::inject_batch`] item
 /// form — lets callers splice many flows into **one** batched queue fill.
 pub fn udp_flow_datagrams(spec: &UdpFlowSpec) -> impl Iterator<Item = (SimTime, u64, Packet, u32)> {
     let spec = *spec;
-    (0..spec.datagram_count()).map(move |seq| {
-        let t = spec.start + SimTime::from_micros(seq * spec.interval.as_micros());
-        (t, spec.src, udp_packet(spec.src, spec.dst, spec.flow, seq), spec.size)
+    (0..spec.datagram_count()).map(move |i| {
+        let packet = udp_packet(spec.src, spec.dst, spec.flow, i);
+        (spec.datagram_time(i), spec.src, packet, spec.size)
     })
 }
 
 /// One flow's position in a [`FlowSource`] stream.
 struct FlowCursor {
-    /// The rest of the flow's datagrams, in time order.
-    iter: Box<dyn Iterator<Item = (SimTime, u64, Packet, u32)> + Send>,
-    /// The datagram the heap entry refers to.
-    pending: Option<(SimTime, u64, Packet, u32)>,
-    /// Batch-order sequence of `pending` (flow-major: this flow's offset
-    /// plus the datagrams already yielded).
-    seq: u64,
+    spec: UdpFlowSpec,
+    /// Index within the flow of the datagram the heap entry refers to.
+    next: u64,
+    /// The flow's [`datagram_count`](UdpFlowSpec::datagram_count).
+    count: u64,
 }
 
 /// A [`WorkloadSource`](crate::WorkloadSource) merging many
 /// [`UdpFlowSpec`]s into one time-ordered lazy stream.
 ///
 /// Memory is `O(flows)`, independent of the datagram count: each flow
-/// contributes one cursor and one heap entry. The reported
+/// contributes one cursor and one heap entry, and no datagram exists before
+/// [`next_event`](crate::WorkloadSource::next_event) writes it into the
+/// engine's buffer. The reported
 /// [`SourceEvent::seq`](crate::SourceEvent::seq) numbers datagrams in
 /// *flow-major* order — flow `i`'s `j`-th datagram gets
 /// `offset(i) + j` — which is exactly the order
@@ -169,9 +187,9 @@ struct FlowCursor {
 /// [`Engine::inject_batch`], so a streamed run is byte-identical to the
 /// batched one (the streaming differential suite pins this).
 pub struct FlowSource {
-    /// Min-heap of `(time, seq, cursor index)` over each flow's pending
+    /// Min-heap of `(time, seq, cursor index)` over each flow's next
     /// datagram; `seq` is globally unique, so the order is total.
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64, u32)>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     cursors: Vec<FlowCursor>,
     total: u64,
 }
@@ -179,18 +197,16 @@ pub struct FlowSource {
 impl FlowSource {
     /// Builds the merged stream over `flows`.
     pub fn new(flows: &[UdpFlowSpec]) -> FlowSource {
-        let mut heap = std::collections::BinaryHeap::with_capacity(flows.len());
+        let mut heap = BinaryHeap::with_capacity(flows.len());
         let mut cursors = Vec::with_capacity(flows.len());
         let mut offset = 0u64;
         for (i, f) in flows.iter().enumerate() {
-            let mut iter: Box<dyn Iterator<Item = (SimTime, u64, Packet, u32)> + Send> =
-                Box::new(udp_flow_datagrams(f));
-            let pending = iter.next();
-            if let Some((t, ..)) = pending {
-                heap.push(std::cmp::Reverse((t, offset, i as u32)));
+            let count = f.datagram_count();
+            if count > 0 {
+                heap.push(Reverse((f.datagram_time(0), offset, i as u32)));
             }
-            cursors.push(FlowCursor { iter, pending, seq: offset });
-            offset += f.datagram_count();
+            cursors.push(FlowCursor { spec: *f, next: 0, count });
+            offset += count;
         }
         FlowSource { heap, cursors, total: offset }
     }
@@ -202,20 +218,25 @@ impl crate::WorkloadSource for FlowSource {
     }
 
     fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|std::cmp::Reverse((t, ..))| *t)
+        self.heap.peek().map(|Reverse((t, ..))| *t)
     }
 
-    fn next_event(&mut self) -> Option<crate::SourceEvent> {
-        let std::cmp::Reverse((time, seq, fi)) = self.heap.pop()?;
+    /// Writes the earliest flow's datagram, then replaces that flow's heap
+    /// entry in place: one sift per datagram instead of a pop and a push.
+    fn next_event(&mut self, packet: &mut Packet) -> Option<crate::SourceEvent> {
+        let mut top = self.heap.peek_mut()?;
+        let Reverse((time, seq, fi)) = *top;
         let cursor = &mut self.cursors[fi as usize];
-        let (t, host, packet, size) = cursor.pending.take().expect("heap entries have a pending");
-        debug_assert_eq!((t, cursor.seq), (time, seq), "cursor out of sync with heap");
-        if let Some(next) = cursor.iter.next() {
-            cursor.seq += 1;
-            self.heap.push(std::cmp::Reverse((next.0, cursor.seq, fi)));
-            cursor.pending = Some(next);
+        let i = cursor.next;
+        cursor.next += 1;
+        let spec = &cursor.spec;
+        write_udp(packet, spec.src, spec.dst, spec.flow, i);
+        if cursor.next < cursor.count {
+            *top = Reverse((spec.datagram_time(cursor.next), seq + 1, fi));
+        } else {
+            PeekMut::pop(top);
         }
-        Some(crate::SourceEvent { time, seq, host, packet, size })
+        Some(crate::SourceEvent { time, seq, host: spec.src, size: spec.size })
     }
 }
 
@@ -488,6 +509,59 @@ mod tests {
             10_000
         );
         assert_eq!(proto_packets_delivered(&r.stats, 200, PROTO_UDP), 10);
+    }
+
+    #[test]
+    fn flow_source_streams_the_batch_schedule_in_time_order() {
+        use crate::WorkloadSource;
+        let ms = SimTime::from_millis;
+        let flow = |flow, src, start, end, interval, size| UdpFlowSpec {
+            flow,
+            src,
+            dst: 200,
+            start: ms(start),
+            end: ms(end),
+            interval: ms(interval),
+            size,
+        };
+        let flows = [
+            flow(0, 100, 3, 30, 7, 64),
+            // No datagram: the window is empty.
+            flow(1, 101, 9, 9, 1, 64),
+            flow(2, 102, 12, 4, 1, 64),
+            // `interval = 0`: one datagram.
+            flow(3, 103, 5, 6, 0, 128),
+            // Starts with flow 0, so only the batch order breaks the tie.
+            flow(4, 104, 3, 12, 3, 256),
+            flow(5, 105, 0, 10, 10, 512),
+        ];
+        let mut spec: Vec<(SimTime, u64, u64, u32, Packet)> = flows
+            .iter()
+            .flat_map(udp_flow_datagrams)
+            .enumerate()
+            .map(|(seq, (time, host, packet, size))| (time, seq as u64, host, size, packet))
+            .collect();
+        spec.sort_by_key(|d| d.0);
+        let mut source = FlowSource::new(&flows);
+        let total: u64 = flows.iter().map(UdpFlowSpec::datagram_count).sum();
+        assert_eq!(source.total_events(), total);
+        assert_eq!(total, spec.len() as u64);
+        let mut streamed = Vec::new();
+        let mut buffer = Packet::new();
+        loop {
+            // A source must overwrite the buffer, not add to it.
+            buffer.set(Field::Tag, 9);
+            buffer.set(Field::Switch, 4);
+            buffer.set(Field::Custom(7), 1);
+            let peeked = source.peek_time();
+            let Some(ev) = source.next_event(&mut buffer) else {
+                assert_eq!(peeked, None, "peek_time saw an event next_event did not yield");
+                break;
+            };
+            assert_eq!(peeked, Some(ev.time), "peek_time disagrees with the next event");
+            streamed.push((ev.time, ev.seq, ev.host, ev.size, buffer.clone()));
+        }
+        assert_eq!(streamed, spec);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! and the engine copies that buffer into a recycled arena slot's kept
 //! vector (`intern_ref`). When the source built an owned `Packet` per
 //! datagram instead — a field vector started and grown once on the way to
-//! six headers — this read 2.00. The calendar adds nothing: its buckets
+//! five headers — this read 2.00. The calendar adds nothing: its buckets
 //! are lists threaded through a per-slot array that stops growing at the
 //! queue's high-water mark (per-bucket vectors used to add ≈ 0.13).
 //!
