@@ -112,13 +112,43 @@ pub fn sim_topology() -> SimTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nes_runtime::{nes_engine, verify_nes_run};
+    use edn_core::{check_correct, CorrectnessViolation, OnlineHandle, OnlineViolation};
+    use nes_runtime::{attach_online_checker, nes_engine, NesDataPlane};
     use netkat::Packet;
     use netsim::traffic::{ping_request, ScenarioHosts};
-    use netsim::SimParams;
+    use netsim::{Engine, RunResult, SimParams, TraceMode};
 
     fn probe(dst: u64, id: u64) -> Packet {
         ping_request(H1, dst, id)
+    }
+
+    /// `variant` on the hub topology, recording a Full trace, with the
+    /// online checker attached.
+    fn checked_engine(variant: Variant, broadcast: bool) -> (Engine<NesDataPlane>, OnlineHandle) {
+        let nes = nes(variant);
+        let mut engine = nes_engine(
+            nes.clone(),
+            sim_topology(),
+            SimParams::default(),
+            broadcast,
+            Box::new(ScenarioHosts::new()),
+        )
+        .with_trace_mode(TraceMode::Full);
+        let handle = attach_online_checker(&mut engine, &nes).expect("P1 and P2 fit the checker");
+        (engine, handle)
+    }
+
+    /// Both verdicts on a finished run: the online checker's, and the
+    /// post-hoc spec's over the Full trace, hinted with the fire log.
+    fn verdicts(
+        result: &RunResult<NesDataPlane>,
+        handle: &OnlineHandle,
+    ) -> (Result<(), OnlineViolation>, Result<(), CorrectnessViolation>) {
+        assert!(!result.trace.is_empty(), "a Full run records its trace");
+        let fired = result.dataplane.fired_sequence();
+        let post_hoc =
+            check_correct(&result.trace, result.dataplane.compiled().nes(), Some(&fired));
+        (handle.verdict(), post_hoc)
     }
 
     #[test]
@@ -131,19 +161,15 @@ mod tests {
     /// resolves the race) and the run is consistent.
     #[test]
     fn p2_hub_resolves_the_race() {
-        let mut engine = nes_engine(
-            nes(Variant::SameSwitch),
-            sim_topology(),
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, handle) = checked_engine(Variant::SameSwitch, false);
         // Simultaneous injection of both candidate triggers.
         engine.inject_at(SimTime::from_millis(1), H1, probe(H2, 1));
         engine.inject_at(SimTime::from_millis(1), H1, probe(H4, 2));
         let result = engine.run_until(SimTime::from_secs(2));
         assert_eq!(result.dataplane.fired_sequence().len(), 1, "exactly one event wins");
-        verify_nes_run(&result).expect("P2 runs are consistent");
+        let (online, post_hoc) = verdicts(&result, &handle);
+        online.expect("P2 runs are consistent (online)");
+        post_hoc.expect("P2 runs are consistent (post-hoc)");
     }
 
     /// P1: the two edge switches each fire "their" event before hearing
@@ -152,13 +178,7 @@ mod tests {
     /// restriction, bounded-time implementations are impossible).
     #[test]
     fn p1_races_into_an_inconsistent_state() {
-        let mut engine = nes_engine(
-            nes(Variant::DifferentSwitches),
-            sim_topology(),
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, handle) = checked_engine(Variant::DifferentSwitches, false);
         engine.inject_at(SimTime::from_millis(1), H1, probe(H2, 1));
         engine.inject_at(SimTime::from_millis(1), H1, probe(H4, 2));
         let result = engine.run_until(SimTime::from_secs(2));
@@ -168,8 +188,9 @@ mod tests {
             2,
             "both conflicting events fire at their own switches"
         );
-        let verdict = verify_nes_run(&result);
-        assert!(verdict.is_err(), "the checker must flag the inconsistent P1 run, got {verdict:?}");
+        let (online, post_hoc) = verdicts(&result, &handle);
+        assert!(online.is_err(), "the online checker must flag the P1 run, got {online:?}");
+        assert!(post_hoc.is_err(), "the post-hoc spec must flag the P1 run, got {post_hoc:?}");
     }
 
     /// With enough separation in time, P1 behaves: the first event's digest
@@ -177,18 +198,15 @@ mod tests {
     /// second event is suppressed.
     #[test]
     fn p1_with_causal_separation_is_fine() {
-        let mut engine = nes_engine(
-            nes(Variant::DifferentSwitches),
-            sim_topology(),
-            SimParams::default(),
-            true, // broadcast spreads the first event quickly
-            Box::new(ScenarioHosts::new()),
-        );
+        // Broadcast spreads the first event quickly.
+        let (mut engine, handle) = checked_engine(Variant::DifferentSwitches, true);
         engine.inject_at(SimTime::from_millis(1), H1, probe(H2, 1));
         // The second candidate arrives long after the broadcast.
         engine.inject_at(SimTime::from_secs(1), H1, probe(H4, 2));
         let result = engine.run_until(SimTime::from_secs(3));
         assert_eq!(result.dataplane.fired_sequence().len(), 1, "only the first fires");
-        verify_nes_run(&result).expect("separated P1 run is consistent");
+        let (online, post_hoc) = verdicts(&result, &handle);
+        online.expect("separated P1 run is consistent (online)");
+        post_hoc.expect("separated P1 run is consistent (post-hoc)");
     }
 }

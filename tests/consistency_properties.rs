@@ -1,15 +1,59 @@
 //! Property-based integration tests: the paper's Theorem 1 says *every*
 //! execution of the NES runtime yields a correct trace. We fuzz timings,
-//! traffic mixes, seeds, and topologies and demand the checker never
-//! complains.
+//! traffic mixes, seeds, and topologies and demand that neither checker
+//! complains: each run records a Full trace with the online checker
+//! attached, and the online verdict must match the executable spec,
+//! `check_correct` over the trace hinted with the runtime's fire log.
 
 use edn_apps::ring::Ring;
 use edn_apps::{authentication, bandwidth_cap, firewall, ids, learning, sim_topology};
 use edn_apps::{H1, H2, H3, H4};
-use nes_runtime::{nes_engine, verify_nes_run};
+use edn_core::{check_correct, NetworkEventStructure, OnlineHandle};
+use nes_runtime::{attach_online_checker, nes_engine, NesDataPlane};
 use netsim::traffic::{schedule_pings, Ping, ScenarioHosts};
-use netsim::{SimParams, SimTime};
+use netsim::{Engine, RunResult, SimParams, SimTime, SimTopology, TraceMode};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+/// The runtime on `topo`, recording a Full trace, with the online checker
+/// attached before any traffic is scheduled.
+fn checked_engine(
+    nes: NetworkEventStructure,
+    topo: SimTopology,
+    broadcast: bool,
+) -> (Engine<NesDataPlane>, OnlineHandle) {
+    let mut engine = nes_engine(
+        nes.clone(),
+        topo,
+        SimParams::default(),
+        broadcast,
+        Box::new(ScenarioHosts::new()),
+    )
+    .with_trace_mode(TraceMode::Full);
+    let handle = attach_online_checker(&mut engine, &nes).expect("the NES fits the online checker");
+    (engine, handle)
+}
+
+/// Theorem 1, judged by both checkers: the online verdict equals the
+/// post-hoc one at the accept/reject level, and both accept.
+fn both_checkers_accept(
+    result: &RunResult<NesDataPlane>,
+    handle: &OnlineHandle,
+) -> Result<(), TestCaseError> {
+    prop_assert!(!result.trace.is_empty(), "a Full run records its trace");
+    let fired = result.dataplane.fired_sequence();
+    let post_hoc = check_correct(&result.trace, result.dataplane.compiled().nes(), Some(&fired));
+    let online = handle.verdict();
+    prop_assert_eq!(
+        online.is_ok(),
+        post_hoc.is_ok(),
+        "online {:?}, post-hoc {:?}",
+        online,
+        post_hoc
+    );
+    prop_assert!(online.is_ok(), "Theorem 1: online {:?}, post-hoc {:?}", online, post_hoc);
+    Ok(())
+}
 
 /// A random ping among the given hosts (each application's topology only
 /// attaches a subset of H1..H4).
@@ -42,16 +86,10 @@ proptest! {
     ) {
         let pings = dedup_ids(pings);
         let topo = sim_topology(&firewall::spec(), SimTime::from_micros(50), None);
-        let mut engine = nes_engine(
-            firewall::nes(),
-            topo,
-            SimParams::default(),
-            broadcast,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, handle) = checked_engine(firewall::nes(), topo, broadcast);
         schedule_pings(&mut engine, &pings);
         let result = engine.run_until(SimTime::from_secs(5));
-        prop_assert!(verify_nes_run(&result).is_ok());
+        both_checkers_accept(&result, &handle)?;
     }
 
     /// Theorem 1 for the authentication chain (two causally ordered
@@ -62,16 +100,10 @@ proptest! {
     ) {
         let pings = dedup_ids(pings);
         let topo = sim_topology(&authentication::spec(), SimTime::from_micros(50), None);
-        let mut engine = nes_engine(
-            authentication::nes(),
-            topo,
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, handle) = checked_engine(authentication::nes(), topo, false);
         schedule_pings(&mut engine, &pings);
         let result = engine.run_until(SimTime::from_secs(5));
-        prop_assert!(verify_nes_run(&result).is_ok());
+        both_checkers_accept(&result, &handle)?;
     }
 
     /// Theorem 1 for the IDS.
@@ -81,16 +113,10 @@ proptest! {
     ) {
         let pings = dedup_ids(pings);
         let topo = sim_topology(&ids::spec(), SimTime::from_micros(50), None);
-        let mut engine = nes_engine(
-            ids::nes(),
-            topo,
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, handle) = checked_engine(ids::nes(), topo, false);
         schedule_pings(&mut engine, &pings);
         let result = engine.run_until(SimTime::from_secs(5));
-        prop_assert!(verify_nes_run(&result).is_ok());
+        both_checkers_accept(&result, &handle)?;
     }
 
     /// Theorem 1 for the learning switch under bursty traffic.
@@ -100,16 +126,10 @@ proptest! {
     ) {
         let pings = dedup_ids(pings);
         let topo = sim_topology(&learning::spec(), SimTime::from_micros(50), None);
-        let mut engine = nes_engine(
-            learning::nes(),
-            topo,
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, handle) = checked_engine(learning::nes(), topo, false);
         schedule_pings(&mut engine, &pings);
         let result = engine.run_until(SimTime::from_secs(5));
-        prop_assert!(verify_nes_run(&result).is_ok());
+        both_checkers_accept(&result, &handle)?;
     }
 
     /// Theorem 1 for the renamed-event chain (bandwidth cap) at random
@@ -121,16 +141,10 @@ proptest! {
     ) {
         let pings = dedup_ids(pings);
         let topo = sim_topology(&bandwidth_cap::spec(), SimTime::from_micros(50), None);
-        let mut engine = nes_engine(
-            bandwidth_cap::nes(cap),
-            topo,
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, handle) = checked_engine(bandwidth_cap::nes(cap), topo, false);
         schedule_pings(&mut engine, &pings);
         let result = engine.run_until(SimTime::from_secs(5));
-        prop_assert!(verify_nes_run(&result).is_ok());
+        both_checkers_accept(&result, &handle)?;
     }
 
     /// Theorem 1 on the ring with a mid-stream direction flip and random
@@ -157,17 +171,11 @@ proptest! {
             })
             .collect();
         let topo = ring.sim_topology(SimTime::from_micros(100), None);
-        let mut engine = nes_engine(
-            ring.nes(),
-            topo,
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, handle) = checked_engine(ring.nes(), topo, false);
         schedule_pings(&mut engine, &pings);
         engine.inject_at(SimTime::from_millis(trigger_ms), ring.h1(), ring.trigger_packet());
         let result = engine.run_until(SimTime::from_secs(5));
-        prop_assert!(verify_nes_run(&result).is_ok());
+        both_checkers_accept(&result, &handle)?;
     }
 }
 
