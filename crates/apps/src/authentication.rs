@@ -54,9 +54,9 @@ pub fn nes() -> NetworkEventStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{sim_topology, H1, H2, H3, H4};
+    use crate::scenario::{checked_engine, sim_topology, H1, H2, H3, H4};
     use edn_core::{EventId, EventSet};
-    use nes_runtime::{nes_engine, uncoordinated_engine, verify_nes_run};
+    use nes_runtime::uncoordinated_engine;
     use netsim::traffic::{ping_outcomes, schedule_pings, Ping, ScenarioHosts};
     use netsim::{SimParams, SimTime};
 
@@ -80,8 +80,7 @@ mod tests {
     #[test]
     fn knock_sequence_unlocks_h3() {
         let topo = sim_topology(&spec(), SimTime::from_micros(50), None);
-        let mut engine =
-            nes_engine(nes(), topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+        let (mut engine, checker) = checked_engine(nes(), topo, false);
         let s = SimTime::from_millis;
         let pings = vec![
             Ping { time: s(10), src: H4, dst: H3, id: 1 },  // fail
@@ -100,7 +99,7 @@ mod tests {
         assert!(!o[3].request_delivered, "H3 still blocked after one knock");
         assert!(o[4].replied.is_some(), "H2 reachable after H1 knock");
         assert!(o[5].replied.is_some(), "H3 unlocked");
-        verify_nes_run(&result).expect("authentication run is consistent");
+        checker.verdict().expect("authentication run is consistent");
     }
 
     /// Fig. 13(b): with the uncoordinated baseline, the H3 probe right

@@ -61,8 +61,8 @@ pub fn nes(n: u64) -> NetworkEventStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{sim_topology, H1, H4};
-    use nes_runtime::{nes_engine, uncoordinated_engine, verify_nes_run};
+    use crate::scenario::{checked_engine, sim_topology, H1, H4};
+    use nes_runtime::uncoordinated_engine;
     use netsim::traffic::{ping_outcomes, schedule_pings, Ping, ScenarioHosts};
     use netsim::{SimParams, SimTime};
 
@@ -86,8 +86,7 @@ mod tests {
     fn exactly_ten_pings_succeed() {
         let n = 10;
         let topo = sim_topology(&spec(), SimTime::from_micros(50), None);
-        let mut engine =
-            nes_engine(nes(n), topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+        let (mut engine, checker) = checked_engine(nes(n), topo, false);
         let pings: Vec<Ping> = (0..15)
             .map(|i| Ping { time: SimTime::from_millis(100 * i + 10), src: H1, dst: H4, id: i })
             .collect();
@@ -96,7 +95,7 @@ mod tests {
         let succeeded =
             ping_outcomes(&pings, &result.stats).iter().filter(|o| o.replied.is_some()).count();
         assert_eq!(succeeded, 10, "exactly the cap succeeds");
-        verify_nes_run(&result).expect("bandwidth-cap run is consistent");
+        checker.verdict().expect("bandwidth-cap run is consistent");
     }
 
     /// Fig. 14(b): the uncoordinated baseline overshoots the cap.

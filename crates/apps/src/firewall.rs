@@ -49,9 +49,9 @@ pub fn nes() -> NetworkEventStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{sim_topology, H1, H4};
+    use crate::scenario::{checked_engine, sim_topology, H1, H4};
     use edn_core::EventSet;
-    use nes_runtime::{nes_engine, uncoordinated_engine, verify_nes_run, CompiledNes};
+    use nes_runtime::{uncoordinated_engine, CompiledNes};
     use netsim::traffic::{ping_outcomes, schedule_pings, Ping, ScenarioHosts};
     use netsim::{SimParams, SimTime};
 
@@ -74,8 +74,7 @@ mod tests {
     #[test]
     fn correct_runtime_behaviour() {
         let topo = sim_topology(&spec(), SimTime::from_micros(50), None);
-        let mut engine =
-            nes_engine(nes(), topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+        let (mut engine, checker) = checked_engine(nes(), topo, false);
         let pings = vec![
             Ping { time: SimTime::from_millis(10), src: H4, dst: H1, id: 1 },
             Ping { time: SimTime::from_millis(100), src: H1, dst: H4, id: 2 },
@@ -87,7 +86,7 @@ mod tests {
         assert!(!o[0].request_delivered, "H4->H1 blocked before the event");
         assert!(o[1].replied.is_some(), "H1->H4 answered");
         assert!(o[2].replied.is_some(), "H4->H1 allowed after the event");
-        verify_nes_run(&result).expect("firewall run is event-driven consistent");
+        checker.verdict().expect("firewall run is event-driven consistent");
     }
 
     /// The Fig. 11(b) pathology: under the uncoordinated baseline the

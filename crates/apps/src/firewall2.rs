@@ -59,11 +59,11 @@ pub fn nes() -> NetworkEventStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{sim_topology, H1, H2, H4};
+    use crate::scenario::{checked_engine, sim_topology, H1, H2, H4};
     use edn_core::{EventId, EventSet};
-    use nes_runtime::{nes_engine, verify_nes_run};
-    use netsim::traffic::{ping_outcomes, schedule_pings, Ping, ScenarioHosts};
-    use netsim::{SimParams, SimTime};
+
+    use netsim::traffic::{ping_outcomes, schedule_pings, Ping};
+    use netsim::SimTime;
 
     #[test]
     fn nes_is_the_fig3a_diamond() {
@@ -89,13 +89,7 @@ mod tests {
     fn flows_unlock_independently() {
         for (first, second) in [(H1, H2), (H2, H1)] {
             let topo = sim_topology(&spec(), SimTime::from_micros(50), None);
-            let mut engine = nes_engine(
-                nes(),
-                topo,
-                SimParams::default(),
-                false,
-                Box::new(ScenarioHosts::new()),
-            );
+            let (mut engine, checker) = checked_engine(nes(), topo, false);
             let s = SimTime::from_millis;
             let pings = vec![
                 // Both return paths closed.
@@ -120,8 +114,7 @@ mod tests {
             assert!(!o[4].request_delivered, "second still closed");
             assert!(o[5].replied.is_some(), "second flow opens");
             assert!(o[6].replied.is_some() && o[7].replied.is_some(), "both open");
-            verify_nes_run(&result)
-                .unwrap_or_else(|v| panic!("order {first}->{second} consistent: {v}"));
+            checker.verdict().unwrap_or_else(|v| panic!("order {first}->{second} consistent: {v}"));
         }
     }
 
@@ -131,8 +124,7 @@ mod tests {
     #[test]
     fn simultaneous_triggers_are_fine() {
         let topo = sim_topology(&spec(), SimTime::from_micros(50), None);
-        let mut engine =
-            nes_engine(nes(), topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+        let (mut engine, checker) = checked_engine(nes(), topo, false);
         let pings = vec![
             Ping { time: SimTime::from_millis(10), src: H1, dst: H4, id: 1 },
             Ping { time: SimTime::from_millis(10), src: H2, dst: H4, id: 2 },
@@ -144,6 +136,6 @@ mod tests {
         let o = ping_outcomes(&pings, &result.stats);
         assert!(o.iter().all(|p| p.replied.is_some()), "everything flows");
         assert_eq!(result.dataplane.fired_sequence().len(), 2, "both events fired");
-        verify_nes_run(&result).expect("concurrent diamond run is consistent");
+        checker.verdict().expect("concurrent diamond run is consistent");
     }
 }

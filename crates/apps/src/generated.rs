@@ -180,25 +180,20 @@ pub fn learning_nes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::checked_engine;
     use edn_topo::{fat_tree, linear, LinkProfile, TierProfile};
-    use nes_runtime::{nes_engine, verify_nes_run};
+
     use netsim::traffic::{
-        ping_outcomes, proto_packets_delivered, schedule_pings, Ping, ScenarioHosts,
-        PROTO_PING_REQUEST,
+        ping_outcomes, proto_packets_delivered, schedule_pings, Ping, PROTO_PING_REQUEST,
     };
-    use netsim::{SimParams, SimTime};
+    use netsim::SimTime;
 
     #[test]
     fn generated_firewall_blocks_then_opens_on_a_chain() {
         let gen = linear(3, LinkProfile::default());
         let (inside, outside) = (gen.hosts()[0], gen.hosts()[2]);
-        let mut engine = nes_engine(
-            firewall_nes(&gen, inside, outside),
-            gen.sim().clone(),
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, checker) =
+            checked_engine(firewall_nes(&gen, inside, outside), gen.sim().clone(), false);
         let pings = vec![
             Ping { time: SimTime::from_millis(10), src: outside, dst: inside, id: 1 },
             Ping { time: SimTime::from_millis(100), src: inside, dst: outside, id: 2 },
@@ -210,7 +205,7 @@ mod tests {
         assert!(!o[0].request_delivered, "outside->inside blocked before the event");
         assert!(o[1].replied.is_some(), "inside->outside answered");
         assert!(o[2].replied.is_some(), "outside->inside allowed after the event");
-        verify_nes_run(&result).expect("generated firewall run is consistent");
+        checker.verdict().expect("generated firewall run is consistent");
     }
 
     #[test]
@@ -220,13 +215,7 @@ mod tests {
         let (inside, outside) = (gen.hosts()[0], *gen.hosts().last().unwrap());
         let nes = firewall_nes(&gen, inside, outside);
         assert_eq!(nes.events().len(), 1);
-        let mut engine = nes_engine(
-            nes,
-            gen.sim().clone(),
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, checker) = checked_engine(nes, gen.sim().clone(), false);
         let pings = vec![
             Ping { time: SimTime::from_millis(10), src: outside, dst: inside, id: 1 },
             Ping { time: SimTime::from_millis(100), src: inside, dst: outside, id: 2 },
@@ -236,7 +225,7 @@ mod tests {
         let result = engine.run_until(SimTime::from_secs(2));
         let o = ping_outcomes(&pings, &result.stats);
         assert!(!o[0].request_delivered && o[1].replied.is_some() && o[2].replied.is_some());
-        verify_nes_run(&result).expect("fat-tree firewall run is consistent");
+        checker.verdict().expect("fat-tree firewall run is consistent");
     }
 
     #[test]
@@ -248,13 +237,8 @@ mod tests {
         let gen = fat_tree(4, TierProfile::default());
         let (inside, outside) = (gen.hosts()[0], gen.hosts()[15]);
         let (a, b) = (gen.hosts()[5], gen.hosts()[10]);
-        let mut engine = nes_engine(
-            firewall_nes(&gen, inside, outside),
-            gen.sim().clone(),
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, checker) =
+            checked_engine(firewall_nes(&gen, inside, outside), gen.sim().clone(), false);
         let pings = vec![
             Ping { time: SimTime::from_millis(10), src: a, dst: b, id: 1 },
             Ping { time: SimTime::from_millis(20), src: b, dst: outside, id: 2 },
@@ -268,7 +252,7 @@ mod tests {
         assert!(o[0].replied.is_some() && o[1].replied.is_some());
         assert!(!o[2].request_delivered, "third-party traffic must not open the firewall");
         assert!(result.dataplane.fired_sequence().is_empty(), "event must not fire");
-        verify_nes_run(&result).expect("closed-firewall run is consistent");
+        checker.verdict().expect("closed-firewall run is consistent");
     }
 
     #[test]
@@ -277,13 +261,8 @@ mod tests {
         // Learner at one end, target at the other, shadow in the middle —
         // the flood branch and the target path share the first hop.
         let (target, shadow, learner) = (gen.hosts()[0], gen.hosts()[1], gen.hosts()[2]);
-        let mut engine = nes_engine(
-            learning_nes(&gen, learner, target, shadow),
-            gen.sim().clone(),
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, checker) =
+            checked_engine(learning_nes(&gen, learner, target, shadow), gen.sim().clone(), false);
         let pings: Vec<Ping> = (0..10)
             .map(|i| Ping {
                 time: SimTime::from_millis(100 * i + 10),
@@ -299,7 +278,7 @@ mod tests {
         assert_eq!(to_target, 10, "target receives every request");
         assert!((1..=2).contains(&to_shadow), "flooding stops after learning, got {to_shadow}");
         assert!(ping_outcomes(&pings, &result.stats).iter().all(|p| p.replied.is_some()));
-        verify_nes_run(&result).expect("generated learning run is consistent");
+        checker.verdict().expect("generated learning run is consistent");
     }
 
     #[test]
@@ -307,13 +286,8 @@ mod tests {
         let gen = fat_tree(4, TierProfile::default());
         // Learner and target in different pods; shadow in a third pod.
         let (learner, target, shadow) = (gen.hosts()[0], gen.hosts()[15], gen.hosts()[8]);
-        let mut engine = nes_engine(
-            learning_nes(&gen, learner, target, shadow),
-            gen.sim().clone(),
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, checker) =
+            checked_engine(learning_nes(&gen, learner, target, shadow), gen.sim().clone(), false);
         let pings: Vec<Ping> = (0..6)
             .map(|i| Ping {
                 time: SimTime::from_millis(100 * i + 10),
@@ -328,6 +302,6 @@ mod tests {
         let to_shadow = proto_packets_delivered(&result.stats, shadow, PROTO_PING_REQUEST);
         assert_eq!(to_target, 6);
         assert!(to_shadow <= 2, "flooding stops after learning, got {to_shadow}");
-        verify_nes_run(&result).expect("fat-tree learning run is consistent");
+        checker.verdict().expect("fat-tree learning run is consistent");
     }
 }

@@ -49,8 +49,8 @@ pub fn nes() -> NetworkEventStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{sim_topology, H1, H2, H3, H4};
-    use nes_runtime::{nes_engine, uncoordinated_engine, verify_nes_run};
+    use crate::scenario::{checked_engine, sim_topology, H1, H2, H3, H4};
+    use nes_runtime::uncoordinated_engine;
     use netsim::traffic::{ping_outcomes, schedule_pings, Ping, ScenarioHosts};
     use netsim::{SimParams, SimTime};
 
@@ -69,8 +69,7 @@ mod tests {
     #[test]
     fn suspicious_scan_is_thwarted() {
         let topo = sim_topology(&spec(), SimTime::from_micros(50), None);
-        let mut engine =
-            nes_engine(nes(), topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+        let (mut engine, checker) = checked_engine(nes(), topo, false);
         let s = SimTime::from_millis;
         let pings = vec![
             Ping { time: s(10), src: H4, dst: H3, id: 1 }, // allowed
@@ -87,15 +86,14 @@ mod tests {
         assert!(o[2].replied.is_some(), "H1 open");
         assert!(o[3].replied.is_some(), "H2 still open");
         assert!(!o[4].request_delivered, "H3 cut off after the scan");
-        verify_nes_run(&result).expect("IDS run is consistent");
+        checker.verdict().expect("IDS run is consistent");
     }
 
     /// H2-before-H1 is not the suspicious order: H3 stays reachable.
     #[test]
     fn benign_order_keeps_h3_open() {
         let topo = sim_topology(&spec(), SimTime::from_micros(50), None);
-        let mut engine =
-            nes_engine(nes(), topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+        let (mut engine, checker) = checked_engine(nes(), topo, false);
         let s = SimTime::from_millis;
         let pings = vec![
             Ping { time: s(10), src: H4, dst: H2, id: 1 },
@@ -108,7 +106,7 @@ mod tests {
         // H2 first does not advance the automaton; H1 then moves 0 -> 1;
         // H3 remains reachable (state 2 never reached).
         assert!(o[2].replied.is_some(), "H3 stays open in benign order");
-        verify_nes_run(&result).expect("IDS run is consistent");
+        checker.verdict().expect("IDS run is consistent");
     }
 
     /// Fig. 15(b): under the uncoordinated baseline the scan completes but

@@ -50,8 +50,8 @@ pub fn nes() -> NetworkEventStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{sim_topology, H1, H2, H4};
-    use nes_runtime::{nes_engine, uncoordinated_engine, verify_nes_run};
+    use crate::scenario::{checked_engine, sim_topology, H1, H2, H4};
+    use nes_runtime::uncoordinated_engine;
     use netkat::Field;
     use netsim::traffic::{
         ping_outcomes, proto_packets_delivered, schedule_pings, Ping, ScenarioHosts,
@@ -73,8 +73,7 @@ mod tests {
     #[test]
     fn flooding_stops_after_learning() {
         let topo = sim_topology(&spec(), SimTime::from_micros(50), None);
-        let mut engine =
-            nes_engine(nes(), topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+        let (mut engine, checker) = checked_engine(nes(), topo, false);
         let pings: Vec<Ping> = (0..10)
             .map(|i| Ping { time: SimTime::from_millis(100 * i + 10), src: H4, dst: H1, id: i })
             .collect();
@@ -89,7 +88,7 @@ mod tests {
         assert!(to_h2 <= 2, "flooded copies stop after learning, got {to_h2}");
         let o = ping_outcomes(&pings, &result.stats);
         assert!(o.iter().all(|p| p.replied.is_some()), "all pings answered");
-        verify_nes_run(&result).expect("learning-switch run is consistent");
+        checker.verdict().expect("learning-switch run is consistent");
     }
 
     /// Fig. 12(b): the uncoordinated baseline keeps flooding to H2 after

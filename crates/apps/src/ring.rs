@@ -173,7 +173,8 @@ impl Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nes_runtime::{nes_engine, verify_nes_run, StaticDataPlane};
+    use crate::scenario::checked_engine;
+    use nes_runtime::{nes_engine, StaticDataPlane};
     use netsim::traffic::{ping_outcomes, schedule_pings, Ping, ScenarioHosts};
     use netsim::{Engine, SimParams};
 
@@ -222,13 +223,7 @@ mod tests {
     fn reroute_flips_direction_and_stays_consistent() {
         let ring = Ring::new(3);
         let topo = ring.sim_topology(SimTime::from_micros(50), None);
-        let mut engine = nes_engine(
-            ring.nes(),
-            topo,
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, checker) = checked_engine(ring.nes(), topo, false);
         let pings = vec![
             Ping { time: SimTime::from_millis(1), src: ring.h1(), dst: ring.h2(), id: 1 },
             Ping { time: SimTime::from_millis(200), src: ring.h1(), dst: ring.h2(), id: 2 },
@@ -239,7 +234,7 @@ mod tests {
         let o = ping_outcomes(&pings, &result.stats);
         assert!(o[0].replied.is_some(), "clockwise ping succeeds");
         assert!(o[1].replied.is_some(), "counterclockwise ping succeeds after flip");
-        verify_nes_run(&result).expect("ring reroute run is consistent");
+        checker.verdict().expect("ring reroute run is consistent");
         // The event fired exactly once.
         assert_eq!(result.dataplane.fired_sequence().len(), 1);
     }
@@ -309,7 +304,8 @@ mod generator_agreement {
 #[cfg(test)]
 mod failure_tests {
     use super::*;
-    use nes_runtime::{nes_engine, verify_nes_run};
+    use crate::scenario::checked_engine;
+    use nes_runtime::nes_engine;
     use netsim::traffic::{ping_outcomes, schedule_pings, Ping, ScenarioHosts};
     use netsim::{DropReason, SimParams, SimTime};
 
@@ -321,13 +317,7 @@ mod failure_tests {
     fn reroute_recovers_from_a_link_failure() {
         let ring = Ring::new(3);
         let topo = ring.sim_topology(SimTime::from_micros(50), None);
-        let mut engine = nes_engine(
-            ring.nes(),
-            topo,
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, checker) = checked_engine(ring.nes(), topo, false);
         // The clockwise H1->H2 path uses switches 1..=4; cut the 2->3
         // direction (a unidirectional fibre failure). After the flip,
         // requests go counterclockwise (1->6->5->4) and replies come back
@@ -350,7 +340,7 @@ mod failure_tests {
         assert!(!o[1].request_delivered, "cut path drops");
         assert!(o[2].replied.is_some(), "rerouted path recovers");
         assert!(result.stats.drop_count(Some(DropReason::LinkDown)) >= 1);
-        verify_nes_run(&result).expect("failure-recovery run is consistent");
+        checker.verdict().expect("failure-recovery run is consistent");
     }
 
     /// Failures are inert before their scheduled time and direction-scoped.

@@ -44,6 +44,23 @@ pub fn sim_topology(
     topo
 }
 
+/// The paper's runtime for `nes` on `topo`, with the online Definition 6
+/// checker attached before any traffic: the case studies' tests read its
+/// verdict after the run.
+#[cfg(test)]
+pub(crate) fn checked_engine(
+    nes: edn_core::NetworkEventStructure,
+    topo: SimTopology,
+    broadcast: bool,
+) -> (netsim::Engine<nes_runtime::NesDataPlane>, edn_core::OnlineHandle) {
+    let hosts = Box::new(netsim::traffic::ScenarioHosts::new());
+    let mut engine =
+        nes_runtime::nes_engine(nes.clone(), topo, netsim::SimParams::default(), broadcast, hosts);
+    let handle = nes_runtime::attach_online_checker(&mut engine, &nes)
+        .expect("the case study fits the online checker");
+    (engine, handle)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,14 +35,14 @@ fn main() {
     let pings = workload();
     // The correct implementation is delay-independent and deterministic:
     // one run covers every point of the sweep.
-    let (rows, result) =
+    let (rows, verdict) =
         run_correct(firewall::nes(), &firewall::spec(), &pings, SimTime::from_secs(20));
     let correct_total = rows.iter().filter(|r| !r.ok).count();
-    nes_runtime::verify_nes_run(&result).expect("correct runs verify");
+    verdict.expect("correct runs verify");
     for delay_ms in (0..=max_delay_ms).step_by(250) {
         let mut incorrect_total = 0usize;
         for seed in 0..runs_per_point {
-            let (rows, _) = run_uncoordinated(
+            let rows = run_uncoordinated(
                 firewall::nes(),
                 &firewall::spec(),
                 &pings,

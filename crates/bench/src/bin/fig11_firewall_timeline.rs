@@ -29,15 +29,15 @@ fn timeline() -> Vec<Ping> {
 
 fn main() {
     let pings = timeline();
-    let (rows, result) =
+    let (rows, verdict) =
         run_correct(firewall::nes(), &firewall::spec(), &pings, SimTime::from_secs(20));
     print_timeline("(a) correct (event-driven consistent):", &rows, host_name);
-    match nes_runtime::verify_nes_run(&result) {
+    match verdict {
         Ok(()) => println!("  checker: consistent\n"),
         Err(v) => println!("  checker: VIOLATION {v}\n"),
     }
 
-    let (rows, _) = run_uncoordinated(
+    let rows = run_uncoordinated(
         firewall::nes(),
         &firewall::spec(),
         &pings,

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release -p edn-bench --bin fig12_learning_switch`
 
 use edn_apps::{learning, sim_topology, H1, H2, H4};
-use nes_runtime::{nes_engine, uncoordinated_engine, verify_nes_run};
+use nes_runtime::{attach_online_checker, nes_engine, uncoordinated_engine};
 use netsim::traffic::{schedule_pings, Ping, ScenarioHosts, PROTO_PING_REQUEST};
 use netsim::{SimParams, SimTime, Stats};
 
@@ -42,17 +42,14 @@ fn main() {
     let pings = workload();
 
     let topo = sim_topology(&learning::spec(), SimTime::from_micros(50), None);
-    let mut engine = nes_engine(
-        learning::nes(),
-        topo,
-        SimParams::default(),
-        false,
-        Box::new(ScenarioHosts::new()),
-    );
+    let nes = learning::nes();
+    let mut engine =
+        nes_engine(nes.clone(), topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+    let checker = attach_online_checker(&mut engine, &nes).expect("the NES fits the checker");
     schedule_pings(&mut engine, &pings);
     let result = engine.run_until(SimTime::from_secs(15));
     render("(a) correct: flooding stops after H1's first reply:", &result.stats);
-    verify_nes_run(&result).expect("learning run verifies");
+    checker.verdict().expect("learning run verifies");
 
     let topo = sim_topology(&learning::spec(), SimTime::from_micros(50), None);
     let mut engine = uncoordinated_engine(

@@ -21,9 +21,10 @@ fn main() {
         Ping { time: s(20), src: H4, dst: H2, id: 5 },
         Ping { time: s(24), src: H4, dst: H3, id: 6 },
     ];
-    let (rows, result) = run_correct(authentication::nes(), &authentication::spec(), &pings, s(30));
+    let (rows, verdict) =
+        run_correct(authentication::nes(), &authentication::spec(), &pings, s(30));
     print_timeline("(a) correct: only the complete knock order unlocks H3:", &rows, host_name);
-    match nes_runtime::verify_nes_run(&result) {
+    match verdict {
         Ok(()) => println!("  checker: consistent\n"),
         Err(v) => println!("  checker: VIOLATION {v}\n"),
     }
@@ -34,7 +35,7 @@ fn main() {
         Ping { time: s(4), src: H4, dst: H2, id: 1 },
         Ping { time: SimTime::from_millis(4_200), src: H4, dst: H3, id: 2 },
     ];
-    let (rows, _) = run_uncoordinated(
+    let rows = run_uncoordinated(
         authentication::nes(),
         &authentication::spec(),
         &pings,

@@ -18,7 +18,7 @@ fn workload() -> Vec<Ping> {
 
 fn main() {
     let pings = workload();
-    let (rows, result) = run_correct(
+    let (rows, verdict) = run_correct(
         bandwidth_cap::nes(CAP),
         &bandwidth_cap::spec(),
         &pings,
@@ -27,12 +27,12 @@ fn main() {
     print_timeline("(a) correct (cap 10):", &rows, host_name);
     let ok = rows.iter().filter(|r| r.ok).count();
     println!("  successful pings: {ok} (the cap is enforced exactly)");
-    match nes_runtime::verify_nes_run(&result) {
+    match verdict {
         Ok(()) => println!("  checker: consistent\n"),
         Err(v) => println!("  checker: VIOLATION {v}\n"),
     }
 
-    let (rows, _) = run_uncoordinated(
+    let rows = run_uncoordinated(
         bandwidth_cap::nes(CAP),
         &bandwidth_cap::spec(),
         &pings,

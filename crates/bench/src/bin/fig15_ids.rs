@@ -23,9 +23,9 @@ fn main() {
         Ping { time: s(25), src: H4, dst: H3, id: 6 }, // blocked
         Ping { time: s(29), src: H4, dst: H3, id: 7 }, // blocked
     ];
-    let (rows, result) = run_correct(ids::nes(), &ids::spec(), &pings, s(40));
+    let (rows, verdict) = run_correct(ids::nes(), &ids::spec(), &pings, s(40));
     print_timeline("(a) correct: the scan cuts off H3:", &rows, host_name);
-    match nes_runtime::verify_nes_run(&result) {
+    match verdict {
         Ok(()) => println!("  checker: consistent\n"),
         Err(v) => println!("  checker: VIOLATION {v}\n"),
     }
@@ -37,7 +37,7 @@ fn main() {
         Ping { time: SimTime::from_millis(4_200), src: H4, dst: H3, id: 2 },
         Ping { time: s(10), src: H4, dst: H3, id: 3 },
     ];
-    let (rows, _) =
+    let rows =
         run_uncoordinated(ids::nes(), &ids::spec(), &pings, SimTime::from_millis(2_000), 13, s(15));
     print_timeline(
         "(b) uncoordinated (2s delay): H3 briefly stays open after the scan:",

@@ -10,7 +10,7 @@
 
 use edn_apps::ring::{host, Ring};
 use edn_core::EventId;
-use nes_runtime::{nes_engine, verify_nes_run};
+use nes_runtime::{attach_online_checker, nes_engine};
 use netsim::traffic::{udp_packet, ScenarioHosts};
 use netsim::{SimParams, SimTime};
 
@@ -28,13 +28,15 @@ fn run(diameter: u64, broadcast: bool, seed_offset: u64) -> Convergence {
     let ring = Ring::new(diameter);
     let n = ring.switch_count();
     let topo = ring.sim_topology(SimTime::from_micros(100), None);
+    let nes = ring.nes();
     let mut engine = nes_engine(
-        ring.nes(),
+        nes.clone(),
         topo,
         SimParams::default(),
         broadcast,
         Box::new(ScenarioHosts::new()),
     );
+    let checker = attach_online_checker(&mut engine, &nes).expect("the ring fits the checker");
     let mut id = 0;
     for round in 0..60u64 {
         for sw in 1..=n {
@@ -52,7 +54,7 @@ fn run(diameter: u64, broadcast: bool, seed_offset: u64) -> Convergence {
     let t0 = SimTime::from_secs(1);
     engine.inject_at(t0, ring.h1(), ring.trigger_packet());
     let result = engine.run_until(SimTime::from_secs(130));
-    verify_nes_run(&result).expect("ring convergence run is consistent");
+    checker.verdict().expect("ring convergence run is consistent");
     let times: Vec<f64> = (1..=n)
         .map(|sw| {
             result

@@ -1,7 +1,7 @@
 //! Verified-at-scale harness: a fat-tree(16) run of 10M+ events that is
 //! *checked*, not just simulated — streaming injection
 //! ([`edn_topo::attach_stream`]), aggregate-only accounting
-//! (`TraceMode::StatsOnly` + `StatsMode::Counters`), and the online
+//! (no trace, which is the engine's default, + `StatsMode::Counters`), and the online
 //! Definition 6 checker ([`nes_runtime::attach_online_checker`]) running
 //! inside the event loop, retiring trace prefixes as their happens-before
 //! obligations discharge.
@@ -50,7 +50,7 @@ use edn_topo::{
     Workload,
 };
 use netsim::traffic::udp_packet;
-use netsim::{DropReason, SimParams, SimTime, SinkHosts, StatsMode, TraceMode};
+use netsim::{DropReason, SimParams, SimTime, SinkHosts, StatsMode};
 use std::fmt::Write as _;
 
 /// `VmHWM` (peak resident set) of this process, in kilobytes.
@@ -131,7 +131,6 @@ fn run_point(
         false,
         Box::new(SinkHosts),
     )
-    .with_trace_mode(TraceMode::StatsOnly)
     .with_stats_mode(StatsMode::Counters)
     .with_metrics(level);
     let guard = FlightGuard(engine.flight_recorder());

@@ -6,10 +6,10 @@
 
 #![warn(missing_docs)]
 
-use edn_core::NetworkEventStructure;
-use nes_runtime::{nes_engine, uncoordinated_engine, NesDataPlane, UncoordDataPlane};
+use edn_core::{NetworkEventStructure, OnlineViolation};
+use nes_runtime::{attach_online_checker, nes_engine, uncoordinated_engine};
 use netsim::traffic::{ping_outcomes, schedule_pings, Ping, PingOutcome, ScenarioHosts};
-use netsim::{RunResult, SimParams, SimTime};
+use netsim::{SimParams, SimTime};
 use stateful_netkat::NetworkSpec;
 
 /// One row of a Fig. 11–15 timeline: a ping and whether it was answered.
@@ -21,19 +21,23 @@ pub struct TimelineRow {
     pub ok: bool,
 }
 
-/// Runs a ping timeline on the event-driven consistent runtime.
+/// Runs a ping timeline on the event-driven consistent runtime with the
+/// online Definition 6 checker attached, and returns the rows with the
+/// checker's verdict.
 pub fn run_correct(
     nes: NetworkEventStructure,
     spec: &NetworkSpec,
     pings: &[Ping],
     horizon: SimTime,
-) -> (Vec<TimelineRow>, RunResult<NesDataPlane>) {
+) -> (Vec<TimelineRow>, Result<(), OnlineViolation>) {
     let topo = edn_apps::sim_topology(spec, SimTime::from_micros(50), None);
     let mut engine =
-        nes_engine(nes, topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+        nes_engine(nes.clone(), topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+    let checker =
+        attach_online_checker(&mut engine, &nes).expect("a case study fits the online checker");
     schedule_pings(&mut engine, pings);
     let result = engine.run_until(horizon);
-    (rows(pings, &ping_outcomes(pings, &result.stats)), result)
+    (rows(pings, &ping_outcomes(pings, &result.stats)), checker.verdict())
 }
 
 /// Runs a ping timeline on the uncoordinated baseline with the given
@@ -45,7 +49,7 @@ pub fn run_uncoordinated(
     delay: SimTime,
     seed: u64,
     horizon: SimTime,
-) -> (Vec<TimelineRow>, RunResult<UncoordDataPlane>) {
+) -> Vec<TimelineRow> {
     let topo = edn_apps::sim_topology(spec, SimTime::from_micros(50), None);
     let mut engine = uncoordinated_engine(
         nes,
@@ -57,7 +61,7 @@ pub fn run_uncoordinated(
     );
     schedule_pings(&mut engine, pings);
     let result = engine.run_until(horizon);
-    (rows(pings, &ping_outcomes(pings, &result.stats)), result)
+    rows(pings, &ping_outcomes(pings, &result.stats))
 }
 
 fn rows(pings: &[Ping], outcomes: &[PingOutcome]) -> Vec<TimelineRow> {
@@ -118,11 +122,12 @@ mod tests {
             Ping { time: SimTime::from_millis(10), src: H1, dst: H4, id: 1 },
             Ping { time: SimTime::from_millis(50), src: H4, dst: H1, id: 2 },
         ];
-        let (rows, _) =
+        let (rows, verdict) =
             run_correct(firewall::nes(), &firewall::spec(), &pings, SimTime::from_secs(2));
         assert_eq!(rows.len(), 2);
         assert!(rows[0].ok && rows[1].ok, "correct runtime answers both");
-        let (rows, _) = run_uncoordinated(
+        assert_eq!(verdict, Ok(()), "Theorem 1");
+        let rows = run_uncoordinated(
             firewall::nes(),
             &firewall::spec(),
             &pings,

@@ -7,48 +7,10 @@
 
 use std::fmt;
 
-use crate::event::{Event, EventId, EventSet};
-use crate::happens::HappensBefore;
+use crate::event::{EventId, EventSet};
 use crate::nes::NetworkEventStructure;
 use crate::trace::{LocatedPacket, NetworkTrace};
-use crate::update::{check_update, OccurrenceSemantics, UpdateSequence, UpdateViolation};
-
-/// The causal occurrence semantics induced by an NES: a matching arrival is
-/// an occurrence of `e` only if some set of events enabling `e` has already
-/// occurred *and* those occurrences happened-before the arrival — i.e. the
-/// switch could have heard about them (Section 2's locality principle, and
-/// exactly the condition under which the SWITCH rule of Fig. 7 fires `e`).
-#[derive(Clone, Copy, Debug)]
-pub struct CausalOccurrences<'a> {
-    nes: &'a NetworkEventStructure,
-}
-
-impl<'a> CausalOccurrences<'a> {
-    /// Creates the semantics for an NES.
-    pub fn new(nes: &'a NetworkEventStructure) -> CausalOccurrences<'a> {
-        CausalOccurrences { nes }
-    }
-}
-
-impl OccurrenceSemantics for CausalOccurrences<'_> {
-    fn is_occurrence(
-        &self,
-        hb: &HappensBefore,
-        j: usize,
-        event: &Event,
-        prior: &[(EventId, usize)],
-    ) -> bool {
-        let fired: EventSet = prior.iter().map(|&(e, _)| e).collect();
-        let index_of = |e: EventId| prior.iter().find(|&&(p, _)| p == e).map(|&(_, k)| k);
-        // ∃Y in the family with event ∈ Y whose other members have all
-        // occurred happens-before j.
-        self.nes.structure().family().any(|y| {
-            y.contains(event.id)
-                && y.remove(event.id).is_subset(fired)
-                && y.remove(event.id).iter().all(|x| index_of(x).is_some_and(|k| hb.before(k, j)))
-        })
-    }
-}
+use crate::update::{check_update, UpdateSequence, UpdateViolation};
 
 /// Default bound on the length of allowed sequences searched.
 const DEFAULT_MAX_EVENTS: usize = 16;
@@ -144,7 +106,6 @@ pub fn check_correct(
         }
     }
 
-    let occ = CausalOccurrences::new(nes);
     let mut best: Option<(Vec<EventId>, UpdateViolation)> = None;
     for seq in candidates {
         let update = sequence_to_update(nes, &seq);
@@ -161,7 +122,7 @@ pub fn check_correct(
             })
             .cloned()
             .collect();
-        match check_update(ntr, &update, &residual, &occ) {
+        match check_update(ntr, &update, &residual, nes.structure()) {
             Ok(()) => return Ok(()),
             Err(v) => {
                 let rank = violation_rank(&v);

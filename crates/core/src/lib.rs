@@ -51,9 +51,7 @@ mod trace;
 mod update;
 
 pub use config::Config;
-pub use correctness::{
-    check_correct, sequence_allowed, sequence_to_update, CausalOccurrences, CorrectnessViolation,
-};
+pub use correctness::{check_correct, sequence_allowed, sequence_to_update, CorrectnessViolation};
 pub use estructure::EventStructure;
 pub use ets::{Ets, EtsError};
 pub use event::{Event, EventId, EventSet};
@@ -63,7 +61,4 @@ pub use nes::{NesError, NetworkEventStructure};
 pub use observe::{LeafKind, TraceObserver};
 pub use online::{CheckerTelemetry, OnlineChecker, OnlineHandle, OnlineViolation};
 pub use trace::{LocatedPacket, NetworkTrace, TraceBuilder, TraceMode, TraceStructureError};
-pub use update::{
-    check_update, first_occurrences, LiteralOccurrences, OccurrenceSemantics, UpdateSequence,
-    UpdateViolation,
-};
+pub use update::{check_update, first_occurrences, UpdateSequence, UpdateViolation};

@@ -6,51 +6,43 @@
 //! configuration, packets entirely before the i-th event's first occurrence
 //! use a preceding configuration, and packets entirely after it use a
 //! following one.
+//!
+//! Read literally, Definition 2 counts every event match as an occurrence.
+//! The paper's runtime — correctly, per its locality principle — fires an
+//! event only at a switch that has *heard about* the events enabling it, so
+//! the check counts a matching arrival as an occurrence of `e` only if some
+//! set of the event structure's family that contains `e` has all its other
+//! members occurring happens-before the arrival (the `E′` computation of
+//! the SWITCH rule of Fig. 7). For an event enabled at `∅` that is every
+//! match, the literal reading.
 
 use std::fmt;
 
 use crate::config::Config;
-use crate::event::{Event, EventId};
+use crate::estructure::EventStructure;
+use crate::event::{Event, EventId, EventSet};
 use crate::happens::HappensBefore;
 use crate::trace::{LocatedPacket, NetworkTrace};
 
-/// Decides which event-matching arrivals constitute event *occurrences*.
-///
-/// Read literally, Definition 2 counts every match. But the paper's
-/// implementation — correctly, per its locality principle — fires an event
-/// only at a switch that has *heard about* the events enabling it, and a
-/// packet matching an event whose prerequisites have not causally reached
-/// that switch is not an occurrence (the `E′` computation of the SWITCH
-/// rule). This trait lets the checker choose between the literal reading
-/// ([`LiteralOccurrences`]) and the causal one (built from an NES in
-/// `correctness`).
-pub trait OccurrenceSemantics {
-    /// Is the matching arrival at global index `j` an occurrence of
-    /// `event`, given the occurrences `prior` (event, index) observed so
-    /// far?
-    fn is_occurrence(
-        &self,
-        hb: &HappensBefore,
-        j: usize,
-        event: &Event,
-        prior: &[(EventId, usize)],
-    ) -> bool;
-}
-
-/// The literal reading of Definition 2: every match is an occurrence.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LiteralOccurrences;
-
-impl OccurrenceSemantics for LiteralOccurrences {
-    fn is_occurrence(
-        &self,
-        _: &HappensBefore,
-        _: usize,
-        _: &Event,
-        _: &[(EventId, usize)],
-    ) -> bool {
-        true
-    }
+/// Is the matching arrival at global index `j` an occurrence of `event`,
+/// given the occurrences `prior` (event, index) observed so far? Yes if
+/// some set of the family contains `event` and its other members have all
+/// occurred happens-before `j` — i.e. the switch could have heard about
+/// them.
+fn is_occurrence(
+    es: &EventStructure,
+    hb: &HappensBefore,
+    j: usize,
+    event: &Event,
+    prior: &[(EventId, usize)],
+) -> bool {
+    let fired: EventSet = prior.iter().map(|&(e, _)| e).collect();
+    let index_of = |e: EventId| prior.iter().find(|&&(p, _)| p == e).map(|&(_, k)| k);
+    es.family().any(|y| {
+        y.contains(event.id)
+            && y.remove(event.id).is_subset(fired)
+            && y.remove(event.id).iter().all(|x| index_of(x).is_some_and(|k| hb.before(k, j)))
+    })
 }
 
 /// An update sequence `C₀ →e₀ C₁ →e₁ ⋯ →eₙ Cₙ₊₁`.
@@ -148,14 +140,16 @@ impl std::error::Error for UpdateViolation {}
 /// (not yet occurred, enabled, and consistent to add): an arrival matching
 /// an already-consumed or conflicting event does not constitute an event
 /// occurrence (cf. the `E′` computation in the SWITCH rule of Fig. 7).
+/// `es` is the event structure whose family decides which matches are
+/// occurrences (see the module documentation).
 pub fn first_occurrences(
     ntr: &NetworkTrace,
     update: &UpdateSequence,
     residual: &[Event],
-    occ: &dyn OccurrenceSemantics,
+    es: &EventStructure,
 ) -> Result<Vec<usize>, UpdateViolation> {
     let hb = HappensBefore::of(ntr);
-    first_occurrences_with_hb(ntr, &hb, update, residual, occ)
+    first_occurrences_with_hb(ntr, &hb, update, residual, es)
 }
 
 fn first_occurrences_with_hb(
@@ -163,12 +157,12 @@ fn first_occurrences_with_hb(
     hb: &HappensBefore,
     update: &UpdateSequence,
     residual: &[Event],
-    occ: &dyn OccurrenceSemantics,
+    es: &EventStructure,
 ) -> Result<Vec<usize>, UpdateViolation> {
     let erased: Vec<LocatedPacket> =
         ntr.packets().iter().map(LocatedPacket::erase_virtual).collect();
     let occurs = |j: usize, e: &Event, prior: &[(EventId, usize)]| {
-        e.matches(&erased[j].packet, erased[j].loc) && occ.is_occurrence(hb, j, e, prior)
+        e.matches(&erased[j].packet, erased[j].loc) && is_occurrence(es, hb, j, e, prior)
     };
 
     let mut ks: Vec<usize> = Vec::with_capacity(update.events.len());
@@ -208,7 +202,7 @@ fn first_occurrences_with_hb(
 /// Virtual runtime fields (tag, digest) are erased before matching events
 /// and checking `Traces(C)` membership, since abstract configurations do not
 /// mention them. Packet traces still in flight are treated as prefixes.
-/// `residual` is documented at [`first_occurrences`].
+/// `residual` and `es` are documented at [`first_occurrences`].
 ///
 /// # Errors
 ///
@@ -217,10 +211,10 @@ pub fn check_update(
     ntr: &NetworkTrace,
     update: &UpdateSequence,
     residual: &[Event],
-    occ: &dyn OccurrenceSemantics,
+    es: &EventStructure,
 ) -> Result<(), UpdateViolation> {
     let hb = HappensBefore::of(ntr);
-    let ks = first_occurrences_with_hb(ntr, &hb, update, residual, occ)?;
+    let ks = first_occurrences_with_hb(ntr, &hb, update, residual, es)?;
     let erased: Vec<LocatedPacket> =
         ntr.packets().iter().map(LocatedPacket::erase_virtual).collect();
 
@@ -292,6 +286,12 @@ mod tests {
         Event::new(EventId::new(0), Pred::test(Field::IpDst, 101), Loc::new(1, 2))
     }
 
+    /// The one-event structure of `trigger_event`, enabled at `∅`: under
+    /// it every match is an occurrence, as Definition 2 reads literally.
+    fn one_event() -> EventStructure {
+        EventStructure::new(vec![trigger_event()], [EventSet::singleton(EventId::new(0))])
+    }
+
     fn fwd_pk() -> Packet {
         Packet::new().with(Field::IpDst, 101)
     }
@@ -323,9 +323,9 @@ mod tests {
         push_transit(&mut b, &reply_pk(), &[(101, 0), (1, 3), (1, 2), (100, 0)]);
         let ntr = b.build().unwrap();
         // The single event has fired, so nothing remains fireable.
-        let ks = first_occurrences(&ntr, &update, &[], &LiteralOccurrences).unwrap();
+        let ks = first_occurrences(&ntr, &update, &[], &one_event()).unwrap();
         assert_eq!(ks, vec![1]);
-        assert!(check_update(&ntr, &update, &[], &LiteralOccurrences).is_ok());
+        assert!(check_update(&ntr, &update, &[], &one_event()).is_ok());
     }
 
     #[test]
@@ -339,10 +339,10 @@ mod tests {
         push_transit(&mut b, &fwd_pk(), &[(100, 0), (1, 2), (1, 3), (101, 0)]);
         let ntr = b.build().unwrap();
         // If the event is still considered fireable, FO does not exist...
-        let err = first_occurrences(&ntr, &update, &[e], &LiteralOccurrences).unwrap_err();
+        let err = first_occurrences(&ntr, &update, &[e], &one_event()).unwrap_err();
         assert_eq!(err, UpdateViolation::NoFirstOccurrences { failed_at: None });
         // ...but once consumed (the NES-aware residual), the trace is fine.
-        assert!(check_update(&ntr, &update, &[], &LiteralOccurrences).is_ok());
+        assert!(check_update(&ntr, &update, &[], &one_event()).is_ok());
     }
 
     #[test]
@@ -357,7 +357,7 @@ mod tests {
         // consistent with Definition 2.
         push_transit(&mut b, &reply_pk(), &[(101, 0), (1, 3)]);
         let ntr = b.build().unwrap();
-        assert!(check_update(&ntr, &update, &[], &LiteralOccurrences).is_ok());
+        assert!(check_update(&ntr, &update, &[], &one_event()).is_ok());
     }
 
     #[test]
@@ -372,7 +372,7 @@ mod tests {
         // ...then the trigger fires.
         push_transit(&mut b, &fwd_pk(), &[(100, 0), (1, 2), (1, 3), (101, 0)]);
         let ntr = b.build().unwrap();
-        let err = check_update(&ntr, &update, &[], &LiteralOccurrences).unwrap_err();
+        let err = check_update(&ntr, &update, &[], &one_event()).unwrap_err();
         assert_eq!(err, UpdateViolation::TooEarly { trace: 0, event: 0 });
     }
 
@@ -384,7 +384,7 @@ mod tests {
         let mut b = TraceBuilder::new();
         push_transit(&mut b, &reply_pk(), &[(101, 0), (1, 3)]);
         let ntr = b.build().unwrap();
-        let err = first_occurrences(&ntr, &update, &[e], &LiteralOccurrences).unwrap_err();
+        let err = first_occurrences(&ntr, &update, &[e], &one_event()).unwrap_err();
         assert_eq!(err, UpdateViolation::NoFirstOccurrences { failed_at: Some(0) });
     }
 
@@ -414,7 +414,7 @@ mod tests {
         // Rogue packet: hops to a port neither config produces.
         push_transit(&mut b, &reply_pk(), &[(100, 0), (1, 2), (1, 5)]);
         let ntr = b.build().unwrap();
-        let err = check_update(&ntr, &update, &[], &LiteralOccurrences).unwrap_err();
+        let err = check_update(&ntr, &update, &[], &one_event()).unwrap_err();
         assert_eq!(err, UpdateViolation::Inconsistent { trace: 1 });
     }
 
@@ -445,7 +445,7 @@ mod tests {
         b.push(pk.clone(), Loc::new(1, 3), Some(at1));
         b.push(pk.clone(), Loc::new(1, 4), Some(at1));
         let ntr = b.build().unwrap();
-        assert!(check_update(&ntr, &update, &[], &LiteralOccurrences).is_ok());
+        assert!(check_update(&ntr, &update, &[], &one_event()).is_ok());
     }
 
     #[test]

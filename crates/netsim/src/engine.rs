@@ -341,7 +341,7 @@ impl<D: DataPlane> Core<D> {
             slots: Vec::new(),
             free_slots: Vec::new(),
             now: SimTime::ZERO,
-            trace: TraceBuilder::with_mode(TraceMode::Full),
+            trace: TraceBuilder::with_mode(TraceMode::StatsOnly),
             stats_mode: StatsMode::Full,
             stats: Stats::default(),
             egress,
@@ -965,11 +965,14 @@ pub struct Engine<D: DataPlane> {
 impl<D: DataPlane> Engine<D> {
     /// Creates an engine.
     ///
-    /// What the run records for its caller to read back — the trace and
-    /// the per-packet stats streams — starts at [`TraceMode::Full`] and
-    /// [`StatsMode::Full`]; a caller that will not read them says so with
-    /// [`with_trace_mode`](Engine::with_trace_mode) and
-    /// [`with_stats_mode`](Engine::with_stats_mode). The telemetry level
+    /// The run records no trace ([`TraceMode::StatsOnly`]): a verdict
+    /// comes from an observer attached with
+    /// [`set_observer`](Engine::set_observer), and a caller that diffs or
+    /// checks the trace itself asks for it with
+    /// [`with_trace_mode`](Engine::with_trace_mode). The per-packet stats
+    /// streams start at [`StatsMode::Full`], since deliveries and drops are
+    /// what a timeline reads; a caller that only wants the counters says so
+    /// with [`with_stats_mode`](Engine::with_stats_mode). The telemetry level
     /// and the control-channel model default from the environment
     /// (`EDN_METRICS`, `EDN_CHANNEL`); pin them with
     /// [`with_metrics`](Engine::with_metrics) and
@@ -1321,6 +1324,17 @@ mod fixtures {
         )
     }
 
+    /// [`Engine::new`] recording the full trace, for the tests that read
+    /// or diff it.
+    pub(super) fn traced<D: DataPlane>(
+        topo: SimTopology,
+        params: SimParams,
+        dataplane: D,
+        hosts: BoxedHosts,
+    ) -> Engine<D> {
+        Engine::new(topo, params, dataplane, hosts).with_trace_mode(TraceMode::Full)
+    }
+
     /// Forwards towards host 200: switch 1 out its link port, switch 2 out
     /// its host port.
     #[derive(Clone)]
@@ -1346,7 +1360,7 @@ mod fixtures {
 
 #[cfg(test)]
 mod tests {
-    use super::fixtures::{topo, PerSwitch};
+    use super::fixtures::{topo, traced, PerSwitch};
     use super::*;
     use crate::logic::SinkHosts;
     use netkat::{Field, PacketArena};
@@ -1403,7 +1417,7 @@ mod tests {
     fn packet_crosses_network_and_trace_records_hops() {
         // Switch 1 forwards out port 1 (to switch 2); switch 2 forwards out
         // port 2 (to host 200).
-        let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
+        let mut e = traced(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
         e.inject_at(SimTime::ZERO, 100, Packet::new().with(Field::IpDst, 200));
         let r = e.run_until(SimTime::from_secs(1));
         assert_eq!(r.stats.deliveries.len(), 1);
@@ -1484,7 +1498,7 @@ mod tests {
             }
             fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
         }
-        let mut e = Engine::new(topo(), SimParams::default(), Stray, Box::new(SinkHosts));
+        let mut e = traced(topo(), SimParams::default(), Stray, Box::new(SinkHosts));
         // The second packet crosses both switches after the command landed.
         e.inject_at(SimTime::ZERO, 100, Packet::new().with(Field::Vlan, 1));
         e.inject_at(SimTime::from_millis(10), 100, Packet::new().with(Field::Vlan, 2));
@@ -1515,8 +1529,7 @@ mod tests {
     #[test]
     fn deterministic_replay() {
         let run = || {
-            let mut e =
-                Engine::new(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
+            let mut e = traced(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
             for i in 0..10 {
                 e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
             }
@@ -1525,6 +1538,7 @@ mod tests {
         };
         let (t1, s1) = run();
         let (t2, s2) = run();
+        assert!(!t1.is_empty(), "the reference run records a trace");
         assert_eq!(t1, t2);
         assert_eq!(s1, s2);
     }
@@ -1535,8 +1549,7 @@ mod tests {
         // past the horizon; it must put it back so a later `run` call
         // still fires it.
         let split = |d1: u64| {
-            let mut e =
-                Engine::new(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
+            let mut e = traced(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
             for i in 0..10 {
                 e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
             }
@@ -1546,6 +1559,7 @@ mod tests {
             (r.trace, r.stats)
         };
         let whole = split(1_000_000); // first run covers everything
+        assert!(!whole.0.is_empty(), "the reference run records a trace");
         for d1 in [0, 3, 5] {
             assert_eq!(split(d1), whole, "resumed run diverged at split {d1}ms");
         }
@@ -1554,8 +1568,7 @@ mod tests {
     #[test]
     fn inject_batch_equals_one_at_a_time() {
         let run = |batched: bool| {
-            let mut e =
-                Engine::new(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
+            let mut e = traced(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
             let items: Vec<_> = (0..10u64)
                 .map(|i| {
                     (SimTime::from_millis(i), 100u64, Packet::new().with(Field::Vlan, i), 64u32)
@@ -1571,7 +1584,9 @@ mod tests {
             let r = e.run_until(SimTime::from_secs(1));
             (r.trace, r.stats)
         };
-        assert_eq!(run(true), run(false));
+        let batched = run(true);
+        assert!(!batched.0.is_empty(), "the reference run records a trace");
+        assert_eq!(batched, run(false));
     }
 
     #[test]
@@ -1657,7 +1672,7 @@ mod tests {
     #[test]
     fn run_can_resume_with_packets_in_flight_on_a_link() {
         let split = |d1: u64| {
-            let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
+            let mut e = traced(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
             for i in 0..10 {
                 e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
             }
@@ -1667,6 +1682,7 @@ mod tests {
             (r.trace, r.stats)
         };
         let whole = split(1_000_000);
+        assert!(!whole.0.is_empty(), "the reference run records a trace");
         for d1 in [0, 3, 5] {
             assert_eq!(split(d1), whole, "resumed run diverged at split {d1}ms");
         }
@@ -1690,7 +1706,7 @@ mod tests {
     #[test]
     fn failure_injection_replays_identically() {
         let run = || {
-            let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
+            let mut e = traced(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
             e.fail_link_at(SimTime::from_millis(10), Loc::new(1, 1), Loc::new(2, 1));
             e.inject_at(SimTime::from_millis(1), 100, Packet::new()); // healthy
             e.inject_at(SimTime::from_millis(20), 100, Packet::new()); // dead
@@ -1698,6 +1714,7 @@ mod tests {
             (r.trace, r.stats)
         };
         let (trace, stats) = run();
+        assert!(!trace.is_empty(), "the reference run records a trace");
         assert_eq!(run(), (trace, stats.clone()));
         assert_eq!(stats.deliveries.len(), 1);
         assert_eq!(stats.drop_count(Some(DropReason::LinkDown)), 1);
@@ -1734,7 +1751,7 @@ mod tests {
 
 #[cfg(test)]
 mod failure_tests {
-    use super::fixtures::{topo, PerSwitch};
+    use super::fixtures::{topo, traced, PerSwitch};
     use super::*;
     use crate::logic::SinkHosts;
     use netkat::{Field, PacketArena};
@@ -1819,7 +1836,7 @@ mod failure_tests {
     #[test]
     fn flapped_run_replays_byte_identically() {
         let run = || {
-            let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
+            let mut e = traced(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
             let (a, b) = (Loc::new(1, 1), Loc::new(2, 1));
             e.fail_link_at(SimTime::from_millis(10), a, b);
             e.restore_link_at(SimTime::from_millis(20), a, b);
@@ -1832,6 +1849,7 @@ mod failure_tests {
             (r.trace, r.stats)
         };
         let first = run();
+        assert!(!first.0.is_empty(), "the reference run records a trace");
         assert!(!first.1.deliveries.is_empty());
         assert!(first.1.drop_count(Some(DropReason::LinkDown)) > 0);
         assert_eq!(run(), first);
@@ -1872,12 +1890,8 @@ mod failure_tests {
             }
         }
         let run = |spike_ms: Option<u64>| {
-            let mut e = Engine::new(
-                topo(),
-                SimParams::default(),
-                Gate { enabled: false },
-                Box::new(SinkHosts),
-            );
+            let mut e =
+                traced(topo(), SimParams::default(), Gate { enabled: false }, Box::new(SinkHosts));
             if let Some(ms) = spike_ms {
                 e.set_controller_latency_at(SimTime::ZERO, SimTime::from_millis(ms));
             }
@@ -1892,7 +1906,9 @@ mod failure_tests {
             (r.trace, r.stats)
         };
         // Determinism: same spike, same bytes.
-        assert_eq!(run(Some(20)), run(Some(20)));
+        let reference = run(Some(20));
+        assert!(!reference.0.is_empty(), "the reference run records a trace");
+        assert_eq!(reference, run(Some(20)));
         let (_, base) = run(None);
         let (_, spiked) = run(Some(20));
         assert!(

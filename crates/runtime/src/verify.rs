@@ -1,11 +1,16 @@
-//! End-to-end glue: deploy an NES on the simulator, run a scenario, and
-//! check the recorded trace against Definition 6.
+//! End-to-end glue: deploy an NES on the simulator and judge the run
+//! against Definition 6 as it executes.
+//!
+//! A verdict always comes from the online checker: attach it with
+//! [`attach_online_checker`] before any traffic is scheduled and read
+//! [`OnlineHandle::verdict`] once the run is over. The run needs no trace
+//! for that, so the engines built here record none unless their caller
+//! asks with [`Engine::with_trace_mode`]. The post-hoc search over a
+//! recorded trace stays in `edn_core` as the executable spec the online
+//! checker is tested against.
 
-use edn_core::{
-    check_correct, CorrectnessViolation, NetworkEventStructure, OnlineChecker, OnlineHandle,
-    OnlineViolation,
-};
-use netsim::{DataPlane, Engine, RunResult, SimParams, SimTopology};
+use edn_core::{NetworkEventStructure, OnlineChecker, OnlineHandle, OnlineViolation};
+use netsim::{DataPlane, Engine, SimParams, SimTopology};
 
 use crate::compile::CompiledNes;
 use crate::dataplane::NesDataPlane;
@@ -82,56 +87,13 @@ pub fn attach_online_checker<D: DataPlane>(
     Ok(handle)
 }
 
-/// Checks a finished NES-runtime run against Definition 6, using the
-/// runtime's own fire log as the candidate event sequence.
-///
-/// # Errors
-///
-/// Returns the checker's violation, which for a correct runtime indicates a
-/// bug in either the runtime or the checker — the paper's Theorem 1 says
-/// every execution of the implementation is correct.
-pub fn verify_nes_run(result: &RunResult<NesDataPlane>) -> Result<(), CorrectnessViolation> {
-    let hint = result.dataplane.fired_sequence();
-    check_correct(&result.trace, result.dataplane.compiled().nes(), Some(&hint))
-}
-
-/// [`verify_nes_run`] for a run wrapped in the reliability layer: the
-/// wrapper restores exactly-once in-order message delivery, so the inner
-/// runtime's fire log is the candidate sequence exactly as in the ideal
-/// case. Callers must additionally consult
-/// [`Reliable::degraded`](crate::Reliable::degraded) — a degraded run
-/// may have missed messages and gets no Theorem 1 guarantee.
-///
-/// # Errors
-///
-/// Returns the checker's violation (see [`verify_nes_run`]).
-pub fn verify_reliable_nes_run(
-    result: &RunResult<crate::Reliable<NesDataPlane>>,
-) -> Result<(), CorrectnessViolation> {
-    let hint = result.dataplane.inner().fired_sequence();
-    check_correct(&result.trace, result.dataplane.inner().compiled().nes(), Some(&hint))
-}
-
-/// Checks a finished uncoordinated-baseline run against Definition 6.
-///
-/// # Errors
-///
-/// Returns the violation — which is the *expected* outcome on the paper's
-/// case studies: the baseline provides no event-driven consistency.
-pub fn verify_uncoordinated_run(
-    result: &RunResult<UncoordDataPlane>,
-    nes: &NetworkEventStructure,
-) -> Result<(), CorrectnessViolation> {
-    check_correct(&result.trace, nes, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edn_core::{Config, Event, EventId, EventSet, EventStructure};
+    use edn_core::{check_correct, Config, Event, EventId, EventSet, EventStructure};
     use netkat::{Action, ActionSet, Field, FlowTable, Loc, Match, Pred, Rule};
     use netsim::traffic::{ping_outcomes, schedule_pings, Ping, ScenarioHosts};
-    use netsim::SimTime;
+    use netsim::{RunResult, SimTime, TraceMode};
 
     /// One switch, two hosts; the firewall-flavoured NES used across the
     /// runtime tests.
@@ -166,11 +128,30 @@ mod tests {
         (nes, topo)
     }
 
+    /// Attaches the online checker, schedules `pings`, runs to `horizon`,
+    /// and returns the run with the checker's verdict.
+    fn checked_run<D: DataPlane>(
+        mut engine: Engine<D>,
+        nes: &NetworkEventStructure,
+        pings: &[Ping],
+        horizon: SimTime,
+    ) -> (RunResult<D>, Result<(), OnlineViolation>) {
+        let handle = attach_online_checker(&mut engine, nes).expect("tiny NES fits the window");
+        schedule_pings(&mut engine, pings);
+        let result = engine.run_until(horizon);
+        (result, handle.verdict())
+    }
+
     #[test]
     fn nes_runtime_run_is_correct_and_pings_succeed() {
         let (nes, topo) = nes_and_topo();
-        let mut engine =
-            nes_engine(nes, topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+        let engine = nes_engine(
+            nes.clone(),
+            topo,
+            SimParams::default(),
+            false,
+            Box::new(ScenarioHosts::new()),
+        );
         let pings = vec![
             // Before the event: 300 -> 200 must fail.
             Ping { time: SimTime::from_millis(1), src: 300, dst: 200, id: 1 },
@@ -179,57 +160,58 @@ mod tests {
             // After the event: 300 -> 200 must succeed.
             Ping { time: SimTime::from_millis(200), src: 300, dst: 200, id: 3 },
         ];
-        schedule_pings(&mut engine, &pings);
-        let result = engine.run_until(SimTime::from_secs(2));
+        let (result, verdict) = checked_run(engine, &nes, &pings, SimTime::from_secs(2));
         let outcomes = ping_outcomes(&pings, &result.stats);
         assert!(!outcomes[0].request_delivered, "pre-event reverse traffic blocked");
         assert!(outcomes[1].replied.is_some(), "trigger ping answered");
         assert!(outcomes[2].replied.is_some(), "post-event reverse traffic flows");
-        verify_nes_run(&result).expect("Theorem 1: runtime traces are correct");
+        verdict.expect("Theorem 1: runtime traces are correct");
     }
 
+    /// The online checker against the executable spec on a recorded run.
     #[test]
     fn online_checker_agrees_with_post_hoc_on_correct_run() {
         let (nes, topo) = nes_and_topo();
-        let mut engine = nes_engine(
+        let engine = nes_engine(
             nes.clone(),
             topo,
             SimParams::default(),
             false,
             Box::new(ScenarioHosts::new()),
-        );
-        let handle = attach_online_checker(&mut engine, &nes).expect("tiny NES fits the window");
+        )
+        .with_trace_mode(TraceMode::Full);
         let pings = vec![
             Ping { time: SimTime::from_millis(1), src: 300, dst: 200, id: 1 },
             Ping { time: SimTime::from_millis(100), src: 200, dst: 300, id: 2 },
             Ping { time: SimTime::from_millis(200), src: 300, dst: 200, id: 3 },
         ];
-        schedule_pings(&mut engine, &pings);
-        let result = engine.run_until(SimTime::from_secs(2));
-        verify_nes_run(&result).expect("post-hoc checker accepts the run");
-        handle.verdict().expect("online checker agrees");
+        let (result, verdict) = checked_run(engine, &nes, &pings, SimTime::from_secs(2));
+        assert!(!result.trace.is_empty(), "a Full run records its trace");
+        let fired = result.dataplane.fired_sequence();
+        check_correct(&result.trace, &nes, Some(&fired)).expect("post-hoc checker accepts the run");
+        verdict.expect("online checker agrees");
     }
 
     #[test]
     fn online_checker_flags_the_uncoordinated_run() {
         let (nes, topo) = nes_and_topo();
-        let mut engine = uncoordinated_engine(
+        let engine = uncoordinated_engine(
             nes.clone(),
             topo,
             SimParams::default(),
             SimTime::from_millis(500),
             42,
             Box::new(ScenarioHosts::new()),
-        );
-        let handle = attach_online_checker(&mut engine, &nes).expect("tiny NES fits the window");
+        )
+        .with_trace_mode(TraceMode::Full);
         let pings = vec![
             Ping { time: SimTime::from_millis(1), src: 200, dst: 300, id: 1 },
             Ping { time: SimTime::from_millis(10), src: 300, dst: 200, id: 2 },
         ];
-        schedule_pings(&mut engine, &pings);
-        let result = engine.run_until(SimTime::from_secs(2));
-        assert!(verify_uncoordinated_run(&result, &nes).is_err(), "post-hoc flags the run");
-        assert!(handle.verdict().is_err(), "online checker flags it too");
+        let (result, verdict) = checked_run(engine, &nes, &pings, SimTime::from_secs(2));
+        assert!(!result.trace.is_empty(), "a Full run records its trace");
+        assert!(check_correct(&result.trace, &nes, None).is_err(), "post-hoc flags the run");
+        assert!(verdict.is_err(), "online checker flags it too");
     }
 
     /// At `EDN_METRICS=full` a checker violation leaves a crash dump
@@ -239,7 +221,7 @@ mod tests {
     #[test]
     fn violation_lands_in_the_flight_recorder() {
         let (nes, topo) = nes_and_topo();
-        let mut engine = uncoordinated_engine(
+        let engine = uncoordinated_engine(
             nes.clone(),
             topo,
             SimParams::default(),
@@ -249,14 +231,12 @@ mod tests {
         )
         .with_metrics(netsim::MetricsLevel::Full);
         let flight = engine.flight_recorder().expect("full level attaches the recorder");
-        let handle = attach_online_checker(&mut engine, &nes).expect("tiny NES fits the window");
         let pings = vec![
             Ping { time: SimTime::from_millis(1), src: 200, dst: 300, id: 1 },
             Ping { time: SimTime::from_millis(10), src: 300, dst: 200, id: 2 },
         ];
-        schedule_pings(&mut engine, &pings);
-        engine.run_until(SimTime::from_secs(2));
-        let violation = handle.verdict().expect_err("the baseline run violates Definition 6");
+        let (_, verdict) = checked_run(engine, &nes, &pings, SimTime::from_secs(2));
+        let violation = verdict.expect_err("the baseline run violates Definition 6");
         let dump = flight.dump_json();
         assert!(dump.contains(&format!("\"{}\"", violation.name())), "dump: {dump}");
     }
@@ -264,7 +244,7 @@ mod tests {
     #[test]
     fn uncoordinated_run_violates_consistency() {
         let (nes, topo) = nes_and_topo();
-        let mut engine = uncoordinated_engine(
+        let engine = uncoordinated_engine(
             nes.clone(),
             topo,
             SimParams::default(),
@@ -277,13 +257,11 @@ mod tests {
             // Right after the trigger, before the controller push lands:
             Ping { time: SimTime::from_millis(10), src: 300, dst: 200, id: 2 },
         ];
-        schedule_pings(&mut engine, &pings);
-        let result = engine.run_until(SimTime::from_secs(2));
+        let (result, verdict) = checked_run(engine, &nes, &pings, SimTime::from_secs(2));
         let outcomes = ping_outcomes(&pings, &result.stats);
         // The second ping arrives at the switch that HAS seen the event but
         // still runs the old configuration: incorrectly dropped.
         assert!(!outcomes[1].request_delivered, "baseline drops the packet");
-        let verdict = verify_uncoordinated_run(&result, &nes);
         assert!(verdict.is_err(), "the checker flags the uncoordinated run");
     }
 
@@ -294,8 +272,8 @@ mod tests {
     #[test]
     fn reliable_runtime_survives_a_lossy_channel() {
         let (nes, topo) = nes_and_topo();
-        let mut engine = nes_reliable_engine_with(
-            nes,
+        let engine = nes_reliable_engine_with(
+            nes.clone(),
             topo,
             SimParams::default(),
             false,
@@ -308,10 +286,9 @@ mod tests {
             Ping { time: SimTime::from_millis(100), src: 200, dst: 300, id: 2 },
             Ping { time: SimTime::from_millis(400), src: 300, dst: 200, id: 3 },
         ];
-        schedule_pings(&mut engine, &pings);
-        let result = engine.run_until(SimTime::from_secs(2));
+        let (result, verdict) = checked_run(engine, &nes, &pings, SimTime::from_secs(2));
         assert!(!result.dataplane.degraded(), "a generous budget survives 6% loss");
-        verify_reliable_nes_run(&result).expect("Theorem 1 holds over a lossy channel");
+        verdict.expect("Theorem 1 holds over a lossy channel");
     }
 
     #[test]
@@ -319,15 +296,19 @@ mod tests {
         // The event also *allows* traffic the old config dropped; the
         // triggering packet must NOT benefit (per-packet consistency).
         let (nes, topo) = nes_and_topo();
-        let mut engine =
-            nes_engine(nes, topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+        let engine = nes_engine(
+            nes.clone(),
+            topo,
+            SimParams::default(),
+            false,
+            Box::new(ScenarioHosts::new()),
+        );
         // The trigger ping's reply is what tests the new config; covered in
         // the first test. Here: verify correctness holds for a run with
         // only the trigger.
         let pings = vec![Ping { time: SimTime::from_millis(1), src: 200, dst: 300, id: 1 }];
-        schedule_pings(&mut engine, &pings);
-        let result = engine.run_until(SimTime::from_secs(1));
+        let (result, verdict) = checked_run(engine, &nes, &pings, SimTime::from_secs(1));
         assert!(ping_outcomes(&pings, &result.stats)[0].replied.is_some());
-        verify_nes_run(&result).expect("correct");
+        verdict.expect("correct");
     }
 }

@@ -14,7 +14,7 @@
 //! is allowed — and under probing usually observed — to be a violation.
 
 use edn_core::OnlineViolation;
-use netsim::{ChannelModel, DataPlane, Engine, RunResult, Stats, StatsMode, TraceMode};
+use netsim::{ChannelModel, DataPlane, Engine, RunResult, Stats, StatsMode};
 
 use crate::compile::CompiledScenario;
 use crate::spec::{ScenarioError, ScenarioSpec};
@@ -37,7 +37,8 @@ pub struct RunOptions {
 pub struct ScenarioOutcome {
     /// Aggregate run statistics: the counters. A leg keeps no per-packet
     /// record, so [`Stats::deliveries`] and [`Stats::drops`] are empty —
-    /// drive [`CompiledScenario::engine`] yourself for those and the trace.
+    /// drive [`CompiledScenario::engine`] yourself for those (and set
+    /// `TraceMode::Full` on it for the trace).
     pub stats: Stats,
     /// Background datagrams loaded.
     pub datagrams: u64,
@@ -137,17 +138,17 @@ pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutco
 /// The one place every leg goes through, whatever plane it deploys. It
 /// puts the engine at the level a [`ScenarioOutcome`] reports and no higher:
 /// the verdict comes from the *online* checker and the rest is a fired count
-/// and counters, so the run keeps no trace and no per-packet stats streams.
-/// This is deliberately not an option — a caller that wants the trace or the
-/// streams drives [`CompiledScenario::engine`] itself, which records
-/// everything.
+/// and counters, so the run keeps no per-packet stats streams (and, like
+/// every engine unless asked, no trace). This is deliberately not an option
+/// — a caller that wants the streams or the trace drives
+/// [`CompiledScenario::engine`] itself, which keeps every delivery and drop
+/// and records the trace under `with_trace_mode(TraceMode::Full)`.
 fn leg<D: DataPlane>(
     c: &CompiledScenario,
     engine: Engine<D>,
     opts: &RunOptions,
 ) -> (RunResult<D>, u64, Option<Result<(), OnlineViolation>>) {
-    let engine = engine.with_trace_mode(TraceMode::StatsOnly).with_stats_mode(StatsMode::Counters);
-    drive(c, engine, opts)
+    drive(c, engine.with_stats_mode(StatsMode::Counters), opts)
 }
 
 /// Attach the checker if asked, script the actions, load the traffic,
@@ -281,8 +282,9 @@ mod tests {
 
     /// A leg reports counters, so leg-to-leg equality is counter equality;
     /// the per-packet strength this test always had is kept by replaying the
-    /// same three legs on [`CompiledScenario::engine`] as built — full trace,
-    /// every delivery and drop — and tying the legs' counters to that.
+    /// same three legs on [`CompiledScenario::engine`] recording everything
+    /// — full trace, every delivery and drop — and tying the legs' counters
+    /// to that.
     #[test]
     fn legs_agree_byte_for_byte() {
         let c = CompiledScenario::compile(&flap_spec()).unwrap();
@@ -296,7 +298,8 @@ mod tests {
         assert!(batch.stats.deliveries.is_empty() && batch.stats.drops.is_empty());
 
         let full = |opts: &RunOptions| {
-            let (result, _, _) = drive(&c, c.engine(), opts);
+            let engine = c.engine().with_trace_mode(netsim::TraceMode::Full);
+            let (result, _, _) = drive(&c, engine, opts);
             (result.trace, result.stats)
         };
         let (trace, stats) = full(&RunOptions::default());

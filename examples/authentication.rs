@@ -7,7 +7,7 @@
 //! Run with: `cargo run -p edn-apps --example authentication`
 
 use edn_apps::{authentication, sim_topology, H1, H2, H3, H4};
-use nes_runtime::{nes_engine, verify_nes_run};
+use nes_runtime::{attach_online_checker, nes_engine};
 use netsim::traffic::{ping_outcomes, schedule_pings, Ping, ScenarioHosts};
 use netsim::{SimParams, SimTime};
 
@@ -25,7 +25,8 @@ fn main() {
 
     let topo = sim_topology(&authentication::spec(), SimTime::from_micros(50), None);
     let mut engine =
-        nes_engine(nes, topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+        nes_engine(nes.clone(), topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+    let checker = attach_online_checker(&mut engine, &nes).expect("the NES fits the checker");
 
     let s = SimTime::from_millis;
     let pings = vec![
@@ -55,7 +56,7 @@ fn main() {
         println!("  {t}  {e}");
     }
 
-    match verify_nes_run(&result) {
+    match checker.verdict() {
         Ok(()) => println!("\ntrace is event-driven consistent (Definition 6)"),
         Err(v) => println!("\nCONSISTENCY VIOLATION: {v}"),
     }

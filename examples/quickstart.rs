@@ -5,7 +5,7 @@
 //! Run with: `cargo run -p edn-apps --example quickstart`
 
 use edn_apps::{firewall, sim_topology, H1, H4};
-use nes_runtime::{nes_engine, verify_nes_run, CompiledNes};
+use nes_runtime::{attach_online_checker, nes_engine, CompiledNes};
 use netsim::traffic::{ping_outcomes, schedule_pings, Ping, ScenarioHosts};
 use netsim::{SimParams, SimTime};
 
@@ -27,7 +27,9 @@ fn main() {
     // 3. Deploy on the discrete-event simulator and ping.
     let topo = sim_topology(&firewall::spec(), SimTime::from_micros(50), None);
     let mut engine =
-        nes_engine(nes, topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+        nes_engine(nes.clone(), topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+    // The online Definition 6 checker watches the run as it executes.
+    let checker = attach_online_checker(&mut engine, &nes).expect("the firewall fits the checker");
     let pings = vec![
         Ping { time: SimTime::from_millis(10), src: H4, dst: H1, id: 1 },
         Ping { time: SimTime::from_millis(100), src: H1, dst: H4, id: 2 },
@@ -49,8 +51,8 @@ fn main() {
         );
     }
 
-    // 4. Machine-check the whole run against Definition 6.
-    match verify_nes_run(&result) {
+    // 4. The checker's verdict on the whole run (Definition 6).
+    match checker.verdict() {
         Ok(()) => println!("\ntrace is event-driven consistent (Definition 6)"),
         Err(v) => println!("\nCONSISTENCY VIOLATION: {v}"),
     }

@@ -9,20 +9,22 @@
 
 use edn_apps::ring::{host, Ring};
 use edn_core::EventId;
-use nes_runtime::{nes_engine, verify_nes_run};
+use nes_runtime::{attach_online_checker, nes_engine};
 use netsim::traffic::{schedule_pings, Ping, ScenarioHosts};
 use netsim::{SimParams, SimTime};
 
 fn run(diameter: u64, broadcast: bool) {
     let ring = Ring::new(diameter);
     let topo = ring.sim_topology(SimTime::from_micros(100), None);
+    let nes = ring.nes();
     let mut engine = nes_engine(
-        ring.nes(),
+        nes.clone(),
         topo,
         SimParams::default(),
         broadcast,
         Box::new(ScenarioHosts::new()),
     );
+    let checker = attach_online_checker(&mut engine, &nes).expect("the ring fits the checker");
 
     // Background traffic: each host pings its clockwise neighbour's host
     // every 500 ms — the gossip vehicle for digests.
@@ -47,7 +49,7 @@ fn run(diameter: u64, broadcast: bool) {
     engine.inject_at(t0, ring.h1(), ring.trigger_packet());
 
     let result = engine.run_until(SimTime::from_secs(30));
-    verify_nes_run(&result).expect("ring run is consistent");
+    checker.verdict().expect("ring run is consistent");
 
     let e0 = EventId::new(0);
     let mut times: Vec<(u64, Option<SimTime>)> =

@@ -8,7 +8,7 @@
 //! Run with: `cargo run -p edn-apps --example stateful_firewall`
 
 use edn_apps::{firewall, sim_topology, H1, H4};
-use nes_runtime::{nes_engine, uncoordinated_engine, verify_nes_run};
+use nes_runtime::{attach_online_checker, nes_engine, uncoordinated_engine};
 use netsim::traffic::{ping_outcomes, schedule_pings, Ping, PingOutcome, ScenarioHosts};
 use netsim::{SimParams, SimTime};
 
@@ -51,17 +51,14 @@ fn main() {
 
     // (a) Our runtime.
     let topo = sim_topology(&firewall::spec(), SimTime::from_micros(50), None);
-    let mut engine = nes_engine(
-        firewall::nes(),
-        topo,
-        SimParams::default(),
-        false,
-        Box::new(ScenarioHosts::new()),
-    );
+    let nes = firewall::nes();
+    let mut engine =
+        nes_engine(nes.clone(), topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+    let checker = attach_online_checker(&mut engine, &nes).expect("the firewall fits the checker");
     schedule_pings(&mut engine, &pings);
     let result = engine.run_until(SimTime::from_secs(20));
     render("(a) event-driven consistent runtime:", &ping_outcomes(&pings, &result.stats));
-    match verify_nes_run(&result) {
+    match checker.verdict() {
         Ok(()) => println!("  checker: consistent (Definition 6)\n"),
         Err(v) => println!("  checker: VIOLATION {v}\n"),
     }

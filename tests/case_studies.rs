@@ -5,14 +5,33 @@
 
 use edn_apps::{authentication, bandwidth_cap, firewall, ids, learning, sim_topology};
 use edn_apps::{H1, H2, H3, H4};
+use edn_core::{NetworkEventStructure, OnlineHandle};
 use nes_runtime::{
-    nes_engine, uncoordinated_engine, verify_nes_run, verify_uncoordinated_run, CompiledNes,
+    attach_online_checker, nes_engine, uncoordinated_engine, CompiledNes, NesDataPlane,
 };
 use netsim::traffic::{ping_outcomes, schedule_pings, Ping, ScenarioHosts};
-use netsim::{SimParams, SimTime};
+use netsim::{Engine, SimParams, SimTime, SimTopology};
 
 fn ms(t: u64) -> SimTime {
     SimTime::from_millis(t)
+}
+
+/// The paper's runtime for `nes` on `topo`, with the online Definition 6
+/// checker attached before any traffic.
+fn checked_engine(
+    nes: NetworkEventStructure,
+    topo: SimTopology,
+    broadcast: bool,
+) -> (Engine<NesDataPlane>, OnlineHandle) {
+    let mut engine = nes_engine(
+        nes.clone(),
+        topo,
+        SimParams::default(),
+        broadcast,
+        Box::new(ScenarioHosts::new()),
+    );
+    let handle = attach_online_checker(&mut engine, &nes).expect("the case study fits the checker");
+    (engine, handle)
 }
 
 /// Every application's NES passes the paper's static sanity checks.
@@ -38,13 +57,7 @@ fn all_apps_build_well_formed_local_neses() {
 #[test]
 fn firewall_end_to_end_interleaved() {
     let topo = sim_topology(&firewall::spec(), SimTime::from_micros(50), None);
-    let mut engine = nes_engine(
-        firewall::nes(),
-        topo,
-        SimParams::default(),
-        true, // with controller broadcast this time
-        Box::new(ScenarioHosts::new()),
-    );
+    let (mut engine, checker) = checked_engine(firewall::nes(), topo, true); // with controller broadcast this time
     let mut pings = Vec::new();
     for i in 0..5 {
         pings.push(Ping { time: ms(50 * i + 7), src: H4, dst: H1, id: i });
@@ -59,7 +72,7 @@ fn firewall_end_to_end_interleaved() {
     assert!(o[..5].iter().all(|p| !p.request_delivered), "pre-event probes blocked");
     assert!(o[5].replied.is_some(), "trigger answered");
     assert!(o[6..].iter().all(|p| p.replied.is_some()), "post-event probes answered");
-    verify_nes_run(&result).expect("firewall interleaved run is consistent");
+    checker.verdict().expect("firewall interleaved run is consistent");
 }
 
 /// The checker (not just ping accounting) flags the uncoordinated firewall.
@@ -75,6 +88,7 @@ fn checker_flags_uncoordinated_firewall() {
         99,
         Box::new(ScenarioHosts::new()),
     );
+    let checker = attach_online_checker(&mut engine, &nes).expect("the firewall fits the checker");
     // The trigger plus an immediate reverse probe: the probe dies against
     // the stale configuration at a switch that has seen the event.
     let pings = vec![
@@ -82,8 +96,8 @@ fn checker_flags_uncoordinated_firewall() {
         Ping { time: ms(30), src: H4, dst: H1, id: 2 },
     ];
     schedule_pings(&mut engine, &pings);
-    let result = engine.run_until(SimTime::from_secs(3));
-    let verdict = verify_uncoordinated_run(&result, &nes);
+    engine.run_until(SimTime::from_secs(3));
+    let verdict = checker.verdict();
     assert!(verdict.is_err(), "Definition 6 violation expected, got {verdict:?}");
 }
 
@@ -91,13 +105,7 @@ fn checker_flags_uncoordinated_firewall() {
 #[test]
 fn authentication_with_broadcast() {
     let topo = sim_topology(&authentication::spec(), SimTime::from_micros(50), None);
-    let mut engine = nes_engine(
-        authentication::nes(),
-        topo,
-        SimParams::default(),
-        true,
-        Box::new(ScenarioHosts::new()),
-    );
+    let (mut engine, checker) = checked_engine(authentication::nes(), topo, true);
     let pings = vec![
         Ping { time: ms(10), src: H4, dst: H1, id: 1 },
         Ping { time: ms(200), src: H4, dst: H2, id: 2 },
@@ -107,7 +115,7 @@ fn authentication_with_broadcast() {
     let result = engine.run_until(SimTime::from_secs(3));
     let o = ping_outcomes(&pings, &result.stats);
     assert!(o.iter().all(|p| p.replied.is_some()), "whole knock sequence succeeds");
-    verify_nes_run(&result).expect("broadcast-assisted run is consistent");
+    checker.verdict().expect("broadcast-assisted run is consistent");
     // Both events fired in causal order.
     let fired = result.dataplane.fired_sequence();
     assert_eq!(fired.len(), 2);
@@ -119,13 +127,7 @@ fn authentication_with_broadcast() {
 fn bandwidth_cap_exact_at_various_caps() {
     for n in [1u64, 3, 7] {
         let topo = sim_topology(&bandwidth_cap::spec(), SimTime::from_micros(50), None);
-        let mut engine = nes_engine(
-            bandwidth_cap::nes(n),
-            topo,
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-        );
+        let (mut engine, checker) = checked_engine(bandwidth_cap::nes(n), topo, false);
         let pings: Vec<Ping> =
             (0..n + 5).map(|i| Ping { time: ms(100 * i + 10), src: H1, dst: H4, id: i }).collect();
         schedule_pings(&mut engine, &pings);
@@ -133,7 +135,7 @@ fn bandwidth_cap_exact_at_various_caps() {
         let ok = ping_outcomes(&pings, &result.stats).iter().filter(|o| o.replied.is_some()).count()
             as u64;
         assert_eq!(ok, n, "cap {n} enforced exactly");
-        verify_nes_run(&result).unwrap_or_else(|v| panic!("cap {n} run consistent: {v}"));
+        checker.verdict().unwrap_or_else(|v| panic!("cap {n} run consistent: {v}"));
     }
 }
 
@@ -143,30 +145,23 @@ fn bandwidth_cap_exact_at_various_caps() {
 fn tight_timing_stays_consistent() {
     // Learning switch: stream of back-to-back packets around the event.
     let topo = sim_topology(&learning::spec(), SimTime::from_micros(50), None);
-    let mut engine = nes_engine(
-        learning::nes(),
-        topo,
-        SimParams::default(),
-        false,
-        Box::new(ScenarioHosts::new()),
-    );
+    let (mut engine, checker) = checked_engine(learning::nes(), topo, false);
     let pings: Vec<Ping> = (0..20)
         .map(|i| Ping { time: SimTime::from_micros(200 * i + 500), src: H4, dst: H1, id: i })
         .collect();
     schedule_pings(&mut engine, &pings);
-    let result = engine.run_until(SimTime::from_secs(2));
-    verify_nes_run(&result).expect("learning switch under tight timing");
+    engine.run_until(SimTime::from_secs(2));
+    checker.verdict().expect("learning switch under tight timing");
 
     // IDS: scan completes within a millisecond.
     let topo = sim_topology(&ids::spec(), SimTime::from_micros(50), None);
-    let mut engine =
-        nes_engine(ids::nes(), topo, SimParams::default(), false, Box::new(ScenarioHosts::new()));
+    let (mut engine, checker) = checked_engine(ids::nes(), topo, false);
     let pings = vec![
         Ping { time: SimTime::from_micros(100), src: H4, dst: H1, id: 1 },
         Ping { time: SimTime::from_micros(400), src: H4, dst: H2, id: 2 },
         Ping { time: SimTime::from_micros(700), src: H4, dst: H3, id: 3 },
     ];
     schedule_pings(&mut engine, &pings);
-    let result = engine.run_until(SimTime::from_secs(2));
-    verify_nes_run(&result).expect("IDS under tight timing");
+    engine.run_until(SimTime::from_secs(2));
+    checker.verdict().expect("IDS under tight timing");
 }

@@ -190,7 +190,8 @@ fn identical_seeds_replay_identically() {
             SimParams::default(),
             true,
             Box::new(ScenarioHosts::new()),
-        );
+        )
+        .with_trace_mode(TraceMode::Full);
         let pings = vec![
             Ping { time: SimTime::from_millis(1), src: H1, dst: H4, id: 1 },
             Ping { time: SimTime::from_millis(2), src: H4, dst: H1, id: 2 },
@@ -201,6 +202,7 @@ fn identical_seeds_replay_identically() {
     };
     let (t1, s1) = run();
     let (t2, s2) = run();
+    assert!(!t1.is_empty(), "the reference run records a trace");
     assert_eq!(t1, t2);
     assert_eq!(s1, s2);
 }

@@ -46,7 +46,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use edn_core::TraceMode;
 use edn_topo::{attach_stream, fat_tree, synthesize, TierProfile, TrafficPattern, Workload};
 use nes_runtime::{attach_online_checker, nes_engine, uncoordinated_engine};
 use netkat::Packet;
@@ -166,8 +165,7 @@ fn run<D: DataPlane>(
     trigger: (u64, Packet),
     horizon: SimTime,
 ) -> (u64, u64, RunResult<D>) {
-    let mut engine =
-        engine.with_trace_mode(TraceMode::StatsOnly).with_stats_mode(StatsMode::Counters);
+    let mut engine = engine.with_stats_mode(StatsMode::Counters);
     let datagrams = attach_stream(&mut engine, flows);
     engine.inject_at(SimTime::from_millis(5), trigger.0, trigger.1);
     let before = ALLOCATIONS.with(Cell::get);

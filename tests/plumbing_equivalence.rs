@@ -20,7 +20,7 @@ use edn_core::{NetworkTrace, TraceMode};
 use edn_obs::Scope;
 use edn_scenario::{run_coordinated, stats_csv_row, CompiledScenario, RunOptions};
 use edn_topo::{fat_tree, ring, synthesize, LinkProfile, TierProfile, TrafficPattern, Workload};
-use nes_runtime::{nes_engine, verify_nes_run, NesDataPlane, StaticDataPlane};
+use nes_runtime::{attach_online_checker, nes_engine, NesDataPlane, StaticDataPlane};
 use netsim::traffic::udp_packet;
 use netsim::{
     ChannelModel, DataPlane, Engine, MetricsLevel, RunResult, SimParams, SimTime, SinkHosts, Stats,
@@ -219,6 +219,7 @@ fn assert_plumbing_invariant(
     run: impl Fn(Knobs) -> (NetworkTrace, Stats),
 ) {
     let (reference_trace, reference_stats) = run(REFERENCE);
+    assert!(!reference_trace.is_empty(), "{scenario}: the reference corner records a trace");
     assert_eq!(&fingerprint(&reference_trace, &reference_stats), pin, "{scenario}: pin moved");
     for knobs in trace_modes() {
         let (trace, stats) = run(knobs);
@@ -240,8 +241,10 @@ fn ring_run(knobs: Knobs) -> (NetworkTrace, Stats) {
     let ring = Ring::new(4);
     let n = ring.switch_count();
     let topo = ring.sim_topology(SimTime::from_micros(50), None);
-    let engine = nes_engine(ring.nes(), topo, SimParams::default(), false, Box::new(SinkHosts));
+    let nes = ring.nes();
+    let engine = nes_engine(nes.clone(), topo, SimParams::default(), false, Box::new(SinkHosts));
     let mut engine = configure(engine, knobs);
+    let checker = attach_online_checker(&mut engine, &nes).expect("the ring fits the checker");
     for i in 1..=n {
         let opposite = (i + ring.diameter - 1) % n + 1;
         for wave in 0..2u64 {
@@ -254,9 +257,7 @@ fn ring_run(knobs: Knobs) -> (NetworkTrace, Stats) {
     }
     engine.inject_at(SimTime::from_millis(10), ring.h1(), ring.trigger_packet());
     let result = engine.run_until(SimTime::from_secs(5));
-    if knobs.mode == TraceMode::Full {
-        verify_nes_run(&result).expect("ring run is event-driven consistent");
-    }
+    checker.verdict().expect("ring run is event-driven consistent");
     (result.trace, result.stats)
 }
 
@@ -410,15 +411,12 @@ fn drive<D: DataPlane>(c: &CompiledScenario, mut engine: Engine<D>) -> RunResult
 
 /// Replays a compiled churn scenario on explicit engine knobs.
 fn churn_run(c: &CompiledScenario, knobs: Knobs) -> (NetworkTrace, Stats) {
-    let result = drive(c, configure(c.engine(), knobs));
-    if knobs.mode == TraceMode::Full {
-        assert_eq!(
-            result.dataplane.fired_sequence().len(),
-            c.steps.len(),
-            "every campaign step fires"
-        );
-        verify_nes_run(&result).expect("churn runs stay event-driven consistent");
-    }
+    let mut engine = configure(c.engine(), knobs);
+    let checker =
+        attach_online_checker(&mut engine, &c.nes).expect("the campaign fits the checker");
+    let result = drive(c, engine);
+    assert_eq!(result.dataplane.fired_sequence().len(), c.steps.len(), "every campaign step fires");
+    checker.verdict().expect("churn runs stay event-driven consistent");
     (result.trace, result.stats)
 }
 
@@ -479,6 +477,7 @@ fn churn_scenarios_replay_their_csv_rows_checked_and_unchecked() {
 /// bytes.
 fn assert_pinned_replay(name: &str, pin: &Fingerprint, run: impl Fn() -> (NetworkTrace, Stats)) {
     let (trace, stats) = run();
+    assert!(!trace.is_empty(), "{name}: the pinned run records a trace");
     assert_eq!(&fingerprint(&trace, &stats), pin, "{name}: pin moved");
     assert_eq!(run(), (trace, stats), "{name}: replay diverged");
 }
@@ -538,6 +537,7 @@ fn reliable_lossy_runs_match_their_pins_and_replay_identically() {
 #[test]
 fn metrics_levels_do_not_perturb_results() {
     let (reference_trace, reference_stats) = ring_run(REFERENCE);
+    assert!(!reference_trace.is_empty(), "the reference corner records a trace");
     for metrics in [MetricsLevel::Counters, MetricsLevel::Full] {
         let knobs = Knobs { metrics, ..REFERENCE };
         let (trace, stats) = ring_run(knobs);
@@ -610,6 +610,7 @@ proptest! {
         workload in arb_workload(),
     ) {
         let (reference_trace, reference_stats) = seeded_run(n, &workload, REFERENCE);
+        prop_assert!(!reference_trace.is_empty(), "the reference corner records a trace");
         for knobs in trace_modes() {
             let (trace, stats) = seeded_run(n, &workload, knobs);
             prop_assert_eq!(&stats, &reference_stats, "stats diverged on {:?}", knobs);

@@ -21,7 +21,7 @@ use edn_scenario::{
     differential, effective_channel, parse, run_coordinated, run_uncoordinated, stats_csv_row,
     CompiledScenario, RunOptions, ScenarioGen, ScenarioOutcome,
 };
-use netsim::{ChannelModel, DataPlane, Engine, MetricsLevel, RunResult, Stats};
+use netsim::{ChannelModel, DataPlane, Engine, MetricsLevel, RunResult, Stats, TraceMode};
 use proptest::prelude::*;
 
 /// `(seed, coordinated steps fired, uncoordinated violation name)` for the
@@ -89,8 +89,8 @@ fn corpus_has_uncoordinated_counterexamples() {
 }
 
 /// What a scenario leg does, on an engine the test built — and so at the
-/// recording level `c.engine()` and its siblings start at: the full trace
-/// and every delivery and drop.
+/// recording level the test chose: `c.engine()` and its siblings keep every
+/// delivery and drop, and record the trace when asked for `TraceMode::Full`.
 fn drive<D: DataPlane>(
     c: &CompiledScenario,
     mut engine: Engine<D>,
@@ -127,7 +127,7 @@ fn corpus_scenarios_replay_byte_identically() {
         let b = run_coordinated(&c, &opts);
         assert_eq!(a.stats, b.stats, "seed {seed}: replay diverged");
         let full = || {
-            let (result, _, _) = drive(&c, c.engine(), &opts);
+            let (result, _, _) = drive(&c, c.engine().with_trace_mode(TraceMode::Full), &opts);
             (result.trace, result.stats)
         };
         let (trace, stats) = full();
@@ -141,7 +141,7 @@ fn corpus_scenarios_replay_byte_identically() {
 /// exactly what a fully recording run of the same scenario would: for every
 /// leg shape (checked or not, streamed or not, a lossy twin through
 /// `Reliable`, the uncoordinated baseline) the outcome equals the one
-/// assembled from a drive of the caller-built engine at its default level,
+/// assembled from a drive of the caller-built engine recording everything,
 /// with the per-packet streams emptied.
 #[test]
 fn legs_record_counters_and_report_what_a_full_recording_would() {
@@ -169,14 +169,18 @@ fn legs_record_counters_and_report_what_a_full_recording_would() {
         let c = CompiledScenario::compile(&ScenarioGen::sample(seed)).unwrap();
         for (check, stream) in [(false, false), (false, true), (true, false), (true, true)] {
             let opts = RunOptions { check, stream, ..RunOptions::default() };
-            let engine = c.engine().with_channel(effective_channel(&c.spec, &opts));
+            let engine = c
+                .engine()
+                .with_channel(effective_channel(&c.spec, &opts))
+                .with_trace_mode(TraceMode::Full);
             let (full, datagrams, verdict) = drive(&c, engine, &opts);
             assert!(!full.trace.is_empty() && verdict.is_some() == check, "seed {seed}");
             let fired = full.dataplane.fired_sequence().len();
             assert_lean(run_coordinated(&c, &opts), full.stats, datagrams, Some(fired), verdict);
         }
         let checked = RunOptions { check: true, ..RunOptions::default() };
-        let (full, datagrams, verdict) = drive(&c, c.uncoordinated(), &checked);
+        let engine = c.uncoordinated().with_trace_mode(TraceMode::Full);
+        let (full, datagrams, verdict) = drive(&c, engine, &checked);
         assert_lean(run_uncoordinated(&c), full.stats, datagrams, None, verdict);
     }
 
@@ -185,7 +189,8 @@ fn legs_record_counters_and_report_what_a_full_recording_would() {
     let engine = c
         .reliable_engine_with(c.spec.channel.retry_budget)
         .with_channel(effective_channel(&c.spec, &opts))
-        .with_metrics(MetricsLevel::Full);
+        .with_metrics(MetricsLevel::Full)
+        .with_trace_mode(TraceMode::Full);
     let (full, datagrams, verdict) = drive(&c, engine, &opts);
     assert!(!full.trace.is_empty() && !full.dataplane.degraded());
     let fired = full.dataplane.inner().fired_sequence().len();
