@@ -113,10 +113,10 @@ pub fn sim_topology() -> SimTopology {
 mod tests {
     use super::*;
     use edn_core::{check_correct, CorrectnessViolation, OnlineHandle, OnlineViolation};
-    use nes_runtime::{attach_online_checker, nes_engine, NesDataPlane};
+    use nes_runtime::NesDataPlane;
     use netkat::Packet;
-    use netsim::traffic::{ping_request, ScenarioHosts};
-    use netsim::{Engine, RunResult, SimParams, TraceMode};
+    use netsim::traffic::ping_request;
+    use netsim::{Engine, RunResult, TraceMode};
 
     fn probe(dst: u64, id: u64) -> Packet {
         ping_request(H1, dst, id)
@@ -125,17 +125,9 @@ mod tests {
     /// `variant` on the hub topology, recording a Full trace, with the
     /// online checker attached.
     fn checked_engine(variant: Variant, broadcast: bool) -> (Engine<NesDataPlane>, OnlineHandle) {
-        let nes = nes(variant);
-        let mut engine = nes_engine(
-            nes.clone(),
-            sim_topology(),
-            SimParams::default(),
-            broadcast,
-            Box::new(ScenarioHosts::new()),
-        )
-        .with_trace_mode(TraceMode::Full);
-        let handle = attach_online_checker(&mut engine, &nes).expect("P1 and P2 fit the checker");
-        (engine, handle)
+        let (engine, handle) =
+            crate::scenario::checked_engine(nes(variant), sim_topology(), broadcast);
+        (engine.with_trace_mode(TraceMode::Full), handle)
     }
 
     /// Both verdicts on a finished run: the online checker's, and the

@@ -1,10 +1,10 @@
 //! Verified-at-scale harness: a fat-tree(16) run of 10M+ events that is
 //! *checked*, not just simulated — streaming injection
 //! ([`edn_topo::attach_stream`]), aggregate-only accounting
-//! (no trace, which is the engine's default, + `StatsMode::Counters`), and the online
-//! Definition 6 checker ([`nes_runtime::attach_online_checker`]) running
-//! inside the event loop, retiring trace prefixes as their happens-before
-//! obligations discharge.
+//! (`StatsMode::Counters`, and no trace: the engine records none unless
+//! asked), and the online Definition 6 checker
+//! ([`nes_runtime::attach_online_checker`]) running inside the event loop,
+//! retiring trace prefixes as their happens-before obligations discharge.
 //!
 //! Run with: `cargo run --release -p edn-bench --bin fig18_verified_scale`
 //!

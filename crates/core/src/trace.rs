@@ -278,8 +278,9 @@ impl fmt::Display for NetworkTrace {
 /// is unchanged), but nothing is stored and `build` yields an empty trace.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TraceMode {
-    /// Record every processing step (the default): `build` yields the
-    /// Section 2 network trace.
+    /// Record every processing step (a [`TraceBuilder`]'s default; an
+    /// engine starts at `StatsOnly`): `build` yields the Section 2 network
+    /// trace.
     #[default]
     Full,
     /// Record nothing; only run statistics survive. `build` yields an

@@ -8,9 +8,10 @@
 //! This replaces the paper's Mininet + modified OpenFlow testbed. All
 //! behaviour is injected through the [`DataPlane`] trait (implemented by the
 //! `nes-runtime` crate both for the paper's tag-and-digest runtime and for
-//! the uncoordinated baseline). Every packet processing step is recorded
-//! into an `edn-core` network trace so finished runs can be checked against
-//! the paper's consistency definitions.
+//! the uncoordinated baseline). Every packet processing step is streamed to
+//! an attached [`TraceObserver`] — the online Definition 6 checker judges a
+//! run that way — and, under [`TraceMode::Full`], also recorded into an
+//! `edn-core` network trace for tests that diff or check one.
 //!
 //! ```
 //! use netsim::{CtrlMsg, DataPlane, Engine, PacketArena, PacketId, PlaneOut, SimParams,

@@ -141,8 +141,8 @@ fn corpus_scenarios_replay_byte_identically() {
 /// exactly what a fully recording run of the same scenario would: for every
 /// leg shape (checked or not, streamed or not, a lossy twin through
 /// `Reliable`, the uncoordinated baseline) the outcome equals the one
-/// assembled from a drive of the caller-built engine recording everything,
-/// with the per-packet streams emptied.
+/// assembled from a drive of the caller-built engine, which keeps every
+/// delivery and drop, with the per-packet streams emptied.
 #[test]
 fn legs_record_counters_and_report_what_a_full_recording_would() {
     fn assert_lean(
@@ -169,18 +169,14 @@ fn legs_record_counters_and_report_what_a_full_recording_would() {
         let c = CompiledScenario::compile(&ScenarioGen::sample(seed)).unwrap();
         for (check, stream) in [(false, false), (false, true), (true, false), (true, true)] {
             let opts = RunOptions { check, stream, ..RunOptions::default() };
-            let engine = c
-                .engine()
-                .with_channel(effective_channel(&c.spec, &opts))
-                .with_trace_mode(TraceMode::Full);
+            let engine = c.engine().with_channel(effective_channel(&c.spec, &opts));
             let (full, datagrams, verdict) = drive(&c, engine, &opts);
-            assert!(!full.trace.is_empty() && verdict.is_some() == check, "seed {seed}");
+            assert_eq!(verdict.is_some(), check, "seed {seed}");
             let fired = full.dataplane.fired_sequence().len();
             assert_lean(run_coordinated(&c, &opts), full.stats, datagrams, Some(fired), verdict);
         }
         let checked = RunOptions { check: true, ..RunOptions::default() };
-        let engine = c.uncoordinated().with_trace_mode(TraceMode::Full);
-        let (full, datagrams, verdict) = drive(&c, engine, &checked);
+        let (full, datagrams, verdict) = drive(&c, c.uncoordinated(), &checked);
         assert_lean(run_uncoordinated(&c), full.stats, datagrams, None, verdict);
     }
 
@@ -189,10 +185,9 @@ fn legs_record_counters_and_report_what_a_full_recording_would() {
     let engine = c
         .reliable_engine_with(c.spec.channel.retry_budget)
         .with_channel(effective_channel(&c.spec, &opts))
-        .with_metrics(MetricsLevel::Full)
-        .with_trace_mode(TraceMode::Full);
+        .with_metrics(MetricsLevel::Full);
     let (full, datagrams, verdict) = drive(&c, engine, &opts);
-    assert!(!full.trace.is_empty() && !full.dataplane.degraded());
+    assert!(!full.dataplane.degraded());
     let fired = full.dataplane.inner().fired_sequence().len();
     assert_lean(run_coordinated(&c, &opts), full.stats, datagrams, Some(fired), verdict);
 }
