@@ -1508,6 +1508,51 @@ mod tests {
     }
 
     #[test]
+    fn only_data_deliveries_move_a_switchs_causal_frontier() {
+        /// Notifies the controller from switch 1's first hop; the controller
+        /// answers switch 2 with a pure ack (`plumbing`) or with the events.
+        struct Teller {
+            plumbing: bool,
+        }
+        impl DataPlane for Teller {
+            fn step(
+                &mut self,
+                sw: u64,
+                _: u64,
+                packet: PacketId,
+                from_host: bool,
+                _: SimTime,
+                _: &mut PacketArena,
+                out: &mut PlaneOut,
+            ) {
+                out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
+                if sw == 1 && from_host {
+                    out.notifications.push(CtrlMsg::Events(1));
+                }
+            }
+            fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
+                let reply = if self.plumbing { CtrlMsg::Ack { sw: 2, ack: 0 } } else { msg };
+                out.deliveries.push((SimTime::ZERO, 2, reply));
+            }
+            fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
+        }
+        let edges = |plumbing: bool| {
+            let mut e =
+                traced(topo(), SimParams::default(), Teller { plumbing }, Box::new(SinkHosts));
+            // The second packet reaches switch 2 after the reply landed there.
+            e.inject_at(SimTime::ZERO, 100, Packet::new().with(Field::Vlan, 1));
+            e.inject_at(SimTime::from_millis(10), 100, Packet::new().with(Field::Vlan, 2));
+            let r = e.run_until(SimTime::from_secs(1));
+            assert_eq!(r.stats.delivered_packets, 2);
+            r.trace.extra_edges().to_vec()
+        };
+        // Trace: host, 1:2 in (the cause), 1:1 out, 2:1 in, 2:2 out, host,
+        // then the second packet: host, 1:2 in, 1:1 out, 2:1 in (index 9).
+        assert_eq!(edges(false), vec![(1, 9)], "the events reach switch 2's next hop");
+        assert!(edges(true).is_empty(), "an ack changes no switch state, so it links nothing");
+    }
+
+    #[test]
     fn capacity_limits_throughput_and_queue_drops() {
         // 1 Mbit/s ≈ 125_000 B/s; 1500 B packets take 12 ms each.
         let topo = SimTopology::new([1, 2])
