@@ -174,10 +174,10 @@ impl ChannelModel {
         for (i, d) in delay_us.iter_mut().enumerate().take(copies as usize) {
             let p = 10 + 2 * i as u64;
             if m.jitter_us > 0 {
-                *d = mix(base.wrapping_add(p)) % (m.jitter_us + 1);
+                *d = mix(base.wrapping_add(p)) % m.jitter_us.saturating_add(1);
             }
             if roll_pm(p + 1) < m.reorder_pm {
-                *d += 4 * m.jitter_us.max(1);
+                *d = d.saturating_add(m.jitter_us.max(1).saturating_mul(4));
                 reordered = true;
             }
         }
@@ -241,6 +241,19 @@ mod tests {
         assert!(drops > 100, "~6% of 4000 should drop, saw {drops}");
         assert!(dups > 40, "~3% should duplicate, saw {dups}");
         assert!(delayed > 1000, "jitter should delay most copies, saw {delayed}");
+    }
+
+    /// A draw is taken modulo `jitter_us + 1`, which overflows at
+    /// `u64::MAX`: every fate path must still return there.
+    #[test]
+    fn fate_returns_at_the_largest_jitter_bound() {
+        let dir = DirModel { drop_pm: 0, dup_pm: 1000, reorder_pm: 1000, jitter_us: u64::MAX };
+        let m = ChannelModel { to_ctrl: dir, to_switch: dir, seed: 9 };
+        for counter in 0..64 {
+            let f = m.fate(ChannelDir::ToCtrl, 1, counter);
+            assert_eq!(f.copies, 2);
+            assert!(f.reordered);
+        }
     }
 
     #[test]

@@ -43,9 +43,10 @@ pub const DEFAULT_PACKET_SIZE: u32 = 1_500;
 const ENV_ENTITY: u32 = 0;
 /// The dense entity id of the controller.
 const CTRL_ENTITY: u32 = 1;
-/// Sentinel cause for control messages that are plumbing, not semantics
-/// (acks, retransmissions): they carry no happens-before obligation, so
-/// the causality bookkeeping skips them. Dropping an HB edge can only
+/// Sentinel cause for control messages no packet step sent (replies to
+/// notifies and deliveries, timer resends): they carry no happens-before
+/// obligation, so the causality bookkeeping skips them. Dropping an HB
+/// edge can only
 /// weaken the checker's obligations, never invent a violation.
 const NO_CAUSE: usize = usize::MAX;
 /// Bits of the packed sequence key reserved for the per-entity counter.
@@ -165,9 +166,9 @@ impl EntityMap {
 
 /// Pending events carry [`PacketId`]s into the engine's arena, never
 /// owned packets: forking an event (multicast) or recording it into the
-/// trace copies four bytes.
+/// trace copies four bytes. `M` is the plane's [`DataPlane::Msg`].
 #[derive(Clone, Debug)]
-enum EventKind {
+enum EventKind<M> {
     /// A host pushes a packet onto its attachment link. `sender` is the
     /// host's dense entity id (events this dispatch creates are its).
     Inject { host: u64, packet: PacketId, size: u32, sender: u32 },
@@ -177,17 +178,17 @@ enum EventKind {
     Arrive { loc: Loc, packet: PacketId, size: u32, parent: usize, from_host: bool, sender: u32 },
     /// A switch-to-controller message arrives at the controller; `cause`
     /// is the trace index of the packet processing step that produced it
-    /// ([`NO_CAUSE`] for plumbing).
-    Notify { msg: CtrlMsg, cause: usize },
+    /// ([`NO_CAUSE`] if no packet step sent it).
+    Notify { msg: M, cause: usize },
     /// A controller command arrives at a switch.
-    Deliver { sw: u64, msg: CtrlMsg },
+    Deliver { sw: u64, msg: M },
     /// A data-plane-requested timer fires at a switch (or, with
     /// `node == CONTROLLER_NODE`, at the controller).
     Timer { node: u64 },
 }
 
 /// The metric slot of an event kind (`EngineMetrics::dispatched`).
-fn kind_index(kind: &EventKind) -> usize {
+fn kind_index<M>(kind: &EventKind<M>) -> usize {
     match kind {
         EventKind::Inject { .. } => 0,
         EventKind::Arrive { .. } => 1,
@@ -198,7 +199,7 @@ fn kind_index(kind: &EventKind) -> usize {
 }
 
 /// Flight-recorder label and subject entity of an event kind.
-fn flight_info(kind: &EventKind) -> (&'static str, u64) {
+fn flight_info<M>(kind: &EventKind<M>) -> (&'static str, u64) {
     match kind {
         EventKind::Inject { host, .. } => ("inject", *host),
         EventKind::Arrive { loc, .. } => ("arrive", loc.sw),
@@ -252,7 +253,7 @@ struct Core<D: DataPlane> {
     hosts: BoxedHosts,
     queue: CalendarQueue,
     /// Slab of pending event payloads, indexed by the keys in `queue`.
-    slots: Vec<Option<EventKind>>,
+    slots: Vec<Option<EventKind<D::Msg>>>,
     /// Recycled slab slots.
     free_slots: Vec<u32>,
     now: SimTime,
@@ -287,7 +288,7 @@ struct Core<D: DataPlane> {
     chan_counts: Vec<u64>,
     /// The one buffer every plane interaction reports through, reused for
     /// the whole run and empty between dispatches.
-    out: PlaneOut,
+    out: PlaneOut<D::Msg>,
     /// Trace indices whose processing sent something to the controller.
     ctrl_causes: Vec<usize>,
     /// Per entity (only switches' entries move): how many of `ctrl_causes`
@@ -375,7 +376,7 @@ impl<D: DataPlane> Core<D> {
         seq
     }
 
-    fn push_keyed(&mut self, time: SimTime, seq: u64, kind: EventKind) {
+    fn push_keyed(&mut self, time: SimTime, seq: u64, kind: EventKind<D::Msg>) {
         // The queue holds a reference to the packet an event carries: this
         // pins its arena slot until the event is dispatched.
         if let EventKind::Inject { packet, .. } | EventKind::Arrive { packet, .. } = kind {
@@ -398,7 +399,7 @@ impl<D: DataPlane> Core<D> {
     /// observes the creation-to-fire sim-time latency. The injection paths
     /// (pre-run and source pump) use raw `push_keyed`: those are workload
     /// admissions, not engine-scheduled delays.
-    fn schedule(&mut self, time: SimTime, seq: u64, kind: EventKind) {
+    fn schedule(&mut self, time: SimTime, seq: u64, kind: EventKind<D::Msg>) {
         if self.metrics.on {
             self.metrics.observe_scheduled(time, self.now);
         }
@@ -445,7 +446,7 @@ impl<D: DataPlane> Core<D> {
     /// fault-stream counter, and each surviving copy gets its own
     /// sequence key from the sender. The ideal model takes the exact
     /// pre-fault-model path (one copy, zero extra delay, no counters).
-    fn send_notify(&mut self, node: u64, sender: u32, msg: CtrlMsg, cause: usize) {
+    fn send_notify(&mut self, node: u64, sender: u32, msg: D::Msg, cause: usize) {
         let base = self.now + self.controller_latency();
         let fate = if self.channel.is_ideal() {
             ChannelFate::CLEAN
@@ -466,7 +467,7 @@ impl<D: DataPlane> Core<D> {
     /// channel model; `delay` is the data plane's own scheduling offset
     /// (e.g. update-wave spacing), applied on top of the controller
     /// latency before any channel jitter.
-    fn send_deliver(&mut self, sw: u64, msg: CtrlMsg, delay: SimTime) {
+    fn send_deliver(&mut self, sw: u64, msg: D::Msg, delay: SimTime) {
         let base = self.now + self.controller_latency() + delay;
         let fate = if self.channel.is_ideal() {
             ChannelFate::CLEAN
@@ -535,9 +536,13 @@ impl<D: DataPlane> Core<D> {
 
     /// One packet-free plane interaction at `node` (notify, deliver,
     /// timer): `call` reports into the reused buffer, and whatever it asked
-    /// for is acted on before the dispatch ends. What these send is
-    /// plumbing or controller output, so it carries no trace cause.
-    fn control_step(&mut self, node: u64, call: impl FnOnce(&mut D, SimTime, &mut PlaneOut)) {
+    /// for is acted on before the dispatch ends. No packet step sent what
+    /// these send, so it carries no trace cause.
+    fn control_step(
+        &mut self,
+        node: u64,
+        call: impl FnOnce(&mut D, SimTime, &mut PlaneOut<D::Msg>),
+    ) {
         call(&mut self.dataplane, self.now, &mut self.out);
         self.emit_control(node, NO_CAUSE);
     }
@@ -642,7 +647,7 @@ impl<D: DataPlane> Core<D> {
         }
     }
 
-    fn dispatch(&mut self, key: EventKey, kind: EventKind) {
+    fn dispatch(&mut self, key: EventKey, kind: EventKind<D::Msg>) {
         self.stats.events_processed += 1;
         let carried = match &kind {
             EventKind::Inject { packet, .. } | EventKind::Arrive { packet, .. } => Some(*packet),
@@ -697,7 +702,7 @@ impl<D: DataPlane> Core<D> {
         }
     }
 
-    fn dispatch_inner(&mut self, kind: EventKind) {
+    fn dispatch_inner(&mut self, kind: EventKind<D::Msg>) {
         match kind {
             EventKind::Inject { host, packet, size, sender } => {
                 let (attach, attach_sender) = self.entities.attachment(sender);
@@ -759,9 +764,9 @@ impl<D: DataPlane> Core<D> {
             }
             EventKind::Notify { msg, cause } => {
                 // Controller knowledge is cumulative: record the cause
-                // before computing deliveries. Plumbing messages (acks,
-                // retransmissions) carry the NO_CAUSE sentinel and stay out
-                // of the causality record.
+                // before computing deliveries. Messages no packet step sent
+                // carry the NO_CAUSE sentinel and stay out of the causality
+                // record.
                 if cause != NO_CAUSE {
                     self.ctrl_causes.push(cause);
                 }
@@ -770,11 +775,11 @@ impl<D: DataPlane> Core<D> {
             EventKind::Deliver { sw, msg } => {
                 // Everything the controller has heard up to now becomes a
                 // causal ancestor of this switch's subsequent processing.
-                // Pure acks are plumbing: they change no switch state, so
-                // they must not strengthen the causal frontier.
+                // Plumbing (a pure ack, say) changes no switch state, so it
+                // must not strengthen the causal frontier.
                 // A switch outside the topology never steps, so there is
                 // no frontier to move.
-                if !matches!(msg, CtrlMsg::Ack { .. }) {
+                if !msg.is_plumbing() {
                     if let Some(entity) = self.entities.get(sw) {
                         self.ctrl_delivered[entity as usize] = self.ctrl_causes.len();
                     }
@@ -1335,12 +1340,27 @@ mod fixtures {
         Engine::new(topo, params, dataplane, hosts).with_trace_mode(TraceMode::Full)
     }
 
+    /// A test plane's message: events reported up or sent down, or a pure
+    /// acknowledgement, which is plumbing.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub(super) enum Msg {
+        Events,
+        Ack,
+    }
+
+    impl CtrlMsg for Msg {
+        fn is_plumbing(&self) -> bool {
+            matches!(self, Msg::Ack)
+        }
+    }
+
     /// Forwards towards host 200: switch 1 out its link port, switch 2 out
     /// its host port.
     #[derive(Clone)]
     pub(super) struct PerSwitch;
 
     impl DataPlane for PerSwitch {
+        type Msg = ();
         fn step(
             &mut self,
             sw: u64,
@@ -1349,18 +1369,16 @@ mod fixtures {
             _: bool,
             _: SimTime,
             _: &mut PacketArena,
-            out: &mut PlaneOut,
+            out: &mut PlaneOut<Self::Msg>,
         ) {
             out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
         }
-        fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::fixtures::{topo, traced, PerSwitch};
+    use super::fixtures::{topo, traced, Msg, PerSwitch};
     use super::*;
     use crate::logic::SinkHosts;
     use netkat::{Field, PacketArena};
@@ -1369,6 +1387,7 @@ mod tests {
     struct Fwd1;
 
     impl DataPlane for Fwd1 {
+        type Msg = ();
         fn step(
             &mut self,
             _: u64,
@@ -1377,19 +1396,17 @@ mod tests {
             _: bool,
             _: SimTime,
             arena: &mut PacketArena,
-            out: &mut PlaneOut,
+            out: &mut PlaneOut<Self::Msg>,
         ) {
             if arena.get(packet).get(Field::Vlan) == Some(9) {
-                out.notifications.push(CtrlMsg::Events(1));
+                out.notifications.push(());
             }
             out.outputs.push((1, packet));
         }
 
-        fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
+        fn on_notify(&mut self, msg: Self::Msg, _: SimTime, out: &mut PlaneOut<Self::Msg>) {
             out.deliveries.push((SimTime::ZERO, 1, msg));
         }
-
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
     }
 
     /// A data plane delivering to the local host port.
@@ -1397,6 +1414,7 @@ mod tests {
     struct ToHostPort(u64);
 
     impl DataPlane for ToHostPort {
+        type Msg = ();
         fn step(
             &mut self,
             _: u64,
@@ -1405,12 +1423,10 @@ mod tests {
             _: bool,
             _: SimTime,
             _: &mut PacketArena,
-            out: &mut PlaneOut,
+            out: &mut PlaneOut<Self::Msg>,
         ) {
             out.outputs.push((self.0, packet));
         }
-        fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
     }
 
     #[test]
@@ -1478,6 +1494,7 @@ mod tests {
         /// which the topology does not have.
         struct Stray;
         impl DataPlane for Stray {
+            type Msg = ();
             fn step(
                 &mut self,
                 sw: u64,
@@ -1486,17 +1503,16 @@ mod tests {
                 _: bool,
                 _: SimTime,
                 _: &mut PacketArena,
-                out: &mut PlaneOut,
+                out: &mut PlaneOut<Self::Msg>,
             ) {
                 out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
                 if sw == 1 {
-                    out.notifications.push(CtrlMsg::Events(1));
+                    out.notifications.push(());
                 }
             }
-            fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
+            fn on_notify(&mut self, msg: Self::Msg, _: SimTime, out: &mut PlaneOut<Self::Msg>) {
                 out.deliveries.push((SimTime::ZERO, 99, msg));
             }
-            fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
         }
         let mut e = traced(topo(), SimParams::default(), Stray, Box::new(SinkHosts));
         // The second packet crosses both switches after the command landed.
@@ -1515,6 +1531,7 @@ mod tests {
             plumbing: bool,
         }
         impl DataPlane for Teller {
+            type Msg = Msg;
             fn step(
                 &mut self,
                 sw: u64,
@@ -1523,18 +1540,17 @@ mod tests {
                 from_host: bool,
                 _: SimTime,
                 _: &mut PacketArena,
-                out: &mut PlaneOut,
+                out: &mut PlaneOut<Self::Msg>,
             ) {
                 out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
                 if sw == 1 && from_host {
-                    out.notifications.push(CtrlMsg::Events(1));
+                    out.notifications.push(Msg::Events);
                 }
             }
-            fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
-                let reply = if self.plumbing { CtrlMsg::Ack { sw: 2, ack: 0 } } else { msg };
+            fn on_notify(&mut self, msg: Self::Msg, _: SimTime, out: &mut PlaneOut<Self::Msg>) {
+                let reply = if self.plumbing { Msg::Ack } else { msg };
                 out.deliveries.push((SimTime::ZERO, 2, reply));
             }
-            fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
         }
         let edges = |plumbing: bool| {
             let mut e =
@@ -1911,6 +1927,7 @@ mod failure_tests {
             enabled: bool,
         }
         impl DataPlane for Gate {
+            type Msg = ();
             fn step(
                 &mut self,
                 _: u64,
@@ -1919,18 +1936,18 @@ mod failure_tests {
                 from_host: bool,
                 _: SimTime,
                 _: &mut PacketArena,
-                out: &mut PlaneOut,
+                out: &mut PlaneOut<Self::Msg>,
             ) {
                 if self.enabled {
                     out.outputs.push((2, packet));
                 } else if from_host {
-                    out.notifications.push(CtrlMsg::Events(1));
+                    out.notifications.push(());
                 }
             }
-            fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
+            fn on_notify(&mut self, msg: Self::Msg, _: SimTime, out: &mut PlaneOut<Self::Msg>) {
                 out.deliveries.push((SimTime::ZERO, 1, msg));
             }
-            fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {
+            fn deliver(&mut self, _: u64, _: Self::Msg, _: SimTime, _: &mut PlaneOut<Self::Msg>) {
                 self.enabled = true;
             }
         }
@@ -2082,20 +2099,20 @@ mod timeline_props {
 
 #[cfg(test)]
 mod channel_tests {
-    use super::fixtures::topo;
+    use super::fixtures::{topo, Msg};
     use super::*;
     use crate::logic::SinkHosts;
     use netkat::{Field, PacketArena};
 
     /// A plane that notifies the controller on every hop at switch 1 and
-    /// counts what the controller hears — loss shows up as missing ids.
+    /// counts what the controller hears — loss shows up as a short count.
     #[derive(Clone, Default)]
     struct Chatty {
         heard: u64,
-        sent: u64,
     }
 
     impl DataPlane for Chatty {
+        type Msg = ();
         fn step(
             &mut self,
             sw: u64,
@@ -2104,20 +2121,16 @@ mod channel_tests {
             _: bool,
             _: SimTime,
             _: &mut PacketArena,
-            out: &mut PlaneOut,
+            out: &mut PlaneOut<Self::Msg>,
         ) {
             out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
             if sw == 1 {
-                out.notifications.push(CtrlMsg::Events(self.sent));
-                self.sent += 1;
+                out.notifications.push(());
             }
         }
-        fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, _: &mut PlaneOut) {
-            if let CtrlMsg::Events(_) = msg {
-                self.heard += 1;
-            }
+        fn on_notify(&mut self, _: Self::Msg, _: SimTime, _: &mut PlaneOut<Self::Msg>) {
+            self.heard += 1;
         }
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
     }
 
     fn run_chatty(model: ChannelModel, n: u64) -> (RunResult<Chatty>, Stats) {
@@ -2175,6 +2188,7 @@ mod channel_tests {
     }
 
     impl DataPlane for TimerPlane {
+        type Msg = Msg;
         fn step(
             &mut self,
             sw: u64,
@@ -2183,27 +2197,24 @@ mod channel_tests {
             _: bool,
             _: SimTime,
             _: &mut PacketArena,
-            out: &mut PlaneOut,
+            out: &mut PlaneOut<Self::Msg>,
         ) {
             out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
             if sw == 1 {
-                out.notifications.push(CtrlMsg::Events(1));
+                out.notifications.push(Msg::Events);
             }
         }
-        fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
+        fn on_notify(&mut self, msg: Self::Msg, _: SimTime, out: &mut PlaneOut<Self::Msg>) {
             match msg {
-                CtrlMsg::Events(_) => {
-                    out.deliveries.push((SimTime::ZERO, 1, CtrlMsg::SetConfig(5)));
-                }
-                CtrlMsg::Ack { .. } => self.acks_heard += 1,
-                _ => {}
+                Msg::Events => out.deliveries.push((SimTime::ZERO, 1, Msg::Events)),
+                Msg::Ack => self.acks_heard += 1,
             }
         }
-        fn deliver(&mut self, sw: u64, _: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
+        fn deliver(&mut self, _: u64, _: Self::Msg, _: SimTime, out: &mut PlaneOut<Self::Msg>) {
             out.timers.push((SimTime::from_millis(50), 1));
-            out.notifications.push(CtrlMsg::Ack { sw, ack: 1 });
+            out.notifications.push(Msg::Ack);
         }
-        fn on_timer(&mut self, node: u64, now: SimTime, _: &mut PlaneOut) {
+        fn on_timer(&mut self, node: u64, now: SimTime, _: &mut PlaneOut<Self::Msg>) {
             self.fired.push((node, now.as_micros()));
         }
     }
@@ -2230,6 +2241,7 @@ mod channel_tests {
     }
 
     impl DataPlane for QuietTimer {
+        type Msg = ();
         fn step(
             &mut self,
             sw: u64,
@@ -2238,7 +2250,7 @@ mod channel_tests {
             from_host: bool,
             _: SimTime,
             _: &mut PacketArena,
-            out: &mut PlaneOut,
+            out: &mut PlaneOut<Self::Msg>,
         ) {
             out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
             if from_host {
@@ -2246,9 +2258,7 @@ mod channel_tests {
                 out.channel_events.push(("quiet_step", sw));
             }
         }
-        fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
-        fn on_timer(&mut self, node: u64, now: SimTime, _: &mut PlaneOut) {
+        fn on_timer(&mut self, node: u64, now: SimTime, _: &mut PlaneOut<Self::Msg>) {
             self.fired.push((node, now.as_micros()));
         }
     }

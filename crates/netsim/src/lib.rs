@@ -14,20 +14,20 @@
 //! `edn-core` network trace for tests that diff or check one.
 //!
 //! ```
-//! use netsim::{CtrlMsg, DataPlane, Engine, PacketArena, PacketId, PlaneOut, SimParams,
-//!              SimTime, SimTopology, SinkHosts};
+//! use netsim::{DataPlane, Engine, PacketArena, PacketId, PlaneOut, SimParams, SimTime,
+//!              SimTopology, SinkHosts};
 //! use netkat::{Loc, Packet};
 //!
 //! // A one-switch data plane that forwards port 2 <-> port 3: every entry
-//! // point reports through the one `PlaneOut` the engine hands in.
+//! // point reports through the one `PlaneOut` the engine hands in. With no
+//! // controller messages (`Msg = ()`) it keeps the default `on_notify`/`deliver`.
 //! struct Wire;
 //! impl DataPlane for Wire {
+//!     type Msg = ();
 //!     fn step(&mut self, _sw: u64, pt: u64, pk: PacketId, _from_host: bool, _now: SimTime,
-//!             _arena: &mut PacketArena, out: &mut PlaneOut) {
+//!             _arena: &mut PacketArena, out: &mut PlaneOut<()>) {
 //!         out.outputs.push((if pt == 2 { 3 } else { 2 }, pk));
 //!     }
-//!     fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
-//!     fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
 //! }
 //!
 //! let topo = SimTopology::new([1])

@@ -1,5 +1,8 @@
 //! Pluggable behaviour: data planes (switches + controller) and host logic.
 
+use std::fmt;
+
+use edn_core::EventSet;
 use netkat::{Packet, PacketArena, PacketId};
 
 use crate::time::SimTime;
@@ -8,53 +11,30 @@ use crate::time::SimTime;
 /// their switch id). See [`PlaneOut::timers`].
 pub const CONTROLLER_NODE: u64 = u64::MAX;
 
-/// A message between a switch and the controller.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CtrlMsg {
-    /// "These events occurred" — a bitset of event ids (switch → controller,
-    /// or controller → switch for the CTRLSEND broadcast of Fig. 7).
-    Events(u64),
-    /// "Switch to configuration `n`" — used by the uncoordinated baseline.
-    SetConfig(u64),
-    /// A sequence-numbered reliability envelope (see `nes-runtime`'s
-    /// `Reliable` wrapper): an inner message plus the header that lets a
-    /// lossy channel be survived. `sw` is the switch endpoint of the
-    /// stream (the sender for switch→controller, the target for
-    /// controller→switch), `seq` the 1-based stream sequence number, `ack`
-    /// the cumulative ack of the reverse stream, and `kind`/`bits` the
-    /// flattened inner payload (`0` = [`Events`](CtrlMsg::Events), `1` =
-    /// [`SetConfig`](CtrlMsg::SetConfig)) — flattened so the message stays
-    /// `Copy`.
-    Reliable {
-        /// Switch endpoint of the stream.
-        sw: u64,
-        /// 1-based sequence number on the `(direction, sw)` stream.
-        seq: u32,
-        /// Cumulative ack of the reverse stream.
-        ack: u32,
-        /// Inner message discriminant (`0` = `Events`, `1` = `SetConfig`).
-        kind: u8,
-        /// Inner message payload bits.
-        bits: u64,
-    },
-    /// A pure cumulative acknowledgement for stream `sw` (never itself
-    /// acknowledged, so acks cannot regress into an ack storm).
-    Ack {
-        /// Switch endpoint of the acknowledged stream.
-        sw: u64,
-        /// Every message with `seq <= ack` has been received in order.
-        ack: u32,
-    },
+/// A message between a switch and the controller, each [`DataPlane`]'s own
+/// ([`DataPlane::Msg`]): the engine carries it unread but for one question.
+pub trait CtrlMsg: Copy + Eq + fmt::Debug {
+    /// Does this message change no switch state (a pure ack, say)? Then
+    /// delivering it does not move the switch's causal frontier.
+    fn is_plumbing(&self) -> bool {
+        false
+    }
 }
+
+/// Fig. 7's one message (CTRLRECV, CTRLSEND): a set of events.
+impl CtrlMsg for EventSet {}
+
+/// The message of a plane whose switches and controller never talk.
+impl CtrlMsg for () {}
 
 /// Everything one [`DataPlane`] interaction can ask of the engine. The
 /// engine owns one buffer for the whole run, hands it in **empty** on every
 /// call, and acts on whatever the plane appended before the dispatch ends
 /// (notifications, deliveries, channel events, timers, then a step's
 /// outputs — the order event sequence keys are drawn in), so steady-state
-/// hops never allocate.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct PlaneOut {
+/// hops never allocate. `M` is the plane's [`DataPlane::Msg`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct PlaneOut<M> {
     /// Output packets of a [`step`](DataPlane::step): `(out port, interned
     /// packet)`, ids from the arena the step was handed. Empty means the
     /// packet was dropped.
@@ -62,10 +42,10 @@ pub struct PlaneOut {
     /// Messages the interaction's node (the stepping or delivered-to
     /// switch, the timer's node) sends to the controller, through the
     /// (possibly lossy) channel.
-    pub notifications: Vec<CtrlMsg>,
+    pub notifications: Vec<M>,
     /// Commands the controller sends to switches: `(extra delay, switch,
     /// message)`, through the same channel.
-    pub deliveries: Vec<(SimTime, u64, CtrlMsg)>,
+    pub deliveries: Vec<(SimTime, u64, M)>,
     /// Timer requests `(fire time, node)`, where `node` is a switch id or
     /// [`CONTROLLER_NODE`]: the engine schedules a deterministic timer
     /// event per request, which calls [`on_timer`](DataPlane::on_timer).
@@ -77,14 +57,15 @@ pub struct PlaneOut {
     pub channel_events: Vec<(&'static str, u64)>,
 }
 
-impl PlaneOut {
-    /// Empties every list, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.outputs.clear();
-        self.notifications.clear();
-        self.deliveries.clear();
-        self.timers.clear();
-        self.channel_events.clear();
+impl<M> Default for PlaneOut<M> {
+    fn default() -> PlaneOut<M> {
+        PlaneOut {
+            outputs: Vec::new(),
+            notifications: Vec::new(),
+            deliveries: Vec::new(),
+            timers: Vec::new(),
+            channel_events: Vec::new(),
+        }
     }
 }
 
@@ -96,6 +77,9 @@ impl PlaneOut {
 /// and fires requested timers into [`on_timer`](DataPlane::on_timer). Every
 /// entry point reports through the same [`PlaneOut`].
 pub trait DataPlane {
+    /// What this plane's switches and controller send each other.
+    type Msg: CtrlMsg;
+
     /// Processes a packet arriving at switch `sw`, port `pt` (the SWITCH
     /// rule of Fig. 7), appending output packets and controller
     /// notifications to `out`.
@@ -115,21 +99,25 @@ pub trait DataPlane {
         from_host: bool,
         now: SimTime,
         arena: &mut PacketArena,
-        out: &mut PlaneOut,
+        out: &mut PlaneOut<Self::Msg>,
     );
 
     /// The controller received `msg` (CTRLRECV); commands for switches
-    /// (CTRLSEND) go to `out.deliveries`.
-    fn on_notify(&mut self, msg: CtrlMsg, now: SimTime, out: &mut PlaneOut);
+    /// (CTRLSEND) go to `out.deliveries`. The default does nothing.
+    fn on_notify(&mut self, msg: Self::Msg, now: SimTime, out: &mut PlaneOut<Self::Msg>) {
+        let _ = (msg, now, out);
+    }
 
     /// A controller command arrives at switch `sw`; anything the switch
-    /// sends straight back (acknowledgements, in the reliability layer)
-    /// goes to `out.notifications`.
-    fn deliver(&mut self, sw: u64, msg: CtrlMsg, now: SimTime, out: &mut PlaneOut);
+    /// sends straight back (an acknowledgement, say) goes to
+    /// `out.notifications`. The default does nothing.
+    fn deliver(&mut self, sw: u64, msg: Self::Msg, now: SimTime, out: &mut PlaneOut<Self::Msg>) {
+        let _ = (sw, msg, now, out);
+    }
 
     /// A timer requested through [`PlaneOut::timers`] fired at `node`;
     /// whatever is to be (re)sent goes to `out`. The default does nothing.
-    fn on_timer(&mut self, node: u64, now: SimTime, out: &mut PlaneOut) {
+    fn on_timer(&mut self, node: u64, now: SimTime, out: &mut PlaneOut<Self::Msg>) {
         let _ = (node, now, out);
     }
 

@@ -402,7 +402,7 @@ pub fn proto_packets_delivered(stats: &Stats, host: u64, proto: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logic::{CtrlMsg, PlaneOut};
+    use crate::logic::PlaneOut;
     use crate::topology::{SimParams, SimTopology};
     use netkat::{Loc, PacketArena, PacketId};
 
@@ -411,6 +411,7 @@ mod tests {
     struct Wire;
 
     impl DataPlane for Wire {
+        type Msg = ();
         fn step(
             &mut self,
             _: u64,
@@ -419,12 +420,10 @@ mod tests {
             _: bool,
             _: SimTime,
             _: &mut PacketArena,
-            out: &mut PlaneOut,
+            out: &mut PlaneOut<Self::Msg>,
         ) {
             out.outputs.push((if pt == 2 { 3 } else { 2 }, packet));
         }
-        fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
-        fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
     }
 
     fn wire_topology() -> SimTopology {
@@ -454,6 +453,7 @@ mod tests {
         // Data plane that drops everything.
         struct Blackhole;
         impl DataPlane for Blackhole {
+            type Msg = ();
             fn step(
                 &mut self,
                 _: u64,
@@ -462,11 +462,9 @@ mod tests {
                 _: bool,
                 _: SimTime,
                 _: &mut PacketArena,
-                _: &mut PlaneOut,
+                _: &mut PlaneOut<Self::Msg>,
             ) {
             }
-            fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
-            fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
         }
         let mut e = Engine::new(
             wire_topology(),

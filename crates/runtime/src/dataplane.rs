@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use edn_core::{EventId, EventSet};
 use netkat::{Field, FieldReader, Loc, LocatedView, PacketArena, PacketId, TaggedView};
-use netsim::{CtrlMsg, DataPlane, PlaneOut, SimTime};
+use netsim::{DataPlane, PlaneOut, SimTime};
 
 use crate::compile::CompiledNes;
 use crate::deploy::{Hop, PerTagTables};
@@ -163,6 +163,9 @@ impl NesDataPlane {
 }
 
 impl DataPlane for NesDataPlane {
+    /// The events a switch fired (up), or the controller's view (down).
+    type Msg = EventSet;
+
     /// IN stamp, trigger, per-tag forwarding, digest stamp — with the stamp
     /// read through a [`TaggedView`] and the table consulted through a
     /// [`LocatedView`] (both zero-copy), then forwarded by the one table hop
@@ -179,7 +182,7 @@ impl DataPlane for NesDataPlane {
         from_host: bool,
         now: SimTime,
         arena: &mut PacketArena,
-        out: &mut PlaneOut,
+        out: &mut PlaneOut<EventSet>,
     ) {
         // SWITCH step 1: union the packet's digest into local state.
         let slot = self.slot_of(sw);
@@ -201,7 +204,7 @@ impl DataPlane for NesDataPlane {
             for e in fired.iter() {
                 self.fired_log.push((now, e));
             }
-            out.notifications.push(CtrlMsg::Events(fired.bits()));
+            out.notifications.push(fired);
         }
         let Local { known, tag: current, .. } = self.local[slot];
 
@@ -213,31 +216,28 @@ impl DataPlane for NesDataPlane {
         let view = LocatedView { base, loc, tag: Some(tag) };
         if let Some(rule) = self.deployment.lookup_on(slot, tag, &view) {
             let stamp = (digest.union(known).bits(), tag);
-            self.hop.forward(rule, Some(stamp), loc, packet, arena, out);
+            self.hop.forward(rule, Some(stamp), loc, packet, arena, &mut out.outputs);
         }
     }
 
-    fn on_notify(&mut self, msg: CtrlMsg, _now: SimTime, out: &mut PlaneOut) {
-        let CtrlMsg::Events(bits) = msg else { return };
+    fn on_notify(&mut self, fired: EventSet, _now: SimTime, out: &mut PlaneOut<EventSet>) {
         // CTRLRECV: move events into the controller.
-        self.controller = self.controller.union(EventSet::from_bits(bits));
+        self.controller = self.controller.union(fired);
         if !self.broadcast {
             return;
         }
         // CTRLSEND: push the controller's whole view to every switch.
-        let view = self.controller.bits();
+        let view = self.controller;
         out.deliveries.extend(
             self.switches
                 .iter()
                 .enumerate()
-                .map(|(i, &sw)| (SimTime::from_micros(10 * i as u64), sw, CtrlMsg::Events(view))),
+                .map(|(i, &sw)| (SimTime::from_micros(10 * i as u64), sw, view)),
         );
     }
 
-    fn deliver(&mut self, sw: u64, msg: CtrlMsg, now: SimTime, _out: &mut PlaneOut) {
-        if let CtrlMsg::Events(bits) = msg {
-            self.learn(sw, EventSet::from_bits(bits), now);
-        }
+    fn deliver(&mut self, sw: u64, view: EventSet, now: SimTime, _out: &mut PlaneOut<EventSet>) {
+        self.learn(sw, view, now);
     }
 
     /// Reports the compiled lookup index's fingerprint probe outcomes,
@@ -261,7 +261,7 @@ impl NesDataPlane {
         mut packet: netkat::Packet,
         from_host: bool,
         now: SimTime,
-    ) -> StepResult {
+    ) -> StepResult<EventSet> {
         // SWITCH step 1: union the packet's digest into local state.
         let digest = EventSet::from_bits(packet.get(Field::Digest).unwrap_or(0));
         self.learn(sw, digest, now);
@@ -282,7 +282,7 @@ impl NesDataPlane {
             for e in fired.iter() {
                 self.fired_log.push((now, e));
             }
-            notifications.push(CtrlMsg::Events(fired.bits()));
+            notifications.push(fired);
         }
         let known = self.local_events(sw);
 
@@ -366,7 +366,7 @@ mod tests {
         let pk = Packet::new().with(Field::IpDst, 300);
         let r = st.step(&mut dp, 1, 2, pk, true, SimTime::ZERO);
         // Event fired and was reported.
-        assert_eq!(r.notifications, vec![CtrlMsg::Events(1)]);
+        assert_eq!(r.notifications, vec![EventSet::singleton(EventId::new(0))]);
         assert_eq!(dp.local_events(1), EventSet::singleton(EventId::new(0)));
         assert_eq!(dp.fired_sequence(), vec![EventId::new(0)]);
         // The triggering packet is still stamped with the *pre-event* tag
@@ -408,16 +408,17 @@ mod tests {
     fn controller_broadcast_spreads_events() {
         let mut dp = NesDataPlane::new(CompiledNes::compile(firewall_nes()), vec![1, 2], true);
         let mut out = PlaneOut::default();
-        dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+        let e0 = EventSet::singleton(EventId::new(0));
+        dp.on_notify(e0, SimTime::ZERO, &mut out);
         assert_eq!(out.deliveries.len(), 2);
         for (_, sw, msg) in std::mem::take(&mut out.deliveries) {
-            assert_eq!(msg, CtrlMsg::Events(1));
+            assert_eq!(msg, e0);
             dp.deliver(sw, msg, SimTime::from_millis(5), &mut out);
         }
-        assert_eq!(dp.local_events(2), EventSet::singleton(EventId::new(0)));
+        assert_eq!(dp.local_events(2), e0);
         // Without broadcast, no pushes.
         let mut quiet = NesDataPlane::new(CompiledNes::compile(firewall_nes()), vec![1, 2], false);
-        quiet.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+        quiet.on_notify(e0, SimTime::ZERO, &mut out);
         assert_eq!(out, PlaneOut::default());
     }
 

@@ -29,7 +29,6 @@ use netkat::{
     prefix_chains, CompiledTable, Field, FieldReader, FlowTable, FxBuildHasher, Loc, Packet,
     PacketArena, PacketId, Rule,
 };
-use netsim::PlaneOut;
 
 /// The plane's dense switch order: the deployment list, then any switch
 /// only a configuration names, each once — so every installed table has a
@@ -154,9 +153,9 @@ pub(crate) struct Hop {
 
 impl Hop {
     /// Forwards `packet`, arrived at `loc`, under the `rule` its lookup
-    /// found, appending the outputs to `out`: each leaves on the port its
-    /// action wrote (the ingress port if none), with the location fields
-    /// stripped. A `stamp` `(digest, tag)` — the NES plane's SWITCH step 4 —
+    /// found, appending the outputs to `outputs` (a `PlaneOut`'s): each
+    /// leaves on the port its action wrote (the ingress port if none), with
+    /// the location fields stripped. A `stamp` `(digest, tag)` — the NES plane's SWITCH step 4 —
     /// is written into every output; the lookup that found `rule` read `tag`
     /// as the packet's tag.
     ///
@@ -171,7 +170,7 @@ impl Hop {
         loc: Loc,
         packet: PacketId,
         arena: &mut PacketArena,
-        out: &mut PlaneOut,
+        outputs: &mut Vec<(u64, PacketId)>,
     ) {
         let base = arena.get(packet);
         if rule.actions.len() == 1 {
@@ -194,7 +193,7 @@ impl Hop {
                     && base.get(Field::Tag) == Some(tag);
             }
             if identity {
-                out.outputs.push((out_pt, packet));
+                outputs.push((out_pt, packet));
                 return;
             }
             let buf = &mut self.out_buf;
@@ -209,7 +208,7 @@ impl Hop {
                 buf.set(Field::Digest, digest);
                 buf.set(Field::Tag, tag);
             }
-            out.outputs.push((out_pt, arena.intern_ref(buf)));
+            outputs.push((out_pt, arena.intern_ref(buf)));
         } else if !rule.actions.is_empty() {
             // Multicast (rare): materialize the lookup packet and the same
             // sorted, deduplicated output set `ActionSet::apply` defines.
@@ -225,7 +224,7 @@ impl Hop {
                     cast.set(Field::Digest, digest);
                     cast.set(Field::Tag, tag);
                 }
-                out.outputs.push((out_pt.unwrap_or(loc.pt), arena.intern(cast)));
+                outputs.push((out_pt.unwrap_or(loc.pt), arena.intern(cast)));
             }
         }
     }

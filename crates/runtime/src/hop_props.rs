@@ -11,20 +11,20 @@
 
 use edn_core::{Config, Event, EventId, EventSet, EventStructure, NetworkEventStructure};
 use netkat::{Action, ActionSet, Field, FlowTable, Loc, Match, Packet, PacketArena, Pred, Rule};
-use netsim::{CtrlMsg, DataPlane, PlaneOut, SimTime};
+use netsim::{DataPlane, PlaneOut, SimTime};
 use proptest::prelude::*;
 
 use crate::compile::CompiledNes;
 use crate::dataplane::NesDataPlane;
 use crate::static_plane::StaticDataPlane;
-use crate::uncoordinated::UncoordDataPlane;
+use crate::uncoordinated::{UncoordDataPlane, UncoordMsg};
 
 /// What one switch step produced, in owned form: `(out port, packet)`
-/// outputs (none: dropped) and messages to the controller.
+/// outputs (none: dropped) and the plane's messages `M` to the controller.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) struct StepResult {
+pub(crate) struct StepResult<M> {
     pub(crate) outputs: Vec<(u64, Packet)>,
-    pub(crate) notifications: Vec<CtrlMsg>,
+    pub(crate) notifications: Vec<M>,
 }
 
 /// The owned table hop the shared one answers to: `packet`, located at
@@ -56,30 +56,24 @@ pub(crate) fn table_reference(
 #[derive(Default)]
 pub(crate) struct Stepper {
     arena: PacketArena,
-    out: PlaneOut,
 }
 
 impl Stepper {
-    pub(crate) fn step(
+    pub(crate) fn step<D: DataPlane>(
         &mut self,
-        plane: &mut impl DataPlane,
+        plane: &mut D,
         sw: u64,
         pt: u64,
         packet: Packet,
         from_host: bool,
         now: SimTime,
-    ) -> StepResult {
-        self.out.clear();
+    ) -> StepResult<D::Msg> {
+        let mut out = PlaneOut::default();
         let id = self.arena.intern(packet);
-        plane.step(sw, pt, id, from_host, now, &mut self.arena, &mut self.out);
+        plane.step(sw, pt, id, from_host, now, &mut self.arena, &mut out);
         StepResult {
-            outputs: self
-                .out
-                .outputs
-                .iter()
-                .map(|&(pt, id)| (pt, self.arena.get(id).clone()))
-                .collect(),
-            notifications: self.out.notifications.clone(),
+            outputs: out.outputs.iter().map(|&(pt, id)| (pt, self.arena.get(id).clone())).collect(),
+            notifications: out.notifications,
         }
     }
 }
@@ -174,7 +168,7 @@ fn arb_hop() -> impl Strategy<Value = Hop> {
 fn assert_hops_agree<D: DataPlane>(
     hops: &[Hop],
     fast: &mut D,
-    mut reference: impl FnMut(u64, u64, Packet, bool, SimTime) -> StepResult,
+    mut reference: impl FnMut(u64, u64, Packet, bool, SimTime) -> StepResult<D::Msg>,
 ) -> Result<(), TestCaseError> {
     let mut st = Stepper::default();
     for (i, (sw, pt, pk, from_host)) in hops.iter().enumerate() {
@@ -223,7 +217,7 @@ proptest! {
         let mut fast = UncoordDataPlane::new(nes, vec![1, 2, 3], SimTime::ZERO, 0);
         let mut out = PlaneOut::default();
         for (sw, tag) in pushes {
-            fast.deliver(sw, CtrlMsg::SetConfig(tag), SimTime::ZERO, &mut out);
+            fast.deliver(sw, UncoordMsg::SetConfig(tag), SimTime::ZERO, &mut out);
         }
         let reference = fast.clone();
         assert_hops_agree(&hops, &mut fast, |sw, pt, pk, _, _| {
@@ -289,11 +283,11 @@ fn a_two_field_fingerprint_collision_is_decided_by_the_scan() {
         (1, 1, Packet::new().with(Field::IpDst, 300), false),
         (1, 3, Packet::new().with(Field::IpDst, twin), false),
     ];
-    let probe_outcomes = |plane: &dyn DataPlane| {
+    fn probe_outcomes(plane: &impl DataPlane) -> (Option<u64>, Option<u64>) {
         let mut reg = edn_obs::Registry::new();
         plane.contribute_metrics(&mut reg);
         (reg.counter("flowindex.fp_hits"), reg.counter("flowindex.fp_fallbacks"))
-    };
+    }
 
     let mut fast = StaticDataPlane::new(config.clone());
     let reference = fast.clone();

@@ -41,9 +41,9 @@ pub use campaign::{
 pub use compile::{CompiledNes, RuleBreakdown};
 pub use dataplane::NesDataPlane;
 pub use program::{tagged_lookup, SwitchProgram};
-pub use reliable::{parse_retry_budget, retry_budget_from_env, Reliable};
+pub use reliable::{parse_retry_budget, retry_budget_from_env, Envelope, Reliable};
 pub use static_plane::StaticDataPlane;
-pub use uncoordinated::UncoordDataPlane;
+pub use uncoordinated::{UncoordDataPlane, UncoordMsg};
 pub use verify::{
     attach_online_checker, nes_engine, nes_reliable_engine_with, uncoordinated_engine,
 };

@@ -17,15 +17,18 @@
 //! The one escape hatch is the retry budget: a message retransmitted
 //! past the budget is abandoned, the plane is marked **degraded**, and a
 //! `retry_exhausted` event lands in the flight recorder — an explicit
-//! loud failure instead of a silent wrong answer. The budget comes from
-//! `EDN_RETRY_BUDGET` (default 8) or [`Reliable::with_budget`].
+//! loud failure instead of a silent wrong answer. The budget is
+//! [`Reliable::with_budget`]'s argument; `scenario_run` reads it from
+//! `EDN_RETRY_BUDGET` (default 8, see [`parse_retry_budget`]).
 //!
-//! Two independent streams exist per switch: switch→controller
-//! (notifications) and controller→switch (commands). Acks ride
-//! piggybacked on data envelopes and as dedicated [`CtrlMsg::Ack`]
-//! messages; pure acks are never themselves acknowledged, so there is no
-//! ack storm. Retransmit timers use the engine's deterministic timer
-//! events, keyed per entity — lossy runs replay byte-identically.
+//! The wire format, [`Envelope`], is this module's own. Two independent
+//! streams exist per switch: switch→controller (notifications) and
+//! controller→switch (commands). Acks ride piggybacked on data envelopes
+//! and as dedicated [`Envelope::Ack`] messages; pure acks are never
+//! themselves acknowledged, so there is no ack storm, and are plumbing
+//! ([`CtrlMsg::is_plumbing`]): they never move a switch's causal frontier.
+//! Retransmit timers use the engine's deterministic timer events, keyed
+//! per entity — lossy runs replay byte-identically.
 
 use std::collections::BTreeMap;
 
@@ -62,31 +65,42 @@ fn base_rto() -> SimTime {
     SimTime::from_millis(20)
 }
 
-/// Flattens a data message into the envelope's `(kind, bits)` payload.
-fn pack(msg: CtrlMsg) -> (u8, u64) {
-    match msg {
-        CtrlMsg::Events(bits) => (0, bits),
-        CtrlMsg::SetConfig(tag) => (1, tag),
-        CtrlMsg::Reliable { .. } | CtrlMsg::Ack { .. } => {
-            unreachable!("reliability plumbing is never wrapped")
-        }
-    }
+/// What a [`Reliable`] plane's endpoints send each other: the wrapped
+/// plane's message `M` in a sequence-numbered envelope, or a pure ack.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Envelope<M> {
+    /// One inner message with its stream header.
+    Data {
+        /// The stream's switch endpoint: its sender up, its target down.
+        sw: u64,
+        /// 1-based sequence number on the `(direction, sw)` stream.
+        seq: u32,
+        /// Cumulative ack of the reverse stream.
+        ack: u32,
+        /// The inner plane's message.
+        msg: M,
+    },
+    /// A pure cumulative ack for stream `sw`: every message with
+    /// `seq <= ack` was received in order. Never itself acknowledged.
+    Ack {
+        /// The acknowledged stream's switch endpoint.
+        sw: u64,
+        /// The cumulative ack.
+        ack: u32,
+    },
 }
 
-/// Inverse of [`pack`].
-fn unpack(kind: u8, bits: u64) -> CtrlMsg {
-    match kind {
-        0 => CtrlMsg::Events(bits),
-        1 => CtrlMsg::SetConfig(bits),
-        other => unreachable!("unknown envelope kind {other}"),
+/// A pure ack changes no switch state, so it is plumbing.
+impl<M: CtrlMsg> CtrlMsg for Envelope<M> {
+    fn is_plumbing(&self) -> bool {
+        matches!(self, Envelope::Ack { .. })
     }
 }
 
 /// One unacknowledged sent message.
 #[derive(Clone, Copy, Debug)]
-struct Unacked {
-    kind: u8,
-    bits: u64,
+struct Unacked<M> {
+    msg: M,
     /// First-transmission time (RTT samples use it, Karn-style: only
     /// never-retransmitted messages contribute).
     sent: SimTime,
@@ -97,35 +111,30 @@ struct Unacked {
     deadline: SimTime,
 }
 
-/// Sender half of one stream.
-#[derive(Clone, Debug, Default)]
-struct TxState {
+/// One endpoint's state for one switch's stream pair: the sending half of
+/// its outgoing stream and the receiving half of the incoming one.
+#[derive(Clone, Debug)]
+struct EndState<M> {
     /// Last assigned sequence number (1-based; 0 = nothing sent).
     next: u32,
-    unacked: BTreeMap<u32, Unacked>,
-}
-
-/// Receiver half of one stream.
-#[derive(Clone, Debug, Default)]
-struct RxState {
+    unacked: BTreeMap<u32, Unacked<M>>,
     /// Highest sequence received in order; everything ≤ this was
     /// released to the inner plane exactly once.
     cum: u32,
     /// Out-of-order arrivals held for reassembly.
-    hold: BTreeMap<u32, (u8, u64)>,
+    hold: BTreeMap<u32, M>,
 }
 
-/// One endpoint's state for one switch's stream pair.
-#[derive(Clone, Debug, Default)]
-struct EndState {
-    tx: TxState,
-    rx: RxState,
+impl<M> Default for EndState<M> {
+    fn default() -> EndState<M> {
+        EndState { next: 0, unacked: BTreeMap::new(), cum: 0, hold: BTreeMap::new() }
+    }
 }
 
 /// Removes and returns every entry acknowledged by cumulative `ack`.
-fn take_acked(tx: &mut TxState, ack: u32) -> Vec<Unacked> {
-    let seqs: Vec<u32> = tx.unacked.range(..=ack).map(|(&s, _)| s).collect();
-    seqs.into_iter().map(|s| tx.unacked.remove(&s).expect("just enumerated")).collect()
+fn take_acked<M>(st: &mut EndState<M>, ack: u32) -> Vec<Unacked<M>> {
+    let seqs: Vec<u32> = st.unacked.range(..=ack).map(|(&s, _)| s).collect();
+    seqs.into_iter().map(|s| st.unacked.remove(&s).expect("just enumerated")).collect()
 }
 
 /// Retransmits every due entry of the stream `node` holds towards/for
@@ -134,21 +143,21 @@ fn take_acked(tx: &mut TxState, ack: u32) -> Vec<Unacked> {
 /// notifications from a switch endpoint — and returns `(retransmissions
 /// made, whether any message exhausted its budget)`. Free function so
 /// callers can split borrows across the plane's fields.
-fn retransmit_due(
-    st: &mut EndState,
+fn retransmit_due<M: CtrlMsg>(
+    st: &mut EndState<M>,
     sw: u64,
     node: u64,
     now: SimTime,
     budget: u32,
-    out: &mut PlaneOut,
+    out: &mut PlaneOut<Envelope<M>>,
 ) -> (u64, bool) {
     let (mut retransmits, mut exhausted) = (0, false);
     let due: Vec<u32> =
-        st.tx.unacked.iter().filter(|(_, u)| u.deadline <= now).map(|(&s, _)| s).collect();
+        st.unacked.iter().filter(|(_, u)| u.deadline <= now).map(|(&s, _)| s).collect();
     for seq in due {
-        let u = st.tx.unacked.get_mut(&seq).expect("just enumerated");
+        let u = st.unacked.get_mut(&seq).expect("just enumerated");
         if u.retries >= budget {
-            st.tx.unacked.remove(&seq);
+            st.unacked.remove(&seq);
             exhausted = true;
             out.channel_events.push(("retry_exhausted", node));
             continue;
@@ -158,7 +167,7 @@ fn retransmit_due(
         u.deadline = now + u.rto;
         retransmits += 1;
         out.timers.push((u.deadline, node));
-        let envelope = CtrlMsg::Reliable { sw, seq, ack: st.rx.cum, kind: u.kind, bits: u.bits };
+        let envelope = Envelope::Data { sw, seq, ack: st.cum, msg: u.msg };
         if node == CONTROLLER_NODE {
             out.deliveries.push((SimTime::ZERO, sw, envelope));
         } else {
@@ -172,14 +181,16 @@ fn retransmit_due(
 /// switch↔controller channel (see the module docs for the protocol and
 /// the consistency-preservation argument).
 #[derive(Clone, Debug)]
-pub struct Reliable<D> {
+pub struct Reliable<D: DataPlane> {
     inner: D,
     /// Maximum retransmissions per message before giving up degraded.
     budget: u32,
     /// Per-switch state held at the switch endpoint.
-    sw_state: BTreeMap<u64, EndState>,
+    sw_state: BTreeMap<u64, EndState<D::Msg>>,
     /// Per-switch state held at the controller endpoint.
-    ctrl_state: BTreeMap<u64, EndState>,
+    ctrl_state: BTreeMap<u64, EndState<D::Msg>>,
+    /// The buffer the inner plane reports into, empty between calls.
+    inner_out: PlaneOut<D::Msg>,
     degraded: bool,
     retransmits: u64,
     dup_suppressed: u64,
@@ -187,12 +198,7 @@ pub struct Reliable<D> {
     ack_rtt_us: Hist,
 }
 
-impl<D> Reliable<D> {
-    /// Wraps `inner`, reading the retry budget from `EDN_RETRY_BUDGET`.
-    pub fn new(inner: D) -> Reliable<D> {
-        Reliable::with_budget(inner, retry_budget_from_env())
-    }
-
+impl<D: DataPlane> Reliable<D> {
     /// Wraps `inner` with an explicit retry budget (maximum
     /// retransmissions per message).
     pub fn with_budget(inner: D, budget: u32) -> Reliable<D> {
@@ -201,6 +207,7 @@ impl<D> Reliable<D> {
             budget,
             sw_state: BTreeMap::new(),
             ctrl_state: BTreeMap::new(),
+            inner_out: PlaneOut::default(),
             degraded: false,
             retransmits: 0,
             dup_suppressed: 0,
@@ -233,7 +240,7 @@ impl<D> Reliable<D> {
 
     /// The `end` endpoint's state for switch `sw`'s stream pair, and the
     /// node naming that endpoint in timer requests and telemetry.
-    fn end_state(&mut self, end: Endpoint, sw: u64) -> (&mut EndState, u64) {
+    fn end_state(&mut self, end: Endpoint, sw: u64) -> (&mut EndState<D::Msg>, u64) {
         match end {
             Endpoint::Switch => (self.sw_state.entry(sw).or_default(), sw),
             Endpoint::Controller => (self.ctrl_state.entry(sw).or_default(), CONTROLLER_NODE),
@@ -247,35 +254,50 @@ impl<D> Reliable<D> {
         &mut self,
         end: Endpoint,
         sw: u64,
-        msg: CtrlMsg,
+        msg: D::Msg,
         now: SimTime,
         timers: &mut Vec<(SimTime, u64)>,
-    ) -> CtrlMsg {
-        let (kind, bits) = pack(msg);
+    ) -> Envelope<D::Msg> {
         let (st, node) = self.end_state(end, sw);
-        st.tx.next += 1;
-        let seq = st.tx.next;
+        st.next += 1;
+        let seq = st.next;
         let deadline = now + base_rto();
-        st.tx
-            .unacked
-            .insert(seq, Unacked { kind, bits, sent: now, retries: 0, rto: base_rto(), deadline });
+        st.unacked.insert(seq, Unacked { msg, sent: now, retries: 0, rto: base_rto(), deadline });
         timers.push((deadline, node));
-        CtrlMsg::Reliable { sw, seq, ack: st.rx.cum, kind, bits }
+        Envelope::Data { sw, seq, ack: st.cum, msg }
     }
 
-    /// Envelopes the switch→controller notifications `out` gained since
-    /// index `from` (what the inner plane's step or deliver just sent).
-    fn wrap_notifications(&mut self, sw: u64, from: usize, now: SimTime, out: &mut PlaneOut) {
-        for i in from..out.notifications.len() {
-            out.notifications[i] =
-                self.send(Endpoint::Switch, sw, out.notifications[i], now, &mut out.timers);
+    /// Runs one inner-plane interaction against the kept `inner_out`, moves
+    /// its message-free lists over to `out`, and envelopes what the inner
+    /// plane sent, in its order: notifications on switch `sw`'s stream,
+    /// each delivery on its target switch's stream.
+    fn call_inner(
+        &mut self,
+        sw: u64,
+        now: SimTime,
+        out: &mut PlaneOut<Envelope<D::Msg>>,
+        call: impl FnOnce(&mut D, &mut PlaneOut<D::Msg>),
+    ) {
+        let mut inner_out = std::mem::take(&mut self.inner_out);
+        call(&mut self.inner, &mut inner_out);
+        out.outputs.append(&mut inner_out.outputs);
+        out.timers.append(&mut inner_out.timers);
+        out.channel_events.append(&mut inner_out.channel_events);
+        for msg in inner_out.notifications.drain(..) {
+            let envelope = self.send(Endpoint::Switch, sw, msg, now, &mut out.timers);
+            out.notifications.push(envelope);
         }
+        for (delay, to, msg) in inner_out.deliveries.drain(..) {
+            let envelope = self.send(Endpoint::Controller, to, msg, now, &mut out.timers);
+            out.deliveries.push((delay, to, envelope));
+        }
+        self.inner_out = inner_out;
     }
 
     /// Applies a cumulative ack to one sender, folding RTT samples and
     /// the acked count into the metrics.
     fn apply_ack(&mut self, end: Endpoint, sw: u64, ack: u32, now: SimTime) {
-        let acked = take_acked(&mut self.end_state(end, sw).0.tx, ack);
+        let acked = take_acked(self.end_state(end, sw).0, ack);
         for u in acked {
             self.acked += 1;
             if u.retries == 0 {
@@ -293,32 +315,25 @@ impl<D> Reliable<D> {
         end: Endpoint,
         sw: u64,
         seq: u32,
-        kind: u8,
-        bits: u64,
+        msg: D::Msg,
         events: &mut Vec<(&'static str, u64)>,
-    ) -> Vec<CtrlMsg> {
+    ) -> Vec<D::Msg> {
         let (st, node) = self.end_state(end, sw);
         let mut released = Vec::new();
-        if seq <= st.rx.cum {
+        if seq <= st.cum {
             events.push(("dup_suppressed", node));
             self.dup_suppressed += 1;
-        } else if seq == st.rx.cum + 1 {
-            st.rx.cum = seq;
-            released.push(unpack(kind, bits));
-            while let Some((k, b)) = st.rx.hold.remove(&(st.rx.cum + 1)) {
-                st.rx.cum += 1;
-                released.push(unpack(k, b));
+        } else if seq == st.cum + 1 {
+            st.cum = seq;
+            released.push(msg);
+            while let Some(held) = st.hold.remove(&(st.cum + 1)) {
+                st.cum += 1;
+                released.push(held);
             }
         } else {
-            st.rx.hold.insert(seq, (kind, bits));
+            st.hold.insert(seq, msg);
         }
         released
-    }
-
-    /// The receiver's current cumulative ack for the stream ending at
-    /// this endpoint.
-    fn rx_cum(&mut self, end: Endpoint, sw: u64) -> u32 {
-        self.end_state(end, sw).0.rx.cum
     }
 }
 
@@ -329,20 +344,9 @@ enum Endpoint {
     Controller,
 }
 
-impl<D: DataPlane> Reliable<D> {
-    /// Hands one released (or unwrapped) message to the inner controller
-    /// and envelopes the commands it sends in response.
-    fn inner_notify(&mut self, msg: CtrlMsg, now: SimTime, out: &mut PlaneOut) {
-        let from = out.deliveries.len();
-        self.inner.on_notify(msg, now, out);
-        for i in from..out.deliveries.len() {
-            let (_, sw, cmd) = out.deliveries[i];
-            out.deliveries[i].2 = self.send(Endpoint::Controller, sw, cmd, now, &mut out.timers);
-        }
-    }
-}
-
 impl<D: DataPlane> DataPlane for Reliable<D> {
+    type Msg = Envelope<D::Msg>;
+
     fn step(
         &mut self,
         sw: u64,
@@ -351,69 +355,59 @@ impl<D: DataPlane> DataPlane for Reliable<D> {
         from_host: bool,
         now: SimTime,
         arena: &mut PacketArena,
-        out: &mut PlaneOut,
+        out: &mut PlaneOut<Self::Msg>,
     ) {
-        let from = out.notifications.len();
-        self.inner.step(sw, pt, packet, from_host, now, arena, out);
-        self.wrap_notifications(sw, from, now, out);
+        self.call_inner(sw, now, out, |inner, inner_out| {
+            inner.step(sw, pt, packet, from_host, now, arena, inner_out)
+        });
     }
 
-    fn on_notify(&mut self, msg: CtrlMsg, now: SimTime, out: &mut PlaneOut) {
+    fn on_notify(&mut self, msg: Self::Msg, now: SimTime, out: &mut PlaneOut<Self::Msg>) {
         match msg {
-            CtrlMsg::Reliable { sw, seq, ack, kind, bits } => {
+            Envelope::Data { sw, seq, ack, msg } => {
                 // The piggybacked ack confirms our controller→switch sends.
                 self.apply_ack(Endpoint::Controller, sw, ack, now);
-                let released = self.receive(
-                    Endpoint::Controller,
-                    sw,
-                    seq,
-                    kind,
-                    bits,
-                    &mut out.channel_events,
-                );
-                for inner_msg in released {
-                    self.inner_notify(inner_msg, now, out);
+                let released =
+                    self.receive(Endpoint::Controller, sw, seq, msg, &mut out.channel_events);
+                for msg in released {
+                    self.call_inner(sw, now, out, |inner, inner_out| {
+                        inner.on_notify(msg, now, inner_out)
+                    });
                 }
                 // Always (re)confirm what we have — the dedicated ack also
                 // covers the duplicate and out-of-order cases.
-                let cum = self.rx_cum(Endpoint::Controller, sw);
-                out.deliveries.push((SimTime::ZERO, sw, CtrlMsg::Ack { sw, ack: cum }));
+                let cum = self.end_state(Endpoint::Controller, sw).0.cum;
+                out.deliveries.push((SimTime::ZERO, sw, Envelope::Ack { sw, ack: cum }));
             }
             // A dedicated ack from a switch confirms controller→switch sends.
-            CtrlMsg::Ack { sw, ack } => self.apply_ack(Endpoint::Controller, sw, ack, now),
-            // Unwrapped messages pass straight through (an unwrapped peer).
-            other => self.inner_notify(other, now, out),
+            Envelope::Ack { sw, ack } => self.apply_ack(Endpoint::Controller, sw, ack, now),
         }
     }
 
     /// The one control entry point: an envelope is sequenced, released to
     /// the inner plane in order, and **always** answered with the
-    /// cumulative [`CtrlMsg::Ack`] the sender's retransmit logic waits for.
-    fn deliver(&mut self, sw: u64, msg: CtrlMsg, now: SimTime, out: &mut PlaneOut) {
-        let from = out.notifications.len();
+    /// cumulative [`Envelope::Ack`] the sender's retransmit logic waits for.
+    fn deliver(&mut self, sw: u64, msg: Self::Msg, now: SimTime, out: &mut PlaneOut<Self::Msg>) {
         match msg {
-            CtrlMsg::Reliable { seq, ack, kind, bits, .. } => {
+            Envelope::Data { seq, ack, msg, .. } => {
                 // The piggybacked ack confirms our switch→controller sends.
                 self.apply_ack(Endpoint::Switch, sw, ack, now);
                 let released =
-                    self.receive(Endpoint::Switch, sw, seq, kind, bits, &mut out.channel_events);
-                for inner_msg in released {
-                    self.inner.deliver(sw, inner_msg, now, out);
+                    self.receive(Endpoint::Switch, sw, seq, msg, &mut out.channel_events);
+                for msg in released {
+                    self.call_inner(sw, now, out, |inner, inner_out| {
+                        inner.deliver(sw, msg, now, inner_out)
+                    });
                 }
-                self.wrap_notifications(sw, from, now, out);
-                let cum = self.rx_cum(Endpoint::Switch, sw);
-                out.notifications.push(CtrlMsg::Ack { sw, ack: cum });
+                let cum = self.end_state(Endpoint::Switch, sw).0.cum;
+                out.notifications.push(Envelope::Ack { sw, ack: cum });
             }
             // A dedicated ack from the controller confirms our sends.
-            CtrlMsg::Ack { ack, .. } => self.apply_ack(Endpoint::Switch, sw, ack, now),
-            other => {
-                self.inner.deliver(sw, other, now, out);
-                self.wrap_notifications(sw, from, now, out);
-            }
+            Envelope::Ack { ack, .. } => self.apply_ack(Endpoint::Switch, sw, ack, now),
         }
     }
 
-    fn on_timer(&mut self, node: u64, now: SimTime, out: &mut PlaneOut) {
+    fn on_timer(&mut self, node: u64, now: SimTime, out: &mut PlaneOut<Self::Msg>) {
         let (mut retransmits, mut exhausted) = (0, false);
         let mut tally = |(n, x): (u64, bool)| {
             retransmits += n;
@@ -444,6 +438,7 @@ impl<D: DataPlane> DataPlane for Reliable<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edn_core::EventSet;
     use netkat::{Loc, Packet};
     use netsim::{ChannelModel, DirModel, Engine, MetricsLevel, SimParams, SimTopology, SinkHosts};
 
@@ -470,6 +465,9 @@ mod tests {
     }
 
     impl DataPlane for Probe {
+        /// Carries the counter as bits: a payload the tests can follow.
+        type Msg = EventSet;
+
         fn step(
             &mut self,
             sw: u64,
@@ -478,24 +476,21 @@ mod tests {
             _: bool,
             _: SimTime,
             _: &mut PacketArena,
-            out: &mut PlaneOut,
+            out: &mut PlaneOut<EventSet>,
         ) {
             out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
             if sw == 1 {
-                out.notifications.push(CtrlMsg::Events(self.sent));
+                out.notifications.push(EventSet::from_bits(self.sent));
                 self.sent += 1;
             }
         }
-        fn on_notify(&mut self, msg: CtrlMsg, _: SimTime, out: &mut PlaneOut) {
-            let CtrlMsg::Events(bits) = msg else { return };
-            self.heard.push(bits);
-            // Push a config named after the heard payload to switch 1.
-            out.deliveries.push((SimTime::ZERO, 1, CtrlMsg::SetConfig(bits)));
+        fn on_notify(&mut self, msg: EventSet, _: SimTime, out: &mut PlaneOut<EventSet>) {
+            self.heard.push(msg.bits());
+            // Echo the heard payload to switch 1.
+            out.deliveries.push((SimTime::ZERO, 1, msg));
         }
-        fn deliver(&mut self, sw: u64, msg: CtrlMsg, _: SimTime, _: &mut PlaneOut) {
-            if let CtrlMsg::SetConfig(tag) = msg {
-                self.delivered.push((sw, tag));
-            }
+        fn deliver(&mut self, sw: u64, msg: EventSet, _: SimTime, _: &mut PlaneOut<EventSet>) {
+            self.delivered.push((sw, msg.bits()));
         }
     }
 
@@ -592,7 +587,7 @@ mod tests {
     }
 
     /// Delivers `msg` to switch 7 through a fresh [`PlaneOut`].
-    fn deliver(p: &mut Reliable<Probe>, msg: CtrlMsg) -> PlaneOut {
+    fn deliver(p: &mut Reliable<Probe>, msg: Envelope<EventSet>) -> PlaneOut<Envelope<EventSet>> {
         let mut out = PlaneOut::default();
         p.deliver(7, msg, SimTime::ZERO, &mut out);
         out
@@ -603,16 +598,17 @@ mod tests {
         // Protocol-level check, no engine: deliver ctrl→switch envelopes
         // out of order and watch the receiver release them in sequence.
         let mut p = Reliable::with_budget(Probe::default(), 8);
-        let env = |seq: u32, tag: u64| CtrlMsg::Reliable { sw: 7, seq, ack: 0, kind: 1, bits: tag };
+        let env =
+            |seq: u32, bits| Envelope::Data { sw: 7, seq, ack: 0, msg: EventSet::from_bits(bits) };
         let out = deliver(&mut p, env(2, 20));
-        assert_eq!(out.notifications, vec![CtrlMsg::Ack { sw: 7, ack: 0 }], "gap: ack stays at 0");
+        assert_eq!(out.notifications, vec![Envelope::Ack { sw: 7, ack: 0 }], "gap: ack stays at 0");
         assert!(p.inner().delivered.is_empty(), "held, not released");
         let out = deliver(&mut p, env(1, 10));
-        assert_eq!(out.notifications, vec![CtrlMsg::Ack { sw: 7, ack: 2 }], "gap closed");
+        assert_eq!(out.notifications, vec![Envelope::Ack { sw: 7, ack: 2 }], "gap closed");
         assert_eq!(p.inner().delivered, vec![(7, 10), (7, 20)], "released in order");
         // A late duplicate of either is suppressed and re-acked.
         let out = deliver(&mut p, env(1, 10));
-        assert_eq!(out.notifications, vec![CtrlMsg::Ack { sw: 7, ack: 2 }]);
+        assert_eq!(out.notifications, vec![Envelope::Ack { sw: 7, ack: 2 }]);
         assert_eq!(p.dup_suppressed(), 1);
         assert_eq!(p.inner().delivered.len(), 2, "no double delivery");
     }
@@ -624,12 +620,12 @@ mod tests {
     #[test]
     fn delivering_an_envelope_always_acks_in_the_same_out() {
         let mut p = Reliable::with_budget(Probe::default(), 8);
-        let env = CtrlMsg::Reliable { sw: 7, seq: 1, ack: 0, kind: 1, bits: 10 };
+        let env = Envelope::Data { sw: 7, seq: 1, ack: 0, msg: EventSet::from_bits(10) };
         let first = deliver(&mut p, env);
-        assert_eq!(first.notifications, vec![CtrlMsg::Ack { sw: 7, ack: 1 }]);
+        assert_eq!(first.notifications, vec![Envelope::Ack { sw: 7, ack: 1 }]);
         assert!(first.channel_events.is_empty());
         let dup = deliver(&mut p, env);
-        assert_eq!(dup.notifications, vec![CtrlMsg::Ack { sw: 7, ack: 1 }]);
+        assert_eq!(dup.notifications, vec![Envelope::Ack { sw: 7, ack: 1 }]);
         assert_eq!(dup.channel_events, vec![("dup_suppressed", 7)]);
         assert_eq!(p.inner().delivered, vec![(7, 10)], "the duplicate is not re-delivered");
     }
@@ -642,20 +638,20 @@ mod tests {
         // One switch→controller send at t=0.
         let mut out = PlaneOut::default();
         p.step(1, 2, id, true, SimTime::ZERO, &mut arena, &mut out);
-        let CtrlMsg::Reliable { sw: 1, seq: 1, .. } = out.notifications[0] else {
+        let Envelope::Data { sw: 1, seq: 1, .. } = out.notifications[0] else {
             panic!("expected an envelope, got {:?}", out.notifications[0]);
         };
         assert_eq!(out.timers, vec![(base_rto(), 1)]);
         // First deadline: one retransmission, next timer doubled out.
-        out.clear();
+        out = PlaneOut::default();
         p.on_timer(1, base_rto(), &mut out);
         assert_eq!(out.notifications.len(), 1);
         assert_eq!(p.retransmits(), 1);
         let next = SimTime::from_micros(3 * base_rto().as_micros());
         assert_eq!(out.timers, vec![(next, 1)]);
         // An ack clears the entry: the later timer fire is a no-op.
-        out.clear();
-        p.deliver(1, CtrlMsg::Ack { sw: 1, ack: 1 }, base_rto(), &mut out);
+        out = PlaneOut::default();
+        p.deliver(1, Envelope::Ack { sw: 1, ack: 1 }, base_rto(), &mut out);
         p.on_timer(1, next, &mut out);
         assert_eq!(out, PlaneOut::default(), "acks and stale timer fires leave nothing to send");
         assert!(!p.degraded());

@@ -7,7 +7,7 @@
 
 use edn_core::Config;
 use netkat::{Loc, LocatedView, PacketArena, PacketId};
-use netsim::{CtrlMsg, DataPlane, PlaneOut, SimTime};
+use netsim::{DataPlane, PlaneOut, SimTime};
 
 use crate::deploy::{Hop, PerTagTables};
 #[cfg(test)]
@@ -37,6 +37,9 @@ impl StaticDataPlane {
 }
 
 impl DataPlane for StaticDataPlane {
+    /// No events, so nothing to tell the controller.
+    type Msg = ();
+
     /// A zero-copy [`LocatedView`] lookup under the one tag, forwarded by
     /// the table hop every plane shares, unstamped: `NesDataPlane::step`
     /// minus events. The owned transcription is `process_reference`.
@@ -48,19 +51,15 @@ impl DataPlane for StaticDataPlane {
         _from_host: bool,
         _now: SimTime,
         arena: &mut PacketArena,
-        out: &mut PlaneOut,
+        out: &mut PlaneOut<()>,
     ) {
         let Some(slot) = self.deployment.slot(sw) else { return };
         let loc = Loc::new(sw, pt);
         let view = LocatedView { base: arena.get(packet), loc, tag: None };
         if let Some(rule) = self.deployment.lookup_on(slot, 0, &view) {
-            self.hop.forward(rule, None, loc, packet, arena, out);
+            self.hop.forward(rule, None, loc, packet, arena, &mut out.outputs);
         }
     }
-
-    fn on_notify(&mut self, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
-
-    fn deliver(&mut self, _: u64, _: CtrlMsg, _: SimTime, _: &mut PlaneOut) {}
 
     /// Reports the compiled lookup index's fingerprint probe outcomes,
     /// summed over the per-switch tables, and the layout's size (one index
@@ -75,7 +74,12 @@ impl DataPlane for StaticDataPlane {
 /// scan of the configuration's own table, never the compiled index.
 #[cfg(test)]
 impl StaticDataPlane {
-    pub(crate) fn process_reference(&self, sw: u64, pt: u64, packet: netkat::Packet) -> StepResult {
+    pub(crate) fn process_reference(
+        &self,
+        sw: u64,
+        pt: u64,
+        packet: netkat::Packet,
+    ) -> StepResult<()> {
         let outputs = table_reference(self.config.table(sw), Loc::new(sw, pt), packet);
         StepResult { outputs, notifications: Vec::new() }
     }
@@ -111,7 +115,7 @@ mod tests {
         assert!(st.step(&mut dp, 1, 9, Packet::new(), true, SimTime::ZERO).outputs.is_empty());
         // Controller messages are inert.
         let mut out = PlaneOut::default();
-        dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+        dp.on_notify((), SimTime::ZERO, &mut out);
         assert_eq!(out, PlaneOut::default());
     }
 }

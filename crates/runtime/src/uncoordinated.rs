@@ -18,6 +18,17 @@ use crate::deploy::{Hop, PerTagTables};
 #[cfg(test)]
 use crate::hop_props::{table_reference, StepResult};
 
+/// What the baseline's switches and controller send each other.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum UncoordMsg {
+    /// Switch → controller: the events an arrival matched.
+    Events(EventSet),
+    /// Controller → switch: forward under the configuration of this tag.
+    SetConfig(u64),
+}
+
+impl CtrlMsg for UncoordMsg {}
+
 /// The uncoordinated baseline data plane.
 #[derive(Clone, Debug)]
 pub struct UncoordDataPlane {
@@ -68,6 +79,8 @@ impl UncoordDataPlane {
 }
 
 impl DataPlane for UncoordDataPlane {
+    type Msg = UncoordMsg;
+
     /// Punts every event-matching arrival to the controller, then forwards
     /// under the switch's stale configuration: a zero-copy [`LocatedView`]
     /// lookup under its current tag, forwarded by the table hop every plane
@@ -80,7 +93,7 @@ impl DataPlane for UncoordDataPlane {
         _from_host: bool,
         _now: SimTime,
         arena: &mut PacketArena,
-        out: &mut PlaneOut,
+        out: &mut PlaneOut<UncoordMsg>,
     ) {
         // Event detection: matching arrivals are punted to the controller
         // (it decides whether they constitute state transitions).
@@ -88,22 +101,22 @@ impl DataPlane for UncoordDataPlane {
         let base = arena.get(packet);
         let matched = self.compiled.matching_on(base, loc);
         if !matched.is_empty() {
-            out.notifications.push(CtrlMsg::Events(matched.bits()));
+            out.notifications.push(UncoordMsg::Events(matched));
         }
         let Some(slot) = self.deployment.slot(sw) else { return };
         let view = LocatedView { base, loc, tag: None };
         if let Some(rule) = self.deployment.lookup_on(slot, self.current[slot], &view) {
-            self.hop.forward(rule, None, loc, packet, arena, out);
+            self.hop.forward(rule, None, loc, packet, arena, &mut out.outputs);
         }
     }
 
-    fn on_notify(&mut self, msg: CtrlMsg, _now: SimTime, out: &mut PlaneOut) {
-        let CtrlMsg::Events(bits) = msg else { return };
+    fn on_notify(&mut self, msg: UncoordMsg, _now: SimTime, out: &mut PlaneOut<UncoordMsg>) {
+        let UncoordMsg::Events(matched) = msg else { return };
         // The controller applies the enabling discipline centrally: one
         // notification = one packet arrival = one firing step (a renamed
         // chain advances a single state per packet).
         let before = self.controller;
-        let fired = self.compiled.fire_step(self.controller, EventSet::from_bits(bits));
+        let fired = self.compiled.fire_step(self.controller, matched);
         self.controller = self.controller.union(fired);
         let after = self.controller;
         if before == after {
@@ -116,12 +129,12 @@ impl DataPlane for UncoordDataPlane {
         order.shuffle(&mut self.rng);
         for sw in order {
             let jitter = SimTime::from_micros(self.rng.gen_range(0..=self.jitter.as_micros()));
-            out.deliveries.push((self.update_delay + jitter, sw, CtrlMsg::SetConfig(tag)));
+            out.deliveries.push((self.update_delay + jitter, sw, UncoordMsg::SetConfig(tag)));
         }
     }
 
-    fn deliver(&mut self, sw: u64, msg: CtrlMsg, _now: SimTime, _out: &mut PlaneOut) {
-        if let (CtrlMsg::SetConfig(tag), Some(slot)) = (msg, self.deployment.slot(sw)) {
+    fn deliver(&mut self, sw: u64, msg: UncoordMsg, _: SimTime, _: &mut PlaneOut<UncoordMsg>) {
+        if let (UncoordMsg::SetConfig(tag), Some(slot)) = (msg, self.deployment.slot(sw)) {
             self.current[slot] = tag;
         }
     }
@@ -133,11 +146,16 @@ impl DataPlane for UncoordDataPlane {
 /// table, never the compiled index.
 #[cfg(test)]
 impl UncoordDataPlane {
-    pub(crate) fn process_reference(&self, sw: u64, pt: u64, packet: netkat::Packet) -> StepResult {
+    pub(crate) fn process_reference(
+        &self,
+        sw: u64,
+        pt: u64,
+        packet: netkat::Packet,
+    ) -> StepResult<UncoordMsg> {
         let loc = Loc::new(sw, pt);
         let matched = self.compiled.matching_on(&packet, loc);
         let notifications =
-            if matched.is_empty() { Vec::new() } else { vec![CtrlMsg::Events(matched.bits())] };
+            if matched.is_empty() { Vec::new() } else { vec![UncoordMsg::Events(matched)] };
         let config = self.compiled.nes().config(self.compiled.set_of(self.current_tag(sw)));
         StepResult { outputs: table_reference(config.table(sw), loc, packet), notifications }
     }
@@ -193,7 +211,7 @@ mod tests {
         assert!(r.outputs.is_empty());
         // Controller schedules a delayed push.
         let mut out = PlaneOut::default();
-        dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+        dp.on_notify(UncoordMsg::Events(EventSet::from_bits(1)), SimTime::ZERO, &mut out);
         assert_eq!(out.deliveries.len(), 1);
         let (delay, sw, msg) = out.deliveries[0];
         assert!(delay >= SimTime::from_millis(500));
@@ -210,9 +228,9 @@ mod tests {
         let compiled = CompiledNes::compile(firewall_nes());
         let mut dp = UncoordDataPlane::new(compiled, vec![1], SimTime::ZERO, 7);
         let mut out = PlaneOut::default();
-        dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+        dp.on_notify(UncoordMsg::Events(EventSet::from_bits(1)), SimTime::ZERO, &mut out);
         assert_eq!(out.deliveries.len(), 1);
-        dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+        dp.on_notify(UncoordMsg::Events(EventSet::from_bits(1)), SimTime::ZERO, &mut out);
         assert_eq!(out.deliveries.len(), 1, "the duplicate pushes nothing more");
     }
 
@@ -227,7 +245,7 @@ mod tests {
                 seed,
             );
             let mut out = PlaneOut::default();
-            dp.on_notify(CtrlMsg::Events(1), SimTime::ZERO, &mut out);
+            dp.on_notify(UncoordMsg::Events(EventSet::from_bits(1)), SimTime::ZERO, &mut out);
             out.deliveries.into_iter().map(|(_, sw, _)| sw).collect::<Vec<_>>()
         };
         assert_eq!(run(1), run(1), "same seed, same order");

@@ -23,12 +23,12 @@
 //! flows = 8
 //! packets_per_flow = 2
 //! interval_us = 500
-//! size_bytes = 512
+//! size_bytes = 512       # per datagram (0..=4294967295)
 //! start_ms = 0
 //! spread_ms = 10
 //! model = "none"         # none|pareto|onoff|diurnal
 //! hotspots = 2           # hotspot pattern only
-//! bias_pct = 80          # hotspot pattern only
+//! bias_pct = 80          # hotspot pattern only (0..=255, capped at 100)
 //!
 //! [campaign]
 //! updates = 2            # successive event-driven updates (≤ 63 with moves)
@@ -39,10 +39,11 @@
 //!
 //! [channel]
 //! drop_pm = 60           # control-channel loss, per mille (0..=1000)
-//! dup_pm = 30            # duplication, per mille
-//! reorder_pm = 30        # reordering, per mille
-//! jitter_us = 40         # extra per-message delay bound, µs
+//! dup_pm = 30            # duplication, per mille (0..=1000)
+//! reorder_pm = 30        # reordering, per mille (0..=1000)
+//! jitter_us = 40         # extra per-message delay bound, µs (0..=1000000)
 //! retry_budget = 8       # retransmissions before the runtime degrades
+//!                        #   (0..=4294967295)
 //!
 //! [[action]]
 //! kind = "fail_link"     # fail_link|restore_link|crash_switch|
@@ -456,6 +457,17 @@ impl Table {
         }
     }
 
+    /// [`int`](Table::int) narrowed to `T`: a value `T` cannot hold is a
+    /// parse error on its line, never a silent truncation.
+    fn int_as<T: TryFrom<u64>>(&mut self, key: &str) -> Result<Option<T>, ScenarioError> {
+        let line = self.map.get(key).map_or(self.header_line, |&(line, _)| line);
+        let Some(n) = self.int(key)? else { return Ok(None) };
+        T::try_from(n).map(Some).map_err(|_| ScenarioError::Parse {
+            line,
+            msg: format!("`{key}` = {n} is out of range for {}", std::any::type_name::<T>()),
+        })
+    }
+
     fn string(&mut self, key: &str) -> Result<Option<(usize, String)>, ScenarioError> {
         match self.map.remove(key) {
             None => Ok(None),
@@ -664,7 +676,7 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
     let mut workload_spec = WorkloadSpec::default();
     if let Some(mut w) = workload {
         let hotspots = w.int("hotspots")?.unwrap_or(2) as usize;
-        let bias_pct = w.int("bias_pct")?.unwrap_or(80) as u8;
+        let bias_pct = w.int_as("bias_pct")?.unwrap_or(80);
         if let Some((line, p)) = w.string("pattern")? {
             workload_spec.pattern = match p.as_str() {
                 "uniform" => TrafficPattern::Uniform,
@@ -687,8 +699,8 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
         if let Some(n) = w.int("interval_us")? {
             workload_spec.interval = SimTime::from_micros(n);
         }
-        if let Some(n) = w.int("size_bytes")? {
-            workload_spec.size = n as u32;
+        if let Some(n) = w.int_as("size_bytes")? {
+            workload_spec.size = n;
         }
         if let Some(t) = w.millis("start_ms")? {
             workload_spec.start = t;
@@ -735,20 +747,20 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
 
     let mut channel_spec = ChannelSpec::default();
     if let Some(mut ch) = channel {
-        if let Some(n) = ch.int("drop_pm")? {
-            channel_spec.drop_pm = n as u32;
+        if let Some(n) = ch.int_as("drop_pm")? {
+            channel_spec.drop_pm = n;
         }
-        if let Some(n) = ch.int("dup_pm")? {
-            channel_spec.dup_pm = n as u32;
+        if let Some(n) = ch.int_as("dup_pm")? {
+            channel_spec.dup_pm = n;
         }
-        if let Some(n) = ch.int("reorder_pm")? {
-            channel_spec.reorder_pm = n as u32;
+        if let Some(n) = ch.int_as("reorder_pm")? {
+            channel_spec.reorder_pm = n;
         }
         if let Some(n) = ch.int("jitter_us")? {
             channel_spec.jitter_us = n;
         }
-        if let Some(n) = ch.int("retry_budget")? {
-            channel_spec.retry_budget = n as u32;
+        if let Some(n) = ch.int_as("retry_budget")? {
+            channel_spec.retry_budget = n;
         }
         ch.finish("channel")?;
     }
@@ -810,6 +822,10 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
     Ok(spec)
 }
 
+/// The largest `[channel] jitter_us` a spec may ask for: one second, fifty
+/// times the reliability layer's first retransmit timeout.
+const MAX_JITTER_US: u64 = 1_000_000;
+
 /// Structural validation shared by [`parse`] and the compiler's callers.
 pub fn validate(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
     match spec.topology {
@@ -843,6 +859,12 @@ pub fn validate(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
                 "channel {key} is a per-mille probability, got {pm} > 1000"
             )));
         }
+    }
+    if ch.jitter_us > MAX_JITTER_US {
+        return Err(ScenarioError::Invalid(format!(
+            "channel jitter_us is at most {MAX_JITTER_US} (one second), got {}",
+            ch.jitter_us
+        )));
     }
     for a in &spec.actions {
         if let ActionKind::LatencySpike { until, .. } = a.kind {
@@ -989,6 +1011,62 @@ mod tests {
         ] {
             let err = parse(text).expect_err(text).to_string();
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
+        }
+    }
+
+    /// Parses `key = value` in `[section]` of a ring spec, expecting the
+    /// parse error a value `ty` cannot hold gets on its own line (5).
+    fn assert_out_of_range(section: &str, key: &str, value: &str, ty: &str) {
+        let text =
+            format!("[scenario]\ntopology = \"ring\"\nsize = 4\n[{section}]\n{key} = {value}\n");
+        let msg = format!("`{key}` = {value} is out of range for {ty}");
+        assert_eq!(parse(&text), Err(ScenarioError::Parse { line: 5, msg }));
+    }
+
+    /// Truncated, 2^32 + 60 would read as 60 and pass `validate`.
+    #[test]
+    fn drop_pm_past_u32_is_rejected_not_truncated() {
+        assert_out_of_range("channel", "drop_pm", "4294967356", "u32");
+    }
+
+    #[test]
+    fn dup_pm_past_u32_is_rejected() {
+        assert_out_of_range("channel", "dup_pm", "4294967296", "u32");
+    }
+
+    #[test]
+    fn reorder_pm_past_u32_is_rejected() {
+        assert_out_of_range("channel", "reorder_pm", "4294967296", "u32");
+    }
+
+    #[test]
+    fn retry_budget_past_u32_is_rejected() {
+        assert_out_of_range("channel", "retry_budget", "4294967296", "u32");
+    }
+
+    #[test]
+    fn size_bytes_past_u32_is_rejected() {
+        assert_out_of_range("workload", "size_bytes", "4294967296", "u32");
+    }
+
+    #[test]
+    fn bias_pct_past_u8_is_rejected() {
+        assert_out_of_range("workload", "bias_pct", "256", "u8");
+    }
+
+    /// The bound keeps every delay the channel model draws far from
+    /// overflow.
+    #[test]
+    fn jitter_us_is_bounded() {
+        let spec = |jitter: u64| {
+            parse(&format!(
+                "[scenario]\ntopology = \"ring\"\nsize = 4\n[channel]\njitter_us = {jitter}\n"
+            ))
+        };
+        assert_eq!(spec(MAX_JITTER_US).map(|s| s.channel.jitter_us), Ok(MAX_JITTER_US));
+        for jitter in [MAX_JITTER_US + 1, u64::MAX] {
+            let err = spec(jitter).expect_err("past the bound").to_string();
+            assert!(err.contains("jitter_us is at most 1000000"), "{err}");
         }
     }
 }
