@@ -22,9 +22,9 @@
 //! The harness always runs with telemetry at least at `counters` (the
 //! `EDN_METRICS=full` selection is honored) and writes a per-point JSON
 //! metrics snapshot — p50/p99 sim-time event latency, queue/arena/
-//! obligation high-water, per-reason drops — to `VSCALE_JSON`. At `full`,
-//! a checker violation or a harness panic additionally dumps the engine's
-//! flight recorder (the trailing ~1024 events) to `EDN_FLIGHT_OUT`.
+//! obligation high-water, per-reason drops — to `VSCALE_JSON`, and the
+//! last point's registry to `EDN_METRICS_OUT`. At `full`, a violation or a
+//! panic also dumps the flight recorder (~1024 events) to `EDN_FLIGHT_OUT`.
 //!
 //! Environment overrides (CI smoke uses small values):
 //! * `VSCALE_FATTREE_K` — fat-tree arity (default `16`: 320 switches,
@@ -40,11 +40,12 @@
 //! * `VSCALE_JSON` — where to write the metrics snapshot (default
 //!   `BENCH_vscale_metrics.json`; empty string disables);
 //! * `EDN_METRICS` / `EDN_METRICS_OUT` / `EDN_FLIGHT_OUT` — telemetry
-//!   level, per-run registry export, and flight-dump path (see
-//!   `ARCHITECTURE.md`).
+//!   level, registry export, and flight-dump path, parsed once by
+//!   [`edn_scenario::RunEnv::from_process`] (see `ARCHITECTURE.md`).
 
 use edn_bench::env_u64;
 use edn_obs::{FlightRecorder, MetricsLevel, Registry, Stopwatch};
+use edn_scenario::RunEnv;
 use edn_topo::{
     attach_stream, fat_tree, synthesize_arrivals, ArrivalModel, TierProfile, TrafficPattern,
     Workload,
@@ -73,21 +74,27 @@ fn model_from_env() -> Option<ArrivalModel> {
     }
 }
 
-/// Dumps the flight recorder when the harness unwinds (a failed assert
-/// anywhere in the run) — the crash dump that motivates the recorder.
-struct FlightGuard(Option<FlightRecorder>);
+/// The flight recorder and the path it dumps to: on a violation, and when
+/// the harness unwinds (a failed assert anywhere in the run) — the crash
+/// dump that motivates the recorder.
+struct FlightGuard<'a>(Option<FlightRecorder>, &'a str);
 
-impl Drop for FlightGuard {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
-        }
+impl FlightGuard<'_> {
+    fn dump(&self, why: &str) {
         if let Some(fr) = &self.0 {
-            let path = FlightRecorder::dump_path_from_env("edn_flight.json");
-            match fr.dump_to(&path) {
-                Ok(()) => eprintln!("vscale: flight recorder dumped to {path}"),
+            let path = self.1;
+            match fr.dump_to(path) {
+                Ok(()) => eprintln!("vscale: {why}flight recorder dumped to {path}"),
                 Err(e) => eprintln!("vscale: flight dump to {path} failed: {e}"),
             }
+        }
+    }
+}
+
+impl Drop for FlightGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.dump("");
         }
     }
 }
@@ -99,6 +106,7 @@ fn run_point(
     k: u64,
     packets_per_flow: u64,
     seed: u64,
+    env: &RunEnv,
 ) -> (u64, u64, u64, u64, bool, [u64; 4], Registry) {
     let gen = fat_tree(k, TierProfile::default());
     let workload = Workload {
@@ -120,7 +128,7 @@ fn run_point(
     // This harness always measures with telemetry on: the snapshot is its
     // deliverable. `EDN_METRICS=full` upgrades to phase profiling and the
     // flight recorder; `off` is promoted to `counters`.
-    let level = match MetricsLevel::from_env() {
+    let level = match env.metrics {
         MetricsLevel::Off => MetricsLevel::Counters,
         lv => lv,
     };
@@ -133,7 +141,7 @@ fn run_point(
     )
     .with_stats_mode(StatsMode::Counters)
     .with_metrics(level);
-    let guard = FlightGuard(engine.flight_recorder());
+    let guard = FlightGuard(engine.flight_recorder(), &env.flight_out);
     let handle = nes_runtime::attach_online_checker(&mut engine, &nes)
         .expect("the firewall NES fits the checker window");
     let datagrams = attach_stream(&mut engine, &flows);
@@ -147,13 +155,7 @@ fn run_point(
     assert!(result.stats.deliveries.is_empty(), "Counters must not retain deliveries");
     let ok = handle.verdict().is_ok();
     if !ok {
-        if let Some(fr) = &guard.0 {
-            let path = FlightRecorder::dump_path_from_env("edn_flight.json");
-            match fr.dump_to(&path) {
-                Ok(()) => eprintln!("vscale: violation — flight recorder dumped to {path}"),
-                Err(e) => eprintln!("vscale: flight dump to {path} failed: {e}"),
-            }
-        }
+        guard.dump("violation — ");
     }
     (
         result.stats.events_processed,
@@ -167,6 +169,10 @@ fn run_point(
 }
 
 fn main() {
+    let env = RunEnv::from_process().unwrap_or_else(|e| {
+        eprintln!("vscale: {e}");
+        std::process::exit(1)
+    });
     let k = env_u64("VSCALE_FATTREE_K", 16);
     let packets = env_u64("VSCALE_PACKETS_PER_FLOW", 150);
     let seed = env_u64("VSCALE_SEED", 7);
@@ -178,8 +184,9 @@ fn main() {
     );
     let mut total_events = 0;
     let mut snapshots = String::new();
+    let mut last = Registry::new();
     for (point, p) in [("1x", packets), ("2x", 2 * packets)] {
-        let (events, datagrams, wall_us, slots, ok, drops, metrics) = run_point(k, p, seed);
+        let (events, datagrams, wall_us, slots, ok, drops, metrics) = run_point(k, p, seed, &env);
         total_events += events;
         let verdict = if ok { "correct" } else { "violation" };
         let named = drops.map(|d| d.to_string()).join(",");
@@ -191,7 +198,12 @@ fn main() {
             snapshots.push_str(",\n");
         }
         let _ = write!(snapshots, "  \"{point}\": {}", metrics.render_json().trim_end());
+        last = metrics;
         assert!(ok, "the NES runtime must verify (Theorem 1)");
+    }
+    if let Err(e) = env.write_metrics(&last) {
+        eprintln!("vscale: {e}");
+        std::process::exit(1);
     }
     if !json_path.is_empty() {
         let body = format!("{{\n{snapshots}\n}}\n");

@@ -12,14 +12,9 @@
 //! before, so a lossy run replays byte-identically, and the workload RNG
 //! stream is untouched.
 //!
-//! Selected by `EDN_CHANNEL=ideal|lossy` (read once in `Engine::new`) or
-//! pinned explicitly with `Engine::with_channel`. The `ideal` model
-//! short-circuits at the call sites, so it is byte-identical to the
-//! pre-fault-model engine.
-
-/// Default seed for the env-selected lossy preset (`"EDN_CHANNL"` bytes —
-/// any fixed constant works; explicit constructors pass their own).
-const DEFAULT_SEED: u64 = 0x45444e5f4348414e;
+//! An engine starts on the `ideal` model; a caller picks another with
+//! `Engine::with_channel`. The `ideal` model short-circuits at the call
+//! sites, so it is byte-identical to the pre-fault-model engine.
 
 /// Fault parameters for one direction of the control channel.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -101,41 +96,12 @@ impl ChannelModel {
         ChannelModel { to_ctrl: DirModel::default(), to_switch: DirModel::default(), seed: 0 }
     }
 
-    /// The `EDN_CHANNEL=lossy` preset: moderate symmetric loss (6% drop,
-    /// 3% duplication, 3% reorder, 40 µs jitter in both directions).
+    /// The lossy preset (`EDN_CHANNEL=lossy` in `scenario_run`): moderate
+    /// symmetric loss (6% drop, 3% duplication, 3% reorder, 40 µs jitter in
+    /// both directions).
     pub fn lossy(seed: u64) -> ChannelModel {
         let dir = DirModel { drop_pm: 60, dup_pm: 30, reorder_pm: 30, jitter_us: 40 };
         ChannelModel { to_ctrl: dir, to_switch: dir, seed }
-    }
-
-    /// Parses an `EDN_CHANNEL` value (`ideal` or `lossy`); unset or empty
-    /// means ideal.
-    ///
-    /// # Errors
-    ///
-    /// Returns the message to show the user for any other value.
-    pub fn parse(value: Option<&str>) -> Result<ChannelModel, String> {
-        match value {
-            None | Some("" | "ideal") => Ok(ChannelModel::ideal()),
-            Some("lossy") => Ok(ChannelModel::lossy(DEFAULT_SEED)),
-            Some(v) => Err(format!("EDN_CHANNEL must be ideal|lossy, got {v:?}")),
-        }
-    }
-
-    /// Reads the model from the `EDN_CHANNEL` environment variable (see
-    /// [`parse`](ChannelModel::parse)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `EDN_CHANNEL` is set to anything else.
-    pub fn from_env() -> ChannelModel {
-        ChannelModel::parse(std::env::var("EDN_CHANNEL").ok().as_deref())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// This model with a different fault seed.
-    pub fn with_seed(self, seed: u64) -> ChannelModel {
-        ChannelModel { seed, ..self }
     }
 
     /// Faultless in both directions? (The engine short-circuits every
@@ -254,17 +220,5 @@ mod tests {
             assert_eq!(f.copies, 2);
             assert!(f.reordered);
         }
-    }
-
-    #[test]
-    fn parse_reads_unset_empty_and_both_models_and_rejects_typos() {
-        assert_eq!(ChannelModel::parse(None), Ok(ChannelModel::ideal()));
-        assert_eq!(ChannelModel::parse(Some("")), Ok(ChannelModel::ideal()));
-        assert_eq!(ChannelModel::parse(Some("ideal")), Ok(ChannelModel::ideal()));
-        assert_eq!(ChannelModel::parse(Some("lossy")), Ok(ChannelModel::lossy(DEFAULT_SEED)));
-        assert_eq!(
-            ChannelModel::parse(Some("losy")),
-            Err("EDN_CHANNEL must be ideal|lossy, got \"losy\"".to_string())
-        );
     }
 }

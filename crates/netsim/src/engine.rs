@@ -351,7 +351,7 @@ impl<D: DataPlane> Core<D> {
             ctrl_latency: Vec::new(),
             entities,
             counters: vec![0; n_entities],
-            channel: ChannelModel::from_env(),
+            channel: ChannelModel::ideal(),
             chan_counts: vec![0; n_entities],
             out: PlaneOut::default(),
             ctrl_causes: Vec::new(),
@@ -977,15 +977,15 @@ impl<D: DataPlane> Engine<D> {
     /// [`with_trace_mode`](Engine::with_trace_mode). The per-packet stats
     /// streams start at [`StatsMode::Full`], since deliveries and drops are
     /// what a timeline reads; a caller that only wants the counters says so
-    /// with [`with_stats_mode`](Engine::with_stats_mode). The telemetry level
-    /// and the control-channel model default from the environment
-    /// (`EDN_METRICS`, `EDN_CHANNEL`); pin them with
-    /// [`with_metrics`](Engine::with_metrics) and
-    /// [`with_channel`](Engine::with_channel).
+    /// with [`with_stats_mode`](Engine::with_stats_mode). Telemetry starts
+    /// at [`MetricsLevel::Off`] and the control channel at
+    /// [`ChannelModel::ideal`]; a caller that wants either changed says so
+    /// with [`with_metrics`](Engine::with_metrics) and
+    /// [`with_channel`](Engine::with_channel). Nothing here reads the
+    /// process environment.
     pub fn new(topo: SimTopology, params: SimParams, dataplane: D, hosts: BoxedHosts) -> Engine<D> {
-        let level = MetricsLevel::from_env();
-        let flight = level.is_full().then(|| FlightRecorder::new(FLIGHT_CAPACITY));
-        let core = Core::build(topo, params, dataplane, hosts, EngineMetrics::new(level, flight));
+        let metrics = EngineMetrics::new(MetricsLevel::Off, None);
+        let core = Core::build(topo, params, dataplane, hosts, metrics);
         Engine { core, env_seq: 0, started: false }
     }
 
@@ -1015,10 +1015,9 @@ impl<D: DataPlane> Engine<D> {
         self
     }
 
-    /// Sets the telemetry level, overriding the `EDN_METRICS` environment
-    /// default — tests pin the level through this to stay immune to
-    /// environment races. [`MetricsLevel::Full`] attaches a fresh flight
-    /// recorder; lower levels detach any existing one.
+    /// Sets the telemetry level (the default is [`MetricsLevel::Off`]).
+    /// [`MetricsLevel::Full`] attaches a fresh flight recorder; lower
+    /// levels detach any existing one.
     ///
     /// # Panics
     ///
@@ -1031,9 +1030,8 @@ impl<D: DataPlane> Engine<D> {
         self
     }
 
-    /// Sets the control-channel fault model, overriding the `EDN_CHANNEL`
-    /// environment default (tests pin the model through this to stay
-    /// immune to environment races).
+    /// Sets the control-channel fault model (the default is
+    /// [`ChannelModel::ideal`]).
     ///
     /// # Panics
     ///
@@ -1268,8 +1266,9 @@ impl<D: DataPlane> Engine<D> {
     }
 
     /// Finalizes a run: resolves the recorded trace (empty under
-    /// [`TraceMode::StatsOnly`]) and hands back statistics and the data
-    /// plane.
+    /// [`TraceMode::StatsOnly`]) and hands back statistics, the data plane
+    /// and the telemetry registry. It writes no file: where a snapshot
+    /// goes is the caller's decision ([`Registry::write_out`]).
     pub fn finish(self) -> RunResult<D> {
         let mut core = self.core;
         let metrics_on = core.metrics.on;
@@ -1286,13 +1285,6 @@ impl<D: DataPlane> Engine<D> {
             o.finish();
             if metrics_on {
                 o.contribute_metrics(&mut metrics);
-            }
-        }
-        if metrics_on {
-            // The run has earned its result; a snapshot that cannot be
-            // written is reported, not allowed to take the result with it.
-            if let Err(e) = metrics.write_out_from_env() {
-                eprintln!("netsim: {e}");
             }
         }
         RunResult {
@@ -2166,7 +2158,7 @@ mod channel_tests {
 
     #[test]
     fn lossy_channel_is_deterministic_and_actually_drops() {
-        let model = ChannelModel::lossy(7).with_seed(7);
+        let model = ChannelModel::lossy(7);
         let (a, sa) = run_chatty(model, 200);
         let (b, sb) = run_chatty(model, 200);
         assert_eq!(sa, sb, "same model, same run, byte for byte");

@@ -13,8 +13,8 @@
 //! * **Shard** — deterministic for a fixed build but dependent on how the
 //!   engine is implemented or fed, so not compared across knobs:
 //!   queue-depth high-water, pump batch sizes, arena interning.
-//! * **Wall** — sampled wall-clock phase profiling (`EDN_METRICS=full`
-//!   only), never expected to reproduce.
+//! * **Wall** — sampled wall-clock phase profiling
+//!   ([`MetricsLevel::Full`] only), never expected to reproduce.
 
 use edn_obs::{FlightRecorder, Hist, MetricsLevel, Registry, Scope};
 
@@ -31,7 +31,7 @@ const SAMPLE_MASK: u64 = 1023;
 /// The engine's metric accumulators. All zero-cost when
 /// `on == false` (every instrument point is behind that one branch).
 pub(crate) struct EngineMetrics {
-    /// Any instrumentation at all? (`EDN_METRICS != off`.)
+    /// Any instrumentation at all? (Any level above [`MetricsLevel::Off`].)
     pub(crate) on: bool,
     /// Wall-clock phase profiling and the flight recorder too?
     pub(crate) full: bool,

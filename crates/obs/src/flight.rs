@@ -2,7 +2,7 @@
 //! as JSON when something goes wrong.
 //!
 //! The recorder is a black box in the aviation sense: it runs only at
-//! `EDN_METRICS=full`, keeps the last `capacity` events in a ring, and is
+//! [`MetricsLevel::Full`](crate::MetricsLevel::Full), keeps the last `capacity` events in a ring, and is
 //! dumped next to the violation report when an online checker fails or a
 //! bench panics — giving the queue-depth / dispatch-key / checker history
 //! leading *into* the failure, which the final `Stats` cannot show.
@@ -37,8 +37,9 @@ struct Ring {
 ///
 /// Handles are cheap clones of one shared ring, so the engine, the online
 /// checker, and a bench's panic guard can all hold one. Recording takes a
-/// mutex; the recorder is only wired in at `EDN_METRICS=full`, where the
-/// run has already opted into profiling overhead.
+/// mutex; the recorder is only wired in at
+/// [`MetricsLevel::Full`](crate::MetricsLevel::Full), where the run has
+/// already opted into profiling overhead.
 #[derive(Clone)]
 pub struct FlightRecorder {
     inner: Arc<Mutex<Ring>>,
@@ -120,17 +121,6 @@ impl FlightRecorder {
     /// Writes [`dump_json`](FlightRecorder::dump_json) to `path`.
     pub fn dump_to(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.dump_json())
-    }
-
-    /// The dump path named by `EDN_FLIGHT_OUT`, or the given default.
-    ///
-    /// Benches call this when a checker violation or panic fires, so the
-    /// dump lands somewhere predictable unless the operator redirects it.
-    pub fn dump_path_from_env(default: &str) -> String {
-        std::env::var("EDN_FLIGHT_OUT")
-            .ok()
-            .filter(|p| !p.is_empty())
-            .unwrap_or_else(|| default.to_owned())
     }
 }
 

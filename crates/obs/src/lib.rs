@@ -24,11 +24,12 @@
 //! keep the scopes segregated so determinism checks can compare the `sim`
 //! section alone.
 //!
-//! The instrumentation level is selected by `EDN_METRICS=off|counters|full`
-//! (see [`MetricsLevel`]); `EDN_METRICS_OUT=path` makes
-//! [`Registry::write_out_from_env`] persist a snapshot at the end of a
-//! run (`.prom`/`.txt` extension selects Prometheus text exposition,
-//! anything else JSON).
+//! The instrumentation level is a [`MetricsLevel`] the caller passes in;
+//! [`Registry::write_out`] persists a snapshot where the caller says
+//! (`.prom`/`.txt` extension selects Prometheus text exposition, anything
+//! else JSON). Nothing in this crate reads the process environment: the
+//! binaries that honour `EDN_METRICS` and `EDN_METRICS_OUT` parse them
+//! once and pass the values down.
 
 mod flight;
 mod registry;
@@ -40,7 +41,7 @@ pub use wall::{MinWall, Stopwatch};
 
 /// How much instrumentation the engine stack should run with.
 ///
-/// Selected by the `EDN_METRICS` environment variable:
+/// Named by the `EDN_METRICS` value of the binaries that read it:
 ///
 /// | value | meaning |
 /// |---|---|
@@ -76,16 +77,6 @@ impl MetricsLevel {
         }
     }
 
-    /// Reads `EDN_METRICS` (see [`parse`](MetricsLevel::parse)).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown value.
-    pub fn from_env() -> Self {
-        MetricsLevel::parse(std::env::var("EDN_METRICS").ok().as_deref())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Whether any instrumentation is enabled.
     pub fn is_on(self) -> bool {
         self != MetricsLevel::Off
@@ -118,18 +109,5 @@ mod tests {
         assert!(MetricsLevel::Full.is_full());
         assert_eq!(MetricsLevel::Full.name(), "full");
         assert_eq!(MetricsLevel::default(), MetricsLevel::Off);
-    }
-
-    #[test]
-    fn parse_reads_unset_empty_and_every_level_and_rejects_typos() {
-        assert_eq!(MetricsLevel::parse(None), Ok(MetricsLevel::Off));
-        assert_eq!(MetricsLevel::parse(Some("")), Ok(MetricsLevel::Off));
-        for level in [MetricsLevel::Off, MetricsLevel::Counters, MetricsLevel::Full] {
-            assert_eq!(MetricsLevel::parse(Some(level.name())), Ok(level));
-        }
-        assert_eq!(
-            MetricsLevel::parse(Some("ful")),
-            Err("EDN_METRICS must be off|counters|full, got \"ful\"".to_string())
-        );
     }
 }

@@ -386,28 +386,6 @@ impl Registry {
         };
         std::fs::write(path, body)
     }
-
-    /// [`write_out`](Registry::write_out) to the path named by
-    /// `EDN_METRICS_OUT`, if set (an empty value means unset). Returns the
-    /// path written, or `None` when there is none.
-    ///
-    /// # Errors
-    ///
-    /// The write's I/O error, its message naming the variable and the path.
-    /// The snapshot is telemetry: a caller holding a finished run reports
-    /// this and keeps the run.
-    pub fn write_out_from_env(&self) -> std::io::Result<Option<String>> {
-        let Some(path) = std::env::var("EDN_METRICS_OUT").ok().filter(|p| !p.is_empty()) else {
-            return Ok(None);
-        };
-        match self.write_out(&path) {
-            Ok(()) => Ok(Some(path)),
-            Err(e) => Err(std::io::Error::new(
-                e.kind(),
-                format!("EDN_METRICS_OUT: cannot write `{path}`: {e}"),
-            )),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ pub use campaign::{
 pub use compile::{CompiledNes, RuleBreakdown};
 pub use dataplane::NesDataPlane;
 pub use program::{tagged_lookup, SwitchProgram};
-pub use reliable::{parse_retry_budget, retry_budget_from_env, Envelope, Reliable};
+pub use reliable::{Envelope, Reliable};
 pub use static_plane::StaticDataPlane;
 pub use uncoordinated::{UncoordDataPlane, UncoordMsg};
 pub use verify::{

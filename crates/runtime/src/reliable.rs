@@ -18,8 +18,8 @@
 //! past the budget is abandoned, the plane is marked **degraded**, and a
 //! `retry_exhausted` event lands in the flight recorder — an explicit
 //! loud failure instead of a silent wrong answer. The budget is
-//! [`Reliable::with_budget`]'s argument; `scenario_run` reads it from
-//! `EDN_RETRY_BUDGET` (default 8, see [`parse_retry_budget`]).
+//! [`Reliable::with_budget`]'s argument; a scenario takes it from its
+//! `[channel]` section's `retry_budget` (default 8).
 //!
 //! The wire format, [`Envelope`], is this module's own. Two independent
 //! streams exist per switch: switch→controller (notifications) and
@@ -34,30 +34,6 @@ use std::collections::BTreeMap;
 
 use edn_obs::Hist;
 use netsim::{CtrlMsg, DataPlane, PacketArena, PacketId, PlaneOut, SimTime, CONTROLLER_NODE};
-
-/// Parses an `EDN_RETRY_BUDGET` value (maximum retransmissions per
-/// message); unset or empty means 8.
-///
-/// # Errors
-///
-/// Returns the message to show the user if the value is not a number.
-pub fn parse_retry_budget(value: Option<&str>) -> Result<u32, String> {
-    match value {
-        None | Some("") => Ok(8),
-        Some(v) => v.parse().map_err(|_| format!("EDN_RETRY_BUDGET must be a number, got {v:?}")),
-    }
-}
-
-/// Reads the retransmit budget from `EDN_RETRY_BUDGET` (see
-/// [`parse_retry_budget`]).
-///
-/// # Panics
-///
-/// Panics if the variable is set but not a number.
-pub fn retry_budget_from_env() -> u32 {
-    parse_retry_budget(std::env::var("EDN_RETRY_BUDGET").ok().as_deref())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
 
 /// Initial retransmission timeout; doubles on every retry. Comfortably
 /// above one control-channel round trip at the default latency.
@@ -441,18 +417,6 @@ mod tests {
     use edn_core::EventSet;
     use netkat::{Loc, Packet};
     use netsim::{ChannelModel, DirModel, Engine, MetricsLevel, SimParams, SimTopology, SinkHosts};
-
-    #[test]
-    fn retry_budget_parses_unset_empty_numbers_and_rejects_typos() {
-        assert_eq!(parse_retry_budget(None), Ok(8));
-        assert_eq!(parse_retry_budget(Some("")), Ok(8));
-        assert_eq!(parse_retry_budget(Some("0")), Ok(0));
-        assert_eq!(parse_retry_budget(Some("12")), Ok(12));
-        assert_eq!(
-            parse_retry_budget(Some("eight")),
-            Err("EDN_RETRY_BUDGET must be a number, got \"eight\"".to_string())
-        );
-    }
 
     /// A minimal inner plane that counts what the controller hears and
     /// what each switch is told — the reliability layer's contract is

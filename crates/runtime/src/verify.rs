@@ -33,7 +33,7 @@ pub fn nes_engine(
 
 /// [`nes_engine`] with the paper's runtime wrapped in the
 /// [`Reliable`](crate::Reliable) ack/retry layer — the deployment for
-/// lossy control channels (`EDN_CHANNEL=lossy`, or
+/// lossy control channels (a lossy
 /// [`Engine::with_channel`](netsim::Engine::with_channel)). `budget` is
 /// the maximum retransmissions per message; after the run, check
 /// [`Reliable::degraded`](crate::Reliable::degraded) on the returned
@@ -214,7 +214,7 @@ mod tests {
         assert!(verdict.is_err(), "online checker flags it too");
     }
 
-    /// At `EDN_METRICS=full` a checker violation leaves a crash dump
+    /// At `MetricsLevel::Full` a checker violation leaves a crash dump
     /// behind: the engine's flight recorder (auto-attached to the checker
     /// by `set_observer`) records the violation alongside the preceding
     /// event firings, and its JSON dump names the violation kind.

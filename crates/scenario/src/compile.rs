@@ -33,7 +33,7 @@ use edn_topo::{
 use nes_runtime::{campaign_nes, campaign_pred, campaign_trigger, CampaignStep};
 use netkat::{Field, FlowTable, Loc, Packet, Rule};
 use netsim::traffic::{udp_packet, UdpFlowSpec};
-use netsim::{DataPlane, Engine, SimParams, SimTime};
+use netsim::{DataPlane, Engine, MetricsLevel, SimParams, SimTime};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -125,6 +125,10 @@ pub struct CompiledScenario {
     pub flows: Vec<UdpFlowSpec>,
     /// The run deadline (spec horizon, or computed).
     pub horizon: SimTime,
+    /// The telemetry level the legs run at ([`MetricsLevel::Off`] unless
+    /// the caller raises it); a lossy leg always runs at
+    /// [`MetricsLevel::Full`], for its flight recorder.
+    pub metrics: MetricsLevel,
 }
 
 /// One switch's tables across the campaign's states. While steps only add
@@ -482,6 +486,7 @@ impl CompiledScenario {
             probes,
             flows,
             horizon,
+            metrics: MetricsLevel::Off,
         })
     }
 

@@ -15,7 +15,9 @@
 //! runtime and the Section 5.1 baseline; [`differential`] pairs them with
 //! the online Definition 6 checker as a differential oracle — the
 //! generalized Fig. 10 experiment. [`ScenarioGen`] samples random
-//! compilable scenarios for fuzzing, pinned by seed.
+//! compilable scenarios for fuzzing, pinned by seed. [`RunEnv`] parses the
+//! five `EDN_*` variables for the binaries that honour them; no library
+//! function reads the environment.
 //!
 //! ```
 //! use edn_scenario::{differential, parse};
@@ -48,6 +50,7 @@
 #![warn(missing_docs)]
 
 mod compile;
+mod env;
 mod gen;
 mod run;
 mod spec;
@@ -55,6 +58,7 @@ mod spec;
 pub use compile::{
     probe_delay, CompiledScenario, EngineAction, PlannedStep, StepTarget, PROBE_FLOW_BASE,
 };
+pub use env::RunEnv;
 pub use gen::ScenarioGen;
 pub use run::{
     differential, effective_channel, run_coordinated, run_uncoordinated, stats_csv_header,

@@ -14,7 +14,9 @@
 //! is allowed — and under probing usually observed — to be a violation.
 
 use edn_core::OnlineViolation;
-use netsim::{ChannelModel, DataPlane, Engine, RunResult, Stats, StatsMode};
+use netsim::{
+    ChannelModel, DataPlane, Engine, MetricsLevel, Registry, RunResult, Stats, StatsMode,
+};
 
 use crate::compile::CompiledScenario;
 use crate::spec::{ScenarioError, ScenarioSpec};
@@ -28,7 +30,7 @@ pub struct RunOptions {
     /// instead of batch pre-scheduling (byte-identical results).
     pub stream: bool,
     /// Control-channel override (`None` defers to the spec's `[channel]`
-    /// section, falling back to the `EDN_CHANNEL` environment default).
+    /// section).
     pub channel: Option<ChannelModel>,
 }
 
@@ -52,6 +54,10 @@ pub struct ScenarioOutcome {
     /// Flight-recorder dump captured when the run degraded — the
     /// message-level post-mortem (`drop`, `retry_exhausted`, …).
     pub flight_dump: Option<String>,
+    /// The leg's finished telemetry registry, at
+    /// [`CompiledScenario::metrics`] (a lossy leg's at
+    /// [`MetricsLevel::Full`]); empty at [`MetricsLevel::Off`].
+    pub metrics: Registry,
 }
 
 impl ScenarioOutcome {
@@ -70,20 +76,12 @@ impl ScenarioOutcome {
     }
 }
 
-/// The channel model a coordinated leg runs under: an explicit
-/// [`RunOptions::channel`] override, else the spec's `[channel]` section,
-/// else the `EDN_CHANNEL` environment default — in every spec-derived case
-/// reseeded per scenario, so different seeds see different fault patterns.
+/// The channel model a leg runs under: an explicit [`RunOptions::channel`]
+/// override, else the spec's `[channel]` section seeded per scenario, so
+/// different seeds see different fault patterns.
 pub fn effective_channel(spec: &ScenarioSpec, opts: &RunOptions) -> ChannelModel {
-    if let Some(model) = opts.channel {
-        return model;
-    }
     let seed = spec.seed ^ 0x4348_414e_5f45_444e; // "CHAN_EDN"
-    if spec.channel.is_ideal() {
-        ChannelModel::from_env().with_seed(seed)
-    } else {
-        spec.channel.model(seed)
-    }
+    opts.channel.unwrap_or_else(|| spec.channel.model(seed))
 }
 
 /// Runs the coordinated (NES runtime) leg of a scenario.
@@ -91,8 +89,9 @@ pub fn effective_channel(spec: &ScenarioSpec, opts: &RunOptions) -> ChannelModel
 /// The effective channel model (see [`effective_channel`]) picks the
 /// deployment: an ideal channel runs the bare runtime — byte-identical to
 /// a build without the fault model — while a lossy channel wraps it in the
-/// [`Reliable`](nes_runtime::Reliable) ack/retry layer and forces full
-/// telemetry so a degraded run carries its flight-recorder post-mortem.
+/// [`Reliable`](nes_runtime::Reliable) ack/retry layer, with the spec's
+/// `retry_budget`, and forces full telemetry so a degraded run carries its
+/// flight-recorder post-mortem.
 ///
 /// # Panics
 ///
@@ -102,7 +101,8 @@ pub fn effective_channel(spec: &ScenarioSpec, opts: &RunOptions) -> ChannelModel
 pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutcome {
     let model = effective_channel(&c.spec, opts);
     if model.is_ideal() {
-        let (result, datagrams, verdict) = leg(c, c.engine().with_channel(model), opts);
+        let engine = c.engine().with_channel(model).with_metrics(c.metrics);
+        let (result, datagrams, verdict) = leg(c, engine, opts);
         ScenarioOutcome {
             stats: result.stats,
             datagrams,
@@ -110,17 +110,13 @@ pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutco
             verdict,
             degraded: false,
             flight_dump: None,
+            metrics: result.metrics,
         }
     } else {
-        let budget = if c.spec.channel.is_ideal() {
-            nes_runtime::retry_budget_from_env()
-        } else {
-            c.spec.channel.retry_budget
-        };
         let engine = c
-            .reliable_engine_with(budget)
+            .reliable_engine_with(c.spec.channel.retry_budget)
             .with_channel(model)
-            .with_metrics(netsim::MetricsLevel::Full);
+            .with_metrics(MetricsLevel::Full);
         let flight = engine.flight_recorder();
         let (result, datagrams, verdict) = leg(c, engine, opts);
         let degraded = result.dataplane.degraded();
@@ -131,6 +127,7 @@ pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutco
             verdict,
             degraded,
             flight_dump: degraded.then(|| flight.map(|f| f.dump_json()).unwrap_or_default()),
+            metrics: result.metrics,
         }
     }
 }
@@ -171,12 +168,15 @@ fn drive<D: DataPlane>(
 }
 
 /// Runs the uncoordinated-baseline leg, always with the online checker
-/// attached (its verdict is the differential oracle's other arm). The
-/// baseline has no reliability layer: under a lossy `EDN_CHANNEL` its
-/// dropped pushes surface as checker violations — caught, not masked.
+/// attached (its verdict is the differential oracle's other arm), over the
+/// spec's channel ([`effective_channel`]). The baseline has no reliability
+/// layer: on a lossy `[channel]` its dropped pushes surface as checker
+/// violations — caught, not masked.
 pub fn run_uncoordinated(c: &CompiledScenario) -> ScenarioOutcome {
     let opts = RunOptions { check: true, ..RunOptions::default() };
-    let (result, datagrams, verdict) = leg(c, c.uncoordinated(), &opts);
+    let engine =
+        c.uncoordinated().with_channel(effective_channel(&c.spec, &opts)).with_metrics(c.metrics);
+    let (result, datagrams, verdict) = leg(c, engine, &opts);
     ScenarioOutcome {
         stats: result.stats,
         datagrams,
@@ -184,6 +184,7 @@ pub fn run_uncoordinated(c: &CompiledScenario) -> ScenarioOutcome {
         verdict,
         degraded: false,
         flight_dump: None,
+        metrics: result.metrics,
     }
 }
 
@@ -346,6 +347,23 @@ mod tests {
         let replay = run_coordinated(&c, &RunOptions::default());
         assert_eq!(replay.stats, unchecked.stats, "lossy replay diverged");
         assert_eq!(stats_csv_row(&replay), stats_csv_row(&unchecked));
+    }
+
+    /// The baseline runs over the spec's `[channel]` too: a lossy section
+    /// drops and duplicates its pushes, so the run processes a different
+    /// number of events than on the same spec's perfect channel.
+    #[test]
+    fn uncoordinated_leg_runs_over_the_spec_channel() {
+        let ideal = CompiledScenario::compile(&flap_spec()).unwrap();
+        let mut spec = flap_spec();
+        spec.channel =
+            ChannelSpec { drop_pm: 60, dup_pm: 30, reorder_pm: 30, jitter_us: 40, retry_budget: 8 };
+        let lossy = CompiledScenario::compile(&spec).unwrap();
+        assert_ne!(
+            run_uncoordinated(&lossy).stats.events_processed,
+            run_uncoordinated(&ideal).stats.events_processed,
+            "the baseline ignored its spec's lossy channel"
+        );
     }
 
     /// An ideal `[channel]` spec (or none) must leave the bare runtime in

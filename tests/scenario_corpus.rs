@@ -160,6 +160,8 @@ fn legs_record_counters_and_report_what_a_full_recording_would() {
             verdict,
             degraded: false,
             flight_dump: None,
+            // Telemetry, not a result: a lossy leg's carries wall-clock samples.
+            metrics: leg.metrics.clone(),
         };
         assert_eq!(leg, full, "verdict, fired count or a counter moved");
         assert_eq!(stats_csv_row(&leg), stats_csv_row(&full), "canonical CSV");
