@@ -26,8 +26,8 @@ fn workload() -> Vec<Ping> {
 }
 
 fn main() {
-    let max_delay_ms = env_u64("FIG10_MAX_DELAY_MS", 5000);
-    let runs_per_point = env_u64("FIG10_RUNS_PER_POINT", 10);
+    let max_delay_ms = env_u64("fig10", "FIG10_MAX_DELAY_MS", 5000);
+    let runs_per_point = env_u64("fig10", "FIG10_RUNS_PER_POINT", 10);
     println!("# Fig. 10: incorrectly-dropped packets vs controller delay");
     println!("# workload: trigger at 10ms, then H4->H1 probes every 100ms for 6s");
     println!("# {runs_per_point} seeded runs per point, delays 0..={max_delay_ms} ms");

@@ -18,7 +18,7 @@ use rand::SeedableRng;
 use rule_optimizer::{optimize, optimize_in_order, random_configs_with};
 
 fn main() {
-    let seed = env_u64("FIG17_SEED", 2016);
+    let seed = env_u64("fig17", "FIG17_SEED", 2016);
     let mut rng = StdRng::seed_from_u64(seed);
     println!("# Fig. 17: heuristic rule sharing on 64 random configurations of 20 rules");
     println!("# sweep seed {seed} (one RNG stream across all instances)");

@@ -16,8 +16,9 @@
 //! `verdict` column is the online checker's verdict (`correct` is the
 //! expected outcome: Theorem 1), and the trailing columns name each
 //! [`netsim::DropReason`]'s count. `arena_slots` is the packet arena's slot
-//! high-water mark: with no trace record holding an id, that is the most
-//! packets ever in flight at once, so it too should barely move at 2×.
+//! high-water mark: a slot lives while an event carries its packet, so that
+//! is the most packets ever in flight at once, and it too should barely
+//! move at 2×.
 //!
 //! The harness always runs with telemetry at least at `counters` (the
 //! `EDN_METRICS=full` selection is honored) and writes a per-point JSON
@@ -26,7 +27,9 @@
 //! last point's registry to `EDN_METRICS_OUT`. At `full`, a violation or a
 //! panic also dumps the flight recorder (~1024 events) to `EDN_FLIGHT_OUT`.
 //!
-//! Environment overrides (CI smoke uses small values):
+//! Environment overrides (CI smoke uses small values; an empty value means
+//! unset, and a malformed one exits 1 with a one-line
+//! `fig18: NAME must be …, got "x"` before any point runs):
 //! * `VSCALE_FATTREE_K` — fat-tree arity (default `16`: 320 switches,
 //!   1024 hosts);
 //! * `VSCALE_PACKETS_PER_FLOW` — base datagrams per flow at the 1× point
@@ -43,7 +46,7 @@
 //!   level, registry export, and flight-dump path, parsed once by
 //!   [`edn_scenario::RunEnv::from_process`] (see `ARCHITECTURE.md`).
 
-use edn_bench::env_u64;
+use edn_bench::{env_u64, exit_with};
 use edn_obs::{FlightRecorder, MetricsLevel, Registry, Stopwatch};
 use edn_scenario::RunEnv;
 use edn_topo::{
@@ -64,14 +67,23 @@ fn vm_hwm_kb() -> u64 {
         .unwrap_or(0)
 }
 
-fn model_from_env() -> Option<ArrivalModel> {
-    match std::env::var("VSCALE_MODEL").as_deref() {
-        Ok("uniform") => None,
-        Ok("onoff") => Some(ArrivalModel::OnOff { burst_packets: 8, off: SimTime::from_millis(5) }),
-        Ok("diurnal") => Some(ArrivalModel::Diurnal { periods: 2, trough_pct: 10 }),
-        Ok("pareto") | Err(_) => Some(ArrivalModel::Pareto { alpha: 1.3, max_packets: 64 * 1024 }),
-        Ok(other) => panic!("VSCALE_MODEL must be uniform|pareto|onoff|diurnal, got `{other}`"),
-    }
+/// The `VSCALE_MODEL` arrival model read through `lookup` (empty means
+/// unset, which is `pareto`); `None` is the uniform base workload.
+///
+/// # Errors
+///
+/// The message to show the user, naming the variable and its value.
+fn parse_model(lookup: impl Fn(&str) -> Option<String>) -> Result<Option<ArrivalModel>, String> {
+    let model = match lookup("VSCALE_MODEL").filter(|v| !v.is_empty()).as_deref() {
+        Some("uniform") => None,
+        Some("onoff") => {
+            Some(ArrivalModel::OnOff { burst_packets: 8, off: SimTime::from_millis(5) })
+        }
+        Some("diurnal") => Some(ArrivalModel::Diurnal { periods: 2, trough_pct: 10 }),
+        Some("pareto") | None => Some(ArrivalModel::Pareto { alpha: 1.3, max_packets: 64 * 1024 }),
+        Some(v) => Err(format!("VSCALE_MODEL must be uniform|pareto|onoff|diurnal, got {v:?}"))?,
+    };
+    Ok(model)
 }
 
 /// The flight recorder and the path it dumps to: on a violation, and when
@@ -106,6 +118,7 @@ fn run_point(
     k: u64,
     packets_per_flow: u64,
     seed: u64,
+    model: Option<&ArrivalModel>,
     env: &RunEnv,
 ) -> (u64, u64, u64, u64, bool, [u64; 4], Registry) {
     let gen = fat_tree(k, TierProfile::default());
@@ -117,9 +130,9 @@ fn run_point(
         interval: SimTime::from_micros(100),
         ..Workload::default()
     };
-    let flows = match model_from_env() {
+    let flows = match model {
         None => edn_topo::synthesize(&gen, &workload),
-        Some(m) => synthesize_arrivals(&gen, &workload, &m),
+        Some(m) => synthesize_arrivals(&gen, &workload, m),
     };
     let horizon =
         flows.iter().map(|f| f.end).max().unwrap_or(SimTime::ZERO) + SimTime::from_secs(10);
@@ -169,13 +182,11 @@ fn run_point(
 }
 
 fn main() {
-    let env = RunEnv::from_process().unwrap_or_else(|e| {
-        eprintln!("vscale: {e}");
-        std::process::exit(1)
-    });
-    let k = env_u64("VSCALE_FATTREE_K", 16);
-    let packets = env_u64("VSCALE_PACKETS_PER_FLOW", 150);
-    let seed = env_u64("VSCALE_SEED", 7);
+    let env = RunEnv::from_process().unwrap_or_else(|e| exit_with("fig18", &e));
+    let k = env_u64("fig18", "VSCALE_FATTREE_K", 16);
+    let packets = env_u64("fig18", "VSCALE_PACKETS_PER_FLOW", 150);
+    let seed = env_u64("fig18", "VSCALE_SEED", 7);
+    let model = parse_model(|n| std::env::var(n).ok()).unwrap_or_else(|e| exit_with("fig18", &e));
     let json_path =
         std::env::var("VSCALE_JSON").unwrap_or_else(|_| "BENCH_vscale_metrics.json".to_string());
     let drop_cols = DropReason::ALL.map(|r| format!("drops_{}", r.name())).join(",");
@@ -186,7 +197,8 @@ fn main() {
     let mut snapshots = String::new();
     let mut last = Registry::new();
     for (point, p) in [("1x", packets), ("2x", 2 * packets)] {
-        let (events, datagrams, wall_us, slots, ok, drops, metrics) = run_point(k, p, seed, &env);
+        let (events, datagrams, wall_us, slots, ok, drops, metrics) =
+            run_point(k, p, seed, model.as_ref(), &env);
         total_events += events;
         let verdict = if ok { "correct" } else { "violation" };
         let named = drops.map(|d| d.to_string()).join(",");
@@ -214,4 +226,27 @@ fn main() {
         eprintln!("vscale: metrics snapshot written to {json_path}");
     }
     eprintln!("total events processed: {total_events}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn model(value: &str) -> Result<Option<ArrivalModel>, String> {
+        parse_model(|name| (name == "VSCALE_MODEL").then(|| value.to_string()))
+    }
+
+    #[test]
+    fn the_arrival_model_defaults_when_unset_or_empty_and_names_a_bad_value() {
+        let pareto = Some(ArrivalModel::Pareto { alpha: 1.3, max_packets: 64 * 1024 });
+        assert_eq!(parse_model(|_| None), Ok(pareto));
+        assert_eq!(model(""), Ok(pareto));
+        assert_eq!(model("pareto"), Ok(pareto));
+        assert_eq!(model("uniform"), Ok(None));
+        assert!(matches!(model("onoff"), Ok(Some(ArrivalModel::OnOff { .. }))));
+        assert_eq!(
+            model("paretto"),
+            Err(r#"VSCALE_MODEL must be uniform|pareto|onoff|diurnal, got "paretto""#.into())
+        );
+    }
 }

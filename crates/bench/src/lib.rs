@@ -86,18 +86,29 @@ pub fn print_timeline(label: &str, rows: &[TimelineRow], name: impl Fn(u64) -> S
     }
 }
 
-/// Reads an integer parameter from the environment, falling back to
-/// `default` — the mechanism the `fig*` binaries use for reduced CI smoke
-/// sweeps.
-///
-/// # Panics
-///
-/// Panics if the variable is set but not an integer.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) => v.parse().unwrap_or_else(|_| panic!("{name} must be an integer, got {v:?}")),
-        Err(_) => default,
+/// Reads integer parameter `name` through `lookup`: `default` when it is
+/// unset or empty, else the error `NAME must be an integer, got "x"`.
+pub fn param_u64(
+    lookup: impl Fn(&str) -> Option<String>,
+    name: &str,
+    default: u64,
+) -> Result<u64, String> {
+    match lookup(name).filter(|v| !v.is_empty()) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("{name} must be an integer, got {v:?}")),
     }
+}
+
+/// [`param_u64`] over the process environment — how the `fig*` binaries
+/// take reduced CI smoke sweeps; a malformed value exits via [`exit_with`].
+pub fn env_u64(bin: &str, name: &str, default: u64) -> u64 {
+    param_u64(|n| std::env::var(n).ok(), name, default).unwrap_or_else(|e| exit_with(bin, &e))
+}
+
+/// Prints `bin: message` on stderr and exits 1.
+pub fn exit_with(bin: &str, message: &str) -> ! {
+    eprintln!("{bin}: {message}");
+    std::process::exit(1)
 }
 
 /// Resolves the standard `H1..H4` host ids to names.
@@ -115,6 +126,16 @@ pub fn host_name(h: u64) -> String {
 mod tests {
     use super::*;
     use edn_apps::{firewall, H1, H4};
+
+    #[test]
+    fn integer_parameters_parse_default_when_unset_or_empty_and_name_a_bad_value() {
+        let vars = [("SET", "12"), ("EMPTY", ""), ("BAD", "1e3")];
+        let lookup = |name: &str| vars.iter().find(|(n, _)| *n == name).map(|(_, v)| v.to_string());
+        assert_eq!(param_u64(lookup, "SET", 7), Ok(12));
+        assert_eq!(param_u64(lookup, "UNSET", 7), Ok(7));
+        assert_eq!(param_u64(lookup, "EMPTY", 7), Ok(7));
+        assert_eq!(param_u64(lookup, "BAD", 7), Err(r#"BAD must be an integer, got "1e3""#.into()));
+    }
 
     #[test]
     fn harness_runs_both_strategies() {

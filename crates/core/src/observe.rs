@@ -1,19 +1,22 @@
 //! Streaming observation of a network trace as it is produced.
 //!
-//! A [`TraceObserver`] receives the same per-packet processing steps that a
-//! [`TraceBuilder`](crate::TraceBuilder) records, but *incrementally*, while
-//! the run is still executing — including under
-//! [`TraceMode::StatsOnly`](crate::TraceMode), where no trace is retained.
-//! The engine additionally tells the observer when a node can no longer gain
-//! children ([`TraceObserver::retire`]), which is what lets an online checker
-//! discharge its happens-before obligations and drop state for trace
-//! prefixes in bounded memory.
+//! A [`TraceObserver`] receives every per-packet processing step of a run
+//! *incrementally*, while the run is still executing; the engine reports
+//! each step once, to its one observer slot. The online checker judges the
+//! run this way, and a [`TraceBuilder`](crate::TraceBuilder) is an observer
+//! too: under [`TraceMode::Full`](crate::TraceMode) the engine attaches one
+//! in front of any other, and the Section 2 trace it builds is the stream
+//! the checker saw. The engine additionally tells the observer when a node
+//! can no longer gain children ([`TraceObserver::retire`]), which is what
+//! lets an online checker discharge its happens-before obligations and drop
+//! state for trace prefixes in bounded memory.
 //!
-//! Callback protocol (per node index `idx`, which matches the indices a
-//! `TraceBuilder` would assign):
+//! Callback protocol (per node index `idx`: the index the record has in
+//! the run's network trace):
 //!
 //! 1. [`record`](TraceObserver::record) introduces node `idx` with its trace
-//!    parent (if any). Indices are introduced in strictly increasing order.
+//!    parent (if any). Indices are introduced in order, consecutively
+//!    from 0.
 //! 2. Zero or more [`edge`](TraceObserver::edge) calls add controller-induced
 //!    causal edges *into* `idx`. They arrive after `record(idx)` but before
 //!    the next `record`.

@@ -8,7 +8,9 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use netkat::{Loc, Packet, PacketArena, PacketId};
+use netkat::{Loc, Packet};
+
+use crate::observe::{LeafKind, TraceObserver};
 
 /// A located packet `(pkt, sw, pt)`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -153,29 +155,10 @@ impl NetworkTrace {
         Ok(NetworkTrace { packets, traces, terminated: BTreeSet::new(), extra_edges: Vec::new() })
     }
 
-    /// Adds an out-of-band causal edge `from ≺ to` (controller messages:
-    /// the paper's CTRLRECV/CTRLSEND rules propagate knowledge between
-    /// switches without a data packet, but the propagation is still a
-    /// communication and therefore part of the happens-before order).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `from < to < len`.
-    pub fn add_causal_edge(&mut self, from: usize, to: usize) {
-        assert!(from < to && to < self.packets.len(), "causal edges point forward");
-        self.extra_edges.push((from, to));
-    }
-
-    /// The out-of-band causal edges.
+    /// The out-of-band causal edges (see
+    /// [`TraceBuilder::add_causal_edge`]).
     pub fn extra_edges(&self) -> &[(usize, usize)] {
         &self.extra_edges
-    }
-
-    /// Marks global index `i` as a definitive end-of-journey (a drop).
-    pub fn mark_terminated(&mut self, i: usize) {
-        if i < self.packets.len() {
-            self.terminated.insert(i);
-        }
     }
 
     /// Returns `true` if packet trace `t` ends in a recorded drop.
@@ -212,48 +195,6 @@ impl NetworkTrace {
     pub fn traces_through(&self, k: usize) -> Vec<usize> {
         (0..self.traces.len()).filter(|&t| self.traces[t].contains(&k)).collect()
     }
-
-    /// Assembles a network trace from a parent forest: each leaf yields the
-    /// packet trace running from its root. The caller promises `parents`
-    /// describes a forest with every parent index strictly preceding its
-    /// child — which holds by construction for simulator-recorded runs, so
-    /// the quadratic revalidation of [`NetworkTrace::new`] is skipped.
-    ///
-    /// `terminated` indices outside the record range are ignored;
-    /// `extra_edges` must point forward (`from < to < len`).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if a parent does not precede its child.
-    pub fn from_forest(
-        packets: Vec<LocatedPacket>,
-        parents: &[Option<usize>],
-        terminated: BTreeSet<usize>,
-        extra_edges: Vec<(usize, usize)>,
-    ) -> NetworkTrace {
-        debug_assert_eq!(packets.len(), parents.len());
-        let mut has_child = vec![false; parents.len()];
-        for (i, p) in parents.iter().enumerate() {
-            if let Some(p) = p {
-                debug_assert!(*p < i, "parent {p} must precede child {i}");
-                has_child[*p] = true;
-            }
-        }
-        let mut traces = Vec::new();
-        for (leaf, _) in has_child.iter().enumerate().filter(|&(_, &c)| !c) {
-            let mut path = vec![leaf];
-            let mut cur = leaf;
-            while let Some(p) = parents[cur] {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            traces.push(path);
-        }
-        let len = packets.len();
-        let terminated = terminated.into_iter().filter(|&i| i < len).collect();
-        NetworkTrace { packets, traces, terminated, extra_edges }
-    }
 }
 
 impl fmt::Display for NetworkTrace {
@@ -268,48 +209,29 @@ impl fmt::Display for NetworkTrace {
     }
 }
 
-/// How much a [`TraceBuilder`] records.
+/// How much an engine records.
 ///
-/// Measurement-only sweeps don't read the trace at all, and recording it —
-/// one `(id, loc)` pair plus forest bookkeeping per processing step — is
-/// pure overhead there. In [`StatsOnly`](TraceMode::StatsOnly) the builder
-/// degenerates to an index counter: pushes return the same indices they
-/// would in [`Full`](TraceMode::Full) mode (so callers' causal bookkeeping
-/// is unchanged), but nothing is stored and `build` yields an empty trace.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// [`StatsOnly`](TraceMode::StatsOnly) records nothing beyond the run's
+/// statistics; a verdict comes from an attached [`TraceObserver`] (the
+/// online checker). [`Full`](TraceMode::Full) attaches a [`TraceBuilder`]
+/// as one more observer, in front of any other, so the run also yields the
+/// Section 2 network trace, for tests that diff it or check it post hoc.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TraceMode {
-    /// Record every processing step (a [`TraceBuilder`]'s default; an
-    /// engine starts at `StatsOnly`): `build` yields the Section 2 network
-    /// trace.
-    #[default]
+    /// Record every processing step: the run yields the network trace.
     Full,
-    /// Record nothing; only run statistics survive. `build` yields an
-    /// empty trace.
+    /// Record nothing; only run statistics survive, and the run's trace is
+    /// empty.
     StatsOnly,
-}
-
-impl TraceMode {
-    /// The label used in benchmark output (`full` / `stats`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            TraceMode::Full => "full",
-            TraceMode::StatsOnly => "stats",
-        }
-    }
 }
 
 /// Incremental construction of a [`NetworkTrace`] as a forest.
 ///
-/// The simulator appends one located packet per processing step, linking it
-/// to the located packet it came from; root-to-leaf paths become the packet
-/// traces.
-///
-/// Packets are interned in a [`PacketArena`] owned by the builder, and each
-/// step stores only a `(PacketId, Loc)` pair — recording a hop never clones
-/// a packet. The simulator shares the same arena for its in-flight packets
-/// (see [`arena_mut`](TraceBuilder::arena_mut)); ids resolve back to
-/// [`Packet`]s only at [`build`](TraceBuilder::build) /
-/// [`recorded`](TraceBuilder::recorded) time.
+/// Each push appends one located packet, linked to the located packet it
+/// came from; root-to-leaf paths become the packet traces. The builder is
+/// also a [`TraceObserver`]: fed an engine's callback stream, it records
+/// what `check_correct` later judges — the stream the online checker
+/// judges as it happens.
 ///
 /// # Examples
 ///
@@ -326,52 +248,22 @@ impl TraceMode {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct TraceBuilder {
-    arena: PacketArena,
-    /// The recorded steps (empty in [`TraceMode::StatsOnly`]).
-    records: Vec<(PacketId, Loc)>,
+    packets: Vec<LocatedPacket>,
     /// Per record: the parent index (leaf/child structure is derived from
     /// this at build time, keeping the recording path to two appends).
     parents: Vec<Option<usize>>,
     terminated: BTreeSet<usize>,
     extra_edges: Vec<(usize, usize)>,
-    mode: TraceMode,
-    /// Indices handed out in [`TraceMode::StatsOnly`] (where `records`
-    /// stays empty).
-    virtual_len: usize,
 }
 
 impl TraceBuilder {
-    /// Creates an empty builder recording everything.
+    /// Creates an empty builder.
     pub fn new() -> TraceBuilder {
         TraceBuilder::default()
     }
 
-    /// Creates an empty builder with the given recording mode.
-    pub fn with_mode(mode: TraceMode) -> TraceBuilder {
-        TraceBuilder { mode, ..TraceBuilder::default() }
-    }
-
-    /// The recording mode.
-    pub fn mode(&self) -> TraceMode {
-        self.mode
-    }
-
-    /// The packet arena ids passed to [`push_id`](TraceBuilder::push_id)
-    /// must come from.
-    pub fn arena(&self) -> &PacketArena {
-        &self.arena
-    }
-
-    /// Mutable access to the arena — the simulator interns its in-flight
-    /// packets here, so trace records and event payloads share one id
-    /// space.
-    pub fn arena_mut(&mut self) -> &mut PacketArena {
-        &mut self.arena
-    }
-
     /// Appends a located packet; `parent` is the global index of the located
     /// packet it was produced from (`None` for a fresh injection at a host).
-    /// In [`TraceMode::StatsOnly`] the packet is not even interned.
     ///
     /// Returns the new packet's global index.
     ///
@@ -379,107 +271,54 @@ impl TraceBuilder {
     ///
     /// Panics if `parent` is not an earlier index.
     pub fn push(&mut self, packet: Packet, loc: Loc, parent: Option<usize>) -> usize {
-        match self.mode {
-            TraceMode::Full => {
-                let id = self.arena.intern(packet);
-                self.push_id(id, loc, parent)
-            }
-            TraceMode::StatsOnly => self.next_index(parent),
-        }
-    }
-
-    /// [`push`](TraceBuilder::push) for a packet already interned in this
-    /// builder's [`arena`](TraceBuilder::arena) — the simulator's zero-copy
-    /// recording path. In [`TraceMode::Full`] the record
-    /// [retains](netkat::PacketArena::retain) `id` for good, so it resolves
-    /// at [`build`](TraceBuilder::build) whatever the caller releases and
-    /// sweeps afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` is not an earlier index.
-    pub fn push_id(&mut self, id: PacketId, loc: Loc, parent: Option<usize>) -> usize {
-        let idx = self.next_index(parent);
-        if self.mode == TraceMode::Full {
-            self.arena.retain(id);
-            self.records.push((id, loc));
-            self.parents.push(parent);
-        }
-        idx
-    }
-
-    /// The index the next push gets, once `parent` is checked to precede
-    /// it. In [`TraceMode::StatsOnly`] this counting is the whole push.
-    fn next_index(&mut self, parent: Option<usize>) -> usize {
         let idx = self.len();
         if let Some(p) = parent {
             assert!(p < idx, "parent {p} must precede child {idx}");
         }
-        if self.mode == TraceMode::StatsOnly {
-            self.virtual_len += 1;
-        }
+        self.packets.push(LocatedPacket::new(packet, loc));
+        self.parents.push(parent);
         idx
     }
 
-    /// Number of packets recorded (in [`TraceMode::StatsOnly`]: counted) so
-    /// far.
+    /// Number of packets recorded so far.
     pub fn len(&self) -> usize {
-        match self.mode {
-            TraceMode::Full => self.records.len(),
-            TraceMode::StatsOnly => self.virtual_len,
-        }
+        self.packets.len()
     }
 
-    /// The located packet recorded at global index `i`, resolved from the
-    /// arena (lets the simulator recover a packet it moved elsewhere, e.g.
-    /// for a drop record, without keeping its own copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range — in particular for *every* index in
-    /// [`TraceMode::StatsOnly`], where nothing is recorded.
-    pub fn recorded(&self, i: usize) -> LocatedPacket {
-        let (id, loc) = self.records[i];
-        LocatedPacket::new(self.arena.get(id).clone(), loc)
-    }
-
-    /// Returns `true` if nothing has been recorded or counted.
+    /// Returns `true` if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.packets.is_empty()
     }
 
-    /// Marks a recorded packet as dropped (its journey ends at `i`).
+    /// Marks a recorded packet as dropped (its journey ends at `i`); an
+    /// index out of range is ignored at [`build`](TraceBuilder::build).
     pub fn mark_terminated(&mut self, i: usize) {
-        if self.mode == TraceMode::Full {
-            self.terminated.insert(i);
-        }
+        self.terminated.insert(i);
     }
 
-    /// Records an out-of-band causal edge (see
-    /// [`NetworkTrace::add_causal_edge`]).
+    /// Records an out-of-band causal edge `from ≺ to` (controller
+    /// messages: the paper's CTRLRECV/CTRLSEND rules propagate knowledge
+    /// between switches without a data packet, but the propagation is
+    /// still a communication and therefore part of the happens-before
+    /// order).
     ///
     /// # Panics
     ///
     /// Panics unless `from < to` and both are recorded indices.
     pub fn add_causal_edge(&mut self, from: usize, to: usize) {
         assert!(from < to && to < self.len(), "causal edges point forward");
-        if self.mode == TraceMode::Full {
-            self.extra_edges.push((from, to));
-        }
+        self.extra_edges.push((from, to));
     }
 
     /// Finalizes into a [`NetworkTrace`]: each leaf yields the packet trace
-    /// running from its root. Packet ids resolve to owned [`Packet`]s here
-    /// — the only point the builder clones packets. In
-    /// [`TraceMode::StatsOnly`] the result is empty.
+    /// running from its root.
     ///
     /// The structural conditions of Section 2 hold *by construction* for
     /// forests built through [`push`](TraceBuilder::push) — every index
     /// lies on its leaf's root path, parents strictly precede children,
     /// and two root-to-leaf paths of a forest share exactly a common
-    /// prefix — so the trace is assembled directly (via
-    /// [`NetworkTrace::from_forest`]) instead of going through
-    /// [`NetworkTrace::new`]'s quadratic revalidation (which, at
+    /// prefix — so the trace is assembled directly instead of going
+    /// through [`NetworkTrace::new`]'s quadratic revalidation (which, at
     /// thousands of packet traces, used to dominate entire simulation
     /// runs).
     ///
@@ -488,14 +327,58 @@ impl TraceBuilder {
     /// Infallible for forests built via [`push`](TraceBuilder::push); the
     /// `Result` is kept for API stability.
     pub fn build(self) -> Result<NetworkTrace, TraceStructureError> {
-        let arena = self.arena;
-        let packets = self
-            .records
-            .into_iter()
-            .map(|(id, loc)| LocatedPacket::new(arena.get(id).clone(), loc))
-            .collect();
-        Ok(NetworkTrace::from_forest(packets, &self.parents, self.terminated, self.extra_edges))
+        let parents = self.parents;
+        let mut has_child = vec![false; parents.len()];
+        for &p in parents.iter().flatten() {
+            has_child[p] = true;
+        }
+        let mut traces = Vec::new();
+        for leaf in (0..parents.len()).filter(|&i| !has_child[i]) {
+            let mut path = vec![leaf];
+            let mut cur = leaf;
+            while let Some(p) = parents[cur] {
+                path.push(p);
+                cur = p;
+            }
+            path.reverse();
+            traces.push(path);
+        }
+        let len = self.packets.len();
+        let terminated = self.terminated.into_iter().filter(|&i| i < len).collect();
+        Ok(NetworkTrace {
+            packets: self.packets,
+            traces,
+            terminated,
+            extra_edges: self.extra_edges,
+        })
     }
+}
+
+/// The builder as an engine observer: a record is a push, an edge a causal
+/// edge, and a [`Terminated`](LeafKind::Terminated) leaf a drop. A
+/// delivered or stalled path end marks nothing, and the retirement and
+/// cause notices carry nothing a trace keeps.
+impl TraceObserver for TraceBuilder {
+    fn record(&mut self, idx: usize, packet: &Packet, loc: Loc, parent: Option<usize>) {
+        let pushed = self.push(packet.clone(), loc, parent);
+        assert_eq!(pushed, idx, "records arrive in index order");
+    }
+
+    fn edge(&mut self, from: usize, to: usize) {
+        self.add_causal_edge(from, to);
+    }
+
+    fn cause(&mut self, _: usize) {}
+
+    fn leaf(&mut self, idx: usize, kind: LeafKind) {
+        if kind == LeafKind::Terminated {
+            self.mark_terminated(idx);
+        }
+    }
+
+    fn retire(&mut self, _: usize) {}
+
+    fn finish(&mut self) {}
 }
 
 #[cfg(test)]
@@ -605,55 +488,60 @@ mod tests {
         assert_eq!(err, TraceStructureError::NotATree { a: 0, b: 1 });
     }
 
-    #[test]
-    fn stats_only_counts_without_recording() {
-        // Drive the same forest through both modes: StatsOnly must hand
-        // out the same indices (the simulator's causal bookkeeping depends
-        // on them) while storing nothing.
-        let mut full = TraceBuilder::new();
-        let mut stats = TraceBuilder::with_mode(TraceMode::StatsOnly);
-        assert_eq!(stats.mode(), TraceMode::StatsOnly);
-        for b in [&mut full, &mut stats] {
-            let r = b.push(Packet::new(), Loc::new(100, 0), None);
-            let m = b.push(Packet::new(), Loc::new(1, 1), Some(r));
-            let f = b.push(Packet::new(), Loc::new(1, 2), Some(m));
-            assert_eq!((r, m, f), (0, 1, 2));
-            b.mark_terminated(f);
-            b.add_causal_edge(r, f);
-        }
-        assert_eq!(stats.len(), full.len());
-        assert!(!stats.is_empty());
-        // A builder that never sweeps holds no more slots than records:
-        // one per Full record, none at all in StatsOnly.
-        assert_eq!(full.arena().len(), full.len());
-        assert!(stats.arena().is_empty());
-        let ntr = stats.build().unwrap();
-        assert!(ntr.is_empty());
-        assert!(ntr.traces().is_empty());
-        assert!(ntr.extra_edges().is_empty());
-        assert_eq!(full.build().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn push_id_shares_the_arena_and_resolves_on_build() {
-        let mut b = TraceBuilder::new();
+    /// A hand stream in the engine's callback order: a root, a transit
+    /// hop that multicasts, and three path ends — one per [`LeafKind`].
+    fn feed(o: &mut impl TraceObserver) {
         let pk = Packet::new().with(netkat::Field::IpDst, 9);
-        let id = b.arena_mut().intern(pk.clone());
-        let root = b.push_id(id, Loc::new(100, 0), None);
-        b.push_id(id, Loc::new(1, 1), Some(root));
-        assert_eq!(b.arena().len(), 1);
-        assert_eq!(b.recorded(root).packet, pk);
-        let ntr = b.build().unwrap();
-        assert_eq!(ntr.len(), 2);
-        assert_eq!(ntr.packet(1).packet, pk);
-        assert_eq!(ntr.packet(1).loc, Loc::new(1, 1));
+        o.record(0, &pk, Loc::new(100, 0), None);
+        o.record(1, &pk, Loc::new(1, 1), Some(0));
+        o.retire(0);
+        o.cause(1);
+        o.record(2, &pk, Loc::new(1, 2), Some(1));
+        o.leaf(2, LeafKind::Stalled);
+        o.record(3, &pk, Loc::new(1, 3), Some(1));
+        o.leaf(3, LeafKind::Terminated);
+        o.record(4, &pk, Loc::new(1, 4), Some(1));
+        o.retire(1);
+        o.record(5, &pk, Loc::new(200, 0), Some(4));
+        o.edge(1, 5);
+        o.leaf(5, LeafKind::Delivered);
+        o.finish();
     }
 
     #[test]
-    fn trace_mode_labels_and_default() {
-        assert_eq!(TraceMode::default(), TraceMode::Full);
-        assert_eq!(TraceMode::Full.label(), "full");
-        assert_eq!(TraceMode::StatsOnly.label(), "stats");
+    fn observer_marks_only_terminated_leaves() {
+        let mut b = TraceBuilder::new();
+        feed(&mut b);
+        let ntr = b.build().unwrap();
+        assert_eq!(ntr.len(), 6);
+        assert_eq!(ntr.traces(), &[vec![0, 1, 2], vec![0, 1, 3], vec![0, 1, 4, 5]]);
+        assert_eq!(ntr.extra_edges(), &[(1, 5)]);
+        let terminated: Vec<bool> = (0..3).map(|t| ntr.trace_is_terminated(t)).collect();
+        assert_eq!(terminated, [false, true, false], "a stalled or delivered end is no drop");
+    }
+
+    #[test]
+    fn observer_stream_builds_what_pushes_build() {
+        let mut observed = TraceBuilder::new();
+        feed(&mut observed);
+        let pk = Packet::new().with(netkat::Field::IpDst, 9);
+        let mut pushed = TraceBuilder::new();
+        for (sw, pt, parent) in [(100, 0, None), (1, 1, Some(0)), (1, 2, Some(1))] {
+            pushed.push(pk.clone(), Loc::new(sw, pt), parent);
+        }
+        for (sw, pt, parent) in [(1, 3, Some(1)), (1, 4, Some(1)), (200, 0, Some(4))] {
+            pushed.push(pk.clone(), Loc::new(sw, pt), parent);
+        }
+        pushed.mark_terminated(3);
+        pushed.add_causal_edge(1, 5);
+        assert_eq!(observed.build().unwrap(), pushed.build().unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "records arrive in index order")]
+    fn observer_rejects_a_record_out_of_index_order() {
+        let mut b = TraceBuilder::new();
+        b.record(1, &Packet::new(), Loc::new(100, 0), None);
     }
 
     #[test]

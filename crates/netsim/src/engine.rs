@@ -6,9 +6,10 @@
 //! message transport — and delegates all *behaviour* (forwarding, tagging,
 //! state) to a [`DataPlane`].
 //!
-//! Every processing step is recorded into an `edn-core`
-//! [`TraceBuilder`], so a finished run yields the network trace needed by
-//! the correctness checker.
+//! Every processing step is reported once, to the engine's one
+//! [`TraceObserver`] slot: the online checker judges the run from that
+//! stream, and under [`TraceMode::Full`] `edn-core`'s trace builder sits in
+//! front of it and records the Section 2 network trace.
 //!
 //! # The sequence key
 //!
@@ -23,16 +24,17 @@
 
 use std::collections::HashMap;
 
-use edn_core::{NetworkTrace, TraceBuilder, TraceMode};
+use edn_core::{LeafKind, NetworkTrace, TraceMode, TraceObserver};
 use edn_obs::{FlightEvent, FlightRecorder, MetricsLevel, Registry, Stopwatch};
-use netkat::{Loc, Packet, PacketId};
+use netkat::{Loc, Packet, PacketArena, PacketId};
 
 use crate::channel::{ChannelDir, ChannelFate, ChannelModel};
 use crate::logic::{BoxedHosts, CtrlMsg, DataPlane, PlaneOut, CONTROLLER_NODE};
 use crate::metrics::{self, EngineMetrics, FLIGHT_CAPACITY};
 use crate::queue::CalendarQueue;
+use crate::recorder::{self, TraceHandle};
 use crate::source::WorkloadSource;
-use crate::stats::{Delivery, Drop, DropReason, Stats, StatsMode};
+use crate::stats::{Delivery, DropReason, Stats, StatsMode};
 use crate::time::SimTime;
 use crate::topology::{SimParams, SimTopology};
 
@@ -165,8 +167,8 @@ impl EntityMap {
 }
 
 /// Pending events carry [`PacketId`]s into the engine's arena, never
-/// owned packets: forking an event (multicast) or recording it into the
-/// trace copies four bytes. `M` is the plane's [`DataPlane::Msg`].
+/// owned packets: forking an event (multicast) copies four bytes. `M` is
+/// the plane's [`DataPlane::Msg`].
 #[derive(Clone, Debug)]
 enum EventKind<M> {
     /// A host pushes a packet onto its attachment link. `sender` is the
@@ -230,9 +232,11 @@ type EgressMap = HashMap<Loc, Egress, netkat::FxBuildHasher>;
 /// The result of a finished run.
 #[derive(Debug)]
 pub struct RunResult<D> {
-    /// The recorded network trace (Section 2 structure).
+    /// The network trace (Section 2 structure) the trace builder of a
+    /// [`TraceMode::Full`] run recorded; empty under
+    /// [`TraceMode::StatsOnly`].
     pub trace: NetworkTrace,
-    /// Deliveries, drops, and counters.
+    /// Deliveries and counters.
     pub stats: Stats,
     /// The data plane, with whatever internal state it accumulated.
     pub dataplane: D,
@@ -245,7 +249,7 @@ pub struct RunResult<D> {
 }
 
 /// The complete simulation state: the event queue, the data plane, the
-/// arena-backed trace recorder, and the loop that drives them.
+/// packet arena, the observer slot, and the loop that drives them.
 struct Core<D: DataPlane> {
     topo: SimTopology,
     params: SimParams,
@@ -257,10 +261,12 @@ struct Core<D: DataPlane> {
     /// Recycled slab slots.
     free_slots: Vec<u32>,
     now: SimTime,
-    /// The trace recorder; it owns the [`PacketArena`]
-    /// (`netkat::PacketArena`) every in-flight packet is interned in.
-    trace: TraceBuilder,
-    /// Whether per-packet delivery/drop streams are retained.
+    /// Every in-flight packet, interned; a slot lives while an event
+    /// carries it.
+    arena: PacketArena,
+    /// Trace records numbered so far: the next record's index.
+    records: usize,
+    /// Whether the per-packet delivery stream is retained.
     stats_mode: StatsMode,
     stats: Stats,
     /// What each egress location leads to (host or link), resolved once at
@@ -298,8 +304,8 @@ struct Core<D: DataPlane> {
     ctrl_linked: Vec<usize>,
     /// Lazy injection stream.
     source: Option<SourceState>,
-    /// Streaming trace observer.
-    observer: Option<Box<dyn edn_core::TraceObserver + Send>>,
+    /// Where each processing step is reported, once.
+    observer: Option<Box<dyn TraceObserver + Send>>,
     /// Telemetry accumulators (no-ops unless metrics are on).
     metrics: EngineMetrics,
 }
@@ -342,7 +348,8 @@ impl<D: DataPlane> Core<D> {
             slots: Vec::new(),
             free_slots: Vec::new(),
             now: SimTime::ZERO,
-            trace: TraceBuilder::with_mode(TraceMode::StatsOnly),
+            arena: PacketArena::new(),
+            records: 0,
             stats_mode: StatsMode::Full,
             stats: Stats::default(),
             egress,
@@ -380,7 +387,7 @@ impl<D: DataPlane> Core<D> {
         // The queue holds a reference to the packet an event carries: this
         // pins its arena slot until the event is dispatched.
         if let EventKind::Inject { packet, .. } | EventKind::Arrive { packet, .. } = kind {
-            self.trace.arena_mut().retain(packet);
+            self.arena.retain(packet);
         }
         let slot = match self.free_slots.pop() {
             Some(slot) => {
@@ -629,7 +636,7 @@ impl<D: DataPlane> Core<D> {
             let ev = st.src.next_event(&mut st.packet).expect("peek_time implies a next event");
             debug_assert!(ev.seq < st.total, "source seq {} out of reserved window", ev.seq);
             let seq = pack_seq(ENV_ENTITY, st.base + ev.seq);
-            let packet = self.trace.arena_mut().intern_ref(&st.packet);
+            let packet = self.arena.intern_ref(&st.packet);
             let sender = self.entities.host(ev.host);
             self.push_keyed(
                 ev.time,
@@ -682,24 +689,22 @@ impl<D: DataPlane> Core<D> {
         }
         // Dispatch consumed the event: drop the queue's reference taken in
         // `push_keyed`, then reclaim this dispatch's unretained
-        // intermediates. Children pushed above, and in a Full trace the
-        // records made above, hold their own references.
+        // intermediates. Children pushed above hold their own references.
         if let Some(id) = carried {
-            let arena = self.trace.arena_mut();
-            arena.release(id);
-            arena.sweep();
+            self.arena.release(id);
+            self.arena.sweep();
         }
     }
 
-    /// Counts a drop of `packet` at `switch`; the per-packet record — and
-    /// the packet clone it owns — is made only when the stats mode keeps
+    /// Numbers the next trace record, checking that its parent precedes
     /// it.
-    fn push_drop(&mut self, time: SimTime, switch: u64, packet: PacketId, reason: DropReason) {
-        self.stats.dropped[reason.index()] += 1;
-        if self.stats_mode == StatsMode::Full {
-            let packet = self.trace.arena().get(packet).clone();
-            self.stats.drops.push(Drop { time, switch, packet, reason });
+    fn next_record(&mut self, parent: Option<usize>) -> usize {
+        let idx = self.records;
+        if let Some(p) = parent {
+            assert!(p < idx, "parent {p} must precede child {idx}");
         }
+        self.records += 1;
+        idx
     }
 
     fn dispatch_inner(&mut self, kind: EventKind<D::Msg>) {
@@ -707,9 +712,9 @@ impl<D: DataPlane> Core<D> {
             EventKind::Inject { host, packet, size, sender } => {
                 let (attach, attach_sender) = self.entities.attachment(sender);
                 self.stats.injected += 1;
-                let idx = self.trace.push_id(packet, Loc::new(host, 0), None);
+                let idx = self.next_record(None);
                 if let Some(o) = self.observer.as_deref_mut() {
-                    o.record(idx, self.trace.arena().get(packet), Loc::new(host, 0), None);
+                    o.record(idx, self.arena.get(packet), Loc::new(host, 0), None);
                 }
                 // Host attachment links are uncontended.
                 let arrival = self.now + self.topo.host_latency;
@@ -729,13 +734,13 @@ impl<D: DataPlane> Core<D> {
             }
             EventKind::Arrive { loc, packet, size, parent, from_host, sender } => {
                 if self.entities.is_host(sender) {
-                    let idx = self.trace.push_id(packet, loc, Some(parent));
+                    let idx = self.next_record(Some(parent));
                     if let Some(o) = self.observer.as_deref_mut() {
-                        o.record(idx, self.trace.arena().get(packet), loc, Some(parent));
+                        o.record(idx, self.arena.get(packet), loc, Some(parent));
                         o.retire(parent);
-                        o.leaf(idx, edn_core::LeafKind::Delivered);
+                        o.leaf(idx, LeafKind::Delivered);
                     }
-                    let pk = self.trace.arena().get(packet);
+                    let pk = self.arena.get(packet);
                     self.stats.delivered_packets += 1;
                     self.stats.delivered_bytes += size as u64;
                     if self.stats_mode == StatsMode::Full {
@@ -750,7 +755,7 @@ impl<D: DataPlane> Core<D> {
                     let replies = self.hosts.on_receive(host, pk, self.now);
                     for (delay, reply, rsize) in replies {
                         let t = self.now + delay;
-                        let reply = self.trace.arena_mut().intern(reply);
+                        let reply = self.arena.intern(reply);
                         let seq = self.next_seq(sender);
                         self.schedule(
                             t,
@@ -801,10 +806,10 @@ impl<D: DataPlane> Core<D> {
         from_host: bool,
         sender: u32,
     ) {
-        let ingress_idx = self.trace.push_id(packet, loc, Some(parent));
+        let ingress_idx = self.next_record(Some(parent));
         if let Some(o) = self.observer.as_deref_mut() {
             let sw = self.metrics.sampling.then(Stopwatch::start);
-            o.record(ingress_idx, self.trace.arena().get(packet), loc, Some(parent));
+            o.record(ingress_idx, self.arena.get(packet), loc, Some(parent));
             o.retire(parent);
             if let Some(sw) = sw {
                 self.metrics.phase_observer_ns.observe(sw.elapsed_ns());
@@ -815,7 +820,6 @@ impl<D: DataPlane> Core<D> {
         let linked = &mut self.ctrl_linked[sender as usize];
         for &cause in &self.ctrl_causes[*linked..delivered] {
             if cause < ingress_idx {
-                self.trace.add_causal_edge(cause, ingress_idx);
                 if let Some(o) = self.observer.as_deref_mut() {
                     o.edge(cause, ingress_idx);
                 }
@@ -829,7 +833,7 @@ impl<D: DataPlane> Core<D> {
             packet,
             from_host,
             self.now,
-            self.trace.arena_mut(),
+            &mut self.arena,
             &mut self.out,
         );
         if let Some(sw) = lookup_sw {
@@ -842,20 +846,19 @@ impl<D: DataPlane> Core<D> {
         }
         self.emit_control(loc.sw, ingress_idx);
         if self.out.outputs.is_empty() {
-            self.trace.mark_terminated(ingress_idx);
             if let Some(o) = self.observer.as_deref_mut() {
-                o.leaf(ingress_idx, edn_core::LeafKind::Terminated);
+                o.leaf(ingress_idx, LeafKind::Terminated);
             }
-            self.push_drop(self.now, loc.sw, packet, DropReason::NoRule);
+            self.stats.dropped[DropReason::NoRule.index()] += 1;
             return;
         }
         let depart = self.now + self.params.switch_delay;
         for i in 0..self.out.outputs.len() {
             let (out_pt, out_pkt) = self.out.outputs[i];
             let out_loc = Loc::new(loc.sw, out_pt);
-            let egress_idx = self.trace.push_id(out_pkt, out_loc, Some(ingress_idx));
+            let egress_idx = self.next_record(Some(ingress_idx));
             if let Some(o) = self.observer.as_deref_mut() {
-                o.record(egress_idx, self.trace.arena().get(out_pkt), out_loc, Some(ingress_idx));
+                o.record(egress_idx, self.arena.get(out_pkt), out_loc, Some(ingress_idx));
             }
             let (link_idx, dst_dense) = match self.egress.get(&out_loc) {
                 // Host delivery?
@@ -880,11 +883,10 @@ impl<D: DataPlane> Core<D> {
                 Some(&Egress::Link(i, dense)) => (i as usize, dense),
                 // Nothing attached here.
                 None => {
-                    self.trace.mark_terminated(egress_idx);
                     if let Some(o) = self.observer.as_deref_mut() {
-                        o.leaf(egress_idx, edn_core::LeafKind::Terminated);
+                        o.leaf(egress_idx, LeafKind::Terminated);
                     }
-                    self.push_drop(depart, loc.sw, out_pkt, DropReason::DeadEnd);
+                    self.stats.dropped[DropReason::DeadEnd.index()] += 1;
                     continue;
                 }
             };
@@ -894,9 +896,9 @@ impl<D: DataPlane> Core<D> {
             // notion of a dead link, so the packet reads as in flight.
             if timeline_at(&self.link_state[link_idx], depart, false) {
                 if let Some(o) = self.observer.as_deref_mut() {
-                    o.leaf(egress_idx, edn_core::LeafKind::Stalled);
+                    o.leaf(egress_idx, LeafKind::Stalled);
                 }
-                self.push_drop(depart, loc.sw, out_pkt, DropReason::LinkDown);
+                self.stats.dropped[DropReason::LinkDown.index()] += 1;
                 continue;
             }
             let arrival = match link.capacity {
@@ -914,9 +916,9 @@ impl<D: DataPlane> Core<D> {
                     // flight (a prefix), not as forwarding misbehaviour.
                     if start.saturating_sub(depart) > self.params.max_queue_delay {
                         if let Some(o) = self.observer.as_deref_mut() {
-                            o.leaf(egress_idx, edn_core::LeafKind::Stalled);
+                            o.leaf(egress_idx, LeafKind::Stalled);
                         }
-                        self.push_drop(depart, loc.sw, out_pkt, DropReason::QueueFull);
+                        self.stats.dropped[DropReason::QueueFull.index()] += 1;
                         continue;
                     }
                     let wire = size as u64 + self.params.header_overhead as u64;
@@ -965,6 +967,10 @@ pub struct Engine<D: DataPlane> {
     env_seq: u64,
     /// Has `run` been called yet? Sources and observers attach before.
     started: bool,
+    trace_mode: TraceMode,
+    /// Where a [`TraceMode::Full`] run's recorder leaves the trace; set
+    /// when the first `run` attaches the recorder.
+    trace: Option<TraceHandle>,
 }
 
 impl<D: DataPlane> Engine<D> {
@@ -974,8 +980,8 @@ impl<D: DataPlane> Engine<D> {
     /// comes from an observer attached with
     /// [`set_observer`](Engine::set_observer), and a caller that diffs or
     /// checks the trace itself asks for it with
-    /// [`with_trace_mode`](Engine::with_trace_mode). The per-packet stats
-    /// streams start at [`StatsMode::Full`], since deliveries and drops are
+    /// [`with_trace_mode`](Engine::with_trace_mode). The per-packet
+    /// delivery stream starts at [`StatsMode::Full`], since deliveries are
     /// what a timeline reads; a caller that only wants the counters says so
     /// with [`with_stats_mode`](Engine::with_stats_mode). Telemetry starts
     /// at [`MetricsLevel::Off`] and the control channel at
@@ -986,10 +992,14 @@ impl<D: DataPlane> Engine<D> {
     pub fn new(topo: SimTopology, params: SimParams, dataplane: D, hosts: BoxedHosts) -> Engine<D> {
         let metrics = EngineMetrics::new(MetricsLevel::Off, None);
         let core = Core::build(topo, params, dataplane, hosts, metrics);
-        Engine { core, env_seq: 0, started: false }
+        Engine { core, env_seq: 0, started: false, trace_mode: TraceMode::StatsOnly, trace: None }
     }
 
-    /// Sets the trace recording mode.
+    /// Sets the trace recording mode (the default is
+    /// [`TraceMode::StatsOnly`]). Under [`TraceMode::Full`] the first
+    /// [`run`](Engine::run) puts a trace builder in the observer slot, in
+    /// front of any attached observer, and [`finish`](Engine::finish)
+    /// hands its trace back in [`RunResult::trace`].
     ///
     /// # Panics
     ///
@@ -997,7 +1007,7 @@ impl<D: DataPlane> Engine<D> {
     /// whole run).
     pub fn with_trace_mode(mut self, mode: TraceMode) -> Engine<D> {
         assert!(self.env_seq == 0, "set the trace mode before scheduling events");
-        self.core.trace = TraceBuilder::with_mode(mode);
+        self.trace_mode = mode;
         self
     }
 
@@ -1068,24 +1078,13 @@ impl<D: DataPlane> Engine<D> {
         self
     }
 
-    /// The trace recording mode in use.
-    pub fn trace_mode(&self) -> TraceMode {
-        self.core.trace.mode()
-    }
-
     /// Diagnostic: packet slots in the engine's arena, the high-water mark
-    /// of simultaneously live packets. In [`TraceMode::Full`] every trace
-    /// record keeps its packet live, so this is at most the records plus
-    /// the packets in flight; in [`TraceMode::StatsOnly`] it is the
-    /// in-flight high-water mark alone — for a streaming run, a bound
-    /// independent of how many events are processed.
+    /// of simultaneously live packets. A slot lives while an event carries
+    /// its packet, in every trace mode (a trace record holds its own copy),
+    /// so for a streaming run this is a bound independent of how many
+    /// events are processed.
     pub fn arena_slots(&self) -> usize {
-        self.core.trace.arena().len()
-    }
-
-    /// The stats retention mode in use.
-    pub fn stats_mode(&self) -> StatsMode {
-        self.core.stats_mode
+        self.core.arena.len()
     }
 
     /// Writes one transition onto a directed link's up/down schedule. A
@@ -1177,7 +1176,7 @@ impl<D: DataPlane> Engine<D> {
         let sender = core.entities.host(host);
         let seq = pack_seq(ENV_ENTITY, self.env_seq);
         self.env_seq += 1;
-        let packet = core.trace.arena_mut().intern(packet);
+        let packet = core.arena.intern(packet);
         core.push_keyed(time, seq, EventKind::Inject { host, packet, size, sender });
     }
 
@@ -1245,7 +1244,7 @@ impl<D: DataPlane> Engine<D> {
     /// # Panics
     ///
     /// Panics if the run has already started.
-    pub fn set_observer(&mut self, mut observer: Box<dyn edn_core::TraceObserver + Send>) {
+    pub fn set_observer(&mut self, mut observer: Box<dyn TraceObserver + Send>) {
         assert!(!self.started, "attach the observer before running");
         if let Some(fr) = self.core.metrics.flight.clone() {
             observer.attach_flight_recorder(fr);
@@ -1261,14 +1260,19 @@ impl<D: DataPlane> Engine<D> {
     /// [`finish`](Engine::finish) step; [`run_until`](Engine::run_until)
     /// does both.
     pub fn run(&mut self, deadline: SimTime) {
+        if !self.started && self.trace_mode == TraceMode::Full {
+            let (slot, trace) = recorder::record_in_front(self.core.observer.take());
+            self.core.observer = Some(slot);
+            self.trace = Some(trace);
+        }
         self.started = true;
         self.core.run(deadline);
     }
 
-    /// Finalizes a run: resolves the recorded trace (empty under
-    /// [`TraceMode::StatsOnly`]) and hands back statistics, the data plane
-    /// and the telemetry registry. It writes no file: where a snapshot
-    /// goes is the caller's decision ([`Registry::write_out`]).
+    /// Finalizes a run: hands back the recorded trace (empty under
+    /// [`TraceMode::StatsOnly`]), statistics, the data plane and the
+    /// telemetry registry. It writes no file: where a snapshot goes is the
+    /// caller's decision ([`Registry::write_out`]).
     pub fn finish(self) -> RunResult<D> {
         let mut core = self.core;
         let metrics_on = core.metrics.on;
@@ -1276,7 +1280,7 @@ impl<D: DataPlane> Engine<D> {
         if metrics_on {
             core.metrics.contribute(&mut metrics);
             metrics::contribute_stats(&mut metrics, &core.stats);
-            metrics::contribute_arena(&mut metrics, core.trace.arena());
+            metrics::contribute_arena(&mut metrics, &core.arena);
             core.dataplane.contribute_metrics(&mut metrics);
         }
         if let Some(mut o) = core.observer.take() {
@@ -1288,7 +1292,7 @@ impl<D: DataPlane> Engine<D> {
             }
         }
         RunResult {
-            trace: core.trace.build().expect("engine-built traces are structurally valid"),
+            trace: self.trace.map_or_else(NetworkTrace::default, TraceHandle::take),
             stats: core.stats,
             dataplane: core.dataplane,
             metrics,
@@ -1461,23 +1465,32 @@ mod tests {
     #[test]
     fn drops_are_counted_in_both_stats_modes_and_recorded_only_in_full() {
         // One dead-end drop (switch 1 outputs on an unattached port) per
-        // injected packet: the counter is mode-independent, the per-packet
-        // record (and the packet clone it owns) exists only under `Full`.
-        let run = |mode: StatsMode| {
+        // injected packet: the counters, and `drop_count` over them, are
+        // mode-independent; the dropped packet itself is recorded only in
+        // a Full trace, as the end of a terminated packet trace.
+        let run = |stats: StatsMode, trace: TraceMode| {
             let mut e =
                 Engine::new(topo(), SimParams::default(), ToHostPort(7), Box::new(SinkHosts))
-                    .with_stats_mode(mode);
+                    .with_stats_mode(stats)
+                    .with_trace_mode(trace);
             for i in 0..5 {
                 e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
             }
-            e.run_until(SimTime::from_secs(1)).stats
+            e.run_until(SimTime::from_secs(1))
         };
-        let (full, lean) = (run(StatsMode::Full), run(StatsMode::Counters));
-        assert_eq!(full.drop_count(Some(DropReason::DeadEnd)), 5);
-        assert_eq!(lean.dropped, full.dropped);
-        assert_eq!(full.drops.len(), 5);
-        assert_eq!(full.drops[4].packet, Packet::new().with(Field::Vlan, 4));
-        assert!(lean.drops.is_empty());
+        let full = run(StatsMode::Full, TraceMode::Full);
+        let lean = run(StatsMode::Counters, TraceMode::StatsOnly);
+        assert_eq!(full.stats.drop_count(Some(DropReason::DeadEnd)), 5);
+        assert_eq!(lean.stats.drop_count(Some(DropReason::DeadEnd)), 5);
+        assert_eq!(lean.stats.drop_count(None), 5);
+        assert_eq!(lean.stats.dropped, full.stats.dropped);
+        assert!(lean.trace.is_empty());
+        let dropped: Vec<&Packet> = (0..full.trace.traces().len())
+            .filter(|&t| full.trace.trace_is_terminated(t))
+            .map(|t| &full.trace.packet(*full.trace.traces()[t].last().unwrap()).packet)
+            .collect();
+        assert_eq!(dropped.len(), 5);
+        assert_eq!(dropped[4], &Packet::new().with(Field::Vlan, 4));
     }
 
     #[test]
@@ -1650,7 +1663,6 @@ mod tests {
             let mut e =
                 Engine::new(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts))
                     .with_trace_mode(mode);
-            assert_eq!(e.trace_mode(), mode);
             for i in 0..10 {
                 e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
             }
@@ -1666,13 +1678,11 @@ mod tests {
 
     #[test]
     fn stats_only_streaming_runs_in_bounded_arena_memory() {
-        // A streamed run of N distinct datagrams: in StatsOnly mode the
+        // A streamed run of N distinct datagrams: in both trace modes the
         // arena must stay at the in-flight high-water mark (a bound
-        // independent of N), while observables match the Full run exactly.
-        // The Full run's records keep their packets live — its arena grows
-        // with N but never past the record count, since a swept
-        // intermediate holds no slot — which is what makes the contrast
-        // meaningful.
+        // independent of N), while observables match exactly. A Full
+        // trace record holds its own copy of the packet, so recording pins
+        // no arena slot.
         let flow = crate::traffic::UdpFlowSpec {
             flow: 1,
             src: 100,
@@ -1697,12 +1707,7 @@ mod tests {
         assert_eq!(lean_stats, full_stats);
         assert_eq!(full_stats.injected, 2_000);
         assert!(lean_trace.is_empty());
-        assert!(full_slots > 1_000, "recorded packets should stay live: {full_slots}");
-        assert!(
-            full_slots <= full_trace.len(),
-            "{full_slots} slots for {} records",
-            full_trace.len()
-        );
+        assert!(full_slots < 64, "the Full arena must stay bounded: {full_slots}");
         assert!(lean_slots < 64, "the stats-only arena must stay bounded: {lean_slots}");
         // The built trace, pinned as the hash-consing arena built it: FNV-1a
         // over every record's location and fields, and over the packet

@@ -8,10 +8,12 @@
 //! This replaces the paper's Mininet + modified OpenFlow testbed. All
 //! behaviour is injected through the [`DataPlane`] trait (implemented by the
 //! `nes-runtime` crate both for the paper's tag-and-digest runtime and for
-//! the uncoordinated baseline). Every packet processing step is streamed to
-//! an attached [`TraceObserver`] — the online Definition 6 checker judges a
-//! run that way — and, under [`TraceMode::Full`], also recorded into an
-//! `edn-core` network trace for tests that diff or check one.
+//! the uncoordinated baseline). Every packet processing step is reported
+//! once, to the engine's one [`TraceObserver`] slot — the online
+//! Definition 6 checker judges a run that way — and under
+//! [`TraceMode::Full`] an `edn-core` trace builder is one more observer in
+//! that slot, recording the network trace for tests that diff or check
+//! one.
 //!
 //! ```
 //! use netsim::{DataPlane, Engine, PacketArena, PacketId, PlaneOut, SimParams, SimTime,
@@ -47,6 +49,7 @@ mod engine;
 mod logic;
 mod metrics;
 mod queue;
+mod recorder;
 pub mod source;
 mod stats;
 mod time;
@@ -62,6 +65,6 @@ pub use engine::{Engine, RunResult, DEFAULT_PACKET_SIZE};
 pub use logic::{BoxedHosts, CtrlMsg, DataPlane, HostLogic, PlaneOut, SinkHosts, CONTROLLER_NODE};
 pub use netkat::{PacketArena, PacketId};
 pub use source::{SourceEvent, WorkloadSource};
-pub use stats::{Delivery, Drop, DropReason, Stats, StatsMode};
+pub use stats::{Delivery, DropReason, Stats, StatsMode};
 pub use time::SimTime;
 pub use topology::{LinkSpec, SimParams, SimTopology, SwitchGraph};

@@ -49,16 +49,18 @@ impl DropReason {
 /// The aggregate counters ([`Stats::injected`], [`Stats::events_processed`],
 /// [`Stats::delivered_packets`], [`Stats::delivered_bytes`],
 /// [`Stats::dropped`]) are maintained identically in **both** modes; the
-/// mode only decides whether the per-packet [`Stats::deliveries`] and
-/// [`Stats::drops`] streams are kept. [`StatsMode::Counters`] keeps them
-/// empty, so a run's memory no longer grows with the delivery count — the
-/// companion of [`TraceMode::StatsOnly`](edn_core::TraceMode) for
-/// verified-at-scale runs.
+/// mode only decides whether the per-packet [`Stats::deliveries`] stream
+/// is kept. [`StatsMode::Counters`] keeps it empty, so a run's memory no
+/// longer grows with the delivery count — the companion of
+/// [`TraceMode::StatsOnly`](edn_core::TraceMode) for verified-at-scale
+/// runs. No mode keeps a per-packet drop record: the counters say how many
+/// and why, and a [`TraceMode::Full`](edn_core::TraceMode) trace holds each
+/// dropped packet.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StatsMode {
-    /// Record every delivery and drop (the default).
+    /// Record every delivery (the default).
     Full,
-    /// Aggregate counters only; `deliveries` and `drops` stay empty.
+    /// Aggregate counters only; `deliveries` stays empty.
     Counters,
 }
 
@@ -75,26 +77,12 @@ pub struct Delivery {
     pub size: u32,
 }
 
-/// A dropped packet.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Drop {
-    /// Drop time.
-    pub time: SimTime,
-    /// Switch where the packet died.
-    pub switch: u64,
-    /// The packet.
-    pub packet: Packet,
-    /// Why.
-    pub reason: DropReason,
-}
-
 /// Aggregate statistics of a run.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Stats {
-    /// Every delivery, in time order.
+    /// Every delivery, in time order (empty under
+    /// [`StatsMode::Counters`]).
     pub deliveries: Vec<Delivery>,
-    /// Every drop, in time order.
-    pub drops: Vec<Drop>,
     /// Packets injected by hosts.
     pub injected: u64,
     /// Discrete events the engine dispatched (injections, arrivals,
@@ -125,12 +113,14 @@ impl Stats {
             .sum()
     }
 
-    /// Number of drops, optionally filtered by reason.
+    /// Number of drops, optionally filtered by reason, read from
+    /// [`dropped`](Stats::dropped) in every [`StatsMode`].
     pub fn drop_count(&self, reason: Option<DropReason>) -> usize {
-        match reason {
-            None => self.drops.len(),
-            Some(r) => self.drops.iter().filter(|d| d.reason == r).count(),
-        }
+        let n = match reason {
+            None => self.dropped.iter().sum(),
+            Some(r) => self.dropped[r.index()],
+        };
+        n as usize
     }
 }
 
@@ -167,7 +157,7 @@ mod tests {
     fn drop_filtering() {
         let mut s = Stats::default();
         for reason in [DropReason::NoRule, DropReason::NoRule, DropReason::QueueFull] {
-            s.drops.push(Drop { time: SimTime::ZERO, switch: 1, packet: Packet::new(), reason });
+            s.dropped[reason.index()] += 1;
         }
         assert_eq!(s.drop_count(None), 3);
         assert_eq!(s.drop_count(Some(DropReason::NoRule)), 2);

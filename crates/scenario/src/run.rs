@@ -38,8 +38,8 @@ pub struct RunOptions {
 #[derive(Clone, PartialEq, Debug)]
 pub struct ScenarioOutcome {
     /// Aggregate run statistics: the counters. A leg keeps no per-packet
-    /// record, so [`Stats::deliveries`] and [`Stats::drops`] are empty —
-    /// drive [`CompiledScenario::engine`] yourself for those (and set
+    /// record, so [`Stats::deliveries`] is empty — drive
+    /// [`CompiledScenario::engine`] yourself for it (and set
     /// `TraceMode::Full` on it for the trace).
     pub stats: Stats,
     /// Background datagrams loaded.
@@ -138,8 +138,8 @@ pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutco
 /// and counters, so the run keeps no per-packet stats streams (and, like
 /// every engine unless asked, no trace). This is deliberately not an option
 /// — a caller that wants the streams or the trace drives
-/// [`CompiledScenario::engine`] itself, which keeps every delivery and drop
-/// and records the trace under `with_trace_mode(TraceMode::Full)`.
+/// [`CompiledScenario::engine`] itself, which keeps every delivery and
+/// records the trace under `with_trace_mode(TraceMode::Full)`.
 fn leg<D: DataPlane>(
     c: &CompiledScenario,
     engine: Engine<D>,
@@ -284,7 +284,7 @@ mod tests {
     /// A leg reports counters, so leg-to-leg equality is counter equality;
     /// the per-packet strength this test always had is kept by replaying the
     /// same three legs on [`CompiledScenario::engine`] recording everything
-    /// — full trace, every delivery and drop — and tying the legs' counters
+    /// — full trace, every delivery — and tying the legs' counters
     /// to that.
     #[test]
     fn legs_agree_byte_for_byte() {
@@ -296,7 +296,7 @@ mod tests {
         assert_eq!(batch.stats, replay.stats, "a replay must not change a byte");
         assert_eq!(batch.stats, streamed.stats, "streaming + checking must not either");
         assert_eq!(stats_csv_row(&replay), stats_csv_row(&batch), "canonical CSV agrees");
-        assert!(batch.stats.deliveries.is_empty() && batch.stats.drops.is_empty());
+        assert!(batch.stats.deliveries.is_empty());
 
         let full = |opts: &RunOptions| {
             let engine = c.engine().with_trace_mode(netsim::TraceMode::Full);
@@ -315,7 +315,7 @@ mod tests {
             (trace, stats.clone()),
             "streamed + checked, per packet"
         );
-        assert_eq!(batch.stats, Stats { deliveries: Vec::new(), drops: Vec::new(), ..stats });
+        assert_eq!(batch.stats, Stats { deliveries: Vec::new(), ..stats });
     }
 
     #[test]

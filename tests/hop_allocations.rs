@@ -6,7 +6,7 @@
 //! firewall NES on fat-tree(4), a live `FlowSource`, `TraceMode::StatsOnly`
 //! with `StatsMode::Counters` — once at `N` and once at `2N` datagrams per
 //! flow. Differencing the two runs cancels everything paid once (slab,
-//! the calendar's ring and side array, arena and trace warm-up, the
+//! the calendar's ring and side array, arena warm-up, the
 //! firewall trigger) and leaves the allocations a datagram costs from its
 //! source across the fabric.
 //!
@@ -27,7 +27,9 @@
 //! intermediate packet (one clone), every miss cloned into a *fresh* vector
 //! even when a freed slot was at hand, the arena's newborn list was rebuilt
 //! from nothing after every dispatch's sweep, and each dropped packet was
-//! cloned into a `Drop` record `StatsMode::Counters` then threw away.
+//! cloned into a per-packet drop record `StatsMode::Counters` then threw
+//! away. No stats mode keeps such a record now: a drop is one counter
+//! increment.
 //!
 //! A second leg attaches the online Definition 6 checker to the same stream
 //! and differences it the same way: the checker adds **nothing** either.

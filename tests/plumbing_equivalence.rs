@@ -16,7 +16,7 @@
 
 use edn_apps::generated::firewall_nes;
 use edn_apps::ring::{host, Ring};
-use edn_core::{NetworkTrace, TraceMode};
+use edn_core::{check_correct, NetworkTrace, OnlineViolation, TraceMode};
 use edn_obs::Scope;
 use edn_scenario::{run_coordinated, stats_csv_row, CompiledScenario, RunOptions};
 use edn_topo::{fat_tree, ring, synthesize, LinkProfile, TierProfile, TrafficPattern, Workload};
@@ -443,6 +443,54 @@ fn churn_scenarios_replay_identically_across_all_engine_knobs() {
     assert_plumbing_invariant("fat-tree campaign", &FAT_TREE_CAMPAIGN_PIN, |k| {
         churn_run(&campaign, k)
     });
+}
+
+/// One scenario three ways: a Full trace alone, the checker alone, and
+/// both. The engine reports each step once, to its one observer slot, and
+/// a Full trace is a trace builder stacked in front of the checker, so the
+/// stacked run's trace, `Stats`, verdict and checker telemetry must equal
+/// the single runs', and the post-hoc spec must judge the recorded trace
+/// as the checker judged the stream. Returns the verdict.
+fn assert_trace_stacks_on_checker<D: DataPlane>(
+    name: &str,
+    c: &CompiledScenario,
+    engine: impl Fn() -> Engine<D>,
+) -> Result<(), OnlineViolation> {
+    let run = |mode: TraceMode, check: bool| {
+        let mut engine = engine().with_trace_mode(mode);
+        let checker = check.then(|| {
+            attach_online_checker(&mut engine, &c.nes).expect("the campaign fits the checker")
+        });
+        let result = drive(c, engine);
+        (result.trace, result.stats, checker.map(|h| (h.verdict(), h.telemetry())))
+    };
+    let (trace, trace_stats, _) = run(TraceMode::Full, false);
+    let (unrecorded, checked_stats, judged) = run(TraceMode::StatsOnly, true);
+    let (stacked_trace, stacked_stats, stacked_judged) = run(TraceMode::Full, true);
+    assert!(!trace.is_empty() && unrecorded.is_empty(), "{name}: only Full records");
+    assert_eq!(stacked_trace, trace, "{name}: the checker changed the trace");
+    assert_eq!(stacked_stats, trace_stats, "{name}: stats diverged from the trace-only run");
+    assert_eq!(stacked_stats, checked_stats, "{name}: stats diverged from the checked run");
+    assert_eq!(
+        stacked_judged, judged,
+        "{name}: the trace changed the checker's verdict or telemetry"
+    );
+    let (verdict, _) = judged.expect("a checked run has a verdict");
+    assert_eq!(
+        check_correct(&trace, &c.nes, None).is_ok(),
+        verdict.is_ok(),
+        "{name}: the spec and the checker judged one stream differently"
+    );
+    verdict
+}
+
+#[test]
+fn a_full_trace_stacks_on_the_checker_without_changing_either() {
+    let c = fat_tree_campaign_scenario();
+    let coordinated = assert_trace_stacks_on_checker("coordinated", &c, || c.engine());
+    assert_eq!(coordinated, Ok(()));
+    let uncoordinated = assert_trace_stacks_on_checker("uncoordinated", &c, || c.uncoordinated());
+    assert!(uncoordinated.is_err(), "the baseline breaks the campaign");
 }
 
 /// Both churn scenarios through the scenario layer's own leg: checked, the

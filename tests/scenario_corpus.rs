@@ -90,7 +90,7 @@ fn corpus_has_uncoordinated_counterexamples() {
 
 /// What a scenario leg does, on an engine the test built — and so at the
 /// recording level the test chose: `c.engine()` and its siblings keep every
-/// delivery and drop, and record the trace when asked for `TraceMode::Full`.
+/// delivery, and record the trace when asked for `TraceMode::Full`.
 fn drive<D: DataPlane>(
     c: &CompiledScenario,
     mut engine: Engine<D>,
@@ -109,13 +109,13 @@ fn drive<D: DataPlane>(
 
 /// A full drive's stats as a leg reports them: the counters, no streams.
 fn counters_of(stats: Stats) -> Stats {
-    Stats { deliveries: Vec::new(), drops: Vec::new(), ..stats }
+    Stats { deliveries: Vec::new(), ..stats }
 }
 
 /// Replays are byte-stable: recompiling and rerunning a corpus scenario
 /// reproduces identical stats, and the text form round-trips the spec. A
 /// leg's stats are counters, so the per-packet half of "identical" is
-/// replayed on `c.engine()` as built: same trace, same deliveries and drops.
+/// replayed on `c.engine()` as built: same trace, same deliveries.
 #[test]
 fn corpus_scenarios_replay_byte_identically() {
     for seed in [0u64, 5, 17, 29] {
@@ -142,7 +142,7 @@ fn corpus_scenarios_replay_byte_identically() {
 /// leg shape (checked or not, streamed or not, a lossy twin through
 /// `Reliable`, the uncoordinated baseline) the outcome equals the one
 /// assembled from a drive of the caller-built engine, which keeps every
-/// delivery and drop, with the per-packet streams emptied.
+/// delivery, with the per-packet stream emptied.
 #[test]
 fn legs_record_counters_and_report_what_a_full_recording_would() {
     fn assert_lean(
@@ -165,7 +165,7 @@ fn legs_record_counters_and_report_what_a_full_recording_would() {
         };
         assert_eq!(leg, full, "verdict, fired count or a counter moved");
         assert_eq!(stats_csv_row(&leg), stats_csv_row(&full), "canonical CSV");
-        assert!(leg.stats.deliveries.is_empty() && leg.stats.drops.is_empty());
+        assert!(leg.stats.deliveries.is_empty());
     }
     for seed in [0u64, 5, 17, 29] {
         let c = CompiledScenario::compile(&ScenarioGen::sample(seed)).unwrap();
