@@ -914,9 +914,10 @@ impl TraceObserver for OnlineChecker {
         reg.counter_add(Scope::Sim, "checker.fired_events", t.fired_events);
         // `Shard` scope, like the plane's `flowindex.*` layout gauges: the
         // index's shape is a property of this build, not of the run.
-        let (chains, rules) = self.inner.index.shape();
+        let (chains, rules, shapes) = self.inner.index.size();
         reg.gauge_max(Scope::Shard, "checker.index_chains", chains as u64);
         reg.gauge_max(Scope::Shard, "checker.index_rules", rules as u64);
+        reg.gauge_max(Scope::Shard, "checker.index_shapes", shapes as u64);
         // How far the node ring and the packet pool grew, and how many
         // records could not share their parent's packet: kept with them,
         // out of the `Sim` section whose contents tests pin across builds.

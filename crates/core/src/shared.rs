@@ -22,7 +22,11 @@
 //!   itself when the signature has at most one field, so a hit is a match,
 //!   and by a fingerprint, confirmed against the packet, when it is wider.
 //!   Beside them sits the mask of the configurations in which the switch is
-//!   a host and so applies no table;
+//!   a host and so applies no table. The entries and maps — the switch's
+//!   *shape* — depend on the chains' patterns and their members' lengths
+//!   alone, so switches that agree on both share one, built once: on a
+//!   generated topology every untouched switch routes the same patterns in
+//!   the same order. Each keeps its own chains, and so its own actions;
 //! - per link, per link source and per host, the mask of the
 //!   configurations that have it. Configurations are grouped by topology
 //!   first (`Config::same_topology`, a pointer compare for the clones a
@@ -55,9 +59,10 @@
 
 use std::collections::HashMap;
 use std::hash::Hasher;
+use std::sync::Arc;
 
 use netkat::{
-    prefix_chains, Action, Field, FieldReader, FlowTable, FxBuildHasher, FxHasher, Loc,
+    prefix_chains, Action, Distinct, Field, FieldReader, FlowTable, FxBuildHasher, FxHasher, Loc,
     LocatedView, Packet, Rule,
 };
 
@@ -118,16 +123,13 @@ fn key(width: usize, mut values: impl Iterator<Item = Option<u64>>) -> Option<u6
     Some(h.finish())
 }
 
-/// One switch's tables across all configurations, one entry per rule of
-/// each prefix chain's longest table.
+/// What one switch's prefix chains' patterns and their members' lengths
+/// decide: one entry per rule of each chain's longest table, and the
+/// signature maps that find them. Actions play no part in it, so switches
+/// whose chains test the same patterns under the same members — every
+/// untouched switch of a generated topology — share one ([`Distinct`]).
 #[derive(Default)]
-struct SwitchRules {
-    /// The configurations in which this switch is a host: none of them
-    /// applies its table.
-    hosts: u64,
-    /// The longest table of each prefix chain the configurations' tables
-    /// fall into ([`prefix_chains`]); the rules live here.
-    chains: Vec<FlowTable>,
+struct Shape {
     entries: Vec<Entry>,
     sigs: Vec<Signature>,
     /// Rules `intern_chain` was handed: one per rule of each chain's
@@ -136,21 +138,36 @@ struct SwitchRules {
     visits: usize,
 }
 
-impl SwitchRules {
-    fn rule(&self, e: &Entry) -> &Rule {
-        self.chains[e.chain as usize].rule(e.at as usize)
+/// What a [`Shape`] is built from: a switch's chains, and per
+/// configuration its chain and how many of that chain's rules its table
+/// holds.
+type ShapeKey = (Vec<FlowTable>, Vec<(u32, u32)>);
+
+impl Shape {
+    /// The shape of `chains` under `members` ([`ShapeKey`]).
+    fn build(chains: &[FlowTable], members: &[(u32, u32)]) -> Shape {
+        let mut shape = Shape::default();
+        for (chain, longest) in chains.iter().enumerate() {
+            let chain = chain as u32;
+            let own = members.iter().enumerate().filter(|(_, &(c, _))| c == chain);
+            shape.intern_chain(chain, longest, own.map(|(cfg, &(_, len))| (cfg, len as usize)));
+        }
+        shape
     }
 
     /// Enters one prefix chain of the configurations' tables: each rule of
     /// `longest` under the configurations whose member table reaches it —
     /// `members` are `(configuration, rule count)`.
-    fn intern_chain(&mut self, longest: &FlowTable, members: impl Iterator<Item = (usize, usize)>) {
+    fn intern_chain(
+        &mut self,
+        chain: u32,
+        longest: &FlowTable,
+        members: impl Iterator<Item = (usize, usize)>,
+    ) {
         // `ends[len]`: the members of `len` rules, which hold none from there on.
         let mut ends = vec![0u64; longest.len() + 1];
         members.for_each(|(cfg, len)| ends[len] |= 1 << cfg);
         let mut mask = ends.iter().fold(0, |all, ending| all | ending);
-        let chain = self.chains.len() as u32;
-        self.chains.push(longest.clone());
         self.entries.reserve(longest.len());
         let mut sig = usize::MAX;
         for (at, rule) in longest.iter().enumerate() {
@@ -182,6 +199,24 @@ impl SwitchRules {
             *head = e;
         }
     }
+}
+
+/// One switch's tables across all configurations: its chains' rules and
+/// the [`Shape`] that indexes them.
+struct SwitchRules {
+    /// The configurations in which this switch is a host: none of them
+    /// applies its table.
+    hosts: u64,
+    /// The longest table of each prefix chain the configurations' tables
+    /// fall into ([`prefix_chains`]); the rules live here.
+    chains: Vec<FlowTable>,
+    shape: Arc<Shape>,
+}
+
+impl SwitchRules {
+    fn rule(&self, e: &Entry) -> &Rule {
+        self.chains[e.chain as usize].rule(e.at as usize)
+    }
 
     /// Resolves, for the configurations in `want`, the first rule of their
     /// table that matches `view`: one entry per chain in `out`, which wins
@@ -191,7 +226,8 @@ impl SwitchRules {
         out.clear();
         // One chain's candidates may sit under two signatures: every
         // signature is probed before a winner is final.
-        for sig in &self.sigs {
+        let entries = &self.shape.entries;
+        for sig in &self.shape.sigs {
             let Some(key) = key(sig.fields.len(), sig.fields.iter().map(|&f| view.read(f))) else {
                 continue;
             };
@@ -199,10 +235,10 @@ impl SwitchRules {
             let exact = sig.fields.len() <= 1;
             let mut e = head;
             while e != NONE {
-                let entry = &self.entries[e as usize];
+                let entry = &entries[e as usize];
                 if entry.mask & want != 0 && (exact || self.rule(entry).pattern.matches_on(view)) {
-                    match out.iter_mut().find(|w| self.entries[**w as usize].chain == entry.chain) {
-                        Some(w) if self.entries[*w as usize].at > entry.at => *w = e,
+                    match out.iter_mut().find(|w| entries[**w as usize].chain == entry.chain) {
+                        Some(w) if entries[*w as usize].at > entry.at => *w = e,
                         Some(_) => {}
                         None => out.push(e),
                     }
@@ -246,6 +282,8 @@ fn emits(
 /// See the module docs.
 pub(crate) struct SharedIndex {
     switches: FxMap<u64, SwitchRules>,
+    /// How many distinct [`Shape`]s the switches share.
+    shapes: usize,
     links: FxMap<(Loc, Loc), u64>,
     link_srcs: FxMap<Loc, u64>,
     hosts: FxMap<u64, u64>,
@@ -269,6 +307,7 @@ impl SharedIndex {
         assert!(n <= 64, "a configuration mask holds 64 configurations");
         let mut index = SharedIndex {
             switches: FxMap::default(),
+            shapes: 0,
             links: FxMap::default(),
             link_srcs: FxMap::default(),
             hosts: FxMap::default(),
@@ -276,21 +315,45 @@ impl SharedIndex {
             scratch: Packet::new(),
         };
         // Per switch, the configurations' tables as prefix chains: a chain's
-        // longest member is walked once, whatever the number of members.
+        // longest member is walked once, whatever the number of members, and
+        // a switch whose chains test an earlier one's patterns under the
+        // same members is not walked at all.
         let mut switches: Vec<u64> = configs.iter().flat_map(|cfg| cfg.switches()).collect();
         switches.sort_unstable();
         switches.dedup();
         let empty = FlowTable::new();
         let mut tables: Vec<&FlowTable> = Vec::with_capacity(n);
+        let mut members: Vec<(u32, u32)> = Vec::with_capacity(n);
+        let mut shapes: Distinct<ShapeKey, Shape> = Distinct::default();
         for sw in switches {
             tables.clear();
             tables.extend(configs.iter().map(|cfg| cfg.table(sw).unwrap_or(&empty)));
-            let rules = index.switches.entry(sw).or_default();
-            for (longest, members) in prefix_chains(&tables) {
-                let members = members.map(|cfg| (cfg, tables[cfg].len()));
-                rules.intern_chain(longest, members);
+            members.clear();
+            let mut chains = Vec::new();
+            for (longest, range) in prefix_chains(&tables) {
+                let chain = chains.len() as u32;
+                members.extend(range.map(|cfg| (chain, tables[cfg].len() as u32)));
+                chains.push(longest.clone());
             }
+            let shape = shapes.get_or_build(
+                |(theirs, their_members)| {
+                    their_members == &members
+                        && theirs.len() == chains.len()
+                        && theirs.iter().zip(&chains).all(|(a, b)| a.same_patterns(b))
+                },
+                || {
+                    let mut h = FxHasher::default();
+                    chains.iter().for_each(|chain| h.write_u64(chain.pattern_fingerprint()));
+                    members
+                        .iter()
+                        .for_each(|&(c, len)| h.write_u64(u64::from(c) << 32 | len as u64));
+                    h.finish()
+                },
+                || ((chains.clone(), members.clone()), Shape::build(&chains, &members)),
+            );
+            index.switches.insert(sw, SwitchRules { hosts: 0, chains, shape });
         }
+        index.shapes = shapes.len();
         // The configurations of a campaign share one topology: each distinct
         // one is written once, under the mask of the group that has it.
         let mut groups: Vec<(&Config, u64)> = Vec::new();
@@ -315,12 +378,14 @@ impl SharedIndex {
         index
     }
 
-    /// The index's size: `(prefix chains, entries)` over all switches — a
-    /// rule that two chains hold counts twice.
-    pub(crate) fn shape(&self) -> (usize, usize) {
-        self.switches.values().fold((0, 0), |(chains, entries), sw| {
-            (chains + sw.chains.len(), entries + sw.entries.len())
-        })
+    /// The index's size: `(prefix chains, entries, shapes)` — chains and
+    /// entries summed over all switches, as if none shared a shape (a rule
+    /// that two chains hold counts twice), and the distinct shapes built.
+    pub(crate) fn size(&self) -> (usize, usize, usize) {
+        let (chains, entries) = self.switches.values().fold((0, 0), |(chains, entries), sw| {
+            (chains + sw.chains.len(), entries + sw.shape.entries.len())
+        });
+        (chains, entries, self.shapes)
     }
 
     /// The state of a path that starts at `loc` (`Config::start_state`).
@@ -403,7 +468,7 @@ impl SharedIndex {
         sw.winners(&view, want, &mut self.winners);
         let mut hit = 0;
         for &e in &self.winners {
-            let entry = &sw.entries[e as usize];
+            let entry = &sw.shape.entries[e as usize];
             let mut actions = sw.rule(entry).actions.iter();
             let emitted = match to {
                 Some(to) => actions.any(|act| emits(act, a, a_loc, to, &mut self.scratch)),
@@ -478,22 +543,60 @@ mod tests {
     }
 
     /// A family's recipe: per switch a base table (pool indices in
-    /// priority order), and per configuration a variant of each base
-    /// table, which of two link/host wirings it has, and extra links as
-    /// location-index pairs. Variants *share, extend and reorder* the
-    /// base's rules, the way the configurations of one NES do.
+    /// priority order) and whether it copies an earlier switch, and per
+    /// configuration a variant of each base table, which of two link/host
+    /// wirings it has, and extra links as location-index pairs. Variants
+    /// *share, extend and reorder* the base's rules, the way the
+    /// configurations of one NES do. A twin `(source, shift, moved)` takes
+    /// the source's base and variants with every action moved `shift`
+    /// places along the pool, built apart: the same patterns under the same
+    /// members — the shape every untouched switch of a generated topology
+    /// shares — with the same rules (shift 0) or other ones. With `moved`,
+    /// every variant's position moves one rule further: mostly the same
+    /// patterns under other member lengths, a shape of its own.
     type Variant = (usize, usize, usize);
-    type FamilyRecipe = (Vec<Vec<usize>>, Vec<(Vec<Variant>, bool, Vec<(usize, usize)>)>);
+    type Twin = Option<(usize, usize, bool)>;
+    type FamilyRecipe = (Vec<(Vec<usize>, Twin)>, Vec<(Vec<Variant>, bool, Vec<(usize, usize)>)>);
 
     fn arb_family() -> impl Strategy<Value = FamilyRecipe> {
         let base = proptest::collection::vec(0usize..49, 2..9);
+        let twin = proptest::option::of((0usize..SWITCHES.len(), 0usize..7, proptest::bool::ANY));
         let variant = (0usize..14, 0usize..64, 0usize..7);
         let config = (
             proptest::collection::vec(variant, SWITCHES.len()),
             proptest::bool::ANY,
             proptest::collection::vec((0usize..14, 0usize..14), 0..2),
         );
-        (proptest::collection::vec(base, SWITCHES.len()), proptest::collection::vec(config, 2..9))
+        (
+            proptest::collection::vec((base, twin), SWITCHES.len()),
+            proptest::collection::vec(config, 2..9),
+        )
+    }
+
+    /// The switch whose base and variants switch `i` draws, how far its
+    /// variants' positions move, and its action shift: itself unmoved and
+    /// unshifted, or what the earlier switch it copies draws, further.
+    fn source_of(switches: &[(Vec<usize>, Twin)], i: usize) -> (usize, usize, usize) {
+        match switches[i].1 {
+            Some((src, shift, moved)) if i > 0 => {
+                let (root, by, before) = source_of(switches, src % i);
+                (root, by + usize::from(moved), (before + shift) % 7)
+            }
+            _ => (i, 0, 0),
+        }
+    }
+
+    /// The rule pool with every pattern's actions moved `shift` places
+    /// along the pool's action list.
+    fn shifted(pool: &[Rule], shift: usize) -> Vec<Rule> {
+        (0..pool.len())
+            .map(|p| {
+                Rule::new(
+                    pool[p].pattern.clone(),
+                    pool[p / 7 * 7 + (p + shift) % 7].actions.clone(),
+                )
+            })
+            .collect()
     }
 
     /// The rule list a switch's prefix views share: the base, then a rule
@@ -554,10 +657,18 @@ mod tests {
         cfg
     }
 
-    fn build_family((bases, configs): &FamilyRecipe) -> Vec<Config> {
+    fn build_family((switches, configs): &FamilyRecipe) -> Vec<Config> {
         let pool = rule_pool();
         let locs = locations();
-        let wholes: Vec<FlowTable> = bases.iter().map(|base| whole(&pool, base)).collect();
+        let sources: Vec<(usize, usize, Vec<Rule>)> = (0..SWITCHES.len())
+            .map(|i| {
+                let (root, by, shift) = source_of(switches, i);
+                (root, by, shifted(&pool, shift))
+            })
+            .collect();
+        let base = |i: usize| &switches[sources[i].0].0;
+        let wholes: Vec<FlowTable> =
+            sources.iter().enumerate().map(|(i, (_, _, pool))| whole(pool, base(i))).collect();
         let shared = [wiring(false), wiring(true)];
         configs
             .iter()
@@ -568,7 +679,9 @@ mod tests {
                 let mut cfg =
                     if c % 2 == 0 { shared[*rewired as usize].clone() } else { wiring(*rewired) };
                 for (i, &sw) in SWITCHES.iter().enumerate() {
-                    if let Some(table) = vary(&pool, &bases[i], &wholes[i], variants[i]) {
+                    let &(root, by, ref pool) = &sources[i];
+                    let (kind, at, action) = variants[root];
+                    if let Some(table) = vary(pool, base(i), &wholes[i], (kind, at + by, action)) {
                         cfg.install(sw, table);
                     }
                 }
@@ -709,6 +822,43 @@ mod tests {
                     }
                 }
             }
+        }
+
+        // Two switches share a shape exactly when their chains test the
+        // same patterns under the same members — so a copy always shares
+        // its source's, whatever its actions — and each distinct pair is
+        // built once.
+        #[test]
+        fn a_shape_is_shared_exactly_when_patterns_and_members_are_equal(recipe in arb_family()) {
+            let family = build_family(&recipe);
+            let configs: Vec<&Config> = family.iter().collect();
+            let index = SharedIndex::build(&configs);
+            let empty = FlowTable::new();
+            let mut present = Vec::new();
+            for (i, sw) in SWITCHES.iter().enumerate() {
+                let Some(rules) = index.switches.get(sw) else { continue };
+                let tables: Vec<&FlowTable> =
+                    configs.iter().map(|cfg| cfg.table(*sw).unwrap_or(&empty)).collect();
+                let (mut patterns, mut members) = (Vec::new(), Vec::new());
+                for (chain, (longest, range)) in prefix_chains(&tables).enumerate() {
+                    patterns.push(longest.iter().map(|r| r.pattern.clone()).collect::<Vec<_>>());
+                    members.extend(range.map(|cfg| (chain, tables[cfg].len())));
+                }
+                present.push((i, rules, (patterns, members)));
+            }
+            for (i, a, key_a) in &present {
+                for (j, b, key_b) in &present {
+                    let shared = Arc::ptr_eq(&a.shape, &b.shape);
+                    prop_assert_eq!(shared, key_a == key_b, "switches {} and {}", i, j);
+                    let [(root_i, by_i, _), (root_j, by_j, _)] =
+                        [*i, *j].map(|k| source_of(&recipe.0, k));
+                    let copied = root_i == root_j && by_i == by_j;
+                    prop_assert!(!copied || shared, "switches {} and {} copy one recipe", i, j);
+                }
+            }
+            let keys: Vec<_> = present.iter().map(|(_, _, key)| key).collect();
+            let distinct = (0..keys.len()).filter(|&k| !keys[..k].contains(&keys[k])).count();
+            prop_assert_eq!(index.size().2, distinct);
         }
     }
 
@@ -883,6 +1033,38 @@ mod tests {
         assert_winners(&family, &[pk]);
     }
 
+    /// Three switches whose chains hold the same patterns: switch 3's
+    /// members have switch 1's lengths under other actions and share its
+    /// shape; switch 2's have other lengths and do not, though each of its
+    /// chain's rules tests what switch 1's does. Each forwards by its own
+    /// actions.
+    #[test]
+    fn equal_patterns_under_other_member_lengths_do_not_share_a_shape() {
+        let dst = |h: u64| Match::new().with(Field::IpDst, h);
+        let chain = |pt: u64| FlowTable::from_rules((1..=3).map(|h| fwd(dst(h), h + pt)));
+        let (one, two, three) = (chain(0), chain(0), chain(1));
+        let lengths = [(&one, [1, 3]), (&two, [2, 3]), (&three, [1, 3])];
+        let family: Vec<Config> = (0..2)
+            .map(|c| {
+                let mut cfg = Config::new();
+                for (sw, (table, lens)) in lengths.iter().enumerate() {
+                    cfg.install(sw as u64 + 1, table.prefix(lens[c]));
+                }
+                cfg
+            })
+            .collect();
+        let mut index = SharedIndex::build(&family.iter().collect::<Vec<_>>());
+        assert_eq!(index.size(), (3, 9, 2));
+        let shape = |sw: u64| &index.switches[&sw].shape;
+        assert!(Arc::ptr_eq(shape(1), shape(3)) && !Arc::ptr_eq(shape(1), shape(2)));
+        let ingress = MaskedState { at_host: 0, ingress: 0b11, egress: 0 };
+        let pk = Packet::new().with(Field::IpDst, 2);
+        for (sw, pt, egress) in [(1, 2, 0b10), (2, 2, 0b11), (3, 3, 0b10), (3, 2, 0)] {
+            let next = index.step(ingress, &pk, Loc::new(sw, 9), &pk, Loc::new(sw, pt), true);
+            assert_eq!(next.egress, egress, "switch {sw} to port {pt}");
+        }
+    }
+
     /// A node that is a host in one configuration and a switch in another
     /// applies its table only in the latter, from any state — as
     /// `Config::step_state` and `accepts_end` decide it, whether or not a
@@ -912,24 +1094,25 @@ mod tests {
         /// entered — after checking that each sits in exactly one candidate
         /// list, the one its pattern's values key under its signature.
         fn layout(&self) -> Vec<(u32, u32, u64)> {
-            let mut listed = vec![0; self.entries.len()];
-            for sig in &self.sigs {
+            let shape = &self.shape;
+            let mut listed = vec![0; shape.entries.len()];
+            for sig in &shape.sigs {
                 for (&k, &head) in &sig.heads {
                     let mut e = head;
                     while e != NONE {
-                        let pattern = &self.rule(&self.entries[e as usize]).pattern;
+                        let pattern = &self.rule(&shape.entries[e as usize]).pattern;
                         assert!(pattern.iter().map(|(f, _)| f).eq(sig.fields.iter().copied()));
                         assert_eq!(
                             key(pattern.len(), pattern.iter().map(|(_, v)| Some(v))),
                             Some(k)
                         );
                         listed[e as usize] += 1;
-                        e = self.entries[e as usize].next;
+                        e = shape.entries[e as usize].next;
                     }
                 }
             }
             assert!(listed.iter().all(|&n| n == 1), "listed once each: {listed:?}");
-            self.entries.iter().map(|e| (e.chain, e.at, e.mask)).collect()
+            shape.entries.iter().map(|e| (e.chain, e.at, e.mask)).collect()
         }
     }
 
@@ -946,9 +1129,9 @@ mod tests {
         let mut b = Config::new();
         b.install(1, table(&[15, 8, 22]));
         let index = SharedIndex::build(&[&a, &b, &Config::new()]);
-        assert_eq!(index.shape(), (2, 6), "two chains, one entry per rule of each");
+        assert_eq!(index.size(), (2, 6, 1), "two chains, one entry per rule of each");
         let sw = &index.switches[&1];
-        assert_eq!(sw.visits, 6);
+        assert_eq!(sw.shape.visits, 6);
         assert_eq!(
             sw.layout(),
             [
@@ -962,11 +1145,12 @@ mod tests {
         );
         // Rule 8 is three entries: at 0 and 2 of the first chain, at 1 of
         // the second; all three under one key of the `IpDst` signature.
-        let eights: Vec<usize> =
-            (0..sw.entries.len()).filter(|&e| *sw.rule(&sw.entries[e]) == pool[8]).collect();
+        let eights: Vec<usize> = (0..sw.shape.entries.len())
+            .filter(|&e| *sw.rule(&sw.shape.entries[e]) == pool[8])
+            .collect();
         assert_eq!(eights, [0, 2, 4]);
-        assert_eq!(sw.sigs.len(), 2, "`IpDst` and `Port`");
-        assert_eq!(sw.sigs[0].heads.len(), 2, "`IpDst` = 1 and 2");
+        assert_eq!(sw.shape.sigs.len(), 2, "`IpDst` and `Port`");
+        assert_eq!(sw.shape.sigs[0].heads.len(), 2, "`IpDst` = 1 and 2");
     }
 
     /// Five configurations, two chains: three views of one list and an equal
@@ -990,10 +1174,10 @@ mod tests {
             })
             .collect();
         let index = SharedIndex::build(&family.iter().collect::<Vec<_>>());
-        assert_eq!(index.shape(), (2, 7), "two chains, one entry per rule of each");
+        assert_eq!(index.size(), (2, 7, 1), "two chains, one entry per rule of each");
         let sw = &index.switches[&1];
         assert_eq!(sw.chains.iter().map(FlowTable::len).collect::<Vec<_>>(), [4, 3]);
-        assert_eq!(sw.visits, 4 + 3, "one visit per rule of each chain's longest table");
+        assert_eq!(sw.shape.visits, 4 + 3, "one visit per rule of each chain's longest table");
         // A mask sheds the members as the walk passes their end: rule 15 is
         // held by the members longer than one rule, 22 and the repeat of 8
         // by `whole` alone. The rewrite's chain has one member.

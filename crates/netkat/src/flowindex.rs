@@ -38,6 +38,15 @@
 //! the longest and bounds the rest, and a second proptest holds the walk to
 //! `table.prefix(len).lookup_index(pk)` for every `len`.
 //!
+//! The segments and the prefetch are the table's *layout*, and they depend
+//! on the patterns alone: a rule's actions are read only after the walk has
+//! picked it. So tables that test the same patterns in the same order share
+//! one layout ([`LayoutCache`]) and keep their own rules and probe
+//! counters; a lookup walks the shared layout and reads its answer from its
+//! own rules. A third proptest holds a layout to being shared exactly when
+//! the visible pattern sequences are equal, and the walk through a shared
+//! layout to each table's own prefix scan.
+//!
 //! # Examples
 //!
 //! ```
@@ -59,6 +68,7 @@ use std::sync::Arc;
 
 use crate::field::{Field, Value};
 use crate::flowtable::{FlowTable, Rule};
+use crate::hash::Distinct;
 use crate::packet::{FieldReader, Packet};
 
 /// Minimum run length worth a hash segment; shorter runs scan faster than
@@ -176,22 +186,13 @@ fn fp_mix(h: u64, value: Value) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A flow table compiled for fast lookup.
-///
-/// Built once from a [`FlowTable`]; holds the table's own rule list (one
-/// reference count, see [`FlowTable`] — no rule is copied, and a lookup
-/// reaches a rule through the same two loads a `Vec` would take) plus the
-/// segment index over the rules the table holds. Lookup results are
-/// *identical* to the source table's — see the module docs for the
-/// construction and the differential tests — and
-/// [`lookup_within`](CompiledTable::lookup_within) answers for any of the
-/// table's prefixes from the same index.
-#[derive(Clone, Default)]
-pub struct CompiledTable {
-    /// The source table's list; only `rules[..len]` is indexed.
-    rules: Arc<[Rule]>,
-    /// The source table's length: every index the segments hold is below it.
-    len: usize,
+/// What a table's patterns alone decide: the segment list and the field
+/// prefetch. Actions play no part in it, so tables that test the same
+/// patterns in the same order — every switch of a generated topology routes
+/// the same `ip_dst` patterns in the same host order — can share one
+/// ([`LayoutCache`]), each keeping its own rules.
+#[derive(Debug, Default)]
+struct Layout {
     segments: Vec<Segment>,
     /// The union of every hash segment's signature, deduplicated in field
     /// order. When two or more hash segments exist (the NES tables'
@@ -203,6 +204,27 @@ pub struct CompiledTable {
     /// Use the prefetch cache? (≥ 2 hash segments and the union fits
     /// [`PREFETCH_CAP`]; otherwise per-segment reads are cheaper.)
     prefetched: bool,
+}
+
+/// A flow table compiled for fast lookup.
+///
+/// Built once from a [`FlowTable`]; holds the table's own rule list (one
+/// reference count, see [`FlowTable`] — no rule is copied, and a lookup
+/// reaches a rule through the same two loads a `Vec` would take), its probe
+/// counters, and the segment index over the rules the table holds, which
+/// tables with the same patterns may share ([`LayoutCache`]). Lookup
+/// results are *identical* to the source table's — see the module docs for
+/// the construction and the differential tests — and
+/// [`lookup_within`](CompiledTable::lookup_within) answers for any of the
+/// table's prefixes from the same index.
+#[derive(Clone, Default)]
+pub struct CompiledTable {
+    /// The source table's list; only `rules[..len]` is indexed.
+    rules: Arc<[Rule]>,
+    /// The source table's length: every index the segments hold is below it.
+    len: usize,
+    /// Built from `rules[..len]`'s patterns, or from equal ones.
+    layout: Arc<Layout>,
     /// Hash-segment lookups resolved by a confirmed fingerprint hit.
     /// `Cell` because lookups take `&self`; one add per lookup is
     /// negligible next to the fingerprint mix itself.
@@ -217,12 +239,44 @@ impl fmt::Debug for CompiledTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledTable")
             .field("rules", &&self.rules[..self.len])
-            .field("segments", &self.segments)
-            .field("prefetch", &self.prefetch)
-            .field("prefetched", &self.prefetched)
+            .field("layout", &self.layout)
             .field("fp_hits", &self.fp_hits)
             .field("fp_fallbacks", &self.fp_fallbacks)
             .finish()
+    }
+}
+
+/// Compiles tables, building one layout per distinct pattern sequence.
+///
+/// A table whose patterns equal an earlier table's, rule for rule
+/// ([`FlowTable::same_patterns`]), gets that table's layout; its rules and
+/// counters stay its own, so every lookup answers exactly as
+/// [`CompiledTable::compile`] would. Candidates are found by
+/// [`FlowTable::pattern_fingerprint`] and confirmed by comparison
+/// ([`Distinct`]).
+#[derive(Debug, Default)]
+pub struct LayoutCache(Distinct<FlowTable, Layout>);
+
+impl LayoutCache {
+    /// Compiles `table`, on an earlier table's layout if their patterns
+    /// are equal.
+    pub fn compile(&mut self, table: &FlowTable) -> CompiledTable {
+        let layout = self.0.get_or_build(
+            |first| first.same_patterns(table),
+            || table.pattern_fingerprint(),
+            || (table.clone(), Layout::build(table)),
+        );
+        CompiledTable::on_layout(table, layout)
+    }
+
+    /// How many distinct layouts have been built.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Returns `true` if no table has been compiled.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 }
 
@@ -267,42 +321,24 @@ fn segment_runs(rules: &[Rule]) -> Vec<Segment> {
     segments
 }
 
-impl CompiledTable {
-    /// Compiles a table: splits it into signature runs, hashes the long
-    /// ones, and derives the cross-segment field prefetch.
-    pub fn compile(table: &FlowTable) -> CompiledTable {
+impl Layout {
+    /// Splits `table` into signature runs, hashes the long ones, and
+    /// derives the cross-segment field prefetch.
+    fn build(table: &FlowTable) -> Layout {
         let (rules, len) = table.shared_rules();
-        let rules = Arc::clone(rules);
-        let segments = segment_runs(&rules[..len]);
-        let mut compiled = CompiledTable {
-            rules,
-            len,
-            segments,
-            prefetch: Vec::new(),
-            prefetched: false,
-            fp_hits: Cell::new(0),
-            fp_fallbacks: Cell::new(0),
-        };
-        compiled.derive_prefetch();
-        compiled
-    }
-
-    /// Computes the prefetch union, the `prefetched` flag, and every hash
-    /// segment's slot map from the segment list.
-    fn derive_prefetch(&mut self) {
+        let mut segments = segment_runs(&rules[..len]);
         let mut prefetch_set: BTreeSet<Field> = BTreeSet::new();
         let mut hash_segments = 0usize;
-        for segment in &self.segments {
+        for segment in &segments {
             if let Segment::Hash(seg) = segment {
                 hash_segments += 1;
                 prefetch_set.extend(seg.fields.iter().copied());
             }
         }
-        self.prefetch = prefetch_set.into_iter().collect();
-        self.prefetched = hash_segments >= 2 && self.prefetch.len() <= PREFETCH_CAP;
-        if self.prefetched {
-            let prefetch = &self.prefetch;
-            for segment in &mut self.segments {
+        let prefetch: Vec<Field> = prefetch_set.into_iter().collect();
+        let prefetched = hash_segments >= 2 && prefetch.len() <= PREFETCH_CAP;
+        if prefetched {
+            for segment in &mut segments {
                 if let Segment::Hash(seg) = segment {
                     seg.slots = seg
                         .fields
@@ -313,6 +349,28 @@ impl CompiledTable {
                         .collect();
                 }
             }
+        }
+        Layout { segments, prefetch, prefetched }
+    }
+}
+
+impl CompiledTable {
+    /// Compiles a table: splits it into signature runs, hashes the long
+    /// ones, and derives the cross-segment field prefetch.
+    pub fn compile(table: &FlowTable) -> CompiledTable {
+        CompiledTable::on_layout(table, Arc::new(Layout::build(table)))
+    }
+
+    /// `table` indexed by `layout`, which was built from its patterns or
+    /// from equal ones.
+    fn on_layout(table: &FlowTable, layout: Arc<Layout>) -> CompiledTable {
+        let (rules, len) = table.shared_rules();
+        CompiledTable {
+            rules: Arc::clone(rules),
+            len,
+            layout,
+            fp_hits: Cell::new(0),
+            fp_fallbacks: Cell::new(0),
         }
     }
 
@@ -347,9 +405,9 @@ impl CompiledTable {
         // The cache (and its initialization cost) exists only on the
         // prefetched path; single-segment tables go straight to
         // per-segment reads.
-        if self.prefetched {
+        if self.layout.prefetched {
             let mut cache = [None::<Value>; PREFETCH_CAP];
-            for (slot, &f) in self.prefetch.iter().enumerate() {
+            for (slot, &f) in self.layout.prefetch.iter().enumerate() {
                 cache[slot] = pk.read(f);
             }
             self.walk_segments(len, pk, |seg| seg.fingerprint_cached(&cache))
@@ -372,7 +430,7 @@ impl CompiledTable {
         pk: &R,
         fingerprint: impl Fn(&HashSegment) -> Option<u64>,
     ) -> Option<usize> {
-        for segment in &self.segments {
+        for segment in &self.layout.segments {
             match segment {
                 Segment::Scan { start, end } => {
                     if *start >= len {
@@ -450,7 +508,7 @@ impl CompiledTable {
 
     /// Number of segments (hash + scan) the table splits into.
     pub fn segment_count(&self) -> usize {
-        self.segments.len()
+        self.layout.segments.len()
     }
 
     /// Fingerprint-resolved vs collision-fallback hash-segment lookups,
@@ -460,10 +518,18 @@ impl CompiledTable {
         (self.fp_hits.get(), self.fp_fallbacks.get())
     }
 
+    /// Returns `true` if the two tables are indexed by one layout (see
+    /// [`LayoutCache`]).
+    #[cfg(test)]
+    fn shares_layout(&self, other: &CompiledTable) -> bool {
+        Arc::ptr_eq(&self.layout, &other.layout)
+    }
+
     /// Number of rules reachable through hash segments (the rest are
     /// scanned).
     pub fn hashed_rule_count(&self) -> usize {
-        self.segments
+        self.layout
+            .segments
             .iter()
             .map(|s| match s {
                 Segment::Hash(seg) => (seg.end - seg.start) as usize,
@@ -620,6 +686,32 @@ mod tests {
         // segments) and still agree.
         let single = FlowTable::from_rules((0..8).map(|h| exact(Field::IpDst, h, h)));
         assert_equivalent(&single, &Packet::new().with(Field::IpDst, 2));
+    }
+
+    /// A pattern whose fields change under the same values fingerprints
+    /// alike (the fingerprint reads values only), and the comparison keeps
+    /// the two tables apart; the same patterns under other actions, built
+    /// apart, share the first table's layout and answer with their own rules.
+    #[test]
+    fn a_layout_is_shared_on_equal_patterns_only() {
+        let dst: Vec<Rule> = (0..8).map(|h| exact(Field::IpDst, h, h)).collect();
+        let vlan: Vec<Rule> = (0..8).map(|h| exact(Field::Vlan, h, h)).collect();
+        let moved: Vec<Rule> = (0..8).map(|h| exact(Field::IpDst, h, 7 - h)).collect();
+        let tables = [dst, vlan, moved].map(FlowTable::from_rules);
+        assert_eq!(tables[0].pattern_fingerprint(), tables[1].pattern_fingerprint());
+        assert!(!tables[0].same_patterns(&tables[1]) && tables[0].same_patterns(&tables[2]));
+        let mut cache = LayoutCache::default();
+        let [a, b, c] = tables.each_ref().map(|t| cache.compile(t));
+        assert_eq!(cache.len(), 2);
+        assert!(!a.shares_layout(&b) && a.shares_layout(&c));
+        let pk = Packet::new().with(Field::IpDst, 2);
+        let (mine, theirs) = (c.lookup(&pk), a.lookup(&pk));
+        assert_eq!(mine, tables[2].lookup(&pk), "the table's own rule");
+        assert_ne!(mine, theirs);
+        assert_eq!(
+            (a.lookup_stats(), b.lookup_stats(), c.lookup_stats()),
+            ((1, 0), (0, 0), (1, 0))
+        );
     }
 
     #[test]
@@ -821,6 +913,41 @@ mod proptests {
             .collect()
     }
 
+    /// A table derived from `base` by `kind`: the same rules built apart
+    /// (0), other actions on one rule or on all (1, 2), one pattern's values
+    /// or fields changed (3, 4), one rule dropped (5), two swapped (6), or a
+    /// view of the base followed by more rules (7 and up). `i` and `j` pick
+    /// the rules.
+    fn variant(
+        base: &[Rule],
+        (kind, i, j, actions): (usize, usize, usize, ActionSet),
+    ) -> FlowTable {
+        let mut rules = base.to_vec();
+        let n = rules.len();
+        if n == 0 {
+            return FlowTable::from_rules(rules);
+        }
+        let at = |f: Field| FIELDS.iter().position(|&g| g == f).expect("a field of ours");
+        let next = |f: Field| FIELDS[(at(f) + 1) % FIELDS.len()];
+        let rule = &mut rules[i % n];
+        match kind {
+            0 => {}
+            1 => rule.actions = actions,
+            2 => rules.iter_mut().for_each(|r| r.actions = actions.clone()),
+            // A wildcard gains a test; any other pattern has every value moved.
+            3 if rule.pattern.is_empty() => rule.pattern = Match::new().with(Field::Tag, 9),
+            3 => rule.pattern = rule.pattern.iter().map(|(f, v)| (f, v.wrapping_add(1))).collect(),
+            4 => rule.pattern = rule.pattern.iter().map(|(f, v)| (next(f), v)).collect(),
+            5 => drop(rules.remove(i % n)),
+            6 => rules.swap(i % n, j % n),
+            _ => {
+                rules.push(Rule::new(Match::new(), actions));
+                return FlowTable::from_rules(rules).prefix(n);
+            }
+        }
+        FlowTable::from_rules(rules)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -976,6 +1103,61 @@ mod proptests {
                 // ...and the victim's own packet hits iff the prefix holds it.
                 let want = (first < len).then_some(first);
                 prop_assert_eq!(compiled.lookup_index_within(len, &own), want);
+            }
+        }
+
+        // Layout sharing is decided by the visible patterns and nothing
+        // else: across a family of tables derived from one base — other
+        // actions, equal rules built apart, a view of a longer list, and the
+        // near misses (one pattern changed, one rule dropped, two rules
+        // swapped) — two tables share a layout exactly when their pattern
+        // sequences are equal, and each answers every prefix with its own
+        // rules as its own linear scan does.
+        #[test]
+        fn a_layout_is_shared_exactly_when_the_patterns_are_equal(
+            base in prop_oneof![arb_rules_random(), arb_rules_single_field()],
+            variants in proptest::collection::vec(
+                (0usize..9, 0usize..4096, 0usize..4096, arb_actions()),
+                1..6,
+            ),
+            pks in proptest::collection::vec(arb_packet(), 1..4),
+            picks in arb_derivations(),
+        ) {
+            let mut family = vec![FlowTable::from_rules(base.iter().cloned())];
+            family.extend(variants.into_iter().map(|v| variant(&base, v)));
+            let mut cache = LayoutCache::default();
+            let compiled: Vec<CompiledTable> = family.iter().map(|t| cache.compile(t)).collect();
+            let patterns: Vec<Vec<Match>> =
+                family.iter().map(|t| t.iter().map(|r| r.pattern.clone()).collect()).collect();
+            let distinct: BTreeSet<&Vec<Match>> = patterns.iter().collect();
+            prop_assert_eq!(cache.len(), distinct.len());
+            for i in 0..family.len() {
+                for j in 0..family.len() {
+                    let equal = patterns[i] == patterns[j];
+                    prop_assert_eq!(compiled[i].shares_layout(&compiled[j]), equal, "{} {}", i, j);
+                    prop_assert_eq!(family[i].same_patterns(&family[j]), equal);
+                    if equal {
+                        prop_assert_eq!(
+                            family[i].pattern_fingerprint(),
+                            family[j].pattern_fingerprint()
+                        );
+                    }
+                }
+            }
+            for (table, compiled) in family.iter().zip(&compiled) {
+                let probes =
+                    [derived_packets(table, &picks), near_installed(table, &picks)].concat();
+                for len in 0..=table.len() {
+                    let prefix = table.prefix(len);
+                    for pk in pks.iter().chain(probes.iter()) {
+                        prop_assert_eq!(
+                            compiled.lookup_index_within(len, pk),
+                            prefix.lookup_index(pk),
+                            "first {} of {} rules diverged on {}", len, table.len(), pk
+                        );
+                        prop_assert_eq!(compiled.lookup_within(len, pk), prefix.lookup(pk));
+                    }
+                }
             }
         }
 

@@ -15,12 +15,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::Hasher;
 use std::ops::Range;
 use std::sync::Arc;
 
 use crate::action::ActionSet;
 use crate::fdd::{FddBuilder, NodeId};
 use crate::field::{Field, Value};
+use crate::hash::FxHasher;
 use crate::packet::{FieldReader, Packet};
 
 /// An exact-match pattern: a conjunction of `field = value` constraints.
@@ -261,6 +263,32 @@ impl FlowTable {
     pub fn is_prefix_of(&self, other: &FlowTable) -> bool {
         self.len <= other.len
             && (Arc::ptr_eq(&self.list, &other.list) || self.rules() == &other.rules()[..self.len])
+    }
+
+    /// Returns `true` if the two tables test the same patterns in the same
+    /// order, whatever their actions — one pointer compare when they are
+    /// views of one list, and one per rule otherwise, which a pattern both
+    /// tables share answers by pointer too.
+    pub fn same_patterns(&self, other: &FlowTable) -> bool {
+        self.len == other.len
+            && (Arc::ptr_eq(&self.list, &other.list)
+                || self.rules().iter().zip(other.rules()).all(|(a, b)| a.pattern == b.pattern))
+    }
+
+    /// A fingerprint of the patterns [`same_patterns`](FlowTable::same_patterns)
+    /// compares: each rule's number of tests and their values, in order.
+    /// Tables with the same patterns have the same fingerprint; the converse
+    /// may fail, so a fingerprint finds candidates and `same_patterns`
+    /// decides.
+    pub fn pattern_fingerprint(&self) -> u64 {
+        let mut h = FxHasher::default();
+        for rule in self.rules() {
+            h.write_u64(rule.pattern.len() as u64);
+            for (_, v) in rule.pattern.iter() {
+                h.write_u64(v);
+            }
+        }
+        h.finish()
     }
 
     /// Extracts a table from an FDD.

@@ -12,9 +12,14 @@
 //! (the equal-length case) are all that shape. The chain's longest table is
 //! indexed once and a slot is `(index, len)`: the tag guard on rule *k* of a
 //! chain is the bound `k < len`, not a copy of the rule per tag
-//! ([`CompiledTable::lookup_within`]). The guarded rendering the paper
-//! installs on hardware is [`SwitchProgram`](crate::SwitchProgram), built on
-//! demand and pinned equal to this layout by this module's proptest. (The
+//! ([`CompiledTable::lookup_within`]). Chains whose longest tables test the
+//! same patterns in the same order — every switch of a generated topology
+//! routes the same `ip_dst` patterns in the same host order — share one
+//! segment layout ([`LayoutCache`]) and keep their own rules, so the build
+//! costs one layout per distinct pattern sequence, not one per switch. The
+//! guarded rendering the paper installs on hardware is
+//! [`SwitchProgram`](crate::SwitchProgram), built on demand and pinned
+//! equal to this layout by this module's proptest. (The
 //! Section 5.3 rule-sharing optimizer is an offline artefact — the
 //! `rule-optimizer` crate, Fig. 17 — and was retired as a lookup-path
 //! layout after losing its trial; see ARCHITECTURE.md.)
@@ -26,8 +31,8 @@ use std::collections::{BTreeSet, HashMap};
 
 use edn_core::Config;
 use netkat::{
-    prefix_chains, CompiledTable, Field, FieldReader, FlowTable, FxBuildHasher, Loc, Packet,
-    PacketArena, PacketId, Rule,
+    prefix_chains, CompiledTable, Field, FieldReader, FlowTable, FxBuildHasher, LayoutCache, Loc,
+    Packet, PacketArena, PacketId, Rule,
 };
 
 /// The plane's dense switch order: the deployment list, then any switch
@@ -50,6 +55,10 @@ pub(crate) fn dense_switches<'a>(
 pub(crate) struct PerTagTables {
     /// One index per chain, over the chain's longest table.
     compiled: Vec<CompiledTable>,
+    /// How many distinct layouts the indexes share: chains that test the
+    /// same patterns in the same order — every switch's routing, on a
+    /// generated topology — are indexed by one ([`LayoutCache`]).
+    layouts: usize,
     /// `slots[slot * tags + tag]` → `(index into compiled, how many of its
     /// rules the tag's table holds)`, one row per dense switch slot — a
     /// hop's dispatch is one multiply and two array reads, no tree walk.
@@ -73,6 +82,7 @@ impl PerTagTables {
         let switches = dense_switches(configs.clone(), listed);
         let tags = configs.clone().count();
         let empty = FlowTable::new();
+        let mut layouts = LayoutCache::default();
         let mut compiled: Vec<CompiledTable> = Vec::new();
         let mut slots = Vec::with_capacity(switches.len() * tags);
         let mut tables: Vec<&FlowTable> = Vec::with_capacity(tags);
@@ -82,11 +92,11 @@ impl PerTagTables {
             for (longest, members) in prefix_chains(&tables) {
                 let index = compiled.len() as u32;
                 slots.extend(tables[members].iter().map(|t| (index, t.len() as u32)));
-                compiled.push(longest.compile());
+                compiled.push(layouts.compile(longest));
             }
         }
         let switch_slot = switches.iter().enumerate().map(|(i, &sw)| (sw, i as u32)).collect();
-        PerTagTables { compiled, slots, tags, switch_slot }
+        PerTagTables { compiled, layouts: layouts.len(), slots, tags, switch_slot }
     }
 
     /// How many switches have a row.
@@ -123,8 +133,9 @@ impl PerTagTables {
     }
 
     /// Reports the compiled indexes' fingerprint probe outcomes, summed over
-    /// every index, and the layout's size: how many indexes over how many
-    /// rules serve how many `(switch, tag)` slots.
+    /// every index, and the layout's size: how many indexes, sharing how
+    /// many segment layouts, over how many rules serve how many `(switch,
+    /// tag)` slots.
     pub(crate) fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
         let (hits, fallbacks) = self
             .compiled
@@ -138,6 +149,7 @@ impl PerTagTables {
         // compared whole across builds (`tests/plumbing_equivalence.rs`).
         let rules: usize = self.compiled.iter().map(CompiledTable::len).sum();
         reg.gauge_max(edn_obs::Scope::Shard, "flowindex.tables", self.compiled.len() as u64);
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.layouts", self.layouts as u64);
         reg.gauge_max(edn_obs::Scope::Shard, "flowindex.indexed_rules", rules as u64);
         reg.gauge_max(edn_obs::Scope::Shard, "flowindex.slots", self.slots.len() as u64);
     }

@@ -9,11 +9,13 @@
 //! `NesDataPlane::new`), and `CompiledScenario::engine`. A freshly built
 //! `Rule` is five allocations (two reference counts, the `Match` map, the
 //! `ActionSet` set, the `Action` map), a copied rule list is one and an
-//! index about six (segment list, signature, fingerprint map, prefetch), so
-//! each stage that rebuilds or copies shows up as a per-rule or per-table
-//! term. Every step of this campaign only adds rules, so what is left after
-//! sharing is per *switch*: one rule list, one index, and five `(list,
-//! length)` views of them. Counts are per thread and repeat exactly; the
+//! index layout about six (segment list, signature, fingerprint map,
+//! prefetch), so each stage that rebuilds or copies shows up as a per-rule
+//! or per-table term. Every step of this campaign only adds rules, and every
+//! switch routes the same destinations in the same order, so what is left
+//! after sharing is one rule list and one index per *switch*, five `(list,
+//! length)` views of them, and one index layout for all twenty switches.
+//! Counts are per thread and repeat exactly; the
 //! bounds are the measured counts (scenario compile 2,783 → 1,076 when the
 //! routing synthesis stopped building a `Match` and an `ActionSet` per
 //! rule, deploy 825 → 625 and `engine()` 859 → 659 when the rule lists
@@ -21,7 +23,9 @@
 //! started sharing its predecessor's list and index, then 524 / 149 / 182
 //! when a campaign's configurations started sharing one set of links and
 //! hosts, then 363 / 149 / 182 when the routing synthesis stopped keeping
-//! its graph, distances and next hops in per-switch trees). A fourth leg watches `OnlineChecker::observer`, whose set-up
+//! its graph, distances and next hops in per-switch trees, then 363 / 57 / 90
+//! when switches that test the same patterns started sharing one index
+//! layout). A fourth leg watches `OnlineChecker::observer`, whose set-up
 //! follows the same chains: its cost may not grow with the configurations.
 //! A fifth covers the stream workloads' set-up, where the configurations
 //! come from `edn_apps::generated` rather than a campaign: two
@@ -124,9 +128,9 @@ fn deploying_a_campaign_does_not_copy_rule_bodies() {
     assert_eq!(deploy().0, spent, "the allocation count repeats exactly");
     assert!(forwarding >= 1000, "the campaign installs a real rule load ({forwarding})");
     assert!(
-        spent <= 149,
-        "deploying {forwarding} installed rules took {spent} allocations (149 when pinned) — \
-         rule lists are being copied, or an index is built per table again"
+        spent <= 57,
+        "deploying {forwarding} installed rules took {spent} allocations (57 when pinned) — \
+         rule lists are being copied, or an index is built per table or per switch again"
     );
 }
 
@@ -151,8 +155,8 @@ fn compiling_a_campaign_builds_each_rule_body_once() {
 }
 
 /// `engine()` clones the NES and deploys it: with shared rule lists that
-/// is reference counts and one index per switch, and the plane's tables
-/// *are* the compiled scenario's.
+/// is reference counts, one index per switch and one layout for them all,
+/// and the plane's tables *are* the compiled scenario's.
 #[test]
 fn building_an_engine_does_not_copy_rules() {
     let c = campaign();
@@ -160,9 +164,9 @@ fn building_an_engine_does_not_copy_rules() {
     let engine = c.engine();
     let spent = allocations() - before;
     assert!(
-        spent <= 182,
-        "engine() took {spent} allocations (182 when pinned: ~9 per switch) — \
-         a rule list is being copied, or an index built, per table again"
+        spent <= 90,
+        "engine() took {spent} allocations (90 when pinned) — \
+         a rule list is being copied, or an index built, per table or per switch again"
     );
     let plane = engine.finish().dataplane;
     for set in c.nes.event_sets() {
@@ -180,7 +184,8 @@ fn building_an_engine_does_not_copy_rules() {
 /// Every step of the pinned campaign adds one rule per switch, so each
 /// switch's five tables are five lengths of one rule list, and the plane
 /// serves its five `(switch, tag)` slots from one index: 20 lists and 20
-/// indexes, not 100 of each.
+/// indexes, not 100 of each. Every switch's index tests the same patterns,
+/// so the twenty share one layout.
 #[test]
 fn an_additive_campaign_holds_one_list_and_one_index_per_switch() {
     let c = campaign();
@@ -197,6 +202,7 @@ fn an_additive_campaign_holds_one_list_and_one_index_per_switch() {
     let mut reg = edn_obs::Registry::new();
     c.engine().finish().dataplane.contribute_metrics(&mut reg);
     assert_eq!(reg.gauge("flowindex.tables"), Some(switches.len() as u64));
+    assert_eq!(reg.gauge("flowindex.layouts"), Some(1));
     assert_eq!(reg.gauge("flowindex.slots"), Some(5 * switches.len() as u64));
     // Each index covers its switch's longest table: the final configuration.
     let last = c.nes.event_sets().into_iter().max().expect("the campaign has states");
@@ -209,7 +215,8 @@ fn an_additive_campaign_holds_one_list_and_one_index_per_switch() {
 /// configurations (5 → 20 updates on fat-tree(6), which has the spare hosts
 /// fat-tree(4) lacks) add fifteen rules per switch to that walk and no
 /// structure: fewer allocations than configurations, and the same chains
-/// in the exported shape.
+/// in the exported shape. Every switch's chain tests the same patterns
+/// under the same members, so all of them share one walk.
 #[test]
 fn attaching_the_checker_does_not_scale_with_configurations() {
     let attach = |updates: usize| {
@@ -229,6 +236,7 @@ fn attaching_the_checker_does_not_scale_with_configurations() {
             ),
             "{updates} updates: one chain per switch over the final tables' rules"
         );
+        assert_eq!(reg.gauge("checker.index_shapes"), Some(1), "{updates} updates: one walk");
         spent
     };
     let (few, many) = (attach(5), attach(20));
@@ -289,11 +297,18 @@ fn learning_by_copy(
 /// tables replaced. It equals the NES assembled by copying, its untouched
 /// tables are one allocation under both event-sets, and so the plane builds
 /// — and the checker interns — one index per switch plus one per touched
-/// switch, where two by-value-equal copies cost two. The three counts are
-/// the measured ones (build, deploy, attach); attach fell from 340 / 355 to
+/// switch, where two by-value-equal copies cost two. Every switch routes
+/// the same destinations in the same order, so those indexes share one
+/// layout per distinct pattern sequence (the routing, and the routing under
+/// the inserted rule), and the checker's chains one shape per distinct
+/// pair of patterns and members: the untouched switches', the edited
+/// switch's and, for `learning`, the route's. The three counts are the
+/// measured ones (build, deploy, attach); attach fell from 340 / 355 to
 /// 161 / 179 when the checker's index stopped keeping a priority position
 /// per rule and configuration and started sizing each chain's entries and
-/// maps before filling them.
+/// maps before filling them, and deploy and attach from 141 / 164 and
+/// 161 / 179 to 50 / 50 and 80 / 91 when switches that test the same
+/// patterns started sharing one layout and one shape.
 #[test]
 fn an_application_nes_shares_its_untouched_tables() {
     let gen = fat_tree(4, TierProfile::default());
@@ -303,6 +318,7 @@ fn an_application_nes_shares_its_untouched_tables() {
                  build: &dyn Fn() -> NetworkEventStructure,
                  by_copy: [edn_core::Config; 2],
                  touched: &[u64],
+                 [layouts, shapes]: [u64; 2],
                  pinned: [u64; 3]| {
         let counted = || {
             let before = allocations();
@@ -331,6 +347,7 @@ fn an_application_nes_shares_its_untouched_tables() {
         let mut reg = edn_obs::Registry::new();
         plane.contribute_metrics(&mut reg);
         assert_eq!(reg.gauge("flowindex.tables"), tables, "{name}: indexes built");
+        assert_eq!(reg.gauge("flowindex.layouts"), Some(layouts), "{name}: layouts built");
         assert_eq!(reg.gauge("flowindex.slots"), Some(2 * switches.len() as u64));
 
         let before = allocations();
@@ -339,6 +356,7 @@ fn an_application_nes_shares_its_untouched_tables() {
         let mut reg = edn_obs::Registry::new();
         observer.contribute_metrics(&mut reg);
         assert_eq!(reg.gauge("checker.index_chains"), tables, "{name}: chains interned");
+        assert_eq!(reg.gauge("checker.index_shapes"), Some(shapes), "{name}: shapes built");
 
         assert_eq!([built, deployed, attached], pinned, "{name}: build, deploy, attach");
     };
@@ -350,7 +368,8 @@ fn an_application_nes_shares_its_untouched_tables() {
         &|| firewall_nes(&gen, inside, outside),
         firewall_by_copy(&gen, inside, outside),
         &[outside_sw],
-        [169, 141, 161],
+        [2, 2],
+        [169, 50, 80],
     );
     let (learner, target, shadow) = (h[0], h[15], h[8]);
     let (by_copy, touched) = learning_by_copy(&gen, learner, target, shadow);
@@ -360,6 +379,34 @@ fn an_application_nes_shares_its_untouched_tables() {
         &|| learning_nes(&gen, learner, target, shadow),
         by_copy,
         &touched,
-        [263, 164, 179],
+        [2, 3],
+        [263, 50, 91],
     );
+}
+
+/// The benchmark's two fat-tree(8) set-ups, counted where their layouts are
+/// built: the firewall's 80 switches deploy 81 indexes over 2 layouts (the
+/// routing, and the routing under the guard) and intern 81 chains over 2
+/// checker shapes; the 20-update campaign's deploy 80 indexes over 1 layout
+/// and intern 80 chains over 1 shape. Building a layout or a shape per
+/// switch again fails here.
+#[test]
+fn fat_tree_8_switches_share_one_layout_per_pattern_sequence() {
+    let gauges = |nes: &NetworkEventStructure, switches: &[u64]| {
+        let plane = NesDataPlane::new(CompiledNes::compile(nes.clone()), switches.to_vec(), false);
+        let (observer, _handle) = edn_core::OnlineChecker::observer(nes).expect("the NES fits");
+        let mut reg = edn_obs::Registry::new();
+        plane.contribute_metrics(&mut reg);
+        observer.contribute_metrics(&mut reg);
+        let names = ["flowindex.tables", "flowindex.layouts"];
+        let names = names.into_iter().chain(["checker.index_chains", "checker.index_shapes"]);
+        names.map(|name| reg.gauge(name).expect("exported")).collect::<Vec<_>>()
+    };
+    let gen = fat_tree(8, TierProfile::default());
+    let (switches, h) = (gen.sim().switches(), gen.hosts());
+    assert_eq!(switches.len(), 80);
+    let firewall = firewall_nes(&gen, h[0], h[h.len() - 1]);
+    assert_eq!(gauges(&firewall, switches), [81, 2, 81, 2], "firewall");
+    let c = campaign_of(8, 20);
+    assert_eq!(gauges(&c.nes, c.run.sim().switches()), [80, 1, 80, 1], "campaign");
 }
