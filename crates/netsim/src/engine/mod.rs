@@ -11,6 +11,10 @@
 //! stream, and under [`TraceMode::Full`] `edn-core`'s trace builder sits in
 //! front of it and records the Section 2 network trace.
 //!
+//! The loop is one function, `Engine::step`: admit the source's events up
+//! to the next fire time, pop one due event, dispatch it. `build` holds the
+//! pre-run API, `dispatch` the packet events, `control` the control events.
+//!
 //! # The sequence key
 //!
 //! Timestamp ties are broken by a *per-entity* sequence: every event
@@ -22,24 +26,28 @@
 //! which order each creator did — never on queue insertion order. Every
 //! committed fingerprint and benchmark counter pins this order.
 
-use std::collections::HashMap;
+mod build;
+mod control;
+mod dispatch;
 
-use edn_core::{LeafKind, NetworkTrace, TraceMode, TraceObserver};
-use edn_obs::{FlightEvent, FlightRecorder, MetricsLevel, Registry, Stopwatch};
+use edn_core::{NetworkTrace, TraceMode, TraceObserver};
+use edn_obs::{FlightEvent, MetricsLevel, Registry, Stopwatch};
 use netkat::{Loc, Packet, PacketArena, PacketId};
 
-use crate::channel::{ChannelDir, ChannelFate, ChannelModel};
-use crate::logic::{BoxedHosts, CtrlMsg, DataPlane, PlaneOut, CONTROLLER_NODE};
-use crate::metrics::{self, EngineMetrics, FLIGHT_CAPACITY};
-use crate::queue::CalendarQueue;
+use crate::channel::ChannelModel;
+use crate::logic::{BoxedHosts, DataPlane, PlaneOut};
+use crate::metrics::{self, EngineMetrics};
+use crate::queue::{EventKey, Pending};
 use crate::recorder::{self, TraceHandle};
 use crate::source::WorkloadSource;
-use crate::stats::{Delivery, DropReason, Stats, StatsMode};
+use crate::stats::{Stats, StatsMode};
 use crate::time::SimTime;
 use crate::topology::{SimParams, SimTopology};
 
-/// Default payload size for injected packets (an Ethernet-ish frame).
-pub const DEFAULT_PACKET_SIZE: u32 = 1_500;
+use build::Timeline;
+pub use build::{shard_count_from_env, DEFAULT_PACKET_SIZE};
+use control::EntityMap;
+use dispatch::EgressMap;
 
 /// The dense entity id of the pre-run environment (initial injections).
 const ENV_ENTITY: u32 = 0;
@@ -48,8 +56,7 @@ const CTRL_ENTITY: u32 = 1;
 /// Sentinel cause for control messages no packet step sent (replies to
 /// notifies and deliveries, timer resends): they carry no happens-before
 /// obligation, so the causality bookkeeping skips them. Dropping an HB
-/// edge can only
-/// weaken the checker's obligations, never invent a violation.
+/// edge can only weaken the checker's obligations, never invent a violation.
 const NO_CAUSE: usize = usize::MAX;
 /// Bits of the packed sequence key reserved for the per-entity counter.
 const SEQ_SHIFT: u32 = 40;
@@ -60,116 +67,10 @@ fn pack_seq(sender: u32, counter: u64) -> u64 {
     ((sender as u64) << SEQ_SHIFT) | counter
 }
 
-/// An event's full ordering key: fire time plus the packed sequence.
-type EventKey = (SimTime, u64);
-
-/// A scheduled step function over simulated time: each `(time, value)`
-/// entry sets the value from `time` onward, until a later entry replaces
-/// it. Kept sorted by time; writes at an already-scheduled time overwrite
-/// in place (**last-write-wins**), so repeated fail/restore cycles and
-/// re-scripted scenario actions are always well-defined.
-type Timeline<T> = Vec<(SimTime, T)>;
-
-/// Inserts `(time, value)` into a sorted timeline, overwriting any
-/// existing entry at exactly `time`.
-fn timeline_set<T>(timeline: &mut Timeline<T>, time: SimTime, value: T) {
-    let i = timeline.partition_point(|&(at, _)| at < time);
-    match timeline.get_mut(i) {
-        Some(entry) if entry.0 == time => entry.1 = value,
-        _ => timeline.insert(i, (time, value)),
-    }
-}
-
-/// The timeline's value at `t`: the most recent entry at or before `t`,
-/// or `default` before the first entry (and for an empty timeline).
-fn timeline_at<T: Copy>(timeline: &Timeline<T>, t: SimTime, default: T) -> T {
-    match timeline.partition_point(|&(at, _)| at <= t) {
-        0 => default,
-        i => timeline[i - 1].1,
-    }
-}
-
-/// Dense entity numbering: 0 = environment, 1 = controller, then every
-/// switch, then every host, in topology order.
-#[derive(Debug)]
-struct EntityMap {
-    map: HashMap<u64, u32, netkat::FxBuildHasher>,
-    /// The first host's dense id: switches come first, so an entity is a
-    /// host exactly when its id is at or above this.
-    first_host: u32,
-    /// Per host, indexed by `dense id - first_host`: its attachment
-    /// location and the attachment switch's dense id.
-    attached: Vec<(Loc, u32)>,
-}
-
-impl EntityMap {
-    fn build(topo: &SimTopology) -> EntityMap {
-        let mut map: HashMap<u64, u32, netkat::FxBuildHasher> = HashMap::default();
-        let mut next = CTRL_ENTITY + 1;
-        // First occurrence wins: `SimTopology::new` tolerates duplicate
-        // switch entries, and the numbering must stay dense (counters are
-        // indexed by it).
-        for &sw in topo.switches() {
-            map.entry(sw).or_insert_with(|| {
-                let id = next;
-                next += 1;
-                id
-            });
-        }
-        let first_host = next;
-        for (h, _) in topo.hosts() {
-            map.insert(h, next);
-            next += 1;
-        }
-        let attached = topo
-            .hosts()
-            .map(|(_, loc)| (loc, *map.get(&loc.sw).expect("hosts attach to listed switches")))
-            .collect();
-        EntityMap { map, first_host, attached }
-    }
-
-    /// The dense id of a switch or host, if the topology has it.
-    fn get(&self, node: u64) -> Option<u32> {
-        self.map.get(&node).copied()
-    }
-
-    /// The dense id of a switch or host.
-    fn dense(&self, node: u64) -> u32 {
-        self.get(node).expect("node is part of the topology")
-    }
-
-    /// Whether dense id `entity` is a host's.
-    fn is_host(&self, entity: u32) -> bool {
-        entity >= self.first_host
-    }
-
-    /// Host `entity`'s attachment location and attachment switch entity.
-    fn attachment(&self, entity: u32) -> (Loc, u32) {
-        self.attached[(entity - self.first_host) as usize]
-    }
-
-    /// The dense id of the host with id `host`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is not a host of the topology.
-    fn host(&self, host: u64) -> u32 {
-        match self.get(host) {
-            Some(entity) if self.is_host(entity) => entity,
-            _ => panic!("node {host} is not a host"),
-        }
-    }
-
-    /// Total entity count (environment and controller included).
-    fn len(&self) -> usize {
-        self.map.len() + 2
-    }
-}
-
 /// Pending events carry [`PacketId`]s into the engine's arena, never
 /// owned packets: forking an event (multicast) copies four bytes. `M` is
 /// the plane's [`DataPlane::Msg`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum EventKind<M> {
     /// A host pushes a packet onto its attachment link. `sender` is the
     /// host's dense entity id (events this dispatch creates are its).
@@ -185,49 +86,24 @@ enum EventKind<M> {
     /// A controller command arrives at a switch.
     Deliver { sw: u64, msg: M },
     /// A data-plane-requested timer fires at a switch (or, with
-    /// `node == CONTROLLER_NODE`, at the controller).
-    Timer { node: u64 },
+    /// `node == CONTROLLER_NODE`, at the controller); `entity` is the
+    /// node's dense id.
+    Timer { node: u64, entity: u32 },
 }
 
-/// The metric slot of an event kind (`EngineMetrics::dispatched`).
-fn kind_index<M>(kind: &EventKind<M>) -> usize {
-    match kind {
-        EventKind::Inject { .. } => 0,
-        EventKind::Arrive { .. } => 1,
-        EventKind::Notify { .. } => 2,
-        EventKind::Deliver { .. } => 3,
-        EventKind::Timer { .. } => 4,
+impl<M> EventKind<M> {
+    /// The event's metric slot (`EngineMetrics::dispatched`), its
+    /// flight-recorder label, and the node it happens at.
+    fn describe(&self) -> (usize, &'static str, u64) {
+        match self {
+            EventKind::Inject { host, .. } => (0, "inject", *host),
+            EventKind::Arrive { loc, .. } => (1, "arrive", loc.sw),
+            EventKind::Notify { .. } => (2, "notify", 0),
+            EventKind::Deliver { sw, .. } => (3, "deliver", *sw),
+            EventKind::Timer { node, .. } => (4, "timer", *node),
+        }
     }
 }
-
-/// Flight-recorder label and subject entity of an event kind.
-fn flight_info<M>(kind: &EventKind<M>) -> (&'static str, u64) {
-    match kind {
-        EventKind::Inject { host, .. } => ("inject", *host),
-        EventKind::Arrive { loc, .. } => ("arrive", loc.sw),
-        EventKind::Notify { .. } => ("notify", 0),
-        EventKind::Deliver { sw, .. } => ("deliver", *sw),
-        EventKind::Timer { node } => ("timer", *node),
-    }
-}
-
-/// What sits on the far side of an egress location — resolved once at
-/// construction, so the per-hop path pays **one** map probe instead of the
-/// former host-map probe plus link-map probe. Carries the destination
-/// entity's dense id so per-hop key assignment needs no further lookup.
-#[derive(Clone, Copy, Debug)]
-enum Egress {
-    /// A host is attached here (`id`, dense entity).
-    Host(u64, u32),
-    /// An inter-switch link (index into `topo.links()`) starts here;
-    /// second field is the destination switch's dense entity.
-    Link(u32, u32),
-}
-
-/// The egress map probes once per output; [`Loc`]'s derived `Hash` feeds
-/// two `u64` writes straight through [`netkat::FxHasher`], skipping
-/// SipHash's per-byte setup.
-type EgressMap = HashMap<Loc, Egress, netkat::FxBuildHasher>;
 
 /// The result of a finished run.
 #[derive(Debug)]
@@ -248,18 +124,18 @@ pub struct RunResult<D> {
     pub metrics: Registry,
 }
 
-/// The complete simulation state: the event queue, the data plane, the
+/// The discrete-event simulator: the pending events, the data plane, the
 /// packet arena, the observer slot, and the loop that drives them.
-struct Core<D: DataPlane> {
+///
+/// # Examples
+///
+/// See the crate-level documentation for a complete run.
+pub struct Engine<D: DataPlane> {
     topo: SimTopology,
     params: SimParams,
     dataplane: D,
     hosts: BoxedHosts,
-    queue: CalendarQueue,
-    /// Slab of pending event payloads, indexed by the keys in `queue`.
-    slots: Vec<Option<EventKind<D::Msg>>>,
-    /// Recycled slab slots.
-    free_slots: Vec<u32>,
+    pending: Pending<EventKind<D::Msg>>,
     now: SimTime,
     /// Every in-flight packet, interned; a slot lives while an event
     /// carries it.
@@ -286,6 +162,8 @@ struct Core<D: DataPlane> {
     entities: EntityMap,
     /// Per-entity creation counters.
     counters: Vec<u64>,
+    /// Creation counter of the environment entity (initial injections).
+    env_seq: u64,
     /// The control-channel fault model (ideal short-circuits every site).
     channel: ChannelModel,
     /// Per-entity control-message send counters feeding the fault stream:
@@ -304,8 +182,14 @@ struct Core<D: DataPlane> {
     ctrl_linked: Vec<usize>,
     /// Lazy injection stream.
     source: Option<SourceState>,
+    /// Has `run` been called yet? Sources and observers attach before.
+    started: bool,
     /// Where each processing step is reported, once.
     observer: Option<Box<dyn TraceObserver + Send>>,
+    trace_mode: TraceMode,
+    /// Where a [`TraceMode::Full`] run's recorder leaves the trace; set
+    /// when the first `run` attaches the recorder.
+    trace: Option<TraceHandle>,
     /// Telemetry accumulators (no-ops unless metrics are on).
     metrics: EngineMetrics,
 }
@@ -321,32 +205,33 @@ struct SourceState {
     packet: Packet,
 }
 
-impl<D: DataPlane> Core<D> {
-    fn build(
-        topo: SimTopology,
-        params: SimParams,
-        dataplane: D,
-        hosts: BoxedHosts,
-        metrics: EngineMetrics,
-    ) -> Core<D> {
+impl<D: DataPlane> Engine<D> {
+    /// Creates an engine.
+    ///
+    /// The run records no trace ([`TraceMode::StatsOnly`]): a verdict
+    /// comes from an observer attached with
+    /// [`set_observer`](Engine::set_observer), and a caller that diffs or
+    /// checks the trace itself asks for it with
+    /// [`with_trace_mode`](Engine::with_trace_mode). The per-packet
+    /// delivery stream starts at [`StatsMode::Full`], since deliveries are
+    /// what a timeline reads; a caller that only wants the counters says so
+    /// with [`with_stats_mode`](Engine::with_stats_mode). Telemetry starts
+    /// at [`MetricsLevel::Off`] and the control channel at
+    /// [`ChannelModel::ideal`]; a caller that wants either changed says so
+    /// with [`with_metrics`](Engine::with_metrics) and
+    /// [`with_channel`](Engine::with_channel). Nothing here reads the
+    /// process environment.
+    pub fn new(topo: SimTopology, params: SimParams, dataplane: D, hosts: BoxedHosts) -> Engine<D> {
         let entities = EntityMap::build(&topo);
-        let mut egress = EgressMap::default();
-        for (i, l) in topo.links().iter().enumerate() {
-            egress.insert(l.src, Egress::Link(i as u32, entities.dense(l.dst.sw)));
-        }
-        for (h, loc) in topo.hosts() {
-            egress.insert(loc, Egress::Host(h, entities.dense(h)));
-        }
+        let egress = dispatch::egress_map(&topo, &entities);
         let n_links = topo.links().len();
         let n_entities = entities.len();
-        Core {
+        Engine {
             topo,
             params,
             dataplane,
             hosts,
-            queue: CalendarQueue::new(),
-            slots: Vec::new(),
-            free_slots: Vec::new(),
+            pending: Pending::new(),
             now: SimTime::ZERO,
             arena: PacketArena::new(),
             records: 0,
@@ -358,6 +243,7 @@ impl<D: DataPlane> Core<D> {
             ctrl_latency: Vec::new(),
             entities,
             counters: vec![0; n_entities],
+            env_seq: 0,
             channel: ChannelModel::ideal(),
             chan_counts: vec![0; n_entities],
             out: PlaneOut::default(),
@@ -365,15 +251,12 @@ impl<D: DataPlane> Core<D> {
             ctrl_delivered: vec![0; n_entities],
             ctrl_linked: vec![0; n_entities],
             source: None,
+            started: false,
             observer: None,
-            metrics,
+            trace_mode: TraceMode::StatsOnly,
+            trace: None,
+            metrics: EngineMetrics::new(MetricsLevel::Off, None),
         }
-    }
-
-    /// The switch↔controller latency in effect at the current simulated
-    /// time (scheduled spikes override `params.controller_latency`).
-    fn controller_latency(&self) -> SimTime {
-        timeline_at(&self.ctrl_latency, self.now, self.params.controller_latency)
     }
 
     fn next_seq(&mut self, sender: u32) -> u64 {
@@ -389,20 +272,10 @@ impl<D: DataPlane> Core<D> {
         if let EventKind::Inject { packet, .. } | EventKind::Arrive { packet, .. } = kind {
             self.arena.retain(packet);
         }
-        let slot = match self.free_slots.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(kind);
-                slot
-            }
-            None => {
-                self.slots.push(Some(kind));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.queue.push((time, seq, slot));
+        self.pending.push(time, seq, kind);
     }
 
-    /// [`push_keyed`](Core::push_keyed) for an event a dispatch *creates*:
+    /// [`push_keyed`](Engine::push_keyed) for an event a dispatch *creates*:
     /// observes the creation-to-fire sim-time latency. The injection paths
     /// (pre-run and source pump) use raw `push_keyed`: those are workload
     /// admissions, not engine-scheduled delays.
@@ -413,214 +286,69 @@ impl<D: DataPlane> Core<D> {
         self.push_keyed(time, seq, kind);
     }
 
-    /// Draws the next control-channel fault-stream counter for `entity`.
-    fn chan_count(&mut self, entity: u32) -> u64 {
-        let c = &mut self.chan_counts[entity as usize];
-        let v = *c;
-        *c += 1;
-        v
+    /// Records `kind` at `node` in the flight recorder, if there is one,
+    /// stamped with the current time and queue depth.
+    fn flight(&self, seq: u64, kind: &'static str, node: u64) {
+        if let Some(fr) = &self.metrics.flight {
+            let depth = self.pending.len() as u64;
+            fr.record(FlightEvent { t_us: self.now.as_micros(), seq, kind, node, depth });
+        }
     }
 
-    /// Records one channel fate into the metrics (and, on a drop, the
-    /// flight recorder, so a degraded dump shows the message-level cause).
-    fn note_channel(&mut self, fate: &ChannelFate, node: u64) {
-        if !self.metrics.on {
-            return;
-        }
-        match fate.copies {
-            0 => self.metrics.chan_dropped += 1,
-            2 => self.metrics.chan_duplicated += 1,
-            _ => {}
-        }
-        if fate.reordered {
-            self.metrics.chan_reordered += 1;
-        }
-        if fate.copies == 0 {
-            if let Some(fr) = &self.metrics.flight {
-                fr.record(FlightEvent {
-                    t_us: self.now.as_micros(),
-                    seq: 0,
-                    kind: "drop",
-                    node,
-                    depth: self.queue.len() as u64,
-                });
+    /// Runs the event loop until the queue empties or `deadline` passes.
+    ///
+    /// This is the simulation proper — the phase scale measurements time.
+    /// Turning the recorded run into a [`RunResult`] (which materializes
+    /// the network trace from the arena) is the separate
+    /// [`finish`](Engine::finish) step; [`run_until`](Engine::run_until)
+    /// does both.
+    pub fn run(&mut self, deadline: SimTime) {
+        if !self.started {
+            self.started = true;
+            // The observer gets the flight recorder now, not when it is
+            // attached: the metrics level may be set after it. And it gets
+            // it before the trace recorder wraps it, since the recorder's
+            // fan-out does not forward it.
+            if let (Some(o), Some(fr)) = (self.observer.as_deref_mut(), &self.metrics.flight) {
+                o.attach_flight_recorder(fr.clone());
+            }
+            if self.trace_mode == TraceMode::Full {
+                let (slot, trace) = recorder::record_in_front(self.observer.take());
+                self.observer = Some(slot);
+                self.trace = Some(trace);
             }
         }
+        while self.step(deadline) {}
     }
 
-    /// Schedules one switch→controller message (`Notify`) through the
-    /// channel model: the fate is a pure function of the sending entity's
-    /// fault-stream counter, and each surviving copy gets its own
-    /// sequence key from the sender. The ideal model takes the exact
-    /// pre-fault-model path (one copy, zero extra delay, no counters).
-    fn send_notify(&mut self, node: u64, sender: u32, msg: D::Msg, cause: usize) {
-        let base = self.now + self.controller_latency();
-        let fate = if self.channel.is_ideal() {
-            ChannelFate::CLEAN
-        } else {
-            let counter = self.chan_count(sender);
-            let f = self.channel.fate(ChannelDir::ToCtrl, node, counter);
-            self.note_channel(&f, node);
-            f
-        };
-        for i in 0..fate.copies as usize {
-            let t = base + SimTime::from_micros(fate.delay_us[i]);
-            let seq = self.next_seq(sender);
-            self.schedule(t, seq, EventKind::Notify { msg, cause });
-        }
+    /// One step of the loop: admits the source's events up to the next
+    /// fire time, then pops the earliest event and dispatches it. Returns
+    /// `false`, having dispatched nothing, once no event is due at or
+    /// before `deadline`; a later one stays pending for a later `run`.
+    pub(crate) fn step(&mut self, deadline: SimTime) -> bool {
+        self.pump_source(deadline);
+        let Some((key, kind)) = self.pending.pop_due(deadline) else { return false };
+        self.now = key.0;
+        self.dispatch(key, kind);
+        true
     }
 
-    /// Schedules one controller→switch command (`Deliver`) through the
-    /// channel model; `delay` is the data plane's own scheduling offset
-    /// (e.g. update-wave spacing), applied on top of the controller
-    /// latency before any channel jitter.
-    fn send_deliver(&mut self, sw: u64, msg: D::Msg, delay: SimTime) {
-        let base = self.now + self.controller_latency() + delay;
-        let fate = if self.channel.is_ideal() {
-            ChannelFate::CLEAN
-        } else {
-            let counter = self.chan_count(CTRL_ENTITY);
-            let f = self.channel.fate(ChannelDir::ToSwitch, sw, counter);
-            self.note_channel(&f, sw);
-            f
-        };
-        for i in 0..fate.copies as usize {
-            let t = base + SimTime::from_micros(fate.delay_us[i]);
-            let seq = self.next_seq(CTRL_ENTITY);
-            self.schedule(t, seq, EventKind::Deliver { sw, msg });
-        }
-    }
-
-    /// The dense entity of a timer/notification `node`.
-    fn entity_of(&self, node: u64) -> u32 {
-        if node == CONTROLLER_NODE {
-            CTRL_ENTITY
-        } else {
-            self.entities.dense(node)
-        }
-    }
-
-    /// Acts on the control side of a plane interaction at `node`, leaving
-    /// those four lists of `self.out` empty: sends its notifications (with
-    /// trace cause `cause`) and deliveries through the channel model,
-    /// forwards its channel telemetry to the flight recorder, and schedules
-    /// its timer requests. Runs on every interaction (packet step, notify,
-    /// deliver, timer). The lists are read in place by index (their items
-    /// are `Copy`): `out` never leaves `self`, and a hop with nothing to
-    /// say pays four length checks.
-    fn emit_control(&mut self, node: u64, cause: usize) {
-        if !self.out.notifications.is_empty() {
-            let sender = self.entity_of(node);
-            for i in 0..self.out.notifications.len() {
-                let msg = self.out.notifications[i];
-                self.send_notify(node, sender, msg, cause);
-            }
-            self.out.notifications.clear();
-        }
-        for i in 0..self.out.deliveries.len() {
-            let (delay, sw, msg) = self.out.deliveries[i];
-            self.send_deliver(sw, msg, delay);
-        }
-        self.out.deliveries.clear();
-        for (kind, node) in self.out.channel_events.drain(..) {
-            if let Some(fr) = &self.metrics.flight {
-                fr.record(FlightEvent {
-                    t_us: self.now.as_micros(),
-                    seq: 0,
-                    kind,
-                    node,
-                    depth: self.queue.len() as u64,
-                });
-            }
-        }
-        for i in 0..self.out.timers.len() {
-            let (t, node) = self.out.timers[i];
-            let seq = self.next_seq(self.entity_of(node));
-            self.schedule(t.max(self.now), seq, EventKind::Timer { node });
-        }
-        self.out.timers.clear();
-    }
-
-    /// One packet-free plane interaction at `node` (notify, deliver,
-    /// timer): `call` reports into the reused buffer, and whatever it asked
-    /// for is acted on before the dispatch ends. No packet step sent what
-    /// these send, so it carries no trace cause.
-    fn control_step(
-        &mut self,
-        node: u64,
-        call: impl FnOnce(&mut D, SimTime, &mut PlaneOut<D::Msg>),
-    ) {
-        call(&mut self.dataplane, self.now, &mut self.out);
-        self.emit_control(node, NO_CAUSE);
-    }
-
-    /// The earliest pending fire time in microseconds (`u64::MAX` when
-    /// idle) — the bound the source pump admits up to.
-    fn next_time_us(&mut self) -> u64 {
-        self.queue.peek().map_or(u64::MAX, |key| key.0.as_micros())
-    }
-
-    /// Runs the event loop until the queue empties or `deadline` passes
-    /// (inclusive).
-    fn run(&mut self, deadline: SimTime) {
-        if self.source.is_some() {
-            return self.run_streaming(deadline);
-        }
-        // An event past the horizon stays pending for a later `run` call.
-        while let Some((time, seq, slot)) = self.queue.pop_due(deadline) {
-            let kind = self.slots[slot as usize].take().expect("queued slots are filled");
-            self.free_slots.push(slot);
-            self.now = time;
-            self.dispatch((time, seq), kind);
-        }
-    }
-
-    /// The loop with a lazy source attached: before every pop, pump
-    /// source events up to the earlier of the next queued fire time and the
-    /// deadline. Environment keys sort below every derived key at equal
-    /// times (entity id 0), and the queue totally orders whatever is
-    /// pushed, so pumping just-in-time leaves the dispatch order exactly
-    /// what a pre-materialized batch would have produced.
-    fn run_streaming(&mut self, deadline: SimTime) {
-        loop {
-            // Admit source events up to the next queued fire time — or,
-            // when the queue is idle, just the earliest pending time slice.
-            // An idle queue must not admit the whole source: lazy admission
-            // is what keeps a stats-only arena at the in-flight high-water
-            // mark instead of the full workload size.
-            let mut limit = self.next_time_us();
-            if limit == u64::MAX {
-                if let Some(t) = self.source_peek_us() {
-                    limit = t;
-                }
-            }
-            self.pump_source(limit.min(deadline.as_micros()));
-            let Some((time, seq, slot)) = self.queue.pop_due(deadline) else { break };
-            let kind = self.slots[slot as usize].take().expect("queued slots are filled");
-            self.free_slots.push(slot);
-            self.now = time;
-            self.dispatch((time, seq), kind);
-        }
-    }
-
-    /// The attached source's earliest pending fire time in microseconds,
-    /// if any.
-    fn source_peek_us(&self) -> Option<u64> {
-        self.source.as_ref().and_then(|st| st.src.peek_time()).map(|t| t.as_micros())
-    }
-
-    /// Drains source events with fire time at or below `limit_us` into the
-    /// queue; later events stay in the source for a later pump (or a later
-    /// `run` call — a source survives the deadline like queued events do).
+    /// Drains the attached source's events into the queue up to the
+    /// earlier of `deadline` and the next queued fire time — or, when the
+    /// queue is idle, the source's own next time slice: lazy admission keeps
+    /// the arena at the in-flight high-water mark instead of the workload
+    /// size. Environment keys sort below every derived key at equal times
+    /// (entity id 0), so pumping just in time leaves the dispatch order
+    /// exactly what a pre-materialized batch would have produced.
     ///
     /// The state is borrowed in place, not taken out and put back: a
     /// `SourceState` moved per call is reloaded right after the source has
     /// written its buffer's header, a store-forwarding stall on each of the
     /// calls, most of which admit nothing.
-    fn pump_source(&mut self, limit_us: u64) {
-        if self.source.is_none() {
-            return;
-        }
+    fn pump_source(&mut self, deadline: SimTime) {
+        let Some(st) = &self.source else { return };
+        let next = self.pending.peek().map(|key| key.0).or_else(|| st.src.peek_time());
+        let limit_us = next.map_or(u64::MAX, SimTime::as_micros).min(deadline.as_micros());
         let sample = if self.metrics.on {
             self.metrics.pump_calls += 1;
             self.metrics.full && self.metrics.pump_calls & 1023 == 1
@@ -665,27 +393,16 @@ impl<D: DataPlane> Core<D> {
         // timings) hides behind it.
         if self.metrics.on {
             self.metrics.begin_dispatch(self.stats.events_processed);
-            self.metrics.dispatched[kind_index(&kind)] += 1;
-            let depth = self.queue.len() as u64;
+            let (slot, label, node) = kind.describe();
+            self.metrics.dispatched[slot] += 1;
+            let depth = self.pending.len() as u64;
             self.metrics.queue_depth_hw = self.metrics.queue_depth_hw.max(depth + 1);
-            if let Some(fr) = &self.metrics.flight {
-                let (kind_name, node) = flight_info(&kind);
-                fr.record(FlightEvent {
-                    t_us: key.0.as_micros(),
-                    seq: key.1,
-                    kind: kind_name,
-                    node,
-                    depth,
-                });
-            }
+            self.flight(key.1, label, node);
         }
-        if self.metrics.sampling {
-            let sw = Stopwatch::start();
-            self.dispatch_inner(kind);
-            let ns = sw.elapsed_ns();
-            self.metrics.phase_dispatch_ns.observe(ns);
-        } else {
-            self.dispatch_inner(kind);
+        let sw = self.metrics.sampling.then(Stopwatch::start);
+        self.dispatch_inner(kind);
+        if let Some(sw) = sw {
+            self.metrics.phase_dispatch_ns.observe(sw.elapsed_ns());
         }
         // Dispatch consumed the event: drop the queue's reference taken in
         // `push_keyed`, then reclaim this dispatch's unretained
@@ -696,594 +413,20 @@ impl<D: DataPlane> Core<D> {
         }
     }
 
-    /// Numbers the next trace record, checking that its parent precedes
-    /// it.
-    fn next_record(&mut self, parent: Option<usize>) -> usize {
-        let idx = self.records;
-        if let Some(p) = parent {
-            assert!(p < idx, "parent {p} must precede child {idx}");
-        }
-        self.records += 1;
-        idx
-    }
-
-    fn dispatch_inner(&mut self, kind: EventKind<D::Msg>) {
-        match kind {
-            EventKind::Inject { host, packet, size, sender } => {
-                let (attach, attach_sender) = self.entities.attachment(sender);
-                self.stats.injected += 1;
-                let idx = self.next_record(None);
-                if let Some(o) = self.observer.as_deref_mut() {
-                    o.record(idx, self.arena.get(packet), Loc::new(host, 0), None);
-                }
-                // Host attachment links are uncontended.
-                let arrival = self.now + self.topo.host_latency;
-                let seq = self.next_seq(sender);
-                self.schedule(
-                    arrival,
-                    seq,
-                    EventKind::Arrive {
-                        loc: attach,
-                        packet,
-                        size,
-                        parent: idx,
-                        from_host: true,
-                        sender: attach_sender,
-                    },
-                );
-            }
-            EventKind::Arrive { loc, packet, size, parent, from_host, sender } => {
-                if self.entities.is_host(sender) {
-                    let idx = self.next_record(Some(parent));
-                    if let Some(o) = self.observer.as_deref_mut() {
-                        o.record(idx, self.arena.get(packet), loc, Some(parent));
-                        o.retire(parent);
-                        o.leaf(idx, LeafKind::Delivered);
-                    }
-                    let pk = self.arena.get(packet);
-                    self.stats.delivered_packets += 1;
-                    self.stats.delivered_bytes += size as u64;
-                    if self.stats_mode == StatsMode::Full {
-                        self.stats.deliveries.push(Delivery {
-                            time: self.now,
-                            host: loc.sw,
-                            packet: pk.clone(),
-                            size,
-                        });
-                    }
-                    let host = loc.sw;
-                    let replies = self.hosts.on_receive(host, pk, self.now);
-                    for (delay, reply, rsize) in replies {
-                        let t = self.now + delay;
-                        let reply = self.arena.intern(reply);
-                        let seq = self.next_seq(sender);
-                        self.schedule(
-                            t,
-                            seq,
-                            EventKind::Inject { host, packet: reply, size: rsize, sender },
-                        );
-                    }
-                    return;
-                }
-                self.switch_step(loc, packet, size, parent, from_host, sender);
-            }
-            EventKind::Notify { msg, cause } => {
-                // Controller knowledge is cumulative: record the cause
-                // before computing deliveries. Messages no packet step sent
-                // carry the NO_CAUSE sentinel and stay out of the causality
-                // record.
-                if cause != NO_CAUSE {
-                    self.ctrl_causes.push(cause);
-                }
-                self.control_step(CONTROLLER_NODE, |dp, now, out| dp.on_notify(msg, now, out));
-            }
-            EventKind::Deliver { sw, msg } => {
-                // Everything the controller has heard up to now becomes a
-                // causal ancestor of this switch's subsequent processing.
-                // Plumbing (a pure ack, say) changes no switch state, so it
-                // must not strengthen the causal frontier.
-                // A switch outside the topology never steps, so there is
-                // no frontier to move.
-                if !msg.is_plumbing() {
-                    if let Some(entity) = self.entities.get(sw) {
-                        self.ctrl_delivered[entity as usize] = self.ctrl_causes.len();
-                    }
-                }
-                self.control_step(sw, |dp, now, out| dp.deliver(sw, msg, now, out));
-            }
-            EventKind::Timer { node } => {
-                self.control_step(node, |dp, now, out| dp.on_timer(node, now, out));
-            }
-        }
-    }
-
-    fn switch_step(
-        &mut self,
-        loc: Loc,
-        packet: PacketId,
-        size: u32,
-        parent: usize,
-        from_host: bool,
-        sender: u32,
-    ) {
-        let ingress_idx = self.next_record(Some(parent));
-        if let Some(o) = self.observer.as_deref_mut() {
-            let sw = self.metrics.sampling.then(Stopwatch::start);
-            o.record(ingress_idx, self.arena.get(packet), loc, Some(parent));
-            o.retire(parent);
-            if let Some(sw) = sw {
-                self.metrics.phase_observer_ns.observe(sw.elapsed_ns());
-            }
-        }
-        // Knowledge delivered by the controller happens-before this step.
-        let delivered = self.ctrl_delivered[sender as usize];
-        let linked = &mut self.ctrl_linked[sender as usize];
-        for &cause in &self.ctrl_causes[*linked..delivered] {
-            if cause < ingress_idx {
-                if let Some(o) = self.observer.as_deref_mut() {
-                    o.edge(cause, ingress_idx);
-                }
-            }
-        }
-        *linked = (*linked).max(delivered);
-        let lookup_sw = self.metrics.sampling.then(Stopwatch::start);
-        self.dataplane.step(
-            loc.sw,
-            loc.pt,
-            packet,
-            from_host,
-            self.now,
-            &mut self.arena,
-            &mut self.out,
-        );
-        if let Some(sw) = lookup_sw {
-            self.metrics.phase_lookup_ns.observe(sw.elapsed_ns());
-        }
-        if !self.out.notifications.is_empty() {
-            if let Some(o) = self.observer.as_deref_mut() {
-                o.cause(ingress_idx);
-            }
-        }
-        self.emit_control(loc.sw, ingress_idx);
-        if self.out.outputs.is_empty() {
-            if let Some(o) = self.observer.as_deref_mut() {
-                o.leaf(ingress_idx, LeafKind::Terminated);
-            }
-            self.stats.dropped[DropReason::NoRule.index()] += 1;
-            return;
-        }
-        let depart = self.now + self.params.switch_delay;
-        for i in 0..self.out.outputs.len() {
-            let (out_pt, out_pkt) = self.out.outputs[i];
-            let out_loc = Loc::new(loc.sw, out_pt);
-            let egress_idx = self.next_record(Some(ingress_idx));
-            if let Some(o) = self.observer.as_deref_mut() {
-                o.record(egress_idx, self.arena.get(out_pkt), out_loc, Some(ingress_idx));
-            }
-            let (link_idx, dst_dense) = match self.egress.get(&out_loc) {
-                // Host delivery?
-                Some(&Egress::Host(host, host_dense)) => {
-                    let t = depart + self.topo.host_latency;
-                    let seq = self.next_seq(sender);
-                    self.schedule(
-                        t,
-                        seq,
-                        EventKind::Arrive {
-                            loc: Loc::new(host, 0),
-                            packet: out_pkt,
-                            size,
-                            parent: egress_idx,
-                            from_host: false,
-                            sender: host_dense,
-                        },
-                    );
-                    continue;
-                }
-                // Inter-switch link.
-                Some(&Egress::Link(i, dense)) => (i as usize, dense),
-                // Nothing attached here.
-                None => {
-                    if let Some(o) = self.observer.as_deref_mut() {
-                        o.leaf(egress_idx, LeafKind::Terminated);
-                    }
-                    self.stats.dropped[DropReason::DeadEnd.index()] += 1;
-                    continue;
-                }
-            };
-            let link = self.topo.links()[link_idx];
-            // Scheduled failure? Like queue losses, failure drops are left
-            // unterminated in the trace: the abstract configuration has no
-            // notion of a dead link, so the packet reads as in flight.
-            if timeline_at(&self.link_state[link_idx], depart, false) {
-                if let Some(o) = self.observer.as_deref_mut() {
-                    o.leaf(egress_idx, LeafKind::Stalled);
-                }
-                self.stats.dropped[DropReason::LinkDown.index()] += 1;
-                continue;
-            }
-            let arrival = match link.capacity {
-                None => depart + link.latency,
-                Some(bps) => {
-                    let free = &mut self.link_free[link_idx];
-                    let start = (*free).max(depart);
-                    if self.metrics.on && *free > depart {
-                        self.metrics.link_busy += 1;
-                    }
-                    // Tail drop when the backlog exceeds the queue bound.
-                    // Queue losses are *not* marked terminated in the trace:
-                    // the abstract configuration relation has lossless
-                    // links, so a queue drop reads as a packet forever in
-                    // flight (a prefix), not as forwarding misbehaviour.
-                    if start.saturating_sub(depart) > self.params.max_queue_delay {
-                        if let Some(o) = self.observer.as_deref_mut() {
-                            o.leaf(egress_idx, LeafKind::Stalled);
-                        }
-                        self.stats.dropped[DropReason::QueueFull.index()] += 1;
-                        continue;
-                    }
-                    let wire = size as u64 + self.params.header_overhead as u64;
-                    let tx = SimTime::from_micros((wire * 1_000_000).div_ceil(bps));
-                    *free = start + tx;
-                    start + tx + link.latency
-                }
-            };
-            let seq = self.next_seq(sender);
-            self.schedule(
-                arrival,
-                seq,
-                EventKind::Arrive {
-                    loc: link.dst,
-                    packet: out_pkt,
-                    size,
-                    parent: egress_idx,
-                    from_host: false,
-                    sender: dst_dense,
-                },
-            );
-        }
-        self.out.outputs.clear();
-        if let Some(o) = self.observer.as_deref_mut() {
-            o.retire(ingress_idx);
-        }
-    }
-}
-
-// Called by the frozen `benchmark/src/workload.rs:476`, which passes the
-// result to `Engine::with_shards`; reads no environment variable. Delete
-// in the next `benchmark`-archetype PR.
-#[doc(hidden)]
-pub fn shard_count_from_env() -> u32 {
-    1
-}
-
-/// The discrete-event simulator.
-///
-/// # Examples
-///
-/// See the crate-level documentation for a complete run.
-pub struct Engine<D: DataPlane> {
-    core: Core<D>,
-    /// Creation counter of the environment entity (initial injections).
-    env_seq: u64,
-    /// Has `run` been called yet? Sources and observers attach before.
-    started: bool,
-    trace_mode: TraceMode,
-    /// Where a [`TraceMode::Full`] run's recorder leaves the trace; set
-    /// when the first `run` attaches the recorder.
-    trace: Option<TraceHandle>,
-}
-
-impl<D: DataPlane> Engine<D> {
-    /// Creates an engine.
-    ///
-    /// The run records no trace ([`TraceMode::StatsOnly`]): a verdict
-    /// comes from an observer attached with
-    /// [`set_observer`](Engine::set_observer), and a caller that diffs or
-    /// checks the trace itself asks for it with
-    /// [`with_trace_mode`](Engine::with_trace_mode). The per-packet
-    /// delivery stream starts at [`StatsMode::Full`], since deliveries are
-    /// what a timeline reads; a caller that only wants the counters says so
-    /// with [`with_stats_mode`](Engine::with_stats_mode). Telemetry starts
-    /// at [`MetricsLevel::Off`] and the control channel at
-    /// [`ChannelModel::ideal`]; a caller that wants either changed says so
-    /// with [`with_metrics`](Engine::with_metrics) and
-    /// [`with_channel`](Engine::with_channel). Nothing here reads the
-    /// process environment.
-    pub fn new(topo: SimTopology, params: SimParams, dataplane: D, hosts: BoxedHosts) -> Engine<D> {
-        let metrics = EngineMetrics::new(MetricsLevel::Off, None);
-        let core = Core::build(topo, params, dataplane, hosts, metrics);
-        Engine { core, env_seq: 0, started: false, trace_mode: TraceMode::StatsOnly, trace: None }
-    }
-
-    /// Sets the trace recording mode (the default is
-    /// [`TraceMode::StatsOnly`]). Under [`TraceMode::Full`] the first
-    /// [`run`](Engine::run) puts a trace builder in the observer slot, in
-    /// front of any attached observer, and [`finish`](Engine::finish)
-    /// hands its trace back in [`RunResult::trace`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event has already been scheduled (the mode governs a
-    /// whole run).
-    pub fn with_trace_mode(mut self, mode: TraceMode) -> Engine<D> {
-        assert!(self.env_seq == 0, "set the trace mode before scheduling events");
-        self.trace_mode = mode;
-        self
-    }
-
-    /// Sets how much per-packet detail the run's [`Stats`] retain. The
-    /// aggregate counters are identical in every mode;
-    /// [`StatsMode::Counters`] just leaves the per-packet streams empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event has already been scheduled (the mode governs a
-    /// whole run).
-    pub fn with_stats_mode(mut self, mode: StatsMode) -> Engine<D> {
-        assert!(self.env_seq == 0, "set the stats mode before scheduling events");
-        self.core.stats_mode = mode;
-        self
-    }
-
-    /// Sets the telemetry level (the default is [`MetricsLevel::Off`]).
-    /// [`MetricsLevel::Full`] attaches a fresh flight recorder; lower
-    /// levels detach any existing one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event has already been scheduled (the level governs a
-    /// whole run).
-    pub fn with_metrics(mut self, level: MetricsLevel) -> Engine<D> {
-        assert!(self.env_seq == 0, "set the metrics level before scheduling events");
-        let flight = level.is_full().then(|| FlightRecorder::new(FLIGHT_CAPACITY));
-        self.core.metrics = EngineMetrics::new(level, flight);
-        self
-    }
-
-    /// Sets the control-channel fault model (the default is
-    /// [`ChannelModel::ideal`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event has already been scheduled (the channel
-    /// governs a whole run).
-    pub fn with_channel(mut self, model: ChannelModel) -> Engine<D> {
-        assert!(self.env_seq == 0, "set the channel model before scheduling events");
-        self.core.channel = model;
-        self
-    }
-
-    /// The control-channel fault model this engine runs under.
-    pub fn channel(&self) -> ChannelModel {
-        self.core.channel
-    }
-
-    /// The telemetry level this engine runs at.
-    pub fn metrics_level(&self) -> MetricsLevel {
-        self.core.metrics.level()
-    }
-
-    /// The engine's flight recorder — a cloneable handle onto the shared
-    /// ring of recent events, present only at [`MetricsLevel::Full`].
-    /// Callers keep a clone to dump after a failed run.
-    pub fn flight_recorder(&self) -> Option<FlightRecorder> {
-        self.core.metrics.flight.clone()
-    }
-
-    // Called by the frozen `benchmark/src/workload.rs:476`
-    // (`.with_shards(netsim::shard_count_from_env())`); there is no sharded
-    // loop behind it. Delete in the next `benchmark`-archetype PR.
-    #[doc(hidden)]
-    pub fn with_shards(self, _: u32) -> Engine<D> {
-        self
-    }
-
-    /// Diagnostic: packet slots in the engine's arena, the high-water mark
-    /// of simultaneously live packets. A slot lives while an event carries
-    /// its packet, in every trace mode (a trace record holds its own copy),
-    /// so for a streaming run this is a bound independent of how many
-    /// events are processed.
-    pub fn arena_slots(&self) -> usize {
-        self.core.arena.len()
-    }
-
-    /// Writes one transition onto a directed link's up/down schedule. A
-    /// link the topology does not have is a no-op (no packet can ever
-    /// traverse it).
-    fn set_link_state_at(&mut self, time: SimTime, src: Loc, dst: Loc, down: bool) {
-        let Some(i) = self.core.topo.link_index(src, dst) else { return };
-        timeline_set(&mut self.core.link_state[i], time, down);
-    }
-
-    /// Injects a failure: the directed link `src → dst` drops every packet
-    /// offered to it at or after `time` — until a later
-    /// [`restore_link_at`](Engine::restore_link_at) brings it back up.
-    /// Transitions may be scheduled in any order; a second transition at
-    /// the same instant overwrites the first (last-write-wins), so
-    /// repeated fail/restore cycles (flaps) are always well-defined.
-    pub fn fail_link_at(&mut self, time: SimTime, src: Loc, dst: Loc) {
-        self.set_link_state_at(time, src, dst, true);
-    }
-
-    /// Schedules a recovery: the directed link `src → dst` carries packets
-    /// again from `time` onward (until a later
-    /// [`fail_link_at`](Engine::fail_link_at), if any).
-    pub fn restore_link_at(&mut self, time: SimTime, src: Loc, dst: Loc) {
-        self.set_link_state_at(time, src, dst, false);
-    }
-
-    /// Injects a bidirectional failure at `time`.
-    pub fn fail_bilink_at(&mut self, time: SimTime, a: Loc, b: Loc) {
-        self.fail_link_at(time, a, b);
-        self.fail_link_at(time, b, a);
-    }
-
-    /// Schedules a bidirectional recovery at `time`.
-    pub fn restore_bilink_at(&mut self, time: SimTime, a: Loc, b: Loc) {
-        self.restore_link_at(time, a, b);
-        self.restore_link_at(time, b, a);
-    }
-
-    /// Crashes a switch at `time`: every inter-switch link incident to
-    /// `sw` (both directions) goes down, so the switch neither receives
-    /// nor emits transit traffic. Host attachment links are untouched —
-    /// packets a crashed switch's hosts inject drop at the first dead
-    /// egress, exactly as a real dark switch would blackhole them.
-    pub fn crash_switch_at(&mut self, time: SimTime, sw: u64) {
-        self.set_incident_links_at(time, sw, true);
-    }
-
-    /// Recovers a crashed switch at `time`: every inter-switch link
-    /// incident to `sw` comes back up.
-    pub fn recover_switch_at(&mut self, time: SimTime, sw: u64) {
-        self.set_incident_links_at(time, sw, false);
-    }
-
-    fn set_incident_links_at(&mut self, time: SimTime, sw: u64, down: bool) {
-        let core = &mut self.core;
-        for (i, l) in core.topo.links().iter().enumerate() {
-            if l.src.sw == sw || l.dst.sw == sw {
-                timeline_set(&mut core.link_state[i], time, down);
-            }
-        }
-    }
-
-    /// Schedules a controller-latency change: from `time` onward the
-    /// switch↔controller latency is `latency` instead of
-    /// [`SimParams::controller_latency`], until a later entry replaces it
-    /// (schedule a spike as a raise followed by a restore).
-    pub fn set_controller_latency_at(&mut self, time: SimTime, latency: SimTime) {
-        timeline_set(&mut self.core.ctrl_latency, time, latency);
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.core.now
-    }
-
-    /// Schedules a host to inject a packet of the default size at `time`.
-    pub fn inject_at(&mut self, time: SimTime, host: u64, packet: Packet) {
-        self.inject_sized(time, host, packet, DEFAULT_PACKET_SIZE);
-    }
-
-    /// Schedules a host to inject a packet of `size` bytes at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is not a host of the topology.
-    pub fn inject_sized(&mut self, time: SimTime, host: u64, packet: Packet, size: u32) {
-        let core = &mut self.core;
-        let sender = core.entities.host(host);
-        let seq = pack_seq(ENV_ENTITY, self.env_seq);
-        self.env_seq += 1;
-        let packet = core.arena.intern(packet);
-        core.push_keyed(time, seq, EventKind::Inject { host, packet, size, sender });
-    }
-
-    /// Pre-sizes the event slab for `extra` upcoming events — call before
-    /// streaming a bulk injection whose iterator cannot report its length
-    /// (e.g. a `flat_map` over flows).
-    pub fn reserve_events(&mut self, extra: usize) {
-        let core = &mut self.core;
-        core.slots.reserve(extra.saturating_sub(core.free_slots.len()));
-    }
-
-    /// Schedules a whole batch of host injections `(time, host, packet,
-    /// size)` in one queue fill: the event slab is pre-sized once
-    /// (from the iterator's size hint — use
-    /// [`reserve_events`](Engine::reserve_events) first when the hint is
-    /// useless), so bulk workload setup (thousands of datagrams) avoids
-    /// per-call growth churn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any scheduled node is not a host of the topology.
-    pub fn inject_batch<I>(&mut self, batch: I)
-    where
-        I: IntoIterator<Item = (SimTime, u64, Packet, u32)>,
-    {
-        let batch = batch.into_iter();
-        let (expected, _) = batch.size_hint();
-        self.reserve_events(expected);
-        for (time, host, packet, size) in batch {
-            self.inject_sized(time, host, packet, size);
-        }
-    }
-
-    /// Attaches a lazy injection stream: the engine pulls events from the
-    /// source as simulated time advances, so a workload of millions of
-    /// datagrams never materializes in the queue. The run is
-    /// **byte-identical** to scheduling the same events through
-    /// [`inject_batch`](Engine::inject_batch) (see [`crate::source`]).
-    ///
-    /// The source writes each event's packet into one buffer the engine
-    /// keeps for the run, and the engine copies it into a recycled arena
-    /// slot, so a streamed event allocates nothing in steady state.
-    ///
-    /// Injections scheduled *after* this call (e.g. trigger packets via
-    /// [`inject_at`](Engine::inject_at)) sort after the entire stream at
-    /// equal times, exactly as they would after a batch call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run has already started or a source is already set.
-    pub fn set_source(&mut self, src: Box<dyn WorkloadSource + Send>) {
-        assert!(!self.started, "attach the source before running");
-        assert!(self.core.source.is_none(), "an engine takes one source");
-        let total = src.total_events();
-        let base = self.env_seq;
-        self.env_seq += total;
-        self.core.source = Some(SourceState { src, base, total, packet: Packet::new() });
-    }
-
-    /// Attaches a streaming trace observer (e.g. the online consistency
-    /// checker, [`edn_core::OnlineChecker`]): every record, drop, delivery,
-    /// and controller causal edge is reported as it happens, so a
-    /// [`TraceMode::StatsOnly`] run can still be checked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run has already started.
-    pub fn set_observer(&mut self, mut observer: Box<dyn TraceObserver + Send>) {
-        assert!(!self.started, "attach the observer before running");
-        if let Some(fr) = self.core.metrics.flight.clone() {
-            observer.attach_flight_recorder(fr);
-        }
-        self.core.observer = Some(observer);
-    }
-
-    /// Runs the event loop until the queue empties or `deadline` passes.
-    ///
-    /// This is the simulation proper — the phase scale measurements time.
-    /// Turning the recorded run into a [`RunResult`] (which materializes
-    /// the network trace from the arena) is the separate
-    /// [`finish`](Engine::finish) step; [`run_until`](Engine::run_until)
-    /// does both.
-    pub fn run(&mut self, deadline: SimTime) {
-        if !self.started && self.trace_mode == TraceMode::Full {
-            let (slot, trace) = recorder::record_in_front(self.core.observer.take());
-            self.core.observer = Some(slot);
-            self.trace = Some(trace);
-        }
-        self.started = true;
-        self.core.run(deadline);
-    }
-
     /// Finalizes a run: hands back the recorded trace (empty under
     /// [`TraceMode::StatsOnly`]), statistics, the data plane and the
     /// telemetry registry. It writes no file: where a snapshot goes is the
     /// caller's decision ([`Registry::write_out`]).
-    pub fn finish(self) -> RunResult<D> {
-        let mut core = self.core;
-        let metrics_on = core.metrics.on;
+    pub fn finish(mut self) -> RunResult<D> {
+        let metrics_on = self.metrics.on;
         let mut metrics = Registry::new();
         if metrics_on {
-            core.metrics.contribute(&mut metrics);
-            metrics::contribute_stats(&mut metrics, &core.stats);
-            metrics::contribute_arena(&mut metrics, &core.arena);
-            core.dataplane.contribute_metrics(&mut metrics);
+            self.metrics.contribute(&mut metrics);
+            metrics::contribute_stats(&mut metrics, &self.stats);
+            metrics::contribute_arena(&mut metrics, &self.arena);
+            self.dataplane.contribute_metrics(&mut metrics);
         }
-        if let Some(mut o) = core.observer.take() {
+        if let Some(mut o) = self.observer.take() {
             // Packets still in flight (queued past the deadline) are
             // path tips: the observer closes them out as prefixes.
             o.finish();
@@ -1293,8 +436,8 @@ impl<D: DataPlane> Engine<D> {
         }
         RunResult {
             trace: self.trace.map_or_else(NetworkTrace::default, TraceHandle::take),
-            stats: core.stats,
-            dataplane: core.dataplane,
+            stats: self.stats,
+            dataplane: self.dataplane,
             metrics,
         }
     }
@@ -1306,13 +449,13 @@ impl<D: DataPlane> Engine<D> {
         self.finish()
     }
 }
-
 /// The two-switch line and its forwarding plane, shared by the engine's
 /// test modules.
 #[cfg(test)]
 mod fixtures {
     use super::*;
-    use netkat::PacketArena;
+    use crate::logic::CtrlMsg;
+    use crate::source::SourceEvent;
 
     /// Hosts 100 and 200 on port 2 of switches 1 and 2, joined port 1 to
     /// port 1 by a 50 µs link.
@@ -1370,14 +513,59 @@ mod fixtures {
             out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
         }
     }
+
+    /// Ten default-size probes from host 100, one a millisecond, probe
+    /// `i` tagged `vlan = i`.
+    pub(super) fn probes() -> Vec<(SimTime, u64, Packet, u32)> {
+        (0..10)
+            .map(|i| {
+                let packet = Packet::new().with(netkat::Field::Vlan, i);
+                (SimTime::from_millis(i), 100, packet, DEFAULT_PACKET_SIZE)
+            })
+            .collect()
+    }
+
+    /// Streams a fixed list of injections `(time, host, packet, size)`,
+    /// given in time order, numbered in that order: the source twin of
+    /// [`Engine::inject_batch`] over the same list.
+    pub(super) struct Scripted {
+        items: Vec<(SimTime, u64, Packet, u32)>,
+        next: usize,
+    }
+
+    impl Scripted {
+        pub(super) fn new(items: Vec<(SimTime, u64, Packet, u32)>) -> Scripted {
+            Scripted { items, next: 0 }
+        }
+    }
+
+    impl WorkloadSource for Scripted {
+        fn total_events(&self) -> u64 {
+            self.items.len() as u64
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.items.get(self.next).map(|item| item.0)
+        }
+
+        fn next_event(&mut self, packet: &mut Packet) -> Option<SourceEvent> {
+            let (time, host, pk, size) = self.items.get(self.next)?;
+            packet.clone_from(pk);
+            let seq = self.next as u64;
+            self.next += 1;
+            Some(SourceEvent { time: *time, seq, host: *host, size: *size })
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::fixtures::{topo, traced, Msg, PerSwitch};
+    use super::fixtures::{probes, topo, traced, Msg, PerSwitch, Scripted};
     use super::*;
     use crate::logic::SinkHosts;
-    use netkat::{Field, PacketArena};
+    use crate::stats::DropReason;
+    use edn_obs::FlightRecorder;
+    use netkat::Field;
 
     /// A trivial data plane: forward everything out port 1, notify on vlan=9.
     struct Fwd1;
@@ -1495,9 +683,17 @@ mod tests {
 
     #[test]
     fn deliver_to_an_unknown_switch_neither_panics_nor_records_a_cause() {
+        /// How a switch that hears a command answers it.
+        #[derive(Clone, Copy)]
+        enum Answer {
+            Notify,
+            Timer,
+        }
         /// Notifies from switch 1 and has the controller command switch 99,
         /// which the topology does not have.
-        struct Stray;
+        struct Stray {
+            answer: Option<Answer>,
+        }
         impl DataPlane for Stray {
             type Msg = ();
             fn step(
@@ -1518,14 +714,120 @@ mod tests {
             fn on_notify(&mut self, msg: Self::Msg, _: SimTime, out: &mut PlaneOut<Self::Msg>) {
                 out.deliveries.push((SimTime::ZERO, 99, msg));
             }
+            fn deliver(
+                &mut self,
+                sw: u64,
+                msg: Self::Msg,
+                _: SimTime,
+                out: &mut PlaneOut<Self::Msg>,
+            ) {
+                match self.answer {
+                    Some(Answer::Notify) => out.notifications.push(msg),
+                    Some(Answer::Timer) => out.timers.push((SimTime::ZERO, sw)),
+                    None => {}
+                }
+            }
         }
-        let mut e = traced(topo(), SimParams::default(), Stray, Box::new(SinkHosts));
-        // The second packet crosses both switches after the command landed.
-        e.inject_at(SimTime::ZERO, 100, Packet::new().with(Field::Vlan, 1));
-        e.inject_at(SimTime::from_millis(10), 100, Packet::new().with(Field::Vlan, 2));
+        for answer in [None, Some(Answer::Notify), Some(Answer::Timer)] {
+            let mut e = traced(topo(), SimParams::default(), Stray { answer }, Box::new(SinkHosts))
+                .with_metrics(MetricsLevel::Full);
+            let flight = e.flight_recorder().expect("full level attaches the recorder");
+            // The second packet crosses both switches after the command landed.
+            e.inject_at(SimTime::ZERO, 100, Packet::new().with(Field::Vlan, 1));
+            e.inject_at(SimTime::from_millis(10), 100, Packet::new().with(Field::Vlan, 2));
+            let r = e.run_until(SimTime::from_secs(1));
+            assert_eq!(r.stats.delivered_packets, 2);
+            assert!(
+                r.trace.extra_edges().is_empty(),
+                "no switch of the topology was told anything"
+            );
+            assert!(
+                flight.dump_json().contains("\"kind\": \"drop\", \"node\": 99"),
+                "the lost command is in the flight ring"
+            );
+        }
+    }
+
+    #[test]
+    fn a_timer_for_a_node_outside_the_topology_is_dropped() {
+        /// Asks for a timer at switch 99, which the topology does not have,
+        /// on every packet's first hop.
+        #[derive(Default)]
+        struct StrayTimer {
+            fired: u64,
+        }
+        impl DataPlane for StrayTimer {
+            type Msg = ();
+            fn step(
+                &mut self,
+                sw: u64,
+                _: u64,
+                packet: PacketId,
+                from_host: bool,
+                _: SimTime,
+                _: &mut PacketArena,
+                out: &mut PlaneOut<Self::Msg>,
+            ) {
+                out.outputs.push((if sw == 1 { 1 } else { 2 }, packet));
+                if from_host {
+                    out.timers.push((SimTime::from_millis(5), 99));
+                }
+            }
+            fn on_timer(&mut self, _: u64, _: SimTime, _: &mut PlaneOut<Self::Msg>) {
+                self.fired += 1;
+            }
+        }
+        let mut e =
+            Engine::new(topo(), SimParams::default(), StrayTimer::default(), Box::new(SinkHosts))
+                .with_metrics(MetricsLevel::Full);
+        let flight = e.flight_recorder().expect("full level attaches the recorder");
+        e.inject_at(SimTime::ZERO, 100, Packet::new());
         let r = e.run_until(SimTime::from_secs(1));
-        assert_eq!(r.stats.delivered_packets, 2);
-        assert!(r.trace.extra_edges().is_empty(), "no switch of the topology was told anything");
+        assert_eq!(r.stats.delivered_packets, 1);
+        assert_eq!(r.dataplane.fired, 0, "no node of the topology asked for a timer");
+        assert_eq!(r.metrics.counter("engine.dispatch.timer"), Some(0));
+        assert!(flight.dump_json().contains("\"kind\": \"drop\", \"node\": 99"));
+    }
+
+    #[test]
+    fn an_observer_attached_before_the_metrics_level_gets_the_flight_recorder() {
+        /// Logs every record into the flight recorder it was handed, if any.
+        struct Probe(Option<FlightRecorder>);
+        impl TraceObserver for Probe {
+            fn record(&mut self, idx: usize, _: &Packet, _: Loc, _: Option<usize>) {
+                if let Some(fr) = &self.0 {
+                    fr.record(FlightEvent {
+                        t_us: 0,
+                        seq: 0,
+                        kind: "probe",
+                        node: idx as u64,
+                        depth: 0,
+                    });
+                }
+            }
+            fn edge(&mut self, _: usize, _: usize) {}
+            fn cause(&mut self, _: usize) {}
+            fn leaf(&mut self, _: usize, _: edn_core::LeafKind) {}
+            fn retire(&mut self, _: usize) {}
+            fn finish(&mut self) {}
+            fn attach_flight_recorder(&mut self, recorder: FlightRecorder) {
+                self.0 = Some(recorder);
+            }
+        }
+        // Alone in the observer slot, and behind the trace recorder.
+        for mode in [TraceMode::StatsOnly, TraceMode::Full] {
+            let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts))
+                .with_trace_mode(mode);
+            e.set_observer(Box::new(Probe(None)));
+            let mut e = e.with_metrics(MetricsLevel::Full);
+            let flight = e.flight_recorder().expect("full level attaches the recorder");
+            e.inject_at(SimTime::ZERO, 100, Packet::new());
+            e.run_until(SimTime::from_secs(1));
+            assert!(
+                flight.dump_json().contains("\"probe\""),
+                "{mode:?}: the observer has no recorder"
+            );
+        }
     }
 
     #[test]
@@ -1614,20 +916,27 @@ mod tests {
         // `run` pops the first event past the deadline to notice it is
         // past the horizon; it must put it back so a later `run` call
         // still fires it.
-        let split = |d1: u64| {
+        // The same injections streamed from a source must resume the same
+        // way: the source's events past the deadline wait in the source.
+        let split = |streamed: bool, d1: u64| {
             let mut e = traced(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
-            for i in 0..10 {
-                e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
+            if streamed {
+                e.set_source(Box::new(Scripted::new(probes())));
+            } else {
+                for i in 0..10 {
+                    e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
+                }
             }
             e.run(SimTime::from_millis(d1));
             e.run(SimTime::from_secs(1));
             let r = e.finish();
             (r.trace, r.stats)
         };
-        let whole = split(1_000_000); // first run covers everything
+        let whole = split(false, 1_000_000); // first run covers everything
         assert!(!whole.0.is_empty(), "the reference run records a trace");
         for d1 in [0, 3, 5] {
-            assert_eq!(split(d1), whole, "resumed run diverged at split {d1}ms");
+            assert_eq!(split(false, d1), whole, "resumed run diverged at split {d1}ms");
+            assert_eq!(split(true, d1), whole, "resumed streamed run diverged at split {d1}ms");
         }
     }
 
@@ -1729,20 +1038,25 @@ mod tests {
 
     #[test]
     fn run_can_resume_with_packets_in_flight_on_a_link() {
-        let split = |d1: u64| {
+        let split = |streamed: bool, d1: u64| {
             let mut e = traced(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
-            for i in 0..10 {
-                e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
+            if streamed {
+                e.set_source(Box::new(Scripted::new(probes())));
+            } else {
+                for i in 0..10 {
+                    e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
+                }
             }
             e.run(SimTime::from_millis(d1));
             e.run(SimTime::from_secs(1));
             let r = e.finish();
             (r.trace, r.stats)
         };
-        let whole = split(1_000_000);
+        let whole = split(false, 1_000_000);
         assert!(!whole.0.is_empty(), "the reference run records a trace");
         for d1 in [0, 3, 5] {
-            assert_eq!(split(d1), whole, "resumed run diverged at split {d1}ms");
+            assert_eq!(split(false, d1), whole, "resumed run diverged at split {d1}ms");
+            assert_eq!(split(true, d1), whole, "resumed streamed run diverged at split {d1}ms");
         }
     }
 
@@ -1812,7 +1126,8 @@ mod failure_tests {
     use super::fixtures::{topo, traced, PerSwitch};
     use super::*;
     use crate::logic::SinkHosts;
-    use netkat::{Field, PacketArena};
+    use crate::stats::DropReason;
+    use netkat::Field;
 
     #[test]
     fn failed_link_drops_only_after_its_time() {
@@ -2029,6 +1344,7 @@ mod metrics_tests {
 
 #[cfg(test)]
 mod timeline_props {
+    use super::build::{timeline_at, timeline_set, Timeline};
     use super::*;
     use proptest::prelude::*;
 
@@ -2099,7 +1415,7 @@ mod channel_tests {
     use super::fixtures::{topo, Msg};
     use super::*;
     use crate::logic::SinkHosts;
-    use netkat::{Field, PacketArena};
+    use netkat::Field;
 
     /// A plane that notifies the controller on every hop at switch 1 and
     /// counts what the controller hears — loss shows up as a short count.

@@ -8,12 +8,12 @@
 //! This replaces the paper's Mininet + modified OpenFlow testbed. All
 //! behaviour is injected through the [`DataPlane`] trait (implemented by the
 //! `nes-runtime` crate both for the paper's tag-and-digest runtime and for
-//! the uncoordinated baseline). Every packet processing step is reported
-//! once, to the engine's one [`TraceObserver`] slot — the online
-//! Definition 6 checker judges a run that way — and under
+//! the uncoordinated baseline). The [`Engine`] runs one step at a time —
+//! admit the source's due events, pop the earliest event, dispatch it — and
+//! reports every packet processing step once, to its one [`TraceObserver`]
+//! slot: the online Definition 6 checker judges a run that way, and under
 //! [`TraceMode::Full`] an `edn-core` trace builder is one more observer in
-//! that slot, recording the network trace for tests that diff or check
-//! one.
+//! that slot, recording the network trace for tests that diff or check one.
 //!
 //! ```
 //! use netsim::{DataPlane, Engine, PacketArena, PacketId, PlaneOut, SimParams, SimTime,

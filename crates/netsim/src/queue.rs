@@ -256,6 +256,60 @@ impl CalendarQueue {
     }
 }
 
+/// An event's full ordering key: fire time plus the packed sequence.
+pub(crate) type EventKey = (SimTime, u64);
+
+/// The pending events: the calendar queue over their keys and the slab
+/// that holds their payloads. The slot a queued key carries is an index
+/// into this slab, and nothing outside this type sees it.
+pub(crate) struct Pending<E> {
+    queue: CalendarQueue,
+    slots: Vec<Option<E>>,
+    /// Slots whose event has been popped, reused before the slab grows.
+    free: Vec<u32>,
+}
+
+impl<E> Pending<E> {
+    pub(crate) fn new() -> Pending<E> {
+        Pending { queue: CalendarQueue::new(), slots: Vec::new(), free: Vec::new() }
+    }
+
+    /// Pending events.
+    pub(crate) fn len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Pre-sizes the slab for `extra` more events than it can hold now.
+    pub(crate) fn reserve(&mut self, extra: usize) {
+        self.slots.reserve(extra.saturating_sub(self.free.len()));
+    }
+
+    pub(crate) fn push(&mut self, time: SimTime, seq: u64, event: E) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            (self.slots.len() - 1) as u32
+        });
+        self.slots[slot as usize] = Some(event);
+        self.queue.push((time, seq, slot));
+    }
+
+    /// The key [`pop_due`](Pending::pop_due) would consider.
+    pub(crate) fn peek(&mut self) -> Option<EventKey> {
+        self.queue.peek().map(|(time, seq, _)| (time, seq))
+    }
+
+    /// Removes and returns the earliest event if it fires at or before
+    /// `deadline`; a later one stays pending. Inlined: the loop calls it
+    /// once per event.
+    #[inline]
+    pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<(EventKey, E)> {
+        let (time, seq, slot) = self.queue.pop_due(deadline)?;
+        let event = self.slots[slot as usize].take().expect("a queued slot holds its event");
+        self.free.push(slot);
+        Some(((time, seq), event))
+    }
+}
+
 /// The reference the calendar queue is diffed against: a plain binary
 /// heap over the same keys.
 #[cfg(test)]
