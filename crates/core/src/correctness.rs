@@ -12,9 +12,6 @@ use crate::nes::NetworkEventStructure;
 use crate::trace::{LocatedPacket, NetworkTrace};
 use crate::update::{check_update, UpdateSequence, UpdateViolation};
 
-/// Default bound on the length of allowed sequences searched.
-const DEFAULT_MAX_EVENTS: usize = 16;
-
 /// Why a trace is not correct with respect to an NES.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CorrectnessViolation {
@@ -54,8 +51,8 @@ impl std::error::Error for CorrectnessViolation {}
 /// Checks Definition 6: is `ntr` correct with respect to `nes`?
 ///
 /// `hint`, if given, is an event sequence tried first (runtimes know the
-/// order in which events actually fired); all allowed sequences up to an
-/// internal length bound are tried otherwise.
+/// order in which events actually fired); all allowed sequences are tried
+/// otherwise.
 ///
 /// # Errors
 ///
@@ -100,7 +97,8 @@ pub fn check_correct(
             candidates.push(h.to_vec());
         }
     }
-    for seq in nes.allowed_sequences(DEFAULT_MAX_EVENTS) {
+    // No allowed sequence is longer than the NES has events.
+    for seq in nes.allowed_sequences(nes.events().len()) {
         if !seq.is_empty() && hint != Some(seq.as_slice()) {
             candidates.push(seq);
         }

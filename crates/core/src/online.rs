@@ -48,23 +48,22 @@
 //!
 //! The configurations themselves are not kept. At
 //! [`OnlineChecker::observer`] they are folded into one
-//! configuration-masked shared rule index (`shared.rs`), built along the
-//! same prefix chains the plane deploys: per switch, the configurations'
-//! tables are split into chains of prefixes, each chain's longest table is
-//! walked *once*, and each of its rules becomes one entry under the mask of
-//! the members long enough to hold it, behind one map per pattern signature
-//! keyed by the pattern's values; per link, link source and host the mask
-//! of the configurations that have it, written once per distinct topology.
-//! The configurations of an NES share nearly all their rules (a 20-update
-//! fat-tree(8) campaign installs 199,940 rules that are 10,240 entries, in
-//! 80 chains), so set-up visits 10,240 rules, not 199,940 — it does not
-//! grow with the number of configurations. A record costs one link probe or
-//! one probe per signature through a zero-copy view of the parent's packet,
-//! and then, per chain, the matching entry nearest the top of the table
-//! wins for every member it reaches: each member of a chain is a prefix of
-//! its longest table, so no position is kept per configuration. Each
-//! winner's actions are applied once, and the rest is mask arithmetic —
-//! whatever the number of configurations.
+//! configuration-masked shared index (`shared.rs`) that reads the tables
+//! through the plane's own first-match index, netkat's `ChainTables`: per
+//! switch, the configurations' tables are split into chains of prefixes and
+//! each chain's longest table is indexed *once*; per link, link source and
+//! host the mask of the configurations that have it, written once per
+//! distinct topology. The configurations of an NES share nearly all their
+//! rules (a 20-update fat-tree(8) campaign installs 199,940 rules that are
+//! 10,240 indexed rules, in 80 chains), so set-up indexes 10,240 rules, not
+//! 199,940 — it does not grow with the number of configurations. A record
+//! costs one link probe or one index walk per chain through a zero-copy
+//! view of the parent's packet: the chain's first match is the first match
+//! of every member long enough to hold it, and the shorter members match
+//! nothing — each member of a chain is a prefix of its longest table, so no
+//! position is kept per configuration. Each winner's actions are applied
+//! once, and the rest is mask arithmetic — whatever the number of
+//! configurations.
 //!
 //! Event firings replay the SWITCH rule greedily: an unfired event located
 //! at a record's port fires there when the packet matches and some enabling
@@ -913,11 +912,11 @@ impl TraceObserver for OnlineChecker {
         reg.gauge_max(Scope::Sim, "checker.watched_leaves_hw", t.watched_leaves_hw);
         reg.counter_add(Scope::Sim, "checker.fired_events", t.fired_events);
         // `Shard` scope, like the plane's `flowindex.*` layout gauges: the
-        // index's shape is a property of this build, not of the run.
-        let (chains, rules, shapes) = self.inner.index.size();
+        // index's size is a property of this build, not of the run.
+        let (chains, rules, layouts) = self.inner.index.size();
         reg.gauge_max(Scope::Shard, "checker.index_chains", chains as u64);
         reg.gauge_max(Scope::Shard, "checker.index_rules", rules as u64);
-        reg.gauge_max(Scope::Shard, "checker.index_shapes", shapes as u64);
+        reg.gauge_max(Scope::Shard, "checker.index_layouts", layouts as u64);
         // How far the node ring and the packet pool grew, and how many
         // records could not share their parent's packet: kept with them,
         // out of the `Sim` section whose contents tests pin across builds.
@@ -1267,6 +1266,62 @@ mod tests {
         .unwrap();
         assert_eq!(nes.event_sets().len(), 65);
         assert_eq!(OnlineChecker::observer(&nes).err(), Some(OnlineViolation::CapacityExceeded));
+    }
+
+    /// A chain of `n` events at the firewall's switch: event `i` is a
+    /// packet for destination `i` arriving at 1:2, and after `k` events the
+    /// table forwards destinations `0..=k` from port 2 to port 3. Each
+    /// table extends the one before, so the `n + 1` configurations are one
+    /// prefix chain.
+    fn event_chain_nes(n: usize) -> NetworkEventStructure {
+        let route = |dst: u64| {
+            Rule::new(
+                Match::new().with(Field::Port, 2).with(Field::IpDst, dst),
+                ActionSet::single(Action::assign(Field::Port, 3)),
+            )
+        };
+        let routes = FlowTable::from_rules((0..=n as u64).map(route));
+        let config = |k: usize| {
+            let mut c = Config::new();
+            c.install(1, routes.prefix(k + 1));
+            c.add_host(100, Loc::new(1, 2));
+            c.add_host(101, Loc::new(1, 3));
+            c
+        };
+        let events: Vec<Event> = (0..n)
+            .map(|i| {
+                Event::new(EventId::new(i), Pred::test(Field::IpDst, i as u64), Loc::new(1, 2))
+            })
+            .collect();
+        let prefixes: Vec<EventSet> = (0..=n).map(|k| (0..k).map(EventId::new).collect()).collect();
+        NetworkEventStructure::new(
+            EventStructure::new(events, prefixes.iter().copied()),
+            prefixes.iter().enumerate().map(|(k, &x)| (x, config(k))),
+        )
+        .unwrap()
+    }
+
+    /// Each event's trigger crosses the switch under the configuration
+    /// before it, in event order: correct at any chain length, in both
+    /// checkers. At 63 events the 64 configurations are one chain of 64
+    /// members, the widest mask the index holds.
+    #[test]
+    fn a_chain_of_more_than_sixteen_events_is_correct_in_both_checkers() {
+        for n in [17, 63] {
+            let nes = event_chain_nes(n);
+            let mut recs: Vec<Rec> = Vec::new();
+            for i in 0..n {
+                let pk = Packet::new().with(Field::IpDst, i as u64);
+                let at = recs.len();
+                recs.push((pk.clone(), (100, 0), None, None));
+                recs.push((pk.clone(), (1, 2), Some(at), None));
+                recs.push((pk.clone(), (1, 3), Some(at + 1), None));
+                recs.push((pk, (101, 0), Some(at + 2), Some(LeafKind::Delivered)));
+            }
+            let (verdict, telemetry) = agree(&nes, &recs);
+            assert_eq!(verdict, Ok(()), "{n} events");
+            assert_eq!(telemetry.fired_events, n as u64);
+        }
     }
 
     #[test]

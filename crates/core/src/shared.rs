@@ -1,4 +1,4 @@
-//! The configuration-masked shared rule index: the trace-membership NFA of
+//! The configuration-masked shared index: the trace-membership NFA of
 //! [`Config::admits_trace`] stepped for *every* configuration of a network
 //! event structure at once.
 //!
@@ -7,26 +7,17 @@
 //! rule's actions — which is the redundancy Section 5.3 of the paper
 //! removes on the switch by installing a shared rule once under a
 //! configuration mask. [`SharedIndex`] does the same on the checker's read
-//! side, and is built the way the plane deploys: along *prefix chains*.
-//! Built once from up to 64 configurations, it holds
+//! side, through the index the plane deploys. Built once from up to 64
+//! configurations, it holds
 //!
-//! - per switch, the configurations' tables split into prefix chains
-//!   ([`prefix_chains`], the walk `nes-runtime`'s deployment does per tag).
-//!   A chain's longest table is kept (a reference count; no rule is copied)
-//!   and each of its rules becomes one *entry* `(chain, at, mask)`: rule
-//!   `at` of that table, under the `u64` mask of the members long enough to
-//!   hold it. Twenty configurations that each add a rule to their
-//!   predecessor cost one walk of the last one's table, not twenty-one
-//!   walks. Entries are found through one map per pattern signature (the
-//!   set of matched fields), keyed by the pattern's values: by the value
-//!   itself when the signature has at most one field, so a hit is a match,
-//!   and by a fingerprint, confirmed against the packet, when it is wider.
-//!   Beside them sits the mask of the configurations in which the switch is
-//!   a host and so applies no table. The entries and maps — the switch's
-//!   *shape* — depend on the chains' patterns and their members' lengths
-//!   alone, so switches that agree on both share one, built once: on a
-//!   generated topology every untouched switch routes the same patterns in
-//!   the same order. Each keeps its own chains, and so its own actions;
+//! - the configurations' tables as netkat's [`ChainTables`], one row per
+//!   switch and one column per configuration: each switch's tables split
+//!   into prefix chains, each chain's longest table indexed once (tables
+//!   that test the same patterns share one layout), and per configuration
+//!   a `(chain, len)` cell. Twenty configurations that each add a rule to
+//!   their predecessor cost one index of the last one's table, not twenty;
+//! - per switch, its row and the mask of the configurations in which it is
+//!   a host and so applies no table;
 //! - per link, per link source and per host, the mask of the
 //!   configurations that have it. Configurations are grouped by topology
 //!   first (`Config::same_topology`, a pointer compare for the clones a
@@ -34,21 +25,18 @@
 //!   group's mask.
 //!
 //! **A winner per chain.** Every member of a chain is a prefix of its
-//! longest table, and an entry's mask shrinks as `at` grows. So among the
-//! entries of one chain that match a packet, the one with the smallest
-//! `at` is the first match of exactly the members longer than `at` — its
-//! mask — and the members it misses match nothing: every entry they hold
-//! lies before it. Restricted to the configurations still live, the same
-//! holds for the smallest `at` whose mask meets them. The chains partition
-//! the configurations, so the winners' masks are disjoint, and no position
-//! is kept per configuration: a rule that two chains hold is two entries,
-//! and a rule a chain repeats is two entries of which the later never wins.
+//! longest table. So if that table's first match for a packet is rule
+//! `at`, it is the first match of exactly the members longer than `at`,
+//! and the shorter members match nothing: every rule they hold lies before
+//! it. [`ChainTables::first_matches`] walks each chain's index once and
+//! hands over that rule under the mask of the wanted members longer than
+//! `at`; the chains partition the configurations, so the masks are
+//! disjoint, and no position is kept per configuration.
 //!
 //! A path's NFA state under all configurations is a [`MaskedState`]: three
 //! masks, one bit per configuration, in place of one 3-bit state each.
-//! A hop is then one link probe, one probe per signature through a
-//! zero-copy [`LocatedView`], the winner of each chain kept among the
-//! handful of entries that match, each winner's actions applied once — and
+//! A hop is then one link probe, one index walk per chain through a
+//! zero-copy [`LocatedView`], each winner's actions applied once — and
 //! mask arithmetic. The packet comparison a hop needs (`a == b`,
 //! for the link crossing and for an action that leaves the headers alone)
 //! is made by the caller, once, and passed in as `same`. [`Config`]'s own
@@ -58,20 +46,12 @@
 //! rewrites, with `same` computed the way the checker computes it.
 
 use std::collections::HashMap;
-use std::hash::Hasher;
-use std::sync::Arc;
 
-use netkat::{
-    prefix_chains, Action, Distinct, Field, FieldReader, FlowTable, FxBuildHasher, FxHasher, Loc,
-    LocatedView, Packet, Rule,
-};
+use netkat::{Action, ChainTables, Field, FlowTable, FxBuildHasher, Loc, LocatedView, Packet};
 
 use crate::config::Config;
 
 pub(crate) type FxMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// "No entry": the end of a candidate list.
-const NONE: u32 = u32::MAX;
 
 /// The trace-membership NFA state of one packet path under every
 /// configuration at once: bit `i` of each mask is the corresponding
@@ -87,165 +67,6 @@ impl MaskedState {
     /// The configurations that have not rejected the path.
     pub(crate) fn live(self) -> u64 {
         self.at_host | self.ingress | self.egress
-    }
-}
-
-/// Rule `at` of chain `chain`'s longest table, held by the members in
-/// `mask` — those longer than `at` — and not a copy of it.
-struct Entry {
-    chain: u32,
-    at: u32,
-    mask: u64,
-    /// The next entry under the same key of the same signature.
-    next: u32,
-}
-
-/// The entries whose patterns test one set of fields.
-struct Signature {
-    fields: Vec<Field>,
-    /// Key ([`key`]) to the head of the list of entries carrying it.
-    heads: FxMap<u64, u32>,
-}
-
-/// The key of a pattern whose signature carries `values`, one per field;
-/// `None` if a field has no value (a packet that lacks a field matches no
-/// pattern testing it). At most one field is keyed by its value (no field
-/// by 0), so equal keys are equal patterns; wider keys are fingerprints,
-/// which may collide.
-fn key(width: usize, mut values: impl Iterator<Item = Option<u64>>) -> Option<u64> {
-    if width <= 1 {
-        return values.next().unwrap_or(Some(0));
-    }
-    let mut h = FxHasher::default();
-    for v in values {
-        h.write_u64(v?);
-    }
-    Some(h.finish())
-}
-
-/// What one switch's prefix chains' patterns and their members' lengths
-/// decide: one entry per rule of each chain's longest table, and the
-/// signature maps that find them. Actions play no part in it, so switches
-/// whose chains test the same patterns under the same members — every
-/// untouched switch of a generated topology — share one ([`Distinct`]).
-#[derive(Default)]
-struct Shape {
-    entries: Vec<Entry>,
-    sigs: Vec<Signature>,
-    /// Rules `intern_chain` was handed: one per rule of each chain's
-    /// longest table.
-    #[cfg(test)]
-    visits: usize,
-}
-
-/// What a [`Shape`] is built from: a switch's chains, and per
-/// configuration its chain and how many of that chain's rules its table
-/// holds.
-type ShapeKey = (Vec<FlowTable>, Vec<(u32, u32)>);
-
-impl Shape {
-    /// The shape of `chains` under `members` ([`ShapeKey`]).
-    fn build(chains: &[FlowTable], members: &[(u32, u32)]) -> Shape {
-        let mut shape = Shape::default();
-        for (chain, longest) in chains.iter().enumerate() {
-            let chain = chain as u32;
-            let own = members.iter().enumerate().filter(|(_, &(c, _))| c == chain);
-            shape.intern_chain(chain, longest, own.map(|(cfg, &(_, len))| (cfg, len as usize)));
-        }
-        shape
-    }
-
-    /// Enters one prefix chain of the configurations' tables: each rule of
-    /// `longest` under the configurations whose member table reaches it —
-    /// `members` are `(configuration, rule count)`.
-    fn intern_chain(
-        &mut self,
-        chain: u32,
-        longest: &FlowTable,
-        members: impl Iterator<Item = (usize, usize)>,
-    ) {
-        // `ends[len]`: the members of `len` rules, which hold none from there on.
-        let mut ends = vec![0u64; longest.len() + 1];
-        members.for_each(|(cfg, len)| ends[len] |= 1 << cfg);
-        let mut mask = ends.iter().fold(0, |all, ending| all | ending);
-        self.entries.reserve(longest.len());
-        let mut sig = usize::MAX;
-        for (at, rule) in longest.iter().enumerate() {
-            #[cfg(test)]
-            {
-                self.visits += 1;
-            }
-            mask &= !ends[at];
-            // Neighbouring rules mostly test the same fields: the last
-            // signature is tried first. A chain reaching a signature sizes
-            // its map for the rest of the chain, so it grows at most once.
-            let fields = || rule.pattern.iter().map(|(f, _)| f);
-            if !self.sigs.get(sig).is_some_and(|s| s.fields.iter().copied().eq(fields())) {
-                sig = match self.sigs.iter().position(|s| s.fields.iter().copied().eq(fields())) {
-                    Some(sig) => sig,
-                    None => {
-                        let fields = fields().collect();
-                        self.sigs.push(Signature { fields, heads: FxMap::default() });
-                        self.sigs.len() - 1
-                    }
-                };
-                self.sigs[sig].heads.reserve(longest.len() - at);
-            }
-            let values = rule.pattern.iter().map(|(_, v)| Some(v));
-            let key = key(rule.pattern.len(), values).expect("a pattern has its fields' values");
-            let e = self.entries.len() as u32;
-            let head = self.sigs[sig].heads.entry(key).or_insert(NONE);
-            self.entries.push(Entry { chain, at: at as u32, mask, next: *head });
-            *head = e;
-        }
-    }
-}
-
-/// One switch's tables across all configurations: its chains' rules and
-/// the [`Shape`] that indexes them.
-struct SwitchRules {
-    /// The configurations in which this switch is a host: none of them
-    /// applies its table.
-    hosts: u64,
-    /// The longest table of each prefix chain the configurations' tables
-    /// fall into ([`prefix_chains`]); the rules live here.
-    chains: Vec<FlowTable>,
-    shape: Arc<Shape>,
-}
-
-impl SwitchRules {
-    fn rule(&self, e: &Entry) -> &Rule {
-        self.chains[e.chain as usize].rule(e.at as usize)
-    }
-
-    /// Resolves, for the configurations in `want`, the first rule of their
-    /// table that matches `view`: one entry per chain in `out`, which wins
-    /// its `mask & want`. Configurations whose table matches nothing are in
-    /// no winner's mask.
-    fn winners<R: FieldReader>(&self, view: &R, want: u64, out: &mut Vec<u32>) {
-        out.clear();
-        // One chain's candidates may sit under two signatures: every
-        // signature is probed before a winner is final.
-        let entries = &self.shape.entries;
-        for sig in &self.shape.sigs {
-            let Some(key) = key(sig.fields.len(), sig.fields.iter().map(|&f| view.read(f))) else {
-                continue;
-            };
-            let Some(&head) = sig.heads.get(&key) else { continue };
-            let exact = sig.fields.len() <= 1;
-            let mut e = head;
-            while e != NONE {
-                let entry = &entries[e as usize];
-                if entry.mask & want != 0 && (exact || self.rule(entry).pattern.matches_on(view)) {
-                    match out.iter_mut().find(|w| entries[**w as usize].chain == entry.chain) {
-                        Some(w) if entries[*w as usize].at > entry.at => *w = e,
-                        Some(_) => {}
-                        None => out.push(e),
-                    }
-                }
-                e = entry.next;
-            }
-        }
     }
 }
 
@@ -281,14 +102,16 @@ fn emits(
 
 /// See the module docs.
 pub(crate) struct SharedIndex {
-    switches: FxMap<u64, SwitchRules>,
-    /// How many distinct [`Shape`]s the switches share.
-    shapes: usize,
+    /// Row `r` is switch `r` of the sorted switches; column `c` is
+    /// configuration `c`.
+    tables: ChainTables,
+    /// Switch → its row in `tables`, and the configurations in which it is
+    /// a host: none of them applies its table.
+    switches: FxMap<u64, (usize, u64)>,
     links: FxMap<(Loc, Loc), u64>,
     link_srcs: FxMap<Loc, u64>,
     hosts: FxMap<u64, u64>,
-    // Reused lookup buffers.
-    winners: Vec<u32>,
+    /// Reused output buffer for `emits`.
     scratch: Packet,
 }
 
@@ -303,57 +126,22 @@ impl SharedIndex {
     ///
     /// Panics if there are more than 64 configurations.
     pub(crate) fn build(configs: &[&Config]) -> SharedIndex {
-        let n = configs.len();
-        assert!(n <= 64, "a configuration mask holds 64 configurations");
-        let mut index = SharedIndex {
-            switches: FxMap::default(),
-            shapes: 0,
-            links: FxMap::default(),
-            link_srcs: FxMap::default(),
-            hosts: FxMap::default(),
-            winners: Vec::new(),
-            scratch: Packet::new(),
-        };
-        // Per switch, the configurations' tables as prefix chains: a chain's
-        // longest member is walked once, whatever the number of members, and
-        // a switch whose chains test an earlier one's patterns under the
-        // same members is not walked at all.
+        assert!(configs.len() <= 64, "a configuration mask holds 64 configurations");
         let mut switches: Vec<u64> = configs.iter().flat_map(|cfg| cfg.switches()).collect();
         switches.sort_unstable();
         switches.dedup();
-        let empty = FlowTable::new();
-        let mut tables: Vec<&FlowTable> = Vec::with_capacity(n);
-        let mut members: Vec<(u32, u32)> = Vec::with_capacity(n);
-        let mut shapes: Distinct<ShapeKey, Shape> = Distinct::default();
-        for sw in switches {
-            tables.clear();
-            tables.extend(configs.iter().map(|cfg| cfg.table(sw).unwrap_or(&empty)));
-            members.clear();
-            let mut chains = Vec::new();
-            for (longest, range) in prefix_chains(&tables) {
-                let chain = chains.len() as u32;
-                members.extend(range.map(|cfg| (chain, tables[cfg].len() as u32)));
-                chains.push(longest.clone());
-            }
-            let shape = shapes.get_or_build(
-                |(theirs, their_members)| {
-                    their_members == &members
-                        && theirs.len() == chains.len()
-                        && theirs.iter().zip(&chains).all(|(a, b)| a.same_patterns(b))
-                },
-                || {
-                    let mut h = FxHasher::default();
-                    chains.iter().for_each(|chain| h.write_u64(chain.pattern_fingerprint()));
-                    members
-                        .iter()
-                        .for_each(|&(c, len)| h.write_u64(u64::from(c) << 32 | len as u64));
-                    h.finish()
-                },
-                || ((chains.clone(), members.clone()), Shape::build(&chains, &members)),
-            );
-            index.switches.insert(sw, SwitchRules { hosts: 0, chains, shape });
-        }
-        index.shapes = shapes.len();
+        let empty = &FlowTable::new();
+        let rows = switches
+            .iter()
+            .map(|&sw| configs.iter().map(move |cfg| cfg.table(sw).unwrap_or(empty)));
+        let mut index = SharedIndex {
+            tables: ChainTables::build(configs.len(), rows),
+            switches: FxMap::default(),
+            links: FxMap::default(),
+            link_srcs: FxMap::default(),
+            hosts: FxMap::default(),
+            scratch: Packet::new(),
+        };
         // The configurations of a campaign share one topology: each distinct
         // one is written once, under the mask of the group that has it.
         let mut groups: Vec<(&Config, u64)> = Vec::new();
@@ -372,22 +160,20 @@ impl SharedIndex {
                 *index.hosts.entry(host).or_default() |= mask;
             }
         }
-        for (sw, rules) in &mut index.switches {
-            rules.hosts = mask_of(&index.hosts, sw);
-        }
+        index.switches = switches
+            .iter()
+            .enumerate()
+            .map(|(row, sw)| (*sw, (row, mask_of(&index.hosts, sw))))
+            .collect();
         index
     }
 
-    /// The index's size: `(prefix chains, entries, shapes)` — chains and
-    /// entries summed over all switches, as if none shared a shape (a rule
-    /// that two chains hold counts twice), and the distinct shapes built.
+    /// The index's size: `(prefix chains, indexed rules, layouts)` — chains
+    /// and rules summed over all switches (a rule that two chains hold
+    /// counts twice), and the distinct segment layouts their indexes share.
     pub(crate) fn size(&self) -> (usize, usize, usize) {
-        let (chains, entries) = self.switches.values().fold((0, 0), |(chains, entries), sw| {
-            (chains + sw.chains.len(), entries + sw.shape.entries.len())
-        });
-        (chains, entries, self.shapes)
+        (self.tables.chains(), self.tables.indexed_rules(), self.tables.layouts())
     }
-
     /// The state of a path that starts at `loc` (`Config::start_state`).
     pub(crate) fn start(&self, loc: Loc) -> MaskedState {
         MaskedState { at_host: mask_of(&self.hosts, &loc.sw), ingress: 0, egress: 0 }
@@ -462,22 +248,20 @@ impl SharedIndex {
         if want == 0 {
             return 0;
         }
-        let Some(sw) = self.switches.get(&a_loc.sw) else { return 0 };
-        let want = want & !sw.hosts;
+        let Some(&(row, hosts)) = self.switches.get(&a_loc.sw) else { return 0 };
         let view = LocatedView { base: a, loc: a_loc, tag: None };
-        sw.winners(&view, want, &mut self.winners);
+        let scratch = &mut self.scratch;
         let mut hit = 0;
-        for &e in &self.winners {
-            let entry = &sw.shape.entries[e as usize];
-            let mut actions = sw.rule(entry).actions.iter();
+        self.tables.first_matches(row, want & !hosts, &view, |rule, mask| {
+            let mut actions = rule.actions.iter();
             let emitted = match to {
-                Some(to) => actions.any(|act| emits(act, a, a_loc, to, &mut self.scratch)),
+                Some(to) => actions.any(|act| emits(act, a, a_loc, to, scratch)),
                 None => actions.next().is_some(),
             };
             if emitted {
-                hit |= entry.mask & want;
+                hit |= mask;
             }
-        }
+        });
         hit
     }
 }
@@ -487,7 +271,7 @@ mod tests {
     use super::*;
     use crate::config::{ST_AT_HOST, ST_EGRESS, ST_INGRESS};
     use crate::trace::LocatedPacket;
-    use netkat::{ActionSet, FlowTable, Match};
+    use netkat::{ActionSet, Match, Rule};
     use proptest::prelude::*;
 
     impl MaskedState {
@@ -824,42 +608,6 @@ mod tests {
             }
         }
 
-        // Two switches share a shape exactly when their chains test the
-        // same patterns under the same members — so a copy always shares
-        // its source's, whatever its actions — and each distinct pair is
-        // built once.
-        #[test]
-        fn a_shape_is_shared_exactly_when_patterns_and_members_are_equal(recipe in arb_family()) {
-            let family = build_family(&recipe);
-            let configs: Vec<&Config> = family.iter().collect();
-            let index = SharedIndex::build(&configs);
-            let empty = FlowTable::new();
-            let mut present = Vec::new();
-            for (i, sw) in SWITCHES.iter().enumerate() {
-                let Some(rules) = index.switches.get(sw) else { continue };
-                let tables: Vec<&FlowTable> =
-                    configs.iter().map(|cfg| cfg.table(*sw).unwrap_or(&empty)).collect();
-                let (mut patterns, mut members) = (Vec::new(), Vec::new());
-                for (chain, (longest, range)) in prefix_chains(&tables).enumerate() {
-                    patterns.push(longest.iter().map(|r| r.pattern.clone()).collect::<Vec<_>>());
-                    members.extend(range.map(|cfg| (chain, tables[cfg].len())));
-                }
-                present.push((i, rules, (patterns, members)));
-            }
-            for (i, a, key_a) in &present {
-                for (j, b, key_b) in &present {
-                    let shared = Arc::ptr_eq(&a.shape, &b.shape);
-                    prop_assert_eq!(shared, key_a == key_b, "switches {} and {}", i, j);
-                    let [(root_i, by_i, _), (root_j, by_j, _)] =
-                        [*i, *j].map(|k| source_of(&recipe.0, k));
-                    let copied = root_i == root_j && by_i == by_j;
-                    prop_assert!(!copied || shared, "switches {} and {} copy one recipe", i, j);
-                }
-            }
-            let keys: Vec<_> = present.iter().map(|(_, _, key)| key).collect();
-            let distinct = (0..keys.len()).filter(|&k| !keys[..k].contains(&keys[k])).count();
-            prop_assert_eq!(index.size().2, distinct);
-        }
     }
 
     /// A rule that forwards `pattern`'s packets to port `pt`.
@@ -1011,33 +759,11 @@ mod tests {
         );
     }
 
-    /// A two-field key is a fingerprint, and a packet that differs from a
-    /// pattern in both values can carry the same one: the hit is confirmed
-    /// against the packet, and the rule below wins. The collision is built
-    /// by undoing `FxHasher`'s last round, on a model of it checked first.
-    #[test]
-    fn a_fingerprint_hit_on_a_wide_signature_is_confirmed() {
-        let guard = Match::new().with(Field::IpSrc, 1).with(Field::IpDst, 2);
-        let (fields, values): (Vec<Field>, Vec<u64>) = guard.iter().unzip();
-        let mix = |h: u64, v: u64| (h.rotate_left(26) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let fingerprint = |vs: [u64; 2]| key(2, vs.into_iter().map(Some));
-        let own = [values[0], values[1]];
-        assert_eq!(fingerprint(own), Some(mix(mix(0, own[0]), own[1])), "the model is `key`");
-        let other = 3;
-        let twin = mix(0, own[0]).rotate_left(26) ^ own[1] ^ mix(0, other).rotate_left(26);
-        assert_eq!(fingerprint([other, twin]), fingerprint(own), "a collision");
-        let pk = Packet::new().with(fields[0], other).with(fields[1], twin);
-        assert!(!guard.matches(&pk));
-        let table = FlowTable::from_rules([fwd(guard, 1), fwd(Match::new(), 3)]);
-        let family = at_switch_one(&[Some(table.clone()), Some(table.prefix(1))]);
-        assert_winners(&family, &[pk]);
-    }
-
     /// Three switches whose chains hold the same patterns: switch 3's
-    /// members have switch 1's lengths under other actions and share its
-    /// shape; switch 2's have other lengths and do not, though each of its
-    /// chain's rules tests what switch 1's does. Each forwards by its own
-    /// actions.
+    /// members have switch 1's lengths under other actions; switch 2's have
+    /// other lengths, though each of its chain's rules tests what switch 1's
+    /// does. The three chains share one segment layout, and each switch
+    /// forwards by its own actions under its own members' lengths.
     #[test]
     fn equal_patterns_under_other_member_lengths_do_not_share_a_shape() {
         let dst = |h: u64| Match::new().with(Field::IpDst, h);
@@ -1054,9 +780,7 @@ mod tests {
             })
             .collect();
         let mut index = SharedIndex::build(&family.iter().collect::<Vec<_>>());
-        assert_eq!(index.size(), (3, 9, 2));
-        let shape = |sw: u64| &index.switches[&sw].shape;
-        assert!(Arc::ptr_eq(shape(1), shape(3)) && !Arc::ptr_eq(shape(1), shape(2)));
+        assert_eq!(index.size(), (3, 9, 1));
         let ingress = MaskedState { at_host: 0, ingress: 0b11, egress: 0 };
         let pk = Packet::new().with(Field::IpDst, 2);
         for (sw, pt, egress) in [(1, 2, 0b10), (2, 2, 0b11), (3, 3, 0b10), (3, 2, 0)] {
@@ -1087,111 +811,5 @@ mod tests {
             assert_eq!(next.bits(c), cfg.step_state(ST_INGRESS, &a, &b));
             assert_eq!(ended >> c & 1 != 0, cfg.accepts_end(ST_INGRESS, &a));
         }
-    }
-
-    impl SwitchRules {
-        /// `(chain, at, mask)` of every entry, in the order they were
-        /// entered — after checking that each sits in exactly one candidate
-        /// list, the one its pattern's values key under its signature.
-        fn layout(&self) -> Vec<(u32, u32, u64)> {
-            let shape = &self.shape;
-            let mut listed = vec![0; shape.entries.len()];
-            for sig in &shape.sigs {
-                for (&k, &head) in &sig.heads {
-                    let mut e = head;
-                    while e != NONE {
-                        let pattern = &self.rule(&shape.entries[e as usize]).pattern;
-                        assert!(pattern.iter().map(|(f, _)| f).eq(sig.fields.iter().copied()));
-                        assert_eq!(
-                            key(pattern.len(), pattern.iter().map(|(_, v)| Some(v))),
-                            Some(k)
-                        );
-                        listed[e as usize] += 1;
-                        e = shape.entries[e as usize].next;
-                    }
-                }
-            }
-            assert!(listed.iter().all(|&n| n == 1), "listed once each: {listed:?}");
-            shape.entries.iter().map(|e| (e.chain, e.at, e.mask)).collect()
-        }
-    }
-
-    /// Two chains that share two rules, one of which the first repeats: one
-    /// entry per rule of each chain, under the mask of that chain's members
-    /// that reach it — nothing is merged across chains or within one, and a
-    /// configuration without a table is a member that reaches nothing.
-    #[test]
-    fn shared_rules_are_interned_once_with_their_masks() {
-        let pool = rule_pool();
-        let table = |picks: &[usize]| FlowTable::from_rules(picks.iter().map(|&i| pool[i].clone()));
-        let mut a = Config::new();
-        a.install(1, table(&[8, 15, 8]));
-        let mut b = Config::new();
-        b.install(1, table(&[15, 8, 22]));
-        let index = SharedIndex::build(&[&a, &b, &Config::new()]);
-        assert_eq!(index.size(), (2, 6, 1), "two chains, one entry per rule of each");
-        let sw = &index.switches[&1];
-        assert_eq!(sw.shape.visits, 6);
-        assert_eq!(
-            sw.layout(),
-            [
-                (0, 0, 0b001),
-                (0, 1, 0b001),
-                (0, 2, 0b001),
-                (1, 0, 0b010),
-                (1, 1, 0b010),
-                (1, 2, 0b010)
-            ]
-        );
-        // Rule 8 is three entries: at 0 and 2 of the first chain, at 1 of
-        // the second; all three under one key of the `IpDst` signature.
-        let eights: Vec<usize> = (0..sw.shape.entries.len())
-            .filter(|&e| *sw.rule(&sw.shape.entries[e]) == pool[8])
-            .collect();
-        assert_eq!(eights, [0, 2, 4]);
-        assert_eq!(sw.shape.sigs.len(), 2, "`IpDst` and `Port`");
-        assert_eq!(sw.shape.sigs[0].heads.len(), 2, "`IpDst` = 1 and 2");
-    }
-
-    /// Five configurations, two chains: three views of one list and an equal
-    /// prefix built apart are one chain, walked once; a mid-list rewrite
-    /// (the moved-host shape) is neither a prefix nor an extension and opens
-    /// the second. `intern_chain` sees the chains' longest tables and
-    /// nothing else, and enters each of their rules once.
-    #[test]
-    fn a_chain_is_interned_once_whatever_its_members() {
-        let pool = rule_pool();
-        let table = |picks: &[usize]| FlowTable::from_rules(picks.iter().map(|&i| pool[i].clone()));
-        let whole = table(&[8, 15, 22, 8]);
-        let rewrite = table(&[8, 16, 22]);
-        let tables = [whole.prefix(1), whole.prefix(2), whole.clone(), table(&[8, 15]), rewrite];
-        let family: Vec<Config> = tables
-            .iter()
-            .map(|t| {
-                let mut cfg = Config::new();
-                cfg.install(1, t.clone());
-                cfg
-            })
-            .collect();
-        let index = SharedIndex::build(&family.iter().collect::<Vec<_>>());
-        assert_eq!(index.size(), (2, 7, 1), "two chains, one entry per rule of each");
-        let sw = &index.switches[&1];
-        assert_eq!(sw.chains.iter().map(FlowTable::len).collect::<Vec<_>>(), [4, 3]);
-        assert_eq!(sw.shape.visits, 4 + 3, "one visit per rule of each chain's longest table");
-        // A mask sheds the members as the walk passes their end: rule 15 is
-        // held by the members longer than one rule, 22 and the repeat of 8
-        // by `whole` alone. The rewrite's chain has one member.
-        assert_eq!(
-            sw.layout(),
-            [
-                (0, 0, 0b01111),
-                (0, 1, 0b01110),
-                (0, 2, 0b00100),
-                (0, 3, 0b00100),
-                (1, 0, 0b10000),
-                (1, 1, 0b10000),
-                (1, 2, 0b10000)
-            ]
-        );
     }
 }

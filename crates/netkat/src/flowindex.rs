@@ -34,8 +34,7 @@
 //! answered by a hash probe where its own index would have scanned four
 //! rules (or the reverse); which strategy answers changes, the answer does
 //! not. There is one walk: a whole-table lookup is the bound that clips
-//! nothing. A deployment whose per-tag tables extend one another compiles
-//! the longest and bounds the rest, and a second proptest holds the walk to
+//! nothing. A second proptest holds the walk to
 //! `table.prefix(len).lookup_index(pk)` for every `len`.
 //!
 //! The segments and the prefetch are the table's *layout*, and they depend
@@ -46,6 +45,16 @@
 //! own rules. A third proptest holds a layout to being shared exactly when
 //! the visible pattern sequences are equal, and the walk through a shared
 //! layout to each table's own prefix scan.
+//!
+//! [`ChainTables`] is what the rest of the workspace builds from all this:
+//! tables in rows and columns (a plane's switches by tags, a checker's
+//! switches by configurations), each row split into prefix chains, one
+//! index per chain's longest table through one layout cache, and a
+//! `(chain, len)` cell per table. The plane reads one cell per hop
+//! ([`ChainTables::lookup_on`]); the checker reads every configuration's
+//! first match at once, one walk per chain
+//! ([`ChainTables::first_matches`]). A fourth proptest pins the two queries
+//! to each other and to every cell's own [`FlowTable::lookup`].
 //!
 //! # Examples
 //!
@@ -67,8 +76,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::field::{Field, Value};
-use crate::flowtable::{FlowTable, Rule};
-use crate::hash::Distinct;
+use crate::flowtable::{prefix_chains, FlowTable, Rule};
+use crate::hash::FxBuildHasher;
 use crate::packet::{FieldReader, Packet};
 
 /// Minimum run length worth a hash segment; shorter runs scan faster than
@@ -212,11 +221,10 @@ struct Layout {
 /// reference count, see [`FlowTable`] — no rule is copied, and a lookup
 /// reaches a rule through the same two loads a `Vec` would take), its probe
 /// counters, and the segment index over the rules the table holds, which
-/// tables with the same patterns may share ([`LayoutCache`]). Lookup
-/// results are *identical* to the source table's — see the module docs for
-/// the construction and the differential tests — and
-/// [`lookup_within`](CompiledTable::lookup_within) answers for any of the
-/// table's prefixes from the same index.
+/// tables with the same patterns may share ([`ChainTables`] builds them so).
+/// Lookup results are *identical* to the source table's — see the module
+/// docs for the construction and the differential tests — and the same
+/// index answers for any of the table's prefixes ([`ChainTables`]' cells).
 #[derive(Clone, Default)]
 pub struct CompiledTable {
     /// The source table's list; only `rules[..len]` is indexed.
@@ -246,37 +254,226 @@ impl fmt::Debug for CompiledTable {
     }
 }
 
+/// "No layout": the end of a [`LayoutCache`] candidate list.
+const NONE: u32 = u32::MAX;
+
 /// Compiles tables, building one layout per distinct pattern sequence.
 ///
 /// A table whose patterns equal an earlier table's, rule for rule
 /// ([`FlowTable::same_patterns`]), gets that table's layout; its rules and
 /// counters stay its own, so every lookup answers exactly as
-/// [`CompiledTable::compile`] would. Candidates are found by
-/// [`FlowTable::pattern_fingerprint`] and confirmed by comparison
-/// ([`Distinct`]).
+/// [`CompiledTable::compile`] would. The candidate is the layout the
+/// previous table got — tables come in topology order, where most repeat
+/// their predecessor's patterns — or one found by
+/// [`FlowTable::pattern_fingerprint`], and it is taken only if the
+/// comparison accepts it: a fingerprint alone may collide, and would hand
+/// one table another's forwarding.
 #[derive(Debug, Default)]
-pub struct LayoutCache(Distinct<FlowTable, Layout>);
+pub(crate) struct LayoutCache {
+    /// Fingerprint → the last layout built under it.
+    heads: HashMap<u64, u32, FxBuildHasher>,
+    /// Each layout, the table it was built from, and the layout built
+    /// before it under the same fingerprint ([`NONE`] for none).
+    built: Vec<(FlowTable, Arc<Layout>, u32)>,
+    /// The layout the previous call returned.
+    last: usize,
+}
 
 impl LayoutCache {
     /// Compiles `table`, on an earlier table's layout if their patterns
     /// are equal.
-    pub fn compile(&mut self, table: &FlowTable) -> CompiledTable {
-        let layout = self.0.get_or_build(
-            |first| first.same_patterns(table),
-            || table.pattern_fingerprint(),
-            || (table.clone(), Layout::build(table)),
-        );
-        CompiledTable::on_layout(table, layout)
+    pub(crate) fn compile(&mut self, table: &FlowTable) -> CompiledTable {
+        if !self.built.get(self.last).is_some_and(|(first, _, _)| first.same_patterns(table)) {
+            let head = self.heads.entry(table.pattern_fingerprint()).or_insert(NONE);
+            let mut at = *head;
+            while at != NONE && !self.built[at as usize].0.same_patterns(table) {
+                at = self.built[at as usize].2;
+            }
+            if at == NONE {
+                self.built.push((table.clone(), Arc::new(Layout::build(table)), *head));
+                at = (self.built.len() - 1) as u32;
+                *head = at;
+            }
+            self.last = at as usize;
+        }
+        CompiledTable::on_layout(table, Arc::clone(&self.built[self.last].1))
     }
 
     /// How many distinct layouts have been built.
-    pub fn len(&self) -> usize {
-        self.0.len()
+    pub(crate) fn len(&self) -> usize {
+        self.built.len()
+    }
+}
+
+/// Tables in rows and columns — a plane's switches by tags, a checker's
+/// switches by configurations — stored as *prefix chains*: each row's
+/// tables, in column order, split where one neither extends the longest
+/// so far nor is a prefix of it. A chain's longest table is compiled once
+/// (through one layout cache for all rows, so chains that test the same
+/// patterns share one segment layout) and a cell is `(chain, len)`,
+/// so the guard "column `c` holds rule `k`" is the bound `k < len` and no
+/// rule is copied per column.
+///
+/// Two queries read the same index: [`lookup_on`](ChainTables::lookup_on),
+/// one cell's first match, for a plane's hop; and
+/// [`first_matches`](ChainTables::first_matches), the first match of every
+/// column in a mask, one walk per chain, for a checker's.
+///
+/// # Examples
+///
+/// ```
+/// use netkat::{ActionSet, ChainTables, Field, FlowTable, Match, Packet, Rule};
+/// let rule = |h| Rule::new(Match::new().with(Field::IpDst, h), ActionSet::pass());
+/// let whole = FlowTable::from_rules((0..4).map(rule));
+/// // One row, three columns: two views of one list and a table of its own.
+/// let row = [whole.prefix(2), whole.clone(), FlowTable::from_rules([rule(9)])];
+/// let tables = ChainTables::build(3, std::iter::once(row.iter()));
+/// assert_eq!((tables.chains(), tables.indexed_rules()), (2, 5));
+/// let pk = Packet::new().with(Field::IpDst, 3);
+/// assert_eq!(tables.lookup_on(0, 0, &pk), None);
+/// assert_eq!(tables.lookup_on(0, 1, &pk), Some(&rule(3)));
+/// let mut won = Vec::new();
+/// tables.first_matches(0, 0b111, &pk, |rule, mask| won.push((rule.clone(), mask)));
+/// assert_eq!(won, [(rule(3), 0b010)]);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct ChainTables {
+    chains: Vec<Chain>,
+    /// `cells[row * columns + column]` → `(chain, how many of its rules the
+    /// column's table holds)`: a lookup's dispatch is one multiply and two
+    /// array reads.
+    cells: Vec<(u32, u32)>,
+    /// Row width of `cells`.
+    columns: usize,
+    /// How many distinct layouts the chains' indexes share.
+    layouts: usize,
+}
+
+/// One prefix chain of a row.
+#[derive(Clone, Debug)]
+struct Chain {
+    /// The index over the chain's longest table.
+    table: CompiledTable,
+    /// The members' columns, those a `u64` names (bit `c` is column `c`).
+    members: u64,
+    /// The shortest member's length: every member holds the rules before it.
+    shortest: u32,
+}
+
+impl ChainTables {
+    /// Stores `rows`, each `columns` tables in column order.
+    pub fn build<'a, R: IntoIterator<Item = &'a FlowTable>>(
+        columns: usize,
+        rows: impl ExactSizeIterator<Item = R>,
+    ) -> ChainTables {
+        let mut layouts = LayoutCache::default();
+        let mut chains = Vec::new();
+        let mut cells = Vec::with_capacity(rows.len() * columns);
+        let mut tables: Vec<&FlowTable> = Vec::with_capacity(columns);
+        for row in rows {
+            tables.clear();
+            tables.extend(row);
+            debug_assert_eq!(tables.len(), columns, "one table per column");
+            for (longest, members) in prefix_chains(&tables) {
+                let chain = chains.len() as u32;
+                let lens = tables[members.clone()].iter().map(|t| t.len() as u32);
+                cells.extend(lens.clone().map(|len| (chain, len)));
+                chains.push(Chain {
+                    table: layouts.compile(longest),
+                    members: members.filter(|&c| c < 64).fold(0, |m, c| m | 1 << c),
+                    shortest: lens.min().unwrap_or(0),
+                });
+            }
+        }
+        ChainTables { chains, cells, columns, layouts: layouts.len() }
     }
 
-    /// Returns `true` if no table has been compiled.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+    /// The first rule of the table at `(row, column)` that matches `view`;
+    /// `None` for a cell outside the stored rows and columns.
+    pub fn lookup_on<R: FieldReader>(&self, row: usize, column: u64, view: &R) -> Option<&Rule> {
+        if column >= self.columns as u64 {
+            return None;
+        }
+        let &(chain, len) = self.cells.get(row * self.columns + column as usize)?;
+        self.chains[chain as usize].table.lookup_within(len as usize, view)
+    }
+
+    /// Calls `each(rule, mask)` once per chain of `row` that holds the first
+    /// match of some column in `columns` (bit `c` is column `c`): `mask`
+    /// holds exactly the columns of `columns` whose table's first match for
+    /// `view` is `rule`. The masks are disjoint, and a column whose table
+    /// matches nothing is in none.
+    ///
+    /// Each chain is walked once: every member is a prefix of the chain's
+    /// longest table, so if that table's first match is rule `at`, a member
+    /// longer than `at` matches it first and a shorter one matches nothing.
+    pub fn first_matches<'s, R: FieldReader>(
+        &'s self,
+        row: usize,
+        columns: u64,
+        view: &R,
+        mut each: impl FnMut(&'s Rule, u64),
+    ) {
+        let Some(cells) = self.cells.get(row * self.columns..(row + 1) * self.columns) else {
+            return;
+        };
+        // The columns past the row name no cell; a row of 64 or more
+        // columns keeps every bit (`1 << 64` would overflow).
+        let mut want = match self.columns {
+            n @ 0..64 => columns & ((1 << n) - 1),
+            _ => columns,
+        };
+        while want != 0 {
+            let chain = &self.chains[cells[want.trailing_zeros() as usize].0 as usize];
+            let mut won = want & chain.members;
+            want &= !won;
+            let Some(at) = chain.table.lookup_index_on(view) else { continue };
+            if at >= chain.shortest as usize {
+                // Past the shortest member's end: only the longer ones hold it.
+                let mut left = won;
+                while left != 0 {
+                    let c = left.trailing_zeros();
+                    left &= left - 1;
+                    if cells[c as usize].1 as usize <= at {
+                        won &= !(1 << c);
+                    }
+                }
+            }
+            if won != 0 {
+                each(&chain.table.rules[at], won);
+            }
+        }
+    }
+
+    /// How many rows are stored.
+    pub fn rows(&self) -> usize {
+        self.cells.len().checked_div(self.columns).unwrap_or(0)
+    }
+
+    /// How many prefix chains, so how many indexes, the rows fall into.
+    pub fn chains(&self) -> usize {
+        self.chains.len()
+    }
+
+    /// How many distinct segment layouts the indexes share.
+    pub fn layouts(&self) -> usize {
+        self.layouts
+    }
+
+    /// How many rules the indexes cover: each chain's longest table's.
+    pub fn indexed_rules(&self) -> usize {
+        self.chains.iter().map(|chain| chain.table.len()).sum()
+    }
+
+    /// How many cells the rows hold.
+    pub fn cells(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// [`CompiledTable::lookup_stats`], summed over every index.
+    pub fn lookup_stats(&self) -> (u64, u64) {
+        let stats = self.chains.iter().map(|chain| chain.table.lookup_stats());
+        stats.fold((0, 0), |(h, f), (dh, df)| (h + dh, f + df))
     }
 }
 
@@ -399,7 +596,7 @@ impl CompiledTable {
     /// rule before `len` carries the packet's tuple (true of the unverified
     /// single-field hit as well); scan runs and the collision fallback stop
     /// at `len`; and no segment starting at or past `len` is entered.
-    pub fn lookup_index_within<R: FieldReader>(&self, len: usize, pk: &R) -> Option<usize> {
+    pub(crate) fn lookup_index_within<R: FieldReader>(&self, len: usize, pk: &R) -> Option<usize> {
         // Rule indexes are `u32` throughout the index.
         let len = len.min(self.len) as u32;
         // The cache (and its initialization cost) exists only on the
@@ -418,7 +615,7 @@ impl CompiledTable {
 
     /// [`lookup_index_within`](CompiledTable::lookup_index_within),
     /// returning the rule.
-    pub fn lookup_within<R: FieldReader>(&self, len: usize, pk: &R) -> Option<&Rule> {
+    pub(crate) fn lookup_within<R: FieldReader>(&self, len: usize, pk: &R) -> Option<&Rule> {
         self.lookup_index_within(len, pk).map(|i| &self.rules[i])
     }
 
@@ -948,6 +1145,27 @@ mod proptests {
         FlowTable::from_rules(rules)
     }
 
+    /// A column's table in a row over `base`: a prefix view of one shared
+    /// list `whole` (0) or that list itself (1), an equal prefix built apart
+    /// (2), the list extended by a repeat of one of its rules (3), an empty
+    /// table (4), or one of [`variant`]'s near misses, mid-list rewrites
+    /// among them (5 and up).
+    fn cell(
+        whole: &FlowTable,
+        base: &[Rule],
+        (kind, i, j, actions): (usize, usize, usize, ActionSet),
+    ) -> FlowTable {
+        let n = base.len();
+        match kind {
+            0 => whole.prefix(i % (n + 1)),
+            1 => whole.clone(),
+            2 => FlowTable::from_rules(base[..i % (n + 1)].iter().cloned()),
+            3 if n > 0 => FlowTable::from_rules(base.iter().chain([&base[i % n]]).cloned()),
+            3 | 4 => FlowTable::new(),
+            _ => variant(base, (kind - 5, i, j, actions)),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1159,6 +1377,82 @@ mod proptests {
                     }
                 }
             }
+        }
+
+        // The two queries of one chain index, against each other and
+        // against every cell's own linear scan: for every packet, a cell's
+        // `lookup_on` is its table's `FlowTable::lookup`, and
+        // `first_matches` hands each column of a mask exactly the rule
+        // `lookup_on` finds for it — once, in disjoint masks, and never for a
+        // column outside the mask or the row. Rows mix views of one list,
+        // equal lists built apart, extensions, mid-list rewrites, empty
+        // tables and repeated rules; a row of 64 columns makes a chain of
+        // all 64 members possible.
+        #[test]
+        fn first_matches_agree_with_lookup_on_and_each_cell(
+            rows in proptest::collection::vec(
+                (
+                    prop_oneof![arb_rules_random(), arb_rules_blocky()],
+                    proptest::collection::vec(
+                        (0usize..14, 0usize..4096, 0usize..4096, arb_actions()),
+                        64,
+                    ),
+                ),
+                1..4,
+            ),
+            columns in prop_oneof![1usize..9, Just(64usize)],
+            masks in proptest::collection::vec(any::<u64>(), 1..4),
+            pks in proptest::collection::vec(arb_packet(), 1..4),
+            picks in arb_derivations(),
+        ) {
+            let tables: Vec<Vec<FlowTable>> = rows
+                .iter()
+                .map(|(base, kinds)| {
+                    let whole = FlowTable::from_rules(base.iter().cloned());
+                    kinds[..columns].iter().map(|k| cell(&whole, base, k.clone())).collect()
+                })
+                .collect();
+            let chained = ChainTables::build(columns, tables.iter().map(|row| row.iter()));
+            prop_assert_eq!(chained.rows(), tables.len());
+            prop_assert_eq!(chained.cells(), tables.len() * columns);
+            let masks: Vec<u64> = masks.into_iter().chain([u64::MAX]).collect();
+            for (r, row) in tables.iter().enumerate() {
+                let derived = row.iter().flat_map(|t| derived_packets(t, &picks));
+                for pk in pks.iter().cloned().chain(derived) {
+                    for c in 0..columns + 2 {
+                        let want = row.get(c).and_then(|t| t.lookup(&pk));
+                        prop_assert_eq!(
+                            chained.lookup_on(r, c as u64, &pk), want,
+                            "row {} column {} on {}", r, c, pk
+                        );
+                    }
+                    for &mask in &masks {
+                        let mut won: Vec<(&Rule, u64)> = Vec::new();
+                        chained.first_matches(r, mask, &pk, |rule, m| won.push((rule, m)));
+                        let mut seen = 0u64;
+                        for &(_, m) in &won {
+                            prop_assert!(m != 0 && m & seen == 0 && m & !mask == 0, "{:?}", won);
+                            seen |= m;
+                        }
+                        for c in 0..64usize {
+                            let got = won.iter().find(|(_, m)| m >> c & 1 != 0).map(|&(r, _)| r);
+                            let want = (c < columns && mask >> c & 1 != 0)
+                                .then(|| chained.lookup_on(r, c as u64, &pk))
+                                .flatten();
+                            prop_assert!(
+                                got.map(std::ptr::from_ref) == want.map(std::ptr::from_ref),
+                                "row {} column {} of mask {:#x} on {}", r, c, mask, pk
+                            );
+                        }
+                    }
+                }
+            }
+            // Past the last row, nothing answers.
+            let pk = Packet::new();
+            prop_assert_eq!(chained.lookup_on(tables.len(), 0, &pk), None);
+            let mut none = true;
+            chained.first_matches(tables.len(), u64::MAX, &pk, |_, _| none = false);
+            prop_assert!(none);
         }
 
         // Structural sanity: segments partition the rule list, and every

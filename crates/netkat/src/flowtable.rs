@@ -397,7 +397,7 @@ impl FlowTable {
 /// against, so a family of unrelated tables costs one prefix test per table,
 /// and a step that only appends rules (or leaves a switch alone) one pointer
 /// compare ([`FlowTable::is_prefix_of`]).
-pub fn prefix_chains<'a, 't>(
+pub(crate) fn prefix_chains<'a, 't>(
     tables: &'t [&'a FlowTable],
 ) -> impl Iterator<Item = (&'a FlowTable, Range<usize>)> + 't {
     let mut at = 0;

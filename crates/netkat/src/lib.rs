@@ -50,10 +50,10 @@ pub use arena::{ArenaStats, PacketArena, PacketId};
 pub use error::NetkatError;
 pub use fdd::{FddBuilder, FddPath, NodeId};
 pub use field::{Field, Value};
-pub use flowindex::{CompiledTable, LayoutCache};
-pub use flowtable::{prefix_chains, FlowTable, Match, Rule};
+pub use flowindex::{ChainTables, CompiledTable};
+pub use flowtable::{FlowTable, Match, Rule};
 pub use global::{compile_global, path_clauses, Hop, PathClause, SwitchTables, TestConj};
-pub use hash::{Distinct, FxBuildHasher, FxHasher};
+pub use hash::{FxBuildHasher, FxHasher};
 pub use local::{compile_fdd, compile_local};
 pub use packet::{FieldReader, Loc, LocatedView, Packet, TaggedView};
 pub use policy::Policy;

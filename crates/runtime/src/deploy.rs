@@ -5,23 +5,23 @@
 //! from configuration `tag`'s table for the switch — `g(set_of(tag))` for an
 //! NES, the single configuration for the static plane — the dispatch on
 //! `(switch, tag)` *is* the tag guard, and no rule is rewritten or copied.
-//! What is compiled is one index per *prefix chain*: a switch's tables, in
-//! tag order, where each either extends the longest so far or is a prefix of
-//! it — the paper's own firewall (`[fwd(2,3)]` → `[fwd(2,3), fwd(3,2)]`), a
-//! campaign step that unblocks a host, and "this step left the switch alone"
-//! (the equal-length case) are all that shape. The chain's longest table is
-//! indexed once and a slot is `(index, len)`: the tag guard on rule *k* of a
-//! chain is the bound `k < len`, not a copy of the rule per tag
-//! ([`CompiledTable::lookup_within`]). Chains whose longest tables test the
-//! same patterns in the same order — every switch of a generated topology
-//! routes the same `ip_dst` patterns in the same host order — share one
-//! segment layout ([`LayoutCache`]) and keep their own rules, so the build
-//! costs one layout per distinct pattern sequence, not one per switch. The
-//! guarded rendering the paper installs on hardware is
-//! [`SwitchProgram`](crate::SwitchProgram), built on demand and pinned
-//! equal to this layout by this module's proptest. (The
-//! Section 5.3 rule-sharing optimizer is an offline artefact — the
-//! `rule-optimizer` crate, Fig. 17 — and was retired as a lookup-path
+//! The tables are stored as netkat's [`ChainTables`], one row per switch and
+//! one column per tag: a switch's tables split into *prefix chains*, where
+//! each either extends the longest so far or is a prefix of it — the
+//! paper's own firewall (`[fwd(2,3)]` → `[fwd(2,3), fwd(3,2)]`), a campaign
+//! step that unblocks a host, and "this step left the switch alone" (the
+//! equal-length case) are all that shape. The chain's longest table is
+//! indexed once and a slot is `(chain, len)`: the tag guard on rule *k* of a
+//! chain is the bound `k < len`, not a copy of the rule per tag. Chains that
+//! test the same patterns in the same order — every switch of a generated
+//! topology routes the same `ip_dst` patterns in the same host order —
+//! share one segment layout, so the build costs one layout per distinct
+//! pattern sequence, not one per switch. The online checker reads its
+//! configurations' tables through the same type. The guarded rendering the
+//! paper installs on hardware is [`SwitchProgram`](crate::SwitchProgram),
+//! built on demand and pinned equal to this layout by this module's
+//! proptest. (The Section 5.3 rule-sharing optimizer is an offline artefact
+//! — the `rule-optimizer` crate, Fig. 17 — and was retired as a lookup-path
 //! layout after losing its trial; see ARCHITECTURE.md.)
 //!
 //! Every plane looks a packet up in a [`PerTagTables`] and hands the rule to
@@ -31,8 +31,8 @@ use std::collections::{BTreeSet, HashMap};
 
 use edn_core::Config;
 use netkat::{
-    prefix_chains, CompiledTable, Field, FieldReader, FlowTable, FxBuildHasher, LayoutCache, Loc,
-    Packet, PacketArena, PacketId, Rule,
+    ChainTables, Field, FieldReader, FlowTable, FxBuildHasher, Loc, Packet, PacketArena, PacketId,
+    Rule,
 };
 
 /// The plane's dense switch order: the deployment list, then any switch
@@ -47,25 +47,13 @@ pub(crate) fn dense_switches<'a>(
     listed.iter().copied().chain(installed).filter(|&sw| seen.insert(sw)).collect()
 }
 
-/// The installed tables of one deployment: one [`CompiledTable`] per prefix
-/// chain of a switch's per-tag tables (see the module docs), compiled
-/// straight from the chain's longest table; no tag guard is written into
-/// the rules.
+/// The installed tables of one deployment: a [`ChainTables`] whose rows are
+/// the [`dense_switches`] and whose columns are the tags (see the module
+/// docs); no tag guard is written into the rules.
 #[derive(Clone, Debug)]
 pub(crate) struct PerTagTables {
-    /// One index per chain, over the chain's longest table.
-    compiled: Vec<CompiledTable>,
-    /// How many distinct layouts the indexes share: chains that test the
-    /// same patterns in the same order — every switch's routing, on a
-    /// generated topology — are indexed by one ([`LayoutCache`]).
-    layouts: usize,
-    /// `slots[slot * tags + tag]` → `(index into compiled, how many of its
-    /// rules the tag's table holds)`, one row per dense switch slot — a
-    /// hop's dispatch is one multiply and two array reads, no tree walk.
-    slots: Vec<(u32, u32)>,
-    /// Row width of `slots` (the number of configurations).
-    tags: usize,
-    /// `switch id → dense slot`: the row of `slots`, and the index into a
+    tables: ChainTables,
+    /// `switch id → dense slot`: the row of `tables`, and the index into a
     /// plane's per-switch state. Switches outside the deployment are given
     /// slots past every row on first contact ([`slot_of`](Self::slot_of)):
     /// they have no tables, and their packets drop.
@@ -80,28 +68,18 @@ impl PerTagTables {
         listed: &[u64],
     ) -> PerTagTables {
         let switches = dense_switches(configs.clone(), listed);
-        let tags = configs.clone().count();
-        let empty = FlowTable::new();
-        let mut layouts = LayoutCache::default();
-        let mut compiled: Vec<CompiledTable> = Vec::new();
-        let mut slots = Vec::with_capacity(switches.len() * tags);
-        let mut tables: Vec<&FlowTable> = Vec::with_capacity(tags);
-        for &sw in &switches {
-            tables.clear();
-            tables.extend(configs.clone().map(|config| config.table(sw).unwrap_or(&empty)));
-            for (longest, members) in prefix_chains(&tables) {
-                let index = compiled.len() as u32;
-                slots.extend(tables[members].iter().map(|t| (index, t.len() as u32)));
-                compiled.push(layouts.compile(longest));
-            }
-        }
+        let empty = &FlowTable::new();
+        let rows = switches
+            .iter()
+            .map(|&sw| configs.clone().map(move |config| config.table(sw).unwrap_or(empty)));
+        let tables = ChainTables::build(configs.clone().count(), rows);
         let switch_slot = switches.iter().enumerate().map(|(i, &sw)| (sw, i as u32)).collect();
-        PerTagTables { compiled, layouts: layouts.len(), slots, tags, switch_slot }
+        PerTagTables { tables, switch_slot }
     }
 
     /// How many switches have a row.
     pub(crate) fn rows(&self) -> usize {
-        self.slots.len() / self.tags
+        self.tables.rows()
     }
 
     /// The dense slot of `sw`, if it has one.
@@ -125,11 +103,7 @@ impl PerTagTables {
         tag: u64,
         view: &R,
     ) -> Option<&Rule> {
-        if tag >= self.tags as u64 {
-            return None;
-        }
-        let &(index, len) = self.slots.get(slot * self.tags + tag as usize)?;
-        self.compiled[index as usize].lookup_within(len as usize, view)
+        self.tables.lookup_on(slot, tag, view)
     }
 
     /// Reports the compiled indexes' fingerprint probe outcomes, summed over
@@ -137,21 +111,17 @@ impl PerTagTables {
     /// many segment layouts, over how many rules serve how many `(switch,
     /// tag)` slots.
     pub(crate) fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
-        let (hits, fallbacks) = self
-            .compiled
-            .iter()
-            .map(CompiledTable::lookup_stats)
-            .fold((0, 0), |(h, f), (dh, df)| (h + dh, f + df));
+        let (hits, fallbacks) = self.tables.lookup_stats();
         reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_hits", hits);
         reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_fallbacks", fallbacks);
         // `Shard` scope, like the probe counters: the layout is a property
         // of this build, not of the simulated run, and the `sim` section is
         // compared whole across builds (`tests/plumbing_equivalence.rs`).
-        let rules: usize = self.compiled.iter().map(CompiledTable::len).sum();
-        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.tables", self.compiled.len() as u64);
-        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.layouts", self.layouts as u64);
-        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.indexed_rules", rules as u64);
-        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.slots", self.slots.len() as u64);
+        let t = &self.tables;
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.tables", t.chains() as u64);
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.layouts", t.layouts() as u64);
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.indexed_rules", t.indexed_rules() as u64);
+        reg.gauge_max(edn_obs::Scope::Shard, "flowindex.slots", t.cells() as u64);
     }
 }
 
@@ -326,9 +296,10 @@ mod tests {
         let nes = CompiledNes::compile(firewall_nes());
         // Slot 1 is a listed switch no configuration installs a table on.
         let per_tag = PerTagTables::build(nes.configs(), &[1, 2]);
-        assert_eq!(per_tag.compiled.len(), 2, "switch 1's chain + switch 2's shared empty");
-        assert_eq!(per_tag.slots, vec![(0, 1), (0, 2), (1, 0), (1, 0)]);
-        assert_eq!(per_tag.compiled[0].len(), 2, "the chain's longest member is what is indexed");
+        let t = &per_tag.tables;
+        assert_eq!(t.chains(), 2, "switch 1's chain + switch 2's shared empty");
+        assert_eq!((t.rows(), t.cells()), (2, 4));
+        assert_eq!(t.indexed_rules(), 2, "the chain's longest member is what is indexed");
     }
 
     /// An event that *removes* and *reinstalls* switches: the per-tag
@@ -519,8 +490,8 @@ mod proptests {
             let switches = dense_switches(nes.configs(), &listed);
             let deployment = PerTagTables::build(nes.configs(), &listed);
             let tags = nes.tag_count() as u64;
-            prop_assert_eq!(deployment.compiled.len(), chain_count(&nes, &switches));
-            prop_assert_eq!(deployment.slots.len(), switches.len() * tags as usize);
+            prop_assert_eq!(deployment.tables.chains(), chain_count(&nes, &switches));
+            prop_assert_eq!(deployment.tables.cells(), switches.len() * tags as usize);
 
             // Random packets plus every installed pattern read back as a
             // packet (a guaranteed candidate hit, shadowed or not).

@@ -209,14 +209,14 @@ fn an_additive_campaign_holds_one_list_and_one_index_per_switch() {
     assert_eq!(reg.gauge("flowindex.indexed_rules"), Some(c.nes.config(last).rule_count() as u64));
 }
 
-/// The checker's index follows the plane's chains: per switch one chain of
-/// tables, walked once along its longest member, and one set of link and
-/// host masks for the one topology the configurations share. Fifteen more
+/// The checker's index is the plane's: per switch one chain of tables,
+/// indexed once along its longest member, and one set of link and host
+/// masks for the one topology the configurations share. Fifteen more
 /// configurations (5 → 20 updates on fat-tree(6), which has the spare hosts
-/// fat-tree(4) lacks) add fifteen rules per switch to that walk and no
+/// fat-tree(4) lacks) add fifteen rules per switch to that index and no
 /// structure: fewer allocations than configurations, and the same chains
-/// in the exported shape. Every switch's chain tests the same patterns
-/// under the same members, so all of them share one walk.
+/// in the exported size. Every switch's chain tests the same patterns, so
+/// all of them share one layout.
 #[test]
 fn attaching_the_checker_does_not_scale_with_configurations() {
     let attach = |updates: usize| {
@@ -236,7 +236,7 @@ fn attaching_the_checker_does_not_scale_with_configurations() {
             ),
             "{updates} updates: one chain per switch over the final tables' rules"
         );
-        assert_eq!(reg.gauge("checker.index_shapes"), Some(1), "{updates} updates: one walk");
+        assert_eq!(reg.gauge("checker.index_layouts"), Some(1), "{updates} updates: one layout");
         spent
     };
     let (few, many) = (attach(5), attach(20));
@@ -296,19 +296,19 @@ fn learning_by_copy(
 /// routed configuration and a clone of it with the touched switches'
 /// tables replaced. It equals the NES assembled by copying, its untouched
 /// tables are one allocation under both event-sets, and so the plane builds
-/// — and the checker interns — one index per switch plus one per touched
+/// — and the checker indexes — one index per switch plus one per touched
 /// switch, where two by-value-equal copies cost two. Every switch routes
 /// the same destinations in the same order, so those indexes share one
 /// layout per distinct pattern sequence (the routing, and the routing under
-/// the inserted rule), and the checker's chains one shape per distinct
-/// pair of patterns and members: the untouched switches', the edited
-/// switch's and, for `learning`, the route's. The three counts are the
-/// measured ones (build, deploy, attach); attach fell from 340 / 355 to
-/// 161 / 179 when the checker's index stopped keeping a priority position
-/// per rule and configuration and started sizing each chain's entries and
-/// maps before filling them, and deploy and attach from 141 / 164 and
-/// 161 / 179 to 50 / 50 and 80 / 91 when switches that test the same
-/// patterns started sharing one layout and one shape.
+/// the inserted rule), in the plane and in the checker alike. The three
+/// counts are the measured ones (build, deploy, attach); attach fell from
+/// 340 / 355 to 161 / 179 when the checker's index stopped keeping a
+/// priority position per rule and configuration and started sizing each
+/// chain's entries and maps before filling them, deploy and attach from
+/// 141 / 164 and 161 / 179 to 50 / 50 and 80 / 91 when switches that test
+/// the same patterns started sharing one layout and one shape, and attach
+/// to 53 / 53 when the checker started reading its chains through the
+/// plane's index instead of entries of its own.
 #[test]
 fn an_application_nes_shares_its_untouched_tables() {
     let gen = fat_tree(4, TierProfile::default());
@@ -318,7 +318,7 @@ fn an_application_nes_shares_its_untouched_tables() {
                  build: &dyn Fn() -> NetworkEventStructure,
                  by_copy: [edn_core::Config; 2],
                  touched: &[u64],
-                 [layouts, shapes]: [u64; 2],
+                 layouts: u64,
                  pinned: [u64; 3]| {
         let counted = || {
             let before = allocations();
@@ -356,7 +356,7 @@ fn an_application_nes_shares_its_untouched_tables() {
         let mut reg = edn_obs::Registry::new();
         observer.contribute_metrics(&mut reg);
         assert_eq!(reg.gauge("checker.index_chains"), tables, "{name}: chains interned");
-        assert_eq!(reg.gauge("checker.index_shapes"), Some(shapes), "{name}: shapes built");
+        assert_eq!(reg.gauge("checker.index_layouts"), Some(layouts), "{name}: layouts built");
 
         assert_eq!([built, deployed, attached], pinned, "{name}: build, deploy, attach");
     };
@@ -368,8 +368,8 @@ fn an_application_nes_shares_its_untouched_tables() {
         &|| firewall_nes(&gen, inside, outside),
         firewall_by_copy(&gen, inside, outside),
         &[outside_sw],
-        [2, 2],
-        [169, 50, 80],
+        2,
+        [169, 50, 53],
     );
     let (learner, target, shadow) = (h[0], h[15], h[8]);
     let (by_copy, touched) = learning_by_copy(&gen, learner, target, shadow);
@@ -379,17 +379,16 @@ fn an_application_nes_shares_its_untouched_tables() {
         &|| learning_nes(&gen, learner, target, shadow),
         by_copy,
         &touched,
-        [2, 3],
-        [263, 50, 91],
+        2,
+        [263, 50, 53],
     );
 }
 
 /// The benchmark's two fat-tree(8) set-ups, counted where their layouts are
 /// built: the firewall's 80 switches deploy 81 indexes over 2 layouts (the
-/// routing, and the routing under the guard) and intern 81 chains over 2
-/// checker shapes; the 20-update campaign's deploy 80 indexes over 1 layout
-/// and intern 80 chains over 1 shape. Building a layout or a shape per
-/// switch again fails here.
+/// routing, and the routing under the guard), and the checker indexes the
+/// same 81 chains over the same 2; the 20-update campaign's 80 indexes
+/// share 1 layout in both. Building a layout per switch again fails here.
 #[test]
 fn fat_tree_8_switches_share_one_layout_per_pattern_sequence() {
     let gauges = |nes: &NetworkEventStructure, switches: &[u64]| {
@@ -399,7 +398,7 @@ fn fat_tree_8_switches_share_one_layout_per_pattern_sequence() {
         plane.contribute_metrics(&mut reg);
         observer.contribute_metrics(&mut reg);
         let names = ["flowindex.tables", "flowindex.layouts"];
-        let names = names.into_iter().chain(["checker.index_chains", "checker.index_shapes"]);
+        let names = names.into_iter().chain(["checker.index_chains", "checker.index_layouts"]);
         names.map(|name| reg.gauge(name).expect("exported")).collect::<Vec<_>>()
     };
     let gen = fat_tree(8, TierProfile::default());
