@@ -1,13 +1,13 @@
 //! Compiled, indexed lookup for prioritized exact-match flow tables.
 //!
-//! [`FlowTable::apply`] is a linear first-match scan — fine for the paper's
+//! [`FlowTable::lookup`] is a linear first-match scan — fine for the paper's
 //! hand-built examples, but it dominates per-switch forwarding cost once
 //! generated topologies push tables past a hundred rules. The tables this
 //! workspace compiles have heavy *structure*, though: the global compiler,
 //! the routing synthesizer, and the NES tag guards all emit long priority
 //! runs of rules constraining the *same*
 //! field set (e.g. hundreds of `tag=t, ip_dst=h → port` rules back to
-//! back). A [`CompiledTable`] exploits that structure:
+//! back). The crate-private `CompiledTable` exploits that structure:
 //!
 //! * the rule list is split into maximal contiguous priority runs whose
 //!   rules constrain the same fields (the run's *signature*);
@@ -21,53 +21,40 @@
 //! fingerprint is injective, so the hit *is* the match), collisions fall
 //! back to scanning the run, and a packet missing one of a segment's
 //! signature fields skips the whole segment (an exact-match test on an
-//! absent field always fails). [`FlowTable::apply`]/[`FlowTable::lookup`]
-//! remain the executable reference semantics; the differential property
-//! tests below assert `CompiledTable ≡ FlowTable` on randomized tables.
+//! absent field always fails). [`FlowTable::lookup_index`] remains the
+//! executable reference semantics; the differential property tests below
+//! hold the index to it on randomized tables.
 //!
-//! One index also answers for every *prefix* of its table
-//! ([`CompiledTable::lookup_within`]): first-match over `rules[..len]`
-//! needs no index of its own, because each hash map already keeps the
-//! **first** rule carrying a fingerprint — if that rule sits at or past
-//! `len`, no rule before `len` carries the tuple — and scans simply stop at
-//! `len`. The segments were cut for the whole table, so a prefix may be
-//! answered by a hash probe where its own index would have scanned four
-//! rules (or the reverse); which strategy answers changes, the answer does
-//! not. There is one walk: a whole-table lookup is the bound that clips
-//! nothing. A second proptest holds the walk to
-//! `table.prefix(len).lookup_index(pk)` for every `len`.
+//! One index also answers for every *prefix* of its table: first-match
+//! over `rules[..len]` needs no index of its own, because each hash map
+//! already keeps the **first** rule carrying a fingerprint — if that rule
+//! sits at or past `len`, no rule before `len` carries the tuple — and
+//! scans simply stop at `len`. The segments were cut for the whole table,
+//! so a prefix may be answered by a hash probe where its own index would
+//! have scanned four rules (or the reverse); which strategy answers
+//! changes, the answer does not. There is one walk, the bounded one: a
+//! whole-table lookup is the bound that clips nothing. A second proptest
+//! holds the walk to `table.prefix(len).lookup_index(pk)` for every `len`.
 //!
 //! The segments and the prefetch are the table's *layout*, and they depend
 //! on the patterns alone: a rule's actions are read only after the walk has
 //! picked it. So tables that test the same patterns in the same order share
-//! one layout ([`LayoutCache`]) and keep their own rules and probe
-//! counters; a lookup walks the shared layout and reads its answer from its
-//! own rules. A third proptest holds a layout to being shared exactly when
-//! the visible pattern sequences are equal, and the walk through a shared
+//! one layout (`LayoutCache`) and keep their own rules and probe counters;
+//! a lookup walks the shared layout and reads its answer from its own
+//! rules. A third proptest holds a layout to being shared exactly when the
+//! visible pattern sequences are equal, and the walk through a shared
 //! layout to each table's own prefix scan.
 //!
-//! [`ChainTables`] is what the rest of the workspace builds from all this:
-//! tables in rows and columns (a plane's switches by tags, a checker's
-//! switches by configurations), each row split into prefix chains, one
-//! index per chain's longest table through one layout cache, and a
-//! `(chain, len)` cell per table. The plane reads one cell per hop
+//! [`ChainTables`] is the one type the rest of the workspace builds from
+//! all this: tables in rows and columns (a plane's switches by tags, a
+//! checker's switches by configurations), each row split into prefix
+//! chains, one index per chain's longest table through one layout cache,
+//! and a `(chain, len)` cell per table. The plane reads one cell per hop
 //! ([`ChainTables::lookup_on`]); the checker reads every configuration's
 //! first match at once, one walk per chain
 //! ([`ChainTables::first_matches`]). A fourth proptest pins the two queries
-//! to each other and to every cell's own [`FlowTable::lookup`].
-//!
-//! # Examples
-//!
-//! ```
-//! use netkat::{ActionSet, Field, FlowTable, Match, Packet, Rule};
-//! let table = FlowTable::from_rules((0..64).map(|h| {
-//!     Rule::new(Match::new().with(Field::IpDst, h), ActionSet::pass())
-//! }));
-//! let compiled = table.compile();
-//! let pk = Packet::new().with(Field::IpDst, 17);
-//! assert_eq!(compiled.apply(&pk), table.apply(&pk));
-//! assert_eq!(compiled.lookup_index(&pk), Some(17));
-//! ```
+//! to each other and to every cell's own [`FlowTable::lookup`]. The
+//! example is on [`ChainTables`].
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
@@ -78,7 +65,7 @@ use std::sync::Arc;
 use crate::field::{Field, Value};
 use crate::flowtable::{prefix_chains, FlowTable, Rule};
 use crate::hash::FxBuildHasher;
-use crate::packet::{FieldReader, Packet};
+use crate::packet::FieldReader;
 
 /// Minimum run length worth a hash segment; shorter runs scan faster than
 /// they hash.
@@ -108,7 +95,7 @@ struct HashSegment {
     /// field order.
     fields: Vec<Field>,
     /// For each signature field: its slot in the table's prefetch cache
-    /// (see [`CompiledTable::prefetch`]), in the same order as `fields`.
+    /// (see [`Layout::prefetch`]), in the same order as `fields`.
     slots: Vec<u16>,
     /// First rule index of the run.
     start: u32,
@@ -226,7 +213,7 @@ struct Layout {
 /// docs for the construction and the differential tests — and the same
 /// index answers for any of the table's prefixes ([`ChainTables`]' cells).
 #[derive(Clone, Default)]
-pub struct CompiledTable {
+pub(crate) struct CompiledTable {
     /// The source table's list; only `rules[..len]` is indexed.
     rules: Arc<[Rule]>,
     /// The source table's length: every index the segments hold is below it.
@@ -261,8 +248,8 @@ const NONE: u32 = u32::MAX;
 ///
 /// A table whose patterns equal an earlier table's, rule for rule
 /// ([`FlowTable::same_patterns`]), gets that table's layout; its rules and
-/// counters stay its own, so every lookup answers exactly as
-/// [`CompiledTable::compile`] would. The candidate is the layout the
+/// counters stay its own, so every lookup answers exactly as an index
+/// built for the table alone would. The candidate is the layout the
 /// previous table got — tables come in topology order, where most repeat
 /// their predecessor's patterns — or one found by
 /// [`FlowTable::pattern_fingerprint`], and it is taken only if the
@@ -427,7 +414,9 @@ impl ChainTables {
             let chain = &self.chains[cells[want.trailing_zeros() as usize].0 as usize];
             let mut won = want & chain.members;
             want &= !won;
-            let Some(at) = chain.table.lookup_index_on(view) else { continue };
+            let Some(at) = chain.table.lookup_index_within(chain.table.len, view) else {
+                continue;
+            };
             if at >= chain.shortest as usize {
                 // Past the shortest member's end: only the longer ones hold it.
                 let mut left = won;
@@ -470,7 +459,9 @@ impl ChainTables {
         self.cells.len()
     }
 
-    /// [`CompiledTable::lookup_stats`], summed over every index.
+    /// Fingerprint-resolved vs collision-fallback hash-segment lookups,
+    /// summed over every index since the build: `(confirmed hits, fallback
+    /// scans)`. Harvested by the telemetry layer at the end of a run.
     pub fn lookup_stats(&self) -> (u64, u64) {
         let stats = self.chains.iter().map(|chain| chain.table.lookup_stats());
         stats.fold((0, 0), |(h, f), (dh, df)| (h + dh, f + df))
@@ -552,12 +543,6 @@ impl Layout {
 }
 
 impl CompiledTable {
-    /// Compiles a table: splits it into signature runs, hashes the long
-    /// ones, and derives the cross-segment field prefetch.
-    pub fn compile(table: &FlowTable) -> CompiledTable {
-        CompiledTable::on_layout(table, Arc::new(Layout::build(table)))
-    }
-
     /// `table` indexed by `layout`, which was built from its patterns or
     /// from equal ones.
     fn on_layout(table: &FlowTable, layout: Arc<Layout>) -> CompiledTable {
@@ -569,20 +554,6 @@ impl CompiledTable {
             fp_hits: Cell::new(0),
             fp_fallbacks: Cell::new(0),
         }
-    }
-
-    /// The index of the first matching rule for `pk`, exactly as
-    /// [`FlowTable::lookup_index`] computes it.
-    pub fn lookup_index(&self, pk: &Packet) -> Option<usize> {
-        self.lookup_index_on(pk)
-    }
-
-    /// [`lookup_index`](CompiledTable::lookup_index) against any field
-    /// source — e.g. the simulator's zero-copy
-    /// [`LocatedView`](crate::LocatedView). With the prefetch active,
-    /// every field any hash segment needs is read exactly once.
-    pub fn lookup_index_on<R: FieldReader>(&self, pk: &R) -> Option<usize> {
-        self.lookup_index_within(self.len, pk)
     }
 
     /// The indexed `table.prefix(len).lookup_index(pk)`: the first rule
@@ -673,45 +644,14 @@ impl CompiledTable {
             .map(|i| start as usize + i)
     }
 
-    /// The first matching rule for `pk` (the indexed [`FlowTable::lookup`]).
-    pub fn lookup(&self, pk: &Packet) -> Option<&Rule> {
-        self.lookup_index(pk).map(|i| &self.rules[i])
-    }
-
-    /// [`lookup`](CompiledTable::lookup) against any field source.
-    pub fn lookup_on<R: FieldReader>(&self, pk: &R) -> Option<&Rule> {
-        self.lookup_index_on(pk).map(|i| &self.rules[i])
-    }
-
-    /// Applies the table through the index: the output packets of the
-    /// first matching rule, or the empty set (the indexed
-    /// [`FlowTable::apply`]).
-    pub fn apply(&self, pk: &Packet) -> BTreeSet<Packet> {
-        match self.lookup(pk) {
-            Some(rule) => rule.actions.apply(pk),
-            None => BTreeSet::new(),
-        }
-    }
-
     /// Number of rules.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Returns `true` if the table has no rules.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of segments (hash + scan) the table splits into.
-    pub fn segment_count(&self) -> usize {
-        self.layout.segments.len()
     }
 
     /// Fingerprint-resolved vs collision-fallback hash-segment lookups,
     /// accumulated since compilation: `(confirmed hits, fallback scans)`.
-    /// Harvested by the telemetry layer at the end of a run.
-    pub fn lookup_stats(&self) -> (u64, u64) {
+    fn lookup_stats(&self) -> (u64, u64) {
         (self.fp_hits.get(), self.fp_fallbacks.get())
     }
 
@@ -721,32 +661,6 @@ impl CompiledTable {
     fn shares_layout(&self, other: &CompiledTable) -> bool {
         Arc::ptr_eq(&self.layout, &other.layout)
     }
-
-    /// Number of rules reachable through hash segments (the rest are
-    /// scanned).
-    pub fn hashed_rule_count(&self) -> usize {
-        self.layout
-            .segments
-            .iter()
-            .map(|s| match s {
-                Segment::Hash(seg) => (seg.end - seg.start) as usize,
-                Segment::Scan { .. } => 0,
-            })
-            .sum()
-    }
-}
-
-impl From<&FlowTable> for CompiledTable {
-    fn from(table: &FlowTable) -> CompiledTable {
-        CompiledTable::compile(table)
-    }
-}
-
-impl FlowTable {
-    /// Compiles this table into an indexed [`CompiledTable`].
-    pub fn compile(&self) -> CompiledTable {
-        CompiledTable::compile(self)
-    }
 }
 
 #[cfg(test)]
@@ -754,11 +668,37 @@ mod tests {
     use super::*;
     use crate::action::{Action, ActionSet};
     use crate::flowtable::Match;
+    use crate::packet::Packet;
+
+    /// `table` indexed on a layout of its own.
+    pub(super) fn compiled(table: &FlowTable) -> CompiledTable {
+        CompiledTable::on_layout(table, Arc::new(Layout::build(table)))
+    }
+
+    /// The whole table's first match, through the bounded walk.
+    pub(super) fn lookup_index(compiled: &CompiledTable, pk: &Packet) -> Option<usize> {
+        compiled.lookup_index_within(compiled.len(), pk)
+    }
+
+    /// The indexed [`FlowTable::apply`]: the first match's output packets.
+    pub(super) fn apply(compiled: &CompiledTable, pk: &Packet) -> BTreeSet<Packet> {
+        let rule = compiled.lookup_within(compiled.len(), pk);
+        rule.map_or_else(BTreeSet::new, |rule| rule.actions.apply(pk))
+    }
+
+    /// How many rules the layout's hash segments cover (the rest are scanned).
+    pub(super) fn hashed_rules(compiled: &CompiledTable) -> usize {
+        let hashed = compiled.layout.segments.iter().map(|segment| match segment {
+            Segment::Hash(seg) => (seg.end - seg.start) as usize,
+            Segment::Scan { .. } => 0,
+        });
+        hashed.sum()
+    }
 
     fn assert_equivalent(table: &FlowTable, pk: &Packet) {
-        let compiled = table.compile();
-        assert_eq!(compiled.lookup_index(pk), table.lookup_index(pk), "lookup index on {pk}");
-        assert_eq!(compiled.apply(pk), table.apply(pk), "apply on {pk}");
+        let compiled = compiled(table);
+        assert_eq!(lookup_index(&compiled, pk), table.lookup_index(pk), "lookup index on {pk}");
+        assert_eq!(apply(&compiled, pk), table.apply(pk), "apply on {pk}");
     }
 
     fn exact(field: Field, v: Value, out: u64) -> Rule {
@@ -768,12 +708,12 @@ mod tests {
     #[test]
     fn empty_table_drops_on_both_paths() {
         let table = FlowTable::new();
-        let compiled = table.compile();
-        assert!(compiled.is_empty());
-        assert_eq!(compiled.segment_count(), 0);
+        let compiled = compiled(&table);
+        assert_eq!(compiled.len(), 0);
+        assert_eq!(compiled.layout.segments.len(), 0);
         for pk in [Packet::new(), Packet::new().with(Field::IpDst, 3)] {
-            assert_eq!(compiled.lookup_index(&pk), None);
-            assert!(compiled.apply(&pk).is_empty());
+            assert_eq!(lookup_index(&compiled, &pk), None);
+            assert!(apply(&compiled, &pk).is_empty());
             assert_equivalent(&table, &pk);
         }
     }
@@ -784,11 +724,11 @@ mod tests {
         let mut rules = vec![Rule::new(Match::new(), ActionSet::pass())];
         rules.extend((0..16).map(|h| exact(Field::IpDst, h, 1)));
         let table = FlowTable::from_rules(rules);
-        let compiled = table.compile();
-        assert_eq!(compiled.hashed_rule_count(), 16);
+        let compiled = compiled(&table);
+        assert_eq!(hashed_rules(&compiled), 16);
         for h in 0..20 {
             let pk = Packet::new().with(Field::IpDst, h);
-            assert_eq!(compiled.lookup_index(&pk), Some(0));
+            assert_eq!(lookup_index(&compiled, &pk), Some(0));
             assert_equivalent(&table, &pk);
         }
         assert_equivalent(&table, &Packet::new());
@@ -801,15 +741,16 @@ mod tests {
         rules.push(exact(Field::IpDst, 1, 99)); // duplicate of rules[1], lower priority
         rules.extend((3..5).map(|h| exact(Field::IpDst, h, h + 1)));
         let hashed = FlowTable::from_rules(rules.clone());
-        assert!(hashed.compile().hashed_rule_count() >= 6);
+        assert!(hashed_rules(&compiled(&hashed)) >= 6);
         let pk = Packet::new().with(Field::IpDst, 1);
-        assert_eq!(hashed.compile().lookup_index(&pk), Some(1));
+        assert_eq!(lookup_index(&compiled(&hashed), &pk), Some(1));
         assert_equivalent(&hashed, &pk);
         // Scan run: same duplicate below the hash threshold.
         let scanned = FlowTable::from_rules([exact(Field::Vlan, 7, 1), exact(Field::Vlan, 7, 2)]);
-        assert_eq!(scanned.compile().hashed_rule_count(), 0);
+        assert_eq!(hashed_rules(&compiled(&scanned)), 0);
         let pk = Packet::new().with(Field::Vlan, 7);
-        assert_eq!(scanned.compile().lookup(&pk), scanned.lookup(&pk));
+        let index = compiled(&scanned);
+        assert_eq!(index.lookup_within(index.len(), &pk), scanned.lookup(&pk));
         assert_equivalent(&scanned, &pk);
     }
 
@@ -823,7 +764,7 @@ mod tests {
         rules[5] = Rule::new(Match::new().with(Field::IpDst, 5), fanout);
         let table = FlowTable::from_rules(rules);
         let pk = Packet::new().with(Field::IpDst, 5);
-        assert_eq!(table.compile().apply(&pk).len(), 2);
+        assert_eq!(apply(&compiled(&table), &pk).len(), 2);
         assert_equivalent(&table, &pk);
     }
 
@@ -856,7 +797,7 @@ mod tests {
         let table = FlowTable::from_rules(rules);
         // No Vlan field: only the trailing wildcard can match.
         let pk = Packet::new().with(Field::IpDst, 3);
-        assert_eq!(table.compile().lookup_index(&pk), Some(8));
+        assert_eq!(lookup_index(&compiled(&table), &pk), Some(8));
         assert_equivalent(&table, &pk);
     }
 
@@ -902,7 +843,7 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert!(!a.shares_layout(&b) && a.shares_layout(&c));
         let pk = Packet::new().with(Field::IpDst, 2);
-        let (mine, theirs) = (c.lookup(&pk), a.lookup(&pk));
+        let (mine, theirs) = (c.lookup_within(c.len(), &pk), a.lookup_within(a.len(), &pk));
         assert_eq!(mine, tables[2].lookup(&pk), "the table's own rule");
         assert_ne!(mine, theirs);
         assert_eq!(
@@ -916,19 +857,21 @@ mod tests {
         let mut rules: Vec<Rule> = (0..8).map(|h| exact(Field::IpDst, h, h)).collect();
         rules.extend((0..8).map(|v| exact(Field::Vlan, v, v)));
         rules.push(Rule::drop_all());
-        let compiled = FlowTable::from_rules(rules).compile();
+        let compiled = compiled(&FlowTable::from_rules(rules));
         // Two hash runs plus the trailing wildcard scan.
-        assert_eq!(compiled.segment_count(), 3);
-        assert_eq!(compiled.hashed_rule_count(), 16);
+        assert_eq!(compiled.layout.segments.len(), 3);
+        assert_eq!(hashed_rules(&compiled), 16);
         assert_eq!(compiled.len(), 17);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{apply, compiled, hashed_rules, lookup_index};
     use super::*;
     use crate::action::{Action, ActionSet};
     use crate::flowtable::Match;
+    use crate::packet::Packet;
     use proptest::prelude::*;
 
     /// A small field universe keeps random packets colliding with random
@@ -1169,19 +1112,19 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        // The core correctness gate: `CompiledTable::apply` is
-        // extensionally equal to the reference `FlowTable::apply`.
+        // The core correctness gate: applying the first match the index
+        // finds is extensionally equal to the reference `FlowTable::apply`.
         #[test]
         fn compiled_apply_equals_reference(
             table in arb_table(),
             pks in proptest::collection::vec(arb_packet(), 1..8),
             picks in arb_derivations(),
         ) {
-            let compiled = table.compile();
+            let compiled = compiled(&table);
             prop_assert_eq!(compiled.len(), table.len());
             let probes = [derived_packets(&table, &picks), near_installed(&table, &picks)].concat();
             for pk in pks.iter().chain(probes.iter()) {
-                prop_assert_eq!(compiled.apply(pk), table.apply(pk), "apply diverged on {}", pk);
+                prop_assert_eq!(apply(&compiled, pk), table.apply(pk), "apply diverged on {}", pk);
             }
         }
 
@@ -1193,13 +1136,13 @@ mod proptests {
             pks in proptest::collection::vec(arb_packet(), 1..8),
             picks in arb_derivations(),
         ) {
-            let compiled = table.compile();
+            let compiled = compiled(&table);
             let probes = [derived_packets(&table, &picks), near_installed(&table, &picks)].concat();
             for pk in pks.iter().chain(probes.iter()) {
                 let want = table.lookup_index(pk);
-                prop_assert_eq!(compiled.lookup_index(pk), want, "index diverged on {}", pk);
+                prop_assert_eq!(lookup_index(&compiled, pk), want, "index diverged on {}", pk);
                 prop_assert_eq!(
-                    compiled.lookup(pk),
+                    compiled.lookup_within(table.len(), pk),
                     table.lookup(pk),
                     "rule diverged on {}", pk
                 );
@@ -1236,9 +1179,9 @@ mod proptests {
             let fp = fp_mix(fp_mix(FP_SEED, victim[0]), victim[1]);
             let twin = unmix(fp_mix(FP_SEED, other), fp);
             let pk = Packet::new().with(sig[0], other).with(sig[1], twin);
-            let compiled = table.compile();
+            let compiled = compiled(&table);
             prop_assert_eq!(table.lookup_index(&pk), None, "no rule carries {}", other);
-            prop_assert_eq!(compiled.lookup_index(&pk), None);
+            prop_assert_eq!(lookup_index(&compiled, &pk), None);
             prop_assert_eq!(compiled.lookup_stats(), (0, 1));
         }
 
@@ -1255,7 +1198,7 @@ mod proptests {
             pks in proptest::collection::vec(arb_packet(), 1..6),
             picks in arb_derivations(),
         ) {
-            let compiled = table.compile();
+            let compiled = compiled(&table);
             let probes = [derived_packets(&table, &picks), near_installed(&table, &picks)].concat();
             for len in 0..=table.len() {
                 let prefix = table.prefix(len);
@@ -1313,7 +1256,7 @@ mod proptests {
             let pk = Packet::new().with(sig[0], other).with(sig[1], twin);
             let own = Packet::new().with(sig[0], victim[0]).with(sig[1], victim[1]);
             for len in 0..=table.len() {
-                let compiled = table.compile();
+                let compiled = compiled(&table);
                 let want = (last < len).then_some(last);
                 prop_assert_eq!(table.prefix(len).lookup_index(&pk), want);
                 prop_assert_eq!(compiled.lookup_index_within(len, &pk), want, "len {}", len);
@@ -1459,13 +1402,13 @@ mod proptests {
         // rule is reachable (hashed or scanned).
         #[test]
         fn segments_partition_rules(table in arb_rules_blocky().prop_map(FlowTable::from_rules)) {
-            let compiled = table.compile();
-            prop_assert!(compiled.hashed_rule_count() <= compiled.len());
+            let compiled = compiled(&table);
+            prop_assert!(hashed_rules(&compiled) <= compiled.len());
             // Every rule's own pattern-packet resolves to a rule at least
             // as high priority as itself, on both paths equally.
             for (i, rule) in table.iter().enumerate() {
                 let pk: Packet = rule.pattern.iter().collect();
-                let got = compiled.lookup_index(&pk);
+                let got = lookup_index(&compiled, &pk);
                 prop_assert_eq!(got, table.lookup_index(&pk));
                 prop_assert!(got.is_some_and(|g| g <= i), "rule {} unreachable", i);
             }

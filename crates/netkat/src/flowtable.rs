@@ -166,7 +166,7 @@ impl fmt::Display for Rule {
 ///
 /// A table is a *view*: a reference-counted rule list and the number of
 /// its rules the table can see. `clone` and [`prefix`](FlowTable::prefix)
-/// are O(1) and allocate nothing, and [`compile`](FlowTable::compile)
+/// are O(1) and allocate nothing, and [`ChainTables`](crate::ChainTables)
 /// indexes the same list instead of copying it — so a table installed under
 /// a configuration, cloned with its NES and deployed on a plane is one list,
 /// and a campaign whose step *t* only appends rules to step *t − 1*'s table
@@ -320,9 +320,9 @@ impl FlowTable {
 
     /// Returns the priority index of the first matching rule for `pk`.
     ///
-    /// This linear scan is the *reference* lookup semantics; the indexed
-    /// [`CompiledTable`](crate::CompiledTable) must agree with it on every
-    /// packet (enforced by differential property tests).
+    /// This linear scan is the *reference* lookup semantics; the index
+    /// behind [`ChainTables`](crate::ChainTables) must agree with it on
+    /// every packet (enforced by differential property tests).
     pub fn lookup_index(&self, pk: &Packet) -> Option<usize> {
         self.rules().iter().position(|r| r.pattern.matches(pk))
     }
@@ -361,8 +361,8 @@ impl FlowTable {
         self.rules().iter()
     }
 
-    /// The shared rule list and how much of it this table holds — what
-    /// [`compile`](FlowTable::compile) indexes.
+    /// The shared rule list and how much of it this table holds — what the
+    /// lookup index reads.
     pub(crate) fn shared_rules(&self) -> (&Arc<[Rule]>, usize) {
         (&self.list, self.len)
     }
@@ -593,6 +593,7 @@ mod tests {
 mod sharing_proptests {
     use super::*;
     use crate::action::Action;
+    use crate::flowindex::LayoutCache;
     use proptest::prelude::*;
     use std::cmp::Ordering;
     use std::collections::hash_map::DefaultHasher;
@@ -702,7 +703,7 @@ mod sharing_proptests {
             let mut model = initial;
             let mut copy = original.clone();
             // The index shares the list too, and must keep answering for it.
-            let index = original.compile();
+            let index = LayoutCache::default().compile(&original);
             for (op, rules) in ops {
                 match op {
                     0 => {
@@ -732,7 +733,7 @@ mod sharing_proptests {
             }
             for rule in &frozen {
                 let pk: Packet = rule.pattern.iter().collect();
-                prop_assert_eq!(index.lookup(&pk), original.lookup(&pk));
+                prop_assert_eq!(index.lookup_within(index.len(), &pk), original.lookup(&pk));
             }
         }
 
@@ -745,7 +746,7 @@ mod sharing_proptests {
             rules in arb_rules(),
         ) {
             let whole = FlowTable::from_rules(rules.iter().cloned());
-            let index = whole.compile();
+            let index = LayoutCache::default().compile(&whole);
             for len in 0..=rules.len() {
                 let view = whole.prefix(len);
                 let scratch = FlowTable::from_rules(rules[..len].iter().cloned());
@@ -756,8 +757,9 @@ mod sharing_proptests {
                 prop_assert_eq!(view == whole, scratch == whole);
                 prop_assert_eq!(view.to_string(), scratch.to_string());
                 prop_assert_eq!(format!("{view:?}"), format!("{scratch:?}"));
-                prop_assert_eq!(format!("{:?}", view.compile()), format!("{:?}", scratch.compile()));
-                prop_assert_eq!(view.compile().len(), len);
+                let compile = |t: &FlowTable| LayoutCache::default().compile(t);
+                prop_assert_eq!(format!("{:?}", compile(&view)), format!("{:?}", compile(&scratch)));
+                prop_assert_eq!(compile(&view).len(), len);
                 // Prefix-ness is by value; the shared list is only a shortcut.
                 prop_assert!(view.is_prefix_of(&whole) && scratch.is_prefix_of(&whole));
                 prop_assert!(view.is_prefix_of(&scratch) && scratch.is_prefix_of(&view));

@@ -262,7 +262,7 @@ impl CompiledNes {
 mod tests {
     use super::*;
     use edn_core::{Config, Event, EventId, EventStructure};
-    use netkat::{Field, Loc, Packet, Pred};
+    use netkat::{Action, Field, FlowTable, Loc, Packet, Pred, Rule};
 
     fn chain_nes() -> NetworkEventStructure {
         // e0 then e1, both at switch 4 port 1.
@@ -349,6 +349,37 @@ mod tests {
         assert_eq!(fired, EventSet::singleton(e0), "greedy pick keeps the set consistent");
     }
 
+    /// The paper's one-switch firewall: `∅` forwards 2 → 3, and `{e0}`
+    /// (a packet for host 300 arriving at port 2) also forwards 3 → 2.
+    fn firewall_nes() -> NetworkEventStructure {
+        let fwd = |a: u64, b: u64| {
+            Rule::new(
+                Match::new().with(Field::Port, a),
+                ActionSet::single(Action::assign(Field::Port, b)),
+            )
+        };
+        let mk = |rules: Vec<Rule>| {
+            let mut c = Config::new();
+            c.install(1, FlowTable::from_rules(rules));
+            c.add_host(200, Loc::new(1, 2));
+            c.add_host(300, Loc::new(1, 3));
+            c
+        };
+        let e0 = EventId::new(0);
+        let es = EventStructure::new(
+            vec![Event::new(e0, Pred::test(Field::IpDst, 300), Loc::new(1, 2))],
+            [EventSet::singleton(e0)],
+        );
+        NetworkEventStructure::new(
+            es,
+            [
+                (EventSet::empty(), mk(vec![fwd(2, 3)])),
+                (EventSet::singleton(e0), mk(vec![fwd(2, 3), fwd(3, 2)])),
+            ],
+        )
+        .unwrap()
+    }
+
     #[test]
     fn rule_breakdown_counts_detection_pairs() {
         let c = CompiledNes::compile(chain_nes());
@@ -359,5 +390,17 @@ mod tests {
         assert_eq!(b.stamping, 0);
         assert_eq!(b.detection, 2);
         assert_eq!(b.total(), 2);
+
+        // One copy of every configuration's rules, one stamping rule per
+        // (switch, tag), and one detection: e0 in tag 0 (in tag 1 it fired).
+        let c = CompiledNes::compile(firewall_nes());
+        let b = c.rule_breakdown();
+        let tables: usize = (0..c.tag_count() as u64)
+            .map(|tag| c.nes().config(c.set_of(tag)).table(1).map_or(0, FlowTable::len))
+            .sum();
+        assert_eq!((tables, b.forwarding), (3, 3));
+        assert_eq!(b.stamping, 2, "1 switch × 2 tags");
+        assert_eq!(b.detection, 1);
+        assert_eq!(b.total(), 6);
     }
 }

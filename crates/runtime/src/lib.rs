@@ -29,7 +29,6 @@ mod dataplane;
 mod deploy;
 #[cfg(test)]
 mod hop_props;
-mod program;
 mod reliable;
 mod static_plane;
 mod uncoordinated;
@@ -40,7 +39,6 @@ pub use campaign::{
 };
 pub use compile::{CompiledNes, RuleBreakdown};
 pub use dataplane::NesDataPlane;
-pub use program::{tagged_lookup, SwitchProgram};
 pub use reliable::{Envelope, Reliable};
 pub use static_plane::StaticDataPlane;
 pub use uncoordinated::{UncoordDataPlane, UncoordMsg};

@@ -56,7 +56,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
-use edn_topo::TrafficPattern;
+use edn_topo::{TrafficPattern, HOST_BASE};
 use netsim::SimTime;
 
 /// A failure while reading or validating a scenario spec.
@@ -843,6 +843,23 @@ pub fn validate(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
         }
         _ => {}
     }
+    // The generators number switches from 1 and hosts from `HOST_BASE`: one
+    // host per switch `sw` is `HOST_BASE + sw`, a fat-tree's hosts are
+    // `HOST_BASE + i`. A switch id must stay below the first host id.
+    let (switches, first_host) = match spec.topology {
+        TopologySpec::Ring(n) | TopologySpec::Linear(n) => (Some(n), HOST_BASE + 1),
+        TopologySpec::Grid(r, c) | TopologySpec::Torus(r, c) => (r.checked_mul(c), HOST_BASE + 1),
+        TopologySpec::FatTree(k) => {
+            (k.checked_mul(k).and_then(|k2| k2.checked_mul(5)).map(|n| n / 4), HOST_BASE)
+        }
+    };
+    if switches.is_none_or(|n| n >= first_host) {
+        return Err(ScenarioError::Invalid(format!(
+            "{} needs fewer than {first_host} switches (the first host id), got {}",
+            spec.topology.kind(),
+            switches.map_or_else(|| "more than u64::MAX".to_string(), |n| n.to_string())
+        )));
+    }
     let moves =
         spec.actions.iter().filter(|a| matches!(a.kind, ActionKind::MoveHost { .. })).count();
     if spec.campaign.updates + moves > 63 {
@@ -1011,6 +1028,29 @@ mod tests {
         ] {
             let err = parse(text).expect_err(text).to_string();
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
+        }
+    }
+
+    /// The generators' switch ids stop below their first host id, and
+    /// `validate` says so before `compile` would panic on the collision.
+    #[test]
+    fn a_topology_whose_switch_ids_reach_the_host_ids_is_invalid() {
+        let with = |topology| ScenarioSpec { topology, ..kitchen_sink() };
+        for topology in [
+            TopologySpec::Ring(10_001),
+            TopologySpec::Linear(10_001),
+            TopologySpec::Grid(101, 100),
+            TopologySpec::Torus(101, 100),
+            TopologySpec::FatTree(90),
+            TopologySpec::FatTree(u64::MAX),
+            TopologySpec::FatTree(u64::MAX - 1),
+            TopologySpec::Grid(u64::MAX, 2),
+        ] {
+            let err = validate(&with(topology)).expect_err(topology.kind());
+            assert!(matches!(err, ScenarioError::Invalid(_)), "{topology:?}: {err}");
+        }
+        for topology in [TopologySpec::Ring(10_000), TopologySpec::FatTree(88)] {
+            assert_eq!(validate(&with(topology)), Ok(()), "{topology:?}");
         }
     }
 
