@@ -16,32 +16,37 @@ use netkat::{Action, ActionSet, Field, FlowTable, Loc, Match, Pred, Rule};
 /// switches can steer them to the shadow host without rewriting `ip_dst`.
 pub const FLOOD_MARK: u64 = 1;
 
-/// The port at `dst_sw` where traffic from the host attached at `src_at`
-/// arrives, following the deterministic shortest path.
+/// The hops `config` forwards traffic for `ip_dst = host` along, entering
+/// at `from`: per switch the location it arrives at and the port it leaves
+/// on, `from` first and the host's attachment switch last. The walk reads
+/// the routing the caller just built, over the topology's links.
 ///
 /// # Panics
 ///
-/// Panics if `dst_sw` is unreachable from `src_at.sw`.
-fn ingress_port(gen: &GenTopology, src_at: Loc, dst_sw: u64) -> u64 {
-    if src_at.sw == dst_sw {
-        return src_at.pt;
+/// Panics if some switch on the way has no rule for `host`.
+fn hops_toward(gen: &GenTopology, config: &Config, from: Loc, host: u64) -> Vec<(Loc, u64)> {
+    let dst_sw = gen.attachment(host).expect("the destination is a host").sw;
+    let mut hops = Vec::new();
+    let mut at = from;
+    loop {
+        let out = config
+            .table(at.sw)
+            .and_then(|table| table.iter().find(|r| r.pattern.get(Field::IpDst) == Some(host)))
+            .and_then(|rule| rule.actions.iter().next()?.get(Field::Port))
+            .unwrap_or_else(|| panic!("no route from switch {} to {dst_sw}", from.sw));
+        hops.push((at, out));
+        if at.sw == dst_sw {
+            return hops;
+        }
+        assert!(hops.len() <= gen.switch_count(), "the routing toward {host} loops");
+        at = gen.sim().link_from(Loc::new(at.sw, out)).expect("routing follows links").dst;
     }
-    let path = gen
-        .sim()
-        .route(src_at.sw, dst_sw)
-        .unwrap_or_else(|| panic!("no route from switch {} to {dst_sw}", src_at.sw));
-    path.last().expect("distinct switches give a nonempty path").dst.pt
 }
 
-/// The output port at `sw` toward the host attached at `dst_at`.
-fn port_toward(gen: &GenTopology, sw: u64, dst_at: Loc) -> u64 {
-    if sw == dst_at.sw {
-        return dst_at.pt;
-    }
-    *gen.sim()
-        .next_hop_ports(dst_at.sw)
-        .get(&sw)
-        .unwrap_or_else(|| panic!("no route from switch {sw} to {}", dst_at.sw))
+/// Where traffic for `ip_dst = host` entering at `from` arrives at the
+/// host's attachment switch, following `config`.
+fn arrival(gen: &GenTopology, config: &Config, from: Loc, host: u64) -> Loc {
+    hops_toward(gen, config, from, host).last().expect("a walk has a first hop").0
 }
 
 /// Replaces `sw`'s table with an edited copy of its rules. The applications
@@ -91,7 +96,7 @@ pub fn firewall_nes(gen: &GenTopology, inside: u64, outside: u64) -> NetworkEven
         vec![Event::new(
             e0,
             Pred::test(Field::IpSrc, inside).and(Pred::test(Field::IpDst, outside)),
-            Loc::new(out_at.sw, ingress_port(gen, in_at, out_at.sw)),
+            arrival(gen, &open, in_at, outside),
         )],
         [EventSet::singleton(e0)],
     );
@@ -125,13 +130,13 @@ pub fn learning_nes(
     );
     let learner_at = gen.attachment(learner).expect("learner must be a host");
     let target_at = gen.attachment(target).expect("target must be a host");
-    let shadow_at = gen.attachment(shadow).expect("shadow must be a host");
     let learned = shortest_path_config(gen);
     let mut flooding = learned.clone();
+    // The path the shadow's own traffic takes from the learner's switch.
+    let to_shadow = hops_toward(gen, &learned, learner_at, shadow);
     // At the learner's switch, the target rule becomes a two-way multicast:
     // the original shortest-path copy plus a marked copy toward the shadow.
-    let shadow_copy = Action::assign(Field::Port, port_toward(gen, learner_at.sw, shadow_at))
-        .set(Field::Vlan, FLOOD_MARK);
+    let shadow_copy = Action::assign(Field::Port, to_shadow[0].1).set(Field::Vlan, FLOOD_MARK);
     edit_table(&mut flooding, learner_at.sw, |rules| {
         let rule = rules
             .iter_mut()
@@ -141,32 +146,23 @@ pub fn learning_nes(
     });
     // Downstream of the learner's switch, marked copies ride dedicated
     // rules toward the shadow (prepended: first match wins).
-    if shadow_at.sw != learner_at.sw {
-        let path = gen
-            .sim()
-            .route(learner_at.sw, shadow_at.sw)
-            .expect("shadow is reachable from the learner's switch");
-        let toward_shadow = gen.sim().next_hop_ports(shadow_at.sw);
-        for link in &path {
-            let sw = link.dst.sw;
-            let out = if sw == shadow_at.sw { shadow_at.pt } else { toward_shadow[&sw] };
-            edit_table(&mut flooding, sw, |rules| {
-                rules.insert(
-                    0,
-                    Rule::new(
-                        Match::new().with(Field::Vlan, FLOOD_MARK),
-                        ActionSet::single(Action::assign(Field::Port, out)),
-                    ),
-                );
-            });
-        }
+    for &(at, out) in &to_shadow[1..] {
+        edit_table(&mut flooding, at.sw, |rules| {
+            rules.insert(
+                0,
+                Rule::new(
+                    Match::new().with(Field::Vlan, FLOOD_MARK),
+                    ActionSet::single(Action::assign(Field::Port, out)),
+                ),
+            );
+        });
     }
     let e0 = EventId::new(0);
     let es = EventStructure::new(
         vec![Event::new(
             e0,
             Pred::test(Field::IpSrc, target).and(Pred::test(Field::IpDst, learner)),
-            Loc::new(learner_at.sw, ingress_port(gen, target_at, learner_at.sw)),
+            arrival(gen, &learned, target_at, learner),
         )],
         [EventSet::singleton(e0)],
     );
@@ -181,7 +177,7 @@ pub fn learning_nes(
 mod tests {
     use super::*;
     use crate::scenario::checked_engine;
-    use edn_topo::{fat_tree, linear, LinkProfile, TierProfile};
+    use edn_topo::{fat_tree, linear, ring, torus, waxman, LinkProfile, TierProfile, WaxmanParams};
 
     use netsim::traffic::{
         ping_outcomes, proto_packets_delivered, schedule_pings, Ping, PROTO_PING_REQUEST,
@@ -303,5 +299,89 @@ mod tests {
         assert_eq!(to_target, 6);
         assert!(to_shadow <= 2, "flooding stops after learning, got {to_shadow}");
         checker.verdict().expect("fat-tree learning run is consistent");
+    }
+
+    /// The specification of where the applications' events sit: the port
+    /// at `dst_sw` where traffic from the host attached at `src_at` arrives,
+    /// following the topology's own deterministic shortest path.
+    fn ingress_port(gen: &GenTopology, src_at: Loc, dst_sw: u64) -> u64 {
+        if src_at.sw == dst_sw {
+            return src_at.pt;
+        }
+        let path = gen.sim().route(src_at.sw, dst_sw).expect("connected");
+        path.last().expect("distinct switches give a nonempty path").dst.pt
+    }
+
+    /// The specification's output port at `sw` toward the host attached at
+    /// `dst_at`.
+    fn port_toward(gen: &GenTopology, sw: u64, dst_at: Loc) -> u64 {
+        if sw == dst_at.sw {
+            return dst_at.pt;
+        }
+        gen.sim().next_hop_ports(dst_at.sw)[&sw]
+    }
+
+    /// The marked rules of a learning NES's flooding configuration, as
+    /// `(switch, out port)`, ascending.
+    fn marked_rules(config: &Config) -> Vec<(u64, u64)> {
+        let marked = Match::new().with(Field::Vlan, FLOOD_MARK);
+        let first = |sw| config.table(sw).and_then(|t| t.iter().next());
+        let steer = |sw| first(sw).filter(|r| r.pattern == marked).map(|r| (sw, r.actions.clone()));
+        let port = |actions: ActionSet| actions.iter().next().and_then(|a| a.get(Field::Port));
+        config.switches().filter_map(steer).map(|(sw, a)| (sw, port(a).expect("a port"))).collect()
+    }
+
+    /// The firewall's and the learning switch's event locations, and the
+    /// learning switch's shadow copy and marked rules, are where the
+    /// topology's own shortest paths put them: reading the routing just
+    /// built gives what routing the topology again gave.
+    #[test]
+    fn event_locations_and_shadow_paths_follow_the_topology_routes() {
+        let waxman_at = |seed| waxman(24, WaxmanParams { seed, ..WaxmanParams::default() });
+        let gens = [
+            fat_tree(4, TierProfile::default()),
+            fat_tree(8, TierProfile::default()),
+            torus(4, 5, LinkProfile::default()),
+            ring(9, LinkProfile::default()),
+            waxman_at(1),
+            waxman_at(2),
+            waxman_at(3),
+        ];
+        for gen in &gens {
+            let h = gen.hosts();
+            let n = h.len();
+            // `(a, b, c)`: the firewall's inside and outside are `a` and
+            // `b`; the learner, target and shadow are `a`, `b` and `c`.
+            let triples = [(0, n - 1, n / 2), (1, n / 3, 2 * n / 3), (n - 2, 0, 1), (0, n - 1, 1)];
+            for (a, b, c) in triples.map(|(a, b, c)| (h[a], h[b], h[c])) {
+                let at = |host| gen.attachment(host).expect("a host");
+                let name = gen.name();
+
+                let firewall = firewall_nes(gen, a, b);
+                let want = Loc::new(at(b).sw, ingress_port(gen, at(a), at(b).sw));
+                assert_eq!(firewall.events()[0].loc, want, "{name}: firewall {a} -> {b}");
+
+                let (learner, target, shadow) = (a, b, c);
+                let learning = learning_nes(gen, learner, target, shadow);
+                let want = Loc::new(at(learner).sw, ingress_port(gen, at(target), at(learner).sw));
+                assert_eq!(learning.events()[0].loc, want, "{name}: learning event");
+                let flooding = learning.config(EventSet::empty());
+                let copy = flooding
+                    .table(at(learner).sw)
+                    .and_then(|t| t.iter().find(|r| r.pattern.get(Field::IpDst) == Some(target)))
+                    .expect("the target is routed");
+                let shadow_port = port_toward(gen, at(learner).sw, at(shadow));
+                let shadow_copy =
+                    Action::assign(Field::Port, shadow_port).set(Field::Vlan, FLOOD_MARK);
+                assert!(copy.actions.iter().any(|a| *a == shadow_copy), "{name}: shadow copy");
+                let path = gen.sim().route(at(learner).sw, at(shadow).sw).expect("connected");
+                let mut want: Vec<(u64, u64)> = path
+                    .iter()
+                    .map(|link| (link.dst.sw, port_toward(gen, link.dst.sw, at(shadow))))
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(marked_rules(flooding), want, "{name}: marked rules toward {shadow}");
+            }
+        }
     }
 }

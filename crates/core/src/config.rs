@@ -61,6 +61,40 @@ impl Config {
         Config::default()
     }
 
+    /// A configuration with no tables over `links` and the `hosts`, each at
+    /// its attachment: what [`add_link`](Config::add_link) and
+    /// [`add_host`](Config::add_host) build one element at a time (host side
+    /// of an attachment at port 0), collected into the sets in one go.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use edn_core::Config;
+    /// use netkat::Loc;
+    /// let (link, host) = ((Loc::new(1, 1), Loc::new(4, 1)), (100, Loc::new(1, 2)));
+    /// let mut by_hand = Config::new();
+    /// by_hand.add_link(link.0, link.1);
+    /// by_hand.add_host(host.0, host.1);
+    /// assert_eq!(Config::from_topology([link], [host]), by_hand);
+    /// ```
+    pub fn from_topology(
+        links: impl IntoIterator<Item = (Loc, Loc)>,
+        hosts: impl IntoIterator<Item = (u64, Loc)>,
+    ) -> Config {
+        let hosts: Vec<(u64, Loc)> = hosts.into_iter().collect();
+        let links = links.into_iter();
+        let mut all = Vec::with_capacity(links.size_hint().0 + 2 * hosts.len());
+        all.extend(links);
+        for &(node, attached) in &hosts {
+            all.extend([(Loc::new(node, 0), attached), (attached, Loc::new(node, 0))]);
+        }
+        Config {
+            tables: BTreeMap::new(),
+            links: Arc::new(all.into_iter().collect()),
+            hosts: Arc::new(hosts.into_iter().map(|(node, _)| node).collect()),
+        }
+    }
+
     /// Installs (replaces) the flow table of `switch`.
     pub fn install(&mut self, switch: u64, table: FlowTable) {
         self.tables.insert(switch, table);
@@ -89,7 +123,7 @@ impl Config {
     /// Whether `other` has this configuration's links and hosts — two
     /// pointer compares when one was cloned from the other (`Arc`'s `==`
     /// takes that shortcut), by value otherwise.
-    pub(crate) fn same_topology(&self, other: &Config) -> bool {
+    pub fn same_topology(&self, other: &Config) -> bool {
         self.links == other.links && self.hosts == other.hosts
     }
 

@@ -26,9 +26,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use edn_core::NetworkEventStructure;
 use edn_topo::{
-    config_from_rules, fat_tree, grid, linear, rehomed_rules, ring, shortest_path_rules,
+    config_from_rules, fat_tree, grid, linear, rehomed_rules, ring, shortest_path_groups,
     synthesize, synthesize_arrivals, torus, with_mobile_twin, ArrivalModel, GenTopology,
-    LinkProfile, TierProfile, Workload,
+    LinkProfile, RouteGroup, TierProfile, Workload,
 };
 use nes_runtime::{campaign_nes, campaign_pred, campaign_trigger, CampaignStep};
 use netkat::{Field, FlowTable, Loc, Packet, Rule};
@@ -131,12 +131,17 @@ pub struct CompiledScenario {
     pub metrics: MetricsLevel,
 }
 
-/// One switch's tables across the campaign's states. While steps only add
-/// rules the switch keeps one growing list and a state is a length of it;
-/// a step that rewrites a rule starts the next list from a copy. Frozen at
-/// the end, every state's table is a prefix view of the list it was taken
-/// from — so a run of additive steps shares one allocation, and the
-/// deployment one index ([`FlowTable::prefix`]).
+/// The tables of one [`RouteGroup`]'s switches across the campaign's
+/// states. While steps only add rules the group keeps one growing list and
+/// a state is a length of it; a step that rewrites a rule starts the next
+/// list from a copy. Frozen at the end, every state's table is a prefix
+/// view of the list it was taken from — so a run of additive steps shares
+/// one allocation, and the deployment one index ([`FlowTable::prefix`]).
+///
+/// The group's switches stay one list in every state: they route every host
+/// of the topology alike, twins included, so an unblock adds the same rule
+/// at each of them, and a move's re-pointed rule ([`rehomed_rules`], the
+/// route toward the twin's attachment) is the twin's own, equal one.
 struct SwitchLists {
     /// The lists in the order they were started; the last is still growing.
     lists: Vec<Vec<Rule>>,
@@ -348,34 +353,38 @@ impl CompiledScenario {
 
         // Per-state configurations: full shortest paths, minus rules toward
         // still-blocked victims, with moved hosts' rules re-pointed at
-        // their twins. Nothing is built per state but a length per switch:
-        // see `SwitchLists`.
+        // their twins. Nothing is built per state but a length per group of
+        // switches that route alike: see `SwitchLists`.
         let victim_set: BTreeSet<u64> = victims.iter().copied().collect();
-        let mut tables: BTreeMap<u64, SwitchLists> = shortest_path_rules(&run)
+        let mut tables: Vec<(Vec<u64>, SwitchLists)> = shortest_path_groups(&run)
             .into_iter()
-            .map(|(sw, routing)| (sw, SwitchLists::new(routing, &victim_set)))
+            .map(|RouteGroup { switches, rules }| (switches, SwitchLists::new(rules, &victim_set)))
             .collect();
-        tables.values_mut().for_each(SwitchLists::snapshot);
+        tables.iter_mut().for_each(|(_, t)| t.snapshot());
         for step in &steps {
             match step.target {
                 StepTarget::Unblock(victim) => {
-                    tables.values_mut().for_each(|t| t.unblock(victim));
+                    tables.iter_mut().for_each(|(_, t)| t.unblock(victim));
                 }
                 StepTarget::Move { host, .. } => {
                     let rehomed = rehomed_rules(&run, host);
-                    for (sw, t) in &mut tables {
-                        t.rehome(host, rehomed.get(sw));
+                    for (switches, t) in &mut tables {
+                        let rule = rehomed.get(&switches[0]);
+                        debug_assert!(switches.iter().all(|sw| rehomed.get(sw) == rule));
+                        t.rehome(host, rule);
                     }
                 }
             }
-            tables.values_mut().for_each(SwitchLists::snapshot);
+            tables.iter_mut().for_each(|(_, t)| t.snapshot());
         }
         // The links and hosts are every state's: built once, cloned per state.
         let skeleton = config_from_rules(&run, BTreeMap::new());
         let mut configs = vec![skeleton; steps.len() + 1];
-        for (sw, lists) in tables {
+        for (switches, lists) in tables {
             for (config, table) in configs.iter_mut().zip(lists.into_tables()) {
-                config.install(sw, table);
+                for &sw in &switches {
+                    config.install(sw, table.clone());
+                }
             }
         }
         let mut configs = configs.into_iter();
@@ -587,10 +596,22 @@ mod tests {
     /// The per-state rules as `compile` built them before tables shared
     /// lists — every state filtered whole out of the full routing, one
     /// `Reach` per host — kept as the specification of what each state
-    /// installs: initial state first, then one entry per step.
+    /// installs: initial state first, then one entry per step. The full
+    /// routing is built per host from `rules_toward`, not by the grouped
+    /// synthesis under test.
     fn reference_state_rules(c: &CompiledScenario) -> Vec<BTreeMap<u64, Vec<Rule>>> {
         let run = &c.run;
-        let full = shortest_path_rules(run);
+        let toward: Vec<BTreeMap<u64, Rule>> = run
+            .hosts()
+            .iter()
+            .map(|&h| edn_topo::rules_toward(run, run.attachment(h).expect("attached"), h))
+            .collect();
+        let full: BTreeMap<u64, Vec<Rule>> = run
+            .sim()
+            .switches()
+            .iter()
+            .map(|&sw| (sw, toward.iter().filter_map(|rules| rules.get(&sw).cloned()).collect()))
+            .collect();
         let slot_of: BTreeMap<u64, usize> = run.hosts().iter().copied().zip(0..).collect();
         let state_rules = |reach: &[Reach]| -> BTreeMap<u64, Vec<Rule>> {
             full.iter()
@@ -654,12 +675,13 @@ mod tests {
     /// Every state installs the reference's rules (as a set: an unblocked
     /// victim's rule goes last, not where the full routing had it),
     /// consecutive states across an unblock are prefixes on one
-    /// allocation, and a move starts a new list exactly where it rewrites a
-    /// rule.
+    /// allocation, a move starts a new list exactly where it rewrites a
+    /// rule, and switches whose initial tables are one list stay one list
+    /// in every later state.
     #[test]
     fn states_share_lists_and_install_the_reference_rules() {
         let specs = (0..32).map(ScenarioGen::sample).chain([churn_spec(), move_between_unblocks()]);
-        let (mut extended, mut restarted) = (0, 0);
+        let (mut extended, mut restarted, mut shared_pairs) = (0, 0, 0);
         for spec in specs {
             let c = CompiledScenario::compile(&spec).unwrap();
             let sets = c.nes.event_sets();
@@ -694,8 +716,28 @@ mod tests {
                     }
                 }
             }
+            let initial = c.nes.config(sets[0]);
+            let list = |set, sw| c.nes.config(set).table(sw).and_then(list_of);
+            let switches: Vec<u64> = initial.switches().collect();
+            for (i, &a) in switches.iter().enumerate() {
+                for &b in &switches[i + 1..] {
+                    if list(sets[0], a).is_none() || list(sets[0], a) != list(sets[0], b) {
+                        continue;
+                    }
+                    shared_pairs += 1;
+                    for &set in &sets[1..] {
+                        assert_eq!(
+                            list(set, a),
+                            list(set, b),
+                            "{}: {a} and {b} at {set}",
+                            spec.name
+                        );
+                    }
+                }
+            }
         }
         assert!(extended > 0 && restarted > 0, "{extended} extensions, {restarted} restarts");
+        assert!(shared_pairs > 0, "no two switches started on one list");
     }
 
     fn churn_spec() -> ScenarioSpec {

@@ -45,7 +45,8 @@ pub use mobility::{
     free_port, mobile_twin, rehome, rehomed_rules, with_mobile_twin, MOBILE_TWIN_OFFSET,
 };
 pub use route::{
-    all_hosts_connected, config_from_rules, rules_toward, shortest_path_config, shortest_path_rules,
+    all_hosts_connected, config_from_rules, per_switch, rules_toward, shortest_path_config,
+    shortest_path_groups, RouteGroup,
 };
 pub use stream::{attach_stream, synthesize_arrivals, ArrivalModel};
 pub use workload::{schedule, synthesize, TrafficPattern, Workload};

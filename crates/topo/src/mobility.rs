@@ -112,7 +112,7 @@ pub fn rehomed_rules(gen: &GenTopology, host: u64) -> BTreeMap<u64, Rule> {
 mod tests {
     use super::*;
     use crate::generate::{ring, LinkProfile, HOST_BASE};
-    use crate::route::{config_from_rules, shortest_path_rules};
+    use crate::route::{config_from_rules, per_switch, shortest_path_groups};
     use netkat::Field;
     use netsim::traffic::{schedule_pings, Ping, ScenarioHosts};
     use netsim::{Engine, SimParams, SimTime};
@@ -156,7 +156,9 @@ mod tests {
         let g = ring(4, LinkProfile::default());
         let host = HOST_BASE + 1;
         let run = with_mobile_twin(&g, host, 3);
-        let mut rules = shortest_path_rules(&run);
+        let groups = shortest_path_groups(&run);
+        let mut rules: BTreeMap<u64, Vec<Rule>> =
+            per_switch(&groups).into_iter().map(|(sw, list)| (sw, list.to_vec())).collect();
         let rehomed = rehomed_rules(&run, host);
         for (sw, list) in rules.iter_mut() {
             for r in list.iter_mut() {

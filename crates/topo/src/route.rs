@@ -7,24 +7,46 @@
 //! configuration. Tie-breaking is deterministic (see
 //! [`SimTopology::next_hop_ports`](netsim::SimTopology::next_hop_ports)),
 //! so equal topologies compile to identical configs.
+//!
+//! Switches whose next hops agree toward every host carry equal rule lists,
+//! and the synthesis builds each such list once ([`RouteGroup`]): on a
+//! fat-tree the cores share one, and each pod's aggregation switches one.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hasher;
 
 use edn_core::Config;
-use netkat::{Action, ActionSet, Field, FlowTable, Loc, Match, Rule};
+use netkat::{Action, ActionSet, Field, FlowTable, FxBuildHasher, FxHasher, Loc, Match, Rule};
 
 use crate::generate::GenTopology;
 
-/// Shortest-path forwarding rules for every switch: one rule per reachable
-/// host, in ascending host-id order.
+/// One rule list of the shortest-path routing and the switches carrying
+/// it: those whose forwarding row — the out port, or none, toward every
+/// host of the topology — is the same.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct RouteGroup {
+    /// The switches that carry `rules`, ascending.
+    pub switches: Vec<u64>,
+    /// One rule per host the switches reach, in ascending host-id order.
+    pub rules: Vec<Rule>,
+}
+
+/// Shortest-path forwarding rules for every switch, one list per distinct
+/// forwarding row, the groups in ascending order of their least switch.
+/// Every switch of the topology is in exactly one group, and two switches
+/// share a group exactly when their lists are equal.
 ///
 /// Rules at a host's own attachment switch output to the attachment port;
 /// rules elsewhere follow the deterministic shortest path. Switches that
-/// cannot reach a host simply get no rule for it.
-pub fn shortest_path_rules(gen: &GenTopology) -> BTreeMap<u64, Vec<Rule>> {
+/// cannot reach a host simply get no rule for it. [`per_switch`] gives the
+/// same lists by switch.
+pub fn shortest_path_groups(gen: &GenTopology) -> Vec<RouteGroup> {
     // One graph for the topology and one BFS per attachment switch (shared
-    // by its co-located hosts), all into one matrix; then each switch's list
-    // is filled in one go, reading a column of it.
+    // by its co-located hosts), all into one matrix. A switch's row is read
+    // straight off a column of it, fingerprinted, and compared only with the
+    // rows of the groups carrying its fingerprint: a topology without
+    // repeats pays one more pass over the matrix, not a row scan, and
+    // nothing is copied per row.
     let graph = gen.sim().switch_graph();
     let hosts: Vec<(Match, Loc)> = gen
         .hosts()
@@ -36,27 +58,62 @@ pub fn shortest_path_rules(gen: &GenTopology) -> BTreeMap<u64, Vec<Rule>> {
         .collect();
     let attach = attachment_switches(gen);
     let next = graph.next_hop_rows(&attach);
-    let width = graph.switches().len();
-    let rows: Vec<usize> = hosts
+    let ids = graph.switches();
+    let width = ids.len();
+    let starts: Vec<usize> = hosts
         .iter()
         .map(|(_, at)| width * attach.binary_search(&at.sw).expect("every attachment has a row"))
         .collect();
+    // Entry `j` of switch `i`'s row: its out port toward host `j`.
+    let out = |i: usize, j: usize| {
+        let at = hosts[j].1;
+        if ids[i] == at.sw {
+            Some(at.pt)
+        } else {
+            next[starts[j] + i]
+        }
+    };
+    let height = hosts.len();
+    // Fingerprint → the latest group with it; per group, the group before
+    // it with the same fingerprint (for the rare rows that collide) and the
+    // switch whose row it is.
+    let mut by_print: HashMap<u64, u32, FxBuildHasher> =
+        HashMap::with_capacity_and_hasher(width, FxBuildHasher::default());
+    let mut chain: Vec<(Option<u32>, usize)> = Vec::with_capacity(width);
+    let mut groups: Vec<RouteGroup> = Vec::with_capacity(width);
     let mut outputs = OutputActions::default();
-    graph
-        .switches()
-        .iter()
-        .enumerate()
-        .map(|(i, &sw)| {
-            let mut list = Vec::with_capacity(hosts.len());
-            for ((pattern, at), row) in hosts.iter().zip(&rows) {
-                let out = if sw == at.sw { Some(at.pt) } else { next[row + i] };
-                if let Some(out) = out {
-                    list.push(Rule::new(pattern.clone(), outputs.port(out)));
-                }
+    for (i, &sw) in ids.iter().enumerate() {
+        let mut print = FxHasher::default();
+        (0..height).for_each(|j| print.write_u64(out(i, j).map_or(0, |pt| pt.wrapping_add(1))));
+        let print = print.finish();
+        let mut candidate = by_print.get(&print).copied();
+        while let Some(g) = candidate {
+            let (before, first) = chain[g as usize];
+            if (0..height).all(|j| out(i, j) == out(first, j)) {
+                break;
             }
-            (sw, list)
-        })
-        .collect()
+            candidate = before;
+        }
+        if let Some(g) = candidate {
+            groups[g as usize].switches.push(sw);
+            continue;
+        }
+        chain.push((by_print.insert(print, groups.len() as u32), i));
+        let mut rules = Vec::with_capacity(height);
+        for (j, (pattern, _)) in hosts.iter().enumerate() {
+            if let Some(pt) = out(i, j) {
+                rules.push(Rule::new(pattern.clone(), outputs.port(pt)));
+            }
+        }
+        groups.push(RouteGroup { switches: vec![sw], rules });
+    }
+    groups
+}
+
+/// The lists of `groups` by switch, ascending: a view, each list borrowed
+/// once per switch that carries it.
+pub fn per_switch(groups: &[RouteGroup]) -> BTreeMap<u64, &[Rule]> {
+    groups.iter().flat_map(|g| g.switches.iter().map(move |&sw| (sw, g.rules.as_slice()))).collect()
 }
 
 /// The switches carrying at least one host, ascending, each once: the
@@ -112,22 +169,31 @@ pub fn rules_toward(gen: &GenTopology, at: Loc, ip: u64) -> BTreeMap<u64, Rule> 
 /// Builds a [`Config`] from per-switch rules plus the generated topology's
 /// links and hosts (so correctness checking sees the full network).
 pub fn config_from_rules(gen: &GenTopology, rules: BTreeMap<u64, Vec<Rule>>) -> Config {
-    let mut config = Config::new();
+    let mut config = topology_config(gen);
     for (sw, list) in rules {
         config.install(sw, FlowTable::from_rules(list));
-    }
-    for l in gen.sim().links() {
-        config.add_link(l.src, l.dst);
-    }
-    for (host, at) in gen.sim().hosts() {
-        config.add_host(host, at);
     }
     config
 }
 
-/// The all-pairs shortest-path configuration of a generated topology.
+/// The all-pairs shortest-path configuration of a generated topology: one
+/// table per [`RouteGroup`], installed on each of its switches.
 pub fn shortest_path_config(gen: &GenTopology) -> Config {
-    config_from_rules(gen, shortest_path_rules(gen))
+    let mut config = topology_config(gen);
+    for group in shortest_path_groups(gen) {
+        let table = FlowTable::from_rules(group.rules);
+        for sw in group.switches {
+            config.install(sw, table.clone());
+        }
+    }
+    config
+}
+
+/// The generated topology's links and hosts as a configuration with no
+/// tables, built in bulk.
+fn topology_config(gen: &GenTopology) -> Config {
+    let links = gen.sim().links().iter().map(|l| (l.src, l.dst));
+    Config::from_topology(links, gen.sim().hosts())
 }
 
 /// Returns `true` if every host can reach every other host (their
@@ -192,12 +258,34 @@ mod tests {
         assert!(ping_outcomes(&pings, &result.stats)[0].replied.is_some());
     }
 
+    /// A fat-tree's cores share one row, and each pod's aggregation
+    /// switches one; its edges, and every switch of a ring or a torus, have
+    /// rows of their own.
+    #[test]
+    fn fat_tree_cores_and_pod_aggregations_share_lists() {
+        for (k, distinct) in [(4, 13), (8, 41), (12, 85)] {
+            let g = fat_tree(k, TierProfile::default());
+            let groups = shortest_path_groups(&g);
+            assert_eq!(
+                (groups.len(), g.switch_count()),
+                (distinct, 5 * k as usize * k as usize / 4)
+            );
+            let cores = (1..=k * k / 4).collect::<Vec<_>>();
+            assert_eq!(groups[0].switches, cores, "fat_tree({k}): the cores are one group");
+        }
+        for g in
+            [ring(9, LinkProfile::default()), crate::generate::torus(4, 5, LinkProfile::default())]
+        {
+            assert_eq!(shortest_path_groups(&g).len(), g.switch_count(), "{}", g.name());
+        }
+    }
+
     #[test]
     fn linear_routes_are_direct() {
         let g = linear(4, LinkProfile::default());
-        let rules = shortest_path_rules(&g);
+        let groups = shortest_path_groups(&g);
         // Switch 1's rule for the host at switch 4 points right (port 1).
-        let r = &rules[&1][3];
+        let r = &per_switch(&groups)[&1][3];
         assert_eq!(r.pattern.get(Field::IpDst), Some(HOST_BASE + 4));
         let out = r.actions.iter().next().unwrap().get(Field::Port);
         assert_eq!(out, Some(1));

@@ -1,15 +1,16 @@
 //! Byte-identity pin of the routing synthesis: an FNV-1a fingerprint of
-//! everything `shortest_path_rules` returns — the switches, each switch's
-//! rules in order, every pattern constraint and every action write — on the
-//! generator families the scenario layer and the benchmark build from.
+//! everything `shortest_path_groups` synthesizes, read by switch through
+//! `per_switch` — the switches, each switch's rules in order, every pattern
+//! constraint and every action write — on the generator families the
+//! scenario layer and the benchmark build from.
 //!
 //! The pinned values were taken from the synthesis as it stood when every
 //! BFS ran on `BTreeMap`s; whatever the routing code does now, it must hand
 //! out the same rules in the same order.
 
 use edn_topo::{
-    fat_tree, ring, shortest_path_rules, torus, waxman, GenTopology, LinkProfile, TierProfile,
-    WaxmanParams,
+    fat_tree, per_switch, ring, shortest_path_groups, torus, waxman, GenTopology, LinkProfile,
+    TierProfile, WaxmanParams,
 };
 use netkat::Field;
 
@@ -22,10 +23,10 @@ fn field_code(f: Field) -> u64 {
 fn fingerprint(gen: &GenTopology) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut fold = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    for (sw, rules) in shortest_path_rules(gen) {
+    for (sw, rules) in per_switch(&shortest_path_groups(gen)) {
         fold(sw);
         fold(rules.len() as u64);
-        for rule in &rules {
+        for rule in rules {
             fold(rule.pattern.len() as u64);
             for (f, v) in rule.pattern.iter() {
                 fold(field_code(f));

@@ -13,8 +13,9 @@
 //! prefetch), so each stage that rebuilds or copies shows up as a per-rule
 //! or per-table term. Every step of this campaign only adds rules, and every
 //! switch routes the same destinations in the same order, so what is left
-//! after sharing is one rule list and one index per *switch*, five `(list,
-//! length)` views of them, and one index layout for all twenty switches.
+//! after sharing is one rule list per group of switches with equal next-hop
+//! rows (13 for the twenty), one index per *switch*, five `(list, length)`
+//! views of them, and one index layout for all twenty switches.
 //! Counts are per thread and repeat exactly; the
 //! bounds are the measured counts (scenario compile 2,783 → 1,076 when the
 //! routing synthesis stopped building a `Match` and an `ActionSet` per
@@ -25,7 +26,8 @@
 //! hosts, then 363 / 149 / 182 when the routing synthesis stopped keeping
 //! its graph, distances and next hops in per-switch trees, then 363 / 57 / 90
 //! when switches that test the same patterns started sharing one index
-//! layout). A fourth leg watches `OnlineChecker::observer`, whose set-up
+//! layout, then 328 / 57 / 90 when switches with equal next-hop rows started
+//! sharing one rule list). A fourth leg watches `OnlineChecker::observer`, whose set-up
 //! follows the same chains: its cost may not grow with the configurations.
 //! A fifth covers the stream workloads' set-up, where the configurations
 //! come from `edn_apps::generated` rather than a campaign: two
@@ -37,7 +39,10 @@ use std::cell::Cell;
 use edn_apps::generated::{firewall_nes, learning_nes, FLOOD_MARK};
 use edn_core::{EventSet, NetworkEventStructure};
 use edn_scenario::{parse, CompiledScenario};
-use edn_topo::{config_from_rules, fat_tree, shortest_path_rules, GenTopology, TierProfile};
+use edn_topo::{
+    config_from_rules, fat_tree, per_switch, shortest_path_config, shortest_path_groups,
+    GenTopology, TierProfile,
+};
 use nes_runtime::{CompiledNes, NesDataPlane};
 use netkat::{Action, ActionSet, Field, Match, Rule};
 use netsim::DataPlane;
@@ -134,11 +139,14 @@ fn deploying_a_campaign_does_not_copy_rule_bodies() {
     );
 }
 
-/// `shortest_path_rules` builds one `Match` per host and one `ActionSet`
+/// `shortest_path_groups` builds one `Match` per host and one `ActionSet`
 /// per output port; every installed rule is a pair of reference counts on
 /// those. Built per rule (five allocations each, 320 routing rules before
 /// any configuration is derived), the compile alone passes one allocation
-/// per *installed* rule.
+/// per *installed* rule. The bound fell from 363 to 328 when switches with
+/// equal next-hop rows started sharing one rule list (13 for fat-tree(4)'s
+/// 20 switches) and the campaign's links and hosts started being collected
+/// in bulk.
 #[test]
 fn compiling_a_campaign_builds_each_rule_body_once() {
     let before = allocations();
@@ -147,10 +155,10 @@ fn compiling_a_campaign_builds_each_rule_body_once() {
     let forwarding = c.nes.total_rules() as u64;
     assert!(forwarding >= 1000, "the campaign installs a real rule load ({forwarding})");
     assert!(
-        spent <= 363,
+        spent <= 328,
         "compiling a campaign of {forwarding} installed rules took {spent} allocations \
-         (363 when pinned) — rule bodies are being built per rule, or a rule list per state, \
-         again"
+         (328 when pinned) — rule bodies are being built per rule, or a rule list per state \
+         or per switch, again"
     );
 }
 
@@ -183,9 +191,10 @@ fn building_an_engine_does_not_copy_rules() {
 
 /// Every step of the pinned campaign adds one rule per switch, so each
 /// switch's five tables are five lengths of one rule list, and the plane
-/// serves its five `(switch, tag)` slots from one index: 20 lists and 20
-/// indexes, not 100 of each. Every switch's index tests the same patterns,
-/// so the twenty share one layout.
+/// serves its five `(switch, tag)` slots from one index: at most 20 lists
+/// (13 since switches with equal next-hop rows share one) and 20 indexes,
+/// not 100 of each. Every switch's index tests the same patterns, so the
+/// twenty share one layout.
 #[test]
 fn an_additive_campaign_holds_one_list_and_one_index_per_switch() {
     let c = campaign();
@@ -247,11 +256,17 @@ fn attaching_the_checker_does_not_scale_with_configurations() {
     );
 }
 
+/// The shortest-path routing copied out per switch, one list each.
+fn routing_by_copy(gen: &GenTopology) -> std::collections::BTreeMap<u64, Vec<Rule>> {
+    let groups = shortest_path_groups(gen);
+    per_switch(&groups).into_iter().map(|(sw, rules)| (sw, rules.to_vec())).collect()
+}
+
 /// `firewall_nes` as it was assembled before its configurations shared
 /// tables: the routing cloned whole, one rule inserted, and each copy
 /// turned into a configuration of its own.
 fn firewall_by_copy(gen: &GenTopology, inside: u64, outside: u64) -> [edn_core::Config; 2] {
-    let open = shortest_path_rules(gen);
+    let open = routing_by_copy(gen);
     let mut closed = open.clone();
     let guard = Match::new().with(Field::IpSrc, outside).with(Field::IpDst, inside);
     let at = gen.attachment(outside).expect("a host");
@@ -269,7 +284,7 @@ fn learning_by_copy(
     let at = |h| gen.attachment(h).expect("a host");
     let (learner_at, shadow_at) = (at(learner), at(shadow));
     let toward_shadow = gen.sim().next_hop_ports(shadow_at.sw);
-    let learned = shortest_path_rules(gen);
+    let learned = routing_by_copy(gen);
     let mut flooding = learned.clone();
     let rule = flooding
         .get_mut(&learner_at.sw)
@@ -308,7 +323,11 @@ fn learning_by_copy(
 /// 141 / 164 and 161 / 179 to 50 / 50 and 80 / 91 when switches that test
 /// the same patterns started sharing one layout and one shape, and attach
 /// to 53 / 53 when the checker started reading its chains through the
-/// plane's index instead of entries of its own.
+/// plane's index instead of entries of its own. Build fell from 169 / 263 to
+/// 160 / 202 when the routing started building one rule list per distinct
+/// next-hop row and the applications started finding their event ports and
+/// shadow path in the routing they had just built, not by routing the
+/// topology again.
 #[test]
 fn an_application_nes_shares_its_untouched_tables() {
     let gen = fat_tree(4, TierProfile::default());
@@ -369,7 +388,7 @@ fn an_application_nes_shares_its_untouched_tables() {
         firewall_by_copy(&gen, inside, outside),
         &[outside_sw],
         2,
-        [169, 50, 53],
+        [160, 50, 53],
     );
     let (learner, target, shadow) = (h[0], h[15], h[8]);
     let (by_copy, touched) = learning_by_copy(&gen, learner, target, shadow);
@@ -380,7 +399,7 @@ fn an_application_nes_shares_its_untouched_tables() {
         by_copy,
         &touched,
         2,
-        [263, 50, 53],
+        [202, 50, 53],
     );
 }
 
@@ -389,6 +408,11 @@ fn an_application_nes_shares_its_untouched_tables() {
 /// routing, and the routing under the guard), and the checker indexes the
 /// same 81 chains over the same 2; the 20-update campaign's 80 indexes
 /// share 1 layout in both. Building a layout per switch again fails here.
+/// Since the routing builds one rule list per distinct next-hop row, the
+/// 80 routed tables sit on 41 lists (16 cores on one, each pod's 4
+/// aggregation switches on one, 32 edges on their own), and so do the
+/// campaign's 21 configurations: building a list per switch again fails
+/// here too.
 #[test]
 fn fat_tree_8_switches_share_one_layout_per_pattern_sequence() {
     let gauges = |nes: &NetworkEventStructure, switches: &[u64]| {
@@ -401,11 +425,23 @@ fn fat_tree_8_switches_share_one_layout_per_pattern_sequence() {
         let names = names.into_iter().chain(["checker.index_chains", "checker.index_layouts"]);
         names.map(|name| reg.gauge(name).expect("exported")).collect::<Vec<_>>()
     };
+    let lists = |configs: &[&edn_core::Config]| {
+        let mut lists = std::collections::BTreeSet::new();
+        for config in configs {
+            lists.extend(config.switches().filter_map(|sw| list_of(config, sw)));
+        }
+        lists.len()
+    };
     let gen = fat_tree(8, TierProfile::default());
     let (switches, h) = (gen.sim().switches(), gen.hosts());
     assert_eq!(switches.len(), 80);
+    let routed = shortest_path_config(&gen);
+    assert_eq!((routed.switches().count(), lists(&[&routed])), (80, 41), "routed tables, lists");
     let firewall = firewall_nes(&gen, h[0], h[h.len() - 1]);
     assert_eq!(gauges(&firewall, switches), [81, 2, 81, 2], "firewall");
     let c = campaign_of(8, 20);
     assert_eq!(gauges(&c.nes, c.run.sim().switches()), [80, 1, 80, 1], "campaign");
+    let configs: Vec<&edn_core::Config> =
+        c.nes.event_sets().into_iter().map(|set| c.nes.config(set)).collect();
+    assert_eq!((configs.len(), lists(&configs)), (21, 41), "campaign configurations, lists");
 }
