@@ -72,7 +72,7 @@ mod tests {
         let e1 = EventId::new(1);
         assert!(!nes.structure().enabled(EventSet::empty(), e1));
         assert!(nes.structure().enabled(EventSet::singleton(e0), e1));
-        assert!(nes.is_locally_determined(4));
+        assert!(nes.is_locally_determined());
     }
 
     /// Fig. 13(a): H3/H2 unreachable, knock H1, H3 still unreachable, knock

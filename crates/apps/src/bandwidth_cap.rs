@@ -78,7 +78,7 @@ mod tests {
             assert_eq!(w[0].loc, w[1].loc);
         }
         assert_eq!(nes.events()[0].loc, Loc::new(4, 1));
-        assert!(nes.is_locally_determined(5));
+        assert!(nes.is_locally_determined());
     }
 
     /// Fig. 14(a): with cap 10, exactly 10 pings succeed.

@@ -145,8 +145,8 @@ mod tests {
 
     #[test]
     fn p2_is_locally_determined_p1_is_not() {
-        assert!(nes(Variant::SameSwitch).is_locally_determined(4));
-        assert!(!nes(Variant::DifferentSwitches).is_locally_determined(4));
+        assert!(nes(Variant::SameSwitch).is_locally_determined());
+        assert!(!nes(Variant::DifferentSwitches).is_locally_determined());
     }
 
     /// P2: both probes race to the hub; exactly one event fires (the hub

@@ -62,7 +62,7 @@ mod tests {
         assert_eq!(nes.event_sets().len(), 2);
         let e = &nes.events()[0];
         assert_eq!(e.loc, Loc::new(4, 1));
-        assert!(nes.is_locally_determined(4));
+        assert!(nes.is_locally_determined());
         // Config sizes: the {e0} config strictly extends the initial one.
         let c0 = nes.config(EventSet::empty());
         let c1 = nes.config(EventSet::singleton(nes.events()[0].id));

@@ -76,7 +76,7 @@ mod tests {
         assert!(nes.structure().enabled(EventSet::empty(), e0));
         assert!(nes.structure().enabled(EventSet::empty(), e1));
         assert!(nes.structure().consistent(EventSet::from_iter([e0, e1])));
-        assert!(nes.is_locally_determined(4));
+        assert!(nes.is_locally_determined());
         // The events live at different switch-4 ports (per-flow links).
         assert_eq!(nes.events()[0].loc.sw, 4);
         assert_eq!(nes.events()[1].loc.sw, 4);

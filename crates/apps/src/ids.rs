@@ -61,7 +61,7 @@ mod tests {
         assert_eq!(nes.event_sets().len(), 3);
         assert_eq!(nes.events()[0].loc, Loc::new(1, 1));
         assert_eq!(nes.events()[1].loc, Loc::new(2, 1));
-        assert!(nes.is_locally_determined(4));
+        assert!(nes.is_locally_determined());
     }
 
     /// Fig. 15(a): H3, H2, H1 all reachable; the scan (H1 then H2) cuts off

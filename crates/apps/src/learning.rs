@@ -65,7 +65,7 @@ mod tests {
         assert_eq!(nes.events().len(), 1);
         assert_eq!(nes.event_sets().len(), 2);
         assert_eq!(nes.events()[0].loc, Loc::new(4, 1));
-        assert!(nes.is_locally_determined(4));
+        assert!(nes.is_locally_determined());
     }
 
     /// Fig. 12(a): the first H4→H1 packet floods to H2 as well; once H1

@@ -25,7 +25,7 @@
 //! ```
 //! let nes = edn_apps::firewall::nes();
 //! assert_eq!(nes.events().len(), 1);
-//! assert!(nes.is_locally_determined(4));
+//! assert!(nes.is_locally_determined());
 //! ```
 
 #![warn(missing_docs)]

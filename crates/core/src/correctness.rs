@@ -97,8 +97,7 @@ pub fn check_correct(
             candidates.push(h.to_vec());
         }
     }
-    // No allowed sequence is longer than the NES has events.
-    for seq in nes.allowed_sequences(nes.events().len()) {
+    for seq in nes.structure().allowed_sequences() {
         if !seq.is_empty() && hint != Some(seq.as_slice()) {
             candidates.push(seq);
         }

@@ -111,16 +111,17 @@ impl EventStructure {
     }
 
     /// All event sequences `e₀ e₁ ⋯` allowed by the structure (Section 2,
-    /// "Correct Network Traces"), up to `max_len` events, including the
-    /// empty sequence.
+    /// "Correct Network Traces"), including the empty sequence. Each event
+    /// occurs at most once, so no sequence is longer than the structure has
+    /// events.
     ///
     /// Intended for the small structures of real programs; the output grows
     /// factorially with the width of the structure.
-    pub fn allowed_sequences(&self, max_len: usize) -> Vec<Vec<EventId>> {
+    pub fn allowed_sequences(&self) -> Vec<Vec<EventId>> {
         let universe: EventSet = self.events.iter().map(|e| e.id).collect();
         let mut out = vec![Vec::new()];
         let mut frontier: Vec<(EventSet, Vec<EventId>)> = vec![(EventSet::empty(), Vec::new())];
-        for _ in 0..max_len {
+        while !frontier.is_empty() {
             let mut next = Vec::new();
             for (x, seq) in &frontier {
                 for e in universe.difference(*x).iter() {
@@ -132,9 +133,6 @@ impl EventStructure {
                         next.push((nx, ns));
                     }
                 }
-            }
-            if next.is_empty() {
-                break;
             }
             frontier = next;
         }
@@ -243,7 +241,7 @@ mod tests {
     #[test]
     fn allowed_sequences_of_diamond() {
         let es = diamond();
-        let seqs = es.allowed_sequences(4);
+        let seqs = es.allowed_sequences();
         // ε, e0, e1, e0e1, e1e0.
         assert_eq!(seqs.len(), 5);
         assert!(seqs.contains(&vec![EventId::new(0), EventId::new(1)]));
@@ -253,7 +251,7 @@ mod tests {
     #[test]
     fn allowed_sequences_of_conflict_exclude_both() {
         let es = conflict();
-        let seqs = es.allowed_sequences(4);
+        let seqs = es.allowed_sequences();
         assert_eq!(seqs.len(), 3); // ε, e0, e1
         assert!(!seqs.iter().any(|s| s.len() == 2));
     }

@@ -2,9 +2,9 @@
 //!
 //! An event `(ϕ, sw, pt)` models the arrival of a packet satisfying `ϕ` at
 //! location `sw:pt` (Section 2 of the paper). Event-sets are represented as
-//! 64-bit bitsets, which bounds a network event structure at 64 events —
-//! ample for every workload in the paper (the largest, the bandwidth cap,
-//! uses 12).
+//! 64-bit bitsets, which bounds a network event structure at 64 events. The
+//! paper's largest case study, the bandwidth cap, uses 12; a scenario
+//! campaign uses one event per step, up to 63.
 
 use std::fmt;
 

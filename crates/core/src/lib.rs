@@ -56,7 +56,7 @@ pub use estructure::EventStructure;
 pub use ets::{Ets, EtsError};
 pub use event::{Event, EventId, EventSet};
 pub use happens::HappensBefore;
-pub use locality::{locally_determined, minimally_inconsistent};
+pub use locality::minimally_inconsistent;
 pub use nes::{NesError, NetworkEventStructure};
 pub use observe::{LeafKind, TraceObserver};
 pub use online::{CheckerTelemetry, OnlineChecker, OnlineHandle, OnlineViolation};

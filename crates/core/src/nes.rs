@@ -5,7 +5,7 @@ use std::fmt;
 
 use crate::config::Config;
 use crate::estructure::EventStructure;
-use crate::event::{Event, EventId, EventSet};
+use crate::event::{Event, EventSet};
 use crate::locality;
 
 /// Errors in NES construction.
@@ -89,7 +89,7 @@ impl NetworkEventStructure {
         &self.es
     }
 
-    /// The events, indexed by [`EventId`].
+    /// The events, indexed by [`EventId`](crate::EventId).
     pub fn events(&self) -> &[Event] {
         self.es.events()
     }
@@ -114,16 +114,15 @@ impl NetworkEventStructure {
         self.es.event_sets()
     }
 
-    /// All allowed event sequences up to `max_len` (see
-    /// [`EventStructure::allowed_sequences`]).
-    pub fn allowed_sequences(&self, max_len: usize) -> Vec<Vec<EventId>> {
-        self.es.allowed_sequences(max_len)
-    }
-
-    /// Whether the NES is locally-determined (Section 2), searching
-    /// minimally-inconsistent sets up to size `max_size`.
-    pub fn is_locally_determined(&self, max_size: usize) -> bool {
-        locality::locally_determined(&self.es, max_size)
+    /// Whether the NES is locally-determined (Section 2): every
+    /// minimally-inconsistent set, found exactly by
+    /// [`minimally_inconsistent`](crate::minimally_inconsistent), lies on one switch.
+    pub fn is_locally_determined(&self) -> bool {
+        locality::minimally_inconsistent(&self.es).iter().all(|set| {
+            let mut switches = set.iter().map(|e| self.es.event(e).loc.sw);
+            let first = switches.next();
+            switches.all(|sw| Some(sw) == first)
+        })
     }
 
     /// Total rule count over all configurations (for the optimizer and the
@@ -146,6 +145,7 @@ impl fmt::Display for NetworkEventStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventId;
     use netkat::{Loc, Pred};
 
     fn one_event_structure() -> EventStructure {
@@ -200,6 +200,6 @@ mod tests {
             ],
         )
         .unwrap();
-        assert!(nes.is_locally_determined(4));
+        assert!(nes.is_locally_determined());
     }
 }

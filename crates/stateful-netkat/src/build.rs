@@ -268,7 +268,7 @@ mod tests {
         // NES conversion succeeds and is locally determined.
         let nes = ets.to_nes().unwrap();
         assert_eq!(nes.event_sets().len(), 2);
-        assert!(nes.is_locally_determined(4));
+        assert!(nes.is_locally_determined());
     }
 
     #[test]

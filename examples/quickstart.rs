@@ -20,7 +20,7 @@ fn main() {
         println!("  {e}");
     }
     println!("event-sets (= configurations): {}", nes.event_sets().len());
-    println!("locally determined: {}", nes.is_locally_determined(4));
+    println!("locally determined: {}", nes.is_locally_determined());
     let compiled = CompiledNes::compile(nes.clone());
     println!("rule footprint: {}\n", compiled.rule_breakdown());
 

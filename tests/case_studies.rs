@@ -45,7 +45,7 @@ fn all_apps_build_well_formed_local_neses() {
         ("ids", ids::nes()),
     ];
     for (name, nes) in &neses {
-        assert!(nes.is_locally_determined(5), "{name} must be locally determined");
+        assert!(nes.is_locally_determined(), "{name} must be locally determined");
         assert!(nes.structure().verify_axioms(), "{name} satisfies the ES axioms");
         assert!(!nes.event_sets().is_empty(), "{name} has event-sets");
         let compiled = CompiledNes::compile(nes.clone());

@@ -100,7 +100,7 @@ fn two_slot_program_builds_diamond() {
     assert_eq!(nes.event_sets().len(), 4);
     // Both events live at 4:1 — conflict-free (the diamond is consistent),
     // locality holds trivially.
-    assert!(nes.is_locally_determined(4));
+    assert!(nes.is_locally_determined());
 }
 
 /// The extraction function's guards match the events the paper reports:
