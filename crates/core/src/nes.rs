@@ -1,7 +1,13 @@
-//! Network event structures (Definition 5).
+//! Network event structures (Definition 5), each with the one index of its
+//! configurations' tables that every plane and checker over it reads
+//! (Section 4.1 installs each `g(X)` once; Theorem 1 judges those same
+//! configurations). The index holds no per-run state.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
+
+use netkat::{ChainTables, FlowTable, FxBuildHasher};
 
 use crate::config::Config;
 use crate::estructure::EventStructure;
@@ -38,7 +44,8 @@ impl fmt::Display for NesError {
 impl std::error::Error for NesError {}
 
 /// A network event structure `(E, con, ⊢, g)`: an event structure plus a map
-/// `g` from event-sets to network configurations.
+/// `g` from event-sets to network configurations, and the index of `g`'s
+/// tables. Immutable and `Arc`-backed: a clone is a reference count.
 ///
 /// # Examples
 ///
@@ -56,16 +63,41 @@ impl std::error::Error for NesError {}
 /// ];
 /// let nes = NetworkEventStructure::new(es, g)?;
 /// assert_eq!(nes.event_sets().len(), 2);
+/// assert_eq!(nes.index_of(EventSet::singleton(e0)), Some(1));
+/// // Neither configuration installs a table: the index has no rows.
+/// assert_eq!((nes.tables().rows(), nes.table_rows().get(&4)), (0, None));
 /// # Ok::<(), edn_core::NesError>(())
 /// ```
 #[derive(Clone, Debug)]
-pub struct NetworkEventStructure {
+pub struct NetworkEventStructure(Arc<Nes>);
+
+#[derive(Debug)]
+struct Nes {
     es: EventStructure,
     g: BTreeMap<EventSet, Config>,
+    /// The reachable event-sets, sorted: column `i` of `tables`.
+    sets: Vec<EventSet>,
+    tables: Arc<ChainTables>,
+    rows: HashMap<u64, u32, FxBuildHasher>,
+}
+
+/// `configs`' tables, one column per configuration and one row per switch
+/// with a table in any (ascending; the empty table where a configuration
+/// has none), and the switch → row map.
+pub(crate) fn index_tables(configs: &[&Config]) -> (ChainTables, HashMap<u64, u32, FxBuildHasher>) {
+    let mut switches: Vec<u64> = configs.iter().flat_map(|config| config.switches()).collect();
+    switches.sort_unstable();
+    switches.dedup();
+    let empty = &FlowTable::new();
+    let rows = switches.iter().map(|&sw| configs.iter().map(move |c| c.table(sw).unwrap_or(empty)));
+    let tables = ChainTables::build(configs.len(), rows);
+    (tables, switches.iter().enumerate().map(|(row, &sw)| (sw, row as u32)).collect())
 }
 
 impl NetworkEventStructure {
-    /// Creates an NES, validating that `g` covers every reachable event-set.
+    /// Creates an NES, validating that `g` covers every reachable event-set,
+    /// and indexes their configurations' tables ([`tables`](Self::tables)):
+    /// the one [`ChainTables::build`] of every deployment of it.
     ///
     /// # Errors
     ///
@@ -76,22 +108,23 @@ impl NetworkEventStructure {
         g: I,
     ) -> Result<NetworkEventStructure, NesError> {
         let g: BTreeMap<EventSet, Config> = g.into_iter().collect();
-        for s in es.event_sets() {
-            if !g.contains_key(&s) {
-                return Err(NesError::MissingConfig(s));
-            }
-        }
-        Ok(NetworkEventStructure { es, g })
+        let sets = es.event_sets();
+        let configs = sets
+            .iter()
+            .map(|s| g.get(s).ok_or(NesError::MissingConfig(*s)))
+            .collect::<Result<Vec<&Config>, NesError>>()?;
+        let (tables, rows) = index_tables(&configs);
+        Ok(NetworkEventStructure(Arc::new(Nes { es, g, sets, tables: Arc::new(tables), rows })))
     }
 
     /// The underlying event structure.
     pub fn structure(&self) -> &EventStructure {
-        &self.es
+        &self.0.es
     }
 
     /// The events, indexed by [`EventId`](crate::EventId).
     pub fn events(&self) -> &[Event] {
-        self.es.events()
+        self.0.es.events()
     }
 
     /// The configuration `g(X)` for event-set `X`.
@@ -101,7 +134,7 @@ impl NetworkEventStructure {
     /// Panics if `X` is not a reachable event-set (construction guarantees
     /// coverage of reachable sets).
     pub fn config(&self, x: EventSet) -> &Config {
-        self.g.get(&x).unwrap_or_else(|| panic!("event-set {x} has no configuration"))
+        self.0.g.get(&x).unwrap_or_else(|| panic!("event-set {x} has no configuration"))
     }
 
     /// The initial configuration `g(∅)`.
@@ -109,17 +142,35 @@ impl NetworkEventStructure {
         self.config(EventSet::empty())
     }
 
-    /// The reachable event-sets (Definition 4).
-    pub fn event_sets(&self) -> Vec<EventSet> {
-        self.es.event_sets()
+    /// The reachable event-sets (Definition 4), sorted: the `i`-th is the
+    /// index's column `i`, a deployment's tag `i`.
+    pub fn event_sets(&self) -> &[EventSet] {
+        &self.0.sets
+    }
+
+    /// `x`'s position in [`event_sets`](Self::event_sets), if reachable.
+    pub fn index_of(&self, x: EventSet) -> Option<usize> {
+        self.0.sets.binary_search(&x).ok()
+    }
+
+    /// The tables, built with the NES: `g(X)`'s for `sw` (the empty table if
+    /// none) at row `table_rows()[sw]`, column `index_of(X)`.
+    pub fn tables(&self) -> &Arc<ChainTables> {
+        &self.0.tables
+    }
+
+    /// Each switch with a table in some `g(X)` → its row of [`tables`](Self::tables).
+    pub fn table_rows(&self) -> &HashMap<u64, u32, FxBuildHasher> {
+        &self.0.rows
     }
 
     /// Whether the NES is locally-determined (Section 2): every
     /// minimally-inconsistent set, found exactly by
     /// [`minimally_inconsistent`](crate::minimally_inconsistent), lies on one switch.
     pub fn is_locally_determined(&self) -> bool {
-        locality::minimally_inconsistent(&self.es).iter().all(|set| {
-            let mut switches = set.iter().map(|e| self.es.event(e).loc.sw);
+        let es = &self.0.es;
+        locality::minimally_inconsistent(es).iter().all(|set| {
+            let mut switches = set.iter().map(|e| es.event(e).loc.sw);
             let first = switches.next();
             switches.all(|sw| Some(sw) == first)
         })
@@ -128,14 +179,14 @@ impl NetworkEventStructure {
     /// Total rule count over all configurations (for the optimizer and the
     /// evaluation tables).
     pub fn total_rules(&self) -> usize {
-        self.g.values().map(Config::rule_count).sum()
+        self.0.g.values().map(Config::rule_count).sum()
     }
 }
 
 impl fmt::Display for NetworkEventStructure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.es)?;
-        for (s, c) in &self.g {
+        write!(f, "{}", self.0.es)?;
+        for (s, c) in &self.0.g {
             writeln!(f, "g({s}) = configuration with {} rules", c.rule_count())?;
         }
         Ok(())

@@ -49,14 +49,15 @@
 //! The configurations themselves are not kept. At
 //! [`OnlineChecker::observer`] they are folded into one
 //! configuration-masked shared index (`shared.rs`) that reads the tables
-//! through the plane's own first-match index, netkat's `ChainTables`: per
-//! switch, the configurations' tables are split into chains of prefixes and
-//! each chain's longest table is indexed *once*; per link, link source and
-//! host the mask of the configurations that have it, written once per
-//! distinct topology. The configurations of an NES share nearly all their
+//! through the NES's own first-match index, netkat's `ChainTables` — the
+//! very instance the plane reads, built once with the NES: per switch, the
+//! configurations' tables are split into chains of prefixes and each
+//! chain's longest table is indexed *once*; per link, link source and host
+//! the mask of the configurations that have it, written once per distinct
+//! topology at attach. The configurations of an NES share nearly all their
 //! rules (a 20-update fat-tree(8) campaign installs 199,940 rules that are
-//! 10,240 indexed rules, in 80 chains), so set-up indexes 10,240 rules, not
-//! 199,940 — it does not grow with the number of configurations. A record
+//! 10,240 indexed rules, in 80 chains), so the NES indexes 10,240 rules,
+//! not 199,940, and attaching indexes none. A record
 //! costs one link probe or one index walk per chain through a zero-copy
 //! view of the parent's packet: the chain's first match is the first match
 //! of every member long enough to hold it, and the shorter members match
@@ -325,8 +326,9 @@ struct Inner {
     /// The events that can fire at each location, in id order.
     events_at: FxMap<Loc, Vec<Event>>,
     family: Vec<EventSet>,
+    /// The NES judged: configuration `i` is `g` of its `i`-th event-set.
+    nes: NetworkEventStructure,
     index: SharedIndex,
-    domain_index: FxMap<EventSet, u32>,
 
     // Firing state.
     fired_set: EventSet,
@@ -456,7 +458,7 @@ impl Inner {
         // Only a structure whose enabling relation leaves its own reachable
         // event-sets gets here: then no configuration `g(X)` exists to
         // process anything from this firing on.
-        let Some(&new_cfg) = self.domain_index.get(&fired_set) else {
+        let Some(new_cfg) = self.nes.index_of(fired_set).map(|i| i as u32) else {
             return self.fail(OnlineViolation::Inconsistent);
         };
         self.fired_set = fired_set;
@@ -713,9 +715,6 @@ impl OnlineChecker {
             return Err(OnlineViolation::CapacityExceeded);
         }
         let configs: Vec<&Config> = domain.iter().map(|&x| nes.config(x)).collect();
-        let domain_index: FxMap<EventSet, u32> =
-            domain.iter().enumerate().map(|(i, &x)| (x, i as u32)).collect();
-        let initial_cfg = domain_index[&EventSet::empty()];
         let mut events_at: FxMap<Loc, Vec<Event>> = FxMap::default();
         for e in nes.events() {
             events_at.entry(e.loc).or_default().push(e.clone());
@@ -723,12 +722,13 @@ impl OnlineChecker {
         let inner = Inner {
             events_at,
             family: nes.structure().family().collect(),
-            index: SharedIndex::build(&configs),
-            domain_index,
+            nes: nes.clone(),
+            index: SharedIndex::new(Arc::clone(nes.tables()), nes.table_rows(), &configs),
             fired_set: EventSet::empty(),
             fire_pos: [0; EventId::MAX_EVENTS],
-            current_cfg: initial_cfg,
-            realized_mask: 1u64 << initial_cfg,
+            // The sorted event-sets start with `∅`: configuration 0.
+            current_cfg: 0,
+            realized_mask: 1,
             realized_from: Vec::new(),
             nodes: Vec::new(),
             live: 0,
@@ -1347,8 +1347,12 @@ mod tests {
     fn firing_outside_the_reachable_event_sets_is_a_verdict_not_a_panic() {
         let nes = chain_nes();
         let (mut checker, handle) = OnlineChecker::new(&nes).unwrap();
-        // No well-formed structure does this; take g({e0}) away by hand.
-        checker.inner.domain_index.remove(&EventSet::singleton(EventId::new(0)));
+        // No well-formed structure does this; take g({e0}) away by hand: the
+        // checker fires by its own copy of the family, and then finds the
+        // configuration in an NES whose only reachable event-set is `∅`.
+        let events = EventStructure::new(nes.events().to_vec(), []);
+        let g = [(EventSet::empty(), nes.initial_config().clone())];
+        checker.inner.nes = NetworkEventStructure::new(events, g).unwrap();
         let mut obs: Box<dyn TraceObserver + Send> = Box::new(checker);
         transit(&mut obs, &mut 0, &fwd_pk(), FWD, LeafKind::Delivered);
         obs.finish();

@@ -15,7 +15,8 @@
 //!   into prefix chains, each chain's longest table indexed once (tables
 //!   that test the same patterns share one layout), and per configuration
 //!   a `(chain, len)` cell. Twenty configurations that each add a rule to
-//!   their predecessor cost one index of the last one's table, not twenty;
+//!   their predecessor cost one index of the last one's table, not twenty.
+//!   It is the NES's own index, shared: attaching a checker builds none;
 //! - per switch, its row and the mask of the configurations in which it is
 //!   a host and so applies no table;
 //! - per link, per link source and per host, the mask of the
@@ -46,8 +47,9 @@
 //! rewrites, with `same` computed the way the checker computes it.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use netkat::{Action, ChainTables, Field, FlowTable, FxBuildHasher, Loc, LocatedView, Packet};
+use netkat::{Action, ChainTables, Field, FxBuildHasher, Loc, LocatedView, Packet};
 
 use crate::config::Config;
 
@@ -102,9 +104,9 @@ fn emits(
 
 /// See the module docs.
 pub(crate) struct SharedIndex {
-    /// Row `r` is switch `r` of the sorted switches; column `c` is
-    /// configuration `c`.
-    tables: ChainTables,
+    /// Row `r` is switch `r` of the sorted switches that have a table;
+    /// column `c` is configuration `c`.
+    tables: Arc<ChainTables>,
     /// Switch → its row in `tables`, and the configurations in which it is
     /// a host: none of them applies its table.
     switches: FxMap<u64, (usize, u64)>,
@@ -120,22 +122,17 @@ fn mask_of<K: std::hash::Hash + Eq>(map: &FxMap<K, u64>, key: &K) -> u64 {
 }
 
 impl SharedIndex {
-    /// Indexes `configs`; configuration `i` owns bit `i` of every mask.
+    /// Reads `cfgs`' tables through `tables` (configuration `i` in column
+    /// `i`, switch `sw` in row `rows[sw]`) and masks their links and hosts;
+    /// configuration `i` owns bit `i` of every mask.
     ///
     /// # Panics
     ///
     /// Panics if there are more than 64 configurations.
-    pub(crate) fn build(configs: &[&Config]) -> SharedIndex {
-        assert!(configs.len() <= 64, "a configuration mask holds 64 configurations");
-        let mut switches: Vec<u64> = configs.iter().flat_map(|cfg| cfg.switches()).collect();
-        switches.sort_unstable();
-        switches.dedup();
-        let empty = &FlowTable::new();
-        let rows = switches
-            .iter()
-            .map(|&sw| configs.iter().map(move |cfg| cfg.table(sw).unwrap_or(empty)));
+    pub(crate) fn new(tables: Arc<ChainTables>, rows: &FxMap<u64, u32>, cfgs: &[&Config]) -> Self {
+        assert!(cfgs.len() <= 64, "a configuration mask holds 64 configurations");
         let mut index = SharedIndex {
-            tables: ChainTables::build(configs.len(), rows),
+            tables,
             switches: FxMap::default(),
             links: FxMap::default(),
             link_srcs: FxMap::default(),
@@ -145,7 +142,7 @@ impl SharedIndex {
         // The configurations of a campaign share one topology: each distinct
         // one is written once, under the mask of the group that has it.
         let mut groups: Vec<(&Config, u64)> = Vec::new();
-        for (c, cfg) in configs.iter().enumerate() {
+        for (c, cfg) in cfgs.iter().enumerate() {
             match groups.iter_mut().find(|(first, _)| first.same_topology(cfg)) {
                 Some((_, mask)) => *mask |= 1 << c,
                 None => groups.push((cfg, 1 << c)),
@@ -160,10 +157,9 @@ impl SharedIndex {
                 *index.hosts.entry(host).or_default() |= mask;
             }
         }
-        index.switches = switches
+        index.switches = rows
             .iter()
-            .enumerate()
-            .map(|(row, sw)| (*sw, (row, mask_of(&index.hosts, sw))))
+            .map(|(&sw, &row)| (sw, (row as usize, mask_of(&index.hosts, &sw))))
             .collect();
         index
     }
@@ -266,12 +262,22 @@ impl SharedIndex {
     }
 }
 
+/// The index over configurations that belong to no NES.
+#[cfg(test)]
+impl SharedIndex {
+    /// Indexes `configs` the way an NES indexes its own.
+    pub(crate) fn build(configs: &[&Config]) -> SharedIndex {
+        let (tables, rows) = crate::nes::index_tables(configs);
+        SharedIndex::new(Arc::new(tables), &rows, configs)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ST_AT_HOST, ST_EGRESS, ST_INGRESS};
     use crate::trace::LocatedPacket;
-    use netkat::{ActionSet, Match, Rule};
+    use netkat::{ActionSet, FlowTable, Match, Rule};
     use proptest::prelude::*;
 
     impl MaskedState {

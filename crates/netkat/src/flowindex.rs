@@ -39,24 +39,24 @@
 //! The segments and the prefetch are the table's *layout*, and they depend
 //! on the patterns alone: a rule's actions are read only after the walk has
 //! picked it. So tables that test the same patterns in the same order share
-//! one layout (`LayoutCache`) and keep their own rules and probe counters;
-//! a lookup walks the shared layout and reads its answer from its own
-//! rules. A third proptest holds a layout to being shared exactly when the
-//! visible pattern sequences are equal, and the walk through a shared
-//! layout to each table's own prefix scan.
+//! one layout (`LayoutCache`) and keep their own rules; a lookup walks the
+//! shared layout and reads its answer from its own rules. A third proptest
+//! holds a layout to being shared exactly when the visible pattern
+//! sequences are equal, and the walk through a shared layout to each
+//! table's own prefix scan.
 //!
 //! [`ChainTables`] is the one type the rest of the workspace builds from
 //! all this: tables in rows and columns (a plane's switches by tags, a
 //! checker's switches by configurations), each row split into prefix
 //! chains, one index per chain's longest table through one layout cache,
 //! and a `(chain, len)` cell per table. The plane reads one cell per hop
-//! ([`ChainTables::lookup_on`]); the checker reads every configuration's
-//! first match at once, one walk per chain
-//! ([`ChainTables::first_matches`]). A fourth proptest pins the two queries
-//! to each other and to every cell's own [`FlowTable::lookup`]. The
-//! example is on [`ChainTables`].
+//! ([`ChainTables::lookup_counted`], counting its hash probes into counters
+//! the plane owns); the checker reads every configuration's first match at
+//! once, one walk per chain ([`ChainTables::first_matches`]). Neither writes
+//! to the index, so one instance serves every reader. A fourth proptest
+//! pins the two queries to each other and to every cell's own
+//! [`FlowTable::lookup`]. The example is on [`ChainTables`].
 
-use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -206,9 +206,9 @@ struct Layout {
 ///
 /// Built once from a [`FlowTable`]; holds the table's own rule list (one
 /// reference count, see [`FlowTable`] — no rule is copied, and a lookup
-/// reaches a rule through the same two loads a `Vec` would take), its probe
-/// counters, and the segment index over the rules the table holds, which
-/// tables with the same patterns may share ([`ChainTables`] builds them so).
+/// reaches a rule through the same two loads a `Vec` would take) and the
+/// segment index over the rules the table holds, which tables with the same
+/// patterns may share ([`ChainTables`] builds them so).
 /// Lookup results are *identical* to the source table's — see the module
 /// docs for the construction and the differential tests — and the same
 /// index answers for any of the table's prefixes ([`ChainTables`]' cells).
@@ -220,12 +220,6 @@ pub(crate) struct CompiledTable {
     len: usize,
     /// Built from `rules[..len]`'s patterns, or from equal ones.
     layout: Arc<Layout>,
-    /// Hash-segment lookups resolved by a confirmed fingerprint hit.
-    /// `Cell` because lookups take `&self`; one add per lookup is
-    /// negligible next to the fingerprint mix itself.
-    fp_hits: Cell<u64>,
-    /// Hash-segment lookups that fell back to the collision scan.
-    fp_fallbacks: Cell<u64>,
 }
 
 /// The indexed rules only, like [`FlowTable`]'s: what the list holds past
@@ -235,8 +229,6 @@ impl fmt::Debug for CompiledTable {
         f.debug_struct("CompiledTable")
             .field("rules", &&self.rules[..self.len])
             .field("layout", &self.layout)
-            .field("fp_hits", &self.fp_hits)
-            .field("fp_fallbacks", &self.fp_fallbacks)
             .finish()
     }
 }
@@ -247,8 +239,8 @@ const NONE: u32 = u32::MAX;
 /// Compiles tables, building one layout per distinct pattern sequence.
 ///
 /// A table whose patterns equal an earlier table's, rule for rule
-/// ([`FlowTable::same_patterns`]), gets that table's layout; its rules and
-/// counters stay its own, so every lookup answers exactly as an index
+/// ([`FlowTable::same_patterns`]), gets that table's layout; its rules
+/// stay its own, so every lookup answers exactly as an index
 /// built for the table alone would. The candidate is the layout the
 /// previous table got — tables come in topology order, where most repeat
 /// their predecessor's patterns — or one found by
@@ -301,8 +293,9 @@ impl LayoutCache {
 /// so the guard "column `c` holds rule `k`" is the bound `k < len` and no
 /// rule is copied per column.
 ///
-/// Two queries read the same index: [`lookup_on`](ChainTables::lookup_on),
-/// one cell's first match, for a plane's hop; and
+/// Two queries read the same index:
+/// [`lookup_counted`](ChainTables::lookup_counted), one cell's first match,
+/// for a plane's hop; and
 /// [`first_matches`](ChainTables::first_matches), the first match of every
 /// column in a mask, one walk per chain, for a checker's.
 ///
@@ -317,8 +310,11 @@ impl LayoutCache {
 /// let tables = ChainTables::build(3, std::iter::once(row.iter()));
 /// assert_eq!((tables.chains(), tables.indexed_rules()), (2, 5));
 /// let pk = Packet::new().with(Field::IpDst, 3);
-/// assert_eq!(tables.lookup_on(0, 0, &pk), None);
-/// assert_eq!(tables.lookup_on(0, 1, &pk), Some(&rule(3)));
+/// let mut probes = (0, 0);
+/// assert_eq!(tables.lookup_counted(0, 0, &pk, &mut probes), None);
+/// assert_eq!(tables.lookup_counted(0, 1, &pk, &mut probes), Some(&rule(3)));
+/// // Column 1's hash probe hit; column 0's candidate lay past its end.
+/// assert_eq!(probes, (1, 0));
 /// let mut won = Vec::new();
 /// tables.first_matches(0, 0b111, &pk, |rule, mask| won.push((rule.clone(), mask)));
 /// assert_eq!(won, [(rule(3), 0b010)]);
@@ -375,14 +371,23 @@ impl ChainTables {
         ChainTables { chains, cells, columns, layouts: layouts.len() }
     }
 
-    /// The first rule of the table at `(row, column)` that matches `view`;
-    /// `None` for a cell outside the stored rows and columns.
-    pub fn lookup_on<R: FieldReader>(&self, row: usize, column: u64, view: &R) -> Option<&Rule> {
+    /// The first rule of the table at `(row, column)` that matches `view`
+    /// (`None` for a cell outside the stored rows and columns), adding the
+    /// hash probe's outcome to the caller's `(confirmed hits, fallback
+    /// scans)`: a plane's per-run counts, kept beside the shared index.
+    pub fn lookup_counted<R: FieldReader>(
+        &self,
+        row: usize,
+        column: u64,
+        view: &R,
+        probes: &mut (u64, u64),
+    ) -> Option<&Rule> {
         if column >= self.columns as u64 {
             return None;
         }
         let &(chain, len) = self.cells.get(row * self.columns + column as usize)?;
-        self.chains[chain as usize].table.lookup_within(len as usize, view)
+        let table = &self.chains[chain as usize].table;
+        table.lookup_index_counted(len as usize, view, probes).map(|i| &table.rules[i])
     }
 
     /// Calls `each(rule, mask)` once per chain of `row` that holds the first
@@ -414,7 +419,8 @@ impl ChainTables {
             let chain = &self.chains[cells[want.trailing_zeros() as usize].0 as usize];
             let mut won = want & chain.members;
             want &= !won;
-            let Some(at) = chain.table.lookup_index_within(chain.table.len, view) else {
+            let Some(at) = chain.table.lookup_index_counted(chain.table.len, view, &mut (0, 0))
+            else {
                 continue;
             };
             if at >= chain.shortest as usize {
@@ -457,14 +463,6 @@ impl ChainTables {
     /// How many cells the rows hold.
     pub fn cells(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Fingerprint-resolved vs collision-fallback hash-segment lookups,
-    /// summed over every index since the build: `(confirmed hits, fallback
-    /// scans)`. Harvested by the telemetry layer at the end of a run.
-    pub fn lookup_stats(&self) -> (u64, u64) {
-        let stats = self.chains.iter().map(|chain| chain.table.lookup_stats());
-        stats.fold((0, 0), |(h, f), (dh, df)| (h + dh, f + df))
     }
 }
 
@@ -547,13 +545,7 @@ impl CompiledTable {
     /// from equal ones.
     fn on_layout(table: &FlowTable, layout: Arc<Layout>) -> CompiledTable {
         let (rules, len) = table.shared_rules();
-        CompiledTable {
-            rules: Arc::clone(rules),
-            len,
-            layout,
-            fp_hits: Cell::new(0),
-            fp_fallbacks: Cell::new(0),
-        }
+        CompiledTable { rules: Arc::clone(rules), len, layout }
     }
 
     /// The indexed `table.prefix(len).lookup_index(pk)`: the first rule
@@ -567,7 +559,14 @@ impl CompiledTable {
     /// rule before `len` carries the packet's tuple (true of the unverified
     /// single-field hit as well); scan runs and the collision fallback stop
     /// at `len`; and no segment starting at or past `len` is entered.
-    pub(crate) fn lookup_index_within<R: FieldReader>(&self, len: usize, pk: &R) -> Option<usize> {
+    /// The answering hash segment's outcome is added to `probes`: a
+    /// confirmed fingerprint hit to `.0`, a fallback to the scan to `.1`.
+    pub(crate) fn lookup_index_counted<R: FieldReader>(
+        &self,
+        len: usize,
+        pk: &R,
+        probes: &mut (u64, u64),
+    ) -> Option<usize> {
         // Rule indexes are `u32` throughout the index.
         let len = len.min(self.len) as u32;
         // The cache (and its initialization cost) exists only on the
@@ -578,25 +577,21 @@ impl CompiledTable {
             for (slot, &f) in self.layout.prefetch.iter().enumerate() {
                 cache[slot] = pk.read(f);
             }
-            self.walk_segments(len, pk, |seg| seg.fingerprint_cached(&cache))
+            self.walk_segments(len, pk, |seg| seg.fingerprint_cached(&cache), probes)
         } else {
-            self.walk_segments(len, pk, |seg| seg.fingerprint_of(pk))
+            self.walk_segments(len, pk, |seg| seg.fingerprint_of(pk), probes)
         }
     }
 
-    /// [`lookup_index_within`](CompiledTable::lookup_index_within),
-    /// returning the rule.
-    pub(crate) fn lookup_within<R: FieldReader>(&self, len: usize, pk: &R) -> Option<&Rule> {
-        self.lookup_index_within(len, pk).map(|i| &self.rules[i])
-    }
-
     /// The segment walk over `rules[..len]`, generic over where hash
-    /// fingerprints come from (the prefetch cache or direct packet reads).
+    /// fingerprints come from (the prefetch cache or direct packet reads),
+    /// counting into `probes`.
     fn walk_segments<R: FieldReader>(
         &self,
         len: u32,
         pk: &R,
         fingerprint: impl Fn(&HashSegment) -> Option<u64>,
+        probes: &mut (u64, u64),
     ) -> Option<usize> {
         for segment in &self.layout.segments {
             match segment {
@@ -623,11 +618,11 @@ impl CompiledTable {
                     if seg.fields.len() == 1
                         || self.rules[candidate as usize].pattern.matches_on(pk)
                     {
-                        self.fp_hits.set(self.fp_hits.get() + 1);
+                        probes.0 += 1;
                         return Some(candidate as usize);
                     }
                     // Fingerprint collision: the run still decides by scan.
-                    self.fp_fallbacks.set(self.fp_fallbacks.get() + 1);
+                    probes.1 += 1;
                     if let Some(i) = self.scan(seg.start, seg.end.min(len), pk) {
                         return Some(i);
                     }
@@ -649,17 +644,40 @@ impl CompiledTable {
         self.len
     }
 
-    /// Fingerprint-resolved vs collision-fallback hash-segment lookups,
-    /// accumulated since compilation: `(confirmed hits, fallback scans)`.
-    fn lookup_stats(&self) -> (u64, u64) {
-        (self.fp_hits.get(), self.fp_fallbacks.get())
-    }
-
     /// Returns `true` if the two tables are indexed by one layout (see
     /// [`LayoutCache`]).
     #[cfg(test)]
     fn shares_layout(&self, other: &CompiledTable) -> bool {
         Arc::ptr_eq(&self.layout, &other.layout)
+    }
+}
+
+/// The count-free queries, for tests that compare answers only.
+#[cfg(test)]
+impl ChainTables {
+    /// [`lookup_counted`](ChainTables::lookup_counted), counting nothing.
+    pub(crate) fn lookup_on<R: FieldReader>(
+        &self,
+        row: usize,
+        column: u64,
+        view: &R,
+    ) -> Option<&Rule> {
+        self.lookup_counted(row, column, view, &mut (0, 0))
+    }
+}
+
+#[cfg(test)]
+impl CompiledTable {
+    /// [`lookup_index_counted`](CompiledTable::lookup_index_counted),
+    /// counting nothing.
+    pub(crate) fn lookup_index_within<R: FieldReader>(&self, len: usize, pk: &R) -> Option<usize> {
+        self.lookup_index_counted(len, pk, &mut (0, 0))
+    }
+
+    /// [`lookup_index_within`](CompiledTable::lookup_index_within),
+    /// returning the rule.
+    pub(crate) fn lookup_within<R: FieldReader>(&self, len: usize, pk: &R) -> Option<&Rule> {
+        self.lookup_index_within(len, pk).map(|i| &self.rules[i])
     }
 }
 
@@ -670,25 +688,56 @@ mod tests {
     use crate::flowtable::Match;
     use crate::packet::Packet;
 
-    /// `table` indexed on a layout of its own.
-    pub(super) fn compiled(table: &FlowTable) -> CompiledTable {
-        CompiledTable::on_layout(table, Arc::new(Layout::build(table)))
+    /// A compiled table and the probe counts of the lookups made through
+    /// it, kept beside the table the way a plane keeps its own.
+    pub(super) struct Counted {
+        table: CompiledTable,
+        probes: std::cell::Cell<(u64, u64)>,
+    }
+
+    impl Counted {
+        pub(super) fn len(&self) -> usize {
+            self.table.len()
+        }
+
+        /// [`CompiledTable::lookup_index_counted`] into this table's counts.
+        pub(super) fn lookup_index_within(&self, len: usize, pk: &Packet) -> Option<usize> {
+            let mut probes = self.probes.get();
+            let at = self.table.lookup_index_counted(len, pk, &mut probes);
+            self.probes.set(probes);
+            at
+        }
+
+        pub(super) fn lookup_within(&self, len: usize, pk: &Packet) -> Option<&Rule> {
+            self.lookup_index_within(len, pk).map(|i| &self.table.rules[i])
+        }
+
+        /// `(confirmed hits, fallback scans)` over every lookup so far.
+        pub(super) fn lookup_stats(&self) -> (u64, u64) {
+            self.probes.get()
+        }
+    }
+
+    /// `table` indexed on a layout of its own, counting its probes.
+    pub(super) fn compiled(table: &FlowTable) -> Counted {
+        let table = CompiledTable::on_layout(table, Arc::new(Layout::build(table)));
+        Counted { table, probes: Default::default() }
     }
 
     /// The whole table's first match, through the bounded walk.
-    pub(super) fn lookup_index(compiled: &CompiledTable, pk: &Packet) -> Option<usize> {
+    pub(super) fn lookup_index(compiled: &Counted, pk: &Packet) -> Option<usize> {
         compiled.lookup_index_within(compiled.len(), pk)
     }
 
     /// The indexed [`FlowTable::apply`]: the first match's output packets.
-    pub(super) fn apply(compiled: &CompiledTable, pk: &Packet) -> BTreeSet<Packet> {
+    pub(super) fn apply(compiled: &Counted, pk: &Packet) -> BTreeSet<Packet> {
         let rule = compiled.lookup_within(compiled.len(), pk);
         rule.map_or_else(BTreeSet::new, |rule| rule.actions.apply(pk))
     }
 
     /// How many rules the layout's hash segments cover (the rest are scanned).
-    pub(super) fn hashed_rules(compiled: &CompiledTable) -> usize {
-        let hashed = compiled.layout.segments.iter().map(|segment| match segment {
+    pub(super) fn hashed_rules(compiled: &Counted) -> usize {
+        let hashed = compiled.table.layout.segments.iter().map(|segment| match segment {
             Segment::Hash(seg) => (seg.end - seg.start) as usize,
             Segment::Scan { .. } => 0,
         });
@@ -710,7 +759,7 @@ mod tests {
         let table = FlowTable::new();
         let compiled = compiled(&table);
         assert_eq!(compiled.len(), 0);
-        assert_eq!(compiled.layout.segments.len(), 0);
+        assert_eq!(compiled.table.layout.segments.len(), 0);
         for pk in [Packet::new(), Packet::new().with(Field::IpDst, 3)] {
             assert_eq!(lookup_index(&compiled, &pk), None);
             assert!(apply(&compiled, &pk).is_empty());
@@ -829,7 +878,9 @@ mod tests {
     /// A pattern whose fields change under the same values fingerprints
     /// alike (the fingerprint reads values only), and the comparison keeps
     /// the two tables apart; the same patterns under other actions, built
-    /// apart, share the first table's layout and answer with their own rules.
+    /// apart, share the first table's layout and answer with their own
+    /// rules. Probes count into the caller's counters, not the shared
+    /// layout: a lookup on each of two tables on one layout is one hit each.
     #[test]
     fn a_layout_is_shared_on_equal_patterns_only() {
         let dst: Vec<Rule> = (0..8).map(|h| exact(Field::IpDst, h, h)).collect();
@@ -846,10 +897,13 @@ mod tests {
         let (mine, theirs) = (c.lookup_within(c.len(), &pk), a.lookup_within(a.len(), &pk));
         assert_eq!(mine, tables[2].lookup(&pk), "the table's own rule");
         assert_ne!(mine, theirs);
-        assert_eq!(
-            (a.lookup_stats(), b.lookup_stats(), c.lookup_stats()),
-            ((1, 0), (0, 0), (1, 0))
-        );
+        let counted = |table: &CompiledTable| {
+            let mut probes = (0, 0);
+            table.lookup_index_counted(table.len(), &pk, &mut probes);
+            probes
+        };
+        // `pk` has no `Vlan`, so `b`'s one segment is skipped uncounted.
+        assert_eq!([&a, &b, &c].map(counted), [(1, 0), (0, 0), (1, 0)]);
     }
 
     #[test]
@@ -859,7 +913,7 @@ mod tests {
         rules.push(Rule::drop_all());
         let compiled = compiled(&FlowTable::from_rules(rules));
         // Two hash runs plus the trailing wildcard scan.
-        assert_eq!(compiled.layout.segments.len(), 3);
+        assert_eq!(compiled.table.layout.segments.len(), 3);
         assert_eq!(hashed_rules(&compiled), 16);
         assert_eq!(compiled.len(), 17);
     }

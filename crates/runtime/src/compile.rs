@@ -3,12 +3,14 @@
 //! Every event-set of the NES gets an integer *tag*; every configuration is
 //! installed proactively, with each rule guarded by its tag; switches stamp
 //! incoming packets with the tag of their current event-set and learn events
-//! from packet digests.
+//! from packet digests. The tag of an event-set is its position among the
+//! NES's sorted event-sets — the column of the NES's table index — so
+//! compiling keeps no table of its own.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use edn_core::{Config, EventSet, NetworkEventStructure};
+use edn_core::{EventSet, NetworkEventStructure};
 use netkat::{ActionSet, Match};
 
 /// A deployable compilation of an NES.
@@ -36,10 +38,9 @@ use netkat::{ActionSet, Match};
 /// ```
 #[derive(Clone, Debug)]
 pub struct CompiledNes {
+    /// Tag `t` is the NES's `t`-th event-set (sorted, so `∅` is always
+    /// tag 0).
     nes: NetworkEventStructure,
-    /// Tag → event-set (sorted, so `∅` is always tag 0).
-    tags: Vec<EventSet>,
-    tag_of: BTreeMap<EventSet, u64>,
 }
 
 /// Installed-rule counts, split by role (Section 4.1's building blocks).
@@ -75,12 +76,9 @@ impl fmt::Display for RuleBreakdown {
 }
 
 impl CompiledNes {
-    /// Compiles an NES: enumerates its event-sets and assigns tags.
+    /// Compiles an NES: its sorted event-sets are the tags.
     pub fn compile(nes: NetworkEventStructure) -> CompiledNes {
-        let mut tags: Vec<EventSet> = nes.event_sets();
-        tags.sort();
-        let tag_of = tags.iter().enumerate().map(|(i, &s)| (s, i as u64)).collect();
-        CompiledNes { nes, tags, tag_of }
+        CompiledNes { nes }
     }
 
     /// The underlying NES.
@@ -90,12 +88,12 @@ impl CompiledNes {
 
     /// Number of tags (= event-sets = proactively installed configurations).
     pub fn tag_count(&self) -> usize {
-        self.tags.len()
+        self.nes.event_sets().len()
     }
 
     /// The tag of an event-set, if it is reachable.
     pub fn tag_of(&self, set: EventSet) -> Option<u64> {
-        self.tag_of.get(&set).copied()
+        self.nes.index_of(set).map(|tag| tag as u64)
     }
 
     /// The event-set of a tag.
@@ -104,13 +102,7 @@ impl CompiledNes {
     ///
     /// Panics on an unknown tag.
     pub fn set_of(&self, tag: u64) -> EventSet {
-        self.tags[tag as usize]
-    }
-
-    /// The configurations the NES deploys, in tag order: the `tag`-th is
-    /// `g(set_of(tag))`.
-    pub(crate) fn configs(&self) -> impl Iterator<Item = &Config> + Clone {
-        self.tags.iter().map(|&set| self.nes.config(set))
+        self.nes.event_sets()[tag as usize]
     }
 
     /// The table `g(set_of(tag))` installs on `sw` — the specification every
@@ -118,7 +110,7 @@ impl CompiledNes {
     /// switch that configuration leaves without a table.
     #[cfg(test)]
     pub(crate) fn table(&self, sw: u64, tag: u64) -> Option<&netkat::FlowTable> {
-        self.nes.config(*self.tags.get(tag as usize)?).table(sw)
+        self.nes.config(*self.nes.event_sets().get(tag as usize)?).table(sw)
     }
 
     /// The *effective* event-set for an arbitrary known-events set: the
@@ -157,15 +149,14 @@ impl CompiledNes {
     /// The rule footprint of the deployment (Section 4.1, used by the
     /// Section 5.1 per-application table).
     pub fn rule_breakdown(&self) -> RuleBreakdown {
-        let mut b = RuleBreakdown::default();
-        let mut switches: BTreeSet<u64> = BTreeSet::new();
-        for &set in &self.tags {
-            let config = self.nes.config(set);
-            b.forwarding += config.rule_count();
-            switches.extend(config.switches());
-        }
-        b.stamping = switches.len() * self.tags.len();
-        for &set in &self.tags {
+        let tags = self.nes.event_sets();
+        let mut b = RuleBreakdown {
+            forwarding: tags.iter().map(|&set| self.nes.config(set).rule_count()).sum(),
+            // Every switch with a table stamps under every tag.
+            stamping: self.nes.table_rows().len() * tags.len(),
+            detection: 0,
+        };
+        for &set in tags {
             for event in self.nes.events() {
                 if !set.contains(event.id)
                     && self.nes.structure().enabled(set, event.id)
@@ -182,7 +173,8 @@ impl CompiledNes {
     /// `rules[tag]` is the set of `(switch, match, actions)` triples of that
     /// tag's configuration.
     pub fn config_rule_sets(&self) -> Vec<BTreeSet<(u64, Match, ActionSet)>> {
-        self.tags
+        self.nes
+            .event_sets()
             .iter()
             .map(|&set| {
                 let config = self.nes.config(set);

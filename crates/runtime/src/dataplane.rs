@@ -38,8 +38,8 @@ struct Local {
 #[derive(Clone, Debug)]
 pub struct NesDataPlane {
     compiled: CompiledNes,
-    /// The installed tables: one compiled index per prefix chain of a
-    /// switch's per-tag tables (Section 4.1).
+    /// The installed tables (the NES's index: one compiled index per prefix
+    /// chain of a switch's per-tag tables, Section 4.1) and probe counts.
     deployment: PerTagTables,
     /// Per-switch event state, dense: `local[slot]` with the deployment's
     /// slots, grown on demand for switches outside it. The switch step
@@ -70,16 +70,16 @@ pub struct NesDataPlane {
 }
 
 impl NesDataPlane {
-    /// Deploys a compiled NES on the given switches.
+    /// Deploys a compiled NES on the given switches, reading its tables.
     pub fn new(compiled: CompiledNes, switches: Vec<u64>, broadcast: bool) -> NesDataPlane {
-        let deployment = PerTagTables::build(compiled.configs(), &switches);
+        let deployment = PerTagTables::deploy(compiled.nes(), &switches);
         let blank = Local {
             known: EventSet::empty(),
             effective: compiled.effective_set(EventSet::empty()),
             tag: compiled.tag_for_known(EventSet::empty()),
         };
         NesDataPlane {
-            local: vec![blank; deployment.rows()],
+            local: vec![blank; deployment.slots()],
             compiled,
             deployment,
             blank,
@@ -240,9 +240,8 @@ impl DataPlane for NesDataPlane {
         self.learn(sw, view, now);
     }
 
-    /// Reports the compiled lookup index's fingerprint probe outcomes,
-    /// summed over every index this plane instance drove, and the layout's
-    /// size.
+    /// Reports this plane instance's fingerprint probe outcomes, summed
+    /// over every index it looked up, and the layout's size.
     fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
         self.deployment.contribute_metrics(reg);
     }

@@ -16,8 +16,8 @@
 //! test the same patterns in the same order — every switch of a generated
 //! topology routes the same `ip_dst` patterns in the same host order —
 //! share one segment layout, so the build costs one layout per distinct
-//! pattern sequence, not one per switch. The online checker reads its
-//! configurations' tables through the same type. This dispatch is the one
+//! pattern sequence, not one per switch. It is the NES's own index
+//! ([`NetworkEventStructure::tables`]): deploying builds none. This dispatch is the one
 //! rendering of the guard; what a switch that writes the tag into every rule
 //! would install is counted, not built, by
 //! [`CompiledNes::rule_breakdown`](crate::CompiledNes::rule_breakdown).
@@ -28,59 +28,42 @@
 //! Every plane looks a packet up in a [`PerTagTables`] and hands the rule to
 //! [`Hop::forward`]; only the NES plane passes a stamp.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::sync::Arc;
 
-use edn_core::Config;
+use edn_core::NetworkEventStructure;
 use netkat::{
-    ChainTables, Field, FieldReader, FlowTable, FxBuildHasher, Loc, Packet, PacketArena, PacketId,
-    Rule,
+    ChainTables, Field, FieldReader, FxBuildHasher, Loc, Packet, PacketArena, PacketId, Rule,
 };
 
-/// The plane's dense switch order: the deployment list, then any switch
-/// only a configuration names, each once — so every installed table has a
-/// slot.
-pub(crate) fn dense_switches<'a>(
-    configs: impl Iterator<Item = &'a Config>,
-    listed: &[u64],
-) -> Vec<u64> {
-    let installed = configs.flat_map(Config::switches);
-    let mut seen = BTreeSet::new();
-    listed.iter().copied().chain(installed).filter(|&sw| seen.insert(sw)).collect()
-}
-
-/// The installed tables of one deployment: a [`ChainTables`] whose rows are
-/// the [`dense_switches`] and whose columns are the tags (see the module
-/// docs); no tag guard is written into the rules.
+/// One deployment: the NES's shared [`ChainTables`] (rows are switches,
+/// columns are tags) and this plane's own slots and probe counts.
 #[derive(Clone, Debug)]
 pub(crate) struct PerTagTables {
-    tables: ChainTables,
-    /// `switch id → dense slot`: the row of `tables`, and the index into a
-    /// plane's per-switch state. Switches outside the deployment are given
-    /// slots past every row on first contact ([`slot_of`](Self::slot_of)):
-    /// they have no tables, and their packets drop.
+    tables: Arc<ChainTables>,
+    /// `switch id → dense slot`, the index into a plane's per-switch state:
+    /// the NES's rows first, then listed and first-contact switches past
+    /// every row, which have no table and drop.
     switch_slot: HashMap<u64, u32, FxBuildHasher>,
+    /// `(confirmed hits, fallback scans)` of this plane's hash probes.
+    probes: (u64, u64),
 }
 
 impl PerTagTables {
-    /// Builds the layout of `configs`, in tag order, on the
-    /// [`dense_switches`] of `listed`.
-    pub(crate) fn build<'a>(
-        configs: impl Iterator<Item = &'a Config> + Clone,
-        listed: &[u64],
-    ) -> PerTagTables {
-        let switches = dense_switches(configs.clone(), listed);
-        let empty = &FlowTable::new();
-        let rows = switches
-            .iter()
-            .map(|&sw| configs.clone().map(move |config| config.table(sw).unwrap_or(empty)));
-        let tables = ChainTables::build(configs.clone().count(), rows);
-        let switch_slot = switches.iter().enumerate().map(|(i, &sw)| (sw, i as u32)).collect();
-        PerTagTables { tables, switch_slot }
+    /// Deploys `nes`'s tables with a slot for every switch in `listed`.
+    pub(crate) fn deploy(nes: &NetworkEventStructure, listed: &[u64]) -> PerTagTables {
+        let switch_slot = nes.table_rows().clone();
+        let mut deployment =
+            PerTagTables { tables: Arc::clone(nes.tables()), switch_slot, probes: (0, 0) };
+        for &sw in listed {
+            deployment.slot_of(sw);
+        }
+        deployment
     }
 
-    /// How many switches have a row.
-    pub(crate) fn rows(&self) -> usize {
-        self.tables.rows()
+    /// How many switches have a slot so far.
+    pub(crate) fn slots(&self) -> usize {
+        self.switch_slot.len()
     }
 
     /// The dense slot of `sw`, if it has one.
@@ -96,27 +79,26 @@ impl PerTagTables {
     }
 
     /// The forwarding rule for a packet at dense switch slot `slot` under
-    /// `tag`, read through `view`. An unknown switch or an out-of-range tag
-    /// has no table and drops.
+    /// `tag`, read through `view`, counting the probe. A slot past every row
+    /// or an out-of-range tag has no table and drops.
     pub(crate) fn lookup_on<R: FieldReader>(
-        &self,
+        &mut self,
         slot: usize,
         tag: u64,
         view: &R,
     ) -> Option<&Rule> {
-        self.tables.lookup_on(slot, tag, view)
+        self.tables.lookup_counted(slot, tag, view, &mut self.probes)
     }
 
-    /// Reports the compiled indexes' fingerprint probe outcomes, summed over
-    /// every index, and the layout's size: how many indexes, sharing how
-    /// many segment layouts, over how many rules serve how many `(switch,
-    /// tag)` slots.
+    /// Reports this plane's fingerprint probe outcomes and the layout's
+    /// size: how many indexes, sharing how many segment layouts, over how
+    /// many rules serve how many `(switch, tag)` cells.
     pub(crate) fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
-        let (hits, fallbacks) = self.tables.lookup_stats();
+        let (hits, fallbacks) = self.probes;
         reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_hits", hits);
         reg.counter_add(edn_obs::Scope::Shard, "flowindex.fp_fallbacks", fallbacks);
         // `Shard` scope, like the probe counters: the layout is a property
-        // of this build, not of the simulated run, and the `sim` section is
+        // of the NES's build, not of the simulated run, and the `sim` section is
         // compared whole across builds (`tests/plumbing_equivalence.rs`).
         let t = &self.tables;
         reg.gauge_max(edn_obs::Scope::Shard, "flowindex.tables", t.chains() as u64);
@@ -217,8 +199,8 @@ impl Hop {
 mod tests {
     use super::*;
     use crate::compile::CompiledNes;
-    use edn_core::{Event, EventId, EventSet, EventStructure, NetworkEventStructure};
-    use netkat::{Action, ActionSet, Match, Pred};
+    use edn_core::{Config, Event, EventId, EventSet, EventStructure};
+    use netkat::{Action, ActionSet, FlowTable, Match, Pred};
 
     /// The firewall NES used across the runtime tests: one switch, two
     /// hosts, a reply rule unlocked by e0.
@@ -256,7 +238,7 @@ mod tests {
     #[test]
     fn the_layout_picks_each_tags_own_rule() {
         let nes = CompiledNes::compile(firewall_nes());
-        let layout = PerTagTables::build(nes.configs(), &[1]);
+        let mut layout = PerTagTables::deploy(nes.nes(), &[1]);
         for tag in 0..nes.tag_count() as u64 {
             for pt in [2u64, 3, 9] {
                 for dst in [200u64, 300, 7] {
@@ -282,25 +264,25 @@ mod tests {
         pk.set(Field::Tag, 0);
         let mut bad_tag = pk.clone();
         bad_tag.set(Field::Tag, 99);
-        let layout = PerTagTables::build(nes.configs(), &[1]);
+        let mut layout = PerTagTables::deploy(nes.nes(), &[1]);
         // A switch outside the deployment gets the plane's next free slot,
         // past every row.
         assert!(layout.lookup_on(1, 0, &pk).is_none(), "unknown switch");
         assert!(layout.lookup_on(0, 99, &bad_tag).is_none(), "unknown tag");
     }
 
-    /// The per-tag layout compiles one index per prefix chain: the
-    /// firewall's second table extends its first, and a switch no
-    /// configuration installs a table on is one empty chain.
+    /// The per-tag layout holds one index per prefix chain: the
+    /// firewall's second table extends its first. A listed switch no
+    /// configuration installs a table on has a slot and no row.
     #[test]
     fn layout_introspection_reports_the_expected_shape() {
         let nes = CompiledNes::compile(firewall_nes());
-        // Slot 1 is a listed switch no configuration installs a table on.
-        let per_tag = PerTagTables::build(nes.configs(), &[1, 2]);
+        let per_tag = PerTagTables::deploy(nes.nes(), &[2, 1]);
         let t = &per_tag.tables;
-        assert_eq!(t.chains(), 2, "switch 1's chain + switch 2's shared empty");
-        assert_eq!((t.rows(), t.cells()), (2, 4));
+        assert_eq!(t.chains(), 1, "switch 1's chain");
+        assert_eq!((t.rows(), t.cells()), (1, 2));
         assert_eq!(t.indexed_rules(), 2, "the chain's longest member is what is indexed");
+        assert_eq!((per_tag.slot(1), per_tag.slot(2), per_tag.slots()), (Some(0), Some(1), 2));
     }
 
     /// An event that *removes* and *reinstalls* switches: the per-tag
@@ -327,11 +309,10 @@ mod tests {
             )
             .unwrap(),
         );
-        let switches = dense_switches(nes.configs(), &[]);
-        assert_eq!(switches, vec![1, 2], "configuration-only switches get slots");
-        let per_tag = PerTagTables::build(nes.configs(), &[]);
+        let mut per_tag = PerTagTables::deploy(nes.nes(), &[]);
+        assert_eq!((per_tag.slot(1), per_tag.slot(2)), (Some(0), Some(1)), "rows are slots");
         for tag in [0u64, 1] {
-            for (slot, &sw) in switches.iter().enumerate() {
+            for (slot, sw) in [1, 2].into_iter().enumerate() {
                 let mut pk = Packet::new();
                 pk.set_loc(Loc::new(sw, 1));
                 pk.set(Field::Tag, tag);
@@ -353,7 +334,8 @@ mod proptests {
     use super::*;
     use crate::campaign::{campaign_nes, campaign_pred, CampaignStep};
     use crate::compile::CompiledNes;
-    use netkat::{Action, ActionSet, LocatedView, Match};
+    use edn_core::Config;
+    use netkat::{Action, ActionSet, FlowTable, LocatedView, Match};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -486,11 +468,16 @@ mod proptests {
             ),
         ) {
             let nes = chain_nes(tables, steps);
-            let switches = dense_switches(nes.configs(), &listed);
-            let deployment = PerTagTables::build(nes.configs(), &listed);
+            let mut deployment = PerTagTables::deploy(nes.nes(), &listed);
             let tags = nes.tag_count() as u64;
+            // The rows: every switch some tag's table is installed on, ascending.
+            let switches: Vec<u64> =
+                (0..7).filter(|&sw| (0..tags).any(|tag| nes.table(sw, tag).is_some())).collect();
             prop_assert_eq!(deployment.tables.chains(), chain_count(&nes, &switches));
             prop_assert_eq!(deployment.tables.cells(), switches.len() * tags as usize);
+            for (row, &sw) in switches.iter().enumerate() {
+                prop_assert_eq!(deployment.slot(sw), Some(row));
+            }
 
             // Random packets plus every installed pattern read back as a
             // packet (a guaranteed candidate hit, shadowed or not).
@@ -508,7 +495,7 @@ mod proptests {
 
             for sw in 0..7u64 {
                 // A switch outside the deployment gets the next free slot.
-                let slot = switches.iter().position(|&s| s == sw).unwrap_or(switches.len());
+                let slot = deployment.slot_of(sw);
                 for tag in 0..tags + 2 {
                     let spec = (tag < tags)
                         .then(|| nes.nes().config(nes.set_of(tag)).table(sw))

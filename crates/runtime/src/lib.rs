@@ -42,6 +42,4 @@ pub use dataplane::NesDataPlane;
 pub use reliable::{Envelope, Reliable};
 pub use static_plane::StaticDataPlane;
 pub use uncoordinated::{UncoordDataPlane, UncoordMsg};
-pub use verify::{
-    attach_online_checker, nes_engine, nes_reliable_engine_with, uncoordinated_engine,
-};
+pub use verify::{attach_online_checker, nes_engine, uncoordinated_engine};

@@ -5,7 +5,7 @@
 //! reference switches" — against which the NES runtime's overhead is
 //! measured.
 
-use edn_core::Config;
+use edn_core::{Config, EventSet, EventStructure, NetworkEventStructure};
 use netkat::{Loc, LocatedView, PacketArena, PacketId};
 use netsim::{DataPlane, PlaneOut, SimTime};
 
@@ -16,7 +16,8 @@ use crate::hop_props::{table_reference, StepResult};
 /// A data plane that forwards under a single fixed [`Config`].
 #[derive(Clone, Debug)]
 pub struct StaticDataPlane {
-    config: Config,
+    /// The configuration, as `g(∅)` of an NES with no events.
+    nes: NetworkEventStructure,
     /// The configuration's tables, deployed as the one-tag layout every
     /// plane forwards through.
     deployment: PerTagTables,
@@ -26,13 +27,16 @@ pub struct StaticDataPlane {
 impl StaticDataPlane {
     /// Deploys the configuration.
     pub fn new(config: Config) -> StaticDataPlane {
-        let deployment = PerTagTables::build(std::iter::once(&config), &[]);
-        StaticDataPlane { config, deployment, hop: Hop::default() }
+        let events = EventStructure::new(Vec::new(), []);
+        let nes = NetworkEventStructure::new(events, [(EventSet::empty(), config)])
+            .expect("the empty structure reaches only `∅`, which has the configuration");
+        let deployment = PerTagTables::deploy(&nes, &[]);
+        StaticDataPlane { nes, deployment, hop: Hop::default() }
     }
 
     /// The deployed configuration.
     pub fn config(&self) -> &Config {
-        &self.config
+        self.nes.initial_config()
     }
 }
 
@@ -61,9 +65,9 @@ impl DataPlane for StaticDataPlane {
         }
     }
 
-    /// Reports the compiled lookup index's fingerprint probe outcomes,
-    /// summed over the per-switch tables, and the layout's size (one index
-    /// and one slot per switch).
+    /// Reports this plane's fingerprint probe outcomes, summed over the
+    /// per-switch tables, and the layout's size (one index and one cell per
+    /// switch).
     fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
         self.deployment.contribute_metrics(reg);
     }
@@ -80,7 +84,7 @@ impl StaticDataPlane {
         pt: u64,
         packet: netkat::Packet,
     ) -> StepResult<()> {
-        let outputs = table_reference(self.config.table(sw), Loc::new(sw, pt), packet);
+        let outputs = table_reference(self.config().table(sw), Loc::new(sw, pt), packet);
         StepResult { outputs, notifications: Vec::new() }
     }
 }

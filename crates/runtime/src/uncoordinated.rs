@@ -33,8 +33,8 @@ impl CtrlMsg for UncoordMsg {}
 #[derive(Clone, Debug)]
 pub struct UncoordDataPlane {
     compiled: CompiledNes,
-    /// Every configuration's tables, in tag order: the layout every plane
-    /// forwards through.
+    /// Every configuration's tables, in tag order: the NES's one index,
+    /// the layout every plane forwards through.
     deployment: PerTagTables,
     /// Per-switch currently-installed tag, by the deployment's dense slot.
     current: Vec<u64>,
@@ -58,9 +58,9 @@ impl UncoordDataPlane {
         update_delay: SimTime,
         seed: u64,
     ) -> UncoordDataPlane {
-        let deployment = PerTagTables::build(compiled.configs(), &switches);
+        let deployment = PerTagTables::deploy(compiled.nes(), &switches);
         UncoordDataPlane {
-            current: vec![0; deployment.rows()],
+            current: vec![0; deployment.slots()],
             compiled,
             deployment,
             controller: EventSet::empty(),

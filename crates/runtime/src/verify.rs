@@ -8,6 +8,9 @@
 //! asks with [`Engine::with_trace_mode`]. The post-hoc search over a
 //! recorded trace stays in `edn_core` as the executable spec the online
 //! checker is tested against.
+//! The engines here and the checker read the NES's one table index
+//! ([`NetworkEventStructure::tables`]) and build none; each run owns only
+//! its own state, so runs from one NES are fresh runs.
 
 use edn_core::{NetworkEventStructure, OnlineChecker, OnlineHandle, OnlineViolation};
 use netsim::{DataPlane, Engine, SimParams, SimTopology};
@@ -28,27 +31,6 @@ pub fn nes_engine(
 ) -> Engine<NesDataPlane> {
     let switches = topo.switches().to_vec();
     let dataplane = NesDataPlane::new(CompiledNes::compile(nes), switches, broadcast);
-    Engine::new(topo, params, dataplane, hosts)
-}
-
-/// [`nes_engine`] with the paper's runtime wrapped in the
-/// [`Reliable`](crate::Reliable) ack/retry layer — the deployment for
-/// lossy control channels (a lossy
-/// [`Engine::with_channel`](netsim::Engine::with_channel)). `budget` is
-/// the maximum retransmissions per message; after the run, check
-/// [`Reliable::degraded`](crate::Reliable::degraded) on the returned
-/// data plane.
-pub fn nes_reliable_engine_with(
-    nes: NetworkEventStructure,
-    topo: SimTopology,
-    params: SimParams,
-    broadcast: bool,
-    hosts: netsim::BoxedHosts,
-    budget: u32,
-) -> Engine<crate::Reliable<NesDataPlane>> {
-    let switches = topo.switches().to_vec();
-    let inner = NesDataPlane::new(CompiledNes::compile(nes), switches, broadcast);
-    let dataplane = crate::Reliable::with_budget(inner, budget);
     Engine::new(topo, params, dataplane, hosts)
 }
 
@@ -272,15 +254,11 @@ mod tests {
     #[test]
     fn reliable_runtime_survives_a_lossy_channel() {
         let (nes, topo) = nes_and_topo();
-        let engine = nes_reliable_engine_with(
-            nes.clone(),
-            topo,
-            SimParams::default(),
-            false,
-            Box::new(ScenarioHosts::new()),
-            8,
-        )
-        .with_channel(netsim::ChannelModel::lossy(99));
+        let plane = NesDataPlane::new(CompiledNes::compile(nes.clone()), vec![1], false);
+        let plane = crate::Reliable::with_budget(plane, 8);
+        let hosts = Box::new(ScenarioHosts::new());
+        let engine = Engine::new(topo, SimParams::default(), plane, hosts)
+            .with_channel(netsim::ChannelModel::lossy(99));
         let pings = vec![
             Ping { time: SimTime::from_millis(1), src: 300, dst: 200, id: 1 },
             Ping { time: SimTime::from_millis(100), src: 200, dst: 300, id: 2 },

@@ -519,14 +519,11 @@ impl CompiledScenario {
         &self,
         budget: u32,
     ) -> Engine<nes_runtime::Reliable<nes_runtime::NesDataPlane>> {
-        nes_runtime::nes_reliable_engine_with(
-            self.nes.clone(),
-            self.run.sim().clone(),
-            SimParams::default(),
-            false,
-            Box::new(netsim::SinkHosts),
-            budget,
-        )
+        let topo = self.run.sim().clone();
+        let compiled = nes_runtime::CompiledNes::compile(self.nes.clone());
+        let plane = nes_runtime::NesDataPlane::new(compiled, topo.switches().to_vec(), false);
+        let plane = nes_runtime::Reliable::with_budget(plane, budget);
+        Engine::new(topo, SimParams::default(), plane, Box::new(netsim::SinkHosts))
     }
 
     /// Builds the uncoordinated-baseline engine: the spec's `update_delay`

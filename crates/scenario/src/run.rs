@@ -398,6 +398,85 @@ mod tests {
         assert!(dump.contains("\"drop\""), "dump shows the drops: {dump}");
     }
 
+    /// What per-run state could disturb in a leg's report: the counters,
+    /// the verdict and the plane's own probe counts.
+    type Report = (Stats, Option<Result<(), OnlineViolation>>, Option<u64>, Option<u64>);
+
+    fn report(out: ScenarioOutcome) -> Report {
+        let probes = |name| out.metrics.counter(name);
+        (out.stats, out.verdict, probes("flowindex.fp_hits"), probes("flowindex.fp_fallbacks"))
+    }
+
+    /// `flap_spec` compiled anew, at the telemetry level that reports probes.
+    fn compiled() -> CompiledScenario {
+        let c = CompiledScenario::compile(&flap_spec()).unwrap();
+        CompiledScenario { metrics: MetricsLevel::Full, ..c }
+    }
+
+    const CHECKED: RunOptions = RunOptions { check: true, stream: false, channel: None };
+    const UNCHECKED: RunOptions = RunOptions { check: false, stream: false, channel: None };
+
+    /// An NES is built once and deployed many times, so everything a run
+    /// changes must be the run's own. Two engines from one NES, back to
+    /// back in both orders — the NES plane and the uncoordinated plane, a
+    /// checked run and an unchecked one — each report what a run from an
+    /// NES compiled for it alone reports. Probe counts kept in the shared
+    /// index would add the first run's lookups to the second's.
+    #[test]
+    fn two_runs_from_one_nes_report_what_fresh_builds_report() {
+        type Leg = fn(&CompiledScenario) -> Report;
+        let checked: Leg = |c| report(run_coordinated(c, &CHECKED));
+        let unchecked: Leg = |c| report(run_coordinated(c, &UNCHECKED));
+        let baseline: Leg = |c| report(run_uncoordinated(c));
+        assert!(checked(&compiled()).2.is_some_and(|hits| hits > 0), "lookups hit hash segments");
+        assert!(baseline(&compiled()).1.is_some_and(|v| v.is_err()), "the baseline is caught");
+        for (first, second) in [
+            (checked, unchecked),
+            (unchecked, checked),
+            (unchecked, baseline),
+            (baseline, unchecked),
+        ] {
+            let c = compiled();
+            let back_to_back = [first(&c), second(&c)];
+            assert_eq!(back_to_back, [first(&compiled()), second(&compiled())]);
+        }
+    }
+
+    /// The checker walks the same index the plane looks up in, and counts
+    /// nothing: a verified run reports the probe counts of an unchecked one.
+    #[test]
+    fn the_checker_never_counts_into_the_planes_probes() {
+        let (_, verdict, hits, fallbacks) = report(run_coordinated(&compiled(), &CHECKED));
+        assert_eq!(verdict, Some(Ok(())));
+        assert!(hits.is_some_and(|hits| hits > 0), "the lookups hit hash segments");
+        let (_, _, bare_hits, bare_fallbacks) = report(run_coordinated(&compiled(), &UNCHECKED));
+        assert_eq!((hits, fallbacks), (bare_hits, bare_fallbacks));
+    }
+
+    /// Every leg's plane and the checker attached to one hold the NES's one
+    /// index — each adds a reference to it, none builds its own — and let
+    /// go of it when they are dropped.
+    #[test]
+    fn every_leg_and_the_checker_hold_the_nes_index() {
+        let c = CompiledScenario::compile(&flap_spec()).unwrap();
+        let index = c.nes.tables();
+        let held = || std::sync::Arc::strong_count(index);
+        assert_eq!(held(), 1, "only the NES holds its index");
+        let mut engine = c.engine();
+        let reliable = c.reliable_engine_with(8);
+        let baseline = c.uncoordinated();
+        assert_eq!(held(), 4, "each plane reads the NES's index");
+        let handle = nes_runtime::attach_online_checker(&mut engine, &c.nes).unwrap();
+        assert_eq!(held(), 5, "and so does the checker");
+        let planes = [engine.finish().dataplane, reliable.finish().dataplane.inner().clone()];
+        for plane in &planes {
+            assert!(std::sync::Arc::ptr_eq(plane.compiled().nes().tables(), index));
+        }
+        assert!(handle.verdict().is_ok(), "a quiet run is correct");
+        drop((planes, baseline));
+        assert_eq!(held(), 1, "a finished run lets go of the index");
+    }
+
     #[test]
     fn verdict_names_are_csv_words() {
         let c = CompiledScenario::compile(&flap_spec()).unwrap();

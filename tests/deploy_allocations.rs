@@ -1,5 +1,7 @@
 //! Sharing regression: a campaign's rules are built once and passed along
 //! — bodies, rule lists and indexes — not rebuilt or copied per stage.
+//! The table index is built once, with the NES, and every deployment and
+//! checker reads it: deploying and attaching build no index at all.
 //!
 //! A counting `#[global_allocator]` watches the three stages a campaign run
 //! goes through before its first event, on the fat-tree(4) × 4-update
@@ -15,7 +17,8 @@
 //! switch routes the same destinations in the same order, so what is left
 //! after sharing is one rule list per group of switches with equal next-hop
 //! rows (13 for the twenty), one index per *switch*, five `(list, length)`
-//! views of them, and one index layout for all twenty switches.
+//! views of them, and one index layout for all twenty switches — all built
+//! by the compile, with the NES.
 //! Counts are per thread and repeat exactly; the
 //! bounds are the measured counts (scenario compile 2,783 → 1,076 when the
 //! routing synthesis stopped building a `Match` and an `ActionSet` per
@@ -27,8 +30,11 @@
 //! its graph, distances and next hops in per-switch trees, then 363 / 57 / 90
 //! when switches that test the same patterns started sharing one index
 //! layout, then 328 / 57 / 90 when switches with equal next-hop rows started
-//! sharing one rule list). A fourth leg watches `OnlineChecker::observer`, whose set-up
-//! follows the same chains: its cost may not grow with the configurations.
+//! sharing one rule list, then 351 / 7 / 40 when the index build moved from
+//! the deploy into the NES's construction: the compile builds the one index,
+//! and the deploy and `engine()` read it). A fourth leg watches
+//! `OnlineChecker::observer`, which reads the NES's index too: its cost may
+//! not grow with the configurations.
 //! A fifth covers the stream workloads' set-up, where the configurations
 //! come from `edn_apps::generated` rather than a campaign: two
 //! configurations that differ on a switch or three share every other table.
@@ -133,9 +139,9 @@ fn deploying_a_campaign_does_not_copy_rule_bodies() {
     assert_eq!(deploy().0, spent, "the allocation count repeats exactly");
     assert!(forwarding >= 1000, "the campaign installs a real rule load ({forwarding})");
     assert!(
-        spent <= 57,
-        "deploying {forwarding} installed rules took {spent} allocations (57 when pinned) — \
-         rule lists are being copied, or an index is built per table or per switch again"
+        spent <= 7,
+        "deploying {forwarding} installed rules took {spent} allocations (7 when pinned) — \
+         rule lists are being copied, or an index is built again"
     );
 }
 
@@ -146,7 +152,9 @@ fn deploying_a_campaign_does_not_copy_rule_bodies() {
 /// per *installed* rule. The bound fell from 363 to 328 when switches with
 /// equal next-hop rows started sharing one rule list (13 for fat-tree(4)'s
 /// 20 switches) and the campaign's links and hosts started being collected
-/// in bulk.
+/// in bulk, and rose to 351 when the NES started building its table index
+/// (20 chains, one layout) at construction, where the deploy had built it
+/// (57 → 7).
 #[test]
 fn compiling_a_campaign_builds_each_rule_body_once() {
     let before = allocations();
@@ -155,16 +163,17 @@ fn compiling_a_campaign_builds_each_rule_body_once() {
     let forwarding = c.nes.total_rules() as u64;
     assert!(forwarding >= 1000, "the campaign installs a real rule load ({forwarding})");
     assert!(
-        spent <= 328,
+        spent <= 351,
         "compiling a campaign of {forwarding} installed rules took {spent} allocations \
-         (328 when pinned) — rule bodies are being built per rule, or a rule list per state \
+         (351 when pinned) — rule bodies are being built per rule, or a rule list per state \
          or per switch, again"
     );
 }
 
-/// `engine()` clones the NES and deploys it: with shared rule lists that
-/// is reference counts, one index per switch and one layout for them all,
-/// and the plane's tables *are* the compiled scenario's.
+/// `engine()` clones the NES and deploys it: a reference count on the NES
+/// and on its one index, no index built, and the plane's tables *are* the
+/// compiled scenario's. The bound fell from 90 to 40 when the index build
+/// moved into the NES's construction.
 #[test]
 fn building_an_engine_does_not_copy_rules() {
     let c = campaign();
@@ -172,12 +181,12 @@ fn building_an_engine_does_not_copy_rules() {
     let engine = c.engine();
     let spent = allocations() - before;
     assert!(
-        spent <= 90,
-        "engine() took {spent} allocations (90 when pinned) — \
-         a rule list is being copied, or an index built, per table or per switch again"
+        spent <= 40,
+        "engine() took {spent} allocations (40 when pinned) — \
+         a rule list is being copied, or an index built, again"
     );
     let plane = engine.finish().dataplane;
-    for set in c.nes.event_sets() {
+    for &set in c.nes.event_sets() {
         let (ours, theirs) = (c.nes.config(set), plane.compiled().nes().config(set));
         for sw in ours.switches() {
             assert_eq!(
@@ -200,12 +209,8 @@ fn an_additive_campaign_holds_one_list_and_one_index_per_switch() {
     let c = campaign();
     let switches = c.run.sim().switches();
     for &sw in switches {
-        let lists: std::collections::BTreeSet<*const Rule> = c
-            .nes
-            .event_sets()
-            .into_iter()
-            .filter_map(|set| list_of(c.nes.config(set), sw))
-            .collect();
+        let lists: std::collections::BTreeSet<*const Rule> =
+            c.nes.event_sets().iter().filter_map(|&set| list_of(c.nes.config(set), sw)).collect();
         assert_eq!(lists.len(), 1, "switch {sw}'s tables sit on {} rule lists", lists.len());
     }
     let mut reg = edn_obs::Registry::new();
@@ -214,7 +219,7 @@ fn an_additive_campaign_holds_one_list_and_one_index_per_switch() {
     assert_eq!(reg.gauge("flowindex.layouts"), Some(1));
     assert_eq!(reg.gauge("flowindex.slots"), Some(5 * switches.len() as u64));
     // Each index covers its switch's longest table: the final configuration.
-    let last = c.nes.event_sets().into_iter().max().expect("the campaign has states");
+    let &last = c.nes.event_sets().last().expect("the campaign has states");
     assert_eq!(reg.gauge("flowindex.indexed_rules"), Some(c.nes.config(last).rule_count() as u64));
 }
 
@@ -236,7 +241,7 @@ fn attaching_the_checker_does_not_scale_with_configurations() {
         let spent = allocations() - before;
         let mut reg = edn_obs::Registry::new();
         observer.contribute_metrics(&mut reg);
-        let last = c.nes.event_sets().into_iter().max().expect("the campaign has states");
+        let &last = c.nes.event_sets().last().expect("the campaign has states");
         assert_eq!(
             (reg.gauge("checker.index_chains"), reg.gauge("checker.index_rules")),
             (
@@ -310,12 +315,13 @@ fn learning_by_copy(
 /// The stream workloads' set-up on fat-tree(4): an application NES is the
 /// routed configuration and a clone of it with the touched switches'
 /// tables replaced. It equals the NES assembled by copying, its untouched
-/// tables are one allocation under both event-sets, and so the plane builds
-/// — and the checker indexes — one index per switch plus one per touched
-/// switch, where two by-value-equal copies cost two. Every switch routes
-/// the same destinations in the same order, so those indexes share one
-/// layout per distinct pattern sequence (the routing, and the routing under
-/// the inserted rule), in the plane and in the checker alike. The three
+/// tables are one allocation under both event-sets, and so the NES builds
+/// — and the plane and the checker read — one index per switch plus one
+/// per touched switch, where two by-value-equal copies cost two. Every
+/// switch routes the same destinations in the same order, so those indexes
+/// share one layout per distinct pattern sequence (the routing, and the
+/// routing under the inserted rule), which the plane and the checker both
+/// report. The three
 /// counts are the measured ones (build, deploy, attach); attach fell from
 /// 340 / 355 to 161 / 179 when the checker's index stopped keeping a
 /// priority position per rule and configuration and started sizing each
@@ -327,7 +333,10 @@ fn learning_by_copy(
 /// 160 / 202 when the routing started building one rule list per distinct
 /// next-hop row and the applications started finding their event ports and
 /// shadow path in the routing they had just built, not by routing the
-/// topology again.
+/// topology again. Then the index build moved into the NES's construction,
+/// which the plane and the checker both read: build rose from 160 / 202 to
+/// 187 / 229, deploy fell from 50 / 50 to 3 / 3, and attach from 53 / 53 to
+/// 26 / 26.
 #[test]
 fn an_application_nes_shares_its_untouched_tables() {
     let gen = fat_tree(4, TierProfile::default());
@@ -388,7 +397,7 @@ fn an_application_nes_shares_its_untouched_tables() {
         firewall_by_copy(&gen, inside, outside),
         &[outside_sw],
         2,
-        [160, 50, 53],
+        [187, 3, 26],
     );
     let (learner, target, shadow) = (h[0], h[15], h[8]);
     let (by_copy, touched) = learning_by_copy(&gen, learner, target, shadow);
@@ -399,15 +408,15 @@ fn an_application_nes_shares_its_untouched_tables() {
         by_copy,
         &touched,
         2,
-        [202, 50, 53],
+        [229, 3, 26],
     );
 }
 
 /// The benchmark's two fat-tree(8) set-ups, counted where their layouts are
-/// built: the firewall's 80 switches deploy 81 indexes over 2 layouts (the
-/// routing, and the routing under the guard), and the checker indexes the
-/// same 81 chains over the same 2; the 20-update campaign's 80 indexes
-/// share 1 layout in both. Building a layout per switch again fails here.
+/// built: the firewall NES's 80 switches hold 81 indexes over 2 layouts
+/// (the routing, and the routing under the guard), which the plane and the
+/// checker both read and report; the 20-update campaign's 80 indexes share
+/// 1 layout. Building a layout per switch again fails here.
 /// Since the routing builds one rule list per distinct next-hop row, the
 /// 80 routed tables sit on 41 lists (16 cores on one, each pod's 4
 /// aggregation switches on one, 32 edges on their own), and so do the
@@ -442,6 +451,6 @@ fn fat_tree_8_switches_share_one_layout_per_pattern_sequence() {
     let c = campaign_of(8, 20);
     assert_eq!(gauges(&c.nes, c.run.sim().switches()), [80, 1, 80, 1], "campaign");
     let configs: Vec<&edn_core::Config> =
-        c.nes.event_sets().into_iter().map(|set| c.nes.config(set)).collect();
+        c.nes.event_sets().iter().map(|&set| c.nes.config(set)).collect();
     assert_eq!((configs.len(), lists(&configs)), (21, 41), "campaign configurations, lists");
 }
