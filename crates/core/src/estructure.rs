@@ -37,7 +37,8 @@ use crate::event::{Event, EventId, EventSet};
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EventStructure {
     events: Vec<Event>,
-    family: BTreeSet<EventSet>,
+    /// Sorted and deduplicated, so equal families compare equal.
+    family: Vec<EventSet>,
 }
 
 impl EventStructure {
@@ -54,13 +55,14 @@ impl EventStructure {
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.id.index(), i, "events must be numbered consecutively");
         }
-        let mut fam: BTreeSet<EventSet> = family.into_iter().collect();
-        fam.insert(EventSet::empty());
+        let mut fam: Vec<EventSet> = family.into_iter().chain([EventSet::empty()]).collect();
+        fam.sort_unstable();
+        fam.dedup();
         let universe: EventSet = events.iter().map(|e| e.id).collect();
         for s in &fam {
             assert!(s.is_subset(universe), "family member {s} mentions unknown events");
         }
-        EventStructure { events: events.clone(), family: fam }
+        EventStructure { events, family: fam }
     }
 
     /// The events, indexed by [`EventId`].
@@ -73,9 +75,10 @@ impl EventStructure {
         &self.events[id.index()]
     }
 
-    /// The family of event-sets this structure was built from.
-    pub fn family(&self) -> impl Iterator<Item = EventSet> + '_ {
-        self.family.iter().copied()
+    /// The family of event-sets this structure was built from, with `∅`,
+    /// sorted and without repeats.
+    pub fn family(&self) -> &[EventSet] {
+        &self.family
     }
 
     /// The consistency predicate: `con(X)` iff `X ⊆ Y` for some family

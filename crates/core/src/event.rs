@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use netkat::{FieldReader, Loc, Packet, Pred};
+use netkat::{FieldReader, Loc, Pred};
 
 /// Identifier of an event within a [`crate::EventStructure`].
 ///
@@ -59,15 +59,10 @@ impl Event {
         Event { id, pred, loc }
     }
 
-    /// Returns `true` if a packet at `loc` matches this event
-    /// (`lp ⊨ e` in the paper): same location, predicate satisfied.
-    pub fn matches(&self, packet: &Packet, loc: Loc) -> bool {
-        self.matches_on(packet, loc)
-    }
-
-    /// [`matches`](Event::matches) with the packet read through any
-    /// [`FieldReader`].
-    pub fn matches_on<R: FieldReader>(&self, packet: &R, loc: Loc) -> bool {
+    /// Returns `true` if a packet at `loc`, read through any
+    /// [`FieldReader`], matches this event (`lp ⊨ e` in the paper): same
+    /// location, predicate satisfied.
+    pub fn matches<R: FieldReader>(&self, packet: &R, loc: Loc) -> bool {
         self.loc == loc && self.pred.eval_on(packet)
     }
 }
@@ -224,7 +219,7 @@ impl fmt::Display for EventSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netkat::Field;
+    use netkat::{Field, Packet};
 
     #[test]
     fn event_matching_requires_location_and_predicate() {

@@ -32,7 +32,7 @@ pub fn minimally_inconsistent(es: &EventStructure) -> Vec<EventSet> {
     let universe: EventSet = es.events().iter().map(|e| e.id).collect();
     // A non-maximal member's complement contains an earlier, smaller one,
     // which every transversal already meets: it costs no branching.
-    let mut edges: Vec<EventSet> = es.family().map(|y| universe.difference(y)).collect();
+    let mut edges: Vec<EventSet> = es.family().iter().map(|&y| universe.difference(y)).collect();
     edges.sort_by_key(|edge| edge.len());
     let mut transversals = vec![EventSet::empty()];
     for edge in edges {

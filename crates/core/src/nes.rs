@@ -1,18 +1,20 @@
-//! Network event structures (Definition 5), each with the one index of its
-//! configurations' tables that every plane and checker over it reads
-//! (Section 4.1 installs each `g(X)` once; Theorem 1 judges those same
-//! configurations). The index holds no per-run state.
+//! Network event structures (Definition 5), each with everything about its
+//! configurations that a plane or a checker over it reads (Section 4.1
+//! installs each `g(X)` once; Theorem 1 judges those same configurations):
+//! the one index of their tables, built with the NES, and the checker's
+//! masks, built by the first checker attached. Neither holds per-run state.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use netkat::{ChainTables, FlowTable, FxBuildHasher};
+use netkat::{ChainTables, FlowTable, FxBuildHasher, Loc};
 
 use crate::config::Config;
 use crate::estructure::EventStructure;
 use crate::event::{Event, EventSet};
 use crate::locality;
+use crate::shared::{ConfigMasks, FxMap};
 
 /// Errors in NES construction.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -44,8 +46,9 @@ impl fmt::Display for NesError {
 impl std::error::Error for NesError {}
 
 /// A network event structure `(E, con, ⊢, g)`: an event structure plus a map
-/// `g` from event-sets to network configurations, and the index of `g`'s
-/// tables. Immutable and `Arc`-backed: a clone is a reference count.
+/// `g` from event-sets to network configurations, the index of `g`'s
+/// tables, and, once a checker is attached, the checker's masks over `g`.
+/// Immutable and `Arc`-backed: a clone is a reference count.
 ///
 /// # Examples
 ///
@@ -79,6 +82,10 @@ struct Nes {
     sets: Vec<EventSet>,
     tables: Arc<ChainTables>,
     rows: HashMap<u64, u32, FxBuildHasher>,
+    /// Each location with an event → the events there.
+    located: FxMap<Loc, EventSet>,
+    /// Built by the first checker attached, never by an unchecked run.
+    masks: OnceLock<ConfigMasks>,
 }
 
 /// `configs`' tables, one column per configuration and one row per switch
@@ -114,7 +121,13 @@ impl NetworkEventStructure {
             .map(|s| g.get(s).ok_or(NesError::MissingConfig(*s)))
             .collect::<Result<Vec<&Config>, NesError>>()?;
         let (tables, rows) = index_tables(&configs);
-        Ok(NetworkEventStructure(Arc::new(Nes { es, g, sets, tables: Arc::new(tables), rows })))
+        let mut located: FxMap<Loc, EventSet> = FxMap::default();
+        for e in es.events() {
+            let here = located.entry(e.loc).or_default();
+            *here = here.insert(e.id);
+        }
+        let (tables, masks) = (Arc::new(tables), OnceLock::new());
+        Ok(NetworkEventStructure(Arc::new(Nes { es, g, sets, tables, rows, located, masks })))
     }
 
     /// The underlying event structure.
@@ -125,6 +138,13 @@ impl NetworkEventStructure {
     /// The events, indexed by [`EventId`](crate::EventId).
     pub fn events(&self) -> &[Event] {
         self.0.es.events()
+    }
+
+    /// The events located at `loc`, in id order: the ones a packet arriving
+    /// there can fire.
+    pub fn events_at(&self, loc: Loc) -> impl Iterator<Item = &Event> {
+        let here = self.0.located.get(&loc).copied().unwrap_or_default();
+        here.iter().map(|e| self.0.es.event(e))
     }
 
     /// The configuration `g(X)` for event-set `X`.
@@ -162,6 +182,21 @@ impl NetworkEventStructure {
     /// Each switch with a table in some `g(X)` → its row of [`tables`](Self::tables).
     pub fn table_rows(&self) -> &HashMap<u64, u32, FxBuildHasher> {
         &self.0.rows
+    }
+
+    /// The checker's masks over `g` (`shared.rs`), built by the first call,
+    /// which panics past 64 reachable event-sets (the checker refuses those).
+    pub(crate) fn masks(&self) -> &ConfigMasks {
+        self.0.masks.get_or_init(|| {
+            let configs: Vec<&Config> = self.0.sets.iter().map(|&x| self.config(x)).collect();
+            ConfigMasks::build(&self.0.rows, &configs)
+        })
+    }
+
+    /// The checker's masks, if a checker has been attached to this NES: one
+    /// instance, whichever checker built it and however many read it.
+    pub fn checker_masks(&self) -> Option<&ConfigMasks> {
+        self.0.masks.get()
     }
 
     /// Whether the NES is locally-determined (Section 2): every

@@ -46,18 +46,18 @@
 //! recycled entry. That one comparison is also the `a == b` the automaton's
 //! step needs, so the step is handed its result instead of making it again.
 //!
-//! The configurations themselves are not kept. At
-//! [`OnlineChecker::observer`] they are folded into one
-//! configuration-masked shared index (`shared.rs`) that reads the tables
-//! through the NES's own first-match index, netkat's `ChainTables` — the
-//! very instance the plane reads, built once with the NES: per switch, the
-//! configurations' tables are split into chains of prefixes and each
-//! chain's longest table is indexed *once*; per link, link source and host
-//! the mask of the configurations that have it, written once per distinct
-//! topology at attach. The configurations of an NES share nearly all their
-//! rules (a 20-update fat-tree(8) campaign installs 199,940 rules that are
-//! 10,240 indexed rules, in 80 chains), so the NES indexes 10,240 rules,
-//! not 199,940, and attaching indexes none. A record
+//! Nothing that depends on the NES alone is kept per run: the checker holds
+//! a clone of the NES and reads in place its events, its family, and what
+//! `shared.rs` steps through — the NES's first-match index of the
+//! configurations' tables, netkat's `ChainTables` (the very instance the
+//! plane reads, built with the NES: per switch, the tables split into
+//! chains of prefixes and each chain's longest table indexed *once*), and
+//! per link, link source and host the mask of the configurations that have
+//! it, written once per distinct topology by the first checker attached to
+//! the NES. The configurations of an NES share nearly all their rules (a
+//! 20-update fat-tree(8) campaign installs 199,940 rules that are 10,240
+//! indexed rules, in 80 chains), so the NES indexes 10,240 rules, not
+//! 199,940, and [`OnlineChecker::observer`] builds only per-run state. A record
 //! costs one link probe or one index walk per chain through a zero-copy
 //! view of the parent's packet: the chain's first match is the first match
 //! of every member long enough to hold it, and the shorter members match
@@ -120,11 +120,10 @@ use std::sync::{Arc, OnceLock};
 
 use netkat::{Field, Loc, Packet};
 
-use crate::config::Config;
 use crate::event::{Event, EventId, EventSet};
 use crate::nes::NetworkEventStructure;
 use crate::observe::{LeafKind, TraceObserver};
-use crate::shared::{FxMap, MaskedState, SharedIndex};
+use crate::shared::{FxMap, MaskedState};
 
 /// Why an online run is not correct (or not checkable).
 ///
@@ -322,13 +321,11 @@ struct Outcome {
 }
 
 struct Inner {
-    // NES-derived, fixed at construction.
-    /// The events that can fire at each location, in id order.
-    events_at: FxMap<Loc, Vec<Event>>,
-    family: Vec<EventSet>,
     /// The NES judged: configuration `i` is `g` of its `i`-th event-set.
+    /// Its events, family, tables and masks are read in place.
     nes: NetworkEventStructure,
-    index: SharedIndex,
+    /// Reused output buffer for the transitions' rewritten packets.
+    scratch: Packet,
 
     // Firing state.
     fired_set: EventSet,
@@ -423,11 +420,12 @@ impl Inner {
         if self.fired_set.contains(e.id) || !e.pred.eval(&self.pool[node.packet].0) {
             return false;
         }
+        let family = self.nes.structure().family();
         let next = self.fired_set.insert(e.id);
-        if !self.family.iter().any(|&y| next.is_subset(y)) {
+        if !family.iter().any(|&y| next.is_subset(y)) {
             return false;
         }
-        self.family.iter().any(|&y| {
+        family.iter().any(|&y| {
             y.contains(e.id)
                 && y.remove(e.id).is_subset(self.fired_set)
                 && y.remove(e.id)
@@ -550,8 +548,9 @@ impl Inner {
     fn process_leaf(&mut self, slot: usize, kind: LeafKind, fin: bool) {
         let allow_prefix = kind != LeafKind::Terminated;
         let node = &self.nodes[slot];
-        let last = &self.pool[node.packet].0;
-        let d = self.index.admitted(node.nfa, last, node.loc, allow_prefix);
+        let last = (&self.pool[node.packet].0, node.loc);
+        let nes = &self.nes;
+        let d = nes.masks().admitted(nes.tables(), node.nfa, last, allow_prefix, &mut self.scratch);
         // Condition 1: some realized configuration admits the trace. Future
         // firings can still discharge it — unless the run is over.
         if d & self.realized_mask == 0 {
@@ -599,11 +598,7 @@ impl Inner {
         // Greedy SWITCH-rule firing: at most one event per record, and
         // only the events located here are even looked at.
         let node = &self.nodes[slot];
-        let fireable = self
-            .events_at
-            .get(&node.loc)
-            .and_then(|here| here.iter().find(|e| self.fireable(e, node)))
-            .map(|e| e.id);
+        let fireable = self.nes.events_at(node.loc).find(|e| self.fireable(e, node)).map(|e| e.id);
         if let Some(e) = fireable {
             self.fire(e, slot);
             if self.dead() {
@@ -696,7 +691,8 @@ pub struct OnlineHandle {
 
 impl OnlineChecker {
     /// Builds an online checker for `nes`, returning the observer to attach
-    /// to the engine and the handle that yields the verdict.
+    /// to the engine and the handle that yields the verdict. Only the first
+    /// checker over `nes` builds the NES's masks, before its per-run state.
     ///
     /// # Errors
     ///
@@ -710,20 +706,14 @@ impl OnlineChecker {
     }
 
     fn new(nes: &NetworkEventStructure) -> Result<(OnlineChecker, OnlineHandle), OnlineViolation> {
-        let domain = nes.event_sets();
-        if domain.len() > 64 {
+        if nes.event_sets().len() > 64 {
             return Err(OnlineViolation::CapacityExceeded);
         }
-        let configs: Vec<&Config> = domain.iter().map(|&x| nes.config(x)).collect();
-        let mut events_at: FxMap<Loc, Vec<Event>> = FxMap::default();
-        for e in nes.events() {
-            events_at.entry(e.loc).or_default().push(e.clone());
-        }
+        // Built by the first checker over `nes`, read by every one.
+        nes.masks();
         let inner = Inner {
-            events_at,
-            family: nes.structure().family().collect(),
             nes: nes.clone(),
-            index: SharedIndex::new(Arc::clone(nes.tables()), nes.table_rows(), &configs),
+            scratch: Packet::new(),
             fired_set: EventSet::empty(),
             fire_pos: [0; EventId::MAX_EVENTS],
             // The sorted event-sets start with `∅`: configuration 0.
@@ -807,8 +797,9 @@ impl TraceObserver for OnlineChecker {
                 for &id in &trig {
                     inner.obligations[id as usize].live += 1;
                 }
-                let (a, b) = (&inner.pool[a].0, &inner.pool[b].0);
-                let nfa = inner.index.step(pn.nfa, a, pn.loc, b, loc, same);
+                let (a, b) = ((&inner.pool[a].0, pn.loc), (&inner.pool[b].0, loc, same));
+                let nes = &inner.nes;
+                let nfa = nes.masks().step(nes.tables(), pn.nfa, a, b, &mut inner.scratch);
                 let inherited =
                     (pn.fired_anc | pn.own_fired, pn.watch_anc | pn.own_watch, pn.root_pred);
                 let node = &mut inner.nodes[slot];
@@ -821,7 +812,7 @@ impl TraceObserver for OnlineChecker {
             None => {
                 let root = inner.pool_copy(packet);
                 let slot = inner.take_slot(idx, root, loc);
-                inner.nodes[slot].nfa = inner.index.start(loc);
+                inner.nodes[slot].nfa = inner.nes.masks().start(loc);
                 slot
             }
         };
@@ -913,10 +904,10 @@ impl TraceObserver for OnlineChecker {
         reg.counter_add(Scope::Sim, "checker.fired_events", t.fired_events);
         // `Shard` scope, like the plane's `flowindex.*` layout gauges: the
         // index's size is a property of this build, not of the run.
-        let (chains, rules, layouts) = self.inner.index.size();
-        reg.gauge_max(Scope::Shard, "checker.index_chains", chains as u64);
-        reg.gauge_max(Scope::Shard, "checker.index_rules", rules as u64);
-        reg.gauge_max(Scope::Shard, "checker.index_layouts", layouts as u64);
+        let tables = self.inner.nes.tables();
+        reg.gauge_max(Scope::Shard, "checker.index_chains", tables.chains() as u64);
+        reg.gauge_max(Scope::Shard, "checker.index_rules", tables.indexed_rules() as u64);
+        reg.gauge_max(Scope::Shard, "checker.index_layouts", tables.layouts() as u64);
         // How far the node ring and the packet pool grew, and how many
         // records could not share their parent's packet: kept with them,
         // out of the `Sim` section whose contents tests pin across builds.
@@ -995,7 +986,7 @@ mod tests {
     /// way the engine does: record each hop with its parent, retire the
     /// parent once the child is recorded, leaf at the final hop.
     fn transit(
-        obs: &mut Box<dyn TraceObserver + Send>,
+        obs: &mut (impl TraceObserver + ?Sized),
         next: &mut usize,
         pk: &Packet,
         hops: &[(u64, u64)],
@@ -1043,7 +1034,7 @@ mod tests {
         let (mut obs, handle) = OnlineChecker::observer(&nes).unwrap();
         let mut next = 0;
         // A complete g(∅) trace: the reply-direction packet dies at 1:3.
-        transit(&mut obs, &mut next, &reply_pk(), DROP, LeafKind::Terminated);
+        transit(&mut *obs, &mut next, &reply_pk(), DROP, LeafKind::Terminated);
         obs.finish();
         assert_eq!(handle.verdict(), Ok(()));
         assert!(post_hoc(&nes, &[(reply_pk(), DROP, LeafKind::Terminated)]));
@@ -1054,7 +1045,7 @@ mod tests {
         let nes = firewall_like_nes();
         let (mut obs, handle) = OnlineChecker::observer(&nes).unwrap();
         let mut next = 0;
-        transit(&mut obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
+        transit(&mut *obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
         obs.finish();
         assert_eq!(handle.verdict(), Err(OnlineViolation::Inconsistent));
         assert!(!post_hoc(&nes, &[(reply_pk(), REPLY, LeafKind::Delivered)]));
@@ -1065,8 +1056,8 @@ mod tests {
         let nes = firewall_like_nes();
         let (mut obs, handle) = OnlineChecker::observer(&nes).unwrap();
         let mut next = 0;
-        transit(&mut obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
-        transit(&mut obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
+        transit(&mut *obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
+        transit(&mut *obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
         obs.finish();
         assert_eq!(handle.verdict(), Ok(()));
         assert!(post_hoc(
@@ -1082,8 +1073,8 @@ mod tests {
         let mut next = 0;
         // Reply delivered BEFORE the trigger: flagged at the trigger's
         // firing, while the run is still in flight.
-        transit(&mut obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
-        transit(&mut obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
+        transit(&mut *obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
+        transit(&mut *obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
         obs.finish();
         assert_eq!(handle.verdict(), Err(OnlineViolation::TooEarly));
         assert!(!post_hoc(
@@ -1114,7 +1105,7 @@ mod tests {
         let strays: [&[(u64, u64)]; 2] = [&[(7, 1), (7, 2)], &[(100, 0), (1, 2), (8, 1)]];
         for hops in strays {
             let (mut obs, handle) = OnlineChecker::observer(&nes).unwrap();
-            transit(&mut obs, &mut 0, &fwd_pk(), hops, LeafKind::Stalled);
+            transit(&mut *obs, &mut 0, &fwd_pk(), hops, LeafKind::Stalled);
             obs.finish();
             assert_eq!(handle.verdict(), Err(OnlineViolation::Inconsistent), "{hops:?}");
             assert!(!post_hoc(&nes, &[(fwd_pk(), hops, LeafKind::Stalled)]));
@@ -1185,10 +1176,10 @@ mod tests {
         // e0's trigger, a reply through the opened direction, then e1's
         // trigger under the configuration it replaces (out port 3), then a
         // diverted packet: every firing enabled by the one before it.
-        transit(&mut obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
-        transit(&mut obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
-        transit(&mut obs, &mut next, &diverted_pk(), FWD, LeafKind::Delivered);
-        transit(&mut obs, &mut next, &diverted_pk(), DIVERTED, LeafKind::Delivered);
+        transit(&mut *obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
+        transit(&mut *obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
+        transit(&mut *obs, &mut next, &diverted_pk(), FWD, LeafKind::Delivered);
+        transit(&mut *obs, &mut next, &diverted_pk(), DIVERTED, LeafKind::Delivered);
         obs.finish();
         assert_eq!(handle.verdict(), Ok(()));
         assert!(post_hoc(
@@ -1219,8 +1210,8 @@ mod tests {
         let mut next = 0;
         // Host 101 has *received* the trigger, so its reply starts after
         // e0's firing — and is still dropped the way only g(∅) drops it.
-        transit(&mut obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
-        transit(&mut obs, &mut next, &reply_pk(), DROP, LeafKind::Terminated);
+        transit(&mut *obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
+        transit(&mut *obs, &mut next, &reply_pk(), DROP, LeafKind::Terminated);
         obs.finish();
         assert_eq!(handle.verdict(), Err(OnlineViolation::TooLate));
         assert!(!post_hoc(
@@ -1234,11 +1225,11 @@ mod tests {
         let nes = chain_nes();
         let (mut obs, handle) = OnlineChecker::observer(&nes).unwrap();
         let mut next = 0;
-        transit(&mut obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
+        transit(&mut *obs, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
         // e1's trigger fires at 1:2 and leaves by port 4: only the *new*
         // configuration does that, so the one being replaced never
         // processed the packet that replaced it.
-        transit(&mut obs, &mut next, &diverted_pk(), DIVERTED, LeafKind::Delivered);
+        transit(&mut *obs, &mut next, &diverted_pk(), DIVERTED, LeafKind::Delivered);
         obs.finish();
         assert_eq!(handle.verdict(), Err(OnlineViolation::TriggerUnprocessed));
         assert!(!post_hoc(
@@ -1332,7 +1323,7 @@ mod tests {
         // Each premature reply is admitted only by configurations not yet
         // realized, so each goes on watch for a firing that never comes.
         for _ in 0..65 {
-            transit(&mut obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
+            transit(&mut *obs, &mut next, &reply_pk(), REPLY, LeafKind::Delivered);
         }
         obs.finish();
         assert_eq!(handle.verdict(), Err(OnlineViolation::CapacityExceeded));
@@ -1347,15 +1338,18 @@ mod tests {
     fn firing_outside_the_reachable_event_sets_is_a_verdict_not_a_panic() {
         let nes = chain_nes();
         let (mut checker, handle) = OnlineChecker::new(&nes).unwrap();
-        // No well-formed structure does this; take g({e0}) away by hand: the
-        // checker fires by its own copy of the family, and then finds the
-        // configuration in an NES whose only reachable event-set is `∅`.
-        let events = EventStructure::new(nes.events().to_vec(), []);
+        let mut next = 0;
+        transit(&mut checker, &mut next, &fwd_pk(), FWD, LeafKind::Delivered);
+        assert_eq!(checker.inner.fired_set, EventSet::singleton(EventId::new(0)));
+        // No well-formed structure does this; swap in, after e0 fired, an NES
+        // whose family still enables e1 after e0 but whose only reachable
+        // event-set is `∅`: e1 fires, and no configuration is `g({e0, e1})`.
+        let both = EventSet::from_iter([EventId::new(0), EventId::new(1)]);
+        let events = EventStructure::new(nes.events().to_vec(), [both]);
         let g = [(EventSet::empty(), nes.initial_config().clone())];
         checker.inner.nes = NetworkEventStructure::new(events, g).unwrap();
-        let mut obs: Box<dyn TraceObserver + Send> = Box::new(checker);
-        transit(&mut obs, &mut 0, &fwd_pk(), FWD, LeafKind::Delivered);
-        obs.finish();
+        transit(&mut checker, &mut next, &diverted_pk(), FWD, LeafKind::Delivered);
+        checker.finish();
         assert_eq!(handle.verdict(), Err(OnlineViolation::Inconsistent));
     }
 

@@ -6,9 +6,9 @@
 //! update campaign adds a rule here and there, a moved host swaps one
 //! rule's actions — which is the redundancy Section 5.3 of the paper
 //! removes on the switch by installing a shared rule once under a
-//! configuration mask. [`SharedIndex`] does the same on the checker's read
-//! side, through the index the plane deploys. Built once from up to 64
-//! configurations, it holds
+//! configuration mask. The checker does the same on its read side. What it
+//! reads depends on the NES alone, so the NES holds it, for up to 64
+//! configurations:
 //!
 //! - the configurations' tables as netkat's [`ChainTables`], one row per
 //!   switch and one column per configuration: each switch's tables split
@@ -16,14 +16,18 @@
 //!   that test the same patterns share one layout), and per configuration
 //!   a `(chain, len)` cell. Twenty configurations that each add a rule to
 //!   their predecessor cost one index of the last one's table, not twenty.
-//!   It is the NES's own index, shared: attaching a checker builds none;
-//! - per switch, its row and the mask of the configurations in which it is
-//!   a host and so applies no table;
-//! - per link, per link source and per host, the mask of the
-//!   configurations that have it. Configurations are grouped by topology
-//!   first (`Config::same_topology`, a pointer compare for the clones a
-//!   campaign is made of), so a shared topology is written once under its
-//!   group's mask.
+//!   The NES builds it when it is constructed, and every plane reads it too;
+//! - the [`ConfigMasks`], built by the first checker attached to the NES
+//!   and read in place by every later one: per switch, its row and the mask
+//!   of the configurations in which it is a host and so applies no table;
+//!   per link, per link source and per host, the mask of the configurations
+//!   that have it. Configurations are grouped by topology first
+//!   (`Config::same_topology`, a pointer compare for the clones a campaign
+//!   is made of), so a shared topology is written once under its group's
+//!   mask.
+//!
+//! Each checker keeps only per-run state of its own, such as the scratch
+//! packet the transitions below write rewritten outputs into.
 //!
 //! **A winner per chain.** Every member of a chain is a prefix of its
 //! longest table. So if that table's first match for a packet is rule
@@ -47,7 +51,6 @@
 //! rewrites, with `same` computed the way the checker computes it.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use netkat::{Action, ChainTables, Field, FxBuildHasher, Loc, LocatedView, Packet};
 
@@ -102,43 +105,36 @@ fn emits(
     scratch == b
 }
 
-/// See the module docs.
-pub(crate) struct SharedIndex {
-    /// Row `r` is switch `r` of the sorted switches that have a table;
-    /// column `c` is configuration `c`.
-    tables: Arc<ChainTables>,
-    /// Switch → its row in `tables`, and the configurations in which it is
-    /// a host: none of them applies its table.
+/// The masks of an NES's configurations that the checker's transitions
+/// read beside its tables (see the module docs); configuration `i` owns
+/// bit `i` of every mask. They hold no per-run state: every checker over
+/// the NES reads one instance.
+#[derive(Debug)]
+pub struct ConfigMasks {
+    /// Switch → its row of the tables, and the configurations in which it
+    /// is a host: none of them applies its table.
     switches: FxMap<u64, (usize, u64)>,
     links: FxMap<(Loc, Loc), u64>,
     link_srcs: FxMap<Loc, u64>,
     hosts: FxMap<u64, u64>,
-    /// Reused output buffer for `emits`.
-    scratch: Packet,
 }
 
 fn mask_of<K: std::hash::Hash + Eq>(map: &FxMap<K, u64>, key: &K) -> u64 {
     map.get(key).copied().unwrap_or(0)
 }
 
-impl SharedIndex {
-    /// Reads `cfgs`' tables through `tables` (configuration `i` in column
-    /// `i`, switch `sw` in row `rows[sw]`) and masks their links and hosts;
-    /// configuration `i` owns bit `i` of every mask.
+impl ConfigMasks {
+    /// Masks `cfgs`' links and hosts, and maps each switch of `rows` (switch
+    /// → its row of the tables) to its row and host mask.
     ///
     /// # Panics
     ///
     /// Panics if there are more than 64 configurations.
-    pub(crate) fn new(tables: Arc<ChainTables>, rows: &FxMap<u64, u32>, cfgs: &[&Config]) -> Self {
+    pub(crate) fn build(rows: &FxMap<u64, u32>, cfgs: &[&Config]) -> ConfigMasks {
         assert!(cfgs.len() <= 64, "a configuration mask holds 64 configurations");
-        let mut index = SharedIndex {
-            tables,
-            switches: FxMap::default(),
-            links: FxMap::default(),
-            link_srcs: FxMap::default(),
-            hosts: FxMap::default(),
-            scratch: Packet::new(),
-        };
+        let mut links: FxMap<(Loc, Loc), u64> = FxMap::default();
+        let mut link_srcs: FxMap<Loc, u64> = FxMap::default();
+        let mut hosts: FxMap<u64, u64> = FxMap::default();
         // The configurations of a campaign share one topology: each distinct
         // one is written once, under the mask of the group that has it.
         let mut groups: Vec<(&Config, u64)> = Vec::new();
@@ -150,45 +146,36 @@ impl SharedIndex {
         }
         for (cfg, mask) in groups {
             for (src, dst) in cfg.links() {
-                *index.links.entry((src, dst)).or_default() |= mask;
-                *index.link_srcs.entry(src).or_default() |= mask;
+                *links.entry((src, dst)).or_default() |= mask;
+                *link_srcs.entry(src).or_default() |= mask;
             }
             for host in cfg.hosts() {
-                *index.hosts.entry(host).or_default() |= mask;
+                *hosts.entry(host).or_default() |= mask;
             }
         }
-        index.switches = rows
-            .iter()
-            .map(|(&sw, &row)| (sw, (row as usize, mask_of(&index.hosts, &sw))))
-            .collect();
-        index
+        let switches =
+            rows.iter().map(|(&sw, &row)| (sw, (row as usize, mask_of(&hosts, &sw)))).collect();
+        ConfigMasks { switches, links, link_srcs, hosts }
     }
 
-    /// The index's size: `(prefix chains, indexed rules, layouts)` — chains
-    /// and rules summed over all switches (a rule that two chains hold
-    /// counts twice), and the distinct segment layouts their indexes share.
-    pub(crate) fn size(&self) -> (usize, usize, usize) {
-        (self.tables.chains(), self.tables.indexed_rules(), self.tables.layouts())
-    }
     /// The state of a path that starts at `loc` (`Config::start_state`).
     pub(crate) fn start(&self, loc: Loc) -> MaskedState {
         MaskedState { at_host: mask_of(&self.hosts, &loc.sw), ingress: 0, egress: 0 }
     }
 
-    /// One transition (`Config::step_state`): the state after the hop from
-    /// `a` at `a_loc` to `b` at `b_loc`, given the state `prev` at `a`.
-    /// Both packets must have their virtual fields erased, and `same` must
-    /// be `a == b`: the caller compares the two once (to decide whether the
-    /// records can share one packet), and every use of that comparison
-    /// below takes its result instead of making it again.
+    /// One transition (`Config::step_state`) through `tables`: the state
+    /// after the hop from `a` at `a_loc` to `b` at `b_loc`, given the state
+    /// `prev` at `a`. Both packets must have their virtual fields erased,
+    /// and `same` must be `a == b`: the caller compares the two once (to
+    /// decide whether the records can share one packet), and every use of
+    /// that comparison below takes its result instead of making it again.
     pub(crate) fn step(
-        &mut self,
+        &self,
+        tables: &ChainTables,
         prev: MaskedState,
-        a: &Packet,
-        a_loc: Loc,
-        b: &Packet,
-        b_loc: Loc,
-        same: bool,
+        (a, a_loc): (&Packet, Loc),
+        (b, b_loc, same): (&Packet, Loc, bool),
+        scratch: &mut Packet,
     ) -> MaskedState {
         debug_assert_eq!(same, a == b, "`same` is the packets' comparison");
         let mut next = MaskedState::default();
@@ -202,7 +189,8 @@ impl SharedIndex {
             }
         }
         if a_loc.sw == b_loc.sw {
-            next.egress = self.table_hop(prev.ingress, a, a_loc, Some((b, b_loc.pt, same)));
+            let to = Some((b, b_loc.pt, same));
+            next.egress = self.table_hop(tables, prev.ingress, (a, a_loc), to, scratch);
         }
         next
     }
@@ -210,22 +198,23 @@ impl SharedIndex {
     /// The configurations that admit a path ending in `state` at `last`:
     /// every live one for a prefix, else `Config::accepts_end`.
     pub(crate) fn admitted(
-        &mut self,
+        &self,
+        tables: &ChainTables,
         state: MaskedState,
-        last: &Packet,
-        last_loc: Loc,
+        last: (&Packet, Loc),
         allow_prefix: bool,
+        scratch: &mut Packet,
     ) -> u64 {
         if allow_prefix {
             return state.live();
         }
         let mut done = state.at_host;
         if state.ingress != 0 {
-            let forwarding = self.table_hop(state.ingress, last, last_loc, None);
+            let forwarding = self.table_hop(tables, state.ingress, last, None, scratch);
             done |= state.ingress & !forwarding;
         }
         if state.egress != 0 {
-            done |= state.egress & !mask_of(&self.link_srcs, &last_loc);
+            done |= state.egress & !mask_of(&self.link_srcs, &last.1);
         }
         done
     }
@@ -235,20 +224,20 @@ impl SharedIndex {
     /// anything. A configuration in which `a_loc.sw` is a host emits
     /// nothing.
     fn table_hop(
-        &mut self,
+        &self,
+        tables: &ChainTables,
         want: u64,
-        a: &Packet,
-        a_loc: Loc,
+        (a, a_loc): (&Packet, Loc),
         to: Option<(&Packet, u64, bool)>,
+        scratch: &mut Packet,
     ) -> u64 {
         if want == 0 {
             return 0;
         }
         let Some(&(row, hosts)) = self.switches.get(&a_loc.sw) else { return 0 };
         let view = LocatedView { base: a, loc: a_loc, tag: None };
-        let scratch = &mut self.scratch;
         let mut hit = 0;
-        self.tables.first_matches(row, want & !hosts, &view, |rule, mask| {
+        tables.first_matches(row, want & !hosts, &view, |rule, mask| {
             let mut actions = rule.actions.iter();
             let emitted = match to {
                 Some(to) => actions.any(|act| emits(act, a, a_loc, to, scratch)),
@@ -262,13 +251,14 @@ impl SharedIndex {
     }
 }
 
-/// The index over configurations that belong to no NES.
+/// The tables and masks of configurations that belong to no NES.
 #[cfg(test)]
-impl SharedIndex {
-    /// Indexes `configs` the way an NES indexes its own.
-    pub(crate) fn build(configs: &[&Config]) -> SharedIndex {
+impl ConfigMasks {
+    /// Indexes and masks `configs` the way an NES does its own.
+    pub(crate) fn of_family(configs: &[&Config]) -> (ChainTables, ConfigMasks) {
         let (tables, rows) = crate::nes::index_tables(configs);
-        SharedIndex::new(Arc::new(tables), &rows, configs)
+        let masks = ConfigMasks::build(&rows, configs);
+        (tables, masks)
     }
 }
 
@@ -563,10 +553,11 @@ mod tests {
             walks in proptest::collection::vec(arb_walk(), 1..5),
         ) {
             let family = build_family(&recipe);
-            let mut index = SharedIndex::build(&family.iter().collect::<Vec<_>>());
+            let (tables, masks) = ConfigMasks::of_family(&family.iter().collect::<Vec<_>>());
+            let scratch = &mut Packet::new();
             for walk in &walks {
                 let trace = run_walk(&family, walk);
-                let mut masked = index.start(trace[0].loc);
+                let mut masked = masks.start(trace[0].loc);
                 let mut states: Vec<u8> =
                     family.iter().map(|cfg| cfg.start_state(&trace[0])).collect();
                 for (c, &st) in states.iter().enumerate() {
@@ -584,9 +575,10 @@ mod tests {
                         raw.set(Field::Digest, 0b101);
                     }
                     let same = raw.eq_erased(&w[0].packet);
-                    masked =
-                        index.step(masked, &w[0].packet, w[0].loc, &w[1].packet, w[1].loc, same);
-                    let complete = index.admitted(masked, &w[1].packet, w[1].loc, false);
+                    let (a, b) = ((&w[0].packet, w[0].loc), (&w[1].packet, w[1].loc, same));
+                    masked = masks.step(&tables, masked, a, b, scratch);
+                    let end = (&w[1].packet, w[1].loc);
+                    let complete = masks.admitted(&tables, masked, end, false, scratch);
                     for (c, cfg) in family.iter().enumerate() {
                         states[c] = cfg.step_state(states[c], &w[0], &w[1]);
                         prop_assert_eq!(
@@ -602,7 +594,8 @@ mod tests {
                 }
                 let last = trace.last().expect("walks are nonempty");
                 for allow_prefix in [false, true] {
-                    let admitted = index.admitted(masked, &last.packet, last.loc, allow_prefix);
+                    let end = (&last.packet, last.loc);
+                    let admitted = masks.admitted(&tables, masked, end, allow_prefix, scratch);
                     for (c, cfg) in family.iter().enumerate() {
                         prop_assert_eq!(
                             admitted >> c & 1 != 0,
@@ -641,7 +634,8 @@ mod tests {
     /// egress exactly when its winner forwards there, and `admitted` ends
     /// it at the ingress exactly when it has no winner or a dropping one.
     fn assert_winners(family: &[Config], packets: &[Packet]) {
-        let mut index = SharedIndex::build(&family.iter().collect::<Vec<_>>());
+        let (tables, masks) = ConfigMasks::of_family(&family.iter().collect::<Vec<_>>());
+        let scratch = &mut Packet::new();
         let mask = |pick: &dyn Fn(Option<&Rule>) -> bool, won: &[Option<&Rule>]| {
             won.iter().enumerate().filter(|&(_, &w)| pick(w)).fold(0u64, |m, (c, _)| m | 1 << c)
         };
@@ -660,11 +654,12 @@ mod tests {
                             r.actions.iter().any(|a| a.get(Field::Port).unwrap_or(in_pt) == pt)
                         })
                     };
-                    let egress = index.step(ingress, pk, at, pk, Loc::new(1, pt), true).egress;
+                    let hop = (pk, Loc::new(1, pt), true);
+                    let egress = masks.step(&tables, ingress, (pk, at), hop, scratch).egress;
                     assert_eq!(egress, mask(&to, &won), "{pk} at {in_pt} forwarded to {pt}");
                 }
                 let ends = |w: Option<&Rule>| w.is_none_or(|r| r.actions.is_drop());
-                let ended = index.admitted(ingress, pk, at, false);
+                let ended = masks.admitted(&tables, ingress, (pk, at), false, scratch);
                 assert_eq!(ended, mask(&ends, &won), "{pk} at {in_pt} dropped");
             }
         }
@@ -785,12 +780,13 @@ mod tests {
                 cfg
             })
             .collect();
-        let mut index = SharedIndex::build(&family.iter().collect::<Vec<_>>());
-        assert_eq!(index.size(), (3, 9, 1));
+        let (tables, masks) = ConfigMasks::of_family(&family.iter().collect::<Vec<_>>());
+        assert_eq!((tables.chains(), tables.indexed_rules(), tables.layouts()), (3, 9, 1));
         let ingress = MaskedState { at_host: 0, ingress: 0b11, egress: 0 };
         let pk = Packet::new().with(Field::IpDst, 2);
         for (sw, pt, egress) in [(1, 2, 0b10), (2, 2, 0b11), (3, 3, 0b10), (3, 2, 0)] {
-            let next = index.step(ingress, &pk, Loc::new(sw, 9), &pk, Loc::new(sw, pt), true);
+            let (a, b) = ((&pk, Loc::new(sw, 9)), (&pk, Loc::new(sw, pt), true));
+            let next = masks.step(&tables, ingress, a, b, &mut Packet::new());
             assert_eq!(next.egress, egress, "switch {sw} to port {pt}");
         }
     }
@@ -805,13 +801,14 @@ mod tests {
         let table = FlowTable::from_rules([fwd(Match::new(), 2)]);
         let mut family = at_switch_one(&[Some(table.clone()), Some(table)]);
         family[0].add_host(1, Loc::new(2, 1));
-        let mut index = SharedIndex::build(&family.iter().collect::<Vec<_>>());
+        let (tables, masks) = ConfigMasks::of_family(&family.iter().collect::<Vec<_>>());
+        let scratch = &mut Packet::new();
         let pk = Packet::new().with(Field::IpDst, 1);
         let a = LocatedPacket::new(pk.clone(), Loc::new(1, 1));
         let b = LocatedPacket::new(pk.clone(), Loc::new(1, 2));
         let ingress = MaskedState { at_host: 0, ingress: 0b11, egress: 0 };
-        let next = index.step(ingress, &pk, a.loc, &pk, b.loc, true);
-        let ended = index.admitted(ingress, &pk, a.loc, false);
+        let next = masks.step(&tables, ingress, (&pk, a.loc), (&pk, b.loc, true), scratch);
+        let ended = masks.admitted(&tables, ingress, (&pk, a.loc), false, scratch);
         assert_eq!((next.egress, ended), (0b10, 0b01));
         for (c, cfg) in family.iter().enumerate() {
             assert_eq!(next.bits(c), cfg.step_state(ST_INGRESS, &a, &b));

@@ -38,7 +38,7 @@ fn is_occurrence(
 ) -> bool {
     let fired: EventSet = prior.iter().map(|&(e, _)| e).collect();
     let index_of = |e: EventId| prior.iter().find(|&&(p, _)| p == e).map(|&(_, k)| k);
-    es.family().any(|y| {
+    es.family().iter().any(|&y| {
         y.contains(event.id)
             && y.remove(event.id).is_subset(fired)
             && y.remove(event.id).iter().all(|x| index_of(x).is_some_and(|k| hb.before(k, j)))

@@ -140,12 +140,6 @@ impl CompiledNes {
         }
     }
 
-    /// The tag a switch should stamp given its known events.
-    pub fn tag_for_known(&self, known: EventSet) -> u64 {
-        self.tag_of(self.effective_set(known))
-            .expect("effective sets are reachable by construction")
-    }
-
     /// The rule footprint of the deployment (Section 4.1, used by the
     /// Section 5.1 per-application table).
     pub fn rule_breakdown(&self) -> RuleBreakdown {
@@ -216,21 +210,11 @@ impl CompiledNes {
     }
 
     /// Events newly triggered by a packet arrival: [`fire_step`] applied to
-    /// the events the located packet matches.
+    /// the events the located packet matches, the packet read through any
+    /// [`FieldReader`](netkat::FieldReader).
     ///
     /// [`fire_step`]: CompiledNes::fire_step
-    pub fn triggered(
-        &self,
-        known: EventSet,
-        packet: &netkat::Packet,
-        loc: netkat::Loc,
-    ) -> EventSet {
-        self.triggered_on(known, packet, loc)
-    }
-
-    /// [`triggered`](CompiledNes::triggered) with the packet read through
-    /// any [`FieldReader`](netkat::FieldReader).
-    pub fn triggered_on<R: netkat::FieldReader>(
+    pub fn triggered<R: netkat::FieldReader>(
         &self,
         known: EventSet,
         packet: &R,
@@ -246,7 +230,7 @@ impl CompiledNes {
         packet: &R,
         loc: netkat::Loc,
     ) -> EventSet {
-        self.nes.events().iter().filter(|e| e.matches_on(packet, loc)).map(|e| e.id).collect()
+        self.nes.events_at(loc).filter(|e| e.pred.eval_on(packet)).map(|e| e.id).collect()
     }
 }
 
@@ -296,7 +280,7 @@ mod tests {
         assert_eq!(c.effective_set(EventSet::singleton(e1)), EventSet::empty());
         // Knowing both applies both.
         assert_eq!(c.effective_set(EventSet::from_iter([e0, e1])), EventSet::from_iter([e0, e1]));
-        assert_eq!(c.tag_for_known(EventSet::singleton(e1)), 0);
+        assert_eq!(c.tag_of(c.effective_set(EventSet::singleton(e1))), Some(0));
     }
 
     #[test]

@@ -34,6 +34,15 @@ struct Local {
     tag: u64,
 }
 
+impl Local {
+    /// The state of a switch that knows `known`: one enabling fixpoint.
+    fn of(compiled: &CompiledNes, known: EventSet) -> Local {
+        let effective = compiled.effective_set(known);
+        let tag = compiled.tag_of(effective).expect("effective sets are reachable by construction");
+        Local { known, effective, tag }
+    }
+}
+
 /// The deployed NES runtime (switch state + controller).
 #[derive(Clone, Debug)]
 pub struct NesDataPlane {
@@ -59,10 +68,10 @@ pub struct NesDataPlane {
     discovery: BTreeMap<(u64, EventId), SimTime>,
     /// Global fire log, in order (a hint for the correctness checker).
     fired_log: Vec<(SimTime, EventId)>,
-    /// Memoized `known → (effective set, tag)`, consulted when a switch
-    /// learns: the enabling fixpoint is a pure function of the known-events
-    /// set, and a campaign's switches all climb the same few sets.
-    effective_cache: BTreeMap<EventSet, (EventSet, u64)>,
+    /// Memoized `known →` its state, consulted when a switch learns: the
+    /// enabling fixpoint is a pure function of the known-events set, and a
+    /// campaign's switches all climb the same few sets.
+    effective_cache: BTreeMap<EventSet, Local>,
     /// The table hop's reused buffers: a content-changing hop's output is
     /// copied into a recycled arena slot's kept buffer, so in steady state
     /// a hop allocates nothing.
@@ -73,11 +82,7 @@ impl NesDataPlane {
     /// Deploys a compiled NES on the given switches, reading its tables.
     pub fn new(compiled: CompiledNes, switches: Vec<u64>, broadcast: bool) -> NesDataPlane {
         let deployment = PerTagTables::deploy(compiled.nes(), &switches);
-        let blank = Local {
-            known: EventSet::empty(),
-            effective: compiled.effective_set(EventSet::empty()),
-            tag: compiled.tag_for_known(EventSet::empty()),
-        };
+        let blank = Local::of(&compiled, EventSet::empty());
         NesDataPlane {
             local: vec![blank; deployment.slots()],
             compiled,
@@ -93,15 +98,9 @@ impl NesDataPlane {
         }
     }
 
-    /// The effective event-set and tag for a known-events set, memoized.
-    fn effective_of(&mut self, known: EventSet) -> (EventSet, u64) {
-        if let Some(&hit) = self.effective_cache.get(&known) {
-            return hit;
-        }
-        let effective = self.compiled.effective_set(known);
-        let tag = self.compiled.tag_for_known(known);
-        self.effective_cache.insert(known, (effective, tag));
-        (effective, tag)
+    /// The state of a switch that knows `known`, memoized.
+    fn effective_of(&mut self, known: EventSet) -> Local {
+        *self.effective_cache.entry(known).or_insert_with(|| Local::of(&self.compiled, known))
     }
 
     /// The compiled NES.
@@ -154,8 +153,7 @@ impl NesDataPlane {
             return;
         }
         let known = known.union(events);
-        let (effective, tag) = self.effective_of(known);
-        self.local[slot] = Local { known, effective, tag };
+        self.local[slot] = self.effective_of(known);
         for e in fresh.iter() {
             self.discovery.entry((sw, e)).or_insert(now);
         }
@@ -198,7 +196,7 @@ impl DataPlane for NesDataPlane {
 
         // SWITCH step 2: fire enabled events this arrival matches.
         let loc = Loc::new(sw, pt);
-        let fired = self.compiled.triggered_on(effective, &stamped, loc);
+        let fired = self.compiled.triggered(effective, &stamped, loc);
         if !fired.is_empty() {
             self.learn_at(slot, sw, fired, now);
             for e in fired.iter() {
@@ -267,13 +265,12 @@ impl NesDataPlane {
         let known = self.local_events(sw);
 
         // IN: stamp host-entering packets with the current tag.
-        let effective = self.effective_of(known);
+        let Local { effective, tag, .. } = self.effective_of(known);
         if from_host {
-            packet.set(Field::Tag, effective.1);
+            packet.set(Field::Tag, tag);
         }
 
         // SWITCH step 2: fire enabled events this arrival matches.
-        let effective = effective.0;
         let fired = self.compiled.triggered(effective, &packet, Loc::new(sw, pt));
         let mut notifications = Vec::new();
         if !fired.is_empty() {
@@ -289,7 +286,7 @@ impl NesDataPlane {
         // `g(set_of(tag))`'s table for `sw`.
         let tag = match packet.get(Field::Tag) {
             Some(tag) => tag,
-            None => self.effective_of(known).1,
+            None => self.effective_of(known).tag,
         };
         packet.set(Field::Tag, tag);
         let mut outputs = table_reference(self.compiled.table(sw, tag), Loc::new(sw, pt), packet);

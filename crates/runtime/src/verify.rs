@@ -9,8 +9,9 @@
 //! recorded trace stays in `edn_core` as the executable spec the online
 //! checker is tested against.
 //! The engines here and the checker read the NES's one table index
-//! ([`NetworkEventStructure::tables`]) and build none; each run owns only
-//! its own state, so runs from one NES are fresh runs.
+//! ([`NetworkEventStructure::tables`]) and build none; the first checker
+//! over an NES builds its masks ([`NetworkEventStructure::checker_masks`]).
+//! Each run owns only its own state, so runs from one NES are fresh runs.
 
 use edn_core::{NetworkEventStructure, OnlineChecker, OnlineHandle, OnlineViolation};
 use netsim::{DataPlane, Engine, SimParams, SimTopology};

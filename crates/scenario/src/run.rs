@@ -399,12 +399,17 @@ mod tests {
     }
 
     /// What per-run state could disturb in a leg's report: the counters,
-    /// the verdict and the plane's own probe counts.
-    type Report = (Stats, Option<Result<(), OnlineViolation>>, Option<u64>, Option<u64>);
+    /// the verdict, the plane's own probe counts and every `checker.*`
+    /// metric (as exposition lines).
+    type Report =
+        (Stats, Option<Result<(), OnlineViolation>>, Option<u64>, Option<u64>, Vec<String>);
 
     fn report(out: ScenarioOutcome) -> Report {
         let probes = |name| out.metrics.counter(name);
-        (out.stats, out.verdict, probes("flowindex.fp_hits"), probes("flowindex.fp_fallbacks"))
+        let exposition = out.metrics.render_prometheus();
+        let checker = exposition.lines().filter(|l| l.starts_with("edn_checker_"));
+        let (hits, fallbacks) = (probes("flowindex.fp_hits"), probes("flowindex.fp_fallbacks"));
+        (out.stats, out.verdict, hits, fallbacks, checker.map(str::to_owned).collect())
     }
 
     /// `flap_spec` compiled anew, at the telemetry level that reports probes.
@@ -419,22 +424,29 @@ mod tests {
     /// An NES is built once and deployed many times, so everything a run
     /// changes must be the run's own. Two engines from one NES, back to
     /// back in both orders — the NES plane and the uncoordinated plane, a
-    /// checked run and an unchecked one — each report what a run from an
-    /// NES compiled for it alone reports. Probe counts kept in the shared
-    /// index would add the first run's lookups to the second's.
+    /// checked run and an unchecked one, two checked runs, and the
+    /// uncoordinated checked run (which violates) and a correct one — each
+    /// report what a run from an NES compiled for it alone reports. Probe
+    /// counts kept in the shared index, or checker state kept in the NES's
+    /// masks, would add the first run's to the second's.
     #[test]
     fn two_runs_from_one_nes_report_what_fresh_builds_report() {
         type Leg = fn(&CompiledScenario) -> Report;
         let checked: Leg = |c| report(run_coordinated(c, &CHECKED));
         let unchecked: Leg = |c| report(run_coordinated(c, &UNCHECKED));
         let baseline: Leg = |c| report(run_uncoordinated(c));
-        assert!(checked(&compiled()).2.is_some_and(|hits| hits > 0), "lookups hit hash segments");
+        let alone = checked(&compiled());
+        assert!(alone.2.is_some_and(|hits| hits > 0), "lookups hit hash segments");
+        assert!(!alone.4.is_empty(), "the checker reports its telemetry");
         assert!(baseline(&compiled()).1.is_some_and(|v| v.is_err()), "the baseline is caught");
         for (first, second) in [
             (checked, unchecked),
             (unchecked, checked),
             (unchecked, baseline),
             (baseline, unchecked),
+            (checked, checked),
+            (baseline, checked),
+            (checked, baseline),
         ] {
             let c = compiled();
             let back_to_back = [first(&c), second(&c)];
@@ -446,16 +458,18 @@ mod tests {
     /// nothing: a verified run reports the probe counts of an unchecked one.
     #[test]
     fn the_checker_never_counts_into_the_planes_probes() {
-        let (_, verdict, hits, fallbacks) = report(run_coordinated(&compiled(), &CHECKED));
+        let (_, verdict, hits, fallbacks, _) = report(run_coordinated(&compiled(), &CHECKED));
         assert_eq!(verdict, Some(Ok(())));
         assert!(hits.is_some_and(|hits| hits > 0), "the lookups hit hash segments");
-        let (_, _, bare_hits, bare_fallbacks) = report(run_coordinated(&compiled(), &UNCHECKED));
+        let (_, _, bare_hits, bare_fallbacks, _) = report(run_coordinated(&compiled(), &UNCHECKED));
         assert_eq!((hits, fallbacks), (bare_hits, bare_fallbacks));
     }
 
-    /// Every leg's plane and the checker attached to one hold the NES's one
-    /// index — each adds a reference to it, none builds its own — and let
-    /// go of it when they are dropped.
+    /// Every leg's plane holds the NES's one index — each adds a reference
+    /// to it, none builds its own — and lets go of it when it is dropped.
+    /// A checker reads the index and the masks through the NES it holds:
+    /// the first checker builds the masks, a second reads that instance,
+    /// and neither adds a reference to the index.
     #[test]
     fn every_leg_and_the_checker_hold_the_nes_index() {
         let c = CompiledScenario::compile(&flap_spec()).unwrap();
@@ -463,19 +477,30 @@ mod tests {
         let held = || std::sync::Arc::strong_count(index);
         assert_eq!(held(), 1, "only the NES holds its index");
         let mut engine = c.engine();
-        let reliable = c.reliable_engine_with(8);
+        let mut reliable = c.reliable_engine_with(8);
         let baseline = c.uncoordinated();
         assert_eq!(held(), 4, "each plane reads the NES's index");
+        assert!(c.nes.checker_masks().is_none(), "no unchecked leg builds the masks");
         let handle = nes_runtime::attach_online_checker(&mut engine, &c.nes).unwrap();
-        assert_eq!(held(), 5, "and so does the checker");
+        let masks = c.nes.checker_masks().map(std::ptr::from_ref).expect("the checker built them");
+        let second = nes_runtime::attach_online_checker(&mut reliable, &c.nes).unwrap();
+        assert_eq!(c.nes.checker_masks().map(std::ptr::from_ref), Some(masks), "one instance");
+        assert_eq!(held(), 4, "the checkers read the index through the NES");
         let planes = [engine.finish().dataplane, reliable.finish().dataplane.inner().clone()];
         for plane in &planes {
             assert!(std::sync::Arc::ptr_eq(plane.compiled().nes().tables(), index));
         }
-        assert!(handle.verdict().is_ok(), "a quiet run is correct");
+        assert!(handle.verdict().is_ok() && second.verdict().is_ok(), "a quiet run is correct");
         drop((planes, baseline));
         assert_eq!(held(), 1, "a finished run lets go of the index");
     }
+
+    /// Every plane and checker over one NES reads it from its own run, so
+    /// the NES must be shareable across threads.
+    const _: fn() = || {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<edn_core::NetworkEventStructure>();
+    };
 
     #[test]
     fn verdict_names_are_csv_words() {

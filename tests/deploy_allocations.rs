@@ -1,7 +1,8 @@
 //! Sharing regression: a campaign's rules are built once and passed along
 //! — bodies, rule lists and indexes — not rebuilt or copied per stage.
 //! The table index is built once, with the NES, and every deployment and
-//! checker reads it: deploying and attaching build no index at all.
+//! checker reads it: deploying and attaching build no index at all. The
+//! checker's masks are built once per NES too, by the first attach.
 //!
 //! A counting `#[global_allocator]` watches the three stages a campaign run
 //! goes through before its first event, on the fat-tree(4) × 4-update
@@ -34,7 +35,8 @@
 //! the deploy into the NES's construction: the compile builds the one index,
 //! and the deploy and `engine()` read it). A fourth leg watches
 //! `OnlineChecker::observer`, which reads the NES's index too: its cost may
-//! not grow with the configurations.
+//! not grow with the configurations, and a second checker over one NES
+//! reads the masks the first one built, so its count is one constant.
 //! A fifth covers the stream workloads' set-up, where the configurations
 //! come from `edn_apps::generated` rather than a campaign: two
 //! configurations that differ on a switch or three share every other table.
@@ -336,7 +338,12 @@ fn learning_by_copy(
 /// topology again. Then the index build moved into the NES's construction,
 /// which the plane and the checker both read: build rose from 160 / 202 to
 /// 187 / 229, deploy fell from 50 / 50 to 3 / 3, and attach from 53 / 53 to
-/// 26 / 26.
+/// 26 / 26. Then the NES started finding its events by location (one map)
+/// and keeping its family as a sorted list rather than a tree, and the
+/// checker stopped copying either: build fell from 187 / 229 to 184 / 226
+/// and attach from 26 / 26 to 21 / 21 (the first attach still builds the
+/// NES's masks; `a_second_checker_builds_nothing_the_nes_holds` counts a
+/// later one).
 #[test]
 fn an_application_nes_shares_its_untouched_tables() {
     let gen = fat_tree(4, TierProfile::default());
@@ -397,7 +404,7 @@ fn an_application_nes_shares_its_untouched_tables() {
         firewall_by_copy(&gen, inside, outside),
         &[outside_sw],
         2,
-        [187, 3, 26],
+        [184, 3, 21],
     );
     let (learner, target, shadow) = (h[0], h[15], h[8]);
     let (by_copy, touched) = learning_by_copy(&gen, learner, target, shadow);
@@ -408,8 +415,35 @@ fn an_application_nes_shares_its_untouched_tables() {
         by_copy,
         &touched,
         2,
-        [229, 3, 26],
+        [226, 3, 21],
     );
+}
+
+/// A checker attached to an NES that a checker was attached to before
+/// builds only its per-run state: the NES's masks are the first one's, so
+/// the count is one constant, whatever the topology, and below the first
+/// attach's.
+#[test]
+fn a_second_checker_builds_nothing_the_nes_holds() {
+    let attach = |nes: &NetworkEventStructure| {
+        let before = allocations();
+        let checker = edn_core::OnlineChecker::observer(nes).expect("two states fit");
+        let spent = allocations() - before;
+        drop(checker);
+        spent
+    };
+    for k in [4, 8] {
+        let gen = fat_tree(k, TierProfile::default());
+        let h = gen.hosts();
+        let nes = firewall_nes(&gen, h[0], h[h.len() - 1]);
+        let first = attach(&nes);
+        assert_eq!(
+            [attach(&nes), attach(&nes)],
+            [2, 2],
+            "fat-tree({k}): a second and third attach (the first took {first})"
+        );
+        assert!(first > 2, "fat-tree({k}): the first attach builds the NES's masks");
+    }
 }
 
 /// The benchmark's two fat-tree(8) set-ups, counted where their layouts are
