@@ -140,7 +140,7 @@ pub fn check_correct(
 
 /// Returns `true` if `seq` is a sequence allowed by the NES (each step
 /// enabled and consistent).
-pub fn sequence_allowed(nes: &NetworkEventStructure, seq: &[EventId]) -> bool {
+pub(crate) fn sequence_allowed(nes: &NetworkEventStructure, seq: &[EventId]) -> bool {
     let mut set = EventSet::empty();
     for &e in seq {
         if !nes.structure().enabled(set, e) || !nes.structure().consistent(set.insert(e)) {
@@ -157,7 +157,7 @@ pub fn sequence_allowed(nes: &NetworkEventStructure, seq: &[EventId]) -> bool {
 ///
 /// Panics if the sequence is not allowed by the NES (check with
 /// [`sequence_allowed`] first).
-pub fn sequence_to_update(nes: &NetworkEventStructure, seq: &[EventId]) -> UpdateSequence {
+pub(crate) fn sequence_to_update(nes: &NetworkEventStructure, seq: &[EventId]) -> UpdateSequence {
     let mut configs = Vec::with_capacity(seq.len() + 1);
     let mut events = Vec::with_capacity(seq.len());
     let mut set = crate::event::EventSet::empty();

@@ -35,23 +35,8 @@ impl IndexSet {
 }
 
 /// The happens-before partial order `≺ₙₜᵣ` of a network trace.
-///
-/// # Examples
-///
-/// ```
-/// use edn_core::{HappensBefore, TraceBuilder};
-/// use netkat::{Loc, Packet};
-/// let mut b = TraceBuilder::new();
-/// let h = b.push(Packet::new(), Loc::new(100, 0), None);
-/// let s1 = b.push(Packet::new(), Loc::new(1, 1), Some(h));
-/// let s2 = b.push(Packet::new(), Loc::new(2, 1), Some(s1));
-/// let ntr = b.build().unwrap();
-/// let hb = HappensBefore::of(&ntr);
-/// assert!(hb.before(h, s2));     // same packet trace
-/// assert!(!hb.before(s2, s1));   // order is strict and antisymmetric
-/// ```
 #[derive(Clone, Debug)]
-pub struct HappensBefore {
+pub(crate) struct HappensBefore {
     /// `ancestors[i]` = the set of indices `j` with `lpⱼ ≺ lpᵢ`.
     ancestors: Vec<IndexSet>,
 }
@@ -149,6 +134,19 @@ mod tests {
         assert!(!hb.before(b0, a1));
         // ...but a1 ≺ b1 transitively through switch 4? No: a1 ≺ a2 ≺ b1.
         assert!(hb.before(a1, b1));
+    }
+
+    /// One packet's hops are ordered along its trace, strictly.
+    #[test]
+    fn a_packet_trace_orders_its_own_hops() {
+        let mut b = TraceBuilder::new();
+        let h = b.push(Packet::new(), Loc::new(100, 0), None);
+        let s1 = b.push(Packet::new(), Loc::new(1, 1), Some(h));
+        let s2 = b.push(Packet::new(), Loc::new(2, 1), Some(s1));
+        let ntr = b.build().unwrap();
+        let hb = HappensBefore::of(&ntr);
+        assert!(hb.before(h, s2)); // same packet trace
+        assert!(!hb.before(s2, s1)); // order is strict and antisymmetric
     }
 
     #[test]

@@ -51,14 +51,13 @@ mod trace;
 mod update;
 
 pub use config::Config;
-pub use correctness::{check_correct, sequence_allowed, sequence_to_update, CorrectnessViolation};
+pub use correctness::{check_correct, CorrectnessViolation};
 pub use estructure::EventStructure;
 pub use ets::{Ets, EtsError};
 pub use event::{Event, EventId, EventSet};
-pub use happens::HappensBefore;
 pub use locality::minimally_inconsistent;
 pub use nes::{NesError, NetworkEventStructure};
 pub use observe::{LeafKind, TraceObserver};
 pub use online::{CheckerTelemetry, OnlineChecker, OnlineHandle, OnlineViolation};
 pub use trace::{LocatedPacket, NetworkTrace, TraceBuilder, TraceMode, TraceStructureError};
-pub use update::{check_update, first_occurrences, UpdateSequence, UpdateViolation};
+pub use update::UpdateViolation;

@@ -211,8 +211,9 @@ struct Node {
     root_pred: u64,
     /// Whether this node starts a path (no trace parent).
     is_root: bool,
-    /// Trigger obligations carried by this path (indices into `obligations`).
-    trig: Vec<u32>,
+    /// Trigger obligations carried by this path: bit `i` is
+    /// `obligations[i]` (below 64: the 64th firing fails the run).
+    trig: u64,
     /// This node's own firing position bit (set at seal; 0 if none).
     own_fired: u64,
     /// This node's own watch bit (set if its leaf went pending; 0 if none).
@@ -228,13 +229,22 @@ struct Node {
 /// The index of a slot no live node occupies.
 const VACANT: usize = usize::MAX;
 
+/// The positions of `bits`' set bits, lowest first.
+fn ones(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let at = (bits != 0).then(|| bits.trailing_zeros() as usize);
+        bits &= bits.wrapping_sub(1);
+        at
+    })
+}
+
 /// The ring's length at the first record (it doubles from there).
 const MIN_RING: usize = 16;
 
 impl Node {
     /// Record `idx`, a root of pool entry `packet` at `loc`, carrying no
-    /// obligation; `trig` is the (empty) buffer it would carry them in.
-    fn root(idx: usize, packet: usize, loc: Loc, trig: Vec<u32>) -> Node {
+    /// obligation.
+    fn root(idx: usize, packet: usize, loc: Loc) -> Node {
         Node {
             idx,
             packet,
@@ -244,7 +254,7 @@ impl Node {
             watch_anc: 0,
             root_pred: 0,
             is_root: true,
-            trig,
+            trig: 0,
             own_fired: 0,
             own_watch: 0,
             cause_requested: false,
@@ -255,7 +265,7 @@ impl Node {
 
     /// An empty slot.
     fn vacant() -> Node {
-        Node::root(VACANT, 0, Loc::new(0, 0), Vec::new())
+        Node::root(VACANT, 0, Loc::new(0, 0))
     }
 }
 
@@ -340,10 +350,9 @@ struct Inner {
 
     // Live-trace state. `nodes` is a ring of power-of-two length: record
     // `idx`'s node sits in slot `idx & (len - 1)` and stores `idx`, so a slot
-    // holds at most one live node and knows which. A slot keeps its `trig`
-    // buffer for the next node written there. `live` counts the sealed live
-    // nodes; the newest node is `unsealed` until the next record seals it
-    // (most nodes leaf or retire before that).
+    // holds at most one live node and knows which. `live` counts the sealed
+    // live nodes; the newest node is `unsealed` until the next record seals
+    // it (most nodes leaf or retire before that).
     nodes: Vec<Node>,
     live: usize,
     unsealed: Option<usize>,
@@ -444,13 +453,8 @@ impl Inner {
         }
         // Condition 2: any watched leaf preceding this firing must have
         // been admitted by an already-realized configuration.
-        let mut w = self.nodes[slot].watch_anc;
-        while w != 0 {
-            let bit = w.trailing_zeros() as usize;
-            w &= w - 1;
-            if !self.pending1[bit].discharged {
-                return self.fail(OnlineViolation::TooEarly);
-            }
+        if ones(self.nodes[slot].watch_anc).any(|bit| !self.pending1[bit].discharged) {
+            return self.fail(OnlineViolation::TooEarly);
         }
         let fired_set = self.fired_set.insert(e);
         // Only a structure whose enabling relation leaves its own reachable
@@ -472,7 +476,7 @@ impl Inner {
         }
         self.pending3.retain(|d| d & bit == 0);
         let node = &mut self.nodes[slot];
-        node.trig.push(self.obligations.len() as u32);
+        node.trig |= 1 << self.obligations.len();
         node.own_fired = 1 << pos;
         self.obligations.push(Obligation { cfg: pre_cfg, satisfied: false, live: 1 });
         self.telemetry.obligations_hw =
@@ -485,14 +489,13 @@ impl Inner {
     /// slot.
     fn bury(&mut self, slot: usize) {
         let node = &mut self.nodes[slot];
-        for &id in &node.trig {
-            let ob = &mut self.obligations[id as usize];
+        for id in ones(node.trig) {
+            let ob = &mut self.obligations[id];
             ob.live -= 1;
             if ob.live == 0 && !ob.satisfied {
                 return self.fail(OnlineViolation::TriggerUnprocessed);
             }
         }
-        node.trig.clear();
         node.idx = VACANT;
         let holders = &mut self.pool[node.packet].1;
         *holders -= 1;
@@ -504,8 +507,8 @@ impl Inner {
     /// Writes record `idx`, a root of pool entry `packet` at `loc`, into its
     /// slot and takes its hold on the entry. The ring is allotted at the
     /// first record and doubles only while the slot holds a live node: every
-    /// live node moves to its slot in the longer ring, with its obligation
-    /// buffer and its hold on its packet.
+    /// live node moves to its slot in the longer ring, with its obligations
+    /// and its hold on its packet.
     fn take_slot(&mut self, idx: usize, packet: usize, loc: Loc) -> usize {
         self.pool[packet].1 += 1;
         if self.nodes.is_empty() {
@@ -522,8 +525,7 @@ impl Inner {
         }
         self.telemetry.node_slots_hw = self.nodes.len() as u64;
         let slot = self.slot(idx);
-        let trig = std::mem::take(&mut self.nodes[slot].trig);
-        self.nodes[slot] = Node::root(idx, packet, loc, trig);
+        self.nodes[slot] = Node::root(idx, packet, loc);
         slot
     }
 
@@ -583,8 +585,8 @@ impl Inner {
             }
         }
         // Trigger obligations riding this path.
-        for &id in &node.trig {
-            let ob = &mut self.obligations[id as usize];
+        for id in ones(node.trig) {
+            let ob = &mut self.obligations[id];
             ob.satisfied |= d & (1 << ob.cfg) != 0;
         }
     }
@@ -788,20 +790,17 @@ impl TraceObserver for OnlineChecker {
                 let b = if same { a } else { inner.pool_copy(packet) };
                 let slot = inner.take_slot(idx, b, loc);
                 // Found again: taking the child's slot may have grown the
-                // ring. Parent and child sit in one ring: the child's buffer
-                // steps out of it while the parent's obligations are copied in.
-                let p = inner.slot(p);
-                let mut trig = std::mem::take(&mut inner.nodes[slot].trig);
-                let pn = &inner.nodes[p];
-                trig.extend_from_slice(&pn.trig);
-                for &id in &trig {
-                    inner.obligations[id as usize].live += 1;
+                // ring.
+                let pn = &inner.nodes[inner.slot(p)];
+                for id in ones(pn.trig) {
+                    inner.obligations[id].live += 1;
                 }
                 let (a, b) = ((&inner.pool[a].0, pn.loc), (&inner.pool[b].0, loc, same));
                 let nes = &inner.nes;
                 let nfa = nes.masks().step(nes.tables(), pn.nfa, a, b, &mut inner.scratch);
                 let inherited =
                     (pn.fired_anc | pn.own_fired, pn.watch_anc | pn.own_watch, pn.root_pred);
+                let trig = pn.trig;
                 let node = &mut inner.nodes[slot];
                 (node.fired_anc, node.watch_anc, node.root_pred) = inherited;
                 node.nfa = nfa;

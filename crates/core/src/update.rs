@@ -47,7 +47,7 @@ fn is_occurrence(
 
 /// An update sequence `C₀ →e₀ C₁ →e₁ ⋯ →eₙ Cₙ₊₁`.
 #[derive(Clone, Debug)]
-pub struct UpdateSequence {
+pub(crate) struct UpdateSequence {
     /// `n + 2` configurations.
     pub configs: Vec<Config>,
     /// `n + 1` events, with `events[i]` labelling `Cᵢ → Cᵢ₊₁`.
@@ -141,17 +141,8 @@ impl std::error::Error for UpdateViolation {}
 /// an already-consumed or conflicting event does not constitute an event
 /// occurrence (cf. the `E′` computation in the SWITCH rule of Fig. 7).
 /// `es` is the event structure whose family decides which matches are
-/// occurrences (see the module documentation).
-pub fn first_occurrences(
-    ntr: &NetworkTrace,
-    update: &UpdateSequence,
-    residual: &[Event],
-    es: &EventStructure,
-) -> Result<Vec<usize>, UpdateViolation> {
-    let hb = HappensBefore::of(ntr);
-    first_occurrences_with_hb(ntr, &hb, update, residual, es)
-}
-
+/// occurrences (see the module documentation), and `hb` is `ntr`'s
+/// happens-before relation.
 fn first_occurrences_with_hb(
     ntr: &NetworkTrace,
     hb: &HappensBefore,
@@ -202,12 +193,12 @@ fn first_occurrences_with_hb(
 /// Virtual runtime fields (tag, digest) are erased before matching events
 /// and checking `Traces(C)` membership, since abstract configurations do not
 /// mention them. Packet traces still in flight are treated as prefixes.
-/// `residual` and `es` are documented at [`first_occurrences`].
+/// `residual` and `es` are documented at [`first_occurrences_with_hb`].
 ///
 /// # Errors
 ///
 /// Returns the first [`UpdateViolation`] found.
-pub fn check_update(
+pub(crate) fn check_update(
     ntr: &NetworkTrace,
     update: &UpdateSequence,
     residual: &[Event],
@@ -257,6 +248,16 @@ mod tests {
     use crate::event::EventId;
     use crate::trace::TraceBuilder;
     use netkat::{Action, ActionSet, Field, FlowTable, Loc, Match, Packet, Pred, Rule};
+
+    /// [`first_occurrences_with_hb`] under the trace's own relation.
+    fn first_occurrences(
+        ntr: &NetworkTrace,
+        update: &UpdateSequence,
+        residual: &[Event],
+        es: &EventStructure,
+    ) -> Result<Vec<usize>, UpdateViolation> {
+        first_occurrences_with_hb(ntr, &HappensBefore::of(ntr), update, residual, es)
+    }
 
     /// A one-link world: host 100 -- 1:2, host 101 -- 1:3, switch 1.
     /// C0: pt2 -> pt3 only. C1: pt2 -> pt3 and pt3 -> pt2.

@@ -3,11 +3,11 @@
 //! [`FlowTable::lookup`] is a linear first-match scan — fine for the paper's
 //! hand-built examples, but it dominates per-switch forwarding cost once
 //! generated topologies push tables past a hundred rules. The tables this
-//! workspace compiles have heavy *structure*, though: the global compiler,
-//! the routing synthesizer, and the NES tag guards all emit long priority
-//! runs of rules constraining the *same*
-//! field set (e.g. hundreds of `tag=t, ip_dst=h → port` rules back to
-//! back). The crate-private `CompiledTable` exploits that structure:
+//! workspace compiles have heavy *structure*, though: the global compiler
+//! and the routing synthesizer emit long priority runs of rules
+//! constraining the *same* field set (e.g. hundreds of `ip_dst=h → port`
+//! rules back to back). The crate-private `CompiledTable` exploits that
+//! structure:
 //!
 //! * the rule list is split into maximal contiguous priority runs whose
 //!   rules constrain the same fields (the run's *signature*);
@@ -36,11 +36,11 @@
 //! whole-table lookup is the bound that clips nothing. A second proptest
 //! holds the walk to `table.prefix(len).lookup_index(pk)` for every `len`.
 //!
-//! The segments and the prefetch are the table's *layout*, and they depend
-//! on the patterns alone: a rule's actions are read only after the walk has
-//! picked it. So tables that test the same patterns in the same order share
-//! one layout (`LayoutCache`) and keep their own rules; a lookup walks the
-//! shared layout and reads its answer from its own rules. A third proptest
+//! The segments are the table's *layout*, and they depend on the patterns
+//! alone: a rule's actions are read only after the walk has picked it. So
+//! tables that test the same patterns in the same order share one layout
+//! (`LayoutCache`) and keep their own rules; a lookup walks the shared
+//! layout and reads its answer from its own rules. A third proptest
 //! holds a layout to being shared exactly when the visible pattern
 //! sequences are equal, and the walk through a shared layout to each
 //! table's own prefix scan.
@@ -57,7 +57,9 @@
 //! pins the two queries to each other and to every cell's own
 //! [`FlowTable::lookup`]. The example is on [`ChainTables`].
 
-use std::collections::{BTreeSet, HashMap};
+#[cfg(test)]
+use std::collections::BTreeSet;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -94,9 +96,6 @@ struct HashSegment {
     /// The signature: the fields every rule in the run constrains, in
     /// field order.
     fields: Vec<Field>,
-    /// For each signature field: its slot in the table's prefetch cache
-    /// (see [`Layout::prefetch`]), in the same order as `fields`.
-    slots: Vec<u16>,
     /// First rule index of the run.
     start: u32,
     /// One past the last rule index of the run.
@@ -145,24 +144,7 @@ impl HashSegment {
         }
         Some(h)
     }
-
-    /// [`fingerprint_of`](HashSegment::fingerprint_of) against the
-    /// table-wide prefetch cache instead of the packet: the values were
-    /// read once up front, so a multi-segment walk never re-reads a
-    /// field.
-    fn fingerprint_cached(&self, cache: &[Option<Value>; PREFETCH_CAP]) -> Option<u64> {
-        let mut h = FP_SEED;
-        for &slot in &self.slots {
-            h = fp_mix(h, cache[slot as usize]?);
-        }
-        Some(h)
-    }
 }
-
-/// Capacity of the stack-allocated prefetch cache. Tables whose hash
-/// segments together constrain more distinct fields than this (only
-/// possible with many `Custom` fields) fall back to per-segment reads.
-const PREFETCH_CAP: usize = 16;
 
 const FP_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -182,26 +164,6 @@ fn fp_mix(h: u64, value: Value) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What a table's patterns alone decide: the segment list and the field
-/// prefetch. Actions play no part in it, so tables that test the same
-/// patterns in the same order — every switch of a generated topology routes
-/// the same `ip_dst` patterns in the same host order — can share one
-/// ([`LayoutCache`]), each keeping its own rules.
-#[derive(Debug, Default)]
-struct Layout {
-    segments: Vec<Segment>,
-    /// The union of every hash segment's signature, deduplicated in field
-    /// order. When two or more hash segments exist (the NES tables'
-    /// shape: one run per tag block, all constraining `tag, ip_dst`), a
-    /// lookup reads each of these fields **once** into a stack cache and
-    /// fingerprints every segment from it, instead of re-reading the
-    /// packet per segment.
-    prefetch: Vec<Field>,
-    /// Use the prefetch cache? (≥ 2 hash segments and the union fits
-    /// [`PREFETCH_CAP`]; otherwise per-segment reads are cheaper.)
-    prefetched: bool,
-}
-
 /// A flow table compiled for fast lookup.
 ///
 /// Built once from a [`FlowTable`]; holds the table's own rule list (one
@@ -219,7 +181,7 @@ pub(crate) struct CompiledTable {
     /// The source table's length: every index the segments hold is below it.
     len: usize,
     /// Built from `rules[..len]`'s patterns, or from equal ones.
-    layout: Arc<Layout>,
+    layout: Arc<[Segment]>,
 }
 
 /// The indexed rules only, like [`FlowTable`]'s: what the list holds past
@@ -253,7 +215,7 @@ pub(crate) struct LayoutCache {
     heads: HashMap<u64, u32, FxBuildHasher>,
     /// Each layout, the table it was built from, and the layout built
     /// before it under the same fingerprint ([`NONE`] for none).
-    built: Vec<(FlowTable, Arc<Layout>, u32)>,
+    built: Vec<(FlowTable, Arc<[Segment]>, u32)>,
     /// The layout the previous call returned.
     last: usize,
 }
@@ -269,7 +231,7 @@ impl LayoutCache {
                 at = self.built[at as usize].2;
             }
             if at == NONE {
-                self.built.push((table.clone(), Arc::new(Layout::build(table)), *head));
+                self.built.push((table.clone(), layout(table), *head));
                 at = (self.built.len() - 1) as u32;
                 *head = at;
             }
@@ -466,9 +428,14 @@ impl ChainTables {
     }
 }
 
-/// Splits `rules` into signature runs; adjacent scan runs are merged.
-fn segment_runs(rules: &[Rule]) -> Vec<Segment> {
-    let hi = rules.len();
+/// What `table`'s patterns alone decide, its *layout*: the rules split
+/// into signature runs, the long ones hashed, adjacent scan runs merged.
+/// Actions play no part in it, so tables that test the same patterns in the
+/// same order — every switch of a generated topology routes the same
+/// `ip_dst` patterns in the same host order — can share one
+/// ([`LayoutCache`]), each keeping its own rules.
+fn layout(table: &FlowTable) -> Arc<[Segment]> {
+    let (rules, hi) = table.shared_rules();
     let mut segments: Vec<Segment> = Vec::new();
     let mut i = 0;
     while i < hi {
@@ -490,7 +457,6 @@ fn segment_runs(rules: &[Rule]) -> Vec<Segment> {
             }
             segments.push(Segment::Hash(HashSegment {
                 fields: sig,
-                slots: Vec::new(),
                 start: i as u32,
                 end: j as u32,
                 map,
@@ -504,46 +470,13 @@ fn segment_runs(rules: &[Rule]) -> Vec<Segment> {
         }
         i = j;
     }
-    segments
-}
-
-impl Layout {
-    /// Splits `table` into signature runs, hashes the long ones, and
-    /// derives the cross-segment field prefetch.
-    fn build(table: &FlowTable) -> Layout {
-        let (rules, len) = table.shared_rules();
-        let mut segments = segment_runs(&rules[..len]);
-        let mut prefetch_set: BTreeSet<Field> = BTreeSet::new();
-        let mut hash_segments = 0usize;
-        for segment in &segments {
-            if let Segment::Hash(seg) = segment {
-                hash_segments += 1;
-                prefetch_set.extend(seg.fields.iter().copied());
-            }
-        }
-        let prefetch: Vec<Field> = prefetch_set.into_iter().collect();
-        let prefetched = hash_segments >= 2 && prefetch.len() <= PREFETCH_CAP;
-        if prefetched {
-            for segment in &mut segments {
-                if let Segment::Hash(seg) = segment {
-                    seg.slots = seg
-                        .fields
-                        .iter()
-                        .map(|f| {
-                            prefetch.iter().position(|p| p == f).expect("field in union") as u16
-                        })
-                        .collect();
-                }
-            }
-        }
-        Layout { segments, prefetch, prefetched }
-    }
+    segments.into()
 }
 
 impl CompiledTable {
     /// `table` indexed by `layout`, which was built from its patterns or
     /// from equal ones.
-    fn on_layout(table: &FlowTable, layout: Arc<Layout>) -> CompiledTable {
+    fn on_layout(table: &FlowTable, layout: Arc<[Segment]>) -> CompiledTable {
         let (rules, len) = table.shared_rules();
         CompiledTable { rules: Arc::clone(rules), len, layout }
     }
@@ -569,31 +502,7 @@ impl CompiledTable {
     ) -> Option<usize> {
         // Rule indexes are `u32` throughout the index.
         let len = len.min(self.len) as u32;
-        // The cache (and its initialization cost) exists only on the
-        // prefetched path; single-segment tables go straight to
-        // per-segment reads.
-        if self.layout.prefetched {
-            let mut cache = [None::<Value>; PREFETCH_CAP];
-            for (slot, &f) in self.layout.prefetch.iter().enumerate() {
-                cache[slot] = pk.read(f);
-            }
-            self.walk_segments(len, pk, |seg| seg.fingerprint_cached(&cache), probes)
-        } else {
-            self.walk_segments(len, pk, |seg| seg.fingerprint_of(pk), probes)
-        }
-    }
-
-    /// The segment walk over `rules[..len]`, generic over where hash
-    /// fingerprints come from (the prefetch cache or direct packet reads),
-    /// counting into `probes`.
-    fn walk_segments<R: FieldReader>(
-        &self,
-        len: u32,
-        pk: &R,
-        fingerprint: impl Fn(&HashSegment) -> Option<u64>,
-        probes: &mut (u64, u64),
-    ) -> Option<usize> {
-        for segment in &self.layout.segments {
+        for segment in self.layout.iter() {
             match segment {
                 Segment::Scan { start, end } => {
                     if *start >= len {
@@ -607,7 +516,7 @@ impl CompiledTable {
                     if seg.start >= len {
                         break;
                     }
-                    let Some(fp) = fingerprint(seg) else { continue };
+                    let Some(fp) = seg.fingerprint_of(pk) else { continue };
                     // The map holds the first rule with this fingerprint:
                     // past the bound, the prefix has none.
                     let Some(&candidate) = seg.map.get(&fp).filter(|&&c| c < len) else {
@@ -720,7 +629,7 @@ mod tests {
 
     /// `table` indexed on a layout of its own, counting its probes.
     pub(super) fn compiled(table: &FlowTable) -> Counted {
-        let table = CompiledTable::on_layout(table, Arc::new(Layout::build(table)));
+        let table = CompiledTable::on_layout(table, layout(table));
         Counted { table, probes: Default::default() }
     }
 
@@ -737,7 +646,7 @@ mod tests {
 
     /// How many rules the layout's hash segments cover (the rest are scanned).
     pub(super) fn hashed_rules(compiled: &Counted) -> usize {
-        let hashed = compiled.table.layout.segments.iter().map(|segment| match segment {
+        let hashed = compiled.table.layout.iter().map(|segment| match segment {
             Segment::Hash(seg) => (seg.end - seg.start) as usize,
             Segment::Scan { .. } => 0,
         });
@@ -759,7 +668,7 @@ mod tests {
         let table = FlowTable::new();
         let compiled = compiled(&table);
         assert_eq!(compiled.len(), 0);
-        assert_eq!(compiled.table.layout.segments.len(), 0);
+        assert_eq!(compiled.table.layout.len(), 0);
         for pk in [Packet::new(), Packet::new().with(Field::IpDst, 3)] {
             assert_eq!(lookup_index(&compiled, &pk), None);
             assert!(apply(&compiled, &pk).is_empty());
@@ -851,11 +760,12 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_activates_on_multi_segment_tables_and_agrees() {
+    fn multi_segment_tables_agree_with_the_scan() {
         // Two hash runs over different signatures plus a trailing
-        // wildcard: the prefetch union is {Vlan, IpDst}; packets hitting
-        // either run, missing one union field, or missing both must all
-        // resolve exactly as the linear reference does.
+        // wildcard, each run fingerprinting its own fields from the
+        // packet: packets hitting either run, missing one run's field, or
+        // missing both must all resolve exactly as the linear reference
+        // does.
         let mut rules: Vec<Rule> = (0..8).map(|h| exact(Field::IpDst, h, h)).collect();
         rules.extend((0..8).map(|v| exact(Field::Vlan, v, v)));
         rules.push(Rule::new(Match::new(), ActionSet::single(Action::assign(Field::Port, 9))));
@@ -869,8 +779,7 @@ mod tests {
         ] {
             assert_equivalent(&table, &pk);
         }
-        // Single-run tables skip the cache (nothing to share across
-        // segments) and still agree.
+        // A single-run table takes the same walk and agrees too.
         let single = FlowTable::from_rules((0..8).map(|h| exact(Field::IpDst, h, h)));
         assert_equivalent(&single, &Packet::new().with(Field::IpDst, 2));
     }
@@ -913,7 +822,7 @@ mod tests {
         rules.push(Rule::drop_all());
         let compiled = compiled(&FlowTable::from_rules(rules));
         // Two hash runs plus the trailing wildcard scan.
-        assert_eq!(compiled.table.layout.segments.len(), 3);
+        assert_eq!(compiled.table.layout.len(), 3);
         assert_eq!(hashed_rules(&compiled), 16);
         assert_eq!(compiled.len(), 17);
     }
