@@ -100,9 +100,55 @@ impl Config {
         self.tables.insert(switch, table);
     }
 
+    /// This configuration with `tables` installed: what one
+    /// [`install`](Config::install) per pair does (a later pair for a
+    /// switch replaces an earlier one), collected into the table map in one
+    /// go — the bulk-construction entry point for a configuration whose
+    /// tables come in switch order.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use edn_core::Config;
+    /// use netkat::{Field, FlowTable, Match, Rule, ActionSet};
+    /// let drop_vlan = FlowTable::from_rules([Rule::new(
+    ///     Match::new().with(Field::Vlan, 7),
+    ///     ActionSet::drop(),
+    /// )]);
+    /// let mut by_hand = Config::new();
+    /// by_hand.install(1, drop_vlan.clone());
+    /// by_hand.install(3, FlowTable::new());
+    /// let bulk = Config::new().with_tables([(1, drop_vlan), (3, FlowTable::new())]);
+    /// assert_eq!(bulk, by_hand);
+    /// ```
+    pub fn with_tables(mut self, tables: impl IntoIterator<Item = (u64, FlowTable)>) -> Config {
+        let mut tables: BTreeMap<u64, FlowTable> = tables.into_iter().collect();
+        self.tables.append(&mut tables);
+        self
+    }
+
     /// The table installed on `switch` (empty tables drop everything).
     pub fn table(&self, switch: u64) -> Option<&FlowTable> {
         self.tables.get(&switch)
+    }
+
+    /// Every installed table with its switch, in ascending switch order:
+    /// [`switches`](Config::switches) zipped with their
+    /// [`table`](Config::table)s, read in one walk rather than one search
+    /// per switch.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use edn_core::Config;
+    /// use netkat::FlowTable;
+    /// let config = Config::new().with_tables([(4, FlowTable::new()), (2, FlowTable::new())]);
+    /// let switches: Vec<u64> = config.tables().map(|(sw, _)| sw).collect();
+    /// assert_eq!(switches, [2, 4]);
+    /// assert!(config.tables().all(|(sw, table)| config.table(sw) == Some(table)));
+    /// ```
+    pub fn tables(&self) -> impl Iterator<Item = (u64, &FlowTable)> + '_ {
+        self.tables.iter().map(|(&sw, table)| (sw, table))
     }
 
     /// Adds a directed link.

@@ -4,8 +4,10 @@
 //! the one index of their tables, built with the NES, and the checker's
 //! masks, built by the first checker attached. Neither holds per-run state.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::iter::Peekable;
 use std::sync::{Arc, OnceLock};
 
 use netkat::{ChainTables, FlowTable, FxBuildHasher, Loc};
@@ -91,14 +93,41 @@ struct Nes {
 /// `configs`' tables, one column per configuration and one row per switch
 /// with a table in any (ascending; the empty table where a configuration
 /// has none), and the switch → row map.
+///
+/// Every configuration's tables ascend by switch, as the rows do, so the
+/// rows are read by walking all of them in lockstep: one cursor per
+/// configuration, advanced when its next table is the row's switch — no
+/// search per cell.
 pub(crate) fn index_tables(configs: &[&Config]) -> (ChainTables, HashMap<u64, u32, FxBuildHasher>) {
-    let mut switches: Vec<u64> = configs.iter().flat_map(|config| config.switches()).collect();
-    switches.sort_unstable();
-    switches.dedup();
+    let switches = switch_union(configs);
     let empty = &FlowTable::new();
-    let rows = switches.iter().map(|&sw| configs.iter().map(move |c| c.table(sw).unwrap_or(empty)));
+    let cursors: Vec<RefCell<Peekable<_>>> =
+        configs.iter().map(|c| RefCell::new(c.tables().peekable())).collect();
+    let rows = switches.iter().map(|&sw| {
+        cursors.iter().map(move |cursor| {
+            let mut cursor = cursor.borrow_mut();
+            cursor.next_if(|&(at, _)| at == sw).map_or(empty, |(_, table)| table)
+        })
+    });
     let tables = ChainTables::build(configs.len(), rows);
     (tables, switches.iter().enumerate().map(|(row, &sw)| (sw, row as u32)).collect())
+}
+
+/// The switches with a table in any of `configs`, ascending, each once. A
+/// configuration whose switches are already all there (every one of a
+/// campaign's after the first) adds nothing and copies nothing.
+fn switch_union(configs: &[&Config]) -> Vec<u64> {
+    let mut union: Vec<u64> = Vec::new();
+    for config in configs {
+        let mut known = union.iter();
+        if config.switches().all(|sw| known.find(|&&k| k >= sw) == Some(&sw)) {
+            continue;
+        }
+        union.extend(config.switches());
+        union.sort_unstable();
+        union.dedup();
+    }
+    union
 }
 
 impl NetworkEventStructure {

@@ -457,9 +457,12 @@ impl Inner {
             return self.fail(OnlineViolation::TooEarly);
         }
         let fired_set = self.fired_set.insert(e);
-        // Only a structure whose enabling relation leaves its own reachable
-        // event-sets gets here: then no configuration `g(X)` exists to
-        // process anything from this firing on.
+        // Invariant: `fireable` admits `e` only if `fired_set ∪ {e}` is
+        // consistent and enabled by a family set whose other events have all
+        // fired, so it is a BFS successor of a reachable set and
+        // `event_sets()` holds it. `Inconsistent` is the defensive answer
+        // for a checker whose NES was swapped mid-run, the only way to get
+        // here (`firing_outside_the_reachable_event_sets_is_a_verdict_not_a_panic`).
         let Some(new_cfg) = self.nes.index_of(fired_set).map(|i| i as u32) else {
             return self.fail(OnlineViolation::Inconsistent);
         };

@@ -607,6 +607,64 @@ mod tests {
             }
         }
 
+        // Thinned so each configuration keeps its tables on a switch set of
+        // its own, the family's index reads each configuration's table at
+        // each switch: the lockstep walk skips no table and invents none.
+        #[test]
+        fn the_index_reads_each_table_over_uneven_switch_sets(
+            recipe in arb_family(),
+            keep in proptest::collection::vec(0u64..1 << SWITCHES.len(), 9),
+        ) {
+            let family: Vec<Config> = build_family(&recipe)
+                .into_iter()
+                .zip(&keep)
+                .map(|(cfg, &keep)| {
+                    let kept = cfg.tables().filter(|&(sw, _)| keep >> (sw - 1) & 1 != 0);
+                    let kept: Vec<(u64, FlowTable)> =
+                        kept.map(|(sw, table)| (sw, table.clone())).collect();
+                    Config::new().with_tables(kept)
+                })
+                .collect();
+            assert_index_is_the_cell_by_cell_one(&family);
+        }
+    }
+
+    /// `index_tables` against its specification: over the sorted union of
+    /// the switches with a table in any configuration, row `r`'s cell in
+    /// column `c` is configuration `c`'s table at switch `r`, or the empty
+    /// table, looked up one cell at a time; and `r` is the switch's row.
+    fn assert_index_is_the_cell_by_cell_one(family: &[Config]) {
+        let configs: Vec<&Config> = family.iter().collect();
+        let mut union: Vec<u64> = family.iter().flat_map(Config::switches).collect();
+        union.sort_unstable();
+        union.dedup();
+        let empty = &FlowTable::new();
+        let cells =
+            union.iter().map(|&sw| configs.iter().map(move |c| c.table(sw).unwrap_or(empty)));
+        let want = ChainTables::build(configs.len(), cells);
+        let (got, rows) = crate::nes::index_tables(&configs);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "the index's cells");
+        let want_rows: HashMap<u64, u32, FxBuildHasher> =
+            union.iter().enumerate().map(|(row, &sw)| (sw, row as u32)).collect();
+        assert_eq!(rows, want_rows, "the switch → row map");
+    }
+
+    /// A switch with a table only in the first configuration, one only in
+    /// the middle, and one only in the last (the lockstep walk's last
+    /// cursor starts on a switch no earlier configuration has), beside one
+    /// every configuration holds.
+    #[test]
+    fn the_index_reads_switches_only_some_configurations_hold() {
+        let table = |pt| FlowTable::from_rules([fwd(Match::new().with(Field::IpDst, pt), pt)]);
+        let family = [
+            Config::new().with_tables([(1, table(1)), (4, table(4))]),
+            Config::new().with_tables([(2, table(2)), (4, table(5))]),
+            Config::new(),
+            Config::new().with_tables([(3, table(3)), (4, table(6))]),
+        ];
+        assert_index_is_the_cell_by_cell_one(&family);
+        let (tables, rows) = crate::nes::index_tables(&family.iter().collect::<Vec<_>>());
+        assert_eq!((tables.rows(), rows.len(), rows[&3]), (4, 4, 2));
     }
 
     /// A rule that forwards `pattern`'s packets to port `pt`.

@@ -109,14 +109,9 @@ impl SimTopology {
     /// duplicate would make [`SimTopology::link_from`] pick an arbitrary
     /// winner. Generators producing multigraphs must dedup first.
     pub fn link(mut self, spec: LinkSpec) -> SimTopology {
-        assert!(
-            self.link_by_src.insert(spec.src, self.links.len()).is_none(),
-            "duplicate link out of {}:{} (to {}:{}): a source location carries at most one link",
-            spec.src.sw,
-            spec.src.pt,
-            spec.dst.sw,
-            spec.dst.pt,
-        );
+        if self.link_by_src.insert(spec.src, self.links.len()).is_some() {
+            duplicate_link(&spec);
+        }
         self.links.push(spec);
         self
     }
@@ -138,16 +133,26 @@ impl SimTopology {
     }
 
     /// Adds a batch of links (builder style) — the bulk-construction entry
-    /// point for topology generators.
+    /// point for topology generators. The source index is rebuilt in one
+    /// sorted pass over every link, not one tree insert per link.
     ///
     /// # Panics
     ///
     /// Panics on a duplicate source location, as for
-    /// [`SimTopology::link`].
+    /// [`SimTopology::link`], naming the link that adding them one at a time
+    /// would have stopped at.
     pub fn extend_links<I: IntoIterator<Item = LinkSpec>>(mut self, specs: I) -> SimTopology {
-        for spec in specs {
-            self = self.link(spec);
+        self.links.extend(specs);
+        let mut by_src: Vec<(Loc, usize)> =
+            self.links.iter().enumerate().map(|(i, l)| (l.src, i)).collect();
+        by_src.sort_unstable();
+        // Within a source, the second link is the first one a link-by-link
+        // build would refuse; across sources, the earliest of those.
+        let refused = by_src.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| w[1].1).min();
+        if let Some(i) = refused {
+            duplicate_link(&self.links[i]);
         }
+        self.link_by_src = by_src.into_iter().collect();
         self
     }
 
@@ -247,6 +252,14 @@ impl SimTopology {
     pub fn next_hop_ports(&self, dst_sw: u64) -> BTreeMap<u64, u64> {
         self.switch_graph().next_hop_ports(dst_sw)
     }
+}
+
+/// The panic of a link whose source location already carries one.
+fn duplicate_link(spec: &LinkSpec) -> ! {
+    panic!(
+        "duplicate link out of {}:{} (to {}:{}): a source location carries at most one link",
+        spec.src.sw, spec.src.pt, spec.dst.sw, spec.dst.pt,
+    )
 }
 
 /// Where each of `n` keys' entries start in a flat array grouped by key
@@ -453,6 +466,27 @@ mod tests {
         let _ = SimTopology::new([1, 2, 3])
             .link(LinkSpec::new(Loc::new(1, 1), Loc::new(2, 1), lat))
             .link(LinkSpec::new(Loc::new(1, 1), Loc::new(3, 1), lat));
+    }
+
+    /// A batch refuses the link a link-by-link build would have refused
+    /// first — here the second out of 2:1, though the second out of 1:1
+    /// sorts before it — and without a duplicate indexes every link as
+    /// that build does.
+    #[test]
+    #[should_panic(expected = "duplicate link out of 2:1 (to 3:1)")]
+    fn a_batch_refuses_the_link_a_link_by_link_build_refuses() {
+        let lat = SimTime::from_micros(10);
+        let spec = |a: (u64, u64), b: (u64, u64)| {
+            LinkSpec::new(Loc::new(a.0, a.1), Loc::new(b.0, b.1), lat)
+        };
+        let batch = [spec((1, 1), (2, 1)), spec((2, 1), (1, 1)), spec((2, 2), (3, 1))];
+        let one_by_one = batch.iter().fold(SimTopology::new([1, 2, 3]), |t, &l| t.link(l));
+        assert_eq!(SimTopology::new([1, 2, 3]).extend_links(batch), one_by_one);
+        let _ = SimTopology::new([1, 2, 3]).link(batch[0]).extend_links([
+            batch[1],
+            spec((2, 1), (3, 1)),
+            spec((1, 1), (3, 2)),
+        ]);
     }
 
     /// A 4-chain 1—2—3—4 (port 1 = right, port 2 = left).

@@ -21,6 +21,17 @@
 //! drops it under a stale configuration (the uncoordinated baseline mid
 //! push) violates Definition 6 — the generalization of the paper's Fig. 10
 //! counterexample that makes scenarios a differential oracle.
+//!
+//! The campaign compiles in bulk, each structure built in one ordered pass.
+//! The routing is synthesized once per group of switches that route alike
+//! ([`shortest_path_groups`]). Each group's rules ascend by host id, so one
+//! merge walk against the sorted victims splits off the rules the initial
+//! state holds back (`SwitchLists::blocked`, ascending by victim: an
+//! unblock finds its rule by binary search). A state is a length of a
+//! group's list, and each state's configuration is collected in one
+//! switch-sorted `(switch, group)` pass ([`edn_core::Config::with_tables`]),
+//! reading every table on demand as a prefix view of a group's list — no
+//! table is installed one switch at a time.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -147,24 +158,28 @@ struct SwitchLists {
     lists: Vec<Vec<Rule>>,
     /// Per campaign state so far: which list, and how many of its rules.
     states: Vec<(usize, usize)>,
-    /// The rules toward still-blocked victims, by victim.
-    blocked: BTreeMap<u64, Rule>,
+    /// The rules toward still-blocked victims, ascending by victim.
+    blocked: Vec<(u64, Rule)>,
 }
 
 impl SwitchLists {
     /// Splits a switch's full routing rules into the initial table and the
-    /// rules held back for `victims`. Twins are never addressed directly,
-    /// so rules toward them are dropped.
-    fn new(routing: Vec<Rule>, victims: &BTreeSet<u64>) -> SwitchLists {
+    /// rules held back for `victims` (ascending). The routing ascends by
+    /// host id, so one merge walk against the victims splits it. Twins are
+    /// never addressed directly, and their ids are above every base host's,
+    /// so the walk stops at the first rule toward one and drops the rest.
+    fn new(routing: Vec<Rule>, victims: &[u64]) -> SwitchLists {
         let mut initial = Vec::with_capacity(routing.len());
-        let mut blocked = BTreeMap::new();
+        let mut blocked = Vec::with_capacity(victims.len());
+        let mut pending = victims.iter().copied().peekable();
         for rule in routing {
             let dst = rule.pattern.get(Field::IpDst).expect("routing rules match ip_dst");
             if dst >= edn_topo::MOBILE_TWIN_OFFSET {
-                continue;
+                break;
             }
-            if victims.contains(&dst) {
-                blocked.insert(dst, rule);
+            while pending.next_if(|&v| v < dst).is_some() {}
+            if pending.next_if_eq(&dst).is_some() {
+                blocked.push((dst, rule));
             } else {
                 initial.push(rule);
             }
@@ -186,7 +201,8 @@ impl SwitchLists {
     /// prefix of the table after. (Routing rules match distinct `ip_dst`s,
     /// so their order decides nothing.)
     fn unblock(&mut self, victim: u64) {
-        if let Some(rule) = self.blocked.remove(&victim) {
+        if let Ok(at) = self.blocked.binary_search_by_key(&victim, |&(v, _)| v) {
+            let (_, rule) = self.blocked.remove(at);
             self.growing().push(rule);
         }
     }
@@ -213,10 +229,15 @@ impl SwitchLists {
         self.lists.push(next);
     }
 
-    /// The table of every recorded state, in order.
-    fn into_tables(self) -> impl Iterator<Item = FlowTable> {
+    /// The lists frozen into tables: each recorded state's table, read on
+    /// demand as a prefix view of the list it was taken from.
+    fn freeze(self) -> impl Fn(usize) -> FlowTable {
         let whole: Vec<FlowTable> = self.lists.into_iter().map(FlowTable::from_rules).collect();
-        self.states.into_iter().map(move |(list, len)| whole[list].prefix(len))
+        let states = self.states;
+        move |state| {
+            let (list, len) = states[state];
+            whole[list].prefix(len)
+        }
     }
 }
 
@@ -355,10 +376,13 @@ impl CompiledScenario {
         // still-blocked victims, with moved hosts' rules re-pointed at
         // their twins. Nothing is built per state but a length per group of
         // switches that route alike: see `SwitchLists`.
-        let victim_set: BTreeSet<u64> = victims.iter().copied().collect();
+        let mut sorted_victims = victims.clone();
+        sorted_victims.sort_unstable();
         let mut tables: Vec<(Vec<u64>, SwitchLists)> = shortest_path_groups(&run)
             .into_iter()
-            .map(|RouteGroup { switches, rules }| (switches, SwitchLists::new(rules, &victim_set)))
+            .map(|RouteGroup { switches, rules }| {
+                (switches, SwitchLists::new(rules, &sorted_victims))
+            })
             .collect();
         tables.iter_mut().for_each(|(_, t)| t.snapshot());
         for step in &steps {
@@ -377,17 +401,21 @@ impl CompiledScenario {
             }
             tables.iter_mut().for_each(|(_, t)| t.snapshot());
         }
-        // The links and hosts are every state's: built once, cloned per state.
+        // Each state's configuration is built in bulk, in one switch-sorted
+        // `(switch, group)` order, on the links and hosts every state shares
+        // (built once, cloned per state).
+        let mut order: Vec<(u64, usize)> = tables
+            .iter()
+            .enumerate()
+            .flat_map(|(group, (switches, _))| switches.iter().map(move |&sw| (sw, group)))
+            .collect();
+        order.sort_unstable();
+        let frozen: Vec<_> = tables.into_iter().map(|(_, t)| t.freeze()).collect();
         let skeleton = config_from_rules(&run, BTreeMap::new());
-        let mut configs = vec![skeleton; steps.len() + 1];
-        for (switches, lists) in tables {
-            for (config, table) in configs.iter_mut().zip(lists.into_tables()) {
-                for &sw in &switches {
-                    config.install(sw, table.clone());
-                }
-            }
-        }
-        let mut configs = configs.into_iter();
+        let mut configs = (0..=steps.len()).map(|state| {
+            let tables = order.iter().map(|&(sw, group)| (sw, frozen[group](state)));
+            skeleton.clone().with_tables(tables)
+        });
         let initial = configs.next().expect("the initial state");
         let trigger_host = hosts[0];
         let trigger_dst = hosts[1];

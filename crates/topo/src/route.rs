@@ -11,6 +11,13 @@
 //! Switches whose next hops agree toward every host carry equal rule lists,
 //! and the synthesis builds each such list once ([`RouteGroup`]): on a
 //! fat-tree the cores share one, and each pod's aggregation switches one.
+//! Rows are told apart per *attachment switch*, not per host: a switch's
+//! next hop toward a host depends only on where the host is attached, so a
+//! row is fingerprinted and compared over one cell per attachment switch
+//! (32 on fat-tree(8), against 128 hosts). Only a switch's own column is
+//! host-specific; it reads as its one host's port, or, with several hosts,
+//! as a marker no other switch can carry — so equal keys are exactly equal
+//! rule lists.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hasher;
@@ -42,38 +49,42 @@ pub struct RouteGroup {
 /// same lists by switch.
 pub fn shortest_path_groups(gen: &GenTopology) -> Vec<RouteGroup> {
     // One graph for the topology and one BFS per attachment switch (shared
-    // by its co-located hosts), all into one matrix. A switch's row is read
-    // straight off a column of it, fingerprinted, and compared only with the
-    // rows of the groups carrying its fingerprint: a topology without
-    // repeats pays one more pass over the matrix, not a row scan, and
-    // nothing is copied per row.
+    // by its co-located hosts), all into one matrix: row `r` is every
+    // switch's next hop toward attachment switch `r`. A switch's row is
+    // keyed by its cells over those columns (see `Toward`), fingerprinted,
+    // and compared only with the rows of the groups carrying its
+    // fingerprint: a topology without repeats pays one more pass over the
+    // matrix, not a row scan, and nothing is copied per row.
     let graph = gen.sim().switch_graph();
-    let hosts: Vec<(Match, Loc)> = gen
-        .hosts()
-        .iter()
-        .map(|&host| {
-            let at = gen.attachment(host).expect("generated hosts are attached");
-            (Match::new().with(Field::IpDst, host), at)
-        })
-        .collect();
     let attach = attachment_switches(gen);
     let next = graph.next_hop_rows(&attach);
     let ids = graph.switches();
     let width = ids.len();
-    let starts: Vec<usize> = hosts
+    // Per attachment column, its own switch's cell: `Hop(None)` until the
+    // column's first host is seen (every column has one).
+    let mut own = vec![Toward::Hop(None); attach.len()];
+    let hosts: Vec<(Match, Loc, usize)> = gen
+        .hosts()
         .iter()
-        .map(|(_, at)| width * attach.binary_search(&at.sw).expect("every attachment has a row"))
+        .map(|&host| {
+            let at = gen.attachment(host).expect("generated hosts are attached");
+            let column = attach.binary_search(&at.sw).expect("every attachment has a row");
+            own[column] = if own[column] == Toward::Hop(None) {
+                Toward::Hop(Some(at.pt))
+            } else {
+                Toward::Hosts
+            };
+            (Match::new().with(Field::IpDst, host), at, column)
+        })
         .collect();
-    // Entry `j` of switch `i`'s row: its out port toward host `j`.
-    let out = |i: usize, j: usize| {
-        let at = hosts[j].1;
-        if ids[i] == at.sw {
-            Some(at.pt)
+    // Cell `r` of switch `i`'s key.
+    let key = |i: usize, r: usize| {
+        if ids[i] == attach[r] {
+            own[r]
         } else {
-            next[starts[j] + i]
+            Toward::Hop(next[r * width + i])
         }
     };
-    let height = hosts.len();
     // Fingerprint → the latest group with it; per group, the group before
     // it with the same fingerprint (for the rare rows that collide) and the
     // switch whose row it is.
@@ -84,12 +95,12 @@ pub fn shortest_path_groups(gen: &GenTopology) -> Vec<RouteGroup> {
     let mut outputs = OutputActions::default();
     for (i, &sw) in ids.iter().enumerate() {
         let mut print = FxHasher::default();
-        (0..height).for_each(|j| print.write_u64(out(i, j).map_or(0, |pt| pt.wrapping_add(1))));
+        (0..attach.len()).for_each(|r| print.write_u64(key(i, r).print()));
         let print = print.finish();
         let mut candidate = by_print.get(&print).copied();
         while let Some(g) = candidate {
             let (before, first) = chain[g as usize];
-            if (0..height).all(|j| out(i, j) == out(first, j)) {
+            if (0..attach.len()).all(|r| key(i, r) == key(first, r)) {
                 break;
             }
             candidate = before;
@@ -99,15 +110,42 @@ pub fn shortest_path_groups(gen: &GenTopology) -> Vec<RouteGroup> {
             continue;
         }
         chain.push((by_print.insert(print, groups.len() as u32), i));
-        let mut rules = Vec::with_capacity(height);
-        for (j, (pattern, _)) in hosts.iter().enumerate() {
-            if let Some(pt) = out(i, j) {
+        let mut rules = Vec::with_capacity(hosts.len());
+        for (pattern, at, column) in &hosts {
+            let out = if sw == at.sw { Some(at.pt) } else { next[column * width + i] };
+            if let Some(pt) = out {
                 rules.push(Rule::new(pattern.clone(), outputs.port(pt)));
             }
         }
         groups.push(RouteGroup { switches: vec![sw], rules });
     }
     groups
+}
+
+/// One cell of a switch's routing key: what it does toward the hosts of one
+/// attachment switch. Away from that switch, every host there is reached by
+/// the same next hop, so two switches route those hosts alike exactly when
+/// their hops are equal. At the switch itself each host has its own port:
+/// with one host the cell is that port, which another switch's hop may
+/// equal (both send the host's packets out of a port with that number);
+/// with several, no single hop can, and the cell is [`Toward::Hosts`]. So
+/// two switches' keys are equal exactly when their rule lists are.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Toward {
+    /// The out port toward the column's hosts (`None`: none reach them).
+    Hop(Option<u64>),
+    /// The column's own switch, which carries several hosts.
+    Hosts,
+}
+
+impl Toward {
+    /// The cell's contribution to a row's fingerprint.
+    fn print(self) -> u64 {
+        match self {
+            Toward::Hop(hop) => hop.map_or(0, |pt| pt.wrapping_add(1)),
+            Toward::Hosts => u64::MAX,
+        }
+    }
 }
 
 /// The lists of `groups` by switch, ascending: a view, each list borrowed
@@ -169,24 +207,19 @@ pub fn rules_toward(gen: &GenTopology, at: Loc, ip: u64) -> BTreeMap<u64, Rule> 
 /// Builds a [`Config`] from per-switch rules plus the generated topology's
 /// links and hosts (so correctness checking sees the full network).
 pub fn config_from_rules(gen: &GenTopology, rules: BTreeMap<u64, Vec<Rule>>) -> Config {
-    let mut config = topology_config(gen);
-    for (sw, list) in rules {
-        config.install(sw, FlowTable::from_rules(list));
-    }
-    config
+    let tables = rules.into_iter().map(|(sw, list)| (sw, FlowTable::from_rules(list)));
+    topology_config(gen).with_tables(tables)
 }
 
 /// The all-pairs shortest-path configuration of a generated topology: one
 /// table per [`RouteGroup`], installed on each of its switches.
 pub fn shortest_path_config(gen: &GenTopology) -> Config {
-    let mut config = topology_config(gen);
+    let mut tables = Vec::with_capacity(gen.switch_count());
     for group in shortest_path_groups(gen) {
         let table = FlowTable::from_rules(group.rules);
-        for sw in group.switches {
-            config.install(sw, table.clone());
-        }
+        tables.extend(group.switches.into_iter().map(|sw| (sw, table.clone())));
     }
-    config
+    topology_config(gen).with_tables(tables)
 }
 
 /// The generated topology's links and hosts as a configuration with no

@@ -116,3 +116,29 @@ fn bulk_built_topology_equals_the_one_built_link_by_link() {
         assert_eq!(routed.hosts().count(), gen.host_count());
     }
 }
+
+/// Rows that are equal only through a one-host column share a group:
+/// switch 1's port 1 leads to switch 2's port 3, switch 1's host sits on
+/// its port 3 and switch 2's on its port 1, so both switches send the first
+/// host's packets out of port 3 and the second's out of port 1. A second
+/// host on switch 1 has a port of its own there, which switch 2's one hop
+/// toward switch 1 cannot match: the group splits.
+#[test]
+fn a_one_host_column_can_join_two_rows_and_a_second_host_splits_them() {
+    let latency = SimTime::from_micros(5);
+    let pair = SimTopology::new([1, 2])
+        .host(HOST_BASE + 1, Loc::new(1, 3))
+        .host(HOST_BASE + 2, Loc::new(2, 1))
+        .bilink(Loc::new(1, 1), Loc::new(2, 3), latency, None);
+    let crowded = pair.clone().host(HOST_BASE + 3, Loc::new(1, 2));
+    let cases = [("pair", pair, vec![vec![1, 2]]), ("crowded", crowded, vec![vec![1], vec![2]])];
+    for (name, topo, members) in cases {
+        let gen = GenTopology::from_sim(name, topo);
+        let groups = shortest_path_groups(&gen);
+        let got: Vec<Vec<u64>> = groups.iter().map(|g| g.switches.clone()).collect();
+        assert_eq!(got, members, "{name}: the groups' switches");
+        let lists: BTreeMap<u64, Vec<Rule>> =
+            per_switch(&groups).into_iter().map(|(sw, rules)| (sw, rules.to_vec())).collect();
+        assert_eq!(lists, spec_rules(&gen), "{name}: per-switch lists");
+    }
+}

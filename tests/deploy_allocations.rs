@@ -33,7 +33,9 @@
 //! layout, then 328 / 57 / 90 when switches with equal next-hop rows started
 //! sharing one rule list, then 351 / 7 / 40 when the index build moved from
 //! the deploy into the NES's construction: the compile builds the one index,
-//! and the deploy and `engine()` read it). A fourth leg watches
+//! and the deploy and `engine()` read it, then 341 / 7 / 40 when the compile
+//! started building each state's tables and the NES index in bulk, in
+//! switch order). A fourth leg watches
 //! `OnlineChecker::observer`, which reads the NES's index too: its cost may
 //! not grow with the configurations, and a second checker over one NES
 //! reads the masks the first one built, so its count is one constant.
@@ -156,7 +158,9 @@ fn deploying_a_campaign_does_not_copy_rule_bodies() {
 /// 20 switches) and the campaign's links and hosts started being collected
 /// in bulk, and rose to 351 when the NES started building its table index
 /// (20 chains, one layout) at construction, where the deploy had built it
-/// (57 → 7).
+/// (57 → 7). It fell to 341 when each state's tables started being
+/// collected in one switch-sorted pass and the NES index started finding
+/// its switches without re-collecting them per configuration.
 #[test]
 fn compiling_a_campaign_builds_each_rule_body_once() {
     let before = allocations();
@@ -165,9 +169,9 @@ fn compiling_a_campaign_builds_each_rule_body_once() {
     let forwarding = c.nes.total_rules() as u64;
     assert!(forwarding >= 1000, "the campaign installs a real rule load ({forwarding})");
     assert!(
-        spent <= 351,
+        spent <= 341,
         "compiling a campaign of {forwarding} installed rules took {spent} allocations \
-         (351 when pinned) — rule bodies are being built per rule, or a rule list per state \
+         (341 when pinned) — rule bodies are being built per rule, or a rule list per state \
          or per switch, again"
     );
 }
@@ -345,7 +349,10 @@ fn learning_by_copy(
 /// NES's masks; `a_second_checker_builds_nothing_the_nes_holds` counts a
 /// later one). Then an index layout stopped collecting its hash segments'
 /// fields for a prefetch no lookup took: build fell from 184 / 226 to
-/// 180 / 222 (two layouts, two allocations each).
+/// 180 / 222 (two layouts, two allocations each). Then the routed
+/// configuration's tables started being collected in one sorted pass and
+/// the NES index started finding its switches without growing a list per
+/// configuration: build fell from 180 / 222 to 179 / 221.
 #[test]
 fn an_application_nes_shares_its_untouched_tables() {
     let gen = fat_tree(4, TierProfile::default());
@@ -406,7 +413,7 @@ fn an_application_nes_shares_its_untouched_tables() {
         firewall_by_copy(&gen, inside, outside),
         &[outside_sw],
         2,
-        [180, 3, 21],
+        [179, 3, 21],
     );
     let (learner, target, shadow) = (h[0], h[15], h[8]);
     let (by_copy, touched) = learning_by_copy(&gen, learner, target, shadow);
@@ -417,7 +424,7 @@ fn an_application_nes_shares_its_untouched_tables() {
         by_copy,
         &touched,
         2,
-        [222, 3, 21],
+        [221, 3, 21],
     );
 }
 
