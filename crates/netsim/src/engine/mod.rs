@@ -11,9 +11,11 @@
 //! stream, and under [`TraceMode::Full`] `edn-core`'s trace builder sits in
 //! front of it and records the Section 2 network trace.
 //!
-//! The loop is one function, `Engine::step`: admit the source's events up
-//! to the next fire time, pop one due event, dispatch it. `build` holds the
-//! pre-run API, `dispatch` the packet events, `control` the control events.
+//! The loop is one function, `Engine::step`: take the earlier, by full
+//! key, of the source's next datagram and the queue's minimum, and
+//! dispatch it; a streamed datagram never enters the queue. `build` holds
+//! the pre-run API, `dispatch` the packet events, `control` the control
+//! events.
 //!
 //! # The sequence key
 //!
@@ -276,9 +278,9 @@ impl<D: DataPlane> Engine<D> {
     }
 
     /// [`push_keyed`](Engine::push_keyed) for an event a dispatch *creates*:
-    /// observes the creation-to-fire sim-time latency. The injection paths
-    /// (pre-run and source pump) use raw `push_keyed`: those are workload
-    /// admissions, not engine-scheduled delays.
+    /// observes the creation-to-fire sim-time latency. The pre-run
+    /// injections use raw `push_keyed`: those are workload admissions, not
+    /// engine-scheduled delays.
     fn schedule(&mut self, time: SimTime, seq: u64, kind: EventKind<D::Msg>) {
         if self.metrics.on {
             self.metrics.observe_scheduled(time, self.now);
@@ -321,65 +323,59 @@ impl<D: DataPlane> Engine<D> {
         while self.step(deadline) {}
     }
 
-    /// One step of the loop: admits the source's events up to the next
-    /// fire time, then pops the earliest event and dispatches it. Returns
-    /// `false`, having dispatched nothing, once no event is due at or
-    /// before `deadline`; a later one stays pending for a later `run`.
+    /// One step of the loop: the earlier of the source's next datagram and
+    /// the queue's minimum, by full key, is dispatched — the datagram
+    /// straight from the source, never through the queue. Returns `false`,
+    /// having dispatched nothing, once no event is due at or before
+    /// `deadline`; a later one stays pending (or in the source) for a later
+    /// `run`.
+    ///
+    /// A source datagram's key is `pack_seq(ENV_ENTITY, base + seq)`, the
+    /// key the batch path would have queued it under, so taking whichever
+    /// key sorts first dispatches in exactly the batch path's order, ties
+    /// at one microsecond included. The queue is peeked once: `pop_due`
+    /// pops its minimum only when that sorts before the source's head.
     pub(crate) fn step(&mut self, deadline: SimTime) -> bool {
-        self.pump_source(deadline);
-        let Some((key, kind)) = self.pending.pop_due(deadline) else { return false };
-        self.now = key.0;
-        self.dispatch(key, kind);
-        true
+        let head = self.source.as_ref().and_then(|st| {
+            st.src.peek().map(|(time, seq)| (time, pack_seq(ENV_ENTITY, st.base + seq)))
+        });
+        if let Some((key, kind)) = self.pending.pop_due(deadline, head) {
+            self.now = key.0;
+            self.dispatch(key, kind);
+            return true;
+        }
+        match head {
+            Some(key) if key.0 <= deadline => {
+                self.inject_streamed(key);
+                true
+            }
+            _ => false,
+        }
     }
 
-    /// Drains the attached source's events into the queue up to the
-    /// earlier of `deadline` and the next queued fire time — or, when the
-    /// queue is idle, the source's own next time slice: lazy admission keeps
-    /// the arena at the in-flight high-water mark instead of the workload
-    /// size. Environment keys sort below every derived key at equal times
-    /// (entity id 0), so pumping just in time leaves the dispatch order
-    /// exactly what a pre-materialized batch would have produced.
+    /// Pulls the source's next datagram, whose key `step` peeked as `key`,
+    /// interns it and dispatches it. One pull in `SAMPLE_MASK + 1`
+    /// injections is timed at [`MetricsLevel::Full`] (`phase.pump_ns`).
     ///
     /// The state is borrowed in place, not taken out and put back: a
     /// `SourceState` moved per call is reloaded right after the source has
-    /// written its buffer's header, a store-forwarding stall on each of the
-    /// calls, most of which admit nothing.
-    fn pump_source(&mut self, deadline: SimTime) {
-        let Some(st) = &self.source else { return };
-        let next = self.pending.peek().map(|key| key.0).or_else(|| st.src.peek_time());
-        let limit_us = next.map_or(u64::MAX, SimTime::as_micros).min(deadline.as_micros());
-        let sample = if self.metrics.on {
-            self.metrics.pump_calls += 1;
-            self.metrics.full && self.metrics.pump_calls & 1023 == 1
-        } else {
-            false
-        };
-        let sw = sample.then(Stopwatch::start);
-        let mut admitted = 0u64;
-        while let Some(st) = self.source.as_mut() {
-            if st.src.peek_time().is_none_or(|t| t.as_micros() > limit_us) {
-                break;
-            }
-            let ev = st.src.next_event(&mut st.packet).expect("peek_time implies a next event");
-            debug_assert!(ev.seq < st.total, "source seq {} out of reserved window", ev.seq);
-            let seq = pack_seq(ENV_ENTITY, st.base + ev.seq);
-            let packet = self.arena.intern_ref(&st.packet);
-            let sender = self.entities.host(ev.host);
-            self.push_keyed(
-                ev.time,
-                seq,
-                EventKind::Inject { host: ev.host, packet, size: ev.size, sender },
-            );
-            admitted += 1;
-        }
-        if self.metrics.on && admitted > 0 {
-            self.metrics.pump_batch.observe(admitted);
-        }
+    /// written its buffer's header, a store-forwarding stall on each call.
+    fn inject_streamed(&mut self, key: EventKey) {
+        let sw =
+            (self.metrics.full && metrics::sampled(self.stats.injected)).then(Stopwatch::start);
+        let st = self.source.as_mut().expect("a peeked head has a source");
+        let ev = st.src.next_event(&mut st.packet).expect("peek implies a next event");
+        debug_assert!(ev.seq < st.total, "source seq {} out of reserved window", ev.seq);
+        debug_assert_eq!(key, (ev.time, pack_seq(ENV_ENTITY, st.base + ev.seq)), "peek != next");
+        let packet = self.arena.intern_ref(&st.packet);
+        // The reference a queued event would hold, dropped by `dispatch`.
+        self.arena.retain(packet);
         if let Some(sw) = sw {
-            let ns = sw.elapsed_ns();
-            self.metrics.phase_pump_ns.observe(ns);
+            self.metrics.phase_pump_ns.observe(sw.elapsed_ns());
         }
+        let sender = self.entities.host(ev.host);
+        self.now = key.0;
+        self.dispatch(key, EventKind::Inject { host: ev.host, packet, size: ev.size, sender });
     }
 
     fn dispatch(&mut self, key: EventKey, kind: EventKind<D::Msg>) {
@@ -544,8 +540,8 @@ mod fixtures {
             self.items.len() as u64
         }
 
-        fn peek_time(&self) -> Option<SimTime> {
-            self.items.get(self.next).map(|item| item.0)
+        fn peek(&self) -> Option<(SimTime, u64)> {
+            self.items.get(self.next).map(|item| (item.0, self.next as u64))
         }
 
         fn next_event(&mut self, packet: &mut Packet) -> Option<SourceEvent> {
@@ -1118,6 +1114,111 @@ mod tests {
         // Two deliveries to host 100: the original echoed, then the reply.
         assert_eq!(r.stats.deliveries.len(), 2);
         assert_eq!(r.stats.injected, 2);
+    }
+}
+
+#[cfg(test)]
+mod merge_props {
+    use super::fixtures::{topo, traced, Scripted};
+    use super::*;
+    use crate::logic::SinkHosts;
+    use netkat::Field;
+    use proptest::prelude::*;
+
+    /// One switch step: `(µs, switch, port, vlan)`.
+    type Step = (u64, u64, u64, Option<u64>);
+
+    /// Sends every packet on towards the other host (a switch's host port
+    /// is 2, its link port 1) and logs each [`Step`]: the order the switch
+    /// arrivals were dispatched in.
+    #[derive(Default)]
+    struct Logged(Vec<Step>);
+
+    impl DataPlane for Logged {
+        type Msg = ();
+        fn step(
+            &mut self,
+            sw: u64,
+            pt: u64,
+            packet: PacketId,
+            _: bool,
+            now: SimTime,
+            arena: &mut PacketArena,
+            out: &mut PlaneOut<Self::Msg>,
+        ) {
+            self.0.push((now.as_micros(), sw, pt, arena.get(packet).get(Field::Vlan)));
+            out.outputs.push((3 - pt, packet));
+        }
+    }
+
+    type Item = (SimTime, u64, Packet, u32);
+
+    /// `(µs, from host 200?)` pairs as injections, tagged `vlan = first + i`.
+    fn items(raw: &[(u64, bool)], first: u64) -> Vec<Item> {
+        let item = |(i, &(t, far)): (usize, &(u64, bool))| {
+            let packet = Packet::new().with(Field::Vlan, first + i as u64);
+            (SimTime::from_micros(t), if far { 200 } else { 100 }, packet, 64)
+        };
+        raw.iter().enumerate().map(item).collect()
+    }
+
+    /// `pre`, then `stream`, then `post`, each in one call: the stream
+    /// through a source with the run stopped at `split` and resumed, or,
+    /// without a split, through `inject_batch` in one run. Returns the
+    /// trace (records in dispatch order), the stats and the plane's log.
+    fn run(
+        pre: &[Item],
+        stream: &[Item],
+        post: &[Item],
+        split: Option<SimTime>,
+    ) -> (NetworkTrace, Stats, Vec<Step>) {
+        let mut e = traced(topo(), SimParams::default(), Logged::default(), Box::new(SinkHosts));
+        e.inject_batch(pre.to_vec());
+        match split {
+            Some(_) => e.set_source(Box::new(Scripted::new(stream.to_vec()))),
+            None => e.inject_batch(stream.to_vec()),
+        }
+        e.inject_batch(post.to_vec());
+        if let Some(t1) = split {
+            e.run(t1);
+        }
+        e.run(SimTime::from_secs(1));
+        let r = e.finish();
+        (r.trace, r.stats, r.dataplane.0)
+    }
+
+    /// Times for every injection list: a window a few hops wide, so source
+    /// datagrams tie at one microsecond with each other, with queued
+    /// injections, and with the arrivals earlier datagrams caused (host
+    /// link 10 µs, switch 5 µs, inter-switch link 50 µs).
+    fn arb_items(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u64, bool)>> {
+        proptest::collection::vec((0u64..160, any::<bool>()), len)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The merged loop — source head against the queue's minimum, by
+        /// full key — dispatches exactly what `inject_batch` over the same
+        /// list does, in the same order, stopped between two datagrams and
+        /// resumed.
+        #[test]
+        fn a_streamed_run_dispatches_in_batch_order_through_ties(
+            pre in arb_items(0..8),
+            stream in arb_items(1..24),
+            post in arb_items(0..8),
+            cut in 0usize..24,
+        ) {
+            let mut stream = stream;
+            stream.sort_by_key(|&(t, _)| t);
+            let split = SimTime::from_micros(stream[cut % stream.len()].0);
+            let pre = items(&pre, 0);
+            let stream = items(&stream, 100);
+            let post = items(&post, 200);
+            let batch = run(&pre, &stream, &post, None);
+            prop_assert_eq!(batch.1.injected, (pre.len() + stream.len() + post.len()) as u64);
+            prop_assert_eq!(run(&pre, &stream, &post, Some(split)), batch);
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 //!   latency histogram, link-saturation counts, per-reason drops.
 //! * **Shard** — deterministic for a fixed build but dependent on how the
 //!   engine is implemented or fed, so not compared across knobs:
-//!   queue-depth high-water, pump batch sizes, arena interning.
+//!   queue-depth high-water, arena interning.
 //! * **Wall** — sampled wall-clock phase profiling
 //!   ([`MetricsLevel::Full`] only), never expected to reproduce.
 
@@ -25,8 +25,14 @@ use crate::time::SimTime;
 pub(crate) const FLIGHT_CAPACITY: usize = 1024;
 
 /// Sample mask for wall-clock phase profiling: one dispatch in
-/// `SAMPLE_MASK + 1` is timed.
+/// `SAMPLE_MASK + 1` is timed, and one source pull in as many injections.
 const SAMPLE_MASK: u64 = 1023;
+
+/// Is the `n`-th occurrence (from 0) of a phase timed?
+#[inline]
+pub(crate) fn sampled(n: u64) -> bool {
+    n & SAMPLE_MASK == 0
+}
 
 /// The engine's metric accumulators. All zero-cost when
 /// `on == false` (every instrument point is behind that one branch).
@@ -58,16 +64,13 @@ pub(crate) struct EngineMetrics {
     // Shard scope.
     /// Event-queue depth high-water (sampled at each dispatch).
     pub(crate) queue_depth_hw: u64,
-    /// Events admitted per non-empty source pump.
-    pub(crate) pump_batch: Hist,
 
     // Wall scope (sampled, `full` only).
+    /// Pulling one source datagram: the source's write and the intern.
     pub(crate) phase_pump_ns: Hist,
     pub(crate) phase_dispatch_ns: Hist,
     pub(crate) phase_lookup_ns: Hist,
     pub(crate) phase_observer_ns: Hist,
-    /// Pump calls seen (sampling state for the pump phase).
-    pub(crate) pump_calls: u64,
 }
 
 impl EngineMetrics {
@@ -84,12 +87,10 @@ impl EngineMetrics {
             latency_us: Hist::new(),
             link_busy: 0,
             queue_depth_hw: 0,
-            pump_batch: Hist::new(),
             phase_pump_ns: Hist::new(),
             phase_dispatch_ns: Hist::new(),
             phase_lookup_ns: Hist::new(),
             phase_observer_ns: Hist::new(),
-            pump_calls: 0,
         }
     }
 
@@ -114,7 +115,7 @@ impl EngineMetrics {
     /// Refreshes the per-dispatch sampling decision (caller checked `on`).
     #[inline]
     pub(crate) fn begin_dispatch(&mut self, events_processed: u64) {
-        self.sampling = self.full && events_processed & SAMPLE_MASK == 0;
+        self.sampling = self.full && sampled(events_processed);
     }
 
     /// Folds these accumulators into `reg`.
@@ -129,7 +130,6 @@ impl EngineMetrics {
         reg.hist_merge(Scope::Sim, "engine.event_latency_us", &self.latency_us);
         reg.counter_add(Scope::Sim, "engine.link_busy", self.link_busy);
         reg.gauge_max(Scope::Shard, "engine.queue_depth_hw", self.queue_depth_hw);
-        reg.hist_merge(Scope::Shard, "engine.pump_batch", &self.pump_batch);
         if self.full {
             reg.hist_merge(Scope::Wall, "phase.pump_ns", &self.phase_pump_ns);
             reg.hist_merge(Scope::Wall, "phase.dispatch_ns", &self.phase_dispatch_ns);

@@ -14,8 +14,9 @@
 //! * **`front`** (`b ≤ drained`): a small buffer sorted descending, so the
 //!   minimum is its back. It is filled by draining one ring bucket at a
 //!   time and sorting it once; a key that arrives at or behind the drained
-//!   bucket (the source pump's, a same-bucket follow-up, a past-time
-//!   injection) is inserted in order — almost always at the back.
+//!   bucket (a same-bucket follow-up, a past-time injection, the follow-up
+//!   of a datagram the engine dispatched straight from its source ahead of
+//!   a drained bucket) is inserted in order, scanning from the back.
 //! * **the ring** (`drained < b < wavefront + N_BUCKETS`): bucket
 //!   `b & mask` is an intrusive list threaded through a per-slot side array
 //!   — a push writes one node and one head, nothing is sorted or moved
@@ -32,14 +33,11 @@
 //! minimum is the smaller of `front`'s back and the heap's top.
 //!
 //! A peek has to drain the next occupied bucket to learn the minimum, and
-//! that bucket can be far ahead of *now* (a lone timer, a trigger scheduled
-//! before the run) when a batch of earlier keys is about to arrive (the
-//! pump admits everything up to the peeked time). The second such key —
-//! between the wavefront and the drained bucket, and not the new minimum —
-//! hands the drained keys back to the ring ([`undrain`]), so the batch and
-//! everything it schedules use the ring instead of piling into `front`.
-//!
-//! [`undrain`]: CalendarQueue::undrain
+//! that bucket can be ahead of *now* (a controller message, a timer). The
+//! engine never admits a batch of workload keys behind it — a streamed
+//! datagram is dispatched from its source, not queued — so what lands
+//! behind a drained bucket is the few follow-ups of the events dispatched
+//! before it, and they stay in `front`.
 //!
 //! Ordering is **identical** to a binary heap's, including timestamp ties:
 //! pops go strictly by the full `(time, sequence, slot)` key, and sequence
@@ -149,12 +147,7 @@ impl CalendarQueue {
         // At or behind the drained bucket: at or near the minimum, so the
         // scan from the back is short.
         let at = self.front.iter().rposition(|&k| k > key).map_or(0, |i| i + 1);
-        if at < self.front.len() && bucket > self.wavefront && bucket < self.drained {
-            self.undrain();
-            self.ring_insert(key);
-        } else {
-            self.front.insert(at, key);
-        }
+        self.front.insert(at, key);
     }
 
     /// Links a key whose bucket is inside the window into its ring bucket.
@@ -167,19 +160,6 @@ impl CalendarQueue {
         self.head[i] = slot;
         self.occupancy[i / 64] |= 1 << (i % 64);
         self.in_ring += 1;
-    }
-
-    /// Hands every `front` key ahead of the wavefront back to the ring (see
-    /// the module docs): `front` is sorted descending, so they are a prefix,
-    /// and their buckets are inside the window because `drained` was.
-    fn undrain(&mut self) {
-        let wavefront = self.wavefront;
-        let ahead = self.front.partition_point(|k| bucket_of(k.0) > wavefront);
-        for i in 0..ahead {
-            self.ring_insert(self.front[i]);
-        }
-        self.front.drain(..ahead);
-        self.drained = wavefront;
     }
 
     /// The first occupied ring bucket after the drained one, as an absolute
@@ -230,10 +210,15 @@ impl CalendarQueue {
     }
 
     /// Removes and returns the minimum key if it fires at or before
-    /// `deadline`; a later minimum stays pending.
-    pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<QueuedKey> {
+    /// `deadline` and its `(time, sequence)` sorts before `before`, when
+    /// given; otherwise the minimum stays pending. One peek decides both.
+    pub(crate) fn pop_due(
+        &mut self,
+        deadline: SimTime,
+        before: Option<EventKey>,
+    ) -> Option<QueuedKey> {
         let key = self.peek()?;
-        if key.0 > deadline {
+        if key.0 > deadline || before.is_some_and(|b| (key.0, key.1) >= b) {
             return None;
         }
         if self.front.last() == Some(&key) {
@@ -252,7 +237,7 @@ impl CalendarQueue {
 
     #[cfg(test)]
     fn pop(&mut self) -> Option<QueuedKey> {
-        self.pop_due(SimTime::from_micros(u64::MAX))
+        self.pop_due(SimTime::from_micros(u64::MAX), None)
     }
 }
 
@@ -293,17 +278,17 @@ impl<E> Pending<E> {
         self.queue.push((time, seq, slot));
     }
 
-    /// The key [`pop_due`](Pending::pop_due) would consider.
-    pub(crate) fn peek(&mut self) -> Option<EventKey> {
-        self.queue.peek().map(|(time, seq, _)| (time, seq))
-    }
-
     /// Removes and returns the earliest event if it fires at or before
-    /// `deadline`; a later one stays pending. Inlined: the loop calls it
-    /// once per event.
+    /// `deadline` and sorts before `before` (the source's next datagram, if
+    /// any); otherwise it stays pending. Inlined: the loop calls it once per
+    /// event.
     #[inline]
-    pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<(EventKey, E)> {
-        let (time, seq, slot) = self.queue.pop_due(deadline)?;
+    pub(crate) fn pop_due(
+        &mut self,
+        deadline: SimTime,
+        before: Option<EventKey>,
+    ) -> Option<(EventKey, E)> {
+        let (time, seq, slot) = self.queue.pop_due(deadline, before)?;
         let event = self.slots[slot as usize].take().expect("a queued slot holds its event");
         self.free.push(slot);
         Some(((time, seq), event))
@@ -537,47 +522,6 @@ mod tests {
             }
             assert_eq!(cal.pop(), None);
         }
-    }
-
-    #[test]
-    fn a_batch_behind_a_drain_that_ran_ahead_uses_the_ring() {
-        // The streaming loop's opening move: the only pending key is a
-        // trigger 5 ms out, the loop peeks it (draining its bucket), and
-        // the pump admits every source event up to that time — which then
-        // schedule their own follow-ups. Only the batch's first key (the
-        // new minimum) may join `front`; the second hands the trigger back
-        // and everything after it is ring traffic.
-        let mut heap = HeapModel::default();
-        let mut cal = CalendarQueue::new();
-        let mut seq = 0u64;
-        let mut push_both = |heap: &mut HeapModel, cal: &mut CalendarQueue, t: u64| {
-            let k = key(t, seq);
-            seq += 1;
-            heap.push(k);
-            cal.push(k);
-        };
-        push_both(&mut heap, &mut cal, 5_000);
-        assert_eq!(cal.peek(), heap.peek());
-        assert_eq!((cal.front.len(), cal.in_ring), (1, 0), "the peek drained the trigger");
-        for i in 0..200 {
-            push_both(&mut heap, &mut cal, i * 25);
-            assert!(cal.front.len() <= 2, "the batch must not pile into `front`");
-        }
-        // (The key at time 0 is in the wavefront's own bucket and stays.)
-        assert_eq!((cal.front.len(), cal.in_ring), (1, 200));
-        // Drain, each of the batch's keys scheduling a follow-up a hop
-        // ahead: still ring traffic, never more than a bucket's worth in
-        // `front`.
-        let mut hw = 0;
-        while let Some(a) = heap.pop() {
-            assert_eq!(cal.pop(), Some(a));
-            if a.1 <= 200 {
-                push_both(&mut heap, &mut cal, a.0.as_micros() + 50);
-            }
-            hw = hw.max(cal.front.len());
-        }
-        assert!(hw <= 4, "`front` held {hw} keys");
-        assert_eq!((cal.pop(), cal.overflow.len()), (None, 0));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! [`Engine::inject_batch`](crate::Engine::inject_batch) materializes every
 //! datagram of a workload into the event queue up front, so the queue alone
 //! costs memory proportional to the offered load. A [`WorkloadSource`] is
-//! the streaming alternative: the engine *pulls* timed injections from the
-//! source as simulated time advances, so only the events of the current
-//! instant ever sit in the queue and a 10M-event run costs the same queue
+//! the streaming alternative: at every step the engine compares the
+//! source's next datagram with the queue's minimum and dispatches that
+//! datagram straight from the source when it sorts first, so no streamed
+//! datagram sits in the queue and a 10M-event run costs the same queue
 //! memory as a 10-event run.
 //!
 //! # Byte-identical to the batch path
@@ -18,8 +19,10 @@
 //! (flow-major) order. A source therefore reports each event's
 //! [`SourceEvent::seq`] — its offset in that same batch order — even though
 //! it *yields* events in time order, and the engine packs
-//! `base + seq` into the exact key the batch path would have used. Identical
-//! keys mean identical pop order, which means identical runs.
+//! `base + seq` into the exact key the batch path would have used. The
+//! engine takes the source's head ahead of the queue's minimum exactly when
+//! that full key sorts first, so the dispatch order is the batch path's,
+//! microsecond ties included.
 //!
 //! # No allocation per event
 //!
@@ -54,8 +57,8 @@ pub struct SourceEvent {
 /// simulation time advances.
 ///
 /// Implementations must yield events in nondecreasing [`SourceEvent::time`]
-/// order, with [`peek_time`](WorkloadSource::peek_time) reporting the next
-/// event's time without consuming it. [`total_events`](WorkloadSource::total_events)
+/// order, with [`peek`](WorkloadSource::peek) reporting the next event's
+/// time and sequence without consuming it. [`total_events`](WorkloadSource::total_events)
 /// must be exact: the engine reserves that many environment sequence
 /// numbers up front so injections scheduled *after*
 /// [`Engine::set_source`](crate::Engine::set_source) (e.g. trigger packets
@@ -65,8 +68,12 @@ pub trait WorkloadSource {
     /// Exact number of events this source will yield in total.
     fn total_events(&self) -> u64;
 
-    /// The time of the next event, or `None` when exhausted.
-    fn peek_time(&self) -> Option<SimTime>;
+    /// The `(time, seq)` the next [`next_event`](WorkloadSource::next_event)
+    /// call will report, without consuming it: `None` exactly when the
+    /// source is exhausted. The engine orders the source's head against the
+    /// queue by this pair, so it must match the next event's
+    /// [`SourceEvent::time`] and [`SourceEvent::seq`] exactly.
+    fn peek(&self) -> Option<(SimTime, u64)>;
 
     /// Yields the next event (in nondecreasing time order) and writes its
     /// packet into `packet`, replacing every field the buffer held before.

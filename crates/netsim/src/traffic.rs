@@ -217,8 +217,8 @@ impl crate::WorkloadSource for FlowSource {
         self.total
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, ..))| *t)
+    fn peek(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|&Reverse((time, seq, _))| (time, seq))
     }
 
     /// Writes the earliest flow's datagram, then replaces that flow's heap
@@ -551,12 +551,12 @@ mod tests {
             buffer.set(Field::Tag, 9);
             buffer.set(Field::Switch, 4);
             buffer.set(Field::Custom(7), 1);
-            let peeked = source.peek_time();
+            let peeked = source.peek();
             let Some(ev) = source.next_event(&mut buffer) else {
-                assert_eq!(peeked, None, "peek_time saw an event next_event did not yield");
+                assert_eq!(peeked, None, "peek saw an event next_event did not yield");
                 break;
             };
-            assert_eq!(peeked, Some(ev.time), "peek_time disagrees with the next event");
+            assert_eq!(peeked, Some((ev.time, ev.seq)), "peek disagrees with the next event");
             streamed.push((ev.time, ev.seq, ev.host, ev.size, buffer.clone()));
         }
         assert_eq!(streamed, spec);

@@ -14,7 +14,7 @@ pub enum Scope {
     /// across replays and across the result-neutral knobs.
     Sim,
     /// Deterministic for a fixed build, not compared across knobs (queue
-    /// depths, pump batches, arena interning). The name is historical:
+    /// depths, arena interning). The name is historical:
     /// exported snapshots label this section `shard`.
     Shard,
     /// Wall-clock samples; never expected to reproduce.

@@ -710,6 +710,14 @@ const ROWS: &[Row] = &[
         ]),
         witness: "struct Core<D: DataPlane> {",
     },
+    Row {
+        name: "source-pump",
+        pr: 47,
+        reason: "a streamed datagram is dispatched from the source, never pumped into the queue",
+        scope: files(&["crates/netsim/src"]),
+        check: none(&[Lit("pump_source")]),
+        witness: "    fn pump_source(&mut self, deadline: SimTime) {",
+    },
 ];
 
 /// The workspace, read from disk: every walked file, `.rs` or not.

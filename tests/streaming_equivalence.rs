@@ -23,7 +23,7 @@ use proptest::prelude::*;
 enum Injection {
     /// Eagerly materialized up front (`reserve_events` + `inject_batch`).
     Batch,
-    /// Lazily pumped from a [`netsim::WorkloadSource`] during the run.
+    /// Pulled lazily from a [`netsim::WorkloadSource`] during the run.
     Stream,
 }
 
