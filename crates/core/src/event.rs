@@ -25,12 +25,14 @@ impl EventId {
     /// # Panics
     ///
     /// Panics if `id >= 64`.
+    #[inline]
     pub fn new(id: usize) -> EventId {
         assert!(id < Self::MAX_EVENTS, "event id {id} out of range (max 63)");
         EventId(id as u8)
     }
 
     /// The numeric index.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -93,61 +95,73 @@ impl EventSet {
     pub const EMPTY: EventSet = EventSet(0);
 
     /// The empty event-set.
+    #[inline]
     pub fn empty() -> EventSet {
         EventSet::EMPTY
     }
 
     /// The singleton `{e}`.
+    #[inline]
     pub fn singleton(e: EventId) -> EventSet {
         EventSet(1 << e.0)
     }
 
     /// Returns `true` if `e ∈ self`.
+    #[inline]
     pub fn contains(self, e: EventId) -> bool {
         self.0 & (1 << e.0) != 0
     }
 
     /// Adds `e`, returning the extended set.
+    #[inline]
     pub fn insert(self, e: EventId) -> EventSet {
         EventSet(self.0 | (1 << e.0))
     }
 
     /// Removes `e`, returning the shrunk set.
+    #[inline]
     pub fn remove(self, e: EventId) -> EventSet {
         EventSet(self.0 & !(1 << e.0))
     }
 
     /// Set union.
+    #[inline]
     pub fn union(self, other: EventSet) -> EventSet {
         EventSet(self.0 | other.0)
     }
 
     /// Set intersection.
+    #[inline]
     pub fn intersection(self, other: EventSet) -> EventSet {
         EventSet(self.0 & other.0)
     }
 
     /// Set difference `self ∖ other`.
+    #[inline]
     pub fn difference(self, other: EventSet) -> EventSet {
         EventSet(self.0 & !other.0)
     }
 
     /// Returns `true` if `self ⊆ other`.
+    #[inline]
     pub fn is_subset(self, other: EventSet) -> bool {
         self.0 & !other.0 == 0
     }
 
     /// Returns `true` if `self ⊂ other` strictly.
+    #[inline]
     pub fn is_proper_subset(self, other: EventSet) -> bool {
         self != other && self.is_subset(other)
     }
 
     /// Returns `true` if the set is empty.
+    #[inline]
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
 
     /// Number of events in the set.
+    #[inline]
     pub fn len(self) -> usize {
         self.0.count_ones() as usize
     }
@@ -157,6 +171,7 @@ impl EventSet {
     /// Skips from set bit to set bit, so iterating the (common, hot-path)
     /// empty or near-empty set costs a few instructions rather than a
     /// 64-step scan.
+    #[inline]
     pub fn iter(self) -> impl Iterator<Item = EventId> {
         let mut bits = self.0;
         std::iter::from_fn(move || {
@@ -170,11 +185,13 @@ impl EventSet {
     }
 
     /// The raw bitset, for carrying in a packet's digest field.
+    #[inline]
     pub fn bits(self) -> u64 {
         self.0
     }
 
     /// Reconstructs a set from raw digest bits.
+    #[inline]
     pub fn from_bits(bits: u64) -> EventSet {
         EventSet(bits)
     }

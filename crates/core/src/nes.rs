@@ -171,6 +171,7 @@ impl NetworkEventStructure {
 
     /// The events located at `loc`, in id order: the ones a packet arriving
     /// there can fire.
+    #[inline]
     pub fn events_at(&self, loc: Loc) -> impl Iterator<Item = &Event> {
         let here = self.0.located.get(&loc).copied().unwrap_or_default();
         here.iter().map(|e| self.0.es.event(e))
@@ -198,12 +199,14 @@ impl NetworkEventStructure {
     }
 
     /// `x`'s position in [`event_sets`](Self::event_sets), if reachable.
+    #[inline]
     pub fn index_of(&self, x: EventSet) -> Option<usize> {
         self.0.sets.binary_search(&x).ok()
     }
 
     /// The tables, built with the NES: `g(X)`'s for `sw` (the empty table if
     /// none) at row `table_rows()[sw]`, column `index_of(X)`.
+    #[inline]
     pub fn tables(&self) -> &Arc<ChainTables> {
         &self.0.tables
     }

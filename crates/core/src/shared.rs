@@ -132,9 +132,6 @@ impl ConfigMasks {
     /// Panics if there are more than 64 configurations.
     pub(crate) fn build(rows: &FxMap<u64, u32>, cfgs: &[&Config]) -> ConfigMasks {
         assert!(cfgs.len() <= 64, "a configuration mask holds 64 configurations");
-        let mut links: FxMap<(Loc, Loc), u64> = FxMap::default();
-        let mut link_srcs: FxMap<Loc, u64> = FxMap::default();
-        let mut hosts: FxMap<u64, u64> = FxMap::default();
         // The configurations of a campaign share one topology: each distinct
         // one is written once, under the mask of the group that has it.
         let mut groups: Vec<(&Config, u64)> = Vec::new();
@@ -144,10 +141,28 @@ impl ConfigMasks {
                 None => groups.push((cfg, 1 << c)),
             }
         }
+        // Sized for the largest topology, so the maps never grow while the
+        // common one-group case fills them.
+        let most =
+            |count: fn(&Config) -> usize| groups.iter().map(|&(g, _)| count(g)).max().unwrap_or(0);
+        let (n_links, n_hosts) =
+            (most(|g| g.links().size_hint().0), most(|g| g.hosts().size_hint().0));
+        let mut links: FxMap<(Loc, Loc), u64> =
+            FxMap::with_capacity_and_hasher(n_links, FxBuildHasher::default());
+        let mut link_srcs: FxMap<Loc, u64> =
+            FxMap::with_capacity_and_hasher(n_links, FxBuildHasher::default());
+        let mut hosts: FxMap<u64, u64> =
+            FxMap::with_capacity_and_hasher(n_hosts, FxBuildHasher::default());
         for (cfg, mask) in groups {
+            // Links ascend by source, so a source's links are adjacent:
+            // one `link_srcs` entry per run of them.
+            let mut last_src = None;
             for (src, dst) in cfg.links() {
                 *links.entry((src, dst)).or_default() |= mask;
-                *link_srcs.entry(src).or_default() |= mask;
+                if last_src != Some(src) {
+                    *link_srcs.entry(src).or_default() |= mask;
+                    last_src = Some(src);
+                }
             }
             for host in cfg.hosts() {
                 *hosts.entry(host).or_default() |= mask;

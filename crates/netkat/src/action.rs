@@ -46,11 +46,13 @@ impl Action {
     }
 
     /// Returns the value this action writes into `field`, if any.
+    #[inline]
     pub fn get(&self, field: Field) -> Option<Value> {
         self.writes.get(&field).copied()
     }
 
     /// Returns `true` if this is the identity action.
+    #[inline]
     pub fn is_id(&self) -> bool {
         self.writes.is_empty()
     }
@@ -74,6 +76,7 @@ impl Action {
     }
 
     /// Iterates over the writes in field order.
+    #[inline]
     pub fn writes(&self) -> impl Iterator<Item = (Field, Value)> + '_ {
         self.writes.iter().map(|(&f, &v)| (f, v))
     }
@@ -127,6 +130,7 @@ impl ActionSet {
     }
 
     /// Returns `true` if this set drops (is empty).
+    #[inline]
     pub fn is_drop(&self) -> bool {
         self.actions.is_empty()
     }
@@ -161,16 +165,19 @@ impl ActionSet {
     }
 
     /// Number of actions.
+    #[inline]
     pub fn len(&self) -> usize {
         self.actions.len()
     }
 
     /// Returns `true` if this set is empty (drops).
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.actions.is_empty()
     }
 
     /// Iterates over the actions.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = &Action> + '_ {
         self.actions.iter()
     }

@@ -20,6 +20,10 @@
 //! hash-cons*) — while a fingerprint, a probe and an insert were paid on
 //! every intern.
 //!
+//! The refcount, sweep and intern calls are `#[inline]`, as the packet
+//! accessors are: the simulator makes them on every event, from another
+//! crate.
+//!
 //! # Examples
 //!
 //! ```
@@ -47,6 +51,7 @@ pub struct PacketId(u32);
 
 impl PacketId {
     /// The id as a dense array index.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -97,6 +102,7 @@ impl PacketArena {
 
     /// Adds a reference to `id`, keeping its slot live across
     /// [`sweep`](PacketArena::sweep)s.
+    #[inline]
     pub fn retain(&mut self, id: PacketId) {
         debug_assert_ne!(self.rc[id.index()], FREE, "retain of a freed id");
         self.rc[id.index()] += 1;
@@ -104,6 +110,7 @@ impl PacketArena {
 
     /// Drops a reference to `id`; at zero the slot is freed for reuse and
     /// `id` must no longer be resolved.
+    #[inline]
     pub fn release(&mut self, id: PacketId) {
         let rc = &mut self.rc[id.index()];
         debug_assert!(*rc != FREE && *rc > 0, "release without a matching retain");
@@ -118,22 +125,23 @@ impl PacketArena {
     /// chains. Callers with a natural unit of work (the simulator: one
     /// event dispatch) sweep at its end, once all ids worth keeping have
     /// been retained.
+    #[inline]
     pub fn sweep(&mut self) {
-        if self.newborns.is_empty() {
-            return;
-        }
-        // Handed back emptied, so the list keeps its buffer across sweeps.
-        let mut newborns = std::mem::take(&mut self.newborns);
-        for i in newborns.drain(..) {
+        // An index loop keeps this small enough to inline into each
+        // engine's dispatch (`free_slot` leaves the list alone), and
+        // `clear` keeps the list's buffer.
+        for k in 0..self.newborns.len() {
+            let i = self.newborns[k];
             if self.rc[i as usize] == 0 {
                 self.free_slot(i);
             }
         }
-        self.newborns = newborns;
+        self.newborns.clear();
     }
 
     /// Empties slot `i` — keeping its buffer, so the packet that reuses the
     /// slot is copied in without allocating — and queues it for reuse.
+    #[inline]
     fn free_slot(&mut self, i: u32) {
         self.rc[i as usize] = FREE;
         self.free.push(i);
@@ -161,6 +169,7 @@ impl PacketArena {
     /// # Panics
     ///
     /// Panics if `id` was not issued by this arena.
+    #[inline]
     pub fn get(&self, id: PacketId) -> &Packet {
         debug_assert_ne!(self.rc[id.index()], FREE, "resolve of a freed id");
         &self.slots[id.index()]
@@ -168,6 +177,7 @@ impl PacketArena {
 
     /// Claims an empty slot for the caller to fill — a freed one when there
     /// is one, else a new one — at count zero, until the next sweep.
+    #[inline]
     fn claim(&mut self) -> usize {
         self.stats.misses += 1;
         let i = match self.free.pop() {
@@ -176,18 +186,23 @@ impl PacketArena {
                 self.rc[i as usize] = 0;
                 i
             }
-            None => {
-                let i = u32::try_from(self.slots.len()).expect("arena holds at most 2^32 packets");
-                self.slots.push(Packet::new());
-                self.rc.push(0);
-                i
-            }
+            None => self.grow(),
         };
         self.newborns.push(i);
         i as usize
     }
 
+    /// Appends a new empty slot at count zero: `claim`'s rare path, kept
+    /// out of line so the common one inlines small.
+    fn grow(&mut self) -> u32 {
+        let i = u32::try_from(self.slots.len()).expect("arena holds at most 2^32 packets");
+        self.slots.push(Packet::new());
+        self.rc.push(0);
+        i
+    }
+
     /// Interns an owned packet into a slot of its own.
+    #[inline]
     pub fn intern(&mut self, pk: Packet) -> PacketId {
         let i = self.claim();
         self.slots[i] = pk;
@@ -196,6 +211,7 @@ impl PacketArena {
 
     /// Interns by reference: the packet is copied into a recycled slot's
     /// kept buffer when there is one.
+    #[inline]
     pub fn intern_ref(&mut self, pk: &Packet) -> PacketId {
         let i = self.claim();
         self.slots[i].clone_from(pk);

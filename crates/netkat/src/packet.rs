@@ -1,4 +1,9 @@
 //! Packets and network locations.
+//!
+//! The accessors a simulated hop calls are `#[inline]`: the stock release
+//! profile inlines a non-generic function into another crate only when it
+//! is marked or a tiny leaf (ARCHITECTURE.md, *Why the per-event path is
+//! marked `#[inline]`*).
 
 use std::fmt;
 
@@ -23,6 +28,7 @@ pub struct Loc {
 
 impl Loc {
     /// Creates the location `sw:pt`.
+    #[inline]
     pub fn new(sw: u64, pt: u64) -> Loc {
         Loc { sw, pt }
     }
@@ -62,6 +68,7 @@ pub struct LocatedView<'a> {
 }
 
 impl FieldReader for LocatedView<'_> {
+    #[inline]
     fn read(&self, field: Field) -> Option<Value> {
         match field {
             Field::Switch => Some(self.loc.sw),
@@ -84,6 +91,7 @@ pub struct TaggedView<'a> {
 }
 
 impl FieldReader for TaggedView<'_> {
+    #[inline]
     fn read(&self, field: Field) -> Option<Value> {
         match field {
             Field::Tag if self.tag.is_some() => self.tag,
@@ -121,12 +129,14 @@ pub struct Packet {
 }
 
 impl Clone for Packet {
+    #[inline]
     fn clone(&self) -> Packet {
         Packet { fields: self.fields.clone() }
     }
 
     /// Reuses the destination's allocation — the packet arena's scratch
     /// buffer leans on this to stay allocation-free in steady state.
+    #[inline]
     fn clone_from(&mut self, source: &Packet) {
         self.fields.clone_from(&source.fields);
     }
@@ -148,6 +158,7 @@ impl Packet {
     /// binary search's unpredictable branches — and the simulator's
     /// hottest reads ([`Field::Switch`], [`Field::Port`]) sort first, so
     /// they resolve on the first compare.
+    #[inline]
     fn position(&self, field: Field) -> Result<usize, usize> {
         for (i, &(f, _)) in self.fields.iter().enumerate() {
             if f == field {
@@ -161,11 +172,13 @@ impl Packet {
     }
 
     /// Returns the value of `field`, or `None` if unset.
+    #[inline]
     pub fn get(&self, field: Field) -> Option<Value> {
         self.position(field).ok().map(|i| self.fields[i].1)
     }
 
     /// Sets `field` to `value` in place (the paper's `pkt[f ← n]`).
+    #[inline]
     pub fn set(&mut self, field: Field, value: Value) {
         match self.position(field) {
             Ok(i) => self.fields[i].1 = value,
@@ -185,6 +198,7 @@ impl Packet {
     }
 
     /// Returns the packet's location, if both `Switch` and `Port` are set.
+    #[inline]
     pub fn loc(&self) -> Option<Loc> {
         Some(Loc::new(self.get(Field::Switch)?, self.get(Field::Port)?))
     }
@@ -194,6 +208,7 @@ impl Packet {
     /// The location fields sort before every header field, so on the
     /// simulator's per-hop path they are either both already in the first
     /// two slots (update in place) or both absent (one front splice).
+    #[inline]
     pub fn set_loc(&mut self, loc: Loc) {
         match (self.fields.first().map(|&(f, _)| f), self.fields.get(1).map(|&(f, _)| f)) {
             (Some(Field::Switch), Some(Field::Port)) => {
@@ -213,6 +228,7 @@ impl Packet {
     /// Removes both location fields in one front-of-record pass, returning
     /// their values — the per-hop inverse of [`set_loc`](Packet::set_loc)
     /// (links, not tables, decide the next location).
+    #[inline]
     pub fn take_loc(&mut self) -> (Option<Value>, Option<Value>) {
         let mut sw = None;
         let mut pt = None;
@@ -232,6 +248,7 @@ impl Packet {
     }
 
     /// Iterates over the `(field, value)` pairs in field order.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (Field, Value)> + '_ {
         self.fields.iter().copied()
     }
@@ -251,6 +268,7 @@ impl Packet {
     /// Whether [`erase_virtual`](Packet::erase_virtual) of this packet is
     /// `erased`, decided in one pass and without the copy: the online
     /// checker asks this of every hop, and on most the answer is yes.
+    #[inline]
     pub fn eq_erased(&self, erased: &Packet) -> bool {
         let kept = self.fields.iter().filter(|(f, _)| !matches!(f, Field::Tag | Field::Digest));
         kept.eq(&erased.fields)
@@ -258,27 +276,32 @@ impl Packet {
 
     /// Whether the packet carries a location field of its own. They sort
     /// first, so this reads one slot.
+    #[inline]
     pub fn has_loc(&self) -> bool {
         matches!(self.fields.first(), Some((Field::Switch | Field::Port, _)))
     }
 
     /// Unsets every field, keeping the record's buffer for reuse.
+    #[inline]
     pub fn clear(&mut self) {
         self.fields.clear();
     }
 
     /// Number of fields set.
+    #[inline]
     pub fn len(&self) -> usize {
         self.fields.len()
     }
 
     /// Returns `true` if no fields are set.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.fields.is_empty()
     }
 }
 
 impl FieldReader for Packet {
+    #[inline]
     fn read(&self, field: Field) -> Option<Value> {
         self.get(field)
     }

@@ -375,6 +375,9 @@ impl<D: DataPlane> Engine<D> {
         }
         let sender = self.entities.host(ev.host);
         self.now = key.0;
+        // The queue's window follows *now*, so this datagram's follow-ups
+        // land in its ring, not its overflow heap.
+        self.pending.advance(key.0);
         self.dispatch(key, EventKind::Inject { host: ev.host, packet, size: ev.size, sender });
     }
 

@@ -7,9 +7,11 @@
 //! queue](https://dl.acm.org/doi/10.1145/63039.63045) exploits that by
 //! dividing time into fixed-width buckets. This one keeps three places a
 //! key can be, chosen at push time from the key's bucket `b = time >> shift`
-//! and two marks: the *wavefront*, the bucket of the last key popped, and
-//! *drained*, the bucket `front` was last filled from (at or ahead of the
-//! wavefront, with no ring key between them):
+//! and two marks: the *wavefront*, the bucket of *now* (of the last key
+//! popped, or of the datagram the engine last dispatched from its source:
+//! [`advance`](CalendarQueue::advance)), and *drained*, the bucket `front`
+//! was last filled from (at or ahead of the wavefront, with no ring key
+//! between them):
 //!
 //! * **`front`** (`b ≤ drained`): a small buffer sorted descending, so the
 //!   minimum is its back. It is filled by draining one ring bucket at a
@@ -21,8 +23,9 @@
 //!   `b & mask` is an intrusive list threaded through a per-slot side array
 //!   — a push writes one node and one head, nothing is sorted or moved
 //!   until the drain gets there. The window is always the `N_BUCKETS`
-//!   buckets after the wavefront: it slides with every pop, so a run whose
-//!   events all land within a link latency of *now* never leaves the ring.
+//!   buckets after the wavefront: it slides with every pop and every
+//!   datagram dispatched from the source, so a run whose events all land
+//!   within a link latency of *now* never leaves the ring.
 //! * **the overflow heap** (a full window or more ahead): compared with
 //!   `front`'s back at every pop and popped directly when it holds the
 //!   minimum. Far-future keys are never migrated into the ring — the heap
@@ -99,8 +102,9 @@ pub(crate) struct CalendarQueue {
     /// One bit per ring bucket: occupied? Lets the wavefront skip runs of
     /// empty buckets 64 at a time.
     occupancy: Vec<u64>,
-    /// The bucket of the last key popped. Ring keys sit in the
-    /// `N_BUCKETS - 1` buckets after it, so no two of them share an index.
+    /// The bucket of the last key popped or advanced to. Ring keys sit in
+    /// the `N_BUCKETS - 1` buckets after it, so no two of them share an
+    /// index.
     wavefront: u64,
     /// The last bucket drained into `front`, at or ahead of the wavefront:
     /// no ring key sits in a bucket from the wavefront up to this one, and
@@ -235,6 +239,18 @@ impl CalendarQueue {
         Some(key)
     }
 
+    /// Slides the window up to `time`, which must be at or before every
+    /// pending key and follow a [`peek`](CalendarQueue::peek) (so `front`
+    /// is settled): the engine's *now* when it dispatches a datagram
+    /// straight from its source. Without it only a pop moves the window,
+    /// and a follow-up of such a datagram a window past the last pop would
+    /// land in the overflow heap. It moves no key, so no pop changes.
+    #[inline]
+    pub(crate) fn advance(&mut self, time: SimTime) {
+        self.wavefront = self.wavefront.max(bucket_of(time));
+        self.drained = self.drained.max(self.wavefront);
+    }
+
     #[cfg(test)]
     fn pop(&mut self) -> Option<QueuedKey> {
         self.pop_due(SimTime::from_micros(u64::MAX), None)
@@ -292,6 +308,13 @@ impl<E> Pending<E> {
         let event = self.slots[slot as usize].take().expect("a queued slot holds its event");
         self.free.push(slot);
         Some(((time, seq), event))
+    }
+
+    /// Slides the queue's window up to `time`, the key the engine is about
+    /// to dispatch from its source after a `pop_due` declined: it sorts
+    /// before every pending key ([`CalendarQueue::advance`]).
+    pub(crate) fn advance(&mut self, time: SimTime) {
+        self.queue.advance(time);
     }
 }
 
@@ -525,6 +548,54 @@ mod tests {
     }
 
     #[test]
+    fn a_follow_up_after_an_advanced_window_lands_in_the_ring() {
+        // The engine dispatches datagrams straight from its source while the
+        // queue's only key, an update trigger, waits far ahead: no pop moves
+        // the window, `advance` does.
+        let mut heap = HeapModel::default();
+        let mut cal = CalendarQueue::new();
+        let trigger = key(100_000, 0);
+        heap.push(trigger);
+        cal.push(trigger);
+        assert_eq!(cal.overflow.len(), 1, "a trigger a window ahead overflows");
+        // A datagram dispatched at 50 ms, after the engine's one peek...
+        assert_eq!(cal.peek(), heap.peek());
+        cal.advance(SimTime::from_micros(50_000));
+        // ...schedules its arrival 3 ms later: inside the moved window.
+        let follow_up = key(53_000, 1);
+        heap.push(follow_up);
+        cal.push(follow_up);
+        assert_eq!((cal.overflow.len(), cal.in_ring), (1, 1), "the follow-up is in the ring");
+        while let Some(a) = heap.pop() {
+            assert_eq!(cal.pop(), Some(a));
+        }
+        assert_eq!(cal.pop(), None);
+    }
+
+    #[test]
+    fn advancing_into_the_minimums_bucket_keeps_the_next_bucket_in_order() {
+        // `front` holds the minimum's bucket and the ring the next one; the
+        // window slides to the minimum's own bucket, not past it, so a key
+        // pushed into the next bucket still joins the ring, behind its
+        // earlier neighbour there.
+        let mut heap = HeapModel::default();
+        let mut cal = CalendarQueue::new();
+        for k in [key(100, 0), key(104, 1), key(112, 2)] {
+            heap.push(k);
+            cal.push(k);
+        }
+        assert_eq!(cal.peek(), heap.peek());
+        cal.advance(SimTime::from_micros(100));
+        let next_bucket = key(105, 3);
+        heap.push(next_bucket);
+        cal.push(next_bucket);
+        while let Some(a) = heap.pop() {
+            assert_eq!(cal.pop(), Some(a));
+        }
+        assert_eq!(cal.pop(), None);
+    }
+
+    #[test]
     fn past_time_push_still_pops_first() {
         // A push below the calendar's window start (a caller interleaving
         // pops with past-time schedules) must come out in exact key order,
@@ -620,21 +691,28 @@ mod proptests {
         /// push/pop interleaving — keys inside the window, behind its start
         /// (clamped into bucket 0) and past its end (overflow) — and peeking
         /// never changes what pops: the peeked queue drains like the heap.
+        /// Half the steps then `advance` the window, after that peek, to a
+        /// time at most the minimum (`back` before it, often in its bucket),
+        /// as the engine does for a datagram it dispatches from its source;
+        /// that changes no pop either.
         #[test]
         fn peek_is_the_heap_minimum_and_leaves_pop_order_alone(
             ops in proptest::collection::vec(
-                proptest::option::of(prop_oneof![
-                    0u64..64,
-                    0u64..20_000,
-                    0u64..400_000,
-                    0u64..2_000_000_000,
-                ]),
+                (
+                    proptest::option::of(prop_oneof![
+                        0u64..64,
+                        0u64..20_000,
+                        0u64..400_000,
+                        0u64..2_000_000_000,
+                    ]),
+                    proptest::option::of(prop_oneof![0u64..8, 0u64..20_000]),
+                ),
                 1..300,
             ),
         ) {
             let mut heap = HeapModel::default();
             let mut cal = CalendarQueue::new();
-            for (seq, op) in ops.into_iter().enumerate() {
+            for (seq, (op, advance)) in ops.into_iter().enumerate() {
                 match op {
                     // Absolute times: pops re-anchor the window deep into
                     // the run, so later small times land behind it.
@@ -647,6 +725,11 @@ mod proptests {
                 }
                 prop_assert_eq!(cal.peek(), heap.peek());
                 prop_assert_eq!(cal.len(), heap.len());
+                if let Some(back) = advance {
+                    let min = heap.peek().map_or(back, |k| k.0.as_micros().saturating_sub(back));
+                    cal.advance(SimTime::from_micros(min));
+                    prop_assert_eq!(cal.peek(), heap.peek());
+                }
             }
             loop {
                 prop_assert_eq!(cal.peek(), heap.peek());

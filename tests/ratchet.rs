@@ -204,6 +204,14 @@ const NES: &str = "crates/core/src/nes.rs";
 const QUEUE: &str = "crates/netsim/src/queue.rs";
 const SHARED: &str = "crates/core/src/shared.rs";
 const SRC_DIRS: &[&str] = &["crates/*/src"];
+/// The files that hold the per-event path's cross-crate callees.
+const PER_EVENT_CALLEES: &[&str] = &[
+    "crates/netkat/src/packet.rs",
+    "crates/netkat/src/arena.rs",
+    "crates/netkat/src/action.rs",
+    "crates/core/src/event.rs",
+    NES,
+];
 
 /// The guards. CHANGES.md maps each old CI check to its rows.
 const ROWS: &[Row] = &[
@@ -718,6 +726,16 @@ const ROWS: &[Row] = &[
         check: none(&[Lit("pump_source")]),
         witness: "    fn pump_source(&mut self, deadline: SimTime) {",
     },
+    Row {
+        name: "per-event-inline",
+        pr: 48,
+        reason: "the per-event path's small cross-crate callees must stay `#[inline]`: \
+                 the stock release profile inlines nothing else across crates \
+                 (ARCHITECTURE.md, *Why the per-event path is marked `#[inline]`*)",
+        scope: files(PER_EVENT_CALLEES),
+        check: count(Lines::NonTest, true, &[Lit("#[inline]")], Allowed::Exactly(54)),
+        witness: "    #[inline]",
+    },
 ];
 
 /// The workspace, read from disk: every walked file, `.rs` or not.
@@ -1084,6 +1102,7 @@ fn print_counts(tree: &Tree) {
     let masks = ["config-masks-build-in-nes", "config-masks-build-outside-nes"];
     println!("ConfigMasks::build (non-test): {}", at(masks));
     println!("event pops outside the queue: {}", row("event-pops").hits(tree).len());
+    println!("#[inline] on the per-event path: {}", row("per-event-inline").hits(tree).len());
 }
 
 /// Every row holds on the tree as it stands; a failure names every failing
