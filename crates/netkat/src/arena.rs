@@ -16,9 +16,8 @@
 //! equal content interned twice occupies two slots. Dedup would buy little
 //! — an in-flight id lives for a hop or two, every streamed datagram is a
 //! distinct `(flow, seq)`, and on the figure bins, the one place it hit, it
-//! saved a few hundred slots (ARCHITECTURE.md, *Why the arena does not
-//! hash-cons*) — while a fingerprint, a probe and an insert were paid on
-//! every intern.
+//! saved a few hundred slots (ARCHITECTURE.md, *The packet arena*) — while
+//! a fingerprint, a probe and an insert were paid on every intern.
 //!
 //! The refcount, sweep and intern calls are `#[inline]`, as the packet
 //! accessors are: the simulator makes them on every event, from another

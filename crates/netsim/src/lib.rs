@@ -9,7 +9,8 @@
 //! behaviour is injected through the [`DataPlane`] trait (implemented by the
 //! `nes-runtime` crate both for the paper's tag-and-digest runtime and for
 //! the uncoordinated baseline). The [`Engine`] runs one step at a time —
-//! admit the source's due events, pop the earliest event, dispatch it — and
+//! dispatch the earlier, by full key, of the source's next datagram and the
+//! queue's minimum, so a streamed datagram never enters the queue — and
 //! reports every packet processing step once, to its one [`TraceObserver`]
 //! slot: the online Definition 6 checker judges a run that way, and under
 //! [`TraceMode::Full`] an `edn-core` trace builder is one more observer in

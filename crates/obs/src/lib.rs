@@ -11,8 +11,8 @@
 //! * a [`FlightRecorder`] — a bounded ring of recent engine events dumped
 //!   as JSON next to a violation report when an online checker fails or a
 //!   bench panics;
-//! * wall-clock sampling helpers ([`Stopwatch`], [`MinWall`]) so ad-hoc
-//!   `Instant::now()` timing lives in one audited place.
+//! * a wall-clock [`Stopwatch`], so ad-hoc `Instant::now()` timing lives
+//!   in one audited place.
 //!
 //! Metrics are classified by [`Scope`]: `sim` metrics derive only from
 //! simulated time and event content and are byte-identical across replays
@@ -37,7 +37,7 @@ mod wall;
 
 pub use flight::{FlightEvent, FlightRecorder};
 pub use registry::{Hist, Registry, Scope};
-pub use wall::{MinWall, Stopwatch};
+pub use wall::Stopwatch;
 
 /// How much instrumentation the engine stack should run with.
 ///

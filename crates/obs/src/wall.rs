@@ -31,44 +31,6 @@ impl Stopwatch {
     pub fn elapsed_us(&self) -> u64 {
         self.started.elapsed().as_micros().min(u64::MAX as u128) as u64
     }
-
-    /// Milliseconds since [`start`](Stopwatch::start), saturated to `u64`.
-    pub fn elapsed_ms(&self) -> u64 {
-        self.started.elapsed().as_millis().min(u64::MAX as u128) as u64
-    }
-}
-
-/// Folds repeated wall-clock samples down to their minimum — the standard
-/// "best of N reps" estimator the scale sweeps report.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MinWall {
-    best: Option<u64>,
-}
-
-impl MinWall {
-    /// An empty fold.
-    pub fn new() -> Self {
-        MinWall::default()
-    }
-
-    /// Records one sample (in any fixed unit; the sweeps use µs).
-    pub fn record(&mut self, sample: u64) {
-        self.best = Some(self.best.map_or(sample, |b| b.min(sample)));
-    }
-
-    /// Times `f` once with a [`Stopwatch`] and records the µs sample;
-    /// returns `f`'s output.
-    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let sw = Stopwatch::start();
-        let out = f();
-        self.record(sw.elapsed_us());
-        out
-    }
-
-    /// The minimum recorded sample, or 0 when nothing was recorded.
-    pub fn best(&self) -> u64 {
-        self.best.unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -76,31 +38,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn min_wall_folds_minimum() {
-        let mut m = MinWall::new();
-        assert_eq!(m.best(), 0);
-        m.record(40);
-        m.record(25);
-        m.record(60);
-        assert_eq!(m.best(), 25);
-    }
-
-    #[test]
     fn stopwatch_monotone() {
         let sw = Stopwatch::start();
         let a = sw.elapsed_us();
         let b = sw.elapsed_us();
         assert!(b >= a);
-        assert!(sw.elapsed_ms() <= sw.elapsed_us());
-    }
-
-    #[test]
-    fn time_runs_and_records() {
-        let mut m = MinWall::new();
-        let v = m.time(|| 41 + 1);
-        assert_eq!(v, 42);
-        // A sample was recorded (possibly 0µs on a fast machine).
-        m.record(u64::MAX);
-        assert!(m.best() < u64::MAX);
     }
 }

@@ -23,7 +23,7 @@
 //! [`CompiledNes::rule_breakdown`](crate::CompiledNes::rule_breakdown).
 //! (The Section 5.3 rule-sharing optimizer is an offline artefact
 //! — the `rule-optimizer` crate, Fig. 17 — and was retired as a lookup-path
-//! layout after losing its trial; see ARCHITECTURE.md.)
+//! layout after losing its trial; ARCHITECTURE.md, *Closed experiments*.)
 //!
 //! Every plane looks a packet up in a [`PerTagTables`] and hands the rule to
 //! [`Hop::forward`]; only the NES plane passes a stamp.

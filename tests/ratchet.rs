@@ -25,7 +25,7 @@
 //! its roots gone missing. Run `cargo test -p edn-bench --test ratchet --
 //! --nocapture` to see the numbers.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fs;
 use std::path::Path;
 use std::rc::Rc;
@@ -40,6 +40,7 @@ const WALKED: &[&str] = &[
     "tests",
     "examples",
     "vendor",
+    "benchmark/src",
     "Cargo.toml",
     "ARCHITECTURE.md",
     "README.md",
@@ -132,6 +133,15 @@ enum Check {
     /// Every `crates/`, `tests/`, `examples/` or `vendor/` path the guide
     /// names exists.
     GuidePaths(&'static str),
+    /// Every `GUIDE, *Heading*` or `GUIDE, "Heading"` citation in the
+    /// scope names a `##` or `###` heading of the guide.
+    GuideSections(&'static str),
+    /// Outside the guide's *Closed experiments* table, every `::` segment
+    /// of a Rust name in a code span is a word of a first-party `.rs` file
+    /// of the scope, or of its path.
+    GuideNames(&'static str),
+    /// The guide has at most this many lines.
+    GuideSize(&'static str, usize),
 }
 
 /// The files a row reads.
@@ -213,6 +223,10 @@ const PER_EVENT_CALLEES: &[&str] = &[
     NES,
 ];
 
+/// The heading of the guide's table of closed experiments, whose rows may
+/// name code that is gone.
+const CLOSED: &str = "Closed experiments";
+
 /// The guards. CHANGES.md maps each old CI check to its rows.
 const ROWS: &[Row] = &[
     Row {
@@ -246,6 +260,31 @@ const ROWS: &[Row] = &[
         scope: files(&["README.md", "crates/*/src"]),
         check: Check::KnobDocs("README.md"),
         witness: "`EDN_SHARDS` sets the number of event-loop shards.",
+    },
+    Row {
+        name: "guide-sections",
+        pr: 49,
+        reason: "a guide or a comment cites an ARCHITECTURE.md section that does not exist",
+        scope: files(&["ARCHITECTURE.md", "README.md", "crates", "tests"]),
+        check: Check::GuideSections("ARCHITECTURE.md"),
+        witness: "(ARCHITECTURE.md, *Why the arena does not hash-cons*)",
+    },
+    Row {
+        name: "guide-names",
+        pr: 49,
+        reason: "ARCHITECTURE.md names Rust code that no first-party file has",
+        scope: files(&["ARCHITECTURE.md", "crates", "tests", "examples", "benchmark/src"]),
+        check: Check::GuideNames("ARCHITECTURE.md"),
+        witness: "`SharedIndex::step` reads the masks.",
+    },
+    Row {
+        name: "guide-size",
+        pr: 49,
+        reason: "ARCHITECTURE.md outgrew 1,000 lines: a closed experiment is a row of its table, \
+                 its history a line of CHANGES.md",
+        scope: files(&["ARCHITECTURE.md"]),
+        check: Check::GuideSize("ARCHITECTURE.md", 1000),
+        witness: "A paragraph of history that belongs in CHANGES.md.",
     },
     Row {
         name: "knobs",
@@ -885,6 +924,89 @@ fn guide_paths(text: &str) -> BTreeSet<&str> {
     paths
 }
 
+/// `text` with its lines joined by single spaces, each line's indentation
+/// and leading comment marker (`//!`, `///`, `//`) dropped, so a citation
+/// reads the same across a line break; with the offset each line starts at.
+fn flatten(text: &str) -> (String, Vec<usize>) {
+    let mut flat = String::new();
+    let mut starts = Vec::new();
+    for line in text.lines() {
+        let t = line.trim_start();
+        let t = ["//!", "///", "//"].iter().find_map(|m| t.strip_prefix(m)).unwrap_or(t);
+        starts.push(flat.len());
+        flat.push_str(t.trim());
+        flat.push(' ');
+    }
+    (flat, starts)
+}
+
+/// Runs of whitespace squashed to one space.
+fn squash(s: &str) -> String {
+    s.split_whitespace().collect::<Vec<_>>().join(" ")
+}
+
+/// The `##` and `###` headings of a guide.
+fn headings(text: &str) -> BTreeSet<String> {
+    text.lines()
+        .filter_map(|l| l.strip_prefix("## ").or_else(|| l.strip_prefix("### ")))
+        .map(squash)
+        .collect()
+}
+
+/// The sections `text` cites as `DOC, *Heading*` or `DOC, "Heading"`, with
+/// the line each citation starts on.
+fn cited_sections(text: &str, doc: &str) -> Vec<(usize, String)> {
+    let (flat, starts) = flatten(text);
+    let cite = format!("{doc}, ");
+    let mut out = Vec::new();
+    for (i, _) in flat.match_indices(&cite) {
+        let rest = &flat[i + cite.len()..];
+        let Some(open) = rest.chars().next().filter(|c| *c == '*' || *c == '"') else {
+            continue;
+        };
+        if let Some(len) = rest[1..].find(open) {
+            out.push((starts.partition_point(|&s| s <= i), squash(&rest[1..1 + len])));
+        }
+    }
+    out
+}
+
+/// The Rust names a guide's code spans hold, with their line numbers: the
+/// spans outside fenced blocks and outside the *Closed experiments* table
+/// that, cut at a first `(` or `<`, are `::` paths of identifiers. Spans
+/// with a `.` or a `/` (metric names, file paths) are not names.
+fn guide_names(text: &str) -> Vec<(usize, String)> {
+    let (mut fenced, mut closed) = (false, false);
+    let mut kept = String::new();
+    let mut numbers = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if let Some(h) = line.strip_prefix("## ") {
+            closed = h.trim() == CLOSED;
+        }
+        fenced ^= line.starts_with("```");
+        if !(fenced || line.starts_with("```") || closed && line.starts_with('|')) {
+            numbers.push((kept.len(), i + 1));
+            kept.push_str(line);
+            kept.push('\n');
+        }
+    }
+    let ident = |s: &str| {
+        s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    };
+    let mut names = Vec::new();
+    let mut at = 0;
+    for (k, piece) in kept.split('`').enumerate() {
+        let span = piece.trim();
+        let name = &span[..span.find(['(', '<']).unwrap_or(span.len())];
+        if k % 2 == 1 && !span.contains(['.', '/']) && name.split("::").all(ident) {
+            names.push((numbers[numbers.partition_point(|&(s, _)| s <= at) - 1].1, name.into()));
+        }
+        at += piece.len() + 1;
+    }
+    names
+}
+
 /// Is `path` a file or a directory of the tree?
 fn exists(tree: &Tree, path: &str) -> bool {
     let dir = format!("{}/", path.trim_end_matches('/'));
@@ -940,6 +1062,39 @@ impl Row {
                     out.push(format!("{doc} references missing path: {p}"));
                 }
             }
+            Check::GuideSections(doc) => {
+                let have = headings(tree.get(doc).map(|t| &**t).unwrap_or(""));
+                for (path, text) in &files {
+                    for (line, h) in cited_sections(text, doc) {
+                        if !have.contains(&h) {
+                            out.push(format!("{path}:{line}: {doc} has no section *{h}*"));
+                        }
+                    }
+                }
+            }
+            Check::GuideNames(doc) => {
+                // A test suite or a binary is named by its file.
+                let words: HashSet<&str> = files
+                    .iter()
+                    .filter(|(p, _)| p.ends_with(".rs"))
+                    .flat_map(|(p, t)| [*p, *t])
+                    .flat_map(|t| t.split(|c: char| !is_word(c)))
+                    .collect();
+                let text = tree.get(doc).map(|t| &**t).unwrap_or("");
+                for (line, name) in guide_names(text) {
+                    for seg in name.split("::").filter(|s| !words.contains(s)) {
+                        out.push(format!(
+                            "{doc}:{line}: `{name}`: no first-party .rs file has `{seg}`"
+                        ));
+                    }
+                }
+            }
+            Check::GuideSize(doc, max) => {
+                let n = tree.get(doc).map_or(0, |t| t.lines().count());
+                if n > max {
+                    out.push(format!("{doc} has {n} lines, {max} allowed"));
+                }
+            }
         }
         out
     }
@@ -965,7 +1120,9 @@ impl Row {
 
     /// `tree` with the witness injected: at the top of the scope's first
     /// file (so before any `#[cfg(test)]`), or just inside the item a
-    /// [`Lines::Item`] or [`Check::Fields`] row reads.
+    /// [`Lines::Item`] or [`Check::Fields`] row reads. One line outgrows a
+    /// [`Check::GuideSize`] bound only at the bound, so that row's witness
+    /// goes in once more than the bound allows.
     fn injected(&self, tree: &Tree) -> Tree {
         let item = match self.check {
             Check::Count { lines: Lines::Item(start), .. } | Check::Fields(start, _) => Some(start),
@@ -980,7 +1137,12 @@ impl Row {
             }
             None => 0,
         };
-        let patched = format!("{}{}\n{}", &text[..at], self.witness, &text[at..]);
+        let copies = match self.check {
+            Check::GuideSize(_, max) => max + 1,
+            _ => 1,
+        };
+        let witness = format!("{}\n", self.witness).repeat(copies);
+        let patched = format!("{}{witness}{}", &text[..at], &text[at..]);
         let mut copy = tree.clone();
         copy.insert(path.to_string(), patched.into());
         copy
@@ -1208,4 +1370,20 @@ fn selectors_and_needles_read_like_the_shell() {
         guide_paths("see crates/a.rs, (tests/b/) and xcrates/c or vendor/").into_iter().collect();
     assert_eq!(paths, ["crates/a.rs", "tests/b/"]);
     assert_eq!(reexported_names("pub use a::b::{C, D};\npub use e::{\n    F,\n};\nuse g::H;\n"), 3);
+}
+
+/// The guide readers: citations across comment lines, headings, and the
+/// names a guide's code spans hold outside fences and the closed table.
+#[test]
+fn guide_readers_read_citations_headings_and_names() {
+    let src = "//! see (G.md, *Why the\n//! arena*) and G.md, \"Two\"; not G.md *Three*\n";
+    assert_eq!(cited_sections(src, "G.md"), [(1, "Why the arena".into()), (2, "Two".into())]);
+    let guide = "# T\n## A `b`\n### C\n#### D\n";
+    assert_eq!(headings(guide), BTreeSet::from(["A `b`".into(), "C".into()]));
+    let guide = format!(
+        "`A::b(x)` and `Vec<u8>`, `m.n`, `a/b`, `1 << 2`, `&x`\n```\n`Fenced`\n```\n\
+         ## {CLOSED}\n| `Gone` |\n`Kept`\n## Next\n| `Row` |\n"
+    );
+    let want = [(1, "A::b"), (1, "Vec"), (7, "Kept"), (9, "Row")];
+    assert_eq!(guide_names(&guide), want.map(|(l, n)| (l, n.to_string())));
 }
