@@ -112,34 +112,42 @@ pub fn sim_topology() -> SimTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edn_core::{check_correct, CorrectnessViolation, OnlineHandle, OnlineViolation};
+    use edn_core::{
+        check_correct, CorrectnessViolation, OnlineHandle, OnlineViolation, TraceBuilder,
+        TraceHandle,
+    };
     use nes_runtime::NesDataPlane;
     use netkat::Packet;
     use netsim::traffic::ping_request;
-    use netsim::{Engine, RunResult, TraceMode};
+    use netsim::{Engine, RunResult};
 
     fn probe(dst: u64, id: u64) -> Packet {
         ping_request(H1, dst, id)
     }
 
-    /// `variant` on the hub topology, recording a Full trace, with the
-    /// online checker attached.
-    fn checked_engine(variant: Variant, broadcast: bool) -> (Engine<NesDataPlane>, OnlineHandle) {
-        let (engine, handle) =
+    /// `variant` on the hub topology with the online checker attached and
+    /// a trace recorder paired with it.
+    fn checked_engine(
+        variant: Variant,
+        broadcast: bool,
+    ) -> (Engine<NesDataPlane>, (OnlineHandle, TraceHandle)) {
+        let (mut engine, handle) =
             crate::scenario::checked_engine(nes(variant), sim_topology(), broadcast);
-        (engine.with_trace_mode(TraceMode::Full), handle)
+        let (observer, trace) = TraceBuilder::observer();
+        engine.set_observer(observer);
+        (engine, (handle, trace))
     }
 
     /// Both verdicts on a finished run: the online checker's, and the
-    /// post-hoc spec's over the Full trace, hinted with the fire log.
+    /// post-hoc spec's over the recorded trace, hinted with the fire log.
     fn verdicts(
         result: &RunResult<NesDataPlane>,
-        handle: &OnlineHandle,
+        (handle, trace): (OnlineHandle, TraceHandle),
     ) -> (Result<(), OnlineViolation>, Result<(), CorrectnessViolation>) {
-        assert!(!result.trace.is_empty(), "a Full run records its trace");
+        let trace = trace.take();
+        assert!(!trace.is_empty(), "the recorder records the run");
         let fired = result.dataplane.fired_sequence();
-        let post_hoc =
-            check_correct(&result.trace, result.dataplane.compiled().nes(), Some(&fired));
+        let post_hoc = check_correct(&trace, result.dataplane.compiled().nes(), Some(&fired));
         (handle.verdict(), post_hoc)
     }
 
@@ -153,13 +161,13 @@ mod tests {
     /// resolves the race) and the run is consistent.
     #[test]
     fn p2_hub_resolves_the_race() {
-        let (mut engine, handle) = checked_engine(Variant::SameSwitch, false);
+        let (mut engine, handles) = checked_engine(Variant::SameSwitch, false);
         // Simultaneous injection of both candidate triggers.
         engine.inject_at(SimTime::from_millis(1), H1, probe(H2, 1));
         engine.inject_at(SimTime::from_millis(1), H1, probe(H4, 2));
         let result = engine.run_until(SimTime::from_secs(2));
         assert_eq!(result.dataplane.fired_sequence().len(), 1, "exactly one event wins");
-        let (online, post_hoc) = verdicts(&result, &handle);
+        let (online, post_hoc) = verdicts(&result, handles);
         online.expect("P2 runs are consistent (online)");
         post_hoc.expect("P2 runs are consistent (post-hoc)");
     }
@@ -170,7 +178,7 @@ mod tests {
     /// restriction, bounded-time implementations are impossible).
     #[test]
     fn p1_races_into_an_inconsistent_state() {
-        let (mut engine, handle) = checked_engine(Variant::DifferentSwitches, false);
+        let (mut engine, handles) = checked_engine(Variant::DifferentSwitches, false);
         engine.inject_at(SimTime::from_millis(1), H1, probe(H2, 1));
         engine.inject_at(SimTime::from_millis(1), H1, probe(H4, 2));
         let result = engine.run_until(SimTime::from_secs(2));
@@ -180,7 +188,7 @@ mod tests {
             2,
             "both conflicting events fire at their own switches"
         );
-        let (online, post_hoc) = verdicts(&result, &handle);
+        let (online, post_hoc) = verdicts(&result, handles);
         assert!(online.is_err(), "the online checker must flag the P1 run, got {online:?}");
         assert!(post_hoc.is_err(), "the post-hoc spec must flag the P1 run, got {post_hoc:?}");
     }
@@ -191,13 +199,13 @@ mod tests {
     #[test]
     fn p1_with_causal_separation_is_fine() {
         // Broadcast spreads the first event quickly.
-        let (mut engine, handle) = checked_engine(Variant::DifferentSwitches, true);
+        let (mut engine, handles) = checked_engine(Variant::DifferentSwitches, true);
         engine.inject_at(SimTime::from_millis(1), H1, probe(H2, 1));
         // The second candidate arrives long after the broadcast.
         engine.inject_at(SimTime::from_secs(1), H1, probe(H4, 2));
         let result = engine.run_until(SimTime::from_secs(3));
         assert_eq!(result.dataplane.fired_sequence().len(), 1, "only the first fires");
-        let (online, post_hoc) = verdicts(&result, &handle);
+        let (online, post_hoc) = verdicts(&result, handles);
         online.expect("separated P1 run is consistent (online)");
         post_hoc.expect("separated P1 run is consistent (post-hoc)");
     }

@@ -1,8 +1,8 @@
 //! Verified-at-scale harness: a fat-tree(16) run of 10M+ events that is
 //! *checked*, not just simulated — streaming injection
 //! ([`edn_topo::attach_stream`]), aggregate-only accounting
-//! (`StatsMode::Counters`, and no trace: the engine records none unless
-//! asked), and the online Definition 6 checker
+//! (`StatsMode::Counters`, and no trace: only an attached trace recorder
+//! records one), and the online Definition 6 checker
 //! ([`nes_runtime::attach_online_checker`]) running inside the event loop,
 //! retiring trace prefixes as their happens-before obligations discharge.
 //!
@@ -164,7 +164,6 @@ fn run_point(
     let wall = sw.elapsed_us();
     let arena_slots = engine.arena_slots() as u64;
     let result = engine.finish();
-    assert!(result.trace.is_empty(), "StatsOnly must not record");
     assert!(result.stats.deliveries.is_empty(), "Counters must not retain deliveries");
     let ok = handle.verdict().is_ok();
     if !ok {

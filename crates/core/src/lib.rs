@@ -59,5 +59,5 @@ pub use locality::minimally_inconsistent;
 pub use nes::{NesError, NetworkEventStructure};
 pub use observe::{LeafKind, TraceObserver};
 pub use online::{CheckerTelemetry, OnlineChecker, OnlineHandle, OnlineViolation};
-pub use trace::{LocatedPacket, NetworkTrace, TraceBuilder, TraceMode, TraceStructureError};
+pub use trace::{LocatedPacket, NetworkTrace, TraceBuilder, TraceHandle, TraceStructureError};
 pub use update::UpdateViolation;

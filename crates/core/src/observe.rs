@@ -4,12 +4,13 @@
 //! *incrementally*, while the run is still executing; the engine reports
 //! each step once, to its one observer slot. The online checker judges the
 //! run this way, and a [`TraceBuilder`](crate::TraceBuilder) is an observer
-//! too: under [`TraceMode::Full`](crate::TraceMode) the engine attaches one
-//! in front of any other, and the Section 2 trace it builds is the stream
-//! the checker saw. The engine additionally tells the observer when a node
-//! can no longer gain children ([`TraceObserver::retire`]), which is what
-//! lets an online checker discharge its happens-before obligations and drop
-//! state for trace prefixes in bounded memory.
+//! too: [`TraceBuilder::observer`](crate::TraceBuilder::observer) attaches
+//! like the checker, and the Section 2 trace it builds is the stream the
+//! checker saw. Two observers in one slot are a pair, `(A, B)`, fed every
+//! callback in that order. The engine additionally tells the observer when
+//! a node can no longer gain children ([`TraceObserver::retire`]), which is
+//! what lets an online checker discharge its happens-before obligations and
+//! drop state for trace prefixes in bounded memory.
 //!
 //! Callback protocol (per node index `idx`: the index the record has in
 //! the run's network trace):
@@ -87,5 +88,176 @@ pub trait TraceObserver {
     /// violation itself). The default discards it.
     fn attach_flight_recorder(&mut self, recorder: edn_obs::FlightRecorder) {
         let _ = recorder;
+    }
+}
+
+/// A box forwards every callback, so two attached observers can pair.
+impl<T: TraceObserver + ?Sized> TraceObserver for Box<T> {
+    fn record(&mut self, idx: usize, packet: &Packet, loc: Loc, parent: Option<usize>) {
+        (**self).record(idx, packet, loc, parent);
+    }
+
+    fn edge(&mut self, from: usize, to: usize) {
+        (**self).edge(from, to);
+    }
+
+    fn cause(&mut self, idx: usize) {
+        (**self).cause(idx);
+    }
+
+    fn leaf(&mut self, idx: usize, kind: LeafKind) {
+        (**self).leaf(idx, kind);
+    }
+
+    fn retire(&mut self, idx: usize) {
+        (**self).retire(idx);
+    }
+
+    fn finish(&mut self) {
+        (**self).finish();
+    }
+
+    fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
+        (**self).contribute_metrics(reg);
+    }
+
+    fn attach_flight_recorder(&mut self, recorder: edn_obs::FlightRecorder) {
+        (**self).attach_flight_recorder(recorder);
+    }
+}
+
+/// Two observers fed one stream: every callback goes to `A`, then to `B`,
+/// with the same arguments. Both get the flight recorder (a clone shares
+/// the one ring) and both contribute their metrics.
+impl<A: TraceObserver, B: TraceObserver> TraceObserver for (A, B) {
+    fn record(&mut self, idx: usize, packet: &Packet, loc: Loc, parent: Option<usize>) {
+        self.0.record(idx, packet, loc, parent);
+        self.1.record(idx, packet, loc, parent);
+    }
+
+    fn edge(&mut self, from: usize, to: usize) {
+        self.0.edge(from, to);
+        self.1.edge(from, to);
+    }
+
+    fn cause(&mut self, idx: usize) {
+        self.0.cause(idx);
+        self.1.cause(idx);
+    }
+
+    fn leaf(&mut self, idx: usize, kind: LeafKind) {
+        self.0.leaf(idx, kind);
+        self.1.leaf(idx, kind);
+    }
+
+    fn retire(&mut self, idx: usize) {
+        self.0.retire(idx);
+        self.1.retire(idx);
+    }
+
+    fn finish(&mut self) {
+        self.0.finish();
+        self.1.finish();
+    }
+
+    fn contribute_metrics(&self, reg: &mut edn_obs::Registry) {
+        self.0.contribute_metrics(reg);
+        self.1.contribute_metrics(reg);
+    }
+
+    fn attach_flight_recorder(&mut self, recorder: edn_obs::FlightRecorder) {
+        self.0.attach_flight_recorder(recorder.clone());
+        self.1.attach_flight_recorder(recorder);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use super::*;
+    use edn_obs::{FlightEvent, FlightRecorder, Registry, Scope};
+
+    /// Writes each callback into a shared log under its name; counts its
+    /// own metric and logs a record into the flight recorder it was given.
+    struct Log(&'static str, Rc<RefCell<Vec<String>>>, Option<FlightRecorder>);
+
+    impl Log {
+        fn note(&self, what: String) {
+            self.1.borrow_mut().push(format!("{} {what}", self.0));
+        }
+    }
+
+    impl TraceObserver for Log {
+        fn record(&mut self, idx: usize, _: &Packet, loc: Loc, parent: Option<usize>) {
+            self.note(format!("record {idx} {loc} {parent:?}"));
+            if let Some(fr) = &self.2 {
+                fr.record(FlightEvent {
+                    t_us: 0,
+                    seq: 0,
+                    kind: self.0,
+                    node: idx as u64,
+                    depth: 0,
+                });
+            }
+        }
+        fn edge(&mut self, from: usize, to: usize) {
+            self.note(format!("edge {from} {to}"));
+        }
+        fn cause(&mut self, idx: usize) {
+            self.note(format!("cause {idx}"));
+        }
+        fn leaf(&mut self, idx: usize, kind: LeafKind) {
+            self.note(format!("leaf {idx} {kind:?}"));
+        }
+        fn retire(&mut self, idx: usize) {
+            self.note(format!("retire {idx}"));
+        }
+        fn finish(&mut self) {
+            self.note("finish".to_string());
+        }
+        fn contribute_metrics(&self, reg: &mut Registry) {
+            reg.counter_add(Scope::Sim, self.0, 1);
+        }
+        fn attach_flight_recorder(&mut self, recorder: FlightRecorder) {
+            self.note("flight".to_string());
+            self.2 = Some(recorder);
+        }
+    }
+
+    #[test]
+    fn a_pair_feeds_both_observers_every_callback_in_order() {
+        let log = Rc::default();
+        let boxed: Box<dyn TraceObserver> = Box::new(Log("b", Rc::clone(&log), None));
+        let mut pair = (Log("a", Rc::clone(&log), None), boxed);
+        let flight = FlightRecorder::new(8);
+        pair.attach_flight_recorder(flight.clone());
+        let pk = Packet::new();
+        pair.record(0, &pk, Loc::new(100, 0), None);
+        pair.record(1, &pk, Loc::new(1, 1), Some(0));
+        pair.cause(1);
+        pair.edge(0, 1);
+        pair.leaf(1, LeafKind::Delivered);
+        pair.retire(0);
+        pair.finish();
+        let mut reg = Registry::new();
+        pair.contribute_metrics(&mut reg);
+        let calls = [
+            "flight",
+            "record 0 100:0 None",
+            "record 1 1:1 Some(0)",
+            "cause 1",
+            "edge 0 1",
+            "leaf 1 Delivered",
+            "retire 0",
+            "finish",
+        ];
+        let want: Vec<String> =
+            calls.iter().flat_map(|c| [format!("a {c}"), format!("b {c}")]).collect();
+        assert_eq!(*log.borrow(), want);
+        assert_eq!((reg.counter("a"), reg.counter("b")), (Some(1), Some(1)));
+        let dump = flight.dump_json();
+        assert!(dump.contains("\"a\"") && dump.contains("\"b\""), "both log: {dump}");
     }
 }

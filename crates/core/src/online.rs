@@ -5,8 +5,8 @@
 //! accept/reject verdict as the post-hoc [`check_correct`](crate::check_correct)
 //! — without ever materializing the trace. Memory is bounded by the number of
 //! packets *in flight* (plus small per-switch and per-event state), not by
-//! the length of the run, so a `TraceMode::StatsOnly`-priced run of tens of
-//! millions of events can still be verified.
+//! the length of the run, so a run of tens of millions of events can be
+//! verified without recording its trace.
 //!
 //! # How it works
 //!

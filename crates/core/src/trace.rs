@@ -7,6 +7,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 use netkat::{Loc, Packet};
 
@@ -209,22 +210,6 @@ impl fmt::Display for NetworkTrace {
     }
 }
 
-/// How much an engine records.
-///
-/// [`StatsOnly`](TraceMode::StatsOnly) records nothing beyond the run's
-/// statistics; a verdict comes from an attached [`TraceObserver`] (the
-/// online checker). [`Full`](TraceMode::Full) attaches a [`TraceBuilder`]
-/// as one more observer, in front of any other, so the run also yields the
-/// Section 2 network trace, for tests that diff it or check it post hoc.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TraceMode {
-    /// Record every processing step: the run yields the network trace.
-    Full,
-    /// Record nothing; only run statistics survive, and the run's trace is
-    /// empty.
-    StatsOnly,
-}
-
 /// Incremental construction of a [`NetworkTrace`] as a forest.
 ///
 /// Each push appends one located packet, linked to the located packet it
@@ -254,12 +239,23 @@ pub struct TraceBuilder {
     parents: Vec<Option<usize>>,
     terminated: BTreeSet<usize>,
     extra_edges: Vec<(usize, usize)>,
+    /// Where an attached builder ([`observer`](TraceBuilder::observer))
+    /// leaves the trace when the run finishes.
+    out: Option<TraceHandle>,
 }
 
 impl TraceBuilder {
     /// Creates an empty builder.
     pub fn new() -> TraceBuilder {
         TraceBuilder::default()
+    }
+
+    /// A fresh builder to attach to an engine, as the online checker
+    /// attaches ([`OnlineChecker::observer`](crate::OnlineChecker::observer)),
+    /// and the handle that yields its trace once the run has finished.
+    pub fn observer() -> (Box<dyn TraceObserver + Send>, TraceHandle) {
+        let out = TraceHandle::default();
+        (Box::new(TraceBuilder { out: Some(out.clone()), ..TraceBuilder::new() }), out)
     }
 
     /// Appends a located packet; `parent` is the global index of the located
@@ -378,7 +374,29 @@ impl TraceObserver for TraceBuilder {
 
     fn retire(&mut self, _: usize) {}
 
-    fn finish(&mut self) {}
+    /// An attached builder builds its trace and leaves it in its handle.
+    fn finish(&mut self) {
+        if let Some(out) = self.out.take() {
+            let trace = std::mem::take(self).build().expect("pushed forests are valid traces");
+            *out.0.lock().expect("no handle panics holding it") = Some(trace);
+        }
+    }
+}
+
+/// Where an attached [`TraceBuilder`] leaves the network trace it built.
+#[derive(Clone, Debug, Default)]
+pub struct TraceHandle(Arc<Mutex<Option<NetworkTrace>>>);
+
+impl TraceHandle {
+    /// The trace the finished run recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the run has finished.
+    pub fn take(self) -> NetworkTrace {
+        let trace = self.0.lock().expect("no builder panics holding it").take();
+        trace.expect("an attached builder leaves its trace when the run finishes")
+    }
 }
 
 #[cfg(test)]

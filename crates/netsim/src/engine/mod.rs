@@ -8,8 +8,8 @@
 //!
 //! Every processing step is reported once, to the engine's one
 //! [`TraceObserver`] slot: the online checker judges the run from that
-//! stream, and under [`TraceMode::Full`] `edn-core`'s trace builder sits in
-//! front of it and records the Section 2 network trace.
+//! stream, and a trace recorder attached beside it is paired with it in
+//! the slot and records the Section 2 network trace.
 //!
 //! The loop is one function, `Engine::step`: take the earlier, by full
 //! key, of the source's next datagram and the queue's minimum, and
@@ -32,7 +32,7 @@ mod build;
 mod control;
 mod dispatch;
 
-use edn_core::{NetworkTrace, TraceMode, TraceObserver};
+use edn_core::TraceObserver;
 use edn_obs::{FlightEvent, MetricsLevel, Registry, Stopwatch};
 use netkat::{Loc, Packet, PacketArena, PacketId};
 
@@ -40,14 +40,13 @@ use crate::channel::ChannelModel;
 use crate::logic::{BoxedHosts, DataPlane, PlaneOut};
 use crate::metrics::{self, EngineMetrics};
 use crate::queue::{EventKey, Pending};
-use crate::recorder::{self, TraceHandle};
 use crate::source::WorkloadSource;
 use crate::stats::{Stats, StatsMode};
 use crate::time::SimTime;
 use crate::topology::{SimParams, SimTopology};
 
 use build::Timeline;
-pub use build::{shard_count_from_env, DEFAULT_PACKET_SIZE};
+pub use build::{shard_count_from_env, TraceMode, DEFAULT_PACKET_SIZE};
 use control::EntityMap;
 use dispatch::EgressMap;
 
@@ -110,10 +109,6 @@ impl<M> EventKind<M> {
 /// The result of a finished run.
 #[derive(Debug)]
 pub struct RunResult<D> {
-    /// The network trace (Section 2 structure) the trace builder of a
-    /// [`TraceMode::Full`] run recorded; empty under
-    /// [`TraceMode::StatsOnly`].
-    pub trace: NetworkTrace,
     /// Deliveries and counters.
     pub stats: Stats,
     /// The data plane, with whatever internal state it accumulated.
@@ -188,10 +183,6 @@ pub struct Engine<D: DataPlane> {
     started: bool,
     /// Where each processing step is reported, once.
     observer: Option<Box<dyn TraceObserver + Send>>,
-    trace_mode: TraceMode,
-    /// Where a [`TraceMode::Full`] run's recorder leaves the trace; set
-    /// when the first `run` attaches the recorder.
-    trace: Option<TraceHandle>,
     /// Telemetry accumulators (no-ops unless metrics are on).
     metrics: EngineMetrics,
 }
@@ -210,14 +201,13 @@ struct SourceState {
 impl<D: DataPlane> Engine<D> {
     /// Creates an engine.
     ///
-    /// The run records no trace ([`TraceMode::StatsOnly`]): a verdict
-    /// comes from an observer attached with
-    /// [`set_observer`](Engine::set_observer), and a caller that diffs or
-    /// checks the trace itself asks for it with
-    /// [`with_trace_mode`](Engine::with_trace_mode). The per-packet
-    /// delivery stream starts at [`StatsMode::Full`], since deliveries are
-    /// what a timeline reads; a caller that only wants the counters says so
-    /// with [`with_stats_mode`](Engine::with_stats_mode). Telemetry starts
+    /// The run records no trace: a verdict comes from an observer attached
+    /// with [`set_observer`](Engine::set_observer), and a caller that diffs
+    /// or checks the trace itself attaches `edn-core`'s trace recorder the
+    /// same way. The per-packet delivery stream starts at
+    /// [`StatsMode::Full`], since deliveries are what a timeline reads; a
+    /// caller that only wants the counters says so with
+    /// [`with_stats_mode`](Engine::with_stats_mode). Telemetry starts
     /// at [`MetricsLevel::Off`] and the control channel at
     /// [`ChannelModel::ideal`]; a caller that wants either changed says so
     /// with [`with_metrics`](Engine::with_metrics) and
@@ -255,8 +245,6 @@ impl<D: DataPlane> Engine<D> {
             source: None,
             started: false,
             observer: None,
-            trace_mode: TraceMode::StatsOnly,
-            trace: None,
             metrics: EngineMetrics::new(MetricsLevel::Off, None),
         }
     }
@@ -300,24 +288,18 @@ impl<D: DataPlane> Engine<D> {
     /// Runs the event loop until the queue empties or `deadline` passes.
     ///
     /// This is the simulation proper — the phase scale measurements time.
-    /// Turning the recorded run into a [`RunResult`] (which materializes
-    /// the network trace from the arena) is the separate
+    /// Turning the recorded run into a [`RunResult`] (closing the observer
+    /// out and assembling the telemetry) is the separate
     /// [`finish`](Engine::finish) step; [`run_until`](Engine::run_until)
     /// does both.
     pub fn run(&mut self, deadline: SimTime) {
         if !self.started {
             self.started = true;
             // The observer gets the flight recorder now, not when it is
-            // attached: the metrics level may be set after it. And it gets
-            // it before the trace recorder wraps it, since the recorder's
-            // fan-out does not forward it.
+            // attached: the metrics level may be set after it. A pair
+            // hands it to both its halves.
             if let (Some(o), Some(fr)) = (self.observer.as_deref_mut(), &self.metrics.flight) {
                 o.attach_flight_recorder(fr.clone());
-            }
-            if self.trace_mode == TraceMode::Full {
-                let (slot, trace) = recorder::record_in_front(self.observer.take());
-                self.observer = Some(slot);
-                self.trace = Some(trace);
             }
         }
         while self.step(deadline) {}
@@ -412,10 +394,10 @@ impl<D: DataPlane> Engine<D> {
         }
     }
 
-    /// Finalizes a run: hands back the recorded trace (empty under
-    /// [`TraceMode::StatsOnly`]), statistics, the data plane and the
-    /// telemetry registry. It writes no file: where a snapshot goes is the
-    /// caller's decision ([`Registry::write_out`]).
+    /// Finalizes a run: closes the observer out and hands back the
+    /// statistics, the data plane and the telemetry registry. It writes no
+    /// file: where a snapshot goes is the caller's decision
+    /// ([`Registry::write_out`]).
     pub fn finish(mut self) -> RunResult<D> {
         let metrics_on = self.metrics.on;
         let mut metrics = Registry::new();
@@ -433,16 +415,11 @@ impl<D: DataPlane> Engine<D> {
                 o.contribute_metrics(&mut metrics);
             }
         }
-        RunResult {
-            trace: self.trace.map_or_else(NetworkTrace::default, TraceHandle::take),
-            stats: self.stats,
-            dataplane: self.dataplane,
-            metrics,
-        }
+        RunResult { stats: self.stats, dataplane: self.dataplane, metrics }
     }
 
     /// Runs until the event queue empties or `deadline` passes, then returns
-    /// the trace, statistics, and data plane.
+    /// the statistics, data plane and telemetry.
     pub fn run_until(mut self, deadline: SimTime) -> RunResult<D> {
         self.run(deadline);
         self.finish()
@@ -455,6 +432,7 @@ mod fixtures {
     use super::*;
     use crate::logic::CtrlMsg;
     use crate::source::SourceEvent;
+    use edn_core::TraceHandle;
 
     /// Hosts 100 and 200 on port 2 of switches 1 and 2, joined port 1 to
     /// port 1 by a 50 µs link.
@@ -467,15 +445,17 @@ mod fixtures {
         )
     }
 
-    /// [`Engine::new`] recording the full trace, for the tests that read
-    /// or diff it.
+    /// [`Engine::new`] with a trace recorder attached, and the handle its
+    /// trace comes back through, for the tests that read or diff it.
     pub(super) fn traced<D: DataPlane>(
         topo: SimTopology,
         params: SimParams,
         dataplane: D,
         hosts: BoxedHosts,
-    ) -> Engine<D> {
-        Engine::new(topo, params, dataplane, hosts).with_trace_mode(TraceMode::Full)
+    ) -> (Engine<D>, TraceHandle) {
+        let mut engine = Engine::new(topo, params, dataplane, hosts);
+        let trace = crate::attach_trace(&mut engine);
+        (engine, trace)
     }
 
     /// A test plane's message: events reported up or sent down, or a pure
@@ -563,6 +543,7 @@ mod tests {
     use super::*;
     use crate::logic::SinkHosts;
     use crate::stats::DropReason;
+    use edn_core::TraceHandle;
     use edn_obs::FlightRecorder;
     use netkat::Field;
 
@@ -616,16 +597,17 @@ mod tests {
     fn packet_crosses_network_and_trace_records_hops() {
         // Switch 1 forwards out port 1 (to switch 2); switch 2 forwards out
         // port 2 (to host 200).
-        let mut e = traced(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
+        let (mut e, trace) = traced(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
         e.inject_at(SimTime::ZERO, 100, Packet::new().with(Field::IpDst, 200));
         let r = e.run_until(SimTime::from_secs(1));
         assert_eq!(r.stats.deliveries.len(), 1);
         assert_eq!(r.stats.deliveries[0].host, 200);
         // Trace: host, 1:2 in, 1:1 out, 2:1 in, 2:2 out, host 200.
-        assert_eq!(r.trace.len(), 6);
-        assert_eq!(r.trace.traces().len(), 1);
-        assert_eq!(r.trace.packet(0).loc, Loc::new(100, 0));
-        assert_eq!(r.trace.packet(5).loc, Loc::new(200, 0));
+        let trace = trace.take();
+        assert_eq!(trace.len(), 6);
+        assert_eq!(trace.traces().len(), 1);
+        assert_eq!(trace.packet(0).loc, Loc::new(100, 0));
+        assert_eq!(trace.packet(5).loc, Loc::new(200, 0));
     }
 
     #[test]
@@ -653,28 +635,28 @@ mod tests {
     fn drops_are_counted_in_both_stats_modes_and_recorded_only_in_full() {
         // One dead-end drop (switch 1 outputs on an unattached port) per
         // injected packet: the counters, and `drop_count` over them, are
-        // mode-independent; the dropped packet itself is recorded only in
-        // a Full trace, as the end of a terminated packet trace.
-        let run = |stats: StatsMode, trace: TraceMode| {
+        // mode-independent; the dropped packet itself is recorded only by
+        // a trace recorder, as the end of a terminated packet trace.
+        let run = |stats: StatsMode, record: bool| {
             let mut e =
                 Engine::new(topo(), SimParams::default(), ToHostPort(7), Box::new(SinkHosts))
-                    .with_stats_mode(stats)
-                    .with_trace_mode(trace);
+                    .with_stats_mode(stats);
+            let trace = record.then(|| crate::attach_trace(&mut e));
             for i in 0..5 {
                 e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
             }
-            e.run_until(SimTime::from_secs(1))
+            (e.run_until(SimTime::from_secs(1)), trace.map(TraceHandle::take))
         };
-        let full = run(StatsMode::Full, TraceMode::Full);
-        let lean = run(StatsMode::Counters, TraceMode::StatsOnly);
+        let (full, trace) = run(StatsMode::Full, true);
+        let (lean, _) = run(StatsMode::Counters, false);
         assert_eq!(full.stats.drop_count(Some(DropReason::DeadEnd)), 5);
         assert_eq!(lean.stats.drop_count(Some(DropReason::DeadEnd)), 5);
         assert_eq!(lean.stats.drop_count(None), 5);
         assert_eq!(lean.stats.dropped, full.stats.dropped);
-        assert!(lean.trace.is_empty());
-        let dropped: Vec<&Packet> = (0..full.trace.traces().len())
-            .filter(|&t| full.trace.trace_is_terminated(t))
-            .map(|t| &full.trace.packet(*full.trace.traces()[t].last().unwrap()).packet)
+        let trace = trace.expect("a recorder was attached");
+        let dropped: Vec<&Packet> = (0..trace.traces().len())
+            .filter(|&t| trace.trace_is_terminated(t))
+            .map(|t| &trace.packet(*trace.traces()[t].last().unwrap()).packet)
             .collect();
         assert_eq!(dropped.len(), 5);
         assert_eq!(dropped[4], &Packet::new().with(Field::Vlan, 4));
@@ -728,8 +710,9 @@ mod tests {
             }
         }
         for answer in [None, Some(Answer::Notify), Some(Answer::Timer)] {
-            let mut e = traced(topo(), SimParams::default(), Stray { answer }, Box::new(SinkHosts))
-                .with_metrics(MetricsLevel::Full);
+            let (e, trace) =
+                traced(topo(), SimParams::default(), Stray { answer }, Box::new(SinkHosts));
+            let mut e = e.with_metrics(MetricsLevel::Full);
             let flight = e.flight_recorder().expect("full level attaches the recorder");
             // The second packet crosses both switches after the command landed.
             e.inject_at(SimTime::ZERO, 100, Packet::new().with(Field::Vlan, 1));
@@ -737,7 +720,7 @@ mod tests {
             let r = e.run_until(SimTime::from_secs(1));
             assert_eq!(r.stats.delivered_packets, 2);
             assert!(
-                r.trace.extra_edges().is_empty(),
+                trace.take().extra_edges().is_empty(),
                 "no switch of the topology was told anything"
             );
             assert!(
@@ -813,19 +796,23 @@ mod tests {
                 self.0 = Some(recorder);
             }
         }
-        // Alone in the observer slot, and behind the trace recorder.
-        for mode in [TraceMode::StatsOnly, TraceMode::Full] {
-            let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts))
-                .with_trace_mode(mode);
+        // Alone in the observer slot, and paired with a trace recorder
+        // attached before or after it.
+        for (before, after) in [(false, false), (true, false), (false, true)] {
+            let mut e = Engine::new(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
+            let first = before.then(|| crate::attach_trace(&mut e));
             e.set_observer(Box::new(Probe(None)));
+            let second = after.then(|| crate::attach_trace(&mut e));
             let mut e = e.with_metrics(MetricsLevel::Full);
             let flight = e.flight_recorder().expect("full level attaches the recorder");
             e.inject_at(SimTime::ZERO, 100, Packet::new());
             e.run_until(SimTime::from_secs(1));
             assert!(
                 flight.dump_json().contains("\"probe\""),
-                "{mode:?}: the observer has no recorder"
+                "trace before {before}, after {after}: the observer has no recorder"
             );
+            let recorded = first.or(second).map(|t| t.take().len());
+            assert!(recorded.is_none_or(|n| n > 0), "the paired recorder records");
         }
     }
 
@@ -859,14 +846,14 @@ mod tests {
             }
         }
         let edges = |plumbing: bool| {
-            let mut e =
+            let (mut e, trace) =
                 traced(topo(), SimParams::default(), Teller { plumbing }, Box::new(SinkHosts));
             // The second packet reaches switch 2 after the reply landed there.
             e.inject_at(SimTime::ZERO, 100, Packet::new().with(Field::Vlan, 1));
             e.inject_at(SimTime::from_millis(10), 100, Packet::new().with(Field::Vlan, 2));
             let r = e.run_until(SimTime::from_secs(1));
             assert_eq!(r.stats.delivered_packets, 2);
-            r.trace.extra_edges().to_vec()
+            trace.take().extra_edges().to_vec()
         };
         // Trace: host, 1:2 in (the cause), 1:1 out, 2:1 in, 2:2 out, host,
         // then the second packet: host, 1:2 in, 1:1 out, 2:1 in (index 9).
@@ -896,12 +883,13 @@ mod tests {
     #[test]
     fn deterministic_replay() {
         let run = || {
-            let mut e = traced(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
+            let (mut e, trace) =
+                traced(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
             for i in 0..10 {
                 e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
             }
             let r = e.run_until(SimTime::from_secs(1));
-            (r.trace, r.stats)
+            (trace.take(), r.stats)
         };
         let (t1, s1) = run();
         let (t2, s2) = run();
@@ -918,7 +906,8 @@ mod tests {
         // The same injections streamed from a source must resume the same
         // way: the source's events past the deadline wait in the source.
         let split = |streamed: bool, d1: u64| {
-            let mut e = traced(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
+            let (mut e, trace) =
+                traced(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
             if streamed {
                 e.set_source(Box::new(Scripted::new(probes())));
             } else {
@@ -929,7 +918,7 @@ mod tests {
             e.run(SimTime::from_millis(d1));
             e.run(SimTime::from_secs(1));
             let r = e.finish();
-            (r.trace, r.stats)
+            (trace.take(), r.stats)
         };
         let whole = split(false, 1_000_000); // first run covers everything
         assert!(!whole.0.is_empty(), "the reference run records a trace");
@@ -942,7 +931,8 @@ mod tests {
     #[test]
     fn inject_batch_equals_one_at_a_time() {
         let run = |batched: bool| {
-            let mut e = traced(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
+            let (mut e, trace) =
+                traced(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
             let items: Vec<_> = (0..10u64)
                 .map(|i| {
                     (SimTime::from_millis(i), 100u64, Packet::new().with(Field::Vlan, i), 64u32)
@@ -956,7 +946,7 @@ mod tests {
                 }
             }
             let r = e.run_until(SimTime::from_secs(1));
-            (r.trace, r.stats)
+            (trace.take(), r.stats)
         };
         let batched = run(true);
         assert!(!batched.0.is_empty(), "the reference run records a trace");
@@ -965,30 +955,29 @@ mod tests {
 
     #[test]
     fn engine_knobs_replay_identically() {
-        // The same scenario in both trace modes: Stats must be identical,
-        // the trace recorded in Full and empty in StatsOnly.
-        let run = |mode: TraceMode| {
+        // The same scenario with and without a trace recorder: Stats must
+        // be identical, and the recorder records.
+        let run = |record: bool| {
             let mut e =
-                Engine::new(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts))
-                    .with_trace_mode(mode);
+                Engine::new(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
+            let trace = record.then(|| crate::attach_trace(&mut e));
             for i in 0..10 {
                 e.inject_at(SimTime::from_millis(i), 100, Packet::new().with(Field::Vlan, i));
             }
             let r = e.run_until(SimTime::from_secs(1));
-            (r.trace, r.stats)
+            (trace.map(TraceHandle::take), r.stats)
         };
-        let (full_trace, full_stats) = run(TraceMode::Full);
-        assert!(!full_trace.is_empty());
-        let (lean_trace, lean_stats) = run(TraceMode::StatsOnly);
+        let (full_trace, full_stats) = run(true);
+        assert!(!full_trace.expect("a recorder was attached").is_empty());
+        let (_, lean_stats) = run(false);
         assert_eq!(lean_stats, full_stats);
-        assert!(lean_trace.is_empty());
     }
 
     #[test]
     fn stats_only_streaming_runs_in_bounded_arena_memory() {
-        // A streamed run of N distinct datagrams: in both trace modes the
-        // arena must stay at the in-flight high-water mark (a bound
-        // independent of N), while observables match exactly. A Full
+        // A streamed run of N distinct datagrams: with and without a trace
+        // recorder the arena must stay at the in-flight high-water mark (a
+        // bound independent of N), while observables match exactly. A
         // trace record holds its own copy of the packet, so recording pins
         // no arena slot.
         let flow = crate::traffic::UdpFlowSpec {
@@ -1000,22 +989,22 @@ mod tests {
             interval: SimTime::from_micros(100),
             size: 64,
         };
-        let run = |mode: TraceMode| {
+        let run = |record: bool| {
             let mut e =
-                Engine::new(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts))
-                    .with_trace_mode(mode);
+                Engine::new(topo(), SimParams::default(), ToHostPort(2), Box::new(SinkHosts));
+            let trace = record.then(|| crate::attach_trace(&mut e));
             e.set_source(Box::new(crate::traffic::FlowSource::new(std::slice::from_ref(&flow))));
             e.run(SimTime::from_secs(10));
             let slots = e.arena_slots();
             let r = e.finish();
-            (slots, r.trace, r.stats)
+            (slots, trace.map(TraceHandle::take), r.stats)
         };
-        let (full_slots, full_trace, full_stats) = run(TraceMode::Full);
-        let (lean_slots, lean_trace, lean_stats) = run(TraceMode::StatsOnly);
+        let (full_slots, full_trace, full_stats) = run(true);
+        let (lean_slots, _, lean_stats) = run(false);
+        let full_trace = full_trace.expect("a recorder was attached");
         assert_eq!(lean_stats, full_stats);
         assert_eq!(full_stats.injected, 2_000);
-        assert!(lean_trace.is_empty());
-        assert!(full_slots < 64, "the Full arena must stay bounded: {full_slots}");
+        assert!(full_slots < 64, "the traced arena must stay bounded: {full_slots}");
         assert!(lean_slots < 64, "the stats-only arena must stay bounded: {lean_slots}");
         // The built trace, pinned as the hash-consing arena built it: FNV-1a
         // over every record's location and fields, and over the packet
@@ -1038,7 +1027,8 @@ mod tests {
     #[test]
     fn run_can_resume_with_packets_in_flight_on_a_link() {
         let split = |streamed: bool, d1: u64| {
-            let mut e = traced(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
+            let (mut e, trace) =
+                traced(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
             if streamed {
                 e.set_source(Box::new(Scripted::new(probes())));
             } else {
@@ -1049,7 +1039,7 @@ mod tests {
             e.run(SimTime::from_millis(d1));
             e.run(SimTime::from_secs(1));
             let r = e.finish();
-            (r.trace, r.stats)
+            (trace.take(), r.stats)
         };
         let whole = split(false, 1_000_000);
         assert!(!whole.0.is_empty(), "the reference run records a trace");
@@ -1077,12 +1067,13 @@ mod tests {
     #[test]
     fn failure_injection_replays_identically() {
         let run = || {
-            let mut e = traced(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
+            let (mut e, trace) =
+                traced(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
             e.fail_link_at(SimTime::from_millis(10), Loc::new(1, 1), Loc::new(2, 1));
             e.inject_at(SimTime::from_millis(1), 100, Packet::new()); // healthy
             e.inject_at(SimTime::from_millis(20), 100, Packet::new()); // dead
             let r = e.run_until(SimTime::from_secs(1));
-            (r.trace, r.stats)
+            (trace.take(), r.stats)
         };
         let (trace, stats) = run();
         assert!(!trace.is_empty(), "the reference run records a trace");
@@ -1125,6 +1116,7 @@ mod merge_props {
     use super::fixtures::{topo, traced, Scripted};
     use super::*;
     use crate::logic::SinkHosts;
+    use edn_core::NetworkTrace;
     use netkat::Field;
     use proptest::prelude::*;
 
@@ -1175,7 +1167,8 @@ mod merge_props {
         post: &[Item],
         split: Option<SimTime>,
     ) -> (NetworkTrace, Stats, Vec<Step>) {
-        let mut e = traced(topo(), SimParams::default(), Logged::default(), Box::new(SinkHosts));
+        let (mut e, trace) =
+            traced(topo(), SimParams::default(), Logged::default(), Box::new(SinkHosts));
         e.inject_batch(pre.to_vec());
         match split {
             Some(_) => e.set_source(Box::new(Scripted::new(stream.to_vec()))),
@@ -1187,7 +1180,7 @@ mod merge_props {
         }
         e.run(SimTime::from_secs(1));
         let r = e.finish();
-        (r.trace, r.stats, r.dataplane.0)
+        (trace.take(), r.stats, r.dataplane.0)
     }
 
     /// Times for every injection list: a window a few hops wide, so source
@@ -1313,7 +1306,8 @@ mod failure_tests {
     #[test]
     fn flapped_run_replays_byte_identically() {
         let run = || {
-            let mut e = traced(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
+            let (mut e, trace) =
+                traced(topo(), SimParams::default(), PerSwitch, Box::new(SinkHosts));
             let (a, b) = (Loc::new(1, 1), Loc::new(2, 1));
             e.fail_link_at(SimTime::from_millis(10), a, b);
             e.restore_link_at(SimTime::from_millis(20), a, b);
@@ -1323,7 +1317,7 @@ mod failure_tests {
                 e.inject_at(SimTime::from_millis(t), 100, Packet::new().with(Field::Vlan, t));
             }
             let r = e.run_until(SimTime::from_secs(1));
-            (r.trace, r.stats)
+            (trace.take(), r.stats)
         };
         let first = run();
         assert!(!first.0.is_empty(), "the reference run records a trace");
@@ -1368,7 +1362,7 @@ mod failure_tests {
             }
         }
         let run = |spike_ms: Option<u64>| {
-            let mut e =
+            let (mut e, trace) =
                 traced(topo(), SimParams::default(), Gate { enabled: false }, Box::new(SinkHosts));
             if let Some(ms) = spike_ms {
                 e.set_controller_latency_at(SimTime::ZERO, SimTime::from_millis(ms));
@@ -1381,7 +1375,7 @@ mod failure_tests {
                 );
             }
             let r = e.run_until(SimTime::from_secs(5));
-            (r.trace, r.stats)
+            (trace.take(), r.stats)
         };
         // Determinism: same spike, same bytes.
         let reference = run(Some(20));

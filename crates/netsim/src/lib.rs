@@ -12,9 +12,10 @@
 //! dispatch the earlier, by full key, of the source's next datagram and the
 //! queue's minimum, so a streamed datagram never enters the queue — and
 //! reports every packet processing step once, to its one [`TraceObserver`]
-//! slot: the online Definition 6 checker judges a run that way, and under
-//! [`TraceMode::Full`] an `edn-core` trace builder is one more observer in
-//! that slot, recording the network trace for tests that diff or check one.
+//! slot: the online Definition 6 checker judges a run that way, and an
+//! `edn-core` trace builder attached beside it records the network trace
+//! for tests that diff or check one. A second observer in the slot pairs
+//! with the first ([`Engine::set_observer`]).
 //!
 //! ```
 //! use netsim::{DataPlane, Engine, PacketArena, PacketId, PlaneOut, SimParams, SimTime,
@@ -50,7 +51,6 @@ mod engine;
 mod logic;
 mod metrics;
 mod queue;
-mod recorder;
 pub mod source;
 mod stats;
 mod time;
@@ -58,10 +58,10 @@ mod topology;
 pub mod traffic;
 
 pub use channel::{ChannelDir, ChannelFate, ChannelModel, DirModel};
-pub use edn_core::{LeafKind, TraceMode, TraceObserver};
+pub use edn_core::{LeafKind, TraceObserver};
 pub use edn_obs::{FlightRecorder, MetricsLevel, Registry};
 #[doc(hidden)]
-pub use engine::shard_count_from_env;
+pub use engine::{shard_count_from_env, TraceMode};
 pub use engine::{Engine, RunResult, DEFAULT_PACKET_SIZE};
 pub use logic::{BoxedHosts, CtrlMsg, DataPlane, HostLogic, PlaneOut, SinkHosts, CONTROLLER_NODE};
 pub use netkat::{PacketArena, PacketId};
@@ -69,3 +69,13 @@ pub use source::{SourceEvent, WorkloadSource};
 pub use stats::{Delivery, DropReason, Stats, StatsMode};
 pub use time::SimTime;
 pub use topology::{LinkSpec, SimParams, SimTopology, SwitchGraph};
+
+#[cfg(test)]
+/// Attaches an `edn-core` trace builder to `engine`, for the engine's tests
+/// that read or diff the trace; the engine's own files never name the
+/// builder.
+fn attach_trace<D: DataPlane>(engine: &mut Engine<D>) -> edn_core::TraceHandle {
+    let (observer, trace) = edn_core::TraceBuilder::observer();
+    engine.set_observer(observer);
+    trace
+}

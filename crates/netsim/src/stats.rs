@@ -51,11 +51,9 @@ impl DropReason {
 /// [`Stats::dropped`]) are maintained identically in **both** modes; the
 /// mode only decides whether the per-packet [`Stats::deliveries`] stream
 /// is kept. [`StatsMode::Counters`] keeps it empty, so a run's memory no
-/// longer grows with the delivery count — the companion of
-/// [`TraceMode::StatsOnly`](edn_core::TraceMode) for verified-at-scale
-/// runs. No mode keeps a per-packet drop record: the counters say how many
-/// and why, and a [`TraceMode::Full`](edn_core::TraceMode) trace holds each
-/// dropped packet.
+/// longer grows with the delivery count, as verified-at-scale runs need.
+/// No mode keeps a per-packet drop record: the counters say how many and
+/// why, and an attached trace builder's trace holds each dropped packet.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StatsMode {
     /// Record every delivery (the default).

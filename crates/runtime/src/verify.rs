@@ -4,10 +4,10 @@
 //! A verdict always comes from the online checker: attach it with
 //! [`attach_online_checker`] before any traffic is scheduled and read
 //! [`OnlineHandle::verdict`] once the run is over. The run needs no trace
-//! for that, so the engines built here record none unless their caller
-//! asks with [`Engine::with_trace_mode`]. The post-hoc search over a
-//! recorded trace stays in `edn_core` as the executable spec the online
-//! checker is tested against.
+//! for that, so the engines built here record none; a caller that wants
+//! one attaches [`edn_core::TraceBuilder::observer`] beside the checker.
+//! The post-hoc search over a recorded trace stays in `edn_core` as the
+//! executable spec the online checker is tested against.
 //! The engines here and the checker read the NES's one table index
 //! ([`NetworkEventStructure::tables`]) and build none; the first checker
 //! over an NES builds its masks ([`NetworkEventStructure::checker_masks`]).
@@ -52,8 +52,8 @@ pub fn uncoordinated_engine(
 /// Attaches an online Definition 6 checker to an engine *before* the run:
 /// the engine streams every processing step into the checker, which
 /// discharges its happens-before obligations incrementally and retires
-/// trace prefixes — so even a [`TraceMode::StatsOnly`](netsim::TraceMode)
-/// run produces a verdict, in memory bounded by the packets in flight.
+/// trace prefixes — so a run that records no trace still produces a
+/// verdict, in memory bounded by the packets in flight.
 ///
 /// Call [`OnlineHandle::verdict`] after the run finishes.
 ///
@@ -73,10 +73,12 @@ pub fn attach_online_checker<D: DataPlane>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edn_core::{check_correct, Config, Event, EventId, EventSet, EventStructure};
+    use edn_core::{
+        check_correct, Config, Event, EventId, EventSet, EventStructure, NetworkTrace, TraceBuilder,
+    };
     use netkat::{Action, ActionSet, Field, FlowTable, Loc, Match, Pred, Rule};
     use netsim::traffic::{ping_outcomes, schedule_pings, Ping, ScenarioHosts};
-    use netsim::{RunResult, SimTime, TraceMode};
+    use netsim::{RunResult, SimTime};
 
     /// One switch, two hosts; the firewall-flavoured NES used across the
     /// runtime tests.
@@ -125,6 +127,20 @@ mod tests {
         (result, handle.verdict())
     }
 
+    /// [`checked_run`] with a trace recorder attached first, the checker
+    /// paired with it: the run, the recorded trace and the verdict.
+    fn traced_run<D: DataPlane>(
+        mut engine: Engine<D>,
+        nes: &NetworkEventStructure,
+        pings: &[Ping],
+        horizon: SimTime,
+    ) -> (RunResult<D>, NetworkTrace, Result<(), OnlineViolation>) {
+        let (observer, trace) = TraceBuilder::observer();
+        engine.set_observer(observer);
+        let (result, verdict) = checked_run(engine, nes, pings, horizon);
+        (result, trace.take(), verdict)
+    }
+
     #[test]
     fn nes_runtime_run_is_correct_and_pings_succeed() {
         let (nes, topo) = nes_and_topo();
@@ -161,17 +177,16 @@ mod tests {
             SimParams::default(),
             false,
             Box::new(ScenarioHosts::new()),
-        )
-        .with_trace_mode(TraceMode::Full);
+        );
         let pings = vec![
             Ping { time: SimTime::from_millis(1), src: 300, dst: 200, id: 1 },
             Ping { time: SimTime::from_millis(100), src: 200, dst: 300, id: 2 },
             Ping { time: SimTime::from_millis(200), src: 300, dst: 200, id: 3 },
         ];
-        let (result, verdict) = checked_run(engine, &nes, &pings, SimTime::from_secs(2));
-        assert!(!result.trace.is_empty(), "a Full run records its trace");
+        let (result, trace, verdict) = traced_run(engine, &nes, &pings, SimTime::from_secs(2));
+        assert!(!trace.is_empty(), "the recorder records the run");
         let fired = result.dataplane.fired_sequence();
-        check_correct(&result.trace, &nes, Some(&fired)).expect("post-hoc checker accepts the run");
+        check_correct(&trace, &nes, Some(&fired)).expect("post-hoc checker accepts the run");
         verdict.expect("online checker agrees");
     }
 
@@ -185,15 +200,14 @@ mod tests {
             SimTime::from_millis(500),
             42,
             Box::new(ScenarioHosts::new()),
-        )
-        .with_trace_mode(TraceMode::Full);
+        );
         let pings = vec![
             Ping { time: SimTime::from_millis(1), src: 200, dst: 300, id: 1 },
             Ping { time: SimTime::from_millis(10), src: 300, dst: 200, id: 2 },
         ];
-        let (result, verdict) = checked_run(engine, &nes, &pings, SimTime::from_secs(2));
-        assert!(!result.trace.is_empty(), "a Full run records its trace");
-        assert!(check_correct(&result.trace, &nes, None).is_err(), "post-hoc flags the run");
+        let (_, trace, verdict) = traced_run(engine, &nes, &pings, SimTime::from_secs(2));
+        assert!(!trace.is_empty(), "the recorder records the run");
+        assert!(check_correct(&trace, &nes, None).is_err(), "post-hoc flags the run");
         assert!(verdict.is_err(), "online checker flags it too");
     }
 

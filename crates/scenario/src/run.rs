@@ -39,8 +39,9 @@ pub struct RunOptions {
 pub struct ScenarioOutcome {
     /// Aggregate run statistics: the counters. A leg keeps no per-packet
     /// record, so [`Stats::deliveries`] is empty — drive
-    /// [`CompiledScenario::engine`] yourself for it (and set
-    /// `TraceMode::Full` on it for the trace).
+    /// [`CompiledScenario::engine`] yourself for it (and attach
+    /// [`TraceBuilder::observer`](edn_core::TraceBuilder::observer) to it
+    /// for the trace).
     pub stats: Stats,
     /// Background datagrams loaded.
     pub datagrams: u64,
@@ -138,8 +139,8 @@ pub fn run_coordinated(c: &CompiledScenario, opts: &RunOptions) -> ScenarioOutco
 /// and counters, so the run keeps no per-packet stats streams (and, like
 /// every engine unless asked, no trace). This is deliberately not an option
 /// — a caller that wants the streams or the trace drives
-/// [`CompiledScenario::engine`] itself, which keeps every delivery and
-/// records the trace under `with_trace_mode(TraceMode::Full)`.
+/// [`CompiledScenario::engine`] itself, which keeps every delivery, and
+/// attaches a trace recorder to it for the trace.
 fn leg<D: DataPlane>(
     c: &CompiledScenario,
     engine: Engine<D>,
@@ -299,9 +300,11 @@ mod tests {
         assert!(batch.stats.deliveries.is_empty());
 
         let full = |opts: &RunOptions| {
-            let engine = c.engine().with_trace_mode(netsim::TraceMode::Full);
+            let mut engine = c.engine();
+            let (observer, trace) = edn_core::TraceBuilder::observer();
+            engine.set_observer(observer);
             let (result, _, _) = drive(&c, engine, opts);
-            (result.trace, result.stats)
+            (trace.take(), result.stats)
         };
         let (trace, stats) = full(&RunOptions::default());
         assert!(!trace.is_empty() && !stats.deliveries.is_empty(), "the full drive records");

@@ -1,48 +1,56 @@
 //! Property-based integration tests: the paper's Theorem 1 says *every*
 //! execution of the NES runtime yields a correct trace. We fuzz timings,
 //! traffic mixes, seeds, and topologies and demand that neither checker
-//! complains: each run records a Full trace with the online checker
+//! complains: each run records its trace with the online checker
 //! attached, and the online verdict must match the executable spec,
 //! `check_correct` over the trace hinted with the runtime's fire log.
 
 use edn_apps::ring::Ring;
 use edn_apps::{authentication, bandwidth_cap, firewall, ids, learning, sim_topology};
 use edn_apps::{H1, H2, H3, H4};
-use edn_core::{check_correct, NetworkEventStructure, OnlineHandle};
+use edn_core::{check_correct, NetworkEventStructure, OnlineHandle, TraceBuilder, TraceHandle};
 use nes_runtime::{attach_online_checker, nes_engine, NesDataPlane};
 use netsim::traffic::{schedule_pings, Ping, ScenarioHosts};
-use netsim::{Engine, RunResult, SimParams, SimTime, SimTopology, TraceMode};
+use netsim::{Engine, RunResult, SimParams, SimTime, SimTopology};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// The runtime on `topo`, recording a Full trace, with the online checker
+/// Attaches a trace recorder; the handle yields the trace after the run.
+fn attach_trace(engine: &mut Engine<NesDataPlane>) -> TraceHandle {
+    let (observer, trace) = TraceBuilder::observer();
+    engine.set_observer(observer);
+    trace
+}
+
+/// The runtime on `topo`, recording its trace, with the online checker
 /// attached before any traffic is scheduled.
 fn checked_engine(
     nes: NetworkEventStructure,
     topo: SimTopology,
     broadcast: bool,
-) -> (Engine<NesDataPlane>, OnlineHandle) {
+) -> (Engine<NesDataPlane>, (OnlineHandle, TraceHandle)) {
     let mut engine = nes_engine(
         nes.clone(),
         topo,
         SimParams::default(),
         broadcast,
         Box::new(ScenarioHosts::new()),
-    )
-    .with_trace_mode(TraceMode::Full);
+    );
+    let trace = attach_trace(&mut engine);
     let handle = attach_online_checker(&mut engine, &nes).expect("the NES fits the online checker");
-    (engine, handle)
+    (engine, (handle, trace))
 }
 
 /// Theorem 1, judged by both checkers: the online verdict equals the
 /// post-hoc one at the accept/reject level, and both accept.
 fn both_checkers_accept(
     result: &RunResult<NesDataPlane>,
-    handle: &OnlineHandle,
+    (handle, trace): (OnlineHandle, TraceHandle),
 ) -> Result<(), TestCaseError> {
-    prop_assert!(!result.trace.is_empty(), "a Full run records its trace");
+    let trace = trace.take();
+    prop_assert!(!trace.is_empty(), "the recorder records the run");
     let fired = result.dataplane.fired_sequence();
-    let post_hoc = check_correct(&result.trace, result.dataplane.compiled().nes(), Some(&fired));
+    let post_hoc = check_correct(&trace, result.dataplane.compiled().nes(), Some(&fired));
     let online = handle.verdict();
     prop_assert_eq!(
         online.is_ok(),
@@ -86,10 +94,10 @@ proptest! {
     ) {
         let pings = dedup_ids(pings);
         let topo = sim_topology(&firewall::spec(), SimTime::from_micros(50), None);
-        let (mut engine, handle) = checked_engine(firewall::nes(), topo, broadcast);
+        let (mut engine, handles) = checked_engine(firewall::nes(), topo, broadcast);
         schedule_pings(&mut engine, &pings);
         let result = engine.run_until(SimTime::from_secs(5));
-        both_checkers_accept(&result, &handle)?;
+        both_checkers_accept(&result, handles)?;
     }
 
     /// Theorem 1 for the authentication chain (two causally ordered
@@ -100,10 +108,10 @@ proptest! {
     ) {
         let pings = dedup_ids(pings);
         let topo = sim_topology(&authentication::spec(), SimTime::from_micros(50), None);
-        let (mut engine, handle) = checked_engine(authentication::nes(), topo, false);
+        let (mut engine, handles) = checked_engine(authentication::nes(), topo, false);
         schedule_pings(&mut engine, &pings);
         let result = engine.run_until(SimTime::from_secs(5));
-        both_checkers_accept(&result, &handle)?;
+        both_checkers_accept(&result, handles)?;
     }
 
     /// Theorem 1 for the IDS.
@@ -113,10 +121,10 @@ proptest! {
     ) {
         let pings = dedup_ids(pings);
         let topo = sim_topology(&ids::spec(), SimTime::from_micros(50), None);
-        let (mut engine, handle) = checked_engine(ids::nes(), topo, false);
+        let (mut engine, handles) = checked_engine(ids::nes(), topo, false);
         schedule_pings(&mut engine, &pings);
         let result = engine.run_until(SimTime::from_secs(5));
-        both_checkers_accept(&result, &handle)?;
+        both_checkers_accept(&result, handles)?;
     }
 
     /// Theorem 1 for the learning switch under bursty traffic.
@@ -126,10 +134,10 @@ proptest! {
     ) {
         let pings = dedup_ids(pings);
         let topo = sim_topology(&learning::spec(), SimTime::from_micros(50), None);
-        let (mut engine, handle) = checked_engine(learning::nes(), topo, false);
+        let (mut engine, handles) = checked_engine(learning::nes(), topo, false);
         schedule_pings(&mut engine, &pings);
         let result = engine.run_until(SimTime::from_secs(5));
-        both_checkers_accept(&result, &handle)?;
+        both_checkers_accept(&result, handles)?;
     }
 
     /// Theorem 1 for the renamed-event chain (bandwidth cap) at random
@@ -141,10 +149,10 @@ proptest! {
     ) {
         let pings = dedup_ids(pings);
         let topo = sim_topology(&bandwidth_cap::spec(), SimTime::from_micros(50), None);
-        let (mut engine, handle) = checked_engine(bandwidth_cap::nes(cap), topo, false);
+        let (mut engine, handles) = checked_engine(bandwidth_cap::nes(cap), topo, false);
         schedule_pings(&mut engine, &pings);
         let result = engine.run_until(SimTime::from_secs(5));
-        both_checkers_accept(&result, &handle)?;
+        both_checkers_accept(&result, handles)?;
     }
 
     /// Theorem 1 on the ring with a mid-stream direction flip and random
@@ -171,11 +179,11 @@ proptest! {
             })
             .collect();
         let topo = ring.sim_topology(SimTime::from_micros(100), None);
-        let (mut engine, handle) = checked_engine(ring.nes(), topo, false);
+        let (mut engine, handles) = checked_engine(ring.nes(), topo, false);
         schedule_pings(&mut engine, &pings);
         engine.inject_at(SimTime::from_millis(trigger_ms), ring.h1(), ring.trigger_packet());
         let result = engine.run_until(SimTime::from_secs(5));
-        both_checkers_accept(&result, &handle)?;
+        both_checkers_accept(&result, handles)?;
     }
 }
 
@@ -190,15 +198,15 @@ fn identical_seeds_replay_identically() {
             SimParams::default(),
             true,
             Box::new(ScenarioHosts::new()),
-        )
-        .with_trace_mode(TraceMode::Full);
+        );
+        let trace = attach_trace(&mut engine);
         let pings = vec![
             Ping { time: SimTime::from_millis(1), src: H1, dst: H4, id: 1 },
             Ping { time: SimTime::from_millis(2), src: H4, dst: H1, id: 2 },
         ];
         schedule_pings(&mut engine, &pings);
         let r = engine.run_until(SimTime::from_secs(1));
-        (r.trace, r.stats)
+        (trace.take(), r.stats)
     };
     let (t1, s1) = run();
     let (t2, s2) = run();

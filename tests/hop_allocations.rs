@@ -3,12 +3,11 @@
 //!
 //! A counting `#[global_allocator]` (as in `deploy_allocations.rs`) watches
 //! `Engine::run` on the benchmark's `stream_*` shape — the generated
-//! firewall NES on fat-tree(4), a live `FlowSource`, `TraceMode::StatsOnly`
-//! with `StatsMode::Counters` — once at `N` and once at `2N` datagrams per
-//! flow. Differencing the two runs cancels everything paid once (slab,
-//! the calendar's ring and side array, arena warm-up, the
-//! firewall trigger) and leaves the allocations a datagram costs from its
-//! source across the fabric.
+//! firewall NES on fat-tree(4), a live `FlowSource`, `StatsMode::Counters`
+//! — once at `N` and once at `2N` datagrams per flow. Differencing the two
+//! runs cancels everything paid once (slab, the calendar's ring and side
+//! array, arena warm-up, the firewall trigger) and leaves the allocations a
+//! datagram costs from its source across the fabric.
 //!
 //! What remains per datagram is **nothing**. The source writes each
 //! datagram's headers into one buffer the engine keeps for the whole run,

@@ -29,14 +29,14 @@ use std::time::Instant;
 
 use edn_apps::{authentication, bandwidth_cap, firewall, ids, learning, sim_topology};
 use edn_apps::{H1, H2, H3, H4};
-use edn_core::{check_correct, NetworkEventStructure, OnlineViolation};
+use edn_core::{check_correct, NetworkEventStructure, NetworkTrace, OnlineViolation, TraceBuilder};
 use edn_scenario::{parse, CompiledScenario, ScenarioGen};
 use nes_runtime::{attach_online_checker, CompiledNes, NesDataPlane};
 use netkat::{Field, Loc};
 use netsim::traffic::{schedule_pings, Ping, ScenarioHosts};
 use netsim::{
     BoxedHosts, DataPlane, Engine, PacketArena, PacketId, PlaneOut, RunResult, SimParams, SimTime,
-    SimTopology, SinkHosts, TraceMode,
+    SimTopology, SinkHosts,
 };
 
 /// What a mutant breaks.
@@ -224,12 +224,13 @@ impl Target {
     }
 
     /// Runs the NES plane, wrapped by `wrap`, with the online checker
-    /// attached before any traffic, recording as `mode` says.
+    /// attached before any traffic and, if `traced`, a trace recorder
+    /// paired with it: the run, the verdict and the trace (empty untraced).
     fn run<D: DataPlane>(
         &self,
         wrap: impl FnOnce(NesDataPlane) -> D,
-        mode: TraceMode,
-    ) -> (RunResult<D>, Result<(), OnlineViolation>) {
+        traced: bool,
+    ) -> (RunResult<D>, Result<(), OnlineViolation>, NetworkTrace) {
         let (topo, broadcast, hosts): (&SimTopology, bool, BoxedHosts) = match self {
             Target::Scenario(_, c) => (c.run.sim(), false, Box::new(SinkHosts)),
             Target::Case(_, _, topo, broadcast, ..) => {
@@ -242,9 +243,13 @@ impl Target {
             topo.switches().to_vec(),
             broadcast,
         );
-        let mut engine = Engine::new(topo.clone(), SimParams::default(), wrap(plane), hosts)
-            .with_trace_mode(mode);
+        let mut engine = Engine::new(topo.clone(), SimParams::default(), wrap(plane), hosts);
         let handle = attach_online_checker(&mut engine, nes).expect("the target fits the checker");
+        let trace = traced.then(|| {
+            let (observer, trace) = TraceBuilder::observer();
+            engine.set_observer(observer);
+            trace
+        });
         let horizon = match self {
             Target::Scenario(_, c) => {
                 c.apply_actions(&mut engine);
@@ -258,7 +263,7 @@ impl Target {
             }
         };
         let result = engine.run_until(horizon);
-        (result, handle.verdict())
+        (result, handle.verdict(), trace.map_or_else(NetworkTrace::default, |t| t.take()))
     }
 }
 
@@ -426,9 +431,7 @@ type Cell = (Option<(String, &'static str)>, usize, usize);
 fn matrix_of(kind: Kind, targets: &[Target]) -> Cell {
     let (mut first, mut kills, mut panics) = (None, 0, 0);
     for t in targets {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            t.run(|p| Mutant::new(p, kind), TraceMode::StatsOnly).1
-        }));
+        let run = catch_unwind(AssertUnwindSafe(|| t.run(|p| Mutant::new(p, kind), false).1));
         match run {
             Ok(Ok(())) => {}
             Ok(Err(v)) => {
@@ -462,8 +465,8 @@ fn seam_mutants_match_the_committed_matrix() {
 #[test]
 fn identity_changes_nothing() {
     for t in targets() {
-        let (bare, bare_verdict) = t.run(|p| p, TraceMode::StatsOnly);
-        let (wrapped, verdict) = t.run(|p| Mutant::new(p, Kind::Identity), TraceMode::StatsOnly);
+        let (bare, bare_verdict, _) = t.run(|p| p, false);
+        let (wrapped, verdict, _) = t.run(|p| Mutant::new(p, Kind::Identity), false);
         assert_eq!(bare_verdict, Ok(()), "{}: the bare plane is correct", t.name());
         assert_eq!(verdict, Ok(()), "{}: the identity mutant is correct", t.name());
         assert_eq!(wrapped.stats, bare.stats, "{}: the identity mutant moved a stat", t.name());
@@ -482,8 +485,7 @@ fn identity_changes_nothing() {
 #[test]
 fn cleared_digests_survive_only_at_a_host() {
     for t in targets() {
-        let (result, verdict) =
-            t.run(|p| Mutant::new(p, Kind::DigestCleared), TraceMode::StatsOnly);
+        let (result, verdict, _) = t.run(|p| Mutant::new(p, Kind::DigestCleared), false);
         let m = &result.dataplane;
         let topo = match &t {
             Target::Scenario(_, c) => c.run.sim(),
@@ -495,19 +497,19 @@ fn cleared_digests_survive_only_at_a_host() {
     }
 }
 
-/// Runs the bare plane on `t` under a full trace and judges it by the
-/// spec, with the fired sequence as the hint: the spec and the online
+/// Runs the bare plane on `t` with a trace recorder and judges the trace by
+/// the spec, with the fired sequence as the hint: the spec and the online
 /// checker must both read `correct`, and all `updates` must fire. Prints
 /// the packets and the spec's time.
 fn spec_agrees(t: &Target, updates: usize) {
-    let (result, online) = t.run(|p| p, TraceMode::Full);
+    let (result, online, trace) = t.run(|p| p, true);
     let fired = result.dataplane.fired_sequence();
     let clock = Instant::now();
-    let spec = check_correct(&result.trace, t.nes(), Some(&fired));
+    let spec = check_correct(&trace, t.nes(), Some(&fired));
     println!(
         "{}, {updates} updates: {} packets, spec {:.2} s",
         t.name(),
-        result.trace.packets().len(),
+        trace.packets().len(),
         clock.elapsed().as_secs_f64()
     );
     assert_eq!(online, Ok(()), "{}: online verdict", t.name());
@@ -529,9 +531,9 @@ fn the_spec_agrees_at_benchmark_shape() {
         spec_agrees(&t, 4);
         // The identity row is the bare run above (`identity_changes_nothing`).
         for row in MATRIX.iter().filter(|r| r.first_kill.is_none() && r.kind != Kind::Identity) {
-            let (result, online) = t.run(|p| Mutant::new(p, row.kind), TraceMode::Full);
+            let (result, online, trace) = t.run(|p| Mutant::new(p, row.kind), true);
             let fired = result.dataplane.inner.fired_sequence();
-            let spec = check_correct(&result.trace, t.nes(), Some(&fired));
+            let spec = check_correct(&trace, t.nes(), Some(&fired));
             assert_eq!(
                 online.is_ok(),
                 spec.is_ok(),

@@ -1,6 +1,7 @@
-//! End-to-end packet-plumbing regression: full simulations replayed in
-//! both trace modes and at every metrics level must agree — byte-identical
-//! `Stats` everywhere, byte-identical traces wherever a trace is recorded —
+//! End-to-end packet-plumbing regression: full simulations replayed with
+//! and without a trace recorder and at every metrics level must agree —
+//! byte-identical `Stats` everywhere, byte-identical traces wherever a
+//! trace is recorded —
 //! and the reference corner of each pinned scenario must match a committed
 //! absolute [`Fingerprint`].
 //!
@@ -16,7 +17,7 @@
 
 use edn_apps::generated::firewall_nes;
 use edn_apps::ring::{host, Ring};
-use edn_core::{check_correct, NetworkTrace, OnlineViolation, TraceMode};
+use edn_core::{check_correct, NetworkTrace, OnlineViolation, TraceBuilder, TraceHandle};
 use edn_obs::Scope;
 use edn_scenario::{run_coordinated, stats_csv_row, CompiledScenario, RunOptions};
 use edn_topo::{fat_tree, ring, synthesize, LinkProfile, TierProfile, TrafficPattern, Workload};
@@ -30,20 +31,35 @@ use proptest::prelude::*;
 /// One engine-knob combination under test.
 #[derive(Clone, Copy, Debug)]
 struct Knobs {
-    mode: TraceMode,
+    /// A trace recorder in the observer slot, attached before any checker.
+    traced: bool,
     metrics: MetricsLevel,
 }
 
-/// The reference corner: full trace, no telemetry — what everything else
-/// is diffed against.
-const REFERENCE: Knobs = Knobs { mode: TraceMode::Full, metrics: MetricsLevel::Off };
+/// The reference corner: the trace recorded, no telemetry — what
+/// everything else is diffed against.
+const REFERENCE: Knobs = Knobs { traced: true, metrics: MetricsLevel::Off };
 
-fn trace_modes() -> impl Iterator<Item = Knobs> {
-    [TraceMode::Full, TraceMode::StatsOnly].into_iter().map(|mode| Knobs { mode, ..REFERENCE })
+fn trace_observers() -> impl Iterator<Item = Knobs> {
+    [true, false].into_iter().map(|traced| Knobs { traced, ..REFERENCE })
 }
 
-fn configure<D: DataPlane>(engine: Engine<D>, knobs: Knobs) -> Engine<D> {
-    engine.with_trace_mode(knobs.mode).with_metrics(knobs.metrics)
+/// Attaches a trace recorder; the handle yields the trace after the run.
+fn attach_trace<D: DataPlane>(engine: &mut Engine<D>) -> TraceHandle {
+    let (observer, trace) = TraceBuilder::observer();
+    engine.set_observer(observer);
+    trace
+}
+
+/// The trace a run recorded; empty when no recorder was attached.
+fn recorded(trace: Option<TraceHandle>) -> NetworkTrace {
+    trace.map_or_else(NetworkTrace::default, TraceHandle::take)
+}
+
+fn configure<D: DataPlane>(engine: Engine<D>, knobs: Knobs) -> (Engine<D>, Option<TraceHandle>) {
+    let mut engine = engine.with_metrics(knobs.metrics);
+    let trace = knobs.traced.then(|| attach_trace(&mut engine));
+    (engine, trace)
 }
 
 /// An absolute anchor for one run, computed from field values (never
@@ -210,9 +226,10 @@ const SIM_METRICS_PIN: &str = r#"{
 "#;
 
 /// Asserts that a scenario's reference corner matches its committed `pin`
-/// and that it produces identical observable results in both trace modes:
-/// `Stats` agree field for field everywhere (including `StatsOnly` runs),
-/// and `Full`-mode traces are byte-identical.
+/// and that it produces identical observable results with and without a
+/// trace recorder: `Stats` agree field for field everywhere, and recorded
+/// traces are byte-identical. A checked scenario's run asserts its
+/// verdict in both.
 fn assert_plumbing_invariant(
     scenario: &str,
     pin: &Fingerprint,
@@ -221,16 +238,11 @@ fn assert_plumbing_invariant(
     let (reference_trace, reference_stats) = run(REFERENCE);
     assert!(!reference_trace.is_empty(), "{scenario}: the reference corner records a trace");
     assert_eq!(&fingerprint(&reference_trace, &reference_stats), pin, "{scenario}: pin moved");
-    for knobs in trace_modes() {
+    for knobs in trace_observers() {
         let (trace, stats) = run(knobs);
         assert_eq!(stats, reference_stats, "{scenario}: stats diverged on {knobs:?}");
-        match knobs.mode {
-            TraceMode::Full => {
-                assert_eq!(trace, reference_trace, "{scenario}: traces diverged on {knobs:?}");
-            }
-            TraceMode::StatsOnly => {
-                assert!(trace.is_empty(), "{scenario}: StatsOnly must not record");
-            }
+        if knobs.traced {
+            assert_eq!(trace, reference_trace, "{scenario}: traces diverged on {knobs:?}");
         }
     }
 }
@@ -243,7 +255,7 @@ fn ring_run(knobs: Knobs) -> (NetworkTrace, Stats) {
     let topo = ring.sim_topology(SimTime::from_micros(50), None);
     let nes = ring.nes();
     let engine = nes_engine(nes.clone(), topo, SimParams::default(), false, Box::new(SinkHosts));
-    let mut engine = configure(engine, knobs);
+    let (mut engine, trace) = configure(engine, knobs);
     let checker = attach_online_checker(&mut engine, &nes).expect("the ring fits the checker");
     for i in 1..=n {
         let opposite = (i + ring.diameter - 1) % n + 1;
@@ -258,7 +270,7 @@ fn ring_run(knobs: Knobs) -> (NetworkTrace, Stats) {
     engine.inject_at(SimTime::from_millis(10), ring.h1(), ring.trigger_packet());
     let result = engine.run_until(SimTime::from_secs(5));
     checker.verdict().expect("ring run is event-driven consistent");
-    (result.trace, result.stats)
+    (recorded(trace), result.stats)
 }
 
 /// The same ring under its static shortest-path configuration (the
@@ -269,7 +281,7 @@ fn static_ring_run(knobs: Knobs) -> (NetworkTrace, Stats) {
     let topo = ring.sim_topology(SimTime::from_micros(50), None);
     let dataplane = StaticDataPlane::new(ring.config(true));
     let engine = Engine::new(topo, SimParams::default(), dataplane, Box::new(SinkHosts));
-    let mut engine = configure(engine, knobs);
+    let (mut engine, trace) = configure(engine, knobs);
     for i in 1..=n {
         let opposite = (i + ring.diameter - 1) % n + 1;
         engine.inject_at(
@@ -279,12 +291,12 @@ fn static_ring_run(knobs: Knobs) -> (NetworkTrace, Stats) {
         );
     }
     let result = engine.run_until(SimTime::from_secs(5));
-    (result.trace, result.stats)
+    (recorded(trace), result.stats)
 }
 
 /// Fat-tree(4) firewall under the fig18 permutation workload, with the
-/// firewall-opening trigger mid-run.
-fn fat_tree_firewall_result(knobs: Knobs) -> RunResult<NesDataPlane> {
+/// firewall-opening trigger mid-run: the run and the trace it recorded.
+fn fat_tree_firewall_result(knobs: Knobs) -> (RunResult<NesDataPlane>, NetworkTrace) {
     let gen = fat_tree(4, TierProfile::default());
     let workload = Workload {
         pattern: TrafficPattern::Permutation,
@@ -299,20 +311,20 @@ fn fat_tree_firewall_result(knobs: Knobs) -> RunResult<NesDataPlane> {
     let nes = firewall_nes(&gen, inside, outside);
     let engine =
         nes_engine(nes, gen.sim().clone(), SimParams::default(), false, Box::new(SinkHosts));
-    let mut engine = configure(engine, knobs);
+    let (mut engine, trace) = configure(engine, knobs);
     edn_topo::schedule(&mut engine, &flows);
     engine.inject_at(SimTime::from_millis(5), inside, udp_packet(inside, outside, u64::MAX, 0));
-    engine.run_until(horizon)
+    (engine.run_until(horizon), recorded(trace))
 }
 
 fn fat_tree_firewall_run(knobs: Knobs) -> (NetworkTrace, Stats) {
-    let result = fat_tree_firewall_result(knobs);
-    (result.trace, result.stats)
+    let (result, trace) = fat_tree_firewall_result(knobs);
+    (trace, result.stats)
 }
 
 /// A ring(6) whose inter-switch links flap mid-campaign: two fail/restore
 /// pairs around a two-update rollout under uniform traffic — the engine's
-/// failure timelines in both trace modes.
+/// failure timelines with and without a trace recorder.
 fn flapping_ring_scenario() -> CompiledScenario {
     let spec = edn_scenario::parse(
         "[scenario]\n\
@@ -411,13 +423,13 @@ fn drive<D: DataPlane>(c: &CompiledScenario, mut engine: Engine<D>) -> RunResult
 
 /// Replays a compiled churn scenario on explicit engine knobs.
 fn churn_run(c: &CompiledScenario, knobs: Knobs) -> (NetworkTrace, Stats) {
-    let mut engine = configure(c.engine(), knobs);
+    let (mut engine, trace) = configure(c.engine(), knobs);
     let checker =
         attach_online_checker(&mut engine, &c.nes).expect("the campaign fits the checker");
     let result = drive(c, engine);
     assert_eq!(result.dataplane.fired_sequence().len(), c.steps.len(), "every campaign step fires");
     checker.verdict().expect("churn runs stay event-driven consistent");
-    (result.trace, result.stats)
+    (recorded(trace), result.stats)
 }
 
 #[test]
@@ -445,36 +457,67 @@ fn churn_scenarios_replay_identically_across_all_engine_knobs() {
     });
 }
 
-/// One scenario three ways: a Full trace alone, the checker alone, and
-/// both. The engine reports each step once, to its one observer slot, and
-/// a Full trace is a trace builder stacked in front of the checker, so the
-/// stacked run's trace, `Stats`, verdict and checker telemetry must equal
-/// the single runs', and the post-hoc spec must judge the recorded trace
-/// as the checker judged the stream. Returns the verdict.
+/// Which observers a run of [`assert_trace_stacks_on_checker`] attaches,
+/// in attachment order.
+#[derive(Clone, Copy, Debug)]
+enum Slot {
+    Trace,
+    Checker,
+    TraceThenChecker,
+    CheckerThenTrace,
+}
+
+/// One scenario four ways: a trace recorder alone, the checker alone, and
+/// both paired in the observer slot, in either order. The engine reports
+/// each step once, to its one slot, and a pair feeds both halves the same
+/// stream, so each paired run's trace, `Stats`, verdict and checker
+/// telemetry must equal the single runs', and the post-hoc spec must judge
+/// the recorded trace as the checker judged the stream. Returns the
+/// verdict.
 fn assert_trace_stacks_on_checker<D: DataPlane>(
     name: &str,
     c: &CompiledScenario,
     engine: impl Fn() -> Engine<D>,
 ) -> Result<(), OnlineViolation> {
-    let run = |mode: TraceMode, check: bool| {
-        let mut engine = engine().with_trace_mode(mode);
-        let checker = check.then(|| {
-            attach_online_checker(&mut engine, &c.nes).expect("the campaign fits the checker")
-        });
+    let run = |slot: Slot| {
+        let mut engine = engine();
+        let attach_checker = |engine: &mut Engine<D>| {
+            attach_online_checker(engine, &c.nes).expect("the campaign fits the checker")
+        };
+        let (trace, checker) = match slot {
+            Slot::Trace => (Some(attach_trace(&mut engine)), None),
+            Slot::Checker => (None, Some(attach_checker(&mut engine))),
+            Slot::TraceThenChecker => {
+                let trace = attach_trace(&mut engine);
+                (Some(trace), Some(attach_checker(&mut engine)))
+            }
+            Slot::CheckerThenTrace => {
+                let checker = attach_checker(&mut engine);
+                (Some(attach_trace(&mut engine)), Some(checker))
+            }
+        };
         let result = drive(c, engine);
-        (result.trace, result.stats, checker.map(|h| (h.verdict(), h.telemetry())))
+        (recorded(trace), result.stats, checker.map(|h| (h.verdict(), h.telemetry())))
     };
-    let (trace, trace_stats, _) = run(TraceMode::Full, false);
-    let (unrecorded, checked_stats, judged) = run(TraceMode::StatsOnly, true);
-    let (stacked_trace, stacked_stats, stacked_judged) = run(TraceMode::Full, true);
-    assert!(!trace.is_empty() && unrecorded.is_empty(), "{name}: only Full records");
-    assert_eq!(stacked_trace, trace, "{name}: the checker changed the trace");
-    assert_eq!(stacked_stats, trace_stats, "{name}: stats diverged from the trace-only run");
-    assert_eq!(stacked_stats, checked_stats, "{name}: stats diverged from the checked run");
-    assert_eq!(
-        stacked_judged, judged,
-        "{name}: the trace changed the checker's verdict or telemetry"
-    );
+    let (trace, trace_stats, _) = run(Slot::Trace);
+    let (_, checked_stats, judged) = run(Slot::Checker);
+    assert!(!trace.is_empty(), "{name}: the recorder records");
+    for slot in [Slot::TraceThenChecker, Slot::CheckerThenTrace] {
+        let (stacked_trace, stacked_stats, stacked_judged) = run(slot);
+        assert_eq!(stacked_trace, trace, "{name}, {slot:?}: the checker changed the trace");
+        assert_eq!(
+            stacked_stats, trace_stats,
+            "{name}, {slot:?}: stats diverged from the trace-only run"
+        );
+        assert_eq!(
+            stacked_stats, checked_stats,
+            "{name}, {slot:?}: stats diverged from the checked run"
+        );
+        assert_eq!(
+            stacked_judged, judged,
+            "{name}, {slot:?}: the trace changed the checker's verdict or telemetry"
+        );
+    }
     let (verdict, _) = judged.expect("a checked run has a verdict");
     assert_eq!(
         check_correct(&trace, &c.nes, None).is_ok(),
@@ -544,8 +587,10 @@ fn uncoordinated_baseline_matches_its_pins_and_replays_identically() {
     ];
     for (name, c, pin) in &scenarios {
         assert_pinned_replay(name, pin, || {
-            let result = drive(c, c.uncoordinated().with_trace_mode(TraceMode::Full));
-            (result.trace, result.stats)
+            let mut engine = c.uncoordinated();
+            let trace = attach_trace(&mut engine);
+            let stats = drive(c, engine).stats;
+            (trace.take(), stats)
         });
     }
 }
@@ -562,10 +607,8 @@ fn reliable_lossy_runs_match_their_pins_and_replay_identically() {
     ];
     for (name, c, pin) in &scenarios {
         assert_pinned_replay(name, pin, || {
-            let engine = c
-                .reliable_engine_with(8)
-                .with_channel(ChannelModel::lossy(13))
-                .with_trace_mode(TraceMode::Full);
+            let mut engine = c.reliable_engine_with(8).with_channel(ChannelModel::lossy(13));
+            let trace = attach_trace(&mut engine);
             let result = drive(c, engine);
             assert!(!result.dataplane.degraded(), "{name}: a generous budget never exhausts");
             assert_eq!(
@@ -573,7 +616,7 @@ fn reliable_lossy_runs_match_their_pins_and_replay_identically() {
                 c.steps.len(),
                 "{name}: every campaign step fires under loss"
             );
-            (result.trace, result.stats)
+            (trace.take(), result.stats)
         });
     }
 }
@@ -602,7 +645,7 @@ fn metrics_levels_do_not_perturb_results() {
 fn sim_scoped_metrics_match_their_pin() {
     for level in [MetricsLevel::Counters, MetricsLevel::Full] {
         let knobs = Knobs { metrics: level, ..REFERENCE };
-        let sim = fat_tree_firewall_result(knobs).metrics.render_scope_json(Scope::Sim);
+        let sim = fat_tree_firewall_result(knobs).0.metrics.render_scope_json(Scope::Sim);
         assert_eq!(sim, SIM_METRICS_PIN, "sim section moved at {level:?}");
     }
 }
@@ -618,13 +661,13 @@ fn seeded_run(n: u64, workload: &Workload, knobs: Knobs) -> (NetworkTrace, Stats
     let nes = firewall_nes(&gen, inside, outside);
     let engine =
         nes_engine(nes, gen.sim().clone(), SimParams::default(), false, Box::new(SinkHosts));
-    let mut engine = configure(engine, knobs);
+    let (mut engine, trace) = configure(engine, knobs);
     edn_topo::schedule(&mut engine, &flows);
     // The trigger opens the firewall mid-run so the sweep crosses a real
     // configuration update.
     engine.inject_at(SimTime::from_millis(5), inside, udp_packet(inside, outside, u64::MAX, 0));
     let result = engine.run_until(horizon);
-    (result.trace, result.stats)
+    (recorded(trace), result.stats)
 }
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
@@ -648,10 +691,10 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Differential equivalence over seeded topologies and workloads:
-    /// both trace modes, observed through complete simulations — the
-    /// `Full` replay byte-identical in `Stats` and trace, `StatsOnly`
-    /// agreeing on every `Stats` field while recording nothing.
+    /// Differential equivalence over seeded topologies and workloads, with
+    /// and without a trace recorder, observed through complete simulations
+    /// — the traced replay byte-identical in `Stats` and trace, the
+    /// untraced one agreeing on every `Stats` field.
     #[test]
     fn seeded_topologies_agree_across_trace_modes(
         n in 3u64..7,
@@ -659,12 +702,11 @@ proptest! {
     ) {
         let (reference_trace, reference_stats) = seeded_run(n, &workload, REFERENCE);
         prop_assert!(!reference_trace.is_empty(), "the reference corner records a trace");
-        for knobs in trace_modes() {
+        for knobs in trace_observers() {
             let (trace, stats) = seeded_run(n, &workload, knobs);
             prop_assert_eq!(&stats, &reference_stats, "stats diverged on {:?}", knobs);
-            match knobs.mode {
-                TraceMode::Full => prop_assert_eq!(&trace, &reference_trace),
-                TraceMode::StatsOnly => prop_assert!(trace.is_empty()),
+            if knobs.traced {
+                prop_assert_eq!(&trace, &reference_trace);
             }
         }
     }

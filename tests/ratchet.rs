@@ -719,6 +719,29 @@ const ROWS: &[Row] = &[
         witness: "    trace: Option<TraceBuilder>,",
     },
     Row {
+        name: "trace-mode-full",
+        pr: 52,
+        reason: "a trace is an observer the caller attaches (`TraceBuilder::observer`), \
+                 not an engine mode with a private fan-out in front of the slot",
+        scope: files(ALL_CODE),
+        check: none(&[Lit("TraceMode::Full"), Lit("record_in_front"), Lit("mod recorder")]),
+        witness: "        .with_trace_mode(TraceMode::Full);",
+    },
+    Row {
+        name: "trace-mode-shim",
+        pr: 52,
+        reason: "`TraceMode` and `with_trace_mode` are no-op shims for the frozen benchmark: \
+                 the four lines that define and re-export them, and no first-party caller",
+        scope: files(ALL_CODE),
+        check: count(
+            Lines::All,
+            true,
+            &[Word("TraceMode"), Lit("with_trace_mode(")],
+            Allowed::Exactly(4),
+        ),
+        witness: "    let engine = engine.with_trace_mode(netsim::TraceMode::StatsOnly);",
+    },
+    Row {
         name: "trace-owns-arena",
         pr: 35,
         reason: "the trace owns the simulator's arena",

@@ -16,12 +16,12 @@
 //! A fresh-random proptest then drives unpinned scenarios through the
 //! coordinated plane only: no seed anywhere may make the runtime violate.
 
-use edn_core::OnlineViolation;
+use edn_core::{OnlineViolation, TraceBuilder};
 use edn_scenario::{
     differential, effective_channel, parse, run_coordinated, run_uncoordinated, stats_csv_row,
     CompiledScenario, RunOptions, ScenarioGen, ScenarioOutcome,
 };
-use netsim::{ChannelModel, DataPlane, Engine, MetricsLevel, RunResult, Stats, TraceMode};
+use netsim::{ChannelModel, DataPlane, Engine, MetricsLevel, RunResult, Stats};
 use proptest::prelude::*;
 
 /// `(seed, coordinated steps fired, uncoordinated violation name)` for the
@@ -90,7 +90,7 @@ fn corpus_has_uncoordinated_counterexamples() {
 
 /// What a scenario leg does, on an engine the test built — and so at the
 /// recording level the test chose: `c.engine()` and its siblings keep every
-/// delivery, and record the trace when asked for `TraceMode::Full`.
+/// delivery, and record the trace when a trace recorder is attached.
 fn drive<D: DataPlane>(
     c: &CompiledScenario,
     mut engine: Engine<D>,
@@ -127,8 +127,11 @@ fn corpus_scenarios_replay_byte_identically() {
         let b = run_coordinated(&c, &opts);
         assert_eq!(a.stats, b.stats, "seed {seed}: replay diverged");
         let full = || {
-            let (result, _, _) = drive(&c, c.engine().with_trace_mode(TraceMode::Full), &opts);
-            (result.trace, result.stats)
+            let mut engine = c.engine();
+            let (observer, trace) = TraceBuilder::observer();
+            engine.set_observer(observer);
+            let (result, _, _) = drive(&c, engine, &opts);
+            (trace.take(), result.stats)
         };
         let (trace, stats) = full();
         assert!(!trace.is_empty() && !stats.deliveries.is_empty(), "seed {seed}: nothing recorded");

@@ -3,12 +3,12 @@
 //! eager [`edn_topo::schedule`] on the pinned §5.2 ring and fat-tree(4)
 //! firewall scenarios and across seeded proptest sweeps of every arrival
 //! model; (b) the online Definition 6 checker must agree with the post-hoc
-//! checker on the same scenarios — including under `StatsOnly` (where the
-//! post-hoc checker has nothing to read).
+//! checker on the same scenarios — including on runs that record no trace
+//! (where the post-hoc checker has nothing to read).
 
 use edn_apps::generated::firewall_nes;
 use edn_apps::ring::{host, Ring};
-use edn_core::{NetworkEventStructure, NetworkTrace, TraceMode};
+use edn_core::{NetworkEventStructure, NetworkTrace, TraceBuilder, TraceHandle};
 use edn_topo::{
     attach_stream, fat_tree, ring, synthesize, synthesize_arrivals, ArrivalModel, LinkProfile,
     TierProfile, TrafficPattern, Workload,
@@ -28,8 +28,9 @@ enum Injection {
 }
 
 /// One scenario run: inject `flows` the requested way, fire `trigger`
-/// mid-run, optionally attach the online checker, and return everything
-/// observable. The online verdict is `None` when no checker was attached.
+/// mid-run, optionally attach a trace recorder and then the online checker,
+/// and return everything observable. The trace is empty when no recorder
+/// was attached, and the online verdict `None` when no checker was.
 #[allow(clippy::too_many_arguments)]
 fn run_scenario(
     nes: NetworkEventStructure,
@@ -38,12 +39,16 @@ fn run_scenario(
     trigger: (SimTime, u64, netkat::Packet),
     horizon: SimTime,
     injection: Injection,
-    mode: TraceMode,
+    traced: bool,
     online: bool,
 ) -> (NetworkTrace, Stats, Option<bool>) {
     let mut engine =
-        nes_engine(nes.clone(), topo, SimParams::default(), false, Box::new(SinkHosts))
-            .with_trace_mode(mode);
+        nes_engine(nes.clone(), topo, SimParams::default(), false, Box::new(SinkHosts));
+    let trace = traced.then(|| {
+        let (observer, trace) = TraceBuilder::observer();
+        engine.set_observer(observer);
+        trace
+    });
     let handle = online
         .then(|| attach_online_checker(&mut engine, &nes).expect("NES fits the checker window"));
     match injection {
@@ -59,7 +64,7 @@ fn run_scenario(
     engine.run(horizon);
     let result = engine.finish();
     let verdict = handle.map(|h| h.verdict().is_ok());
-    (result.trace, result.stats, verdict)
+    (trace.map_or_else(NetworkTrace::default, TraceHandle::take), result.stats, verdict)
 }
 
 /// The §5.2 ring scenario expressed as flow specs: every host sends two
@@ -125,7 +130,7 @@ fn fat_tree_scenario(
 }
 
 /// Asserts the streamed run is byte-identical to the batch reference on a
-/// scenario, in both trace modes.
+/// scenario, with and without a trace builder.
 fn assert_stream_matches_batch(
     scenario: &str,
     mk: impl Fn() -> (
@@ -137,7 +142,7 @@ fn assert_stream_matches_batch(
     ),
 ) {
     let (nes, topo, flows, trigger, horizon) = mk();
-    let run = |injection, mode| {
+    let run = |injection, traced| {
         run_scenario(
             nes.clone(),
             topo.clone(),
@@ -145,18 +150,18 @@ fn assert_stream_matches_batch(
             trigger.clone(),
             horizon,
             injection,
-            mode,
+            traced,
             false,
         )
     };
-    let (ref_trace, ref_stats, _) = run(Injection::Batch, TraceMode::Full);
+    let (ref_trace, ref_stats, _) = run(Injection::Batch, true);
     assert!(!ref_stats.deliveries.is_empty(), "{scenario}: reference must deliver");
-    let (trace, stats, _) = run(Injection::Stream, TraceMode::Full);
+    assert!(!ref_trace.is_empty(), "{scenario}: the reference records a trace");
+    let (trace, stats, _) = run(Injection::Stream, true);
     assert_eq!(stats, ref_stats, "{scenario}: streamed stats diverged");
     assert_eq!(trace, ref_trace, "{scenario}: streamed trace diverged");
-    let (empty, stats, _) = run(Injection::Stream, TraceMode::StatsOnly);
-    assert_eq!(stats, ref_stats, "{scenario}: streamed StatsOnly stats diverged");
-    assert!(empty.is_empty(), "{scenario}: StatsOnly must not record");
+    let (_, stats, _) = run(Injection::Stream, false);
+    assert_eq!(stats, ref_stats, "{scenario}: streamed untraced stats diverged");
 }
 
 #[test]
@@ -182,8 +187,8 @@ fn streamed_arrival_models_are_byte_identical_to_batch() {
 
 /// Runs a scenario with the online checker attached and asserts its verdict
 /// matches the post-hoc checker's on the recorded trace — then re-runs
-/// streamed under `StatsOnly` (no trace to check post-hoc) and asserts the
-/// online verdict holds steady.
+/// streamed with no trace recorder (nothing to check post-hoc) and asserts
+/// the online verdict holds steady.
 fn assert_online_agrees_with_post_hoc(
     scenario: &str,
     mk: impl Fn() -> (
@@ -195,7 +200,7 @@ fn assert_online_agrees_with_post_hoc(
     ),
 ) {
     let (nes, topo, flows, trigger, horizon) = mk();
-    let run = |injection, mode| {
+    let run = |injection, traced| {
         run_scenario(
             nes.clone(),
             topo.clone(),
@@ -203,17 +208,17 @@ fn assert_online_agrees_with_post_hoc(
             trigger.clone(),
             horizon,
             injection,
-            mode,
+            traced,
             true,
         )
     };
-    let (trace, stats, online) = run(Injection::Batch, TraceMode::Full);
+    let (trace, stats, online) = run(Injection::Batch, true);
     let post_hoc = post_hoc_verdict(&trace, &nes);
     assert_eq!(online, Some(post_hoc), "{scenario}: online vs post-hoc");
     assert!(post_hoc, "{scenario}: the runtime is consistent (Theorem 1)");
-    let (_, stats2, online2) = run(Injection::Stream, TraceMode::StatsOnly);
-    assert_eq!(stats2, stats, "{scenario}: checked StatsOnly run diverged");
-    assert_eq!(online2, Some(post_hoc), "{scenario}: StatsOnly online verdict diverged");
+    let (_, stats2, online2) = run(Injection::Stream, false);
+    assert_eq!(stats2, stats, "{scenario}: checked untraced run diverged");
+    assert_eq!(online2, Some(post_hoc), "{scenario}: untraced online verdict diverged");
 }
 
 /// Post-hoc Definition 6 verdict on a recorded trace.
@@ -238,7 +243,7 @@ fn seeded_run(
     workload: &Workload,
     model: Option<&ArrivalModel>,
     injection: Injection,
-    mode: TraceMode,
+    traced: bool,
     online: bool,
 ) -> (NetworkTrace, Stats, Option<bool>) {
     let gen = ring(n, LinkProfile::default());
@@ -251,7 +256,7 @@ fn seeded_run(
     let (inside, outside) = (gen.hosts()[0], *gen.hosts().last().expect("hosts"));
     let nes = firewall_nes(&gen, inside, outside);
     let trigger = (SimTime::from_millis(5), inside, udp_packet(inside, outside, u64::MAX, 0));
-    run_scenario(nes, gen.sim().clone(), &flows, trigger, horizon, injection, mode, online)
+    run_scenario(nes, gen.sim().clone(), &flows, trigger, horizon, injection, traced, online)
 }
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
@@ -301,9 +306,9 @@ proptest! {
         model in arb_model(),
     ) {
         let (ref_trace, ref_stats, _) =
-            seeded_run(n, &workload, model.as_ref(), Injection::Batch, TraceMode::Full, false);
+            seeded_run(n, &workload, model.as_ref(), Injection::Batch, true, false);
         let (trace, stats, online) =
-            seeded_run(n, &workload, model.as_ref(), Injection::Stream, TraceMode::Full, true);
+            seeded_run(n, &workload, model.as_ref(), Injection::Stream, true, true);
         prop_assert_eq!(&stats, &ref_stats, "streamed stats diverged");
         prop_assert_eq!(&trace, &ref_trace, "streamed trace diverged");
         let nes = {
