@@ -240,7 +240,7 @@ mod tests {
         // Reply-direction packet dropped at 1:3: a complete g(∅) trace (no
         // rule matches port 3). No event matched.
         push_transit(&mut b, &reply_pk(), &[(101, 0), (1, 3)]);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         assert!(check_correct(&ntr, &nes, None).is_ok());
     }
 
@@ -251,7 +251,7 @@ mod tests {
         // Reply-direction packet *delivered* without any event: impossible
         // under g(∅), and no allowed sequence has a first occurrence.
         push_transit(&mut b, &reply_pk(), &[(101, 0), (1, 3), (1, 2), (100, 0)]);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         let err = check_correct(&ntr, &nes, None).unwrap_err();
         assert_eq!(err, CorrectnessViolation::InitialConfigViolation { trace: 0 });
     }
@@ -262,7 +262,7 @@ mod tests {
         let mut b = TraceBuilder::new();
         push_transit(&mut b, &fwd_pk(), &[(100, 0), (1, 2), (1, 3), (101, 0)]);
         push_transit(&mut b, &reply_pk(), &[(101, 0), (1, 3), (1, 2), (100, 0)]);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         assert!(check_correct(&ntr, &nes, None).is_ok());
         // With an explicit hint too.
         assert!(check_correct(&ntr, &nes, Some(&[EventId::new(0)])).is_ok());
@@ -275,7 +275,7 @@ mod tests {
         // Reply delivered BEFORE the trigger: too early.
         push_transit(&mut b, &reply_pk(), &[(101, 0), (1, 3), (1, 2), (100, 0)]);
         push_transit(&mut b, &fwd_pk(), &[(100, 0), (1, 2), (1, 3), (101, 0)]);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         let err = check_correct(&ntr, &nes, None).unwrap_err();
         match err {
             CorrectnessViolation::NoAllowedSequence { violation, .. } => {

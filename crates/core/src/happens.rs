@@ -124,7 +124,7 @@ mod tests {
         // Packet B: host 101 -> switch 4 (processed after A's visit)
         let b0 = b.push(Packet::new(), Loc::new(101, 0), None);
         let b1 = b.push(Packet::new(), Loc::new(4, 2), Some(b0));
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         let hb = HappensBefore::of(&ntr);
         // a2 and b1 are both at switch 4: ordered by position.
         assert!(hb.before(a2, b1));
@@ -143,7 +143,7 @@ mod tests {
         let h = b.push(Packet::new(), Loc::new(100, 0), None);
         let s1 = b.push(Packet::new(), Loc::new(1, 1), Some(h));
         let s2 = b.push(Packet::new(), Loc::new(2, 1), Some(s1));
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         let hb = HappensBefore::of(&ntr);
         assert!(hb.before(h, s2)); // same packet trace
         assert!(!hb.before(s2, s1)); // order is strict and antisymmetric
@@ -154,7 +154,7 @@ mod tests {
         let mut b = TraceBuilder::new();
         let x = b.push(Packet::new(), Loc::new(1, 1), None);
         let y = b.push(Packet::new(), Loc::new(1, 2), Some(x));
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         let hb = HappensBefore::of(&ntr);
         assert!(!hb.before(x, x));
         assert!(hb.before(x, y));
@@ -169,7 +169,7 @@ mod tests {
         let p0 = b.push(Packet::new(), Loc::new(2, 1), None);
         let q0 = b.push(Packet::new(), Loc::new(2, 2), None);
         let q1 = b.push(Packet::new(), Loc::new(3, 1), Some(q0));
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         let hb = HappensBefore::of(&ntr);
         // p0 ≺ q0 (same switch), q0 ≺ q1 (same trace) ⇒ p0 ≺ q1.
         assert!(hb.before(p0, q1));
@@ -181,7 +181,7 @@ mod tests {
         let x = b.push(Packet::new(), Loc::new(1, 1), None);
         let y = b.push(Packet::new(), Loc::new(1, 2), Some(x));
         let z = b.push(Packet::new(), Loc::new(9, 1), None);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         let hb = HappensBefore::of(&ntr);
         assert!(hb.all_before([x], y));
         assert!(hb.all_after([y], x));
@@ -199,7 +199,7 @@ mod tests {
             prev = Some(cur);
             idx.push(cur);
         }
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         let hb = HappensBefore::of(&ntr);
         let n = ntr.len();
         for i in 0..n {
@@ -234,13 +234,13 @@ mod controller_causality_tests {
         let far = b.push(Packet::new(), Loc::new(9, 1), None);
         let later_far = b.push(Packet::new(), Loc::new(9, 2), None);
         // Without the edge, switch 1 and switch 9 are causally unrelated.
-        let ntr = b.clone().build().unwrap();
+        let ntr = b.clone().build();
         let hb = HappensBefore::of(&ntr);
         assert!(!hb.before(trigger, far));
         assert!(!hb.before(trigger, later_far));
         // With a controller push between trigger and `later_far`:
         b.add_causal_edge(trigger, later_far);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         let hb = HappensBefore::of(&ntr);
         assert!(hb.before(trigger, later_far), "controller edge orders them");
         // ...and the same-switch chain extends it: `far` precedes

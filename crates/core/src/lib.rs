@@ -29,7 +29,7 @@
 //!     (EventSet::empty(), Config::new()),
 //!     (EventSet::singleton(e0), Config::new()),
 //! ])?;
-//! let ntr = TraceBuilder::new().build()?;
+//! let ntr = TraceBuilder::new().build();
 //! assert!(check_correct(&ntr, &nes, None).is_ok());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

@@ -221,7 +221,7 @@ impl NetworkEventStructure {
     pub(crate) fn masks(&self) -> &ConfigMasks {
         self.0.masks.get_or_init(|| {
             let configs: Vec<&Config> = self.0.sets.iter().map(|&x| self.config(x)).collect();
-            ConfigMasks::build(&self.0.rows, &configs)
+            ConfigMasks::build(&self.0.rows, &configs, self.0.es.events())
         })
     }
 

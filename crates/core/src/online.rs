@@ -123,7 +123,7 @@ use netkat::{Field, Loc, Packet};
 use crate::event::{Event, EventId, EventSet};
 use crate::nes::NetworkEventStructure;
 use crate::observe::{LeafKind, TraceObserver};
-use crate::shared::{FxMap, MaskedState};
+use crate::shared::{FxMap, MaskedState, Place};
 
 /// Why an online run is not correct (or not checkable).
 ///
@@ -201,6 +201,9 @@ struct Node {
     packet: usize,
     /// Where it was recorded.
     loc: Loc,
+    /// The same place, as the NES's masks number it: taken from the
+    /// parent's, so a record looks nothing up.
+    at: Place,
     /// NFA state of the path so far, under every reachable configuration.
     nfa: MaskedState,
     /// Firing positions at strict happens-before ancestors.
@@ -242,13 +245,14 @@ fn ones(mut bits: u64) -> impl Iterator<Item = usize> {
 const MIN_RING: usize = 16;
 
 impl Node {
-    /// Record `idx`, a root of pool entry `packet` at `loc`, carrying no
-    /// obligation.
-    fn root(idx: usize, packet: usize, loc: Loc) -> Node {
+    /// Record `idx`, a root of pool entry `packet` at `loc` (place `at`),
+    /// carrying no obligation.
+    fn root(idx: usize, packet: usize, loc: Loc, at: Place) -> Node {
         Node {
             idx,
             packet,
             loc,
+            at,
             nfa: MaskedState::default(),
             fired_anc: 0,
             watch_anc: 0,
@@ -265,16 +269,22 @@ impl Node {
 
     /// An empty slot.
     fn vacant() -> Node {
-        Node::root(VACANT, 0, Loc::new(0, 0))
+        Node::root(VACANT, 0, Loc::new(0, 0), Place::UNNAMED)
     }
 }
 
 /// The most recent record at a switch (or host), with its masks. Late-updated
 /// when that record seals (own firing) or leafs (own watch).
+#[derive(Clone, Copy)]
 struct LastAt {
     idx: usize,
     fired: u64,
     watch: u64,
+}
+
+impl LastAt {
+    /// A node nothing has been recorded at yet.
+    const NONE: LastAt = LastAt { idx: VACANT, fired: 0, watch: 0 };
 }
 
 /// A condition-1 obligation: leaf admitted by `d`, none realized yet.
@@ -361,7 +371,13 @@ struct Inner {
     /// lists the entries nobody holds (each keeps its field buffer).
     pool: Vec<(Packet, u32)>,
     free_packets: Vec<usize>,
-    last_at: FxMap<u64, LastAt>,
+    /// Per place's node (`Place::node`): the latest record there. Allotted
+    /// at the first record, one entry per node the NES's masks name, and
+    /// one more per node they do not name (`unnamed`).
+    last_at: Vec<LastAt>,
+    /// The nodes no configuration names that records reached, each with the
+    /// node index this run gave it, past every named one.
+    unnamed: FxMap<u64, u32>,
     cause_masks: FxMap<usize, (u64, u64)>,
 
     // Open obligations.
@@ -416,6 +432,7 @@ impl Inner {
         self.pool.clear();
         self.free_packets.clear();
         self.last_at.clear();
+        self.unnamed.clear();
         self.cause_masks.clear();
         self.pending1.clear();
         self.pending3.clear();
@@ -507,12 +524,12 @@ impl Inner {
         }
     }
 
-    /// Writes record `idx`, a root of pool entry `packet` at `loc`, into its
-    /// slot and takes its hold on the entry. The ring is allotted at the
-    /// first record and doubles only while the slot holds a live node: every
-    /// live node moves to its slot in the longer ring, with its obligations
-    /// and its hold on its packet.
-    fn take_slot(&mut self, idx: usize, packet: usize, loc: Loc) -> usize {
+    /// Writes record `idx`, a root of pool entry `packet` at `loc` (place
+    /// `at`), into its slot and takes its hold on the entry. The ring is
+    /// allotted at the first record and doubles only while the slot holds a
+    /// live node: every live node moves to its slot in the longer ring, with
+    /// its obligations and its hold on its packet.
+    fn take_slot(&mut self, idx: usize, packet: usize, loc: Loc, at: Place) -> usize {
         self.pool[packet].1 += 1;
         if self.nodes.is_empty() {
             self.nodes.resize_with(MIN_RING, Node::vacant);
@@ -528,7 +545,7 @@ impl Inner {
         }
         self.telemetry.node_slots_hw = self.nodes.len() as u64;
         let slot = self.slot(idx);
-        self.nodes[slot] = Node::root(idx, packet, loc);
+        self.nodes[slot] = Node::root(idx, packet, loc, at);
         slot
     }
 
@@ -553,7 +570,7 @@ impl Inner {
     fn process_leaf(&mut self, slot: usize, kind: LeafKind, fin: bool) {
         let allow_prefix = kind != LeafKind::Terminated;
         let node = &self.nodes[slot];
-        let last = (&self.pool[node.packet].0, node.loc);
+        let last = (&self.pool[node.packet].0, node.loc, node.at);
         let nes = &self.nes;
         let d = nes.masks().admitted(nes.tables(), node.nfa, last, allow_prefix, &mut self.scratch);
         // Condition 1: some realized configuration admits the trace. Future
@@ -603,7 +620,8 @@ impl Inner {
         // Greedy SWITCH-rule firing: at most one event per record, and
         // only the events located here are even looked at.
         let node = &self.nodes[slot];
-        let fireable = self.nes.events_at(node.loc).find(|e| self.fireable(e, node)).map(|e| e.id);
+        let (here, es) = (self.nes.masks().events(node.at), self.nes.structure());
+        let fireable = here.iter().find(|&e| self.fireable(es.event(e), node));
         if let Some(e) = fireable {
             self.fire(e, slot);
             if self.dead() {
@@ -624,7 +642,7 @@ impl Inner {
         let node = &self.nodes[slot];
         let fired = node.fired_anc | node.own_fired;
         let watch = node.watch_anc | node.own_watch;
-        if let Some(entry) = self.last_at.get_mut(&node.loc.sw) {
+        if let Some(entry) = self.last_at.get_mut(node.at.node as usize) {
             if entry.idx == idx {
                 entry.fired = fired;
                 entry.watch = watch;
@@ -639,6 +657,16 @@ impl Inner {
         } else {
             self.live += 1;
         }
+    }
+
+    /// `at`, or for a node no configuration names, the index this run gave
+    /// it: the next one past every index given so far.
+    fn named(&mut self, at: Place, sw: u64) -> Place {
+        if at != Place::UNNAMED {
+            return at;
+        }
+        let next = (self.nes.masks().named_nodes() + self.unnamed.len()) as u32;
+        Place::unnamed(*self.unnamed.entry(sw).or_insert(next))
     }
 
     /// The newest node, if it is `idx` — the only node the protocol lets
@@ -730,7 +758,8 @@ impl OnlineChecker {
             unsealed: None,
             pool: Vec::new(),
             free_packets: Vec::new(),
-            last_at: FxMap::default(),
+            last_at: Vec::new(),
+            unnamed: FxMap::default(),
             cause_masks: FxMap::default(),
             pending1: Vec::new(),
             pending3: Vec::new(),
@@ -787,20 +816,22 @@ impl TraceObserver for OnlineChecker {
                 // parent's erased packet, the virtual fields skipped. A hop
                 // that changed no header shares the parent's pool entry;
                 // only a rewritten packet is copied and erased.
-                let a =
-                    inner.nodes[inner.live_slot(p).expect("parents outlive child records")].packet;
+                let pn = &inner.nodes[inner.live_slot(p).expect("parents outlive child records")];
+                let (a, a_loc, a_at, prev) = (pn.packet, pn.loc, pn.at, pn.nfa);
                 let same = packet.eq_erased(&inner.pool[a].0);
                 let b = if same { a } else { inner.pool_copy(packet) };
-                let slot = inner.take_slot(idx, b, loc);
+                let hop = ((&inner.pool[a].0, a_loc, a_at), (&inner.pool[b].0, loc, same));
+                let nes = &inner.nes;
+                let (nfa, at) =
+                    nes.masks().step(nes.tables(), prev, hop.0, hop.1, &mut inner.scratch);
+                let at = inner.named(at, loc.sw);
+                let slot = inner.take_slot(idx, b, loc, at);
                 // Found again: taking the child's slot may have grown the
                 // ring.
                 let pn = &inner.nodes[inner.slot(p)];
                 for id in ones(pn.trig) {
                     inner.obligations[id].live += 1;
                 }
-                let (a, b) = ((&inner.pool[a].0, pn.loc), (&inner.pool[b].0, loc, same));
-                let nes = &inner.nes;
-                let nfa = nes.masks().step(nes.tables(), pn.nfa, a, b, &mut inner.scratch);
                 let inherited =
                     (pn.fired_anc | pn.own_fired, pn.watch_anc | pn.own_watch, pn.root_pred);
                 let trig = pn.trig;
@@ -813,14 +844,21 @@ impl TraceObserver for OnlineChecker {
             }
             None => {
                 let root = inner.pool_copy(packet);
-                let slot = inner.take_slot(idx, root, loc);
-                inner.nodes[slot].nfa = inner.nes.masks().start(loc);
+                let at = inner.nes.masks().place_of(loc);
+                let at = inner.named(at, loc.sw);
+                let slot = inner.take_slot(idx, root, loc, at);
+                inner.nodes[slot].nfa = inner.nes.masks().start(at);
                 slot
             }
         };
-        // The latest earlier record at this switch happened-before this one.
+        // The latest earlier record at this node happened-before this one.
         let node = &mut inner.nodes[slot];
-        let last = inner.last_at.entry(loc.sw).or_insert(LastAt { idx, fired: 0, watch: 0 });
+        let n = node.at.node as usize;
+        if n >= inner.last_at.len() {
+            let named = inner.nes.masks().named_nodes();
+            inner.last_at.resize(named.max(n + 1), LastAt::NONE);
+        }
+        let last = &mut inner.last_at[n];
         node.fired_anc |= last.fired;
         node.watch_anc |= last.watch;
         *last = LastAt { idx, fired: node.fired_anc, watch: node.watch_anc };
@@ -1023,7 +1061,7 @@ mod tests {
                 b.mark_terminated(parent.expect("transits are nonempty"));
             }
         }
-        check_correct(&b.build().unwrap(), nes, None).is_ok()
+        check_correct(&b.build(), nes, None).is_ok()
     }
 
     const DROP: &[(u64, u64)] = &[(101, 0), (1, 3)];
@@ -1406,7 +1444,7 @@ mod tests {
             then(obs.as_mut(), i);
         }
         obs.finish();
-        let post_hoc = check_correct(&b.build().unwrap(), nes, None).is_ok();
+        let post_hoc = check_correct(&b.build(), nes, None).is_ok();
         assert_eq!(handle.verdict().is_ok(), post_hoc, "online and post-hoc disagree on {recs:?}");
         (handle.verdict(), handle.telemetry())
     }

@@ -55,6 +55,7 @@ use std::collections::HashMap;
 use netkat::{Action, ChainTables, Field, FxBuildHasher, Loc, LocatedView, Packet};
 
 use crate::config::Config;
+use crate::event::{Event, EventSet};
 
 pub(crate) type FxMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
@@ -105,118 +106,328 @@ fn emits(
     scratch == b
 }
 
+/// Where a record sits, as [`ConfigMasks`] numbers places: its node's
+/// index in the masks' node table, and its port's in the port table. A
+/// record takes its place from its parent's (see [`ConfigMasks::step`]), so
+/// only a root looks its node up.
+///
+/// A node no configuration names has no entry: the masks call it
+/// [`UNNAMED`](Place::UNNAMED), and a checker gives it an index of its own
+/// past the table ([`Place::unnamed`]), which the masks read as naming
+/// nothing.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Place {
+    /// The node's index.
+    pub(crate) node: u32,
+    /// The port's index, or [`NO_ENTRY`] if no configuration has a link
+    /// from it and no event sits there.
+    port: u32,
+}
+
+/// The index of an entry no table holds.
+const NO_ENTRY: u32 = u32::MAX;
+
+impl Place {
+    /// The place of a node no configuration names.
+    pub(crate) const UNNAMED: Place = Place { node: NO_ENTRY, port: NO_ENTRY };
+
+    /// An unnamed node's place under the index a checker gave it, past
+    /// every node the masks name.
+    pub(crate) fn unnamed(node: u32) -> Place {
+        Place { node, port: NO_ENTRY }
+    }
+}
+
+/// A node some configuration names: a link's source, a host, a switch
+/// with a table or an event's switch.
+#[derive(Debug)]
+struct NodeEntry {
+    /// Its row of the tables, or [`NO_ENTRY`] if no configuration gives it
+    /// a table.
+    row: u32,
+    /// The configurations in which it is a host and applies no table.
+    hosts: u64,
+    /// Its ports' run in [`ConfigMasks::ports`].
+    ports: (u32, u32),
+}
+
+/// A port some configuration has a link from, or an event sits at.
+#[derive(Debug)]
+struct PortEntry {
+    at: Loc,
+    /// The configurations with a link from here.
+    srcs: u64,
+    /// The events located here.
+    events: EventSet,
+    /// Its links' run in [`ConfigMasks::links`].
+    links: (u32, u32),
+}
+
+/// A link, under the mask of the configurations that have it.
+#[derive(Debug)]
+struct LinkEntry {
+    src: Loc,
+    dst: Loc,
+    /// Where the link leads: the place a record crossing it sits at.
+    to: Place,
+    mask: u64,
+}
+
 /// The masks of an NES's configurations that the checker's transitions
 /// read beside its tables (see the module docs); configuration `i` owns
 /// bit `i` of every mask. They hold no per-run state: every checker over
 /// the NES reads one instance.
+///
+/// The tables are dense, and a hop hashes nothing: per node its row, host
+/// mask and run of ports; per port its link-source mask, its events and
+/// its run of links; per link its mask and the place it leads to. A
+/// record's [`Place`] indexes them.
 #[derive(Debug)]
 pub struct ConfigMasks {
-    /// Switch → its row of the tables, and the configurations in which it
-    /// is a host: none of them applies its table.
-    switches: FxMap<u64, (usize, u64)>,
-    links: FxMap<(Loc, Loc), u64>,
-    link_srcs: FxMap<Loc, u64>,
-    hosts: FxMap<u64, u64>,
+    /// The nodes the configurations name, ascending: node `i` is `ids[i]`.
+    ids: Vec<u64>,
+    nodes: Vec<NodeEntry>,
+    /// Ascending by location, so a node's ports are one run.
+    ports: Vec<PortEntry>,
+    /// Each port entry's port number, packed for the scan a table hop makes.
+    pts: Vec<u64>,
+    /// Ascending by source and destination, so a port's links are one run.
+    links: Vec<LinkEntry>,
 }
 
-fn mask_of<K: std::hash::Hash + Eq>(map: &FxMap<K, u64>, key: &K) -> u64 {
-    map.get(key).copied().unwrap_or(0)
+/// `v[from..to]` for a run `(from, to)`.
+fn run<T>(v: &[T], (from, to): (u32, u32)) -> &[T] {
+    &v[from as usize..to as usize]
 }
 
 impl ConfigMasks {
-    /// Masks `cfgs`' links and hosts, and maps each switch of `rows` (switch
-    /// → its row of the tables) to its row and host mask.
+    /// Masks `cfgs`' links and hosts, numbers their links' sources and
+    /// hosts, the switches of `rows` (switch → its row of the tables) and
+    /// those of `events`, and files each event under its port. Links are
+    /// read in the order the configurations keep them (by source, then
+    /// destination), so a shared topology's tables are filled in one pass.
     ///
     /// # Panics
     ///
     /// Panics if there are more than 64 configurations.
-    pub(crate) fn build(rows: &FxMap<u64, u32>, cfgs: &[&Config]) -> ConfigMasks {
+    pub(crate) fn build(rows: &FxMap<u64, u32>, cfgs: &[&Config], events: &[Event]) -> ConfigMasks {
         assert!(cfgs.len() <= 64, "a configuration mask holds 64 configurations");
         // The configurations of a campaign share one topology: each distinct
-        // one is written once, under the mask of the group that has it.
-        let mut groups: Vec<(&Config, u64)> = Vec::new();
+        // one is read once, under the mask of the group that has it. A
+        // group is its first configuration's bit in `firsts`, and its mask.
+        let (mut firsts, mut group) = (0u64, [0u64; 64]);
         for (c, cfg) in cfgs.iter().enumerate() {
-            match groups.iter_mut().find(|(first, _)| first.same_topology(cfg)) {
-                Some((_, mask)) => *mask |= 1 << c,
-                None => groups.push((cfg, 1 << c)),
+            let mut earlier = (0..c).filter(|&f| firsts >> f & 1 != 0);
+            match earlier.find(|&f| cfgs[f].same_topology(cfg)) {
+                Some(f) => group[f] |= 1 << c,
+                None => (firsts, group[c]) = (firsts | 1 << c, 1 << c),
             }
         }
-        // Sized for the largest topology, so the maps never grow while the
-        // common one-group case fills them.
-        let most =
-            |count: fn(&Config) -> usize| groups.iter().map(|&(g, _)| count(g)).max().unwrap_or(0);
+        let groups = || {
+            let mut left = firsts;
+            std::iter::from_fn(move || {
+                let f = (left != 0).then(|| left.trailing_zeros() as usize)?;
+                left &= left - 1;
+                Some((cfgs[f], group[f]))
+            })
+        };
+        let count = |of: fn(&Config) -> usize| groups().map(|(g, _)| of(g)).sum::<usize>();
         let (n_links, n_hosts) =
-            (most(|g| g.links().size_hint().0), most(|g| g.hosts().size_hint().0));
-        let mut links: FxMap<(Loc, Loc), u64> =
-            FxMap::with_capacity_and_hasher(n_links, FxBuildHasher::default());
-        let mut link_srcs: FxMap<Loc, u64> =
-            FxMap::with_capacity_and_hasher(n_links, FxBuildHasher::default());
-        let mut hosts: FxMap<u64, u64> =
-            FxMap::with_capacity_and_hasher(n_hosts, FxBuildHasher::default());
-        for (cfg, mask) in groups {
-            // Links ascend by source, so a source's links are adjacent:
-            // one `link_srcs` entry per run of them.
-            let mut last_src = None;
-            for (src, dst) in cfg.links() {
-                *links.entry((src, dst)).or_default() |= mask;
-                if last_src != Some(src) {
-                    *link_srcs.entry(src).or_default() |= mask;
-                    last_src = Some(src);
+            (count(|g| g.links().size_hint().0), count(|g| g.hosts().size_hint().0));
+
+        let mut links: Vec<LinkEntry> = Vec::with_capacity(n_links);
+        for (cfg, mask) in groups() {
+            links.extend(cfg.links().map(|(src, dst)| LinkEntry {
+                src,
+                dst,
+                to: Place::UNNAMED,
+                mask,
+            }));
+        }
+        if firsts.count_ones() > 1 {
+            links.sort_unstable_by_key(|l| (l.src, l.dst));
+            links.dedup_by(|later, kept| {
+                let same = (later.src, later.dst) == (kept.src, kept.dst);
+                if same {
+                    kept.mask |= later.mask;
+                }
+                same
+            });
+        }
+
+        // The links' sources arrive ascending; a host, a switch with a
+        // table or an event's switch is almost always one of them, and the
+        // few that are not are sorted in. A node that is only ever a link's
+        // destination names nothing a transition reads: it is unnamed.
+        let mut ids: Vec<u64> =
+            Vec::with_capacity(links.len() + n_hosts + rows.len() + events.len());
+        for l in &links {
+            if ids.last() != Some(&l.src.sw) {
+                ids.push(l.src.sw);
+            }
+        }
+        let sources = ids.len();
+        let hosts = groups().flat_map(|(cfg, _)| cfg.hosts());
+        for id in hosts.chain(rows.keys().copied()).chain(events.iter().map(|e| e.loc.sw)) {
+            if ids[..sources].binary_search(&id).is_err() {
+                ids.push(id);
+            }
+        }
+        if ids.len() > sources {
+            ids.sort_unstable();
+            ids.dedup();
+        }
+
+        // Each link source's links are adjacent: one port entry per run.
+        let mut ports: Vec<PortEntry> = Vec::with_capacity(links.len() + events.len());
+        for (i, l) in links.iter().enumerate() {
+            let i = i as u32;
+            match ports.last_mut() {
+                Some(p) if p.at == l.src => {
+                    p.srcs |= l.mask;
+                    p.links.1 = i + 1;
+                }
+                _ => ports.push(PortEntry {
+                    at: l.src,
+                    srcs: l.mask,
+                    events: EventSet::empty(),
+                    links: (i, i + 1),
+                }),
+            }
+        }
+        for e in events {
+            match ports.binary_search_by_key(&e.loc, |p| p.at) {
+                Ok(at) => ports[at].events = ports[at].events.insert(e.id),
+                Err(at) => {
+                    let events = EventSet::singleton(e.id);
+                    ports.insert(at, PortEntry { at: e.loc, srcs: 0, events, links: (0, 0) });
                 }
             }
+        }
+
+        let mut nodes: Vec<NodeEntry> = Vec::with_capacity(ids.len());
+        let mut next_port = 0;
+        for &id in &ids {
+            let first = next_port;
+            while ports.get(next_port).is_some_and(|p| p.at.sw == id) {
+                next_port += 1;
+            }
+            let row = rows.get(&id).copied().unwrap_or(NO_ENTRY);
+            nodes.push(NodeEntry { row, hosts: 0, ports: (first as u32, next_port as u32) });
+        }
+        for (cfg, mask) in groups() {
             for host in cfg.hosts() {
-                *hosts.entry(host).or_default() |= mask;
+                if let Ok(node) = ids.binary_search(&host) {
+                    nodes[node].hosts |= mask;
+                }
             }
         }
-        let switches =
-            rows.iter().map(|(&sw, &row)| (sw, (row as usize, mask_of(&hosts, &sw)))).collect();
-        ConfigMasks { switches, links, link_srcs, hosts }
+        let pts = ports.iter().map(|p| p.at.pt).collect();
+        let mut masks = ConfigMasks { ids, nodes, ports, pts, links: Vec::new() };
+        for l in &mut links {
+            l.to = masks.place_of(l.dst);
+        }
+        masks.links = links;
+        masks
     }
 
-    /// The state of a path that starts at `loc` (`Config::start_state`).
-    pub(crate) fn start(&self, loc: Loc) -> MaskedState {
-        MaskedState { at_host: mask_of(&self.hosts, &loc.sw), ingress: 0, egress: 0 }
+    /// The place of a record at `loc`: one search of the node table. Only
+    /// a root needs it; every later record takes its place from its parent.
+    pub(crate) fn place_of(&self, loc: Loc) -> Place {
+        match self.ids.binary_search(&loc.sw) {
+            Ok(node) => Place { node: node as u32, port: self.port_at(node as u32, loc.pt) },
+            Err(_) => Place::UNNAMED,
+        }
+    }
+
+    /// How many nodes the configurations name: the places past them are a
+    /// checker's own.
+    pub(crate) fn named_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Port `pt`'s entry in `node`'s run of ports, if it has one.
+    fn port_at(&self, node: u32, pt: u64) -> u32 {
+        let Some(n) = self.nodes.get(node as usize) else { return NO_ENTRY };
+        let pts = run(&self.pts, n.ports);
+        pts.iter().position(|&p| p == pt).map_or(NO_ENTRY, |i| n.ports.0 + i as u32)
+    }
+
+    fn node(&self, at: Place) -> Option<&NodeEntry> {
+        self.nodes.get(at.node as usize)
+    }
+
+    fn port(&self, at: Place) -> Option<&PortEntry> {
+        self.ports.get(at.port as usize)
+    }
+
+    /// The events located at `at`.
+    pub(crate) fn events(&self, at: Place) -> EventSet {
+        self.port(at).map_or(EventSet::empty(), |p| p.events)
+    }
+
+    /// The state of a path that starts at `at` (`Config::start_state`).
+    pub(crate) fn start(&self, at: Place) -> MaskedState {
+        MaskedState { at_host: self.node(at).map_or(0, |n| n.hosts), ingress: 0, egress: 0 }
     }
 
     /// One transition (`Config::step_state`) through `tables`: the state
-    /// after the hop from `a` at `a_loc` to `b` at `b_loc`, given the state
-    /// `prev` at `a`. Both packets must have their virtual fields erased,
-    /// and `same` must be `a == b`: the caller compares the two once (to
-    /// decide whether the records can share one packet), and every use of
-    /// that comparison below takes its result instead of making it again.
+    /// after the hop from `a` at `a_loc` (place `a_at`) to `b` at `b_loc`,
+    /// given the state `prev` at `a`, and `b`'s place. Both packets must
+    /// have their virtual fields erased, and `same` must be `a == b`: the
+    /// caller compares the two once (to decide whether the records can
+    /// share one packet), and every use of that comparison below takes its
+    /// result instead of making it again.
+    ///
+    /// `b`'s place is `a`'s node under `b`'s port on one switch, else the
+    /// link's destination if a link leads from `a_loc` to `b_loc`, else
+    /// whatever the node table says (a jump no configuration's relation
+    /// makes). The links from `a_loc` are read only when the hop may cross
+    /// one — a link whose two ends are on one switch included — or leaves
+    /// the switch: a table hop reads the switch's ports alone.
+    #[inline]
     pub(crate) fn step(
         &self,
         tables: &ChainTables,
         prev: MaskedState,
-        (a, a_loc): (&Packet, Loc),
+        (a, a_loc, a_at): (&Packet, Loc, Place),
         (b, b_loc, same): (&Packet, Loc, bool),
         scratch: &mut Packet,
-    ) -> MaskedState {
+    ) -> (MaskedState, Place) {
         debug_assert_eq!(same, a == b, "`same` is the packets' comparison");
         let mut next = MaskedState::default();
-        let crossing = prev.at_host | prev.egress;
-        if crossing != 0 && same {
-            let linked = crossing & mask_of(&self.links, &(a_loc, b_loc));
-            if linked != 0 {
-                let hosts = mask_of(&self.hosts, &b_loc.sw);
-                next.at_host = linked & hosts;
-                next.ingress = linked & !hosts;
+        let crossing = if same { prev.at_host | prev.egress } else { 0 };
+        let one_switch = a_loc.sw == b_loc.sw;
+        let link = match self.port(a_at) {
+            Some(p) if crossing != 0 || !one_switch => {
+                run(&self.links, p.links).iter().find(|l| l.dst == b_loc)
             }
+            _ => None,
+        };
+        if let Some(l) = link.filter(|_| crossing != 0) {
+            let linked = crossing & l.mask;
+            let hosts = self.node(l.to).map_or(0, |n| n.hosts);
+            next.at_host = linked & hosts;
+            next.ingress = linked & !hosts;
         }
-        if a_loc.sw == b_loc.sw {
+        let b_at = if one_switch {
             let to = Some((b, b_loc.pt, same));
-            next.egress = self.table_hop(tables, prev.ingress, (a, a_loc), to, scratch);
-        }
-        next
+            next.egress = self.table_hop(tables, prev.ingress, (a, a_loc, a_at), to, scratch);
+            Place { node: a_at.node, port: self.port_at(a_at.node, b_loc.pt) }
+        } else {
+            link.map_or_else(|| self.place_of(b_loc), |l| l.to)
+        };
+        (next, b_at)
     }
 
-    /// The configurations that admit a path ending in `state` at `last`:
-    /// every live one for a prefix, else `Config::accepts_end`.
+    /// The configurations that admit a path ending in `state` at `last`
+    /// (place `at`): every live one for a prefix, else
+    /// `Config::accepts_end`.
     pub(crate) fn admitted(
         &self,
         tables: &ChainTables,
         state: MaskedState,
-        last: (&Packet, Loc),
+        (last, loc, at): (&Packet, Loc, Place),
         allow_prefix: bool,
         scratch: &mut Packet,
     ) -> u64 {
@@ -225,11 +436,11 @@ impl ConfigMasks {
         }
         let mut done = state.at_host;
         if state.ingress != 0 {
-            let forwarding = self.table_hop(tables, state.ingress, last, None, scratch);
+            let forwarding = self.table_hop(tables, state.ingress, (last, loc, at), None, scratch);
             done |= state.ingress & !forwarding;
         }
         if state.egress != 0 {
-            done |= state.egress & !mask_of(&self.link_srcs, &last.1);
+            done |= state.egress & !self.port(at).map_or(0, |p| p.srcs);
         }
         done
     }
@@ -237,26 +448,32 @@ impl ConfigMasks {
     /// The configurations of `want` whose table at `a_loc.sw` emits
     /// `to = (packet, port, packet == a)` for `a` — or, without `to`, emits
     /// anything. A configuration in which `a_loc.sw` is a host emits
-    /// nothing.
+    /// nothing. A winner whose one action writes only the port
+    /// ([`ActionSet::port_only`](netkat::ActionSet::port_only)) is read
+    /// without a walk of its actions.
     fn table_hop(
         &self,
         tables: &ChainTables,
         want: u64,
-        (a, a_loc): (&Packet, Loc),
+        (a, a_loc, a_at): (&Packet, Loc, Place),
         to: Option<(&Packet, u64, bool)>,
         scratch: &mut Packet,
     ) -> u64 {
         if want == 0 {
             return 0;
         }
-        let Some(&(row, hosts)) = self.switches.get(&a_loc.sw) else { return 0 };
+        let Some(&NodeEntry { row, hosts, .. }) = self.node(a_at) else { return 0 };
+        if row == NO_ENTRY {
+            return 0;
+        }
         let view = LocatedView { base: a, loc: a_loc, tag: None };
+        let bare = !a.has_loc();
         let mut hit = 0;
-        tables.first_matches(row, want & !hosts, &view, |rule, mask| {
-            let mut actions = rule.actions.iter();
-            let emitted = match to {
-                Some(to) => actions.any(|act| emits(act, a, a_loc, to, scratch)),
-                None => actions.next().is_some(),
+        tables.first_matches(row as usize, want & !hosts, &view, |rule, mask| {
+            let emitted = match (to, rule.actions.port_only()) {
+                (Some((_, b_pt, same)), Some(pt)) if bare => pt == b_pt && same,
+                (Some(to), _) => rule.actions.iter().any(|act| emits(act, a, a_loc, to, scratch)),
+                (None, _) => !rule.actions.is_empty(),
             };
             if emitted {
                 hit |= mask;
@@ -272,7 +489,7 @@ impl ConfigMasks {
     /// Indexes and masks `configs` the way an NES does its own.
     pub(crate) fn of_family(configs: &[&Config]) -> (ChainTables, ConfigMasks) {
         let (tables, rows) = crate::nes::index_tables(configs);
-        let masks = ConfigMasks::build(&rows, configs);
+        let masks = ConfigMasks::build(&rows, configs, &[]);
         (tables, masks)
     }
 }
@@ -286,6 +503,20 @@ mod tests {
     use proptest::prelude::*;
 
     impl MaskedState {
+        /// The state that is `states[c]`, in `Config`'s own encoding, under
+        /// each configuration `c`.
+        fn of_states(states: &[u8]) -> MaskedState {
+            let mask = |st: u8| {
+                let has = states.iter().enumerate().filter(|&(_, &s)| s & st != 0);
+                has.fold(0, |mask, (c, _)| mask | 1 << c)
+            };
+            MaskedState {
+                at_host: mask(ST_AT_HOST),
+                ingress: mask(ST_INGRESS),
+                egress: mask(ST_EGRESS),
+            }
+        }
+
         /// Configuration `c`'s state, in `Config`'s own encoding.
         fn bits(self, c: usize) -> u8 {
             let bit = |mask: u64, st: u8| if mask >> c & 1 != 0 { st } else { 0 };
@@ -572,7 +803,10 @@ mod tests {
             let scratch = &mut Packet::new();
             for walk in &walks {
                 let trace = run_walk(&family, walk);
-                let mut masked = masks.start(trace[0].loc);
+                // The place is carried from hop to hop as the checker
+                // carries it, and must be the one the node table gives.
+                let mut at = masks.place_of(trace[0].loc);
+                let mut masked = masks.start(at);
                 let mut states: Vec<u8> =
                     family.iter().map(|cfg| cfg.start_state(&trace[0])).collect();
                 for (c, &st) in states.iter().enumerate() {
@@ -590,9 +824,11 @@ mod tests {
                         raw.set(Field::Digest, 0b101);
                     }
                     let same = raw.eq_erased(&w[0].packet);
-                    let (a, b) = ((&w[0].packet, w[0].loc), (&w[1].packet, w[1].loc, same));
-                    masked = masks.step(&tables, masked, a, b, scratch);
-                    let end = (&w[1].packet, w[1].loc);
+                    let (a, b) = ((&w[0].packet, w[0].loc, at), (&w[1].packet, w[1].loc, same));
+                    (masked, at) = masks.step(&tables, masked, a, b, scratch);
+                    let place = masks.place_of(w[1].loc);
+                    prop_assert_eq!(at, place, "place after hop {} of {:?}", hop, trace);
+                    let end = (&w[1].packet, w[1].loc, at);
                     let complete = masks.admitted(&tables, masked, end, false, scratch);
                     for (c, cfg) in family.iter().enumerate() {
                         states[c] = cfg.step_state(states[c], &w[0], &w[1]);
@@ -609,7 +845,7 @@ mod tests {
                 }
                 let last = trace.last().expect("walks are nonempty");
                 for allow_prefix in [false, true] {
-                    let end = (&last.packet, last.loc);
+                    let end = (&last.packet, last.loc, at);
                     let admitted = masks.admitted(&tables, masked, end, allow_prefix, scratch);
                     for (c, cfg) in family.iter().enumerate() {
                         prop_assert_eq!(
@@ -728,11 +964,13 @@ mod tests {
                         })
                     };
                     let hop = (pk, Loc::new(1, pt), true);
-                    let egress = masks.step(&tables, ingress, (pk, at), hop, scratch).egress;
+                    let from = (pk, at, masks.place_of(at));
+                    let egress = masks.step(&tables, ingress, from, hop, scratch).0.egress;
                     assert_eq!(egress, mask(&to, &won), "{pk} at {in_pt} forwarded to {pt}");
                 }
                 let ends = |w: Option<&Rule>| w.is_none_or(|r| r.actions.is_drop());
-                let ended = masks.admitted(&tables, ingress, (pk, at), false, scratch);
+                let ended =
+                    masks.admitted(&tables, ingress, (pk, at, masks.place_of(at)), false, scratch);
                 assert_eq!(ended, mask(&ends, &won), "{pk} at {in_pt} dropped");
             }
         }
@@ -858,8 +1096,9 @@ mod tests {
         let ingress = MaskedState { at_host: 0, ingress: 0b11, egress: 0 };
         let pk = Packet::new().with(Field::IpDst, 2);
         for (sw, pt, egress) in [(1, 2, 0b10), (2, 2, 0b11), (3, 3, 0b10), (3, 2, 0)] {
-            let (a, b) = ((&pk, Loc::new(sw, 9)), (&pk, Loc::new(sw, pt), true));
-            let next = masks.step(&tables, ingress, a, b, &mut Packet::new());
+            let from = Loc::new(sw, 9);
+            let (a, b) = ((&pk, from, masks.place_of(from)), (&pk, Loc::new(sw, pt), true));
+            let (next, _) = masks.step(&tables, ingress, a, b, &mut Packet::new());
             assert_eq!(next.egress, egress, "switch {sw} to port {pt}");
         }
     }
@@ -880,12 +1119,64 @@ mod tests {
         let a = LocatedPacket::new(pk.clone(), Loc::new(1, 1));
         let b = LocatedPacket::new(pk.clone(), Loc::new(1, 2));
         let ingress = MaskedState { at_host: 0, ingress: 0b11, egress: 0 };
-        let next = masks.step(&tables, ingress, (&pk, a.loc), (&pk, b.loc, true), scratch);
-        let ended = masks.admitted(&tables, ingress, (&pk, a.loc), false, scratch);
+        let from = (&pk, a.loc, masks.place_of(a.loc));
+        let (next, _) = masks.step(&tables, ingress, from, (&pk, b.loc, true), scratch);
+        let ended = masks.admitted(&tables, ingress, from, false, scratch);
         assert_eq!((next.egress, ended), (0b10, 0b01));
         for (c, cfg) in family.iter().enumerate() {
             assert_eq!(next.bits(c), cfg.step_state(ST_INGRESS, &a, &b));
             assert_eq!(ended >> c & 1 != 0, cfg.accepts_end(ST_INGRESS, &a));
+        }
+    }
+
+    /// A link whose two ends are ports of one switch: a hop along it is a
+    /// link crossing *and* a table hop, and it leads to the switch's own
+    /// place. From every state of every configuration, the hops along the
+    /// loop link, onto its source, off its end and around them step as
+    /// `Config::step_state` does, bit for bit, end as `accepts_end` does,
+    /// and carry the place the node table gives.
+    #[test]
+    fn a_link_between_two_ports_of_one_switch_is_a_crossing_and_a_table_hop() {
+        let on = |pt: u64| Match::new().with(Field::Port, pt);
+        let table = FlowTable::from_rules([fwd(on(1), 2), fwd(on(3), 2), fwd(on(2), 3)]);
+        // Configuration 0 has the loop link 1:2 → 1:3 and the table,
+        // configuration 1 the table alone, configuration 2 the link alone.
+        let mut family = at_switch_one(&[Some(table.clone()), Some(table), None]);
+        for c in [0, 2] {
+            family[c].add_link(Loc::new(1, 2), Loc::new(1, 3));
+        }
+        for cfg in &mut family {
+            cfg.add_host(100, Loc::new(1, 1));
+        }
+        let (tables, masks) = ConfigMasks::of_family(&family.iter().collect::<Vec<_>>());
+        let scratch = &mut Packet::new();
+        let pk = Packet::new().with(Field::IpDst, 1);
+        let tagged = pk.clone().with(Field::Vlan, 7);
+        let hops = [((1, 2), (1, 3)), ((1, 1), (1, 2)), ((1, 3), (1, 2)), ((1, 2), (1, 2))];
+        let hops =
+            hops.into_iter().chain([((1, 3), (1, 3)), ((100, 0), (1, 1)), ((1, 1), (100, 0))]);
+        for ((a_sw, a_pt), (b_sw, b_pt)) in hops {
+            for b_pk in [&pk, &tagged] {
+                let a = LocatedPacket::new(pk.clone(), Loc::new(a_sw, a_pt));
+                let b = LocatedPacket::new(b_pk.clone(), Loc::new(b_sw, b_pt));
+                let from = (&a.packet, a.loc, masks.place_of(a.loc));
+                let to = (&b.packet, b.loc, a.packet == b.packet);
+                for states in 0..8u32.pow(3) {
+                    let states: Vec<u8> = (0..3).map(|c| (states >> (3 * c) & 7) as u8).collect();
+                    let prev = MaskedState::of_states(&states);
+                    let (next, place) = masks.step(&tables, prev, from, to, scratch);
+                    assert_eq!(place, masks.place_of(b.loc), "the place of {b:?}");
+                    let end = (&b.packet, b.loc, place);
+                    let ended = masks.admitted(&tables, next, end, false, scratch);
+                    for (c, cfg) in family.iter().enumerate() {
+                        let want = cfg.step_state(states[c], &a, &b);
+                        let hop = format!("configuration {c} from {} on {a:?} → {b:?}", states[c]);
+                        assert_eq!(next.bits(c), want, "{hop}");
+                        let complete = want != 0 && cfg.accepts_end(want, &b);
+                        assert_eq!(ended >> c & 1 != 0, complete, "{hop}, ending");
+                    }
+                }
+            }
         }
     }
 }

@@ -228,7 +228,7 @@ impl fmt::Display for NetworkTrace {
 /// let mid = b.push(Packet::new(), Loc::new(1, 1), Some(root));
 /// b.push(Packet::new(), Loc::new(1, 2), Some(mid));
 /// b.push(Packet::new(), Loc::new(2, 1), Some(mid)); // multicast fork
-/// let ntr = b.build().unwrap();
+/// let ntr = b.build();
 /// assert_eq!(ntr.traces().len(), 2);
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -317,12 +317,7 @@ impl TraceBuilder {
     /// through [`NetworkTrace::new`]'s quadratic revalidation (which, at
     /// thousands of packet traces, used to dominate entire simulation
     /// runs).
-    ///
-    /// # Errors
-    ///
-    /// Infallible for forests built via [`push`](TraceBuilder::push); the
-    /// `Result` is kept for API stability.
-    pub fn build(self) -> Result<NetworkTrace, TraceStructureError> {
+    pub fn build(self) -> NetworkTrace {
         let parents = self.parents;
         let mut has_child = vec![false; parents.len()];
         for &p in parents.iter().flatten() {
@@ -341,12 +336,7 @@ impl TraceBuilder {
         }
         let len = self.packets.len();
         let terminated = self.terminated.into_iter().filter(|&i| i < len).collect();
-        Ok(NetworkTrace {
-            packets: self.packets,
-            traces,
-            terminated,
-            extra_edges: self.extra_edges,
-        })
+        NetworkTrace { packets: self.packets, traces, terminated, extra_edges: self.extra_edges }
     }
 }
 
@@ -377,7 +367,7 @@ impl TraceObserver for TraceBuilder {
     /// An attached builder builds its trace and leaves it in its handle.
     fn finish(&mut self) {
         if let Some(out) = self.out.take() {
-            let trace = std::mem::take(self).build().expect("pushed forests are valid traces");
+            let trace = std::mem::take(self).build();
             *out.0.lock().expect("no handle panics holding it") = Some(trace);
         }
     }
@@ -416,7 +406,7 @@ mod tests {
         let m = b.push(p1, l1, Some(r));
         let (p2, l2) = lp(2);
         b.push(p2, l2, Some(m));
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         assert_eq!(ntr.len(), 3);
         assert_eq!(ntr.traces(), &[vec![0, 1, 2]]);
         assert_eq!(ntr.traces_through(1), vec![0]);
@@ -429,7 +419,7 @@ mod tests {
         let m = b.push(Packet::new(), Loc::new(4, 1), Some(r));
         b.push(Packet::new(), Loc::new(1, 1), Some(m));
         b.push(Packet::new(), Loc::new(2, 1), Some(m));
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         assert_eq!(ntr.traces().len(), 2);
         // Both traces share the prefix [0, 1].
         assert_eq!(ntr.traces()[0][..2], [0, 1]);
@@ -444,7 +434,7 @@ mod tests {
         let c = b.push(Packet::new(), Loc::new(101, 0), None);
         b.push(Packet::new(), Loc::new(1, 1), Some(a));
         b.push(Packet::new(), Loc::new(2, 1), Some(c));
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         assert_eq!(ntr.traces().len(), 2);
         assert_eq!(ntr.traces()[0], vec![0, 2]);
         assert_eq!(ntr.traces()[1], vec![1, 3]);
@@ -468,7 +458,7 @@ mod tests {
         b.mark_terminated(leaves[0]);
         b.mark_terminated(usize::MAX); // out of range: dropped, as before
         b.add_causal_edge(0, 3);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         let revalidated = NetworkTrace::new(ntr.packets().to_vec(), ntr.traces().to_vec())
             .expect("built forests satisfy the Section 2 structural conditions");
         assert_eq!(revalidated.packets(), ntr.packets());
@@ -530,7 +520,7 @@ mod tests {
     fn observer_marks_only_terminated_leaves() {
         let mut b = TraceBuilder::new();
         feed(&mut b);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         assert_eq!(ntr.len(), 6);
         assert_eq!(ntr.traces(), &[vec![0, 1, 2], vec![0, 1, 3], vec![0, 1, 4, 5]]);
         assert_eq!(ntr.extra_edges(), &[(1, 5)]);
@@ -552,7 +542,7 @@ mod tests {
         }
         pushed.mark_terminated(3);
         pushed.add_causal_edge(1, 5);
-        assert_eq!(observed.build().unwrap(), pushed.build().unwrap());
+        assert_eq!(observed.build(), pushed.build());
     }
 
     #[test]
@@ -566,6 +556,6 @@ mod tests {
     fn empty_trace_is_fine() {
         let ntr = NetworkTrace::new(Vec::new(), Vec::new()).unwrap();
         assert!(ntr.is_empty());
-        assert_eq!(TraceBuilder::new().build().unwrap(), ntr);
+        assert_eq!(TraceBuilder::new().build(), ntr);
     }
 }

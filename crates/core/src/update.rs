@@ -322,7 +322,7 @@ mod tests {
         push_transit(&mut b, &fwd_pk(), &[(100, 0), (1, 2), (1, 3), (101, 0)]);
         // Reply flow afterwards, allowed by C1.
         push_transit(&mut b, &reply_pk(), &[(101, 0), (1, 3), (1, 2), (100, 0)]);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         // The single event has fired, so nothing remains fireable.
         let ks = first_occurrences(&ntr, &update, &[], &one_event()).unwrap();
         assert_eq!(ks, vec![1]);
@@ -338,7 +338,7 @@ mod tests {
         // Two forward flows: the second matches the event again after k0.
         push_transit(&mut b, &fwd_pk(), &[(100, 0), (1, 2), (1, 3), (101, 0)]);
         push_transit(&mut b, &fwd_pk(), &[(100, 0), (1, 2), (1, 3), (101, 0)]);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         // If the event is still considered fireable, FO does not exist...
         let err = first_occurrences(&ntr, &update, &[e], &one_event()).unwrap_err();
         assert_eq!(err, UpdateViolation::NoFirstOccurrences { failed_at: None });
@@ -357,7 +357,7 @@ mod tests {
         // trace (no rule for pt 3) and a C1 prefix — either reading is
         // consistent with Definition 2.
         push_transit(&mut b, &reply_pk(), &[(101, 0), (1, 3)]);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         assert!(check_update(&ntr, &update, &[], &one_event()).is_ok());
     }
 
@@ -372,7 +372,7 @@ mod tests {
         push_transit(&mut b, &reply_pk(), &[(101, 0), (1, 3), (1, 2), (100, 0)]);
         // ...then the trigger fires.
         push_transit(&mut b, &fwd_pk(), &[(100, 0), (1, 2), (1, 3), (101, 0)]);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         let err = check_update(&ntr, &update, &[], &one_event()).unwrap_err();
         assert_eq!(err, UpdateViolation::TooEarly { trace: 0, event: 0 });
     }
@@ -384,7 +384,7 @@ mod tests {
         let update = UpdateSequence::new(vec![c0, c1], vec![e.clone()]);
         let mut b = TraceBuilder::new();
         push_transit(&mut b, &reply_pk(), &[(101, 0), (1, 3)]);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         let err = first_occurrences(&ntr, &update, &[e], &one_event()).unwrap_err();
         assert_eq!(err, UpdateViolation::NoFirstOccurrences { failed_at: Some(0) });
     }
@@ -414,7 +414,7 @@ mod tests {
         push_transit(&mut b, &fwd_pk(), &[(100, 0), (1, 2), (1, 3), (101, 0)]);
         // Rogue packet: hops to a port neither config produces.
         push_transit(&mut b, &reply_pk(), &[(100, 0), (1, 2), (1, 5)]);
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         let err = check_update(&ntr, &update, &[], &one_event()).unwrap_err();
         assert_eq!(err, UpdateViolation::Inconsistent { trace: 1 });
     }
@@ -445,7 +445,7 @@ mod tests {
         let at1 = b.push(pk.clone(), Loc::new(1, 2), Some(h));
         b.push(pk.clone(), Loc::new(1, 3), Some(at1));
         b.push(pk.clone(), Loc::new(1, 4), Some(at1));
-        let ntr = b.build().unwrap();
+        let ntr = b.build();
         assert!(check_update(&ntr, &update, &[], &one_event()).is_ok());
     }
 

@@ -108,9 +108,47 @@ impl fmt::Display for Action {
 /// (copy-on-write), so a clone never observes a mutation of its origin.
 /// Equality, ordering and hashing are those of the actions, not of the
 /// allocation.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+///
+/// # The port-only shape
+///
+/// A routing rule's set is one action that writes only [`Field::Port`]. The
+/// set decides once, when it is built, whether it has that shape, and
+/// [`port_only`](ActionSet::port_only) reads the answer without walking the
+/// set or the action.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ActionSet {
-    actions: Arc<BTreeSet<Action>>,
+    actions: Arc<Actions>,
+}
+
+/// A set's actions, and the port its one action writes when that is all it
+/// writes: a function of the actions, so the derived comparisons are the
+/// actions' own.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+struct Actions {
+    set: BTreeSet<Action>,
+    port_only: Option<Value>,
+}
+
+impl Actions {
+    fn new(set: BTreeSet<Action>) -> Actions {
+        let mut actions = Actions { set, port_only: None };
+        actions.decide();
+        actions
+    }
+
+    /// Decides the port-only shape of `set`.
+    fn decide(&mut self) {
+        self.port_only = match self.set.first() {
+            Some(a) if self.set.len() == 1 && a.writes.len() == 1 => a.get(Field::Port),
+            _ => None,
+        };
+    }
+}
+
+impl fmt::Debug for ActionSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ActionSet").field("actions", &self.actions.set).finish()
+    }
 }
 
 impl ActionSet {
@@ -132,24 +170,24 @@ impl ActionSet {
     /// Returns `true` if this set drops (is empty).
     #[inline]
     pub fn is_drop(&self) -> bool {
-        self.actions.is_empty()
+        self.is_empty()
     }
 
     /// Returns `true` if this set is exactly `pass`.
     pub fn is_pass(&self) -> bool {
-        self.actions.len() == 1 && self.actions.iter().next().is_some_and(Action::is_id)
+        self.len() == 1 && self.iter().next().is_some_and(Action::is_id)
     }
 
     /// Union of two action sets (multicast).
     pub fn union(&self, other: &ActionSet) -> ActionSet {
         let mut union = self.clone();
-        union.extend(other.actions.iter().cloned());
+        union.extend(other.iter().cloned());
         union
     }
 
     /// Applies every action to `pk`, returning the set of output packets.
     pub fn apply(&self, pk: &Packet) -> BTreeSet<Packet> {
-        self.actions.iter().map(|a| a.apply(pk)).collect()
+        self.iter().map(|a| a.apply(pk)).collect()
     }
 
     /// Applies every action to `pk`, appending the outputs to `out` in
@@ -157,9 +195,9 @@ impl ActionSet {
     /// (sorted, deduplicated) — but without materializing the set for the
     /// hot single-action case.
     pub fn apply_into(&self, pk: &Packet, out: &mut Vec<Packet>) {
-        match self.actions.len() {
+        match self.len() {
             0 => {}
-            1 => out.push(self.actions.iter().next().expect("len 1").apply(pk)),
+            1 => out.push(self.iter().next().expect("len 1").apply(pk)),
             _ => out.extend(self.apply(pk)),
         }
     }
@@ -167,25 +205,32 @@ impl ActionSet {
     /// Number of actions.
     #[inline]
     pub fn len(&self) -> usize {
-        self.actions.len()
+        self.actions.set.len()
     }
 
     /// Returns `true` if this set is empty (drops).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
+        self.actions.set.is_empty()
     }
 
     /// Iterates over the actions.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = &Action> + '_ {
-        self.actions.iter()
+        self.actions.set.iter()
+    }
+
+    /// The port this set's one action writes, if that action writes the
+    /// port and nothing else: decided when the set was built.
+    #[inline]
+    pub fn port_only(&self) -> Option<Value> {
+        self.actions.port_only
     }
 }
 
 impl FromIterator<Action> for ActionSet {
     fn from_iter<I: IntoIterator<Item = Action>>(iter: I) -> ActionSet {
-        ActionSet { actions: Arc::new(iter.into_iter().collect()) }
+        ActionSet { actions: Arc::new(Actions::new(iter.into_iter().collect())) }
     }
 }
 
@@ -194,7 +239,9 @@ impl Extend<Action> for ActionSet {
         // Nothing to add must not un-share the set.
         let mut iter = iter.into_iter().peekable();
         if iter.peek().is_some() {
-            Arc::make_mut(&mut self.actions).extend(iter);
+            let actions = Arc::make_mut(&mut self.actions);
+            actions.set.extend(iter);
+            actions.decide();
         }
     }
 }
@@ -205,7 +252,7 @@ impl fmt::Display for ActionSet {
             return write!(f, "drop");
         }
         write!(f, "{{")?;
-        for (i, a) in self.actions.iter().enumerate() {
+        for (i, a) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, " | ")?;
             }
@@ -264,6 +311,35 @@ mod tests {
         assert_eq!(s.len(), 2);
         let pk = Packet::new();
         assert_eq!(s.apply(&pk).len(), 2);
+    }
+
+    /// The port-only shape is decided when a set is built or extended, and
+    /// only a single action writing nothing but the port has it.
+    #[test]
+    fn port_only_is_one_action_writing_only_the_port() {
+        let to = |pt| Action::assign(Field::Port, pt);
+        assert_eq!(ActionSet::single(to(3)).port_only(), Some(3));
+        for other in [
+            ActionSet::drop(),
+            ActionSet::pass(),
+            ActionSet::single(to(3).set(Field::Vlan, 7)),
+            ActionSet::single(Action::assign(Field::Switch, 2)),
+            ActionSet::single(to(1)).union(&ActionSet::single(to(2))),
+        ] {
+            assert_eq!(other.port_only(), None, "{other}");
+        }
+        let mut grown = ActionSet::single(to(1));
+        let shared = grown.clone();
+        grown.extend([to(2)]);
+        assert_eq!((grown.port_only(), shared.port_only()), (None, Some(1)));
+        let mut filled = ActionSet::drop();
+        filled.extend([to(4)]);
+        assert_eq!(filled, ActionSet::single(to(4)));
+        assert_eq!(filled.port_only(), Some(4));
+        assert_eq!(
+            format!("{:?}", ActionSet::single(to(1))),
+            "ActionSet { actions: {Action { writes: {Port: 1} }} }"
+        );
     }
 
     #[test]

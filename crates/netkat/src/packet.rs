@@ -266,12 +266,28 @@ impl Packet {
     }
 
     /// Whether [`erase_virtual`](Packet::erase_virtual) of this packet is
-    /// `erased`, decided in one pass and without the copy: the online
-    /// checker asks this of every hop, and on most the answer is yes.
+    /// `erased`, decided without the copy: the online checker asks this of
+    /// every hop, and on most the answer is yes. `Tag` and `Digest` sort
+    /// next to each other, behind every named header and before the custom
+    /// ones, so the kept fields are the two slices before and after them,
+    /// each compared with its counterpart whole.
     #[inline]
     pub fn eq_erased(&self, erased: &Packet) -> bool {
-        let kept = self.fields.iter().filter(|(f, _)| !matches!(f, Field::Tag | Field::Digest));
-        kept.eq(&erased.fields)
+        let fields = &self.fields[..];
+        let after = match fields.last() {
+            Some((Field::Custom(_), _)) => fields.partition_point(|&(f, _)| f <= Field::Digest),
+            _ => fields.len(),
+        };
+        let mut before = after;
+        for virtual_field in [Field::Digest, Field::Tag] {
+            if before > 0 && fields[before - 1].0 == virtual_field {
+                before -= 1;
+            }
+        }
+        let other = &erased.fields[..];
+        other.len() == before + fields.len() - after
+            && other[..before] == fields[..before]
+            && other[before..] == fields[after..]
     }
 
     /// Whether the packet carries a location field of its own. They sort

@@ -2,8 +2,6 @@
 //! packet to a host, a switch's processing step, and the hop from each of
 //! its outputs to whatever the egress leads to.
 
-use std::collections::HashMap;
-
 use edn_core::LeafKind;
 
 use super::build::timeline_at;
@@ -11,8 +9,7 @@ use super::*;
 use crate::stats::{Delivery, DropReason};
 
 /// What sits on the far side of an egress location — resolved once at
-/// construction, so the per-hop path pays **one** map probe for hosts and
-/// links alike. Carries the destination entity's dense id so per-hop key
+/// construction. Carries the destination entity's dense id so per-hop key
 /// assignment needs no further lookup.
 #[derive(Clone, Copy, Debug)]
 pub(super) enum Egress {
@@ -23,21 +20,59 @@ pub(super) enum Egress {
     Link(u32, u32),
 }
 
-/// The egress map probes once per output; [`Loc`]'s derived `Hash` feeds
-/// two `u64` writes straight through [`netkat::FxHasher`], skipping
-/// SipHash's per-byte setup.
-pub(super) type EgressMap = HashMap<Loc, Egress, netkat::FxBuildHasher>;
+/// What every egress location of a topology leads to: per switch a run of
+/// `(port, egress)`. A run is found by the switch's dense entity id, which
+/// an arrival already carries, and scanned for the port, so a hop hashes
+/// nothing and no table is sized by a port number.
+#[derive(Debug)]
+pub(super) struct EgressRuns {
+    /// Entity `e`'s run is `ports[starts[e]..starts[e + 1]]`.
+    starts: Vec<u32>,
+    ports: Vec<(u64, Egress)>,
+}
 
-/// What every egress location of `topo` leads to.
-pub(super) fn egress_map(topo: &SimTopology, entities: &EntityMap) -> EgressMap {
-    let mut egress = EgressMap::default();
-    for (i, l) in topo.links().iter().enumerate() {
-        egress.insert(l.src, Egress::Link(i as u32, entities.dense(l.dst.sw)));
+impl EgressRuns {
+    /// What every egress location of `topo` leads to, each run in the
+    /// order the topology lists its links and then its hosts.
+    pub(super) fn build(topo: &SimTopology, entities: &EntityMap) -> EgressRuns {
+        let all = || {
+            let links = topo.links().iter().enumerate().filter_map(|(i, l)| {
+                let src = entities.get(l.src.sw)?;
+                Some((src, l.src.pt, Egress::Link(i as u32, entities.dense(l.dst.sw))))
+            });
+            let hosts = topo
+                .hosts()
+                .map(|(h, at)| (entities.dense(at.sw), at.pt, Egress::Host(h, entities.dense(h))));
+            links.chain(hosts)
+        };
+        // One count and one placement per entry: each run keeps the
+        // entries' order, so no sort.
+        let mut starts = vec![0; entities.len() + 1];
+        for (entity, ..) in all() {
+            starts[entity as usize + 1] += 1;
+        }
+        for e in 1..starts.len() {
+            starts[e] += starts[e - 1];
+        }
+        let mut next = starts.clone();
+        let mut ports = vec![(0, Egress::Host(0, 0)); starts[starts.len() - 1] as usize];
+        for (entity, pt, egress) in all() {
+            let at = &mut next[entity as usize];
+            ports[*at as usize] = (pt, egress);
+            *at += 1;
+        }
+        EgressRuns { starts, ports }
     }
-    for (h, loc) in topo.hosts() {
-        egress.insert(loc, Egress::Host(h, entities.dense(h)));
+
+    /// What port `pt` of dense entity `entity` leads to, if anything. Where
+    /// the topology names one location twice the later entry wins, a host
+    /// over a link.
+    #[inline]
+    fn at(&self, entity: u32, pt: u64) -> Option<Egress> {
+        let e = entity as usize;
+        let run = &self.ports[self.starts[e] as usize..self.starts[e + 1] as usize];
+        run.iter().rfind(|&&(p, _)| p == pt).map(|&(_, egress)| egress)
     }
-    egress
 }
 
 impl<D: DataPlane> Engine<D> {
@@ -142,8 +177,7 @@ impl<D: DataPlane> Engine<D> {
         self.link_frontier(sender, ingress_idx);
         let lookup_sw = self.metrics.sampling.then(Stopwatch::start);
         self.dataplane.step(
-            loc.sw,
-            loc.pt,
+            At { sw: loc.sw, pt: loc.pt, node: sender },
             packet,
             from_host,
             self.now,
@@ -174,7 +208,7 @@ impl<D: DataPlane> Engine<D> {
             if let Some(o) = self.observer.as_deref_mut() {
                 o.record(egress_idx, self.arena.get(out_pkt), out_loc, Some(ingress_idx));
             }
-            match self.egress_hop(out_loc, depart, size) {
+            match self.egress_hop(sender, out_pt, depart, size) {
                 Ok((arrival, dst, dst_entity)) => {
                     let seq = self.next_seq(sender);
                     self.schedule(
@@ -209,21 +243,22 @@ impl<D: DataPlane> Engine<D> {
         }
     }
 
-    /// Where a packet of `size` bytes leaving `from` at `depart` goes: its
-    /// arrival time, location and dense entity on the far side, or why it
-    /// is lost on the way. A capacity-limited link that carries it books
-    /// its transmission.
+    /// Where a packet of `size` bytes leaving port `pt` of switch entity
+    /// `sw` at `depart` goes: its arrival time, location and dense entity on
+    /// the far side, or why it is lost on the way. A capacity-limited link
+    /// that carries it books its transmission.
     fn egress_hop(
         &mut self,
-        from: Loc,
+        sw: u32,
+        pt: u64,
         depart: SimTime,
         size: u32,
     ) -> Result<(SimTime, Loc, u32), DropReason> {
-        let (link_idx, dst_entity) = match self.egress.get(&from) {
-            Some(&Egress::Host(host, entity)) => {
+        let (link_idx, dst_entity) = match self.egress.at(sw, pt) {
+            Some(Egress::Host(host, entity)) => {
                 return Ok((depart + self.topo.host_latency, Loc::new(host, 0), entity));
             }
-            Some(&Egress::Link(i, entity)) => (i as usize, entity),
+            Some(Egress::Link(i, entity)) => (i as usize, entity),
             // Nothing attached here.
             None => return Err(DropReason::DeadEnd),
         };

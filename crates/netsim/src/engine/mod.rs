@@ -37,7 +37,7 @@ use edn_obs::{FlightEvent, MetricsLevel, Registry, Stopwatch};
 use netkat::{Loc, Packet, PacketArena, PacketId};
 
 use crate::channel::ChannelModel;
-use crate::logic::{BoxedHosts, DataPlane, PlaneOut};
+use crate::logic::{At, BoxedHosts, DataPlane, PlaneOut};
 use crate::metrics::{self, EngineMetrics};
 use crate::queue::{EventKey, Pending};
 use crate::source::WorkloadSource;
@@ -48,7 +48,7 @@ use crate::topology::{SimParams, SimTopology};
 use build::Timeline;
 pub use build::{shard_count_from_env, TraceMode, DEFAULT_PACKET_SIZE};
 use control::EntityMap;
-use dispatch::EgressMap;
+use dispatch::EgressRuns;
 
 /// The dense entity id of the pre-run environment (initial injections).
 const ENV_ENTITY: u32 = 0;
@@ -143,8 +143,8 @@ pub struct Engine<D: DataPlane> {
     stats_mode: StatsMode,
     stats: Stats,
     /// What each egress location leads to (host or link), resolved once at
-    /// construction.
-    egress: EgressMap,
+    /// construction, by switch entity and port.
+    egress: EgressRuns,
     /// Per-link transmission backlog, indexed like `topo.links()`: when the
     /// link is next free.
     link_free: Vec<SimTime>,
@@ -215,7 +215,7 @@ impl<D: DataPlane> Engine<D> {
     /// process environment.
     pub fn new(topo: SimTopology, params: SimParams, dataplane: D, hosts: BoxedHosts) -> Engine<D> {
         let entities = EntityMap::build(&topo);
-        let egress = dispatch::egress_map(&topo, &entities);
+        let egress = EgressRuns::build(&topo, &entities);
         let n_links = topo.links().len();
         let n_entities = entities.len();
         Engine {
@@ -481,8 +481,7 @@ mod fixtures {
         type Msg = ();
         fn step(
             &mut self,
-            sw: u64,
-            _: u64,
+            At { sw, .. }: At,
             packet: PacketId,
             _: bool,
             _: SimTime,
@@ -554,8 +553,7 @@ mod tests {
         type Msg = ();
         fn step(
             &mut self,
-            _: u64,
-            _: u64,
+            _: At,
             packet: PacketId,
             _: bool,
             _: SimTime,
@@ -581,8 +579,7 @@ mod tests {
         type Msg = ();
         fn step(
             &mut self,
-            _: u64,
-            _: u64,
+            _: At,
             packet: PacketId,
             _: bool,
             _: SimTime,
@@ -679,8 +676,7 @@ mod tests {
             type Msg = ();
             fn step(
                 &mut self,
-                sw: u64,
-                _: u64,
+                At { sw, .. }: At,
                 packet: PacketId,
                 _: bool,
                 _: SimTime,
@@ -742,8 +738,7 @@ mod tests {
             type Msg = ();
             fn step(
                 &mut self,
-                sw: u64,
-                _: u64,
+                At { sw, .. }: At,
                 packet: PacketId,
                 from_host: bool,
                 _: SimTime,
@@ -827,8 +822,7 @@ mod tests {
             type Msg = Msg;
             fn step(
                 &mut self,
-                sw: u64,
-                _: u64,
+                At { sw, .. }: At,
                 packet: PacketId,
                 from_host: bool,
                 _: SimTime,
@@ -1133,8 +1127,7 @@ mod merge_props {
         type Msg = ();
         fn step(
             &mut self,
-            sw: u64,
-            pt: u64,
+            At { sw, pt, .. }: At,
             packet: PacketId,
             _: bool,
             now: SimTime,
@@ -1340,8 +1333,7 @@ mod failure_tests {
             type Msg = ();
             fn step(
                 &mut self,
-                _: u64,
-                _: u64,
+                _: At,
                 packet: PacketId,
                 from_host: bool,
                 _: SimTime,
@@ -1526,8 +1518,7 @@ mod channel_tests {
         type Msg = ();
         fn step(
             &mut self,
-            sw: u64,
-            _: u64,
+            At { sw, .. }: At,
             packet: PacketId,
             _: bool,
             _: SimTime,
@@ -1602,8 +1593,7 @@ mod channel_tests {
         type Msg = Msg;
         fn step(
             &mut self,
-            sw: u64,
-            _: u64,
+            At { sw, .. }: At,
             packet: PacketId,
             _: bool,
             _: SimTime,
@@ -1655,8 +1645,7 @@ mod channel_tests {
         type Msg = ();
         fn step(
             &mut self,
-            sw: u64,
-            _: u64,
+            At { sw, .. }: At,
             packet: PacketId,
             from_host: bool,
             _: SimTime,

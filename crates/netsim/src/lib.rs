@@ -18,7 +18,7 @@
 //! with the first ([`Engine::set_observer`]).
 //!
 //! ```
-//! use netsim::{DataPlane, Engine, PacketArena, PacketId, PlaneOut, SimParams, SimTime,
+//! use netsim::{At, DataPlane, Engine, PacketArena, PacketId, PlaneOut, SimParams, SimTime,
 //!              SimTopology, SinkHosts};
 //! use netkat::{Loc, Packet};
 //!
@@ -28,9 +28,9 @@
 //! struct Wire;
 //! impl DataPlane for Wire {
 //!     type Msg = ();
-//!     fn step(&mut self, _sw: u64, pt: u64, pk: PacketId, _from_host: bool, _now: SimTime,
+//!     fn step(&mut self, at: At, pk: PacketId, _from_host: bool, _now: SimTime,
 //!             _arena: &mut PacketArena, out: &mut PlaneOut<()>) {
-//!         out.outputs.push((if pt == 2 { 3 } else { 2 }, pk));
+//!         out.outputs.push((if at.pt == 2 { 3 } else { 2 }, pk));
 //!     }
 //! }
 //!
@@ -63,7 +63,9 @@ pub use edn_obs::{FlightRecorder, MetricsLevel, Registry};
 #[doc(hidden)]
 pub use engine::{shard_count_from_env, TraceMode};
 pub use engine::{Engine, RunResult, DEFAULT_PACKET_SIZE};
-pub use logic::{BoxedHosts, CtrlMsg, DataPlane, HostLogic, PlaneOut, SinkHosts, CONTROLLER_NODE};
+pub use logic::{
+    At, BoxedHosts, CtrlMsg, DataPlane, HostLogic, PlaneOut, SinkHosts, CONTROLLER_NODE,
+};
 pub use netkat::{PacketArena, PacketId};
 pub use source::{SourceEvent, WorkloadSource};
 pub use stats::{Delivery, DropReason, Stats, StatsMode};

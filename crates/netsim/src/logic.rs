@@ -69,6 +69,21 @@ impl<M> Default for PlaneOut<M> {
     }
 }
 
+/// Where a [`DataPlane::step`] happens: switch `sw`, port `pt`, and `node`,
+/// the switch's dense id in the engine's numbering of its topology. The
+/// same switch always comes with the same `node`, and ids are small and
+/// dense, so a plane may keep per-switch state in a vector indexed by it
+/// instead of looking `sw` up on every packet.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct At {
+    /// The switch.
+    pub sw: u64,
+    /// The port the packet arrived on.
+    pub pt: u64,
+    /// The switch's dense id.
+    pub node: u32,
+}
+
 /// The deployed system under test: all switches plus the controller.
 ///
 /// The engine calls [`step`](DataPlane::step) for every packet at every
@@ -80,9 +95,8 @@ pub trait DataPlane {
     /// What this plane's switches and controller send each other.
     type Msg: CtrlMsg;
 
-    /// Processes a packet arriving at switch `sw`, port `pt` (the SWITCH
-    /// rule of Fig. 7), appending output packets and controller
-    /// notifications to `out`.
+    /// Processes a packet arriving at `at` (the SWITCH rule of Fig. 7),
+    /// appending output packets and controller notifications to `out`.
     ///
     /// `from_host` is `true` when the packet just entered the network from a
     /// host (the IN rule, where ingress stamping happens). `packet` was
@@ -90,11 +104,9 @@ pub trait DataPlane {
     /// same arena: the input id itself when the hop leaves the packet
     /// unchanged, a freshly interned one otherwise. A plane instance is only
     /// ever driven against one arena (implementations may cache ids).
-    #[allow(clippy::too_many_arguments)]
     fn step(
         &mut self,
-        sw: u64,
-        pt: u64,
+        at: At,
         packet: PacketId,
         from_host: bool,
         now: SimTime,

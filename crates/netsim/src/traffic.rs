@@ -402,7 +402,7 @@ pub fn proto_packets_delivered(stats: &Stats, host: u64, proto: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logic::PlaneOut;
+    use crate::logic::{At, PlaneOut};
     use crate::topology::{SimParams, SimTopology};
     use netkat::{Loc, PacketArena, PacketId};
 
@@ -414,8 +414,7 @@ mod tests {
         type Msg = ();
         fn step(
             &mut self,
-            _: u64,
-            pt: u64,
+            At { pt, .. }: At,
             packet: PacketId,
             _: bool,
             _: SimTime,
@@ -456,8 +455,7 @@ mod tests {
             type Msg = ();
             fn step(
                 &mut self,
-                _: u64,
-                _: u64,
+                _: At,
                 _: PacketId,
                 _: bool,
                 _: SimTime,

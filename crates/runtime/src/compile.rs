@@ -223,6 +223,18 @@ impl CompiledNes {
         self.fire_step(known, self.matching_on(packet, loc))
     }
 
+    /// [`triggered`](CompiledNes::triggered) for a packet at a location
+    /// whose events the caller has already found: `here`.
+    pub(crate) fn triggered_among<R: netkat::FieldReader>(
+        &self,
+        known: EventSet,
+        here: EventSet,
+        packet: &R,
+    ) -> EventSet {
+        let es = self.nes.structure();
+        self.fire_step(known, here.iter().filter(|&e| es.event(e).pred.eval_on(packet)).collect())
+    }
+
     /// The events whose guard and location the located packet matches,
     /// enabled or not.
     pub(crate) fn matching_on<R: netkat::FieldReader>(

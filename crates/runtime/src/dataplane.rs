@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use edn_core::{EventId, EventSet};
 use netkat::{Field, FieldReader, Loc, LocatedView, PacketArena, PacketId, TaggedView};
-use netsim::{DataPlane, PlaneOut, SimTime};
+use netsim::{At, DataPlane, PlaneOut, SimTime};
 
 use crate::compile::CompiledNes;
 use crate::deploy::{Hop, PerTagTables};
@@ -43,6 +43,21 @@ impl Local {
     }
 }
 
+/// What the plane keeps per switch it has stepped, under the switch's dense
+/// node id: its slot (the deployment's row, and the index of its event
+/// state) and the run of `located` that holds its events, found once, at
+/// first contact.
+#[derive(Clone, Copy, Debug)]
+struct Contact {
+    slot: u32,
+    events: (u32, u32),
+}
+
+impl Contact {
+    /// A node id no packet has arrived under yet.
+    const UNSEEN: Contact = Contact { slot: u32::MAX, events: (0, 0) };
+}
+
 /// The deployed NES runtime (switch state + controller).
 #[derive(Clone, Debug)]
 pub struct NesDataPlane {
@@ -56,6 +71,11 @@ pub struct NesDataPlane {
     local: Vec<Local>,
     /// The state of a switch that knows nothing.
     blank: Local,
+    /// Per node id (`At::node`), the switch's [`Contact`]: a packet's
+    /// switch is found by index, never by a lookup of its id.
+    contacts: Vec<Contact>,
+    /// Per contacted switch, a run of `(port, the events located there)`.
+    located: Vec<(u64, EventSet)>,
     /// Controller's accumulated events (`R` in Fig. 7).
     controller: EventSet,
     /// Whether the controller broadcasts its view to all switches
@@ -88,6 +108,8 @@ impl NesDataPlane {
             compiled,
             deployment,
             blank,
+            contacts: Vec::new(),
+            located: Vec::new(),
             controller: EventSet::empty(),
             broadcast,
             switches,
@@ -138,6 +160,35 @@ impl NesDataPlane {
         slot
     }
 
+    /// The contact of the switch at `at`, made on its first packet: its
+    /// slot, and its events collected into a run of `located`.
+    #[inline]
+    fn contact(&mut self, at: At) -> Contact {
+        match self.contacts.get(at.node as usize) {
+            Some(&c) if c.slot != Contact::UNSEEN.slot => c,
+            _ => self.first_contact(at),
+        }
+    }
+
+    #[cold]
+    fn first_contact(&mut self, at: At) -> Contact {
+        let slot = self.slot_of(at.sw) as u32;
+        let start = self.located.len();
+        for e in self.compiled.nes().events().iter().filter(|e| e.loc.sw == at.sw) {
+            match self.located[start..].iter_mut().find(|(pt, _)| *pt == e.loc.pt) {
+                Some((_, here)) => *here = here.insert(e.id),
+                None => self.located.push((e.loc.pt, EventSet::singleton(e.id))),
+            }
+        }
+        let contact = Contact { slot, events: (start as u32, self.located.len() as u32) };
+        let node = at.node as usize;
+        if self.contacts.len() <= node {
+            self.contacts.resize(node + 1, Contact::UNSEEN);
+        }
+        self.contacts[node] = contact;
+        contact
+    }
+
     fn learn(&mut self, sw: u64, events: EventSet, now: SimTime) {
         let slot = self.slot_of(sw);
         self.learn_at(slot, sw, events, now);
@@ -174,8 +225,7 @@ impl DataPlane for NesDataPlane {
     /// `process_reference`, which the per-hop proptests diff this against.
     fn step(
         &mut self,
-        sw: u64,
-        pt: u64,
+        at: At,
         packet: PacketId,
         from_host: bool,
         now: SimTime,
@@ -183,7 +233,8 @@ impl DataPlane for NesDataPlane {
         out: &mut PlaneOut<EventSet>,
     ) {
         // SWITCH step 1: union the packet's digest into local state.
-        let slot = self.slot_of(sw);
+        let contact = self.contact(at);
+        let (slot, sw) = (contact.slot as usize, at.sw);
         let base = arena.get(packet);
         let digest = EventSet::from_bits(base.get(Field::Digest).unwrap_or(0));
         self.learn_at(slot, sw, digest, now);
@@ -194,9 +245,15 @@ impl DataPlane for NesDataPlane {
         // the stamp through an overlay, and the output below carries it.
         let stamped = TaggedView { base, tag: from_host.then_some(tag) };
 
-        // SWITCH step 2: fire enabled events this arrival matches.
-        let loc = Loc::new(sw, pt);
-        let fired = self.compiled.triggered(effective, &stamped, loc);
+        // SWITCH step 2: fire enabled events this arrival matches, among
+        // those located at its port.
+        let loc = Loc::new(at.sw, at.pt);
+        let (start, end) = contact.events;
+        let here = self.located[start as usize..end as usize].iter().find(|(pt, _)| *pt == at.pt);
+        let fired = match here {
+            Some(&(_, here)) => self.compiled.triggered_among(effective, here, &stamped),
+            None => EventSet::empty(),
+        };
         if !fired.is_empty() {
             self.learn_at(slot, sw, fired, now);
             for e in fired.iter() {

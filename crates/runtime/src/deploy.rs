@@ -127,8 +127,64 @@ impl Hop {
     /// When the hop's single action changes nothing the output keeps — the
     /// steady state: location writes are stripped anyway, and the stamp
     /// already carries what the switch knows — the output *is* the input
-    /// id: nothing is copied or interned.
+    /// id: nothing is copied or interned. A rule whose one action writes
+    /// only the port (every routing rule) says so itself
+    /// ([`ActionSet::port_only`](netkat::ActionSet::port_only)), so its
+    /// hop reads the port and walks no action, whether or not it copies.
+    #[inline]
     pub(crate) fn forward(
+        &mut self,
+        rule: &Rule,
+        stamp: Option<(u64, u64)>,
+        loc: Loc,
+        packet: PacketId,
+        arena: &mut PacketArena,
+        outputs: &mut Vec<(u64, PacketId)>,
+    ) {
+        if let Some(out_pt) = rule.actions.port_only() {
+            let base = arena.get(packet);
+            let stamped = |(digest, tag)| {
+                base.get(Field::Digest) == Some(digest) && base.get(Field::Tag) == Some(tag)
+            };
+            let out = if !base.has_loc() && stamp.is_none_or(stamped) {
+                packet
+            } else {
+                self.copy_out(packet, std::iter::empty(), stamp, arena)
+            };
+            outputs.push((out_pt, out));
+            return;
+        }
+        self.apply(rule, stamp, loc, packet, arena, outputs);
+    }
+
+    /// `packet` with its location stripped, `writes` to other fields
+    /// applied and `stamp` written, copied into the reused buffer and
+    /// interned: the output of a hop that changes the packet.
+    fn copy_out(
+        &mut self,
+        packet: PacketId,
+        writes: impl Iterator<Item = (Field, u64)>,
+        stamp: Option<(u64, u64)>,
+        arena: &mut PacketArena,
+    ) -> PacketId {
+        let buf = &mut self.out_buf;
+        buf.clone_from(arena.get(packet));
+        buf.take_loc();
+        for (f, v) in writes {
+            if !f.is_location() {
+                buf.set(f, v);
+            }
+        }
+        if let Some((digest, tag)) = stamp {
+            buf.set(Field::Digest, digest);
+            buf.set(Field::Tag, tag);
+        }
+        arena.intern_ref(buf)
+    }
+
+    /// [`forward`](Hop::forward) for every other rule and packet: the
+    /// rule's actions are walked.
+    fn apply(
         &mut self,
         rule: &Rule,
         stamp: Option<(u64, u64)>,
@@ -157,23 +213,12 @@ impl Hop {
                     && base.get(Field::Digest) == Some(digest)
                     && base.get(Field::Tag) == Some(tag);
             }
-            if identity {
-                outputs.push((out_pt, packet));
-                return;
-            }
-            let buf = &mut self.out_buf;
-            buf.clone_from(base);
-            buf.take_loc();
-            for (f, v) in action.writes() {
-                if !f.is_location() {
-                    buf.set(f, v);
-                }
-            }
-            if let Some((digest, tag)) = stamp {
-                buf.set(Field::Digest, digest);
-                buf.set(Field::Tag, tag);
-            }
-            outputs.push((out_pt, arena.intern_ref(buf)));
+            let out = if identity {
+                packet
+            } else {
+                self.copy_out(packet, action.writes(), stamp, arena)
+            };
+            outputs.push((out_pt, out));
         } else if !rule.actions.is_empty() {
             // Multicast (rare): materialize the lookup packet and the same
             // sorted, deduplicated output set `ActionSet::apply` defines.

@@ -11,7 +11,7 @@
 
 use edn_core::{Config, Event, EventId, EventSet, EventStructure, NetworkEventStructure};
 use netkat::{Action, ActionSet, Field, FlowTable, Loc, Match, Packet, PacketArena, Pred, Rule};
-use netsim::{DataPlane, PlaneOut, SimTime};
+use netsim::{At, DataPlane, PlaneOut, SimTime};
 use proptest::prelude::*;
 
 use crate::compile::CompiledNes;
@@ -53,12 +53,29 @@ pub(crate) fn table_reference(
 /// Drives a plane's [`DataPlane::step`] on owned packets — interning the
 /// input into the one arena the plane is ever stepped against, resolving the
 /// outputs back — so tests state their expectations in owned form.
+///
+/// Each switch is stepped under a node id of its own, numbered in the
+/// order the switches are first stepped, as the engine numbers its
+/// topology densely.
 #[derive(Default)]
 pub(crate) struct Stepper {
     arena: PacketArena,
+    switches: Vec<u64>,
 }
 
 impl Stepper {
+    /// Where a packet arrives at `sw:pt`, with the switch's node id.
+    fn at(&mut self, sw: u64, pt: u64) -> At {
+        let node = match self.switches.iter().position(|&s| s == sw) {
+            Some(node) => node,
+            None => {
+                self.switches.push(sw);
+                self.switches.len() - 1
+            }
+        };
+        At { sw, pt, node: node as u32 }
+    }
+
     pub(crate) fn step<D: DataPlane>(
         &mut self,
         plane: &mut D,
@@ -70,7 +87,7 @@ impl Stepper {
     ) -> StepResult<D::Msg> {
         let mut out = PlaneOut::default();
         let id = self.arena.intern(packet);
-        plane.step(sw, pt, id, from_host, now, &mut self.arena, &mut out);
+        plane.step(self.at(sw, pt), id, from_host, now, &mut self.arena, &mut out);
         StepResult {
             outputs: out.outputs.iter().map(|&(pt, id)| (pt, self.arena.get(id).clone())).collect(),
             notifications: out.notifications,

@@ -33,7 +33,7 @@
 use std::collections::BTreeMap;
 
 use edn_obs::Hist;
-use netsim::{CtrlMsg, DataPlane, PacketArena, PacketId, PlaneOut, SimTime, CONTROLLER_NODE};
+use netsim::{At, CtrlMsg, DataPlane, PacketArena, PacketId, PlaneOut, SimTime, CONTROLLER_NODE};
 
 /// Initial retransmission timeout; doubles on every retry. Comfortably
 /// above one control-channel round trip at the default latency.
@@ -325,16 +325,15 @@ impl<D: DataPlane> DataPlane for Reliable<D> {
 
     fn step(
         &mut self,
-        sw: u64,
-        pt: u64,
+        at: At,
         packet: PacketId,
         from_host: bool,
         now: SimTime,
         arena: &mut PacketArena,
         out: &mut PlaneOut<Self::Msg>,
     ) {
-        self.call_inner(sw, now, out, |inner, inner_out| {
-            inner.step(sw, pt, packet, from_host, now, arena, inner_out)
+        self.call_inner(at.sw, now, out, |inner, inner_out| {
+            inner.step(at, packet, from_host, now, arena, inner_out)
         });
     }
 
@@ -434,8 +433,7 @@ mod tests {
 
         fn step(
             &mut self,
-            sw: u64,
-            _: u64,
+            At { sw, .. }: At,
             packet: PacketId,
             _: bool,
             _: SimTime,
@@ -601,7 +599,7 @@ mod tests {
         let id = arena.intern(Packet::new());
         // One switch→controller send at t=0.
         let mut out = PlaneOut::default();
-        p.step(1, 2, id, true, SimTime::ZERO, &mut arena, &mut out);
+        p.step(At { sw: 1, pt: 2, node: 2 }, id, true, SimTime::ZERO, &mut arena, &mut out);
         let Envelope::Data { sw: 1, seq: 1, .. } = out.notifications[0] else {
             panic!("expected an envelope, got {:?}", out.notifications[0]);
         };

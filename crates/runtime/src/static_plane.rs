@@ -7,7 +7,7 @@
 
 use edn_core::{Config, EventSet, EventStructure, NetworkEventStructure};
 use netkat::{Loc, LocatedView, PacketArena, PacketId};
-use netsim::{DataPlane, PlaneOut, SimTime};
+use netsim::{At, DataPlane, PlaneOut, SimTime};
 
 use crate::deploy::{Hop, PerTagTables};
 #[cfg(test)]
@@ -49,16 +49,15 @@ impl DataPlane for StaticDataPlane {
     /// minus events. The owned transcription is `process_reference`.
     fn step(
         &mut self,
-        sw: u64,
-        pt: u64,
+        at: At,
         packet: PacketId,
         _from_host: bool,
         _now: SimTime,
         arena: &mut PacketArena,
         out: &mut PlaneOut<()>,
     ) {
-        let Some(slot) = self.deployment.slot(sw) else { return };
-        let loc = Loc::new(sw, pt);
+        let Some(slot) = self.deployment.slot(at.sw) else { return };
+        let loc = Loc::new(at.sw, at.pt);
         let view = LocatedView { base: arena.get(packet), loc, tag: None };
         if let Some(rule) = self.deployment.lookup_on(slot, 0, &view) {
             self.hop.forward(rule, None, loc, packet, arena, &mut out.outputs);

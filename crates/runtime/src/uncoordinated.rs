@@ -8,7 +8,7 @@
 
 use edn_core::EventSet;
 use netkat::{Loc, LocatedView, PacketArena, PacketId};
-use netsim::{CtrlMsg, DataPlane, PlaneOut, SimTime};
+use netsim::{At, CtrlMsg, DataPlane, PlaneOut, SimTime};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -87,8 +87,7 @@ impl DataPlane for UncoordDataPlane {
     /// shares, unstamped. The owned transcription is `process_reference`.
     fn step(
         &mut self,
-        sw: u64,
-        pt: u64,
+        at: At,
         packet: PacketId,
         _from_host: bool,
         _now: SimTime,
@@ -97,13 +96,13 @@ impl DataPlane for UncoordDataPlane {
     ) {
         // Event detection: matching arrivals are punted to the controller
         // (it decides whether they constitute state transitions).
-        let loc = Loc::new(sw, pt);
+        let loc = Loc::new(at.sw, at.pt);
         let base = arena.get(packet);
         let matched = self.compiled.matching_on(base, loc);
         if !matched.is_empty() {
             out.notifications.push(UncoordMsg::Events(matched));
         }
-        let Some(slot) = self.deployment.slot(sw) else { return };
+        let Some(slot) = self.deployment.slot(at.sw) else { return };
         let view = LocatedView { base, loc, tag: None };
         if let Some(rule) = self.deployment.lookup_on(slot, self.current[slot], &view) {
             self.hop.forward(rule, None, loc, packet, arena, &mut out.outputs);

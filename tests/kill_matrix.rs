@@ -35,8 +35,8 @@ use nes_runtime::{attach_online_checker, CompiledNes, NesDataPlane};
 use netkat::{Field, Loc};
 use netsim::traffic::{schedule_pings, Ping, ScenarioHosts};
 use netsim::{
-    BoxedHosts, DataPlane, Engine, PacketArena, PacketId, PlaneOut, RunResult, SimParams, SimTime,
-    SimTopology, SinkHosts,
+    At, BoxedHosts, DataPlane, Engine, PacketArena, PacketId, PlaneOut, RunResult, SimParams,
+    SimTime, SimTopology, SinkHosts,
 };
 
 /// What a mutant breaks.
@@ -114,15 +114,15 @@ impl<D: DataPlane> DataPlane for Mutant<D> {
 
     fn step(
         &mut self,
-        sw: u64,
-        pt: u64,
+        at: At,
         packet: PacketId,
         from_host: bool,
         now: SimTime,
         arena: &mut PacketArena,
         out: &mut PlaneOut<D::Msg>,
     ) {
-        self.inner.step(sw, pt, packet, from_host, now, arena, out);
+        self.inner.step(at, packet, from_host, now, arena, out);
+        let sw = at.sw;
         let first_firing = self.fired_at.is_none() && !out.notifications.is_empty();
         if first_firing {
             self.fired_at = Some(sw);

@@ -795,8 +795,40 @@ const ROWS: &[Row] = &[
                  the stock release profile inlines nothing else across crates \
                  (ARCHITECTURE.md, *Why the per-event path is marked `#[inline]`*)",
         scope: files(PER_EVENT_CALLEES),
-        check: count(Lines::NonTest, true, &[Lit("#[inline]")], Allowed::Exactly(54)),
+        check: count(Lines::NonTest, true, &[Lit("#[inline]")], Allowed::Exactly(55)),
         witness: "    #[inline]",
+    },
+    Row {
+        name: "egress-map",
+        pr: 53,
+        reason: "a hop hashes its egress location again: the engine's egress is per-switch \
+                 runs of ports, found by the entity id the arrival carries",
+        scope: files(&[ENGINE]),
+        check: none(&[Lit("EgressMap"), Lit("HashMap<Loc, Egress")]),
+        witness: "pub(super) type EgressMap = HashMap<Loc, Egress, netkat::FxBuildHasher>;",
+    },
+    Row {
+        name: "checker-location-maps",
+        pr: 53,
+        reason: "a checker record hashes a location again: masks and `last_at` are dense \
+                 tables a record's place indexes",
+        scope: files(&[SHARED, "crates/core/src/online.rs"]),
+        check: none(&[Lit("FxMap<(Loc, Loc)"), Lit("FxMap<Loc,"), Lit("last_at: FxMap")]),
+        witness: "    links: FxMap<(Loc, Loc), u64>,",
+    },
+    Row {
+        name: "plane-slot-probe",
+        pr: 53,
+        reason: "the NES plane's step looks its switch up again: the slot, row and events \
+                 come from the node id the engine hands in",
+        scope: files(&["crates/runtime/src/dataplane.rs"]),
+        check: count(
+            Lines::Item("impl DataPlane for NesDataPlane"),
+            false,
+            &[Lit("slot_of(")],
+            Allowed::AtMost(0),
+        ),
+        witness: "        let slot = self.slot_of(sw);",
     },
 ];
 
