@@ -138,13 +138,13 @@ impl PacketArena {
         self.newborns.clear();
     }
 
-    /// Empties slot `i` — keeping its buffer, so the packet that reuses the
-    /// slot is copied in without allocating — and queues it for reuse.
+    /// Queues slot `i` for reuse. Its packet is left as it is: the intern
+    /// that reuses the slot overwrites every field, and a recycled slot's
+    /// kept side list is what lets that copy go without allocating.
     #[inline]
     fn free_slot(&mut self, i: u32) {
         self.rc[i as usize] = FREE;
         self.free.push(i);
-        self.slots[i as usize].clear();
     }
 
     /// Number of slots: the high-water mark of simultaneously live packets
@@ -174,7 +174,7 @@ impl PacketArena {
         &self.slots[id.index()]
     }
 
-    /// Claims an empty slot for the caller to fill — a freed one when there
+    /// Claims a slot for the caller to overwrite — a freed one when there
     /// is one, else a new one — at count zero, until the next sweep.
     #[inline]
     fn claim(&mut self) -> usize {
@@ -208,9 +208,11 @@ impl PacketArena {
         PacketId(i as u32)
     }
 
-    /// Interns by reference: the packet is copied into a recycled slot's
-    /// kept buffer when there is one.
-    #[inline]
+    /// Interns by reference: the packet is copied over a recycled slot's
+    /// stale one when there is one. Always inlined: with the packet's
+    /// fixed-size copy in its body, the hint alone left it a call of its
+    /// own on every hop that changes a packet and every streamed datagram.
+    #[inline(always)]
     pub fn intern_ref(&mut self, pk: &Packet) -> PacketId {
         let i = self.claim();
         self.slots[i].clone_from(pk);

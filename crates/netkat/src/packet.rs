@@ -5,7 +5,9 @@
 //! is marked or a tiny leaf (ARCHITECTURE.md, *Why the per-event path is
 //! marked `#[inline]`*).
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::field::{Field, Value};
 
@@ -100,6 +102,57 @@ impl FieldReader for TaggedView<'_> {
     }
 }
 
+/// The fixed slots of a [`Packet`]: one per named field, then
+/// `Custom(0..=2)`, in field order.
+const SLOT_FIELDS: [Field; 16] = [
+    Field::Switch,
+    Field::Port,
+    Field::EthSrc,
+    Field::EthDst,
+    Field::EthType,
+    Field::Vlan,
+    Field::IpProto,
+    Field::IpSrc,
+    Field::IpDst,
+    Field::TcpSrc,
+    Field::TcpDst,
+    Field::Tag,
+    Field::Digest,
+    Field::Custom(0),
+    Field::Custom(1),
+    Field::Custom(2),
+];
+
+/// The presence bits of the location slots, `Switch` and `Port`.
+const LOC_BITS: u16 = 0b11;
+/// The slot of `Tag`; `Digest`'s is the next one.
+const TAG_SLOT: usize = 11;
+/// The presence bits of the virtual slots, `Tag` and `Digest`.
+const VIRTUAL_BITS: u16 = 0b11 << TAG_SLOT;
+
+/// Where `field` is kept: its slot, or `Err(n)` for a `Custom(n)` past the
+/// slots, which goes in the side list.
+#[inline]
+fn slot_of(field: Field) -> Result<usize, u8> {
+    Ok(match field {
+        Field::Switch => 0,
+        Field::Port => 1,
+        Field::EthSrc => 2,
+        Field::EthDst => 3,
+        Field::EthType => 4,
+        Field::Vlan => 5,
+        Field::IpProto => 6,
+        Field::IpSrc => 7,
+        Field::IpDst => 8,
+        Field::TcpSrc => 9,
+        Field::TcpDst => 10,
+        Field::Tag => 11,
+        Field::Digest => 12,
+        Field::Custom(n @ 0..=2) => 13 + n as usize,
+        Field::Custom(n) => return Err(n),
+    })
+}
+
 /// A packet: a record of numeric header fields.
 ///
 /// Fields that are absent behave as *wildcards have no value*: a test on an
@@ -108,12 +161,19 @@ impl FieldReader for TaggedView<'_> {
 /// standard NetKAT semantics (where `sw` and `pt` are ordinary fields)
 /// straightforward.
 ///
-/// Internally the record is a `Vec` of `(field, value)` pairs kept sorted
-/// by field and duplicate-free: packets hold at most a dozen fields, and
-/// the simulator clones them on every trace step, so one flat allocation
-/// beats a node-per-field tree. The derived `Ord`/`Hash` compare the same
-/// sorted pair sequence a `BTreeMap` would iterate, so observable ordering
-/// (e.g. of `BTreeSet<Packet>` outputs) is unchanged.
+/// The record is fixed: one value slot for each of the thirteen named
+/// fields and for `Custom(0..=2)` (the stream generator's flow id and
+/// sequence number are `Custom(0)` and `Custom(1)`), in field order, with
+/// presence in one `u16`. A read or write is a mask test and one array
+/// access, and a copy is a fixed-size copy. `Custom(n)` for `n ≥ 3` goes in
+/// a side list sorted by `n`, empty on every packet the simulator makes.
+/// An absent slot holds 0, so two packets are equal exactly when their
+/// masks, slot arrays and side lists are.
+///
+/// [`iter`](Packet::iter) yields the set fields in field order; `Ord` is the
+/// lexicographic order of that sequence and `Hash` hashes it as a slice, so
+/// ordering (e.g. of `BTreeSet<Packet>` outputs) and hashes are those of a
+/// sorted `(field, value)` list, which the tests keep as the model.
 ///
 /// # Examples
 ///
@@ -123,22 +183,34 @@ impl FieldReader for TaggedView<'_> {
 /// assert_eq!(pk.get(Field::IpDst), Some(4));
 /// assert_eq!(pk.get(Field::IpSrc), None);
 /// ```
-#[derive(PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+#[derive(PartialEq, Eq, Default)]
 pub struct Packet {
-    fields: Vec<(Field, Value)>,
+    /// Bit `i` is set when slot `i` holds a value.
+    present: u16,
+    /// The value of the field in each slot ([`SLOT_FIELDS`]); 0 when absent.
+    slots: [Value; 16],
+    /// `Custom(n)` for `n ≥ 3`, as `(n, value)` sorted by `n`.
+    spilled: Vec<(u8, Value)>,
 }
+
+const _: () = assert!(std::mem::size_of::<Packet>() <= 160);
 
 impl Clone for Packet {
     #[inline]
     fn clone(&self) -> Packet {
-        Packet { fields: self.fields.clone() }
+        Packet { present: self.present, slots: self.slots, spilled: self.spilled.clone() }
     }
 
-    /// Reuses the destination's allocation — the packet arena's scratch
-    /// buffer leans on this to stay allocation-free in steady state.
+    /// A fixed-size copy, touching the side list only when either packet
+    /// has one — the packet arena's recycled slots lean on this to stay
+    /// allocation-free in steady state.
     #[inline]
     fn clone_from(&mut self, source: &Packet) {
-        self.fields.clone_from(&source.fields);
+        self.present = source.present;
+        self.slots = source.slots;
+        if !(self.spilled.is_empty() && source.spilled.is_empty()) {
+            self.clone_spilled_from(source);
+        }
     }
 }
 
@@ -153,42 +225,73 @@ impl Packet {
         Packet::new().with(Field::Switch, loc.sw).with(Field::Port, loc.pt)
     }
 
-    /// Locates `field` in the sorted record. A packet holds at most a
-    /// dozen fields, so a forward scan with a sorted early exit beats
-    /// binary search's unpredictable branches — and the simulator's
-    /// hottest reads ([`Field::Switch`], [`Field::Port`]) sort first, so
-    /// they resolve on the first compare.
-    #[inline]
-    fn position(&self, field: Field) -> Result<usize, usize> {
-        for (i, &(f, _)) in self.fields.iter().enumerate() {
-            if f == field {
-                return Ok(i);
-            }
-            if f > field {
-                return Err(i);
-            }
+    /// [`clone_from`](Clone::clone_from)'s side-list copy, kept out of line
+    /// so that the fixed-size copy inlines small.
+    #[cold]
+    fn clone_spilled_from(&mut self, source: &Packet) {
+        self.spilled.clone_from(&source.spilled);
+    }
+
+    /// Where `Custom(n)` is, or would go, in the side list.
+    fn spill_index(&self, n: u8) -> Result<usize, usize> {
+        self.spilled.binary_search_by_key(&n, |&(m, _)| m)
+    }
+
+    /// The value of `Custom(n)` in the side list. The accessors' side-list
+    /// arms are out of line, so that a read of a field only known at run
+    /// time inlines as a mask test and a load.
+    #[cold]
+    fn get_spilled(&self, n: u8) -> Option<Value> {
+        self.spill_index(n).ok().map(|k| self.spilled[k].1)
+    }
+
+    #[cold]
+    fn set_spilled(&mut self, n: u8, value: Value) {
+        match self.spill_index(n) {
+            Ok(k) => self.spilled[k].1 = value,
+            Err(k) => self.spilled.insert(k, (n, value)),
         }
-        Err(self.fields.len())
+    }
+
+    #[cold]
+    fn unset_spilled(&mut self, n: u8) -> Option<Value> {
+        let k = self.spill_index(n).ok()?;
+        Some(self.spilled.remove(k).1)
     }
 
     /// Returns the value of `field`, or `None` if unset.
     #[inline]
     pub fn get(&self, field: Field) -> Option<Value> {
-        self.position(field).ok().map(|i| self.fields[i].1)
+        match slot_of(field) {
+            Ok(i) => (self.present & 1 << i != 0).then_some(self.slots[i]),
+            Err(n) => self.get_spilled(n),
+        }
     }
 
     /// Sets `field` to `value` in place (the paper's `pkt[f ← n]`).
     #[inline]
     pub fn set(&mut self, field: Field, value: Value) {
-        match self.position(field) {
-            Ok(i) => self.fields[i].1 = value,
-            Err(i) => self.fields.insert(i, (field, value)),
+        match slot_of(field) {
+            Ok(i) => {
+                self.present |= 1 << i;
+                self.slots[i] = value;
+            }
+            Err(n) => self.set_spilled(n, value),
         }
     }
 
     /// Removes `field` from the packet, returning its previous value.
+    #[inline]
     pub fn unset(&mut self, field: Field) -> Option<Value> {
-        self.position(field).ok().map(|i| self.fields.remove(i).1)
+        match slot_of(field) {
+            Ok(i) => {
+                let old = self.get(field);
+                self.present &= !(1 << i);
+                self.slots[i] = 0;
+                old
+            }
+            Err(n) => self.unset_spilled(n),
+        }
     }
 
     /// Builder-style [`set`](Packet::set).
@@ -200,57 +303,34 @@ impl Packet {
     /// Returns the packet's location, if both `Switch` and `Port` are set.
     #[inline]
     pub fn loc(&self) -> Option<Loc> {
-        Some(Loc::new(self.get(Field::Switch)?, self.get(Field::Port)?))
+        (self.present & LOC_BITS == LOC_BITS).then(|| Loc::new(self.slots[0], self.slots[1]))
     }
 
     /// Moves the packet to `loc`.
-    ///
-    /// The location fields sort before every header field, so on the
-    /// simulator's per-hop path they are either both already in the first
-    /// two slots (update in place) or both absent (one front splice).
     #[inline]
     pub fn set_loc(&mut self, loc: Loc) {
-        match (self.fields.first().map(|&(f, _)| f), self.fields.get(1).map(|&(f, _)| f)) {
-            (Some(Field::Switch), Some(Field::Port)) => {
-                self.fields[0].1 = loc.sw;
-                self.fields[1].1 = loc.pt;
-            }
-            (Some(Field::Switch), _) | (Some(Field::Port), _) => {
-                self.set(Field::Switch, loc.sw);
-                self.set(Field::Port, loc.pt);
-            }
-            _ => {
-                self.fields.splice(0..0, [(Field::Switch, loc.sw), (Field::Port, loc.pt)]);
-            }
-        }
+        self.present |= LOC_BITS;
+        self.slots[0] = loc.sw;
+        self.slots[1] = loc.pt;
     }
 
-    /// Removes both location fields in one front-of-record pass, returning
-    /// their values — the per-hop inverse of [`set_loc`](Packet::set_loc)
-    /// (links, not tables, decide the next location).
+    /// Removes both location fields, returning their values — the per-hop
+    /// inverse of [`set_loc`](Packet::set_loc) (links, not tables, decide
+    /// the next location).
     #[inline]
     pub fn take_loc(&mut self) -> (Option<Value>, Option<Value>) {
-        let mut sw = None;
-        let mut pt = None;
-        let mut strip = 0;
-        for &(f, v) in self.fields.iter().take(2) {
-            match f {
-                Field::Switch => sw = Some(v),
-                Field::Port => pt = Some(v),
-                _ => break,
-            }
-            strip += 1;
-        }
-        if strip > 0 {
-            self.fields.drain(..strip);
-        }
-        (sw, pt)
+        let taken = (self.get(Field::Switch), self.get(Field::Port));
+        self.present &= !LOC_BITS;
+        self.slots[0] = 0;
+        self.slots[1] = 0;
+        taken
     }
 
     /// Iterates over the `(field, value)` pairs in field order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (Field, Value)> + '_ {
-        self.fields.iter().copied()
+        let slotted = SetBits(self.present).map(|i| (SLOT_FIELDS[i], self.slots[i]));
+        slotted.chain(self.spilled.iter().map(|&(n, v)| (Field::Custom(n), v)))
     }
 
     /// Returns a copy with the virtual runtime fields (`Tag`, `Digest`)
@@ -267,52 +347,98 @@ impl Packet {
 
     /// Whether [`erase_virtual`](Packet::erase_virtual) of this packet is
     /// `erased`, decided without the copy: the online checker asks this of
-    /// every hop, and on most the answer is yes. `Tag` and `Digest` sort
-    /// next to each other, behind every named header and before the custom
-    /// ones, so the kept fields are the two slices before and after them,
-    /// each compared with its counterpart whole.
+    /// every hop, and on most the answer is yes. The masks must agree off
+    /// the virtual slots, and the slot arrays on either side of them.
     #[inline]
     pub fn eq_erased(&self, erased: &Packet) -> bool {
-        let fields = &self.fields[..];
-        let after = match fields.last() {
-            Some((Field::Custom(_), _)) => fields.partition_point(|&(f, _)| f <= Field::Digest),
-            _ => fields.len(),
-        };
-        let mut before = after;
-        for virtual_field in [Field::Digest, Field::Tag] {
-            if before > 0 && fields[before - 1].0 == virtual_field {
-                before -= 1;
-            }
-        }
-        let other = &erased.fields[..];
-        other.len() == before + fields.len() - after
-            && other[..before] == fields[..before]
-            && other[before..] == fields[after..]
+        const AFTER: usize = TAG_SLOT + 2;
+        self.present & !VIRTUAL_BITS == erased.present
+            && self.slots[..TAG_SLOT] == erased.slots[..TAG_SLOT]
+            && self.slots[AFTER..] == erased.slots[AFTER..]
+            && self.spilled == erased.spilled
     }
 
-    /// Whether the packet carries a location field of its own. They sort
-    /// first, so this reads one slot.
+    /// Whether the packet carries a location field of its own.
     #[inline]
     pub fn has_loc(&self) -> bool {
-        matches!(self.fields.first(), Some((Field::Switch | Field::Port, _)))
+        self.present & LOC_BITS != 0
     }
 
-    /// Unsets every field, keeping the record's buffer for reuse.
+    /// Unsets every field, keeping the side list's buffer for reuse.
     #[inline]
     pub fn clear(&mut self) {
-        self.fields.clear();
+        self.present = 0;
+        self.slots = [0; 16];
+        self.spilled.clear();
     }
 
     /// Number of fields set.
     #[inline]
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.present.count_ones() as usize + self.spilled.len()
     }
 
     /// Returns `true` if no fields are set.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.present == 0 && self.spilled.is_empty()
+    }
+}
+
+/// The indexes of a mask's set bits, lowest first.
+struct SetBits(u16);
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        let i = self.0.trailing_zeros() as usize;
+        (self.0 != 0).then(|| {
+            self.0 &= self.0 - 1;
+            i
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.count_ones() as usize;
+        (n, Some(n))
+    }
+}
+
+impl Ord for Packet {
+    fn cmp(&self, other: &Packet) -> Ordering {
+        self.iter().cmp(other.iter())
+    }
+}
+
+impl PartialOrd for Packet {
+    fn partial_cmp(&self, other: &Packet) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Packet {
+    /// Hashes the `(field, value)` sequence [`iter`](Packet::iter) yields
+    /// as a slice of it hashes: its length, then each pair.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len());
+        for pair in self.iter() {
+            pair.hash(state);
+        }
+    }
+}
+
+impl fmt::Debug for Packet {
+    /// `Packet { fields: [(field, value), …] }`, in field order.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Fields<'a>(&'a Packet);
+        impl fmt::Debug for Fields<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("Packet").field("fields", &Fields(self)).finish()
     }
 }
 
@@ -467,6 +593,78 @@ mod tests {
                 .prop_map(|picks| picks.into_iter().map(|(f, v)| (FIELDS[f], v)).collect())
         }
 
+        /// The sorted record [`Packet`] replaced, kept as its model: a
+        /// `Vec` of `(field, value)` pairs sorted by field, duplicate-free,
+        /// with the derived `Ord`, `Hash` and `Debug` the packet must
+        /// reproduce.
+        mod model {
+            use crate::field::{Field, Value};
+
+            #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+            pub(super) struct Packet {
+                pub(super) fields: Vec<(Field, Value)>,
+            }
+
+            impl Packet {
+                fn position(&self, field: Field) -> Result<usize, usize> {
+                    self.fields.binary_search_by_key(&field, |&(f, _)| f)
+                }
+
+                pub(super) fn get(&self, field: Field) -> Option<Value> {
+                    self.position(field).ok().map(|i| self.fields[i].1)
+                }
+
+                pub(super) fn set(&mut self, field: Field, value: Value) {
+                    match self.position(field) {
+                        Ok(i) => self.fields[i].1 = value,
+                        Err(i) => self.fields.insert(i, (field, value)),
+                    }
+                }
+
+                pub(super) fn unset(&mut self, field: Field) -> Option<Value> {
+                    self.position(field).ok().map(|i| self.fields.remove(i).1)
+                }
+            }
+        }
+
+        /// Every named field, and custom fields in and past the slots.
+        fn universe() -> Vec<Field> {
+            let custom = [0, 1, 2, 3, 7, 255].map(Field::Custom);
+            Field::ALL.into_iter().chain(custom).collect()
+        }
+
+        /// One step on one of two packets (`k`), and on its model.
+        #[derive(Clone, Debug)]
+        enum Op {
+            Set(usize, usize, u64),
+            Unset(usize, usize),
+            SetLoc(usize, u64, u64),
+            TakeLoc(usize),
+            Clear(usize),
+            /// `clone_from` the other packet.
+            CloneFrom(usize),
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            let fields = universe().len();
+            // Values from a small range that includes 0, the value an
+            // absent slot holds, so that present-at-0 and absent meet.
+            prop_oneof![
+                (0usize..2, 0..fields, 0u64..3).prop_map(|(k, f, v)| Op::Set(k, f, v)),
+                (0usize..2, 0..fields).prop_map(|(k, f)| Op::Unset(k, f)),
+                (0usize..2, 0u64..3, 0u64..3).prop_map(|(k, sw, pt)| Op::SetLoc(k, sw, pt)),
+                (0usize..2).prop_map(Op::TakeLoc),
+                (0usize..2).prop_map(Op::Clear),
+                (0usize..2).prop_map(Op::CloneFrom),
+            ]
+        }
+
+        fn hash_of<T: Hash>(t: &T) -> u64 {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -489,6 +687,69 @@ mod tests {
                 for e in [&other, &other.erase_virtual(), &shorter, &longer, &raw] {
                     prop_assert_eq!(raw.eq_erased(e), raw.erase_virtual() == *e, "{} vs {}", raw, e);
                     prop_assert_eq!(e.eq_erased(&erased), e.erase_virtual() == erased, "{} vs {}", e, raw);
+                }
+            }
+
+            // The fixed record against the sorted one, after every step of
+            // a random run over two packets: every read, both orders, the
+            // hash, the debug text and the erased compare.
+            #[test]
+            fn the_record_matches_the_sorted_model(
+                ops in proptest::collection::vec(arb_op(), 1..40),
+            ) {
+                let fields = universe();
+                let mut pks = [Packet::new(), Packet::new()];
+                let mut models = [model::Packet::default(), model::Packet::default()];
+                for op in ops {
+                    match op {
+                        Op::Set(k, f, v) => {
+                            pks[k].set(fields[f], v);
+                            models[k].set(fields[f], v);
+                        }
+                        Op::Unset(k, f) => {
+                            prop_assert_eq!(pks[k].unset(fields[f]), models[k].unset(fields[f]));
+                        }
+                        Op::SetLoc(k, sw, pt) => {
+                            pks[k].set_loc(Loc::new(sw, pt));
+                            models[k].set(Field::Switch, sw);
+                            models[k].set(Field::Port, pt);
+                        }
+                        Op::TakeLoc(k) => {
+                            let taken = (models[k].unset(Field::Switch), models[k].unset(Field::Port));
+                            prop_assert_eq!(pks[k].take_loc(), taken);
+                        }
+                        Op::Clear(k) => {
+                            pks[k].clear();
+                            models[k].fields.clear();
+                        }
+                        Op::CloneFrom(k) => {
+                            let [a, b] = &mut pks;
+                            let (to, from) = if k == 0 { (a, &*b) } else { (b, &*a) };
+                            to.clone_from(from);
+                            models[k] = models[1 - k].clone();
+                        }
+                    }
+                    for (pk, m) in pks.iter().zip(&models) {
+                        for &f in &fields {
+                            prop_assert_eq!(pk.get(f), m.get(f), "{:?} of {:?}", f, m);
+                        }
+                        prop_assert_eq!(pk.iter().collect::<Vec<_>>(), m.fields.clone());
+                        prop_assert_eq!(pk.len(), m.fields.len());
+                        prop_assert_eq!(pk.is_empty(), m.fields.is_empty());
+                        let loc = m.get(Field::Switch).zip(m.get(Field::Port));
+                        prop_assert_eq!(pk.loc(), loc.map(|(sw, pt)| Loc::new(sw, pt)));
+                        let has_loc = m.fields.iter().any(|&(f, _)| f.is_location());
+                        prop_assert_eq!(pk.has_loc(), has_loc);
+                        prop_assert_eq!(hash_of(pk), hash_of(m));
+                        prop_assert_eq!(format!("{pk:?}"), format!("{m:?}"));
+                        prop_assert_eq!(format!("{pk:#?}"), format!("{m:#?}"));
+                        prop_assert!(pk.eq_erased(&pk.erase_virtual()), "{:?}", m);
+                    }
+                    let ([a, b], [ma, mb]) = (&pks, &models);
+                    prop_assert_eq!(a == b, ma == mb, "{:?} vs {:?}", ma, mb);
+                    prop_assert_eq!(a.cmp(b), ma.cmp(mb), "{:?} vs {:?}", ma, mb);
+                    prop_assert_eq!(a.eq_erased(b), a.erase_virtual() == *b);
+                    prop_assert_eq!(b.eq_erased(a), b.erase_virtual() == *a);
                 }
             }
         }

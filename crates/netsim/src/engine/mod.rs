@@ -194,7 +194,7 @@ struct SourceState {
     base: u64,
     total: u64,
     /// The buffer the source writes each event's packet into, kept for the
-    /// whole run; the arena copies it into a recycled slot's kept buffer.
+    /// whole run; the arena copies it over a recycled slot's packet.
     packet: Packet,
 }
 

@@ -28,7 +28,7 @@
 //!
 //! A source does not hand over an owned packet: [`WorkloadSource::next_event`]
 //! writes the datagram into a buffer the engine keeps for the whole run, and
-//! the engine copies it into a recycled arena slot's kept vector. A streamed
+//! the engine copies it over a recycled arena slot's packet. A streamed
 //! datagram therefore costs no allocation once the arena has reached its
 //! in-flight high-water mark.
 

@@ -49,9 +49,9 @@ pub fn udp_packet(src: u64, dst: u64, flow: u64, seq: u64) -> Packet {
     packet
 }
 
-/// Overwrites `packet` with a UDP datagram's headers, keeping its buffer:
-/// the one writer behind [`udp_packet`] and [`FlowSource`]. Fields are set
-/// in [`Field`] order, so each lands at the end of the record.
+/// Overwrites `packet` with a UDP datagram's headers: the one writer
+/// behind [`udp_packet`] and [`FlowSource`]. Every field it writes has a
+/// fixed slot, so the packet never grows a side list.
 fn write_udp(packet: &mut Packet, src: u64, dst: u64, flow: u64, seq: u64) {
     packet.clear();
     packet.set(Field::IpProto, PROTO_UDP);

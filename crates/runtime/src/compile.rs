@@ -231,8 +231,19 @@ impl CompiledNes {
         here: EventSet,
         packet: &R,
     ) -> EventSet {
+        self.fire_step(known, self.matching_among(here, packet))
+    }
+
+    /// The events of `here` whose guard the packet matches, enabled or not:
+    /// [`matching_on`](CompiledNes::matching_on) for a packet at a location
+    /// whose events the caller has already found.
+    pub(crate) fn matching_among<R: netkat::FieldReader>(
+        &self,
+        here: EventSet,
+        packet: &R,
+    ) -> EventSet {
         let es = self.nes.structure();
-        self.fire_step(known, here.iter().filter(|&e| es.event(e).pred.eval_on(packet)).collect())
+        here.iter().filter(|&e| es.event(e).pred.eval_on(packet)).collect()
     }
 
     /// The events whose guard and location the located packet matches,

@@ -18,7 +18,7 @@ use netkat::{Field, FieldReader, Loc, LocatedView, PacketArena, PacketId, Tagged
 use netsim::{At, DataPlane, PlaneOut, SimTime};
 
 use crate::compile::CompiledNes;
-use crate::deploy::{Hop, PerTagTables};
+use crate::deploy::{Contact, Contacts, Hop, PerTagTables};
 #[cfg(test)]
 use crate::hop_props::{table_reference, StepResult};
 
@@ -43,21 +43,6 @@ impl Local {
     }
 }
 
-/// What the plane keeps per switch it has stepped, under the switch's dense
-/// node id: its slot (the deployment's row, and the index of its event
-/// state) and the run of `located` that holds its events, found once, at
-/// first contact.
-#[derive(Clone, Copy, Debug)]
-struct Contact {
-    slot: u32,
-    events: (u32, u32),
-}
-
-impl Contact {
-    /// A node id no packet has arrived under yet.
-    const UNSEEN: Contact = Contact { slot: u32::MAX, events: (0, 0) };
-}
-
 /// The deployed NES runtime (switch state + controller).
 #[derive(Clone, Debug)]
 pub struct NesDataPlane {
@@ -71,11 +56,8 @@ pub struct NesDataPlane {
     local: Vec<Local>,
     /// The state of a switch that knows nothing.
     blank: Local,
-    /// Per node id (`At::node`), the switch's [`Contact`]: a packet's
-    /// switch is found by index, never by a lookup of its id.
-    contacts: Vec<Contact>,
-    /// Per contacted switch, a run of `(port, the events located there)`.
-    located: Vec<(u64, EventSet)>,
+    /// The switches packets have arrived at, by node id (`At::node`).
+    contacts: Contacts,
     /// Controller's accumulated events (`R` in Fig. 7).
     controller: EventSet,
     /// Whether the controller broadcasts its view to all switches
@@ -93,8 +75,8 @@ pub struct NesDataPlane {
     /// campaign's switches all climb the same few sets.
     effective_cache: BTreeMap<EventSet, Local>,
     /// The table hop's reused buffers: a content-changing hop's output is
-    /// copied into a recycled arena slot's kept buffer, so in steady state
-    /// a hop allocates nothing.
+    /// copied over a recycled arena slot's packet, so in steady state a hop
+    /// allocates nothing.
     hop: Hop,
 }
 
@@ -108,8 +90,7 @@ impl NesDataPlane {
             compiled,
             deployment,
             blank,
-            contacts: Vec::new(),
-            located: Vec::new(),
+            contacts: Contacts::default(),
             controller: EventSet::empty(),
             broadcast,
             switches,
@@ -161,32 +142,19 @@ impl NesDataPlane {
     }
 
     /// The contact of the switch at `at`, made on its first packet: its
-    /// slot, and its events collected into a run of `located`.
+    /// slot, and its events collected into a run.
     #[inline]
     fn contact(&mut self, at: At) -> Contact {
-        match self.contacts.get(at.node as usize) {
-            Some(&c) if c.slot != Contact::UNSEEN.slot => c,
-            _ => self.first_contact(at),
+        match self.contacts.get(at) {
+            Some(c) => c,
+            None => self.first_contact(at),
         }
     }
 
     #[cold]
     fn first_contact(&mut self, at: At) -> Contact {
-        let slot = self.slot_of(at.sw) as u32;
-        let start = self.located.len();
-        for e in self.compiled.nes().events().iter().filter(|e| e.loc.sw == at.sw) {
-            match self.located[start..].iter_mut().find(|(pt, _)| *pt == e.loc.pt) {
-                Some((_, here)) => *here = here.insert(e.id),
-                None => self.located.push((e.loc.pt, EventSet::singleton(e.id))),
-            }
-        }
-        let contact = Contact { slot, events: (start as u32, self.located.len() as u32) };
-        let node = at.node as usize;
-        if self.contacts.len() <= node {
-            self.contacts.resize(node + 1, Contact::UNSEEN);
-        }
-        self.contacts[node] = contact;
-        contact
+        let slot = self.slot_of(at.sw);
+        self.contacts.make(at, slot, self.compiled.nes())
     }
 
     fn learn(&mut self, sw: u64, events: EventSet, now: SimTime) {
@@ -248,11 +216,11 @@ impl DataPlane for NesDataPlane {
         // SWITCH step 2: fire enabled events this arrival matches, among
         // those located at its port.
         let loc = Loc::new(at.sw, at.pt);
-        let (start, end) = contact.events;
-        let here = self.located[start as usize..end as usize].iter().find(|(pt, _)| *pt == at.pt);
-        let fired = match here {
-            Some(&(_, here)) => self.compiled.triggered_among(effective, here, &stamped),
-            None => EventSet::empty(),
+        let here = self.contacts.events_at(contact, at.pt);
+        let fired = if here.is_empty() {
+            EventSet::empty()
+        } else {
+            self.compiled.triggered_among(effective, here, &stamped)
         };
         if !fired.is_empty() {
             self.learn_at(slot, sw, fired, now);

@@ -31,10 +31,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use edn_core::NetworkEventStructure;
+use edn_core::{EventSet, NetworkEventStructure};
 use netkat::{
     ChainTables, Field, FieldReader, FxBuildHasher, Loc, Packet, PacketArena, PacketId, Rule,
 };
+use netsim::At;
 
 /// One deployment: the NES's shared [`ChainTables`] (rows are switches,
 /// columns are tags) and this plane's own slots and probe counts.
@@ -105,6 +106,69 @@ impl PerTagTables {
         reg.gauge_max(edn_obs::Scope::Shard, "flowindex.layouts", t.layouts() as u64);
         reg.gauge_max(edn_obs::Scope::Shard, "flowindex.indexed_rules", t.indexed_rules() as u64);
         reg.gauge_max(edn_obs::Scope::Shard, "flowindex.slots", t.cells() as u64);
+    }
+}
+
+/// What a plane keeps per switch it has stepped, under the switch's dense
+/// node id: its slot in the deployment and the run of [`Contacts`]'
+/// `located` that holds its events, found once, at first contact.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Contact {
+    pub(crate) slot: u32,
+    events: (u32, u32),
+}
+
+impl Contact {
+    /// A node id no packet has arrived under yet.
+    const UNSEEN: Contact = Contact { slot: u32::MAX, events: (0, 0) };
+}
+
+/// Every plane's switch contacts: a packet's switch is found by the node id
+/// the engine hands in (`At::node`), never by a lookup of its id.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Contacts {
+    /// Per node id, the switch's [`Contact`].
+    by_node: Vec<Contact>,
+    /// Per contacted switch, a run of `(port, the events located there)`.
+    located: Vec<(u64, EventSet)>,
+}
+
+impl Contacts {
+    /// The contact of the switch at `at`, if a packet has arrived there
+    /// before.
+    #[inline]
+    pub(crate) fn get(&self, at: At) -> Option<Contact> {
+        self.by_node.get(at.node as usize).copied().filter(|c| c.slot != Contact::UNSEEN.slot)
+    }
+
+    /// Makes the contact of the switch at `at`, whose slot is `slot`, on
+    /// its first packet: `nes`'s events at the switch, collected into a run
+    /// of `located`.
+    #[cold]
+    pub(crate) fn make(&mut self, at: At, slot: usize, nes: &NetworkEventStructure) -> Contact {
+        let start = self.located.len();
+        for e in nes.events().iter().filter(|e| e.loc.sw == at.sw) {
+            match self.located[start..].iter_mut().find(|(pt, _)| *pt == e.loc.pt) {
+                Some((_, here)) => *here = here.insert(e.id),
+                None => self.located.push((e.loc.pt, EventSet::singleton(e.id))),
+            }
+        }
+        let contact =
+            Contact { slot: slot as u32, events: (start as u32, self.located.len() as u32) };
+        let node = at.node as usize;
+        if self.by_node.len() <= node {
+            self.by_node.resize(node + 1, Contact::UNSEEN);
+        }
+        self.by_node[node] = contact;
+        contact
+    }
+
+    /// The events located at port `pt` of `contact`'s switch.
+    #[inline]
+    pub(crate) fn events_at(&self, contact: Contact, pt: u64) -> EventSet {
+        let (start, end) = contact.events;
+        let run = &self.located[start as usize..end as usize];
+        run.iter().find(|(p, _)| *p == pt).map_or_else(EventSet::empty, |&(_, here)| here)
     }
 }
 

@@ -9,7 +9,7 @@ use edn_core::{Config, EventSet, EventStructure, NetworkEventStructure};
 use netkat::{Loc, LocatedView, PacketArena, PacketId};
 use netsim::{At, DataPlane, PlaneOut, SimTime};
 
-use crate::deploy::{Hop, PerTagTables};
+use crate::deploy::{Contact, Contacts, Hop, PerTagTables};
 #[cfg(test)]
 use crate::hop_props::{table_reference, StepResult};
 
@@ -21,6 +21,8 @@ pub struct StaticDataPlane {
     /// The configuration's tables, deployed as the one-tag layout every
     /// plane forwards through.
     deployment: PerTagTables,
+    /// The switches packets have arrived at, by node id (`At::node`).
+    contacts: Contacts,
     hop: Hop,
 }
 
@@ -31,7 +33,17 @@ impl StaticDataPlane {
         let nes = NetworkEventStructure::new(events, [(EventSet::empty(), config)])
             .expect("the empty structure reaches only `∅`, which has the configuration");
         let deployment = PerTagTables::deploy(&nes, &[]);
-        StaticDataPlane { nes, deployment, hop: Hop::default() }
+        StaticDataPlane { nes, deployment, contacts: Contacts::default(), hop: Hop::default() }
+    }
+
+    /// The contact of the switch at `at`: a switch without a table gets a
+    /// slot past every row, and drops.
+    #[inline]
+    fn contact(&mut self, at: At) -> Contact {
+        match self.contacts.get(at) {
+            Some(c) => c,
+            None => self.contacts.make(at, self.deployment.slot_of(at.sw), &self.nes),
+        }
     }
 
     /// The deployed configuration.
@@ -56,7 +68,7 @@ impl DataPlane for StaticDataPlane {
         arena: &mut PacketArena,
         out: &mut PlaneOut<()>,
     ) {
-        let Some(slot) = self.deployment.slot(at.sw) else { return };
+        let slot = self.contact(at).slot as usize;
         let loc = Loc::new(at.sw, at.pt);
         let view = LocatedView { base: arena.get(packet), loc, tag: None };
         if let Some(rule) = self.deployment.lookup_on(slot, 0, &view) {

@@ -14,7 +14,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::compile::CompiledNes;
-use crate::deploy::{Hop, PerTagTables};
+use crate::deploy::{Contact, Contacts, Hop, PerTagTables};
 #[cfg(test)]
 use crate::hop_props::{table_reference, StepResult};
 
@@ -38,6 +38,8 @@ pub struct UncoordDataPlane {
     deployment: PerTagTables,
     /// Per-switch currently-installed tag, by the deployment's dense slot.
     current: Vec<u64>,
+    /// The switches packets have arrived at, by node id (`At::node`).
+    contacts: Contacts,
     /// The controller's event view.
     controller: EventSet,
     /// Extra delay before pushing updated configurations.
@@ -63,6 +65,7 @@ impl UncoordDataPlane {
             current: vec![0; deployment.slots()],
             compiled,
             deployment,
+            contacts: Contacts::default(),
             controller: EventSet::empty(),
             update_delay,
             jitter: SimTime::from_millis(20),
@@ -75,6 +78,25 @@ impl UncoordDataPlane {
     /// The tag a switch currently runs.
     pub fn current_tag(&self, sw: u64) -> u64 {
         self.deployment.slot(sw).map_or(0, |slot| self.current[slot])
+    }
+
+    /// The contact of the switch at `at`, made on its first packet: a
+    /// switch without a table gets a slot past every row, and drops.
+    #[inline]
+    fn contact(&mut self, at: At) -> Contact {
+        match self.contacts.get(at) {
+            Some(c) => c,
+            None => self.first_contact(at),
+        }
+    }
+
+    #[cold]
+    fn first_contact(&mut self, at: At) -> Contact {
+        let slot = self.deployment.slot_of(at.sw);
+        if slot == self.current.len() {
+            self.current.push(0);
+        }
+        self.contacts.make(at, slot, self.compiled.nes())
     }
 }
 
@@ -96,13 +118,17 @@ impl DataPlane for UncoordDataPlane {
     ) {
         // Event detection: matching arrivals are punted to the controller
         // (it decides whether they constitute state transitions).
-        let loc = Loc::new(at.sw, at.pt);
+        let contact = self.contact(at);
+        let slot = contact.slot as usize;
         let base = arena.get(packet);
-        let matched = self.compiled.matching_on(base, loc);
-        if !matched.is_empty() {
-            out.notifications.push(UncoordMsg::Events(matched));
+        let here = self.contacts.events_at(contact, at.pt);
+        if !here.is_empty() {
+            let matched = self.compiled.matching_among(here, base);
+            if !matched.is_empty() {
+                out.notifications.push(UncoordMsg::Events(matched));
+            }
         }
-        let Some(slot) = self.deployment.slot(at.sw) else { return };
+        let loc = Loc::new(at.sw, at.pt);
         let view = LocatedView { base, loc, tag: None };
         if let Some(rule) = self.deployment.lookup_on(slot, self.current[slot], &view) {
             self.hop.forward(rule, None, loc, packet, arena, &mut out.outputs);

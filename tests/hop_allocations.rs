@@ -11,15 +11,15 @@
 //!
 //! What remains per datagram is **nothing**. The source writes each
 //! datagram's headers into one buffer the engine keeps for the whole run,
-//! and the engine copies that buffer into a recycled arena slot's kept
-//! vector (`intern_ref`). When the source built an owned `Packet` per
+//! and the engine copies that buffer over a recycled arena slot's packet
+//! (`intern_ref`, a fixed-size copy). When the source built an owned `Packet` per
 //! datagram instead — a field vector started and grown once on the way to
 //! five headers — this read 2.00. The calendar adds nothing: its buckets
 //! are lists threaded through a per-slot array that stops growing at the
 //! queue's high-water mark (per-bucket vectors used to add ≈ 0.13).
 //!
-//! The ingress hop's stamped output (tag and digest added) is copied into a
-//! recycled slot's kept buffer, and every later hop forwards that id
+//! The ingress hop's stamped output (tag and digest added) is copied over a
+//! recycled slot's packet, and every later hop forwards that id
 //! unchanged: the hops themselves allocate nothing.
 //!
 //! Before the dense per-hop path this read 6.1: the IN stamp interned an
@@ -38,6 +38,12 @@
 //! a hop that changes no header shares its parent's pool entry instead of
 //! copying.
 //!
+//! A packet whose custom field has no fixed slot (`Custom(n)` for `n ≥ 3`)
+//! keeps it in a side list. The list stays with its arena slot when the slot
+//! is freed, so interning such a packet into a recycled slot, and copying it
+//! into a kept buffer the way the table hop copies a packet it changes,
+//! allocate nothing either once warm (`a_spilled_custom_field_costs_no_allocation`).
+//!
 //! A third leg streams the same datagrams through the uncoordinated baseline
 //! (`uncoordinated_engine`): it forwards through the same table layout and
 //! the same hop as the NES plane, unstamped, so it allocates nothing either.
@@ -49,7 +55,7 @@ use std::cell::Cell;
 
 use edn_topo::{attach_stream, fat_tree, synthesize, TierProfile, TrafficPattern, Workload};
 use nes_runtime::{attach_online_checker, nes_engine, uncoordinated_engine};
-use netkat::Packet;
+use netkat::{Field, Packet, PacketArena};
 use netsim::traffic::{udp_packet, UdpFlowSpec};
 use netsim::{DataPlane, Engine, RunResult, SimParams, SimTime, SinkHosts, StatsMode};
 
@@ -213,4 +219,40 @@ fn checking_a_streamed_datagram_allocates_nothing() {
 fn the_uncoordinated_baseline_costs_no_allocation_a_datagram() {
     let baseline = per_datagram(N, Leg::Uncoordinated);
     assert_eq!(baseline, 0.0, "a baseline datagram costs {baseline:.2} allocations");
+}
+
+#[test]
+fn a_spilled_custom_field_costs_no_allocation() {
+    // A datagram's headers plus a custom field past the fixed slots.
+    let spilled = udp_packet(1, 2, 3, 0).with(Field::Custom(7), 0);
+    assert_eq!(spilled.get(Field::Custom(7)), Some(0));
+    let mut arena = PacketArena::new();
+    let mut id = arena.intern_ref(&spilled);
+    arena.retain(id);
+    arena.sweep();
+    // One hop that changes the packet: copy it out of its slot into the
+    // kept buffer, rewrite the spilled field, intern the copy into a
+    // recycled slot, and free the input's slot.
+    let mut buf = Packet::new();
+    let mut hop = |arena: &mut PacketArena, id: netkat::PacketId, seq: u64| {
+        buf.clone_from(arena.get(id));
+        buf.set(Field::Custom(7), seq);
+        let next = arena.intern_ref(&buf);
+        arena.retain(next);
+        arena.release(id);
+        arena.sweep();
+        next
+    };
+    for seq in 1..=4 {
+        id = hop(&mut arena, id, seq);
+    }
+    let before = ALLOCATIONS.with(Cell::get);
+    for seq in 5..=1_000 {
+        id = hop(&mut arena, id, seq);
+    }
+    let spent = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(arena.get(id).get(Field::Custom(7)), Some(1_000));
+    assert_eq!(arena.get(id).get(Field::IpDst), Some(2));
+    assert!(arena.len() <= 2, "the hops reuse two slots, not {}", arena.len());
+    assert_eq!(spent, 0, "996 hops of a spilled packet cost {spent} allocations");
 }
